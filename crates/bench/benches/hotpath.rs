@@ -1,6 +1,7 @@
 //! Hot-path regression suite: the three loops the interactive Full sweep
 //! spends its time in — the simulator event loop, the refiner's rebalance
-//! pass, and the end-to-end Figure-1 sweep itself.
+//! pass, and the end-to-end Figure-1 sweep itself — plus the `spec` wire
+//! codec that `--backend proc` pays sixteen times per sweep.
 //!
 //! Run `NUMADAG_CRITERION_JSON=PATH cargo bench -p numadag-bench --bench
 //! hotpath` to export medians as JSON; `ablation hotpath-diff` compares the
@@ -13,6 +14,8 @@ use numadag_core::DfifoPolicy;
 use numadag_graph::generators;
 use numadag_graph::partition::refine::{rebalance, rebalance_reference};
 use numadag_kernels::{Application, ProblemScale};
+use numadag_proc::protocol::{decode_spec, encode_spec};
+use numadag_runtime::framing::untag;
 use numadag_runtime::{ExecutionConfig, Simulator};
 
 /// The simulator event loop in isolation: a Full-scale Jacobi under DFIFO,
@@ -105,10 +108,37 @@ fn bench_full_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// One worker's share of spec shipping: the eight Full specs encoded to
+/// their wire lines, parsed and rebuilt (fingerprint check included) —
+/// what the coordinator and a worker each do once per spec per worker.
+fn bench_proc_spec_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath");
+    group.sample_size(10);
+    let sockets = ExecutionConfig::bullion_s16().topology.num_sockets();
+    let specs: Vec<_> = Application::all()
+        .iter()
+        .map(|app| app.build(ProblemScale::Full, sockets))
+        .collect();
+    let tasks: usize = specs.iter().map(|spec| spec.num_tasks()).sum();
+    group.throughput(Throughput::Elements(tasks as u64));
+    group.bench_function("proc_spec_codec/full8", |b| {
+        b.iter(|| {
+            for spec in &specs {
+                let line = encode_spec(spec);
+                let message = serde_json::from_str(&line).expect("the wire line parses");
+                let (_, payload) = untag(&message).expect("the line is an envelope");
+                criterion::black_box(decode_spec(payload).expect("the spec round-trips"));
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulator_event_loop,
     bench_refine_rebalance,
-    bench_full_sweep
+    bench_full_sweep,
+    bench_proc_spec_codec
 );
 criterion_main!(benches);

@@ -8,10 +8,12 @@
 //! The gate counts every `alloc`/`realloc` through a counting global
 //! allocator armed only around the measured call, so the test is exact
 //! rather than statistical: a single reintroduced per-level or per-pass
-//! allocation fails it.
+//! allocation fails it. The armed flag and the counter are per thread:
+//! libtest runs the two tests on parallel threads, and a process-wide
+//! counter charged each with the other's (legitimate, unarmed) allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use numadag_graph::generators;
 use numadag_graph::partition::refine::{refine_kway_anchored_with, RefineScratch};
@@ -19,21 +21,28 @@ use numadag_graph::partition::{AffinityCosts, PartitionConfig};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialised and without destructors: reading them never
+    // allocates or registers anything, so the allocator may touch them.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation if the calling thread is inside a measured call.
+fn count_if_armed() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -59,8 +68,8 @@ fn measured_run(
     seed: &[u32],
 ) -> (Vec<u32>, i64, usize) {
     let mut assignment = seed.to_vec();
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
     let cut = refine_kway_anchored_with(
         graph,
         &mut assignment,
@@ -69,8 +78,8 @@ fn measured_run(
         affinity,
         scratch,
     );
-    ARMED.store(false, Ordering::SeqCst);
-    (assignment, cut, ALLOCATIONS.load(Ordering::SeqCst))
+    ARMED.set(false);
+    (assignment, cut, ALLOCATIONS.get())
 }
 
 #[test]

@@ -7,7 +7,7 @@ use numadag_core::SchedulingPolicy;
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator};
 use numadag_tdg::TaskGraphSpec;
 
-use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WorkerPool};
+use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerPool};
 
 /// The multi-process backend: ships sweep cells to worker processes and
 /// re-labels the reports they send back.
@@ -18,7 +18,7 @@ use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WorkerPool};
 /// its measurements under the `"simulator"` label (see
 /// `numadag_runtime::Backend::report_label`).
 pub struct ProcExecutor {
-    config: ExecutionConfig,
+    config: WireConfig,
     workers: usize,
     pool: Mutex<Option<Arc<WorkerPool>>>,
 }
@@ -28,7 +28,7 @@ impl ProcExecutor {
     /// (spawning `workers` worker processes on first use).
     pub fn new(config: ExecutionConfig, workers: usize) -> Self {
         ProcExecutor {
-            config,
+            config: WireConfig::new(config),
             workers,
             pool: Mutex::new(None),
         }
@@ -39,7 +39,7 @@ impl ProcExecutor {
     pub fn with_pool(config: ExecutionConfig, pool: Arc<WorkerPool>) -> Self {
         let workers = pool.num_slots();
         ProcExecutor {
-            config,
+            config: WireConfig::new(config),
             workers,
             pool: Mutex::new(Some(pool)),
         }
@@ -76,8 +76,9 @@ impl ProcExecutor {
         ctx: &CellContext<'_>,
     ) -> Result<ExecutionReport, ProcError> {
         let pool = self.pool()?;
-        let events = self.config.trace_sink.is_enabled();
-        let placements = self.config.collect_trace;
+        let config = self.config.config();
+        let events = config.trace_sink.is_enabled();
+        let placements = config.collect_trace;
         let (report, collected) = pool.run_cell(
             spec,
             ctx.policy_label,
@@ -88,7 +89,7 @@ impl ProcExecutor {
             placements,
         )?;
         for event in collected {
-            self.config.trace_sink.record(event);
+            config.trace_sink.record(event);
         }
         Ok(report)
     }
@@ -100,14 +101,14 @@ impl Executor for ProcExecutor {
     }
 
     fn config(&self) -> &ExecutionConfig {
-        &self.config
+        self.config.config()
     }
 
     /// Without a [`CellContext`] there is no policy provenance to ship, so
     /// this runs the cell in-process through the same [`Simulator`] the
     /// workers use — identical results, no IPC.
     fn execute(&self, spec: &TaskGraphSpec, policy: &mut dyn SchedulingPolicy) -> ExecutionReport {
-        Simulator::new(self.config.clone()).run(spec, policy)
+        Simulator::new(self.config.config().clone()).run(spec, policy)
     }
 
     /// # Panics

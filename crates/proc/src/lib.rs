@@ -40,7 +40,7 @@ pub mod protocol;
 pub mod worker;
 
 pub use executor::ProcExecutor;
-pub use pool::{shared_pool, PoolConfig, PoolStats, ProcError, WorkerPool};
+pub use pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerPool};
 pub use worker::{run_worker_from_env, CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// Registers [`ProcExecutor`] as the factory behind

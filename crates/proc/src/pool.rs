@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use numadag_runtime::framing::{read_frame, to_line, untag, write_frame, FrameError};
+use numadag_runtime::framing::{read_frame, to_line, untag, write_frame, write_line, FrameError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
@@ -217,10 +217,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Stable fingerprint of an [`ExecutionConfig`]'s wire form, used both as
-/// the config's epoch tag and as the "has this worker seen it" key.
-fn config_fingerprint(config: &ExecutionConfig) -> u64 {
-    fnv1a(to_line(&encode_config(0, config)).as_bytes())
+/// An [`ExecutionConfig`] together with the stable fingerprint of its wire
+/// form, which is both the config's epoch tag and the "has this worker seen
+/// it" key. Built once per executor, so the config is encoded for hashing
+/// once rather than once per cell.
+#[derive(Clone, Debug)]
+pub struct WireConfig {
+    config: ExecutionConfig,
+    fingerprint: u64,
+}
+
+impl WireConfig {
+    /// Fingerprints `config`.
+    pub fn new(config: ExecutionConfig) -> Self {
+        let fingerprint = fnv1a(to_line(&encode_config(0, &config)).as_bytes());
+        WireConfig {
+            config,
+            fingerprint,
+        }
+    }
+
+    /// The config itself.
+    pub fn config(&self) -> &ExecutionConfig {
+        &self.config
+    }
 }
 
 enum DispatchFailure {
@@ -295,7 +315,9 @@ impl WorkerPool {
             let (stream, _) = match listener.accept() {
                 Ok(accepted) => accepted,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    // A worker connects a few ms after its exec; a coarse
+                    // poll here is pure added start-up latency.
+                    std::thread::sleep(Duration::from_micros(250));
                     continue;
                 }
                 Err(e) => return Err(spawn_err(format!("rendezvous accept failed: {e}"))),
@@ -425,7 +447,7 @@ impl WorkerPool {
         policy_label: &str,
         policy_name: &'static str,
         policy_seed: u64,
-        config: &ExecutionConfig,
+        config: &WireConfig,
         events: bool,
         placements: bool,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
@@ -433,7 +455,6 @@ impl WorkerPool {
         self.counters
             .cells_dispatched
             .fetch_add(1, Ordering::Relaxed);
-        let config_fp = config_fingerprint(config);
         let assignment = Assignment {
             cell,
             spec_fp: spec.fingerprint(),
@@ -446,7 +467,7 @@ impl WorkerPool {
             let slot = self
                 .acquire_slot()
                 .ok_or(ProcError::AllWorkersDead { cell })?;
-            match self.dispatch_on(&slot, &assignment, spec, policy_name, config, config_fp) {
+            match self.dispatch_on(&slot, &assignment, spec, policy_name, config) {
                 Ok(result) => return Ok(result),
                 Err(DispatchFailure::WorkerLost) => {
                     self.counters.redispatches.fetch_add(1, Ordering::Relaxed);
@@ -462,8 +483,7 @@ impl WorkerPool {
         assignment: &Assignment,
         spec: &TaskGraphSpec,
         policy_name: &'static str,
-        config: &ExecutionConfig,
-        config_fp: u64,
+        config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), DispatchFailure> {
         let mut state = slot.lock();
         if !slot.alive.load(Ordering::SeqCst) {
@@ -483,8 +503,10 @@ impl WorkerPool {
         }
 
         // Config sync: only when this worker's acked fingerprint differs.
+        let config_fp = config.fingerprint;
         if state.config_fp != Some(config_fp) {
-            if write_frame(&mut state.writer, &encode_config(config_fp, config)).is_err() {
+            let message = encode_config(config_fp, &config.config);
+            if write_frame(&mut state.writer, &message).is_err() {
                 return Err(lost(slot, &mut state));
             }
             self.counters
@@ -492,20 +514,16 @@ impl WorkerPool {
                 .fetch_add(1, Ordering::Relaxed);
             // The conversation is serial under the slot lock, so the next
             // frame must be the ack (or a structured rejection).
-            match read_tagged(&mut state.reader) {
-                Ok((tag, payload)) if tag == "config_ack" => {
-                    match decode_epoch(&payload, "config_ack") {
+            let reply = read_message(&mut state.reader);
+            match reply.as_ref().and_then(|message| untag(message).ok()) {
+                Some((tag, payload)) if tag == "config_ack" => {
+                    match decode_epoch(payload, "config_ack") {
                         Ok(epoch) if epoch == config_fp => state.config_fp = Some(config_fp),
                         _ => return Err(lost(slot, &mut state)),
                     }
                 }
-                Ok((tag, payload)) if tag == "error" => {
-                    let message =
-                        decode_error(&payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
-                    return Err(DispatchFailure::Fatal(ProcError::Worker {
-                        worker: slot.id,
-                        message,
-                    }));
+                Some((tag, payload)) if tag == "error" => {
+                    return Err(DispatchFailure::Fatal(worker_error(slot.id, payload)));
                 }
                 _ => return Err(lost(slot, &mut state)),
             }
@@ -513,7 +531,7 @@ impl WorkerPool {
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
         if !state.specs.contains(&assignment.spec_fp) {
-            if write_frame(&mut state.writer, &encode_spec(spec)).is_err() {
+            if write_line(&mut state.writer, encode_spec(spec)).is_err() {
                 return Err(lost(slot, &mut state));
             }
             state.specs.insert(assignment.spec_fp);
@@ -530,22 +548,23 @@ impl WorkerPool {
         let mut deferred: Option<u64> = None;
         let mut stolen: Option<u64> = None;
         loop {
-            let (tag, payload) = match read_tagged(&mut state.reader) {
-                Ok(parts) => parts,
-                Err(_) => return Err(lost(slot, &mut state)),
+            let reply = read_message(&mut state.reader);
+            let Some((tag, payload)) = reply.as_ref().and_then(|message| untag(message).ok())
+            else {
+                return Err(lost(slot, &mut state));
             };
             match tag.as_str() {
-                "data_home" => match decode_data_home(&payload) {
+                "data_home" => match decode_data_home(payload) {
                     Ok((cell, bytes)) if cell == assignment.cell => deferred = Some(bytes),
                     _ => return Err(lost(slot, &mut state)),
                 },
-                "steal" => match decode_steal(&payload) {
+                "steal" => match decode_steal(payload) {
                     Ok((cell, count)) if cell == assignment.cell => stolen = Some(count),
                     _ => return Err(lost(slot, &mut state)),
                 },
                 "done" => {
                     let (cell, report, events) =
-                        match decode_done(&payload, spec.name.clone(), policy_name) {
+                        match decode_done(payload, spec.name.clone(), policy_name) {
                             Ok(done) => done,
                             Err(_) => return Err(lost(slot, &mut state)),
                         };
@@ -566,31 +585,26 @@ impl WorkerPool {
                     }
                     return Ok((report, events));
                 }
-                "error" => {
-                    let message =
-                        decode_error(&payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
-                    return Err(DispatchFailure::Fatal(ProcError::Worker {
-                        worker: slot.id,
-                        message,
-                    }));
-                }
+                "error" => return Err(DispatchFailure::Fatal(worker_error(slot.id, payload))),
                 _ => return Err(lost(slot, &mut state)),
             }
         }
     }
 }
 
-/// Reads and untags one frame; any failure (EOF, timeout, framing, JSON)
-/// collapses to `Err` — the caller kills the worker for all of them.
-fn read_tagged(reader: &mut BufReader<TcpStream>) -> Result<(String, Value), String> {
-    let line = match read_frame(reader) {
-        Ok(Some(line)) => line,
-        Ok(None) => return Err("worker closed the connection".to_string()),
-        Err(e) => return Err(format!("bad frame: {e}")),
-    };
-    let value: Value = serde_json::from_str(&line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let (tag, payload) = untag(&value)?;
-    Ok((tag, payload.clone()))
+/// Reads and parses one frame; any failure (EOF, timeout, framing, JSON)
+/// collapses to `None` — the caller kills the worker for all of them. The
+/// parsed message is returned whole and untagged by reference, so a `done`
+/// report is never copied after it was parsed.
+fn read_message(reader: &mut BufReader<TcpStream>) -> Option<Value> {
+    let line = read_frame(reader).ok()??;
+    serde_json::from_str(&line).ok()
+}
+
+/// A worker's structured `error` reply as the deterministic failure it is.
+fn worker_error(worker: u64, payload: &Value) -> ProcError {
+    let message = decode_error(payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
+    ProcError::Worker { worker, message }
 }
 
 impl Drop for WorkerPool {
@@ -605,14 +619,34 @@ impl Drop for WorkerPool {
             let mut state = slot.lock();
             let _ = write_frame(&mut state.writer, &encode_shutdown());
         }
+        let deadline = Instant::now() + Duration::from_secs(5);
         for slot in &self.slots {
             let mut state = slot.lock();
-            let deadline = Instant::now() + Duration::from_secs(5);
+            // A dismissed worker closes its socket by exiting, so EOF (or any
+            // read failure, including the deadline) is the wake-up — not a
+            // poll interval.
+            if slot.alive.load(Ordering::SeqCst) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let timeout = left.max(Duration::from_millis(1));
+                if state
+                    .reader
+                    .get_ref()
+                    .set_read_timeout(Some(timeout))
+                    .is_ok()
+                {
+                    while Instant::now() < deadline
+                        && matches!(read_frame(&mut state.reader), Ok(Some(_)))
+                    {
+                    }
+                }
+            }
+            // The socket closes a moment before the process becomes
+            // reapable; workers that ignore the dismissal are killed.
             loop {
                 match state.child.try_wait() {
                     Ok(Some(_)) => break,
                     Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
+                        std::thread::sleep(Duration::from_micros(100))
                     }
                     _ => {
                         let _ = state.child.kill();

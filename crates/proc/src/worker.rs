@@ -245,7 +245,12 @@ fn run_worker(
                 Ok(epoch) => send(&mut writer, &encode_barrier_ack(epoch))?,
                 Err(e) => send(&mut writer, &encode_error(&format!("bad barrier: {e}")))?,
             },
-            "shutdown" => return Ok(()),
+            "shutdown" => {
+                // The process exits next; freeing every spec task by task
+                // first would only keep the coordinator waiting to reap it.
+                std::mem::forget(specs);
+                return Ok(());
+            }
             other => {
                 send(
                     &mut writer,
@@ -253,5 +258,125 @@ fn run_worker(
                 )?;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    use numadag_numa::Topology;
+    use numadag_runtime::framing::write_line;
+    use numadag_tdg::{TaskSpec, TdgBuilder};
+
+    use crate::protocol::{
+        decode_done, decode_error, encode_assign, encode_config, encode_shutdown, encode_spec,
+        Assignment,
+    };
+
+    /// The coordinator's end of a loopback conversation with `run_worker`.
+    struct Coordinator {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl Coordinator {
+        fn send(&mut self, message: &Value) {
+            write_frame(&mut self.writer, message).unwrap();
+        }
+
+        /// The next reply as `(tag, payload)`.
+        fn reply(&mut self) -> (String, Value) {
+            let line = read_frame(&mut self.reader)
+                .expect("the worker is still talking")
+                .expect("the worker has not hung up");
+            let message = serde_json::from_str(&line).unwrap();
+            let (tag, payload) = untag(&message).unwrap();
+            (tag, payload.clone())
+        }
+
+        fn expect_bad_spec(&mut self, complaint: &str) {
+            let (tag, payload) = self.reply();
+            assert_eq!(tag, "error");
+            let message = decode_error(&payload).unwrap();
+            assert!(message.starts_with("bad spec: "), "{message}");
+            assert!(message.contains(complaint), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_poison_spec_is_refused_and_the_worker_keeps_serving() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            let stream = TcpStream::connect(addr).unwrap();
+            let writer = stream.try_clone().unwrap();
+            let faults = FaultPlan {
+                crash_after: None,
+                garbage_after: None,
+            };
+            run_worker(7, BufReader::new(stream), writer, faults)
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut coordinator = Coordinator {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        };
+        assert_eq!(coordinator.reply().0, "hello");
+        let config = ExecutionConfig::new(Topology::two_socket(2));
+        coordinator.send(&encode_config(1, &config));
+        assert_eq!(coordinator.reply().0, "config_ack");
+
+        let mut builder = TdgBuilder::new();
+        let region = builder.region(1 << 16);
+        builder.submit(TaskSpec::new("init").work(50.0).writes(region, 1 << 16));
+        builder.submit(TaskSpec::new("use").work(20.0).reads(region, 1 << 16));
+        let (graph, sizes) = builder.finish();
+        let spec = TaskGraphSpec::new("loopback", graph, sizes);
+        let line = encode_spec(&spec);
+
+        // Either of these reached an `assert!` in `TaskGraph::push_task` /
+        // `with_ep_placement` before the decoder validated its columns, and
+        // the panic looked like a lost worker to the coordinator.
+        let self_dependence = line.replacen("\"dep\":[0,", "\"dep\":[1,", 1);
+        assert_ne!(self_dependence, line);
+        write_line(&mut coordinator.writer, self_dependence).unwrap();
+        coordinator.expect_bad_spec("task 1 depends on task 1");
+        let short_placement = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
+        assert_ne!(short_placement, line);
+        write_line(&mut coordinator.writer, short_placement).unwrap();
+        coordinator.expect_bad_spec("spec.ep has 1 entries for 2 tasks");
+
+        // The same worker still takes the intact spec and runs a cell on it.
+        write_line(&mut coordinator.writer, line).unwrap();
+        coordinator.send(&encode_assign(&Assignment {
+            cell: 3,
+            spec_fp: spec.fingerprint(),
+            policy: "las".to_string(),
+            policy_seed: 5,
+            events: false,
+            placements: false,
+        }));
+        assert_eq!(coordinator.reply().0, "data_home");
+        assert_eq!(coordinator.reply().0, "steal");
+        let (tag, payload) = coordinator.reply();
+        assert_eq!(tag, "done");
+        let (cell, report, _) = decode_done(&payload, spec.name.clone(), "LAS").unwrap();
+        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
+        let want = Simulator::new(config).run(&spec, policy.as_mut());
+        assert_eq!(cell, 3);
+        assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
+        assert_eq!(report.traffic, want.traffic);
+
+        coordinator.send(&encode_shutdown());
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
     }
 }

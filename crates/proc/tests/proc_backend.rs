@@ -12,7 +12,7 @@ use std::time::Duration;
 use numadag_core::{make_policy, PolicyKind};
 use numadag_numa::Topology;
 use numadag_proc::worker::{CRASH_AFTER_ENV, CRASH_WORKER_ENV, GARBAGE_AFTER_ENV};
-use numadag_proc::{PoolConfig, ProcError, ProcExecutor, WorkerPool, CONNECT_ENV};
+use numadag_proc::{PoolConfig, ProcError, ProcExecutor, WireConfig, WorkerPool, CONNECT_ENV};
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator};
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 use numadag_trace::MemorySink;
@@ -91,6 +91,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
     let pool = test_pool(2, &[]);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::bullion_s16());
+    let wire = WireConfig::new(config.clone());
     for (label, seed) in [
         ("las", 11u64),
         ("dfifo", 12),
@@ -100,7 +101,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
         let (got, events) = pool
-            .run_cell(&spec, label, kind.base_label(), seed, &config, false, false)
+            .run_cell(&spec, label, kind.base_label(), seed, &wire, false, false)
             .expect("cell executes");
         assert!(events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
@@ -139,7 +140,7 @@ fn traces_and_events_travel_back_across_the_wire() {
             "rgp+las",
             kind.base_label(),
             seed,
-            &wire_config.clone().with_trace(),
+            &WireConfig::new(wire_config.with_trace()),
             true,
             true,
         )
@@ -184,11 +185,12 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let pool = test_pool(2, &[(CRASH_AFTER_ENV, "1"), (CRASH_WORKER_ENV, "0")]);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 5, &config, false, false)
+            .run_cell(&spec, "las", kind.base_label(), 5, &wire, false, false)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -204,11 +206,12 @@ fn garbage_frames_kill_the_worker_not_the_coordinator() {
     let pool = test_pool(2, &[(GARBAGE_AFTER_ENV, "1"), (CRASH_WORKER_ENV, "0")]);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
     let kind: PolicyKind = "dfifo".parse().unwrap();
     let want = local_report(&spec, kind, 6, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "dfifo", kind.base_label(), 6, &config, false, false)
+            .run_cell(&spec, "dfifo", kind.base_label(), 6, &wire, false, false)
             .expect("cells survive the corruption via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -223,8 +226,9 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     let pool = test_pool(1, &[(CRASH_AFTER_ENV, "0")]);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "las", "LAS", 7, &config, false, false)
+        .run_cell(&spec, "las", "LAS", 7, &wire, false, false)
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -241,8 +245,9 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     // would fail identically everywhere).
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "ep", "EP", 8, &config, false, false)
+        .run_cell(&spec, "ep", "EP", 8, &wire, false, false)
         .expect_err("EP without a placement fails");
     match &err {
         ProcError::Worker { message, .. } => {
@@ -263,7 +268,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
     let (got, _) = pool
-        .run_cell(&spec, "las", kind.base_label(), 9, &config, false, false)
+        .run_cell(&spec, "las", kind.base_label(), 9, &wire, false, false)
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
 }
@@ -277,8 +282,9 @@ fn config_changes_resync_by_fingerprint() {
     let second = ExecutionConfig::new(Topology::multi_node(2, 2, 2, 120));
     for config in [&first, &second, &first] {
         let want = local_report(&spec, kind, 3, config);
+        let wire = WireConfig::new(config.clone());
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 3, config, false, false)
+            .run_cell(&spec, "las", kind.base_label(), 3, &wire, false, false)
             .expect("cell executes");
         assert_reports_identical(&got, &want);
     }

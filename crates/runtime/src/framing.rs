@@ -21,7 +21,13 @@
 //! that must cross the wire bit-exactly but do not survive the `f64`-backed
 //! JSON number representation (u64 fingerprints and seeds above 2^53, u128
 //! counters) travel as lowercase hex strings via [`hex_u64`]/[`hex_u128`]
-//! and their parsing counterparts.
+//! and their parsing counterparts. Bulk numeric columns use the
+//! number-or-hex form instead ([`push_wire_u64`]/[`wire_u64`]): a plain JSON
+//! integer whenever the value is exactly representable, hex only above 2^53.
+//!
+//! Nothing on the write path clones a message: [`to_line`] renders a
+//! [`Value`] by reference and a derived type through exactly one
+//! `to_value()`, and [`write_line`] frames a line a codec rendered itself.
 
 use std::io::{BufRead, Read, Write};
 
@@ -88,13 +94,23 @@ impl FrameError {
 }
 
 /// Serializes a message to its one-line wire form (no trailing newline).
+/// A [`Value`] is rendered by reference and any other type through exactly
+/// one `to_value()` (see `Serialize::as_value`): no message is deep-cloned
+/// on its way to the socket.
 pub fn to_line(value: &impl Serialize) -> String {
-    serde_json::to_string(&value.to_value()).expect("message values are always encodable")
+    serde_json::to_string(value).expect("message values are always encodable")
 }
 
 /// Writes one frame: the compact one-line serialization plus the newline.
 pub fn write_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::Result<()> {
-    let mut line = to_line(value);
+    write_line(writer, to_line(value))
+}
+
+/// Writes an already-rendered one-line message as a frame (for codecs that
+/// stream their wire form straight into a `String` instead of building a
+/// [`Value`]). `line` must not contain a raw newline.
+pub fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    debug_assert!(!line.contains('\n'), "a frame is exactly one line");
     line.push('\n');
     writer.write_all(line.as_bytes())
 }
@@ -206,6 +222,50 @@ pub fn parse_hex_u64(text: &str) -> Result<u64, String> {
 /// Parses a [`hex_u128`]-encoded value.
 pub fn parse_hex_u128(text: &str) -> Result<u128, String> {
     u128::from_str_radix(text, 16).map_err(|_| format!("invalid hex u128 {text:?}"))
+}
+
+/// JSON numbers are `f64`-backed, so only integers below this travel exactly.
+const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
+
+/// Appends the compact wire form of a `u64` to a line under construction: a
+/// JSON integer when it is exactly representable (below 2^53), the quoted
+/// [`hex_u64`] string otherwise. Bulk numeric columns use this instead of
+/// always paying for a string; [`wire_u64`] reads either form back.
+pub fn push_wire_u64(out: &mut String, value: u64) {
+    if value >= EXACT_JSON_INTEGER_LIMIT {
+        out.push('"');
+        out.push_str(&hex_u64(value));
+        out.push('"');
+        return;
+    }
+    // Decimal digits, filled from the end (a `write!` per number would be
+    // the encoder's hottest line).
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = value;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Reads a `u64` written by [`push_wire_u64`], accepting both forms: an
+/// integral JSON number below 2^53 or a [`hex_u64`] string.
+pub fn wire_u64(value: &Value) -> Result<u64, String> {
+    match value {
+        Value::String(text) => parse_hex_u64(text),
+        Value::Number(n)
+            if *n >= 0.0 && n.trunc() == *n && *n < EXACT_JSON_INTEGER_LIMIT as f64 =>
+        {
+            Ok(*n as u64)
+        }
+        _ => Err("expected an unsigned integer below 2^53 or a hex string".to_string()),
+    }
 }
 
 /// A required [`hex_u64`]-encoded field.
@@ -340,6 +400,58 @@ mod tests {
         assert!(err.contains('V') && err.contains("missing"), "{err}");
         let err = str_field(&value, "V", "n").unwrap_err();
         assert!(err.contains("must be a string"), "{err}");
+    }
+
+    #[test]
+    fn number_or_hex_wire_form_round_trips_and_rejects_inexact_numbers() {
+        let limit = 1u64 << 53;
+        for v in [
+            0u64,
+            7,
+            10,
+            99,
+            4096,
+            0xF1617E,
+            limit - 1,
+            limit,
+            limit + 1,
+            u64::MAX,
+        ] {
+            let mut text = String::new();
+            push_wire_u64(&mut text, v);
+            assert_eq!(text.starts_with('"'), v >= limit, "{v} -> {text}");
+            if v < limit {
+                assert_eq!(text, v.to_string());
+            }
+            let value = serde_json::from_str(&text).unwrap();
+            assert_eq!(wire_u64(&value), Ok(v));
+        }
+        // A number the f64 cannot hold exactly must have come as hex.
+        for bad in [
+            "9007199254740992",
+            "1e300",
+            "-1",
+            "1.5",
+            "null",
+            "[1]",
+            "\"xyz\"",
+        ] {
+            let value = serde_json::from_str(bad).unwrap();
+            assert!(wire_u64(&value).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn write_line_frames_exactly_what_to_line_rendered() {
+        let tree = serde_json::from_str(r#"{"Report": {"job": 1, "text": "a\nb"}}"#).unwrap();
+        assert_eq!(to_line(&tree), r#"{"Report":{"job":1,"text":"a\nb"}}"#);
+        assert_eq!(to_line(&vec![1u8, 2]), "[1,2]");
+        let mut wire = Vec::new();
+        write_line(&mut wire, to_line(&tree)).unwrap();
+        write_frame(&mut wire, &tree).unwrap();
+        let text = String::from_utf8(wire).unwrap();
+        let (first, second) = text.split_once('\n').unwrap();
+        assert_eq!(Some(first), second.strip_suffix('\n'));
     }
 
     #[test]

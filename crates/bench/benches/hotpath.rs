@@ -1,7 +1,8 @@
 //! Hot-path regression suite: the three loops the interactive Full sweep
 //! spends its time in — the simulator event loop, the refiner's rebalance
 //! pass, and the end-to-end Figure-1 sweep itself — plus the `spec` wire
-//! codec that `--backend proc` pays sixteen times per sweep.
+//! codec that `--backend proc` pays sixteen times per sweep and a
+//! `numadag-serve` cache hit on a daemon with a long history behind it.
 //!
 //! Run `NUMADAG_CRITERION_JSON=PATH cargo bench -p numadag-bench --bench
 //! hotpath` to export medians as JSON; `ablation hotpath-diff` compares the
@@ -17,6 +18,7 @@ use numadag_kernels::{Application, ProblemScale};
 use numadag_proc::protocol::{decode_spec, encode_spec};
 use numadag_runtime::framing::untag;
 use numadag_runtime::{ExecutionConfig, Simulator};
+use numadag_serve::{serve, ServeClient, ServeConfig, SweepSpec};
 
 /// The simulator event loop in isolation: a Full-scale Jacobi under DFIFO,
 /// the cheapest policy, so pop/release/dispatch dominate over policy work.
@@ -134,11 +136,57 @@ fn bench_proc_spec_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Report-cache hits on a daemon that has already answered 50,000 of them:
+/// admission, job bookkeeping and the reply over loopback TCP. The sweep is
+/// the smallest there is, so whatever the daemon does per request that grows
+/// with its history is what moves this number. One iteration is a hundred
+/// round trips — a single one is too short for a 5-sample median.
+///
+/// A loopback round trip on a 2-vCPU VM has two speeds, ~20 and ~90 µs,
+/// depending on where the scheduler put the two threads, and a process
+/// stays in one. `BENCH_hotpath.json` holds the slow one (9.7 ms), so the
+/// one-sided `hotpath-diff` gate trips on a per-request cost that grew with
+/// the 50,000 requests (63.6 ms before the job table was bounded), not on
+/// the host's mood.
+fn bench_serve_admit(c: &mut Criterion) {
+    const PRIMING_HITS: usize = 50_000;
+    const HITS_PER_ITER: u64 = 100;
+    let mut group = c.benchmark_group("hotpath");
+    group.sample_size(15);
+    let handle = serve(ServeConfig::default()).expect("the daemon binds an ephemeral port");
+    let mut client = ServeClient::connect(&handle.addr().to_string()).expect("connect");
+    let spec = SweepSpec {
+        apps: "jacobi".to_string(),
+        ..SweepSpec::default()
+    };
+    let mut submit = || {
+        client
+            .submit(spec.clone(), false, |_| ())
+            .expect("the daemon answers")
+    };
+    assert!(!submit().cache_hit, "the first submit executes");
+    for _ in 0..PRIMING_HITS {
+        assert!(submit().cache_hit);
+    }
+    group.throughput(Throughput::Elements(HITS_PER_ITER));
+    group.bench_function("serve_admit/hit_after_50k", |b| {
+        b.iter(|| {
+            for _ in 0..HITS_PER_ITER {
+                criterion::black_box(submit().job);
+            }
+        });
+    });
+    group.finish();
+    handle.shutdown();
+    handle.join();
+}
+
 criterion_group!(
     benches,
     bench_simulator_event_loop,
     bench_refine_rebalance,
     bench_full_sweep,
-    bench_proc_spec_codec
+    bench_proc_spec_codec,
+    bench_serve_admit
 );
 criterion_main!(benches);

@@ -62,9 +62,11 @@
 //! *overlapping* shapes (a policy superset, app subsets, a reps=2 variant
 //! and per-app singles of the hot sweep), so the cell cache's cross-shape
 //! sharing is on the measured path — and reports throughput, p50/p90/p99
-//! submit latency and both cache's effectiveness (`--json PATH` writes the
-//! `BENCH_serve_load.json` shape). `--jobs N` is accepted as a deprecated
-//! alias of `--pool N`.
+//! submit latency, the p50 of each tenth of the run (a per-request cost
+//! that grows with the daemon's history shows there as a ramp; the default
+//! 2,500 requests per client are enough to see one) and both cache's
+//! effectiveness (`--json PATH` writes the `BENCH_serve_load.json` shape).
+//! `--jobs N` is accepted as a deprecated alias of `--pool N`.
 
 use std::sync::Arc;
 
@@ -428,7 +430,7 @@ fn serve_load(args: &[String]) -> ! {
     use numadag_serve::server::{serve, ServeConfig};
 
     let mut clients = 4usize;
-    let mut requests = 25usize;
+    let mut requests = 2500usize;
     let mut repeat_pct = 50u64;
     let mut pool_workers = 1usize;
     let mut json_path: Option<String> = None;
@@ -550,13 +552,28 @@ fn serve_load(args: &[String]) -> ! {
         .collect();
 
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(clients * requests);
+    // Tenths of the run, in request order: decile d pools every client's
+    // d-th tenth of its own sequence.
+    let mut deciles: Vec<Vec<u64>> = vec![Vec::new(); 10];
     let mut client_hits = 0u64;
     for worker in workers {
         let (lat, hits) = worker.join().expect("load client panicked");
+        for (d, decile) in deciles.iter_mut().enumerate() {
+            decile.extend(&lat[d * requests / 10..(d + 1) * requests / 10]);
+        }
         latencies_ns.extend(lat);
         client_hits += hits;
     }
     let wall = started.elapsed();
+    // A cost that grows with the daemon's history shows as a ramp here
+    // (`null` where fewer than ten requests per client leave a tenth empty).
+    let p50_by_decile: Vec<Option<f64>> = deciles
+        .iter_mut()
+        .map(|decile| {
+            decile.sort_unstable();
+            decile.get(decile.len() / 2).map(|&ns| ns as f64 / 1e6)
+        })
+        .collect();
 
     let mut stats_client = ServeClient::connect(&addr).expect("connect to daemon");
     let stats = stats_client.stats().expect("fetch stats");
@@ -587,6 +604,14 @@ fn serve_load(args: &[String]) -> ! {
     println!(
         "| latency mean/max (ms) | {mean_ms:.3} / {:.3} |",
         pct(100.0)
+    );
+    println!(
+        "| latency p50 by tenth of the run (ms) | {} |",
+        p50_by_decile
+            .iter()
+            .map(|p50| p50.map_or("-".to_string(), |ms| format!("{ms:.3}")))
+            .collect::<Vec<_>>()
+            .join(" ")
     );
     println!(
         "| sweeps executed / served without executing | {} / {served} |",
@@ -628,6 +653,7 @@ fn serve_load(args: &[String]) -> ! {
                 "p99": pct(99.0),
                 "mean": mean_ms,
                 "max": pct(100.0),
+                "p50_by_decile": p50_by_decile,
             }),
             "cache": json!({
                 "hit_rate": hit_rate,

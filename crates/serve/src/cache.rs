@@ -1,4 +1,5 @@
-//! Content-addressed LRU caches of finished work, at two granularities.
+//! Content-addressed LRU caches of finished work, at two granularities,
+//! both instances of one O(1) [`Lru`].
 //!
 //! [`ReportCache`] keys whole sweeps on the canonical request fingerprints
 //! ([`crate::protocol::ResolvedSweep::fingerprint`]); values are the exact
@@ -11,13 +12,18 @@
 //! [`CellCache`] keys individual sweep **cells** on
 //! [`crate::protocol::cell_fingerprint`] — (workload spec fingerprint ×
 //! canonical policy label × backend label × sweep seed × repetition ×
-//! socket count) — and stores the raw [`CellOutcome`] measurements. Because
-//! a cell's measurement depends only on that key, sweeps of *different*
-//! shapes share work: a request that adds one policy column to an
-//! already-served sweep hydrates every old cell from this cache and
+//! socket count) — and stores the raw [`CellOutcome`] measurements (skipped
+//! ones too: whether a pair skips is as deterministic as its measurement).
+//! Because a cell's measurement depends only on that key, sweeps of
+//! *different* shapes share work: a request that adds one policy column to
+//! an already-served sweep hydrates every old cell from this cache and
 //! executes only the new column. The deterministic keyed post-pass then
 //! reassembles the report from hydrated + fresh cells byte-identically to
 //! direct execution.
+//!
+//! Both sit inside the server's one state mutex, so every operation on the
+//! request path — lookup, insert, eviction, peek, revalidate — is O(1)
+//! however full the cache is.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,232 +43,157 @@ pub struct CachedReport {
     pub total_cells: usize,
 }
 
+/// The sweep-level cache: fingerprint → shared report bytes.
+pub type ReportCache = Lru<Arc<CachedReport>>;
+/// The cell-level cache: [`crate::protocol::cell_fingerprint`] → outcome.
+pub type CellCache = Lru<CellOutcome>;
+
+/// The "no node" link.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
-struct Entry {
-    report: Arc<CachedReport>,
-    /// Logical timestamp of the last lookup or insertion; the entry with
-    /// the smallest value is the eviction victim.
-    last_used: u64,
+struct Node<V> {
+    key: u64,
+    value: V,
+    prev: u32,
+    next: u32,
 }
 
-/// An LRU report cache with hit/miss/eviction counters. Not internally
-/// synchronized — the server keeps it inside its state mutex.
+/// An LRU map from `u64` fingerprints to `V` with hit/miss/eviction
+/// counters: a hash index into a slab of nodes on a doubly linked recency
+/// list, least-recently-used at the head. Nodes only ever leave by
+/// eviction, which hands the victim's slot straight to the entry replacing
+/// it, so the slab needs no free list and never outgrows the capacity. Not
+/// internally synchronized — the server keeps it inside its state mutex.
 #[derive(Debug)]
-pub struct ReportCache {
-    entries: HashMap<u64, Entry>,
+pub struct Lru<V> {
+    index: HashMap<u64, u32>,
+    nodes: Vec<Node<V>>,
+    /// Least recently used: the next eviction victim.
+    head: u32,
+    /// Most recently used.
+    tail: u32,
     capacity: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl ReportCache {
-    /// An empty cache holding at most `capacity` reports (minimum 1).
+impl<V: Clone> Lru<V> {
+    /// An empty cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        ReportCache {
-            entries: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
+        Lru {
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity: capacity.clamp(1, NIL as usize),
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    /// Looks up a report, counting a hit (and refreshing recency) or a miss.
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<CachedReport>> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(Arc::clone(&entry.report))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Looks up a value, counting a hit (and refreshing recency) or a miss.
+    pub fn lookup(&mut self, key: u64) -> Option<V> {
+        let found = self.revalidate(key);
+        self.misses += u64::from(found.is_none());
+        found
     }
 
-    /// Inserts a report, evicting the least-recently-used entry when full.
-    /// Re-inserting an existing key refreshes both value and recency.
-    pub fn insert(&mut self, key: u64, report: Arc<CachedReport>) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-            }
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                report,
-                last_used: self.tick,
-            },
-        );
-    }
-
-    /// Like [`ReportCache::lookup`], but an absent key does not count a
-    /// miss — both admission phases use this, and the admission path counts
-    /// exactly one [`ReportCache::note_miss`] when it actually creates an
+    /// Like [`Lru::lookup`], but an absent key does not count a miss — both
+    /// admission phases use this on the report cache, and the admission path
+    /// counts exactly one [`Lru::note_miss`] when it actually creates an
     /// executing job, so racing identical submissions never inflate the
     /// miss counter.
-    pub fn revalidate(&mut self, key: u64) -> Option<Arc<CachedReport>> {
-        if self.entries.contains_key(&key) {
-            self.lookup(key)
-        } else {
-            None
-        }
+    pub fn revalidate(&mut self, key: u64) -> Option<V> {
+        let slot = *self.index.get(&key)?;
+        self.hits += 1;
+        self.touch(slot);
+        Some(self.nodes[slot as usize].value.clone())
     }
 
     /// Counts one miss. The admission path calls this when a submission
-    /// passes both [`ReportCache::revalidate`] phases and becomes an
-    /// executing job, keeping the invariant that each miss corresponds to
+    /// passes both [`Lru::revalidate`] phases and becomes an executing job,
+    /// keeping the invariant that each report-cache miss corresponds to
     /// exactly one executed sweep.
     pub fn note_miss(&mut self) {
         self.misses += 1;
     }
 
-    /// Requests served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing (each corresponds to one executed sweep).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries discarded by the LRU policy.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Reports currently resident.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum resident reports before eviction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Every resident entry, least-recently-used first. Re-inserting them in
-    /// this order into an empty cache reproduces the same LRU recency
-    /// ranking — the contract the daemon's `--cache-file` persistence relies
-    /// on across restarts.
-    pub fn snapshot(&self) -> Vec<(u64, Arc<CachedReport>)> {
-        let mut entries: Vec<(&u64, &Entry)> = self.entries.iter().collect();
-        entries.sort_by_key(|(_, e)| e.last_used);
-        entries
-            .into_iter()
-            .map(|(&k, e)| (k, Arc::clone(&e.report)))
-            .collect()
-    }
-}
-
-#[derive(Debug)]
-struct CellEntry {
-    outcome: CellOutcome,
-    last_used: u64,
-}
-
-/// An LRU cache of per-cell outcomes keyed by
-/// [`crate::protocol::cell_fingerprint`]. Skipped outcomes are cached too —
-/// whether a (workload, policy) pair skips is as deterministic as its
-/// measurement. Not internally synchronized — the server keeps it inside
-/// its state mutex.
-#[derive(Debug)]
-pub struct CellCache {
-    entries: HashMap<u64, CellEntry>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CellCache {
-    /// An empty cache holding at most `capacity` cell outcomes (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        CellCache {
-            entries: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks up a cell outcome, counting a hit (and refreshing recency) or
-    /// a miss.
-    pub fn lookup(&mut self, key: u64) -> Option<CellOutcome> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(entry.outcome.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
     /// Peeks without touching the hit/miss counters or recency — used by
     /// pool workers to skip cells another job already executed between
     /// admission and dispatch.
-    pub fn peek(&self, key: u64) -> Option<CellOutcome> {
-        self.entries.get(&key).map(|e| e.outcome.clone())
+    pub fn peek(&self, key: u64) -> Option<V> {
+        let slot = *self.index.get(&key)?;
+        Some(self.nodes[slot as usize].value.clone())
     }
 
-    /// Inserts a cell outcome, evicting the least-recently-used entry when
-    /// full. Re-inserting an existing key refreshes both value and recency.
-    pub fn insert(&mut self, key: u64, outcome: CellOutcome) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&victim);
-                self.evictions += 1;
-            }
+    /// Inserts a value, evicting the least-recently-used entry when full.
+    /// Re-inserting an existing key refreshes both value and recency.
+    pub fn insert(&mut self, key: u64, value: V) {
+        if let Some(&slot) = self.index.get(&key) {
+            self.nodes[slot as usize].value = value;
+            self.touch(slot);
+            return;
         }
-        self.entries.insert(
+        let node = Node {
             key,
-            CellEntry {
-                outcome,
-                last_used: self.tick,
-            },
-        );
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.nodes.len() < self.capacity {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let slot = self.head;
+            self.unlink(slot);
+            let victim = std::mem::replace(&mut self.nodes[slot as usize], node);
+            self.index.remove(&victim.key);
+            self.evictions += 1;
+            slot
+        };
+        self.index.insert(key, slot);
+        self.link_as_most_recent(slot);
     }
 
-    /// Admission-time lookups served from the cache.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn link_as_most_recent(&mut self, slot: u32) {
+        let old_tail = std::mem::replace(&mut self.tail, slot);
+        let node = &mut self.nodes[slot as usize];
+        node.prev = old_tail;
+        node.next = NIL;
+        match old_tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+    }
+
+    fn touch(&mut self, slot: u32) {
+        if self.tail != slot {
+            self.unlink(slot);
+            self.link_as_most_recent(slot);
+        }
+    }
+
+    /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Admission-time lookups that found nothing (novel cells).
+    /// Lookups that found nothing, plus every [`Lru::note_miss`].
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -272,143 +203,151 @@ impl CellCache {
         self.evictions
     }
 
-    /// Cell outcomes currently resident.
+    /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
-    /// Maximum resident outcomes before eviction.
+    /// Maximum resident entries before eviction.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Every resident entry, least-recently-used first (one walk of the
+    /// recency list). Re-inserting them in this order into an empty cache
+    /// reproduces the same LRU ranking — the contract the daemon's
+    /// `--cache-file` persistence relies on across restarts.
+    pub fn snapshot(&self) -> Vec<(u64, V)> {
+        let mut entries = Vec::with_capacity(self.nodes.len());
+        let mut slot = self.head;
+        while slot != NIL {
+            let node = &self.nodes[slot as usize];
+            entries.push((node.key, node.value.clone()));
+            slot = node.next;
+        }
+        entries
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn report(tag: &str) -> Arc<CachedReport> {
-        Arc::new(CachedReport {
-            bytes: format!("{{\"tag\": \"{tag}\"}}"),
-            executed_cells: 4,
-            total_cells: 4,
-        })
+    /// The pre-`Lru` implementation, kept as the model: logical timestamps
+    /// in a `HashMap`, the victim found by scanning for the smallest one.
+    struct Reference {
+        entries: HashMap<u64, (u32, u64)>,
+        capacity: usize,
+        tick: u64,
+        counters: [u64; 3],
     }
 
-    #[test]
-    fn lookup_counts_hits_and_misses_and_returns_exact_bytes() {
-        let mut cache = ReportCache::new(4);
-        assert!(cache.lookup(1).is_none());
-        cache.insert(1, report("a"));
-        let hit = cache.lookup(1).expect("inserted key must hit");
-        assert_eq!(hit.bytes, "{\"tag\": \"a\"}");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn evicts_least_recently_used_beyond_capacity() {
-        let mut cache = ReportCache::new(2);
-        cache.insert(1, report("a"));
-        cache.insert(2, report("b"));
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.lookup(1).is_some());
-        cache.insert(3, report("c"));
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(1).is_some(), "recently used must survive");
-        assert!(cache.lookup(2).is_none(), "LRU entry must be evicted");
-        assert!(cache.lookup(3).is_some());
-    }
-
-    #[test]
-    fn reinserting_a_key_replaces_without_eviction() {
-        let mut cache = ReportCache::new(2);
-        cache.insert(1, report("a"));
-        cache.insert(2, report("b"));
-        cache.insert(1, report("a2"));
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup(1).unwrap().bytes, "{\"tag\": \"a2\"}");
-    }
-
-    #[test]
-    fn capacity_has_a_floor_of_one() {
-        let mut cache = ReportCache::new(0);
-        assert_eq!(cache.capacity(), 1);
-        cache.insert(1, report("a"));
-        cache.insert(2, report("b"));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-    }
-
-    #[test]
-    fn revalidate_counts_hits_but_never_misses() {
-        let mut cache = ReportCache::new(2);
-        assert!(cache.revalidate(1).is_none());
-        assert_eq!(cache.misses(), 0, "absent revalidation is not a miss");
-        cache.insert(1, report("a"));
-        assert!(cache.revalidate(1).is_some());
-        assert_eq!(cache.hits(), 1, "present revalidation is a hit");
-        cache.note_miss();
-        assert_eq!(cache.misses(), 1, "misses are counted explicitly");
-    }
-
-    #[test]
-    fn snapshot_orders_least_recently_used_first() {
-        let mut cache = ReportCache::new(4);
-        cache.insert(1, report("a"));
-        cache.insert(2, report("b"));
-        cache.insert(3, report("c"));
-        // Touch 1 so the recency order becomes 2, 3, 1.
-        assert!(cache.lookup(1).is_some());
-        let keys: Vec<u64> = cache.snapshot().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![2, 3, 1]);
-        // Re-inserting in snapshot order reproduces the same victim choice.
-        let mut reloaded = ReportCache::new(3);
-        for (k, r) in cache.snapshot() {
-            reloaded.insert(k, r);
+    impl Reference {
+        fn lookup(&mut self, key: u64, count_miss: bool) -> Option<u32> {
+            self.tick += 1;
+            match self.entries.get_mut(&key) {
+                Some(entry) => {
+                    entry.1 = self.tick;
+                    self.counters[0] += 1;
+                    Some(entry.0)
+                }
+                None => {
+                    self.counters[1] += u64::from(count_miss);
+                    None
+                }
+            }
         }
-        reloaded.insert(4, report("d"));
-        assert!(reloaded.revalidate(2).is_none(), "old LRU entry evicted");
-        assert!(reloaded.revalidate(1).is_some(), "recent entry survives");
+
+        fn insert(&mut self, key: u64, value: u32) {
+            self.tick += 1;
+            if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+                let victim = *self.entries.iter().min_by_key(|(_, e)| e.1).unwrap().0;
+                self.entries.remove(&victim);
+                self.counters[2] += 1;
+            }
+            self.entries.insert(key, (value, self.tick));
+        }
+
+        fn snapshot(&self) -> Vec<(u64, u32)> {
+            let mut entries: Vec<_> = self.entries.iter().collect();
+            entries.sort_by_key(|(_, e)| e.1);
+            entries.into_iter().map(|(&k, e)| (k, e.0)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every operation returns what the scan-based model returns and
+        /// leaves the same entries in the same recency order (so the same
+        /// victims were chosen), with the same counters.
+        #[test]
+        fn lru_matches_the_min_by_key_model(
+            capacity_pick in 0usize..4,
+            ops in prop::collection::vec((0u8..6, 0u64..96, 0u32..1000), 50..600),
+        ) {
+            let capacity = [1, 2, 7, 64][capacity_pick];
+            let mut lru: Lru<u32> = Lru::new(capacity);
+            let mut model = Reference {
+                entries: HashMap::new(),
+                capacity,
+                tick: 0,
+                counters: [0; 3],
+            };
+            for (op, key, value) in ops {
+                // Keys range past every capacity, so inserts hit fresh and
+                // resident keys alike and evict constantly.
+                match op {
+                    0 => prop_assert_eq!(lru.lookup(key), model.lookup(key, true)),
+                    1 => prop_assert_eq!(lru.revalidate(key), model.lookup(key, false)),
+                    2 => prop_assert_eq!(lru.peek(key), model.entries.get(&key).map(|e| e.0)),
+                    3 => {
+                        lru.note_miss();
+                        model.counters[1] += 1;
+                    }
+                    _ => {
+                        lru.insert(key, value);
+                        model.insert(key, value);
+                    }
+                }
+                prop_assert_eq!(lru.snapshot(), model.snapshot());
+                prop_assert_eq!(lru.len(), model.entries.len());
+                prop_assert_eq!([lru.hits(), lru.misses(), lru.evictions()], model.counters);
+            }
+        }
     }
 
     #[test]
-    fn cell_cache_counts_and_evicts_like_the_report_cache() {
-        let mut cache = CellCache::new(2);
-        assert!(cache.lookup(1).is_none());
-        cache.insert(1, CellOutcome::Skipped);
-        cache.insert(2, CellOutcome::Skipped);
-        assert!(cache.lookup(1).is_some(), "inserted key must hit");
-        cache.insert(3, CellOutcome::Skipped);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(1).is_some(), "recently used must survive");
-        assert!(cache.lookup(2).is_none(), "LRU entry must be evicted");
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(CellCache::new(0).capacity(), 1);
-    }
+    fn a_reloaded_snapshot_evicts_in_the_same_order() {
+        let mut cache: Lru<u32> = Lru::new(4);
+        for key in 1..=6 {
+            cache.insert(key, key as u32 * 10);
+        }
+        // Touch 4, then peek 3 (which must not count): recency is 3, 5, 6, 4.
+        assert_eq!(cache.lookup(4), Some(40));
+        assert_eq!(cache.peek(3), Some(30));
+        assert_eq!(cache.snapshot(), [(3, 30), (5, 50), (6, 60), (4, 40)]);
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 0, 2));
 
-    #[test]
-    fn cell_cache_peek_is_counter_neutral() {
-        let mut cache = CellCache::new(2);
-        cache.insert(1, CellOutcome::Skipped);
-        assert!(cache.peek(1).is_some());
-        assert!(cache.peek(9).is_none());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
-        // Peeks do not refresh recency: 1 stays the LRU victim.
-        cache.insert(2, CellOutcome::Skipped);
-        cache.insert(3, CellOutcome::Skipped);
-        assert!(cache.peek(1).is_none(), "peek must not protect from LRU");
+        // The `--cache-file` contract: a fresh cache fed the snapshot evicts
+        // exactly like the one it was taken from.
+        let mut reloaded: Lru<u32> = Lru::new(4);
+        for (key, value) in cache.snapshot() {
+            reloaded.insert(key, value);
+        }
+        for key in 7..=10 {
+            cache.insert(key, 0);
+            reloaded.insert(key, 0);
+            assert_eq!(reloaded.snapshot(), cache.snapshot());
+        }
+        assert_eq!(reloaded.evictions(), 4);
+        assert!(!reloaded.is_empty());
+        assert_eq!(Lru::<u32>::new(0).capacity(), 1, "capacity has a floor");
     }
 }

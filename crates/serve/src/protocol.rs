@@ -305,6 +305,15 @@ pub struct ServerStats {
     pub spec_cache_hits: u64,
     /// Distinct workload instances resident in the spec cache.
     pub spec_cache_entries: u64,
+    /// Queued or running jobs identical submissions would coalesce onto
+    /// (the size of the admission index).
+    pub jobs_in_flight: u64,
+    /// Jobs `Status` can still describe: the live ones plus the bounded
+    /// history of terminal ones.
+    pub jobs_tracked: u64,
+    /// Terminal jobs aged out of that history (`Status` answers
+    /// `job N retired`).
+    pub jobs_retired: u64,
 }
 
 /// A server response. One line each; `SubmitSweep` produces a `Submitted`
@@ -435,6 +444,9 @@ impl Request {
 impl ServerStats {
     fn from_value(value: &Value) -> Result<ServerStats, String> {
         let get = |name: &str| u64_field(value, "Stats", name);
+        // Fields newer than the first release: a reply from an older daemon
+        // lacks them and still parses.
+        let get_or_zero = |name: &str| value.get(name).map_or(Ok(0), |_| get(name));
         Ok(ServerStats {
             jobs_submitted: get("jobs_submitted")?,
             jobs_coalesced: get("jobs_coalesced")?,
@@ -459,6 +471,9 @@ impl ServerStats {
             spec_cache_builds: get("spec_cache_builds")?,
             spec_cache_hits: get("spec_cache_hits")?,
             spec_cache_entries: get("spec_cache_entries")?,
+            jobs_in_flight: get_or_zero("jobs_in_flight")?,
+            jobs_tracked: get_or_zero("jobs_tracked")?,
+            jobs_retired: get_or_zero("jobs_retired")?,
         })
     }
 }
@@ -583,6 +598,37 @@ mod tests {
             assert!(!line.contains('\n'), "wire form must be one line: {line}");
             assert_eq!(Response::from_line(&line), Ok(resp.clone()), "{line}");
         }
+    }
+
+    #[test]
+    fn stats_from_an_older_daemon_still_parse() {
+        let stats = ServerStats {
+            jobs_submitted: 3,
+            jobs_in_flight: 1,
+            jobs_tracked: 2,
+            jobs_retired: 5,
+            ..ServerStats::default()
+        };
+        let line = to_line(&Response::Stats(stats.clone()));
+        assert!(line.ends_with(r#""jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5}}"#));
+        // What a daemon predating the three job gauges sends.
+        let old = line.replace(
+            r#","jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5"#,
+            "",
+        );
+        assert_ne!(old, line);
+        assert_eq!(
+            Response::from_line(&old),
+            Ok(Response::Stats(ServerStats {
+                jobs_in_flight: 0,
+                jobs_tracked: 0,
+                jobs_retired: 0,
+                ..stats
+            }))
+        );
+        // Present but malformed is still an error, not a silent zero.
+        let bad = line.replace(r#""jobs_retired":5"#, r#""jobs_retired":"x""#);
+        assert!(Response::from_line(&bad).is_err());
     }
 
     #[test]

@@ -32,6 +32,19 @@
 //!    order, or shared with other sweeps — serializes the measurement
 //!    bytes once, stores them in the LRU report cache and hands the same
 //!    bytes to every subscriber.
+//!
+//! What a request costs does not depend on how many the daemon has served.
+//! Everything above happens under one state mutex, so its bookkeeping is
+//! bounded: identical in-flight jobs are found through an index keyed by
+//! sweep fingerprint, not by scanning jobs; the job table holds only queued
+//! and running jobs (at most `max_active_jobs`); a job reaching a terminal
+//! state — a report-cache hit is born in one — shrinks to a
+//! `(id, state, completed, total)` record in a ring of [`JOB_HISTORY`],
+//! releasing its plan, outcomes and subscribers; and both caches are O(1)
+//! [`Lru`](crate::cache::Lru)s that alone keep finished reports alive.
+//! `Status`/`CancelJob` answer from the table, then the ring; an id that has
+//! left the ring answers `job N retired`, one never handed out `unknown job
+//! N`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
@@ -127,15 +140,16 @@ struct Subscriber {
     wants_progress: bool,
 }
 
+/// A job that is still queued or running. Terminal jobs leave the table and
+/// keep only a [`JobRecord`].
 struct Job {
     key: u64,
+    /// `Queued` or `Running`, nothing else.
     state: JobState,
     /// Cells resolved so far (hydrated at admission + executed).
     completed: usize,
     total: usize,
-    /// The materialized plan; `None` only for sweep-cache-hit jobs, which
-    /// never execute anything.
-    plan: Option<Arc<SweepPlan>>,
+    plan: Arc<SweepPlan>,
     /// Per-cell content fingerprints, in plan job order.
     cell_keys: Vec<u64>,
     /// Per-cell outcomes; filled at admission (cell-cache hydration) and by
@@ -149,8 +163,19 @@ struct Job {
     executed: usize,
     /// Cells hydrated from the cell cache instead of executed.
     hydrated: usize,
-    result: Option<Arc<CachedReport>>,
     subscribers: Vec<Subscriber>,
+}
+
+/// Terminal jobs `Status`/`CancelJob` can still name. Older ids answer
+/// `job N retired`.
+pub const JOB_HISTORY: usize = 1024;
+
+/// All that outlives a job once it is done, cancelled or failed.
+struct JobRecord {
+    id: u64,
+    state: JobState,
+    completed: usize,
+    total: usize,
 }
 
 #[derive(Default)]
@@ -174,12 +199,57 @@ struct State {
     /// Cells currently sitting in pending batches (the `max_queued_cells`
     /// quota gauge).
     queued_cells: usize,
-    /// Jobs in `Queued` or `Running` state (the `max_active_jobs` gauge).
-    active_jobs: usize,
+    /// The live table: queued and running jobs only, so its length is the
+    /// `max_active_jobs` gauge.
     jobs: HashMap<u64, Job>,
+    /// Sweep fingerprint → id of the live job executing that sweep; what
+    /// identical submissions coalesce onto. One entry per live job.
+    in_flight: HashMap<u64, u64>,
+    /// The last [`JOB_HISTORY`] terminal jobs, oldest first.
+    history: VecDeque<JobRecord>,
+    /// Records pushed out of `history`.
+    retired: u64,
     cache: ReportCache,
     cells: CellCache,
     counters: Counters,
+}
+
+impl State {
+    /// Files the record of a job that just reached a terminal state,
+    /// retiring the oldest one when the ring is full.
+    fn record(&mut self, id: u64, state: JobState, completed: usize, total: usize) {
+        if self.history.len() == JOB_HISTORY {
+            self.history.pop_front();
+            self.retired += 1;
+        }
+        self.history.push_back(JobRecord {
+            id,
+            state,
+            completed,
+            total,
+        });
+    }
+
+    /// Takes a job out of the live table and the coalescing index; the
+    /// caller files its [`State::record`].
+    fn remove_live(&mut self, id: u64) -> Option<Job> {
+        let job = self.jobs.remove(&id)?;
+        self.in_flight.remove(&job.key);
+        Some(job)
+    }
+
+    /// The record of an id that is not live, or why there is none — the
+    /// error message `Status` and `CancelJob` answer with.
+    fn terminal(&self, id: u64) -> Result<&JobRecord, String> {
+        // The ring holds at most JOB_HISTORY compact records, newest last.
+        if let Some(record) = self.history.iter().rev().find(|r| r.id == id) {
+            Ok(record)
+        } else if (1..self.next_job).contains(&id) {
+            Err(format!("job {id} retired"))
+        } else {
+            Err(format!("unknown job {id}"))
+        }
+    }
 }
 
 struct Shared {
@@ -207,6 +277,13 @@ impl ServeHandle {
     /// The process-wide spec cache the daemon serves from.
     pub fn specs(&self) -> Arc<SpecCache> {
         Arc::clone(&self.shared.specs)
+    }
+
+    /// The resident report-cache entries, least-recently-used first: what
+    /// [`ServeHandle::join`] persists. The cache holds the only long-lived
+    /// reference to each report, so an evicted one is freed.
+    pub fn cached_reports(&self) -> Vec<(u64, Arc<CachedReport>)> {
+        self.shared.state.lock().unwrap().cache.snapshot()
     }
 
     /// Requests shutdown without a client connection (used by tests and the
@@ -340,8 +417,10 @@ pub fn serve_with_specs(
             next_job: 1,
             active: VecDeque::new(),
             queued_cells: 0,
-            active_jobs: 0,
             jobs: HashMap::new(),
+            in_flight: HashMap::new(),
+            history: VecDeque::with_capacity(JOB_HISTORY),
+            retired: 0,
             cache,
             cells: CellCache::new(cell_capacity),
             counters: Counters::default(),
@@ -527,7 +606,7 @@ fn handle_submit(
         // were planning.
         if let Some(fast) = fast_admit(&mut state, key, &tx, wants_progress) {
             fast
-        } else if state.active_jobs >= shared.config.max_active_jobs {
+        } else if state.jobs.len() >= shared.config.max_active_jobs {
             state.counters.rejected += 1;
             (
                 0,
@@ -574,8 +653,8 @@ fn handle_submit(
                 state.cache.note_miss();
                 state.counters.submitted += 1;
                 state.counters.hydrated_cells += hydrated as u64;
-                state.active_jobs += 1;
                 state.queued_cells += novel.len();
+                state.in_flight.insert(key, id);
                 let total = cell_keys.len();
                 state.jobs.insert(
                     id,
@@ -588,14 +667,13 @@ fn handle_submit(
                         },
                         completed: hydrated,
                         total,
-                        plan: Some(Arc::clone(&plan)),
+                        plan: Arc::clone(&plan),
                         cell_keys,
                         outcomes,
                         pending,
                         remaining: novel.len(),
                         executed: 0,
                         hydrated,
-                        result: None,
                         subscribers: vec![Subscriber { tx, wants_progress }],
                     },
                 );
@@ -624,44 +702,21 @@ fn fast_admit(
 ) -> Option<(u64, Admission)> {
     // 1) Coalesce onto an identical queued/running job: it executes once,
     //    every subscriber gets the same bytes.
-    let in_flight = state
-        .jobs
-        .iter()
-        .filter(|(_, j)| j.key == key && matches!(j.state, JobState::Queued | JobState::Running))
-        .map(|(&id, _)| id)
-        .next();
-    if let Some(id) = in_flight {
+    if let Some(&id) = state.in_flight.get(&key) {
         state.counters.coalesced += 1;
-        let job = state.jobs.get_mut(&id).unwrap();
+        let job = state.jobs.get_mut(&id).expect("indexed job must be live");
         job.subscribers.push(Subscriber {
             tx: tx.clone(),
             wants_progress,
         });
         return Some((id, Admission::Coalesced));
     }
-    // 2) Serve a repeat from the report cache without executing.
+    // 2) Serve a repeat from the report cache without executing: the job
+    //    is born done, so all it leaves is its record.
     let report = state.cache.revalidate(key)?;
     let id = state.next_job;
     state.next_job += 1;
-    let total = report.total_cells;
-    state.jobs.insert(
-        id,
-        Job {
-            key,
-            state: JobState::Done,
-            completed: total,
-            total,
-            plan: None,
-            cell_keys: Vec::new(),
-            outcomes: Vec::new(),
-            pending: VecDeque::new(),
-            remaining: 0,
-            executed: 0,
-            hydrated: 0,
-            result: Some(Arc::clone(&report)),
-            subscribers: Vec::new(),
-        },
-    );
+    state.record(id, JobState::Done, report.total_cells, report.total_cells);
     Some((id, Admission::CacheHit(report)))
 }
 
@@ -762,54 +817,49 @@ fn forward(writer: &mut TcpStream, rx: Receiver<Response>) -> bool {
 
 fn status_response(shared: &Arc<Shared>, job: u64) -> Response {
     let state = shared.state.lock().unwrap();
-    match state.jobs.get(&job) {
-        Some(j) => Response::JobStatus {
-            job,
-            state: j.state.label().to_string(),
-            completed: j.completed as u64,
-            total: j.total as u64,
+    let (job_state, completed, total) = match state.jobs.get(&job) {
+        Some(j) => (j.state, j.completed, j.total),
+        None => match state.terminal(job) {
+            Ok(record) => (record.state, record.completed, record.total),
+            Err(message) => return Response::Error { message },
         },
-        None => Response::Error {
-            message: format!("unknown job {job}"),
-        },
+    };
+    Response::JobStatus {
+        job,
+        state: job_state.label().to_string(),
+        completed: completed as u64,
+        total: total as u64,
     }
 }
 
 fn cancel_job(shared: &Arc<Shared>, job: u64) -> Response {
     let mut state = shared.state.lock().unwrap();
-    let Some(j) = state.jobs.get_mut(&job) else {
-        return Response::Error {
-            message: format!("unknown job {job}"),
-        };
-    };
-    match j.state {
-        JobState::Queued | JobState::Running => {
-            j.state = JobState::Cancelled;
-            // Free the cells still queued; batches already taken by a
-            // worker stop at its next per-cell state check (and whatever it
-            // executed meanwhile still feeds the cell cache).
-            let freed: usize = j.pending.iter().map(Vec::len).sum();
-            j.pending.clear();
-            for sub in j.subscribers.drain(..) {
-                let _ = sub.tx.send(Response::Cancelled { job });
-            }
-            state.queued_cells -= freed;
-            state.active.retain(|&id| id != job);
-            state.active_jobs -= 1;
-            state.counters.cancelled += 1;
-            Response::Cancelled { job }
-        }
-        other => Response::Error {
-            message: format!(
+    let Some(j) = state.remove_live(job) else {
+        let message = match state.terminal(job) {
+            Ok(record) => format!(
                 "job {job} is {}; only queued or running jobs can be cancelled",
-                other.label()
+                record.state.label()
             ),
-        },
+            Err(message) => message,
+        };
+        return Response::Error { message };
+    };
+    // Free the cells still queued; batches already taken by a worker stop
+    // at its next per-cell liveness check (and whatever it executed
+    // meanwhile still feeds the cell cache).
+    state.queued_cells -= j.pending.iter().map(Vec::len).sum::<usize>();
+    state.active.retain(|&id| id != job);
+    state.record(job, JobState::Cancelled, j.completed, j.total);
+    state.counters.cancelled += 1;
+    for sub in j.subscribers {
+        let _ = sub.tx.send(Response::Cancelled { job });
     }
+    Response::Cancelled { job }
 }
 
 fn stats(shared: &Arc<Shared>) -> ServerStats {
     let state = shared.state.lock().unwrap();
+    debug_assert_eq!(state.in_flight.len(), state.jobs.len());
     ServerStats {
         jobs_submitted: state.counters.submitted,
         jobs_coalesced: state.counters.coalesced,
@@ -834,6 +884,9 @@ fn stats(shared: &Arc<Shared>) -> ServerStats {
         spec_cache_builds: shared.specs.builds() as u64,
         spec_cache_hits: shared.specs.hits() as u64,
         spec_cache_entries: shared.specs.len() as u64,
+        jobs_in_flight: state.in_flight.len() as u64,
+        jobs_tracked: (state.jobs.len() + state.history.len()) as u64,
+        jobs_retired: state.retired,
     }
 }
 
@@ -864,7 +917,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 if job.state == JobState::Queued {
                     job.state = JobState::Running;
                 }
-                let plan = Arc::clone(job.plan.as_ref().expect("executable job has a plan"));
+                let plan = Arc::clone(&job.plan);
                 if !job.pending.is_empty() {
                     // Fair rotation: one batch per turn, then back of the
                     // line so no sweep starves behind a bigger one.
@@ -890,12 +943,11 @@ fn worker_loop(shared: Arc<Shared>) {
             let repetition = plan.job_at(index).repetition;
             let pending_key = {
                 let mut state = shared.state.lock().unwrap();
-                let job = state.jobs.get(&job_id).expect("dispatched job must exist");
-                if job.state != JobState::Running {
-                    // Cancelled (or failed by shutdown): the rest of the
-                    // batch is moot.
+                // Cancelled (or failed by shutdown) jobs have left the live
+                // table: the rest of the batch is moot.
+                let Some(job) = state.jobs.get(&job_id) else {
                     break;
-                }
+                };
                 let cell_key = job.cell_keys[index];
                 // Another job may have executed this very cell since
                 // admission — resolve it from the cache instead.
@@ -916,11 +968,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 // the job was cancelled mid-cell — the work is done either
                 // way, so future sweeps may as well share it.
                 state.cells.insert(cell_key, outcome.clone());
-                let running = state
-                    .jobs
-                    .get(&job_id)
-                    .is_some_and(|j| j.state == JobState::Running);
-                if running {
+                if state.jobs.contains_key(&job_id) {
                     finished = record_cell(
                         &mut state, job_id, index, outcome, true, &labels, repetition,
                     );
@@ -993,11 +1041,10 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
         if job.state != JobState::Running || job.remaining != 0 {
             return;
         }
-        let plan = Arc::clone(job.plan.as_ref().expect("executable job has a plan"));
-        let outcomes: Vec<CellOutcome> = job
-            .outcomes
-            .iter_mut()
-            .map(|slot| slot.take().expect("finished job has every outcome"))
+        let plan = Arc::clone(&job.plan);
+        let outcomes: Vec<CellOutcome> = std::mem::take(&mut job.outcomes)
+            .into_iter()
+            .map(|slot| slot.expect("finished job has every outcome"))
             .collect();
         (
             plan,
@@ -1022,18 +1069,13 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
         total_cells: total,
     });
     state.cache.insert(key, Arc::clone(&cached));
-    let Some(job) = state.jobs.get_mut(&job_id) else {
-        return;
-    };
-    if job.state != JobState::Running {
+    let Some(job) = state.remove_live(job_id) else {
         // Cancelled (or failed) while assembling: the bytes still went
         // into the report cache, but nobody is listening any more.
         return;
-    }
-    job.state = JobState::Done;
-    job.completed = job.total;
-    job.result = Some(Arc::clone(&cached));
-    for sub in job.subscribers.drain(..) {
+    };
+    state.record(job_id, JobState::Done, total, total);
+    for sub in job.subscribers {
         let _ = sub.tx.send(Response::Report {
             job: job_id,
             cache_hit: false,
@@ -1043,29 +1085,20 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
         });
     }
     state.counters.completed += 1;
-    state.active_jobs -= 1;
 }
 
 /// Fails everything still queued or running when the daemon stops, so
 /// blocked submitters get a terminal response instead of hanging. Safe to
-/// call from every pool worker: only non-terminal jobs are touched, so
-/// repeated calls are no-ops.
+/// call from every pool worker: it empties the coalescing index it walks,
+/// so repeated calls are no-ops.
 fn drain_on_shutdown(state: &mut State) {
     state.active.clear();
     state.queued_cells = 0;
-    let doomed: Vec<u64> = state
-        .jobs
-        .iter()
-        .filter(|(_, j)| matches!(j.state, JobState::Queued | JobState::Running))
-        .map(|(&id, _)| id)
-        .collect();
-    for id in doomed {
+    for id in std::mem::take(&mut state.in_flight).into_values() {
+        let job = state.jobs.remove(&id).expect("indexed job must be live");
         state.counters.failed += 1;
-        state.active_jobs -= 1;
-        let job = state.jobs.get_mut(&id).expect("doomed job must exist");
-        job.state = JobState::Failed;
-        job.pending.clear();
-        for sub in job.subscribers.drain(..) {
+        state.record(id, JobState::Failed, job.completed, job.total);
+        for sub in job.subscribers {
             let _ = sub.tx.send(Response::Error {
                 message: "server shut down before the job ran".to_string(),
             });

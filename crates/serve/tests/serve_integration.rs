@@ -12,7 +12,7 @@ use numadag_numa::Topology;
 use numadag_runtime::SweepDriver;
 use numadag_serve::client::{ClientError, ServeClient};
 use numadag_serve::protocol::{Request, Response, SweepSpec, DEFAULT_POLICIES};
-use numadag_serve::server::{serve, serve_with_specs, ServeConfig};
+use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -69,6 +69,11 @@ fn concurrent_identical_submissions_execute_once_with_identical_bytes() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.executed_cells_total, executed_once);
     assert_eq!(stats.jobs_submitted, 1);
+    // The executed job left the coalescing index when it finished; every
+    // submission that got an id (one job, the cache hits) is still tracked.
+    assert_eq!(stats.jobs_in_flight, 0);
+    assert_eq!(stats.jobs_tracked, 1 + stats.report_cache_hits);
+    assert_eq!(stats.jobs_retired, 0);
 
     handle.shutdown();
     handle.join();
@@ -238,8 +243,23 @@ fn status_tracks_jobs_and_cancel_rejects_finished_or_unknown_ones() {
         }
         other => panic!("expected JobStatus, got {other:?}"),
     }
-    match client.cancel(outcome.job) {
-        Err(e) => assert!(e.to_string().contains("can be cancelled")),
+    // A finished job and a cache hit (born finished) live on only as
+    // history records; cancelling either is refused the same way.
+    let repeat = client.submit(tiny_spec(), false, |_| ()).unwrap();
+    assert!(repeat.cache_hit);
+    assert_ne!(repeat.job, outcome.job);
+    for job in [outcome.job, repeat.job] {
+        match client.cancel(job) {
+            Err(e) => assert!(
+                e.to_string()
+                    .contains("is done; only queued or running jobs can be cancelled"),
+                "{e}"
+            ),
+            Ok(other) => panic!("expected an error, got {other:?}"),
+        }
+    }
+    match client.status(0) {
+        Err(e) => assert!(e.to_string().contains("unknown job 0"), "{e}"),
         Ok(other) => panic!("expected an error, got {other:?}"),
     }
 
@@ -293,7 +313,7 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
     let mut doomed = ServeClient::connect(&addr).unwrap();
     doomed
         .send(&Request::SubmitSweep {
-            spec: doomed_spec,
+            spec: doomed_spec.clone(),
             stream: false,
         })
         .unwrap();
@@ -314,7 +334,35 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
         other => panic!("expected Cancelled, got {other:?}"),
     }
 
-    // The busy sweep still finishes normally.
+    // The cancel took the job out of the coalescing index: an identical
+    // resubmission starts a fresh job instead of joining the dead one, and
+    // a second identical submission coalesces onto that fresh job.
+    let mut resubmitters = Vec::new();
+    for coalesced in [0, 1] {
+        let mut again = ServeClient::connect(&addr).unwrap();
+        again
+            .send(&Request::SubmitSweep {
+                spec: doomed_spec.clone(),
+                stream: false,
+            })
+            .unwrap();
+        match again.recv().unwrap() {
+            Response::Submitted { job, cached } => {
+                assert!(!cached);
+                assert_eq!(job, doomed_job + 1, "a fresh job, shared by both");
+            }
+            other => panic!("expected Submitted, got {other:?}"),
+        }
+        let stats = canceller.stats().unwrap();
+        assert_eq!(stats.jobs_coalesced, coalesced);
+        assert_eq!(stats.jobs_submitted, 3);
+        assert_eq!(stats.jobs_in_flight, 2, "the busy job and the fresh one");
+        resubmitters.push(again);
+    }
+
+    // Shut down while the only worker is still inside the busy sweep's one
+    // batch: the busy sweep finishes normally ...
+    handle.shutdown();
     loop {
         match busy.recv().unwrap() {
             Response::Progress { .. } => continue,
@@ -326,9 +374,32 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
         }
     }
 
+    // ... and the drain fails the fresh job, which never got a worker.
+    for mut again in resubmitters {
+        match again.recv().unwrap() {
+            Response::Error { message } => assert!(message.contains("shut down"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
+    handle.join();
+
+    // Connections outlive the listener, so the counters are still readable.
     let stats = canceller.stats().unwrap();
     assert_eq!(stats.jobs_cancelled, 1);
     assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.jobs_in_flight, 0, "the drain empties the index");
+    assert_eq!(stats.jobs_tracked, 3, "done, cancelled and failed records");
+    for (job, expected) in [
+        (busy_job, "done"),
+        (doomed_job, "cancelled"),
+        (doomed_job + 1, "failed"),
+    ] {
+        match canceller.status(job).unwrap() {
+            Response::JobStatus { state, .. } => assert_eq!(state, expected),
+            other => panic!("expected JobStatus, got {other:?}"),
+        }
+    }
     // Cancellation freed the doomed sweep's queued cells: far fewer cells
     // executed than the two sweeps would have taken together (the doomed
     // job ran at most the few batches dispatched before the cancel).
@@ -337,9 +408,6 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
         "cancel must free queued cells ({} executed)",
         stats.executed_cells_total
     );
-
-    handle.shutdown();
-    handle.join();
 }
 
 #[test]
@@ -525,6 +593,95 @@ fn submissions_bounce_with_overloaded_when_the_cell_quota_is_exceeded() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.jobs_rejected, 1);
     assert_eq!(stats.jobs_submitted, 1);
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn evicted_reports_are_freed_once_their_jobs_are_done() {
+    let handle = serve(ServeConfig {
+        cache_capacity: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+
+    // Ten distinct sweeps through a two-entry report cache; after each, the
+    // most recently used cache entry is the report just served.
+    let mut reports = Vec::new();
+    for seed in 0..10 {
+        let spec = SweepSpec {
+            apps: "jacobi".to_string(),
+            seed,
+            ..SweepSpec::default()
+        };
+        let outcome = client.submit(spec, false, |_| ()).unwrap();
+        assert!(!outcome.cache_hit);
+        let (_, newest) = handle.cached_reports().pop().unwrap();
+        assert_eq!(newest.bytes, outcome.report_json);
+        reports.push(Arc::downgrade(&newest));
+    }
+
+    // Every job is still tracked, yet only the cache keeps reports alive.
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.jobs_tracked, stats.report_cache_evictions), (10, 8));
+    let alive = reports.iter().filter(|r| r.upgrade().is_some()).count();
+    assert_eq!(alive, 2, "finished jobs must not pin evicted reports");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn the_job_table_stays_bounded_however_many_requests_are_served() {
+    let config = ServeConfig::default();
+    let max_active_jobs = config.max_active_jobs as u64;
+    let handle = serve(config).unwrap();
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+
+    let first = client.submit(tiny_spec(), false, |_| ()).unwrap();
+    assert!(!first.cache_hit);
+    let mut last_job = first.job;
+    for request in 0..5_000u64 {
+        if request % 100 == 0 {
+            let novel = SweepSpec {
+                seed: 1_000 + request,
+                ..tiny_spec()
+            };
+            assert!(!client.submit(novel, false, |_| ()).unwrap().cache_hit);
+        }
+        let hit = client.submit(tiny_spec(), false, |_| ()).unwrap();
+        assert!(hit.cache_hit);
+        last_job = hit.job;
+    }
+
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.jobs_submitted, stats.report_cache_hits), (51, 5_000));
+    assert_eq!(stats.jobs_in_flight, 0);
+    assert!(stats.jobs_tracked <= JOB_HISTORY as u64 + max_active_jobs);
+    assert_eq!(
+        stats.jobs_retired,
+        stats.jobs_submitted + stats.report_cache_hits - stats.jobs_tracked,
+        "every id handed out is either tracked or retired"
+    );
+
+    let status_of = |client: &mut ServeClient, job: u64| match client.status(job) {
+        Ok(Response::JobStatus { state, .. }) => state,
+        Ok(other) => panic!("expected JobStatus, got {other:?}"),
+        Err(e) => e.to_string(),
+    };
+    assert_eq!(last_job, 5_051);
+    assert_eq!(status_of(&mut client, last_job), "done");
+    let retired = status_of(&mut client, first.job);
+    assert!(retired.contains("job 1 retired"), "{retired}");
+    let unknown = status_of(&mut client, last_job + 1 + 7);
+    assert!(unknown.contains("unknown job 5059"), "{unknown}");
+    // A retired id cannot be cancelled either, and says why.
+    match client.cancel(first.job) {
+        Err(e) => assert!(e.to_string().contains("job 1 retired"), "{e}"),
+        Ok(other) => panic!("expected an error, got {other:?}"),
+    }
 
     handle.shutdown();
     handle.join();

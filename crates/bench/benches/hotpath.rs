@@ -1,8 +1,9 @@
-//! Hot-path regression suite: the three loops the interactive Full sweep
-//! spends its time in — the simulator event loop, the refiner's rebalance
-//! pass, and the end-to-end Figure-1 sweep itself — plus the `spec` wire
-//! codec that `--backend proc` pays sixteen times per sweep and a
-//! `numadag-serve` cache hit on a daemon with a long history behind it.
+//! Hot-path regression suite: the loops the interactive Full sweep spends
+//! its time in — the simulator event loop, the refiner's rebalance pass, the
+//! 24 window partitions, the eight spec builds and the end-to-end Figure-1
+//! sweep itself — plus the `spec` wire codec that `--backend proc` pays
+//! sixteen times per sweep and a `numadag-serve` cache hit on a daemon with a
+//! long history behind it.
 //!
 //! Run `NUMADAG_CRITERION_JSON=PATH cargo bench -p numadag-bench --bench
 //! hotpath` to export medians as JSON; `ablation hotpath-diff` compares the
@@ -12,13 +13,17 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use numadag_bench::{run_figure1, HarnessConfig};
 use numadag_core::DfifoPolicy;
-use numadag_graph::generators;
 use numadag_graph::partition::refine::{rebalance, rebalance_reference};
+use numadag_graph::{
+    generators, partition_anchored_ctx, partition_ctx, AffinityCosts, CsrGraph, PartitionCtx,
+    PartitionTuning,
+};
 use numadag_kernels::{Application, ProblemScale};
 use numadag_proc::protocol::{decode_spec, encode_spec};
 use numadag_runtime::framing::untag;
 use numadag_runtime::{ExecutionConfig, Simulator};
 use numadag_serve::{serve, ServeClient, ServeConfig, SweepSpec};
+use numadag_tdg::{window_to_csr, TaskWindow, WindowConfig};
 
 /// The simulator event loop in isolation: a Full-scale Jacobi under DFIFO,
 /// the cheapest policy, so pop/release/dispatch dominate over policy work.
@@ -90,6 +95,81 @@ fn bench_refine_rebalance(c: &mut Criterion) {
         b.iter(|| {
             let mut assignment = small_seed.clone();
             criterion::black_box(rebalance_reference(&small, &mut assignment, k, small_max))
+        });
+    });
+    group.finish();
+}
+
+/// The 24 window partitions of one Full sweep through one warm context:
+/// per application, window 0 unanchored (the `rgp-las` cell) and then every
+/// window of the `rgp-las:prop=repart` cell anchored on the placement of the
+/// windows before it through the cross-window dependences — window 0 with an
+/// all-zero table, as the sweep hands it over. (The sweep's repart cells also
+/// anchor on observed data homes, which only exist inside a simulation.)
+fn bench_partition_windows(c: &mut Criterion) {
+    /// The seed `RgpConfig::default()` hands the partitioner.
+    const RGP_SEED: u64 = 0x56F1;
+    let mut group = c.benchmark_group("hotpath");
+    group.sample_size(15);
+    let sockets = ExecutionConfig::bullion_s16().topology.num_sockets();
+    let config = |window: usize| {
+        PartitionTuning::default().config_for(sockets, RGP_SEED.wrapping_add(window as u64))
+    };
+    let mut ctx = PartitionCtx::default();
+    let mut calls: Vec<(CsrGraph, usize, Option<AffinityCosts>)> = Vec::new();
+    for app in Application::all() {
+        let spec = app.build(ProblemScale::Full, sockets);
+        let mut placed: Vec<u32> = Vec::new();
+        for (i, window) in TaskWindow::split_all(&spec.graph, WindowConfig::default())
+            .iter()
+            .enumerate()
+        {
+            let wg = window_to_csr(&spec.graph, window);
+            let mut affinity = AffinityCosts::zeros(wg.graph.num_vertices(), sockets);
+            for ce in &wg.cross_edges {
+                affinity.add(ce.vertex, placed[ce.predecessor.index()], ce.bytes);
+            }
+            let plan = partition_anchored_ctx(&wg.graph, &config(i), &affinity, &mut ctx);
+            placed.extend_from_slice(plan.assignment());
+            if i == 0 {
+                calls.push((wg.graph.clone(), 0, None));
+            }
+            calls.push((wg.graph, i, Some(affinity)));
+        }
+    }
+    assert_eq!(calls.len(), 24, "a Full sweep partitions 24 windows");
+    let vertices: usize = calls.iter().map(|(g, _, _)| g.num_vertices()).sum();
+    group.throughput(Throughput::Elements(vertices as u64));
+    group.bench_function("partition_windows/figure1_full", |b| {
+        b.iter(|| {
+            for (graph, window, affinity) in &calls {
+                criterion::black_box(match affinity {
+                    None => partition_ctx(graph, &config(*window), &mut ctx),
+                    Some(aff) => partition_anchored_ctx(graph, &config(*window), aff, &mut ctx),
+                });
+            }
+        });
+    });
+    group.finish();
+}
+
+/// Building the eight Full specs: task submission, dependence derivation and
+/// edge merging in `numadag-tdg` under the kernels' generators — what every
+/// cold sweep pays before its first cell.
+fn bench_spec_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath");
+    group.sample_size(15);
+    let sockets = ExecutionConfig::bullion_s16().topology.num_sockets();
+    let tasks: usize = Application::all()
+        .iter()
+        .map(|app| app.build(ProblemScale::Full, sockets).num_tasks())
+        .sum();
+    group.throughput(Throughput::Elements(tasks as u64));
+    group.bench_function("spec_build/full8", |b| {
+        b.iter(|| {
+            for app in Application::all() {
+                criterion::black_box(app.build(ProblemScale::Full, sockets));
+            }
         });
     });
     group.finish();
@@ -185,6 +265,8 @@ criterion_group!(
     benches,
     bench_simulator_event_loop,
     bench_refine_rebalance,
+    bench_partition_windows,
+    bench_spec_build,
     bench_full_sweep,
     bench_proc_spec_codec,
     bench_serve_admit

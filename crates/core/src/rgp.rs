@@ -221,9 +221,6 @@ pub struct RgpPolicy {
     /// Cost accounting: windows partitioned and partitioner wall time.
     partition_windows: usize,
     partition_wall_ns: f64,
-    /// Scratch buffers reused by the partitioner across windows (repart mode
-    /// re-coarsens every window; the arenas amortize those allocations).
-    ctx: gp::PartitionCtx,
 }
 
 impl RgpPolicy {
@@ -241,7 +238,6 @@ impl RgpPolicy {
             cursor: None,
             partition_windows: 0,
             partition_wall_ns: 0.0,
-            ctx: gp::PartitionCtx::default(),
         }
     }
 
@@ -298,8 +294,11 @@ impl RgpPolicy {
         } else {
             AnchorMode::None
         };
+        // The partitioner's scratch lives in a per-thread context inside
+        // `numadag-graph`: policies are built per cell, the worker thread
+        // that runs the cells is what partitions window after window.
         let partition = if anchor == AnchorMode::None {
-            gp::partition_ctx(&wg.graph, &cfg, &mut self.ctx)
+            gp::partition(&wg.graph, &cfg)
         } else {
             let mut affinity = AffinityCosts::zeros(wg.graph.num_vertices(), num_sockets);
             if anchor.uses_deps() {
@@ -324,7 +323,7 @@ impl RgpPolicy {
                     }
                 }
             }
-            gp::partition_anchored_ctx(&wg.graph, &cfg, &affinity, &mut self.ctx)
+            gp::partition_anchored(&wg.graph, &cfg, &affinity)
         };
         self.window_edge_cut += partition.edge_cut(&wg.graph);
         // Placement walks the precomputed part→members index (one O(window)

@@ -104,6 +104,12 @@ impl CsrGraph {
         g
     }
 
+    /// Takes the graph apart into its CSR arrays `(xadj, adjncy, adjwgt,
+    /// vwgt)`, the inverse of [`CsrGraph::from_parts`].
+    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<i64>, Vec<i64>) {
+        (self.xadj, self.adjncy, self.adjwgt, self.vwgt)
+    }
+
     /// Builds a graph from a flat list of undirected `(u, v, w)` edges with
     /// exactly [`GraphBuilder`]'s semantics — self loops and non-positive
     /// weights dropped, duplicate edges merged by weight addition, adjacency

@@ -75,7 +75,22 @@ impl AffinityCosts {
         fine_to_coarse: &[u32],
         coarse_vertices: usize,
     ) -> AffinityCosts {
-        let mut coarse = AffinityCosts::zeros(coarse_vertices, self.k);
+        let mut coarse = AffinityCosts::zeros(0, self.k);
+        self.project_to_coarse_into(fine_to_coarse, coarse_vertices, &mut coarse);
+        coarse
+    }
+
+    /// [`AffinityCosts::project_to_coarse`] into an existing table, which is
+    /// overwritten (and reused without allocating once it has the capacity).
+    pub fn project_to_coarse_into(
+        &self,
+        fine_to_coarse: &[u32],
+        coarse_vertices: usize,
+        coarse: &mut AffinityCosts,
+    ) {
+        coarse.k = self.k;
+        coarse.costs.clear();
+        coarse.costs.resize(coarse_vertices * self.k, 0);
         for (v, &c) in fine_to_coarse.iter().enumerate() {
             let src = &self.costs[v * self.k..(v + 1) * self.k];
             let dst = &mut coarse.costs[c as usize * self.k..(c as usize + 1) * self.k];
@@ -83,7 +98,6 @@ impl AffinityCosts {
                 *d += s;
             }
         }
-        coarse
     }
 }
 

@@ -32,24 +32,80 @@ pub struct CoarseLevel {
     pub fine_to_coarse: Vec<u32>,
 }
 
-/// Scratch buffers shared by every level of one coarsening run. All buffers
-/// grow to the size of the finest graph once and shrink logically (via
-/// `clear`/truncation) on the coarser levels.
+/// Scratch buffers shared by every level of one coarsening run — and, when
+/// the workspace lives in a [`crate::partition::PartitionCtx`], by every run
+/// through that context. All buffers grow to the size of the finest graph
+/// once and shrink logically (via `clear`/truncation) on the coarser levels.
 #[derive(Debug, Default)]
 pub struct CoarsenWorkspace {
-    /// `(weight, v, u, shuffle position)` of the current level's edges,
-    /// sorted heaviest-first with the post-shuffle position as tie-break.
-    edges: Vec<(i64, u32, u32, u32)>,
-    /// Whether a vertex of the current level is already matched.
-    matched: Vec<bool>,
+    /// `(weight, v, u)` of the current level's edges, in post-shuffle order.
+    edges: Vec<(i64, u32, u32)>,
+    /// The same edges heaviest-first, equal weights in post-shuffle order:
+    /// the order the matching visits them in.
+    ordered: Vec<(i64, u32, u32)>,
+    /// Distinct edge weights of the current level, ascending.
+    weights: Vec<i64>,
+    /// Weight bucket of every entry of `edges` (0 = heaviest).
+    buckets: Vec<u32>,
+    /// Write cursor per weight bucket while `ordered` is filled.
+    cursor: Vec<usize>,
     /// Matching of the current level (`match_of[v] == v` means unmatched).
     match_of: Vec<u32>,
-    /// Contraction scratch: position of a coarse neighbour in `row`, or
-    /// `u32::MAX` when it has not been seen for the current coarse vertex.
-    coarse_pos: Vec<u32>,
-    /// Merged `(coarse neighbour, weight)` row of the coarse vertex under
-    /// construction.
-    row: Vec<(u32, i64)>,
+    /// Contraction scratch: representative (smallest) fine constituent of
+    /// every coarse vertex; the second constituent, if any, is
+    /// `match_of[rep]`.
+    rep: Vec<u32>,
+    /// Contraction scratch: slot of a coarse neighbour in the adjacency
+    /// arrays under construction, or `usize::MAX` when it has not been seen
+    /// for the current coarse vertex.
+    coarse_pos: Vec<usize>,
+    /// Vectors of recycled hierarchies ([`CoarsenWorkspace::recycle`]), taken
+    /// back in the order a contraction needs them so a same-sized window
+    /// finds every capacity it needs.
+    pool_u32: Vec<Vec<u32>>,
+    pool_i64: Vec<Vec<i64>>,
+    pool_usize: Vec<Vec<usize>>,
+    /// The emptied outer vector of the last recycled hierarchy.
+    levels: Vec<CoarseLevel>,
+}
+
+impl CoarsenWorkspace {
+    /// Hands the vectors of a finished hierarchy back to the workspace: the
+    /// next coarsening run through it builds its levels in them instead of
+    /// allocating six fresh vectors per level. Any hierarchy may be recycled
+    /// (the vectors are only capacity), and never recycling is fine too.
+    pub fn recycle(&mut self, mut levels: Vec<CoarseLevel>) {
+        // Coarsest level first and, within a level, in reverse order of use:
+        // the pools are stacks, so the next run pops the finest level's
+        // (largest) vectors first, each for the role it had before.
+        for level in levels.drain(..).rev() {
+            self.recycle_level(level);
+        }
+        self.levels = levels;
+    }
+
+    fn recycle_level(&mut self, level: CoarseLevel) {
+        // A hierarchy at least halves per level, so no run takes back more
+        // than this; the cap keeps a workspace that is only ever handed
+        // hierarchies (a custom coarsener's, say) from hoarding them.
+        const MAX_POOLED_LEVELS: usize = 64;
+        if self.pool_usize.len() >= MAX_POOLED_LEVELS {
+            return;
+        }
+        let (xadj, adjncy, adjwgt, vwgt) = level.graph.into_parts();
+        self.pool_i64.push(adjwgt);
+        self.pool_u32.push(adjncy);
+        self.pool_usize.push(xadj);
+        self.pool_i64.push(vwgt);
+        self.pool_u32.push(level.fine_to_coarse);
+    }
+}
+
+/// An empty vector from `pool` (keeping its capacity), or a fresh one.
+fn pooled<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let mut v = pool.pop().unwrap_or_default();
+    v.clear();
+    v
 }
 
 /// Computes a heavy-edge matching of `graph` into the workspace's
@@ -62,35 +118,72 @@ fn heavy_edge_matching_into<'a>(
     let n = graph.num_vertices();
     ws.match_of.clear();
     ws.match_of.extend(0..n as u32);
-    ws.matched.clear();
-    ws.matched.resize(n, false);
     ws.edges.clear();
     for v in 0..n as u32 {
         for (u, w) in graph.edges_of(v) {
             if u > v {
-                ws.edges.push((w, v, u, 0));
+                ws.edges.push((w, v, u));
             }
         }
     }
-    // Shuffle first, then sort heaviest-first with the post-shuffle position
-    // as an explicit tie-break: equal-weight edges stay in random order
-    // (exactly what the previous stable sort produced), but the now-unique
-    // key admits an allocation-free unstable sort.
     ws.edges.shuffle(rng);
-    for (i, e) in ws.edges.iter_mut().enumerate() {
-        e.3 = i as u32;
-    }
-    ws.edges
-        .sort_unstable_by_key(|e| (std::cmp::Reverse(e.0), e.3));
-    for &(_, v, u, _) in ws.edges.iter() {
-        if !ws.matched[v as usize] && !ws.matched[u as usize] {
+    order_heaviest_first(ws);
+    for &(_, v, u) in ws.ordered.iter() {
+        if ws.match_of[v as usize] == v && ws.match_of[u as usize] == u {
             ws.match_of[v as usize] = u;
             ws.match_of[u as usize] = v;
-            ws.matched[v as usize] = true;
-            ws.matched[u as usize] = true;
         }
     }
     &ws.match_of
+}
+
+/// Fills `ws.ordered` with `ws.edges` sorted heaviest-first, equal-weight
+/// edges keeping their (post-shuffle) order: a stable counting sort over the
+/// distinct weights. That is the order a comparison sort on `(weight
+/// descending, post-shuffle position ascending)` produces, by the definition
+/// of stability. A window has a handful of distinct edge weights (2–8 on the
+/// levels that hold most edges, a few dozen at the coarsest), so this costs
+/// three passes per edge where the comparison sort cost `log E` comparisons
+/// per edge — and it needs no merge buffer, so a warmed workspace orders
+/// without allocating.
+fn order_heaviest_first(ws: &mut CoarsenWorkspace) {
+    let CoarsenWorkspace {
+        edges,
+        ordered,
+        weights,
+        buckets,
+        cursor,
+        ..
+    } = ws;
+    ordered.clear();
+    if edges.is_empty() {
+        return;
+    }
+    weights.clear();
+    weights.extend(edges.iter().map(|e| e.0));
+    weights.sort_unstable();
+    weights.dedup();
+    let heaviest = weights.len() - 1;
+    buckets.clear();
+    buckets.extend(
+        edges
+            .iter()
+            .map(|e| (heaviest - weights.partition_point(|&w| w < e.0)) as u32),
+    );
+    cursor.clear();
+    cursor.resize(weights.len() + 1, 0);
+    for &b in buckets.iter() {
+        cursor[b as usize + 1] += 1;
+    }
+    for b in 1..cursor.len() {
+        cursor[b] += cursor[b - 1];
+    }
+    ordered.resize(edges.len(), (0, 0, 0));
+    for (&e, &b) in edges.iter().zip(buckets.iter()) {
+        let slot = &mut cursor[b as usize];
+        ordered[*slot] = e;
+        *slot += 1;
+    }
 }
 
 /// Computes a heavy-edge matching of `graph`.
@@ -102,37 +195,89 @@ pub fn heavy_edge_matching(graph: &CsrGraph, rng: &mut StdRng) -> Vec<u32> {
     ws.match_of
 }
 
+/// Rows up to this length are co-sorted by insertion; longer ones by heap.
+const INSERTION_SORT_MAX: usize = 24;
+
+/// Sorts `keys` ascending and applies the same permutation to `vals`, in
+/// place. Keys are distinct (one entry per coarse neighbour). Coarse rows are
+/// short — a window's mean degree is below ten — so the common case is an
+/// insertion sort over two cache lines; the heapsort keeps a dense row
+/// `O(d log d)`.
+fn co_sort(keys: &mut [u32], vals: &mut [i64]) {
+    debug_assert_eq!(keys.len(), vals.len());
+    let len = keys.len();
+    if len <= INSERTION_SORT_MAX {
+        for i in 1..len {
+            let (k, v) = (keys[i], vals[i]);
+            let mut j = i;
+            while j > 0 && keys[j - 1] > k {
+                keys[j] = keys[j - 1];
+                vals[j] = vals[j - 1];
+                j -= 1;
+            }
+            keys[j] = k;
+            vals[j] = v;
+        }
+        return;
+    }
+    fn sift_down(keys: &mut [u32], vals: &mut [i64], mut root: usize, end: usize) {
+        loop {
+            let mut child = 2 * root + 1;
+            if child >= end {
+                return;
+            }
+            if child + 1 < end && keys[child + 1] > keys[child] {
+                child += 1;
+            }
+            if keys[root] >= keys[child] {
+                return;
+            }
+            keys.swap(root, child);
+            vals.swap(root, child);
+            root = child;
+        }
+    }
+    for root in (0..len / 2).rev() {
+        sift_down(keys, vals, root, len);
+    }
+    for end in (1..len).rev() {
+        keys.swap(0, end);
+        vals.swap(0, end);
+        sift_down(keys, vals, 0, end);
+    }
+}
+
 /// Collapses a matching into a coarser graph, merging parallel edges and
 /// dropping self loops, using (and reusing) the workspace's scratch arrays.
 ///
 /// The coarse graph is built straight into CSR form: coarse vertices are
 /// numbered in order of their smallest fine constituent, and each adjacency
-/// row is merged through a dense position table and then sorted, so the
-/// result is identical to what an edge-map-based builder would produce —
-/// without the per-level `O(E log E)` map churn.
+/// row is merged through a dense position table straight into the tails of
+/// the CSR arrays and then sorted there, so the result is identical to what
+/// an edge-map-based builder would produce — without the per-level
+/// `O(E log E)` map churn or a staging copy per row.
 fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) -> CoarseLevel {
     let n = graph.num_vertices();
-    let mut fine_to_coarse = vec![u32::MAX; n];
-    // Representative (smallest) fine constituent of every coarse vertex; the
-    // second constituent, if any, is `match_of[rep]`.
-    let mut rep: Vec<u32> = Vec::with_capacity(n);
-    let mut next = 0u32;
+    let mut fine_to_coarse = pooled(&mut ws.pool_u32);
+    fine_to_coarse.resize(n, u32::MAX);
+    ws.rep.clear();
     for v in 0..n as u32 {
         if fine_to_coarse[v as usize] != u32::MAX {
             continue;
         }
         let m = match_of[v as usize];
+        let next = ws.rep.len() as u32;
         fine_to_coarse[v as usize] = next;
         if m != v {
             fine_to_coarse[m as usize] = next;
         }
-        rep.push(v);
-        next += 1;
+        ws.rep.push(v);
     }
-    let coarse_n = next as usize;
+    let coarse_n = ws.rep.len();
 
     // Vertex weights are conserved by contraction.
-    let mut cvw = vec![0i64; coarse_n];
+    let mut cvw = pooled(&mut ws.pool_i64);
+    cvw.resize(coarse_n, 0);
     for v in 0..n as u32 {
         cvw[fine_to_coarse[v as usize] as usize] += graph.vertex_weight(v);
     }
@@ -141,45 +286,55 @@ fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) 
     }
 
     ws.coarse_pos.clear();
-    ws.coarse_pos.resize(coarse_n, u32::MAX);
-    ws.row.clear();
+    ws.coarse_pos.resize(coarse_n, usize::MAX);
 
-    let mut xadj = Vec::with_capacity(coarse_n + 1);
+    let mut xadj = pooled(&mut ws.pool_usize);
+    xadj.reserve(coarse_n + 1);
     xadj.push(0usize);
     // The coarse graph has at most as many (directed) edges as the fine one.
-    let mut adjncy: Vec<u32> = Vec::with_capacity(graph.num_edges() * 2);
-    let mut adjwgt: Vec<i64> = Vec::with_capacity(graph.num_edges() * 2);
-    for (c, &first) in rep.iter().enumerate() {
+    // One slot past that bound swallows the edges that collapse inside a
+    // coarse vertex, and the weights start at zero, so the merge below is
+    // the same four stores for a first-seen neighbour, a repeated one and a
+    // collapsed edge: no branch for the predictor to miss on every other
+    // edge.
+    let bound = graph.num_edges() * 2;
+    let mut adjncy = pooled(&mut ws.pool_u32);
+    adjncy.resize(bound + 1, 0);
+    let mut adjwgt = pooled(&mut ws.pool_i64);
+    adjwgt.resize(bound + 1, 0);
+    let mut len = 0usize;
+    for (c, &first) in ws.rep.iter().enumerate() {
+        let start = len;
         let second = match_of[first as usize];
-        let constituents = std::iter::once(first).chain((second != first).then_some(second));
-        for f in constituents {
-            for (u, w) in graph.edges_of(f) {
+        ws.coarse_pos[c] = bound;
+        let mut constituent = first;
+        loop {
+            for (u, w) in graph.edges_of(constituent) {
                 let cu = fine_to_coarse[u as usize];
-                if cu == c as u32 {
-                    continue; // edge collapsed inside the coarse vertex
-                }
-                let p = ws.coarse_pos[cu as usize];
-                if p == u32::MAX {
-                    ws.coarse_pos[cu as usize] = ws.row.len() as u32;
-                    ws.row.push((cu, w));
-                } else {
-                    ws.row[p as usize].1 += w;
-                }
+                let seen = ws.coarse_pos[cu as usize];
+                let fresh = seen == usize::MAX;
+                let slot = if fresh { len } else { seen };
+                ws.coarse_pos[cu as usize] = slot;
+                adjncy[slot] = cu;
+                adjwgt[slot] += w;
+                len += fresh as usize;
             }
+            if constituent == second {
+                break;
+            }
+            constituent = second;
+        }
+        ws.coarse_pos[c] = usize::MAX;
+        for &cu in &adjncy[start..len] {
+            ws.coarse_pos[cu as usize] = usize::MAX;
         }
         // Sorted adjacency keeps the coarse graph bit-identical to a
         // map-built one, so downstream tie-breaking is order-independent.
-        ws.row.sort_unstable_by_key(|&(cu, _)| cu);
-        for &(cu, w) in ws.row.iter() {
-            adjncy.push(cu);
-            adjwgt.push(w);
-        }
-        xadj.push(adjncy.len());
-        for &(cu, _) in ws.row.iter() {
-            ws.coarse_pos[cu as usize] = u32::MAX;
-        }
-        ws.row.clear();
+        co_sort(&mut adjncy[start..len], &mut adjwgt[start..len]);
+        xadj.push(len);
     }
+    adjncy.truncate(len);
+    adjwgt.truncate(len);
 
     CoarseLevel {
         graph: CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, cvw),
@@ -221,14 +376,15 @@ pub fn coarsen_to(graph: &CsrGraph, target_vertices: usize, rng: &mut StdRng) ->
 /// runs (e.g. the per-window calls of RGP's repartitioning mode) reuse the
 /// matching and contraction buffers instead of reallocating them per window.
 /// The result is identical to [`coarsen_to`] — the workspace is scratch
-/// state only.
+/// state only. Hand the hierarchy back with [`CoarsenWorkspace::recycle`]
+/// once it is no longer needed and the next run reuses its vectors too.
 pub fn coarsen_to_with(
     graph: &CsrGraph,
     target_vertices: usize,
     rng: &mut StdRng,
     ws: &mut CoarsenWorkspace,
 ) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
+    let mut levels = std::mem::take(&mut ws.levels);
     loop {
         let next = {
             let current: &CsrGraph = levels.last().map(|l| &l.graph).unwrap_or(graph);
@@ -239,7 +395,10 @@ pub fn coarsen_to_with(
             let shrink = level.graph.num_vertices() as f64 / current.num_vertices() as f64;
             if shrink > 0.95 {
                 // Matching found almost nothing to merge (e.g. graph is mostly
-                // isolated vertices); further coarsening is pointless.
+                // isolated vertices); further coarsening is pointless. The
+                // discarded level was built last, so its vectors go back
+                // under the ones the kept levels will be recycled into.
+                ws.recycle_level(level);
                 break;
             }
             level
@@ -253,7 +412,40 @@ pub fn coarsen_to_with(
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The specification of the edge order: shuffle, then visit by
+        /// `(weight descending, post-shuffle position ascending)`. With at
+        /// most three distinct weights nearly every comparison is a tie.
+        #[test]
+        fn matching_visits_edges_by_weight_then_shuffle_position(
+            n in 2usize..400,
+            avg_degree in 1usize..12,
+            max_weight in 1u32..4,
+            seed in 0u64..10_000,
+        ) {
+            let g = generators::random_graph(n, avg_degree, i64::from(max_weight), seed);
+            let mut edges: Vec<(i64, u32, u32)> = (0..n as u32)
+                .flat_map(|v| g.edges_of(v).filter(move |&(u, _)| u > v).map(move |(u, w)| (w, v, u)))
+                .collect();
+            edges.shuffle(&mut StdRng::seed_from_u64(seed));
+            let mut order: Vec<usize> = (0..edges.len()).collect();
+            order.sort_by_key(|&pos| (std::cmp::Reverse(edges[pos].0), pos));
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            for (_, v, u) in order.into_iter().map(|pos| edges[pos]) {
+                if expected[v as usize] == v && expected[u as usize] == u {
+                    expected[v as usize] = u;
+                    expected[u as usize] = v;
+                }
+            }
+            let matching = heavy_edge_matching(&g, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(matching, expected);
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -307,13 +499,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn contraction_matches_map_built_graph() {
-        // The CSR-direct contraction must produce exactly the graph an
-        // edge-map builder would: merged duplicate edges, sorted adjacency.
-        let g = generators::random_graph(300, 8, 50, 11);
-        let m = heavy_edge_matching(&g, &mut rng());
-        let level = contract(&g, &m);
+    /// The graph an edge-map builder produces for the same matching: merged
+    /// duplicate edges, sorted adjacency.
+    fn map_built(g: &CsrGraph, level: &CoarseLevel) -> CsrGraph {
         let mut b = crate::csr::GraphBuilder::new(level.graph.num_vertices());
         let mut cw = vec![0i64; level.graph.num_vertices()];
         for v in 0..g.num_vertices() as u32 {
@@ -333,7 +521,63 @@ mod tests {
                 }
             }
         }
-        assert_eq!(level.graph, b.build());
+        b.build()
+    }
+
+    #[test]
+    fn contraction_matches_map_built_graph() {
+        // The CSR-direct contraction must produce exactly the graph an
+        // edge-map builder would — on sparse rows, on rows of a dozen merged
+        // multi-edges (the insertion co-sort) and on rows past
+        // `INSERTION_SORT_MAX` (the heap co-sort).
+        let mut longest = 0;
+        for g in [
+            generators::random_graph(300, 8, 50, 11),
+            generators::random_graph(400, 14, 3, 5),
+            generators::random_graph(200, 40, 5, 3),
+            generators::complete(41),
+        ] {
+            let mut ws = CoarsenWorkspace::default();
+            let mut rng = rng();
+            // Two levels through one workspace: the second contraction runs
+            // on merged weights and on recycled vectors.
+            let first = coarsen_once_with(&g, &mut rng, &mut ws);
+            assert_eq!(first.graph, map_built(&g, &first));
+            let second = coarsen_once_with(&first.graph, &mut rng, &mut ws);
+            assert_eq!(second.graph, map_built(&first.graph, &second));
+            for level in [&first, &second] {
+                let rows = 0..level.graph.num_vertices() as u32;
+                longest = longest.max(rows.map(|c| level.graph.degree(c)).max().unwrap());
+            }
+            ws.recycle(vec![first, second]);
+            let again = coarsen_once_with(&g, &mut rng, &mut ws);
+            assert_eq!(again.graph, map_built(&g, &again));
+        }
+        assert!(
+            longest > INSERTION_SORT_MAX,
+            "corpus no longer reaches the heap co-sort (longest row {longest})"
+        );
+    }
+
+    #[test]
+    fn co_sort_sorts_keys_and_carries_values() {
+        for len in [
+            0usize,
+            1,
+            2,
+            12,
+            INSERTION_SORT_MAX,
+            INSERTION_SORT_MAX + 1,
+            100,
+        ] {
+            // A fixed permutation of 0..len (multiplication by a unit mod a
+            // prime above every len), each value tagged with its key.
+            let mut keys: Vec<u32> = (1..=len as u32).map(|i| i * 37 % 101).collect();
+            let mut vals: Vec<i64> = keys.iter().map(|&k| -(k as i64)).collect();
+            co_sort(&mut keys, &mut vals);
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "len {len}: {keys:?}");
+            assert!(keys.iter().zip(&vals).all(|(&k, &v)| v == -(k as i64)));
+        }
     }
 
     #[test]

@@ -6,6 +6,35 @@ use rand::Rng;
 
 use crate::csr::CsrGraph;
 
+/// Reusable scratch of the bisection kernels: the per-bisection vertex flags,
+/// gains, candidate list and seed-search BFS state, plus the vertex list
+/// [`recursive_bisection_with`] splits in place. A recursive bisection into
+/// `k` parts runs `k − 1` bisections, each of which used to allocate all of
+/// these afresh. Pure scratch: results do not depend on what it held before.
+#[derive(Debug, Default)]
+pub struct BisectionScratch {
+    in_subset: Vec<bool>,
+    in_left: Vec<bool>,
+    /// `gain[v]` = (weight to left) − (weight to right), only meaningful for
+    /// candidates (subset vertices not yet in left); `i64::MIN` otherwise.
+    gain: Vec<i64>,
+    /// Compact list of vertices whose gain is set: the candidate scan walks
+    /// this (boundary-sized) list instead of every vertex of the graph.
+    cand: Vec<u32>,
+    /// The left side, in the order it grew.
+    left: Vec<u32>,
+    seed: SeedScratch,
+    vertices: Vec<u32>,
+}
+
+/// The seed search's candidate list and BFS state.
+#[derive(Debug, Default)]
+struct SeedScratch {
+    remaining: Vec<u32>,
+    visited: Vec<bool>,
+    queue: std::collections::VecDeque<u32>,
+}
+
 /// Grows one side of a bisection of the vertex subset `vertices` until its
 /// weight reaches `target_left`, preferring at each step the candidate most
 /// strongly connected to the growing side (greedy graph growing, GGG).
@@ -17,7 +46,8 @@ use crate::csr::CsrGraph;
 /// past the proportional target is therefore respected instead of sliced
 /// through. `slack = 0.0` reproduces the exact-target behaviour.
 ///
-/// Returns the `(left, right)` vertex sets. Both are non-empty as long as
+/// Returns the `(left, right)` vertex sets: `left` in the order it grew,
+/// `right` in the order of `vertices`. Both are non-empty as long as
 /// `vertices` has at least two elements and `target_left` is positive and
 /// below the subset weight.
 pub fn greedy_bisection(
@@ -27,12 +57,50 @@ pub fn greedy_bisection(
     slack: f64,
     rng: &mut StdRng,
 ) -> (Vec<u32>, Vec<u32>) {
-    let n_total = graph.num_vertices();
-    if vertices.len() < 2 {
-        return (vertices.to_vec(), Vec::new());
+    let mut order = vertices.to_vec();
+    let mut scratch = BisectionScratch::default();
+    match bisect_in_place(graph, &mut order, target_left, slack, rng, &mut scratch) {
+        Some(split) => {
+            let right = order.split_off(split);
+            (order, right)
+        }
+        // One side came out empty: `order` is untouched.
+        None if scratch.left.is_empty() => (Vec::new(), order),
+        None => (scratch.left, Vec::new()),
     }
-    let mut in_subset = vec![false; n_total];
-    for &v in vertices {
+}
+
+/// [`greedy_bisection`] in place: reorders `vertices` into the left side (in
+/// the order it grew) followed by the right side (in its original order) and
+/// returns the split point. When one side comes out empty the slice is left
+/// exactly as it was and `None` is returned (`scratch.left` then tells which
+/// side it was), so the caller's fallback sees the original order.
+fn bisect_in_place(
+    graph: &CsrGraph,
+    vertices: &mut [u32],
+    target_left: i64,
+    slack: f64,
+    rng: &mut StdRng,
+    scratch: &mut BisectionScratch,
+) -> Option<usize> {
+    let n_total = graph.num_vertices();
+    let BisectionScratch {
+        in_subset,
+        in_left,
+        gain,
+        cand,
+        left,
+        seed,
+        ..
+    } = scratch;
+    left.clear();
+    if vertices.len() < 2 {
+        left.extend_from_slice(vertices);
+        return None;
+    }
+    in_subset.clear();
+    in_subset.resize(n_total, false);
+    for &v in vertices.iter() {
         in_subset[v as usize] = true;
     }
     let total: i64 = vertices.iter().map(|&v| graph.vertex_weight(v)).sum();
@@ -43,24 +111,21 @@ pub fn greedy_bisection(
     let max_left = ((target_left as f64) * (1.0 + slack)).ceil() as i64;
     let max_left = max_left.clamp(target_left, total - 1);
 
-    let mut in_left = vec![false; n_total];
+    in_left.clear();
+    in_left.resize(n_total, false);
     let mut left_weight = 0i64;
-    let mut left: Vec<u32> = Vec::new();
-    // gain[v] = (weight to left) - (weight to right), only meaningful for
-    // candidates (subset vertices not yet in left).
-    let mut gain = vec![i64::MIN; n_total];
-    // Compact list of vertices whose gain is set: the candidate scan walks
-    // this (boundary-sized) list instead of every vertex of the graph.
-    let mut cand: Vec<u32> = Vec::new();
+    gain.clear();
+    gain.resize(n_total, i64::MIN);
+    cand.clear();
 
     while left_weight < max_left {
         // Pick the best candidate among subset vertices adjacent to the left
         // side; if none exists (left is empty or its component is exhausted),
         // seed with a pseudo-peripheral vertex of the remaining subset.
-        let candidate = best_candidate(&gain, &in_left, &mut cand);
+        let candidate = best_candidate(gain, in_left, cand);
         let v = match candidate {
             Some(v) => v,
-            None => match seed_vertex(graph, vertices, &in_left, &in_subset, rng) {
+            None => match seed_vertex(graph, vertices, in_left, in_subset, rng, seed) {
                 Some(v) => v,
                 None => break,
             },
@@ -84,7 +149,7 @@ pub fn greedy_bisection(
                 continue;
             }
             if gain[u as usize] == i64::MIN {
-                gain[u as usize] = initial_gain(graph, u, &in_left, &in_subset);
+                gain[u as usize] = initial_gain(graph, u, in_left, in_subset);
                 cand.push(u);
             } else {
                 // Edge (u, v) moved from the "right" side to the "left" side
@@ -94,12 +159,21 @@ pub fn greedy_bisection(
             }
         }
     }
-    let right: Vec<u32> = vertices
-        .iter()
-        .copied()
-        .filter(|&v| !in_left[v as usize])
-        .collect();
-    (left, right)
+    if left.is_empty() || left.len() == vertices.len() {
+        return None;
+    }
+    // Compact the right side towards the end (back to front, so its order
+    // is kept), then lay the left side down in front of it.
+    let mut write = vertices.len();
+    for read in (0..vertices.len()).rev() {
+        let v = vertices[read];
+        if !in_left[v as usize] {
+            write -= 1;
+            vertices[write] = v;
+        }
+    }
+    vertices[..write].copy_from_slice(left);
+    Some(write)
 }
 
 fn initial_gain(graph: &CsrGraph, v: u32, in_left: &[bool], in_subset: &[bool]) -> i64 {
@@ -153,19 +227,23 @@ fn seed_vertex(
     in_left: &[bool],
     in_subset: &[bool],
     rng: &mut StdRng,
+    scratch: &mut SeedScratch,
 ) -> Option<u32> {
-    let remaining: Vec<u32> = vertices
-        .iter()
-        .copied()
-        .filter(|&v| !in_left[v as usize])
-        .collect();
+    let SeedScratch {
+        remaining,
+        visited,
+        queue,
+    } = scratch;
+    remaining.clear();
+    remaining.extend(vertices.iter().copied().filter(|&v| !in_left[v as usize]));
     if remaining.is_empty() {
         return None;
     }
     let start = remaining[rng.gen_range(0..remaining.len())];
     // BFS to find the farthest reachable unassigned vertex.
-    let mut visited = vec![false; graph.num_vertices()];
-    let mut queue = std::collections::VecDeque::new();
+    visited.clear();
+    visited.resize(graph.num_vertices(), false);
+    queue.clear();
     visited[start as usize] = true;
     queue.push_back(start);
     let mut last = start;
@@ -194,29 +272,56 @@ pub fn recursive_bisection(
     imbalance: f64,
     rng: &mut StdRng,
 ) -> Vec<u32> {
+    recursive_bisection_with(graph, k, imbalance, rng, &mut BisectionScratch::default())
+}
+
+/// [`recursive_bisection`] through a caller-owned [`BisectionScratch`]: the
+/// only allocation of a warmed call is the returned assignment. Identical
+/// results.
+pub fn recursive_bisection_with(
+    graph: &CsrGraph,
+    k: usize,
+    imbalance: f64,
+    rng: &mut StdRng,
+    scratch: &mut BisectionScratch,
+) -> Vec<u32> {
     let n = graph.num_vertices();
     let mut assignment = vec![0u32; n];
-    let vertices: Vec<u32> = (0..n as u32).collect();
+    let mut vertices = std::mem::take(&mut scratch.vertices);
+    vertices.clear();
+    vertices.extend(0..n as u32);
     // Distribute the budget over the bisection levels so the compounded
     // per-level deviations stay within `imbalance` overall:
     // (1 + slack)^levels = 1 + imbalance.
     let levels = k.next_power_of_two().trailing_zeros().max(1) as f64;
     let slack = (1.0 + imbalance.max(0.0)).powf(1.0 / levels) - 1.0;
-    rb_recurse(graph, &vertices, k, 0, slack, rng, &mut assignment);
+    rb_recurse(
+        graph,
+        &mut vertices,
+        k,
+        0,
+        slack,
+        rng,
+        &mut assignment,
+        scratch,
+    );
+    scratch.vertices = vertices;
     assignment
 }
 
+#[allow(clippy::too_many_arguments)]
 fn rb_recurse(
     graph: &CsrGraph,
-    vertices: &[u32],
+    vertices: &mut [u32],
     k: usize,
     part_offset: u32,
     slack: f64,
     rng: &mut StdRng,
     assignment: &mut [u32],
+    scratch: &mut BisectionScratch,
 ) {
     if k <= 1 || vertices.len() <= 1 {
-        for &v in vertices {
+        for &v in vertices.iter() {
             assignment[v as usize] = part_offset;
         }
         return;
@@ -224,45 +329,49 @@ fn rb_recurse(
     let k_left = k.div_ceil(2);
     let total: i64 = vertices.iter().map(|&v| graph.vertex_weight(v)).sum();
     let target_left = ((total as f64) * (k_left as f64) / (k as f64)).round() as i64;
-    let (left, right) = greedy_bisection(graph, vertices, target_left, slack, rng);
     // Guard against degenerate splits on pathological graphs: fall back to a
     // weight-balanced split of the vertex list.
-    let (left, right) = if left.is_empty() || right.is_empty() {
-        split_by_weight(graph, vertices, target_left)
-    } else {
-        (left, right)
-    };
-    rb_recurse(graph, &left, k_left, part_offset, slack, rng, assignment);
+    let split = bisect_in_place(graph, vertices, target_left, slack, rng, scratch)
+        .unwrap_or_else(|| split_by_weight(graph, vertices, target_left));
+    let (left, right) = vertices.split_at_mut(split);
     rb_recurse(
         graph,
-        &right,
+        left,
+        k_left,
+        part_offset,
+        slack,
+        rng,
+        assignment,
+        scratch,
+    );
+    rb_recurse(
+        graph,
+        right,
         k - k_left,
         part_offset + k_left as u32,
         slack,
         rng,
         assignment,
+        scratch,
     );
 }
 
-fn split_by_weight(graph: &CsrGraph, vertices: &[u32], target_left: i64) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
+/// The point at which the prefix of `vertices` first weighs `target_left`,
+/// moved so that neither side is empty when there are two vertices to share.
+fn split_by_weight(graph: &CsrGraph, vertices: &[u32], target_left: i64) -> usize {
     let mut acc = 0i64;
-    for &v in vertices {
-        if acc < target_left {
-            acc += graph.vertex_weight(v);
-            left.push(v);
-        } else {
-            right.push(v);
-        }
+    let mut split = 0;
+    while split < vertices.len() && acc < target_left {
+        acc += graph.vertex_weight(vertices[split]);
+        split += 1;
     }
-    if left.is_empty() && !right.is_empty() {
-        left.push(right.remove(0));
+    if split == 0 {
+        1
+    } else if split == vertices.len() && split > 1 {
+        split - 1
+    } else {
+        split
     }
-    if right.is_empty() && left.len() > 1 {
-        right.push(left.pop().unwrap());
-    }
-    (left, right)
 }
 
 /// Naive baseline: breadth-first growth from random seeds, ignoring edge

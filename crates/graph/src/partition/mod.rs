@@ -63,20 +63,50 @@ pub use affinity::AffinityCosts;
 
 /// Reusable scratch state for repeated partitioning runs.
 ///
-/// A context carries the buffers that are expensive to rebuild per call:
-/// the coarsening workspace (edge list, matching flags, contraction
-/// scratch), the refinement scratch (gain table, boundary list, per-part
-/// rebalance queues — see [`refine::RefineScratch`]) and the uncoarsening
-/// projection buffer. RGP's repartitioning mode partitions one window per
-/// execution window of the same sweep cell; holding a context across those
-/// calls removes every per-window coarsening allocation *and* every
-/// per-level refinement/projection allocation. The context is pure scratch:
-/// results are bit-identical with a fresh context per call.
+/// A context carries everything that is expensive to rebuild per call: the
+/// coarsening workspace (edge lists, matching, contraction scratch and the
+/// recycled vectors of the previous hierarchy), the bisection scratch of the
+/// initial partitioner, the refinement scratch (gain table, boundary list,
+/// per-part rebalance queues — see [`refine::RefineScratch`]), the per-level
+/// affinity tables of anchored runs and the two uncoarsening projection
+/// buffers. Once warmed, a call on a same-sized window allocates only its
+/// results (see [`pipeline::MultilevelPipeline::run_anchored_ctx`]). The
+/// context is pure scratch: results are bit-identical with a fresh context
+/// per call.
+///
+/// The entry points without a `_ctx` suffix ([`partition`],
+/// [`partition_anchored`], …) run through one context per thread, so a
+/// worker that partitions window after window — one per sweep cell — pays
+/// for the buffers once, not once per cell.
 #[derive(Debug, Default)]
 pub struct PartitionCtx {
     coarsen: coarsen::CoarsenWorkspace,
+    initial: initial::BisectionScratch,
     refine: refine::RefineScratch,
+    level_affinity: Vec<AffinityCosts>,
     projection: Vec<u32>,
+    assignment: Vec<u32>,
+}
+
+/// Graphs above this size bypass the per-thread context: they amortise a
+/// fresh one over their own levels, and a thread must not hold on to
+/// hundreds of megabytes of scratch because it once partitioned a
+/// 500k-vertex window. At the limit the retained context is a few MB.
+const THREAD_CTX_MAX_VERTICES: usize = 1 << 14;
+
+/// Runs `f` with the calling thread's retained [`PartitionCtx`].
+fn with_thread_ctx<R>(graph: &CsrGraph, f: impl FnOnce(&mut PartitionCtx) -> R) -> R {
+    thread_local! {
+        static CTX: std::cell::RefCell<PartitionCtx> = std::cell::RefCell::default();
+    }
+    if graph.num_vertices() > THREAD_CTX_MAX_VERTICES {
+        return f(&mut PartitionCtx::default());
+    }
+    CTX.with(|ctx| match ctx.try_borrow_mut() {
+        Ok(mut ctx) => f(&mut ctx),
+        // A custom stage re-entered the partitioner from inside a run.
+        Err(_) => f(&mut PartitionCtx::default()),
+    })
 }
 
 /// Which partitioning algorithm to run.
@@ -438,8 +468,9 @@ pub fn partition_with(
     config: &PartitionConfig,
     pipeline: &pipeline::MultilevelPipeline,
 ) -> Partition {
-    let mut ctx = PartitionCtx::default();
-    partition_with_ctx(graph, config, pipeline, &mut ctx)
+    with_thread_ctx(graph, |ctx| {
+        partition_with_ctx(graph, config, pipeline, ctx)
+    })
 }
 
 /// [`partition_with`] through a caller-owned [`PartitionCtx`].
@@ -511,8 +542,9 @@ pub fn partition_with_anchored(
     pipeline: &pipeline::MultilevelPipeline,
     affinity: &AffinityCosts,
 ) -> Partition {
-    let mut ctx = PartitionCtx::default();
-    partition_with_anchored_ctx(graph, config, pipeline, affinity, &mut ctx)
+    with_thread_ctx(graph, |ctx| {
+        partition_with_anchored_ctx(graph, config, pipeline, affinity, ctx)
+    })
 }
 
 /// [`partition_with_anchored`] with an explicit stage composition and a

@@ -98,6 +98,23 @@ pub trait InitialPartitioner {
         config: &PartitionConfig,
         rng: &mut StdRng,
     ) -> Vec<u32>;
+
+    /// [`InitialPartitioner::initial_partition`] through a caller-owned
+    /// [`initial::BisectionScratch`], so the per-bisection flag, gain and
+    /// BFS buffers are reused across runs sharing a
+    /// [`crate::partition::PartitionCtx`]. The default ignores the scratch —
+    /// stages without reusable state need not care; results must be
+    /// identical either way.
+    fn initial_partition_with(
+        &self,
+        graph: &CsrGraph,
+        config: &PartitionConfig,
+        rng: &mut StdRng,
+        scratch: &mut initial::BisectionScratch,
+    ) -> Vec<u32> {
+        let _ = scratch;
+        self.initial_partition(graph, config, rng)
+    }
 }
 
 /// Recursive bisection with greedy graph growing at every split (the
@@ -113,6 +130,22 @@ impl InitialPartitioner for RecursiveBisectionInitial {
         rng: &mut StdRng,
     ) -> Vec<u32> {
         initial::recursive_bisection(graph, config.num_parts.max(1), config.imbalance, rng)
+    }
+
+    fn initial_partition_with(
+        &self,
+        graph: &CsrGraph,
+        config: &PartitionConfig,
+        rng: &mut StdRng,
+        scratch: &mut initial::BisectionScratch,
+    ) -> Vec<u32> {
+        initial::recursive_bisection_with(
+            graph,
+            config.num_parts.max(1),
+            config.imbalance,
+            rng,
+            scratch,
+        )
     }
 }
 
@@ -303,9 +336,13 @@ impl MultilevelPipeline {
     }
 
     /// [`MultilevelPipeline::run_anchored`] through a caller-owned
-    /// [`crate::partition::PartitionCtx`]: scratch buffers (currently the
-    /// coarsening workspace) survive across calls instead of being rebuilt
-    /// per window. The context never influences the result.
+    /// [`crate::partition::PartitionCtx`]: every stage's scratch, the
+    /// hierarchy's vectors, the per-level affinity tables and the two
+    /// projection buffers survive across calls instead of being rebuilt per
+    /// window. A warmed call on a same-sized unanchored window allocates
+    /// twice: the initial partitioner's result (its trait contract is an
+    /// owned vector) and the returned assignment. The context never
+    /// influences the result.
     pub fn run_anchored_ctx(
         &self,
         graph: &CsrGraph,
@@ -322,16 +359,22 @@ impl MultilevelPipeline {
         let levels = self
             .coarsener
             .coarsen_with(graph, target, rng, &mut ctx.coarsen);
-        let mut level_affinity: Vec<AffinityCosts> = Vec::new();
         if let Some(aff) = affinity {
+            if ctx.level_affinity.len() < levels.len() {
+                ctx.level_affinity
+                    .resize_with(levels.len(), || AffinityCosts::zeros(0, k));
+            }
             for (i, level) in levels.iter().enumerate() {
-                let projected = {
-                    let finer = if i == 0 { aff } else { &level_affinity[i - 1] };
-                    finer.project_to_coarse(&level.fine_to_coarse, level.graph.num_vertices())
-                };
-                level_affinity.push(projected);
+                let (projected, rest) = ctx.level_affinity.split_at_mut(i);
+                let finer = projected.last().unwrap_or(aff);
+                finer.project_to_coarse_into(
+                    &level.fine_to_coarse,
+                    level.graph.num_vertices(),
+                    &mut rest[0],
+                );
             }
         }
+        let level_affinity = &ctx.level_affinity;
         let affinity_at = |i: usize| -> Option<&AffinityCosts> {
             affinity?;
             if i == 0 {
@@ -347,7 +390,20 @@ impl MultilevelPipeline {
         // agreement (a pure permutation: the cut is label-invariant, the
         // affinity term is not), then refine.
         let coarsest: &CsrGraph = levels.last().map(|l| &l.graph).unwrap_or(graph);
-        let mut assignment = self.initial.initial_partition(coarsest, config, rng);
+        // Both projection buffers take the finest level's size up front:
+        // which of the two ends up holding it depends on the parity of the
+        // hierarchy's depth.
+        let mut assignment = std::mem::take(&mut ctx.assignment);
+        assignment.clear();
+        assignment.reserve(graph.num_vertices());
+        ctx.projection.clear();
+        ctx.projection.reserve(graph.num_vertices());
+        assignment.extend_from_slice(&self.initial.initial_partition_with(
+            coarsest,
+            config,
+            rng,
+            &mut ctx.initial,
+        ));
         if let Some(aff) = affinity_at(levels.len()) {
             align_parts_to_anchors(&mut assignment, aff, k);
         }
@@ -382,7 +438,12 @@ impl MultilevelPipeline {
                 &mut ctx.refine,
             );
         }
-        assignment
+        // Both ping-pong buffers stay behind, with their capacity; the
+        // caller gets an exact-size copy.
+        let result = assignment.clone();
+        ctx.assignment = assignment;
+        ctx.coarsen.recycle(levels);
+        result
     }
 }
 

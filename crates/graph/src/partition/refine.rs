@@ -376,8 +376,26 @@ pub struct RefineScratch {
     table: GainTable,
     part_weight: Vec<i64>,
     boundary: Vec<u32>,
+    /// `settled[v]`: `v` was scored with a strictly negative gain towards
+    /// every other part and neither it nor a neighbour has moved since, so
+    /// no FM pass can move it whatever the part weights are.
+    settled: Vec<bool>,
+    /// Never set outside tests: scores every boundary vertex on every pass.
+    never_settle: bool,
     queues: Vec<GainQueue>,
     queue_built: Vec<bool>,
+}
+
+impl RefineScratch {
+    /// A scratch whose FM passes re-score every boundary vertex on every
+    /// pass: the specification the settled-vertex skip is tested against.
+    #[cfg(test)]
+    fn never_settling() -> Self {
+        RefineScratch {
+            never_settle: true,
+            ..RefineScratch::default()
+        }
+    }
 }
 
 /// Moves vertices out of overweight parts until every part weighs at most
@@ -674,6 +692,8 @@ pub fn refine_kway_anchored_with(
         table,
         part_weight,
         boundary,
+        settled,
+        never_settle,
         queues,
         queue_built,
     } = scratch;
@@ -695,24 +715,40 @@ pub fn refine_kway_anchored_with(
     );
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9E3779B97F4A7C15);
+    settled.clear();
+    settled.resize(n, false);
 
     for _ in 0..passes {
+        // The candidate list and its shuffle do not look at `settled`: the
+        // RNG stream and the order in which the remaining vertices are
+        // scored are those of a pass that scores everything.
         boundary.clear();
         boundary.extend((0..n as u32).filter(|&v| table.is_movable(assignment, v)));
         boundary.shuffle(&mut rng);
         let mut moved = 0usize;
         for &v in boundary.iter() {
+            if settled[v as usize] {
+                continue;
+            }
             let from = assignment[v as usize] as usize;
             let vw = graph.vertex_weight(v);
             // Best admissible target.
             let mut best: Option<(i64, usize)> = None;
+            let mut all_negative = true;
             for target in 0..k {
-                if target == from || part_weight[target] + vw > max_w {
+                if target == from {
                     continue;
                 }
                 let gain = table.gain(v, from, target);
+                if gain < 0 {
+                    continue;
+                }
+                all_negative = false;
+                if part_weight[target] + vw > max_w {
+                    continue;
+                }
                 let improves_balance = part_weight[target] + vw < part_weight[from];
-                if gain > 0 || (gain == 0 && improves_balance) {
+                if gain > 0 || improves_balance {
                     match best {
                         None => best = Some((gain, target)),
                         Some((bg, _)) if gain > bg => best = Some((gain, target)),
@@ -725,7 +761,16 @@ pub fn refine_kway_anchored_with(
                 part_weight[target] += vw;
                 assignment[v as usize] = target as u32;
                 table.apply_move(graph, v, from, target);
+                // The neighbours' gains just changed; `v` itself was scored,
+                // so its own flag is already clear.
+                for &u in graph.neighbors(v) {
+                    settled[u as usize] = false;
+                }
                 moved += 1;
+            } else if all_negative {
+                // Gains do not depend on part weights and only change when
+                // `v` or a neighbour moves: until then no pass can move `v`.
+                settled[v as usize] = !*never_settle;
             }
         }
         if moved == 0 {
@@ -889,6 +934,50 @@ mod tests {
         aff.add(4, 1, 10_000);
         refine_kway_anchored(&g2, &mut a, &cfg, 8, Some(&aff));
         assert_eq!(a[4], 1, "anchored vertex must follow its fixed data");
+    }
+
+    #[test]
+    fn settled_vertices_are_exactly_the_ones_no_pass_would_move() {
+        // The specification of the settled-vertex skip: a run that scores
+        // every boundary vertex on every pass. Same assignment, same cut, on
+        // every case of the corpus, unanchored and anchored.
+        let mut cases = 0usize;
+        for graph in generators::refine_corpus() {
+            let n = graph.num_vertices();
+            for k in [2usize, 4, 8] {
+                let cfg = PartitionConfig::new(k);
+                let mut aff = AffinityCosts::zeros(n, k);
+                for v in (0..n as u32).step_by(7) {
+                    aff.add(v, v % k as u32, 1 << 11);
+                }
+                for start in generators::imbalanced_assignments(n, k) {
+                    for affinity in [None, Some(&aff)] {
+                        let mut skipping = start.clone();
+                        let cut = refine_kway_anchored_with(
+                            &graph,
+                            &mut skipping,
+                            &cfg,
+                            cfg.refine_passes,
+                            affinity,
+                            &mut RefineScratch::default(),
+                        );
+                        let mut scoring_all = start.clone();
+                        let spec_cut = refine_kway_anchored_with(
+                            &graph,
+                            &mut scoring_all,
+                            &cfg,
+                            cfg.refine_passes,
+                            affinity,
+                            &mut RefineScratch::never_settling(),
+                        );
+                        assert_eq!(skipping, scoring_all, "n={n} k={k}");
+                        assert_eq!(cut, spec_cut, "n={n} k={k}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 162);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Allocation gate for the pooled refinement scratch: once a
+//! Allocation gates for the pooled partitioner scratch: once a
 //! `RefineScratch` has been warmed by one call, further
 //! `refine_kway_anchored_with` calls of the same working-set size must not
 //! allocate at all — that is the contract that makes threading the scratch
 //! through `PartitionCtx` (one partition per RGP window, several
-//! uncoarsening levels per partition) worthwhile.
+//! uncoarsening levels per partition) worthwhile — and a whole
+//! `partition_ctx` call on a warmed `PartitionCtx` allocates only its two
+//! results.
 //!
 //! The gate counts every `alloc`/`realloc` through a counting global
 //! allocator armed only around the measured call, so the test is exact
@@ -17,7 +19,10 @@ use std::cell::Cell;
 
 use numadag_graph::generators;
 use numadag_graph::partition::refine::{refine_kway_anchored_with, RefineScratch};
-use numadag_graph::partition::{AffinityCosts, PartitionConfig};
+use numadag_graph::partition::{
+    partition, partition_anchored, partition_anchored_ctx, partition_ctx, AffinityCosts,
+    PartitionConfig, PartitionCtx,
+};
 
 struct CountingAlloc;
 
@@ -60,6 +65,15 @@ fn crammed(n: usize, k: usize) -> Vec<u32> {
     (0..n as u32).map(|v| v % (k as u32 / 2).max(1)).collect()
 }
 
+/// Runs `call` with the allocation counter armed.
+fn counted<R>(call: impl FnOnce() -> R) -> (R, usize) {
+    ALLOCATIONS.set(0);
+    ARMED.set(true);
+    let result = call();
+    ARMED.set(false);
+    (result, ALLOCATIONS.get())
+}
+
 fn measured_run(
     graph: &numadag_graph::CsrGraph,
     cfg: &PartitionConfig,
@@ -68,18 +82,17 @@ fn measured_run(
     seed: &[u32],
 ) -> (Vec<u32>, i64, usize) {
     let mut assignment = seed.to_vec();
-    ALLOCATIONS.set(0);
-    ARMED.set(true);
-    let cut = refine_kway_anchored_with(
-        graph,
-        &mut assignment,
-        cfg,
-        cfg.refine_passes,
-        affinity,
-        scratch,
-    );
-    ARMED.set(false);
-    (assignment, cut, ALLOCATIONS.get())
+    let (cut, allocs) = counted(|| {
+        refine_kway_anchored_with(
+            graph,
+            &mut assignment,
+            cfg,
+            cfg.refine_passes,
+            affinity,
+            scratch,
+        )
+    });
+    (assignment, cut, allocs)
 }
 
 #[test]
@@ -139,4 +152,40 @@ fn warmed_scratch_absorbs_smaller_working_sets() {
     let small_seed = crammed(small.num_vertices(), k);
     let (_, _, allocs) = measured_run(&small, &cfg, None, &mut scratch, &small_seed);
     assert_eq!(allocs, 0, "smaller level allocated {allocs} times");
+}
+
+#[test]
+fn warmed_partition_ctx_allocates_only_its_results() {
+    // A window-sized graph with a few distinct edge weights: four
+    // coarsening levels, seven bisections, five refinements.
+    let graph = generators::random_graph(1000, 8, 3, 17);
+    let n = graph.num_vertices();
+    let k = 8usize;
+    let cfg = PartitionConfig::new(k).with_seed(0x56F1);
+    let mut affinity = AffinityCosts::zeros(n, k);
+    for v in (0..n as u32).step_by(5) {
+        affinity.add(v, v % k as u32, 1 << 10);
+    }
+    let mut ctx = PartitionCtx::default();
+
+    // Unanchored: the initial partitioner's result (its trait returns an
+    // owned vector) and the returned assignment. A per-level, per-bisection
+    // or per-pass allocation would add at least four.
+    let cold = partition_ctx(&graph, &cfg, &mut ctx);
+    let (warm, allocs) = counted(|| partition_ctx(&graph, &cfg, &mut ctx));
+    assert_eq!(cold, warm, "the context changed the partition");
+    assert_eq!(warm, partition(&graph, &cfg));
+    assert_eq!(allocs, 2, "warmed partition_ctx allocated {allocs} times");
+
+    // Anchored, through the same context: the per-level affinity tables are
+    // pooled too; relabelling the initial parts towards their anchors builds
+    // four k-sized tables.
+    let cold = partition_anchored_ctx(&graph, &cfg, &affinity, &mut ctx);
+    let (warm, allocs) = counted(|| partition_anchored_ctx(&graph, &cfg, &affinity, &mut ctx));
+    assert_eq!(cold, warm, "the context changed the anchored partition");
+    assert_eq!(warm, partition_anchored(&graph, &cfg, &affinity));
+    assert_eq!(
+        allocs, 6,
+        "warmed partition_anchored_ctx allocated {allocs} times"
+    );
 }

@@ -5,60 +5,23 @@
 //! pipeline against the seed partitioner, re-targeted at the rebalance
 //! selection loop this PR put behind a priority queue.
 //!
-//! The corpus spans the generator families (random, grid, layered DAG),
-//! sizes from 50 to 1000 vertices, part counts 2/4/8, and two imbalance
-//! shapes per combination: "everything crammed into the low parts" (what a
-//! degenerate projection produces) and "balanced with one part overloaded"
-//! (what real projections produce).
+//! The corpus (`generators::refine_corpus`) spans the generator families
+//! (random, grid, layered DAG), part counts 2/4/8, and the two imbalance
+//! shapes of `generators::imbalanced_assignments` per combination.
 
-use numadag_graph::generators;
+use numadag_graph::generators::{imbalanced_assignments, refine_corpus};
 use numadag_graph::partition::refine::{rebalance, rebalance_reference};
-use numadag_graph::CsrGraph;
-
-/// The two imbalance shapes seeded per (graph, k) combination.
-fn seeds(n: usize, k: usize) -> [Vec<u32>; 2] {
-    let crammed: Vec<u32> = (0..n as u32).map(|v| v % (k as u32 / 2).max(1)).collect();
-    let skewed: Vec<u32> = (0..n as u32)
-        .map(|v| if v % 5 == 0 { 0 } else { v % k as u32 })
-        .collect();
-    [crammed, skewed]
-}
-
-fn corpus() -> Vec<CsrGraph> {
-    let mut graphs = Vec::new();
-    for &n in &[50usize, 200, 1000] {
-        for &degree in &[2usize, 4] {
-            for seed in 1..=3u64 {
-                graphs.push(generators::random_graph(n, degree, 1 << 12, seed));
-            }
-        }
-    }
-    for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16)] {
-        graphs.push(generators::grid_2d(w, h, 8));
-    }
-    for &(layers, width) in &[
-        (8usize, 8usize),
-        (8, 16),
-        (16, 16),
-        (16, 32),
-        (32, 16),
-        (32, 32),
-    ] {
-        graphs.push(generators::layered_dag_skeleton(layers, width, 2, 1 << 10));
-    }
-    graphs
-}
 
 #[test]
 fn rebalance_queue_matches_linear_reference_on_corpus() {
-    let graphs = corpus();
+    let graphs = refine_corpus();
     let mut cases = 0usize;
     for graph in &graphs {
         let n = graph.num_vertices();
         let total: i64 = graph.vertex_weights().iter().sum();
         for &k in &[2usize, 4, 8] {
             let max_part_weight = (total + k as i64 - 1) / k as i64 + total / 20;
-            for seed in seeds(n, k) {
+            for seed in imbalanced_assignments(n, k) {
                 let mut queued = seed.clone();
                 let mut linear = seed.clone();
                 let queued_moves = rebalance(graph, &mut queued, k, max_part_weight);

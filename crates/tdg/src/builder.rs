@@ -17,6 +17,8 @@ use crate::task::{TaskDescriptor, TaskId, TaskSpec};
 pub struct TdgBuilder {
     graph: TaskGraph,
     tracker: DependencyTracker,
+    /// `(predecessor, bytes)` pairs of the task being submitted.
+    deps: Vec<(TaskId, u64)>,
     region_sizes: Vec<u64>,
     region_labels: Vec<Option<String>>,
 }
@@ -72,15 +74,15 @@ impl TdgBuilder {
             );
         }
         let id = TaskId(self.graph.num_tasks());
-        let deps = self.tracker.register(id, &spec.accesses);
-        let dep_pairs: Vec<(TaskId, u64)> = deps.iter().map(|d| (d.predecessor, d.bytes)).collect();
+        self.tracker
+            .register_into(id, &spec.accesses, &mut self.deps);
         let descriptor = TaskDescriptor {
             id,
             kind: spec.kind,
             work_units: spec.work_units,
             accesses: spec.accesses,
         };
-        self.graph.push_task(descriptor, &dep_pairs);
+        self.graph.push_task(descriptor, &self.deps);
         id
     }
 

@@ -13,8 +13,6 @@
 //! the graph with their byte counts added, matching how the paper weighs TDG
 //! edges "depending on the amount of bytes they represent".
 
-use std::collections::HashMap;
-
 use numadag_numa::RegionId;
 
 use crate::task::{DataAccess, TaskId};
@@ -38,9 +36,13 @@ struct RegionState {
 }
 
 /// Incremental dependence tracker.
+///
+/// Region ids are dense by construction ([`crate::TdgBuilder::region`] hands
+/// them out in sequence), so the per-region state lives in a vector indexed
+/// by [`RegionId::index`], grown to the highest id seen.
 #[derive(Clone, Debug, Default)]
 pub struct DependencyTracker {
-    regions: HashMap<RegionId, RegionState>,
+    regions: Vec<RegionState>,
 }
 
 impl DependencyTracker {
@@ -52,17 +54,38 @@ impl DependencyTracker {
     /// Registers the accesses of `task` (which must be submitted in program
     /// order, i.e. with increasing ids) and returns the dependences it incurs.
     pub fn register(&mut self, task: TaskId, accesses: &[DataAccess]) -> Vec<Dependence> {
-        let mut deps = Vec::new();
+        let mut pairs = Vec::new();
+        self.register_into(task, accesses, &mut pairs);
+        pairs
+            .into_iter()
+            .map(|(predecessor, bytes)| Dependence {
+                predecessor,
+                successor: task,
+                bytes,
+            })
+            .collect()
+    }
+
+    /// [`DependencyTracker::register`] into a caller-owned buffer of
+    /// `(predecessor, bytes)` pairs (cleared first) — the shape
+    /// [`crate::TaskGraph::push_task`] takes, so a builder submitting task
+    /// after task reuses one buffer instead of allocating two per task.
+    pub fn register_into(
+        &mut self,
+        task: TaskId,
+        accesses: &[DataAccess],
+        deps: &mut Vec<(TaskId, u64)>,
+    ) {
+        deps.clear();
         for access in accesses {
-            let state = self.regions.entry(access.region).or_default();
+            // A region nobody touched yet has no writer and no readers.
+            let Some(state) = self.regions.get(access.region.index()) else {
+                continue;
+            };
             if access.mode.reads() {
                 if let Some(writer) = state.last_writer {
                     if writer != task {
-                        deps.push(Dependence {
-                            predecessor: writer,
-                            successor: task,
-                            bytes: access.bytes,
-                        });
+                        deps.push((writer, access.bytes));
                     }
                 }
             }
@@ -70,11 +93,7 @@ impl DependencyTracker {
                 // WAR against every reader since the last write.
                 for &reader in &state.readers_since_write {
                     if reader != task {
-                        deps.push(Dependence {
-                            predecessor: reader,
-                            successor: task,
-                            bytes: access.bytes,
-                        });
+                        deps.push((reader, access.bytes));
                     }
                 }
                 // WAW against the last writer — but only when there are no
@@ -84,11 +103,7 @@ impl DependencyTracker {
                 if state.readers_since_write.is_empty() && !access.mode.reads() {
                     if let Some(writer) = state.last_writer {
                         if writer != task {
-                            deps.push(Dependence {
-                                predecessor: writer,
-                                successor: task,
-                                bytes: access.bytes,
-                            });
+                            deps.push((writer, access.bytes));
                         }
                     }
                 }
@@ -97,7 +112,11 @@ impl DependencyTracker {
         // Second pass: update region states (done separately so a task with
         // an `inout` access does not see itself as a previous reader/writer).
         for access in accesses {
-            let state = self.regions.entry(access.region).or_default();
+            let index = access.region.index();
+            if index >= self.regions.len() {
+                self.regions.resize_with(index + 1, RegionState::default);
+            }
+            let state = &mut self.regions[index];
             if access.mode.writes() {
                 state.last_writer = Some(task);
                 state.readers_since_write.clear();
@@ -106,17 +125,20 @@ impl DependencyTracker {
                 state.readers_since_write.push(task);
             }
         }
-        deps
     }
 
     /// The task that last wrote `region`, if any.
     pub fn last_writer(&self, region: RegionId) -> Option<TaskId> {
-        self.regions.get(&region).and_then(|s| s.last_writer)
+        self.regions.get(region.index()).and_then(|s| s.last_writer)
     }
 
     /// Number of regions the tracker has seen.
     pub fn num_regions_seen(&self) -> usize {
-        self.regions.len()
+        // Every registered access leaves its region with a writer or a reader.
+        self.regions
+            .iter()
+            .filter(|s| s.last_writer.is_some() || !s.readers_since_write.is_empty())
+            .count()
     }
 }
 

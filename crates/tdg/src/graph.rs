@@ -1,7 +1,5 @@
 //! The task dependency graph (TDG).
 
-use std::collections::HashMap;
-
 use crate::task::{TaskDescriptor, TaskId};
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
@@ -103,19 +101,26 @@ impl TaskGraph {
             self.tasks.len(),
             "tasks must be pushed in dense submission order"
         );
-        let mut merged: HashMap<TaskId, u64> = HashMap::new();
-        for &(pred, bytes) in deps {
+        for &(pred, _) in deps {
             assert!(
                 pred.index() < self.tasks.len(),
                 "dependence on not-yet-submitted task {pred:?}"
             );
             assert_ne!(pred, id, "a task cannot depend on itself");
-            *merged.entry(pred).or_default() += bytes;
         }
+        // A task has a handful of predecessors: sort the pairs and fold
+        // duplicates into the first of each run.
+        let mut preds = deps.to_vec();
+        preds.sort_unstable_by_key(|&(pred, _)| pred);
+        preds.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         self.tasks.push(descriptor);
         self.successors.push(Vec::new());
-        let mut preds: Vec<(TaskId, u64)> = merged.into_iter().collect();
-        preds.sort_by_key(|(t, _)| t.index());
         for &(pred, bytes) in &preds {
             self.successors[pred.index()].push((id, bytes));
             self.num_edges += 1;

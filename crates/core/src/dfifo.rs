@@ -33,9 +33,10 @@ impl SchedulingPolicy for DfifoPolicy {
 
     fn assign(&mut self, _task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId {
         let topo = locator.topology();
-        let core = CoreId(self.next_core % topo.num_cores());
-        self.next_core = (self.next_core + 1) % topo.num_cores();
-        topo.socket_of(core)
+        let core = self.next_core % topo.num_cores();
+        // Left unreduced: the next call's `%` wraps it.
+        self.next_core = core + 1;
+        topo.socket_of(CoreId(core))
     }
 }
 

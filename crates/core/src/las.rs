@@ -35,10 +35,8 @@ pub struct LasPolicy {
     random_assignments: usize,
     weighted_assignments: usize,
     // Per-assignment scratch, reused across calls so the hot path does not
-    // allocate: socket weights, the region-location lookup buffer and the
-    // tied-heaviest-sockets list.
+    // allocate: socket weights and the tied-heaviest-sockets list.
     weights: SocketWeights,
-    location: numadag_numa::memory::NodeBytes,
     heaviest: Vec<SocketId>,
 }
 
@@ -54,7 +52,6 @@ impl LasPolicy {
                 weights: Vec::new(),
                 unallocated: 0,
             },
-            location: numadag_numa::memory::NodeBytes::default(),
             heaviest: Vec::new(),
         }
     }
@@ -87,7 +84,7 @@ impl LasPolicy {
         bias: Option<SocketId>,
     ) -> SocketId {
         let num_sockets = locator.topology().num_sockets();
-        socket_weights_into(task, locator, &mut self.weights, &mut self.location);
+        socket_weights_into(task, locator, &mut self.weights);
         let allocated = self.weights.total_allocated();
         let total = allocated + self.weights.unallocated;
         let allocated_fraction = if total == 0 {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use numadag_numa::memory::NodeBytes;
-use numadag_numa::{MemoryMap, RegionId, SocketId, Topology};
+use numadag_numa::{MemoryMap, NodeId, RegionId, SocketId, Topology};
 use numadag_tdg::{TaskDescriptor, TaskGraph};
 
 /// What a policy is allowed to ask about the machine and the current
@@ -23,6 +23,20 @@ pub trait DataLocator {
     }
     /// Size of `region` in bytes.
     fn region_size(&self, region: RegionId) -> u64;
+    /// Splits one task access — `access_bytes` bytes of `region` — over the
+    /// nodes holding the region: `visit(home, share)` once per holding node
+    /// in ascending node order, the share without a home yet as the return
+    /// value (see [`MemoryMap::access_shares`]). What socket weighting asks
+    /// per access; the default derives it from the two lookups above.
+    fn access_shares(
+        &self,
+        region: RegionId,
+        access_bytes: u64,
+        visit: &mut dyn FnMut(NodeId, u64),
+    ) -> u64 {
+        self.region_location(region)
+            .access_shares(self.region_size(region), access_bytes, visit)
+    }
 }
 
 /// Cost accounting of a partitioning policy: how many windows it partitioned
@@ -94,6 +108,15 @@ impl DataLocator for MemoryLocator<'_> {
 
     fn region_size(&self, region: RegionId) -> u64 {
         self.memory.size_of(region)
+    }
+
+    fn access_shares(
+        &self,
+        region: RegionId,
+        access_bytes: u64,
+        visit: &mut dyn FnMut(NodeId, u64),
+    ) -> u64 {
+        self.memory.access_shares(region, access_bytes, visit)
     }
 }
 

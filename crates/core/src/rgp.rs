@@ -313,9 +313,8 @@ impl RgpPolicy {
                     weights: Vec::new(),
                     unallocated: 0,
                 };
-                let mut location = numadag_numa::memory::NodeBytes::default();
                 for (v, &t) in wg.tasks.iter().enumerate() {
-                    socket_weights_into(graph.task(t), locator, &mut w, &mut location);
+                    socket_weights_into(graph.task(t), locator, &mut w);
                     for (s, &bytes) in w.weights.iter().enumerate() {
                         if bytes > 0 && s < num_sockets {
                             affinity.add(v as u32, s as u32, bytes as i64);

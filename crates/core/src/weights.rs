@@ -75,41 +75,30 @@ pub fn socket_weights(task: &TaskDescriptor, locator: &dyn DataLocator) -> Socke
         weights: Vec::new(),
         unallocated: 0,
     };
-    let mut scratch = numadag_numa::memory::NodeBytes::default();
-    socket_weights_into(task, locator, &mut out, &mut scratch);
+    socket_weights_into(task, locator, &mut out);
     out
 }
 
-/// [`socket_weights`] into caller-owned buffers: `out` receives the weights
-/// and `location` is the per-access region-location scratch. The executors
-/// call this once per scheduled task, so the reuse removes two allocations
-/// per access from the assignment hot path. Results are identical to
-/// [`socket_weights`] bit for bit.
+/// [`socket_weights`] into a caller-owned buffer. The executors call this
+/// once per scheduled task, so the reuse keeps the assignment hot path free
+/// of allocations. Results are identical to [`socket_weights`] bit for bit.
 pub fn socket_weights_into(
     task: &TaskDescriptor,
     locator: &dyn DataLocator,
     out: &mut SocketWeights,
-    location: &mut numadag_numa::memory::NodeBytes,
 ) {
     let num_sockets = locator.topology().num_sockets();
     out.weights.clear();
     out.weights.resize(num_sockets, 0);
     out.unallocated = 0;
     for access in &task.accesses {
-        locator.region_location_into(access.region, location);
-        let region_size = locator.region_size(access.region).max(1);
-        for (node, bytes) in &location.per_node {
-            // Scale the resident bytes to the portion of the region this
-            // access touches (accesses normally cover the whole region).
-            let contribution =
-                (*bytes as f64 * access.bytes as f64 / region_size as f64).round() as u64;
-            let socket = node.socket();
-            if socket.index() < num_sockets {
-                out.weights[socket.index()] += contribution;
-            }
-        }
+        let weights = &mut out.weights;
         out.unallocated +=
-            (location.unallocated as f64 * access.bytes as f64 / region_size as f64).round() as u64;
+            locator.access_shares(access.region, access.bytes, &mut |node, share| {
+                if let Some(weight) = weights.get_mut(node.socket().index()) {
+                    *weight += share;
+                }
+            });
     }
 }
 

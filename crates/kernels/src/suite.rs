@@ -243,6 +243,56 @@ mod tests {
         assert!(spec.num_tasks() > 1000);
     }
 
+    /// The flat view the executors read equals the nested accessors —
+    /// descriptors and predecessor lists, which the graph stores natively —
+    /// element for element, on the workloads every committed number comes
+    /// from.
+    #[test]
+    fn flat_view_equals_the_nested_accessors_on_the_eight_full_specs() {
+        use numadag_tdg::TaskId;
+        for (app, spec) in figure1_suite(ProblemScale::Full, 8) {
+            let g = &spec.graph;
+            let flat = g.flat();
+            assert_eq!(flat.num_tasks(), g.num_tasks(), "{app}");
+            assert!(flat.is_acyclic(), "{app}");
+            // Successors, re-derived the way `push_task` used to keep them.
+            let mut successors = vec![Vec::new(); g.num_tasks()];
+            for t in g.task_ids() {
+                for &(pred, bytes) in g.predecessors(t) {
+                    successors[pred.index()].push((t, bytes));
+                }
+            }
+            for t in g.task_ids() {
+                let task = g.task(t);
+                let want = &successors[t.index()];
+                assert_eq!(&g.successors(t).collect::<Vec<_>>(), want, "{app} {t}");
+                assert!(
+                    flat.successors(t)
+                        .iter()
+                        .map(|&s| TaskId(s as usize))
+                        .zip(flat.successor_bytes(t).iter().copied())
+                        .eq(want.iter().copied()),
+                    "{app} {t}"
+                );
+                assert_eq!(flat.in_degrees()[t.index()] as usize, g.in_degree(t));
+                let (regions, bytes) = flat.accesses(t);
+                assert!(
+                    regions
+                        .iter()
+                        .zip(bytes)
+                        .map(|(&r, &b)| (r as usize, b))
+                        .eq(task.accesses.iter().map(|a| (a.region.index(), a.bytes))),
+                    "{app} {t}"
+                );
+                assert_eq!(flat.work(t).to_bits(), task.work_units.to_bits());
+            }
+            assert_eq!(
+                flat.all_accesses().0.len(),
+                g.tasks().iter().map(|t| t.accesses.len()).sum::<usize>()
+            );
+        }
+    }
+
     #[test]
     fn scales_are_ordered_by_size() {
         for app in Application::all() {

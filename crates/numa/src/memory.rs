@@ -13,8 +13,6 @@
 //! shared arrays when no NUMA policy is applied), and explicit per-page
 //! placement for finer modelling.
 
-use std::collections::HashMap;
-
 use crate::ids::{NodeId, RegionId};
 
 /// Default page size used when converting region sizes to page counts (4 KiB).
@@ -86,6 +84,33 @@ impl NodeBytes {
     pub fn allocated(&self) -> u64 {
         self.per_node.iter().map(|(_, b)| *b).sum()
     }
+
+    /// Splits an access of `access_bytes` bytes to a region of `region_size`
+    /// bytes distributed like `self`: `visit(home, share)` once per holding
+    /// node in ascending node order, and the share that has no home yet as
+    /// the return value. The general arm of [`MemoryMap::access_shares`].
+    pub fn access_shares(
+        &self,
+        region_size: u64,
+        access_bytes: u64,
+        mut visit: impl FnMut(NodeId, u64),
+    ) -> u64 {
+        for &(home, resident) in &self.per_node {
+            visit(home, scaled_share(resident, access_bytes, region_size));
+        }
+        scaled_share(self.unallocated, access_bytes, region_size)
+    }
+}
+
+/// The part of an access touching `access_bytes` bytes of a `region_size`-byte
+/// region that falls on `resident` of the region's bytes (accesses normally
+/// cover the whole region, so this is normally `resident` itself). The one
+/// place the executors' traffic charging and the policies' socket weighting
+/// get the formula from; its operation order is part of every committed
+/// makespan.
+#[inline]
+fn scaled_share(resident: u64, access_bytes: u64, region_size: u64) -> u64 {
+    ((resident as f64) * (access_bytes as f64) / (region_size.max(1) as f64)).round() as u64
 }
 
 /// The NUMA memory state of the machine: which node holds each region.
@@ -99,8 +124,9 @@ pub struct MemoryMap {
     regions: Vec<RegionInfo>,
     placements: Vec<Placement>,
     page_size: usize,
-    /// Bytes currently resident on each node (kept incrementally).
-    node_resident: HashMap<usize, u64>,
+    /// Bytes currently resident on each node, indexed by node (kept
+    /// incrementally, grown on the first placement on a node).
+    node_resident: Vec<u64>,
 }
 
 impl MemoryMap {
@@ -116,8 +142,22 @@ impl MemoryMap {
             regions: Vec::new(),
             placements: Vec::new(),
             page_size,
-            node_resident: HashMap::new(),
+            node_resident: Vec::new(),
         }
+    }
+
+    /// A map (default page size) holding one unallocated region per entry of
+    /// `sizes`, with ids in slice order — what an executor builds per run
+    /// from a workload's region table, in two allocations.
+    pub fn with_regions(sizes: &[u64]) -> Self {
+        let mut map = Self::new();
+        map.regions
+            .extend(sizes.iter().map(|&size_bytes| RegionInfo {
+                size_bytes,
+                label: None,
+            }));
+        map.placements.resize(sizes.len(), Placement::Unallocated);
+        map
     }
 
     /// Page size used to convert region sizes into page counts.
@@ -191,7 +231,7 @@ impl MemoryMap {
     pub fn place(&mut self, region: RegionId, node: NodeId) {
         self.remove_resident(region);
         self.placements[region.index()] = Placement::Node(node);
-        *self.node_resident.entry(node.index()).or_default() += self.size_of(region);
+        self.add_resident(node, self.size_of(region));
     }
 
     /// Performs a *first touch*: places the region on `node` only if it is
@@ -216,7 +256,7 @@ impl MemoryMap {
         self.remove_resident(region);
         self.placements[region.index()] = Placement::Interleaved(nodes.to_vec());
         for (node, bytes) in self.interleave_bytes(region, nodes) {
-            *self.node_resident.entry(node.index()).or_default() += bytes;
+            self.add_resident(node, bytes);
         }
     }
 
@@ -232,7 +272,7 @@ impl MemoryMap {
         );
         self.remove_resident(region);
         for (node, bytes) in Self::page_bytes(self.size_of(region), self.page_size, &pages) {
-            *self.node_resident.entry(node.index()).or_default() += bytes;
+            self.add_resident(node, bytes);
         }
         self.placements[region.index()] = Placement::Pages(pages);
     }
@@ -264,19 +304,47 @@ impl MemoryMap {
             Placement::Node(n) => out.per_node.push((*n, size)),
             Placement::Interleaved(nodes) => {
                 out.per_node.extend(self.interleave_bytes(region, nodes));
-                out.per_node.sort_by_key(|(n, _)| n.index());
             }
             Placement::Pages(pages) => {
                 out.per_node
                     .extend(Self::page_bytes(size, self.page_size, pages));
-                out.per_node.sort_by_key(|(n, _)| n.index());
             }
+        }
+    }
+
+    /// Splits one task access — `access_bytes` bytes of `region` — over the
+    /// nodes currently holding the region: `visit(home, share)` once per
+    /// holding node in ascending node order (a share can round to zero), and
+    /// the share that has no home yet as the return value.
+    ///
+    /// Every region an executor touches is whole-region placed, so `Node`
+    /// and `Unallocated` are answered directly; the paged placements go
+    /// through [`MemoryMap::bytes_per_node`] and
+    /// [`NodeBytes::access_shares`]. The direct arm performs the general
+    /// arm's operations on its single pair.
+    #[inline]
+    pub fn access_shares(
+        &self,
+        region: RegionId,
+        access_bytes: u64,
+        mut visit: impl FnMut(NodeId, u64),
+    ) -> u64 {
+        let size = self.size_of(region);
+        match &self.placements[region.index()] {
+            Placement::Node(home) => {
+                visit(*home, scaled_share(size, access_bytes, size));
+                0
+            }
+            Placement::Unallocated => scaled_share(size, access_bytes, size),
+            Placement::Interleaved(_) | Placement::Pages(_) => self
+                .bytes_per_node(region)
+                .access_shares(size, access_bytes, visit),
         }
     }
 
     /// Total bytes resident on `node` across all regions.
     pub fn resident_on(&self, node: NodeId) -> u64 {
-        self.node_resident.get(&node.index()).copied().unwrap_or(0)
+        self.node_resident.get(node.index()).copied().unwrap_or(0)
     }
 
     /// Total bytes registered (allocated or not).
@@ -286,7 +354,7 @@ impl MemoryMap {
 
     /// Total bytes currently allocated on some node.
     pub fn total_resident_bytes(&self) -> u64 {
-        self.node_resident.values().sum()
+        self.node_resident.iter().sum()
     }
 
     /// Iterates over all region ids.
@@ -294,34 +362,65 @@ impl MemoryMap {
         (0..self.regions.len()).map(RegionId)
     }
 
+    fn add_resident(&mut self, node: NodeId, bytes: u64) {
+        if node.index() >= self.node_resident.len() {
+            self.node_resident.resize(node.index() + 1, 0);
+        }
+        self.node_resident[node.index()] += bytes;
+    }
+
     fn remove_resident(&mut self, region: RegionId) {
-        let nb = self.bytes_per_node(region);
-        for (node, bytes) in nb.per_node {
-            if let Some(entry) = self.node_resident.get_mut(&node.index()) {
-                *entry = entry.saturating_sub(bytes);
+        let release = |resident: &mut [u64], node: NodeId, bytes: u64| {
+            let entry = &mut resident[node.index()];
+            debug_assert!(
+                *entry >= bytes,
+                "{node} holds {entry} bytes, freeing {bytes}"
+            );
+            *entry = entry.saturating_sub(bytes);
+        };
+        if let Placement::Node(node) = self.placements[region.index()] {
+            let size = self.size_of(region);
+            release(&mut self.node_resident, node, size);
+        } else {
+            for (node, bytes) in self.bytes_per_node(region).per_node {
+                release(&mut self.node_resident, node, bytes);
             }
         }
     }
 
     fn interleave_bytes(&self, region: RegionId, nodes: &[NodeId]) -> Vec<(NodeId, u64)> {
-        let size = self.size_of(region);
         let pages = self.pages_of(region);
-        let mut per: HashMap<usize, u64> = HashMap::new();
-        for p in 0..pages {
-            let node = nodes[p % nodes.len()];
-            let bytes = Self::bytes_in_page(size, self.page_size, p, pages);
-            *per.entry(node.index()).or_default() += bytes;
-        }
-        per.into_iter().map(|(n, b)| (NodeId(n), b)).collect()
+        Self::bytes_by_node(self.size_of(region), self.page_size, pages, |p| {
+            nodes[p % nodes.len()]
+        })
     }
 
     fn page_bytes(size: u64, page_size: usize, pages: &[NodeId]) -> Vec<(NodeId, u64)> {
-        let mut per: HashMap<usize, u64> = HashMap::new();
-        let n = pages.len();
-        for (p, node) in pages.iter().enumerate() {
-            *per.entry(node.index()).or_default() += Self::bytes_in_page(size, page_size, p, n);
+        Self::bytes_by_node(size, page_size, pages.len(), |p| pages[p])
+    }
+
+    /// Bytes per node of a region of `pages` pages whose page `p` lives on
+    /// `node_of(p)`, in ascending node order.
+    fn bytes_by_node(
+        size: u64,
+        page_size: usize,
+        pages: usize,
+        node_of: impl Fn(usize) -> NodeId,
+    ) -> Vec<(NodeId, u64)> {
+        let mut per: Vec<u64> = Vec::new();
+        for p in 0..pages {
+            let node = node_of(p).index();
+            if node >= per.len() {
+                per.resize(node + 1, 0);
+            }
+            per[node] += Self::bytes_in_page(size, page_size, p, pages);
         }
-        per.into_iter().map(|(n, b)| (NodeId(n), b)).collect()
+        // Every page holds at least one byte, so a zero is a node without one.
+        per.into_iter()
+            .enumerate()
+            .filter(|&(_, bytes)| bytes > 0)
+            .map(|(node, bytes)| (NodeId(node), bytes))
+            .collect()
     }
 
     fn bytes_in_page(size: u64, page_size: usize, page: usize, total_pages: usize) -> u64 {
@@ -477,5 +576,116 @@ mod tests {
         let r = m.register(30);
         m.place_pages(r, vec![NodeId(1), NodeId(1), NodeId(1)]);
         assert_eq!(m.placement(r).single_node(), Some(NodeId(1)));
+    }
+
+    #[test]
+    fn with_regions_registers_every_size_unallocated() {
+        let m = MemoryMap::with_regions(&[64, 0, 4096]);
+        assert_eq!(m.num_regions(), 3);
+        assert_eq!(m.page_size(), DEFAULT_PAGE_SIZE);
+        assert_eq!(m.total_registered_bytes(), 64 + 4096);
+        assert!(m.regions().all(|r| !m.is_allocated(r)));
+        assert_eq!(m.size_of(RegionId(2)), 4096);
+    }
+
+    #[test]
+    fn paged_placements_list_nodes_ascending_whatever_the_page_order() {
+        let mut m = MemoryMap::with_page_size(100);
+        let r = m.register(450); // 5 pages: 100 x 4 + 50
+        m.place_interleaved(r, &[NodeId(6), NodeId(1), NodeId(3)]);
+        assert_eq!(
+            m.bytes_per_node(r).per_node,
+            vec![(NodeId(1), 150), (NodeId(3), 100), (NodeId(6), 200)]
+        );
+        m.place_pages(
+            r,
+            vec![NodeId(5), NodeId(0), NodeId(5), NodeId(2), NodeId(0)],
+        );
+        assert_eq!(
+            m.bytes_per_node(r).per_node,
+            vec![(NodeId(0), 150), (NodeId(2), 100), (NodeId(5), 200)]
+        );
+        assert_eq!(m.resident_on(NodeId(6)), 0);
+        assert_eq!(m.total_resident_bytes(), 450);
+    }
+
+    /// What the executors and the socket weighting computed per access
+    /// before `access_shares` existed: `bytes_per_node`, then
+    /// `round(resident × access_bytes / max(region_size, 1))` per pair and
+    /// for the unallocated rest.
+    fn shares_by_the_old_formula(
+        m: &MemoryMap,
+        region: RegionId,
+        access_bytes: u64,
+    ) -> (Vec<(NodeId, u64)>, u64) {
+        let region_size = m.size_of(region).max(1);
+        let scale = |resident: u64| {
+            ((resident as f64) * (access_bytes as f64) / (region_size as f64)).round() as u64
+        };
+        let location = m.bytes_per_node(region);
+        let per_node = location
+            .per_node
+            .iter()
+            .map(|&(node, resident)| (node, scale(resident)))
+            .collect();
+        (per_node, scale(location.unallocated))
+    }
+
+    #[test]
+    fn access_shares_match_the_old_formula_for_every_placement() {
+        let mut m = MemoryMap::with_page_size(1000);
+        let unallocated = m.register(7000);
+        let whole = m.register(7000);
+        m.place(whole, NodeId(3));
+        let interleaved = m.register(7000);
+        m.place_interleaved(interleaved, &[NodeId(4), NodeId(0), NodeId(2)]);
+        let paged = m.register(2500);
+        m.place_pages(paged, vec![NodeId(1), NodeId(5), NodeId(1)]);
+        let odd = m.register(3);
+        m.place(odd, NodeId(0));
+        let empty = m.register(0);
+        let empty_placed = m.register(0);
+        m.place(empty_placed, NodeId(2));
+        // Sizes beyond 2^53 round in the conversion to f64, like before.
+        let huge = m.register((1 << 60) + 12345);
+        m.place(huge, NodeId(7));
+
+        let regions = [
+            unallocated,
+            whole,
+            interleaved,
+            paged,
+            odd,
+            empty,
+            empty_placed,
+            huge,
+        ];
+        for region in regions {
+            let size = m.size_of(region);
+            // Zero-byte, one-byte, partial, rounding-edge and whole-region
+            // accesses (and one larger than the region, which validation
+            // rejects but the formula must still agree on).
+            for access_bytes in [
+                0,
+                1,
+                2,
+                size / 3,
+                size / 2,
+                size.saturating_sub(1),
+                size,
+                size + 7,
+            ] {
+                let mut visited = Vec::new();
+                let rest = m.access_shares(region, access_bytes, |node, share| {
+                    visited.push((node, share))
+                });
+                assert_eq!(
+                    (visited, rest),
+                    shares_by_the_old_formula(&m, region, access_bytes),
+                    "{:?} of {size} bytes, access of {access_bytes}",
+                    m.placement(region)
+                );
+            }
+        }
     }
 }

@@ -56,37 +56,22 @@ impl TrafficStats {
         self.distance_weighted_bytes += u128::from(bytes) * u128::from(distance);
     }
 
-    /// [`TrafficStats::record_access`] minus the link-matrix update: only
-    /// the scalar counters (local/remote bytes, distance-weighted bytes) are
-    /// touched. Hot-loop variant — the per-access `BTreeMap` probe of the
-    /// full method dominated the simulator's memory loop. Callers accumulate
-    /// the link bytes densely on the side and fold them in once per run via
-    /// [`TrafficStats::add_link_matrix`].
-    #[inline]
-    pub fn record_access_unlinked(
-        &mut self,
-        core_node: NodeId,
-        data_node: NodeId,
-        distance: u32,
-        bytes: u64,
-    ) {
-        if core_node == data_node {
-            self.local_bytes += bytes;
-        } else {
-            self.remote_bytes += bytes;
-        }
-        self.distance_weighted_bytes += u128::from(bytes) * u128::from(distance);
-    }
-
-    /// Folds a dense row-major `num_nodes × num_nodes` byte matrix into the
-    /// link ledger: `matrix[from * num_nodes + to]` = bytes read by cores of
-    /// `to` from memory of `from`. Zero entries are skipped, so the ledger
-    /// ends up with exactly the keys per-access recording would have
-    /// produced (every recorded access moves at least one byte).
-    pub fn add_link_matrix(&mut self, matrix: &[u64], num_nodes: usize) {
+    /// Folds a dense row-major byte matrix over the nodes of `distances`
+    /// into the ledger: `matrix[from * n + to]` = bytes read by cores of `to`
+    /// from memory of `from`. Each non-zero entry is recorded as one access
+    /// at the pair's distance, which leaves exactly the ledger per-access
+    /// [`TrafficStats::record_access`] calls summing to the matrix would
+    /// have: every counter is an integer sum, so grouping the accesses of a
+    /// node pair changes nothing. The executors' hot loops fill such a
+    /// matrix (one add per access) and fold it once per run.
+    pub fn fold_link_matrix(&mut self, matrix: &[u64], distances: &DistanceMatrix) {
+        let n = distances.len();
+        debug_assert_eq!(matrix.len(), n * n);
         for (i, &bytes) in matrix.iter().enumerate() {
             if bytes > 0 {
-                *self.link.entry((i / num_nodes, i % num_nodes)).or_default() += bytes;
+                let (data_node, core_node) = (NodeId(i / n), NodeId(i % n));
+                let distance = distances.distance(core_node, data_node);
+                self.record_access(core_node, data_node, distance, bytes);
             }
         }
     }
@@ -269,5 +254,63 @@ mod tests {
         assert_eq!(a.remote_bytes, 20);
         assert_eq!(a.deferred_allocated_bytes, 192);
         assert_eq!(a.link_bytes(NodeId(0), NodeId(1)), 20);
+    }
+
+    /// A small machine and an access sequence on it, both drawn from
+    /// `words`: `(core_node, data_node, bytes)` triples.
+    fn accesses_on(
+        words: &[(u64, u64, u64)],
+        nodes: usize,
+    ) -> (DistanceMatrix, Vec<(NodeId, NodeId, u64)>) {
+        let values = (0..nodes * nodes)
+            .map(|i| {
+                let (a, b) = (i / nodes, i % nodes);
+                if a == b {
+                    DistanceMatrix::LOCAL
+                } else {
+                    // Symmetric, and several pairs share a distance.
+                    11 + ((a.min(b) * 7 + a.max(b) * 3) % 5) as u32 * 4
+                }
+            })
+            .collect();
+        let accesses = words
+            .iter()
+            .map(|&(c, d, bytes)| {
+                (
+                    NodeId(c as usize % nodes),
+                    NodeId(d as usize % nodes),
+                    bytes,
+                )
+            })
+            .collect();
+        (DistanceMatrix::from_rows(nodes, values), accesses)
+    }
+
+    proptest::proptest! {
+        /// The single matrix fold leaves the ledger per-access recording
+        /// leaves — link entries, local / remote bytes and the
+        /// distance-weighted sum (`PartialEq` covers the private fields).
+        #[test]
+        fn matrix_fold_equals_per_access_recording(
+            words in proptest::collection::vec((0u64..64, 0u64..64, 1u64..(1 << 40)), 0..200),
+            nodes in 1usize..9,
+        ) {
+            let (distances, accesses) = accesses_on(&words, nodes);
+            let mut recorded = TrafficStats::new();
+            let mut matrix = vec![0u64; nodes * nodes];
+            for &(core_node, data_node, bytes) in &accesses {
+                let distance = distances.distance(core_node, data_node);
+                recorded.record_access(core_node, data_node, distance, bytes);
+                matrix[data_node.index() * nodes + core_node.index()] += bytes;
+            }
+            let mut folded = TrafficStats::new();
+            folded.fold_link_matrix(&matrix, &distances);
+            proptest::prop_assert_eq!(&folded, &recorded);
+            proptest::prop_assert_eq!(folded.distance_weighted(), recorded.distance_weighted());
+            proptest::prop_assert_eq!(
+                folded.link_entries().collect::<Vec<_>>(),
+                recorded.link_entries().collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -38,7 +38,7 @@ use numadag_runtime::framing::{
     bool_field, f64_field, field, hex_u128, hex_u128_field, hex_u64, hex_u64_field, push_wire_u64,
     str_field, u64_field, wire_u64,
 };
-use numadag_runtime::{ExecutionConfig, ExecutionReport, StealMode, TaskPlacement};
+use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode, TaskPlacement};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::{parse_event, TraceEvent};
 use serde::{Serialize, Value};
@@ -170,6 +170,12 @@ pub fn decode_config(payload: &Value) -> Result<(u64, ExecutionConfig), String> 
     let topo = field(payload, "config", "topology")?;
     let name = str_field(topo, "config.topology", "name")?;
     let sockets = usize_field(topo, "config.topology", "sockets")?;
+    if sockets > Simulator::MAX_SOCKETS {
+        return Err(format!(
+            "config.topology.sockets {sockets} exceeds the simulator's limit of {}",
+            Simulator::MAX_SOCKETS
+        ));
+    }
     let cores = usize_field(topo, "config.topology", "cores")?;
     let distances = array_field(topo, "config.topology", "distances")?;
     if distances.len() != sockets * sockets {
@@ -911,10 +917,10 @@ mod tests {
                 decoded.graph.predecessors(got.id),
                 spec.graph.predecessors(want.id)
             );
-            assert_eq!(
-                decoded.graph.successors(got.id),
-                spec.graph.successors(want.id)
-            );
+            assert!(decoded
+                .graph
+                .successors(got.id)
+                .eq(spec.graph.successors(want.id)));
         }
         assert_eq!(decoded.graph.num_tasks(), spec.graph.num_tasks());
     }
@@ -982,6 +988,21 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_topology_beyond_the_simulators_socket_limit_is_refused_not_built() {
+        let config = ExecutionConfig::new(Topology::symmetric(65, 1));
+        let wire = roundtrip(&encode_config(1, &config));
+        let (_, payload) = untag(&wire).unwrap();
+        let err = decode_config(payload).unwrap_err();
+        assert!(
+            err.contains("sockets 65 exceeds the simulator's limit of 64"),
+            "{err}"
+        );
+        let config = ExecutionConfig::new(Topology::symmetric(64, 1));
+        let wire = roundtrip(&encode_config(1, &config));
+        assert!(decode_config(untag(&wire).unwrap().1).is_ok());
     }
 
     #[test]

@@ -1,0 +1,54 @@
+//! Charging a started task's accesses to the virtual NUMA machine — the
+//! bookkeeping the simulator and the threaded executor share.
+
+use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
+use numadag_tdg::TaskId;
+use numadag_trace::{TraceEvent, TraceSink};
+
+/// Moves every byte `task`, running on `node` at time `now`, accesses
+/// between its home node and `node`: for each share of each access that
+/// rounds to at least one byte, `moved(bytes, distance)` is called, the bytes
+/// are added to the dense `link` matrix (`link[home * nodes + node]`, folded
+/// into the run's `TrafficStats` by `fold_link_matrix`) and, when `sink` is
+/// enabled, a `Traffic` event is emitted — access by access, home by home,
+/// in declaration order.
+///
+/// `accesses` are the task's `(region, bytes)` columns from the TDG's flat
+/// view. Deferred allocation has run, so no share is without a home.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn charge_accesses(
+    topology: &Topology,
+    memory: &MemoryMap,
+    sink: &dyn TraceSink,
+    link: &mut [u64],
+    task: TaskId,
+    (regions, bytes): (&[u32], &[u64]),
+    node: NodeId,
+    now: f64,
+    mut moved: impl FnMut(u64, u32),
+) {
+    let num_nodes = topology.num_nodes();
+    let tracing = sink.is_enabled();
+    for (&region, &access_bytes) in regions.iter().zip(bytes) {
+        memory.access_shares(RegionId(region as usize), access_bytes, |home, share| {
+            if share == 0 {
+                return;
+            }
+            let distance = topology.distance(node, home);
+            moved(share, distance);
+            link[home.index() * num_nodes + node.index()] += share;
+            if tracing {
+                sink.record(TraceEvent::Traffic {
+                    task,
+                    region: region as usize,
+                    from: home,
+                    to: node,
+                    distance,
+                    bytes: share,
+                    time: now,
+                });
+            }
+        });
+    }
+}

@@ -6,23 +6,25 @@
 //! once window tasks have written "their" blocks on "their" sockets, LAS will
 //! keep sending consumers of those blocks to the same sockets.
 
-use numadag_numa::{MemoryMap, NodeId, TrafficStats};
-use numadag_tdg::TaskDescriptor;
+use numadag_numa::{MemoryMap, NodeId, RegionId, TrafficStats};
 
-/// Applies deferred allocation for `task` executing on `node`: every region
+/// Applies deferred allocation for a task executing on `node`: every region
 /// the task writes (or reads) that is still unallocated is placed on `node`.
-/// Returns the number of bytes placed and records them in `stats`.
+/// `regions` are the region indices of the task's accesses (the region
+/// column of [`numadag_tdg::FlatTdg::accesses`]). Returns the number of
+/// bytes placed and records them in `stats`.
 pub fn apply_deferred_allocation(
     memory: &mut MemoryMap,
     stats: &mut TrafficStats,
-    task: &TaskDescriptor,
+    regions: &[u32],
     node: NodeId,
 ) -> u64 {
     let mut placed = 0u64;
-    for access in &task.accesses {
-        if !memory.is_allocated(access.region) {
-            memory.place(access.region, node);
-            let bytes = memory.size_of(access.region);
+    for &region in regions {
+        let region = RegionId(region as usize);
+        if !memory.is_allocated(region) {
+            memory.place(region, node);
+            let bytes = memory.size_of(region);
             stats.record_deferred_allocation(bytes);
             placed += bytes;
         }
@@ -33,15 +35,10 @@ pub fn apply_deferred_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numadag_tdg::{DataAccess, TaskDescriptor, TaskId};
 
-    fn task(accesses: Vec<DataAccess>) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(0),
-            kind: "t".into(),
-            work_units: 1.0,
-            accesses,
-        }
+    /// The region column of a task accessing `regions`.
+    fn column(regions: &[RegionId]) -> Vec<u32> {
+        regions.iter().map(|r| r.index() as u32).collect()
     }
 
     #[test]
@@ -49,7 +46,7 @@ mod tests {
         let mut mem = MemoryMap::new();
         let out = mem.register(4096);
         let mut stats = TrafficStats::new();
-        let t = task(vec![DataAccess::write(out, 4096)]);
+        let t = column(&[out]);
         let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(3));
         assert_eq!(placed, 4096);
         assert_eq!(mem.placement(out).single_node(), Some(NodeId(3)));
@@ -62,7 +59,7 @@ mod tests {
         let r = mem.register(100);
         mem.place(r, NodeId(1));
         let mut stats = TrafficStats::new();
-        let t = task(vec![DataAccess::read_write(r, 100)]);
+        let t = column(&[r]);
         let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(5));
         assert_eq!(placed, 0);
         assert_eq!(mem.placement(r).single_node(), Some(NodeId(1)));
@@ -76,7 +73,7 @@ mod tests {
         let mut mem = MemoryMap::new();
         let r = mem.register(64);
         let mut stats = TrafficStats::new();
-        let t = task(vec![DataAccess::read(r, 64)]);
+        let t = column(&[r]);
         let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(2));
         assert_eq!(placed, 64);
         assert_eq!(mem.placement(r).single_node(), Some(NodeId(2)));
@@ -90,11 +87,7 @@ mod tests {
         let c = mem.register(40);
         mem.place(b, NodeId(0));
         let mut stats = TrafficStats::new();
-        let t = task(vec![
-            DataAccess::write(a, 10),
-            DataAccess::read(b, 20),
-            DataAccess::write(c, 40),
-        ]);
+        let t = column(&[a, b, c]);
         let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(1));
         assert_eq!(placed, 50);
     }

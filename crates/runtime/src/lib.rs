@@ -59,9 +59,11 @@
 
 #![warn(missing_docs)]
 
+mod charge;
 pub mod config;
 pub mod deferred;
 pub mod diff;
+mod dispatch;
 pub mod driver;
 pub mod event_queue;
 pub mod executor;

@@ -10,17 +10,17 @@
 //! The simulation is fully deterministic: the only randomness lives inside
 //! the policies (and is seeded).
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use numadag_core::{DataLocator, MemoryLocator, SchedulingPolicy};
-use numadag_numa::memory::NodeBytes;
-use numadag_numa::{CoreId, CostTransferTable, MemoryMap, SocketId, TrafficStats};
-use numadag_tdg::{TaskGraphSpec, TaskId};
-use numadag_trace::{TraceEvent, TraceSink};
+use numadag_core::{MemoryLocator, SchedulingPolicy};
+use numadag_numa::{CoreId, CostTransferTable, MemoryMap, SocketId};
+use numadag_tdg::{FlatTdg, TaskGraphSpec, TaskId};
+use numadag_trace::TraceEvent;
 
-use crate::config::{ExecutionConfig, StealMode};
+use crate::charge::charge_accesses;
+use crate::config::ExecutionConfig;
 use crate::deferred::apply_deferred_allocation;
+use crate::dispatch::{SocketQueues, MAX_SOCKETS};
 use crate::event_queue::{Event, EventQueue};
 use crate::executor::Executor;
 use crate::report::{ExecutionReport, TaskPlacement};
@@ -34,52 +34,26 @@ use crate::report::{ExecutionReport, TaskPlacement};
 #[derive(Debug, Default)]
 struct SimScratch {
     /// Remaining unfinished predecessors per task.
-    indegree: Vec<usize>,
-    /// Socket each task was pushed to by the policy.
-    assigned_socket: Vec<Option<SocketId>>,
-    /// Per-socket FIFO of assigned-but-not-started tasks.
-    queues: Vec<VecDeque<TaskId>>,
-    /// Per-socket stack of idle cores (lowest core id on top).
-    idle: Vec<Vec<CoreId>>,
+    indegree: Vec<u32>,
+    /// Per-socket task queues and idle-core stacks.
+    sockets: SocketQueues,
     /// Number of running tasks per socket (bandwidth contention input).
     busy_count: Vec<usize>,
     /// Tasks whose last dependence was just released.
     ready: Vec<TaskId>,
     /// In-flight completion events.
     events: EventQueue,
-    /// Scratch for region residency lookups in the memory-time loop.
-    location: NodeBytes,
     /// Dense per-(home node, executing node) byte matrix, folded into the
-    /// report's `TrafficStats` once at the end of the run (the per-access
-    /// `BTreeMap` probe it replaces dominated the memory loop).
+    /// report's `TrafficStats` once at the end of the run.
     link: Vec<u64>,
 }
 
 impl SimScratch {
-    fn reset(
-        &mut self,
-        spec: &TaskGraphSpec,
-        num_sockets: usize,
-        num_cores: usize,
-        idle_template: &[Vec<CoreId>],
-    ) {
-        let n = spec.num_tasks();
+    fn reset(&mut self, flat: &FlatTdg, num_cores: usize, idle_template: &[Vec<CoreId>]) {
+        let num_sockets = idle_template.len();
         self.indegree.clear();
-        self.indegree
-            .extend((0..n).map(|t| spec.graph.in_degree(TaskId(t))));
-        self.assigned_socket.clear();
-        self.assigned_socket.resize(n, None);
-        self.queues.truncate(num_sockets);
-        self.queues.resize_with(num_sockets, VecDeque::new);
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.idle.truncate(num_sockets);
-        self.idle.resize_with(num_sockets, Vec::new);
-        for (stack, template) in self.idle.iter_mut().zip(idle_template) {
-            stack.clear();
-            stack.extend_from_slice(template);
-        }
+        self.indegree.extend_from_slice(flat.in_degrees());
+        self.sockets.reset(idle_template);
         self.busy_count.clear();
         self.busy_count.resize(num_sockets, 0);
         self.ready.clear();
@@ -94,8 +68,7 @@ pub struct Simulator {
     config: ExecutionConfig,
     /// Per-socket steal order: the other sockets' indices sorted by NUMA
     /// distance from the stealing socket (ties by node id). Static per
-    /// topology — the previous implementation re-derived (and re-allocated)
-    /// this inside the dispatch loop via `Topology::nodes_by_distance`.
+    /// topology.
     steal_order: Vec<Vec<u32>>,
     /// Initial idle-core stack per socket (reversed so `pop()` hands out the
     /// lowest core id first).
@@ -109,10 +82,119 @@ pub struct Simulator {
     scratch: Mutex<SimScratch>,
 }
 
+/// What starting a task reads and writes besides the socket queues: the
+/// run's memory state, clocks and report accumulators.
+struct Run<'a> {
+    sim: &'a Simulator,
+    flat: &'a FlatTdg,
+    memory: MemoryMap,
+    report: ExecutionReport,
+    busy_count: &'a mut [usize],
+    events: &'a mut EventQueue,
+    link: &'a mut [u64],
+    seq: u64,
+}
+
+impl Run<'_> {
+    /// Starts `task` on `core` at time `now`: deferred allocation on the
+    /// executing node, the memory time of every access, and the completion
+    /// event.
+    fn start_task(&mut self, task: TaskId, core: CoreId, now: f64, stolen: bool) {
+        let sim = self.sim;
+        let topo = &sim.config.topology;
+        let cost = &sim.config.cost_model;
+        let sink = sim.config.trace_sink.as_ref();
+        let tracing = sink.is_enabled();
+        let socket = topo.socket_of(core);
+        let node = socket.node();
+        let accesses = self.flat.accesses(task);
+
+        if tracing {
+            sink.record(TraceEvent::Start {
+                task,
+                socket,
+                core,
+                time: now,
+                stolen,
+            });
+        }
+
+        // Deferred allocation / first touch on the executing node.
+        let placed =
+            apply_deferred_allocation(&mut self.memory, &mut self.report.traffic, accesses.0, node);
+        self.report.deferred_bytes += placed;
+        if tracing && placed > 0 {
+            sink.record(TraceEvent::DeferredAlloc {
+                task,
+                node,
+                bytes: placed,
+                time: now,
+            });
+        }
+
+        // Memory time: move every accessed byte between its home node and
+        // the executing socket, summed access by access.
+        let mut memory_time = 0.0f64;
+        charge_accesses(
+            topo,
+            &self.memory,
+            sink,
+            self.link,
+            task,
+            accesses,
+            node,
+            now,
+            |bytes, distance| memory_time += sim.transfer.transfer_time(bytes, distance),
+        );
+        // Bandwidth contention between the cores of this socket.
+        let concurrent = self.busy_count[socket.index()] + 1;
+        let duration = cost.compute_time(self.flat.work(task))
+            + memory_time * cost.contention_multiplier(concurrent);
+
+        self.busy_count[socket.index()] += 1;
+        self.report.tasks_per_socket[socket.index()] += 1;
+        self.report.busy_per_socket[socket.index()] += duration;
+        if stolen {
+            self.report.stolen_tasks += 1;
+        }
+        if sim.config.collect_trace {
+            self.report.trace.push(TaskPlacement {
+                task,
+                socket,
+                start: now,
+                end: now + duration,
+                stolen,
+            });
+        }
+        self.seq += 1;
+        self.events.push(Event {
+            time: now + duration,
+            seq: self.seq,
+            task,
+            core,
+        });
+    }
+}
+
 impl Simulator {
+    /// The most sockets a simulated machine may have: the dispatcher tracks
+    /// per-socket state in one 64-bit mask.
+    pub const MAX_SOCKETS: usize = MAX_SOCKETS;
+
     /// Creates a simulator for the given machine configuration.
+    ///
+    /// # Panics
+    /// Panics if the topology has more than [`Simulator::MAX_SOCKETS`]
+    /// sockets.
     pub fn new(config: ExecutionConfig) -> Self {
         let topo = &config.topology;
+        assert!(
+            topo.num_sockets() <= Self::MAX_SOCKETS,
+            "the simulator supports at most {} sockets, topology {:?} has {}",
+            Self::MAX_SOCKETS,
+            topo.name(),
+            topo.num_sockets()
+        );
         let steal_order = (0..topo.num_sockets())
             .map(|s| {
                 topo.nodes_by_distance(SocketId(s).node())
@@ -157,14 +239,12 @@ impl Simulator {
         spec.validate().expect("invalid workload spec");
         let topo = &self.config.topology;
         let num_sockets = topo.num_sockets();
-        let n = spec.num_tasks();
+        let flat = spec.graph.flat();
+        let n = flat.num_tasks();
+        let sink = self.config.trace_sink.as_ref();
 
         // Memory state: all regions start unallocated (deferred allocation).
-        let mut memory = MemoryMap::new();
-        for &size in &spec.region_sizes {
-            memory.register(size);
-        }
-        let mut stats = TrafficStats::new();
+        let memory = MemoryMap::with_regions(&spec.region_sizes);
 
         let run_started = std::time::Instant::now();
         let mut policy_wall_ns = 0.0f64;
@@ -184,31 +264,33 @@ impl Simulator {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let scratch = &mut *scratch_guard;
-        scratch.reset(spec, num_sockets, topo.num_cores(), &self.idle_template);
+        scratch.reset(flat, topo.num_cores(), &self.idle_template);
         let SimScratch {
             indegree,
-            assigned_socket,
-            queues,
-            idle,
+            sockets,
             busy_count,
             ready,
             events,
-            location,
             link,
         } = scratch;
 
-        // Report accumulators.
-        let mut report = ExecutionReport {
-            workload: spec.name.clone(),
-            policy: policy.name(),
-            tasks: n,
-            tasks_per_socket: vec![0; num_sockets],
-            busy_per_socket: vec![0.0; num_sockets],
-            ..Default::default()
+        let mut run = Run {
+            sim: self,
+            flat,
+            memory,
+            report: ExecutionReport {
+                workload: spec.name.clone(),
+                policy: policy.name(),
+                tasks: n,
+                tasks_per_socket: vec![0; num_sockets],
+                busy_per_socket: vec![0.0; num_sockets],
+                ..Default::default()
+            },
+            busy_count,
+            events,
+            link,
+            seq: 0,
         };
-
-        // Event machinery.
-        let mut seq = 0u64;
         let mut completed = 0usize;
         let mut makespan = 0.0f64;
 
@@ -216,210 +298,41 @@ impl Simulator {
         // per assignment batch — only paid when a timing report was asked
         // for.
         let stage_timing = self.config.stage_timing;
-
-        // Assign the initial ready tasks (the graph's sources, in ascending
-        // task order — exactly `TaskGraph::sources`, without the Vec).
-        // Tasks currently sitting in socket queues; lets the dispatcher skip
-        // its socket/steal scans entirely on the (common) events where every
-        // queue is empty.
-        let mut queued = 0usize;
-        ready.extend((0..n).filter(|&t| indegree[t] == 0).map(TaskId));
-        {
-            queued += ready.len();
+        // Hands the ready tasks to the policy and queues them where it says.
+        let mut assign_ready = |ready: &[TaskId], run: &Run, sockets: &mut SocketQueues, now| {
             let t = stage_timing.then(std::time::Instant::now);
-            Self::assign_tasks(
-                ready,
-                spec,
-                policy,
-                topo,
-                &memory,
-                assigned_socket,
-                queues,
-                self.config.trace_sink.as_ref(),
-                0.0,
-            );
+            let locator = MemoryLocator::new(topo, &run.memory);
+            for &task in ready {
+                let socket = policy.assign(spec.graph.task(task), &locator);
+                debug_assert!(socket.index() < num_sockets);
+                sockets.push(socket, task);
+                if sink.is_enabled() {
+                    sink.record(TraceEvent::Assign {
+                        task,
+                        socket,
+                        time: now,
+                    });
+                }
+            }
             if let Some(t) = t {
                 policy_wall_ns += t.elapsed().as_nanos() as f64;
             }
-        }
+        };
 
-        // Helper closure replaced by a local fn to keep borrows simple.
-        #[allow(clippy::too_many_arguments)]
-        fn start_task(
-            sim: &Simulator,
-            spec: &TaskGraphSpec,
-            task: TaskId,
-            core: CoreId,
-            now: f64,
-            stolen: bool,
-            memory: &mut MemoryMap,
-            stats: &mut TrafficStats,
-            busy_count: &mut [usize],
-            report: &mut ExecutionReport,
-            events: &mut EventQueue,
-            location: &mut NodeBytes,
-            link: &mut [u64],
-            seq: &mut u64,
-        ) {
-            let topo = &sim.config.topology;
-            let cost = &sim.config.cost_model;
-            let sink = sim.config.trace_sink.as_ref();
-            let tracing = sink.is_enabled();
-            let socket = topo.socket_of(core);
-            let node = socket.node();
-            let descriptor = spec.graph.task(task);
-
-            if tracing {
-                sink.record(TraceEvent::Start {
-                    task,
-                    socket,
-                    core,
-                    time: now,
-                    stolen,
-                });
-            }
-
-            // Deferred allocation / first touch on the executing node.
-            let placed = apply_deferred_allocation(memory, stats, descriptor, node);
-            report.deferred_bytes += placed;
-            if tracing && placed > 0 {
-                sink.record(TraceEvent::DeferredAlloc {
-                    task,
-                    node,
-                    bytes: placed,
-                    time: now,
-                });
-            }
-
-            // Memory time: move every accessed byte between its home node and
-            // the executing socket.
-            let mut memory_time = 0.0f64;
-            let num_nodes = topo.num_sockets();
-            for access in &descriptor.accesses {
-                let region_size = memory.size_of(access.region).max(1);
-                memory.bytes_per_node_into(access.region, location);
-                for (home, resident) in &location.per_node {
-                    let scaled = ((*resident as f64) * (access.bytes as f64) / (region_size as f64))
-                        .round() as u64;
-                    if scaled == 0 {
-                        continue;
-                    }
-                    let dist = topo.distance(node, *home);
-                    memory_time += sim.transfer.transfer_time(scaled, dist);
-                    stats.record_access_unlinked(node, *home, dist, scaled);
-                    link[home.index() * num_nodes + node.index()] += scaled;
-                    if tracing {
-                        sink.record(TraceEvent::Traffic {
-                            task,
-                            region: access.region.index(),
-                            from: *home,
-                            to: node,
-                            distance: dist,
-                            bytes: scaled,
-                            time: now,
-                        });
-                    }
-                }
-            }
-            // Bandwidth contention between the cores of this socket.
-            let concurrent = busy_count[socket.index()] + 1;
-            let duration = cost.compute_time(descriptor.work_units)
-                + memory_time * cost.contention_multiplier(concurrent);
-
-            busy_count[socket.index()] += 1;
-            report.tasks_per_socket[socket.index()] += 1;
-            report.busy_per_socket[socket.index()] += duration;
-            if stolen {
-                report.stolen_tasks += 1;
-            }
-            if sim.config.collect_trace {
-                report.trace.push(TaskPlacement {
-                    task,
-                    socket,
-                    start: now,
-                    end: now + duration,
-                    stolen,
-                });
-            }
-            *seq += 1;
-            events.push(Event {
-                time: now + duration,
-                seq: *seq,
-                task,
-                core,
-            });
-        }
-
+        // Assign the initial ready tasks (the graph's sources, in ascending
+        // task order — exactly `TaskGraph::sources`, without the Vec).
+        ready.extend((0..n).filter(|&t| indegree[t] == 0).map(TaskId));
+        assign_ready(ready, &run, sockets, 0.0);
         // Dispatch: match idle cores with queued tasks (local first, then
         // steal from the nearest socket).
-        macro_rules! dispatch {
-            ($now:expr) => {{
-                for s in 0..num_sockets {
-                    if queued == 0 {
-                        break;
-                    }
-                    while !queues[s].is_empty() && !idle[s].is_empty() {
-                        let task = queues[s].pop_front().unwrap();
-                        let core = idle[s].pop().unwrap();
-                        queued -= 1;
-                        start_task(
-                            self,
-                            spec,
-                            task,
-                            core,
-                            $now,
-                            false,
-                            &mut memory,
-                            &mut stats,
-                            busy_count,
-                            &mut report,
-                            events,
-                            location,
-                            link,
-                            &mut seq,
-                        );
-                    }
-                }
-                if self.config.steal == StealMode::NearestSocket && queued > 0 {
-                    for s in 0..num_sockets {
-                        if queued == 0 {
-                            break;
-                        }
-                        while !idle[s].is_empty() {
-                            let victim = self.steal_order[s]
-                                .iter()
-                                .map(|&v| v as usize)
-                                .find(|&v| !queues[v].is_empty());
-                            let Some(victim) = victim else { break };
-                            let task = queues[victim].pop_back().unwrap();
-                            let core = idle[s].pop().unwrap();
-                            queued -= 1;
-                            start_task(
-                                self,
-                                spec,
-                                task,
-                                core,
-                                $now,
-                                true,
-                                &mut memory,
-                                &mut stats,
-                                busy_count,
-                                &mut report,
-                                events,
-                                location,
-                                link,
-                                &mut seq,
-                            );
-                        }
-                    }
-                }
-            }};
-        }
-
-        dispatch!(0.0);
+        sockets.dispatch(
+            self.config.steal,
+            &self.steal_order,
+            |task, core, stolen| run.start_task(task, core, 0.0, stolen),
+        );
 
         while completed < n {
-            let Some(event) = events.pop() else {
+            let Some(event) = run.events.pop() else {
                 panic!(
                     "simulation deadlock: {} of {} tasks completed but no task is running",
                     completed, n
@@ -431,10 +344,10 @@ impl Simulator {
 
             // Free the core.
             let socket = topo.socket_of(event.core);
-            busy_count[socket.index()] -= 1;
-            idle[socket.index()].push(event.core);
-            if self.config.trace_sink.is_enabled() {
-                self.config.trace_sink.record(TraceEvent::Finish {
+            run.busy_count[socket.index()] -= 1;
+            sockets.release(socket, event.core);
+            if sink.is_enabled() {
+                sink.record(TraceEvent::Finish {
                     task: event.task,
                     socket,
                     core: event.core,
@@ -444,40 +357,28 @@ impl Simulator {
 
             // Release successors.
             ready.clear();
-            for &(succ, _) in spec.graph.successors(event.task) {
-                indegree[succ.index()] -= 1;
-                if indegree[succ.index()] == 0 {
-                    ready.push(succ);
+            for &succ in flat.successors(event.task) {
+                let remaining = &mut indegree[succ as usize];
+                *remaining -= 1;
+                if *remaining == 0 {
+                    ready.push(TaskId(succ as usize));
                 }
             }
-            if ready.is_empty() {
-                // Nothing to hand to the policy; skip the batch (and its
-                // clock reads under stage timing).
-            } else {
-                queued += ready.len();
-                let t = stage_timing.then(std::time::Instant::now);
-                Self::assign_tasks(
-                    ready,
-                    spec,
-                    policy,
-                    topo,
-                    &memory,
-                    assigned_socket,
-                    queues,
-                    self.config.trace_sink.as_ref(),
-                    now,
-                );
-                if let Some(t) = t {
-                    policy_wall_ns += t.elapsed().as_nanos() as f64;
-                }
+            // Nothing to hand to the policy skips the batch (and its clock
+            // reads under stage timing).
+            if !ready.is_empty() {
+                assign_ready(ready, &run, sockets, now);
             }
-
-            dispatch!(now);
+            sockets.dispatch(
+                self.config.steal,
+                &self.steal_order,
+                |task, core, stolen| run.start_task(task, core, now, stolen),
+            );
         }
 
+        let mut report = run.report;
         report.makespan_ns = makespan;
-        stats.add_link_matrix(link, num_sockets);
-        report.traffic = stats;
+        report.traffic.fold_link_matrix(link, topo.distances());
         report.policy_wall_ns = policy_wall_ns;
         report.event_loop_wall_ns = run_started.elapsed().as_nanos() as f64 - policy_wall_ns;
         report
@@ -494,37 +395,6 @@ impl Simulator {
             .iter_mut()
             .map(|p| self.run(spec, p.as_mut()))
             .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assign_tasks(
-        tasks: &[TaskId],
-        spec: &TaskGraphSpec,
-        policy: &mut dyn SchedulingPolicy,
-        topo: &numadag_numa::Topology,
-        memory: &MemoryMap,
-        assigned_socket: &mut [Option<SocketId>],
-        queues: &mut [VecDeque<TaskId>],
-        sink: &dyn TraceSink,
-        now: f64,
-    ) {
-        let locator = MemoryLocator::new(topo, memory);
-        for &task in tasks {
-            let socket = {
-                let s = policy.assign(spec.graph.task(task), &locator);
-                debug_assert!(s.index() < locator.topology().num_sockets());
-                s
-            };
-            assigned_socket[task.index()] = Some(socket);
-            queues[socket.index()].push_back(task);
-            if sink.is_enabled() {
-                sink.record(TraceEvent::Assign {
-                    task,
-                    socket,
-                    time: now,
-                });
-            }
-        }
     }
 }
 
@@ -545,6 +415,7 @@ impl Executor for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StealMode;
     use numadag_core::{DfifoPolicy, LasPolicy, RgpPolicy};
     use numadag_numa::CostModel;
     use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
@@ -730,6 +601,23 @@ mod tests {
         let simulator = Simulator::new(cfg);
         let report = simulator.run(&spec, &mut LasPolicy::new(2));
         assert_eq!(report.stolen_tasks, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the simulator supports at most 64 sockets")]
+    fn a_65_socket_topology_is_refused() {
+        use numadag_numa::Topology;
+        Simulator::new(ExecutionConfig::new(Topology::symmetric(65, 1)));
+    }
+
+    #[test]
+    fn a_64_socket_machine_uses_every_socket() {
+        use numadag_numa::Topology;
+        let spec = chains(128, 2);
+        let simulator = Simulator::new(ExecutionConfig::new(Topology::symmetric(64, 1)));
+        let report = simulator.run(&spec, &mut DfifoPolicy::new());
+        assert_eq!(report.tasks_per_socket.iter().sum::<usize>(), 256);
+        assert!(report.tasks_per_socket.iter().all(|&t| t > 0));
     }
 
     #[test]

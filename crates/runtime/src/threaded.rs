@@ -29,6 +29,7 @@ use numadag_numa::{CoreId, MemoryMap, SocketId, TrafficStats};
 use numadag_tdg::{TaskGraphSpec, TaskId};
 use numadag_trace::TraceEvent;
 
+use crate::charge::charge_accesses;
 use crate::config::{ExecutionConfig, StealMode};
 use crate::deferred::apply_deferred_allocation;
 use crate::executor::Executor;
@@ -38,9 +39,12 @@ use crate::report::ExecutionReport;
 /// the scale of the functional tests this executor serves).
 struct Shared<'p> {
     queues: Vec<VecDeque<TaskId>>,
-    indegree: Vec<usize>,
+    indegree: Vec<u32>,
     memory: MemoryMap,
     stats: TrafficStats,
+    /// Dense per-(home node, executing node) byte matrix, folded into
+    /// `stats` once the workers are done.
+    link: Vec<u64>,
     policy: &'p mut dyn SchedulingPolicy,
     remaining: usize,
     tasks_per_socket: Vec<usize>,
@@ -82,10 +86,7 @@ impl ThreadedExecutor {
         let n = spec.num_tasks();
         let policy_name = policy.name();
 
-        let mut memory = MemoryMap::new();
-        for &size in &spec.region_sizes {
-            memory.register(size);
-        }
+        let memory = MemoryMap::with_regions(&spec.region_sizes);
         {
             let locator = MemoryLocator::new(topo, &memory);
             policy.prepare(&spec.graph, &locator);
@@ -93,9 +94,10 @@ impl ThreadedExecutor {
 
         let mut shared = Shared {
             queues: vec![VecDeque::new(); num_sockets],
-            indegree: (0..n).map(|t| spec.graph.in_degree(TaskId(t))).collect(),
+            indegree: spec.graph.flat().in_degrees().to_vec(),
             memory,
             stats: TrafficStats::new(),
+            link: vec![0; num_sockets * num_sockets],
             policy,
             remaining: n,
             tasks_per_socket: vec![0; num_sockets],
@@ -138,7 +140,9 @@ impl ThreadedExecutor {
         });
 
         let elapsed = start.elapsed();
-        let guard = sync.0.lock();
+        let mut guard = sync.0.lock();
+        let Shared { stats, link, .. } = &mut *guard;
+        stats.fold_link_matrix(link, topo.distances());
         let mut report = ExecutionReport {
             workload: spec.name.clone(),
             policy: policy_name,
@@ -228,11 +232,9 @@ fn worker_loop(
                         // Deferred allocation happens when the task is picked
                         // up by the socket that will actually run it.
                         let node = my_socket.node();
-                        let descriptor = spec.graph.task(task);
-                        let placed = {
-                            let Shared { memory, stats, .. } = &mut *s;
-                            apply_deferred_allocation(memory, stats, descriptor, node)
-                        };
+                        let accesses = spec.graph.flat().accesses(task);
+                        let Shared { memory, stats, .. } = &mut *s;
+                        let placed = apply_deferred_allocation(memory, stats, accesses.0, node);
                         s.deferred_bytes += placed;
                         if tracing && placed > 0 {
                             sink.record(TraceEvent::DeferredAlloc {
@@ -243,31 +245,18 @@ fn worker_loop(
                             });
                         }
                         // Account traffic against the virtual NUMA map.
-                        for access in &descriptor.accesses {
-                            let region_size = s.memory.size_of(access.region).max(1);
-                            let per_node = s.memory.bytes_per_node(access.region);
-                            for (home, resident) in &per_node.per_node {
-                                let scaled = ((*resident as f64) * (access.bytes as f64)
-                                    / (region_size as f64))
-                                    .round() as u64;
-                                if scaled == 0 {
-                                    continue;
-                                }
-                                let dist = topo.distance(node, *home);
-                                s.stats.record_access(node, *home, dist, scaled);
-                                if tracing {
-                                    sink.record(TraceEvent::Traffic {
-                                        task,
-                                        region: access.region.index(),
-                                        from: *home,
-                                        to: node,
-                                        distance: dist,
-                                        bytes: scaled,
-                                        time: now,
-                                    });
-                                }
-                            }
-                        }
+                        let Shared { memory, link, .. } = &mut *s;
+                        charge_accesses(
+                            topo,
+                            memory,
+                            sink,
+                            link,
+                            task,
+                            accesses,
+                            node,
+                            now,
+                            |_, _| {},
+                        );
                         s.tasks_per_socket[my_socket.index()] += 1;
                         if stolen {
                             s.stolen += 1;
@@ -301,10 +290,10 @@ fn worker_loop(
         }
         s.remaining -= 1;
         let mut newly_ready = Vec::new();
-        for &(succ, _) in spec.graph.successors(grabbed) {
-            s.indegree[succ.index()] -= 1;
-            if s.indegree[succ.index()] == 0 {
-                newly_ready.push(succ);
+        for &succ in spec.graph.flat().successors(grabbed) {
+            s.indegree[succ as usize] -= 1;
+            if s.indegree[succ as usize] == 0 {
+                newly_ready.push(TaskId(succ as usize));
             }
         }
         let published = !newly_ready.is_empty();

@@ -59,7 +59,7 @@ pub fn window_to_csr(graph: &TaskGraph, window: &TaskWindow) -> WindowGraph {
     let mut cross_edges = Vec::new();
     for (v, &t) in tasks.iter().enumerate() {
         vwgt.push(graph.task(t).work_units.ceil().max(1.0) as i64);
-        for &(succ, bytes) in graph.successors(t) {
+        for (succ, bytes) in graph.successors(t) {
             if window.contains(succ) {
                 let u = succ.index() - base;
                 edges.push((v as u32, u as u32, (bytes as i64).max(1)));

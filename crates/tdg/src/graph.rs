@@ -1,18 +1,171 @@
 //! The task dependency graph (TDG).
 
+use std::sync::OnceLock;
+
 use crate::task::{TaskDescriptor, TaskId};
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
 /// edges carry the number of bytes of data flowing (or being serialised)
 /// between the two tasks.
-#[derive(Clone, Debug, Default)]
+///
+/// Tasks only ever gain edges from earlier tasks, so the predecessor lists
+/// are stored as one append-only CSR; everything keyed the other way round
+/// (successors) or read once per simulated task (access columns, work,
+/// in-degrees) lives in the derived [`FlatTdg`] view.
+#[derive(Clone, Debug)]
 pub struct TaskGraph {
     tasks: Vec<TaskDescriptor>,
-    /// successors[t] = (successor task, bytes), deduplicated.
-    successors: Vec<Vec<(TaskId, u64)>>,
-    /// predecessors[t] = (predecessor task, bytes), deduplicated.
-    predecessors: Vec<Vec<(TaskId, u64)>>,
-    num_edges: usize,
+    /// `pred_edges[pred_offsets[t]..pred_offsets[t + 1]]` = (predecessor
+    /// task, bytes) of task `t`, ascending and deduplicated.
+    pred_offsets: Vec<u32>,
+    pred_edges: Vec<(TaskId, u64)>,
+    /// Built on first use, dropped by [`TaskGraph::push_task`] — the only
+    /// mutator, so a view handed out can never be stale.
+    flat: OnceLock<FlatTdg>,
+}
+
+impl Default for TaskGraph {
+    fn default() -> Self {
+        TaskGraph {
+            tasks: Vec::new(),
+            pred_offsets: vec![0],
+            pred_edges: Vec::new(),
+            flat: OnceLock::new(),
+        }
+    }
+}
+
+/// The flat, executor-facing view of a [`TaskGraph`]: what an event loop
+/// reads per task, as dense columns instead of per-task heap vectors.
+/// Obtained from [`TaskGraph::flat`]; element for element equal to the
+/// graph's own accessors.
+#[derive(Clone, Debug)]
+pub struct FlatTdg {
+    succ_offsets: Vec<u32>,
+    succ_targets: Vec<u32>,
+    succ_bytes: Vec<u64>,
+    in_degrees: Vec<u32>,
+    access_offsets: Vec<u32>,
+    access_regions: Vec<u32>,
+    access_bytes: Vec<u64>,
+    work: Vec<f64>,
+    acyclic: bool,
+}
+
+impl FlatTdg {
+    fn build(graph: &TaskGraph) -> FlatTdg {
+        let n = graph.tasks.len();
+        let total_accesses: usize = graph.tasks.iter().map(|t| t.accesses.len()).sum();
+        // Edge counts already fit (`push_task` checks the offsets it pushes).
+        assert!(
+            n.max(total_accesses) <= u32::MAX as usize,
+            "TDG exceeds u32 column indices"
+        );
+
+        // Successors: a counting sort of the predecessor CSR by source.
+        // Visiting targets in ascending order leaves every successor list
+        // ascending, like the per-task pushes it replaces.
+        let mut succ_offsets = vec![0u32; n + 1];
+        for &(pred, _) in &graph.pred_edges {
+            succ_offsets[pred.index() + 1] += 1;
+        }
+        for t in 0..n {
+            succ_offsets[t + 1] += succ_offsets[t];
+        }
+        let mut cursor = succ_offsets.clone();
+        let mut succ_targets = vec![0u32; graph.pred_edges.len()];
+        let mut succ_bytes = vec![0u64; graph.pred_edges.len()];
+        let mut acyclic = true;
+        for t in 0..n {
+            for &(pred, bytes) in graph.predecessors(TaskId(t)) {
+                acyclic &= pred.index() < t;
+                let slot = &mut cursor[pred.index()];
+                succ_targets[*slot as usize] = t as u32;
+                succ_bytes[*slot as usize] = bytes;
+                *slot += 1;
+            }
+        }
+
+        let mut access_offsets = Vec::with_capacity(n + 1);
+        access_offsets.push(0);
+        let mut access_regions = Vec::with_capacity(total_accesses);
+        let mut access_bytes = Vec::with_capacity(total_accesses);
+        for task in &graph.tasks {
+            for access in &task.accesses {
+                // An index beyond u32 cannot name a region of any real
+                // table; saturating keeps it out of range for validation.
+                access_regions.push(u32::try_from(access.region.index()).unwrap_or(u32::MAX));
+                access_bytes.push(access.bytes);
+            }
+            access_offsets.push(access_regions.len() as u32);
+        }
+
+        FlatTdg {
+            succ_offsets,
+            succ_targets,
+            succ_bytes,
+            in_degrees: graph.pred_offsets.windows(2).map(|w| w[1] - w[0]).collect(),
+            access_offsets,
+            access_regions,
+            access_bytes,
+            work: graph.tasks.iter().map(|t| t.work_units).collect(),
+            acyclic,
+        }
+    }
+
+    /// Number of tasks.
+    pub fn num_tasks(&self) -> usize {
+        self.work.len()
+    }
+
+    /// The tasks depending on `task`, ascending.
+    #[inline]
+    pub fn successors(&self, task: TaskId) -> &[u32] {
+        let t = task.index();
+        &self.succ_targets[self.succ_offsets[t] as usize..self.succ_offsets[t + 1] as usize]
+    }
+
+    /// The byte weights of the edges to [`FlatTdg::successors`], in the same
+    /// order.
+    pub fn successor_bytes(&self, task: TaskId) -> &[u64] {
+        let t = task.index();
+        &self.succ_bytes[self.succ_offsets[t] as usize..self.succ_offsets[t + 1] as usize]
+    }
+
+    /// Number of predecessors of every task, in task order.
+    pub fn in_degrees(&self) -> &[u32] {
+        &self.in_degrees
+    }
+
+    /// The `(region, bytes)` columns of `task`'s accesses, in declaration
+    /// order: `regions[i]` is the index of the region the `i`-th access
+    /// touches, `bytes[i]` how much of it.
+    #[inline]
+    pub fn accesses(&self, task: TaskId) -> (&[u32], &[u64]) {
+        let t = task.index();
+        let range = self.access_offsets[t] as usize..self.access_offsets[t + 1] as usize;
+        (
+            &self.access_regions[range.clone()],
+            &self.access_bytes[range],
+        )
+    }
+
+    /// The `(region, bytes)` columns of every access of every task, in task
+    /// order.
+    pub fn all_accesses(&self) -> (&[u32], &[u64]) {
+        (&self.access_regions, &self.access_bytes)
+    }
+
+    /// Work units of `task`.
+    #[inline]
+    pub fn work(&self, task: TaskId) -> f64 {
+        self.work[task.index()]
+    }
+
+    /// The memoised verdict of [`TaskGraph::is_acyclic`].
+    pub fn is_acyclic(&self) -> bool {
+        self.acyclic
+    }
 }
 
 impl TaskGraph {
@@ -28,7 +181,7 @@ impl TaskGraph {
 
     /// Number of (deduplicated) dependence edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.pred_edges.len()
     }
 
     /// True if the graph has no tasks.
@@ -51,24 +204,36 @@ impl TaskGraph {
         (0..self.tasks.len()).map(TaskId)
     }
 
-    /// Successor edges of a task.
-    pub fn successors(&self, id: TaskId) -> &[(TaskId, u64)] {
-        &self.successors[id.index()]
+    /// The flat view of the graph, built on the first call after the last
+    /// [`TaskGraph::push_task`] and shared by every later one.
+    pub fn flat(&self) -> &FlatTdg {
+        self.flat.get_or_init(|| FlatTdg::build(self))
+    }
+
+    /// Successor edges of a task as `(successor, bytes)`, ascending (read
+    /// from the [`FlatTdg`] view).
+    pub fn successors(&self, id: TaskId) -> impl ExactSizeIterator<Item = (TaskId, u64)> + '_ {
+        let flat = self.flat();
+        flat.successors(id)
+            .iter()
+            .map(|&t| TaskId(t as usize))
+            .zip(flat.successor_bytes(id).iter().copied())
     }
 
     /// Predecessor edges of a task.
     pub fn predecessors(&self, id: TaskId) -> &[(TaskId, u64)] {
-        &self.predecessors[id.index()]
+        let t = id.index();
+        &self.pred_edges[self.pred_offsets[t] as usize..self.pred_offsets[t + 1] as usize]
     }
 
     /// Number of predecessors of a task.
     pub fn in_degree(&self, id: TaskId) -> usize {
-        self.predecessors[id.index()].len()
+        self.predecessors(id).len()
     }
 
     /// Number of successors of a task.
     pub fn out_degree(&self, id: TaskId) -> usize {
-        self.successors[id.index()].len()
+        self.flat().successors(id).len()
     }
 
     /// Tasks with no predecessors (ready at the start of the execution).
@@ -108,33 +273,33 @@ impl TaskGraph {
             );
             assert_ne!(pred, id, "a task cannot depend on itself");
         }
-        // A task has a handful of predecessors: sort the pairs and fold
-        // duplicates into the first of each run.
-        let mut preds = deps.to_vec();
-        preds.sort_unstable_by_key(|&(pred, _)| pred);
-        preds.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 += later.1;
+        self.flat.take();
+        // A task has a handful of predecessors: sort the pairs in place at
+        // the tail of the edge array and fold duplicates into the first of
+        // each run.
+        let start = self.pred_edges.len();
+        self.pred_edges.extend_from_slice(deps);
+        self.pred_edges[start..].sort_unstable_by_key(|&(pred, _)| pred);
+        let mut kept = start;
+        for i in start..self.pred_edges.len() {
+            let (pred, bytes) = self.pred_edges[i];
+            if kept > start && self.pred_edges[kept - 1].0 == pred {
+                self.pred_edges[kept - 1].1 += bytes;
+            } else {
+                self.pred_edges[kept] = (pred, bytes);
+                kept += 1;
             }
-            same
-        });
-        self.tasks.push(descriptor);
-        self.successors.push(Vec::new());
-        for &(pred, bytes) in &preds {
-            self.successors[pred.index()].push((id, bytes));
-            self.num_edges += 1;
         }
-        self.predecessors.push(preds);
+        self.pred_edges.truncate(kept);
+        self.pred_offsets
+            .push(u32::try_from(kept).expect("TDG exceeds u32 edge indices"));
+        self.tasks.push(descriptor);
         id
     }
 
     /// Total bytes carried by all edges.
     pub fn total_edge_bytes(&self) -> u64 {
-        self.predecessors
-            .iter()
-            .flat_map(|p| p.iter().map(|(_, b)| *b))
-            .sum()
+        self.pred_edges.iter().map(|(_, b)| *b).sum()
     }
 
     /// Total work units of all tasks.
@@ -144,9 +309,9 @@ impl TaskGraph {
 
     /// Bytes on the edge `from → to`, if present.
     pub fn edge_bytes(&self, from: TaskId, to: TaskId) -> Option<u64> {
-        self.successors[from.index()]
+        self.predecessors(to)
             .iter()
-            .find(|(t, _)| *t == to)
+            .find(|(t, _)| *t == from)
             .map(|(_, b)| *b)
     }
 
@@ -163,11 +328,7 @@ impl TaskGraph {
     /// True if every edge points from a lower to a higher task id (which
     /// implies acyclicity).
     pub fn is_acyclic(&self) -> bool {
-        self.task_ids().all(|t| {
-            self.successors(t)
-                .iter()
-                .all(|(s, _)| s.index() > t.index())
-        })
+        self.flat().is_acyclic()
     }
 
     /// Length of the critical path in work units: the heaviest chain of tasks
@@ -309,5 +470,123 @@ mod tests {
         let g = diamond();
         let order = g.topological_order();
         assert_eq!(order, vec![TaskId(0), TaskId(1), TaskId(2), TaskId(3)]);
+    }
+
+    /// The nested successor lists `push_task` kept before the flat view
+    /// replaced them, rebuilt from the same inputs: each task's deduplicated
+    /// predecessors push `(task, bytes)` onto their own list.
+    fn nested_successors(deps: &[Vec<(TaskId, u64)>]) -> Vec<Vec<(TaskId, u64)>> {
+        let mut successors = vec![Vec::new(); deps.len()];
+        for (t, task_deps) in deps.iter().enumerate() {
+            let mut merged = std::collections::BTreeMap::new();
+            for &(pred, bytes) in task_deps {
+                *merged.entry(pred).or_insert(0u64) += bytes;
+            }
+            for (pred, bytes) in merged {
+                successors[pred.index()].push((TaskId(t), bytes));
+            }
+        }
+        successors
+    }
+
+    /// Checks the flat view (and the accessors reading it) against the
+    /// descriptors, the predecessor lists and `successors`, element for
+    /// element.
+    fn assert_flat_matches(g: &TaskGraph, successors: &[Vec<(TaskId, u64)>]) {
+        let flat = g.flat();
+        assert_eq!(flat.num_tasks(), g.num_tasks());
+        assert!(flat.is_acyclic());
+        let (all_regions, all_bytes) = flat.all_accesses();
+        let mut seen_accesses = 0;
+        for t in g.task_ids() {
+            let task = g.task(t);
+            let want = &successors[t.index()];
+            let targets: Vec<TaskId> = want.iter().map(|(s, _)| *s).collect();
+            let bytes: Vec<u64> = want.iter().map(|(_, b)| *b).collect();
+            let flat_targets: Vec<TaskId> = flat
+                .successors(t)
+                .iter()
+                .map(|&s| TaskId(s as usize))
+                .collect();
+            assert_eq!(flat_targets, targets, "successors of {t}");
+            assert_eq!(flat.successor_bytes(t), bytes, "edge bytes of {t}");
+            assert_eq!(&g.successors(t).collect::<Vec<_>>(), want);
+            assert_eq!(g.out_degree(t), want.len());
+            assert_eq!(
+                flat.in_degrees()[t.index()] as usize,
+                g.predecessors(t).len()
+            );
+            let (regions, access_bytes) = flat.accesses(t);
+            let want_regions: Vec<u32> = task
+                .accesses
+                .iter()
+                .map(|a| a.region.index() as u32)
+                .collect();
+            let want_bytes: Vec<u64> = task.accesses.iter().map(|a| a.bytes).collect();
+            assert_eq!(regions, want_regions, "access regions of {t}");
+            assert_eq!(access_bytes, want_bytes, "access bytes of {t}");
+            let range = seen_accesses..seen_accesses + regions.len();
+            assert_eq!(&all_regions[range.clone()], regions);
+            assert_eq!(&all_bytes[range], access_bytes);
+            seen_accesses += regions.len();
+            assert_eq!(flat.work(t).to_bits(), task.work_units.to_bits());
+        }
+        assert_eq!(all_regions.len(), seen_accesses);
+    }
+
+    proptest::proptest! {
+        /// Random DAGs (duplicate and zero-byte dependences included): the
+        /// flat view equals the nested structure the graph used to keep.
+        #[test]
+        fn flat_view_matches_nested_lists(
+            tasks in proptest::collection::vec(
+                (proptest::collection::vec((0usize..1000, 0u64..5000), 0..6), 0usize..4, 0u64..100),
+                0..60,
+            ),
+        ) {
+            let mut g = TaskGraph::new();
+            let mut deps: Vec<Vec<(TaskId, u64)>> = Vec::new();
+            for (t, (raw_deps, accesses, work)) in tasks.iter().enumerate() {
+                let task_deps: Vec<(TaskId, u64)> = if t == 0 {
+                    Vec::new()
+                } else {
+                    raw_deps.iter().map(|&(p, b)| (TaskId(p % t), b)).collect()
+                };
+                let descriptor = TaskDescriptor {
+                    id: TaskId(t),
+                    kind: "t".into(),
+                    work_units: *work as f64 * 0.5,
+                    accesses: (0..*accesses)
+                        .map(|a| DataAccess::read(RegionId((t * 7 + a) % 13), (t + a) as u64))
+                        .collect(),
+                };
+                g.push_task(descriptor, &task_deps);
+                deps.push(task_deps);
+            }
+            assert_flat_matches(&g, &nested_successors(&deps));
+            let edges: usize = g.task_ids().map(|t| g.in_degree(t)).sum();
+            proptest::prop_assert_eq!(g.num_edges(), edges);
+        }
+    }
+
+    #[test]
+    fn push_after_flat_is_reflected_by_the_next_flat() {
+        let mut g = diamond();
+        assert_eq!(g.flat().num_tasks(), 4);
+        assert!(g.flat().successors(TaskId(3)).is_empty());
+        g.push_task(task(4, 2.0), &[(TaskId(3), 64), (TaskId(0), 8)]);
+        let flat = g.flat();
+        assert_eq!(flat.num_tasks(), 5);
+        assert_eq!(flat.successors(TaskId(3)), [4]);
+        assert_eq!(flat.successors(TaskId(0)), [1, 2, 4]);
+        assert_eq!(flat.successor_bytes(TaskId(0)), [100, 200, 8]);
+        assert_eq!(flat.in_degrees(), [0, 1, 1, 2, 2]);
+        assert_eq!(flat.work(TaskId(4)), 2.0);
+        assert_eq!(g.sinks(), vec![TaskId(4)]);
+        // A clone carries (or rebuilds) a view of its own.
+        let mut copy = g.clone();
+        copy.push_task(task(5, 1.0), &[(TaskId(4), 1)]);
+        assert_eq!(copy.flat().num_tasks(), 6);
+        assert_eq!(g.flat().num_tasks(), 5);
     }
 }

@@ -35,7 +35,7 @@ pub mod window;
 
 pub use builder::TdgBuilder;
 pub use convert::{window_to_csr, CrossEdge, WindowGraph};
-pub use graph::TaskGraph;
+pub use graph::{FlatTdg, TaskGraph};
 pub use spec::TaskGraphSpec;
 pub use task::{AccessMode, DataAccess, TaskDescriptor, TaskId, TaskSpec};
 pub use window::{TaskWindow, WindowConfig, WindowCursor};

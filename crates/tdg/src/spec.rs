@@ -107,7 +107,7 @@ impl TaskGraphSpec {
             }
         }
         for id in self.graph.task_ids() {
-            for &(succ, bytes) in self.graph.successors(id) {
+            for (succ, bytes) in self.graph.successors(id) {
                 h.write_u64(succ.index() as u64);
                 h.write_u64(bytes);
             }
@@ -130,7 +130,39 @@ impl TaskGraphSpec {
     /// Sanity checks: every task access refers to a known region, its byte
     /// count does not exceed the region size, and the graph is acyclic.
     /// Returns a human readable error description on failure.
+    ///
+    /// Executors call this once per cell, so the verdict comes from the
+    /// graph's [`FlatTdg`](crate::graph::FlatTdg) view — the memoised
+    /// acyclicity and one pass over the flat access columns; only a failing
+    /// spec is walked task by task, to say what is wrong with it.
     pub fn validate(&self) -> Result<(), String> {
+        if self.is_valid() {
+            return Ok(());
+        }
+        self.validate_nested()
+            .and(Err("invalid workload spec".to_string()))
+    }
+
+    /// The verdict of [`TaskGraphSpec::validate`] without the diagnosis.
+    fn is_valid(&self) -> bool {
+        let flat = self.graph.flat();
+        let (regions, bytes) = flat.all_accesses();
+        let sizes = &self.region_sizes;
+        // No early exit: a valid spec (the only kind worth being fast for)
+        // is scanned to the end anyway, and the loop stays branch-free.
+        let accesses_fit = regions.iter().zip(bytes).fold(true, |ok, (&r, &b)| {
+            ok & sizes.get(r as usize).is_some_and(|&size| b <= size)
+        });
+        let ep_covers = self
+            .ep_socket
+            .as_ref()
+            .is_none_or(|ep| ep.len() == flat.num_tasks());
+        flat.is_acyclic() & accesses_fit & ep_covers
+    }
+
+    /// [`TaskGraphSpec::validate`] by walking the task descriptors: slower,
+    /// but names the first offending task.
+    fn validate_nested(&self) -> Result<(), String> {
         if !self.graph.is_acyclic() {
             return Err("task graph has a cycle".to_string());
         }
@@ -233,19 +265,50 @@ mod tests {
         small_spec().with_ep_placement(vec![0, 1]);
     }
 
+    /// `spec` is rejected with `message` by the descriptor walk, and the
+    /// flat-view verdict the executors rely on agrees.
+    fn assert_rejected(spec: &TaskGraphSpec, message: &str) {
+        assert_eq!(spec.validate_nested(), Err(message.to_string()));
+        assert!(!spec.is_valid());
+        assert_eq!(spec.validate(), Err(message.to_string()));
+    }
+
     #[test]
     fn validate_catches_oversized_access() {
         let mut s = small_spec();
         // Corrupt the region table to be smaller than the declared access.
         s.region_sizes[1] = 10;
-        assert!(s.validate().is_err());
+        assert_rejected(
+            &s,
+            "task T1 accesses 256 bytes of region R1 which only has 10",
+        );
     }
 
     #[test]
     fn validate_catches_unknown_region() {
         let mut s = small_spec();
         s.region_sizes.pop();
-        assert!(s.validate().is_err());
+        assert_rejected(&s, "task T1 accesses unknown region R1");
+    }
+
+    #[test]
+    fn validate_catches_ep_length_mismatch() {
+        let mut s = small_spec().with_ep_placement(vec![0, 1, 0]);
+        s.ep_socket.as_mut().unwrap().pop();
+        assert_rejected(&s, "EP placement length mismatch");
+    }
+
+    #[test]
+    fn flat_and_nested_validation_accept_the_same_specs() {
+        for s in [
+            small_spec(),
+            small_spec().with_ep_placement(vec![1, 0, 1]),
+            TaskGraphSpec::new("empty", TaskGraph::new(), vec![]),
+        ] {
+            assert!(s.is_valid());
+            assert_eq!(s.validate_nested(), Ok(()));
+            assert_eq!(s.validate(), Ok(()));
+        }
     }
 
     #[test]

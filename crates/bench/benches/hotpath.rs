@@ -20,7 +20,6 @@ use numadag_graph::{
 };
 use numadag_kernels::{Application, ProblemScale};
 use numadag_proc::protocol::{decode_spec, encode_spec};
-use numadag_runtime::framing::untag;
 use numadag_runtime::{ExecutionConfig, Simulator};
 use numadag_serve::{serve, ServeClient, ServeConfig, SweepSpec};
 use numadag_tdg::{window_to_csr, TaskWindow, WindowConfig};
@@ -208,7 +207,7 @@ fn bench_proc_spec_codec(c: &mut Criterion) {
             for spec in &specs {
                 let line = encode_spec(spec);
                 let message = serde_json::from_str(&line).expect("the wire line parses");
-                let (_, payload) = untag(&message).expect("the line is an envelope");
+                let (_, payload) = serde::de::untag(&message).expect("the line is an envelope");
                 criterion::black_box(decode_spec(payload).expect("the spec round-trips"));
             }
         });

@@ -12,9 +12,6 @@
 //!     bench-diff BASELINE.json CANDIDATE.json
 //! cargo run -p numadag-bench --bin ablation --release -- \
 //!     hotpath-diff BASELINE.json CANDIDATE.json [--tolerance FRACTION]
-//! cargo run -p numadag-bench --bin ablation --release -- \
-//!     serve-load [--clients N] [--requests N] [--repeat-ratio PCT] \
-//!     [--pool N] [--json PATH]
 //! ```
 //!
 //! All three ablations are expressed as [`Experiment`] sweeps: the window
@@ -53,20 +50,6 @@
 //! always fine — the gate is one-sided — and candidate-only benchmarks are
 //! reported but never fail, so the suite can grow without breaking older
 //! baselines. Exits 1 on regression, 2 on malformed input.
-//!
-//! `serve-load` is the load generator for the sweep service
-//! (`numadag-serve`): it boots an in-process daemon with `--pool` worker
-//! threads, drives it from `--clients` concurrent TCP clients issuing
-//! `--requests` sweeps each — `--repeat-ratio` percent aimed at the hot
-//! all-apps sweep, the rest drawn from a deterministic per-client LCG over
-//! *overlapping* shapes (a policy superset, app subsets, a reps=2 variant
-//! and per-app singles of the hot sweep), so the cell cache's cross-shape
-//! sharing is on the measured path — and reports throughput, p50/p90/p99
-//! submit latency, the p50 of each tenth of the run (a per-request cost
-//! that grows with the daemon's history shows there as a ramp; the default
-//! 2,500 requests per client are enough to see one) and both cache's
-//! effectiveness (`--json PATH` writes the `BENCH_serve_load.json` shape).
-//! `--jobs N` is accepted as a deprecated alias of `--pool N`.
 
 use std::sync::Arc;
 
@@ -78,6 +61,7 @@ use numadag_numa::Topology;
 use numadag_runtime::{Backend, Experiment, SweepReport};
 use numadag_tdg::{window_to_csr, TaskWindow, WindowConfig};
 use numadag_trace::TraceCollector;
+use serde::Deserialize;
 
 const SCALE: ProblemScale = ProblemScale::Small;
 const SEED: u64 = 0xAB1A7E;
@@ -415,268 +399,9 @@ fn usage_error(message: String) -> ! {
          [--backend simulated|threaded|proc[:w=N]]\n\
          \u{20}      ablation trace [--scale tiny|small|full] [--jobs N]\n\
          \u{20}      ablation bench-diff BASELINE.json CANDIDATE.json\n\
-         \u{20}      ablation hotpath-diff BASELINE.json CANDIDATE.json          [--tolerance FRACTION]\n\
-         \u{20}      ablation serve-load [--clients N] [--requests N] \
-         [--repeat-ratio PCT] [--pool N] [--json PATH]"
+         \u{20}      ablation hotpath-diff BASELINE.json CANDIDATE.json          [--tolerance FRACTION]"
     );
     std::process::exit(2);
-}
-
-/// `serve-load`: load-generates the sweep service and reports throughput,
-/// latency percentiles and cache effectiveness.
-fn serve_load(args: &[String]) -> ! {
-    use numadag_serve::client::ServeClient;
-    use numadag_serve::protocol::{SweepSpec, DEFAULT_POLICIES};
-    use numadag_serve::server::{serve, ServeConfig};
-
-    let mut clients = 4usize;
-    let mut requests = 2500usize;
-    let mut repeat_pct = 50u64;
-    let mut pool_workers = 1usize;
-    let mut json_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i + 1)
-                .unwrap_or_else(|| usage_error(format!("{} needs a value", args[i])))
-        };
-        match args[i].as_str() {
-            "--clients" => match value(i).parse() {
-                Ok(n) if n > 0 => clients = n,
-                _ => usage_error(format!(
-                    "--clients needs a positive integer, got {:?}",
-                    value(i)
-                )),
-            },
-            "--requests" => match value(i).parse() {
-                Ok(n) if n > 0 => requests = n,
-                _ => usage_error(format!(
-                    "--requests needs a positive integer, got {:?}",
-                    value(i)
-                )),
-            },
-            "--repeat-ratio" => match value(i).parse() {
-                Ok(pct) if pct <= 100 => repeat_pct = pct,
-                _ => usage_error(format!("--repeat-ratio needs 0..=100, got {:?}", value(i))),
-            },
-            // --jobs is the pre-pool spelling; kept as an alias so older
-            // scripts keep working.
-            "--pool" | "--jobs" => match value(i).parse() {
-                Ok(n) if n > 0 => pool_workers = n,
-                _ => usage_error(format!(
-                    "--pool needs a positive integer, got {:?}",
-                    value(i)
-                )),
-            },
-            "--json" => json_path = Some(value(i).to_string()),
-            other => usage_error(format!("unknown argument {other:?}")),
-        }
-        i += 2;
-    }
-
-    // The request mix: the hot all-apps sweep (the repeat-ratio target)
-    // plus cold sweeps that *overlap* it — a policy superset, app subsets,
-    // a reps=2 variant and per-app singles — so the cell cache's
-    // cross-shape sharing, not just whole-report repeats, carries load.
-    let hot = SweepSpec::default();
-    let mut cold: Vec<SweepSpec> = vec![
-        SweepSpec {
-            policies: format!("{DEFAULT_POLICIES},rgp-las:prop=repart"),
-            ..SweepSpec::default()
-        },
-        SweepSpec {
-            apps: "jacobi,nstream".to_string(),
-            ..SweepSpec::default()
-        },
-        SweepSpec {
-            apps: "jacobi,qr,ih,cg".to_string(),
-            ..SweepSpec::default()
-        },
-        SweepSpec {
-            reps: 2,
-            ..SweepSpec::default()
-        },
-    ];
-    cold.extend(Application::all().iter().map(|app| SweepSpec {
-        apps: app.label().to_string(),
-        ..SweepSpec::default()
-    }));
-
-    let handle = serve(ServeConfig {
-        pool: pool_workers,
-        ..ServeConfig::default()
-    })
-    .unwrap_or_else(|e| usage_error(format!("could not start the daemon: {e}")));
-    let addr = handle.addr().to_string();
-    eprintln!(
-        "serve-load: {clients} clients x {requests} requests, {repeat_pct}% repeats, \
-         pool={pool_workers}, daemon at {addr}"
-    );
-
-    let started = std::time::Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let addr = addr.clone();
-            let hot = hot.clone();
-            let cold = cold.clone();
-            std::thread::spawn(move || {
-                let mut client = ServeClient::connect(&addr).expect("connect to daemon");
-                // Deterministic per-client LCG (MMIX constants) so runs are
-                // reproducible; the measured latencies are the only
-                // run-to-run variance.
-                let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c as u64 + 1);
-                let mut next = move || {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    state >> 33
-                };
-                let mut latencies_ns = Vec::with_capacity(requests);
-                let mut hits = 0u64;
-                for _ in 0..requests {
-                    let spec = if next() % 100 < repeat_pct {
-                        hot.clone()
-                    } else {
-                        cold[next() as usize % cold.len()].clone()
-                    };
-                    let begin = std::time::Instant::now();
-                    let outcome = client.submit(spec, false, |_| ()).expect("submit sweep");
-                    latencies_ns.push(begin.elapsed().as_nanos() as u64);
-                    if outcome.cache_hit {
-                        hits += 1;
-                    }
-                }
-                (latencies_ns, hits)
-            })
-        })
-        .collect();
-
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(clients * requests);
-    // Tenths of the run, in request order: decile d pools every client's
-    // d-th tenth of its own sequence.
-    let mut deciles: Vec<Vec<u64>> = vec![Vec::new(); 10];
-    let mut client_hits = 0u64;
-    for worker in workers {
-        let (lat, hits) = worker.join().expect("load client panicked");
-        for (d, decile) in deciles.iter_mut().enumerate() {
-            decile.extend(&lat[d * requests / 10..(d + 1) * requests / 10]);
-        }
-        latencies_ns.extend(lat);
-        client_hits += hits;
-    }
-    let wall = started.elapsed();
-    // A cost that grows with the daemon's history shows as a ramp here
-    // (`null` where fewer than ten requests per client leave a tenth empty).
-    let p50_by_decile: Vec<Option<f64>> = deciles
-        .iter_mut()
-        .map(|decile| {
-            decile.sort_unstable();
-            decile.get(decile.len() / 2).map(|&ns| ns as f64 / 1e6)
-        })
-        .collect();
-
-    let mut stats_client = ServeClient::connect(&addr).expect("connect to daemon");
-    let stats = stats_client.stats().expect("fetch stats");
-    handle.shutdown();
-    handle.join();
-
-    latencies_ns.sort_unstable();
-    let total = latencies_ns.len();
-    let pct = |p: f64| -> f64 {
-        let idx = ((p / 100.0) * (total - 1) as f64).round() as usize;
-        latencies_ns[idx] as f64 / 1e6
-    };
-    let mean_ms = latencies_ns.iter().sum::<u64>() as f64 / total as f64 / 1e6;
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let throughput = total as f64 / wall.as_secs_f64();
-    let served = stats.report_cache_hits + stats.jobs_coalesced;
-    let hit_rate = served as f64 / total as f64;
-
-    println!("\n# serve-load — {total} requests in {wall_ms:.1} ms\n");
-    println!("| metric | value |");
-    println!("| throughput (req/s) | {throughput:.1} |");
-    println!(
-        "| latency p50/p90/p99 (ms) | {:.3} / {:.3} / {:.3} |",
-        pct(50.0),
-        pct(90.0),
-        pct(99.0)
-    );
-    println!(
-        "| latency mean/max (ms) | {mean_ms:.3} / {:.3} |",
-        pct(100.0)
-    );
-    println!(
-        "| latency p50 by tenth of the run (ms) | {} |",
-        p50_by_decile
-            .iter()
-            .map(|p50| p50.map_or("-".to_string(), |ms| format!("{ms:.3}")))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    println!(
-        "| sweeps executed / served without executing | {} / {served} |",
-        stats.jobs_submitted
-    );
-    println!(
-        "| cache hit rate | {:.1}% ({client_hits} direct hits, {} coalesced) |",
-        100.0 * hit_rate,
-        stats.jobs_coalesced
-    );
-    println!(
-        "| executed cells / hydrated from the cell cache | {} / {} |",
-        stats.executed_cells_total, stats.cells_hydrated_total
-    );
-    println!(
-        "| cell-cache entries / hits | {} / {} |",
-        stats.cell_cache_entries, stats.cell_cache_hits
-    );
-    println!(
-        "| pool workers / spec-cache builds | {} / {} |",
-        stats.pool_workers, stats.spec_cache_builds
-    );
-
-    if let Some(path) = json_path {
-        use serde::Serialize;
-        use serde_json::json;
-        let value = json!({
-            "bench": "serve_load",
-            "clients": clients as u64,
-            "requests_per_client": requests as u64,
-            "repeat_ratio_pct": repeat_pct,
-            "pool_workers": pool_workers as u64,
-            "total_requests": total as u64,
-            "wall_ms": wall_ms,
-            "throughput_rps": throughput,
-            "latency_ms": json!({
-                "p50": pct(50.0),
-                "p90": pct(90.0),
-                "p99": pct(99.0),
-                "mean": mean_ms,
-                "max": pct(100.0),
-                "p50_by_decile": p50_by_decile,
-            }),
-            "cache": json!({
-                "hit_rate": hit_rate,
-                "report_cache_hits": stats.report_cache_hits,
-                "jobs_coalesced": stats.jobs_coalesced,
-                "jobs_submitted": stats.jobs_submitted,
-                "report_cache_evictions": stats.report_cache_evictions,
-                "executed_cells_total": stats.executed_cells_total,
-                "cells_hydrated_total": stats.cells_hydrated_total,
-                "cell_cache_entries": stats.cell_cache_entries,
-                "cell_cache_hits": stats.cell_cache_hits,
-                "cell_cache_misses": stats.cell_cache_misses,
-                "spec_cache_builds": stats.spec_cache_builds,
-                "spec_cache_hits": stats.spec_cache_hits,
-            }),
-        });
-        let text = serde_json::to_string_pretty(&value.to_value())
-            .expect("bench values are always encodable");
-        std::fs::write(&path, text)
-            .unwrap_or_else(|e| usage_error(format!("cannot write {path}: {e}")));
-        eprintln!("serve-load: wrote {path}");
-    }
-    std::process::exit(0);
 }
 
 /// Loads a sweep report from a `BENCH_*.json` file, exiting 2 on failure.
@@ -687,28 +412,29 @@ fn load_report(path: &str) -> SweepReport {
         .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")))
 }
 
-/// Loads a `BENCH_hotpath.json`-format export as `(id, median_ns)` pairs,
-/// exiting 2 on failure.
-fn load_hotpath(path: &str) -> Vec<(String, f64)> {
+/// A `BENCH_hotpath.json`-format export (what the `hotpath` criterion suite
+/// writes under `NUMADAG_CRITERION_JSON`); fields the gate does not read are
+/// ignored.
+#[derive(Deserialize)]
+struct HotpathExport {
+    benches: Vec<HotpathBench>,
+}
+
+#[derive(Deserialize)]
+struct HotpathBench {
+    id: String,
+    median_ns: f64,
+}
+
+/// Loads a hot-path export, exiting 2 on failure.
+fn load_hotpath(path: &str) -> Vec<HotpathBench> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| usage_error(format!("cannot read {path}: {e}")));
-    let value = serde_json::from_str(&text)
-        .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")));
-    let benches = value
-        .get("benches")
-        .and_then(|b| b.as_array())
-        .unwrap_or_else(|| usage_error(format!("{path}: no \"benches\" array")));
-    benches
-        .iter()
-        .map(|b| {
-            let id = b.get("id").and_then(|v| v.as_str());
-            let median = b.get("median_ns").and_then(|v| v.as_f64());
-            match (id, median) {
-                (Some(id), Some(m)) => (id.to_string(), m),
-                _ => usage_error(format!("{path}: bench entry without id/median_ns")),
-            }
-        })
-        .collect()
+    serde_json::from_str(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|value| HotpathExport::from_value(&value))
+        .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")))
+        .benches
 }
 
 /// `hotpath-diff BASELINE CANDIDATE [--tolerance F]`: one-sided hot-path
@@ -747,13 +473,19 @@ fn hotpath_diff(args: &[String]) -> ! {
         tolerance * 100.0
     );
     let mut regressions = 0usize;
-    for (id, base) in &baseline {
-        match candidate.iter().find(|(cid, _)| cid == id) {
+    for HotpathBench {
+        id,
+        median_ns: base,
+    } in &baseline
+    {
+        match candidate.iter().find(|c| c.id == *id) {
             None => {
                 regressions += 1;
                 println!("MISSING  {id}: in baseline but not in candidate");
             }
-            Some((_, cand)) => {
+            Some(HotpathBench {
+                median_ns: cand, ..
+            }) => {
                 let ratio = cand / base;
                 let verdict = if *cand > base * (1.0 + tolerance) {
                     regressions += 1;
@@ -772,8 +504,8 @@ fn hotpath_diff(args: &[String]) -> ! {
             }
         }
     }
-    for (id, _) in &candidate {
-        if !baseline.iter().any(|(bid, _)| bid == id) {
+    for HotpathBench { id, .. } in &candidate {
+        if !baseline.iter().any(|b| b.id == *id) {
             println!("NEW      {id}: not in baseline (ignored)");
         }
     }
@@ -808,7 +540,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "serve-load" => serve_load(&args[i + 1..]),
             "hotpath-diff" => hotpath_diff(&args[i + 1..]),
             "bench-diff" => match (args.get(i + 1), args.get(i + 2), args.get(i + 3)) {
                 (Some(baseline), Some(candidate), None) => bench_diff(baseline, candidate),

@@ -25,16 +25,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use numadag_runtime::framing::{read_frame, to_line, untag, write_frame, write_line, FrameError};
+use numadag_runtime::framing::{
+    from_line, read_frame, to_line, write_frame, write_line, FrameError, Hex64,
+};
 use numadag_runtime::{ExecutionConfig, ExecutionReport};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
-use serde::Value;
 
-use crate::protocol::{
-    decode_data_home, decode_done, decode_epoch, decode_error, decode_hello, decode_steal,
-    encode_assign, encode_barrier, encode_config, encode_shutdown, encode_spec, Assignment,
-};
+use crate::protocol::{encode_spec, Assignment, ConfigMsg, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// How a worker pool is launched.
@@ -230,7 +228,8 @@ pub struct WireConfig {
 impl WireConfig {
     /// Fingerprints `config`.
     pub fn new(config: ExecutionConfig) -> Self {
-        let fingerprint = fnv1a(to_line(&encode_config(0, &config)).as_bytes());
+        let wire = ToWorker::Config(ConfigMsg::new(0, &config));
+        let fingerprint = fnv1a(to_line(&wire).as_bytes());
         WireConfig {
             config,
             fingerprint,
@@ -334,15 +333,10 @@ impl WorkerPool {
             let hello = read_frame(&mut reader)
                 .map_err(|e| spawn_err(format!("bad hello frame: {e}")))?
                 .ok_or_else(|| spawn_err("worker closed before hello".to_string()))?;
-            let value: Value = serde_json::from_str(&hello)
-                .map_err(|e| spawn_err(format!("hello is not JSON: {e}")))?;
-            let (tag, payload) =
-                untag(&value).map_err(|e| spawn_err(format!("bad hello envelope: {e}")))?;
-            if tag != "hello" {
-                return Err(spawn_err(format!("expected hello, got {tag:?}")));
-            }
-            let (worker, _pid) =
-                decode_hello(payload).map_err(|e| spawn_err(format!("bad hello: {e}")))?;
+            let worker = match from_line(&hello) {
+                Ok(ToCoordinator::Hello { worker, .. }) => worker,
+                _ => return Err(spawn_err(format!("expected hello, got {hello:?}"))),
+            };
             let child = unmatched
                 .remove(&worker)
                 .ok_or_else(|| spawn_err(format!("unexpected hello from worker {worker}")))?;
@@ -457,9 +451,9 @@ impl WorkerPool {
             .fetch_add(1, Ordering::Relaxed);
         let assignment = Assignment {
             cell,
-            spec_fp: spec.fingerprint(),
+            fp: Hex64(spec.fingerprint()),
             policy: policy_label.to_string(),
-            policy_seed,
+            policy_seed: Hex64(policy_seed),
             events,
             placements,
         };
@@ -505,7 +499,7 @@ impl WorkerPool {
         // Config sync: only when this worker's acked fingerprint differs.
         let config_fp = config.fingerprint;
         if state.config_fp != Some(config_fp) {
-            let message = encode_config(config_fp, &config.config);
+            let message = ToWorker::Config(ConfigMsg::new(config_fp, &config.config));
             if write_frame(&mut state.writer, &message).is_err() {
                 return Err(lost(slot, &mut state));
             }
@@ -514,63 +508,57 @@ impl WorkerPool {
                 .fetch_add(1, Ordering::Relaxed);
             // The conversation is serial under the slot lock, so the next
             // frame must be the ack (or a structured rejection).
-            let reply = read_message(&mut state.reader);
-            match reply.as_ref().and_then(|message| untag(message).ok()) {
-                Some((tag, payload)) if tag == "config_ack" => {
-                    match decode_epoch(payload, "config_ack") {
-                        Ok(epoch) if epoch == config_fp => state.config_fp = Some(config_fp),
-                        _ => return Err(lost(slot, &mut state)),
-                    }
+            match read_message(&mut state.reader) {
+                Some(ToCoordinator::ConfigAck { epoch }) if epoch.0 == config_fp => {
+                    state.config_fp = Some(config_fp)
                 }
-                Some((tag, payload)) if tag == "error" => {
-                    return Err(DispatchFailure::Fatal(worker_error(slot.id, payload)));
+                Some(ToCoordinator::Error { message }) => {
+                    return Err(DispatchFailure::Fatal(ProcError::Worker {
+                        worker: slot.id,
+                        message,
+                    }));
                 }
                 _ => return Err(lost(slot, &mut state)),
             }
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        if !state.specs.contains(&assignment.spec_fp) {
+        if !state.specs.contains(&assignment.fp.0) {
             if write_line(&mut state.writer, encode_spec(spec)).is_err() {
                 return Err(lost(slot, &mut state));
             }
-            state.specs.insert(assignment.spec_fp);
+            state.specs.insert(assignment.fp.0);
             self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
         }
 
-        if write_frame(&mut state.writer, &encode_assign(assignment)).is_err() {
+        // The message owns its assignment; the clone is one short label.
+        if write_frame(&mut state.writer, &ToWorker::Assign(assignment.clone())).is_err() {
             return Err(lost(slot, &mut state));
         }
 
         // Await data_home / steal / done (in that order from a correct
         // worker, but only `done` is load-bearing — the notifications are
-        // cross-checked against the report they precede).
+        // cross-checked against the report they precede). A reply about
+        // another cell falls through to the last arm like any other
+        // corruption of the conversation.
         let mut deferred: Option<u64> = None;
         let mut stolen: Option<u64> = None;
         loop {
-            let reply = read_message(&mut state.reader);
-            let Some((tag, payload)) = reply.as_ref().and_then(|message| untag(message).ok())
-            else {
-                return Err(lost(slot, &mut state));
-            };
-            match tag.as_str() {
-                "data_home" => match decode_data_home(payload) {
-                    Ok((cell, bytes)) if cell == assignment.cell => deferred = Some(bytes),
-                    _ => return Err(lost(slot, &mut state)),
-                },
-                "steal" => match decode_steal(payload) {
-                    Ok((cell, count)) if cell == assignment.cell => stolen = Some(count),
-                    _ => return Err(lost(slot, &mut state)),
-                },
-                "done" => {
-                    let (cell, report, events) =
-                        match decode_done(payload, spec.name.clone(), policy_name) {
-                            Ok(done) => done,
-                            Err(_) => return Err(lost(slot, &mut state)),
-                        };
-                    if cell != assignment.cell {
-                        return Err(lost(slot, &mut state));
-                    }
+            match read_message(&mut state.reader) {
+                Some(ToCoordinator::DataHome {
+                    cell,
+                    deferred_bytes,
+                }) if cell == assignment.cell => deferred = Some(deferred_bytes.0),
+                Some(ToCoordinator::Steal {
+                    cell,
+                    stolen: count,
+                }) if cell == assignment.cell => stolen = Some(count),
+                Some(ToCoordinator::Done {
+                    cell,
+                    report,
+                    events,
+                }) if cell == assignment.cell => {
+                    let report = report.into_report(spec.name.clone(), policy_name);
                     if deferred != Some(report.deferred_bytes)
                         || stolen != Some(report.stolen_tasks as u64)
                     {
@@ -585,26 +573,23 @@ impl WorkerPool {
                     }
                     return Ok((report, events));
                 }
-                "error" => return Err(DispatchFailure::Fatal(worker_error(slot.id, payload))),
+                Some(ToCoordinator::Error { message }) => {
+                    return Err(DispatchFailure::Fatal(ProcError::Worker {
+                        worker: slot.id,
+                        message,
+                    }))
+                }
                 _ => return Err(lost(slot, &mut state)),
             }
         }
     }
 }
 
-/// Reads and parses one frame; any failure (EOF, timeout, framing, JSON)
-/// collapses to `None` — the caller kills the worker for all of them. The
-/// parsed message is returned whole and untagged by reference, so a `done`
-/// report is never copied after it was parsed.
-fn read_message(reader: &mut BufReader<TcpStream>) -> Option<Value> {
-    let line = read_frame(reader).ok()??;
-    serde_json::from_str(&line).ok()
-}
-
-/// A worker's structured `error` reply as the deterministic failure it is.
-fn worker_error(worker: u64, payload: &Value) -> ProcError {
-    let message = decode_error(payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
-    ProcError::Worker { worker, message }
+/// Reads and decodes one frame; any failure (EOF, timeout, framing, JSON, a
+/// message that is not a [`ToCoordinator`]) collapses to `None` — the caller
+/// kills the worker for all of them.
+fn read_message(reader: &mut BufReader<TcpStream>) -> Option<ToCoordinator> {
+    from_line(&read_frame(reader).ok()??).ok()
 }
 
 impl Drop for WorkerPool {
@@ -617,7 +602,7 @@ impl Drop for WorkerPool {
                 continue;
             }
             let mut state = slot.lock();
-            let _ = write_frame(&mut state.writer, &encode_shutdown());
+            let _ = write_frame(&mut state.writer, &ToWorker::Shutdown);
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         for slot in &self.slots {
@@ -689,7 +674,10 @@ impl<'p> CollectiveBarrier<'p> {
         let epoch = self.epoch;
         self.pending.retain(|slot| {
             let mut state = slot.lock();
-            if write_frame(&mut state.writer, &encode_barrier(epoch)).is_err() {
+            let barrier = ToWorker::Barrier {
+                epoch: Hex64(epoch),
+            };
+            if write_frame(&mut state.writer, &barrier).is_err() {
                 slot.kill(&mut state);
                 return false;
             }
@@ -716,22 +704,14 @@ impl<'p> CollectiveBarrier<'p> {
             }
             match read_frame(&mut state.reader) {
                 Ok(Some(line)) => {
-                    let acked = serde_json::from_str(&line).ok().and_then(|value| {
-                        untag(&value).ok().and_then(|(tag, payload)| {
-                            if tag == "barrier_ack" {
-                                decode_epoch(payload, "barrier_ack").ok()
-                            } else {
-                                None
-                            }
-                        })
-                    }) == Some(epoch);
-                    if acked {
-                        false // answered: out of the pending set
-                    } else {
+                    let acked = ToCoordinator::BarrierAck {
+                        epoch: Hex64(epoch),
+                    };
+                    if from_line(&line) != Ok(acked) {
                         // Anything else on a quiesced channel is corruption.
                         slot.kill(&mut state);
-                        false
                     }
+                    false // answered or dead: out of the pending set
                 }
                 Err(FrameError::Io(e))
                     if matches!(

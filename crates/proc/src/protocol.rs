@@ -20,60 +20,386 @@
 //!   exactly representable (below 2^53), the hex string otherwise, and the
 //!   decoder accepts both forms.
 //!
-//! Every message but one is built as a small [`Value`] tree and rendered by
-//! reference ([`numadag_runtime::framing::to_line`] clones nothing). The
-//! exception is `spec`, the only message whose size grows with the
+//! Every message but one is a variant of [`ToWorker`] or [`ToCoordinator`]:
+//! plain data whose `#[derive(Serialize, Deserialize)]` *is* the wire
+//! format, so the two directions cannot drift and both ends `match` on
+//! variants instead of string tags. The full-range integers are declared
+//! [`Hex64`] / [`Hex128`] in the message types — the hex rule is a field's
+//! type, not a call to remember. Types of other crates that cross the wire
+//! ([`ExecutionConfig`], [`ExecutionReport`]) have a mirror struct here
+//! ([`ConfigMsg`], [`ReportMsg`]) with a checked conversion each way.
+//!
+//! The exception is `spec`, the only message whose size grows with the
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
 //! to every worker): [`encode_spec`] writes its line straight into one
 //! `String`, in a columnar layout that costs a worker one flat array per
 //! field instead of one object per task, and [`decode_spec`] validates
 //! those columns before it constructs anything, so a malformed `spec` is a
-//! structured `error` reply and never a worker panic.
+//! structured `error` reply and never a worker panic. A worker peeks the
+//! envelope tag for `"spec"` and decodes everything else as a [`ToWorker`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use numadag_numa::{CostModel, DistanceMatrix, NodeId, SocketId, Topology, TrafficStats};
-use numadag_runtime::framing::{
-    bool_field, f64_field, field, hex_u128, hex_u128_field, hex_u64, hex_u64_field, push_wire_u64,
-    str_field, u64_field, wire_u64,
-};
+use numadag_runtime::framing::{field, push_wire_u64, str_field, wire_u64, Hex128, Hex64};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode, TaskPlacement};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
-use numadag_trace::{parse_event, TraceEvent};
-use serde::{Serialize, Value};
+use numadag_trace::TraceEvent;
+use serde::{Deserialize, Serialize, Value};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
 pub const PROTOCOL_VERSION: u64 = 2;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// Everything the coordinator sends except `spec` (which has its own codec:
+/// [`encode_spec`] / [`decode_spec`]). Externally tagged with lowercase
+/// tags: `{"assign": {...}}`, `"shutdown"`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum ToWorker {
+    /// The executor configuration every later `assign` runs under.
+    Config(ConfigMsg),
+    /// One cell of work.
+    Assign(Assignment),
+    /// The coordinator's side of a collective barrier.
+    Barrier {
+        /// Barrier epoch, echoed in the `barrier_ack`.
+        epoch: Hex64,
+    },
+    /// Leave the request loop and exit.
+    Shutdown,
 }
 
-fn tag(name: &str, payload: Value) -> Value {
-    Value::Object(vec![(name.to_string(), payload)])
+/// Everything a worker sends.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum ToCoordinator {
+    /// Sent once, right after connecting.
+    Hello {
+        /// The worker id the pool assigned through the environment.
+        worker: u64,
+        /// The worker's process id.
+        pid: u64,
+    },
+    /// The worker now runs under the config with this epoch.
+    ConfigAck {
+        /// [`ConfigMsg::epoch`] of the acknowledged config.
+        epoch: Hex64,
+    },
+    /// How many bytes the cell placed by deferred allocation (first touch).
+    DataHome {
+        /// The assignment's cell id.
+        cell: u64,
+        /// Bytes placed while executing it.
+        deferred_bytes: Hex64,
+    },
+    /// How many tasks of the cell ran on a socket other than the one the
+    /// policy chose.
+    Steal {
+        /// The assignment's cell id.
+        cell: u64,
+        /// Stolen tasks.
+        stolen: u64,
+    },
+    /// The worker's side of a collective barrier.
+    BarrierAck {
+        /// The epoch of the `barrier` being answered.
+        epoch: Hex64,
+    },
+    /// A structured, deterministic failure (bad config, unknown spec, …).
+    Error {
+        /// What went wrong.
+        message: String,
+    },
+    /// The cell's result. The report's string labels do not travel: the
+    /// coordinator re-attaches them ([`ReportMsg::into_report`]).
+    Done {
+        /// The assignment's cell id.
+        cell: u64,
+        /// The full execution report.
+        report: ReportMsg,
+        /// The trace events collected when the assignment asked for them.
+        events: Vec<TraceEvent>,
+    },
 }
 
-fn s(text: impl Into<String>) -> Value {
-    Value::String(text.into())
+/// One cell of work: run `policy` (seeded with `policy_seed`) over the spec
+/// identified by `fp` and report back under id `cell`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Assignment {
+    /// Coordinator-side cell id, echoed back in `data_home`/`steal`/`done`.
+    pub cell: u64,
+    /// Fingerprint of a spec previously shipped with a `spec` message.
+    pub fp: Hex64,
+    /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
+    pub policy: String,
+    /// Seed handed to the policy factory.
+    pub policy_seed: Hex64,
+    /// Emit `TraceEvent`s while executing and return them in `done`.
+    pub events: bool,
+    /// Collect the per-task placement trace into the report.
+    pub placements: bool,
 }
 
-fn num(value: f64) -> Value {
-    Value::Number(value)
+/// The `config` message: the full [`ExecutionConfig`] a worker needs to
+/// mirror the coordinator's executor (trace flags and sink are
+/// per-assignment, not part of the shipped config).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ConfigMsg {
+    /// Must equal [`PROTOCOL_VERSION`].
+    pub version: u64,
+    /// The config's own fingerprint, so acks can be matched to the config
+    /// they acknowledge.
+    pub epoch: Hex64,
+    /// The machine.
+    pub topology: TopologyMsg,
+    /// The memory-cost model.
+    pub cost: CostMsg,
+    /// `"nearest"` or `"none"` ([`StealMode`]).
+    pub steal: String,
+    /// [`ExecutionConfig::stage_timing`].
+    pub stage_timing: bool,
+    /// [`ExecutionConfig::seed`].
+    pub seed: Hex64,
 }
 
-fn arr(values: Vec<Value>) -> Value {
-    Value::Array(values)
+/// Wire form of a [`Topology`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TopologyMsg {
+    /// Machine name.
+    pub name: String,
+    /// Socket (= NUMA node) count.
+    pub sockets: usize,
+    /// Cores per socket.
+    pub cores: usize,
+    /// The SLIT distance matrix, row-major, `sockets * sockets` entries.
+    pub distances: Vec<u32>,
 }
 
-fn usize_field(value: &Value, variant: &str, name: &str) -> Result<usize, String> {
-    Ok(u64_field(value, variant, name)? as usize)
+/// Wire form of a [`CostModel`], field for field.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CostMsg {
+    /// [`CostModel::local_bandwidth`].
+    pub local_bandwidth: f64,
+    /// [`CostModel::local_latency`].
+    pub local_latency: f64,
+    /// [`CostModel::bandwidth_exponent`].
+    pub bandwidth_exponent: f64,
+    /// [`CostModel::latency_exponent`].
+    pub latency_exponent: f64,
+    /// [`CostModel::contention_factor`].
+    pub contention_factor: f64,
+    /// [`CostModel::time_per_work_unit`].
+    pub time_per_work_unit: f64,
+}
+
+impl ConfigMsg {
+    /// The wire form of `config`, tagged with `epoch`.
+    pub fn new(epoch: u64, config: &ExecutionConfig) -> ConfigMsg {
+        let topo = &config.topology;
+        let n = topo.num_sockets();
+        let cost = &config.cost_model;
+        ConfigMsg {
+            version: PROTOCOL_VERSION,
+            epoch: Hex64(epoch),
+            topology: TopologyMsg {
+                name: topo.name().to_string(),
+                sockets: n,
+                cores: topo.cores_per_socket(),
+                distances: (0..n * n)
+                    .map(|at| topo.distance(NodeId(at / n), NodeId(at % n)))
+                    .collect(),
+            },
+            cost: CostMsg {
+                local_bandwidth: cost.local_bandwidth,
+                local_latency: cost.local_latency,
+                bandwidth_exponent: cost.bandwidth_exponent,
+                latency_exponent: cost.latency_exponent,
+                contention_factor: cost.contention_factor,
+                time_per_work_unit: cost.time_per_work_unit,
+            },
+            steal: match config.steal {
+                StealMode::NearestSocket => "nearest",
+                StealMode::NoStealing => "none",
+            }
+            .to_string(),
+            stage_timing: config.stage_timing,
+            seed: Hex64(config.seed),
+        }
+    }
+
+    /// Rebuilds the [`ExecutionConfig`], refusing what a worker must not
+    /// guess at or build: another protocol version, more sockets than the
+    /// simulator dispatches over, a distance matrix of the wrong size, an
+    /// unknown steal mode.
+    pub fn into_config(self) -> Result<ExecutionConfig, String> {
+        if self.version != PROTOCOL_VERSION {
+            return Err(format!(
+                "config.version {} is not the supported protocol version {PROTOCOL_VERSION}",
+                self.version
+            ));
+        }
+        let TopologyMsg {
+            name,
+            sockets,
+            cores,
+            distances,
+        } = self.topology;
+        if sockets > Simulator::MAX_SOCKETS {
+            return Err(format!(
+                "config.topology.sockets {sockets} exceeds the simulator's limit of {}",
+                Simulator::MAX_SOCKETS
+            ));
+        }
+        if distances.len() != sockets * sockets {
+            return Err(format!(
+                "config.topology.distances has {} entries, expected {}",
+                distances.len(),
+                sockets * sockets
+            ));
+        }
+        let steal = match self.steal.as_str() {
+            "nearest" => StealMode::NearestSocket,
+            "none" => StealMode::NoStealing,
+            other => return Err(format!("config.steal {other:?} is not a known steal mode")),
+        };
+        let topology = Topology::new(
+            name,
+            sockets,
+            cores,
+            DistanceMatrix::from_rows(sockets, distances),
+        );
+        let mut config = ExecutionConfig::new(topology)
+            .with_cost_model(CostModel {
+                local_bandwidth: self.cost.local_bandwidth,
+                local_latency: self.cost.local_latency,
+                bandwidth_exponent: self.cost.bandwidth_exponent,
+                latency_exponent: self.cost.latency_exponent,
+                contention_factor: self.cost.contention_factor,
+                time_per_work_unit: self.cost.time_per_work_unit,
+            })
+            .with_steal(steal)
+            .with_seed(self.seed.0);
+        if self.stage_timing {
+            config = config.with_stage_timing();
+        }
+        Ok(config)
+    }
+}
+
+/// Wire form of an [`ExecutionReport`] minus its two string labels (the
+/// coordinator re-attaches them from its own policy/workload handles, which
+/// is what keeps `policy` a `'static` literal).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ReportMsg {
+    /// [`ExecutionReport::makespan_ns`].
+    pub makespan_ns: f64,
+    /// [`ExecutionReport::tasks`].
+    pub tasks: usize,
+    /// [`ExecutionReport::traffic`].
+    pub traffic: TrafficMsg,
+    /// [`ExecutionReport::tasks_per_socket`].
+    pub tasks_per_socket: Vec<usize>,
+    /// [`ExecutionReport::busy_per_socket`].
+    pub busy_per_socket: Vec<f64>,
+    /// [`ExecutionReport::stolen_tasks`].
+    pub stolen_tasks: usize,
+    /// [`ExecutionReport::deferred_bytes`].
+    pub deferred_bytes: Hex64,
+    /// [`ExecutionReport::policy_wall_ns`].
+    pub policy_wall_ns: f64,
+    /// [`ExecutionReport::event_loop_wall_ns`].
+    pub event_loop_wall_ns: f64,
+    /// `(task, socket, start, end, stolen)` per [`TaskPlacement`].
+    pub trace: Vec<(usize, usize, f64, f64, bool)>,
+}
+
+/// Wire form of a [`TrafficStats`] ledger: its exact parts
+/// ([`TrafficStats::from_parts`]).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TrafficMsg {
+    /// [`TrafficStats::local_bytes`].
+    pub local: Hex64,
+    /// [`TrafficStats::remote_bytes`].
+    pub remote: Hex64,
+    /// [`TrafficStats::deferred_allocated_bytes`].
+    pub deferred: Hex64,
+    /// The distance-weighted byte total.
+    pub dw: Hex128,
+    /// `(from, to, bytes)` per directed link that carried traffic.
+    pub links: Vec<(usize, usize, Hex64)>,
+}
+
+impl ReportMsg {
+    /// The wire form of `report`.
+    pub fn new(report: &ExecutionReport) -> ReportMsg {
+        let traffic = &report.traffic;
+        ReportMsg {
+            makespan_ns: report.makespan_ns,
+            tasks: report.tasks,
+            traffic: TrafficMsg {
+                local: Hex64(traffic.local_bytes),
+                remote: Hex64(traffic.remote_bytes),
+                deferred: Hex64(traffic.deferred_allocated_bytes),
+                dw: Hex128(traffic.distance_weighted()),
+                links: traffic
+                    .link_entries()
+                    .map(|((from, to), bytes)| (from, to, Hex64(bytes)))
+                    .collect(),
+            },
+            tasks_per_socket: report.tasks_per_socket.clone(),
+            busy_per_socket: report.busy_per_socket.clone(),
+            stolen_tasks: report.stolen_tasks,
+            deferred_bytes: Hex64(report.deferred_bytes),
+            policy_wall_ns: report.policy_wall_ns,
+            event_loop_wall_ns: report.event_loop_wall_ns,
+            trace: report
+                .trace
+                .iter()
+                .map(|p| (p.task.0, p.socket.0, p.start, p.end, p.stolen))
+                .collect(),
+        }
+    }
+
+    /// Rebuilds the report. `workload` and `policy` are supplied by the
+    /// coordinator (it knows which assignment the cell id maps to).
+    pub fn into_report(self, workload: Arc<str>, policy: &'static str) -> ExecutionReport {
+        let traffic = self.traffic;
+        ExecutionReport {
+            workload,
+            policy,
+            makespan_ns: self.makespan_ns,
+            tasks: self.tasks,
+            traffic: TrafficStats::from_parts(
+                traffic.local.0,
+                traffic.remote.0,
+                traffic.deferred.0,
+                traffic
+                    .links
+                    .into_iter()
+                    .map(|(from, to, bytes)| ((from, to), bytes.0)),
+                traffic.dw.0,
+            ),
+            tasks_per_socket: self.tasks_per_socket,
+            busy_per_socket: self.busy_per_socket,
+            stolen_tasks: self.stolen_tasks,
+            deferred_bytes: self.deferred_bytes.0,
+            policy_wall_ns: self.policy_wall_ns,
+            event_loop_wall_ns: self.event_loop_wall_ns,
+            trace: self
+                .trace
+                .into_iter()
+                .map(|(task, socket, start, end, stolen)| TaskPlacement {
+                    task: TaskId(task),
+                    socket: SocketId(socket),
+                    start,
+                    end,
+                    stolen,
+                })
+                .collect(),
+        }
+    }
 }
 
 fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
@@ -81,146 +407,6 @@ fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [V
         .as_array()
         .map(|v| v.as_slice())
         .ok_or_else(|| format!("{variant}.{name} is not an array"))
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator → worker
-// ---------------------------------------------------------------------------
-
-/// One cell of work: run `policy` (seeded with `policy_seed`) over the spec
-/// identified by `spec_fp` and report back under id `cell`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Assignment {
-    /// Coordinator-side cell id, echoed back in `data_home`/`steal`/`done`.
-    pub cell: u64,
-    /// Fingerprint of a spec previously shipped with a `spec` message.
-    pub spec_fp: u64,
-    /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
-    pub policy: String,
-    /// Seed handed to the policy factory.
-    pub policy_seed: u64,
-    /// Emit `TraceEvent`s while executing and return them in `done`.
-    pub events: bool,
-    /// Collect the per-task placement trace into the report.
-    pub placements: bool,
-}
-
-/// Encodes the `config` message: the full [`ExecutionConfig`] a worker needs
-/// to mirror the coordinator's executor, tagged with `epoch` (the config's
-/// own fingerprint) so acks can be matched to the config they acknowledge.
-pub fn encode_config(epoch: u64, config: &ExecutionConfig) -> Value {
-    let topo = &config.topology;
-    let n = topo.num_sockets();
-    let mut distances = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            distances.push(num(topo.distance(NodeId(i), NodeId(j)) as f64));
-        }
-    }
-    let cost = &config.cost_model;
-    tag(
-        "config",
-        obj(vec![
-            ("version", num(PROTOCOL_VERSION as f64)),
-            ("epoch", s(hex_u64(epoch))),
-            (
-                "topology",
-                obj(vec![
-                    ("name", s(topo.name())),
-                    ("sockets", num(n as f64)),
-                    ("cores", num(topo.cores_per_socket() as f64)),
-                    ("distances", arr(distances)),
-                ]),
-            ),
-            (
-                "cost",
-                obj(vec![
-                    ("local_bandwidth", num(cost.local_bandwidth)),
-                    ("local_latency", num(cost.local_latency)),
-                    ("bandwidth_exponent", num(cost.bandwidth_exponent)),
-                    ("latency_exponent", num(cost.latency_exponent)),
-                    ("contention_factor", num(cost.contention_factor)),
-                    ("time_per_work_unit", num(cost.time_per_work_unit)),
-                ]),
-            ),
-            (
-                "steal",
-                s(match config.steal {
-                    StealMode::NearestSocket => "nearest",
-                    StealMode::NoStealing => "none",
-                }),
-            ),
-            ("stage_timing", Value::Bool(config.stage_timing)),
-            ("seed", s(hex_u64(config.seed))),
-        ]),
-    )
-}
-
-/// Decodes a `config` payload into its epoch and the reconstructed
-/// [`ExecutionConfig`] (trace flags and sink are per-assignment, not part of
-/// the shipped config).
-pub fn decode_config(payload: &Value) -> Result<(u64, ExecutionConfig), String> {
-    let version = u64_field(payload, "config", "version")?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
-        ));
-    }
-    let epoch = hex_u64_field(payload, "config", "epoch")?;
-    let topo = field(payload, "config", "topology")?;
-    let name = str_field(topo, "config.topology", "name")?;
-    let sockets = usize_field(topo, "config.topology", "sockets")?;
-    if sockets > Simulator::MAX_SOCKETS {
-        return Err(format!(
-            "config.topology.sockets {sockets} exceeds the simulator's limit of {}",
-            Simulator::MAX_SOCKETS
-        ));
-    }
-    let cores = usize_field(topo, "config.topology", "cores")?;
-    let distances = array_field(topo, "config.topology", "distances")?;
-    if distances.len() != sockets * sockets {
-        return Err(format!(
-            "config.topology.distances has {} entries, expected {}",
-            distances.len(),
-            sockets * sockets
-        ));
-    }
-    let values = distances
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|d| d as u32)
-                .ok_or_else(|| "config.topology.distances entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<u32>, String>>()?;
-    let topology = Topology::new(
-        name,
-        sockets,
-        cores,
-        DistanceMatrix::from_rows(sockets, values),
-    );
-    let cost = field(payload, "config", "cost")?;
-    let cost_model = CostModel {
-        local_bandwidth: f64_field(cost, "config.cost", "local_bandwidth")?,
-        local_latency: f64_field(cost, "config.cost", "local_latency")?,
-        bandwidth_exponent: f64_field(cost, "config.cost", "bandwidth_exponent")?,
-        latency_exponent: f64_field(cost, "config.cost", "latency_exponent")?,
-        contention_factor: f64_field(cost, "config.cost", "contention_factor")?,
-        time_per_work_unit: f64_field(cost, "config.cost", "time_per_work_unit")?,
-    };
-    let steal = match str_field(payload, "config", "steal")?.as_str() {
-        "nearest" => StealMode::NearestSocket,
-        "none" => StealMode::NoStealing,
-        other => return Err(format!("config.steal {other:?} is not a known steal mode")),
-    };
-    let mut config = ExecutionConfig::new(topology)
-        .with_cost_model(cost_model)
-        .with_steal(steal)
-        .with_seed(hex_u64_field(payload, "config", "seed")?);
-    if bool_field(payload, "config", "stage_timing")? {
-        config = config.with_stage_timing();
-    }
-    Ok((epoch, config))
 }
 
 /// Starts a column of the `spec` message: `,"name":[`.
@@ -526,331 +712,108 @@ pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
     Ok((fp, spec))
 }
 
-/// Encodes the `assign` message.
-pub fn encode_assign(assign: &Assignment) -> Value {
-    tag(
-        "assign",
-        obj(vec![
-            ("cell", num(assign.cell as f64)),
-            ("fp", s(hex_u64(assign.spec_fp))),
-            ("policy", s(assign.policy.as_str())),
-            ("policy_seed", s(hex_u64(assign.policy_seed))),
-            ("events", Value::Bool(assign.events)),
-            ("placements", Value::Bool(assign.placements)),
-        ]),
-    )
-}
-
-/// Decodes an `assign` payload.
-pub fn decode_assign(payload: &Value) -> Result<Assignment, String> {
-    Ok(Assignment {
-        cell: u64_field(payload, "assign", "cell")?,
-        spec_fp: hex_u64_field(payload, "assign", "fp")?,
-        policy: str_field(payload, "assign", "policy")?,
-        policy_seed: hex_u64_field(payload, "assign", "policy_seed")?,
-        events: bool_field(payload, "assign", "events")?,
-        placements: bool_field(payload, "assign", "placements")?,
-    })
-}
-
-/// Encodes the `barrier` message (coordinator side of a collective barrier).
-pub fn encode_barrier(epoch: u64) -> Value {
-    tag("barrier", obj(vec![("epoch", s(hex_u64(epoch)))]))
-}
-
-/// Encodes the `shutdown` message (unit: a bare string on the wire).
-pub fn encode_shutdown() -> Value {
-    s("shutdown")
-}
-
-// ---------------------------------------------------------------------------
-// Worker → coordinator
-// ---------------------------------------------------------------------------
-
-/// Encodes the `hello` message a worker sends right after connecting.
-pub fn encode_hello(worker: u64, pid: u64) -> Value {
-    tag(
-        "hello",
-        obj(vec![
-            ("worker", num(worker as f64)),
-            ("pid", num(pid as f64)),
-        ]),
-    )
-}
-
-/// Decodes a `hello` payload into `(worker, pid)`.
-pub fn decode_hello(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "hello", "worker")?,
-        u64_field(payload, "hello", "pid")?,
-    ))
-}
-
-/// Encodes the `config_ack` message.
-pub fn encode_config_ack(epoch: u64) -> Value {
-    tag("config_ack", obj(vec![("epoch", s(hex_u64(epoch)))]))
-}
-
-/// Decodes a `config_ack` (or `barrier`/`barrier_ack`) payload's epoch.
-pub fn decode_epoch(payload: &Value, variant: &str) -> Result<u64, String> {
-    hex_u64_field(payload, variant, "epoch")
-}
-
-/// Encodes the `data_home` notification: how many bytes the cell placed by
-/// deferred allocation (first touch) while executing.
-pub fn encode_data_home(cell: u64, deferred_bytes: u64) -> Value {
-    tag(
-        "data_home",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("deferred_bytes", s(hex_u64(deferred_bytes))),
-        ]),
-    )
-}
-
-/// Decodes a `data_home` payload into `(cell, deferred_bytes)`.
-pub fn decode_data_home(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "data_home", "cell")?,
-        hex_u64_field(payload, "data_home", "deferred_bytes")?,
-    ))
-}
-
-/// Encodes the `steal` notification: how many tasks of the cell ran on a
-/// socket other than the one the policy chose.
-pub fn encode_steal(cell: u64, stolen: u64) -> Value {
-    tag(
-        "steal",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("stolen", num(stolen as f64)),
-        ]),
-    )
-}
-
-/// Decodes a `steal` payload into `(cell, stolen)`.
-pub fn decode_steal(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "steal", "cell")?,
-        u64_field(payload, "steal", "stolen")?,
-    ))
-}
-
-/// Encodes the `barrier_ack` message.
-pub fn encode_barrier_ack(epoch: u64) -> Value {
-    tag("barrier_ack", obj(vec![("epoch", s(hex_u64(epoch)))]))
-}
-
-/// Encodes the `error` message (worker-side structured failure).
-pub fn encode_error(message: &str) -> Value {
-    tag("error", obj(vec![("message", s(message))]))
-}
-
-/// Decodes an `error` payload's message.
-pub fn decode_error(payload: &Value) -> Result<String, String> {
-    str_field(payload, "error", "message")
-}
-
-fn encode_report(report: &ExecutionReport) -> Value {
-    let traffic = &report.traffic;
-    let links = traffic
-        .link_entries()
-        .map(|((from, to), bytes)| arr(vec![num(from as f64), num(to as f64), s(hex_u64(bytes))]))
-        .collect();
-    let trace = report
-        .trace
-        .iter()
-        .map(|p| {
-            arr(vec![
-                num(p.task.0 as f64),
-                num(p.socket.0 as f64),
-                num(p.start),
-                num(p.end),
-                Value::Bool(p.stolen),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("makespan_ns", num(report.makespan_ns)),
-        ("tasks", num(report.tasks as f64)),
-        (
-            "traffic",
-            obj(vec![
-                ("local", s(hex_u64(traffic.local_bytes))),
-                ("remote", s(hex_u64(traffic.remote_bytes))),
-                ("deferred", s(hex_u64(traffic.deferred_allocated_bytes))),
-                ("dw", s(hex_u128(traffic.distance_weighted()))),
-                ("links", arr(links)),
-            ]),
-        ),
-        (
-            "tasks_per_socket",
-            arr(report
-                .tasks_per_socket
-                .iter()
-                .map(|n| num(*n as f64))
-                .collect()),
-        ),
-        (
-            "busy_per_socket",
-            arr(report.busy_per_socket.iter().map(|b| num(*b)).collect()),
-        ),
-        ("stolen_tasks", num(report.stolen_tasks as f64)),
-        ("deferred_bytes", s(hex_u64(report.deferred_bytes))),
-        ("policy_wall_ns", num(report.policy_wall_ns)),
-        ("event_loop_wall_ns", num(report.event_loop_wall_ns)),
-        ("trace", arr(trace)),
-    ])
-}
-
-fn decode_report(
-    payload: &Value,
-    workload: Arc<str>,
-    policy: &'static str,
-) -> Result<ExecutionReport, String> {
-    let traffic_value = field(payload, "done.report", "traffic")?;
-    let links = array_field(traffic_value, "done.report.traffic", "links")?
-        .iter()
-        .map(|link| {
-            let parts = link
-                .as_array()
-                .ok_or_else(|| "traffic link is not an array".to_string())?;
-            if parts.len() != 3 {
-                return Err(format!(
-                    "traffic link has {} entries, expected 3",
-                    parts.len()
-                ));
-            }
-            let from = parts[0]
-                .as_u64()
-                .ok_or_else(|| "traffic link from is not a number".to_string())?;
-            let to = parts[1]
-                .as_u64()
-                .ok_or_else(|| "traffic link to is not a number".to_string())?;
-            let bytes = parts[2]
-                .as_str()
-                .ok_or_else(|| "traffic link bytes is not a hex string".to_string())
-                .and_then(numadag_runtime::framing::parse_hex_u64)?;
-            Ok(((from as usize, to as usize), bytes))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let traffic = TrafficStats::from_parts(
-        hex_u64_field(traffic_value, "done.report.traffic", "local")?,
-        hex_u64_field(traffic_value, "done.report.traffic", "remote")?,
-        hex_u64_field(traffic_value, "done.report.traffic", "deferred")?,
-        links,
-        hex_u128_field(traffic_value, "done.report.traffic", "dw")?,
-    );
-    let tasks_per_socket = array_field(payload, "done.report", "tasks_per_socket")?
-        .iter()
-        .map(|n| {
-            n.as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| "tasks_per_socket entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    let busy_per_socket = array_field(payload, "done.report", "busy_per_socket")?
-        .iter()
-        .map(|b| {
-            b.as_f64()
-                .ok_or_else(|| "busy_per_socket entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<f64>, String>>()?;
-    let trace = array_field(payload, "done.report", "trace")?
-        .iter()
-        .map(|p| {
-            let parts = p
-                .as_array()
-                .ok_or_else(|| "trace entry is not an array".to_string())?;
-            if parts.len() != 5 {
-                return Err(format!(
-                    "trace entry has {} entries, expected 5",
-                    parts.len()
-                ));
-            }
-            Ok(TaskPlacement {
-                task: TaskId(
-                    parts[0]
-                        .as_u64()
-                        .ok_or_else(|| "trace task is not a number".to_string())?
-                        as usize,
-                ),
-                socket: SocketId(
-                    parts[1]
-                        .as_u64()
-                        .ok_or_else(|| "trace socket is not a number".to_string())?
-                        as usize,
-                ),
-                start: parts[2]
-                    .as_f64()
-                    .ok_or_else(|| "trace start is not a number".to_string())?,
-                end: parts[3]
-                    .as_f64()
-                    .ok_or_else(|| "trace end is not a number".to_string())?,
-                stolen: parts[4]
-                    .as_bool()
-                    .ok_or_else(|| "trace stolen is not a bool".to_string())?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ExecutionReport {
-        workload,
-        policy,
-        makespan_ns: f64_field(payload, "done.report", "makespan_ns")?,
-        tasks: usize_field(payload, "done.report", "tasks")?,
-        traffic,
-        tasks_per_socket,
-        busy_per_socket,
-        stolen_tasks: usize_field(payload, "done.report", "stolen_tasks")?,
-        deferred_bytes: hex_u64_field(payload, "done.report", "deferred_bytes")?,
-        policy_wall_ns: f64_field(payload, "done.report", "policy_wall_ns")?,
-        event_loop_wall_ns: f64_field(payload, "done.report", "event_loop_wall_ns")?,
-        trace,
-    })
-}
-
-/// Encodes the `done` message carrying the cell's full [`ExecutionReport`]
-/// and any collected [`TraceEvent`]s. The report's string labels do not
-/// travel (the coordinator re-attaches them from its own policy/workload
-/// handles, which is what keeps `policy` a `'static` literal).
-pub fn encode_done(cell: u64, report: &ExecutionReport, events: &[TraceEvent]) -> Value {
-    tag(
-        "done",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("report", encode_report(report)),
-            (
-                "events",
-                arr(events.iter().map(|event| event.to_value()).collect()),
-            ),
-        ]),
-    )
-}
-
-/// Decodes a `done` payload. `workload` and `policy` are supplied by the
-/// coordinator (it knows which assignment the cell id maps to).
-pub fn decode_done(
-    payload: &Value,
-    workload: Arc<str>,
-    policy: &'static str,
-) -> Result<(u64, ExecutionReport, Vec<TraceEvent>), String> {
-    let cell = u64_field(payload, "done", "cell")?;
-    let report = decode_report(field(payload, "done", "report")?, workload, policy)?;
-    let events = array_field(payload, "done", "events")?
-        .iter()
-        .map(parse_event)
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((cell, report, events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numadag_runtime::framing::{to_line, untag};
-    use numadag_tdg::TaskGraphSpec;
+    use numadag_runtime::framing::to_line;
+    use serde::de::untag;
+    use serde::testing::assert_enum_rejects_malformed;
 
-    fn roundtrip(value: &Value) -> Value {
-        serde_json::from_str(&to_line(value)).expect("wire line parses back")
+    // Shorthands for the malformed-`spec` table's hand-built payloads.
+    fn s(text: impl Into<String>) -> Value {
+        Value::String(text.into())
+    }
+
+    fn num(value: f64) -> Value {
+        Value::Number(value)
+    }
+
+    fn arr(values: Vec<Value>) -> Value {
+        Value::Array(values)
+    }
+
+    /// One wire line per coordinator → worker message kind (`config` twice),
+    /// exactly as the hand-written `encode_*` functions this module had up
+    /// to commit fb5dfe3 rendered them.
+    const TO_WORKER_LINES: [&str; 5] = [
+        r#"{"config":{"version":2,"epoch":"7","topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest","stage_timing":false,"seed":"e0"}}"#,
+        r#"{"config":{"version":2,"epoch":"ffffffffffffffff","topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"none","stage_timing":true,"seed":"f1617e00f1617e"}}"#,
+        r#"{"assign":{"cell":9000,"fp":"fffffffffffffffc","policy":"rgp-las:w=512","policy_seed":"f1617e","events":true,"placements":false}}"#,
+        r#"{"barrier":{"epoch":"ffffffffffffffff"}}"#,
+        r#""shutdown""#,
+    ];
+
+    /// The same for worker → coordinator: full-range `u64`s, a `u128`
+    /// ledger total, an escaped string, `1e300` / `2e-308`, and a `done`
+    /// with all five event kinds.
+    const TO_COORDINATOR_LINES: [&str; 7] = [
+        r#"{"hello":{"worker":3,"pid":4242}}"#,
+        r#"{"config_ack":{"epoch":"5"}}"#,
+        r#"{"data_home":{"cell":11,"deferred_bytes":"ffffffffffffffff"}}"#,
+        r#"{"steal":{"cell":12,"stolen":7}}"#,
+        r#"{"barrier_ack":{"epoch":"2"}}"#,
+        r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
+        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":"5555555555555555","remote":"2000000000000000","deferred":"3039","dw":"1affffffffffffffe5","links":[[0,1,"309"],[1,0,"3333333333333333"]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":"80000000000000","policy_wall_ns":17.5,"event_loop_wall_ns":0.125,"trace":[[3,1,0.30000000000000004,0.00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000002,true],[4,0,1.5,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,false]]},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
+    ];
+
+    fn parse(line: &str) -> Value {
+        serde_json::from_str(line).expect("a golden line is JSON")
+    }
+
+    #[test]
+    fn the_parents_wire_lines_decode_and_re_encode_byte_for_byte() {
+        for line in TO_WORKER_LINES {
+            let message =
+                ToWorker::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(to_line(&message), line);
+            // ... and through the types the messages mirror.
+            if let ToWorker::Config(config) = message {
+                let epoch = config.epoch.0;
+                let rebuilt = ConfigMsg::new(epoch, &config.into_config().unwrap());
+                assert_eq!(to_line(&ToWorker::Config(rebuilt)), line);
+            }
+        }
+        for line in TO_COORDINATOR_LINES {
+            let message =
+                ToCoordinator::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(to_line(&message), line);
+            if let ToCoordinator::Done {
+                cell,
+                report,
+                events,
+            } = message
+            {
+                let report = report.into_report(Arc::from("wire-spec"), "RGP+LAS");
+                assert_eq!(
+                    (report.workload.as_ref(), report.policy),
+                    ("wire-spec", "RGP+LAS")
+                );
+                assert_eq!(report.traffic.local_bytes, u64::MAX / 3);
+                assert_eq!(report.traffic.distance_weighted(), (u64::MAX as u128) * 27);
+                assert_eq!(report.busy_per_socket[1], 1e300);
+                assert_eq!(report.trace[0].end, 2e-308);
+                let rebuilt = ToCoordinator::Done {
+                    cell,
+                    report: ReportMsg::new(&report),
+                    events,
+                };
+                assert_eq!(to_line(&rebuilt), line);
+            }
+        }
+        assert_eq!(PROTOCOL_VERSION, 2);
+    }
+
+    #[test]
+    fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
+        for line in TO_WORKER_LINES {
+            assert_enum_rejects_malformed(&parse(line), &[], ToWorker::from_value);
+        }
+        for line in TO_COORDINATOR_LINES {
+            assert_enum_rejects_malformed(&parse(line), &[], ToCoordinator::from_value);
+        }
+        // One direction's messages are not the other's.
+        assert!(ToWorker::from_value(&parse(TO_COORDINATOR_LINES[0])).is_err());
+        assert!(ToCoordinator::from_value(&parse(TO_WORKER_LINES[4])).is_err());
     }
 
     fn task(
@@ -956,53 +919,42 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_including_multi_node_distances() {
-        let config = ExecutionConfig::new(Topology::multi_node(2, 2, 3, 120))
-            .with_cost_model(CostModel::steep())
-            .with_steal(StealMode::NoStealing)
-            .with_seed(0xF1617E_00F1617E)
-            .with_stage_timing();
-        let wire = roundtrip(&encode_config(7, &config));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "config");
-        let (epoch, decoded) = decode_config(payload).unwrap();
-        assert_eq!(epoch, 7);
-        assert_eq!(decoded.topology, config.topology);
-        assert_eq!(decoded.cost_model, config.cost_model);
-        assert_eq!(decoded.steal, config.steal);
-        assert_eq!(decoded.seed, config.seed);
-        assert!(decoded.stage_timing);
-    }
-
-    #[test]
-    fn a_worker_offered_another_protocol_version_refuses_it() {
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-        let wire = roundtrip(&encode_config(7, &config));
-        let (_, payload) = untag(&wire).unwrap();
-        assert!(decode_config(payload).is_ok());
-        for version in [1.0, 3.0] {
-            let offered = with_field(payload, "version", Some(num(version)));
-            let err = decode_config(&offered).unwrap_err();
-            assert!(
-                err.contains("not the supported protocol version 2"),
-                "{err}"
-            );
+    fn a_config_a_worker_must_not_build_is_refused() {
+        let two_socket = || ConfigMsg::new(7, &ExecutionConfig::new(Topology::two_socket(2)));
+        assert!(two_socket().into_config().is_ok());
+        let refused = |change: fn(&mut ConfigMsg)| {
+            let mut message = two_socket();
+            change(&mut message);
+            message.into_config().unwrap_err()
+        };
+        for (err, complaint) in [
+            (
+                refused(|m| m.version = 1),
+                "not the supported protocol version 2",
+            ),
+            (
+                refused(|m| m.version = 3),
+                "not the supported protocol version 2",
+            ),
+            (
+                refused(|m| m.topology.distances.truncate(3)),
+                "distances has 3 entries, expected 4",
+            ),
+            (
+                refused(|m| m.steal = "sometimes".to_string()),
+                "not a known steal mode",
+            ),
+        ] {
+            assert!(err.contains(complaint), "{err}");
         }
-    }
-
-    #[test]
-    fn a_topology_beyond_the_simulators_socket_limit_is_refused_not_built() {
-        let config = ExecutionConfig::new(Topology::symmetric(65, 1));
-        let wire = roundtrip(&encode_config(1, &config));
-        let (_, payload) = untag(&wire).unwrap();
-        let err = decode_config(payload).unwrap_err();
+        // The simulator dispatches over at most 64 sockets.
+        let sockets = |n| ConfigMsg::new(1, &ExecutionConfig::new(Topology::symmetric(n, 1)));
+        let err = sockets(65).into_config().unwrap_err();
         assert!(
             err.contains("sockets 65 exceeds the simulator's limit of 64"),
             "{err}"
         );
-        let config = ExecutionConfig::new(Topology::symmetric(64, 1));
-        let wire = roundtrip(&encode_config(1, &config));
-        assert!(decode_config(untag(&wire).unwrap().1).is_ok());
+        assert!(sockets(64).into_config().is_ok());
     }
 
     #[test]
@@ -1097,7 +1049,7 @@ mod tests {
         let spec = sample_spec();
         let good = spec_payload(&spec);
         assert!(decode_spec(&good).is_ok());
-        let hex_max = || s(hex_u64(u64::MAX));
+        let hex_max = || Hex64(u64::MAX).to_value();
         let mut rows: Vec<(String, Value, String)> = Vec::new();
         fn push(
             rows: &mut Vec<(String, Value, String)>,
@@ -1312,7 +1264,7 @@ mod tests {
         push(
             &mut rows,
             "wrong fingerprint",
-            with_field(&good, "fp", Some(s(hex_u64(spec.fingerprint() ^ 1)))),
+            with_field(&good, "fp", Some(Hex64(spec.fingerprint() ^ 1).to_value())),
             "fingerprint mismatch",
         );
         push(
@@ -1345,140 +1297,5 @@ mod tests {
         for payload in [Value::Null, num(1.0), arr(vec![]), s("spec")] {
             assert!(decode_spec(&payload).is_err());
         }
-    }
-
-    #[test]
-    fn assignment_round_trips() {
-        let assign = Assignment {
-            cell: 9000,
-            spec_fp: u64::MAX - 3,
-            policy: "rgp+las".to_string(),
-            policy_seed: 0xF1617E,
-            events: true,
-            placements: false,
-        };
-        let wire = roundtrip(&encode_assign(&assign));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "assign");
-        assert_eq!(decode_assign(payload).unwrap(), assign);
-    }
-
-    #[test]
-    fn control_messages_round_trip() {
-        let wire = roundtrip(&encode_hello(3, 4242));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "hello");
-        assert_eq!(decode_hello(payload).unwrap(), (3, 4242));
-
-        let wire = roundtrip(&encode_barrier(u64::MAX));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "barrier");
-        assert_eq!(decode_epoch(payload, "barrier").unwrap(), u64::MAX);
-
-        let wire = roundtrip(&encode_barrier_ack(2));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "barrier_ack");
-        assert_eq!(decode_epoch(payload, "barrier_ack").unwrap(), 2);
-
-        let wire = roundtrip(&encode_config_ack(5));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "config_ack");
-        assert_eq!(decode_epoch(payload, "config_ack").unwrap(), 5);
-
-        let wire = roundtrip(&encode_data_home(11, u64::MAX));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "data_home");
-        assert_eq!(decode_data_home(payload).unwrap(), (11, u64::MAX));
-
-        let wire = roundtrip(&encode_steal(12, 7));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "steal");
-        assert_eq!(decode_steal(payload).unwrap(), (12, 7));
-
-        let wire = roundtrip(&encode_error("boom"));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "error");
-        assert_eq!(decode_error(payload).unwrap(), "boom");
-
-        let wire = roundtrip(&encode_shutdown());
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "shutdown");
-        assert!(matches!(payload, Value::Null));
-    }
-
-    #[test]
-    fn done_round_trips_a_full_report_bit_exactly() {
-        let traffic = TrafficStats::from_parts(
-            u64::MAX / 3,
-            1 << 61,
-            12345,
-            vec![((0, 1), 777), ((1, 0), u64::MAX / 5)],
-            (u64::MAX as u128) * 27,
-        );
-        let report = ExecutionReport {
-            workload: Arc::from("wire-spec"),
-            policy: "RGP+LAS",
-            makespan_ns: std::f64::consts::PI * 1e9,
-            tasks: 42,
-            traffic,
-            tasks_per_socket: vec![10, 12, 9, 11],
-            busy_per_socket: vec![0.1, 1e300, 3.0000000000000004, 0.0],
-            stolen_tasks: 5,
-            deferred_bytes: 1 << 55,
-            policy_wall_ns: 17.5,
-            event_loop_wall_ns: 0.125,
-            trace: vec![TaskPlacement {
-                task: TaskId(3),
-                socket: SocketId(1),
-                start: 0.30000000000000004,
-                end: 2e-308,
-                stolen: true,
-            }],
-        };
-        let events = vec![
-            TraceEvent::Assign {
-                task: TaskId(3),
-                socket: SocketId(1),
-                time: 1.5,
-            },
-            TraceEvent::Finish {
-                task: TaskId(3),
-                socket: SocketId(1),
-                core: numadag_numa::CoreId(5),
-                time: 9.75,
-            },
-        ];
-        let wire = roundtrip(&encode_done(77, &report, &events));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "done");
-        let (cell, decoded, decoded_events) =
-            decode_done(payload, Arc::from("wire-spec"), "RGP+LAS").unwrap();
-        assert_eq!(cell, 77);
-        assert_eq!(decoded.workload.as_ref(), "wire-spec");
-        assert_eq!(decoded.policy, "RGP+LAS");
-        assert_eq!(decoded.makespan_ns.to_bits(), report.makespan_ns.to_bits());
-        assert_eq!(decoded.tasks, report.tasks);
-        assert_eq!(decoded.traffic.local_bytes, report.traffic.local_bytes);
-        assert_eq!(decoded.traffic.remote_bytes, report.traffic.remote_bytes);
-        assert_eq!(
-            decoded.traffic.distance_weighted(),
-            report.traffic.distance_weighted()
-        );
-        assert_eq!(
-            decoded.traffic.link_entries().collect::<Vec<_>>(),
-            report.traffic.link_entries().collect::<Vec<_>>()
-        );
-        assert_eq!(decoded.tasks_per_socket, report.tasks_per_socket);
-        for (got, want) in decoded
-            .busy_per_socket
-            .iter()
-            .zip(report.busy_per_socket.iter())
-        {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        assert_eq!(decoded.stolen_tasks, report.stolen_tasks);
-        assert_eq!(decoded.deferred_bytes, report.deferred_bytes);
-        assert_eq!(decoded.trace, report.trace);
-        assert_eq!(decoded_events, events);
     }
 }

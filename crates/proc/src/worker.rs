@@ -16,16 +16,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_runtime::framing::{read_frame, untag, write_frame, FrameError};
-use numadag_runtime::{ExecutionConfig, Simulator};
+use numadag_runtime::framing::{read_frame, write_frame, FrameError, Hex64};
+use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
-use numadag_trace::MemorySink;
-use serde::Value;
+use numadag_trace::{MemorySink, TraceEvent};
+use serde::{de::untag, Deserialize, Value};
 
-use crate::protocol::{
-    decode_assign, decode_config, decode_epoch, decode_spec, encode_barrier_ack, encode_config_ack,
-    encode_data_home, encode_done, encode_error, encode_hello, encode_steal,
-};
+use crate::protocol::{decode_spec, Assignment, ReportMsg, ToCoordinator, ToWorker};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
@@ -100,13 +97,17 @@ fn run_worker(
 ) -> Result<(), String> {
     use std::io::Write as _;
 
-    let send = |writer: &mut TcpStream, value: &Value| -> Result<(), String> {
-        write_frame(writer, value).map_err(|e| format!("write to coordinator failed: {e}"))
+    let send = |writer: &mut TcpStream, message: &ToCoordinator| -> Result<(), String> {
+        write_frame(writer, message).map_err(|e| format!("write to coordinator failed: {e}"))
     };
+    let error = |message: String| ToCoordinator::Error { message };
 
     send(
         &mut writer,
-        &encode_hello(worker, std::process::id() as u64),
+        &ToCoordinator::Hello {
+            worker,
+            pid: std::process::id() as u64,
+        },
     )?;
 
     let mut base_config: Option<ExecutionConfig> = None;
@@ -121,108 +122,66 @@ fn run_worker(
             Err(e) => {
                 // A malformed frame *from the coordinator* is unrecoverable
                 // (framing is lost), but say so before going.
-                let _ = write_frame(&mut writer, &encode_error(&format!("bad frame: {e}")));
+                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
                 return Err(format!("coordinator sent an unreadable frame: {e}"));
             }
         };
         let value: Value = match serde_json::from_str(&line) {
             Ok(value) => value,
             Err(e) => {
-                let _ = write_frame(&mut writer, &encode_error(&format!("bad frame: {e}")));
+                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
                 return Err(format!("coordinator sent invalid JSON: {e}"));
             }
         };
         let (tag, payload) = match untag(&value) {
             Ok(parts) => parts,
             Err(e) => {
-                send(&mut writer, &encode_error(&format!("bad envelope: {e}")))?;
+                send(&mut writer, &error(format!("bad envelope: {e}")))?;
                 continue;
             }
         };
-        match tag.as_str() {
-            "config" => match decode_config(payload) {
-                Ok((epoch, config)) => {
-                    base_config = Some(config);
-                    send(&mut writer, &encode_config_ack(epoch))?;
-                }
-                Err(e) => send(&mut writer, &encode_error(&format!("bad config: {e}")))?,
-            },
-            "spec" => match decode_spec(payload) {
+        // `spec` is the one message with its own codec; every other tag is a
+        // `ToWorker` variant.
+        if tag == "spec" {
+            match decode_spec(payload) {
                 Ok((fp, spec)) => {
                     specs.insert(fp, spec);
                 }
-                Err(e) => send(&mut writer, &encode_error(&format!("bad spec: {e}")))?,
-            },
-            "assign" => {
+                Err(e) => send(&mut writer, &error(format!("bad spec: {e}")))?,
+            }
+            continue;
+        }
+        let message = match ToWorker::from_value(&value) {
+            Ok(message) => message,
+            Err(e) => {
+                send(&mut writer, &error(format!("bad {tag}: {e}")))?;
+                continue;
+            }
+        };
+        match message {
+            ToWorker::Config(config) => {
+                let epoch = config.epoch;
+                match config.into_config() {
+                    Ok(config) => {
+                        base_config = Some(config);
+                        send(&mut writer, &ToCoordinator::ConfigAck { epoch })?;
+                    }
+                    Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
+                }
+            }
+            ToWorker::Assign(assign) => {
                 assigns_seen += 1;
                 if matches!(faults.crash_after, Some(n) if assigns_seen > n) {
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let assign = match decode_assign(payload) {
-                    Ok(assign) => assign,
-                    Err(e) => {
-                        send(&mut writer, &encode_error(&format!("bad assign: {e}")))?;
+                let (report, events) = match run_cell(&assign, base_config.as_ref(), &specs) {
+                    Ok(done) => done,
+                    Err(complaint) => {
+                        send(&mut writer, &error(complaint))?;
                         continue;
                     }
                 };
-                let config = match &base_config {
-                    Some(config) => config,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error("assign before any config was shipped"),
-                        )?;
-                        continue;
-                    }
-                };
-                let spec = match specs.get(&assign.spec_fp) {
-                    Some(spec) => spec,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error(&format!(
-                                "assign references unknown spec {:#x}",
-                                assign.spec_fp
-                            )),
-                        )?;
-                        continue;
-                    }
-                };
-                let kind = match assign.policy.parse::<PolicyKind>() {
-                    Ok(kind) => kind,
-                    Err(e) => {
-                        send(&mut writer, &encode_error(&format!("bad policy: {e}")))?;
-                        continue;
-                    }
-                };
-                let mut policy = match make_policy(kind, spec, assign.policy_seed) {
-                    Some(policy) => policy,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error(&format!(
-                                "policy {:?} is unavailable for workload {:?} \
-                                 (no expert placement?)",
-                                assign.policy, spec.name
-                            )),
-                        )?;
-                        continue;
-                    }
-                };
-                let mut cell_config = config.clone();
-                if assign.placements {
-                    cell_config = cell_config.with_trace();
-                }
-                let sink = if assign.events {
-                    let sink = Arc::new(MemorySink::new());
-                    cell_config = cell_config.with_trace_sink(sink.clone());
-                    Some(sink)
-                } else {
-                    None
-                };
-                let report = Simulator::new(cell_config).run(spec, policy.as_mut());
-                let events = sink.map(|s| s.take()).unwrap_or_default();
                 if matches!(faults.garbage_after, Some(n) if assigns_seen > n) {
                     // Simulated corruption: an unparseable line where the
                     // replies should be.
@@ -231,34 +190,69 @@ fn run_worker(
                         .map_err(|e| format!("write to coordinator failed: {e}"))?;
                     continue;
                 }
+                let cell = assign.cell;
+                let deferred_bytes = Hex64(report.deferred_bytes);
+                let stolen = report.stolen_tasks as u64;
+                let report = ReportMsg::new(&report);
                 send(
                     &mut writer,
-                    &encode_data_home(assign.cell, report.deferred_bytes),
+                    &ToCoordinator::DataHome {
+                        cell,
+                        deferred_bytes,
+                    },
                 )?;
+                send(&mut writer, &ToCoordinator::Steal { cell, stolen })?;
                 send(
                     &mut writer,
-                    &encode_steal(assign.cell, report.stolen_tasks as u64),
+                    &ToCoordinator::Done {
+                        cell,
+                        report,
+                        events,
+                    },
                 )?;
-                send(&mut writer, &encode_done(assign.cell, &report, &events))?;
             }
-            "barrier" => match decode_epoch(payload, "barrier") {
-                Ok(epoch) => send(&mut writer, &encode_barrier_ack(epoch))?,
-                Err(e) => send(&mut writer, &encode_error(&format!("bad barrier: {e}")))?,
-            },
-            "shutdown" => {
+            ToWorker::Barrier { epoch } => send(&mut writer, &ToCoordinator::BarrierAck { epoch })?,
+            ToWorker::Shutdown => {
                 // The process exits next; freeing every spec task by task
                 // first would only keep the coordinator waiting to reap it.
                 std::mem::forget(specs);
                 return Ok(());
             }
-            other => {
-                send(
-                    &mut writer,
-                    &encode_error(&format!("unknown message {other:?}")),
-                )?;
-            }
         }
     }
+}
+
+/// Executes one assignment; an `Err` is the message of the structured
+/// `error` reply (deterministic: another worker would fail the same way).
+fn run_cell(
+    assign: &Assignment,
+    config: Option<&ExecutionConfig>,
+    specs: &HashMap<u64, TaskGraphSpec>,
+) -> Result<(ExecutionReport, Vec<TraceEvent>), String> {
+    let config = config.ok_or("assign before any config was shipped")?;
+    let spec = specs
+        .get(&assign.fp.0)
+        .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.fp.0))?;
+    let kind: PolicyKind = assign
+        .policy
+        .parse()
+        .map_err(|e| format!("bad policy: {e}"))?;
+    let mut policy = make_policy(kind, spec, assign.policy_seed.0).ok_or_else(|| {
+        format!(
+            "policy {:?} is unavailable for workload {:?} (no expert placement?)",
+            assign.policy, spec.name
+        )
+    })?;
+    let mut cell_config = config.clone();
+    if assign.placements {
+        cell_config = cell_config.with_trace();
+    }
+    let sink = assign.events.then(|| Arc::new(MemorySink::new()));
+    if let Some(sink) = &sink {
+        cell_config = cell_config.with_trace_sink(sink.clone());
+    }
+    let report = Simulator::new(cell_config).run(spec, policy.as_mut());
+    Ok((report, sink.map(|s| s.take()).unwrap_or_default()))
 }
 
 #[cfg(test)]
@@ -268,13 +262,10 @@ mod tests {
     use std::time::Duration;
 
     use numadag_numa::Topology;
-    use numadag_runtime::framing::write_line;
+    use numadag_runtime::framing::{from_line, to_line, write_line};
     use numadag_tdg::{TaskSpec, TdgBuilder};
 
-    use crate::protocol::{
-        decode_done, decode_error, encode_assign, encode_config, encode_shutdown, encode_spec,
-        Assignment,
-    };
+    use crate::protocol::{encode_spec, ConfigMsg};
 
     /// The coordinator's end of a loopback conversation with `run_worker`.
     struct Coordinator {
@@ -283,25 +274,22 @@ mod tests {
     }
 
     impl Coordinator {
-        fn send(&mut self, message: &Value) {
+        fn send(&mut self, message: &ToWorker) {
             write_frame(&mut self.writer, message).unwrap();
         }
 
-        /// The next reply as `(tag, payload)`.
-        fn reply(&mut self) -> (String, Value) {
+        fn reply(&mut self) -> ToCoordinator {
             let line = read_frame(&mut self.reader)
                 .expect("the worker is still talking")
                 .expect("the worker has not hung up");
-            let message = serde_json::from_str(&line).unwrap();
-            let (tag, payload) = untag(&message).unwrap();
-            (tag, payload.clone())
+            from_line(&line).unwrap()
         }
 
-        fn expect_bad_spec(&mut self, complaint: &str) {
-            let (tag, payload) = self.reply();
-            assert_eq!(tag, "error");
-            let message = decode_error(&payload).unwrap();
-            assert!(message.starts_with("bad spec: "), "{message}");
+        fn expect_error(&mut self, prefix: &str, complaint: &str) {
+            let ToCoordinator::Error { message } = self.reply() else {
+                panic!("expected an error reply");
+            };
+            assert!(message.starts_with(prefix), "{message}");
             assert!(message.contains(complaint), "{message}");
         }
     }
@@ -327,10 +315,33 @@ mod tests {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
         };
-        assert_eq!(coordinator.reply().0, "hello");
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Hello { worker: 7, .. }
+        ));
         let config = ExecutionConfig::new(Topology::two_socket(2));
-        coordinator.send(&encode_config(1, &config));
-        assert_eq!(coordinator.reply().0, "config_ack");
+        let shipped = ConfigMsg::new(1, &config);
+
+        // A distance that only fits a u32 after truncation (2^32 + 10) used
+        // to be cast to 10 silently; so did anything else `as` would take.
+        let line = to_line(&ToWorker::Config(shipped.clone()));
+        let truncating = line.replacen("\"distances\":[10,", "\"distances\":[4294967306,", 1);
+        assert_ne!(truncating, line);
+        write_line(&mut coordinator.writer, truncating).unwrap();
+        coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
+        // The refusals of a well-typed config are structured errors too.
+        let mut next_version = shipped.clone();
+        next_version.version = 3;
+        coordinator.send(&ToWorker::Config(next_version));
+        coordinator.expect_error("bad config: ", "not the supported protocol version 2");
+        write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
+        coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
+
+        coordinator.send(&ToWorker::Config(shipped));
+        assert_eq!(
+            coordinator.reply(),
+            ToCoordinator::ConfigAck { epoch: Hex64(1) }
+        );
 
         let mut builder = TdgBuilder::new();
         let region = builder.region(1 << 16);
@@ -346,34 +357,46 @@ mod tests {
         let self_dependence = line.replacen("\"dep\":[0,", "\"dep\":[1,", 1);
         assert_ne!(self_dependence, line);
         write_line(&mut coordinator.writer, self_dependence).unwrap();
-        coordinator.expect_bad_spec("task 1 depends on task 1");
+        coordinator.expect_error("bad spec: ", "task 1 depends on task 1");
         let short_placement = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
         assert_ne!(short_placement, line);
         write_line(&mut coordinator.writer, short_placement).unwrap();
-        coordinator.expect_bad_spec("spec.ep has 1 entries for 2 tasks");
+        coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
 
         // The same worker still takes the intact spec and runs a cell on it.
         write_line(&mut coordinator.writer, line).unwrap();
-        coordinator.send(&encode_assign(&Assignment {
+        coordinator.send(&ToWorker::Assign(Assignment {
             cell: 3,
-            spec_fp: spec.fingerprint(),
+            fp: Hex64(spec.fingerprint()),
             policy: "las".to_string(),
-            policy_seed: 5,
+            policy_seed: Hex64(5),
             events: false,
             placements: false,
         }));
-        assert_eq!(coordinator.reply().0, "data_home");
-        assert_eq!(coordinator.reply().0, "steal");
-        let (tag, payload) = coordinator.reply();
-        assert_eq!(tag, "done");
-        let (cell, report, _) = decode_done(&payload, spec.name.clone(), "LAS").unwrap();
         let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
         let want = Simulator::new(config).run(&spec, policy.as_mut());
-        assert_eq!(cell, 3);
+        let deferred_bytes = Hex64(want.deferred_bytes);
+        let stolen = want.stolen_tasks as u64;
+        let cell = 3;
+        assert_eq!(
+            coordinator.reply(),
+            ToCoordinator::DataHome {
+                cell,
+                deferred_bytes
+            }
+        );
+        assert_eq!(coordinator.reply(), ToCoordinator::Steal { cell, stolen });
+        let ToCoordinator::Done {
+            cell: 3, report, ..
+        } = coordinator.reply()
+        else {
+            panic!("expected done for cell 3");
+        };
+        let report = report.into_report(spec.name.clone(), "LAS");
         assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
         assert_eq!(report.traffic, want.traffic);
 
-        coordinator.send(&encode_shutdown());
+        coordinator.send(&ToWorker::Shutdown);
         worker
             .join()
             .expect("the worker never panicked")

@@ -11,10 +11,7 @@
 //! regenerated `BENCH_figure1_tiny.json` is measurement-identical to the
 //! committed one.
 
-use serde::Value;
-
-use crate::driver::SweepTiming;
-use crate::experiment::{SweepAggregate, SweepCell, SweepReport};
+use crate::experiment::{SweepCell, SweepReport};
 
 /// The changes one measurement field underwent between two reports.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,148 +239,7 @@ impl SweepReport {
     /// or [`SweepReport::to_json_string_with_timing`]. A missing timing
     /// section parses as zeroed accounting.
     pub fn from_json_str(text: &str) -> Result<SweepReport, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let cells = get_array(&value, "cells")?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<_>, _>>()?;
-        let aggregates = get_array(&value, "aggregates")?
-            .iter()
-            .map(parse_aggregate)
-            .collect::<Result<Vec<_>, _>>()?;
-        let skipped = get_array(&value, "skipped")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "skipped entries must be strings".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport {
-            machine: get_str(&value, "machine")?,
-            backend: get_str(&value, "backend")?,
-            baseline: get_str(&value, "baseline")?,
-            seed: get_u64(&value, "seed")?,
-            repetitions: get_u64(&value, "repetitions")? as usize,
-            cells,
-            aggregates,
-            skipped,
-            timing: value
-                .get("timing")
-                .map(parse_timing)
-                .transpose()?
-                .unwrap_or_default(),
-        })
-    }
-}
-
-fn get_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn get_f64(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field {key:?}"))
-}
-
-fn get_array<'v>(value: &'v Value, key: &str) -> Result<&'v Vec<Value>, String> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing array field {key:?}"))
-}
-
-fn parse_cell(value: &Value) -> Result<SweepCell, String> {
-    Ok(SweepCell {
-        application: get_str(value, "application")?,
-        scale: get_str(value, "scale")?,
-        policy: get_str(value, "policy")?,
-        repetition: get_u64(value, "repetition")? as usize,
-        tasks: get_u64(value, "tasks")? as usize,
-        makespan_ns: get_f64(value, "makespan_ns")?,
-        speedup_vs_baseline: get_f64(value, "speedup_vs_baseline")?,
-        local_fraction: get_f64(value, "local_fraction")?,
-        load_imbalance: get_f64(value, "load_imbalance")?,
-        steal_fraction: get_f64(value, "steal_fraction")?,
-        deferred_bytes: get_u64(value, "deferred_bytes")?,
-    })
-}
-
-fn parse_aggregate(value: &Value) -> Result<SweepAggregate, String> {
-    Ok(SweepAggregate {
-        scale: get_str(value, "scale")?,
-        policy: get_str(value, "policy")?,
-        geomean_speedup: get_f64(value, "geomean_speedup")?,
-        applications: get_u64(value, "applications")? as usize,
-    })
-}
-
-fn parse_timing(value: &Value) -> Result<SweepTiming, String> {
-    Ok(SweepTiming {
-        jobs: get_u64(value, "jobs")? as usize,
-        total_wall_ns: get_f64(value, "total_wall_ns")?,
-        build_wall_ns: get_f64(value, "build_wall_ns")?,
-        run_wall_ns: get_f64(value, "run_wall_ns")?,
-        spec_builds: get_u64(value, "spec_builds")? as usize,
-        spec_cache_hits: get_u64(value, "spec_cache_hits")? as usize,
-        // Global-cache counters arrived with the sweep service; reports
-        // written before then simply lack the fields.
-        spec_cache_total_builds: get_u64(value, "spec_cache_total_builds").unwrap_or(0) as usize,
-        spec_cache_total_hits: get_u64(value, "spec_cache_total_hits").unwrap_or(0) as usize,
-        cell_wall_ns: get_array(value, "cell_wall_ns")?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| "cell_wall_ns entries must be numbers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        // Partition-cost vectors arrived after the first timed reports were
-        // written; older files simply have none.
-        cell_partition_windows: match get_array(value, "cell_partition_windows") {
-            Ok(values) => values
-                .iter()
-                .map(|v| {
-                    v.as_u64().map(|n| n as usize).ok_or_else(|| {
-                        "cell_partition_windows entries must be integers".to_string()
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Err(_) => Vec::new(),
-        },
-        cell_partition_wall_ns: parse_f64_vec(value, "cell_partition_wall_ns")?,
-        // Per-stage vectors (policy vs event loop) arrived with the hot-path
-        // overhaul; older reports lack them.
-        cell_policy_wall_ns: parse_f64_vec(value, "cell_policy_wall_ns")?,
-        cell_event_loop_wall_ns: parse_f64_vec(value, "cell_event_loop_wall_ns")?,
-    })
-}
-
-/// Parses an optional array of numbers from a timing section: a missing key
-/// yields an empty vector (reports written before the field existed), a
-/// present key with non-numeric entries is an error.
-fn parse_f64_vec(value: &Value, key: &str) -> Result<Vec<f64>, String> {
-    match get_array(value, key) {
-        Ok(values) => values
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("{key} entries must be numbers"))
-            })
-            .collect(),
-        Err(_) => Ok(Vec::new()),
+        crate::framing::from_line(text)
     }
 }
 
@@ -393,6 +249,7 @@ mod tests {
     use crate::experiment::Experiment;
     use numadag_core::PolicyKind;
     use numadag_kernels::{Application, ProblemScale};
+    use serde::Deserialize;
 
     fn report() -> SweepReport {
         Experiment::new()
@@ -508,14 +365,102 @@ mod tests {
             .contains(&format!("aggregate {}/{}", dropped.scale, dropped.policy)));
     }
 
+    /// A one-cell report exactly as commit fb5dfe3 — the last with a
+    /// hand-written `from_json_str` — serialized it, split where the optional
+    /// timing section goes: `MEASUREMENTS + "\n}"` is `to_json_string`,
+    /// `MEASUREMENTS + TIMING + "\n}"` is `to_json_string_with_timing`.
+    const PARENT_MEASUREMENTS: &str = r#"{
+  "machine": "bullion_s16 (8 sockets x 4 cores)",
+  "backend": "simulator",
+  "baseline": "LAS",
+  "seed": 7,
+  "repetitions": 1,
+  "cells": [
+    {
+      "application": "NStream",
+      "scale": "Tiny",
+      "policy": "LAS",
+      "repetition": 0,
+      "tasks": 36,
+      "makespan_ns": 4367.6,
+      "speedup_vs_baseline": 1,
+      "local_fraction": 0.5833333333333334,
+      "load_imbalance": 1.6582861049067221,
+      "steal_fraction": 0,
+      "deferred_bytes": 9216
+    }
+  ],
+  "aggregates": [
+    {
+      "scale": "Tiny",
+      "policy": "LAS",
+      "geomean_speedup": 1,
+      "applications": 1
+    }
+  ],
+  "skipped": []"#;
+    const PARENT_TIMING: &str = r#",
+  "timing": {
+    "jobs": 1,
+    "total_wall_ns": 56824,
+    "build_wall_ns": 174851,
+    "run_wall_ns": 29784,
+    "spec_builds": 1,
+    "spec_cache_hits": 0,
+    "spec_cache_total_builds": 1,
+    "spec_cache_total_hits": 0,
+    "cell_wall_ns": [
+      29784
+    ],
+    "cell_partition_windows": [
+      0
+    ],
+    "cell_partition_wall_ns": [
+      0
+    ],
+    "cell_policy_wall_ns": [
+      180
+    ],
+    "cell_event_loop_wall_ns": [
+      23753
+    ]
+  }"#;
+
+    #[test]
+    fn the_parents_reports_decode_and_re_encode_byte_for_byte() {
+        let untimed = format!("{PARENT_MEASUREMENTS}\n}}");
+        let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}");
+        let report = SweepReport::from_json_str(&untimed).unwrap();
+        assert_eq!(report.to_json_string(), untimed);
+        assert_eq!(
+            report.timing.jobs, 0,
+            "no timing section: zeroed accounting"
+        );
+        let report = SweepReport::from_json_str(&timed).unwrap();
+        assert_eq!(report.to_json_string_with_timing(), timed);
+        assert_eq!(report.to_json_string(), untimed);
+    }
+
     #[test]
     fn malformed_reports_are_rejected_with_context() {
         assert!(SweepReport::from_json_str("not json").is_err());
-        assert!(SweepReport::from_json_str("{}")
-            .unwrap_err()
-            .contains("cells"));
-        let missing_field = r#"{"machine":"m","backend":"b","baseline":"LAS","seed":1,
-            "repetitions":1,"cells":[{"application":"a"}],"aggregates":[],"skipped":[]}"#;
-        assert!(SweepReport::from_json_str(missing_field).is_err());
+        // The first field of the struct is the first one missed.
+        let err = SweepReport::from_json_str("{}").unwrap_err();
+        assert!(err.contains("machine"), "{err}");
+        // Every field, down to each cell's and the timing section's: missing
+        // or mistyped is an error that names it, except the timing section
+        // itself and the fields it gained after the first timed reports.
+        let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}");
+        let late = [
+            "timing",
+            "spec_cache_total_builds",
+            "spec_cache_total_hits",
+            "cell_partition_windows",
+            "cell_partition_wall_ns",
+            "cell_policy_wall_ns",
+            "cell_event_loop_wall_ns",
+        ];
+        let sample = serde_json::from_str(&timed).unwrap();
+        serde::testing::assert_struct_rejects_malformed(&sample, &late, SweepReport::from_value);
     }
 }

@@ -32,7 +32,7 @@ use std::time::Instant;
 use numadag_core::{make_policy, PolicyKind};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::{MemorySink, Trace, TraceCollector};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 use crate::config::ExecutionConfig;
 use crate::executor::{CellContext, Executor};
@@ -222,7 +222,7 @@ impl SweepPlan {
 /// they are kept out of the default measurement serialization
 /// ([`SweepReport::to_json_string`]) so perf baselines stay byte-stable, and
 /// [`SweepReport::diff`](crate::SweepReport::diff) ignores them.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SweepTiming {
     /// Worker threads the driver used.
     pub jobs: usize,
@@ -239,26 +239,34 @@ pub struct SweepTiming {
     pub spec_cache_hits: usize,
     /// Lifetime builds of the shared spec cache at plan time — accumulates
     /// across every sweep (and service request) sharing the cache, whereas
-    /// `spec_builds` counts only this plan's own misses.
+    /// `spec_builds` counts only this plan's own misses. (This and every
+    /// `#[serde(default)]` field below arrived after the first timed
+    /// reports were written; older files simply lack them.)
+    #[serde(default)]
     pub spec_cache_total_builds: usize,
     /// Lifetime cache hits of the shared spec cache at plan time.
+    #[serde(default)]
     pub spec_cache_total_hits: usize,
     /// Per-cell wall time (ns), parallel to the report's `cells` array.
     pub cell_wall_ns: Vec<f64>,
     /// Per-cell count of windows the policy handed to the graph
     /// partitioner, parallel to `cells` (0 for non-partitioning policies).
+    #[serde(default)]
     pub cell_partition_windows: Vec<usize>,
     /// Per-cell wall time spent inside the graph partitioner (ns),
     /// parallel to `cells`.
+    #[serde(default)]
     pub cell_partition_wall_ns: Vec<f64>,
     /// Per-cell wall time spent inside the scheduling policy (`prepare` +
     /// `assign`, of which the partitioner time is a subset), parallel to
     /// `cells`. All zeros unless the execution config enabled
     /// [`crate::ExecutionConfig::stage_timing`] (assign batches are only
     /// clocked then); `prepare` is always included.
+    #[serde(default)]
     pub cell_policy_wall_ns: Vec<f64>,
     /// Per-cell wall time of the executor's run minus the policy time — the
     /// event loop plus the memory-cost model (ns), parallel to `cells`.
+    #[serde(default)]
     pub cell_event_loop_wall_ns: Vec<f64>,
 }
 

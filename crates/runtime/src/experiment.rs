@@ -43,7 +43,7 @@ use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::{CostModel, Topology};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceCollector;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::config::{ExecutionConfig, StealMode};
 use crate::driver::{
@@ -150,7 +150,7 @@ impl std::str::FromStr for Backend {
 }
 
 /// One (workload × scale × policy × repetition) measurement of a sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepCell {
     /// Workload label (application name, or the spec name for custom
     /// workloads).
@@ -181,7 +181,7 @@ pub struct SweepCell {
 }
 
 /// Geometric-mean aggregation of one policy over every workload of a scale.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepAggregate {
     /// Problem-scale label this aggregate covers.
     pub scale: String,
@@ -202,7 +202,7 @@ pub struct SweepAggregate {
 /// run; it is excluded from the default [`SweepReport::to_json_string`]
 /// serialization (keeping perf baselines byte-stable) and included by
 /// [`SweepReport::to_json_string_with_timing`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Deserialize)]
 pub struct SweepReport {
     /// Machine (topology) name.
     pub machine: String,
@@ -222,7 +222,9 @@ pub struct SweepReport {
     /// without an expert placement).
     pub skipped: Vec<String>,
     /// Wall-time and spec-build accounting of the run (not part of the
-    /// measurement serialization).
+    /// measurement serialization; a report without the section decodes to
+    /// zeroed accounting).
+    #[serde(default)]
     pub timing: SweepTiming,
 }
 

@@ -15,15 +15,17 @@
 //! * invalid UTF-8 is [`FrameError::InvalidUtf8`] instead of a panic or a
 //!   lossy re-decode.
 //!
-//! On top of the line layer it carries the envelope helpers both protocols
-//! use to decode serde's externally-tagged enum encoding (`"Stats"`,
-//! `{"Status": {"job": 1}}`): [`untag`] plus typed field accessors. Values
+//! On top of the line layer it carries the two integer wire rules. Values
 //! that must cross the wire bit-exactly but do not survive the `f64`-backed
 //! JSON number representation (u64 fingerprints and seeds above 2^53, u128
-//! counters) travel as lowercase hex strings via [`hex_u64`]/[`hex_u128`]
-//! and their parsing counterparts. Bulk numeric columns use the
-//! number-or-hex form instead ([`push_wire_u64`]/[`wire_u64`]): a plain JSON
-//! integer whenever the value is exactly representable, hex only above 2^53.
+//! counters) are declared as [`Hex64`] / [`Hex128`] in a message type and
+//! travel as lowercase hex strings — the rule is the field's type, not a
+//! call someone has to remember. Bulk numeric columns use the number-or-hex
+//! form instead ([`push_wire_u64`]/[`wire_u64`]): a plain JSON integer
+//! whenever the value is exactly representable, hex only above 2^53.
+//! (Message envelopes themselves are decoded by `#[derive(Deserialize)]`;
+//! [`field`] / [`str_field`] remain for the one hand-written codec, the
+//! proc `spec` columns.)
 //!
 //! Nothing on the write path clones a message: [`to_line`] renders a
 //! [`Value`] by reference and a derived type through exactly one
@@ -31,7 +33,7 @@
 
 use std::io::{BufRead, Read, Write};
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// Default per-frame size limit: generous enough for a full-scale report or
 /// trace payload embedded in one line, small enough to bound a hostile
@@ -101,6 +103,13 @@ pub fn to_line(value: &impl Serialize) -> String {
     serde_json::to_string(value).expect("message values are always encodable")
 }
 
+/// Decodes a message from its wire text — the inverse of [`to_line`], though
+/// any JSON spelling of the value (a pretty-printed file) decodes too.
+pub fn from_line<T: Deserialize>(line: &str) -> Result<T, String> {
+    let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    T::from_value(&value)
+}
+
 /// Writes one frame: the compact one-line serialization plus the newline.
 pub fn write_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::Result<()> {
     write_line(writer, to_line(value))
@@ -154,16 +163,6 @@ pub fn read_frame_with_limit(
         .map_err(|_| FrameError::InvalidUtf8)
 }
 
-/// Splits an externally-tagged envelope into `(variant, payload)`. Unit
-/// variants arrive as bare strings and yield `Value::Null` payloads.
-pub fn untag(value: &Value) -> Result<(String, &Value), String> {
-    match value {
-        Value::String(tag) => Ok((tag.clone(), &Value::Null)),
-        Value::Object(entries) if entries.len() == 1 => Ok((entries[0].0.clone(), &entries[0].1)),
-        _ => Err("expected a string tag or a single-key object envelope".to_string()),
-    }
-}
-
 /// Looks up a required field of a payload object, naming the enclosing
 /// variant in the error.
 pub fn field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v Value, String> {
@@ -180,48 +179,44 @@ pub fn str_field(value: &Value, variant: &str, name: &str) -> Result<String, Str
         .ok_or_else(|| format!("{variant}.{name} must be a string"))
 }
 
-/// A required unsigned-integer field. JSON numbers are `f64`-backed, so this
-/// is only exact below 2^53 — use [`hex_u64_field`] for full-range values.
-pub fn u64_field(value: &Value, variant: &str, name: &str) -> Result<u64, String> {
-    field(value, variant, name)?
-        .as_u64()
-        .ok_or_else(|| format!("{variant}.{name} must be an unsigned integer"))
+/// A `u64` that travels as a lowercase hex string. JSON numbers are
+/// `f64`-backed in the vendored `serde_json`, so integers above 2^53
+/// (fingerprints, seeds) must travel as strings to keep every bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hex64(pub u64);
+
+impl Serialize for Hex64 {
+    fn to_value(&self) -> Value {
+        Value::String(format!("{:x}", self.0))
+    }
 }
 
-/// A required boolean field.
-pub fn bool_field(value: &Value, variant: &str, name: &str) -> Result<bool, String> {
-    field(value, variant, name)?
-        .as_bool()
-        .ok_or_else(|| format!("{variant}.{name} must be a boolean"))
+impl Deserialize for Hex64 {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let text = value.as_str().ok_or("must be a hex string")?;
+        u64::from_str_radix(text, 16)
+            .map(Hex64)
+            .map_err(|_| format!("invalid hex u64 {text:?}"))
+    }
 }
 
-/// A required floating-point field.
-pub fn f64_field(value: &Value, variant: &str, name: &str) -> Result<f64, String> {
-    field(value, variant, name)?
-        .as_f64()
-        .ok_or_else(|| format!("{variant}.{name} must be a number"))
+/// A `u128` that travels as a lowercase hex string (see [`Hex64`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hex128(pub u128);
+
+impl Serialize for Hex128 {
+    fn to_value(&self) -> Value {
+        Value::String(format!("{:x}", self.0))
+    }
 }
 
-/// Lowercase-hex wire form of a `u64`. JSON numbers are `f64`-backed in the
-/// vendored `serde_json`, so integers above 2^53 (fingerprints, seeds) must
-/// travel as strings to round-trip bit-exactly.
-pub fn hex_u64(value: u64) -> String {
-    format!("{value:x}")
-}
-
-/// Lowercase-hex wire form of a `u128` (see [`hex_u64`]).
-pub fn hex_u128(value: u128) -> String {
-    format!("{value:x}")
-}
-
-/// Parses a [`hex_u64`]-encoded value.
-pub fn parse_hex_u64(text: &str) -> Result<u64, String> {
-    u64::from_str_radix(text, 16).map_err(|_| format!("invalid hex u64 {text:?}"))
-}
-
-/// Parses a [`hex_u128`]-encoded value.
-pub fn parse_hex_u128(text: &str) -> Result<u128, String> {
-    u128::from_str_radix(text, 16).map_err(|_| format!("invalid hex u128 {text:?}"))
+impl Deserialize for Hex128 {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let text = value.as_str().ok_or("must be a hex string")?;
+        u128::from_str_radix(text, 16)
+            .map(Hex128)
+            .map_err(|_| format!("invalid hex u128 {text:?}"))
+    }
 }
 
 /// JSON numbers are `f64`-backed, so only integers below this travel exactly.
@@ -229,13 +224,11 @@ const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
 
 /// Appends the compact wire form of a `u64` to a line under construction: a
 /// JSON integer when it is exactly representable (below 2^53), the quoted
-/// [`hex_u64`] string otherwise. Bulk numeric columns use this instead of
+/// [`Hex64`] string otherwise. Bulk numeric columns use this instead of
 /// always paying for a string; [`wire_u64`] reads either form back.
 pub fn push_wire_u64(out: &mut String, value: u64) {
     if value >= EXACT_JSON_INTEGER_LIMIT {
-        out.push('"');
-        out.push_str(&hex_u64(value));
-        out.push('"');
+        out.push_str(&to_line(&Hex64(value)));
         return;
     }
     // Decimal digits, filled from the end (a `write!` per number would be
@@ -255,10 +248,10 @@ pub fn push_wire_u64(out: &mut String, value: u64) {
 }
 
 /// Reads a `u64` written by [`push_wire_u64`], accepting both forms: an
-/// integral JSON number below 2^53 or a [`hex_u64`] string.
+/// integral JSON number below 2^53 or a [`Hex64`] string.
 pub fn wire_u64(value: &Value) -> Result<u64, String> {
     match value {
-        Value::String(text) => parse_hex_u64(text),
+        Value::String(_) => Hex64::from_value(value).map(|hex| hex.0),
         Value::Number(n)
             if *n >= 0.0 && n.trunc() == *n && *n < EXACT_JSON_INTEGER_LIMIT as f64 =>
         {
@@ -266,16 +259,6 @@ pub fn wire_u64(value: &Value) -> Result<u64, String> {
         }
         _ => Err("expected an unsigned integer below 2^53 or a hex string".to_string()),
     }
-}
-
-/// A required [`hex_u64`]-encoded field.
-pub fn hex_u64_field(value: &Value, variant: &str, name: &str) -> Result<u64, String> {
-    parse_hex_u64(&str_field(value, variant, name)?).map_err(|e| format!("{variant}.{name}: {e}"))
-}
-
-/// A required [`hex_u128`]-encoded field.
-pub fn hex_u128_field(value: &Value, variant: &str, name: &str) -> Result<u128, String> {
-    parse_hex_u128(&str_field(value, variant, name)?).map_err(|e| format!("{variant}.{name}: {e}"))
 }
 
 #[cfg(test)]
@@ -375,28 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn untag_handles_unit_and_data_envelopes() {
-        let unit = serde_json::from_str("\"Stats\"").unwrap();
-        assert_eq!(untag(&unit).unwrap().0, "Stats");
-        let data = serde_json::from_str(r#"{"Status": {"job": 1}}"#).unwrap();
-        let (tag, payload) = untag(&data).unwrap();
-        assert_eq!(tag, "Status");
-        assert_eq!(u64_field(payload, "Status", "job"), Ok(1));
-        // Unknown envelope shapes are structured errors, never panics.
-        let multi = serde_json::from_str(r#"{"a": 1, "b": 2}"#).unwrap();
-        assert!(untag(&multi).is_err());
-        let number = serde_json::from_str("17").unwrap();
-        assert!(untag(&number).is_err());
-    }
-
-    #[test]
-    fn typed_field_accessors_name_the_variant_in_errors() {
-        let value = serde_json::from_str(r#"{"n": 3, "s": "x", "b": true, "f": 1.5}"#).unwrap();
-        assert_eq!(u64_field(&value, "V", "n"), Ok(3));
+    fn field_accessors_name_the_variant_in_errors() {
+        let value = serde_json::from_str(r#"{"n": 3, "s": "x"}"#).unwrap();
         assert_eq!(str_field(&value, "V", "s"), Ok("x".to_string()));
-        assert_eq!(bool_field(&value, "V", "b"), Ok(true));
-        assert_eq!(f64_field(&value, "V", "f"), Ok(1.5));
-        let err = u64_field(&value, "V", "missing").unwrap_err();
+        let err = field(&value, "V", "missing").unwrap_err();
         assert!(err.contains('V') && err.contains("missing"), "{err}");
         let err = str_field(&value, "V", "n").unwrap_err();
         assert!(err.contains("must be a string"), "{err}");
@@ -455,16 +420,25 @@ mod tests {
     }
 
     #[test]
-    fn hex_wire_form_round_trips_full_range_integers() {
+    fn hex_newtypes_round_trip_full_range_integers_as_strings() {
         for v in [0u64, 1, 0xF1617E, u64::MAX, (1 << 53) + 1] {
-            assert_eq!(parse_hex_u64(&hex_u64(v)), Ok(v));
+            assert_eq!(Hex64(v).to_value(), Value::String(format!("{v:x}")));
+            assert_eq!(Hex64::from_value(&Hex64(v).to_value()), Ok(Hex64(v)));
         }
         for v in [0u128, u128::from(u64::MAX) + 1, u128::MAX] {
-            assert_eq!(parse_hex_u128(&hex_u128(v)), Ok(v));
+            assert_eq!(Hex128::from_value(&Hex128(v).to_value()), Ok(Hex128(v)));
         }
-        assert!(parse_hex_u64("not hex").is_err());
-        let value =
-            serde_json::from_str(&format!("{{\"fp\": \"{}\"}}", hex_u64(u64::MAX))).unwrap();
-        assert_eq!(hex_u64_field(&value, "V", "fp"), Ok(u64::MAX));
+        assert_eq!(
+            to_line(&Hex128(u128::MAX)),
+            format!("\"{}\"", "f".repeat(32))
+        );
+        // The rule is "a hex string": numbers, non-hex and overflow are errors.
+        for bad in ["17", "\"not hex\"", "null", "\"1ffffffffffffffff\""] {
+            let value = serde_json::from_str(bad).unwrap();
+            assert!(Hex64::from_value(&value).is_err(), "{bad}");
+        }
+        let overflow = Value::String("1".repeat(33));
+        assert!(Hex128::from_value(&overflow).is_err());
+        assert!(Hex128::from_value(&Value::Number(1.0)).is_err());
     }
 }

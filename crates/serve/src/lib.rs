@@ -39,8 +39,8 @@
 //! ```
 //!
 //! Binaries: `numadag-serve` (the daemon) and `serve-client`
-//! (submit/status/stats/cancel/shutdown, used by CI); `ablation serve-load`
-//! in `numadag-bench` is the matching load generator.
+//! (submit/status/stats/cancel/shutdown, used by CI); the `serve_mix`
+//! workload of `benchmark/` measures the service under load.
 
 pub mod cache;
 pub mod client;

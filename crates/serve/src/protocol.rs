@@ -6,8 +6,9 @@
 //! multi-process executor's IPC both ride on. Envelopes use serde's
 //! externally-tagged enum encoding (`"Stats"`, `{"Status": {"job": 1}}`),
 //! produced by the vendored `#[derive(Serialize)]` and parsed back by the
-//! hand-written `from_value` decoders below (the vendored serde has no
-//! Deserialize framework).
+//! `#[derive(Deserialize)]` next to it, so the two directions cannot drift:
+//! a field added to a message is one line, and `#[serde(default)]` on it is
+//! the whole "an older peer does not send this" rule.
 //!
 //! The sweep spec itself reuses the CLI grammar verbatim: applications,
 //! policies, scale and backend travel as the same comma-separated strings
@@ -18,7 +19,7 @@ use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
 use numadag_runtime::{Backend, Experiment};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Default seed of the service's sweeps — the same value the benchmark
 /// harness uses, so default service requests reproduce the committed
@@ -75,8 +76,11 @@ pub fn cell_fingerprint(
     hash
 }
 
-/// A sweep request in the CLI string grammar.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// A sweep request in the CLI string grammar. Fields a client leaves out
+/// come from [`SweepSpec::default`], so requests carry only what they
+/// override.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SweepSpec {
     /// Comma-separated applications (`"jacobi,nstream"`), or `"all"`/empty
     /// for the whole Figure-1 suite.
@@ -239,11 +243,16 @@ impl ResolvedSweep {
 /// A client request. Externally tagged on the wire:
 /// `{"SubmitSweep": {"spec": {...}, "stream": false}}`, `{"Status":
 /// {"job": 1}}`, `"Stats"`, `{"CancelJob": {"job": 1}}`, `"Shutdown"`.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Submit a sweep; the connection receives `Submitted`, then (with
-    /// `stream`) per-cell `Progress` lines, then a terminal `Report`.
-    SubmitSweep { spec: SweepSpec, stream: bool },
+    /// `stream`, off when absent) per-cell `Progress` lines, then a terminal
+    /// `Report`.
+    SubmitSweep {
+        spec: SweepSpec,
+        #[serde(default)]
+        stream: bool,
+    },
     /// Query the state of a job submitted on any connection.
     Status { job: u64 },
     /// Cancel a job that is still queued or running; its unexecuted cells
@@ -256,7 +265,7 @@ pub enum Request {
 }
 
 /// Server counters returned by [`Request::Stats`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Jobs admitted to the queue (cache misses that will execute).
     pub jobs_submitted: u64,
@@ -306,20 +315,25 @@ pub struct ServerStats {
     /// Distinct workload instances resident in the spec cache.
     pub spec_cache_entries: u64,
     /// Queued or running jobs identical submissions would coalesce onto
-    /// (the size of the admission index).
+    /// (the size of the admission index). This and the two gauges below are
+    /// newer than the first release: a reply from an older daemon lacks
+    /// them and still parses.
+    #[serde(default)]
     pub jobs_in_flight: u64,
     /// Jobs `Status` can still describe: the live ones plus the bounded
     /// history of terminal ones.
+    #[serde(default)]
     pub jobs_tracked: u64,
     /// Terminal jobs aged out of that history (`Status` answers
     /// `job N retired`).
+    #[serde(default)]
     pub jobs_retired: u64,
 }
 
 /// A server response. One line each; `SubmitSweep` produces a `Submitted`
 /// line, optional `Progress` lines, and a terminal `Report` (or `Error` /
 /// `Cancelled`).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// The job id assigned to a submission. `cached` is true when the
     /// terminal `Report` follows immediately from the report cache.
@@ -367,286 +381,113 @@ pub enum Response {
     ShuttingDown,
 }
 
-// The framing layer (one-line serialization, envelope untagging, typed
-// field accessors) started here and moved to `numadag_runtime::framing` so
+// The framing layer started here and moved to `numadag_runtime::framing` so
 // the multi-process executor's IPC shares it; re-exported for callers that
 // import it from the protocol module.
+use numadag_runtime::framing::from_line;
 pub use numadag_runtime::framing::to_line;
-use numadag_runtime::framing::{bool_field, field, str_field, u64_field, untag};
-
-impl SweepSpec {
-    /// Decodes a spec object. Missing fields fall back to the defaults, so
-    /// clients may send only what they override.
-    pub fn from_value(value: &Value) -> Result<SweepSpec, String> {
-        if value.as_object().is_none() {
-            return Err("SubmitSweep.spec must be an object".to_string());
-        }
-        let defaults = SweepSpec::default();
-        let str_or = |name: &str, default: &str| -> Result<String, String> {
-            match value.get(name) {
-                None => Ok(default.to_string()),
-                Some(v) => v
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("spec.{name} must be a string")),
-            }
-        };
-        let u64_or = |name: &str, default: u64| -> Result<u64, String> {
-            match value.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("spec.{name} must be an unsigned integer")),
-            }
-        };
-        Ok(SweepSpec {
-            apps: str_or("apps", &defaults.apps)?,
-            scale: str_or("scale", &defaults.scale)?,
-            policies: str_or("policies", &defaults.policies)?,
-            backend: str_or("backend", &defaults.backend)?,
-            seed: u64_or("seed", defaults.seed)?,
-            reps: u64_or("reps", defaults.reps as u64)? as usize,
-        })
-    }
-}
 
 impl Request {
-    /// Decodes a request envelope.
-    pub fn from_value(value: &Value) -> Result<Request, String> {
-        let (tag, payload) = untag(value)?;
-        match tag.as_str() {
-            "SubmitSweep" => Ok(Request::SubmitSweep {
-                spec: SweepSpec::from_value(field(payload, "SubmitSweep", "spec")?)?,
-                stream: match payload.get("stream") {
-                    None => false,
-                    Some(_) => bool_field(payload, "SubmitSweep", "stream")?,
-                },
-            }),
-            "Status" => Ok(Request::Status {
-                job: u64_field(payload, "Status", "job")?,
-            }),
-            "CancelJob" => Ok(Request::CancelJob {
-                job: u64_field(payload, "CancelJob", "job")?,
-            }),
-            "Stats" => Ok(Request::Stats),
-            "Shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request {other:?}")),
-        }
-    }
-
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Request, String> {
-        let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        Request::from_value(&value)
-    }
-}
-
-impl ServerStats {
-    fn from_value(value: &Value) -> Result<ServerStats, String> {
-        let get = |name: &str| u64_field(value, "Stats", name);
-        // Fields newer than the first release: a reply from an older daemon
-        // lacks them and still parses.
-        let get_or_zero = |name: &str| value.get(name).map_or(Ok(0), |_| get(name));
-        Ok(ServerStats {
-            jobs_submitted: get("jobs_submitted")?,
-            jobs_coalesced: get("jobs_coalesced")?,
-            jobs_completed: get("jobs_completed")?,
-            jobs_cancelled: get("jobs_cancelled")?,
-            jobs_failed: get("jobs_failed")?,
-            jobs_rejected: get("jobs_rejected")?,
-            requests_malformed: get("requests_malformed")?,
-            executed_cells_total: get("executed_cells_total")?,
-            cells_hydrated_total: get("cells_hydrated_total")?,
-            report_cache_entries: get("report_cache_entries")?,
-            report_cache_capacity: get("report_cache_capacity")?,
-            report_cache_hits: get("report_cache_hits")?,
-            report_cache_misses: get("report_cache_misses")?,
-            report_cache_evictions: get("report_cache_evictions")?,
-            cell_cache_entries: get("cell_cache_entries")?,
-            cell_cache_capacity: get("cell_cache_capacity")?,
-            cell_cache_hits: get("cell_cache_hits")?,
-            cell_cache_misses: get("cell_cache_misses")?,
-            cell_cache_evictions: get("cell_cache_evictions")?,
-            pool_workers: get("pool_workers")?,
-            spec_cache_builds: get("spec_cache_builds")?,
-            spec_cache_hits: get("spec_cache_hits")?,
-            spec_cache_entries: get("spec_cache_entries")?,
-            jobs_in_flight: get_or_zero("jobs_in_flight")?,
-            jobs_tracked: get_or_zero("jobs_tracked")?,
-            jobs_retired: get_or_zero("jobs_retired")?,
-        })
+        from_line(line)
     }
 }
 
 impl Response {
-    /// Decodes a response envelope.
-    pub fn from_value(value: &Value) -> Result<Response, String> {
-        let (tag, payload) = untag(value)?;
-        match tag.as_str() {
-            "Submitted" => Ok(Response::Submitted {
-                job: u64_field(payload, "Submitted", "job")?,
-                cached: bool_field(payload, "Submitted", "cached")?,
-            }),
-            "Progress" => Ok(Response::Progress {
-                job: u64_field(payload, "Progress", "job")?,
-                completed: u64_field(payload, "Progress", "completed")?,
-                total: u64_field(payload, "Progress", "total")?,
-                application: str_field(payload, "Progress", "application")?,
-                policy: str_field(payload, "Progress", "policy")?,
-                repetition: u64_field(payload, "Progress", "repetition")?,
-            }),
-            "Report" => Ok(Response::Report {
-                job: u64_field(payload, "Report", "job")?,
-                cache_hit: bool_field(payload, "Report", "cache_hit")?,
-                executed_cells: u64_field(payload, "Report", "executed_cells")?,
-                hydrated_cells: u64_field(payload, "Report", "hydrated_cells")?,
-                report_json: str_field(payload, "Report", "report_json")?,
-            }),
-            "JobStatus" => Ok(Response::JobStatus {
-                job: u64_field(payload, "JobStatus", "job")?,
-                state: str_field(payload, "JobStatus", "state")?,
-                completed: u64_field(payload, "JobStatus", "completed")?,
-                total: u64_field(payload, "JobStatus", "total")?,
-            }),
-            "Cancelled" => Ok(Response::Cancelled {
-                job: u64_field(payload, "Cancelled", "job")?,
-            }),
-            "Overloaded" => Ok(Response::Overloaded {
-                queued_cells: u64_field(payload, "Overloaded", "queued_cells")?,
-                limit: u64_field(payload, "Overloaded", "limit")?,
-            }),
-            "Stats" => Ok(Response::Stats(ServerStats::from_value(payload)?)),
-            "Error" => Ok(Response::Error {
-                message: str_field(payload, "Error", "message")?,
-            }),
-            "ShuttingDown" => Ok(Response::ShuttingDown),
-            other => Err(format!("unknown response {other:?}")),
-        }
-    }
-
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Response, String> {
-        let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        Response::from_value(&value)
+        from_line(line)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::testing::{assert_enum_rejects_malformed, assert_struct_rejects_malformed};
+
+    /// One wire line per request kind, as the parent of the derived
+    /// decoders (commit fb5dfe3) wrote them.
+    const REQUEST_LINES: [&str; 5] = [
+        r#"{"SubmitSweep":{"spec":{"apps":"jacobi,nstream","scale":"small","policies":"dfifo,rgp-las:w=512","backend":"simulated","seed":42,"reps":2},"stream":true}}"#,
+        r#"{"Status":{"job":7}}"#,
+        r#"{"CancelJob":{"job":2}}"#,
+        r#""Stats""#,
+        r#""Shutdown""#,
+    ];
+
+    /// The same for every response kind; `Report` embeds multi-line pretty
+    /// JSON with escapes of its own.
+    const RESPONSE_LINES: [&str; 9] = [
+        r#"{"Submitted":{"job":1,"cached":false}}"#,
+        r#"{"Progress":{"job":1,"completed":3,"total":32,"application":"Jacobi","policy":"RGP+LAS","repetition":0}}"#,
+        r#"{"Report":{"job":1,"cache_hit":true,"executed_cells":0,"hydrated_cells":12,"report_json":"{\n  \"machine\": \"bullion_s16\",\n  \"s\": \"x\\\"y\"\n}"}}"#,
+        r#"{"JobStatus":{"job":1,"state":"running","completed":3,"total":32}}"#,
+        r#"{"Cancelled":{"job":2}}"#,
+        r#"{"Overloaded":{"queued_cells":4096,"limit":4096}}"#,
+        r#"{"Stats":{"jobs_submitted":3,"jobs_coalesced":1,"jobs_completed":2,"jobs_cancelled":4,"jobs_failed":5,"jobs_rejected":6,"requests_malformed":7,"executed_cells_total":64,"cells_hydrated_total":40,"report_cache_entries":2,"report_cache_capacity":256,"report_cache_hits":9,"report_cache_misses":3,"report_cache_evictions":1,"cell_cache_entries":72,"cell_cache_capacity":65536,"cell_cache_hits":40,"cell_cache_misses":72,"cell_cache_evictions":0,"pool_workers":3,"spec_cache_builds":8,"spec_cache_hits":100,"spec_cache_entries":8,"jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5}}"#,
+        r#"{"Error":{"message":"unknown scale 'huge'"}}"#,
+        r#""ShuttingDown""#,
+    ];
+
+    /// The three job gauges `Stats` gained after its first release.
+    const LATE_STATS: &str = r#","jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5"#;
 
     #[test]
-    fn requests_round_trip_through_the_wire_form() {
-        let requests = [
-            Request::SubmitSweep {
-                spec: SweepSpec::default(),
-                stream: true,
-            },
-            Request::Status { job: 7 },
-            Request::CancelJob { job: 2 },
-            Request::Stats,
-            Request::Shutdown,
-        ];
-        for req in requests {
-            let line = to_line(&req);
-            assert!(!line.contains('\n'), "wire form must be one line: {line}");
-            assert_eq!(Request::from_line(&line), Ok(req.clone()), "{line}");
+    fn the_parents_wire_lines_decode_and_re_encode_byte_for_byte() {
+        for line in REQUEST_LINES {
+            let request = Request::from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(to_line(&request), line);
         }
-    }
-
-    #[test]
-    fn responses_round_trip_through_the_wire_form() {
-        let responses = [
-            Response::Submitted {
-                job: 1,
-                cached: false,
-            },
-            Response::Progress {
-                job: 1,
-                completed: 3,
-                total: 32,
-                application: "Jacobi".to_string(),
-                policy: "RGP+LAS".to_string(),
-                repetition: 0,
-            },
-            Response::Report {
-                job: 1,
-                cache_hit: true,
-                executed_cells: 0,
-                hydrated_cells: 0,
-                report_json: "{\n  \"machine\": \"bullion_s16\"\n}".to_string(),
-            },
-            Response::JobStatus {
-                job: 1,
-                state: "running".to_string(),
-                completed: 3,
-                total: 32,
-            },
-            Response::Cancelled { job: 2 },
-            Response::Overloaded {
-                queued_cells: 4096,
-                limit: 4096,
-            },
-            Response::Stats(ServerStats::default()),
-            Response::Error {
-                message: "unknown scale 'huge'".to_string(),
-            },
-            Response::ShuttingDown,
-        ];
-        for resp in responses {
-            let line = to_line(&resp);
-            assert!(!line.contains('\n'), "wire form must be one line: {line}");
-            assert_eq!(Response::from_line(&line), Ok(resp.clone()), "{line}");
+        for line in RESPONSE_LINES {
+            let response = Response::from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(to_line(&response), line);
         }
-    }
-
-    #[test]
-    fn stats_from_an_older_daemon_still_parse() {
-        let stats = ServerStats {
-            jobs_submitted: 3,
-            jobs_in_flight: 1,
-            jobs_tracked: 2,
-            jobs_retired: 5,
-            ..ServerStats::default()
-        };
-        let line = to_line(&Response::Stats(stats.clone()));
-        assert!(line.ends_with(r#""jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5}}"#));
-        // What a daemon predating the three job gauges sends.
-        let old = line.replace(
-            r#","jobs_in_flight":1,"jobs_tracked":2,"jobs_retired":5"#,
-            "",
-        );
-        assert_ne!(old, line);
-        assert_eq!(
-            Response::from_line(&old),
-            Ok(Response::Stats(ServerStats {
-                jobs_in_flight: 0,
-                jobs_tracked: 0,
-                jobs_retired: 0,
-                ..stats
-            }))
-        );
-        // Present but malformed is still an error, not a silent zero.
-        let bad = line.replace(r#""jobs_retired":5"#, r#""jobs_retired":"x""#);
-        assert!(Response::from_line(&bad).is_err());
-    }
-
-    #[test]
-    fn report_json_bytes_survive_embedding_exactly() {
-        // The embedded report is multi-line pretty JSON; the envelope must
-        // carry it byte-exactly so clients can `cmp` against baselines.
-        let pretty = "{\n  \"a\": [1, 2],\n  \"s\": \"x\\\"y\"\n}";
-        let line = to_line(&Response::Report {
-            job: 9,
-            cache_hit: false,
-            executed_cells: 4,
-            hydrated_cells: 0,
-            report_json: pretty.to_string(),
-        });
-        match Response::from_line(&line).unwrap() {
-            Response::Report { report_json, .. } => assert_eq!(report_json, pretty),
+        // The embedded report survives byte-exactly, so clients can `cmp`
+        // it against baselines.
+        match Response::from_line(RESPONSE_LINES[2]).unwrap() {
+            Response::Report { report_json, .. } => assert_eq!(
+                report_json,
+                "{\n  \"machine\": \"bullion_s16\",\n  \"s\": \"x\\\"y\"\n}"
+            ),
             other => panic!("expected Report, got {other:?}"),
         }
+        // What a daemon predating the three job gauges sends still parses,
+        // the gauges reading zero.
+        let new = Response::from_line(RESPONSE_LINES[6]).unwrap();
+        let old = RESPONSE_LINES[6].replace(LATE_STATS, "");
+        assert_ne!(old, RESPONSE_LINES[6]);
+        match (new, Response::from_line(&old).unwrap()) {
+            (Response::Stats(new), Response::Stats(old)) => assert_eq!(
+                old,
+                ServerStats {
+                    jobs_in_flight: 0,
+                    jobs_tracked: 0,
+                    jobs_retired: 0,
+                    ..new
+                }
+            ),
+            other => panic!("expected two Stats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
+        let parse = |line: &str| serde_json::from_str(line).expect("a golden line is JSON");
+        let optional = [
+            "stream", "apps", "scale", "policies", "backend", "seed", "reps",
+        ];
+        for line in REQUEST_LINES {
+            assert_enum_rejects_malformed(&parse(line), &optional, Request::from_value);
+        }
+        let late = ["jobs_in_flight", "jobs_tracked", "jobs_retired"];
+        for line in RESPONSE_LINES {
+            assert_enum_rejects_malformed(&parse(line), &late, Response::from_value);
+        }
+        let stats = ServerStats::default().to_value();
+        assert_struct_rejects_malformed(&stats, &late, ServerStats::from_value);
+        assert!(Request::from_line("not json").is_err());
+        assert!(Response::from_line("{\"Stats\":").is_err());
     }
 
     #[test]

@@ -56,8 +56,9 @@ use std::thread::JoinHandle;
 
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
-use numadag_runtime::framing::read_frame;
+use numadag_runtime::framing::{from_line, read_frame, to_line, Hex64};
 use numadag_runtime::{CellOutcome, Executor, SweepPlan};
+use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
 use crate::protocol::{Request, Response, ServerStats, SweepSpec};
@@ -313,69 +314,65 @@ impl ServeHandle {
     }
 }
 
-/// Writes the report-cache snapshot as one JSON object:
-/// `{"version": 1, "entries": [{key, executed_cells, total_cells, report}]}`
+/// The persisted report cache (`--cache-file`): one JSON object,
+/// `{"version": 1, "entries": [{key, executed_cells, total_cells, report}]}`,
 /// with entries least-recently-used first (so reloading in file order
 /// reproduces the LRU ranking) and keys in the hex wire form fingerprints
 /// use everywhere else (u64 does not survive the f64-backed JSON numbers).
+#[derive(Serialize, Deserialize)]
+struct CacheFile {
+    version: u64,
+    entries: Vec<CacheEntry>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct CacheEntry {
+    key: Hex64,
+    executed_cells: usize,
+    total_cells: usize,
+    report: String,
+}
+
 fn save_cache_file(path: &str, snapshot: &[(u64, Arc<CachedReport>)]) -> std::io::Result<()> {
-    use numadag_runtime::framing::hex_u64;
-    use serde::Value;
-    let entries: Vec<Value> = snapshot
-        .iter()
-        .map(|(key, report)| {
-            Value::Object(vec![
-                ("key".to_string(), Value::String(hex_u64(*key))),
-                (
-                    "executed_cells".to_string(),
-                    Value::Number(report.executed_cells as f64),
-                ),
-                (
-                    "total_cells".to_string(),
-                    Value::Number(report.total_cells as f64),
-                ),
-                ("report".to_string(), Value::String(report.bytes.clone())),
-            ])
-        })
-        .collect();
-    let root = Value::Object(vec![
-        ("version".to_string(), Value::Number(1.0)),
-        ("entries".to_string(), Value::Array(entries)),
-    ]);
-    let body = serde_json::to_string(&root).expect("snapshot values are always encodable");
+    let file = CacheFile {
+        version: 1,
+        entries: snapshot
+            .iter()
+            .map(|(key, report)| CacheEntry {
+                key: Hex64(*key),
+                executed_cells: report.executed_cells,
+                total_cells: report.total_cells,
+                report: report.bytes.clone(),
+            })
+            .collect(),
+    };
     // Write-then-rename so a crash mid-write never truncates a good file.
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, body)?;
+    std::fs::write(&tmp, to_line(&file))?;
     std::fs::rename(&tmp, path)
 }
 
 /// Loads a [`save_cache_file`] snapshot into `cache`, returning how many
-/// entries were restored. Malformed files (or entries) are errors the boot
-/// path logs and ignores.
+/// entries were restored. The whole file is decoded before anything is
+/// inserted, so a malformed file — even one whose first entries are fine —
+/// is an error the boot path logs and ignores, and the cache stays empty.
 fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String> {
-    use numadag_runtime::framing::{field, str_field, u64_field};
     if !std::path::Path::new(path).exists() {
         return Ok(0);
     }
     let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let root: serde::Value = serde_json::from_str(&body).map_err(|e| e.to_string())?;
-    let version = u64_field(&root, "cache file", "version")?;
-    if version != 1 {
-        return Err(format!("unsupported cache file version {version}"));
+    let file: CacheFile = from_line(&body)?;
+    if file.version != 1 {
+        return Err(format!("unsupported cache file version {}", file.version));
     }
-    let entries = field(&root, "cache file", "entries")?
-        .as_array()
-        .ok_or("cache file entries must be an array")?;
-    let mut loaded = 0;
-    for entry in entries {
-        let key = numadag_runtime::framing::hex_u64_field(entry, "cache entry", "key")?;
+    let loaded = file.entries.len();
+    for entry in file.entries {
         let report = Arc::new(CachedReport {
-            bytes: str_field(entry, "cache entry", "report")?,
-            executed_cells: u64_field(entry, "cache entry", "executed_cells")? as usize,
-            total_cells: u64_field(entry, "cache entry", "total_cells")? as usize,
+            bytes: entry.report,
+            executed_cells: entry.executed_cells,
+            total_cells: entry.total_cells,
         });
-        cache.insert(key, report);
-        loaded += 1;
+        cache.insert(entry.key.0, report);
     }
     Ok(loaded)
 }
@@ -1135,5 +1132,61 @@ mod tests {
         ] {
             assert_eq!(state.label(), label);
         }
+    }
+
+    /// A one-entry cache file exactly as the daemon of commit fb5dfe3 (the
+    /// last with a hand-written loader) saved it after one NStream sweep.
+    const PARENT_CACHE_FILE: &str = r#"{"version":1,"entries":[{"key":"de10a53c7defda1d","executed_cells":2,"total_cells":2,"report":"{\n  \"machine\": \"bullion_s16 (8 sockets x 4 cores)\",\n  \"backend\": \"simulator\",\n  \"baseline\": \"LAS\",\n  \"seed\": 15819134,\n  \"repetitions\": 1,\n  \"cells\": [\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 7020.300000000001,\n      \"speedup_vs_baseline\": 0.7225902026978902,\n      \"local_fraction\": 0.25,\n      \"load_imbalance\": 1.7804238635214433,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    },\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 5072.799999999999,\n      \"speedup_vs_baseline\": 1,\n      \"local_fraction\": 0.5,\n      \"load_imbalance\": 2.4953818028022976,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    }\n  ],\n  \"aggregates\": [\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"geomean_speedup\": 0.7225902026978902,\n      \"applications\": 1\n    },\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"geomean_speedup\": 1,\n      \"applications\": 1\n    }\n  ],\n  \"skipped\": []\n}"}]}"#;
+
+    fn scratch_file(name: &str, body: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("numadag-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name).to_string_lossy().into_owned();
+        std::fs::write(&path, body).unwrap();
+        path
+    }
+
+    #[test]
+    fn the_parents_cache_file_loads_and_saves_back_byte_for_byte() {
+        let path = scratch_file("parent.json", PARENT_CACHE_FILE);
+        let mut cache = ReportCache::new(4);
+        assert_eq!(load_cache_file(&path, &mut cache), Ok(1));
+        let entry = cache
+            .peek(0xde10a53c7defda1d)
+            .expect("keyed by the hex fingerprint");
+        assert_eq!((entry.executed_cells, entry.total_cells), (2, 2));
+        assert!(entry.bytes.starts_with("{\n  \"machine\": \"bullion_s16"));
+        save_cache_file(&path, &cache.snapshot()).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), PARENT_CACHE_FILE);
+        let _ = std::fs::remove_file(&path);
+        // Every field of the file and of an entry: missing or mistyped is an
+        // error that names it.
+        let sample = serde_json::from_str(PARENT_CACHE_FILE).unwrap();
+        serde::testing::assert_struct_rejects_malformed(&sample, &[], CacheFile::from_value);
+    }
+
+    #[test]
+    fn a_cache_file_with_one_bad_entry_loads_nothing() {
+        // A second entry whose key is not hex: the file is refused whole,
+        // and the good entry before it must not already be in the cache.
+        let second = r#",{"key":"not hex","executed_cells":1,"total_cells":1,"report":"{}"}]}"#;
+        let body = PARENT_CACHE_FILE.replacen("]}", second, 1);
+        assert!(body.ends_with(second));
+        let path = scratch_file("bad-entry.json", &body);
+        let mut cache = ReportCache::new(4);
+        let err = load_cache_file(&path, &mut cache).unwrap_err();
+        assert!(err.contains("entries: [1]: CacheEntry.key"), "{err}");
+        assert!(cache.is_empty());
+        let _ = std::fs::remove_file(&path);
+        // So is a version this daemon does not know, however well-formed.
+        let path = scratch_file(
+            "next-version.json",
+            &PARENT_CACHE_FILE.replacen("\"version\":1", "\"version\":2", 1),
+        );
+        let err = load_cache_file(&path, &mut cache).unwrap_err();
+        assert!(err.contains("unsupported cache file version 2"), "{err}");
+        assert!(cache.is_empty());
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));
     }
 }

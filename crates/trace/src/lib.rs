@@ -43,4 +43,4 @@ pub use analytics::{
 };
 pub use compare::{FlowDelta, TaskDelta, TraceComparison};
 pub use event::{MemorySink, NullSink, TraceEvent, TraceSink};
-pub use trace::{parse_event, TaskInterval, Trace, TraceCollector};
+pub use trace::{TaskInterval, Trace, TraceCollector};

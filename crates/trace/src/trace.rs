@@ -3,7 +3,7 @@
 //! [`Trace::from_json_str`].
 
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
+use serde::{de, Deserialize, Serialize, Value};
 
 use numadag_numa::{CoreId, NodeId, SocketId};
 use numadag_tdg::TaskId;
@@ -17,7 +17,7 @@ use crate::event::TraceEvent;
 /// [`crate::MemorySink`] installed on the execution configuration) and by
 /// the sweep driver for every cell of a traced `Experiment`. The analytics
 /// layer ([`crate::analytics`], [`crate::compare`]) works on this type.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Workload label (application name or spec name).
     pub workload: String,
@@ -211,40 +211,7 @@ impl Trace {
     /// Parses a trace previously serialized by [`Trace::to_json_string`].
     pub fn from_json_str(text: &str) -> Result<Trace, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let events = value
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or("missing array field \"events\"")?
-            .iter()
-            .map(parse_event)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace {
-            workload: get_str(&value, "workload")?,
-            policy: get_str(&value, "policy")?,
-            backend: get_str(&value, "backend")?,
-            scale: get_str(&value, "scale")?,
-            repetition: get_u64(&value, "repetition")? as usize,
-            tasks: get_u64(&value, "tasks")? as usize,
-            num_sockets: get_u64(&value, "num_sockets")? as usize,
-            makespan_ns: get_f64(&value, "makespan_ns")?,
-            events,
-        })
-    }
-}
-
-impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("workload".to_string(), self.workload.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            ("scale".to_string(), self.scale.to_value()),
-            ("repetition".to_string(), self.repetition.to_value()),
-            ("tasks".to_string(), self.tasks.to_value()),
-            ("num_sockets".to_string(), self.num_sockets.to_value()),
-            ("makespan_ns".to_string(), self.makespan_ns.to_value()),
-            ("events".to_string(), self.events.to_value()),
-        ])
+        Trace::from_value(&value)
     }
 }
 
@@ -314,74 +281,52 @@ impl Serialize for TraceEvent {
     }
 }
 
-fn get_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn get_f64(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field {key:?}"))
-}
-
-/// Decodes one serialized [`TraceEvent`] (the `{"type": "assign", ...}`
-/// object shape its `Serialize` impl produces). Public so other transports —
-/// the multi-process executor's IPC — can ship event streams in the same
-/// wire form traces are persisted in.
-pub fn parse_event(value: &Value) -> Result<TraceEvent, String> {
-    let tag = get_str(value, "type")?;
-    let task = TaskId(get_u64(value, "task")? as usize);
-    let time = get_f64(value, "time")?;
-    match tag.as_str() {
-        "assign" => Ok(TraceEvent::Assign {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            time,
-        }),
-        "start" => Ok(TraceEvent::Start {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            core: CoreId(get_u64(value, "core")? as usize),
-            time,
-            stolen: value
-                .get("stolen")
-                .and_then(Value::as_bool)
-                .ok_or("missing boolean field \"stolen\"")?,
-        }),
-        "finish" => Ok(TraceEvent::Finish {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            core: CoreId(get_u64(value, "core")? as usize),
-            time,
-        }),
-        "deferred_alloc" => Ok(TraceEvent::DeferredAlloc {
-            task,
-            node: NodeId(get_u64(value, "node")? as usize),
-            bytes: get_u64(value, "bytes")?,
-            time,
-        }),
-        "traffic" => Ok(TraceEvent::Traffic {
-            task,
-            region: get_u64(value, "region")? as usize,
-            from: NodeId(get_u64(value, "from")? as usize),
-            to: NodeId(get_u64(value, "to")? as usize),
-            distance: get_u64(value, "distance")? as u32,
-            bytes: get_u64(value, "bytes")?,
-            time,
-        }),
-        other => Err(format!("unknown event type {other:?}")),
+// By hand like the `Serialize` above: the event is internally tagged
+// (`{"type": "assign", ...}`), a shape the derive does not have, and its id
+// newtypes live in crates that know nothing of serde. This is also the wire
+// form the multi-process executor ships event streams in.
+impl Deserialize for TraceEvent {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let index = |name: &str| de::field::<usize>(value, "event", name);
+        let tag: String = de::field(value, "event", "type")?;
+        let task = TaskId(index("task")?);
+        let time = de::field(value, "event", "time")?;
+        match tag.as_str() {
+            "assign" => Ok(TraceEvent::Assign {
+                task,
+                socket: SocketId(index("socket")?),
+                time,
+            }),
+            "start" => Ok(TraceEvent::Start {
+                task,
+                socket: SocketId(index("socket")?),
+                core: CoreId(index("core")?),
+                time,
+                stolen: de::field(value, "event", "stolen")?,
+            }),
+            "finish" => Ok(TraceEvent::Finish {
+                task,
+                socket: SocketId(index("socket")?),
+                core: CoreId(index("core")?),
+                time,
+            }),
+            "deferred_alloc" => Ok(TraceEvent::DeferredAlloc {
+                task,
+                node: NodeId(index("node")?),
+                bytes: de::field(value, "event", "bytes")?,
+                time,
+            }),
+            "traffic" => Ok(TraceEvent::Traffic {
+                task,
+                region: index("region")?,
+                from: NodeId(index("from")?),
+                to: NodeId(index("to")?),
+                distance: de::field(value, "event", "distance")?,
+                bytes: de::field(value, "event", "bytes")?,
+                time,
+            }),
+            other => Err(format!("unknown event type {other:?}")),
+        }
     }
 }
 
@@ -617,16 +562,67 @@ pub(crate) mod tests {
         assert!(err.contains("disk full"), "{err}");
     }
 
+    /// A two-event trace exactly as `Trace::to_json_string` wrote it at
+    /// commit fb5dfe3, the last with a hand-written `from_json_str`.
+    const PARENT_TRACE_FILE: &str = r#"{
+  "workload": "toy \"quoted\"",
+  "policy": "LAS",
+  "backend": "simulator",
+  "scale": "custom",
+  "repetition": 1,
+  "tasks": 1,
+  "num_sockets": 2,
+  "makespan_ns": 30.5,
+  "events": [
+    {
+      "type": "start",
+      "task": 0,
+      "socket": 1,
+      "core": 3,
+      "time": 0.1,
+      "stolen": true
+    },
+    {
+      "type": "traffic",
+      "task": 0,
+      "region": 2,
+      "from": 0,
+      "to": 1,
+      "distance": 21,
+      "bytes": 256,
+      "time": 0.1
+    }
+  ]
+}"#;
+
+    #[test]
+    fn the_parents_trace_file_decodes_and_re_encodes_byte_for_byte() {
+        let trace = Trace::from_json_str(PARENT_TRACE_FILE).unwrap();
+        assert_eq!(trace.workload, "toy \"quoted\"");
+        assert_eq!(trace.events.len(), 2);
+        assert_eq!(trace.to_json_string(), PARENT_TRACE_FILE);
+    }
+
     #[test]
     fn malformed_json_is_rejected_with_context() {
         assert!(Trace::from_json_str("not json").is_err());
-        assert!(Trace::from_json_str("{}").unwrap_err().contains("events"));
-        let bad_event = r#"{"workload":"w","policy":"p","backend":"b","scale":"s",
-            "repetition":0,"tasks":1,"num_sockets":1,"makespan_ns":1,
-            "events":[{"type":"warp","task":0,"time":0}]}"#;
-        assert!(Trace::from_json_str(bad_event)
+        // The first field of the struct is the first one missed.
+        assert!(Trace::from_json_str("{}").unwrap_err().contains("workload"));
+        let warp = PARENT_TRACE_FILE.replacen("\"start\"", "\"warp\"", 1);
+        assert!(Trace::from_json_str(&warp)
             .unwrap_err()
-            .contains("unknown event type"));
+            .contains("unknown event type \"warp\""));
+        // A distance that only fits a u32 truncated is refused, not cast.
+        let far = PARENT_TRACE_FILE.replacen("\"distance\": 21", "\"distance\": 4294967306", 1);
+        assert!(Trace::from_json_str(&far)
+            .unwrap_err()
+            .contains("event.distance: 4294967306 does not fit in a u32"));
+        // Every field of the file and of every event kind: missing or
+        // mistyped is an error that names it.
+        let every_kind = toy_trace().to_value();
+        for sample in [serde_json::from_str(PARENT_TRACE_FILE).unwrap(), every_kind] {
+            serde::testing::assert_struct_rejects_malformed(&sample, &[], Trace::from_value);
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@
 //! | [`trace`] (`numadag-trace`) | execution traces: event model + sinks, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
 //! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch (`--backend proc`) |
-//! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins (incl. `serve-load`) + criterion benches |
+//! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins + criterion benches |
 //!
 //! ## Observability
 //!

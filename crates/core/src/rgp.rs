@@ -328,8 +328,8 @@ impl RgpPolicy {
         // Placement walks the precomputed part→members index (one O(window)
         // counting pass): the socket is resolved once per part rather than
         // once per task, and per-part member lists are the shape a per-part
-        // consumer needs — the O(window·k) alternative of one
-        // `members_of` scan per part never enters the hot path.
+        // consumer needs — the O(window·k) alternative of one assignment
+        // scan per part never enters the hot path.
         for (part, members) in partition.members().iter() {
             let socket = SocketId(part as usize % num_sockets);
             for &v in members {

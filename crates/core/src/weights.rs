@@ -106,7 +106,8 @@ pub fn socket_weights_into(
 mod tests {
     use super::*;
     use crate::policy::MemoryLocator;
-    use numadag_numa::{MemoryMap, NodeId, Topology};
+    use numadag_numa::memory::NodeBytes;
+    use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
     use numadag_tdg::{DataAccess, TaskDescriptor, TaskId};
 
     fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor {
@@ -182,13 +183,26 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_region_splits_weight() {
-        let topo = Topology::two_socket(2);
-        let mut mem = MemoryMap::with_page_size(100);
-        let a = mem.register(400);
-        mem.place_interleaved(a, &[NodeId(0), NodeId(1)]);
-        let loc = MemoryLocator::new(&topo, &mem);
-        let t = task_with(vec![DataAccess::read(a, 400)]);
+    fn split_region_splits_weight() {
+        /// A locator whose every region is 400 bytes, half on each node: a
+        /// distribution `MemoryMap` never produces but the trait allows.
+        struct HalfAndHalf(Topology);
+        impl DataLocator for HalfAndHalf {
+            fn topology(&self) -> &Topology {
+                &self.0
+            }
+            fn region_location(&self, _region: RegionId) -> NodeBytes {
+                NodeBytes {
+                    per_node: vec![(NodeId(0), 200), (NodeId(1), 200)],
+                    unallocated: 0,
+                }
+            }
+            fn region_size(&self, _region: RegionId) -> u64 {
+                400
+            }
+        }
+        let loc = HalfAndHalf(Topology::two_socket(2));
+        let t = task_with(vec![DataAccess::read(RegionId(0), 400)]);
         let w = socket_weights(&t, &loc);
         assert_eq!(w.weights, vec![200, 200]);
         assert_eq!(w.heaviest().len(), 2);

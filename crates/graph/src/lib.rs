@@ -6,15 +6,13 @@
 //!
 //! * [`csr::CsrGraph`] — an undirected, vertex- and edge-weighted graph in
 //!   compressed sparse row form, plus a convenient [`csr::GraphBuilder`].
-//! * [`partition`] — a multilevel k-way edge-cut partitioner in the
-//!   SCOTCH/METIS family, structured as a pipeline of pluggable stage traits
-//!   ([`partition::pipeline::Coarsener`],
-//!   [`partition::pipeline::InitialPartitioner`],
-//!   [`partition::pipeline::Refiner`]): heavy-edge-matching coarsening,
-//!   greedy graph-growing / recursive-bisection initial partitioning, and
-//!   Fiduccia–Mattheyses-style boundary refinement over an incremental gain
-//!   table. A deliberately naive BFS-growing scheme is included as an
-//!   ablation baseline.
+//! * [`mod@partition`] — a multilevel k-way edge-cut partitioner in the
+//!   SCOTCH/METIS family: one driver that runs heavy-edge-matching
+//!   coarsening, greedy graph-growing / recursive-bisection initial
+//!   partitioning, and Fiduccia–Mattheyses-style boundary refinement over an
+//!   incremental gain table. Three schemes select which of those steps run:
+//!   the full multilevel recipe, flat recursive bisection, and a
+//!   deliberately naive BFS-growing ablation baseline.
 //! * [`metrics`] — edge cut, communication volume and balance metrics.
 //! * [`generators`] — synthetic graphs (grids, layered DAG skeletons, random
 //!   graphs) used by tests and microbenchmarks.
@@ -30,9 +28,7 @@ pub mod metrics;
 pub mod partition;
 
 pub use csr::{CsrGraph, GraphBuilder};
-pub use partition::pipeline::MultilevelPipeline;
 pub use partition::{
-    partition, partition_anchored, partition_anchored_ctx, partition_ctx, partition_with,
-    partition_with_anchored, partition_with_anchored_ctx, partition_with_ctx, AffinityCosts,
+    partition, partition_anchored, partition_anchored_ctx, partition_ctx, AffinityCosts,
     PartMembers, Partition, PartitionConfig, PartitionCtx, PartitionScheme, PartitionTuning,
 };

@@ -5,12 +5,7 @@ use crate::partition::Partition;
 
 /// Total weight of edges whose endpoints lie in different parts.
 pub fn edge_cut(graph: &CsrGraph, partition: &Partition) -> i64 {
-    assignment_edge_cut(graph, partition.assignment())
-}
-
-/// [`edge_cut`] over a raw assignment slice, for callers inside the
-/// partitioning pipeline that have not wrapped a [`Partition`] yet.
-pub fn assignment_edge_cut(graph: &CsrGraph, assignment: &[u32]) -> i64 {
+    let assignment = partition.assignment();
     let mut cut = 0i64;
     for v in 0..graph.num_vertices() as u32 {
         for (u, w) in graph.edges_of(v) {

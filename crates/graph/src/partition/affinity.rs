@@ -9,8 +9,9 @@
 //!
 //! [`AffinityCosts`] carries those terms as a flat `n × k` table —
 //! `cost(v, p)` is the number of bytes vertex `v` pulls from data already
-//! fixed on part `p` — and flows through the multilevel pipeline: coarsening
-//! sums the rows of merged vertices ([`AffinityCosts::project_to_coarse`]),
+//! fixed on part `p` — and flows through the multilevel driver: coarsening
+//! sums the rows of merged vertices
+//! ([`AffinityCosts::project_to_coarse_into`]),
 //! and refinement adds the row deltas to its move gains, so the partitioner
 //! trades edge cut against affinity to fixed data in one objective.
 
@@ -68,20 +69,10 @@ impl AffinityCosts {
         &self.costs
     }
 
-    /// Sums the rows of vertices merged by `fine_to_coarse` into a table for
-    /// the coarse graph, so anchors survive every coarsening level.
-    pub fn project_to_coarse(
-        &self,
-        fine_to_coarse: &[u32],
-        coarse_vertices: usize,
-    ) -> AffinityCosts {
-        let mut coarse = AffinityCosts::zeros(0, self.k);
-        self.project_to_coarse_into(fine_to_coarse, coarse_vertices, &mut coarse);
-        coarse
-    }
-
-    /// [`AffinityCosts::project_to_coarse`] into an existing table, which is
-    /// overwritten (and reused without allocating once it has the capacity).
+    /// Sums the rows of vertices merged by `fine_to_coarse` into `coarse`, the
+    /// table for the coarse graph, so anchors survive every coarsening level.
+    /// `coarse` is overwritten (and reused without allocating once it has the
+    /// capacity).
     pub fn project_to_coarse_into(
         &self,
         fine_to_coarse: &[u32],
@@ -129,7 +120,8 @@ mod tests {
         a.add(2, 0, 5);
         a.add(3, 1, 1);
         // Vertices 0,1 merge into coarse 0; vertices 2,3 into coarse 1.
-        let coarse = a.project_to_coarse(&[0, 0, 1, 1], 2);
+        let mut coarse = AffinityCosts::zeros(0, 2);
+        a.project_to_coarse_into(&[0, 0, 1, 1], 2, &mut coarse);
         assert_eq!(coarse.row(0), &[10, 20]);
         assert_eq!(coarse.row(1), &[5, 1]);
         assert_eq!(coarse.total(), a.total());

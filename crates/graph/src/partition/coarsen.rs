@@ -87,7 +87,7 @@ impl CoarsenWorkspace {
     fn recycle_level(&mut self, level: CoarseLevel) {
         // A hierarchy at least halves per level, so no run takes back more
         // than this; the cap keeps a workspace that is only ever handed
-        // hierarchies (a custom coarsener's, say) from hoarding them.
+        // hierarchies from hoarding them.
         const MAX_POOLED_LEVELS: usize = 64;
         if self.pool_usize.len() >= MAX_POOLED_LEVELS {
             return;
@@ -109,7 +109,8 @@ fn pooled<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
 }
 
 /// Computes a heavy-edge matching of `graph` into the workspace's
-/// `match_of` buffer and returns a reference to it.
+/// `match_of` buffer and returns a reference to it: `match_of[v] == v` means
+/// `v` stayed single.
 fn heavy_edge_matching_into<'a>(
     graph: &CsrGraph,
     rng: &mut StdRng,
@@ -184,15 +185,6 @@ fn order_heaviest_first(ws: &mut CoarsenWorkspace) {
         ordered[*slot] = e;
         *slot += 1;
     }
-}
-
-/// Computes a heavy-edge matching of `graph`.
-///
-/// Returns `match_of[v]`, where `match_of[v] == v` means `v` stayed single.
-pub fn heavy_edge_matching(graph: &CsrGraph, rng: &mut StdRng) -> Vec<u32> {
-    let mut ws = CoarsenWorkspace::default();
-    heavy_edge_matching_into(graph, rng, &mut ws);
-    ws.match_of
 }
 
 /// Rows up to this length are co-sorted by insertion; longer ones by heap.
@@ -342,19 +334,7 @@ fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) 
     }
 }
 
-/// Collapses a matching into a coarser graph.
-pub fn contract(graph: &CsrGraph, match_of: &[u32]) -> CoarseLevel {
-    let mut ws = CoarsenWorkspace::default();
-    contract_into(graph, match_of, &mut ws)
-}
-
 /// One full coarsening step: match then contract.
-pub fn coarsen_once(graph: &CsrGraph, rng: &mut StdRng) -> CoarseLevel {
-    let mut ws = CoarsenWorkspace::default();
-    coarsen_once_with(graph, rng, &mut ws)
-}
-
-/// One full coarsening step through a reusable workspace.
 fn coarsen_once_with(graph: &CsrGraph, rng: &mut StdRng, ws: &mut CoarsenWorkspace) -> CoarseLevel {
     heavy_edge_matching_into(graph, rng, ws);
     let match_of = std::mem::take(&mut ws.match_of);
@@ -367,17 +347,13 @@ fn coarsen_once_with(graph: &CsrGraph, rng: &mut StdRng, ws: &mut CoarsenWorkspa
 /// vertices or coarsening stops making progress (shrink factor > 0.95).
 /// Returns the hierarchy from finest (first) to coarsest (last). The original
 /// graph is *not* included.
-pub fn coarsen_to(graph: &CsrGraph, target_vertices: usize, rng: &mut StdRng) -> Vec<CoarseLevel> {
-    let mut ws = CoarsenWorkspace::default();
-    coarsen_to_with(graph, target_vertices, rng, &mut ws)
-}
-
-/// [`coarsen_to`] through a caller-owned workspace, so repeated partitioning
-/// runs (e.g. the per-window calls of RGP's repartitioning mode) reuse the
-/// matching and contraction buffers instead of reallocating them per window.
-/// The result is identical to [`coarsen_to`] — the workspace is scratch
-/// state only. Hand the hierarchy back with [`CoarsenWorkspace::recycle`]
-/// once it is no longer needed and the next run reuses its vectors too.
+///
+/// The caller owns the workspace, so repeated partitioning runs (e.g. the
+/// per-window calls of RGP's repartitioning mode) reuse the matching and
+/// contraction buffers instead of reallocating them per window; it is scratch
+/// state only and never influences the result. Hand the hierarchy back with
+/// [`CoarsenWorkspace::recycle`] once it is no longer needed and the next run
+/// reuses its vectors too.
 pub fn coarsen_to_with(
     graph: &CsrGraph,
     target_vertices: usize,
@@ -442,7 +418,8 @@ mod tests {
                     expected[u as usize] = v;
                 }
             }
-            let matching = heavy_edge_matching(&g, &mut StdRng::seed_from_u64(seed));
+            let mut ws = CoarsenWorkspace::default();
+            let matching = heavy_edge_matching_into(&g, &mut StdRng::seed_from_u64(seed), &mut ws);
             prop_assert_eq!(matching, expected);
         }
     }
@@ -454,7 +431,8 @@ mod tests {
     #[test]
     fn matching_is_symmetric_and_valid() {
         let g = generators::grid_2d(8, 8, 1);
-        let m = heavy_edge_matching(&g, &mut rng());
+        let mut ws = CoarsenWorkspace::default();
+        let m = heavy_edge_matching_into(&g, &mut rng(), &mut ws);
         for v in 0..g.num_vertices() as u32 {
             let u = m[v as usize];
             assert_eq!(m[u as usize], v, "matching must be an involution");
@@ -475,7 +453,8 @@ mod tests {
         let g = b.build();
         // Whatever the visit order, the heavy edge is chosen when either
         // endpoint is visited first.
-        let m = heavy_edge_matching(&g, &mut rng());
+        let mut ws = CoarsenWorkspace::default();
+        let m = heavy_edge_matching_into(&g, &mut rng(), &mut ws);
         assert!(m[1] == 2 || m[2] == 1);
         assert_eq!(m[1], 2);
     }
@@ -483,7 +462,7 @@ mod tests {
     #[test]
     fn contraction_preserves_total_weights() {
         let g = generators::random_graph(200, 6, 10, 3);
-        let level = coarsen_once(&g, &mut rng());
+        let level = coarsen_once_with(&g, &mut rng(), &mut CoarsenWorkspace::default());
         assert!(level.graph.num_vertices() < g.num_vertices());
         assert_eq!(
             level.graph.total_vertex_weight(),
@@ -583,7 +562,7 @@ mod tests {
     #[test]
     fn coarsen_to_reaches_target() {
         let g = generators::grid_2d(32, 32, 2);
-        let levels = coarsen_to(&g, 64, &mut rng());
+        let levels = coarsen_to_with(&g, 64, &mut rng(), &mut CoarsenWorkspace::default());
         assert!(!levels.is_empty());
         let coarsest = &levels.last().unwrap().graph;
         assert!(coarsest.num_vertices() <= 64 || levels.len() > 4);
@@ -598,7 +577,7 @@ mod tests {
     #[test]
     fn coarsening_stops_on_isolated_vertices() {
         let g = CsrGraph::empty(100);
-        let levels = coarsen_to(&g, 10, &mut rng());
+        let levels = coarsen_to_with(&g, 10, &mut rng(), &mut CoarsenWorkspace::default());
         assert!(levels.is_empty(), "no edges means nothing can be merged");
     }
 
@@ -608,7 +587,7 @@ mod tests {
         let mut b = crate::csr::GraphBuilder::new(4);
         b.add_edge(0, 1, 2).add_edge(1, 2, 2).add_edge(0, 2, 2);
         let g = b.build();
-        let level = coarsen_once(&g, &mut rng());
+        let level = coarsen_once_with(&g, &mut rng(), &mut CoarsenWorkspace::default());
         assert_eq!(level.graph.total_vertex_weight(), 4);
         assert!(level.graph.num_vertices() >= 2);
     }

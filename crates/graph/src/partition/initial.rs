@@ -259,34 +259,28 @@ fn seed_vertex(
     Some(last)
 }
 
-/// Recursive bisection into `k` parts. Part ids are contiguous from 0.
+/// Recursive bisection into `k` parts, written over `assignment` (one part
+/// id per vertex, contiguous from 0).
 ///
 /// The `imbalance` budget is honoured: it is split evenly across the
 /// ~`log2(k)` bisection levels, and each greedy bisection may deviate from
 /// its proportional target by that per-level slack when doing so cuts fewer
 /// edges. The product of per-level deviations stays within the overall
 /// budget (refinement then tightens balance further).
-pub fn recursive_bisection(
-    graph: &CsrGraph,
-    k: usize,
-    imbalance: f64,
-    rng: &mut StdRng,
-) -> Vec<u32> {
-    recursive_bisection_with(graph, k, imbalance, rng, &mut BisectionScratch::default())
-}
-
-/// [`recursive_bisection`] through a caller-owned [`BisectionScratch`]: the
-/// only allocation of a warmed call is the returned assignment. Identical
-/// results.
+///
+/// A call with a warmed [`BisectionScratch`] and a large enough `assignment`
+/// does not allocate.
 pub fn recursive_bisection_with(
     graph: &CsrGraph,
     k: usize,
     imbalance: f64,
     rng: &mut StdRng,
     scratch: &mut BisectionScratch,
-) -> Vec<u32> {
+    assignment: &mut Vec<u32>,
+) {
     let n = graph.num_vertices();
-    let mut assignment = vec![0u32; n];
+    assignment.clear();
+    assignment.resize(n, 0);
     let mut vertices = std::mem::take(&mut scratch.vertices);
     vertices.clear();
     vertices.extend(0..n as u32);
@@ -295,18 +289,8 @@ pub fn recursive_bisection_with(
     // (1 + slack)^levels = 1 + imbalance.
     let levels = k.next_power_of_two().trailing_zeros().max(1) as f64;
     let slack = (1.0 + imbalance.max(0.0)).powf(1.0 / levels) - 1.0;
-    rb_recurse(
-        graph,
-        &mut vertices,
-        k,
-        0,
-        slack,
-        rng,
-        &mut assignment,
-        scratch,
-    );
+    rb_recurse(graph, &mut vertices, k, 0, slack, rng, assignment, scratch);
     scratch.vertices = vertices;
-    assignment
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -376,13 +360,13 @@ fn split_by_weight(graph: &CsrGraph, vertices: &[u32], target_left: i64) -> usiz
 
 /// Naive baseline: breadth-first growth from random seeds, ignoring edge
 /// weights entirely. Parts are contiguous chunks of the BFS order balanced by
-/// vertex weight. This is the "simple heuristic" the paper contrasts graph
-/// partitioning against, and the ABL-PART ablation baseline.
-pub fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng) -> Vec<u32> {
+/// vertex weight, written over `assignment`. This is the "simple heuristic"
+/// the paper contrasts graph partitioning against, and the ABL-PART ablation
+/// baseline.
+pub fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng, assignment: &mut Vec<u32>) {
     let n = graph.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
+    assignment.clear();
+    assignment.resize(n, 0);
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut visited = vec![false; n];
     let mut queue = std::collections::VecDeque::new();
@@ -405,7 +389,6 @@ pub fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng) -> Vec<u32> {
     // Chop the order into k chunks of roughly equal vertex weight.
     let total = graph.total_vertex_weight();
     let ideal = total as f64 / k as f64;
-    let mut assignment = vec![0u32; n];
     let mut acc = 0i64;
     let mut part = 0u32;
     for &v in &order {
@@ -415,7 +398,6 @@ pub fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng) -> Vec<u32> {
         assignment[v as usize] = part;
         acc += graph.vertex_weight(v);
     }
-    assignment
 }
 
 #[cfg(test)]
@@ -428,6 +410,13 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    fn recursive_bisection(g: &CsrGraph, k: usize, imbalance: f64) -> Vec<u32> {
+        let mut a = Vec::new();
+        let mut scratch = BisectionScratch::default();
+        recursive_bisection_with(g, k, imbalance, &mut rng(), &mut scratch, &mut a);
+        a
     }
 
     #[test]
@@ -492,7 +481,7 @@ mod tests {
         let g = generators::grid_2d(16, 16, 1);
         for k in [2usize, 4, 8] {
             for imbalance in [0.05f64, 0.10, 0.30] {
-                let a = recursive_bisection(&g, k, imbalance, &mut rng());
+                let a = recursive_bisection(&g, k, imbalance);
                 let p = Partition::from_assignment(a, k);
                 let weights = metrics::part_weights(&g, &p);
                 let ideal = g.total_vertex_weight() as f64 / k as f64;
@@ -511,7 +500,7 @@ mod tests {
     fn recursive_bisection_produces_k_parts() {
         let g = generators::grid_2d(12, 12, 1);
         for k in [2, 3, 4, 6, 8] {
-            let a = recursive_bisection(&g, k, 0.1, &mut rng());
+            let a = recursive_bisection(&g, k, 0.1);
             let p = Partition::from_assignment(a, k);
             let weights = metrics::part_weights(&g, &p);
             assert_eq!(weights.len(), k);
@@ -527,7 +516,7 @@ mod tests {
         b.add_edge(0, 1, 1).add_edge(2, 3, 1);
         b.add_edge(4, 5, 1).add_edge(6, 7, 1);
         let g = b.build();
-        let a = recursive_bisection(&g, 4, 0.1, &mut rng());
+        let a = recursive_bisection(&g, 4, 0.1);
         let p = Partition::from_assignment(a, 4);
         let weights = metrics::part_weights(&g, &p);
         assert!(weights.iter().all(|&w| w > 0));
@@ -536,7 +525,8 @@ mod tests {
     #[test]
     fn bfs_growing_is_balanced_but_weight_oblivious() {
         let g = generators::grid_2d(10, 10, 1);
-        let a = bfs_growing(&g, 4, &mut rng());
+        let mut a = Vec::new();
+        bfs_growing(&g, 4, &mut rng(), &mut a);
         let p = Partition::from_assignment(a, 4);
         let weights = metrics::part_weights(&g, &p);
         assert_eq!(weights.iter().sum::<i64>(), 100);
@@ -550,7 +540,8 @@ mod tests {
     #[test]
     fn bfs_growing_covers_disconnected_graphs() {
         let g = crate::csr::CsrGraph::empty(17);
-        let a = bfs_growing(&g, 4, &mut rng());
+        let mut a = Vec::new();
+        bfs_growing(&g, 4, &mut rng(), &mut a);
         assert_eq!(a.len(), 17);
         assert!(a.iter().all(|&p| p < 4));
     }

@@ -1,29 +1,29 @@
 //! Graph partitioning: the SCOTCH substitute used by runtime graph
-//! partitioning (RGP), structured as a pipeline of pluggable stages.
+//! partitioning (RGP).
 //!
-//! Every scheme is a composition of three stage traits driven by
-//! [`pipeline::MultilevelPipeline`]:
+//! One multilevel driver runs three steps, and the configured
+//! [`PartitionScheme`] decides what each step does:
 //!
-//! 1. a [`pipeline::Coarsener`] collapses the graph into a hierarchy of
-//!    successively smaller graphs (heavy-edge matching by default),
-//! 2. an [`pipeline::InitialPartitioner`] splits the coarsest graph
-//!    (recursive bisection with greedy graph growing, or BFS growing for the
-//!    ablation baseline),
-//! 3. a [`pipeline::Refiner`] improves the partition at every uncoarsening
-//!    step (k-way Fiduccia–Mattheyses boundary passes over an incremental
-//!    gain table).
+//! 1. *coarsening* collapses the graph into a hierarchy of successively
+//!    smaller graphs by heavy-edge matching ([`coarsen`]) — or is skipped,
+//! 2. the *initial partition* splits the coarsest graph by recursive
+//!    bisection with greedy graph growing, or by BFS growing for the ablation
+//!    baseline ([`initial`]),
+//! 3. *refinement* improves the partition at every uncoarsening step with
+//!    k-way Fiduccia–Mattheyses boundary passes over an incremental gain
+//!    table ([`refine`]) — or is skipped.
 //!
-//! The entry point is [`partition`], which maps the configured
-//! [`PartitionScheme`] to its canonical stage combination; [`partition_with`]
-//! accepts any custom [`pipeline::MultilevelPipeline`], so a single stage can
-//! be swapped for ablation studies. Three schemes are registered:
+//! The entry points are [`partition`] and, with socket-affinity anchors,
+//! [`partition_anchored`]; their `_ctx` forms take the scratch context from
+//! the caller instead of the calling thread. The three schemes:
 //!
 //! * [`PartitionScheme::MultilevelKWay`] (default, token `ml`) — the
 //!   METIS/SCOTCH recipe: coarsen, partition the coarsest graph, uncoarsen
 //!   and refine at every level.
 //! * [`PartitionScheme::RecursiveBisection`] (token `rb`) — recursive
-//!   bisection directly on the input graph (no multilevel), useful for small
-//!   graphs and as a reference for the multilevel implementation.
+//!   bisection directly on the input graph (no multilevel), then refinement;
+//!   useful for small graphs and as a reference for the multilevel
+//!   implementation.
 //! * [`PartitionScheme::BfsGrowing`] (token `bfs`) — a deliberately naive,
 //!   edge-weight-oblivious BFS partitioner kept as the ablation baseline
 //!   (ABL-PART in DESIGN.md): it produces balanced parts but much larger
@@ -49,8 +49,8 @@
 
 pub mod affinity;
 pub mod coarsen;
+mod driver;
 pub mod initial;
-pub mod pipeline;
 pub mod refine;
 
 use rand::rngs::StdRng;
@@ -70,14 +70,13 @@ pub use affinity::AffinityCosts;
 /// per-part rebalance queues — see [`refine::RefineScratch`]), the per-level
 /// affinity tables of anchored runs and the two uncoarsening projection
 /// buffers. Once warmed, a call on a same-sized window allocates only its
-/// results (see [`pipeline::MultilevelPipeline::run_anchored_ctx`]). The
-/// context is pure scratch: results are bit-identical with a fresh context
-/// per call.
+/// result. The context is pure scratch: results are bit-identical with a
+/// fresh context per call.
 ///
-/// The entry points without a `_ctx` suffix ([`partition`],
-/// [`partition_anchored`], …) run through one context per thread, so a
-/// worker that partitions window after window — one per sweep cell — pays
-/// for the buffers once, not once per cell.
+/// The entry points without a `_ctx` suffix ([`partition`] and
+/// [`partition_anchored`]) run through one context per thread, so a worker
+/// that partitions window after window — one per sweep cell — pays for the
+/// buffers once, not once per cell.
 #[derive(Debug, Default)]
 pub struct PartitionCtx {
     coarsen: coarsen::CoarsenWorkspace,
@@ -102,11 +101,7 @@ fn with_thread_ctx<R>(graph: &CsrGraph, f: impl FnOnce(&mut PartitionCtx) -> R) 
     if graph.num_vertices() > THREAD_CTX_MAX_VERTICES {
         return f(&mut PartitionCtx::default());
     }
-    CTX.with(|ctx| match ctx.try_borrow_mut() {
-        Ok(mut ctx) => f(&mut ctx),
-        // A custom stage re-entered the partitioner from inside a run.
-        Err(_) => f(&mut PartitionCtx::default()),
-    })
+    CTX.with(|ctx| f(&mut ctx.borrow_mut()))
 }
 
 /// Which partitioning algorithm to run.
@@ -349,21 +344,6 @@ impl Partition {
         &self.assignment
     }
 
-    /// The vertices assigned to `part`.
-    ///
-    /// One call scans the whole assignment; callers that need the members of
-    /// *every* part (e.g. RGP placement) should build a [`PartMembers`]
-    /// index once via [`Partition::members`] instead of looping over parts,
-    /// which would be `O(n·k)`.
-    pub fn members_of(&self, part: u32) -> Vec<u32> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p == part)
-            .map(|(v, _)| v as u32)
-            .collect()
-    }
-
     /// Builds the part→members index in one `O(n + k)` pass.
     pub fn members(&self) -> PartMembers {
         PartMembers::build(&self.assignment, self.num_parts)
@@ -386,8 +366,7 @@ impl Partition {
 }
 
 /// A CSR-shaped part→members index: every part's vertices (ascending) in one
-/// shared buffer, built in a single pass over the assignment. This replaces
-/// repeated [`Partition::members_of`] scans — `O(n)` each — on hot paths
+/// shared buffer, built in a single pass over the assignment, for callers
 /// that visit every part.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartMembers {
@@ -431,18 +410,14 @@ impl PartMembers {
     }
 }
 
-/// Partitions `graph` into `config.num_parts` parts using the canonical
-/// pipeline of the configured scheme.
+/// Partitions `graph` into `config.num_parts` parts with the configured
+/// scheme, through the calling thread's [`PartitionCtx`].
 ///
 /// Degenerate cases are handled explicitly: one part returns the all-zero
-/// partition, and a graph with fewer vertices than parts spreads the
-/// vertices round-robin (leaving some parts empty).
+/// partition, and a graph with no more vertices than parts gives every
+/// vertex a part of its own (leaving some parts empty).
 pub fn partition(graph: &CsrGraph, config: &PartitionConfig) -> Partition {
-    partition_with(
-        graph,
-        config,
-        &pipeline::MultilevelPipeline::for_scheme(config.scheme),
-    )
+    with_thread_ctx(graph, |ctx| partition_ctx(graph, config, ctx))
 }
 
 /// [`partition`] through a caller-owned [`PartitionCtx`], reusing scratch
@@ -452,63 +427,27 @@ pub fn partition_ctx(
     config: &PartitionConfig,
     ctx: &mut PartitionCtx,
 ) -> Partition {
-    partition_with_ctx(
-        graph,
-        config,
-        &pipeline::MultilevelPipeline::for_scheme(config.scheme),
-        ctx,
-    )
-}
-
-/// [`partition`] with an explicit stage composition, for ablations that swap
-/// a single pipeline stage. Degenerate inputs short-circuit before the
-/// pipeline runs, exactly as in [`partition`].
-pub fn partition_with(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-    pipeline: &pipeline::MultilevelPipeline,
-) -> Partition {
-    with_thread_ctx(graph, |ctx| {
-        partition_with_ctx(graph, config, pipeline, ctx)
-    })
-}
-
-/// [`partition_with`] through a caller-owned [`PartitionCtx`].
-pub fn partition_with_ctx(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-    pipeline: &pipeline::MultilevelPipeline,
-    ctx: &mut PartitionCtx,
-) -> Partition {
-    let n = graph.num_vertices();
-    let k = config.num_parts.max(1);
-    if k == 1 || n == 0 {
-        return Partition::from_assignment(vec![0; n], k);
-    }
-    if n <= k {
-        let assignment = (0..n as u32).collect();
-        return Partition::from_assignment(assignment, k);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let assignment = pipeline.run_anchored_ctx(graph, config, &mut rng, None, ctx);
-    Partition::from_assignment(assignment, k)
+    run(graph, config, None, ctx)
 }
 
 /// [`partition`] with per-vertex socket-affinity anchors: refinement trades
 /// edge cut against the bytes each vertex pulls from data already fixed on a
 /// part (see [`AffinityCosts`]). `affinity` must cover every vertex of
 /// `graph` with `config.num_parts` parts per row.
+///
+/// Degenerate inputs short-circuit like [`partition`], except that a graph
+/// with no more vertices than parts follows the anchors: each vertex goes to
+/// its strongest-affinity part (its own index — the unanchored choice — when
+/// the row is uniform). Small tail windows are exactly where anchoring
+/// matters most, so they must not fall back to anchor-oblivious placement.
 pub fn partition_anchored(
     graph: &CsrGraph,
     config: &PartitionConfig,
     affinity: &AffinityCosts,
 ) -> Partition {
-    partition_with_anchored(
-        graph,
-        config,
-        &pipeline::MultilevelPipeline::for_scheme(config.scheme),
-        affinity,
-    )
+    with_thread_ctx(graph, |ctx| {
+        partition_anchored_ctx(graph, config, affinity, ctx)
+    })
 }
 
 /// [`partition_anchored`] through a caller-owned [`PartitionCtx`], reusing
@@ -519,73 +458,46 @@ pub fn partition_anchored_ctx(
     affinity: &AffinityCosts,
     ctx: &mut PartitionCtx,
 ) -> Partition {
-    partition_with_anchored_ctx(
-        graph,
-        config,
-        &pipeline::MultilevelPipeline::for_scheme(config.scheme),
-        affinity,
-        ctx,
-    )
+    run(graph, config, Some(affinity), ctx)
 }
 
-/// [`partition_anchored`] with an explicit stage composition.
-///
-/// Degenerate inputs short-circuit like [`partition_with`], except that a
-/// graph with no more vertices than parts follows the anchors instead of the
-/// identity spread: each vertex goes to its strongest-affinity part (its own
-/// index — the unanchored choice — when the row is uniform). Small tail
-/// windows are exactly where anchoring matters most, so they must not fall
-/// back to anchor-oblivious placement.
-pub fn partition_with_anchored(
+/// The body of the four entry points: the degenerate inputs, then the
+/// multilevel driver.
+fn run(
     graph: &CsrGraph,
     config: &PartitionConfig,
-    pipeline: &pipeline::MultilevelPipeline,
-    affinity: &AffinityCosts,
-) -> Partition {
-    with_thread_ctx(graph, |ctx| {
-        partition_with_anchored_ctx(graph, config, pipeline, affinity, ctx)
-    })
-}
-
-/// [`partition_with_anchored`] with an explicit stage composition and a
-/// caller-owned [`PartitionCtx`].
-pub fn partition_with_anchored_ctx(
-    graph: &CsrGraph,
-    config: &PartitionConfig,
-    pipeline: &pipeline::MultilevelPipeline,
-    affinity: &AffinityCosts,
+    affinity: Option<&AffinityCosts>,
     ctx: &mut PartitionCtx,
 ) -> Partition {
     let n = graph.num_vertices();
     let k = config.num_parts.max(1);
-    assert_eq!(
-        affinity.num_vertices(),
-        n,
-        "affinity must cover every vertex"
-    );
-    assert_eq!(affinity.num_parts(), k, "affinity must cover every part");
+    if let Some(affinity) = affinity {
+        assert_eq!(
+            affinity.num_vertices(),
+            n,
+            "affinity must cover every vertex"
+        );
+        assert_eq!(affinity.num_parts(), k, "affinity must cover every part");
+    }
     if k == 1 || n == 0 {
         return Partition::from_assignment(vec![0; n], k);
     }
     if n <= k {
-        let assignment = (0..n as u32)
-            .map(|v| {
-                let row = affinity.row(v);
-                let mut best = v;
-                let mut best_aff = row[v as usize];
-                for (p, &c) in row.iter().enumerate() {
-                    if c > best_aff {
-                        best = p as u32;
-                        best_aff = c;
-                    }
+        let strongest = |v: u32| {
+            let Some(affinity) = affinity else { return v };
+            let row = affinity.row(v);
+            let mut best = v;
+            for (p, &c) in row.iter().enumerate() {
+                if c > row[best as usize] {
+                    best = p as u32;
                 }
-                best
-            })
-            .collect();
-        return Partition::from_assignment(assignment, k);
+            }
+            best
+        };
+        return Partition::from_assignment((0..n as u32).map(strongest).collect(), k);
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let assignment = pipeline.run_anchored_ctx(graph, config, &mut rng, Some(affinity), ctx);
+    let assignment = driver::run(graph, config, &mut rng, affinity, ctx);
     Partition::from_assignment(assignment, k)
 }
 
@@ -692,18 +604,21 @@ mod tests {
 
     #[test]
     fn members_of_lists_vertices() {
-        let p = Partition::from_assignment(vec![0, 1, 0, 1, 1], 2);
-        assert_eq!(p.members_of(0), vec![0, 2]);
-        assert_eq!(p.members_of(1), vec![1, 3, 4]);
+        let idx = Partition::from_assignment(vec![0, 1, 0, 1, 1], 2).members();
+        assert_eq!(idx.members_of(0), [0, 2]);
+        assert_eq!(idx.members_of(1), [1, 3, 4]);
     }
 
     #[test]
-    fn members_index_matches_members_of() {
+    fn members_index_matches_an_assignment_scan() {
         let p = Partition::from_assignment(vec![2, 0, 1, 0, 2, 2, 1], 4);
         let idx = p.members();
         assert_eq!(idx.num_parts(), 4);
         for part in 0..4u32 {
-            assert_eq!(idx.members_of(part), p.members_of(part).as_slice());
+            let scanned: Vec<u32> = (0..p.len() as u32)
+                .filter(|&v| p.part_of(v) == part)
+                .collect();
+            assert_eq!(idx.members_of(part), scanned);
         }
         // Part 3 is empty.
         assert!(idx.members_of(3).is_empty());

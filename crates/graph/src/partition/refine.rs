@@ -1,12 +1,12 @@
 //! K-way boundary refinement in the Fiduccia–Mattheyses family.
 //!
 //! After the initial partition (and after every uncoarsening step of the
-//! multilevel scheme), [`refine_kway`] performs greedy passes over the
-//! boundary vertices: each vertex may move to the neighbouring part it is
-//! most strongly connected to, provided the move does not violate the balance
-//! constraint. A separate [`rebalance`] step repairs partitions whose parts
-//! exceed the allowed maximum weight (which can happen after projecting a
-//! coarse partition onto a finer graph).
+//! multilevel scheme), [`refine_kway_anchored_with`] performs greedy passes
+//! over the boundary vertices: each vertex may move to the neighbouring part
+//! it is most strongly connected to, provided the move does not violate the
+//! balance constraint. A separate [`rebalance`] step repairs partitions whose
+//! parts exceed the allowed maximum weight (which can happen after projecting
+//! a coarse partition onto a finer graph).
 //!
 //! The hot path is allocation-free per vertex visit: a [`GainTable`] holds
 //! the vertex→part connectivity of the *whole* graph as one flat `n × k`
@@ -31,8 +31,8 @@ use crate::partition::PartitionConfig;
 /// table is `O(n·k)` memory, built in `O(E)`, and a vertex move costs
 /// `O(deg(v))` to keep it exact.
 ///
-/// When built via [`GainTable::build_anchored`] the table additionally holds
-/// the per-vertex socket-affinity rows of an [`AffinityCosts`] input:
+/// When built via [`GainTable::rebuild_anchored`] the table additionally
+/// holds the per-vertex socket-affinity rows of an [`AffinityCosts`] input:
 /// [`GainTable::gain`] then values a move by connectivity *plus* affinity
 /// delta, and [`GainTable::is_movable`] extends the boundary with vertices
 /// whose anchors pull them elsewhere. Without anchors both reduce exactly to
@@ -60,19 +60,6 @@ impl GainTable {
         table
     }
 
-    /// [`GainTable::build`] plus the affinity anchors of `affinity` (one row
-    /// per vertex, `affinity.num_parts()` must equal `k`).
-    pub fn build_anchored(
-        graph: &CsrGraph,
-        assignment: &[u32],
-        k: usize,
-        affinity: &AffinityCosts,
-    ) -> Self {
-        let mut table = GainTable::default();
-        table.rebuild_anchored(graph, assignment, k, affinity);
-        table
-    }
-
     /// Rebuilds the table in place for a (possibly different) graph and
     /// assignment, reusing the existing buffers. Equivalent to
     /// [`GainTable::build`] but allocation-free once the buffers have grown
@@ -96,7 +83,8 @@ impl GainTable {
         }
     }
 
-    /// [`GainTable::rebuild`] plus the affinity anchors of `affinity`.
+    /// [`GainTable::rebuild`] plus the affinity anchors of `affinity` (one
+    /// row per vertex, `affinity.num_parts()` must equal `k`).
     pub fn rebuild_anchored(
         &mut self,
         graph: &CsrGraph,
@@ -422,33 +410,11 @@ pub fn rebalance(
     )
 }
 
-/// The pre-queue `O(n·k)`-per-move implementation of [`rebalance`], retained
-/// verbatim as the oracle for the queue/linear equivalence tests. Selection
-/// order (maximum gain, then lowest vertex id, then lowest target) is the
-/// contract both implementations share; the corpus tests in the `graph`
-/// crate assert bit-identical assignments.
-pub fn rebalance_reference(
-    graph: &CsrGraph,
-    assignment: &mut [u32],
-    k: usize,
-    max_part_weight: i64,
-) -> usize {
-    let mut table = GainTable::build(graph, assignment, k);
-    let mut part_weight = weights_of(graph, assignment, k);
-    rebalance_with_linear(
-        graph,
-        assignment,
-        max_part_weight,
-        &mut table,
-        &mut part_weight,
-    )
-}
-
 /// [`rebalance`] through a caller-owned gain table and part-weight vector
-/// (kept exact), so `refine_kway` can share one table across the repair and
+/// (kept exact), so refinement can share one table across the repair and
 /// refinement phases. Selection per move is driven by a [`GainQueue`] —
-/// `O(log n)` amortised instead of the reference's `O(n·k)` scan — with an
-/// identical move sequence.
+/// `O(log n)` amortised instead of the `O(n·k)` scan of the linear reference
+/// the unit tests keep — with an identical move sequence.
 ///
 /// One queue is kept *per overweight part*, built lazily the first time a
 /// part is selected as the heaviest offender and retained across part
@@ -562,63 +528,6 @@ fn rebalance_with(
     moves
 }
 
-/// The linear-scan body of [`rebalance_reference`].
-fn rebalance_with_linear(
-    graph: &CsrGraph,
-    assignment: &mut [u32],
-    max_part_weight: i64,
-    table: &mut GainTable,
-    part_weight: &mut [i64],
-) -> usize {
-    let n = graph.num_vertices();
-    let k = part_weight.len();
-    let mut moves = 0usize;
-    // Hard cap: each vertex can be moved at most twice on average.
-    let max_moves = 2 * n + k;
-    while moves < max_moves {
-        // Heaviest offending part.
-        let Some((heavy, _)) = part_weight
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > max_part_weight)
-            .max_by_key(|(_, &w)| w)
-        else {
-            break;
-        };
-        // Best (least cut increase) move of any vertex of `heavy` to any part
-        // with spare capacity.
-        let mut best: Option<(i64, u32, u32)> = None; // (gain, vertex, target)
-        for v in 0..n as u32 {
-            if assignment[v as usize] as usize != heavy {
-                continue;
-            }
-            let vw = graph.vertex_weight(v);
-            for (target, &tw) in part_weight.iter().enumerate() {
-                if target == heavy || tw + vw > max_part_weight {
-                    continue;
-                }
-                let gain = table.gain(v, heavy, target);
-                let candidate = (gain, v, target as u32);
-                best = match best {
-                    None => Some(candidate),
-                    Some(b) if candidate.0 > b.0 => Some(candidate),
-                    other => other,
-                };
-            }
-        }
-        let Some((_, v, target)) = best else {
-            break;
-        };
-        let vw = graph.vertex_weight(v);
-        part_weight[heavy] -= vw;
-        part_weight[target as usize] += vw;
-        assignment[v as usize] = target;
-        table.apply_move(graph, v, heavy, target as usize);
-        moves += 1;
-    }
-    moves
-}
-
 fn weights_of(graph: &CsrGraph, assignment: &[u32], k: usize) -> Vec<i64> {
     let mut part_weight = Vec::new();
     weights_into(graph, assignment, k, &mut part_weight);
@@ -634,49 +543,30 @@ fn weights_into(graph: &CsrGraph, assignment: &[u32], k: usize, out: &mut Vec<i6
     }
 }
 
-/// Greedy k-way refinement. Returns the resulting edge cut.
+/// Greedy k-way refinement, up to `config.refine_passes` passes. Returns the
+/// resulting edge cut.
 ///
 /// Guarantees: the edge cut never increases relative to the input (moves with
 /// negative gain are only made when they strictly improve balance without
 /// touching the cut, i.e. zero-gain moves), and no part exceeds the balance
 /// limit more than it did on entry.
-pub fn refine_kway(
-    graph: &CsrGraph,
-    assignment: &mut [u32],
-    config: &PartitionConfig,
-    passes: usize,
-) -> i64 {
-    refine_kway_anchored(graph, assignment, config, passes, None)
-}
-
-/// [`refine_kway`] with optional per-vertex socket-affinity anchors: move
-/// gains become connectivity delta *plus* affinity delta, and interior
-/// vertices whose anchors pull them elsewhere join the candidate set. With
-/// `affinity` `None` the behaviour (including the RNG stream) is exactly
-/// [`refine_kway`]'s. The returned value is always the pure edge cut — the
-/// affinity term is an objective, not a metric.
-pub fn refine_kway_anchored(
-    graph: &CsrGraph,
-    assignment: &mut [u32],
-    config: &PartitionConfig,
-    passes: usize,
-    affinity: Option<&AffinityCosts>,
-) -> i64 {
-    let mut scratch = RefineScratch::default();
-    refine_kway_anchored_with(graph, assignment, config, passes, affinity, &mut scratch)
-}
-
-/// [`refine_kway_anchored`] through a caller-owned [`RefineScratch`]: the
-/// gain table, part weights, boundary list and rebalance queues are rebuilt
-/// in place instead of reallocated, so repeated calls (one per uncoarsening
-/// level, times one partition per RGP window) are allocation-free once the
-/// buffers reach the working-set size. Results are bit-identical to a fresh
-/// scratch per call.
+///
+/// With per-vertex socket-affinity anchors, move gains become connectivity
+/// delta *plus* affinity delta, and interior vertices whose anchors pull them
+/// elsewhere join the candidate set; with `affinity` `None` the run
+/// (including its RNG stream) is the plain edge-cut one. The returned value
+/// is always the pure edge cut — the affinity term is an objective, not a
+/// metric.
+///
+/// The gain table, part weights, boundary list and rebalance queues live in
+/// the caller's [`RefineScratch`] and are rebuilt in place, so repeated calls
+/// (one per uncoarsening level, times one partition per RGP window) are
+/// allocation-free once the buffers reach the working-set size. Results are
+/// bit-identical to a fresh scratch per call.
 pub fn refine_kway_anchored_with(
     graph: &CsrGraph,
     assignment: &mut [u32],
     config: &PartitionConfig,
-    passes: usize,
     affinity: Option<&AffinityCosts>,
     scratch: &mut RefineScratch,
 ) -> i64 {
@@ -718,7 +608,7 @@ pub fn refine_kway_anchored_with(
     settled.clear();
     settled.resize(n, false);
 
-    for _ in 0..passes {
+    for _ in 0..config.refine_passes {
         // The candidate list and its shuffle do not look at `settled`: the
         // RNG stream and the order in which the remaining vertices are
         // scored are those of a pass that scores everything.
@@ -792,6 +682,95 @@ mod tests {
         metrics::edge_cut(graph, &Partition::from_assignment(assignment.to_vec(), k))
     }
 
+    /// The refinement entry point through a fresh scratch.
+    fn refine_kway(
+        graph: &CsrGraph,
+        assignment: &mut [u32],
+        config: &PartitionConfig,
+        affinity: Option<&AffinityCosts>,
+    ) -> i64 {
+        let mut scratch = RefineScratch::default();
+        refine_kway_anchored_with(graph, assignment, config, affinity, &mut scratch)
+    }
+
+    /// The pre-queue `O(n·k)`-per-move implementation of [`rebalance`],
+    /// retained verbatim as the oracle for the queue/linear equivalence
+    /// corpus. Selection order (maximum gain, then lowest vertex id, then
+    /// lowest target) is the contract both implementations share.
+    fn rebalance_reference(
+        graph: &CsrGraph,
+        assignment: &mut [u32],
+        k: usize,
+        max_part_weight: i64,
+    ) -> usize {
+        let mut table = GainTable::build(graph, assignment, k);
+        let mut part_weight = weights_of(graph, assignment, k);
+        rebalance_with_linear(
+            graph,
+            assignment,
+            max_part_weight,
+            &mut table,
+            &mut part_weight,
+        )
+    }
+
+    /// The linear-scan body of [`rebalance_reference`].
+    fn rebalance_with_linear(
+        graph: &CsrGraph,
+        assignment: &mut [u32],
+        max_part_weight: i64,
+        table: &mut GainTable,
+        part_weight: &mut [i64],
+    ) -> usize {
+        let n = graph.num_vertices();
+        let k = part_weight.len();
+        let mut moves = 0usize;
+        // Hard cap: each vertex can be moved at most twice on average.
+        let max_moves = 2 * n + k;
+        while moves < max_moves {
+            // Heaviest offending part.
+            let Some((heavy, _)) = part_weight
+                .iter()
+                .enumerate()
+                .filter(|(_, &w)| w > max_part_weight)
+                .max_by_key(|(_, &w)| w)
+            else {
+                break;
+            };
+            // Best (least cut increase) move of any vertex of `heavy` to any
+            // part with spare capacity.
+            let mut best: Option<(i64, u32, u32)> = None; // (gain, vertex, target)
+            for v in 0..n as u32 {
+                if assignment[v as usize] as usize != heavy {
+                    continue;
+                }
+                let vw = graph.vertex_weight(v);
+                for (target, &tw) in part_weight.iter().enumerate() {
+                    if target == heavy || tw + vw > max_part_weight {
+                        continue;
+                    }
+                    let gain = table.gain(v, heavy, target);
+                    let candidate = (gain, v, target as u32);
+                    best = match best {
+                        None => Some(candidate),
+                        Some(b) if candidate.0 > b.0 => Some(candidate),
+                        other => other,
+                    };
+                }
+            }
+            let Some((_, v, target)) = best else {
+                break;
+            };
+            let vw = graph.vertex_weight(v);
+            part_weight[heavy] -= vw;
+            part_weight[target as usize] += vw;
+            assignment[v as usize] = target;
+            table.apply_move(graph, v, heavy, target as usize);
+            moves += 1;
+        }
+        moves
+    }
+
     #[test]
     fn refinement_never_increases_cut() {
         let g = generators::grid_2d(12, 12, 3);
@@ -800,7 +779,7 @@ mod tests {
         let mut a: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % k as u32).collect();
         let before = cut(&g, &a, k as usize);
         let cfg = PartitionConfig::new(k as usize);
-        let after = refine_kway(&g, &mut a, &cfg, 8);
+        let after = refine_kway(&g, &mut a, &cfg, None);
         assert!(after <= before, "cut went from {before} to {after}");
         assert_eq!(after, cut(&g, &a, k as usize), "returned cut must match");
     }
@@ -811,7 +790,7 @@ mod tests {
         let k = 4usize;
         let mut a: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % k as u32).collect();
         let cfg = PartitionConfig::new(k).with_imbalance(0.05);
-        refine_kway(&g, &mut a, &cfg, 8);
+        refine_kway(&g, &mut a, &cfg, None);
         let p = Partition::from_assignment(a, k);
         assert!(metrics::imbalance(&g, &p) <= 1.05 + 1e-9);
     }
@@ -874,8 +853,8 @@ mod tests {
         let g = generators::two_clusters(6, 30);
         // Initial: odd/even split — awful.
         let mut a: Vec<u32> = (0..12u32).map(|v| v % 2).collect();
-        let cfg = PartitionConfig::new(2);
-        let after = refine_kway(&g, &mut a, &cfg, 10);
+        let cfg = PartitionConfig::new(2).with_refine_passes(10);
+        let after = refine_kway(&g, &mut a, &cfg, None);
         // Optimal cut is 1 (the bridge); refinement should get close.
         assert!(after <= 30, "refined cut {after} still terrible");
     }
@@ -885,7 +864,7 @@ mod tests {
         let g = generators::path(5);
         let mut a = vec![0u32; 5];
         let cfg = PartitionConfig::new(1);
-        assert_eq!(refine_kway(&g, &mut a, &cfg, 4), 0);
+        assert_eq!(refine_kway(&g, &mut a, &cfg, None), 0);
     }
 
     #[test]
@@ -893,7 +872,7 @@ mod tests {
         let g = CsrGraph::empty(0);
         let mut a: Vec<u32> = Vec::new();
         let cfg = PartitionConfig::new(4);
-        assert_eq!(refine_kway(&g, &mut a, &cfg, 4), 0);
+        assert_eq!(refine_kway(&g, &mut a, &cfg, None), 0);
     }
 
     #[test]
@@ -903,10 +882,10 @@ mod tests {
         let start: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % k as u32).collect();
         let cfg = PartitionConfig::new(k);
         let mut plain = start.clone();
-        let plain_cut = refine_kway(&g, &mut plain, &cfg, 8);
+        let plain_cut = refine_kway(&g, &mut plain, &cfg, None);
         let mut anchored = start;
         let aff = AffinityCosts::zeros(g.num_vertices(), k);
-        let anchored_cut = refine_kway_anchored(&g, &mut anchored, &cfg, 8, Some(&aff));
+        let anchored_cut = refine_kway(&g, &mut anchored, &cfg, Some(&aff));
         assert_eq!(plain, anchored);
         assert_eq!(plain_cut, anchored_cut);
     }
@@ -932,7 +911,7 @@ mod tests {
         // its data lives on part 1: the anchor must still move it.
         let mut aff = AffinityCosts::zeros(18, 2);
         aff.add(4, 1, 10_000);
-        refine_kway_anchored(&g2, &mut a, &cfg, 8, Some(&aff));
+        refine_kway(&g2, &mut a, &cfg, Some(&aff));
         assert_eq!(a[4], 1, "anchored vertex must follow its fixed data");
     }
 
@@ -957,7 +936,6 @@ mod tests {
                             &graph,
                             &mut skipping,
                             &cfg,
-                            cfg.refine_passes,
                             affinity,
                             &mut RefineScratch::default(),
                         );
@@ -966,7 +944,6 @@ mod tests {
                             &graph,
                             &mut scoring_all,
                             &cfg,
-                            cfg.refine_passes,
                             affinity,
                             &mut RefineScratch::never_settling(),
                         );
@@ -980,13 +957,46 @@ mod tests {
         assert_eq!(cases, 162);
     }
 
+    /// Bit-identity corpus for the queue-driven rebalance: the [`GainQueue`]
+    /// implementation must produce the exact assignment (and move count) of
+    /// the retained linear-scan reference on every case of
+    /// `generators::refine_corpus` — the generator families (random, grid,
+    /// layered DAG) × part counts 2/4/8 × the two imbalance shapes of
+    /// `generators::imbalanced_assignments`.
+    #[test]
+    fn rebalance_queue_matches_linear_reference_on_corpus() {
+        let mut cases = 0usize;
+        for graph in generators::refine_corpus() {
+            let n = graph.num_vertices();
+            let total: i64 = graph.vertex_weights().iter().sum();
+            for k in [2usize, 4, 8] {
+                let max_part_weight = (total + k as i64 - 1) / k as i64 + total / 20;
+                for seed in generators::imbalanced_assignments(n, k) {
+                    let mut queued = seed.clone();
+                    let mut linear = seed;
+                    let queued_moves = rebalance(&graph, &mut queued, k, max_part_weight);
+                    let linear_moves = rebalance_reference(&graph, &mut linear, k, max_part_weight);
+                    assert_eq!(
+                        queued_moves, linear_moves,
+                        "move count diverged (n={n}, k={k})"
+                    );
+                    assert_eq!(queued, linear, "assignment diverged (n={n}, k={k})");
+                    cases += 1;
+                }
+            }
+        }
+        // 27 graphs × 3 part counts × 2 imbalance shapes.
+        assert_eq!(cases, 162, "corpus drifted from the 162-fingerprint size");
+    }
+
     #[test]
     fn anchored_gain_table_reports_combined_gains() {
         let g = generators::path(3);
         let a = vec![0u32, 0, 1];
         let mut aff = AffinityCosts::zeros(3, 2);
         aff.add(0, 1, 5);
-        let table = GainTable::build_anchored(&g, &a, 2, &aff);
+        let mut table = GainTable::default();
+        table.rebuild_anchored(&g, &a, 2, &aff);
         // Moving vertex 0 from part 0 to 1: loses the 0-1 edge (conn delta
         // -w) but gains 5 bytes of affinity.
         let edge_w = g.edges_of(0).next().unwrap().1;

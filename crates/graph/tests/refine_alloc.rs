@@ -4,8 +4,8 @@
 //! allocate at all — that is the contract that makes threading the scratch
 //! through `PartitionCtx` (one partition per RGP window, several
 //! uncoarsening levels per partition) worthwhile — and a whole
-//! `partition_ctx` call on a warmed `PartitionCtx` allocates only its two
-//! results.
+//! `partition_ctx` call on a warmed `PartitionCtx` allocates only its
+//! result.
 //!
 //! The gate counts every `alloc`/`realloc` through a counting global
 //! allocator armed only around the measured call, so the test is exact
@@ -82,16 +82,8 @@ fn measured_run(
     seed: &[u32],
 ) -> (Vec<u32>, i64, usize) {
     let mut assignment = seed.to_vec();
-    let (cut, allocs) = counted(|| {
-        refine_kway_anchored_with(
-            graph,
-            &mut assignment,
-            cfg,
-            cfg.refine_passes,
-            affinity,
-            scratch,
-        )
-    });
+    let (cut, allocs) =
+        counted(|| refine_kway_anchored_with(graph, &mut assignment, cfg, affinity, scratch));
     (assignment, cut, allocs)
 }
 
@@ -108,18 +100,11 @@ fn warmed_refine_scratch_is_allocation_free_and_bit_identical() {
     }
 
     for aff in [None, Some(&affinity)] {
-        // Cold call: sizes every buffer (and is the bit-identity baseline —
-        // a fresh scratch is exactly the public refine_kway_anchored path).
+        // Cold call: sizes every buffer (and, on a fresh scratch, is the
+        // bit-identity baseline).
         let mut scratch = RefineScratch::default();
         let mut cold = seed.clone();
-        let cold_cut = refine_kway_anchored_with(
-            &graph,
-            &mut cold,
-            &cfg,
-            cfg.refine_passes,
-            aff,
-            &mut scratch,
-        );
+        let cold_cut = refine_kway_anchored_with(&graph, &mut cold, &cfg, aff, &mut scratch);
 
         // Warmed call: identical result, zero allocations.
         let (warm, warm_cut, allocs) = measured_run(&graph, &cfg, aff, &mut scratch, &seed);
@@ -147,7 +132,7 @@ fn warmed_scratch_absorbs_smaller_working_sets() {
 
     let warm_seed = crammed(big.num_vertices(), k);
     let mut warm = warm_seed.clone();
-    refine_kway_anchored_with(&big, &mut warm, &cfg, cfg.refine_passes, None, &mut scratch);
+    refine_kway_anchored_with(&big, &mut warm, &cfg, None, &mut scratch);
 
     let small_seed = crammed(small.num_vertices(), k);
     let (_, _, allocs) = measured_run(&small, &cfg, None, &mut scratch, &small_seed);
@@ -168,14 +153,13 @@ fn warmed_partition_ctx_allocates_only_its_results() {
     }
     let mut ctx = PartitionCtx::default();
 
-    // Unanchored: the initial partitioner's result (its trait returns an
-    // owned vector) and the returned assignment. A per-level, per-bisection
-    // or per-pass allocation would add at least four.
+    // Unanchored: the returned assignment. A per-level, per-bisection or
+    // per-pass allocation would add at least four.
     let cold = partition_ctx(&graph, &cfg, &mut ctx);
     let (warm, allocs) = counted(|| partition_ctx(&graph, &cfg, &mut ctx));
     assert_eq!(cold, warm, "the context changed the partition");
     assert_eq!(warm, partition(&graph, &cfg));
-    assert_eq!(allocs, 2, "warmed partition_ctx allocated {allocs} times");
+    assert_eq!(allocs, 1, "warmed partition_ctx allocated {allocs} times");
 
     // Anchored, through the same context: the per-level affinity tables are
     // pooled too; relabelling the initial parts towards their anchors builds
@@ -185,7 +169,7 @@ fn warmed_partition_ctx_allocates_only_its_results() {
     assert_eq!(cold, warm, "the context changed the anchored partition");
     assert_eq!(warm, partition_anchored(&graph, &cfg, &affinity));
     assert_eq!(
-        allocs, 6,
+        allocs, 5,
         "warmed partition_anchored_ctx allocated {allocs} times"
     );
 }

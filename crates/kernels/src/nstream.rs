@@ -147,7 +147,7 @@ pub fn build_with_layout(
 }
 
 /// Returns a task body executing the real triad over `store`, suitable for
-/// [`numadag_runtime::ThreadedExecutor`]. The store must have one region per
+/// `numadag_runtime::ThreadedExecutor`. The store must have one region per
 /// spec region, each with `layout.block_elems` elements.
 pub fn body<'a>(
     spec: &'a TaskGraphSpec,

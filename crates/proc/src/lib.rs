@@ -11,11 +11,12 @@
 //!
 //! Messages cover the whole lifecycle: `config`/`config_ack` (execution
 //! config sync, fingerprint-keyed), `spec` (workload transfer, shipped once
-//! per worker and referenced by fingerprint after), `assign`/`done` (one
-//! sweep cell), `data_home` and `steal` notifications (deferred-allocation
-//! bytes and stolen-task counts, cross-checked against the report),
-//! `barrier`/`barrier_ack` (oneCCL-style non-blocking collectives at
-//! startup and shutdown) and `shutdown`.
+//! per worker and referenced by fingerprint after; never acknowledged — a
+//! worker that refuses one says so in its one reply to the `assign` behind
+//! it), `assign`/`done` (one sweep cell), `data_home` and `steal`
+//! notifications (deferred-allocation bytes and stolen-task counts,
+//! cross-checked against the report), `barrier`/`barrier_ack` (oneCCL-style
+//! non-blocking collectives at startup and shutdown) and `shutdown`.
 //!
 //! Determinism: a worker rebuilds the policy from the `(label, seed)` in
 //! the assignment and runs the in-process [`numadag_runtime::Simulator`],

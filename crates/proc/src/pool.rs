@@ -5,7 +5,7 @@
 //! worker's `hello`, and then runs a startup barrier so every later
 //! dispatch starts from a known-good collective state. Barriers follow the
 //! oneCCL shape — a non-blocking state machine with an explicit
-//! [`CollectiveBarrier::start`] and repeated [`CollectiveBarrier::update`]
+//! `CollectiveBarrier::start` and repeated `CollectiveBarrier::update`
 //! polls — rather than one blocking wait per worker, so a dead worker
 //! surfaces as a killed slot instead of a hang.
 //!
@@ -523,11 +523,11 @@ impl WorkerPool {
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        if !state.specs.contains(&assignment.fp.0) {
+        let shipped_spec = state.specs.insert(assignment.fp.0);
+        if shipped_spec {
             if write_line(&mut state.writer, encode_spec(spec)).is_err() {
                 return Err(lost(slot, &mut state));
             }
-            state.specs.insert(assignment.fp.0);
             self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -574,10 +574,15 @@ impl WorkerPool {
                     return Ok((report, events));
                 }
                 Some(ToCoordinator::Error { message }) => {
+                    // The complaint may be about the spec shipped just now
+                    // (`spec` is un-acked): the worker does not hold it.
+                    if shipped_spec {
+                        state.specs.remove(&assignment.fp.0);
+                    }
                     return Err(DispatchFailure::Fatal(ProcError::Worker {
                         worker: slot.id,
                         message,
-                    }))
+                    }));
                 }
                 _ => return Err(lost(slot, &mut state)),
             }

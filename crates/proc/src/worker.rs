@@ -112,6 +112,10 @@ fn run_worker(
 
     let mut base_config: Option<ExecutionConfig> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
+    // `spec` is un-acked, so a refused one may not be answered on the spot:
+    // the coordinator reads one reply per `assign`, and the complaint is
+    // that reply for the `assign` shipped behind the spec.
+    let mut refused_spec: Option<String> = None;
     let mut assigns_seen: u64 = 0;
 
     loop {
@@ -147,7 +151,7 @@ fn run_worker(
                 Ok((fp, spec)) => {
                     specs.insert(fp, spec);
                 }
-                Err(e) => send(&mut writer, &error(format!("bad spec: {e}")))?,
+                Err(e) => refused_spec = Some(format!("bad spec: {e}")),
             }
             continue;
         }
@@ -175,7 +179,11 @@ fn run_worker(
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let (report, events) = match run_cell(&assign, base_config.as_ref(), &specs) {
+                let outcome = match refused_spec.take() {
+                    Some(complaint) => Err(complaint),
+                    None => run_cell(&assign, base_config.as_ref(), &specs),
+                };
+                let (report, events) = match outcome {
                     Ok(done) => done,
                     Err(complaint) => {
                         send(&mut writer, &error(complaint))?;
@@ -294,8 +302,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_poison_spec_is_refused_and_the_worker_keeps_serving() {
+    type Worker = std::thread::JoinHandle<Result<(), String>>;
+
+    /// A `run_worker` thread (worker 7) and the coordinator's end of its
+    /// socket, past the `hello`.
+    fn loopback() -> (Coordinator, Worker) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let worker = std::thread::spawn(move || {
@@ -319,6 +330,81 @@ mod tests {
             coordinator.reply(),
             ToCoordinator::Hello { worker: 7, .. }
         ));
+        (coordinator, worker)
+    }
+
+    /// A two-task workload and the `assign` of cell 3 (LAS, seed 5) on it.
+    fn loopback_cell() -> (TaskGraphSpec, Assignment) {
+        let mut builder = TdgBuilder::new();
+        let region = builder.region(1 << 16);
+        builder.submit(TaskSpec::new("init").work(50.0).writes(region, 1 << 16));
+        builder.submit(TaskSpec::new("use").work(20.0).reads(region, 1 << 16));
+        let (graph, sizes) = builder.finish();
+        let spec = TaskGraphSpec::new("loopback", graph, sizes);
+        let assign = Assignment {
+            cell: 3,
+            fp: Hex64(spec.fingerprint()),
+            policy: "las".to_string(),
+            policy_seed: Hex64(5),
+            events: false,
+            placements: false,
+        };
+        (spec, assign)
+    }
+
+    #[test]
+    fn a_refused_spec_is_answered_once_by_the_assign_behind_it() {
+        let (mut coordinator, worker) = loopback();
+        let config = ExecutionConfig::new(Topology::two_socket(2));
+        coordinator.send(&ToWorker::Config(ConfigMsg::new(1, &config)));
+        assert_eq!(
+            coordinator.reply(),
+            ToCoordinator::ConfigAck { epoch: Hex64(1) }
+        );
+        let (spec, assign) = loopback_cell();
+        let line = encode_spec(&spec);
+
+        // What the pool writes for a cell whose spec this worker lacks:
+        // `spec`, then `assign`, then it reads until `done` or `error`.
+        let poison = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
+        assert_ne!(poison, line);
+        write_line(&mut coordinator.writer, poison).unwrap();
+        coordinator.send(&ToWorker::Assign(assign.clone()));
+        coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
+        // One reply, not two: a second `error` would be read here, as it
+        // would be by the next cell dispatched on this worker's slot.
+        coordinator.send(&ToWorker::Barrier { epoch: Hex64(9) });
+        assert_eq!(
+            coordinator.reply(),
+            ToCoordinator::BarrierAck { epoch: Hex64(9) }
+        );
+
+        // The slot is usable: the intact spec and the same cell run.
+        write_line(&mut coordinator.writer, line).unwrap();
+        coordinator.send(&ToWorker::Assign(assign));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::DataHome { cell: 3, .. }
+        ));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Steal { cell: 3, .. }
+        ));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Done { cell: 3, .. }
+        ));
+
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
+    #[test]
+    fn a_poison_spec_is_refused_and_the_worker_keeps_serving() {
+        let (mut coordinator, worker) = loopback();
         let config = ExecutionConfig::new(Topology::two_socket(2));
         let shipped = ConfigMsg::new(1, &config);
 
@@ -343,36 +429,27 @@ mod tests {
             ToCoordinator::ConfigAck { epoch: Hex64(1) }
         );
 
-        let mut builder = TdgBuilder::new();
-        let region = builder.region(1 << 16);
-        builder.submit(TaskSpec::new("init").work(50.0).writes(region, 1 << 16));
-        builder.submit(TaskSpec::new("use").work(20.0).reads(region, 1 << 16));
-        let (graph, sizes) = builder.finish();
-        let spec = TaskGraphSpec::new("loopback", graph, sizes);
+        let (spec, assign) = loopback_cell();
         let line = encode_spec(&spec);
 
         // Either of these reached an `assert!` in `TaskGraph::push_task` /
         // `with_ep_placement` before the decoder validated its columns, and
-        // the panic looked like a lost worker to the coordinator.
+        // the panic looked like a lost worker to the coordinator. The refusal
+        // is the reply to the `assign` behind the spec.
         let self_dependence = line.replacen("\"dep\":[0,", "\"dep\":[1,", 1);
         assert_ne!(self_dependence, line);
         write_line(&mut coordinator.writer, self_dependence).unwrap();
+        coordinator.send(&ToWorker::Assign(assign.clone()));
         coordinator.expect_error("bad spec: ", "task 1 depends on task 1");
         let short_placement = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
         assert_ne!(short_placement, line);
         write_line(&mut coordinator.writer, short_placement).unwrap();
+        coordinator.send(&ToWorker::Assign(assign.clone()));
         coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
 
         // The same worker still takes the intact spec and runs a cell on it.
         write_line(&mut coordinator.writer, line).unwrap();
-        coordinator.send(&ToWorker::Assign(Assignment {
-            cell: 3,
-            fp: Hex64(spec.fingerprint()),
-            policy: "las".to_string(),
-            policy_seed: Hex64(5),
-            events: false,
-            placements: false,
-        }));
+        coordinator.send(&ToWorker::Assign(assign));
         let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
         let want = Simulator::new(config).run(&spec, policy.as_mut());
         let deferred_bytes = Hex64(want.deferred_bytes);

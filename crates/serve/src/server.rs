@@ -4,10 +4,10 @@
 //!
 //! Life of a request:
 //!
-//! 1. A connection handler parses one JSON line into a
-//!    [`Request`](crate::protocol::Request). Malformed lines are answered
-//!    with a structured `Error` and the connection survives (the service
-//!    analogue of the bins' exit-2 usage convention).
+//! 1. A connection handler parses one JSON line into a [`Request`].
+//!    Malformed lines are answered with a structured `Error` and the
+//!    connection survives (the service analogue of the bins' exit-2 usage
+//!    convention).
 //! 2. `SubmitSweep` resolves the spec through the CLI grammar and computes
 //!    the canonical sweep fingerprint. Identical in-flight jobs coalesce
 //!    and exact repeats are answered byte-identically from the sweep-level

@@ -7,12 +7,7 @@
 //! cargo run --example partition_playground --release
 //! ```
 
-use numadag::graph::partition::pipeline::{
-    BfsGrowingInitial, FmRefiner, HeavyEdgeCoarsener, MultilevelPipeline,
-};
-use numadag::graph::{
-    generators, metrics, partition, partition_with, PartitionConfig, PartitionScheme,
-};
+use numadag::graph::{generators, metrics, partition, PartitionConfig, PartitionScheme};
 use numadag::prelude::*;
 use numadag::tdg::{window_to_csr, TaskWindow};
 
@@ -70,26 +65,14 @@ fn main() {
          balance, which is exactly why RGP uses it instead of a simple heuristic."
     );
 
-    // The pipeline stages are pluggable: swap one stage and keep the rest.
-    // Here the BFS initial partitioner runs *inside* the multilevel pipeline
-    // (coarsening + FM refinement around it) — most of the gap to the
-    // default pipeline closes, showing the refiner does the heavy lifting.
-    println!("\nCustom stage composition (64x64 grid, k = {k}):\n");
+    // The three schemes (`scheme=ml|rb|bfs` in a policy label) side by side:
+    // flat recursive bisection keeps the FM refinement but not the coarsening.
+    println!("\nThe three schemes (64x64 grid, k = {k}):\n");
     let g = generators::grid_2d(64, 64, 4);
-    let cfg = PartitionConfig::new(k);
-    let hybrid = MultilevelPipeline::new(HeavyEdgeCoarsener, BfsGrowingInitial, FmRefiner);
-    for (name, p) in [
-        ("default multilevel", partition(&g, &cfg)),
-        (
-            "ML coarsen + BFS initial + FM",
-            partition_with(&g, &cfg, &hybrid),
-        ),
-        (
-            "flat BFS (no refinement)",
-            partition(&g, &cfg.clone().with_scheme(PartitionScheme::BfsGrowing)),
-        ),
-    ] {
+    for scheme in PartitionScheme::all() {
+        let p = partition(&g, &PartitionConfig::new(k).with_scheme(scheme));
         let q = metrics::quality(&g, &p);
-        println!("  {name:<30} cut={:>7} imb={:.3}", q.edge_cut, q.imbalance);
+        let name = scheme.token();
+        println!("  {name:<4} cut={:>7} imb={:.3}", q.edge_cut, q.imbalance);
     }
 }

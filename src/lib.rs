@@ -75,7 +75,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`numa`] (`numadag-numa`) | topology, distance matrix, page placement, cost model, traffic stats |
-//! | [`graph`] (`numadag-graph`) | CSR graphs + multilevel k-way partitioner (SCOTCH substitute) built from pluggable `Coarsener`/`InitialPartitioner`/`Refiner` stages |
+//! | [`graph`] (`numadag-graph`) | CSR graphs + multilevel k-way partitioner (SCOTCH substitute): one coarsen / initial-partition / refine driver behind three schemes (`ml`, `rb`, `bfs`) |
 //! | [`tdg`] (`numadag-tdg`) | tasks, dependence analysis, the TDG, windows |
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
 //! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, plan/execute sweep engine (`Experiment` → `SweepPlan` → `SweepDriver` → `SweepReport` + `bench-diff`) |
@@ -143,8 +143,8 @@
 //!   inversion) as a custom `Experiment` workload, with a per-socket
 //!   placement breakdown.
 //! * `partition_playground` — the multilevel partitioner vs the naive BFS
-//!   baseline on synthetic graphs and real task-graph windows, plus a
-//!   custom stage composition through `partition_with`.
+//!   baseline on synthetic graphs and real task-graph windows, plus the
+//!   three schemes side by side.
 //! * `stencil_sweep` — the RGP window sweep as a single `Experiment` whose
 //!   policy axis is `rgp-las:w=N`.
 

@@ -13,6 +13,13 @@
 //! * `generators::{grid_2d, layered_dag_skeleton, random_graph}` ×
 //!   k ∈ {2, 4, 8} × {`ml`, `rb`, `bfs`} × seeds {1, 0x56F1}.
 //!
+//! A third table, captured on the commit before the stage traits were folded
+//! into one driver (PR 18), pins the anchored path of the two flat schemes —
+//! what `rgp-las:scheme=rb,prop=repart` and `scheme=bfs,prop=repart` run:
+//! every Full window 1 anchored on a window 0 partitioned by the same scheme,
+//! and `random_graph` × k ∈ {2, 8} through the per-thread-context entry
+//! point [`partition_anchored`].
+//!
 //! A partitioner change that is *meant* to move partitions regenerates the
 //! table: the failure message prints it in paste-able form.
 //!
@@ -20,8 +27,8 @@
 //! partition_golden`), so LTO builds are covered too.
 
 use numadag::graph::{
-    generators, partition, partition_anchored_ctx, partition_ctx, AffinityCosts, CsrGraph,
-    PartitionConfig, PartitionCtx, PartitionScheme, PartitionTuning,
+    generators, partition, partition_anchored, partition_anchored_ctx, partition_ctx,
+    AffinityCosts, CsrGraph, PartitionConfig, PartitionCtx, PartitionScheme, PartitionTuning,
 };
 use numadag::kernels::{Application, ProblemScale};
 use numadag::tdg::{window_to_csr, TaskWindow, WindowConfig};
@@ -42,14 +49,15 @@ fn fnv1a(assignment: &[u32]) -> u64 {
     h
 }
 
-fn window_hashes() -> Vec<(String, u64)> {
+fn window_hashes(scheme: PartitionScheme) -> Vec<(String, u64)> {
+    let tuning = PartitionTuning::default().with_scheme(scheme);
     let mut ctx = PartitionCtx::default();
     let mut out = Vec::new();
     for app in Application::all() {
         let spec = app.build(ProblemScale::Full, SOCKETS);
         let windows = TaskWindow::split_all(&spec.graph, WindowConfig::default());
         let first = window_to_csr(&spec.graph, &windows[0]);
-        let cfg0 = PartitionTuning::default().config_for(SOCKETS, RGP_SEED);
+        let cfg0 = tuning.config_for(SOCKETS, RGP_SEED);
         let p0 = partition_ctx(&first.graph, &cfg0, &mut ctx);
         out.push((format!("{}/w0", app.label()), fnv1a(p0.assignment())));
         let Some(w1) = windows.get(1) else { continue };
@@ -60,7 +68,7 @@ fn window_hashes() -> Vec<(String, u64)> {
             let v = (ce.predecessor.index() - base) as u32;
             affinity.add(ce.vertex, p0.part_of(v), ce.bytes);
         }
-        let cfg1 = PartitionTuning::default().config_for(SOCKETS, RGP_SEED.wrapping_add(1));
+        let cfg1 = tuning.config_for(SOCKETS, RGP_SEED.wrapping_add(1));
         let p1 = partition_anchored_ctx(&second.graph, &cfg1, &affinity, &mut ctx);
         out.push((format!("{}/w1", app.label()), fnv1a(p1.assignment())));
     }
@@ -94,6 +102,38 @@ fn generator_hashes() -> Vec<(String, u64)> {
     out
 }
 
+fn anchored_flat_scheme_hashes() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    let random = generators::random_graph(1000, 8, 50, 11);
+    for scheme in [
+        PartitionScheme::RecursiveBisection,
+        PartitionScheme::BfsGrowing,
+    ] {
+        let token = scheme.token();
+        out.extend(
+            window_hashes(scheme)
+                .into_iter()
+                .filter(|(name, _)| name.ends_with("/w1"))
+                .map(|(name, h)| (format!("{name}/{token}"), h)),
+        );
+        for k in [2usize, 8] {
+            let mut affinity = AffinityCosts::zeros(random.num_vertices(), k);
+            for v in (0..random.num_vertices() as u32).step_by(7) {
+                affinity.add(v, v % k as u32, 64);
+            }
+            let cfg = PartitionConfig::new(k)
+                .with_scheme(scheme)
+                .with_seed(RGP_SEED);
+            let p = partition_anchored(&random, &cfg, &affinity);
+            out.push((
+                format!("random/k{k}/{token}/anchored"),
+                fnv1a(p.assignment()),
+            ));
+        }
+    }
+    out
+}
+
 fn check(actual: Vec<(String, u64)>, golden: &[(&str, u64)]) {
     let matches = actual.len() == golden.len()
         && actual
@@ -114,12 +154,20 @@ fn check(actual: Vec<(String, u64)>, golden: &[(&str, u64)]) {
 
 #[test]
 fn full_sweep_window_partitions_match_golden() {
-    check(window_hashes(), WINDOW_GOLDEN);
+    check(
+        window_hashes(PartitionScheme::MultilevelKWay),
+        WINDOW_GOLDEN,
+    );
 }
 
 #[test]
 fn generator_partitions_match_golden() {
     check(generator_hashes(), GENERATOR_GOLDEN);
+}
+
+#[test]
+fn anchored_flat_scheme_partitions_match_golden() {
+    check(anchored_flat_scheme_hashes(), ANCHORED_FLAT_GOLDEN);
 }
 
 const WINDOW_GOLDEN: &[(&str, u64)] = &[
@@ -194,4 +242,23 @@ const GENERATOR_GOLDEN: &[(&str, u64)] = &[
     ("random/k8/rb/s56f1", 0x0e3ad5755c989d05),
     ("random/k8/bfs/s1", 0xc43c82d7841cd595),
     ("random/k8/bfs/s56f1", 0x7e9dcc825faa2b15),
+];
+
+const ANCHORED_FLAT_GOLDEN: &[(&str, u64)] = &[
+    ("Conjugate gradient/w1/rb", 0x45273d1cea307065),
+    ("Gauss-Seidel/w1/rb", 0xfaeecc1d23291fa5),
+    ("Integral histogram/w1/rb", 0x81ba4ff0300390b2),
+    ("Jacobi/w1/rb", 0xaaeb0c884f645952),
+    ("NStream/w1/rb", 0xc6488583c2859894),
+    ("Red-Black/w1/rb", 0x385b6dad2174e5c3),
+    ("random/k2/rb/anchored", 0xbdc3f3876a882305),
+    ("random/k8/rb/anchored", 0x86589de1ea622287),
+    ("Conjugate gradient/w1/bfs", 0xce9673b67a949fe3),
+    ("Gauss-Seidel/w1/bfs", 0x55cb6f5be3b31d15),
+    ("Integral histogram/w1/bfs", 0x8279d95ece07e771),
+    ("Jacobi/w1/bfs", 0x2538ba7544412205),
+    ("NStream/w1/bfs", 0x8bfc4cec477f0bf5),
+    ("Red-Black/w1/bfs", 0x13cd0a1593861905),
+    ("random/k2/bfs/anchored", 0xd0fd3130a9e2b625),
+    ("random/k8/bfs/anchored", 0x30b43762571fbcc5),
 ];

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use numadag_tdg::TaskGraphSpec;
 
@@ -22,12 +22,15 @@ use crate::suite::Application;
 /// Key of one cached workload instance.
 pub type SpecKey = (Application, ProblemScale, usize);
 
+/// A cached spec with its fingerprint, hashed the first time it is asked
+/// for (a cold sweep never asks).
+type Cached = (Arc<TaskGraphSpec>, OnceLock<u64>);
+
 /// A thread-safe memo of built task-graph specs, keyed by
 /// (application, scale, socket count).
 #[derive(Debug, Default)]
 pub struct SpecCache {
-    specs: Mutex<HashMap<SpecKey, Arc<TaskGraphSpec>>>,
-    fingerprints: Mutex<HashMap<SpecKey, u64>>,
+    specs: Mutex<HashMap<SpecKey, Cached>>,
     builds: AtomicUsize,
     hits: AtomicUsize,
 }
@@ -61,7 +64,7 @@ impl SpecCache {
     ) -> (Arc<TaskGraphSpec>, bool) {
         let key = (app, scale, num_sockets);
         // Fast path: already built.
-        if let Some(spec) = self.specs.lock().unwrap().get(&key) {
+        if let Some((spec, _)) = self.specs.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(spec), false);
         }
@@ -73,22 +76,24 @@ impl SpecCache {
         let built = Arc::new(app.build(scale, num_sockets));
         self.builds.fetch_add(1, Ordering::Relaxed);
         let mut specs = self.specs.lock().unwrap();
-        (Arc::clone(specs.entry(key).or_insert(built)), true)
+        let (spec, _) = specs.entry(key).or_insert((built, OnceLock::new()));
+        (Arc::clone(spec), true)
     }
 
     /// The content fingerprint (see [`TaskGraphSpec::fingerprint`]) of a
-    /// workload instance, memoized per key so repeated service requests pay
-    /// the hash at most once per distinct (app × scale × sockets). Builds the
-    /// spec on first use — subsequent `get` calls for the same key then hit
-    /// the spec cache.
+    /// workload instance, remembered beside the cached spec: the spec
+    /// memoises its graph's share of the hash, but a call still folds the
+    /// region table and the placement, and the sweep service asks twice per
+    /// application per request. Builds the spec on first use; reading a
+    /// cached spec's fingerprint does not count as a hit.
     pub fn fingerprint(&self, app: Application, scale: ProblemScale, num_sockets: usize) -> u64 {
         let key = (app, scale, num_sockets);
-        if let Some(&fp) = self.fingerprints.lock().unwrap().get(&key) {
-            return fp;
+        if !self.specs.lock().unwrap().contains_key(&key) {
+            self.get(app, scale, num_sockets);
         }
-        let fp = self.get(app, scale, num_sockets).fingerprint();
-        self.fingerprints.lock().unwrap().insert(key, fp);
-        fp
+        let specs = self.specs.lock().unwrap();
+        let (spec, fingerprint) = &specs[&key];
+        *fingerprint.get_or_init(|| spec.fingerprint())
     }
 
     /// How many specs were actually built (cache misses, including both
@@ -164,6 +169,45 @@ mod tests {
             cache.fingerprint(Application::Jacobi, ProblemScale::Tiny, 4),
             fp1
         );
+        // Reading a cached spec's fingerprint is not a hit.
+        assert_eq!((cache.builds(), cache.hits()), (2, 0));
+        cache.get(Application::Jacobi, ProblemScale::Tiny, 4);
+        assert_eq!((cache.builds(), cache.hits()), (2, 1));
+    }
+
+    /// Fingerprints are persisted in `--cache-file`s and name cells in the
+    /// sweep service's caches: a drift silently flushes every cache. These
+    /// are the values of commit 0fce270, before the graph memoised its
+    /// share of the hash (eight sockets, the paper's machine).
+    #[test]
+    fn application_fingerprints_match_the_golden_table() {
+        use Application::*;
+        use ProblemScale::{Full, Tiny};
+        const GOLDEN: [(Application, ProblemScale, u64); 16] = [
+            (ConjugateGradient, Tiny, 0x18e17e81f24d47c2),
+            (GaussSeidel, Tiny, 0x4b884324c5e8cba5),
+            (IntegralHistogram, Tiny, 0xf5bd0479dc103293),
+            (Jacobi, Tiny, 0x4706dedf52da21c5),
+            (NStream, Tiny, 0xb2860385b508a91d),
+            (QrFactorization, Tiny, 0xd4165d2210e53bcd),
+            (RedBlack, Tiny, 0x1b528af884458c71),
+            (SymmetricMatrixInversion, Tiny, 0x8da72e8cf48ae571),
+            (ConjugateGradient, Full, 0x60a10a9c350d43c1),
+            (GaussSeidel, Full, 0x492fdcb8175c81f7),
+            (IntegralHistogram, Full, 0x0d4a1333abbc7e4c),
+            (Jacobi, Full, 0x105b66974cf6816a),
+            (NStream, Full, 0xa44b693b014cf545),
+            (QrFactorization, Full, 0x38bd9c15d34baff2),
+            (RedBlack, Full, 0x714a8ae5a79277ca),
+            (SymmetricMatrixInversion, Full, 0xdf2e0e12eb38bfa5),
+        ];
+        let cache = SpecCache::new();
+        for (app, scale, want) in GOLDEN {
+            let got = cache.fingerprint(app, scale, 8);
+            assert_eq!(got, want, "{app:?} at {scale:?}: {got:#018x}");
+            // ... and the memoised repeat is the same number.
+            assert_eq!(cache.get(app, scale, 8).fingerprint(), want);
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! [`numadag_runtime::framing`].
 //!
 //! Messages cover the whole lifecycle: `config`/`config_ack` (execution
-//! config sync, fingerprint-keyed), `spec` (workload transfer, shipped once
-//! per worker and referenced by fingerprint after; never acknowledged — a
-//! worker that refuses one says so in its one reply to the `assign` behind
-//! it), `assign`/`done` (one sweep cell), `data_home` and `steal`
+//! config sync, fingerprint-keyed), `spec` (workload transfer, shipped to a
+//! worker the first time a cell over it is dispatched there — dispatch
+//! prefers a worker that already holds it — and referenced by fingerprint
+//! after; never acknowledged — a worker that refuses one says so in its one
+//! reply to the `assign` behind it), `assign`/`done` (one sweep cell), `data_home` and `steal`
 //! notifications (deferred-allocation bytes and stolen-task counts,
 //! cross-checked against the report), `barrier`/`barrier_ack` (oneCCL-style
 //! non-blocking collectives at startup and shutdown) and `shutdown`.

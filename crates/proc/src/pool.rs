@@ -9,6 +9,13 @@
 //! polls — rather than one blocking wait per worker, so a dead worker
 //! surfaces as a killed slot instead of a hang.
 //!
+//! Which worker gets a cell is the paper's own argument applied to the
+//! coordinator — run the task where its data already lives: `pick_slot`
+//! prefers an idle worker that already holds the cell's spec, then the idle
+//! worker holding the fewest specs, and only with every worker busy queues
+//! the cell behind one (a holder first). A serial sweep therefore ships each
+//! spec once, to one worker, and spreads the specs evenly.
+//!
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
 //! differs), spec transfer (only the first time this worker sees the spec),
@@ -167,10 +174,56 @@ struct SlotState {
     child: Child,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Fingerprints of specs this worker already holds.
-    specs: HashSet<u64>,
     /// Fingerprint of the config this worker last acknowledged.
     config_fp: Option<u64>,
+}
+
+/// What choosing a worker needs to know about each of them, kept apart from
+/// [`SlotState`] so that a choice never waits for a conversation to end.
+struct Dispatch {
+    /// Cells chosen so far; where the scan for a worker starts, so equally
+    /// good workers take turns.
+    rotation: usize,
+    books: Vec<SlotBook>,
+}
+
+#[derive(Default)]
+struct SlotBook {
+    /// Cells sent this worker's way and not yet answered (one in
+    /// conversation, the rest queued on its lock).
+    in_flight: usize,
+    /// Fingerprints of the specs this worker holds (or is being shipped).
+    specs: HashSet<u64>,
+}
+
+/// One worker as [`pick_slot`] sees it.
+#[derive(Clone, Copy, Debug)]
+struct SlotRow {
+    alive: bool,
+    /// A cell is in conversation with it or queued behind one.
+    busy: bool,
+    /// It holds the spec of the cell being placed.
+    holds: bool,
+    /// How many specs it holds.
+    specs_held: usize,
+}
+
+/// Data-affine choice of the worker for one cell: among live workers, an
+/// idle one that holds the cell's spec; else the idle one holding the
+/// fewest specs (it pays one transfer, and the specs stay spread); else —
+/// every worker busy — one that holds the spec; else any. Equally good
+/// workers are taken in turn, scanning from `rotation`.
+fn pick_slot(rows: &[SlotRow], rotation: usize) -> Option<usize> {
+    let n = rows.len();
+    (0..n)
+        .map(|offset| (rotation + offset) % n)
+        .filter(|&at| rows[at].alive)
+        .min_by_key(|&at| match (rows[at].busy, rows[at].holds) {
+            (false, true) => (0, 0),
+            (false, false) => (1, rows[at].specs_held),
+            (true, true) => (2, 0),
+            (true, false) => (3, 0),
+        })
 }
 
 struct WorkerSlot {
@@ -252,7 +305,7 @@ enum DispatchFailure {
 /// A pool of worker processes executing sweep cells over newline-JSON IPC.
 pub struct WorkerPool {
     slots: Vec<Arc<WorkerSlot>>,
-    next_slot: AtomicU64,
+    dispatch: Mutex<Dispatch>,
     next_cell: AtomicU64,
     next_epoch: AtomicU64,
     cell_timeout: Duration,
@@ -347,7 +400,6 @@ impl WorkerPool {
                     child,
                     reader,
                     writer: stream,
-                    specs: HashSet::new(),
                     config_fp: None,
                 }),
             }));
@@ -355,8 +407,11 @@ impl WorkerPool {
         slots.sort_by_key(|slot| slot.id);
 
         let pool = Arc::new(WorkerPool {
+            dispatch: Mutex::new(Dispatch {
+                rotation: 0,
+                books: slots.iter().map(|_| SlotBook::default()).collect(),
+            }),
             slots,
-            next_slot: AtomicU64::new(0),
             next_cell: AtomicU64::new(0),
             next_epoch: AtomicU64::new(0),
             cell_timeout: config.cell_timeout,
@@ -418,16 +473,39 @@ impl WorkerPool {
         self.counters.barriers.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn acquire_slot(&self) -> Option<Arc<WorkerSlot>> {
-        let n = self.slots.len();
-        let start = self.next_slot.fetch_add(1, Ordering::Relaxed) as usize;
-        for offset in 0..n {
-            let slot = &self.slots[(start + offset) % n];
-            if slot.alive.load(Ordering::SeqCst) {
-                return Some(slot.clone());
-            }
+    fn dispatch(&self) -> MutexGuard<'_, Dispatch> {
+        // Every update of the books is one insert, remove or count step, so
+        // they are valid even if a holder of the lock panicked.
+        match self.dispatch.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
         }
-        None
+    }
+
+    /// Chooses the worker (by slot index) for a cell over the spec with
+    /// fingerprint `fp` and counts the cell as in flight on it;
+    /// [`WorkerPool::release_slot`] undoes the count.
+    fn acquire_slot(&self, fp: u64) -> Option<usize> {
+        let mut dispatch = self.dispatch();
+        let rows: Vec<SlotRow> = self
+            .slots
+            .iter()
+            .zip(&dispatch.books)
+            .map(|(slot, book)| SlotRow {
+                alive: slot.alive.load(Ordering::SeqCst),
+                busy: book.in_flight > 0,
+                holds: book.specs.contains(&fp),
+                specs_held: book.specs.len(),
+            })
+            .collect();
+        let chosen = pick_slot(&rows, dispatch.rotation)?;
+        dispatch.rotation = dispatch.rotation.wrapping_add(1);
+        dispatch.books[chosen].in_flight += 1;
+        Some(chosen)
+    }
+
+    fn release_slot(&self, index: usize) {
+        self.dispatch().books[index].in_flight -= 1;
     }
 
     /// Executes one sweep cell on some live worker, redispatching on worker
@@ -458,10 +536,12 @@ impl WorkerPool {
             placements,
         };
         loop {
-            let slot = self
-                .acquire_slot()
+            let index = self
+                .acquire_slot(assignment.fp.0)
                 .ok_or(ProcError::AllWorkersDead { cell })?;
-            match self.dispatch_on(&slot, &assignment, spec, policy_name, config) {
+            let outcome = self.dispatch_on(index, &assignment, spec, policy_name, config);
+            self.release_slot(index);
+            match outcome {
                 Ok(result) => return Ok(result),
                 Err(DispatchFailure::WorkerLost) => {
                     self.counters.redispatches.fetch_add(1, Ordering::Relaxed);
@@ -473,12 +553,13 @@ impl WorkerPool {
 
     fn dispatch_on(
         &self,
-        slot: &WorkerSlot,
+        index: usize,
         assignment: &Assignment,
         spec: &TaskGraphSpec,
         policy_name: &'static str,
         config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), DispatchFailure> {
+        let slot: &WorkerSlot = &self.slots[index];
         let mut state = slot.lock();
         if !slot.alive.load(Ordering::SeqCst) {
             return Err(DispatchFailure::WorkerLost);
@@ -523,7 +604,7 @@ impl WorkerPool {
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        let shipped_spec = state.specs.insert(assignment.fp.0);
+        let shipped_spec = self.dispatch().books[index].specs.insert(assignment.fp.0);
         if shipped_spec {
             if write_line(&mut state.writer, encode_spec(spec)).is_err() {
                 return Err(lost(slot, &mut state));
@@ -577,7 +658,7 @@ impl WorkerPool {
                     // The complaint may be about the spec shipped just now
                     // (`spec` is un-acked): the worker does not hold it.
                     if shipped_spec {
-                        state.specs.remove(&assignment.fp.0);
+                        self.dispatch().books[index].specs.remove(&assignment.fp.0);
                     }
                     return Err(DispatchFailure::Fatal(ProcError::Worker {
                         worker: slot.id,
@@ -755,4 +836,72 @@ pub fn shared_pool(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
     let pool = WorkerPool::spawn(config)?;
     *guard = Arc::downgrade(&pool);
     Ok(pool)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `"AIH3"`: **A**live or **D**ead, **I**dle or **B**usy, **H**olds the
+    /// spec or `-`, and how many specs it holds.
+    fn row(text: &str) -> SlotRow {
+        let bytes = text.as_bytes();
+        SlotRow {
+            alive: bytes[0] == b'A',
+            busy: bytes[1] == b'B',
+            holds: bytes[2] == b'H',
+            specs_held: usize::from(bytes[3] - b'0'),
+        }
+    }
+
+    #[test]
+    fn pick_slot_prefers_idle_holders_then_empty_hands_then_busy_holders() {
+        for (rows, rotation, want, why) in [
+            ("", 0, None, "no workers"),
+            ("DI-0 DBH1", 0, None, "no live workers"),
+            ("AI-0 AI-0", 0, Some(0), "a fresh pool: the rotation"),
+            ("AI-0 AI-0", 1, Some(1), "... wherever it is"),
+            ("AI-0 AI-0", 7, Some(1), "... modulo the pool"),
+            ("AI-2 AIH3", 0, Some(1), "an idle holder beats fewer specs"),
+            ("AIH1 AIH1", 1, Some(1), "idle holders take turns"),
+            ("AI-2 AI-1", 0, Some(1), "no holder: fewest specs"),
+            ("AI-1 AI-2 AI-1", 1, Some(2), "fewest specs, in turn"),
+            ("ABH1 AI-5", 0, Some(1), "idle beats a busy holder"),
+            ("AB-0 ABH4", 0, Some(1), "all busy: behind a holder"),
+            ("AB-0 AB-9", 0, Some(0), "all busy, no holder: rotation"),
+            ("AB-0 AB-9", 1, Some(1), "... wherever it is"),
+            ("DIH1 AB-0", 0, Some(1), "a dead holder holds nothing"),
+            ("DI-0 AI-3 DIH0", 2, Some(1), "the only survivor"),
+        ] {
+            let rows: Vec<SlotRow> = rows.split_whitespace().map(row).collect();
+            assert_eq!(pick_slot(&rows, rotation), want, "{why}");
+        }
+    }
+
+    /// The serial Full sweep in miniature: eight specs, five cells each, two
+    /// idle workers — every spec shipped once, four to each worker.
+    #[test]
+    fn a_serial_sweep_ships_each_spec_once_and_splits_them_evenly() {
+        let mut held: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        let mut transfers = 0;
+        for cell in 0..40usize {
+            let fp = (cell / 5) as u64;
+            let rows: Vec<SlotRow> = held
+                .iter()
+                .map(|specs| SlotRow {
+                    alive: true,
+                    busy: false,
+                    holds: specs.contains(&fp),
+                    specs_held: specs.len(),
+                })
+                .collect();
+            let chosen = pick_slot(&rows, cell).expect("both alive");
+            if !held[chosen].contains(&fp) {
+                held[chosen].push(fp);
+                transfers += 1;
+            }
+        }
+        assert_eq!(transfers, 8);
+        assert_eq!((held[0].len(), held[1].len()), (4, 4));
+    }
 }

@@ -33,20 +33,23 @@
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
 //! to every worker): [`encode_spec`] writes its line straight into one
 //! `String`, in a columnar layout that costs a worker one flat array per
-//! field instead of one object per task, and [`decode_spec`] validates
-//! those columns before it constructs anything, so a malformed `spec` is a
+//! field instead of one object per task, and [`decode_spec`] fills those
+//! columns straight from the line (no [`serde::Value`] tree in between) and
+//! validates them before it constructs anything, so a malformed `spec` is a
 //! structured `error` reply and never a worker panic. A worker peeks the
-//! envelope tag for `"spec"` and decodes everything else as a [`ToWorker`].
+//! envelope key ([`is_spec_line`]) and decodes everything else as a
+//! [`ToWorker`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use numadag_numa::{CostModel, DistanceMatrix, NodeId, SocketId, Topology, TrafficStats};
-use numadag_runtime::framing::{field, push_wire_u64, str_field, wire_u64, Hex128, Hex64};
+use numadag_runtime::framing::{push_wire_u64, read_wire_u64, Hex128, Hex64};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode, TaskPlacement};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::TraceEvent;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::{Reader, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
@@ -402,13 +405,6 @@ impl ReportMsg {
     }
 }
 
-fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
-    field(value, variant, name)?
-        .as_array()
-        .map(|v| v.as_slice())
-        .ok_or_else(|| format!("{variant}.{name} is not an array"))
-}
-
 /// Starts a column of the `spec` message: `,"name":[`.
 fn open_column(out: &mut String, name: &str) {
     out.push_str(",\"");
@@ -437,7 +433,7 @@ fn push_json_str(out: &mut String, text: &str) {
 /// Encodes the `spec` message — a complete [`TaskGraphSpec`], keyed by its
 /// fingerprint, shipped once per worker and referenced by `fp` afterwards —
 /// straight into its wire line (no trailing newline, no intermediate
-/// [`Value`] nodes).
+/// [`serde::Value`] nodes).
 ///
 /// The layout is columnar: the distinct task kinds form a string table
 /// (`kinds`) and everything per task, per access and per dependence is a
@@ -556,18 +552,135 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     out
 }
 
-/// One `u64` column of a `spec` payload, decoded.
-fn u64_column(payload: &Value, name: &str) -> Result<Vec<u64>, String> {
-    array_field(payload, "spec", name)?
-        .iter()
-        .enumerate()
-        .map(|(i, value)| wire_u64(value).map_err(|e| format!("spec.{name}[{i}]: {e}")))
-        .collect()
+/// The columns of a `spec` payload as they came off the wire, each `None`
+/// until its key has been read.
+#[derive(Default)]
+struct SpecColumns {
+    fp: Option<u64>,
+    name: Option<String>,
+    kinds: Option<Vec<String>>,
+    /// `None` entries are the ones that were not numbers.
+    work: Option<Vec<Option<f64>>>,
+    kind: Option<Vec<u64>>,
+    n_acc: Option<Vec<u64>>,
+    n_dep: Option<Vec<u64>>,
+    acc: Option<Vec<u64>>,
+    dep: Option<Vec<u64>>,
+    regions: Option<Vec<u64>>,
+    /// `Some(None)` is the `null` of a spec without an expert placement.
+    ep: Option<Option<Vec<u64>>>,
+}
+
+impl SpecColumns {
+    /// The slot of the `u64` column called `name`.
+    fn u64_column(&mut self, name: &str) -> Option<&mut Option<Vec<u64>>> {
+        match name {
+            "kind" => Some(&mut self.kind),
+            "n_acc" => Some(&mut self.n_acc),
+            "n_dep" => Some(&mut self.n_dep),
+            "acc" => Some(&mut self.acc),
+            "dep" => Some(&mut self.dep),
+            "regions" => Some(&mut self.regions),
+            _ => None,
+        }
+    }
+}
+
+/// Reads the array under `spec.{name}`, one `entry(reader, index)` per
+/// element.
+fn read_column<T>(
+    reader: &mut Reader<'_>,
+    name: &str,
+    mut entry: impl FnMut(&mut Reader<'_>, usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    if reader.peek()? != Token::Array {
+        return Err(format!("spec.{name} is not an array"));
+    }
+    let mut column = Vec::new();
+    let mut more = reader.begin_array()?;
+    while more {
+        column.push(entry(reader, column.len())?);
+        more = reader.next_element()?;
+    }
+    Ok(column)
+}
+
+fn read_u64_column(reader: &mut Reader<'_>, name: &str) -> Result<Vec<u64>, String> {
+    read_column(reader, name, |reader, i| {
+        read_wire_u64(reader).map_err(|e| format!("spec.{name}[{i}]: {e}"))
+    })
+}
+
+/// Fills the columns from a `spec` line, token by token. Keys may come in
+/// any order; a key seen before keeps its first value (what looking a key
+/// up in the parsed tree would find) and unknown keys are skipped. Stops at
+/// the first complaint, which may be the text of a syntax error.
+fn read_columns(line: &str) -> Result<SpecColumns, String> {
+    let mut reader = Reader::new(line);
+    if reader.begin_object()?.as_deref() != Some("spec") {
+        return Err("not a spec envelope".to_string());
+    }
+    if reader.peek()? != Token::Object {
+        return Err("spec must be an object".to_string());
+    }
+    let mut columns = SpecColumns::default();
+    let mut member = reader.begin_object()?;
+    while let Some(key) = member {
+        let reader = &mut reader;
+        match key.as_str() {
+            "fp" if columns.fp.is_none() => {
+                columns.fp = Some(read_wire_u64(reader).map_err(|e| format!("spec.fp: {e}"))?);
+            }
+            "name" if columns.name.is_none() => {
+                if reader.peek()? != Token::String {
+                    return Err("spec.name must be a string".to_string());
+                }
+                columns.name = Some(reader.string()?);
+            }
+            "kinds" if columns.kinds.is_none() => {
+                columns.kinds = Some(read_column(reader, "kinds", |reader, _| {
+                    if reader.peek()? != Token::String {
+                        return Err("spec.kinds entry is not a string".to_string());
+                    }
+                    Ok(reader.string()?)
+                })?);
+            }
+            "work" if columns.work.is_none() => {
+                // Which entry is not a number is said where the task is
+                // built, after the checks on the tasks before it.
+                columns.work = Some(read_column(reader, "work", |reader, _| {
+                    if reader.peek()? == Token::Number {
+                        Ok(Some(reader.number()?))
+                    } else {
+                        reader.skip_value()?;
+                        Ok(None)
+                    }
+                })?);
+            }
+            "ep" if columns.ep.is_none() => {
+                columns.ep = Some(if reader.peek()? == Token::Null {
+                    reader.null()?;
+                    None
+                } else {
+                    Some(read_u64_column(reader, "ep")?)
+                });
+            }
+            name => match columns.u64_column(name) {
+                Some(slot @ None) => *slot = Some(read_u64_column(reader, name)?),
+                _ => reader.skip_value()?,
+            },
+        }
+        member = reader.next_key()?;
+    }
+    if reader.next_key()?.is_some() {
+        return Err("a spec envelope has one key".to_string());
+    }
+    reader.end()?;
+    Ok(columns)
 }
 
 /// A per-task column: exactly one entry per task.
-fn task_column(payload: &Value, name: &str, tasks: usize) -> Result<Vec<u64>, String> {
-    let column = u64_column(payload, name)?;
+fn per_task(name: &str, column: Vec<u64>, tasks: usize) -> Result<Vec<u64>, String> {
     if column.len() != tasks {
         return Err(format!(
             "spec.{name} has {} entries for {tasks} tasks",
@@ -594,8 +707,33 @@ fn check_runs(name: &str, run: &[u64], width: usize, counts: &[u64]) -> Result<(
     Ok(())
 }
 
-/// Decodes a `spec` payload into the advertised fingerprint and the rebuilt
-/// [`TaskGraphSpec`].
+/// Why a line was not taken as a `spec`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpecError {
+    /// The line is not JSON at all: the framing is lost and the conversation
+    /// with it.
+    Syntax(String),
+    /// Well-formed JSON that is not a spec a worker may build; the
+    /// conversation goes on.
+    Refused(String),
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::Syntax(e) | SpecError::Refused(e) => f.write_str(e),
+        }
+    }
+}
+
+/// True when `line` opens as the `spec` envelope does (`{"spec":`): the
+/// one message a worker hands to [`decode_spec`] instead of [`ToWorker`].
+pub fn is_spec_line(line: &str) -> bool {
+    matches!(Reader::new(line).begin_object(), Ok(Some(key)) if key == "spec")
+}
+
+/// Decodes a `spec` wire line into the advertised fingerprint and the
+/// rebuilt [`TaskGraphSpec`], reading the columns straight off the line.
 ///
 /// Everything [`TaskGraph::push_task`] and
 /// [`TaskGraphSpec::with_ep_placement`] would `assert!` — and the table
@@ -607,26 +745,41 @@ fn check_runs(name: &str, run: &[u64], width: usize, counts: &[u64]) -> Result<(
 /// the order the encoder emits, so none repeats) and the EP length. Last,
 /// the rebuilt spec's own fingerprint must match the advertised one or the
 /// transfer corrupted something the shape checks cannot see.
-pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
-    let fp = wire_u64(field(payload, "spec", "fp")?).map_err(|e| format!("spec.fp: {e}"))?;
-    let name = str_field(payload, "spec", "name")?;
-    let kinds = array_field(payload, "spec", "kinds")?
-        .iter()
-        .map(|kind| kind.as_str().ok_or("spec.kinds entry is not a string"))
-        .collect::<Result<Vec<&str>, _>>()?;
-    let work = array_field(payload, "spec", "work")?;
+///
+/// The reader stops at its first complaint, so a refused line is parsed
+/// once more, whole, to tell a line that is not JSON ([`SpecError::Syntax`])
+/// from a well-formed one that is not a spec ([`SpecError::Refused`]) —
+/// exactly the split a worker that parsed every line first would make.
+pub fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
+    read_columns(line)
+        .and_then(build_spec)
+        .map_err(|complaint| match serde_json::from_str(line) {
+            Err(e) => SpecError::Syntax(e.to_string()),
+            Ok(_) => SpecError::Refused(complaint),
+        })
+}
+
+/// The validate-before-build half of [`decode_spec`].
+fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
+    fn present<T>(column: Option<T>, name: &str) -> Result<T, String> {
+        column.ok_or_else(|| format!("spec is missing field {name:?}"))
+    }
+    let fp = present(columns.fp, "fp")?;
+    let name = present(columns.name, "name")?;
+    let kinds = present(columns.kinds, "kinds")?;
+    let work = present(columns.work, "work")?;
     let tasks = work.len();
-    let kind = task_column(payload, "kind", tasks)?;
-    let n_acc = task_column(payload, "n_acc", tasks)?;
-    let n_dep = task_column(payload, "n_dep", tasks)?;
-    let acc = u64_column(payload, "acc")?;
-    let dep = u64_column(payload, "dep")?;
+    let kind = per_task("kind", present(columns.kind, "kind")?, tasks)?;
+    let n_acc = per_task("n_acc", present(columns.n_acc, "n_acc")?, tasks)?;
+    let n_dep = per_task("n_dep", present(columns.n_dep, "n_dep")?, tasks)?;
+    let acc = present(columns.acc, "acc")?;
+    let dep = present(columns.dep, "dep")?;
     check_runs("acc", &acc, 3, &n_acc)?;
     check_runs("dep", &dep, 2, &n_dep)?;
-    let regions = u64_column(payload, "regions")?;
-    let ep = match field(payload, "spec", "ep")? {
-        Value::Null => None,
-        _ => Some(task_column(payload, "ep", tasks)?),
+    let regions = present(columns.regions, "regions")?;
+    let ep = match present(columns.ep, "ep")? {
+        None => None,
+        Some(placement) => Some(per_task("ep", placement, tasks)?),
     };
 
     let mut graph = TaskGraph::new();
@@ -634,16 +787,15 @@ pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
     let mut dep = dep.chunks_exact(2);
     let mut deps = Vec::new();
     for index in 0..tasks {
-        let kind = *kinds.get(kind[index] as usize).ok_or_else(|| {
+        let kind = kinds.get(kind[index] as usize).ok_or_else(|| {
             format!(
                 "spec.kind[{index}] is {}, the kinds table has {} entries",
                 kind[index],
                 kinds.len()
             )
         })?;
-        let work_units = work[index]
-            .as_f64()
-            .ok_or_else(|| format!("spec.work[{index}] is not a number"))?;
+        let work_units =
+            work[index].ok_or_else(|| format!("spec.work[{index}] is not a number"))?;
         let accesses = acc
             .by_ref()
             .take(n_acc[index] as usize)
@@ -690,7 +842,7 @@ pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
         graph.push_task(
             TaskDescriptor {
                 id: TaskId(index),
-                kind: kind.to_string(),
+                kind: kind.clone(),
                 work_units,
                 accesses,
             },
@@ -718,6 +870,7 @@ mod tests {
     use numadag_runtime::framing::to_line;
     use serde::de::untag;
     use serde::testing::assert_enum_rejects_malformed;
+    use serde::Value;
 
     // Shorthands for the malformed-`spec` table's hand-built payloads.
     fn s(text: impl Into<String>) -> Value {
@@ -854,18 +1007,133 @@ mod tests {
         TaskGraphSpec::new("wire-spec", graph, vec![1 << 20, 4096]).with_ep_placement(vec![1, 0, 1])
     }
 
-    /// What a worker does with a `spec` line.
-    fn decode_line(line: &str) -> Result<(u64, TaskGraphSpec), String> {
-        let message = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        let (name, payload) = untag(&message)?;
-        assert_eq!(name, "spec");
-        decode_spec(payload)
+    // The decoder `decode_spec` replaced looked its columns up in the parsed
+    // tree. It is kept, with the `framing` accessors only it used, as the
+    // reference the line decoder is compared against.
+
+    fn field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v Value, String> {
+        value
+            .get(name)
+            .ok_or_else(|| format!("{variant} is missing field {name:?}"))
+    }
+
+    fn str_field(value: &Value, variant: &str, name: &str) -> Result<String, String> {
+        field(value, variant, name)?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("{variant}.{name} must be a string"))
+    }
+
+    fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
+        field(value, variant, name)?
+            .as_array()
+            .map(|v| v.as_slice())
+            .ok_or_else(|| format!("{variant}.{name} is not an array"))
+    }
+
+    fn wire_u64(value: &Value) -> Result<u64, String> {
+        match value {
+            Value::String(_) => Hex64::from_value(value).map(|hex| hex.0),
+            Value::Number(n) if *n >= 0.0 && n.trunc() == *n && *n < (1u64 << 53) as f64 => {
+                Ok(*n as u64)
+            }
+            _ => Err("expected an unsigned integer below 2^53 or a hex string".to_string()),
+        }
+    }
+
+    fn u64_column(payload: &Value, name: &str) -> Result<Vec<u64>, String> {
+        array_field(payload, "spec", name)?
+            .iter()
+            .enumerate()
+            .map(|(i, value)| wire_u64(value).map_err(|e| format!("spec.{name}[{i}]: {e}")))
+            .collect()
+    }
+
+    #[test]
+    fn field_accessors_name_the_variant_in_errors() {
+        let value = serde_json::from_str(r#"{"n": 3, "s": "x"}"#).unwrap();
+        assert_eq!(str_field(&value, "V", "s"), Ok("x".to_string()));
+        let err = field(&value, "V", "missing").unwrap_err();
+        assert!(err.contains('V') && err.contains("missing"), "{err}");
+        let err = str_field(&value, "V", "n").unwrap_err();
+        assert!(err.contains("must be a string"), "{err}");
+    }
+
+    /// The reference: the columns of a `spec` payload looked up in its
+    /// parsed tree, then the same [`build_spec`].
+    fn decode_spec_reference(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
+        let fp = wire_u64(field(payload, "spec", "fp")?).map_err(|e| format!("spec.fp: {e}"))?;
+        let columns = SpecColumns {
+            fp: Some(fp),
+            name: Some(str_field(payload, "spec", "name")?),
+            kinds: Some(
+                array_field(payload, "spec", "kinds")?
+                    .iter()
+                    .map(|kind| kind.as_str().map(str::to_string))
+                    .collect::<Option<_>>()
+                    .ok_or("spec.kinds entry is not a string")?,
+            ),
+            work: Some(
+                array_field(payload, "spec", "work")?
+                    .iter()
+                    .map(Value::as_f64)
+                    .collect(),
+            ),
+            kind: Some(u64_column(payload, "kind")?),
+            n_acc: Some(u64_column(payload, "n_acc")?),
+            n_dep: Some(u64_column(payload, "n_dep")?),
+            acc: Some(u64_column(payload, "acc")?),
+            dep: Some(u64_column(payload, "dep")?),
+            regions: Some(u64_column(payload, "regions")?),
+            ep: Some(match field(payload, "spec", "ep")? {
+                Value::Null => None,
+                _ => Some(u64_column(payload, "ep")?),
+            }),
+        };
+        build_spec(columns)
+    }
+
+    /// What a worker that parsed every line into a tree first made of
+    /// `line`: not JSON, not a spec, or a spec.
+    fn reference(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
+        let message: Value =
+            serde_json::from_str(line).map_err(|e| SpecError::Syntax(e.to_string()))?;
+        match untag(&message) {
+            Ok(("spec", payload)) => decode_spec_reference(payload).map_err(SpecError::Refused),
+            _ => Err(SpecError::Refused("not a spec envelope".to_string())),
+        }
+    }
+
+    /// Decodes `line` both ways and checks that they agree: on the
+    /// fingerprint bits of a spec both take, on which kind of error both
+    /// make of anything else. Returns the line decoder's verdict.
+    fn decode_both_ways(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
+        let got = decode_spec(line);
+        match (&got, reference(line)) {
+            (Ok((fp, spec)), Ok((want_fp, want))) => {
+                assert_eq!((*fp, spec.fingerprint()), (want_fp, want.fingerprint()));
+            }
+            (Err(SpecError::Syntax(_)), Err(SpecError::Syntax(_))) => {}
+            (Err(SpecError::Refused(_)), Err(SpecError::Refused(_))) => {}
+            (got, want) => panic!(
+                "{line}\nline decoder: {:?}\nreference: {:?}",
+                got.as_ref().map(|(fp, _)| fp),
+                want.as_ref().map(|(fp, _)| fp)
+            ),
+        }
+        got
+    }
+
+    /// The wire line of a `spec` whose payload is `payload`.
+    fn spec_line(payload: &Value) -> String {
+        format!("{{\"spec\":{}}}", to_line(payload))
     }
 
     fn assert_spec_round_trips(spec: &TaskGraphSpec) {
         let line = encode_spec(spec);
         assert!(!line.contains('\n'), "{}: a frame is one line", spec.name);
-        let (fp, decoded) = decode_line(&line).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let (fp, decoded) =
+            decode_both_ways(&line).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert_eq!(fp, spec.fingerprint());
         assert_eq!(decoded.fingerprint(), fp);
         assert_eq!(decoded.name, spec.name);
@@ -1038,9 +1306,12 @@ mod tests {
         for work in [f64::NAN, f64::INFINITY] {
             let mut graph = TaskGraph::new();
             graph.push_task(task(0, "w", work, &[]), &[]);
-            let err =
-                decode_line(&encode_spec(&TaskGraphSpec::new("nan", graph, vec![]))).unwrap_err();
-            assert!(err.contains("spec.work[0] is not a number"), "{err}");
+            let err = decode_both_ways(&encode_spec(&TaskGraphSpec::new("nan", graph, vec![])))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::Refused("spec.work[0] is not a number".to_string())
+            );
         }
     }
 
@@ -1048,7 +1319,7 @@ mod tests {
     fn every_malformed_spec_is_an_error_never_a_panic() {
         let spec = sample_spec();
         let good = spec_payload(&spec);
-        assert!(decode_spec(&good).is_ok());
+        assert!(decode_both_ways(&spec_line(&good)).is_ok());
         let hex_max = || Hex64(u64::MAX).to_value();
         let mut rows: Vec<(String, Value, String)> = Vec::new();
         fn push(
@@ -1288,14 +1559,174 @@ mod tests {
 
         assert!(rows.len() > 90, "the table lost rows: {}", rows.len());
         for (row, payload, complaint) in rows {
-            match decode_spec(&payload) {
+            // The row as it would arrive, and as the tree decoder saw it.
+            match decode_both_ways(&spec_line(&payload)) {
+                Err(SpecError::Refused(e)) => assert!(e.contains(&complaint), "{row}: {e}"),
+                other => panic!("{row}: {:?}", other.map(|(fp, _)| fp)),
+            }
+            match decode_spec_reference(&payload) {
                 Ok(_) => panic!("{row}: decoded"),
                 Err(e) => assert!(e.contains(&complaint), "{row}: {e}"),
             }
         }
         // Not an object at all.
         for payload in [Value::Null, num(1.0), arr(vec![]), s("spec")] {
-            assert!(decode_spec(&payload).is_err());
+            assert!(matches!(
+                decode_both_ways(&spec_line(&payload)),
+                Err(SpecError::Refused(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn columns_are_found_by_key_whatever_the_order_or_the_company() {
+        let spec = sample_spec();
+        let good = spec_payload(&spec);
+        let fields = good.as_object().unwrap().clone();
+        let fp = |payload: Value| decode_both_ways(&spec_line(&payload)).map(|(fp, _)| fp);
+
+        // Any key order: back to front.
+        let reversed = Value::Object(fields.iter().rev().cloned().collect());
+        assert_ne!(spec_line(&reversed), spec_line(&good));
+        assert_eq!(fp(reversed), Ok(spec.fingerprint()));
+
+        // Unknown keys, scalar and nested, are skipped.
+        let mut extended = fields.clone();
+        extended.insert(0, ("version".to_string(), num(3.0)));
+        extended.insert(
+            5,
+            (
+                "notes".to_string(),
+                serde_json::json!({ "by": "x", "n": vec![vec![1u8], vec![]] }),
+            ),
+        );
+        extended.push(("acc2".to_string(), Value::Null));
+        assert_eq!(fp(Value::Object(extended)), Ok(spec.fingerprint()));
+
+        // A repeated key keeps its first value, as a lookup in the tree does:
+        // a bad repeat is never looked at, a good repeat does not rescue.
+        let regions = fields.iter().position(|(key, _)| key == "regions").unwrap();
+        let mut repeated = fields.clone();
+        repeated.push(("regions".to_string(), arr(vec![s("not hex")])));
+        repeated.push(("fp".to_string(), Value::Null));
+        assert_eq!(fp(Value::Object(repeated)), Ok(spec.fingerprint()));
+        let mut shadowed = fields.clone();
+        shadowed[regions].1 = arr(vec![num(1.0), num(4096.0)]);
+        shadowed.push(fields[regions].clone());
+        match fp(Value::Object(shadowed)) {
+            Err(SpecError::Refused(e)) => assert!(e.contains("fingerprint mismatch"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+
+        // Whitespace a hand-written line might carry.
+        let spaced = spec_line(&good).replace(',', " ,\t").replace(':', " : ");
+        assert_eq!(
+            decode_both_ways(&format!("  {spaced}  ")).map(|(fp, _)| fp),
+            Ok(spec.fingerprint())
+        );
+        // An envelope is one key.
+        for line in [
+            format!("{{\"spec\":{},\"spec\":{{}}}}", to_line(&good)),
+            format!("{{\"assign\":{}}}", to_line(&good)),
+            "\"spec\"".to_string(),
+        ] {
+            assert!(matches!(
+                decode_both_ways(&line),
+                Err(SpecError::Refused(_))
+            ));
+        }
+        assert!(is_spec_line(&spec_line(&good)));
+        assert!(is_spec_line("  { \"spec\" : 3"));
+        for line in TO_WORKER_LINES {
+            assert!(!is_spec_line(line), "{line}");
+        }
+    }
+
+    /// Every token of a `spec` line: numbers, strings, `null` and each
+    /// punctuation mark, as byte ranges.
+    fn tokens(line: &str) -> Vec<std::ops::Range<usize>> {
+        let bytes = line.as_bytes();
+        let mut tokens = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let start = at;
+            match bytes[at] {
+                b'"' => {
+                    at += 1;
+                    while bytes[at] != b'"' {
+                        at += if bytes[at] == b'\\' { 2 } else { 1 };
+                    }
+                    at += 1;
+                }
+                b'[' | b']' | b'{' | b'}' | b',' | b':' => at += 1,
+                _ => {
+                    while !matches!(bytes[at], b'[' | b']' | b'{' | b'}' | b',' | b':' | b'"') {
+                        at += 1;
+                    }
+                }
+            }
+            tokens.push(start..at);
+        }
+        tokens
+    }
+
+    #[test]
+    fn any_single_token_mutation_is_judged_as_the_tree_decoder_judged_it() {
+        const REPLACEMENTS: [&str; 16] = [
+            "",
+            "0",
+            "1",
+            "2",
+            "-1",
+            "0.5",
+            "1e0",
+            "-0",
+            "9007199254740992",
+            "\"2\"",
+            "\"not hex\"",
+            "null",
+            "true",
+            "[]",
+            "{}",
+            ",",
+        ];
+        let spec = sample_spec();
+        let mut without_ep = spec.clone();
+        without_ep.ep_socket = None;
+        let mut judged = [0usize; 3];
+        for spec in [&spec, &without_ep] {
+            let line = encode_spec(spec);
+            for token in tokens(&line) {
+                for replacement in REPLACEMENTS {
+                    let mut mutated = line.clone();
+                    mutated.replace_range(token.clone(), replacement);
+                    judged[match decode_both_ways(&mutated) {
+                        Ok(_) => 0,
+                        Err(SpecError::Refused(_)) => 1,
+                        Err(SpecError::Syntax(_)) => 2,
+                    }] += 1;
+                }
+            }
+        }
+        // Some mutations are harmless (`1e0` for `1`, a kind renamed with
+        // its only user), many break the spec, many break the line.
+        assert!(judged.iter().all(|&n| n > 50), "{judged:?}");
+    }
+
+    #[test]
+    fn a_line_cut_anywhere_is_an_error_never_a_panic() {
+        use numadag_kernels::{Application, ProblemScale};
+        let line = Application::all()
+            .iter()
+            .map(|app| encode_spec(&app.build(ProblemScale::Tiny, 8)))
+            .min_by_key(String::len)
+            .unwrap();
+        assert!(decode_spec(&line).is_ok());
+        for cut in 0..line.len() {
+            assert!(
+                matches!(decode_spec(&line[..cut]), Err(SpecError::Syntax(_))),
+                "cut at {cut}"
+            );
         }
     }
 }

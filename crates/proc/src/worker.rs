@@ -16,13 +16,15 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_runtime::framing::{read_frame, write_frame, FrameError, Hex64};
-use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
+use numadag_runtime::framing::{read_frame, to_line, write_frame, FrameError, Hex64};
+use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::{MemorySink, TraceEvent};
 use serde::{de::untag, Deserialize, Value};
 
-use crate::protocol::{decode_spec, Assignment, ReportMsg, ToCoordinator, ToWorker};
+use crate::protocol::{
+    decode_spec, is_spec_line, Assignment, ReportMsg, SpecError, ToCoordinator, ToWorker,
+};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
@@ -101,6 +103,12 @@ fn run_worker(
         write_frame(writer, message).map_err(|e| format!("write to coordinator failed: {e}"))
     };
     let error = |message: String| ToCoordinator::Error { message };
+    // A line that is not JSON is unrecoverable (framing is lost), but say so
+    // before going.
+    let not_json = |writer: &mut TcpStream, e: String| -> String {
+        let _ = write_frame(writer, &error(format!("bad frame: {e}")));
+        format!("coordinator sent invalid JSON: {e}")
+    };
 
     send(
         &mut writer,
@@ -110,7 +118,9 @@ fn run_worker(
         },
     )?;
 
-    let mut base_config: Option<ExecutionConfig> = None;
+    // One simulator per config epoch: its topology tables and scratch arena
+    // are built on `config` and reused by every cell that follows.
+    let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
     // `spec` is un-acked, so a refused one may not be answered on the spot:
     // the coordinator reads one reply per `assign`, and the complaint is
@@ -130,31 +140,29 @@ fn run_worker(
                 return Err(format!("coordinator sent an unreadable frame: {e}"));
             }
         };
+        // `spec` is the one message with its own codec, read straight off
+        // the line; every other line is a `ToWorker` variant.
+        if is_spec_line(&line) {
+            match decode_spec(&line) {
+                Ok((fp, spec)) => {
+                    specs.insert(fp, spec);
+                }
+                Err(SpecError::Refused(e)) => refused_spec = Some(format!("bad spec: {e}")),
+                Err(SpecError::Syntax(e)) => return Err(not_json(&mut writer, e)),
+            }
+            continue;
+        }
         let value: Value = match serde_json::from_str(&line) {
             Ok(value) => value,
-            Err(e) => {
-                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
-                return Err(format!("coordinator sent invalid JSON: {e}"));
-            }
+            Err(e) => return Err(not_json(&mut writer, e.to_string())),
         };
-        let (tag, payload) = match untag(&value) {
-            Ok(parts) => parts,
+        let tag = match untag(&value) {
+            Ok((tag, _)) => tag,
             Err(e) => {
                 send(&mut writer, &error(format!("bad envelope: {e}")))?;
                 continue;
             }
         };
-        // `spec` is the one message with its own codec; every other tag is a
-        // `ToWorker` variant.
-        if tag == "spec" {
-            match decode_spec(payload) {
-                Ok((fp, spec)) => {
-                    specs.insert(fp, spec);
-                }
-                Err(e) => refused_spec = Some(format!("bad spec: {e}")),
-            }
-            continue;
-        }
         let message = match ToWorker::from_value(&value) {
             Ok(message) => message,
             Err(e) => {
@@ -167,7 +175,7 @@ fn run_worker(
                 let epoch = config.epoch;
                 match config.into_config() {
                     Ok(config) => {
-                        base_config = Some(config);
+                        simulator = Some(Simulator::new(config));
                         send(&mut writer, &ToCoordinator::ConfigAck { epoch })?;
                     }
                     Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
@@ -181,7 +189,7 @@ fn run_worker(
                 }
                 let outcome = match refused_spec.take() {
                     Some(complaint) => Err(complaint),
-                    None => run_cell(&assign, base_config.as_ref(), &specs),
+                    None => run_cell(&assign, simulator.as_ref(), &specs),
                 };
                 let (report, events) = match outcome {
                     Ok(done) => done,
@@ -202,22 +210,24 @@ fn run_worker(
                 let deferred_bytes = Hex64(report.deferred_bytes);
                 let stolen = report.stolen_tasks as u64;
                 let report = ReportMsg::new(&report);
-                send(
-                    &mut writer,
-                    &ToCoordinator::DataHome {
+                // Three frames, one write: on a `TCP_NODELAY` socket each
+                // write is a segment and a wake-up of the coordinator.
+                let replies = [
+                    ToCoordinator::DataHome {
                         cell,
                         deferred_bytes,
                     },
-                )?;
-                send(&mut writer, &ToCoordinator::Steal { cell, stolen })?;
-                send(
-                    &mut writer,
-                    &ToCoordinator::Done {
+                    ToCoordinator::Steal { cell, stolen },
+                    ToCoordinator::Done {
                         cell,
                         report,
                         events,
                     },
-                )?;
+                ];
+                let frames: String = replies.iter().map(|reply| to_line(reply) + "\n").collect();
+                writer
+                    .write_all(frames.as_bytes())
+                    .map_err(|e| format!("write to coordinator failed: {e}"))?;
             }
             ToWorker::Barrier { epoch } => send(&mut writer, &ToCoordinator::BarrierAck { epoch })?,
             ToWorker::Shutdown => {
@@ -234,10 +244,10 @@ fn run_worker(
 /// `error` reply (deterministic: another worker would fail the same way).
 fn run_cell(
     assign: &Assignment,
-    config: Option<&ExecutionConfig>,
+    simulator: Option<&Simulator>,
     specs: &HashMap<u64, TaskGraphSpec>,
 ) -> Result<(ExecutionReport, Vec<TraceEvent>), String> {
-    let config = config.ok_or("assign before any config was shipped")?;
+    let simulator = simulator.ok_or("assign before any config was shipped")?;
     let spec = specs
         .get(&assign.fp.0)
         .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.fp.0))?;
@@ -251,7 +261,12 @@ fn run_cell(
             assign.policy, spec.name
         )
     })?;
-    let mut cell_config = config.clone();
+    if !(assign.placements || assign.events) {
+        return Ok((simulator.run(spec, policy.as_mut()), Vec::new()));
+    }
+    // Tracing is part of a simulator's config: a cell that asks for it gets
+    // a simulator of its own.
+    let mut cell_config = simulator.config().clone();
     if assign.placements {
         cell_config = cell_config.with_trace();
     }
@@ -270,7 +285,8 @@ mod tests {
     use std::time::Duration;
 
     use numadag_numa::Topology;
-    use numadag_runtime::framing::{from_line, to_line, write_line};
+    use numadag_runtime::framing::{from_line, write_line};
+    use numadag_runtime::ExecutionConfig;
     use numadag_tdg::{TaskSpec, TdgBuilder};
 
     use crate::protocol::{encode_spec, ConfigMsg};
@@ -400,6 +416,20 @@ mod tests {
             .join()
             .expect("the worker never panicked")
             .expect("the worker left cleanly");
+    }
+
+    #[test]
+    fn a_spec_line_that_is_not_json_ends_the_conversation() {
+        let (mut coordinator, worker) = loopback();
+        let (spec, _) = loopback_cell();
+        // Cut in the middle of a column: up to the cut it reads as a spec,
+        // and no `assign` follows it — the complaint cannot be held back.
+        let line = encode_spec(&spec);
+        let cut = line.find("\"n_acc\"").unwrap() + 10;
+        write_line(&mut coordinator.writer, line[..cut].to_string()).unwrap();
+        coordinator.expect_error("bad frame: ", "at byte");
+        let left = worker.join().expect("the worker never panicked");
+        assert!(left.unwrap_err().contains("invalid JSON"));
     }
 
     #[test]

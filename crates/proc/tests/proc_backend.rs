@@ -39,6 +39,10 @@ fn test_pool(workers: usize, env: &[(&str, &str)]) -> Arc<WorkerPool> {
 }
 
 fn sample_spec() -> TaskGraphSpec {
+    named_spec("proc-e2e")
+}
+
+fn named_spec(name: &str) -> TaskGraphSpec {
     let mut b = TdgBuilder::new();
     let regions: Vec<_> = (0..6).map(|_| b.region(1 << 16)).collect();
     for r in &regions {
@@ -53,7 +57,7 @@ fn sample_spec() -> TaskGraphSpec {
         );
     }
     let (graph, sizes) = b.finish();
-    TaskGraphSpec::new("proc-e2e", graph, sizes)
+    TaskGraphSpec::new(name, graph, sizes)
 }
 
 fn local_report(
@@ -111,10 +115,42 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
     assert_eq!(stats.workers_alive, 2);
     assert_eq!(stats.cells_dispatched, 4);
     assert_eq!(stats.redispatches, 0);
-    // Round-robin touched both workers, so config and spec each shipped
-    // once per worker, not once per cell.
+    // Every cell went to the worker that already held the spec: one config,
+    // one spec, the other worker never spoken to.
+    assert_eq!(stats.config_broadcasts, 1);
+    assert_eq!(stats.spec_transfers, 1);
+}
+
+#[test]
+fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
+    let pool = test_pool(2, &[]);
+    let specs = [
+        named_spec("first"),
+        named_spec("second"),
+        named_spec("third"),
+    ];
+    let config = ExecutionConfig::new(Topology::bullion_s16());
+    let wire = WireConfig::new(config.clone());
+    let kind: PolicyKind = "las".parse().unwrap();
+    // Interleaved, the way no sweep orders its cells: affinity is by
+    // content, not by what ran last.
+    for round in 0..3 {
+        for spec in &specs {
+            let seed = 30 + round;
+            let want = local_report(spec, kind, seed, &config);
+            let (got, _) = pool
+                .run_cell(spec, "las", kind.base_label(), seed, &wire, false, false)
+                .expect("cell executes");
+            assert_reports_identical(&got, &want);
+        }
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.cells_dispatched, 9);
+    assert_eq!(stats.redispatches, 0);
+    // Each spec shipped once; the second went to the worker that held
+    // nothing, so both workers were configured.
+    assert_eq!(stats.spec_transfers, 3);
     assert_eq!(stats.config_broadcasts, 2);
-    assert_eq!(stats.spec_transfers, 2);
 }
 
 #[test]
@@ -196,7 +232,11 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     }
     let stats = pool.stats();
     assert_eq!(stats.workers_alive, 1, "the crashed worker is gone");
-    assert!(stats.redispatches >= 1, "the lost cell was redispatched");
+    // The spec's holder died under the second cell: that cell, and the spec
+    // with it, moved to the survivor, which kept the rest.
+    assert_eq!(stats.redispatches, 1, "the lost cell was redispatched");
+    assert_eq!(stats.spec_transfers, 2);
+    assert_eq!(stats.config_broadcasts, 2);
     assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
 }
 
@@ -217,7 +257,8 @@ fn garbage_frames_kill_the_worker_not_the_coordinator() {
     }
     let stats = pool.stats();
     assert_eq!(stats.workers_alive, 1, "the corrupting worker was killed");
-    assert!(stats.redispatches >= 1);
+    assert_eq!(stats.redispatches, 1);
+    assert_eq!(stats.spec_transfers, 2, "the survivor was shipped the spec");
 }
 
 #[test]

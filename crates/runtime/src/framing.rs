@@ -21,11 +21,11 @@
 //! counters) are declared as [`Hex64`] / [`Hex128`] in a message type and
 //! travel as lowercase hex strings — the rule is the field's type, not a
 //! call someone has to remember. Bulk numeric columns use the number-or-hex
-//! form instead ([`push_wire_u64`]/[`wire_u64`]): a plain JSON integer
+//! form instead ([`push_wire_u64`]/[`read_wire_u64`]): a plain JSON integer
 //! whenever the value is exactly representable, hex only above 2^53.
 //! (Message envelopes themselves are decoded by `#[derive(Deserialize)]`;
-//! [`field`] / [`str_field`] remain for the one hand-written codec, the
-//! proc `spec` columns.)
+//! the one hand-written codec, the proc `spec` columns, reads its line
+//! through a `serde_json::Reader` and [`read_wire_u64`].)
 //!
 //! Nothing on the write path clones a message: [`to_line`] renders a
 //! [`Value`] by reference and a derived type through exactly one
@@ -34,6 +34,7 @@
 use std::io::{BufRead, Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
+use serde_json::{Reader, Token};
 
 /// Default per-frame size limit: generous enough for a full-scale report or
 /// trace payload embedded in one line, small enough to bound a hostile
@@ -163,22 +164,6 @@ pub fn read_frame_with_limit(
         .map_err(|_| FrameError::InvalidUtf8)
 }
 
-/// Looks up a required field of a payload object, naming the enclosing
-/// variant in the error.
-pub fn field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v Value, String> {
-    value
-        .get(name)
-        .ok_or_else(|| format!("{variant} is missing field {name:?}"))
-}
-
-/// A required string field.
-pub fn str_field(value: &Value, variant: &str, name: &str) -> Result<String, String> {
-    field(value, variant, name)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{variant}.{name} must be a string"))
-}
-
 /// A `u64` that travels as a lowercase hex string. JSON numbers are
 /// `f64`-backed in the vendored `serde_json`, so integers above 2^53
 /// (fingerprints, seeds) must travel as strings to keep every bit.
@@ -191,12 +176,14 @@ impl Serialize for Hex64 {
     }
 }
 
+fn parse_hex_u64(text: &str) -> Result<u64, String> {
+    u64::from_str_radix(text, 16).map_err(|_| format!("invalid hex u64 {text:?}"))
+}
+
 impl Deserialize for Hex64 {
     fn from_value(value: &Value) -> Result<Self, String> {
         let text = value.as_str().ok_or("must be a hex string")?;
-        u64::from_str_radix(text, 16)
-            .map(Hex64)
-            .map_err(|_| format!("invalid hex u64 {text:?}"))
+        parse_hex_u64(text).map(Hex64)
     }
 }
 
@@ -225,7 +212,7 @@ const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
 /// Appends the compact wire form of a `u64` to a line under construction: a
 /// JSON integer when it is exactly representable (below 2^53), the quoted
 /// [`Hex64`] string otherwise. Bulk numeric columns use this instead of
-/// always paying for a string; [`wire_u64`] reads either form back.
+/// always paying for a string; [`read_wire_u64`] reads either form back.
 pub fn push_wire_u64(out: &mut String, value: u64) {
     if value >= EXACT_JSON_INTEGER_LIMIT {
         out.push_str(&to_line(&Hex64(value)));
@@ -247,19 +234,26 @@ pub fn push_wire_u64(out: &mut String, value: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// Reads a `u64` written by [`push_wire_u64`], accepting both forms: an
-/// integral JSON number below 2^53 or a [`Hex64`] string.
-pub fn wire_u64(value: &Value) -> Result<u64, String> {
-    match value {
-        Value::String(_) => Hex64::from_value(value).map(|hex| hex.0),
-        Value::Number(n)
-            if *n >= 0.0 && n.trunc() == *n && *n < EXACT_JSON_INTEGER_LIMIT as f64 =>
-        {
-            Ok(*n as u64)
+/// Reads a `u64` written by [`push_wire_u64`] off a pull reader, accepting
+/// both forms: an integral JSON number below 2^53 or a [`Hex64`] string. The
+/// error is the complaint alone (a syntax error's text included); the value
+/// is consumed only when it was a number or a string.
+pub fn read_wire_u64(reader: &mut Reader<'_>) -> Result<u64, String> {
+    match reader.peek()? {
+        Token::String => parse_hex_u64(&reader.string()?),
+        Token::Number => {
+            let n = reader.number()?;
+            if n >= 0.0 && n.trunc() == n && n < EXACT_JSON_INTEGER_LIMIT as f64 {
+                Ok(n as u64)
+            } else {
+                Err(NOT_A_WIRE_U64.to_string())
+            }
         }
-        _ => Err("expected an unsigned integer below 2^53 or a hex string".to_string()),
+        _ => Err(NOT_A_WIRE_U64.to_string()),
     }
 }
+
+const NOT_A_WIRE_U64: &str = "expected an unsigned integer below 2^53 or a hex string";
 
 #[cfg(test)]
 mod tests {
@@ -358,16 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn field_accessors_name_the_variant_in_errors() {
-        let value = serde_json::from_str(r#"{"n": 3, "s": "x"}"#).unwrap();
-        assert_eq!(str_field(&value, "V", "s"), Ok("x".to_string()));
-        let err = field(&value, "V", "missing").unwrap_err();
-        assert!(err.contains('V') && err.contains("missing"), "{err}");
-        let err = str_field(&value, "V", "n").unwrap_err();
-        assert!(err.contains("must be a string"), "{err}");
-    }
-
-    #[test]
     fn number_or_hex_wire_form_round_trips_and_rejects_inexact_numbers() {
         let limit = 1u64 << 53;
         for v in [
@@ -388,8 +372,11 @@ mod tests {
             if v < limit {
                 assert_eq!(text, v.to_string());
             }
-            let value = serde_json::from_str(&text).unwrap();
-            assert_eq!(wire_u64(&value), Ok(v));
+            assert_eq!(read_wire_u64(&mut Reader::new(&text)), Ok(v));
+        }
+        // Spellings the number parser takes for the same integer.
+        for (text, v) in [("1e3", 1000), ("-0", 0), ("12.0", 12), (" 7", 7)] {
+            assert_eq!(read_wire_u64(&mut Reader::new(text)), Ok(v), "{text}");
         }
         // A number the f64 cannot hold exactly must have come as hex.
         for bad in [
@@ -400,9 +387,11 @@ mod tests {
             "null",
             "[1]",
             "\"xyz\"",
+            "1-2",
+            "\"ff",
+            "",
         ] {
-            let value = serde_json::from_str(bad).unwrap();
-            assert!(wire_u64(&value).is_err(), "{bad}");
+            assert!(read_wire_u64(&mut Reader::new(bad)).is_err(), "{bad}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use crate::task::{TaskDescriptor, TaskId};
+use crate::task::{AccessMode, TaskDescriptor, TaskId};
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
 /// edges carry the number of bytes of data flowing (or being serialised)
@@ -22,6 +22,9 @@ pub struct TaskGraph {
     /// Built on first use, dropped by [`TaskGraph::push_task`] — the only
     /// mutator, so a view handed out can never be stale.
     flat: OnceLock<FlatTdg>,
+    /// The first [`TaskGraph::fold_fingerprint`] as `(state in, state out)`,
+    /// dropped by `push_task` like the flat view.
+    fold: OnceLock<(u64, u64)>,
 }
 
 impl Default for TaskGraph {
@@ -31,6 +34,41 @@ impl Default for TaskGraph {
             pred_offsets: vec![0],
             pred_edges: Vec::new(),
             flat: OnceLock::new(),
+            fold: OnceLock::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Graph folds computed (not served from the memo) on this thread.
+    pub(crate) static FOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Minimal FNV-1a 64-bit hasher: deterministic across runs and platforms,
+/// unlike `std::collections::hash_map::DefaultHasher` which is seeded.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write_byte(&mut self, byte: u8) {
+        self.0 ^= u64::from(byte);
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    pub(crate) fn write_u64(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.write_byte(byte);
+        }
+    }
+
+    pub(crate) fn write_str(&mut self, value: &str) {
+        self.write_u64(value.len() as u64);
+        for byte in value.as_bytes() {
+            self.write_byte(*byte);
         }
     }
 }
@@ -274,6 +312,7 @@ impl TaskGraph {
             assert_ne!(pred, id, "a task cannot depend on itself");
         }
         self.flat.take();
+        self.fold.take();
         // A task has a handful of predecessors: sort the pairs in place at
         // the tail of the edge array and fold duplicates into the first of
         // each run.
@@ -295,6 +334,56 @@ impl TaskGraph {
             .push(u32::try_from(kept).expect("TDG exceeds u32 edge indices"));
         self.tasks.push(descriptor);
         id
+    }
+
+    /// Folds everything the graph contributes to
+    /// [`TaskGraphSpec::fingerprint`](crate::TaskGraphSpec::fingerprint) —
+    /// the task and edge counts, every task's kind / work / accesses and
+    /// every successor edge with its bytes — into the FNV-1a state `state`.
+    ///
+    /// A fold is a pure function of the graph and the incoming state, and
+    /// walks a few hundred kilobytes a byte at a time, so the first one is
+    /// remembered: every later call with the same incoming state (the same
+    /// spec name hashed before it) is a load, which is what makes a
+    /// fingerprint free on the per-cell paths that key on it. Another
+    /// incoming state (a renamed spec sharing the graph) folds afresh.
+    pub(crate) fn fold_fingerprint(&self, state: u64) -> u64 {
+        match self.fold.get() {
+            Some(&(seen, out)) if seen == state => out,
+            _ => {
+                let out = self.fold_fingerprint_uncached(state);
+                let _ = self.fold.set((state, out));
+                out
+            }
+        }
+    }
+
+    fn fold_fingerprint_uncached(&self, state: u64) -> u64 {
+        #[cfg(test)]
+        FOLDS.with(|folds| folds.set(folds.get() + 1));
+        let mut h = Fnv1a(state);
+        h.write_u64(self.num_tasks() as u64);
+        h.write_u64(self.num_edges() as u64);
+        for task in &self.tasks {
+            h.write_str(&task.kind);
+            h.write_u64(task.work_units.to_bits());
+            h.write_u64(task.accesses.len() as u64);
+            for access in &task.accesses {
+                h.write_u64(access.region.index() as u64);
+                h.write_u64(match access.mode {
+                    AccessMode::In => 0,
+                    AccessMode::Out => 1,
+                    AccessMode::InOut => 2,
+                });
+                h.write_u64(access.bytes);
+            }
+        }
+        let flat = self.flat();
+        for (&succ, &bytes) in flat.succ_targets.iter().zip(&flat.succ_bytes) {
+            h.write_u64(u64::from(succ));
+            h.write_u64(bytes);
+        }
+        h.0
     }
 
     /// Total bytes carried by all edges.

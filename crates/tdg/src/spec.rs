@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::graph::TaskGraph;
+use crate::graph::{Fnv1a, TaskGraph};
 use crate::task::TaskId;
 
 /// A complete workload: the task graph plus its data-region table.
@@ -87,31 +87,15 @@ impl TaskGraphSpec {
     /// processes and runs — the report cache in `numadag-serve` uses this to
     /// content-address sweep results, so the hash must not depend on pointer
     /// identity, hash-map iteration order or `DefaultHasher` seeding.
+    ///
+    /// The tasks and edges are hashed once per graph (the graph remembers
+    /// its fold); a call costs the name, the region table and the placement.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str(&self.name);
-        h.write_u64(self.graph.num_tasks() as u64);
-        h.write_u64(self.graph.num_edges() as u64);
-        for task in self.graph.tasks() {
-            h.write_str(&task.kind);
-            h.write_u64(task.work_units.to_bits());
-            h.write_u64(task.accesses.len() as u64);
-            for access in &task.accesses {
-                h.write_u64(access.region.index() as u64);
-                h.write_u64(match access.mode {
-                    crate::task::AccessMode::In => 0,
-                    crate::task::AccessMode::Out => 1,
-                    crate::task::AccessMode::InOut => 2,
-                });
-                h.write_u64(access.bytes);
-            }
-        }
-        for id in self.graph.task_ids() {
-            for (succ, bytes) in self.graph.successors(id) {
-                h.write_u64(succ.index() as u64);
-                h.write_u64(bytes);
-            }
-        }
+        // The graph's share is memoised on the graph; the pub fields around
+        // it can change under a shared `Arc<TaskGraph>` and are hashed anew.
+        h.0 = self.graph.fold_fingerprint(h.0);
         for &size in &self.region_sizes {
             h.write_u64(size);
         }
@@ -124,7 +108,7 @@ impl TaskGraphSpec {
                 }
             }
         }
-        h.finish()
+        h.0
     }
 
     /// Sanity checks: every task access refers to a known region, its byte
@@ -189,38 +173,6 @@ impl TaskGraphSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// Minimal FNV-1a 64-bit hasher: deterministic across runs and platforms,
-/// unlike `std::collections::hash_map::DefaultHasher` which is seeded.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_byte(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.write_byte(byte);
-        }
-    }
-
-    fn write_str(&mut self, value: &str) {
-        self.write_u64(value.len() as u64);
-        for byte in value.as_bytes() {
-            self.write_byte(*byte);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -354,5 +306,168 @@ mod tests {
             b.finish().0
         });
         assert_ne!(fp, reworked.fingerprint(), "task work must be hashed");
+
+        // `renamed` / `resized` / `placed` share `base`'s graph, whose fold
+        // `base` has claimed by now: their second answers are their first.
+        for (clone, first) in [
+            (&renamed, renamed.fingerprint()),
+            (&resized, resized.fingerprint()),
+            (&placed, placed.fingerprint()),
+        ] {
+            assert!(Arc::ptr_eq(&clone.graph, &base.graph));
+            assert_eq!(clone.fingerprint(), first);
+            assert_eq!(clone.fingerprint(), reference_fingerprint(clone));
+        }
+        assert_eq!(base.fingerprint(), fp);
+    }
+
+    /// [`TaskGraphSpec::fingerprint`] as it was before the graph memoised
+    /// its share: one straight-line fold, successor edges read through the
+    /// graph's accessors.
+    fn reference_fingerprint(spec: &TaskGraphSpec) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_str(&spec.name);
+        h.write_u64(spec.graph.num_tasks() as u64);
+        h.write_u64(spec.graph.num_edges() as u64);
+        for task in spec.graph.tasks() {
+            h.write_str(&task.kind);
+            h.write_u64(task.work_units.to_bits());
+            h.write_u64(task.accesses.len() as u64);
+            for access in &task.accesses {
+                h.write_u64(access.region.index() as u64);
+                h.write_u64(match access.mode {
+                    crate::task::AccessMode::In => 0,
+                    crate::task::AccessMode::Out => 1,
+                    crate::task::AccessMode::InOut => 2,
+                });
+                h.write_u64(access.bytes);
+            }
+        }
+        for id in spec.graph.task_ids() {
+            for (succ, bytes) in spec.graph.successors(id) {
+                h.write_u64(succ.index() as u64);
+                h.write_u64(bytes);
+            }
+        }
+        for &size in &spec.region_sizes {
+            h.write_u64(size);
+        }
+        match &spec.ep_socket {
+            None => h.write_u64(u64::MAX),
+            Some(placement) => {
+                h.write_u64(placement.len() as u64);
+                for &socket in placement {
+                    h.write_u64(socket as u64);
+                }
+            }
+        }
+        h.0
+    }
+
+    fn folds() -> usize {
+        crate::graph::FOLDS.with(|folds| folds.get())
+    }
+
+    #[test]
+    fn a_graph_is_folded_once_however_often_its_spec_is_fingerprinted() {
+        let spec = small_spec();
+        let before = folds();
+        let fp = spec.fingerprint();
+        // What one proc sweep asks of a spec: five cells and one transfer.
+        for _ in 0..6 {
+            assert_eq!(spec.fingerprint(), fp);
+        }
+        assert_eq!(folds() - before, 1);
+
+        // A clone keeps the memo, whether it shares the graph or copies it.
+        assert_eq!(spec.clone().fingerprint(), fp);
+        let deep = TaskGraphSpec::new("toy", (*spec.graph).clone(), spec.region_sizes.clone());
+        assert!(!Arc::ptr_eq(&deep.graph, &spec.graph));
+        assert_eq!(deep.fingerprint(), fp);
+        assert_eq!(folds() - before, 1);
+
+        // Another name enters the graph's fold in another state: it is
+        // computed (every time — the memo belongs to the first name) and
+        // does not disturb the answer the first name gets.
+        let mut renamed = spec.clone();
+        renamed.name = "toy2".into();
+        assert_eq!(renamed.fingerprint(), reference_fingerprint(&renamed));
+        assert_eq!(folds() - before, 2);
+        assert_eq!(spec.fingerprint(), fp);
+        assert_eq!(folds() - before, 2);
+    }
+
+    #[test]
+    fn push_task_after_a_fingerprint_changes_the_next_one() {
+        let spec = small_spec();
+        let fp = spec.fingerprint();
+        let mut graph = (*spec.graph).clone();
+        let grown = |graph: &TaskGraph| TaskGraphSpec::new("toy", graph.clone(), vec![128, 256]);
+        assert_eq!(grown(&graph).fingerprint(), fp);
+        graph.push_task(
+            crate::task::TaskDescriptor {
+                id: TaskId(3),
+                kind: "tail".into(),
+                work_units: 1.0,
+                accesses: Vec::new(),
+            },
+            &[(TaskId(2), 8)],
+        );
+        let after = grown(&graph);
+        assert_ne!(after.fingerprint(), fp);
+        assert_eq!(after.fingerprint(), reference_fingerprint(&after));
+    }
+
+    proptest::proptest! {
+        /// Random DAGs with random names, region tables and placements: the
+        /// memoised fingerprint — first call, repeat call, and the call of
+        /// a renamed spec sharing the graph — is the straight-line fold.
+        #[test]
+        fn memoised_fingerprint_matches_the_straight_line_fold(
+            tasks in proptest::collection::vec(
+                (proptest::collection::vec((0usize..1000, 0u64..5000), 0..5), 0usize..4, 0u64..100),
+                0..40,
+            ),
+            name_len in 0usize..6,
+            placed in 0u8..2,
+        ) {
+            let name = &"abcdef"[..name_len];
+            use crate::task::{DataAccess, TaskDescriptor};
+            use numadag_numa::RegionId;
+            let mut graph = TaskGraph::new();
+            for (t, (deps, accesses, work)) in tasks.iter().enumerate() {
+                let deps: Vec<(TaskId, u64)> = deps
+                    .iter()
+                    .filter(|_| t > 0)
+                    .map(|&(p, b)| (TaskId(p % t.max(1)), b))
+                    .collect();
+                let descriptor = TaskDescriptor {
+                    id: TaskId(t),
+                    kind: format!("k{}", t % 3),
+                    work_units: *work as f64 * 0.25,
+                    accesses: (0..*accesses)
+                        .map(|a| match a % 3 {
+                            0 => DataAccess::read(RegionId((t + a) % 7), (t * a) as u64),
+                            1 => DataAccess::write(RegionId((t + a) % 7), t as u64),
+                            _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
+                        })
+                        .collect(),
+                };
+                graph.push_task(descriptor, &deps);
+            }
+            let n = graph.num_tasks();
+            let mut spec = TaskGraphSpec::new(name, graph, (0..7).map(|r| r * 100).collect());
+            if placed == 1 {
+                spec = spec.with_ep_placement((0..n).map(|t| t % 4).collect());
+            }
+            let want = reference_fingerprint(&spec);
+            proptest::prop_assert_eq!(spec.fingerprint(), want);
+            proptest::prop_assert_eq!(spec.fingerprint(), want);
+            let mut renamed = spec.clone();
+            renamed.name = format!("{name}'").into();
+            proptest::prop_assert_eq!(renamed.fingerprint(), reference_fingerprint(&renamed));
+            proptest::prop_assert_ne!(renamed.fingerprint(), want);
+            proptest::prop_assert_eq!(spec.fingerprint(), want);
+        }
     }
 }

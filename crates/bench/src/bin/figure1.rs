@@ -47,7 +47,7 @@ use numadag_bench::{
 };
 use numadag_core::PolicyKind;
 use numadag_kernels::ProblemScale;
-use numadag_runtime::{Backend, SweepReport};
+use numadag_runtime::{Backend, SweepDriver, SweepReport};
 use numadag_trace::TraceCollector;
 
 /// Prints a CLI usage error and exits with code 2.
@@ -205,13 +205,17 @@ fn main() {
     );
 
     let collector = trace_dir.as_ref().map(|_| Arc::new(TraceCollector::new()));
-    let mut experiment = figure1_experiment(&config)
-        .on_cell_complete(stderr_progress)
-        .stage_timing(json_timing_path.is_some());
+    let mut experiment = figure1_experiment(&config).stage_timing(json_timing_path.is_some());
     if let Some(collector) = &collector {
         experiment = experiment.trace(Arc::clone(collector));
     }
-    let report = experiment.run();
+    // `Experiment::run` spelled out: the plan's graphs are asked for their
+    // window-plan counters after the sweep.
+    let plan = experiment.plan();
+    let report = SweepDriver::new()
+        .parallelism(config.jobs)
+        .on_cell_complete(stderr_progress)
+        .execute(&plan);
     print_table(&report);
 
     if !report.skipped.is_empty() {
@@ -244,7 +248,7 @@ fn main() {
         println!("\n## Proc backend pool\n\n  {}", pool.stats());
     }
 
-    println!(
+    print!(
         "\n## Sweep accounting\n\n  total {:.1} ms wall ({} jobs) | cells {:.1} ms | \
          spec builds {} ({:.1} ms, {} cache hits)",
         report.timing.total_wall_ns / 1e6,
@@ -254,6 +258,21 @@ fn main() {
         report.timing.build_wall_ns / 1e6,
         report.timing.spec_cache_hits,
     );
+    // Proc workers partition their own decoded copies of the graphs; the
+    // coordinator's never see a plan.
+    if proc_pool.is_none() {
+        let placed: usize = report.timing.cell_partition_windows.iter().sum();
+        let (plans, reused) = plan
+            .workloads()
+            .iter()
+            .map(|workload| workload.spec.graph.window_plan_counts())
+            .fold((0, 0), |sum, counts| (sum.0 + counts.0, sum.1 + counts.1));
+        print!(
+            " | window partitions {placed}: {} computed, {reused} reused from {plans} shared plans",
+            placed - reused,
+        );
+    }
+    println!();
 
     if let Some(path) = json_path {
         match std::fs::write(&path, report.to_json_string()) {

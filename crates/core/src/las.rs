@@ -48,10 +48,7 @@ impl LasPolicy {
             rng: StdRng::seed_from_u64(seed),
             random_assignments: 0,
             weighted_assignments: 0,
-            weights: SocketWeights {
-                weights: Vec::new(),
-                unallocated: 0,
-            },
+            weights: SocketWeights::default(),
             heaviest: Vec::new(),
         }
     }

@@ -221,6 +221,10 @@ pub struct RgpPolicy {
     /// Cost accounting: windows partitioned and partitioner wall time.
     partition_windows: usize,
     partition_wall_ns: f64,
+    /// The anchors of the window being partitioned and the weights of the
+    /// task being anchored, reset per window instead of rebuilt.
+    affinity: AffinityCosts,
+    home_weights: SocketWeights,
 }
 
 impl RgpPolicy {
@@ -238,6 +242,8 @@ impl RgpPolicy {
             cursor: None,
             partition_windows: 0,
             partition_wall_ns: 0.0,
+            affinity: AffinityCosts::zeros(0, 1),
+            home_weights: SocketWeights::default(),
         }
     }
 
@@ -273,6 +279,11 @@ impl RgpPolicy {
     /// In repartition mode the window is anchored per [`RgpConfig::anchor`]:
     /// dependence anchors point at the recorded plan of earlier windows,
     /// home anchors at the observed placement of each task's data.
+    ///
+    /// A window without anchors — every window of a policy that does not
+    /// anchor, and a first window none of whose data has a home yet — is cut
+    /// the same way for every policy with this partitioner configuration, so
+    /// it is taken from the graph's shared [`TaskGraph::window_plan`].
     fn partition_window_on(
         &mut self,
         graph: &TaskGraph,
@@ -284,7 +295,6 @@ impl RgpPolicy {
             return;
         }
         let started = Instant::now();
-        let wg = window_to_csr(graph, window);
         // One seed per window keeps later windows decorrelated from the
         // first without losing determinism.
         let seed = self.config.seed.wrapping_add(self.partition_windows as u64);
@@ -294,50 +304,57 @@ impl RgpPolicy {
         } else {
             AnchorMode::None
         };
+        let base = window.start.index();
+        // Home anchors need no CSR (vertex `v` is task `base + v`), so they
+        // come first: whether the window has anchors at all is known before
+        // anything is built for the partitioner.
+        let mut anchored = anchor != AnchorMode::None && base > 0;
+        if anchor != AnchorMode::None {
+            self.affinity.reset(window.len(), num_sockets);
+        }
+        if anchor.uses_homes() {
+            for (v, t) in window.task_ids().enumerate() {
+                socket_weights_into(graph.task(t), locator, &mut self.home_weights);
+                for (s, &bytes) in self.home_weights.weights.iter().enumerate() {
+                    if bytes > 0 && s < num_sockets {
+                        self.affinity.add(v as u32, s as u32, bytes as i64);
+                        anchored = true;
+                    }
+                }
+            }
+        }
         // The partitioner's scratch lives in a per-thread context inside
         // `numadag-graph`: policies are built per cell, the worker thread
         // that runs the cells is what partitions window after window.
-        let partition = if anchor == AnchorMode::None {
-            gp::partition(&wg.graph, &cfg)
-        } else {
-            let mut affinity = AffinityCosts::zeros(wg.graph.num_vertices(), num_sockets);
+        if anchored {
+            let wg = window_to_csr(graph, window);
             if anchor.uses_deps() {
                 for ce in &wg.cross_edges {
                     if let Some(socket) = self.window_assignment[ce.predecessor.index()] {
-                        affinity.add(ce.vertex, socket.index() as u32, ce.bytes);
+                        self.affinity
+                            .add(ce.vertex, socket.index() as u32, ce.bytes);
                     }
                 }
             }
-            if anchor.uses_homes() {
-                let mut w = SocketWeights {
-                    weights: Vec::new(),
-                    unallocated: 0,
-                };
-                for (v, &t) in wg.tasks.iter().enumerate() {
-                    socket_weights_into(graph.task(t), locator, &mut w);
-                    for (s, &bytes) in w.weights.iter().enumerate() {
-                        if bytes > 0 && s < num_sockets {
-                            affinity.add(v as u32, s as u32, bytes as i64);
-                        }
-                    }
-                }
-            }
-            gp::partition_anchored(&wg.graph, &cfg, &affinity)
-        };
-        self.window_edge_cut += partition.edge_cut(&wg.graph);
-        // Placement walks the precomputed part→members index (one O(window)
-        // counting pass): the socket is resolved once per part rather than
-        // once per task, and per-part member lists are the shape a per-part
-        // consumer needs — the O(window·k) alternative of one assignment
-        // scan per part never enters the hot path.
-        for (part, members) in partition.members().iter() {
-            let socket = SocketId(part as usize % num_sockets);
-            for &v in members {
-                self.window_assignment[wg.tasks[v as usize].index()] = Some(socket);
-            }
+            let partition = gp::partition_anchored(&wg.graph, &cfg, &self.affinity);
+            self.window_edge_cut += partition.edge_cut(&wg.graph);
+            self.place(base, partition.assignment(), num_sockets);
+        } else {
+            let plan = graph.window_plan(window, &cfg);
+            self.window_edge_cut += plan.edge_cut;
+            self.place(base, plan.partition.assignment(), num_sockets);
         }
         self.partition_windows += 1;
         self.partition_wall_ns += started.elapsed().as_nanos() as f64;
+    }
+
+    /// Records the socket of every task of the window starting at task
+    /// `base`: part `p` of the window's partition runs on socket `p`.
+    fn place(&mut self, base: usize, parts: &[u32], num_sockets: usize) {
+        let slots = &mut self.window_assignment[base..base + parts.len()];
+        for (slot, &part) in slots.iter_mut().zip(parts) {
+            *slot = Some(SocketId(part as usize % num_sockets));
+        }
     }
 
     /// Repartition mode: advances the cursor (partitioning each window it
@@ -704,5 +721,129 @@ mod tests {
         // pull to one socket, but the final assignment must follow the
         // observed homes: biased LAS sees every byte resident on `target`.
         assert_eq!(s, target, "assignment must follow the observed homes");
+    }
+
+    /// Every window socket a prepared policy recorded, in task order.
+    fn window_sockets(p: &RgpPolicy, graph: &TaskGraph) -> Vec<Option<SocketId>> {
+        graph.task_ids().map(|t| p.window_socket_of(t)).collect()
+    }
+
+    fn repart(config: RgpConfig) -> RgpConfig {
+        config.with_propagation(Propagation::Repartition)
+    }
+
+    #[test]
+    fn policies_over_one_graph_share_the_first_window_plan() {
+        let topo = Topology::four_socket(2);
+        let config = RgpConfig::default().with_window_size(48).with_seed(9);
+        let prepare_on = |graph: &Arc<TaskGraph>, sizes: &[u64], config: RgpConfig| {
+            let mem = MemoryMap::with_regions(sizes);
+            let mut p = RgpPolicy::new(config);
+            p.prepare(graph, &MemoryLocator::new(&topo, &mem));
+            p
+        };
+        let (shared, sizes) = two_chains(40);
+        let one_shot = prepare_on(&shared, &sizes, config.clone());
+        assert_eq!(shared.window_plan_counts(), (1, 0));
+        // Nothing has a home at `prepare`, so every anchor mode of the
+        // repartitioning policy starts from the one-shot policy's plan.
+        for anchor in [
+            AnchorMode::Both,
+            AnchorMode::Deps,
+            AnchorMode::Homes,
+            AnchorMode::None,
+        ] {
+            let again = prepare_on(&shared, &sizes, repart(config.clone()).with_anchor(anchor));
+            assert_eq!(
+                again.windows_partitioned(),
+                1,
+                "a reused plan is a placed window"
+            );
+            assert_eq!(again.window_edge_cut(), one_shot.window_edge_cut());
+            assert_eq!(
+                window_sockets(&again, &shared),
+                window_sockets(&one_shot, &shared)
+            );
+            // ... which is what the policy computes alone on a graph of its own.
+            let (fresh, _) = two_chains(40);
+            let alone = prepare_on(&fresh, &sizes, repart(config.clone()).with_anchor(anchor));
+            assert_eq!(fresh.window_plan_counts(), (1, 0));
+            assert_eq!(
+                window_sockets(&alone, &fresh),
+                window_sockets(&again, &shared)
+            );
+        }
+        assert_eq!(shared.window_plan_counts(), (1, 4));
+
+        // Another seed, window size, scheme or imbalance is another plan.
+        for (i, other) in [
+            config.clone().with_seed(10),
+            config.clone().with_window_size(32),
+            config
+                .clone()
+                .with_scheme(PartitionScheme::RecursiveBisection),
+            config.clone().with_imbalance(0.3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            prepare_on(&shared, &sizes, other);
+            assert_eq!(shared.window_plan_counts(), (i + 2, 4));
+        }
+        // So is another socket count.
+        let mem = MemoryMap::with_regions(&sizes);
+        let two = Topology::two_socket(4);
+        RgpPolicy::new(config).prepare(&shared, &MemoryLocator::new(&two, &mem));
+        assert_eq!(shared.window_plan_counts(), (6, 4));
+    }
+
+    #[test]
+    fn a_first_window_with_a_placed_region_is_anchored_not_shared() {
+        let (graph, sizes) = two_chains(40);
+        let topo = Topology::four_socket(2);
+        let config = repart(RgpConfig::default().with_window_size(48).with_seed(9));
+        let mut mem = MemoryMap::with_regions(&sizes);
+        let mut unplaced = RgpPolicy::new(config.clone());
+        unplaced.prepare(&graph, &MemoryLocator::new(&topo, &mem));
+        assert_eq!(graph.window_plan_counts(), (1, 0));
+
+        // Chain "a"'s region gets a home on the last socket.
+        let home = SocketId(3);
+        mem.place(numadag_numa::RegionId(0), home.node());
+        let mut placed = RgpPolicy::new(config.clone());
+        placed.prepare(&graph, &MemoryLocator::new(&topo, &mem));
+        assert_eq!(placed.windows_partitioned(), 1);
+        assert_eq!(graph.window_plan_counts(), (1, 0), "no plan was asked for");
+
+        // The anchored partition, spelled out: every task of chain "a" (even
+        // vertices) pulls its region's bytes towards `home`.
+        let window = TaskWindow::initial(&graph, config.window);
+        let wg = window_to_csr(&graph, &window);
+        let mut affinity = AffinityCosts::zeros(window.len(), 4);
+        for v in (0..window.len() as u32).step_by(2) {
+            affinity.add(v, home.index() as u32, 1 << 20);
+        }
+        let cfg = config.partitioner.config_for(4, config.seed);
+        let expected = gp::partition_anchored(&wg.graph, &cfg, &affinity);
+        for v in 0..window.len() {
+            assert_eq!(
+                placed.window_socket_of(TaskId(v)),
+                Some(SocketId(expected.part_of(v as u32) as usize))
+            );
+        }
+        assert_eq!(placed.window_edge_cut(), expected.edge_cut(&wg.graph));
+        assert_ne!(
+            window_sockets(&placed, &graph),
+            window_sockets(&unplaced, &graph),
+            "the anchors moved nothing"
+        );
+        // With homes out of the anchor set the placement is not looked at.
+        let mut deps_only = RgpPolicy::new(config.with_anchor(AnchorMode::Deps));
+        deps_only.prepare(&graph, &MemoryLocator::new(&topo, &mem));
+        assert_eq!(graph.window_plan_counts(), (1, 1));
+        assert_eq!(
+            window_sockets(&deps_only, &graph),
+            window_sockets(&unplaced, &graph)
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::policy::DataLocator;
 
 /// Per-socket byte weights for a task, plus the number of bytes whose home is
 /// still undecided (deferred allocations).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SocketWeights {
     /// `weights[s]` = bytes of the task's dependences allocated on socket `s`.
     pub weights: Vec<u64>,
@@ -71,10 +71,7 @@ impl SocketWeights {
 /// Every access (input and output alike) contributes its bytes to the sockets
 /// currently holding the region; unallocated bytes are tallied separately.
 pub fn socket_weights(task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketWeights {
-    let mut out = SocketWeights {
-        weights: Vec::new(),
-        unallocated: 0,
-    };
+    let mut out = SocketWeights::default();
     socket_weights_into(task, locator, &mut out);
     out
 }

@@ -32,6 +32,15 @@ impl AffinityCosts {
         }
     }
 
+    /// Makes this an all-zero table for `num_vertices` vertices and
+    /// `num_parts` parts, keeping the allocation: what a caller partitioning
+    /// window after window does in place of a fresh [`AffinityCosts::zeros`].
+    pub fn reset(&mut self, num_vertices: usize, num_parts: usize) {
+        self.k = num_parts.max(1);
+        self.costs.clear();
+        self.costs.resize(num_vertices * self.k, 0);
+    }
+
     /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
         self.costs.len() / self.k
@@ -110,6 +119,16 @@ mod tests {
         assert_eq!(a.row(2), &[7, 0, 0, 0]);
         assert_eq!(a.total(), 157);
         assert!(!a.is_zero());
+    }
+
+    #[test]
+    fn reset_is_a_fresh_zero_table() {
+        let mut a = AffinityCosts::zeros(3, 4);
+        a.add(2, 3, 9);
+        a.reset(5, 2);
+        assert_eq!(a, AffinityCosts::zeros(5, 2));
+        a.reset(0, 0);
+        assert_eq!(a, AffinityCosts::zeros(0, 0));
     }
 
     #[test]

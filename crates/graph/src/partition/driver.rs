@@ -108,7 +108,7 @@ pub(super) fn run(
         BfsGrowing => initial::bfs_growing(coarsest, k, rng, &mut assignment),
     }
     if let Some(aff) = affinity_at(levels.len()) {
-        align_parts_to_anchors(&mut assignment, aff, k);
+        align_parts_to_anchors(&mut assignment, aff, k, &mut ctx.align);
     }
     refine(coarsest, &mut assignment, levels.len());
 
@@ -143,17 +143,29 @@ pub(super) fn run(
 /// anchor label its vertices pull towards is free cut-wise and lets the
 /// refiner start from an anchor-consistent labelling instead of fighting a
 /// wholesale flip one vertex at a time. Greedy maximum-weight matching,
-/// deterministic; a zero affinity table yields the identity permutation.
-fn align_parts_to_anchors(assignment: &mut [u32], affinity: &AffinityCosts, k: usize) {
+/// deterministic.
+fn align_parts_to_anchors(
+    assignment: &mut [u32],
+    affinity: &AffinityCosts,
+    k: usize,
+    scratch: &mut AlignScratch,
+) {
+    let AlignScratch {
+        agreement,
+        entries,
+        label_of,
+        label_taken,
+    } = scratch;
     // agreement[p * k + q] = total affinity towards label q of the vertices
     // currently in part p.
-    let mut agreement = vec![0i64; k * k];
+    agreement.clear();
+    agreement.resize(k * k, 0);
     for (v, &p) in assignment.iter().enumerate() {
         for (q, &c) in affinity.row(v as u32).iter().enumerate() {
             agreement[p as usize * k + q] += c;
         }
     }
-    let mut entries: Vec<(i64, usize, usize)> = Vec::with_capacity(k * k);
+    entries.clear();
     for p in 0..k {
         for q in 0..k {
             entries.push((agreement[p * k + q], p, q));
@@ -161,17 +173,20 @@ fn align_parts_to_anchors(assignment: &mut [u32], affinity: &AffinityCosts, k: u
     }
     // Highest agreement first; ties resolve towards the identity mapping
     // (diagonal entries first, then lowest indices) so an anchor-free part
-    // keeps its label.
-    entries.sort_by(|a, b| {
+    // keeps its label. No two entries compare equal, so the unstable sort
+    // (which never allocates) has one possible outcome.
+    entries.sort_unstable_by(|a, b| {
         b.0.cmp(&a.0)
             .then_with(|| (a.1 != a.2).cmp(&(b.1 != b.2)))
             .then_with(|| a.1.cmp(&b.1))
             .then_with(|| a.2.cmp(&b.2))
     });
-    let mut label_of = vec![usize::MAX; k];
-    let mut label_taken = vec![false; k];
+    label_of.clear();
+    label_of.resize(k, usize::MAX);
+    label_taken.clear();
+    label_taken.resize(k, false);
     let mut matched = 0;
-    for &(_, p, q) in &entries {
+    for &(_, p, q) in entries.iter() {
         if label_of[p] != usize::MAX || label_taken[q] {
             continue;
         }
@@ -188,6 +203,16 @@ fn align_parts_to_anchors(assignment: &mut [u32], affinity: &AffinityCosts, k: u
     for a in assignment.iter_mut() {
         *a = label_of[*a as usize] as u32;
     }
+}
+
+/// The four `k`-sized tables of [`align_parts_to_anchors`], kept in the
+/// [`PartitionCtx`] so an anchored call allocates only its result.
+#[derive(Debug, Default)]
+pub(super) struct AlignScratch {
+    agreement: Vec<i64>,
+    entries: Vec<(i64, usize, usize)>,
+    label_of: Vec<usize>,
+    label_taken: Vec<bool>,
 }
 
 #[cfg(test)]

@@ -46,35 +46,13 @@ struct SeedScratch {
 /// past the proportional target is therefore respected instead of sliced
 /// through. `slack = 0.0` reproduces the exact-target behaviour.
 ///
-/// Returns the `(left, right)` vertex sets: `left` in the order it grew,
-/// `right` in the order of `vertices`. Both are non-empty as long as
-/// `vertices` has at least two elements and `target_left` is positive and
-/// below the subset weight.
-pub fn greedy_bisection(
-    graph: &CsrGraph,
-    vertices: &[u32],
-    target_left: i64,
-    slack: f64,
-    rng: &mut StdRng,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut order = vertices.to_vec();
-    let mut scratch = BisectionScratch::default();
-    match bisect_in_place(graph, &mut order, target_left, slack, rng, &mut scratch) {
-        Some(split) => {
-            let right = order.split_off(split);
-            (order, right)
-        }
-        // One side came out empty: `order` is untouched.
-        None if scratch.left.is_empty() => (Vec::new(), order),
-        None => (scratch.left, Vec::new()),
-    }
-}
-
-/// [`greedy_bisection`] in place: reorders `vertices` into the left side (in
-/// the order it grew) followed by the right side (in its original order) and
-/// returns the split point. When one side comes out empty the slice is left
-/// exactly as it was and `None` is returned (`scratch.left` then tells which
-/// side it was), so the caller's fallback sees the original order.
+/// Works in place: reorders `vertices` into the left side (in the order it
+/// grew) followed by the right side (in its original order) and returns the
+/// split point. Both sides are non-empty as long as `vertices` has at least
+/// two elements and `target_left` is positive and below the subset weight;
+/// when one side comes out empty the slice is left exactly as it was and
+/// `None` is returned (`scratch.left` then tells which side it was), so the
+/// caller's fallback sees the original order.
 fn bisect_in_place(
     graph: &CsrGraph,
     vertices: &mut [u32],
@@ -410,6 +388,28 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// [`bisect_in_place`] on a copy, as `(left, right)` vertex sets: `left`
+    /// in the order it grew, `right` in the order of `vertices`.
+    fn greedy_bisection(
+        graph: &CsrGraph,
+        vertices: &[u32],
+        target_left: i64,
+        slack: f64,
+        rng: &mut StdRng,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut order = vertices.to_vec();
+        let mut scratch = BisectionScratch::default();
+        match bisect_in_place(graph, &mut order, target_left, slack, rng, &mut scratch) {
+            Some(split) => {
+                let right = order.split_off(split);
+                (order, right)
+            }
+            // One side came out empty: `order` is untouched.
+            None if scratch.left.is_empty() => (Vec::new(), order),
+            None => (scratch.left, Vec::new()),
+        }
     }
 
     fn recursive_bisection(g: &CsrGraph, k: usize, imbalance: f64) -> Vec<u32> {

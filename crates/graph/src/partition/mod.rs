@@ -68,10 +68,10 @@ pub use affinity::AffinityCosts;
 /// recycled vectors of the previous hierarchy), the bisection scratch of the
 /// initial partitioner, the refinement scratch (gain table, boundary list,
 /// per-part rebalance queues — see [`refine::RefineScratch`]), the per-level
-/// affinity tables of anchored runs and the two uncoarsening projection
-/// buffers. Once warmed, a call on a same-sized window allocates only its
-/// result. The context is pure scratch: results are bit-identical with a
-/// fresh context per call.
+/// affinity tables and the part-relabelling tables of anchored runs and the
+/// two uncoarsening projection buffers. Once warmed, a call on a same-sized
+/// window allocates only its result. The context is pure scratch: results
+/// are bit-identical with a fresh context per call.
 ///
 /// The entry points without a `_ctx` suffix ([`partition`] and
 /// [`partition_anchored`]) run through one context per thread, so a worker
@@ -83,6 +83,7 @@ pub struct PartitionCtx {
     initial: initial::BisectionScratch,
     refine: refine::RefineScratch,
     level_affinity: Vec<AffinityCosts>,
+    align: driver::AlignScratch,
     projection: Vec<u32>,
     assignment: Vec<u32>,
 }
@@ -440,6 +441,9 @@ pub fn partition_ctx(
 /// its strongest-affinity part (its own index — the unanchored choice — when
 /// the row is uniform). Small tail windows are exactly where anchoring
 /// matters most, so they must not fall back to anchor-oblivious placement.
+///
+/// An all-zero `affinity` is the unanchored problem and runs as [`partition`]
+/// does: same path, same result.
 pub fn partition_anchored(
     graph: &CsrGraph,
     config: &PartitionConfig,
@@ -479,6 +483,9 @@ fn run(
         );
         assert_eq!(affinity.num_parts(), k, "affinity must cover every part");
     }
+    // No anchor anywhere is the plain problem: take its path up front instead
+    // of projecting, relabelling and refining with a table of zeros.
+    let affinity = affinity.filter(|affinity| !affinity.is_zero());
     if k == 1 || n == 0 {
         return Partition::from_assignment(vec![0; n], k);
     }
@@ -660,15 +667,29 @@ mod tests {
         Partition::from_assignment(vec![0, 5], 2);
     }
 
-    #[test]
-    fn zero_affinity_partition_matches_unanchored_for_every_scheme() {
-        let g = generators::random_graph(300, 8, 16, 9);
-        for scheme in PartitionScheme::all() {
-            let cfg = PartitionConfig::new(4).with_seed(123).with_scheme(scheme);
-            let plain = partition(&g, &cfg);
-            let aff = AffinityCosts::zeros(g.num_vertices(), 4);
-            let anchored = partition_anchored(&g, &cfg, &aff);
-            assert_eq!(plain, anchored, "{scheme:?} diverged under zero affinity");
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// An all-zero table is the unanchored problem — `partition_anchored`
+        /// takes `partition`'s path for it — on graphs from a single vertex
+        /// (fewer vertices than parts) up to a few coarsening levels.
+        #[test]
+        fn zero_affinity_partition_matches_unanchored_for_every_scheme(
+            n in 1usize..400,
+            avg_degree in 1usize..10,
+            max_weight in 1u32..64,
+            log_k in 1u32..4,
+            seed in 0u64..10_000,
+        ) {
+            let g = generators::random_graph(n, avg_degree, i64::from(max_weight), seed);
+            let k = 1usize << log_k;
+            let aff = AffinityCosts::zeros(n, k);
+            for scheme in PartitionScheme::all() {
+                let cfg = PartitionConfig::new(k).with_seed(seed ^ 0x5EED).with_scheme(scheme);
+                let plain = partition(&g, &cfg);
+                let anchored = partition_anchored(&g, &cfg, &aff);
+                proptest::prop_assert_eq!(plain, anchored, "{:?} diverged under zero affinity", scheme);
+            }
         }
     }
 

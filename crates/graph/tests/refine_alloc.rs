@@ -161,15 +161,15 @@ fn warmed_partition_ctx_allocates_only_its_results() {
     assert_eq!(warm, partition(&graph, &cfg));
     assert_eq!(allocs, 1, "warmed partition_ctx allocated {allocs} times");
 
-    // Anchored, through the same context: the per-level affinity tables are
-    // pooled too; relabelling the initial parts towards their anchors builds
-    // four k-sized tables.
+    // Anchored, through the same context: the per-level affinity tables and
+    // the tables that relabel the initial parts towards their anchors are
+    // pooled too.
     let cold = partition_anchored_ctx(&graph, &cfg, &affinity, &mut ctx);
     let (warm, allocs) = counted(|| partition_anchored_ctx(&graph, &cfg, &affinity, &mut ctx));
     assert_eq!(cold, warm, "the context changed the anchored partition");
     assert_eq!(warm, partition_anchored(&graph, &cfg, &affinity));
     assert_eq!(
-        allocs, 5,
+        allocs, 1,
         "warmed partition_anchored_ctx allocated {allocs} times"
     );
 }

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use numadag_tdg::TaskGraphSpec;
 
@@ -41,6 +41,12 @@ impl SpecCache {
         SpecCache::default()
     }
 
+    /// The map, whether or not a thread panicked while holding it: entries
+    /// are only ever inserted whole, so what a poisoned lock guards is valid.
+    fn specs(&self) -> MutexGuard<'_, HashMap<SpecKey, Cached>> {
+        self.specs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The spec of `app` at `scale` for a `num_sockets`-socket machine,
     /// building it on first use and returning the shared handle afterwards.
     pub fn get(
@@ -62,9 +68,19 @@ impl SpecCache {
         scale: ProblemScale,
         num_sockets: usize,
     ) -> (Arc<TaskGraphSpec>, bool) {
-        let key = (app, scale, num_sockets);
+        self.get_or_build((app, scale, num_sockets), || app.build(scale, num_sockets))
+    }
+
+    /// [`SpecCache::get_with_stats`] with the build spelled by the caller. A
+    /// `build` that panics has inserted nothing and counted nothing: the
+    /// next lookup of the key builds again.
+    fn get_or_build(
+        &self,
+        key: SpecKey,
+        build: impl FnOnce() -> TaskGraphSpec,
+    ) -> (Arc<TaskGraphSpec>, bool) {
         // Fast path: already built.
-        if let Some((spec, _)) = self.specs.lock().unwrap().get(&key) {
+        if let Some((spec, _)) = self.specs().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(spec), false);
         }
@@ -73,9 +89,9 @@ impl SpecCache {
         // racing on the same key both build; the first insert wins and the
         // loser's copy is dropped (counted as a build, not a hit — the work
         // did happen).
-        let built = Arc::new(app.build(scale, num_sockets));
+        let built = Arc::new(build());
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let mut specs = self.specs.lock().unwrap();
+        let mut specs = self.specs();
         let (spec, _) = specs.entry(key).or_insert((built, OnceLock::new()));
         (Arc::clone(spec), true)
     }
@@ -88,10 +104,10 @@ impl SpecCache {
     /// cached spec's fingerprint does not count as a hit.
     pub fn fingerprint(&self, app: Application, scale: ProblemScale, num_sockets: usize) -> u64 {
         let key = (app, scale, num_sockets);
-        if !self.specs.lock().unwrap().contains_key(&key) {
+        if !self.specs().contains_key(&key) {
             self.get(app, scale, num_sockets);
         }
-        let specs = self.specs.lock().unwrap();
+        let specs = self.specs();
         let (spec, fingerprint) = &specs[&key];
         *fingerprint.get_or_init(|| spec.fingerprint())
     }
@@ -109,7 +125,7 @@ impl SpecCache {
 
     /// Number of distinct workload instances currently cached.
     pub fn len(&self) -> usize {
-        self.specs.lock().unwrap().len()
+        self.specs().len()
     }
 
     /// True when nothing has been cached yet.
@@ -208,6 +224,34 @@ mod tests {
             // ... and the memoised repeat is the same number.
             assert_eq!(cache.get(app, scale, 8).fingerprint(), want);
         }
+    }
+
+    #[test]
+    fn a_panic_on_one_thread_leaves_the_cache_serving_on_another() {
+        let cache = SpecCache::new();
+        let key = (Application::NStream, ProblemScale::Tiny, 2);
+        cache.get(Application::Jacobi, ProblemScale::Tiny, 2);
+        std::thread::scope(|s| {
+            // A build that panics: nothing inserted, nothing counted.
+            let build = s.spawn(|| cache.get_or_build(key, || panic!("generator bug")));
+            assert!(build.join().is_err());
+            // The worst case, a panic while the map is locked: poisoned.
+            let locked = s.spawn(|| {
+                let _specs = cache.specs.lock().unwrap();
+                panic!("panic under the lock");
+            });
+            assert!(locked.join().is_err());
+        });
+        assert!(cache.specs.is_poisoned());
+        assert_eq!((cache.builds(), cache.hits(), cache.len()), (1, 0, 1));
+        // This thread builds the key whose build panicked and is still
+        // served the entry from before the panics.
+        let (spec, built) = cache.get_with_stats(key.0, key.1, key.2);
+        assert!(built);
+        assert_eq!(cache.fingerprint(key.0, key.1, key.2), spec.fingerprint());
+        let (_, built) = cache.get_with_stats(Application::Jacobi, ProblemScale::Tiny, 2);
+        assert!(!built);
+        assert_eq!((cache.builds(), cache.hits(), cache.len()), (2, 1, 2));
     }
 
     #[test]

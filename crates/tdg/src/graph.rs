@@ -2,6 +2,7 @@
 
 use std::sync::OnceLock;
 
+use crate::plan::WindowPlans;
 use crate::task::{AccessMode, TaskDescriptor, TaskId};
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
@@ -25,6 +26,9 @@ pub struct TaskGraph {
     /// The first [`TaskGraph::fold_fingerprint`] as `(state in, state out)`,
     /// dropped by `push_task` like the flat view.
     fold: OnceLock<(u64, u64)>,
+    /// The unanchored window partitions asked of this graph (see
+    /// [`TaskGraph::window_plan`]), dropped by `push_task` like the rest.
+    pub(crate) plans: WindowPlans,
 }
 
 impl Default for TaskGraph {
@@ -35,6 +39,7 @@ impl Default for TaskGraph {
             pred_edges: Vec::new(),
             flat: OnceLock::new(),
             fold: OnceLock::new(),
+            plans: WindowPlans::default(),
         }
     }
 }
@@ -313,6 +318,7 @@ impl TaskGraph {
         }
         self.flat.take();
         self.fold.take();
+        self.plans.clear();
         // A task has a handful of predecessors: sort the pairs in place at
         // the tail of the edge array and fold duplicates into the first of
         // each run.

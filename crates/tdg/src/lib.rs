@@ -19,6 +19,8 @@
 //! * [`window`] — task windows, the unit RGP partitions.
 //! * [`convert`] — symmetrisation of (a window of) the TDG into the weighted
 //!   undirected [`numadag_graph::CsrGraph`] the partitioner consumes.
+//! * [`plan`] — [`plan::WindowPlan`], the unanchored partition of a window,
+//!   computed once per graph and shared by every policy that asks.
 //! * [`spec`] — [`spec::TaskGraphSpec`], a self-contained workload
 //!   description (TDG + region sizes + optional expert placement) produced by
 //!   the kernels crate and consumed by the runtime.
@@ -29,6 +31,7 @@ pub mod builder;
 pub mod convert;
 pub mod deps;
 pub mod graph;
+pub mod plan;
 pub mod spec;
 pub mod task;
 pub mod window;
@@ -36,6 +39,7 @@ pub mod window;
 pub use builder::TdgBuilder;
 pub use convert::{window_to_csr, CrossEdge, WindowGraph};
 pub use graph::{FlatTdg, TaskGraph};
+pub use plan::WindowPlan;
 pub use spec::TaskGraphSpec;
 pub use task::{AccessMode, DataAccess, TaskDescriptor, TaskId, TaskSpec};
 pub use window::{TaskWindow, WindowConfig, WindowCursor};

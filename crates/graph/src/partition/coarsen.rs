@@ -55,10 +55,16 @@ pub struct CoarsenWorkspace {
     /// every coarse vertex; the second constituent, if any, is
     /// `match_of[rep]`.
     rep: Vec<u32>,
-    /// Contraction scratch: slot of a coarse neighbour in the adjacency
-    /// arrays under construction, or `usize::MAX` when it has not been seen
-    /// for the current coarse vertex.
+    /// Contraction scratch, pass 1: slot of a coarse neighbour in the staged
+    /// row under construction, or `usize::MAX` when it has not been seen for
+    /// the current coarse vertex. Pass 2: write cursor of every coarse row.
     coarse_pos: Vec<usize>,
+    /// Contraction scratch: the coarse rows as pass 1 merges them, neighbours
+    /// in first-seen order; pass 2 transposes them into the level's own
+    /// (sorted) adjacency arrays. Sized by the finest level, so a warmed
+    /// workspace contracts without allocating them.
+    staged_adjncy: Vec<u32>,
+    staged_adjwgt: Vec<i64>,
     /// Vectors of recycled hierarchies ([`CoarsenWorkspace::recycle`]), taken
     /// back in the order a contraction needs them so a same-sized window
     /// finds every capacity it needs.
@@ -187,67 +193,19 @@ fn order_heaviest_first(ws: &mut CoarsenWorkspace) {
     }
 }
 
-/// Rows up to this length are co-sorted by insertion; longer ones by heap.
-const INSERTION_SORT_MAX: usize = 24;
-
-/// Sorts `keys` ascending and applies the same permutation to `vals`, in
-/// place. Keys are distinct (one entry per coarse neighbour). Coarse rows are
-/// short — a window's mean degree is below ten — so the common case is an
-/// insertion sort over two cache lines; the heapsort keeps a dense row
-/// `O(d log d)`.
-fn co_sort(keys: &mut [u32], vals: &mut [i64]) {
-    debug_assert_eq!(keys.len(), vals.len());
-    let len = keys.len();
-    if len <= INSERTION_SORT_MAX {
-        for i in 1..len {
-            let (k, v) = (keys[i], vals[i]);
-            let mut j = i;
-            while j > 0 && keys[j - 1] > k {
-                keys[j] = keys[j - 1];
-                vals[j] = vals[j - 1];
-                j -= 1;
-            }
-            keys[j] = k;
-            vals[j] = v;
-        }
-        return;
-    }
-    fn sift_down(keys: &mut [u32], vals: &mut [i64], mut root: usize, end: usize) {
-        loop {
-            let mut child = 2 * root + 1;
-            if child >= end {
-                return;
-            }
-            if child + 1 < end && keys[child + 1] > keys[child] {
-                child += 1;
-            }
-            if keys[root] >= keys[child] {
-                return;
-            }
-            keys.swap(root, child);
-            vals.swap(root, child);
-            root = child;
-        }
-    }
-    for root in (0..len / 2).rev() {
-        sift_down(keys, vals, root, len);
-    }
-    for end in (1..len).rev() {
-        keys.swap(0, end);
-        vals.swap(0, end);
-        sift_down(keys, vals, 0, end);
-    }
-}
-
 /// Collapses a matching into a coarser graph, merging parallel edges and
 /// dropping self loops, using (and reusing) the workspace's scratch arrays.
 ///
-/// The coarse graph is built straight into CSR form: coarse vertices are
-/// numbered in order of their smallest fine constituent, and each adjacency
-/// row is merged through a dense position table straight into the tails of
-/// the CSR arrays and then sorted there, so the result is identical to what
-/// an edge-map-based builder would produce — without the per-level
-/// `O(E log E)` map churn or a staging copy per row.
+/// Coarse vertices are numbered in order of their smallest fine constituent
+/// and the graph is built straight into CSR form in two linear passes.
+/// Pass 1 merges each coarse row through a dense position table into the
+/// workspace's staging arrays, neighbours in first-seen order. Pass 2 walks
+/// the staged rows in ascending `c` and appends `(c, w)` to row `cu` for
+/// every staged `(cu, w)` of row `c`. A symmetric graph stages `(cu, w)` in
+/// row `c` exactly when it stages `(c, w)` in row `cu`, so pass 2 writes
+/// into every row the entries pass 1 staged for it — same row boundaries —
+/// and writes them in ascending order of neighbour: the sorted, merged
+/// adjacency an edge-map-based builder produces, without a comparison.
 fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) -> CoarseLevel {
     let n = graph.num_vertices();
     let mut fine_to_coarse = pooled(&mut ws.pool_u32);
@@ -290,10 +248,10 @@ fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) 
     // collapsed edge: no branch for the predictor to miss on every other
     // edge.
     let bound = graph.num_edges() * 2;
-    let mut adjncy = pooled(&mut ws.pool_u32);
-    adjncy.resize(bound + 1, 0);
-    let mut adjwgt = pooled(&mut ws.pool_i64);
-    adjwgt.resize(bound + 1, 0);
+    // A neighbour slot is written before it is read: only the weights are re-zeroed.
+    ws.staged_adjncy.resize(bound + 1, 0);
+    ws.staged_adjwgt.clear();
+    ws.staged_adjwgt.resize(bound + 1, 0);
     let mut len = 0usize;
     for (c, &first) in ws.rep.iter().enumerate() {
         let start = len;
@@ -307,8 +265,8 @@ fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) 
                 let fresh = seen == usize::MAX;
                 let slot = if fresh { len } else { seen };
                 ws.coarse_pos[cu as usize] = slot;
-                adjncy[slot] = cu;
-                adjwgt[slot] += w;
+                ws.staged_adjncy[slot] = cu;
+                ws.staged_adjwgt[slot] += w;
                 len += fresh as usize;
             }
             if constituent == second {
@@ -317,16 +275,38 @@ fn contract_into(graph: &CsrGraph, match_of: &[u32], ws: &mut CoarsenWorkspace) 
             constituent = second;
         }
         ws.coarse_pos[c] = usize::MAX;
-        for &cu in &adjncy[start..len] {
+        for &cu in &ws.staged_adjncy[start..len] {
             ws.coarse_pos[cu as usize] = usize::MAX;
         }
-        // Sorted adjacency keeps the coarse graph bit-identical to a
-        // map-built one, so downstream tie-breaking is order-independent.
-        co_sort(&mut adjncy[start..len], &mut adjwgt[start..len]);
         xadj.push(len);
     }
-    adjncy.truncate(len);
-    adjwgt.truncate(len);
+
+    // The position table is free again: it becomes each row's write cursor.
+    let cursor = &mut ws.coarse_pos;
+    cursor.copy_from_slice(&xadj[..coarse_n]);
+    let mut adjncy = pooled(&mut ws.pool_u32);
+    adjncy.resize(len, 0);
+    let mut adjwgt = pooled(&mut ws.pool_i64);
+    adjwgt.resize(len, 0);
+    for (c, row) in xadj.windows(2).enumerate() {
+        let staged = ws.staged_adjncy[row[0]..row[1]]
+            .iter()
+            .zip(&ws.staged_adjwgt[row[0]..row[1]]);
+        for (&cu, &w) in staged {
+            let slot = cursor[cu as usize];
+            adjncy[slot] = c as u32;
+            adjwgt[slot] = w;
+            cursor[cu as usize] = slot + 1;
+        }
+    }
+    // An asymmetric input (only `from_parts_unchecked` can build one) lands
+    // entries in the wrong rows; the hierarchy would be silently wrong. (One
+    // that overruns the arrays is stopped by the index check above.)
+    assert!(
+        cursor.iter().eq(&xadj[1..]),
+        "contraction of a graph whose adjacency is not symmetric: a coarse row \
+         received a different number of entries than it sent"
+    );
 
     CoarseLevel {
         graph: CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, cvw),
@@ -390,6 +370,7 @@ mod tests {
     use crate::generators;
     use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -503,60 +484,73 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn contraction_matches_map_built_graph() {
-        // The CSR-direct contraction must produce exactly the graph an
-        // edge-map builder would — on sparse rows, on rows of a dozen merged
-        // multi-edges (the insertion co-sort) and on rows past
-        // `INSERTION_SORT_MAX` (the heap co-sort).
-        let mut longest = 0;
-        for g in [
-            generators::random_graph(300, 8, 50, 11),
-            generators::random_graph(400, 14, 3, 5),
-            generators::random_graph(200, 40, 5, 3),
-            generators::complete(41),
-        ] {
+    /// Longest coarse row any contraction case has produced.
+    static LONGEST_ROW: AtomicUsize = AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The two-pass contraction must produce exactly the graph an
+        /// edge-map builder would: sparse rows and dense ones, few distinct
+        /// weights (merged multi-edges tie) and many, three levels deep
+        /// through one workspace so the later contractions run on merged
+        /// weights, on staging arrays left dirty by a larger level and on
+        /// recycled vectors.
+        fn contraction_cases(
+            n in 2usize..=400,
+            avg_degree in 1usize..=40,
+            few_weights in 1u32..=3,
+            many_weights in 1u32..=50,
+            many in 0u8..2,
+            seed in 0u64..10_000,
+        ) {
+            let max_weight = if many == 1 { many_weights } else { few_weights };
+            let g = generators::random_graph(n, avg_degree, i64::from(max_weight), seed);
             let mut ws = CoarsenWorkspace::default();
-            let mut rng = rng();
-            // Two levels through one workspace: the second contraction runs
-            // on merged weights and on recycled vectors.
-            let first = coarsen_once_with(&g, &mut rng, &mut ws);
-            assert_eq!(first.graph, map_built(&g, &first));
-            let second = coarsen_once_with(&first.graph, &mut rng, &mut ws);
-            assert_eq!(second.graph, map_built(&first.graph, &second));
-            for level in [&first, &second] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut levels: Vec<CoarseLevel> = Vec::new();
+            for _ in 0..3 {
+                let fine = levels.last().map_or(&g, |l| &l.graph);
+                let level = coarsen_once_with(fine, &mut rng, &mut ws);
+                prop_assert_eq!(&level.graph, &map_built(fine, &level));
                 let rows = 0..level.graph.num_vertices() as u32;
-                longest = longest.max(rows.map(|c| level.graph.degree(c)).max().unwrap());
+                let longest = rows.map(|c| level.graph.degree(c)).max().unwrap_or(0);
+                LONGEST_ROW.fetch_max(longest, Ordering::Relaxed);
+                levels.push(level);
             }
-            ws.recycle(vec![first, second]);
+            ws.recycle(levels);
             let again = coarsen_once_with(&g, &mut rng, &mut ws);
-            assert_eq!(again.graph, map_built(&g, &again));
+            prop_assert_eq!(&again.graph, &map_built(&g, &again));
         }
-        assert!(
-            longest > INSERTION_SORT_MAX,
-            "corpus no longer reaches the heap co-sort (longest row {longest})"
-        );
     }
 
     #[test]
-    fn co_sort_sorts_keys_and_carries_values() {
-        for len in [
-            0usize,
-            1,
-            2,
-            12,
-            INSERTION_SORT_MAX,
-            INSERTION_SORT_MAX + 1,
-            100,
-        ] {
-            // A fixed permutation of 0..len (multiplication by a unit mod a
-            // prime above every len), each value tagged with its key.
-            let mut keys: Vec<u32> = (1..=len as u32).map(|i| i * 37 % 101).collect();
-            let mut vals: Vec<i64> = keys.iter().map(|&k| -(k as i64)).collect();
-            co_sort(&mut keys, &mut vals);
-            assert!(keys.windows(2).all(|w| w[0] < w[1]), "len {len}: {keys:?}");
-            assert!(keys.iter().zip(&vals).all(|(&k, &v)| v == -(k as i64)));
-        }
+    fn contraction_matches_map_built_graph() {
+        contraction_cases();
+        let longest = LONGEST_ROW.load(Ordering::Relaxed);
+        assert!(
+            longest > 24,
+            "corpus no longer reaches rows longer than 24 (longest row {longest})"
+        );
+    }
+
+    /// `from_parts_unchecked` validates in debug builds and stops the graph
+    /// at construction; in release builds the contraction is the only check
+    /// between an asymmetric graph and a wrong hierarchy.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "validate"))]
+    #[cfg_attr(not(debug_assertions), should_panic(expected = "not symmetric"))]
+    fn contracting_an_asymmetric_graph_panics() {
+        // 0 -> 1 with no way back beside the edge 2 - 3, every vertex single:
+        // row 0 sends an entry and receives none, row 1 receives one and
+        // sends none.
+        let g = CsrGraph::from_parts_unchecked(
+            vec![0, 1, 1, 2, 3],
+            vec![1, 3, 2],
+            vec![5, 7, 7],
+            vec![1, 1, 1, 1],
+        );
+        contract_into(&g, &[0, 1, 2, 3], &mut CoarsenWorkspace::default());
     }
 
     #[test]

@@ -81,13 +81,33 @@ impl NodeBytes {
 }
 
 /// The part of an access touching `access_bytes` bytes of a `region_size`-byte
-/// region that falls on `resident` of the region's bytes (accesses normally
-/// cover the whole region, so this is normally `resident` itself). The one
+/// region that falls on `resident` of the region's bytes:
+/// `round(resident × access_bytes / max(region_size, 1))` in `f64`. The one
 /// place the executors' traffic charging and the policies' socket weighting
 /// get the formula from; its operation order is part of every committed
 /// makespan.
+///
+/// The two cases a [`MemoryMap`] produces are answered without the floats,
+/// because the formula returns an operand there: a whole-region access
+/// (`access_bytes == region_size`) yields `resident`, an access to a region
+/// with one home (`resident == region_size`) yields `access_bytes`. With
+/// `a = region_size as f64` and unit roundoff `u = 2^-53`,
+/// `fl(fl(r·a)/a) = r(1+e1)(1+e2)` with `|e1|, |e2| ≤ u`, so the quotient is
+/// within `r(2u+u²) < 0.5` of `r` for every `r < 2^51` and rounds to `r`
+/// (whatever `region_size` rounded to in its own conversion — both uses see
+/// the same `a`). From `2^53 + 1` on the operand itself no longer converts
+/// exactly, so the bound is load-bearing.
 #[inline]
 fn scaled_share(resident: u64, access_bytes: u64, region_size: u64) -> u64 {
+    const EXACT_BELOW: u64 = 1 << 51;
+    if region_size != 0 {
+        if access_bytes == region_size && resident < EXACT_BELOW {
+            return resident;
+        }
+        if resident == region_size && access_bytes < EXACT_BELOW {
+            return access_bytes;
+        }
+    }
     ((resident as f64) * (access_bytes as f64) / (region_size.max(1) as f64)).round() as u64
 }
 
@@ -293,6 +313,7 @@ impl MemoryMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn register_starts_unallocated() {
@@ -378,19 +399,22 @@ mod tests {
         assert_eq!(m.size_of(RegionId(2)), 4096);
     }
 
+    /// The formula as it stood before `scaled_share` answered its integer
+    /// cases directly — the reference every share is held to.
+    fn share_by_the_float_formula(resident: u64, access_bytes: u64, region_size: u64) -> u64 {
+        ((resident as f64) * (access_bytes as f64) / (region_size.max(1) as f64)).round() as u64
+    }
+
     /// What the executors and the socket weighting computed per access
-    /// before `access_shares` existed: `bytes_per_node`, then
-    /// `round(resident × access_bytes / max(region_size, 1))` per pair and
-    /// for the unallocated rest.
+    /// before `access_shares` existed: `bytes_per_node`, then the float
+    /// formula per pair and for the unallocated rest.
     fn shares_by_the_old_formula(
         m: &MemoryMap,
         region: RegionId,
         access_bytes: u64,
     ) -> (Vec<(NodeId, u64)>, u64) {
-        let region_size = m.size_of(region).max(1);
-        let scale = |resident: u64| {
-            ((resident as f64) * (access_bytes as f64) / (region_size as f64)).round() as u64
-        };
+        let region_size = m.size_of(region);
+        let scale = |resident| share_by_the_float_formula(resident, access_bytes, region_size);
         let location = m.bytes_per_node(region);
         let per_node = location
             .per_node
@@ -441,6 +465,97 @@ mod tests {
                     m.placement(region)
                 );
             }
+        }
+    }
+
+    /// The operand values where the integer answers start and stop being the
+    /// formula's: zero, one, both sides of the `2^51` guard, the first `u64`
+    /// that does not convert to `f64` exactly, and the saturating end.
+    const EDGES: [u64; 6] = [0, 1, (1 << 51) - 1, 1 << 51, (1 << 53) + 1, u64::MAX];
+
+    #[test]
+    fn scaled_share_is_the_float_formula_on_the_edge_table() {
+        // Every triple over the table covers `size == 0`, `resident > size`
+        // (a foreign locator may say so), `access < size` on a single-home
+        // region and both guards from either side.
+        for resident in EDGES {
+            for access_bytes in EDGES {
+                for region_size in EDGES {
+                    assert_eq!(
+                        scaled_share(resident, access_bytes, region_size),
+                        share_by_the_float_formula(resident, access_bytes, region_size),
+                        "resident {resident}, access {access_bytes}, size {region_size}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A `u64` with a uniformly drawn number of significant bits (0 to 64):
+    /// uniform over magnitudes, not values.
+    struct AnyMagnitude;
+
+    impl Strategy for AnyMagnitude {
+        type Value = u64;
+        fn sample(&self, rng: &mut TestRng) -> u64 {
+            let bits = (rng.next_u64() % 65) as u32;
+            rng.next_u64().checked_shr(64 - bits).unwrap_or(0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12_000))]
+
+        /// `scaled_share` against the float reference, operands drawn at
+        /// every magnitude; `shape` steers a third of the cases each into the
+        /// whole-region and the single-home identity, which independent
+        /// draws would almost never hit.
+        #[test]
+        fn scaled_share_is_the_float_formula(
+            resident in AnyMagnitude,
+            access_bytes in AnyMagnitude,
+            region_size in AnyMagnitude,
+            shape in 0u8..3,
+        ) {
+            let (resident, access_bytes) = match shape {
+                0 => (resident, region_size),
+                1 => (region_size, access_bytes),
+                _ => (resident, access_bytes),
+            };
+            prop_assert_eq!(
+                scaled_share(resident, access_bytes, region_size),
+                share_by_the_float_formula(resident, access_bytes, region_size),
+                "resident {}, access {}, size {}", resident, access_bytes, region_size
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The map's single-pair path and the general distribution path give
+        /// one answer, placed or not, whole-region accesses and partial ones.
+        #[test]
+        fn map_shares_equal_node_bytes_shares(
+            size in AnyMagnitude,
+            partial in AnyMagnitude,
+            whole in 0u8..2,
+            home in 0usize..9,
+        ) {
+            let access_bytes = if whole == 1 { size } else { partial };
+            let mut m = MemoryMap::new();
+            let region = m.register(size);
+            // `home == 8` leaves the region unallocated.
+            if home < 8 {
+                m.place(region, NodeId(home));
+            }
+            let mut direct = Vec::new();
+            let direct_rest = m.access_shares(region, access_bytes, |n, b| direct.push((n, b)));
+            let mut general = Vec::new();
+            let general_rest = m
+                .bytes_per_node(region)
+                .access_shares(size, access_bytes, |n, b| general.push((n, b)));
+            prop_assert_eq!((direct, direct_rest), (general, general_rest));
         }
     }
 }

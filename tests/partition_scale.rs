@@ -10,6 +10,21 @@ use std::time::Instant;
 
 use numadag::graph::{generators, metrics, partition, PartitionConfig, PartitionScheme};
 
+/// FNV-1a over an assignment, as `tests/partition_golden.rs` hashes them. The
+/// two constants below were captured at commit 5134a62, before the
+/// contraction stopped sorting its rows: the goldens there stop at window
+/// size, these pin the same identity on 100k vertices.
+fn fnv1a(assignment: &[u32]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for &p in assignment {
+        for b in p.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
 /// Multilevel partitioning of a 100k-vertex layered-DAG window into 8 parts:
 /// must finish promptly, respect the balance budget, and produce a cut no
 /// worse than the BFS baseline (in practice ~2× better).
@@ -30,6 +45,11 @@ fn partition_scales_to_100k_vertex_windows() {
         &PartitionConfig::new(k).with_scheme(PartitionScheme::BfsGrowing),
     );
     let (ml_cut, naive_cut) = (ml.edge_cut(&g), naive.edge_cut(&g));
+    assert_eq!(
+        fnv1a(ml.assignment()),
+        0x0CFF_1E49_0912_B923_u64,
+        "100k-vertex multilevel assignment moved"
+    );
 
     assert!(
         ml_cut <= naive_cut,
@@ -89,4 +109,9 @@ fn partition_scales_deterministically() {
     let a = partition(&g, &cfg);
     let b = partition(&g, &cfg);
     assert_eq!(a, b, "same seed must give the same 100k-vertex partition");
+    assert_eq!(
+        fnv1a(a.assignment()),
+        0x6F00_A8B2_5C52_66D7_u64,
+        "100k-vertex seed-77 assignment moved"
+    );
 }

@@ -10,8 +10,6 @@
 //!     trace [--scale tiny|small|full] [--jobs N]
 //! cargo run -p numadag-bench --bin ablation --release -- \
 //!     bench-diff BASELINE.json CANDIDATE.json
-//! cargo run -p numadag-bench --bin ablation --release -- \
-//!     hotpath-diff BASELINE.json CANDIDATE.json [--tolerance FRACTION]
 //! ```
 //!
 //! All three ablations are expressed as [`Experiment`] sweeps: the window
@@ -42,14 +40,6 @@
 //! when the reports are measurement-identical and 1 when they differ — so
 //! "regenerate and diff the baseline" is one command instead of a jq
 //! exercise. Malformed arguments exit with code 2.
-//!
-//! `hotpath-diff` compares two `BENCH_hotpath.json` exports (written by the
-//! `hotpath` criterion suite under `NUMADAG_CRITERION_JSON`): every
-//! benchmark in the baseline must be present in the candidate with a median
-//! no more than `--tolerance` (default 0.25, i.e. 25%) slower. Faster is
-//! always fine — the gate is one-sided — and candidate-only benchmarks are
-//! reported but never fail, so the suite can grow without breaking older
-//! baselines. Exits 1 on regression, 2 on malformed input.
 
 use std::sync::Arc;
 
@@ -61,7 +51,6 @@ use numadag_numa::Topology;
 use numadag_runtime::{Backend, Experiment, SweepReport};
 use numadag_tdg::{window_to_csr, TaskWindow, WindowConfig};
 use numadag_trace::TraceCollector;
-use serde::Deserialize;
 
 const SCALE: ProblemScale = ProblemScale::Small;
 const SEED: u64 = 0xAB1A7E;
@@ -398,8 +387,7 @@ fn usage_error(message: String) -> ! {
         "usage: ablation [window|sockets|partitioner|propagation|all] [--jobs N] \
          [--backend simulated|threaded|proc[:w=N]]\n\
          \u{20}      ablation trace [--scale tiny|small|full] [--jobs N]\n\
-         \u{20}      ablation bench-diff BASELINE.json CANDIDATE.json\n\
-         \u{20}      ablation hotpath-diff BASELINE.json CANDIDATE.json          [--tolerance FRACTION]"
+         \u{20}      ablation bench-diff BASELINE.json CANDIDATE.json"
     );
     std::process::exit(2);
 }
@@ -410,111 +398,6 @@ fn load_report(path: &str) -> SweepReport {
         .unwrap_or_else(|e| usage_error(format!("cannot read {path}: {e}")));
     SweepReport::from_json_str(&text)
         .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")))
-}
-
-/// A `BENCH_hotpath.json`-format export (what the `hotpath` criterion suite
-/// writes under `NUMADAG_CRITERION_JSON`); fields the gate does not read are
-/// ignored.
-#[derive(Deserialize)]
-struct HotpathExport {
-    benches: Vec<HotpathBench>,
-}
-
-#[derive(Deserialize)]
-struct HotpathBench {
-    id: String,
-    median_ns: f64,
-}
-
-/// Loads a hot-path export, exiting 2 on failure.
-fn load_hotpath(path: &str) -> Vec<HotpathBench> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| usage_error(format!("cannot read {path}: {e}")));
-    serde_json::from_str(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|value| HotpathExport::from_value(&value))
-        .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")))
-        .benches
-}
-
-/// `hotpath-diff BASELINE CANDIDATE [--tolerance F]`: one-sided hot-path
-/// regression gate. Exits 1 when any baseline benchmark's candidate median
-/// exceeds `baseline * (1 + tolerance)` or is missing from the candidate.
-fn hotpath_diff(args: &[String]) -> ! {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut tolerance = 0.25f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t >= 0.0)
-                    .unwrap_or_else(|| {
-                        usage_error("--tolerance needs a non-negative number".to_string())
-                    });
-            }
-            path => paths.push(path),
-        }
-        i += 1;
-    }
-    let [baseline_path, candidate_path] = paths[..] else {
-        usage_error(
-            "hotpath-diff needs exactly two export paths (BASELINE.json CANDIDATE.json)"
-                .to_string(),
-        );
-    };
-    let baseline = load_hotpath(baseline_path);
-    let candidate = load_hotpath(candidate_path);
-    println!(
-        "# hotpath-diff {baseline_path} -> {candidate_path} (tolerance {:.0}%)\n",
-        tolerance * 100.0
-    );
-    let mut regressions = 0usize;
-    for HotpathBench {
-        id,
-        median_ns: base,
-    } in &baseline
-    {
-        match candidate.iter().find(|c| c.id == *id) {
-            None => {
-                regressions += 1;
-                println!("MISSING  {id}: in baseline but not in candidate");
-            }
-            Some(HotpathBench {
-                median_ns: cand, ..
-            }) => {
-                let ratio = cand / base;
-                let verdict = if *cand > base * (1.0 + tolerance) {
-                    regressions += 1;
-                    "REGRESSED"
-                } else if ratio < 1.0 {
-                    "faster"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{verdict:<9} {id}: {:.3} ms -> {:.3} ms ({:+.1}%)",
-                    base / 1e6,
-                    cand / 1e6,
-                    (ratio - 1.0) * 100.0
-                );
-            }
-        }
-    }
-    for HotpathBench { id, .. } in &candidate {
-        if !baseline.iter().any(|b| b.id == *id) {
-            println!("NEW      {id}: not in baseline (ignored)");
-        }
-    }
-    println!(
-        "\n{} of {} gated benchmarks within tolerance",
-        baseline.len() - regressions,
-        baseline.len()
-    );
-    std::process::exit(if regressions == 0 { 0 } else { 1 });
 }
 
 /// `bench-diff BASELINE CANDIDATE`: prints per-cell measurement deltas and
@@ -540,7 +423,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "hotpath-diff" => hotpath_diff(&args[i + 1..]),
             "bench-diff" => match (args.get(i + 1), args.get(i + 2), args.get(i + 3)) {
                 (Some(baseline), Some(candidate), None) => bench_diff(baseline, candidate),
                 _ => usage_error(

@@ -6,10 +6,7 @@
 //!   RGP+LAS over the LAS baseline on the eight applications, plus the
 //!   geometric mean) on the simulated bullion S16;
 //! * the `ablation` binary runs the design-choice studies listed in
-//!   DESIGN.md (window size, socket count, partitioner quality);
-//! * the Criterion benches in `benches/` measure the cost of the runtime
-//!   mechanisms themselves (partitioner, TDG construction, policy overhead,
-//!   end-to-end simulation).
+//!   DESIGN.md (window size, socket count, partitioner quality).
 
 pub mod harness;
 

@@ -40,7 +40,8 @@ pub struct RgpTuning {
     pub passes: Option<usize>,
     /// Propagation beyond the partitioned window
     /// (`prop=las|rr|repart`); overrides the propagation implied by the
-    /// base kind.
+    /// base kind. The constructors fold `las` and `rr` into the base kind,
+    /// so a canonical kind carries `repart` here or nothing.
     pub prop: Option<Propagation>,
     /// Anchoring mode for repartition propagation
     /// (`anchor=none|deps|homes|both`).
@@ -192,32 +193,33 @@ impl PolicyKind {
         ]
     }
 
-    /// RGP+LAS with the given tuning, normalising a default tuning to the
-    /// plain [`PolicyKind::RgpLas`] so labels stay canonical. A `prop` knob
-    /// equal to the propagation the base kind already implies (`prop=las`
-    /// here) is redundant and dropped, so `rgp-las:prop=las` and `rgp-las`
-    /// produce identical labels — and identical report-cache keys.
-    pub fn rgp_las(mut tuning: RgpTuning) -> PolicyKind {
-        if tuning.prop == Some(Propagation::Las) {
-            tuning.prop = None;
-        }
-        if tuning.is_default() {
-            PolicyKind::RgpLas
-        } else {
-            PolicyKind::RgpLasTuned(tuning)
-        }
+    /// RGP+LAS with the given tuning, in canonical form: a default tuning is
+    /// the plain [`PolicyKind::RgpLas`], and the *effective* propagation (the
+    /// `prop` knob, else the one this constructor implies) decides the base
+    /// kind — `rr` is RGP+RR, `las` is RGP+LAS, both without a `prop`, and
+    /// `repart` is `RGP+LAS:prop=repart`. Every spelling of one policy
+    /// (`rgp-las:prop=rr` and `rgp-rr`, `rgp-rr:prop=repart` and
+    /// `rgp-las:prop=repart`) is therefore one kind, one label and one cache
+    /// key.
+    pub fn rgp_las(tuning: RgpTuning) -> PolicyKind {
+        PolicyKind::rgp(Propagation::Las, tuning)
     }
 
-    /// RGP+RR with the given tuning (see [`PolicyKind::rgp_las`]; the
-    /// redundant knob here is `prop=rr`).
-    pub fn rgp_rr(mut tuning: RgpTuning) -> PolicyKind {
-        if tuning.prop == Some(Propagation::RoundRobin) {
-            tuning.prop = None;
+    /// RGP+RR with the given tuning, canonical like [`PolicyKind::rgp_las`].
+    pub fn rgp_rr(tuning: RgpTuning) -> PolicyKind {
+        PolicyKind::rgp(Propagation::RoundRobin, tuning)
+    }
+
+    fn rgp(implied: Propagation, mut tuning: RgpTuning) -> PolicyKind {
+        let propagation = tuning.prop.take().unwrap_or(implied);
+        if propagation == Propagation::Repartition {
+            tuning.prop = Some(propagation);
         }
-        if tuning.is_default() {
-            PolicyKind::RgpRr
-        } else {
-            PolicyKind::RgpRrTuned(tuning)
+        match (propagation == Propagation::RoundRobin, tuning.is_default()) {
+            (false, true) => PolicyKind::RgpLas,
+            (false, false) => PolicyKind::RgpLasTuned(tuning),
+            (true, true) => PolicyKind::RgpRr,
+            (true, false) => PolicyKind::RgpRrTuned(tuning),
         }
     }
 
@@ -225,11 +227,6 @@ impl PolicyKind {
     /// tuning).
     pub fn rgp_las_window(window: usize) -> PolicyKind {
         PolicyKind::RgpLasTuned(RgpTuning::default().with_window(window))
-    }
-
-    /// RGP+RR with an explicit window size.
-    pub fn rgp_rr_window(window: usize) -> PolicyKind {
-        PolicyKind::RgpRrTuned(RgpTuning::default().with_window(window))
     }
 
     /// The canonical label: the paper's display name, with any parameters
@@ -379,8 +376,8 @@ impl FromStr for PolicyKind {
         }
         let kind = match base {
             // Parameters on a non-RGP policy are a user error. (The RGP
-            // constructors may themselves normalise a redundant tuning back
-            // to a plain kind — e.g. `rgp-las:prop=las` — which is fine.)
+            // constructors may themselves normalise a tuning to another
+            // base kind — e.g. `rgp-las:prop=rr` — which is fine.)
             "dfifo" | "ep" | "las" if !tuning.is_default() => return Err(err()),
             "dfifo" => PolicyKind::Dfifo,
             "ep" => PolicyKind::Ep,
@@ -415,24 +412,8 @@ pub fn make_policy(
     spec: &TaskGraphSpec,
     seed: u64,
 ) -> Option<Box<dyn SchedulingPolicy>> {
-    make_policy_with_window(kind, spec, seed, None)
-}
-
-/// Like [`make_policy`] but with an explicit RGP window size (ignored by the
-/// non-RGP policies) that overrides any window encoded in `kind`. `None`
-/// uses the window encoded in the kind, falling back to the default.
-pub fn make_policy_with_window(
-    kind: PolicyKind,
-    spec: &TaskGraphSpec,
-    seed: u64,
-    window_size: Option<usize>,
-) -> Option<Box<dyn SchedulingPolicy>> {
     let rgp_config = |propagation| {
-        let mut tuning = kind.tuning().unwrap_or_default();
-        if window_size.is_some() {
-            tuning.window = window_size;
-        }
-        tuning.apply(
+        kind.tuning().unwrap_or_default().apply(
             RgpConfig::default()
                 .with_seed(seed)
                 .with_propagation(propagation),
@@ -486,7 +467,10 @@ mod tests {
         assert_eq!(PolicyKind::RgpLas.label(), "RGP+LAS");
         assert_eq!(PolicyKind::Las.to_string(), "LAS");
         assert_eq!(PolicyKind::rgp_las_window(512).label(), "RGP+LAS:w=512");
-        assert_eq!(PolicyKind::rgp_rr_window(64).base_label(), "RGP+RR");
+        assert_eq!(
+            PolicyKind::RgpRr.with_window(64).unwrap().label(),
+            "RGP+RR:w=64"
+        );
         assert_eq!(
             PolicyKind::rgp_las(
                 RgpTuning::default()
@@ -507,7 +491,7 @@ mod tests {
             assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
         }
         for w in [1usize, 64, 512, 4096] {
-            for kind in [PolicyKind::rgp_las_window(w), PolicyKind::rgp_rr_window(w)] {
+            for kind in [PolicyKind::RgpLas, PolicyKind::RgpRr].map(|k| k.with_window(w).unwrap()) {
                 assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
             }
         }
@@ -549,6 +533,36 @@ mod tests {
         ] {
             let kind = PolicyKind::rgp_las(RgpTuning::default().with_anchor(anchor));
             assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
+        }
+        // Every spelling of one policy is one kind with one label: the
+        // effective propagation decides the base, whichever base was typed.
+        for (spellings, label) in [
+            (
+                &[
+                    "rgp-las",
+                    "rgp_las",
+                    "RGP+LAS",
+                    "rgp-las:prop=las",
+                    "rgp-rr:prop=las",
+                ][..],
+                "RGP+LAS",
+            ),
+            (
+                &["rgp-rr", "rgp-las:prop=rr", "rgp-rr:prop=rr"][..],
+                "RGP+RR",
+            ),
+            (
+                &["rgp-las:prop=repart", "rgp-rr:prop=repart"][..],
+                "RGP+LAS:prop=repart",
+            ),
+            (&["rgp-las:w=64,prop=rr", "rgp-rr:w=64"][..], "RGP+RR:w=64"),
+        ] {
+            let canonical: PolicyKind = label.parse().unwrap();
+            for spelling in spellings {
+                let kind: PolicyKind = spelling.parse().unwrap();
+                assert_eq!(kind, canonical, "{spelling:?}");
+                assert_eq!(kind.label(), label, "{spelling:?}");
+            }
         }
     }
 
@@ -629,15 +643,6 @@ mod tests {
                 .label(),
             "RGP+LAS:w=256"
         );
-        // The cross combinations stay explicit: they change behaviour.
-        assert_eq!(
-            "rgp-las:prop=rr".parse::<PolicyKind>().unwrap().label(),
-            "RGP+LAS:prop=rr"
-        );
-        assert_eq!(
-            "rgp-rr:prop=las".parse::<PolicyKind>().unwrap().label(),
-            "RGP+RR:prop=las"
-        );
         // Normalisation never weakens the params-on-non-RGP error.
         assert!("las:prop=las".parse::<PolicyKind>().is_err());
         assert!("dfifo:w=64".parse::<PolicyKind>().is_err());
@@ -654,7 +659,9 @@ mod tests {
         );
         assert_eq!(
             "RGP+RR:w=128".parse::<PolicyKind>(),
-            Ok(PolicyKind::rgp_rr_window(128))
+            Ok(PolicyKind::RgpRrTuned(
+                RgpTuning::default().with_window(128)
+            ))
         );
         assert_eq!(
             "rgp-las:scheme=BFS".parse::<PolicyKind>(),
@@ -730,8 +737,8 @@ mod tests {
             Some(PolicyKind::rgp_las_window(64))
         );
         assert_eq!(
-            PolicyKind::rgp_rr_window(8).with_window(16),
-            Some(PolicyKind::rgp_rr_window(16))
+            PolicyKind::RgpRr.with_window(8).unwrap().with_window(16),
+            Some(PolicyKind::RgpRrTuned(RgpTuning::default().with_window(16)))
         );
         assert_eq!(PolicyKind::Las.with_window(64), None);
         assert_eq!(
@@ -807,16 +814,5 @@ mod tests {
         let s = spec(false);
         assert!(make_policy(PolicyKind::Ep, &s, 1).is_none());
         assert!(make_policy(PolicyKind::Las, &s, 1).is_some());
-    }
-
-    #[test]
-    fn window_override_reaches_rgp() {
-        let s = spec(true);
-        // Just exercises the code path; behaviour is covered in rgp tests.
-        let p = make_policy_with_window(PolicyKind::RgpLas, &s, 3, Some(1)).unwrap();
-        assert_eq!(p.name(), "RGP+LAS");
-        // An explicit override wins over the kind's embedded window.
-        let p = make_policy_with_window(PolicyKind::rgp_las_window(4096), &s, 3, Some(1)).unwrap();
-        assert_eq!(p.name(), "RGP+LAS");
     }
 }

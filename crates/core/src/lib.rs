@@ -36,7 +36,7 @@ pub mod weights;
 
 pub use dfifo::DfifoPolicy;
 pub use ep::EpPolicy;
-pub use factory::{make_policy, make_policy_with_window, ParsePolicyError, PolicyKind, RgpTuning};
+pub use factory::{make_policy, ParsePolicyError, PolicyKind, RgpTuning};
 // Re-exported so policy consumers can spell partitioner knobs without a
 // direct numadag-graph dependency.
 pub use las::LasPolicy;

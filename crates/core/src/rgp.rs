@@ -157,12 +157,6 @@ impl RgpConfig {
         self
     }
 
-    /// Replaces the whole partitioner tuning.
-    pub fn with_partitioner(mut self, partitioner: PartitionTuning) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
     /// Sets the allowed imbalance of the window partition.
     pub fn with_imbalance(mut self, imbalance: f64) -> Self {
         self.partitioner.imbalance = imbalance;
@@ -268,11 +262,6 @@ impl RgpPolicy {
     /// partitioned.
     pub fn window_socket_of(&self, task: TaskId) -> Option<SocketId> {
         self.window_assignment.get(task.index()).copied().flatten()
-    }
-
-    /// Number of windows handed to the partitioner so far.
-    pub fn windows_partitioned(&self) -> usize {
-        self.partition_windows
     }
 
     /// Partitions one window and records its plan into `window_assignment`.
@@ -644,12 +633,12 @@ mod tests {
         assert_eq!(p.name(), "RGP+LAS");
         p.prepare(&graph, &loc);
         // Only the first window is partitioned up front.
-        assert_eq!(p.windows_partitioned(), 1);
+        assert_eq!(windows_placed(&p), 1);
         assert!(p.window_socket_of(numadag_tdg::TaskId(0)).is_some());
         assert!(p.window_socket_of(numadag_tdg::TaskId(25)).is_none());
         // Assigning a task in the last window closes the middle one too.
         p.assign(graph.task(numadag_tdg::TaskId(45)), &loc);
-        assert_eq!(p.windows_partitioned(), 3);
+        assert_eq!(windows_placed(&p), 3);
         for t in graph.task_ids() {
             assert!(p.window_socket_of(t).is_some(), "task {t} uncovered");
         }
@@ -679,7 +668,7 @@ mod tests {
         );
         p.prepare(&graph, &loc);
         p.assign(graph.task(numadag_tdg::TaskId(79)), &loc);
-        assert_eq!(p.windows_partitioned(), 5);
+        assert_eq!(windows_placed(&p), 5);
         let sa = p.window_socket_of(numadag_tdg::TaskId(0)).unwrap();
         let sb = p.window_socket_of(numadag_tdg::TaskId(1)).unwrap();
         assert_ne!(sa, sb);
@@ -716,11 +705,18 @@ mod tests {
         mem.place(regions[1], target.node());
         let loc = MemoryLocator::new(&topo, &mem);
         let s = p.assign(graph.task(numadag_tdg::TaskId(39)), &loc);
-        assert_eq!(p.windows_partitioned(), 2);
+        assert_eq!(windows_placed(&p), 2);
         // The balance constraint caps how much of the window the anchors can
         // pull to one socket, but the final assignment must follow the
         // observed homes: biased LAS sees every byte resident on `target`.
         assert_eq!(s, target, "assignment must follow the observed homes");
+    }
+
+    /// Windows the policy has placed so far, as the executors read them.
+    fn windows_placed(p: &RgpPolicy) -> usize {
+        p.partition_stats()
+            .expect("RGP reports its partitioning")
+            .windows
     }
 
     /// Every window socket a prepared policy recorded, in task order.
@@ -755,7 +751,7 @@ mod tests {
         ] {
             let again = prepare_on(&shared, &sizes, repart(config.clone()).with_anchor(anchor));
             assert_eq!(
-                again.windows_partitioned(),
+                windows_placed(&again),
                 1,
                 "a reused plan is a placed window"
             );
@@ -812,7 +808,7 @@ mod tests {
         mem.place(numadag_numa::RegionId(0), home.node());
         let mut placed = RgpPolicy::new(config.clone());
         placed.prepare(&graph, &MemoryLocator::new(&topo, &mem));
-        assert_eq!(placed.windows_partitioned(), 1);
+        assert_eq!(windows_placed(&placed), 1);
         assert_eq!(graph.window_plan_counts(), (1, 0), "no plan was asked for");
 
         // The anchored partition, spelled out: every task of chain "a" (even

@@ -26,11 +26,6 @@ impl SocketWeights {
         self.weights.iter().sum()
     }
 
-    /// True if no byte of the task's dependences has a home yet.
-    pub fn all_unallocated(&self) -> bool {
-        self.total_allocated() == 0
-    }
-
     /// The sockets with the maximum weight (more than one on ties). Empty if
     /// nothing is allocated.
     pub fn heaviest(&self) -> Vec<SocketId> {
@@ -54,16 +49,6 @@ impl SocketWeights {
                 .filter(|(_, &w)| w == max)
                 .map(|(s, _)| SocketId(s)),
         );
-    }
-
-    /// Fraction of the allocated bytes held by the heaviest socket.
-    pub fn concentration(&self) -> f64 {
-        let total = self.total_allocated();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = self.weights.iter().copied().max().unwrap_or(0);
-        max as f64 / total as f64
     }
 }
 
@@ -130,7 +115,6 @@ mod tests {
         assert_eq!(w.weights, vec![1000, 0, 3000, 0]);
         assert_eq!(w.unallocated, 0);
         assert_eq!(w.heaviest(), vec![SocketId(2)]);
-        assert!((w.concentration() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -148,20 +132,19 @@ mod tests {
         let w = socket_weights(&t, &loc);
         assert_eq!(w.weights, vec![0, 500]);
         assert_eq!(w.unallocated, 500);
-        assert!(!w.all_unallocated());
+        assert_eq!(w.total_allocated(), 500);
     }
 
     #[test]
-    fn all_unallocated_detected() {
+    fn a_task_without_homed_data_has_no_heaviest_socket() {
         let topo = Topology::two_socket(2);
         let mut mem = MemoryMap::new();
         let a = mem.register(100);
         let loc = MemoryLocator::new(&topo, &mem);
         let t = task_with(vec![DataAccess::write(a, 100)]);
         let w = socket_weights(&t, &loc);
-        assert!(w.all_unallocated());
+        assert_eq!(w.total_allocated(), 0);
         assert!(w.heaviest().is_empty());
-        assert_eq!(w.concentration(), 0.0);
         assert_eq!(w.unallocated, 100);
     }
 

@@ -251,11 +251,6 @@ impl CsrGraph {
         self.adjwgt.iter().sum::<i64>() / 2
     }
 
-    /// Sum of the weights of edges incident to `v`.
-    pub fn incident_weight(&self, v: u32) -> i64 {
-        self.edge_weights(v).iter().sum()
-    }
-
     /// Weight of edge `(u, v)` if present.
     pub fn edge_weight(&self, u: u32, v: u32) -> Option<i64> {
         self.edges_of(u).find(|(n, _)| *n == v).map(|(_, w)| w)
@@ -319,32 +314,6 @@ impl CsrGraph {
             }
         }
         Ok(())
-    }
-
-    /// Returns the connected components as a vector of component ids, one per
-    /// vertex, numbered from 0.
-    pub fn connected_components(&self) -> (usize, Vec<u32>) {
-        let n = self.num_vertices();
-        let mut comp = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n as u32 {
-            if comp[start as usize] != u32::MAX {
-                continue;
-            }
-            comp[start as usize] = next;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for &u in self.neighbors(v) {
-                    if comp[u as usize] == u32::MAX {
-                        comp[u as usize] = next;
-                        stack.push(u);
-                    }
-                }
-            }
-            next += 1;
-        }
-        (next as usize, comp)
     }
 }
 
@@ -496,8 +465,6 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert!(g.validate().is_ok());
         assert_eq!(g.degree(4), 0);
-        let (nc, _) = g.connected_components();
-        assert_eq!(nc, 5);
     }
 
     #[test]
@@ -548,31 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn connected_components_on_two_islands() {
-        let mut b = GraphBuilder::new(6);
-        b.add_edge(0, 1, 1).add_edge(1, 2, 1);
-        b.add_edge(3, 4, 1).add_edge(4, 5, 1);
-        let g = b.build();
-        let (nc, comp) = g.connected_components();
-        assert_eq!(nc, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[1], comp[2]);
-        assert_eq!(comp[3], comp[4]);
-        assert_ne!(comp[0], comp[3]);
-    }
-
-    #[test]
     fn from_parts_validates() {
         assert!(CsrGraph::from_parts(vec![0, 0], vec![], vec![], vec![1]).is_ok());
         assert!(CsrGraph::from_parts(vec![0, 1], vec![0], vec![1], vec![1]).is_err());
-    }
-
-    #[test]
-    fn incident_weight_sums_edges() {
-        let g = triangle();
-        assert_eq!(g.incident_weight(0), 8);
-        assert_eq!(g.incident_weight(1), 12);
-        assert_eq!(g.incident_weight(2), 10);
     }
 
     #[test]

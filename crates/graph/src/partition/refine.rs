@@ -4,7 +4,7 @@
 //! multilevel scheme), [`refine_kway_anchored_with`] performs greedy passes
 //! over the boundary vertices: each vertex may move to the neighbouring part
 //! it is most strongly connected to, provided the move does not violate the
-//! balance constraint. A separate [`rebalance`] step repairs partitions whose
+//! balance constraint. A separate rebalance step repairs partitions whose
 //! parts exceed the allowed maximum weight (which can happen after projecting
 //! a coarse partition onto a finer graph).
 //!
@@ -53,17 +53,9 @@ pub struct GainTable {
 }
 
 impl GainTable {
-    /// Builds the table for `assignment` in one edge sweep.
-    pub fn build(graph: &CsrGraph, assignment: &[u32], k: usize) -> Self {
-        let mut table = GainTable::default();
-        table.rebuild(graph, assignment, k);
-        table
-    }
-
-    /// Rebuilds the table in place for a (possibly different) graph and
-    /// assignment, reusing the existing buffers. Equivalent to
-    /// [`GainTable::build`] but allocation-free once the buffers have grown
-    /// to the working size.
+    /// Builds the table for `assignment` in one edge sweep, in place for a
+    /// (possibly different) graph and assignment: allocation-free once the
+    /// buffers have grown to the working size.
     pub fn rebuild(&mut self, graph: &CsrGraph, assignment: &[u32], k: usize) {
         let n = graph.num_vertices();
         self.k = k;
@@ -388,33 +380,12 @@ impl RefineScratch {
 
 /// Moves vertices out of overweight parts until every part weighs at most
 /// `max_part_weight`, choosing at each step the move that loses the least cut
-/// weight. Returns the number of vertices moved.
-pub fn rebalance(
-    graph: &CsrGraph,
-    assignment: &mut [u32],
-    k: usize,
-    max_part_weight: i64,
-) -> usize {
-    let mut table = GainTable::build(graph, assignment, k);
-    let mut part_weight = weights_of(graph, assignment, k);
-    let mut queues = Vec::new();
-    let mut built = Vec::new();
-    rebalance_with(
-        graph,
-        assignment,
-        max_part_weight,
-        &mut table,
-        &mut part_weight,
-        &mut queues,
-        &mut built,
-    )
-}
-
-/// [`rebalance`] through a caller-owned gain table and part-weight vector
-/// (kept exact), so refinement can share one table across the repair and
-/// refinement phases. Selection per move is driven by a [`GainQueue`] —
-/// `O(log n)` amortised instead of the `O(n·k)` scan of the linear reference
-/// the unit tests keep — with an identical move sequence.
+/// weight, and returns the number of vertices moved. Works through a
+/// caller-owned gain table and part-weight vector (kept exact), so refinement
+/// shares one table across the repair and refinement phases. Selection per
+/// move is driven by a [`GainQueue`] — `O(log n)` amortised instead of the
+/// `O(n·k)` scan of the linear reference the unit tests keep — with an
+/// identical move sequence.
 ///
 /// One queue is kept *per overweight part*, built lazily the first time a
 /// part is selected as the heaviest offender and retained across part
@@ -528,13 +499,8 @@ fn rebalance_with(
     moves
 }
 
-fn weights_of(graph: &CsrGraph, assignment: &[u32], k: usize) -> Vec<i64> {
-    let mut part_weight = Vec::new();
-    weights_into(graph, assignment, k, &mut part_weight);
-    part_weight
-}
-
-/// [`weights_of`] into a caller-owned buffer (allocation-free once grown).
+/// Part weights of `assignment` into a caller-owned buffer (allocation-free
+/// once grown).
 fn weights_into(graph: &CsrGraph, assignment: &[u32], k: usize, out: &mut Vec<i64>) {
     out.clear();
     out.resize(k, 0);
@@ -693,6 +659,38 @@ mod tests {
         refine_kway_anchored_with(graph, assignment, config, affinity, &mut scratch)
     }
 
+    fn build_table(graph: &CsrGraph, assignment: &[u32], k: usize) -> GainTable {
+        let mut table = GainTable::default();
+        table.rebuild(graph, assignment, k);
+        table
+    }
+
+    fn weights_of(graph: &CsrGraph, assignment: &[u32], k: usize) -> Vec<i64> {
+        let mut part_weight = Vec::new();
+        weights_into(graph, assignment, k, &mut part_weight);
+        part_weight
+    }
+
+    /// [`rebalance_with`] through a fresh table, weights and queues.
+    fn rebalance(
+        graph: &CsrGraph,
+        assignment: &mut [u32],
+        k: usize,
+        max_part_weight: i64,
+    ) -> usize {
+        let mut table = build_table(graph, assignment, k);
+        let mut part_weight = weights_of(graph, assignment, k);
+        rebalance_with(
+            graph,
+            assignment,
+            max_part_weight,
+            &mut table,
+            &mut part_weight,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+    }
+
     /// The pre-queue `O(n·k)`-per-move implementation of [`rebalance`],
     /// retained verbatim as the oracle for the queue/linear equivalence
     /// corpus. Selection order (maximum gain, then lowest vertex id, then
@@ -703,7 +701,7 @@ mod tests {
         k: usize,
         max_part_weight: i64,
     ) -> usize {
-        let mut table = GainTable::build(graph, assignment, k);
+        let mut table = build_table(graph, assignment, k);
         let mut part_weight = weights_of(graph, assignment, k);
         rebalance_with_linear(
             graph,
@@ -800,7 +798,7 @@ mod tests {
         let g = generators::random_graph(120, 6, 12, 5);
         let k = 4usize;
         let mut a: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % k as u32).collect();
-        let mut table = GainTable::build(&g, &a, k);
+        let mut table = build_table(&g, &a, k);
         // Walk a few arbitrary moves and check the table against a rebuild.
         for v in [3u32, 17, 50, 99, 3] {
             let from = a[v as usize] as usize;
@@ -808,7 +806,7 @@ mod tests {
             a[v as usize] = to as u32;
             table.apply_move(&g, v, from, to);
         }
-        let fresh = GainTable::build(&g, &a, k);
+        let fresh = build_table(&g, &a, k);
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(table.row(v), fresh.row(v), "row of vertex {v} drifted");
             assert_eq!(

@@ -1,5 +1,5 @@
-//! Helpers shared by the kernel builders: expert placements and problem
-//! scaling.
+//! Helpers shared by the kernel builders: expert placements, problem
+//! scaling and the per-tile flop counts of the dense kernels.
 
 /// How large the Figure-1 problem instances should be. The paper uses inputs
 /// sized for a 32-core machine; the reproduction offers three scales so tests
@@ -57,15 +57,6 @@ pub fn block_owner(i: usize, n: usize, sockets: usize) -> usize {
     (i * sockets / n).min(sockets - 1)
 }
 
-/// Cyclic distribution: block `i` goes to socket `i % sockets`.
-pub fn cyclic_owner(i: usize, sockets: usize) -> usize {
-    if sockets == 0 {
-        0
-    } else {
-        i % sockets
-    }
-}
-
 /// 2-D block-cyclic distribution over a near-square process grid — the
 /// placement an expert would use for tiled dense factorisations (ScaLAPACK
 /// style). Returns the socket owning tile `(i, j)`.
@@ -90,6 +81,31 @@ pub fn row_block_owner(i: usize, _j: usize, nb: usize, sockets: usize) -> usize 
     block_owner(i, nb, sockets)
 }
 
+/// Flop count of a `b × b` GEMM tile (used as task work units).
+pub fn gemm_flops(b: usize) -> f64 {
+    2.0 * (b as f64).powi(3)
+}
+
+/// Flop count of a `b × b` POTRF tile.
+pub fn potrf_flops(b: usize) -> f64 {
+    (b as f64).powi(3) / 3.0
+}
+
+/// Flop count of a `b × b` TRSM tile.
+pub fn trsm_flops(b: usize) -> f64 {
+    (b as f64).powi(3)
+}
+
+/// Flop count of a `b × b` SYRK tile.
+pub fn syrk_flops(b: usize) -> f64 {
+    (b as f64).powi(3)
+}
+
+/// Flop count of a `b × b` GEQRT tile (Householder panel factorisation).
+pub fn geqrt_flops(b: usize) -> f64 {
+    4.0 / 3.0 * (b as f64).powi(3)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,13 +126,6 @@ mod tests {
         assert_eq!(block_owner(3, 0, 4), 0);
         assert_eq!(block_owner(3, 10, 0), 0);
         assert_eq!(block_owner(9, 10, 1), 0);
-    }
-
-    #[test]
-    fn cyclic_owner_wraps() {
-        assert_eq!(cyclic_owner(0, 4), 0);
-        assert_eq!(cyclic_owner(5, 4), 1);
-        assert_eq!(cyclic_owner(7, 0), 0);
     }
 
     #[test]
@@ -163,5 +172,13 @@ mod tests {
         }
         assert_eq!("FULL".parse::<ProblemScale>().unwrap(), ProblemScale::Full);
         assert!("huge".parse::<ProblemScale>().is_err());
+    }
+
+    #[test]
+    fn flop_counts_scale_cubically() {
+        assert_eq!(gemm_flops(10), 2000.0);
+        assert!(potrf_flops(12) < trsm_flops(12));
+        assert!(geqrt_flops(8) > potrf_flops(8));
+        assert_eq!(syrk_flops(4), 64.0);
     }
 }

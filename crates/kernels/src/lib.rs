@@ -22,10 +22,6 @@
 //! numerical task bodies over a [`storage::DenseStore`], together with
 //! sequential references, so the threaded executor can demonstrate that the
 //! numerical results are identical under every scheduling policy.
-//!
-//! [`linalg`] is a small dense linear-algebra substrate (GEMM, SYRK, TRSM,
-//! Cholesky, Householder QR) with its own tests; it provides the per-tile
-//! flop counts used as task work units by the dense kernels.
 
 #![warn(missing_docs)]
 
@@ -35,7 +31,6 @@ pub mod common;
 pub mod gauss_seidel;
 pub mod integral_histogram;
 pub mod jacobi;
-pub mod linalg;
 pub mod nstream;
 pub mod qr;
 pub mod red_black;

@@ -10,8 +10,7 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 
-use crate::common::{block_cyclic_2d, ProblemScale};
-use crate::linalg::{gemm_flops, geqrt_flops, trsm_flops};
+use crate::common::{block_cyclic_2d, gemm_flops, geqrt_flops, trsm_flops, ProblemScale};
 
 /// Parameters of the tiled QR kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,17 +126,6 @@ pub fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
     TaskGraphSpec::new("QR factorization", graph, sizes).with_ep_placement(ep)
 }
 
-/// Number of factorisation tasks (excluding tile initialisation) for `nt`
-/// tiles: `Σ_k 1 + (nt-1-k) + (nt-1-k) + (nt-1-k)²`.
-pub fn factorization_task_count(nt: usize) -> usize {
-    (0..nt)
-        .map(|k| {
-            let rem = nt - 1 - k;
-            1 + rem + rem + rem * rem
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +134,18 @@ mod tests {
     fn counts_and_validity() {
         let p = QrParams::with_scale(ProblemScale::Tiny);
         let spec = build(p, 4);
-        assert_eq!(
-            spec.num_tasks(),
-            p.nt * p.nt + factorization_task_count(p.nt)
-        );
+        // Factorisation tasks (excluding tile initialisation) for `nt` tiles:
+        // `Σ_k 1 + (nt-1-k) + (nt-1-k) + (nt-1-k)²`.
+        let factorization: usize = (0..p.nt)
+            .map(|k| {
+                let rem = p.nt - 1 - k;
+                1 + rem + rem + rem * rem
+            })
+            .sum();
+        assert_eq!(spec.num_tasks(), p.nt * p.nt + factorization);
         assert!(spec.validate().is_ok());
         assert!(spec.graph.is_acyclic());
         assert!(spec.ep_socket.is_some());
-    }
-
-    #[test]
-    fn task_count_formula() {
-        assert_eq!(factorization_task_count(1), 1);
-        assert_eq!(factorization_task_count(2), 1 + 1 + 1 + 1 + 1);
-        // nt=3: k=0 → 1+2+2+4=9, k=1 → 1+1+1+1=4, k=2 → 1. Total 14.
-        assert_eq!(factorization_task_count(3), 14);
     }
 
     #[test]

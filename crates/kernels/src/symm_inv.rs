@@ -11,8 +11,9 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 
-use crate::common::{block_cyclic_2d, ProblemScale};
-use crate::linalg::{gemm_flops, potrf_flops, syrk_flops, trsm_flops};
+use crate::common::{
+    block_cyclic_2d, gemm_flops, potrf_flops, syrk_flops, trsm_flops, ProblemScale,
+};
 
 /// Parameters of the symmetric-matrix-inversion kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

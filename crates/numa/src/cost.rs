@@ -15,8 +15,7 @@
 //! figure, and those ratios are taken from typical measured local/remote
 //! bandwidth and latency gaps on 8-socket glueless/node-controller machines.
 
-use crate::ids::{CoreId, NodeId};
-use crate::topology::{DistanceMatrix, Topology};
+use crate::topology::DistanceMatrix;
 
 /// Parameters of the memory/compute cost model. Times are in abstract
 /// "simulation nanoseconds"; bandwidths in bytes per simulation nanosecond.
@@ -71,16 +70,6 @@ impl CostModel {
         }
     }
 
-    /// A cost model with an exaggerated remote penalty, used in tests to make
-    /// locality effects unmistakable.
-    pub fn steep() -> Self {
-        CostModel {
-            bandwidth_exponent: 2.0,
-            latency_exponent: 1.5,
-            ..CostModel::default()
-        }
-    }
-
     /// Effective bandwidth (bytes per ns) for an access at SLIT `distance`.
     pub fn bandwidth(&self, distance: u32) -> f64 {
         let rel = distance as f64 / DistanceMatrix::LOCAL as f64;
@@ -100,13 +89,6 @@ impl CostModel {
             return 0.0;
         }
         self.latency(distance) + bytes as f64 / self.bandwidth(distance)
-    }
-
-    /// Time (ns) to transfer `bytes` between `core` and data living on
-    /// `node`, under `topology`.
-    pub fn access_time(&self, topology: &Topology, core: CoreId, node: NodeId, bytes: u64) -> f64 {
-        let d = topology.distance(topology.node_of(core), node);
-        self.transfer_time(bytes, d)
     }
 
     /// Multiplier applied to memory time when `concurrent` tasks (including
@@ -135,16 +117,6 @@ impl CostModel {
             bw[d as usize] = self.bandwidth(d);
         }
         TransferTable { lat, bw }
-    }
-
-    /// Convenience: the ratio between the remote and local transfer time for
-    /// a given byte count and distance. Used in tests and reports.
-    pub fn remote_local_ratio(&self, bytes: u64, distance: u32) -> f64 {
-        let local = self.transfer_time(bytes, DistanceMatrix::LOCAL);
-        if local == 0.0 {
-            return 1.0;
-        }
-        self.transfer_time(bytes, distance) / local
     }
 }
 
@@ -183,7 +155,6 @@ impl TransferTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
 
     #[test]
     fn local_access_uses_base_numbers() {
@@ -204,7 +175,8 @@ mod tests {
         assert!(sibling < far);
         // With linear exponents the far/local ratio approaches 2.7 for large
         // transfers.
-        assert!((m.remote_local_ratio(1 << 30, 27) - 2.7).abs() < 0.01);
+        let ratio = m.transfer_time(1 << 30, 27) / m.transfer_time(1 << 30, 10);
+        assert!((ratio - 2.7).abs() < 0.01);
     }
 
     #[test]
@@ -230,16 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn access_time_respects_topology() {
-        let t = Topology::bullion_s16();
-        let m = CostModel::default();
-        // Core 0 is on socket 0; node 0 is local, node 7 is cross-module.
-        let local = m.access_time(&t, CoreId(0), NodeId(0), 1 << 16);
-        let remote = m.access_time(&t, CoreId(0), NodeId(7), 1 << 16);
-        assert!(remote > 2.0 * local);
-    }
-
-    #[test]
     fn compute_time_scales_with_work() {
         let m = CostModel::default();
         assert_eq!(m.compute_time(0.0), 0.0);
@@ -249,15 +211,5 @@ mod tests {
             ..CostModel::default()
         };
         assert_eq!(m2.compute_time(100.0), 250.0);
-    }
-
-    #[test]
-    fn steep_model_penalises_more_than_default() {
-        let base = CostModel::default();
-        let steep = CostModel::steep();
-        assert!(
-            steep.remote_local_ratio(1 << 20, 27) > base.remote_local_ratio(1 << 20, 27),
-            "steep model must have a larger remote/local gap"
-        );
     }
 }

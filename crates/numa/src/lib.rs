@@ -8,10 +8,9 @@
 //!
 //! * [`topology::Topology`] — sockets, cores, NUMA nodes and the distance
 //!   matrix between nodes (ACPI-SLIT style, local = 10).
-//! * [`memory::MemoryMap`] — page-granular placement of data regions onto
-//!   NUMA nodes, including *first touch* and the paper's *deferred
-//!   allocation* (a region is only placed once the task producing it has
-//!   been scheduled).
+//! * [`memory::MemoryMap`] — placement of data regions onto NUMA nodes
+//!   under the paper's *deferred allocation* (a region is only placed once
+//!   the task producing it has been scheduled).
 //! * [`cost::CostModel`] — translates bytes moved across a given distance
 //!   into simulated time, including a simple bandwidth-contention model.
 //! * [`stats::TrafficStats`] — local/remote byte accounting, the quantity

@@ -209,25 +209,6 @@ impl MemoryMap {
         self.add_resident(node, self.size_of(region));
     }
 
-    /// Performs a *first touch*: places the region on `node` only if it is
-    /// still unallocated. Returns `true` if this call performed the
-    /// placement.
-    pub fn first_touch(&mut self, region: RegionId, node: NodeId) -> bool {
-        if self.is_allocated(region) {
-            false
-        } else {
-            self.place(region, node);
-            true
-        }
-    }
-
-    /// Resets a region to the unallocated state (used by tests and by the
-    /// deferred-allocation bookkeeping when data is freed between windows).
-    pub fn deallocate(&mut self, region: RegionId) {
-        self.remove_resident(region);
-        self.placements[region.index()] = Placement::Unallocated;
-    }
-
     /// How many bytes of `region` live on each node.
     pub fn bytes_per_node(&self, region: RegionId) -> NodeBytes {
         let mut out = NodeBytes::default();
@@ -273,16 +254,6 @@ impl MemoryMap {
     /// Total bytes resident on `node` across all regions.
     pub fn resident_on(&self, node: NodeId) -> u64 {
         self.node_resident.get(node.index()).copied().unwrap_or(0)
-    }
-
-    /// Total bytes registered (allocated or not).
-    pub fn total_registered_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.size_bytes).sum()
-    }
-
-    /// Total bytes currently allocated on some node.
-    pub fn total_resident_bytes(&self) -> u64 {
-        self.node_resident.iter().sum()
     }
 
     /// Iterates over all region ids.
@@ -341,15 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn first_touch_only_once() {
-        let mut m = MemoryMap::new();
-        let r = m.register(4096);
-        assert!(m.first_touch(r, NodeId(1)));
-        assert!(!m.first_touch(r, NodeId(2)));
-        assert_eq!(m.placement(r).single_node(), Some(NodeId(1)));
-    }
-
-    #[test]
     fn migration_updates_residency() {
         let mut m = MemoryMap::new();
         let r = m.register(10_000);
@@ -357,30 +319,6 @@ mod tests {
         m.place(r, NodeId(5));
         assert_eq!(m.resident_on(NodeId(0)), 0);
         assert_eq!(m.resident_on(NodeId(5)), 10_000);
-        assert_eq!(m.total_resident_bytes(), 10_000);
-    }
-
-    #[test]
-    fn deallocate_returns_to_unallocated() {
-        let mut m = MemoryMap::new();
-        let r = m.register(5000);
-        m.place(r, NodeId(2));
-        m.deallocate(r);
-        assert!(!m.is_allocated(r));
-        assert_eq!(m.total_resident_bytes(), 0);
-    }
-
-    #[test]
-    fn totals_track_all_regions() {
-        let mut m = MemoryMap::new();
-        let a = m.register(100);
-        let b = m.register(200);
-        let _c = m.register(300);
-        m.place(a, NodeId(0));
-        m.place(b, NodeId(1));
-        assert_eq!(m.total_registered_bytes(), 600);
-        assert_eq!(m.total_resident_bytes(), 300);
-        assert_eq!(m.regions().count(), 3);
     }
 
     #[test]
@@ -394,7 +332,7 @@ mod tests {
     fn with_regions_registers_every_size_unallocated() {
         let m = MemoryMap::with_regions(&[64, 0, 4096]);
         assert_eq!(m.num_regions(), 3);
-        assert_eq!(m.total_registered_bytes(), 64 + 4096);
+        assert_eq!(m.size_of(RegionId(0)), 64);
         assert!(m.regions().all(|r| !m.is_allocated(r)));
         assert_eq!(m.size_of(RegionId(2)), 4096);
     }

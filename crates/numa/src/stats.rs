@@ -107,32 +107,6 @@ impl TrafficStats {
         }
     }
 
-    /// Bytes read by cores of `to` from memory of `from`.
-    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link
-            .get(&(from.index(), to.index()))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Bytes served by the memory of `node` (to any core).
-    pub fn served_by(&self, node: NodeId) -> u64 {
-        self.link
-            .iter()
-            .filter(|((from, _), _)| *from == node.index())
-            .map(|(_, b)| *b)
-            .sum()
-    }
-
-    /// Bytes consumed by cores of `node` (from any memory).
-    pub fn consumed_by(&self, node: NodeId) -> u64 {
-        self.link
-            .iter()
-            .filter(|((_, to), _)| *to == node.index())
-            .map(|(_, b)| *b)
-            .sum()
-    }
-
     /// Iterates the link matrix entries as `((from, to), bytes)`, in
     /// deterministic key order. Exposed (with [`TrafficStats::from_parts`])
     /// so a ledger can cross a process boundary and be rebuilt bit-exactly.
@@ -216,11 +190,7 @@ mod tests {
         let mut s = TrafficStats::new();
         // Core on node 2 reads from memory on node 5.
         s.record_access(NodeId(2), NodeId(5), 27, 500);
-        assert_eq!(s.link_bytes(NodeId(5), NodeId(2)), 500);
-        assert_eq!(s.link_bytes(NodeId(2), NodeId(5)), 0);
-        assert_eq!(s.served_by(NodeId(5)), 500);
-        assert_eq!(s.consumed_by(NodeId(2)), 500);
-        assert_eq!(s.served_by(NodeId(2)), 0);
+        assert_eq!(s.link_entries().collect::<Vec<_>>(), [((5, 2), 500)]);
     }
 
     #[test]
@@ -253,7 +223,10 @@ mod tests {
         assert_eq!(a.local_bytes, 10);
         assert_eq!(a.remote_bytes, 20);
         assert_eq!(a.deferred_allocated_bytes, 192);
-        assert_eq!(a.link_bytes(NodeId(0), NodeId(1)), 20);
+        assert_eq!(
+            a.link_entries().collect::<Vec<_>>(),
+            [((0, 0), 10), ((0, 1), 20)]
+        );
     }
 
     /// A small machine and an access sequence on it, both drawn from

@@ -96,25 +96,6 @@ impl DistanceMatrix {
     pub fn max_distance(&self) -> u32 {
         self.values.iter().copied().max().unwrap_or(Self::LOCAL)
     }
-
-    /// Average remote distance (excluding the diagonal). Returns the local
-    /// distance for single-node machines.
-    pub fn mean_remote_distance(&self) -> f64 {
-        if self.n <= 1 {
-            return Self::LOCAL as f64;
-        }
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                if i != j {
-                    sum += u64::from(self.values[i * self.n + j]);
-                    count += 1;
-                }
-            }
-        }
-        sum as f64 / count as f64
-    }
 }
 
 /// Description of the machine: how many sockets, how many cores per socket,
@@ -228,57 +209,6 @@ impl Topology {
         )
     }
 
-    /// A distributed machine of `nodes` cluster nodes, each a shared-memory
-    /// NUMA box of `sockets_per_node` sockets: distance is `10` locally,
-    /// `15` between sockets of the same node and `far` between sockets of
-    /// different nodes.
-    ///
-    /// This is ROADMAP direction 2's "remote node is just a socket at a
-    /// (configurable) large distance" model: the distance matrix is the only
-    /// thing that changes, so every placement policy works across the
-    /// cluster unmodified. `far` around `100` (10× local) approximates an
-    /// RDMA-class interconnect; larger values push toward message-passing
-    /// cost ratios.
-    ///
-    /// # Panics
-    /// Panics if any dimension is zero or `far < 15` (a cluster link cannot
-    /// beat the intra-node interconnect in this model).
-    pub fn multi_node(
-        nodes: usize,
-        sockets_per_node: usize,
-        cores_per_socket: usize,
-        far: u32,
-    ) -> Self {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        assert!(sockets_per_node > 0, "a node needs at least one socket");
-        assert!(
-            far >= 15,
-            "cross-node distance cannot be smaller than the intra-node distance"
-        );
-        let n = nodes * sockets_per_node;
-        let mut values = vec![0u32; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                values[i * n + j] = if i == j {
-                    DistanceMatrix::LOCAL
-                } else if i / sockets_per_node == j / sockets_per_node {
-                    15
-                } else {
-                    far
-                };
-            }
-        }
-        Topology::new(
-            format!(
-                "{nodes}-node cluster ({sockets_per_node} sockets x {cores_per_socket} cores, \
-                 far={far})"
-            ),
-            n,
-            cores_per_socket,
-            DistanceMatrix::from_rows(n, values),
-        )
-    }
-
     /// Human-readable name of the preset.
     pub fn name(&self) -> &str {
         &self.name
@@ -325,11 +255,6 @@ impl Topology {
         (start..start + self.cores_per_socket).map(CoreId)
     }
 
-    /// First core of a socket (convenient canonical representative).
-    pub fn first_core_of(&self, socket: SocketId) -> CoreId {
-        CoreId(socket.index() * self.cores_per_socket)
-    }
-
     /// All sockets of the machine.
     pub fn sockets(&self) -> impl Iterator<Item = SocketId> {
         (0..self.num_sockets).map(SocketId)
@@ -362,11 +287,6 @@ impl Topology {
         self.distances.relative_cost(self.node_of(core), data)
     }
 
-    /// True if the machine has a single NUMA node (no NUMA effects possible).
-    pub fn is_uma(&self) -> bool {
-        self.num_sockets == 1
-    }
-
     /// Nodes sorted by distance from `from` (closest first, `from` itself is
     /// always first). Used by policies that spill work to the nearest node.
     pub fn nodes_by_distance(&self, from: NodeId) -> Vec<NodeId> {
@@ -386,7 +306,6 @@ mod tests {
         assert_eq!(t.num_sockets(), 8);
         assert_eq!(t.cores_per_socket(), 4);
         assert_eq!(t.num_cores(), 32);
-        assert!(!t.is_uma());
     }
 
     #[test]
@@ -417,7 +336,6 @@ mod tests {
         assert_eq!(t.socket_of(CoreId(31)), SocketId(7));
         let cores: Vec<_> = t.cores_of(SocketId(2)).collect();
         assert_eq!(cores, vec![CoreId(8), CoreId(9), CoreId(10), CoreId(11)]);
-        assert_eq!(t.first_core_of(SocketId(5)), CoreId(20));
     }
 
     #[test]
@@ -434,7 +352,7 @@ mod tests {
     #[test]
     fn uma_machine_has_unit_relative_cost() {
         let t = Topology::uma(4);
-        assert!(t.is_uma());
+        assert_eq!(t.num_sockets(), 1);
         assert_eq!(t.num_cores(), 4);
         assert_eq!(t.relative_cost(CoreId(2), NodeId(0)), 1.0);
     }
@@ -447,15 +365,6 @@ mod tests {
         assert_eq!(d.distance(NodeId(0), NodeId(3)), 21);
         assert_eq!(d.max_distance(), 21);
         assert!((d.relative_cost(NodeId(1), NodeId(2)) - 2.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_remote_distance_bullion() {
-        let t = Topology::bullion_s16();
-        let m = t.distances().mean_remote_distance();
-        // 1 sibling at 15 and 6 strangers at 27 per node.
-        let expected = (15.0 + 6.0 * 27.0) / 7.0;
-        assert!((m - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -492,42 +401,5 @@ mod tests {
             assert_eq!(t.num_sockets(), s);
             assert_eq!(t.num_cores(), 4 * s);
         }
-    }
-
-    #[test]
-    fn multi_node_distance_structure() {
-        // 2 cluster nodes of 2 sockets each, far link at 100.
-        let t = Topology::multi_node(2, 2, 4, 100);
-        assert_eq!(t.num_sockets(), 4);
-        assert_eq!(t.num_cores(), 16);
-        assert_eq!(t.distance(NodeId(0), NodeId(0)), 10);
-        assert_eq!(t.distance(NodeId(0), NodeId(1)), 15); // same cluster node
-        assert_eq!(t.distance(NodeId(0), NodeId(2)), 100); // cross node
-        assert_eq!(t.distance(NodeId(1), NodeId(3)), 100);
-        assert_eq!(t.distance(NodeId(2), NodeId(3)), 15);
-        assert!(t.name().contains("far=100"));
-        // The matrix passes from_rows' symmetry/diagonal validation by
-        // construction; nodes_by_distance keeps the sibling ahead of the
-        // far nodes.
-        let order = t.nodes_by_distance(NodeId(2));
-        assert_eq!(&order[..2], &[NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn multi_node_with_one_socket_per_node_is_uniformly_far() {
-        let t = Topology::multi_node(4, 1, 2, 200);
-        assert_eq!(t.num_sockets(), 4);
-        for a in t.nodes() {
-            for b in t.nodes() {
-                let expected = if a == b { 10 } else { 200 };
-                assert_eq!(t.distance(a, b), expected);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cross-node distance")]
-    fn multi_node_rejects_far_below_intra_node() {
-        Topology::multi_node(2, 2, 1, 12);
     }
 }

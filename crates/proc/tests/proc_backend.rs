@@ -320,7 +320,7 @@ fn config_changes_resync_by_fingerprint() {
     let spec = sample_spec();
     let kind: PolicyKind = "las".parse().unwrap();
     let first = ExecutionConfig::new(Topology::two_socket(2));
-    let second = ExecutionConfig::new(Topology::multi_node(2, 2, 2, 120));
+    let second = ExecutionConfig::new(Topology::four_socket(2));
     for config in [&first, &second, &first] {
         let want = local_report(&spec, kind, 3, config);
         let wire = WireConfig::new(config.clone());

@@ -27,8 +27,8 @@ use crate::report::ExecutionReport;
 #[derive(Debug, Clone, Copy)]
 pub struct CellContext<'a> {
     /// Canonical policy label, parseable by
-    /// `numadag_core::PolicyKind::from_str` (e.g. `"rgp-las"`,
-    /// `"rgp-las[win=64]"`).
+    /// `numadag_core::PolicyKind::from_str` (e.g. `"RGP+LAS"`,
+    /// `"RGP+LAS:w=64"`).
     pub policy_label: &'a str,
     /// The seed the policy instance was built with.
     pub seed: u64,

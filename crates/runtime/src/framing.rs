@@ -41,7 +41,9 @@ use serde_json::{Reader, Token};
 /// connection's memory.
 pub const DEFAULT_FRAME_LIMIT: usize = 64 * 1024 * 1024;
 
-/// Why a frame could not be read.
+/// Why a frame could not be read. Every variant poisons the stream — the
+/// connection died, holds unread line bytes, or does not speak the protocol —
+/// so callers close it.
 #[derive(Debug)]
 pub enum FrameError {
     /// Socket-level failure (including read timeouts, surfaced as
@@ -82,17 +84,6 @@ impl std::fmt::Display for FrameError {
 impl From<std::io::Error> for FrameError {
     fn from(e: std::io::Error) -> Self {
         FrameError::Io(e)
-    }
-}
-
-impl FrameError {
-    /// True when the error means the peer's connection is gone or poisoned
-    /// (as opposed to a single malformed-but-framed message).
-    pub fn is_fatal(&self) -> bool {
-        // Every frame error poisons the stream: Io and Truncated mean the
-        // connection died, Oversized leaves unread line bytes in the stream,
-        // and InvalidUtf8 means the peer does not speak the protocol.
-        true
     }
 }
 
@@ -339,14 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn every_frame_error_is_fatal_and_displays() {
+    fn every_frame_error_displays() {
         for err in [
             FrameError::Io(std::io::Error::other("boom")),
             FrameError::Oversized { limit: 7 },
             FrameError::Truncated { bytes: 3 },
             FrameError::InvalidUtf8,
         ] {
-            assert!(err.is_fatal());
             assert!(!err.to_string().is_empty());
         }
     }

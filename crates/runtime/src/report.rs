@@ -89,15 +89,6 @@ impl ExecutionReport {
         }
     }
 
-    /// Speedup of this report relative to a baseline (baseline makespan /
-    /// this makespan), the metric of the paper's Figure 1.
-    pub fn speedup_over(&self, baseline: &ExecutionReport) -> f64 {
-        if self.makespan_ns <= 0.0 {
-            return 1.0;
-        }
-        baseline.makespan_ns / self.makespan_ns
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -137,14 +128,6 @@ mod tests {
             tasks_per_socket: vec![5, 5],
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn speedup_is_baseline_over_self() {
-        let baseline = report(200.0, vec![100.0, 100.0]);
-        let faster = report(100.0, vec![50.0, 50.0]);
-        assert!((faster.speedup_over(&baseline) - 2.0).abs() < 1e-12);
-        assert!((baseline.speedup_over(&baseline) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -383,19 +383,6 @@ impl Simulator {
         report.event_loop_wall_ns = run_started.elapsed().as_nanos() as f64 - policy_wall_ns;
         report
     }
-
-    /// Runs the workload under every policy in `policies` and returns the
-    /// reports in the same order. Convenience for harnesses and examples.
-    pub fn run_all(
-        &self,
-        spec: &TaskGraphSpec,
-        policies: &mut [Box<dyn SchedulingPolicy>],
-    ) -> Vec<ExecutionReport> {
-        policies
-            .iter_mut()
-            .map(|p| self.run(spec, p.as_mut()))
-            .collect()
-    }
 }
 
 impl Executor for Simulator {
@@ -644,19 +631,5 @@ mod tests {
         assert_eq!(report.tasks, 1);
         assert!(report.makespan_ns > 0.0);
         assert_eq!(report.traffic.remote_bytes, 0);
-    }
-
-    #[test]
-    fn run_all_produces_one_report_per_policy() {
-        let spec = chains(8, 2);
-        let mut policies: Vec<Box<dyn SchedulingPolicy>> = vec![
-            Box::new(DfifoPolicy::new()),
-            Box::new(LasPolicy::new(1)),
-            Box::new(RgpPolicy::rgp_las()),
-        ];
-        let reports = sim().run_all(&spec, &mut policies);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].policy, "DFIFO");
-        assert_eq!(reports[2].policy, "RGP+LAS");
     }
 }

@@ -556,6 +556,18 @@ mod tests {
         let fc = c.resolve().unwrap().fingerprint(&specs, 2);
         assert_eq!(fa, fb, "reordered params must share a cache key");
         assert_ne!(fa, fc, "different windows must not collide");
+        // The base a propagation knob was typed on is spelling too: the two
+        // sweeps share every cell, not only the report.
+        let [las_base, rr_base] = ["rgp-las:prop=repart", "rgp-rr:prop=repart"].map(|policies| {
+            SweepSpec {
+                policies: policies.to_string(),
+                ..SweepSpec::default()
+            }
+            .resolve()
+            .unwrap()
+            .cell_keys(&specs, 2)
+        });
+        assert_eq!(las_base, rr_base);
     }
 
     #[test]

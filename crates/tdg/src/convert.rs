@@ -82,12 +82,6 @@ pub fn window_to_csr(graph: &TaskGraph, window: &TaskWindow) -> WindowGraph {
     }
 }
 
-/// Converts the entire TDG (all tasks) into an undirected [`CsrGraph`].
-pub fn full_graph_to_csr(graph: &TaskGraph) -> WindowGraph {
-    let window = TaskWindow::new(TaskId(0), TaskId(graph.num_tasks()));
-    window_to_csr(graph, &window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,10 +106,18 @@ mod tests {
         b.finish().0
     }
 
+    /// The window that spans every task of `graph`, converted.
+    fn whole_graph(graph: &TaskGraph) -> WindowGraph {
+        window_to_csr(
+            graph,
+            &TaskWindow::new(TaskId(0), TaskId(graph.num_tasks())),
+        )
+    }
+
     #[test]
     fn full_conversion_symmetrises_and_weights() {
         let g = diamond();
-        let wg = full_graph_to_csr(&g);
+        let wg = whole_graph(&g);
         assert_eq!(wg.graph.num_vertices(), 4);
         assert_eq!(wg.tasks.len(), 4);
         assert!(wg.graph.validate().is_ok());
@@ -147,7 +149,7 @@ mod tests {
         b.submit(TaskSpec::new("a").work(0.0).writes(r, 0));
         b.submit(TaskSpec::new("b").work(0.0).reads(r, 0));
         let g = b.finish().0;
-        let wg = full_graph_to_csr(&g);
+        let wg = whole_graph(&g);
         assert_eq!(wg.graph.vertex_weight(0), 1);
         assert_eq!(wg.graph.edge_weight(0, 1), Some(1));
         assert!(wg.graph.validate().is_ok());
@@ -165,7 +167,7 @@ mod tests {
 
     #[test]
     fn full_conversion_has_no_cross_edges() {
-        let wg = full_graph_to_csr(&diamond());
+        let wg = whole_graph(&diamond());
         assert!(wg.cross_edges.is_empty());
     }
 

@@ -131,15 +131,6 @@ impl DependencyTracker {
     pub fn last_writer(&self, region: RegionId) -> Option<TaskId> {
         self.regions.get(region.index()).and_then(|s| s.last_writer)
     }
-
-    /// Number of regions the tracker has seen.
-    pub fn num_regions_seen(&self) -> usize {
-        // Every registered access leaves its region with a writer or a reader.
-        self.regions
-            .iter()
-            .filter(|s| s.last_writer.is_some() || !s.readers_since_write.is_empty())
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +202,6 @@ mod tests {
         t.register(TaskId(0), &[DataAccess::write(r(0), 8)]);
         let deps = t.register(TaskId(1), &[DataAccess::write(r(1), 8)]);
         assert!(deps.is_empty());
-        assert_eq!(t.num_regions_seen(), 2);
     }
 
     #[test]

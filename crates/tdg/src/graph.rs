@@ -410,18 +410,9 @@ impl TaskGraph {
             .map(|(_, b)| *b)
     }
 
-    /// A topological order of the tasks. Because tasks are submitted in
-    /// program order and edges only point forward, the submission order is
-    /// already topological; this method additionally verifies it (and is the
-    /// basis of [`Self::is_acyclic`]).
-    pub fn topological_order(&self) -> Vec<TaskId> {
-        let order: Vec<TaskId> = self.task_ids().collect();
-        debug_assert!(self.is_acyclic());
-        order
-    }
-
     /// True if every edge points from a lower to a higher task id (which
-    /// implies acyclicity).
+    /// implies acyclicity): tasks are submitted in program order and edges
+    /// only point forward, so the submission order is topological.
     pub fn is_acyclic(&self) -> bool {
         self.flat().is_acyclic()
     }
@@ -558,13 +549,6 @@ mod tests {
     fn forward_dependence_rejected() {
         let mut g = TaskGraph::new();
         g.push_task(task(0, 1.0), &[(TaskId(5), 8)]);
-    }
-
-    #[test]
-    fn topological_order_is_submission_order() {
-        let g = diamond();
-        let order = g.topological_order();
-        assert_eq!(order, vec![TaskId(0), TaskId(1), TaskId(2), TaskId(3)]);
     }
 
     /// The nested successor lists `push_task` kept before the flat view

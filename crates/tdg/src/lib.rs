@@ -13,7 +13,7 @@
 //! * [`deps`] — incremental dependence derivation with OpenMP `depend`
 //!   semantics (RAW, WAR and WAW ordering per region).
 //! * [`graph`] — the [`graph::TaskGraph`] itself with topological utilities
-//!   (sources, topological order, critical path, acyclicity checks).
+//!   (sources, critical path, acyclicity checks).
 //! * [`builder`] — [`builder::TdgBuilder`], the front door: submit tasks in
 //!   program order and get the TDG.
 //! * [`window`] — task windows, the unit RGP partitions.

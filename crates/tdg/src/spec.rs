@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use crate::graph::{Fnv1a, TaskGraph};
-use crate::task::TaskId;
 
 /// A complete workload: the task graph plus its data-region table.
 ///
@@ -66,16 +65,6 @@ impl TaskGraphSpec {
     /// Number of data regions in the workload.
     pub fn num_regions(&self) -> usize {
         self.region_sizes.len()
-    }
-
-    /// Total bytes across all regions.
-    pub fn total_region_bytes(&self) -> u64 {
-        self.region_sizes.iter().sum()
-    }
-
-    /// Expert socket for a task, if an expert placement exists.
-    pub fn ep_socket_of(&self, task: TaskId) -> Option<usize> {
-        self.ep_socket.as_ref().map(|v| v[task.index()])
     }
 
     /// A stable 64-bit content fingerprint of the workload.
@@ -180,7 +169,7 @@ impl TaskGraphSpec {
 mod tests {
     use super::*;
     use crate::builder::TdgBuilder;
-    use crate::task::TaskSpec;
+    use crate::task::{TaskId, TaskSpec};
 
     fn small_spec() -> TaskGraphSpec {
         let mut b = TdgBuilder::new();
@@ -199,15 +188,15 @@ mod tests {
         assert_eq!(&*s.name, "toy");
         assert_eq!(s.num_tasks(), 3);
         assert_eq!(s.num_regions(), 2);
-        assert_eq!(s.total_region_bytes(), 384);
-        assert!(s.ep_socket_of(TaskId(0)).is_none());
+        assert_eq!(s.region_sizes.iter().sum::<u64>(), 384);
+        assert!(s.ep_socket.is_none());
         assert!(s.validate().is_ok());
     }
 
     #[test]
     fn ep_placement_round_trip() {
         let s = small_spec().with_ep_placement(vec![0, 1, 0]);
-        assert_eq!(s.ep_socket_of(TaskId(1)), Some(1));
+        assert_eq!(s.ep_socket.as_deref(), Some(&[0, 1, 0][..]));
         assert!(s.validate().is_ok());
     }
 

@@ -133,22 +133,6 @@ impl TaskDescriptor {
     pub fn bytes_touched(&self) -> u64 {
         self.accesses.iter().map(|a| a.bytes).sum()
     }
-
-    /// Iterator over the regions the task writes.
-    pub fn written_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.accesses
-            .iter()
-            .filter(|a| a.mode.writes())
-            .map(|a| a.region)
-    }
-
-    /// Iterator over the regions the task reads.
-    pub fn read_regions(&self) -> impl Iterator<Item = RegionId> + '_ {
-        self.accesses
-            .iter()
-            .filter(|a| a.mode.reads())
-            .map(|a| a.region)
-    }
 }
 
 /// A task specification as submitted by the application, before an id has
@@ -228,8 +212,6 @@ mod tests {
         assert_eq!(t.bytes_read(), 600);
         assert_eq!(t.bytes_written(), 300);
         assert_eq!(t.bytes_touched(), 600);
-        assert_eq!(t.written_regions().collect::<Vec<_>>(), vec![RegionId(2)]);
-        assert_eq!(t.read_regions().count(), 3);
     }
 
     #[test]

@@ -60,16 +60,6 @@
 //! assert!(report.makespan_ns > 0.0);
 //! ```
 //!
-//! ## Migrating from the pre-`Experiment` API
-//!
-//! | old | new |
-//! |-----|-----|
-//! | `Simulator::new(cfg).run(&spec, &mut policy)` | `executor.execute(&spec, &mut policy)` via `dyn Executor` (or still `Simulator::run`) |
-//! | `ThreadedExecutor::run(&spec, Box::new(policy), &body)` | `ThreadedExecutor::run(&spec, &mut policy, &body)`; `execute(..)` for a no-op body |
-//! | hand-rolled app × policy sweep + geomean loops | `Experiment::new().apps([..]).policies([..]).run()` |
-//! | `make_policy_with_window(kind, &spec, seed, Some(512))` | `make_policy("rgp-las:w=512".parse()?, &spec, seed)` |
-//! | `run_figure1(&cfg) -> Vec<Figure1Row>` + `geometric_mean_row` | `run_figure1(&cfg) -> SweepReport` (cells + aggregates) |
-//!
 //! ## Crate map
 //!
 //! | crate | contents |
@@ -79,11 +69,11 @@
 //! | [`tdg`] (`numadag-tdg`) | tasks, dependence analysis, the TDG, windows |
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
 //! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, plan/execute sweep engine (`Experiment` → `SweepPlan` → `SweepDriver` → `SweepReport` + `bench-diff`) |
-//! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 + dense linalg |
+//! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
 //! | [`trace`] (`numadag-trace`) | execution traces: event model + sinks, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
 //! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch (`--backend proc`) |
-//! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins + criterion benches |
+//! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins |
 //!
 //! ## Observability
 //!
@@ -161,8 +151,8 @@ pub use numadag_trace as trace;
 /// The most common imports for users of the library.
 pub mod prelude {
     pub use numadag_core::{
-        make_policy, make_policy_with_window, DfifoPolicy, EpPolicy, LasPolicy, ParsePolicyError,
-        PartitionScheme, PartitionTuning, PolicyKind, Propagation, RgpConfig, RgpPolicy, RgpTuning,
+        make_policy, DfifoPolicy, EpPolicy, LasPolicy, ParsePolicyError, PartitionScheme,
+        PartitionTuning, PolicyKind, Propagation, RgpConfig, RgpPolicy, RgpTuning,
         SchedulingPolicy,
     };
     pub use numadag_kernels::{Application, DenseStore, ProblemScale, SpecCache};

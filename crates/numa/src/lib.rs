@@ -30,6 +30,6 @@ pub mod topology;
 
 pub use cost::{CostModel, TransferTable as CostTransferTable};
 pub use ids::{CoreId, NodeId, RegionId, SocketId};
-pub use memory::{MemoryMap, Placement, RegionInfo};
+pub use memory::{MemoryMap, Placement};
 pub use stats::TrafficStats;
 pub use topology::{DistanceMatrix, Topology};

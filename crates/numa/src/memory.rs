@@ -40,15 +40,6 @@ impl Placement {
     }
 }
 
-/// Static description of a region: its size and an optional debug label.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegionInfo {
-    /// Size of the region in bytes.
-    pub size_bytes: u64,
-    /// Optional human readable label (e.g. `"A[2][3]"`).
-    pub label: Option<String>,
-}
-
 /// Per-region byte distribution over nodes, produced by
 /// [`MemoryMap::bytes_per_node`].
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -119,11 +110,8 @@ fn scaled_share(resident: u64, access_bytes: u64, region_size: u64) -> u64 {
 /// information the paper's scheduling policies consume.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryMap {
-    regions: Vec<RegionInfo>,
-    placements: Vec<Placement>,
-    /// Bytes currently resident on each node, indexed by node (kept
-    /// incrementally, grown on the first placement on a node).
-    node_resident: Vec<u64>,
+    /// `(size in bytes, placement)` per region, indexed by region id.
+    regions: Vec<(u64, Placement)>,
 }
 
 impl MemoryMap {
@@ -134,16 +122,14 @@ impl MemoryMap {
 
     /// A map holding one unallocated region per entry of `sizes`, with ids in
     /// slice order — what an executor builds per run from a workload's region
-    /// table, in two allocations.
+    /// table, in one allocation.
     pub fn with_regions(sizes: &[u64]) -> Self {
-        let mut map = Self::new();
-        map.regions
-            .extend(sizes.iter().map(|&size_bytes| RegionInfo {
-                size_bytes,
-                label: None,
-            }));
-        map.placements.resize(sizes.len(), Placement::Unallocated);
-        map
+        MemoryMap {
+            regions: sizes
+                .iter()
+                .map(|&size| (size, Placement::Unallocated))
+                .collect(),
+        }
     }
 
     /// Number of registered regions.
@@ -159,54 +145,35 @@ impl MemoryMap {
     /// Registers a new region of `size_bytes` bytes and returns its id.
     /// The region starts unallocated (deferred).
     pub fn register(&mut self, size_bytes: u64) -> RegionId {
-        self.register_labelled(size_bytes, None::<String>)
-    }
-
-    /// Registers a new region with a debug label.
-    pub fn register_labelled(
-        &mut self,
-        size_bytes: u64,
-        label: Option<impl Into<String>>,
-    ) -> RegionId {
         let id = RegionId(self.regions.len());
-        self.regions.push(RegionInfo {
-            size_bytes,
-            label: label.map(Into::into),
-        });
-        self.placements.push(Placement::Unallocated);
+        self.regions.push((size_bytes, Placement::Unallocated));
         id
     }
 
-    /// Static information about a region.
+    /// Size of a region in bytes.
     ///
     /// # Panics
-    /// Panics if the region id was not produced by this map.
-    pub fn info(&self, region: RegionId) -> &RegionInfo {
-        &self.regions[region.index()]
-    }
-
-    /// Size of a region in bytes.
+    /// Panics (like every per-region accessor) if the region id was not
+    /// produced by this map.
     pub fn size_of(&self, region: RegionId) -> u64 {
-        self.regions[region.index()].size_bytes
+        self.regions[region.index()].0
     }
 
     /// Current placement of a region.
     pub fn placement(&self, region: RegionId) -> &Placement {
-        &self.placements[region.index()]
+        &self.regions[region.index()].1
     }
 
     /// True if the region has been placed.
     pub fn is_allocated(&self, region: RegionId) -> bool {
-        self.placements[region.index()].is_allocated()
+        self.placement(region).is_allocated()
     }
 
     /// Places the whole region on `node`, as the paper's deferred allocation
     /// does when the producing task is finally scheduled. Overwrites any
     /// previous placement (modelling a migration).
     pub fn place(&mut self, region: RegionId, node: NodeId) {
-        self.remove_resident(region);
-        self.placements[region.index()] = Placement::Node(node);
-        self.add_resident(node, self.size_of(region));
+        self.regions[region.index()].1 = Placement::Node(node);
     }
 
     /// How many bytes of `region` live on each node.
@@ -221,10 +188,9 @@ impl MemoryMap {
     pub fn bytes_per_node_into(&self, region: RegionId, out: &mut NodeBytes) {
         out.per_node.clear();
         out.unallocated = 0;
-        let size = self.size_of(region);
-        match &self.placements[region.index()] {
-            Placement::Unallocated => out.unallocated = size,
-            Placement::Node(n) => out.per_node.push((*n, size)),
+        match self.regions[region.index()] {
+            (size, Placement::Unallocated) => out.unallocated = size,
+            (size, Placement::Node(n)) => out.per_node.push((n, size)),
         }
     }
 
@@ -241,43 +207,18 @@ impl MemoryMap {
         access_bytes: u64,
         mut visit: impl FnMut(NodeId, u64),
     ) -> u64 {
-        let size = self.size_of(region);
-        match &self.placements[region.index()] {
-            Placement::Node(home) => {
-                visit(*home, scaled_share(size, access_bytes, size));
+        match self.regions[region.index()] {
+            (size, Placement::Node(home)) => {
+                visit(home, scaled_share(size, access_bytes, size));
                 0
             }
-            Placement::Unallocated => scaled_share(size, access_bytes, size),
+            (size, Placement::Unallocated) => scaled_share(size, access_bytes, size),
         }
-    }
-
-    /// Total bytes resident on `node` across all regions.
-    pub fn resident_on(&self, node: NodeId) -> u64 {
-        self.node_resident.get(node.index()).copied().unwrap_or(0)
     }
 
     /// Iterates over all region ids.
     pub fn regions(&self) -> impl Iterator<Item = RegionId> {
         (0..self.regions.len()).map(RegionId)
-    }
-
-    fn add_resident(&mut self, node: NodeId, bytes: u64) {
-        if node.index() >= self.node_resident.len() {
-            self.node_resident.resize(node.index() + 1, 0);
-        }
-        self.node_resident[node.index()] += bytes;
-    }
-
-    fn remove_resident(&mut self, region: RegionId) {
-        if let Placement::Node(node) = self.placements[region.index()] {
-            let bytes = self.size_of(region);
-            let entry = &mut self.node_resident[node.index()];
-            debug_assert!(
-                *entry >= bytes,
-                "{node} holds {entry} bytes, freeing {bytes}"
-            );
-            *entry = entry.saturating_sub(bytes);
-        }
     }
 }
 
@@ -304,28 +245,18 @@ mod tests {
         m.place(r, NodeId(3));
         assert!(m.is_allocated(r));
         assert_eq!(m.placement(r).single_node(), Some(NodeId(3)));
-        assert_eq!(m.resident_on(NodeId(3)), 8192);
-        assert_eq!(m.resident_on(NodeId(0)), 0);
         let nb = m.bytes_per_node(r);
         assert_eq!(nb.per_node, vec![(NodeId(3), 8192)]);
         assert_eq!(nb.unallocated, 0);
     }
 
     #[test]
-    fn migration_updates_residency() {
+    fn a_second_placement_is_a_migration() {
         let mut m = MemoryMap::new();
         let r = m.register(10_000);
         m.place(r, NodeId(0));
         m.place(r, NodeId(5));
-        assert_eq!(m.resident_on(NodeId(0)), 0);
-        assert_eq!(m.resident_on(NodeId(5)), 10_000);
-    }
-
-    #[test]
-    fn labels_are_kept() {
-        let mut m = MemoryMap::new();
-        let r = m.register_labelled(64, Some("A[0][1]"));
-        assert_eq!(m.info(r).label.as_deref(), Some("A[0][1]"));
+        assert_eq!(m.bytes_per_node(r).per_node, vec![(NodeId(5), 10_000)]);
     }
 
     #[test]

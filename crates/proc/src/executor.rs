@@ -75,21 +75,16 @@ impl ProcExecutor {
         policy: &mut dyn SchedulingPolicy,
         ctx: &CellContext<'_>,
     ) -> Result<ExecutionReport, ProcError> {
-        let pool = self.pool()?;
-        let config = self.config.config();
-        let events = config.trace_sink.is_enabled();
-        let placements = config.collect_trace;
-        let (report, collected) = pool.run_cell(
+        let (report, events) = self.pool()?.run_cell(
             spec,
             ctx.policy_label,
             policy.name(),
             ctx.seed,
             &self.config,
-            events,
-            placements,
         )?;
-        for event in collected {
-            config.trace_sink.record(event);
+        // No sink, no events: the workers trace what the config says.
+        if let Some(sink) = &self.config.config().trace_sink {
+            events.into_iter().for_each(|event| sink.record(event));
         }
         Ok(report)
     }

@@ -10,14 +10,19 @@
 //! [`numadag_runtime::framing`].
 //!
 //! Messages cover the whole lifecycle: `config`/`config_ack` (execution
-//! config sync, fingerprint-keyed), `spec` (workload transfer, shipped to a
-//! worker the first time a cell over it is dispatched there — dispatch
-//! prefers a worker that already holds it — and referenced by fingerprint
-//! after; never acknowledged — a worker that refuses one says so in its one
-//! reply to the `assign` behind it), `assign`/`done` (one sweep cell), `data_home` and `steal`
-//! notifications (deferred-allocation bytes and stolen-task counts,
-//! cross-checked against the report), `barrier`/`barrier_ack` (oneCCL-style
-//! non-blocking collectives at startup and shutdown) and `shutdown`.
+//! config sync, fingerprint-keyed; the config says whether cells are traced,
+//! so traced and untraced cells are two config epochs and a worker keeps one
+//! simulator per epoch), `spec` (workload transfer, shipped to a worker the
+//! first time a cell over it is dispatched there — dispatch prefers a worker
+//! that already holds it — and referenced by fingerprint after; never
+//! acknowledged — a worker that refuses one says so in its one reply to the
+//! `assign` behind it), `assign`/`done` (one sweep cell: `done`, carrying
+//! the whole report and the cell's trace events, is the one reply; there
+//! are no per-field notifications beside it to cross-check — they would be
+//! rendered from the same report in the same write, and what guards a
+//! cell's integrity is the spec fingerprint and the simulator-parity
+//! tests), `barrier`/`barrier_ack` (oneCCL-style non-blocking collectives at
+//! startup and shutdown), `error` and `shutdown`.
 //!
 //! Determinism: a worker rebuilds the policy from the `(label, seed)` in
 //! the assignment and runs the in-process [`numadag_runtime::Simulator`],

@@ -19,7 +19,7 @@
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
 //! differs), spec transfer (only the first time this worker sees the spec),
-//! `assign`, then `data_home` / `steal` / `done` replies. Any framing
+//! `assign`, then the one `done` reply. Any framing
 //! failure or timeout on that conversation kills the worker and redispatches
 //! the cell to a live one; a structured `error` reply is deterministic
 //! (bad policy, bad spec) and propagates instead of retrying.
@@ -103,14 +103,6 @@ pub enum ProcError {
         /// The cell that could not be placed.
         cell: u64,
     },
-    /// A reply decoded but contradicted itself (e.g. `data_home` bytes
-    /// disagreeing with the report it accompanies).
-    Protocol {
-        /// The offending worker's id.
-        worker: u64,
-        /// What was inconsistent.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ProcError {
@@ -122,9 +114,6 @@ impl std::fmt::Display for ProcError {
             }
             ProcError::AllWorkersDead { cell } => {
                 write!(f, "no live workers left to execute cell {cell}")
-            }
-            ProcError::Protocol { worker, message } => {
-                write!(f, "protocol violation by worker {worker}: {message}")
             }
         }
     }
@@ -511,8 +500,8 @@ impl WorkerPool {
     /// Executes one sweep cell on some live worker, redispatching on worker
     /// loss. `policy_label` must parse back to the policy that produced
     /// `policy_name` (its `'static` display name, re-attached to the report
-    /// on this side of the wire — labels never travel).
-    #[allow(clippy::too_many_arguments)]
+    /// on this side of the wire — labels never travel). The events are the
+    /// cell's trace, empty unless `config` carries a sink.
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
@@ -520,8 +509,6 @@ impl WorkerPool {
         policy_name: &'static str,
         policy_seed: u64,
         config: &WireConfig,
-        events: bool,
-        placements: bool,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
         let cell = self.next_cell.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -532,8 +519,6 @@ impl WorkerPool {
             fp: Hex64(spec.fingerprint()),
             policy: policy_label.to_string(),
             policy_seed: Hex64(policy_seed),
-            events,
-            placements,
         };
         loop {
             let index = self
@@ -617,56 +602,29 @@ impl WorkerPool {
             return Err(lost(slot, &mut state));
         }
 
-        // Await data_home / steal / done (in that order from a correct
-        // worker, but only `done` is load-bearing — the notifications are
-        // cross-checked against the report they precede). A reply about
-        // another cell falls through to the last arm like any other
+        // One reply per `assign`: `done`, or a structured `error`. A reply
+        // about another cell falls through to the last arm like any other
         // corruption of the conversation.
-        let mut deferred: Option<u64> = None;
-        let mut stolen: Option<u64> = None;
-        loop {
-            match read_message(&mut state.reader) {
-                Some(ToCoordinator::DataHome {
-                    cell,
-                    deferred_bytes,
-                }) if cell == assignment.cell => deferred = Some(deferred_bytes.0),
-                Some(ToCoordinator::Steal {
-                    cell,
-                    stolen: count,
-                }) if cell == assignment.cell => stolen = Some(count),
-                Some(ToCoordinator::Done {
-                    cell,
-                    report,
-                    events,
-                }) if cell == assignment.cell => {
-                    let report = report.into_report(spec.name.clone(), policy_name);
-                    if deferred != Some(report.deferred_bytes)
-                        || stolen != Some(report.stolen_tasks as u64)
-                    {
-                        return Err(DispatchFailure::Fatal(ProcError::Protocol {
-                            worker: slot.id,
-                            message: format!(
-                                "done for cell {cell} contradicts its notifications \
-                                 (data_home {deferred:?} vs {}, steal {stolen:?} vs {})",
-                                report.deferred_bytes, report.stolen_tasks
-                            ),
-                        }));
-                    }
-                    return Ok((report, events));
-                }
-                Some(ToCoordinator::Error { message }) => {
-                    // The complaint may be about the spec shipped just now
-                    // (`spec` is un-acked): the worker does not hold it.
-                    if shipped_spec {
-                        self.dispatch().books[index].specs.remove(&assignment.fp.0);
-                    }
-                    return Err(DispatchFailure::Fatal(ProcError::Worker {
-                        worker: slot.id,
-                        message,
-                    }));
-                }
-                _ => return Err(lost(slot, &mut state)),
+        match read_message(&mut state.reader) {
+            Some(ToCoordinator::Done {
+                cell,
+                report,
+                events,
+            }) if cell == assignment.cell => {
+                Ok((report.into_report(spec.name.clone(), policy_name), events))
             }
+            Some(ToCoordinator::Error { message }) => {
+                // The complaint may be about the spec shipped just now
+                // (`spec` is un-acked): the worker does not hold it.
+                if shipped_spec {
+                    self.dispatch().books[index].specs.remove(&assignment.fp.0);
+                }
+                Err(DispatchFailure::Fatal(ProcError::Worker {
+                    worker: slot.id,
+                    message,
+                }))
+            }
+            _ => Err(lost(slot, &mut state)),
         }
     }
 }

@@ -27,7 +27,10 @@
 //! [`Hex64`] / [`Hex128`] in the message types — the hex rule is a field's
 //! type, not a call to remember. Types of other crates that cross the wire
 //! ([`ExecutionConfig`], [`ExecutionReport`]) have a mirror struct here
-//! ([`ConfigMsg`], [`ReportMsg`]) with a checked conversion each way.
+//! ([`ConfigMsg`], [`ReportMsg`]) with a checked conversion each way. A
+//! cell is one `assign` answered by one `done` (or one `error`); whether it
+//! is traced is part of the `config` it runs under ([`ConfigMsg::events`],
+//! protocol version 3), and its events come back inside that `done`.
 //!
 //! The exception is `spec`, the only message whose size grows with the
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
@@ -43,17 +46,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use numadag_numa::{CostModel, DistanceMatrix, NodeId, SocketId, Topology, TrafficStats};
+use numadag_numa::{CostModel, DistanceMatrix, NodeId, Topology, TrafficStats};
 use numadag_runtime::framing::{push_wire_u64, read_wire_u64, Hex128, Hex64};
-use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode, TaskPlacement};
+use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
-use numadag_trace::TraceEvent;
+use numadag_trace::{MemorySink, TraceEvent};
 use serde::{Deserialize, Serialize};
 use serde_json::{Reader, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
 /// [`encode_spec`] / [`decode_spec`]). Externally tagged with lowercase
@@ -90,21 +93,6 @@ pub enum ToCoordinator {
         /// [`ConfigMsg::epoch`] of the acknowledged config.
         epoch: Hex64,
     },
-    /// How many bytes the cell placed by deferred allocation (first touch).
-    DataHome {
-        /// The assignment's cell id.
-        cell: u64,
-        /// Bytes placed while executing it.
-        deferred_bytes: Hex64,
-    },
-    /// How many tasks of the cell ran on a socket other than the one the
-    /// policy chose.
-    Steal {
-        /// The assignment's cell id.
-        cell: u64,
-        /// Stolen tasks.
-        stolen: u64,
-    },
     /// The worker's side of a collective barrier.
     BarrierAck {
         /// The epoch of the `barrier` being answered.
@@ -115,14 +103,16 @@ pub enum ToCoordinator {
         /// What went wrong.
         message: String,
     },
-    /// The cell's result. The report's string labels do not travel: the
-    /// coordinator re-attaches them ([`ReportMsg::into_report`]).
+    /// The cell's result, and the one reply to its `assign`. The report's
+    /// string labels do not travel: the coordinator re-attaches them
+    /// ([`ReportMsg::into_report`]).
     Done {
         /// The assignment's cell id.
         cell: u64,
         /// The full execution report.
         report: ReportMsg,
-        /// The trace events collected when the assignment asked for them.
+        /// The cell's trace events, in emission order; empty unless the
+        /// config it ran under asked for them ([`ConfigMsg::events`]).
         events: Vec<TraceEvent>,
     },
 }
@@ -131,7 +121,7 @@ pub enum ToCoordinator {
 /// identified by `fp` and report back under id `cell`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Assignment {
-    /// Coordinator-side cell id, echoed back in `data_home`/`steal`/`done`.
+    /// Coordinator-side cell id, echoed back in `done`.
     pub cell: u64,
     /// Fingerprint of a spec previously shipped with a `spec` message.
     pub fp: Hex64,
@@ -139,15 +129,11 @@ pub struct Assignment {
     pub policy: String,
     /// Seed handed to the policy factory.
     pub policy_seed: Hex64,
-    /// Emit `TraceEvent`s while executing and return them in `done`.
-    pub events: bool,
-    /// Collect the per-task placement trace into the report.
-    pub placements: bool,
 }
 
 /// The `config` message: the full [`ExecutionConfig`] a worker needs to
-/// mirror the coordinator's executor (trace flags and sink are
-/// per-assignment, not part of the shipped config).
+/// mirror the coordinator's executor. The sink itself does not travel, only
+/// whether there is one ([`ConfigMsg::events`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConfigMsg {
     /// Must equal [`PROTOCOL_VERSION`].
@@ -165,6 +151,10 @@ pub struct ConfigMsg {
     pub stage_timing: bool,
     /// [`ExecutionConfig::seed`].
     pub seed: Hex64,
+    /// Whether the executor carries a trace sink: the worker's simulator
+    /// then gets one of its own, drained into every `done`. Part of the
+    /// config's fingerprint, so traced and untraced cells are two epochs.
+    pub events: bool,
 }
 
 /// Wire form of a [`Topology`].
@@ -229,6 +219,7 @@ impl ConfigMsg {
             .to_string(),
             stage_timing: config.stage_timing,
             seed: Hex64(config.seed),
+            events: config.trace_sink.is_some(),
         }
     }
 
@@ -287,6 +278,9 @@ impl ConfigMsg {
         if self.stage_timing {
             config = config.with_stage_timing();
         }
+        if self.events {
+            config = config.with_trace_sink(Arc::new(MemorySink::new()));
+        }
         Ok(config)
     }
 }
@@ -314,8 +308,6 @@ pub struct ReportMsg {
     pub policy_wall_ns: f64,
     /// [`ExecutionReport::event_loop_wall_ns`].
     pub event_loop_wall_ns: f64,
-    /// `(task, socket, start, end, stolen)` per [`TaskPlacement`].
-    pub trace: Vec<(usize, usize, f64, f64, bool)>,
 }
 
 /// Wire form of a [`TrafficStats`] ledger: its exact parts
@@ -357,11 +349,6 @@ impl ReportMsg {
             deferred_bytes: Hex64(report.deferred_bytes),
             policy_wall_ns: report.policy_wall_ns,
             event_loop_wall_ns: report.event_loop_wall_ns,
-            trace: report
-                .trace
-                .iter()
-                .map(|p| (p.task.0, p.socket.0, p.start, p.end, p.stolen))
-                .collect(),
         }
     }
 
@@ -390,17 +377,6 @@ impl ReportMsg {
             deferred_bytes: self.deferred_bytes.0,
             policy_wall_ns: self.policy_wall_ns,
             event_loop_wall_ns: self.event_loop_wall_ns,
-            trace: self
-                .trace
-                .into_iter()
-                .map(|(task, socket, start, end, stolen)| TaskPlacement {
-                    task: TaskId(task),
-                    socket: SocketId(socket),
-                    start,
-                    end,
-                    stolen,
-                })
-                .collect(),
         }
     }
 }
@@ -886,27 +862,29 @@ mod tests {
     }
 
     /// One wire line per coordinator → worker message kind (`config` twice),
-    /// exactly as the hand-written `encode_*` functions this module had up
-    /// to commit fb5dfe3 rendered them.
+    /// as the hand-written `encode_*` functions this module had up to commit
+    /// fb5dfe3 rendered them, edited once for protocol version 3: `config`
+    /// says `"version":3` and gained `events`, which `assign` lost together
+    /// with `placements`.
     const TO_WORKER_LINES: [&str; 5] = [
-        r#"{"config":{"version":2,"epoch":"7","topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest","stage_timing":false,"seed":"e0"}}"#,
-        r#"{"config":{"version":2,"epoch":"ffffffffffffffff","topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"none","stage_timing":true,"seed":"f1617e00f1617e"}}"#,
-        r#"{"assign":{"cell":9000,"fp":"fffffffffffffffc","policy":"rgp-las:w=512","policy_seed":"f1617e","events":true,"placements":false}}"#,
+        r#"{"config":{"version":3,"epoch":"7","topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest","stage_timing":false,"seed":"e0","events":false}}"#,
+        r#"{"config":{"version":3,"epoch":"ffffffffffffffff","topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"none","stage_timing":true,"seed":"f1617e00f1617e","events":true}}"#,
+        r#"{"assign":{"cell":9000,"fp":"fffffffffffffffc","policy":"rgp-las:w=512","policy_seed":"f1617e"}}"#,
         r#"{"barrier":{"epoch":"ffffffffffffffff"}}"#,
         r#""shutdown""#,
     ];
 
     /// The same for worker → coordinator: full-range `u64`s, a `u128`
-    /// ledger total, an escaped string, `1e300` / `2e-308`, and a `done`
-    /// with all five event kinds.
-    const TO_COORDINATOR_LINES: [&str; 7] = [
+    /// ledger total, an escaped string, `1e300`, and a `done` with all five
+    /// event kinds. Version 3 dropped the two notification lines that used
+    /// to precede `done` and the report's `trace` array; the five lines left
+    /// are byte for byte what they were.
+    const TO_COORDINATOR_LINES: [&str; 5] = [
         r#"{"hello":{"worker":3,"pid":4242}}"#,
         r#"{"config_ack":{"epoch":"5"}}"#,
-        r#"{"data_home":{"cell":11,"deferred_bytes":"ffffffffffffffff"}}"#,
-        r#"{"steal":{"cell":12,"stolen":7}}"#,
         r#"{"barrier_ack":{"epoch":"2"}}"#,
         r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
-        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":"5555555555555555","remote":"2000000000000000","deferred":"3039","dw":"1affffffffffffffe5","links":[[0,1,"309"],[1,0,"3333333333333333"]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":"80000000000000","policy_wall_ns":17.5,"event_loop_wall_ns":0.125,"trace":[[3,1,0.30000000000000004,0.00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000002,true],[4,0,1.5,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,false]]},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
+        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":"5555555555555555","remote":"2000000000000000","deferred":"3039","dw":"1affffffffffffffe5","links":[[0,1,"309"],[1,0,"3333333333333333"]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":"80000000000000","policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
     ];
 
     fn parse(line: &str) -> Value {
@@ -944,7 +922,6 @@ mod tests {
                 assert_eq!(report.traffic.local_bytes, u64::MAX / 3);
                 assert_eq!(report.traffic.distance_weighted(), (u64::MAX as u128) * 27);
                 assert_eq!(report.busy_per_socket[1], 1e300);
-                assert_eq!(report.trace[0].end, 2e-308);
                 let rebuilt = ToCoordinator::Done {
                     cell,
                     report: ReportMsg::new(&report),
@@ -953,7 +930,7 @@ mod tests {
                 assert_eq!(to_line(&rebuilt), line);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 2);
+        assert_eq!(PROTOCOL_VERSION, 3);
     }
 
     #[test]
@@ -1189,7 +1166,11 @@ mod tests {
     #[test]
     fn a_config_a_worker_must_not_build_is_refused() {
         let two_socket = || ConfigMsg::new(7, &ExecutionConfig::new(Topology::two_socket(2)));
-        assert!(two_socket().into_config().is_ok());
+        // The sink does not travel, whether there is one does.
+        let untraced = two_socket().into_config().unwrap();
+        assert!(untraced.trace_sink.is_none());
+        let traced = untraced.with_trace_sink(Arc::new(MemorySink::new()));
+        assert!(ConfigMsg::new(7, &traced).events);
         let refused = |change: fn(&mut ConfigMsg)| {
             let mut message = two_socket();
             change(&mut message);
@@ -1197,12 +1178,12 @@ mod tests {
         };
         for (err, complaint) in [
             (
-                refused(|m| m.version = 1),
-                "not the supported protocol version 2",
+                refused(|m| m.version = 2),
+                "not the supported protocol version 3",
             ),
             (
-                refused(|m| m.version = 3),
-                "not the supported protocol version 2",
+                refused(|m| m.version = 4),
+                "not the supported protocol version 3",
             ),
             (
                 refused(|m| m.topology.distances.truncate(3)),

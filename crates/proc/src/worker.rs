@@ -13,13 +13,12 @@
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_runtime::framing::{read_frame, to_line, write_frame, FrameError, Hex64};
+use numadag_runtime::framing::{read_frame, write_frame, FrameError};
 use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
-use numadag_trace::{MemorySink, TraceEvent};
+use numadag_trace::TraceEvent;
 use serde::{de::untag, Deserialize, Value};
 
 use crate::protocol::{
@@ -118,8 +117,9 @@ fn run_worker(
         },
     )?;
 
-    // One simulator per config epoch: its topology tables and scratch arena
-    // are built on `config` and reused by every cell that follows.
+    // One simulator per config epoch: its topology tables, scratch arena and
+    // (when the config asks for events) trace sink are built on `config` and
+    // reused by every cell that follows.
     let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
     // `spec` is un-acked, so a refused one may not be answered on the spot:
@@ -206,28 +206,12 @@ fn run_worker(
                         .map_err(|e| format!("write to coordinator failed: {e}"))?;
                     continue;
                 }
-                let cell = assign.cell;
-                let deferred_bytes = Hex64(report.deferred_bytes);
-                let stolen = report.stolen_tasks as u64;
-                let report = ReportMsg::new(&report);
-                // Three frames, one write: on a `TCP_NODELAY` socket each
-                // write is a segment and a wake-up of the coordinator.
-                let replies = [
-                    ToCoordinator::DataHome {
-                        cell,
-                        deferred_bytes,
-                    },
-                    ToCoordinator::Steal { cell, stolen },
-                    ToCoordinator::Done {
-                        cell,
-                        report,
-                        events,
-                    },
-                ];
-                let frames: String = replies.iter().map(|reply| to_line(reply) + "\n").collect();
-                writer
-                    .write_all(frames.as_bytes())
-                    .map_err(|e| format!("write to coordinator failed: {e}"))?;
+                let done = ToCoordinator::Done {
+                    cell: assign.cell,
+                    report: ReportMsg::new(&report),
+                    events,
+                };
+                send(&mut writer, &done)?;
             }
             ToWorker::Barrier { epoch } => send(&mut writer, &ToCoordinator::BarrierAck { epoch })?,
             ToWorker::Shutdown => {
@@ -261,21 +245,10 @@ fn run_cell(
             assign.policy, spec.name
         )
     })?;
-    if !(assign.placements || assign.events) {
-        return Ok((simulator.run(spec, policy.as_mut()), Vec::new()));
-    }
-    // Tracing is part of a simulator's config: a cell that asks for it gets
-    // a simulator of its own.
-    let mut cell_config = simulator.config().clone();
-    if assign.placements {
-        cell_config = cell_config.with_trace();
-    }
-    let sink = assign.events.then(|| Arc::new(MemorySink::new()));
-    if let Some(sink) = &sink {
-        cell_config = cell_config.with_trace_sink(sink.clone());
-    }
-    let report = Simulator::new(cell_config).run(spec, policy.as_mut());
-    Ok((report, sink.map(|s| s.take()).unwrap_or_default()))
+    let report = simulator.run(spec, policy.as_mut());
+    // The cell's events are whatever the epoch's sink holds now.
+    let sink = simulator.config().trace_sink.as_ref();
+    Ok((report, sink.map(|sink| sink.take()).unwrap_or_default()))
 }
 
 #[cfg(test)]
@@ -285,7 +258,7 @@ mod tests {
     use std::time::Duration;
 
     use numadag_numa::Topology;
-    use numadag_runtime::framing::{from_line, write_line};
+    use numadag_runtime::framing::{from_line, to_line, write_line, Hex64};
     use numadag_runtime::ExecutionConfig;
     use numadag_tdg::{TaskSpec, TdgBuilder};
 
@@ -362,8 +335,6 @@ mod tests {
             fp: Hex64(spec.fingerprint()),
             policy: "las".to_string(),
             policy_seed: Hex64(5),
-            events: false,
-            placements: false,
         };
         (spec, assign)
     }
@@ -398,14 +369,6 @@ mod tests {
         // The slot is usable: the intact spec and the same cell run.
         write_line(&mut coordinator.writer, line).unwrap();
         coordinator.send(&ToWorker::Assign(assign));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::DataHome { cell: 3, .. }
-        ));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::Steal { cell: 3, .. }
-        ));
         assert!(matches!(
             coordinator.reply(),
             ToCoordinator::Done { cell: 3, .. }
@@ -447,9 +410,9 @@ mod tests {
         coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
         // The refusals of a well-typed config are structured errors too.
         let mut next_version = shipped.clone();
-        next_version.version = 3;
+        next_version.version = 4;
         coordinator.send(&ToWorker::Config(next_version));
-        coordinator.expect_error("bad config: ", "not the supported protocol version 2");
+        coordinator.expect_error("bad config: ", "not the supported protocol version 3");
         write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
         coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 
@@ -482,26 +445,20 @@ mod tests {
         coordinator.send(&ToWorker::Assign(assign));
         let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
         let want = Simulator::new(config).run(&spec, policy.as_mut());
-        let deferred_bytes = Hex64(want.deferred_bytes);
-        let stolen = want.stolen_tasks as u64;
-        let cell = 3;
-        assert_eq!(
-            coordinator.reply(),
-            ToCoordinator::DataHome {
-                cell,
-                deferred_bytes
-            }
-        );
-        assert_eq!(coordinator.reply(), ToCoordinator::Steal { cell, stolen });
         let ToCoordinator::Done {
-            cell: 3, report, ..
+            cell: 3,
+            report,
+            events,
         } = coordinator.reply()
         else {
             panic!("expected done for cell 3");
         };
+        assert!(events.is_empty(), "the config did not ask for events");
         let report = report.into_report(spec.name.clone(), "LAS");
         assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
         assert_eq!(report.traffic, want.traffic);
+        assert_eq!(report.deferred_bytes, want.deferred_bytes);
+        assert_eq!(report.stolen_tasks, want.stolen_tasks);
 
         coordinator.send(&ToWorker::Shutdown);
         worker

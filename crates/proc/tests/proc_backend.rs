@@ -87,7 +87,6 @@ fn assert_reports_identical(got: &ExecutionReport, want: &ExecutionReport) {
     }
     assert_eq!(got.stolen_tasks, want.stolen_tasks);
     assert_eq!(got.deferred_bytes, want.deferred_bytes);
-    assert_eq!(got.trace, want.trace);
 }
 
 #[test]
@@ -105,7 +104,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
         let (got, events) = pool
-            .run_cell(&spec, label, kind.base_label(), seed, &wire, false, false)
+            .run_cell(&spec, label, kind.base_label(), seed, &wire)
             .expect("cell executes");
         assert!(events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
@@ -139,7 +138,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
             let seed = 30 + round;
             let want = local_report(spec, kind, seed, &config);
             let (got, _) = pool
-                .run_cell(spec, "las", kind.base_label(), seed, &wire, false, false)
+                .run_cell(spec, "las", kind.base_label(), seed, &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
         }
@@ -154,35 +153,39 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
 }
 
 #[test]
-fn traces_and_events_travel_back_across_the_wire() {
+fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
     let pool = test_pool(2, &[]);
-    let spec = sample_spec();
+    // Two specs, so that data-affine dispatch keeps both workers in play.
+    let specs = [named_spec("first"), named_spec("second")];
     let kind: PolicyKind = "rgp+las".parse().unwrap();
     let seed = 0xF1617E;
-
+    let untraced = ExecutionConfig::new(Topology::two_socket(4));
     let sink = Arc::new(MemorySink::new());
-    let local_config = ExecutionConfig::new(Topology::two_socket(4))
-        .with_trace()
-        .with_trace_sink(sink.clone());
-    let want = local_report(&spec, kind, seed, &local_config);
-    let want_events = sink.take();
-    assert!(!want.trace.is_empty(), "placement trace was collected");
-    assert!(!want_events.is_empty(), "events were collected");
+    let traced = untraced.clone().with_trace_sink(sink.clone());
 
-    let wire_config = ExecutionConfig::new(Topology::two_socket(4));
-    let (got, events) = pool
-        .run_cell(
-            &spec,
-            "rgp+las",
-            kind.base_label(),
-            seed,
-            &WireConfig::new(wire_config.with_trace()),
-            true,
-            true,
-        )
-        .expect("traced cell executes");
-    assert_reports_identical(&got, &want);
-    assert_eq!(events, want_events);
+    for (phase, config) in [&untraced, &traced, &untraced].into_iter().enumerate() {
+        let wire = WireConfig::new(config.clone());
+        // Each spec twice: a worker's second traced cell must not carry the
+        // events of its first.
+        for spec in specs.iter().chain(&specs) {
+            let want = local_report(spec, kind, seed, config);
+            let want_events = sink.take();
+            let (got, events) = pool
+                .run_cell(spec, "rgp+las", kind.base_label(), seed, &wire)
+                .expect("cell executes");
+            assert_reports_identical(&got, &want);
+            // Events come back for the traced epoch only.
+            assert_eq!(events.is_empty(), config.trace_sink.is_none());
+            assert_eq!(events, want_events);
+        }
+        // One `config` per worker per epoch switch; the worker keeps one
+        // simulator (and its sink) for the whole epoch.
+        assert_eq!(pool.stats().config_broadcasts, 2 * (phase as u64 + 1));
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.spec_transfers, 2);
+    assert_eq!(stats.cells_dispatched, 12);
+    assert_eq!(stats.redispatches, 0);
 }
 
 #[test]
@@ -193,9 +196,7 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let seed = 21;
 
     let sink = Arc::new(MemorySink::new());
-    let config = ExecutionConfig::new(Topology::four_socket(2))
-        .with_trace()
-        .with_trace_sink(sink.clone());
+    let config = ExecutionConfig::new(Topology::four_socket(2)).with_trace_sink(sink.clone());
     let executor = ProcExecutor::with_pool(config.clone(), pool);
     assert_eq!(executor.backend_name(), "proc");
 
@@ -226,7 +227,7 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 5, &wire, false, false)
+            .run_cell(&spec, "las", kind.base_label(), 5, &wire)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -251,7 +252,7 @@ fn garbage_frames_kill_the_worker_not_the_coordinator() {
     let want = local_report(&spec, kind, 6, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "dfifo", kind.base_label(), 6, &wire, false, false)
+            .run_cell(&spec, "dfifo", kind.base_label(), 6, &wire)
             .expect("cells survive the corruption via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -269,7 +270,7 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "las", "LAS", 7, &wire, false, false)
+        .run_cell(&spec, "las", "LAS", 7, &wire)
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -288,7 +289,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "ep", "EP", 8, &wire, false, false)
+        .run_cell(&spec, "ep", "EP", 8, &wire)
         .expect_err("EP without a placement fails");
     match &err {
         ProcError::Worker { message, .. } => {
@@ -309,7 +310,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
     let (got, _) = pool
-        .run_cell(&spec, "las", kind.base_label(), 9, &wire, false, false)
+        .run_cell(&spec, "las", kind.base_label(), 9, &wire)
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
 }
@@ -325,7 +326,7 @@ fn config_changes_resync_by_fingerprint() {
         let want = local_report(&spec, kind, 3, config);
         let wire = WireConfig::new(config.clone());
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 3, &wire, false, false)
+            .run_cell(&spec, "las", kind.base_label(), 3, &wire)
             .expect("cell executes");
         assert_reports_identical(&got, &want);
     }

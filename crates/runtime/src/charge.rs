@@ -3,14 +3,14 @@
 
 use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
 use numadag_tdg::TaskId;
-use numadag_trace::{TraceEvent, TraceSink};
+use numadag_trace::{MemorySink, TraceEvent};
 
 /// Moves every byte `task`, running on `node` at time `now`, accesses
 /// between its home node and `node`: for each share of each access that
 /// rounds to at least one byte, `moved(bytes, distance)` is called, the bytes
 /// are added to the dense `link` matrix (`link[home * nodes + node]`, folded
-/// into the run's `TrafficStats` by `fold_link_matrix`) and, when `sink` is
-/// enabled, a `Traffic` event is emitted — access by access, home by home,
+/// into the run's `TrafficStats` by `fold_link_matrix`) and, when there is a
+/// `sink`, a `Traffic` event is emitted — access by access, home by home,
 /// in declaration order.
 ///
 /// `accesses` are the task's `(region, bytes)` columns from the TDG's flat
@@ -20,7 +20,7 @@ use numadag_trace::{TraceEvent, TraceSink};
 pub(crate) fn charge_accesses(
     topology: &Topology,
     memory: &MemoryMap,
-    sink: &dyn TraceSink,
+    sink: Option<&MemorySink>,
     link: &mut [u64],
     task: TaskId,
     (regions, bytes): (&[u32], &[u64]),
@@ -29,7 +29,6 @@ pub(crate) fn charge_accesses(
     mut moved: impl FnMut(u64, u32),
 ) {
     let num_nodes = topology.num_nodes();
-    let tracing = sink.is_enabled();
     for (&region, &access_bytes) in regions.iter().zip(bytes) {
         memory.access_shares(RegionId(region as usize), access_bytes, |home, share| {
             if share == 0 {
@@ -38,7 +37,7 @@ pub(crate) fn charge_accesses(
             let distance = topology.distance(node, home);
             moved(share, distance);
             link[home.index() * num_nodes + node.index()] += share;
-            if tracing {
+            if let Some(sink) = sink {
                 sink.record(TraceEvent::Traffic {
                     task,
                     region: region as usize,

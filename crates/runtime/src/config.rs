@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use numadag_numa::{CostModel, Topology};
-use numadag_trace::{NullSink, TraceSink};
+use numadag_trace::MemorySink;
 
 /// What an idle core does when its socket's queue is empty.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -27,8 +27,6 @@ pub struct ExecutionConfig {
     pub cost_model: CostModel,
     /// Work-stealing behaviour of idle cores.
     pub steal: StealMode,
-    /// Whether to collect a per-task placement trace in the report.
-    pub collect_trace: bool,
     /// Seed forwarded to components that need randomness (none in the
     /// simulator itself — determinism comes from the policies' own seeds).
     pub seed: u64,
@@ -37,12 +35,13 @@ pub struct ExecutionConfig {
     /// batch in the hot loop, so it is off unless a timing report was asked
     /// for (`figure1 --json-timing` turns it on).
     pub stage_timing: bool,
-    /// Where executors emit [`numadag_trace::TraceEvent`]s. The default
-    /// [`NullSink`] reports itself disabled, so both executors skip event
-    /// construction entirely — tracing is zero-cost unless a real sink
-    /// (e.g. a [`numadag_trace::MemorySink`]) is installed via
-    /// [`ExecutionConfig::with_trace_sink`].
-    pub trace_sink: Arc<dyn TraceSink>,
+    /// Where executors emit [`numadag_trace::TraceEvent`]s. `None` (the
+    /// default) is the off switch: both executors skip event construction
+    /// entirely, so tracing is zero-cost unless a sink is installed via
+    /// [`ExecutionConfig::with_trace_sink`]. An executor keeps its sink for
+    /// its lifetime; whoever traces cell by cell drains it
+    /// ([`MemorySink::take`]) after each one.
+    pub trace_sink: Option<Arc<MemorySink>>,
 }
 
 impl std::fmt::Debug for ExecutionConfig {
@@ -51,9 +50,8 @@ impl std::fmt::Debug for ExecutionConfig {
             .field("topology", &self.topology)
             .field("cost_model", &self.cost_model)
             .field("steal", &self.steal)
-            .field("collect_trace", &self.collect_trace)
             .field("seed", &self.seed)
-            .field("trace_sink_enabled", &self.trace_sink.is_enabled())
+            .field("tracing", &self.trace_sink.is_some())
             .finish()
     }
 }
@@ -71,10 +69,9 @@ impl ExecutionConfig {
             topology,
             cost_model: CostModel::default(),
             steal: StealMode::default(),
-            collect_trace: false,
             seed: 0xE0,
             stage_timing: false,
-            trace_sink: Arc::new(NullSink),
+            trace_sink: None,
         }
     }
 
@@ -87,12 +84,6 @@ impl ExecutionConfig {
     /// Replaces the stealing mode.
     pub fn with_steal(mut self, steal: StealMode) -> Self {
         self.steal = steal;
-        self
-    }
-
-    /// Enables the per-task placement trace.
-    pub fn with_trace(mut self) -> Self {
-        self.collect_trace = true;
         self
     }
 
@@ -109,11 +100,10 @@ impl ExecutionConfig {
         self
     }
 
-    /// Installs a trace sink both executors emit
-    /// [`numadag_trace::TraceEvent`]s into (default: the disabled
-    /// [`NullSink`]).
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace_sink = sink;
+    /// Installs the sink both executors emit
+    /// [`numadag_trace::TraceEvent`]s into (default: none, tracing off).
+    pub fn with_trace_sink(mut self, sink: Arc<MemorySink>) -> Self {
+        self.trace_sink = Some(sink);
         self
     }
 }
@@ -128,7 +118,6 @@ mod tests {
         assert_eq!(cfg.topology.num_sockets(), 8);
         assert_eq!(cfg.topology.num_cores(), 32);
         assert_eq!(cfg.steal, StealMode::NearestSocket);
-        assert!(!cfg.collect_trace);
     }
 
     #[test]
@@ -136,21 +125,18 @@ mod tests {
         let cfg = ExecutionConfig::new(Topology::two_socket(2))
             .with_cost_model(CostModel::flat())
             .with_steal(StealMode::NoStealing)
-            .with_trace()
             .with_seed(99);
         assert_eq!(cfg.cost_model, CostModel::flat());
         assert_eq!(cfg.steal, StealMode::NoStealing);
-        assert!(cfg.collect_trace);
         assert_eq!(cfg.seed, 99);
     }
 
     #[test]
-    fn trace_sink_defaults_disabled_and_installs() {
-        use numadag_trace::MemorySink;
+    fn trace_sink_defaults_to_none_and_installs() {
         let cfg = ExecutionConfig::new(Topology::two_socket(2));
-        assert!(!cfg.trace_sink.is_enabled());
-        assert!(format!("{cfg:?}").contains("trace_sink_enabled: false"));
+        assert!(cfg.trace_sink.is_none());
+        assert!(format!("{cfg:?}").contains("tracing: false"));
         let cfg = cfg.with_trace_sink(Arc::new(MemorySink::new()));
-        assert!(cfg.trace_sink.is_enabled());
+        assert!(cfg.trace_sink.is_some());
     }
 }

@@ -99,10 +99,10 @@ pub struct SweepPlan {
     /// [`SweepPlan::spec_cache_total_builds`]).
     pub(crate) spec_cache_total_hits: usize,
     /// When set, every executed cell is traced into this collector (see
-    /// [`crate::Experiment::trace`]). Traced cells run on a dedicated
-    /// executor whose config carries a fresh
-    /// [`numadag_trace::MemorySink`]; on the deterministic simulator the
-    /// measurements are identical to the untraced path.
+    /// [`crate::Experiment::trace`]): [`SweepPlan::executor`] then gives
+    /// each executor a [`numadag_trace::MemorySink`] of its own, drained
+    /// after every cell. On the deterministic simulator the measurements
+    /// are identical to an untraced sweep's.
     pub(crate) trace: Option<Arc<TraceCollector>>,
 }
 
@@ -157,26 +157,32 @@ impl SweepPlan {
         )
     }
 
-    /// Builds an executor for the plan's backend and execution config — the
-    /// same construction the driver's serial and sharded paths use, exposed
-    /// so external schedulers (the sweep service's worker pool) can run
-    /// cells through [`SweepPlan::run_cell`] on an executor they own and
-    /// reuse across cells.
+    /// Builds an executor for the plan's backend and execution config —
+    /// what each worker of the driver does once, exposed so external
+    /// schedulers (the sweep service's worker pool) can run cells through
+    /// [`SweepPlan::run_cell`] on an executor they own and reuse across
+    /// cells. The executor of a traced plan carries a sink of its own, so
+    /// events of concurrent cells never mix.
     pub fn executor(&self) -> Box<dyn Executor> {
-        self.backend.executor(self.config.clone())
+        let config = self.config.clone();
+        self.backend.executor(match self.trace {
+            Some(_) => config.with_trace_sink(Arc::new(MemorySink::new())),
+            None => config,
+        })
     }
 
     /// Runs the single cell job at `index` on `executor` and returns its
     /// outcome — the cell-granular slice of what [`SweepDriver::execute`]
     /// does, exposed so external schedulers can execute a plan's cells in
     /// any order (or fetch some from a cache) and still assemble the exact
-    /// report via [`SweepPlan::assemble_report`]. Tracing is not applied on
-    /// this path (cells run exactly as the untraced driver runs them).
+    /// report via [`SweepPlan::assemble_report`]. A traced plan records the
+    /// cell's trace when `executor` carries a sink (one from
+    /// [`SweepPlan::executor`] does), exactly as the driver does.
     ///
     /// # Panics
     /// Panics if `index >= self.num_jobs()`.
     pub fn run_cell(&self, index: usize, executor: &dyn Executor) -> CellOutcome {
-        run_job(self, &self.jobs[index], executor, false)
+        run_job(self, &self.jobs[index], executor)
     }
 
     /// The deterministic keyed post-pass over per-cell outcomes: walks
@@ -437,17 +443,16 @@ impl SweepDriver {
     /// Like [`SweepDriver::execute`] but serially on a caller-supplied
     /// executor (any [`Executor`] implementation, including ones outside
     /// this crate). The plan's backend/config are ignored in favour of the
-    /// executor's own — which is why a plan's trace collector is also
-    /// ignored here (tracing hooks into the plan's own executor
-    /// construction; install a sink on the supplied executor's config to
-    /// trace this path).
+    /// executor's own — so a traced plan records traces here only if the
+    /// supplied executor's config carries a sink, which is then drained
+    /// after every cell.
     pub fn execute_on(&self, plan: &SweepPlan, executor: &dyn Executor) -> SweepReport {
         let t0 = Instant::now();
         let completed = AtomicUsize::new(0);
         let outcomes = plan
             .jobs
             .iter()
-            .map(|job| self.run_and_notify(plan, job, executor, false, &completed))
+            .map(|job| self.run_and_notify(plan, job, executor, &completed))
             .collect();
         let machine = executor.config().topology.name().to_string();
         assemble(
@@ -462,11 +467,11 @@ impl SweepDriver {
 
     /// In-order execution on one owned executor.
     fn execute_serial(&self, plan: &SweepPlan) -> Vec<CellOutcome> {
-        let executor = plan.backend.executor(plan.config.clone());
+        let executor = plan.executor();
         let completed = AtomicUsize::new(0);
         plan.jobs
             .iter()
-            .map(|job| self.run_and_notify(plan, job, executor.as_ref(), true, &completed))
+            .map(|job| self.run_and_notify(plan, job, executor.as_ref(), &completed))
             .collect()
     }
 
@@ -480,19 +485,14 @@ impl SweepDriver {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let executor = plan.backend.executor(plan.config.clone());
+                    let executor = plan.executor();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::SeqCst);
                         if i >= n {
                             break;
                         }
-                        let outcome = self.run_and_notify(
-                            plan,
-                            &plan.jobs[i],
-                            executor.as_ref(),
-                            true,
-                            &completed,
-                        );
+                        let outcome =
+                            self.run_and_notify(plan, &plan.jobs[i], executor.as_ref(), &completed);
                         *slots[i].lock().unwrap() = Some(outcome);
                     }
                 });
@@ -514,10 +514,9 @@ impl SweepDriver {
         plan: &SweepPlan,
         job: &SweepJob,
         executor: &dyn Executor,
-        allow_trace: bool,
         completed: &AtomicUsize,
     ) -> CellOutcome {
-        let outcome = run_job(plan, job, executor, allow_trace);
+        let outcome = run_job(plan, job, executor);
         let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(callback) = &self.on_cell_complete {
             let (application, scale, policy) = plan.labels_of(job);
@@ -540,13 +539,9 @@ impl SweepDriver {
     }
 }
 
-/// Builds the job's policy and runs its cell on the given executor.
-fn run_job(
-    plan: &SweepPlan,
-    job: &SweepJob,
-    executor: &dyn Executor,
-    allow_trace: bool,
-) -> CellOutcome {
+/// Builds the job's policy and runs its cell on the given executor; a traced
+/// plan then drains the executor's sink into the cell's [`Trace`].
+fn run_job(plan: &SweepPlan, job: &SweepJob, executor: &dyn Executor) -> CellOutcome {
     let workload = &plan.workloads[job.workload];
     // A workload whose baseline cannot be built is skipped wholesale: its
     // speedups would have no anchor and `assemble` would discard the
@@ -567,32 +562,21 @@ fn run_job(
         policy_label: &policy_label,
         seed,
     };
-    let report = match plan.trace.as_ref().filter(|_| allow_trace) {
-        Some(collector) => {
-            // Traced cells run on a dedicated executor whose config carries
-            // a fresh memory sink, so events of concurrent cells never mix.
-            // The simulator is deterministic, so the measurements are
-            // identical to the untraced path.
-            let sink = Arc::new(MemorySink::new());
-            let traced = plan
-                .backend
-                .executor(plan.config.clone().with_trace_sink(sink.clone()));
-            let report = traced.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
-            collector.record(Trace {
-                workload: workload.label.clone(),
-                policy: kind.label(),
-                backend: plan.backend.label().to_string(),
-                scale: workload.scale_label.clone(),
-                repetition: job.repetition,
-                tasks: report.tasks,
-                num_sockets: plan.config.topology.num_sockets(),
-                makespan_ns: report.makespan_ns,
-                events: sink.take(),
-            });
-            report
-        }
-        None => executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx)),
-    };
+    let report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
+    let config = executor.config();
+    if let (Some(collector), Some(sink)) = (&plan.trace, &config.trace_sink) {
+        collector.record(Trace {
+            workload: workload.label.clone(),
+            policy: policy_label,
+            backend: plan.backend.report_label().to_string(),
+            scale: workload.scale_label.clone(),
+            repetition: job.repetition,
+            tasks: report.tasks,
+            num_sockets: config.topology.num_sockets(),
+            makespan_ns: report.makespan_ns,
+            events: sink.take(),
+        });
+    }
     let partition_stats = policy.partition_stats().unwrap_or_default();
     CellOutcome::Measured(CellMeasurement {
         makespan_ns: report.makespan_ns,
@@ -923,7 +907,8 @@ mod tests {
     fn traced_sweeps_collect_one_trace_per_cell_without_changing_results() {
         let untraced = tiny_experiment().run();
         let collector = Arc::new(TraceCollector::new());
-        for jobs in [1, 3] {
+        let mut serial_traces = Vec::new();
+        for jobs in [1, 2, 4] {
             let traced = tiny_experiment()
                 .parallelism(jobs)
                 .trace(Arc::clone(&collector))
@@ -934,7 +919,16 @@ mod tests {
                 traced.to_json_string(),
                 "jobs={jobs}"
             );
-            let traces = collector.take();
+            // Each worker drains the sink of the one executor it built, cell
+            // by cell: whichever worker ran a cell, its trace is the same.
+            let mut traces = collector.take();
+            traces.sort_by(|a, b| {
+                (&a.workload, &a.policy, a.repetition).cmp(&(&b.workload, &b.policy, b.repetition))
+            });
+            if jobs == 1 {
+                serial_traces = traces.clone();
+            }
+            assert_eq!(traces, serial_traces, "jobs={jobs}");
             assert_eq!(traces.len(), traced.cells.len(), "jobs={jobs}");
             for trace in &traces {
                 trace.validate().expect("sweep trace must be complete");

@@ -503,17 +503,17 @@ impl Experiment {
         self
     }
 
-    /// Traces every cell of the sweep into `collector`: each cell's
-    /// execution emits [`numadag_trace::TraceEvent`]s into a fresh
-    /// [`numadag_trace::MemorySink`], and the finished
-    /// [`numadag_trace::Trace`] (labelled with the cell's workload, scale,
-    /// policy and repetition) is recorded in the collector. Drain it after
-    /// [`Experiment::run`] with [`TraceCollector::take`].
+    /// Traces every cell of the sweep into `collector`: every worker of the
+    /// driver builds its executor once with a
+    /// [`numadag_trace::MemorySink`] of its own and, after each cell, drains
+    /// it into a [`numadag_trace::Trace`] (labelled with the cell's
+    /// workload, scale, policy and repetition) recorded in the collector.
+    /// Drain it after [`Experiment::run`] with [`TraceCollector::take`].
     ///
     /// Tracing never changes the measurements on the deterministic
-    /// simulator backend — it only observes. It is ignored by
-    /// [`Experiment::run_on`], whose caller-supplied executor owns its own
-    /// configuration (install a sink there instead).
+    /// simulator backend — it only observes. Under [`Experiment::run_on`]
+    /// the caller-supplied executor owns its configuration: traces are
+    /// recorded if that carries a sink.
     pub fn trace(mut self, collector: Arc<TraceCollector>) -> Self {
         self.trace = Some(collector);
         self

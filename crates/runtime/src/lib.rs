@@ -49,11 +49,14 @@
 //! both executors emit [`numadag_trace::TraceEvent`]s (assign decisions,
 //! task start/finish with socket and timestamp, steals, deferred
 //! placements, per-access traffic with NUMA distance) into the sink carried
-//! by [`config::ExecutionConfig::trace_sink`]. The default
-//! [`numadag_trace::NullSink`] is disabled and the emission sites guard on
-//! it, so tracing is zero-cost unless requested. Sweeps trace per cell via
-//! [`experiment::Experiment::trace`], which records one labelled
-//! [`numadag_trace::Trace`] per cell into a
+//! by [`config::ExecutionConfig::trace_sink`] (a
+//! [`numadag_trace::MemorySink`]). The default is no sink and the emission
+//! sites guard on it, so tracing is zero-cost unless requested. This event
+//! stream is the one record of an execution: where each task ran and when
+//! is [`numadag_trace::Trace::task_intervals`], derived from it. Sweeps
+//! trace per cell via [`experiment::Experiment::trace`]: every driver worker
+//! builds its executor once with a sink of its own and drains it after each
+//! cell into one labelled [`numadag_trace::Trace`] in a
 //! [`numadag_trace::TraceCollector`] for the analytics layer (critical
 //! paths, traffic matrices, two-policy divergence reports).
 
@@ -83,6 +86,6 @@ pub use event_queue::{Event, EventQueue};
 pub use executor::{register_proc_backend, CellContext, Executor, ProcFactory};
 pub use experiment::{Backend, Experiment, SweepAggregate, SweepCell, SweepReport};
 pub use framing::FrameError;
-pub use report::{ExecutionReport, TaskPlacement};
+pub use report::ExecutionReport;
 pub use simulator::Simulator;
 pub use threaded::ThreadedExecutor;

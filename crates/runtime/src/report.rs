@@ -2,24 +2,7 @@
 
 use std::sync::Arc;
 
-use numadag_numa::{SocketId, TrafficStats};
-use numadag_tdg::TaskId;
-
-/// Where and when one task ran (collected when tracing is enabled).
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskPlacement {
-    /// The task.
-    pub task: TaskId,
-    /// Socket it executed on.
-    pub socket: SocketId,
-    /// Simulated start time (ns). Zero for the threaded executor.
-    pub start: f64,
-    /// Simulated end time (ns). Zero for the threaded executor.
-    pub end: f64,
-    /// True if the task was stolen (executed on a different socket than the
-    /// one the policy pushed it to).
-    pub stolen: bool,
-}
+use numadag_numa::TrafficStats;
 
 /// The result of executing a workload under one policy.
 ///
@@ -55,8 +38,6 @@ pub struct ExecutionReport {
     /// Real wall time of the executor's run minus `policy_wall_ns` — the
     /// event loop plus the memory-cost model, ns. Filled by the simulator.
     pub event_loop_wall_ns: f64,
-    /// Per-task placement trace (empty unless tracing was enabled).
-    pub trace: Vec<TaskPlacement>,
 }
 
 impl ExecutionReport {

@@ -23,7 +23,7 @@ use crate::deferred::apply_deferred_allocation;
 use crate::dispatch::{SocketQueues, MAX_SOCKETS};
 use crate::event_queue::{Event, EventQueue};
 use crate::executor::Executor;
-use crate::report::{ExecutionReport, TaskPlacement};
+use crate::report::ExecutionReport;
 
 /// Per-run working state, reused across cells of a sweep.
 ///
@@ -103,13 +103,12 @@ impl Run<'_> {
         let sim = self.sim;
         let topo = &sim.config.topology;
         let cost = &sim.config.cost_model;
-        let sink = sim.config.trace_sink.as_ref();
-        let tracing = sink.is_enabled();
+        let sink = sim.config.trace_sink.as_deref();
         let socket = topo.socket_of(core);
         let node = socket.node();
         let accesses = self.flat.accesses(task);
 
-        if tracing {
+        if let Some(sink) = sink {
             sink.record(TraceEvent::Start {
                 task,
                 socket,
@@ -123,7 +122,7 @@ impl Run<'_> {
         let placed =
             apply_deferred_allocation(&mut self.memory, &mut self.report.traffic, accesses.0, node);
         self.report.deferred_bytes += placed;
-        if tracing && placed > 0 {
+        if let Some(sink) = sink.filter(|_| placed > 0) {
             sink.record(TraceEvent::DeferredAlloc {
                 task,
                 node,
@@ -156,15 +155,6 @@ impl Run<'_> {
         self.report.busy_per_socket[socket.index()] += duration;
         if stolen {
             self.report.stolen_tasks += 1;
-        }
-        if sim.config.collect_trace {
-            self.report.trace.push(TaskPlacement {
-                task,
-                socket,
-                start: now,
-                end: now + duration,
-                stolen,
-            });
         }
         self.seq += 1;
         self.events.push(Event {
@@ -241,7 +231,7 @@ impl Simulator {
         let num_sockets = topo.num_sockets();
         let flat = spec.graph.flat();
         let n = flat.num_tasks();
-        let sink = self.config.trace_sink.as_ref();
+        let sink = self.config.trace_sink.as_deref();
 
         // Memory state: all regions start unallocated (deferred allocation).
         let memory = MemoryMap::with_regions(&spec.region_sizes);
@@ -306,7 +296,7 @@ impl Simulator {
                 let socket = policy.assign(spec.graph.task(task), &locator);
                 debug_assert!(socket.index() < num_sockets);
                 sockets.push(socket, task);
-                if sink.is_enabled() {
+                if let Some(sink) = sink {
                     sink.record(TraceEvent::Assign {
                         task,
                         socket,
@@ -346,7 +336,7 @@ impl Simulator {
             let socket = topo.socket_of(event.core);
             run.busy_count[socket.index()] -= 1;
             sockets.release(socket, event.core);
-            if sink.is_enabled() {
+            if let Some(sink) = sink {
                 sink.record(TraceEvent::Finish {
                     task: event.task,
                     socket,
@@ -520,19 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_collects_every_task() {
-        let spec = chains(4, 2);
-        let cfg = ExecutionConfig::bullion_s16().with_trace();
-        let simulator = Simulator::new(cfg);
-        let report = simulator.run(&spec, &mut DfifoPolicy::new());
-        assert_eq!(report.trace.len(), 8);
-        for placement in &report.trace {
-            assert!(placement.end >= placement.start);
-            assert!(placement.socket.index() < 8);
-        }
-    }
-
-    #[test]
     fn trace_sink_sees_one_assign_start_finish_per_task() {
         use numadag_trace::{MemorySink, Trace};
         use std::sync::Arc;
@@ -552,6 +529,12 @@ mod tests {
             events: sink.take(),
         };
         trace.validate().expect("simulator trace must be complete");
+        // Every task has an interval, on a socket of the machine.
+        for interval in trace.task_intervals() {
+            let interval = interval.expect("every task ran");
+            assert!(interval.end >= interval.start);
+            assert!(interval.socket.index() < 8);
+        }
         // The traffic ledger and the trace agree byte for byte.
         let matrix = trace.traffic_matrix();
         assert_eq!(matrix.total_bytes(), report.traffic.total_bytes());

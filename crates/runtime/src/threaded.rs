@@ -108,7 +108,7 @@ impl ThreadedExecutor {
         // Seed the queues with the source tasks. Seeding happens before the
         // makespan clock starts (the parallel section is what is measured),
         // so the seeding `Assign` events are stamped 0.0.
-        let sink = self.config.trace_sink.as_ref();
+        let sink = self.config.trace_sink.as_deref();
         let sources = spec.graph.sources();
         for &task in &sources {
             let socket = {
@@ -116,7 +116,7 @@ impl ThreadedExecutor {
                 shared.policy.assign(spec.graph.task(task), &locator)
             };
             shared.queues[socket.index()].push_back(task);
-            if sink.is_enabled() {
+            if let Some(sink) = sink {
                 sink.record(TraceEvent::Assign {
                     task,
                     socket,
@@ -155,7 +155,6 @@ impl ThreadedExecutor {
             deferred_bytes: guard.deferred_bytes,
             policy_wall_ns: 0.0,
             event_loop_wall_ns: 0.0,
-            trace: Vec::new(),
         };
         // Busy time is not meaningful for the host machine; report task
         // counts as a proxy so load_imbalance() still says something useful.
@@ -190,8 +189,7 @@ fn worker_loop(
     body: &(dyn Fn(TaskId) + Sync),
 ) {
     let topo = &config.topology;
-    let sink = config.trace_sink.as_ref();
-    let tracing = sink.is_enabled();
+    let sink = config.trace_sink.as_deref();
     let (lock, cv) = sync;
     loop {
         // Grab a task: local queue first, then steal (nearest socket first).
@@ -220,7 +218,7 @@ fn worker_loop(
                 match found {
                     Some((task, stolen)) => {
                         let now = t0.elapsed().as_nanos() as f64;
-                        if tracing {
+                        if let Some(sink) = sink {
                             sink.record(TraceEvent::Start {
                                 task,
                                 socket: my_socket,
@@ -236,7 +234,7 @@ fn worker_loop(
                         let Shared { memory, stats, .. } = &mut *s;
                         let placed = apply_deferred_allocation(memory, stats, accesses.0, node);
                         s.deferred_bytes += placed;
-                        if tracing && placed > 0 {
+                        if let Some(sink) = sink.filter(|_| placed > 0) {
                             sink.record(TraceEvent::DeferredAlloc {
                                 task,
                                 node,
@@ -280,7 +278,7 @@ fn worker_loop(
         // Publish completion: release successors and push newly ready tasks.
         let mut s = lock.lock();
         let now = t0.elapsed().as_nanos() as f64;
-        if tracing {
+        if let Some(sink) = sink {
             sink.record(TraceEvent::Finish {
                 task: grabbed,
                 socket: my_socket,
@@ -304,7 +302,7 @@ fn worker_loop(
                 policy.assign(spec.graph.task(ready), &locator)
             };
             s.queues[socket.index()].push_back(ready);
-            if tracing {
+            if let Some(sink) = sink {
                 sink.record(TraceEvent::Assign {
                     task: ready,
                     socket,

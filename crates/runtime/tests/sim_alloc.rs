@@ -81,9 +81,9 @@ fn a_warmed_cell_allocates_only_its_report_and_memory_map() {
     }
 }
 
-/// On the 8-socket machine: 4 for the per-run `MemoryMap` (region table,
-/// placements, two growth steps of the per-node residency) and 12 for the
-/// returned `ExecutionReport` (two per-socket vectors, 10 B-tree nodes for the
-/// traffic ledger's 64 link entries) — whatever the task count. The parent
-/// of PR 16 read 27 on the 448-task Jacobi.
-const WARM_CELL_ALLOCATIONS: usize = 16;
+/// On the 8-socket machine: 1 for the per-run `MemoryMap` (its one table of
+/// `(size, placement)` per region) and 12 for the returned `ExecutionReport`
+/// (two per-socket vectors, 10 B-tree nodes for the traffic ledger's 64 link
+/// entries) — whatever the task count. It may only go down (27 before PR 16,
+/// 16 before PR 24).
+const WARM_CELL_ALLOCATIONS: usize = 13;

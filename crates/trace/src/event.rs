@@ -1,10 +1,9 @@
-//! The trace event model and the sinks executors emit into.
+//! The trace event model and the sink executors emit into.
 //!
-//! Executors record [`TraceEvent`]s through a [`TraceSink`] carried on their
-//! configuration. The default sink is [`NullSink`], which reports itself
-//! disabled so the executors skip event construction entirely (tracing is
-//! zero-cost unless a real sink is installed); [`MemorySink`] buffers events
-//! in memory for the analytics layer.
+//! Executors record [`TraceEvent`]s into the [`MemorySink`] their
+//! configuration may carry. Without one they skip event construction
+//! entirely (tracing is zero-cost unless a sink is installed); with one the
+//! events are buffered in memory for the analytics layer.
 
 use parking_lot::Mutex;
 
@@ -122,36 +121,8 @@ impl TraceEvent {
     }
 }
 
-/// Where executors send trace events.
-///
-/// Sinks are shared (`Arc<dyn TraceSink>`) between an execution's worker
-/// threads, so implementations must be `Send + Sync` and use interior
-/// mutability.
-pub trait TraceSink: Send + Sync {
-    /// Whether events should be produced at all. Executors check this once
-    /// per emission site and skip event construction when it returns
-    /// `false`, which is what makes the disabled path zero-cost.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record(&self, event: TraceEvent);
-}
-
-/// The default sink: disabled, drops everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: TraceEvent) {}
-}
-
-/// A sink that buffers every event in memory, in arrival order.
+/// The sink executors emit into: buffers every event in memory, in arrival
+/// order. Shared (`Arc<MemorySink>`) between an execution's worker threads.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -163,25 +134,14 @@ impl MemorySink {
         MemorySink::default()
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+    /// Records one event.
+    pub fn record(&self, event: TraceEvent) {
+        self.events.lock().push(event);
     }
 
     /// Removes and returns everything recorded so far.
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock())
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
     }
 }
 
@@ -198,25 +158,16 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_silent() {
-        let sink = NullSink;
-        assert!(!sink.is_enabled());
-        sink.record(assign(0, 1.0)); // must not panic
-    }
-
-    #[test]
     fn memory_sink_buffers_in_order() {
         let sink = MemorySink::new();
-        assert!(sink.is_enabled());
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
         sink.record(assign(0, 1.0));
         sink.record(assign(1, 2.0));
-        assert_eq!(sink.len(), 2);
         let events = sink.take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].task(), TaskId(0));
         assert_eq!(events[1].time(), 2.0);
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty(), "take drains the sink");
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //!   decisions, task `start`/`finish` with socket, core and timestamp
 //!   (steals flagged), deferred-allocation placements, and per-access
 //!   traffic with NUMA distance.
-//! * [`TraceSink`] — where events go. The default [`NullSink`] reports
-//!   itself disabled, so executors skip event construction entirely and
-//!   tracing is zero-cost unless requested; [`MemorySink`] buffers events
-//!   for analysis, and [`TraceCollector`] accumulates one [`Trace`] per
+//! * [`MemorySink`] — where events go: an executor whose configuration
+//!   carries none skips event construction entirely (tracing is zero-cost
+//!   unless requested), one that carries a sink buffers its events there
+//!   until they are taken; [`TraceCollector`] accumulates one [`Trace`] per
 //!   cell of a traced sweep.
 //! * [`Trace`] — the container: metadata + events, with a pretty-printed
 //!   JSON serialization that round-trips through [`Trace::from_json_str`]
-//!   (and streams to disk via [`Trace::to_json_writer`]).
+//!   (and streams to disk via [`Trace::to_json_writer`]). Where each task
+//!   ran and when is a derived view of the `start` / `finish` events
+//!   ([`Trace::task_intervals`]), not a second record.
 //! * [`analytics`] — post-processing: schedule critical-path extraction
 //!   (dependence-bound vs core-busy links), socket × socket and
 //!   per-distance traffic matrices, per-task locality histograms, and
@@ -27,7 +29,7 @@
 //!   flows where one loses time to the other — the tool for localizing the
 //!   per-app Figure 1 divergences.
 //!
-//! The runtime wires sinks through `ExecutionConfig::with_trace_sink` and
+//! The runtime wires the sink through `ExecutionConfig::with_trace_sink` and
 //! sweeps through `Experiment::trace`; the `figure1 --trace-dir` and
 //! `ablation trace` CLI modes expose both end to end.
 
@@ -42,5 +44,5 @@ pub use analytics::{
     CpBound, CpLink, CriticalPath, LocalityHistogram, QueueSample, QueueTimeline, TrafficMatrix,
 };
 pub use compare::{FlowDelta, TaskDelta, TraceComparison};
-pub use event::{MemorySink, NullSink, TraceEvent, TraceSink};
+pub use event::{MemorySink, TraceEvent};
 pub use trace::{TaskInterval, Trace, TraceCollector};

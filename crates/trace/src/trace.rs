@@ -23,8 +23,9 @@ pub struct Trace {
     pub workload: String,
     /// Canonical policy label.
     pub policy: String,
-    /// Backend that produced the trace (`"simulator"`, `"threaded"` or
-    /// `"proc"`).
+    /// Backend that produced the trace, as sweep reports name it
+    /// (`"simulator"` — also for cells run by proc workers — or
+    /// `"threaded"`).
     pub backend: String,
     /// Problem-scale label (`"Tiny"`, `"Small"`, `"Full"` or `"custom"`).
     pub scale: String,
@@ -65,6 +66,9 @@ impl TaskInterval {
         self.end - self.start
     }
 }
+
+/// How many events [`Trace::to_json_writer`] renders and writes at a time.
+const EVENTS_PER_WRITE: usize = 512;
 
 impl Trace {
     /// Events of one kind, by their serialization tag.
@@ -151,22 +155,27 @@ impl Trace {
         Ok(())
     }
 
-    /// Pretty-printed JSON of the whole trace.
+    /// Pretty-printed JSON of the whole trace: [`Trace::to_json_writer`]
+    /// into memory.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self).expect("trace serialization cannot fail")
+        // An event renders to ~150 bytes; growing to megabytes copies them.
+        let mut bytes = Vec::with_capacity(512 + 160 * self.events.len());
+        self.to_json_writer(&mut bytes)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(bytes).expect("the renderer emits UTF-8")
     }
 
     /// Streams the pretty-printed JSON into `writer` without materializing
-    /// the document — neither as one string nor as one `Value` tree (the
-    /// vendored `serde_json::to_writer_pretty` builds the whole tree first,
-    /// which for a trace means a copy of every event; trace files grow with
-    /// event count, so the events are rendered and written one at a time
-    /// here). The bytes are exactly [`Trace::to_json_string`]'s.
+    /// the document as one `Value` tree (which for a trace means a copy of
+    /// every event): trace files grow with event count, so the events are
+    /// rendered and written a bounded run at a time. The one renderer of a
+    /// trace; the bytes are what `serde_json::to_string_pretty` makes of the
+    /// derived `Serialize`.
     pub fn to_json_writer(&self, writer: &mut dyn std::io::Write) -> Result<(), String> {
         let io = |e: std::io::Error| format!("I/O error while writing trace JSON: {e}");
         let scalar = |v: &Value| serde_json::to_string(v).expect("scalar serialization is total");
-        // Header scalars, rendered through the same vendored serializer so
-        // escaping and number formatting match the all-at-once path.
+        // Header scalars, rendered through the vendored serializer so
+        // escaping and number formatting are its own.
         let header: [(&str, Value); 8] = [
             ("workload", self.workload.to_value()),
             ("policy", self.policy.to_value()),
@@ -187,20 +196,21 @@ impl Trace {
             writer.write_all(b"[]").map_err(io)?;
         } else {
             writer.write_all(b"[").map_err(io)?;
-            for (i, event) in self.events.iter().enumerate() {
+            // Rendered as the `events` member of an object, a run of events
+            // comes out at the nesting depth it lives at: what is between
+            // the brackets of each rendering is written, run after run.
+            const OPEN: &str = "{\n  \"events\": [";
+            const CLOSE: &str = "\n  ]\n}";
+            for (i, run) in self.events.chunks(EVENTS_PER_WRITE).enumerate() {
+                let run = Value::Array(run.iter().map(Serialize::to_value).collect());
+                let nested = Value::Object(vec![("events".to_string(), run)]);
+                let text = serde_json::to_string_pretty(&nested).expect("events always render");
                 if i > 0 {
                     writer.write_all(b",").map_err(io)?;
                 }
-                // One event is a small flat object: render it at top level
-                // and re-indent onto the nesting depth it lives at. Event
-                // strings are escaped tags, so no line of the rendering can
-                // contain a raw newline.
-                let rendered =
-                    serde_json::to_string_pretty(event).expect("event serialization is total");
-                for line in rendered.lines() {
-                    writer.write_all(b"\n    ").map_err(io)?;
-                    writer.write_all(line.as_bytes()).map_err(io)?;
-                }
+                writer
+                    .write_all(&text.as_bytes()[OPEN.len()..text.len() - CLOSE.len()])
+                    .map_err(io)?;
             }
             writer.write_all(b"\n  ]").map_err(io)?;
         }
@@ -518,33 +528,94 @@ pub(crate) mod tests {
     fn json_round_trips_every_event_kind() {
         let trace = toy_trace();
         let text = trace.to_json_string();
-        let reparsed = Trace::from_json_str(&text).unwrap();
-        assert_eq!(reparsed, trace);
-        // Streaming writer produces the same bytes.
-        let mut buffer = Vec::new();
-        trace.to_json_writer(&mut buffer).unwrap();
-        assert_eq!(String::from_utf8(buffer).unwrap(), text);
+        assert_eq!(Trace::from_json_str(&text).unwrap(), trace);
+        // The first task of the toy trace, byte for byte: the header and one
+        // event of every kind.
+        let mut one_task = trace;
+        one_task.tasks = 1;
+        one_task.events.truncate(5);
+        assert_eq!(one_task.to_json_string(), ONE_TASK_TRACE_FILE);
     }
 
+    /// What `Trace::to_json_string` wrote for the first five events of the
+    /// toy trace at commit ecc5ee4, when it still pretty-printed the
+    /// `Value` tree of the whole trace.
+    const ONE_TASK_TRACE_FILE: &str = r#"{
+  "workload": "toy",
+  "policy": "LAS",
+  "backend": "simulator",
+  "scale": "custom",
+  "repetition": 0,
+  "tasks": 1,
+  "num_sockets": 2,
+  "makespan_ns": 30,
+  "events": [
+    {
+      "type": "assign",
+      "task": 0,
+      "socket": 0,
+      "time": 0
+    },
+    {
+      "type": "start",
+      "task": 0,
+      "socket": 0,
+      "core": 0,
+      "time": 0,
+      "stolen": false
+    },
+    {
+      "type": "deferred_alloc",
+      "task": 0,
+      "node": 0,
+      "bytes": 256,
+      "time": 0
+    },
+    {
+      "type": "traffic",
+      "task": 0,
+      "region": 0,
+      "from": 0,
+      "to": 0,
+      "distance": 10,
+      "bytes": 256,
+      "time": 0
+    },
+    {
+      "type": "finish",
+      "task": 0,
+      "socket": 0,
+      "core": 0,
+      "time": 10
+    }
+  ]
+}"#;
+
     #[test]
-    fn streaming_writer_matches_string_in_the_edge_cases() {
+    fn the_writer_renders_what_the_derived_serializer_would() {
+        let mut empty = toy_trace();
         // Empty event list: the one shape the streamed array can't derive
         // from the loop.
-        let mut empty = toy_trace();
         empty.events.clear();
-        let mut buffer = Vec::new();
-        empty.to_json_writer(&mut buffer).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        assert_eq!(text, empty.to_json_string());
-        assert_eq!(Trace::from_json_str(&text).unwrap(), empty);
-        // Metadata needing JSON escapes streams identically too.
+        // Metadata needing JSON escapes.
         let mut quoted = toy_trace();
         quoted.workload = "odd \"name\"\nwith\tescapes \\".to_string();
-        let mut buffer = Vec::new();
-        quoted.to_json_writer(&mut buffer).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        assert_eq!(text, quoted.to_json_string());
-        assert_eq!(Trace::from_json_str(&text).unwrap(), quoted);
+        // More events than one run, and exactly two runs' worth.
+        let mut long = toy_trace();
+        long.events = long
+            .events
+            .iter()
+            .cycle()
+            .take(2 * EVENTS_PER_WRITE + 1)
+            .cloned()
+            .collect();
+        let mut two_runs = long.clone();
+        two_runs.events.pop();
+        for trace in [toy_trace(), empty, quoted, long, two_runs] {
+            let text = trace.to_json_string();
+            assert_eq!(text, serde_json::to_string_pretty(&trace).unwrap());
+            assert_eq!(Trace::from_json_str(&text).unwrap(), trace);
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
 
     // Show where the partitioner put the first window's panel tasks; the
     // introspection run goes through the same Executor interface.
-    let executor = Backend::Simulated.executor(ExecutionConfig::new(topology).with_trace());
+    let executor = Backend::Simulated.executor(ExecutionConfig::new(topology));
     let mut rgp = RgpPolicy::rgp_las();
     let _ = executor.execute(&spec, &mut rgp);
     println!(

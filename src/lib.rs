@@ -70,7 +70,7 @@
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
 //! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, plan/execute sweep engine (`Experiment` → `SweepPlan` → `SweepDriver` → `SweepReport` + `bench-diff`) |
 //! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
-//! | [`trace`] (`numadag-trace`) | execution traces: event model + sinks, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
+//! | [`trace`] (`numadag-trace`) | execution traces: the event model and its one sink (`MemorySink`), placements as a view of the events, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
 //! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch (`--backend proc`) |
 //! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins |
@@ -80,8 +80,13 @@
 //! Every execution can emit a full event trace (policy assign decisions,
 //! task start/finish with socket and timestamp, steals, deferred
 //! placements, per-access traffic with NUMA distance) through the
-//! [`trace`] subsystem — zero-cost unless a sink is installed. Sweeps trace
-//! per cell:
+//! [`trace`] subsystem. There is one mechanism and one switch:
+//! [`runtime::ExecutionConfig::trace_sink`] is an optional
+//! [`trace::MemorySink`], decided once per executor — `None` costs nothing,
+//! and where each task ran is a view of the events
+//! ([`trace::Trace::task_intervals`]), not a second record. A traced sweep
+//! gives every driver worker (and every proc worker process) one executor
+//! with one sink and drains it after each cell:
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -169,8 +174,7 @@ pub mod prelude {
         WindowConfig,
     };
     pub use numadag_trace::{
-        CriticalPath, MemorySink, NullSink, Trace, TraceCollector, TraceComparison, TraceEvent,
-        TraceSink,
+        CriticalPath, MemorySink, Trace, TraceCollector, TraceComparison, TraceEvent,
     };
 }
 

@@ -3,6 +3,8 @@
 //! claims of the paper on small problem instances. Sweeps go through the
 //! `Experiment` API; single-run invariants go through the `Executor` trait.
 
+use std::sync::Arc;
+
 use numadag::prelude::*;
 
 fn executor() -> Box<dyn Executor> {
@@ -200,21 +202,26 @@ fn window_socket_decisions_are_respected_without_stealing() {
     // With stealing disabled, every task of the initial window must run on
     // the socket the partitioner chose for it.
     let spec = Application::Jacobi.build(ProblemScale::Tiny, 8);
+    let sink = Arc::new(MemorySink::new());
     let config = ExecutionConfig::bullion_s16()
         .with_steal(StealMode::NoStealing)
-        .with_trace();
+        .with_trace_sink(sink.clone());
     let executor = Backend::Simulated.executor(config);
     let mut rgp = RgpPolicy::rgp_las();
     let report = executor.execute(&spec, &mut rgp);
     assert_eq!(report.stolen_tasks, 0);
-    assert!(!report.trace.is_empty());
-    for placement in &report.trace {
-        if let Some(expected) = rgp.window_socket_of(placement.task) {
+    let mut started = 0;
+    for event in sink.take() {
+        let TraceEvent::Start { task, socket, .. } = event else {
+            continue;
+        };
+        started += 1;
+        if let Some(expected) = rgp.window_socket_of(task) {
             assert_eq!(
-                placement.socket, expected,
-                "task {} ran on {} instead of its partition socket {}",
-                placement.task, placement.socket, expected
+                socket, expected,
+                "task {task} ran on {socket} instead of its partition socket {expected}"
             );
         }
     }
+    assert_eq!(started, spec.num_tasks());
 }

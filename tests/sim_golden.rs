@@ -7,11 +7,14 @@
 //!
 //! * **placements** — the eight applications × {`dfifo`, `las`, `ep`,
 //!   `rgp-las`, `rgp-las:prop=repart`} plus one `las` column under
-//!   [`StealMode::NoStealing`], at Small and Full: the full placement trace
-//!   ([`ExecutionConfig::with_trace`]: task, socket, start/end bits, stolen,
-//!   in emission order), the makespan bits, the whole traffic ledger (link
-//!   entries, local / remote / distance-weighted / deferred bytes) and
-//!   `deferred_bytes`;
+//!   [`StealMode::NoStealing`], at Small and Full: where and when every task
+//!   ran (task, socket, start/end bits, stolen, in the order the tasks
+//!   started), the makespan bits, the whole traffic ledger (link entries,
+//!   local / remote / distance-weighted / deferred bytes) and
+//!   `deferred_bytes`. The table was captured from the per-task placement
+//!   records `ExecutionReport` carried until PR 24; the rows are now read
+//!   off the `Start` / `Finish` events of a [`MemorySink`], and the hashes
+//!   not moving is the proof that the events always held the same facts;
 //! * **sink events** — the same five policy columns at Small through a
 //!   [`MemorySink`]: every `TraceEvent` (assign, start, finish, deferred
 //!   allocation, per-access traffic) in emission order.
@@ -57,15 +60,33 @@ fn policy_for(label: &str, spec: &TaskGraphSpec) -> Box<dyn SchedulingPolicy> {
     make_policy(kind, spec, SEED).expect("every Figure-1 app defines an EP placement")
 }
 
-fn report_hash(report: &ExecutionReport) -> u64 {
+/// Hashes the `(task, socket, start, end, stolen)` row of every task, in
+/// the order the `Start` events were emitted (each row's end is the time of
+/// the task's `Finish`), then the report's ledger.
+fn report_hash(report: &ExecutionReport, events: &[TraceEvent]) -> u64 {
+    let mut end_bits = vec![0u64; report.tasks];
+    for event in events {
+        if let TraceEvent::Finish { task, time, .. } = event {
+            end_bits[task.index()] = time.to_bits();
+        }
+    }
     let mut h = Fnv1a::new();
-    h.u64(report.trace.len() as u64);
-    for p in &report.trace {
-        h.u64(p.task.index() as u64);
-        h.u64(p.socket.index() as u64);
-        h.u64(p.start.to_bits());
-        h.u64(p.end.to_bits());
-        h.u64(u64::from(p.stolen));
+    h.u64(report.tasks as u64);
+    for event in events {
+        if let TraceEvent::Start {
+            task,
+            socket,
+            time,
+            stolen,
+            ..
+        } = event
+        {
+            h.u64(task.index() as u64);
+            h.u64(socket.index() as u64);
+            h.u64(time.to_bits());
+            h.u64(end_bits[task.index()]);
+            h.u64(u64::from(*stolen));
+        }
     }
     h.u64(report.makespan_ns.to_bits());
     let traffic = &report.traffic;
@@ -84,12 +105,10 @@ fn report_hash(report: &ExecutionReport) -> u64 {
 }
 
 fn placement_hashes() -> Vec<(String, u64)> {
-    let stealing = Simulator::new(ExecutionConfig::bullion_s16().with_trace());
-    let pinned = Simulator::new(
-        ExecutionConfig::bullion_s16()
-            .with_trace()
-            .with_steal(StealMode::NoStealing),
-    );
+    let sink = Arc::new(MemorySink::new());
+    let traced = || ExecutionConfig::bullion_s16().with_trace_sink(sink.clone());
+    let stealing = Simulator::new(traced());
+    let pinned = Simulator::new(traced().with_steal(StealMode::NoStealing));
     let mut out = Vec::new();
     for scale in [ProblemScale::Small, ProblemScale::Full] {
         for app in Application::all() {
@@ -98,7 +117,7 @@ fn placement_hashes() -> Vec<(String, u64)> {
                 let report = sim.run(&spec, policy_for(policy, &spec).as_mut());
                 out.push((
                     format!("{}/{}/{column}", scale.label(), app.label()),
-                    report_hash(&report),
+                    report_hash(&report, &sink.take()),
                 ));
             };
             for policy in POLICIES {

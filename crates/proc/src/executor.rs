@@ -77,6 +77,7 @@ impl ProcExecutor {
     ) -> Result<ExecutionReport, ProcError> {
         let (report, events) = self.pool()?.run_cell(
             spec,
+            ctx.next_spec,
             ctx.policy_label,
             policy.name(),
             ctx.seed,

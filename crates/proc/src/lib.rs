@@ -14,15 +14,17 @@
 //! so traced and untraced cells are two config epochs and a worker keeps one
 //! simulator per epoch), `spec` (workload transfer, shipped to a worker the
 //! first time a cell over it is dispatched there — dispatch prefers a worker
-//! that already holds it — and referenced by fingerprint after; never
-//! acknowledged — a worker that refuses one says so in its one reply to the
-//! `assign` behind it), `assign`/`done` (one sweep cell: `done`, carrying
-//! the whole report and the cell's trace events, is the one reply; there
-//! are no per-field notifications beside it to cross-check — they would be
-//! rendered from the same report in the same write, and what guards a
-//! cell's integrity is the spec fingerprint and the simulator-parity
-//! tests), `barrier`/`barrier_ack` (oneCCL-style non-blocking collectives at
-//! startup and shutdown), `error` and `shutdown`.
+//! that already holds it — or written ahead to an idle worker while the
+//! previous workload's first cell computes, and referenced by fingerprint
+//! after; never acknowledged — a worker that refuses one says so in its one
+//! reply to the first `assign` over a spec it lacks), `assign`/`done` (one
+//! sweep cell: `done`, carrying the whole report and the cell's trace
+//! events, is the one reply; there are no per-field notifications beside it
+//! to cross-check — they would be rendered from the same report in the same
+//! write, and what guards a cell's integrity is the spec fingerprint and the
+//! simulator-parity tests), `barrier`/`barrier_ack` (oneCCL-style
+//! non-blocking collectives at startup and shutdown), `error` and
+//! `shutdown`.
 //!
 //! Determinism: a worker rebuilds the policy from the `(label, seed)` in
 //! the assignment and runs the in-process [`numadag_runtime::Simulator`],

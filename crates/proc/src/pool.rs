@@ -23,6 +23,19 @@
 //! failure or timeout on that conversation kills the worker and redispatches
 //! the cell to a live one; a structured `error` reply is deterministic
 //! (bad policy, bad spec) and propagates instead of retrying.
+//!
+//! Between the `assign` and the wait for its `done`, the coordinator posts
+//! one more line, the way the oneCCL entries post a `start()` and consume
+//! it later: the spec of the sweep's next workload (the cell's
+//! [`numadag_runtime::CellContext::next_spec`]), written to the worker
+//! `pick_slot` would give that workload's first cell — if no live worker
+//! holds it yet, that worker is idle and its lock is free (`try_lock`: a
+//! look-ahead never waits). `spec` is un-acked and a worker reads its lines
+//! in order, so this is the same message at another time: the encode and
+//! the idle worker's decode overlap the current cell instead of preceding
+//! the next one. A look-ahead write that fails kills its worker, never the
+//! cell in conversation; every write to a worker is bounded by the cell
+//! timeout.
 
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
@@ -138,6 +151,9 @@ pub struct PoolStats {
     pub config_broadcasts: u64,
     /// `spec` messages sent (one per worker per distinct workload).
     pub spec_transfers: u64,
+    /// Of the `spec_transfers`, those written ahead of their first cell,
+    /// while the cell before it computed.
+    pub spec_prefetches: u64,
     /// Collective barriers completed (startup + shutdown drains).
     pub barriers: u64,
 }
@@ -147,13 +163,14 @@ impl std::fmt::Display for PoolStats {
         write!(
             f,
             "workers_spawned={} workers_alive={} cells_dispatched={} redispatches={} \
-             config_broadcasts={} spec_transfers={} barriers={}",
+             config_broadcasts={} spec_transfers={} spec_prefetches={} barriers={}",
             self.workers_spawned,
             self.workers_alive,
             self.cells_dispatched,
             self.redispatches,
             self.config_broadcasts,
             self.spec_transfers,
+            self.spec_prefetches,
             self.barriers,
         )
     }
@@ -174,6 +191,10 @@ struct Dispatch {
     /// good workers take turns.
     rotation: usize,
     books: Vec<SlotBook>,
+    /// Fingerprint of the spec of the last cell placed. A cell over another
+    /// spec starts a workload: the one cell of it whose next-workload hint
+    /// is worth fingerprinting (every cell of a workload carries the same).
+    last_spec: Option<u64>,
 }
 
 #[derive(Default)]
@@ -215,6 +236,17 @@ fn pick_slot(rows: &[SlotRow], rotation: usize) -> Option<usize> {
         })
 }
 
+/// Where a spec whose cells come next is worth writing ahead: nowhere when
+/// a live worker already holds it (or is being shipped it); else the worker
+/// [`pick_slot`] would place its first cell on right now, if that one is
+/// idle.
+fn ahead_slot(rows: &[SlotRow], rotation: usize) -> Option<usize> {
+    if rows.iter().any(|row| row.alive && row.holds) {
+        return None;
+    }
+    pick_slot(rows, rotation).filter(|&at| !rows[at].busy)
+}
+
 struct WorkerSlot {
     id: u64,
     alive: AtomicBool,
@@ -245,6 +277,7 @@ struct Counters {
     redispatches: AtomicU64,
     config_broadcasts: AtomicU64,
     spec_transfers: AtomicU64,
+    spec_prefetches: AtomicU64,
     barriers: AtomicU64,
 }
 
@@ -363,10 +396,13 @@ impl WorkerPool {
                 }
                 Err(e) => return Err(spawn_err(format!("rendezvous accept failed: {e}"))),
             };
+            // A write no worker drains for a whole cell timeout fails like a
+            // read that long would: the worker is lost, never waited on.
             stream
                 .set_nonblocking(false)
                 .and_then(|_| stream.set_nodelay(true))
                 .and_then(|_| stream.set_read_timeout(Some(config.spawn_timeout)))
+                .and_then(|_| stream.set_write_timeout(Some(config.cell_timeout)))
                 .map_err(|e| spawn_err(format!("cannot configure worker socket: {e}")))?;
             let reader_stream = stream
                 .try_clone()
@@ -399,6 +435,7 @@ impl WorkerPool {
             dispatch: Mutex::new(Dispatch {
                 rotation: 0,
                 books: slots.iter().map(|_| SlotBook::default()).collect(),
+                last_spec: None,
             }),
             slots,
             next_cell: AtomicU64::new(0),
@@ -439,6 +476,7 @@ impl WorkerPool {
             redispatches: self.counters.redispatches.load(Ordering::Relaxed),
             config_broadcasts: self.counters.config_broadcasts.load(Ordering::Relaxed),
             spec_transfers: self.counters.spec_transfers.load(Ordering::Relaxed),
+            spec_prefetches: self.counters.spec_prefetches.load(Ordering::Relaxed),
             barriers: self.counters.barriers.load(Ordering::Relaxed),
         }
     }
@@ -471,13 +509,10 @@ impl WorkerPool {
         }
     }
 
-    /// Chooses the worker (by slot index) for a cell over the spec with
-    /// fingerprint `fp` and counts the cell as in flight on it;
-    /// [`WorkerPool::release_slot`] undoes the count.
-    fn acquire_slot(&self, fp: u64) -> Option<usize> {
-        let mut dispatch = self.dispatch();
-        let rows: Vec<SlotRow> = self
-            .slots
+    /// Every worker as [`pick_slot`] sees it for a cell over the spec with
+    /// fingerprint `fp`.
+    fn rows(&self, dispatch: &Dispatch, fp: u64) -> Vec<SlotRow> {
+        self.slots
             .iter()
             .zip(&dispatch.books)
             .map(|(slot, book)| SlotRow {
@@ -486,7 +521,15 @@ impl WorkerPool {
                 holds: book.specs.contains(&fp),
                 specs_held: book.specs.len(),
             })
-            .collect();
+            .collect()
+    }
+
+    /// Chooses the worker (by slot index) for a cell over the spec with
+    /// fingerprint `fp` and counts the cell as in flight on it;
+    /// [`WorkerPool::release_slot`] undoes the count.
+    fn acquire_slot(&self, fp: u64) -> Option<usize> {
+        let mut dispatch = self.dispatch();
+        let rows = self.rows(&dispatch, fp);
         let chosen = pick_slot(&rows, dispatch.rotation)?;
         dispatch.rotation = dispatch.rotation.wrapping_add(1);
         dispatch.books[chosen].in_flight += 1;
@@ -501,10 +544,13 @@ impl WorkerPool {
     /// loss. `policy_label` must parse back to the policy that produced
     /// `policy_name` (its `'static` display name, re-attached to the report
     /// on this side of the wire — labels never travel). The events are the
-    /// cell's trace, empty unless `config` carries a sink.
+    /// cell's trace, empty unless `config` carries a sink. `next_spec` is
+    /// the spec the cells after this workload's need, written ahead to an
+    /// idle worker while this cell computes (see the module doc).
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
+        next_spec: Option<&TaskGraphSpec>,
         policy_label: &str,
         policy_name: &'static str,
         policy_seed: u64,
@@ -520,11 +566,18 @@ impl WorkerPool {
             policy: policy_label.to_string(),
             policy_seed: Hex64(policy_seed),
         };
+        // `fingerprint()` still folds the region table (~20 µs on a Full
+        // spec): the hint is fingerprinted on its workload's first cell only.
+        let starts_workload =
+            self.dispatch().last_spec.replace(assignment.fp.0) != Some(assignment.fp.0);
+        let ahead = next_spec
+            .filter(|_| starts_workload)
+            .map(|next| (next.fingerprint(), next));
         loop {
             let index = self
                 .acquire_slot(assignment.fp.0)
                 .ok_or(ProcError::AllWorkersDead { cell })?;
-            let outcome = self.dispatch_on(index, &assignment, spec, policy_name, config);
+            let outcome = self.dispatch_on(index, &assignment, spec, ahead, policy_name, config);
             self.release_slot(index);
             match outcome {
                 Ok(result) => return Ok(result),
@@ -541,6 +594,7 @@ impl WorkerPool {
         index: usize,
         assignment: &Assignment,
         spec: &TaskGraphSpec,
+        ahead: Option<(u64, &TaskGraphSpec)>,
         policy_name: &'static str,
         config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), DispatchFailure> {
@@ -589,8 +643,7 @@ impl WorkerPool {
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        let shipped_spec = self.dispatch().books[index].specs.insert(assignment.fp.0);
-        if shipped_spec {
+        if self.dispatch().books[index].specs.insert(assignment.fp.0) {
             if write_line(&mut state.writer, encode_spec(spec)).is_err() {
                 return Err(lost(slot, &mut state));
             }
@@ -600,6 +653,9 @@ impl WorkerPool {
         // The message owns its assignment; the clone is one short label.
         if write_frame(&mut state.writer, &ToWorker::Assign(assignment.clone())).is_err() {
             return Err(lost(slot, &mut state));
+        }
+        if let Some((fp, next)) = ahead {
+            self.ship_ahead(fp, next);
         }
 
         // One reply per `assign`: `done`, or a structured `error`. A reply
@@ -614,11 +670,11 @@ impl WorkerPool {
                 Ok((report.into_report(spec.name.clone(), policy_name), events))
             }
             Some(ToCoordinator::Error { message }) => {
-                // The complaint may be about the spec shipped just now
-                // (`spec` is un-acked): the worker does not hold it.
-                if shipped_spec {
-                    self.dispatch().books[index].specs.remove(&assignment.fp.0);
-                }
+                // The complaint may be about this cell's spec, shipped now
+                // or ahead and refused (`spec` is un-acked; its refusal
+                // answers the first `assign` over it): the worker does not
+                // hold it.
+                self.dispatch().books[index].specs.remove(&assignment.fp.0);
                 Err(DispatchFailure::Fatal(ProcError::Worker {
                     worker: slot.id,
                     message,
@@ -626,6 +682,39 @@ impl WorkerPool {
             }
             _ => Err(lost(slot, &mut state)),
         }
+    }
+
+    /// Writes the spec with fingerprint `fp` to the worker [`ahead_slot`]
+    /// names, if its lock is free, and books it there. Called between an
+    /// `assign` and the wait for its reply, so it never waits itself: a
+    /// taken lock skips the write, and a failed one kills its own worker,
+    /// not the conversation it interrupted.
+    fn ship_ahead(&self, fp: u64, spec: &TaskGraphSpec) {
+        let (slot, mut state) = {
+            let mut dispatch = self.dispatch();
+            let rows = self.rows(&dispatch, fp);
+            let Some(at) = ahead_slot(&rows, dispatch.rotation) else {
+                return;
+            };
+            let slot: &WorkerSlot = &self.slots[at];
+            let Ok(state) = slot.state.try_lock() else {
+                return;
+            };
+            // Killed since its row was read: nothing to book.
+            if !slot.alive.load(Ordering::SeqCst) {
+                return;
+            }
+            dispatch.books[at].specs.insert(fp);
+            (slot, state)
+        };
+        if write_line(&mut state.writer, encode_spec(spec)).is_err() {
+            slot.kill(&mut state);
+            return;
+        }
+        self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .spec_prefetches
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -836,30 +925,143 @@ mod tests {
         }
     }
 
-    /// The serial Full sweep in miniature: eight specs, five cells each, two
-    /// idle workers — every spec shipped once, four to each worker.
     #[test]
-    fn a_serial_sweep_ships_each_spec_once_and_splits_them_evenly() {
-        let mut held: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        let mut transfers = 0;
-        for cell in 0..40usize {
-            let fp = (cell / 5) as u64;
-            let rows: Vec<SlotRow> = held
-                .iter()
-                .map(|specs| SlotRow {
-                    alive: true,
-                    busy: false,
-                    holds: specs.contains(&fp),
-                    specs_held: specs.len(),
-                })
-                .collect();
-            let chosen = pick_slot(&rows, cell).expect("both alive");
-            if !held[chosen].contains(&fp) {
-                held[chosen].push(fp);
-                transfers += 1;
+    fn ahead_slot_is_the_idle_worker_the_first_cell_would_get() {
+        for (rows, rotation, want, why) in [
+            ("", 0, None, "no workers"),
+            ("AB-1 AI-0", 0, Some(1), "the idle worker"),
+            (
+                "AB-1 AI-3 AI-1",
+                1,
+                Some(2),
+                "the idle one with fewest specs",
+            ),
+            ("AI-0 AI-0", 1, Some(1), "the rotation among equals"),
+            ("AB-1 AIH1", 0, None, "an idle worker holds it"),
+            (
+                "ABH1 AI-0",
+                0,
+                None,
+                "a busy worker holds (or is shipped) it",
+            ),
+            ("DIH1 AI-0", 0, Some(1), "a dead holder holds nothing"),
+            ("AB-1 AB-0", 0, None, "every worker busy"),
+            ("AB-1 DI-0", 0, None, "the only idle worker is dead"),
+        ] {
+            let rows: Vec<SlotRow> = rows.split_whitespace().map(row).collect();
+            assert_eq!(ahead_slot(&rows, rotation), want, "{why}");
+        }
+    }
+
+    /// The books of `workers` processes driven the way [`WorkerPool`]
+    /// drives them: a placed cell ships its spec to a worker that lacks it,
+    /// the first cell of a workload writes the next workload's spec ahead,
+    /// and a finished cell leaves its worker.
+    struct Model {
+        held: Vec<Vec<u64>>,
+        in_flight: Vec<usize>,
+        rotation: usize,
+        last_spec: Option<u64>,
+        transfers: usize,
+        ahead: usize,
+    }
+
+    impl Model {
+        fn new(workers: usize) -> Model {
+            Model {
+                held: vec![Vec::new(); workers],
+                in_flight: vec![0; workers],
+                rotation: 0,
+                last_spec: None,
+                transfers: 0,
+                ahead: 0,
             }
         }
-        assert_eq!(transfers, 8);
-        assert_eq!((held[0].len(), held[1].len()), (4, 4));
+
+        fn rows(&self, fp: u64) -> Vec<SlotRow> {
+            (0..self.held.len())
+                .map(|at| SlotRow {
+                    alive: true,
+                    busy: self.in_flight[at] > 0,
+                    holds: self.held[at].contains(&fp),
+                    specs_held: self.held[at].len(),
+                })
+                .collect()
+        }
+
+        /// Places a cell over `fp` with `next` as its hint; returns its
+        /// worker.
+        fn place(&mut self, fp: u64, next: Option<u64>) -> usize {
+            let at = pick_slot(&self.rows(fp), self.rotation).expect("all alive");
+            self.rotation += 1;
+            self.in_flight[at] += 1;
+            if !self.held[at].contains(&fp) {
+                self.held[at].push(fp);
+                self.transfers += 1;
+            }
+            let starts_workload = self.last_spec.replace(fp) != Some(fp);
+            if let Some(next) = next.filter(|_| starts_workload) {
+                if let Some(to) = ahead_slot(&self.rows(next), self.rotation) {
+                    self.held[to].push(next);
+                    self.transfers += 1;
+                    self.ahead += 1;
+                }
+            }
+            at
+        }
+
+        fn release(&mut self, at: usize) {
+            self.in_flight[at] -= 1;
+        }
+    }
+
+    /// The serial Full sweep in miniature: eight specs, five cells each, two
+    /// idle workers — every spec shipped once, four to each worker; with the
+    /// look-ahead, every spec after the first while the cell before it ran.
+    #[test]
+    fn a_serial_sweep_ships_each_spec_once_and_splits_them_evenly() {
+        for look_ahead in [false, true] {
+            let mut model = Model::new(2);
+            for cell in 0..40u64 {
+                let (fp, next) = (cell / 5, cell / 5 + 1);
+                if look_ahead && cell % 5 == 0 && fp > 0 {
+                    assert!(
+                        model.held.iter().any(|specs| specs.contains(&fp)),
+                        "spec {fp} is held before its first cell is placed"
+                    );
+                }
+                let hint = (look_ahead && next < 8).then_some(next);
+                let at = model.place(fp, hint);
+                model.release(at);
+            }
+            assert_eq!(model.transfers, 8, "look_ahead={look_ahead}");
+            assert_eq!((model.held[0].len(), model.held[1].len()), (4, 4));
+            assert_eq!(model.ahead, if look_ahead { 7 } else { 0 });
+        }
+    }
+
+    /// Two cells in flight (the `--jobs 2` sweep), finishing in either
+    /// order: each spec reaches a worker at most once, so 8..=16 transfers.
+    #[test]
+    fn two_cells_in_flight_ship_each_spec_at_most_once_per_worker() {
+        for newer_finishes_first in [false, true] {
+            let mut model = Model::new(2);
+            let mut in_flight: Vec<usize> = Vec::new();
+            for cell in 0..40u64 {
+                let (fp, next) = (cell / 5, cell / 5 + 1);
+                in_flight.push(model.place(fp, (next < 8).then_some(next)));
+                if in_flight.len() == 2 {
+                    let done = in_flight.remove(usize::from(newer_finishes_first));
+                    model.release(done);
+                }
+            }
+            assert!((8..=16).contains(&model.transfers), "{}", model.transfers);
+            for specs in &model.held {
+                let mut distinct = specs.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), specs.len(), "a spec shipped twice");
+            }
+        }
     }
 }

@@ -388,10 +388,17 @@ fn open_column(out: &mut String, name: &str) {
     out.push_str("\":[");
 }
 
-/// Appends one `u64` entry (and its separator) to the open column.
+/// Appends one `u64` entry and its separator to the open column.
 fn push_entry(out: &mut String, value: u64) {
-    push_wire_u64(out, value);
-    out.push(',');
+    push_wire_u64(out, value, ',');
+}
+
+/// A `work` value `{}` writes as a plain integer — integral, not negative
+/// (`-0.0` is written `-0`) and below 2^53 — as that integer, so that
+/// [`push_entry`] writes the same bytes without the float formatter.
+fn integral_work(work: f64) -> Option<u64> {
+    (work.is_sign_positive() && work.trunc() == work && work < (1u64 << 53) as f64)
+        .then_some(work as u64)
 }
 
 /// Ends the open column, turning the last entry's separator into the `]`.
@@ -435,8 +442,8 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     let mut out = String::with_capacity(256 + 5 * numbers);
 
     out.push_str("{\"spec\":{\"fp\":");
-    push_wire_u64(&mut out, spec.fingerprint());
-    out.push_str(",\"name\":");
+    push_wire_u64(&mut out, spec.fingerprint(), ',');
+    out.push_str("\"name\":");
     push_json_str(&mut out, &spec.name);
 
     // The string table first (in order of first appearance), remembering
@@ -463,7 +470,9 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
 
     open_column(&mut out, "work");
     for task in tasks {
-        if task.work_units.is_finite() {
+        if let Some(work) = integral_work(task.work_units) {
+            push_entry(&mut out, work);
+        } else if task.work_units.is_finite() {
             write!(out, "{},", task.work_units).expect("writing to a String cannot fail");
         } else {
             // JSON has no NaN/Infinity; the decoder rejects the null.
@@ -1293,6 +1302,56 @@ mod tests {
                 err,
                 SpecError::Refused("spec.work[0] is not a number".to_string())
             );
+        }
+    }
+
+    /// The integer path of the `work` column writes exactly what `{}` wrote
+    /// for every value it takes: 100k integers spread over `[0, 2^53)` by a
+    /// fixed-seed SplitMix64, every power of two and of ten below the limit
+    /// and their neighbours.
+    #[test]
+    fn integral_work_is_written_as_the_float_formatter_wrote_it() {
+        let limit = 1u64 << 53;
+        let mut state = 0x2511u64;
+        let mut splitmix = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut values: Vec<u64> = (0..100_000).map(|i| splitmix() >> (11 + i % 53)).collect();
+        for k in 0..53 {
+            values.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        values.extend(
+            (0..16)
+                .map(|k| 10u64.pow(k))
+                .flat_map(|p| [p - 1, p, p + 1]),
+        );
+        values.push(limit - 1);
+        for n in values.into_iter().filter(|&n| n < limit) {
+            let work = n as f64;
+            assert_eq!(integral_work(work), Some(n), "{work}");
+            let mut entry = String::new();
+            push_entry(&mut entry, n);
+            assert_eq!(entry, format!("{work},"));
+        }
+        // Everything else keeps the float formatter (or the `null`).
+        for work in [
+            -0.0,
+            0.5,
+            -1.0,
+            limit as f64,
+            (limit + 2) as f64,
+            1e300,
+            f64::MAX,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(integral_work(work), None, "{work}");
         }
     }
 

@@ -124,7 +124,9 @@ fn run_worker(
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
     // `spec` is un-acked, so a refused one may not be answered on the spot:
     // the coordinator reads one reply per `assign`, and the complaint is
-    // that reply for the `assign` shipped behind the spec.
+    // that reply for the first `assign` over a spec this worker does not
+    // hold — the one the refused spec was shipped for, now or ahead. Cells
+    // over specs it holds run as usual in between.
     let mut refused_spec: Option<String> = None;
     let mut assigns_seen: u64 = 0;
 
@@ -187,7 +189,7 @@ fn run_worker(
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let outcome = match refused_spec.take() {
+                let outcome = match refused_spec.take_if(|_| !specs.contains_key(&assign.fp.0)) {
                     Some(complaint) => Err(complaint),
                     None => run_cell(&assign, simulator.as_ref(), &specs),
                 };
@@ -373,6 +375,53 @@ mod tests {
             coordinator.reply(),
             ToCoordinator::Done { cell: 3, .. }
         ));
+
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
+    /// A spec written ahead is refused while the worker runs cells over a
+    /// spec it holds: the refusal waits for the `assign` it belongs to.
+    #[test]
+    fn a_refused_spec_written_ahead_answers_its_own_assign_not_the_next_one() {
+        let (mut coordinator, worker) = loopback();
+        let config = ExecutionConfig::new(Topology::two_socket(2));
+        coordinator.send(&ToWorker::Config(ConfigMsg::new(1, &config)));
+        assert_eq!(
+            coordinator.reply(),
+            ToCoordinator::ConfigAck { epoch: Hex64(1) }
+        );
+        let (held, held_assign) = loopback_cell();
+        write_line(&mut coordinator.writer, encode_spec(&held)).unwrap();
+
+        // The next workload's spec, ahead of its cells and refused.
+        let mut builder = TdgBuilder::new();
+        let region = builder.region(64);
+        builder.submit(TaskSpec::new("next").work(5.0).writes(region, 64));
+        let (graph, sizes) = builder.finish();
+        let next = TaskGraphSpec::new("next", graph, sizes);
+        let line = encode_spec(&next);
+        let poison = line.replacen("\"ep\":null", "\"ep\":[0,1]", 1);
+        assert_ne!(poison, line);
+        write_line(&mut coordinator.writer, poison).unwrap();
+
+        // The cell in conversation is over the spec the worker holds.
+        coordinator.send(&ToWorker::Assign(held_assign));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Done { cell: 3, .. }
+        ));
+        // The first cell over the refused spec hears why.
+        coordinator.send(&ToWorker::Assign(Assignment {
+            cell: 4,
+            fp: Hex64(next.fingerprint()),
+            policy: "las".to_string(),
+            policy_seed: Hex64(5),
+        }));
+        coordinator.expect_error("bad spec: ", "spec.ep has 2 entries for 1 tasks");
 
         coordinator.send(&ToWorker::Shutdown);
         worker

@@ -104,7 +104,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
         let (got, events) = pool
-            .run_cell(&spec, label, kind.base_label(), seed, &wire)
+            .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
             .expect("cell executes");
         assert!(events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
@@ -138,7 +138,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
             let seed = 30 + round;
             let want = local_report(spec, kind, seed, &config);
             let (got, _) = pool
-                .run_cell(spec, "las", kind.base_label(), seed, &wire)
+                .run_cell(spec, None, "las", kind.base_label(), seed, &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
         }
@@ -171,7 +171,7 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
             let want = local_report(spec, kind, seed, config);
             let want_events = sink.take();
             let (got, events) = pool
-                .run_cell(spec, "rgp+las", kind.base_label(), seed, &wire)
+                .run_cell(spec, None, "rgp+las", kind.base_label(), seed, &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
             // Events come back for the traced epoch only.
@@ -204,6 +204,7 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let ctx = CellContext {
         policy_label: "las",
         seed,
+        next_spec: None,
     };
     let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
     let remote_events = sink.take();
@@ -227,7 +228,7 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 5, &wire)
+            .run_cell(&spec, None, "las", kind.base_label(), 5, &wire)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -242,6 +243,46 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
 }
 
 #[test]
+fn a_spec_written_ahead_to_a_worker_that_dies_is_shipped_to_the_survivor() {
+    // Worker 1 holds nothing but the spec written ahead to it, and dies on
+    // the first cell over that spec.
+    let pool = test_pool(2, &[(CRASH_AFTER_ENV, "0"), (CRASH_WORKER_ENV, "1")]);
+    let specs = [
+        named_spec("first"),
+        named_spec("second"),
+        named_spec("third"),
+    ];
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
+    // A serial, workload-major sweep: every cell names the next workload.
+    for (at, spec) in specs.iter().enumerate() {
+        for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
+            let kind: PolicyKind = label.parse().unwrap();
+            let want = local_report(spec, kind, seed, &config);
+            let (got, _) = pool
+                .run_cell(
+                    spec,
+                    specs.get(at + 1),
+                    label,
+                    kind.base_label(),
+                    seed,
+                    &wire,
+                )
+                .expect("cells survive the crash via redispatch");
+            assert_reports_identical(&got, &want);
+        }
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.workers_alive, 1, "the crashed worker is gone");
+    assert_eq!(stats.redispatches, 1, "the lost cell was redispatched");
+    assert_eq!(stats.cells_dispatched, 9, "no cell was lost or duplicated");
+    // "first" shipped with its cell; "second" ahead to worker 1, which died
+    // under its first cell, then again, to the survivor, with that cell;
+    // "third" ahead to the survivor while worker 1 held the lost cell.
+    assert_eq!((stats.spec_transfers, stats.spec_prefetches), (4, 2));
+}
+
+#[test]
 fn garbage_frames_kill_the_worker_not_the_coordinator() {
     // Worker 0 answers its second assignment with a line that is not JSON.
     let pool = test_pool(2, &[(GARBAGE_AFTER_ENV, "1"), (CRASH_WORKER_ENV, "0")]);
@@ -252,7 +293,7 @@ fn garbage_frames_kill_the_worker_not_the_coordinator() {
     let want = local_report(&spec, kind, 6, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "dfifo", kind.base_label(), 6, &wire)
+            .run_cell(&spec, None, "dfifo", kind.base_label(), 6, &wire)
             .expect("cells survive the corruption via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -270,7 +311,7 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "las", "LAS", 7, &wire)
+        .run_cell(&spec, None, "las", "LAS", 7, &wire)
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -289,7 +330,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, "ep", "EP", 8, &wire)
+        .run_cell(&spec, None, "ep", "EP", 8, &wire)
         .expect_err("EP without a placement fails");
     match &err {
         ProcError::Worker { message, .. } => {
@@ -310,7 +351,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
     let (got, _) = pool
-        .run_cell(&spec, "las", kind.base_label(), 9, &wire)
+        .run_cell(&spec, None, "las", kind.base_label(), 9, &wire)
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
 }
@@ -326,7 +367,7 @@ fn config_changes_resync_by_fingerprint() {
         let want = local_report(&spec, kind, 3, config);
         let wire = WireConfig::new(config.clone());
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 3, &wire)
+            .run_cell(&spec, None, "las", kind.base_label(), 3, &wire)
             .expect("cell executes");
         assert_reports_identical(&got, &want);
     }

@@ -556,11 +556,16 @@ fn run_job(plan: &SweepPlan, job: &SweepJob, executor: &dyn Executor) -> CellOut
         return CellOutcome::Skipped;
     };
     // The label/seed pair lets out-of-process backends rebuild the policy
-    // remotely; in-process backends ignore it (default execute_cell).
+    // remotely, and the next workload's spec lets them ship it ahead;
+    // in-process backends ignore both (default execute_cell).
     let policy_label = kind.label();
     let ctx = CellContext {
         policy_label: &policy_label,
         seed,
+        next_spec: plan.workloads[job.workload + 1..]
+            .iter()
+            .find(|next| next.baseline_available)
+            .map(|next| next.spec.as_ref()),
     };
     let report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
     let config = executor.config();

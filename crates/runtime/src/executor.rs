@@ -32,6 +32,12 @@ pub struct CellContext<'a> {
     pub policy_label: &'a str,
     /// The seed the policy instance was built with.
     pub seed: u64,
+    /// The spec the plan's next workload runs (the next one whose baseline
+    /// can be built), `None` on the last: in a workload-major plan, what
+    /// the cells after this workload's will need. A backend that ships specs
+    /// to other processes can write it ahead, while this cell computes; the
+    /// in-process backends ignore it.
+    pub next_spec: Option<&'a TaskGraphSpec>,
 }
 
 /// A backend that can execute a task-graph workload under a scheduling
@@ -140,6 +146,7 @@ mod tests {
         let ctx = CellContext {
             policy_label: "las",
             seed: 7,
+            next_spec: Some(&spec),
         };
         let mut p1 = LasPolicy::new(1);
         let mut p2 = LasPolicy::new(1);

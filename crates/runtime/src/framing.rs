@@ -200,29 +200,33 @@ impl Deserialize for Hex128 {
 /// JSON numbers are `f64`-backed, so only integers below this travel exactly.
 const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
 
-/// Appends the compact wire form of a `u64` to a line under construction: a
-/// JSON integer when it is exactly representable (below 2^53), the quoted
-/// [`Hex64`] string otherwise. Bulk numeric columns use this instead of
-/// always paying for a string; [`read_wire_u64`] reads either form back.
-pub fn push_wire_u64(out: &mut String, value: u64) {
+/// Appends the compact wire form of a `u64` to a line under construction,
+/// then `separator` (the `,` after a column entry): a JSON integer when it
+/// is exactly representable (below 2^53), the quoted [`Hex64`] string
+/// otherwise. Bulk numeric columns use this instead of always paying for a
+/// string; [`read_wire_u64`] reads either form back.
+pub fn push_wire_u64(out: &mut String, value: u64, separator: char) {
     if value >= EXACT_JSON_INTEGER_LIMIT {
         out.push_str(&to_line(&Hex64(value)));
+        out.push(separator);
         return;
     }
-    // Decimal digits, filled from the end (a `write!` per number would be
-    // the encoder's hottest line).
-    let mut digits = [0u8; 16];
-    let mut at = digits.len();
+    // At most 16 decimal digits, filled from the end in front of the
+    // separator and appended in one push (a `write!` per number would be the
+    // encoder's hottest line).
+    let mut entry = [0u8; 16 + 4];
+    let end = 16 + separator.encode_utf8(&mut entry[16..]).len();
+    let mut at = 16;
     let mut rest = value;
     loop {
         at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
+        entry[at] = b'0' + (rest % 10) as u8;
         rest /= 10;
         if rest == 0 {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.push_str(std::str::from_utf8(&entry[at..end]).expect("ASCII digits and a char"));
 }
 
 /// Reads a `u64` written by [`push_wire_u64`] off a pull reader, accepting
@@ -230,6 +234,12 @@ pub fn push_wire_u64(out: &mut String, value: u64) {
 /// error is the complaint alone (a syntax error's text included); the value
 /// is consumed only when it was a number or a string.
 pub fn read_wire_u64(reader: &mut Reader<'_>) -> Result<u64, String> {
+    // What the encoder writes below 2^53 is read as an integer, without the
+    // round trip through an `f64`; anything else (a hex string, another
+    // spelling of a number, a refusal) takes the general path.
+    if let Some(value) = reader.integer() {
+        return Ok(value);
+    }
     match reader.peek()? {
         Token::String => parse_hex_u64(&reader.string()?),
         Token::Number => {
@@ -356,13 +366,14 @@ mod tests {
             limit + 1,
             u64::MAX,
         ] {
-            let mut text = String::new();
-            push_wire_u64(&mut text, v);
+            let mut entry = String::new();
+            push_wire_u64(&mut entry, v, ',');
+            let text = entry.strip_suffix(',').expect("the separator comes last");
             assert_eq!(text.starts_with('"'), v >= limit, "{v} -> {text}");
             if v < limit {
                 assert_eq!(text, v.to_string());
             }
-            assert_eq!(read_wire_u64(&mut Reader::new(&text)), Ok(v));
+            assert_eq!(read_wire_u64(&mut Reader::new(text)), Ok(v));
         }
         // Spellings the number parser takes for the same integer.
         for (text, v) in [("1e3", 1000), ("-0", 0), ("12.0", 12), (" 7", 7)] {

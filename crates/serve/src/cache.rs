@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use numadag_runtime::framing::to_line;
 use numadag_runtime::CellOutcome;
 
 /// A finished sweep report as served to clients.
@@ -35,12 +36,35 @@ use numadag_runtime::CellOutcome;
 pub struct CachedReport {
     /// The exact `SweepReport::to_json_string` bytes of the report.
     pub bytes: String,
+    /// `bytes` as a JSON string literal, quotes included (`to_line(&bytes)`):
+    /// what the `report_json` field of every `Report` line about this
+    /// report carries. Escaped once, when the report is produced or loaded,
+    /// however many cache hits and subscribers are then sent it.
+    literal: String,
     /// Cells the sweep executed to produce it (for accounting; repeats
     /// served from cache execute zero — and cells hydrated from the cell
     /// cache never counted in the first place).
     pub executed_cells: usize,
     /// Cells the sweep contains in total (executed + hydrated).
     pub total_cells: usize,
+}
+
+impl CachedReport {
+    /// A report and its escaped literal. Escaping a Full report takes tens
+    /// of microseconds: callers run this outside the daemon's state lock.
+    pub(crate) fn new(bytes: String, executed_cells: usize, total_cells: usize) -> Self {
+        CachedReport {
+            literal: to_line(&bytes),
+            bytes,
+            executed_cells,
+            total_cells,
+        }
+    }
+
+    /// The JSON string literal of [`CachedReport::bytes`].
+    pub(crate) fn literal(&self) -> &str {
+        &self.literal
+    }
 }
 
 /// The sweep-level cache: fingerprint → shared report bytes.

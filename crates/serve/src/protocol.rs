@@ -387,6 +387,34 @@ pub enum Response {
 use numadag_runtime::framing::from_line;
 pub use numadag_runtime::framing::to_line;
 
+/// Appends the wire line of a [`Response::Report`] (no newline) whose
+/// `report_json` is the string that `literal` — a JSON string literal,
+/// quotes included — spells: byte for byte what [`to_line`] writes for
+/// that `Report`, without escaping the report again. The derived encoder
+/// is the specification; tests pin this to it.
+pub(crate) fn push_report_line(
+    line: &mut String,
+    job: u64,
+    cache_hit: bool,
+    executed_cells: u64,
+    hydrated_cells: u64,
+    literal: &str,
+) {
+    use std::fmt::Write as _;
+    // Numbers go through f64, as the data model's only number type does in
+    // the derived encoder, so every u64 is spelled the way it spells it.
+    let [job, executed_cells, hydrated_cells] =
+        [job, executed_cells, hydrated_cells].map(|n| n as f64);
+    line.reserve(literal.len() + 96);
+    write!(
+        line,
+        r#"{{"Report":{{"job":{job},"cache_hit":{cache_hit},"executed_cells":{executed_cells},"hydrated_cells":{hydrated_cells},"report_json":"#
+    )
+    .expect("writing to a String cannot fail");
+    line.push_str(literal);
+    line.push_str("}}");
+}
+
 impl Request {
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Request, String> {
@@ -468,6 +496,76 @@ mod tests {
                 }
             ),
             other => panic!("expected two Stats, got {other:?}"),
+        }
+    }
+
+    /// [`push_report_line`] over the literal of `report_json` against the
+    /// derived encoder of the same `Report`.
+    fn assert_rendered_like_the_derive(counters: [u64; 3], cache_hit: bool, report_json: &str) {
+        let [job, executed_cells, hydrated_cells] = counters;
+        let mut line = String::new();
+        push_report_line(
+            &mut line,
+            job,
+            cache_hit,
+            executed_cells,
+            hydrated_cells,
+            &to_line(&report_json),
+        );
+        let derived = to_line(&Response::Report {
+            job,
+            cache_hit,
+            executed_cells,
+            hydrated_cells,
+            report_json: report_json.to_string(),
+        });
+        assert_eq!(line, derived, "{counters:?} {cache_hit} {report_json:?}");
+    }
+
+    #[test]
+    fn a_rendered_report_line_is_the_derived_one() {
+        let mut reports: Vec<String> = [
+            include_str!("../../../BENCH_figure1_tiny.json"),
+            include_str!("../../../BENCH_figure1_small.json"),
+            include_str!("../../../BENCH_figure1_full.json"),
+            "",
+            "\"quoted\" \\back\\slashed\\",
+            "héllo ∑ 日本語 🦀\u{7f}\u{2028}",
+        ]
+        .map(String::from)
+        .into();
+        reports.push((0u8..0x20).map(char::from).collect());
+        let counters = [
+            [1, 0, 0],
+            [7, 40, 0],
+            [0, 8, 40],
+            [u64::MAX, 1 << 53, (1 << 53) + 1],
+        ];
+        for report in &reports {
+            for (counters, cache_hit) in counters.iter().zip([true, false, false, true]) {
+                assert_rendered_like_the_derive(*counters, cache_hit, report);
+            }
+        }
+        // The golden line, through the renderer.
+        let mut line = String::new();
+        let report = "{\n  \"machine\": \"bullion_s16\",\n  \"s\": \"x\\\"y\"\n}";
+        push_report_line(&mut line, 1, true, 0, 12, &to_line(&report));
+        assert_eq!(line, RESPONSE_LINES[2]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn any_report_renders_like_the_derive(
+            chars in proptest::prop::collection::vec(proptest::prop::char::any(), 0..64),
+            job in 0u64..u64::MAX,
+            executed_cells in 0u64..4096,
+            hydrated_cells in 0u64..4096,
+            cache_hit in 0u8..2,
+        ) {
+            let report: String = chars.into_iter().collect();
+            assert_rendered_like_the_derive([job, executed_cells, hydrated_cells], cache_hit == 1, &report);
         }
     }
 

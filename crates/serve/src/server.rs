@@ -30,8 +30,11 @@
 //!    the deterministic keyed post-pass — byte-identical to direct
 //!    execution no matter how many cells were hydrated, executed out of
 //!    order, or shared with other sweeps — serializes the measurement
-//!    bytes once, stores them in the LRU report cache and hands the same
-//!    bytes to every subscriber.
+//!    bytes and escapes them into a JSON string literal, stores both in the
+//!    LRU report cache and hands every subscriber one `Report` line
+//!    rendered around that literal. A cache hit's `Report` line is rendered
+//!    around the same literal, so a report is escaped once in the daemon's
+//!    life however often it is served.
 //!
 //! What a request costs does not depend on how many the daemon has served.
 //! Everything above happens under one state mutex, so its bookkeeping is
@@ -61,7 +64,7 @@ use numadag_runtime::{CellOutcome, Executor, SweepPlan};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
-use crate::protocol::{Request, Response, ServerStats, SweepSpec};
+use crate::protocol::{push_report_line, Request, Response, ServerStats, SweepSpec};
 
 /// Configuration of a daemon instance.
 #[derive(Clone, Debug)]
@@ -134,10 +137,19 @@ impl JobState {
     }
 }
 
+/// What a job sends the connection handler of each of its subscribers.
+enum Notice {
+    /// `Progress`, or a terminal `Cancelled` / `Error`, still to encode.
+    Message(Response),
+    /// The terminal `Report`: one wire line, newline included, rendered
+    /// once for every subscriber of the job.
+    Report(Arc<str>),
+}
+
 /// One subscriber of a job: the sending half of the handler's channel, plus
 /// whether it asked for per-cell progress.
 struct Subscriber {
-    tx: Sender<Response>,
+    tx: Sender<Notice>,
     wants_progress: bool,
 }
 
@@ -367,12 +379,8 @@ fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String>
     }
     let loaded = file.entries.len();
     for entry in file.entries {
-        let report = Arc::new(CachedReport {
-            bytes: entry.report,
-            executed_cells: entry.executed_cells,
-            total_cells: entry.total_cells,
-        });
-        cache.insert(entry.key.0, report);
+        let report = CachedReport::new(entry.report, entry.executed_cells, entry.total_cells);
+        cache.insert(entry.key.0, Arc::new(report));
     }
     Ok(loaded)
 }
@@ -575,7 +583,7 @@ fn handle_submit(
     // Fingerprinting may build workload specs (warming the shared spec
     // cache for the run itself) — do it outside the state lock.
     let key = resolved.fingerprint(&shared.specs, num_sockets);
-    let (tx, rx) = channel::<Response>();
+    let (tx, rx) = channel::<Notice>();
 
     // Fast path: coalesce onto an identical in-flight job or serve a
     // repeat from the sweep-level report cache, without planning anything.
@@ -694,7 +702,7 @@ fn handle_submit(
 fn fast_admit(
     state: &mut State,
     key: u64,
-    tx: &Sender<Response>,
+    tx: &Sender<Notice>,
     wants_progress: bool,
 ) -> Option<(u64, Admission)> {
     // 1) Coalesce onto an identical queued/running job: it executes once,
@@ -724,7 +732,7 @@ fn respond(
     writer: &mut TcpStream,
     job_id: u64,
     admission: Admission,
-    rx: Receiver<Response>,
+    rx: Receiver<Notice>,
 ) -> bool {
     match admission {
         Admission::Rejected {
@@ -738,30 +746,9 @@ fn respond(
             },
         )
         .is_ok(),
-        Admission::CacheHit(report) => {
-            if write_line(
-                writer,
-                &Response::Submitted {
-                    job: job_id,
-                    cached: true,
-                },
-            )
-            .is_err()
-            {
-                return false;
-            }
-            write_line(
-                writer,
-                &Response::Report {
-                    job: job_id,
-                    cache_hit: true,
-                    executed_cells: 0,
-                    hydrated_cells: 0,
-                    report_json: report.bytes.clone(),
-                },
-            )
-            .is_ok()
-        }
+        Admission::CacheHit(report) => writer
+            .write_all(cache_hit_reply(job_id, &report).as_bytes())
+            .is_ok(),
         Admission::Hydrated => {
             let wrote = write_line(
                 writer,
@@ -793,16 +780,32 @@ fn respond(
     }
 }
 
+/// The two lines a report-cache hit answers with, for one `write_all`:
+/// `Submitted`, then the `Report` around the cached literal.
+fn cache_hit_reply(job: u64, report: &CachedReport) -> String {
+    let mut reply = to_line(&Response::Submitted { job, cached: true });
+    reply.push('\n');
+    push_report_line(&mut reply, job, true, 0, 0, report.literal());
+    reply.push('\n');
+    reply
+}
+
 /// Forwards progress + terminal responses from the job's channel. The
 /// sender side is dropped once the job reaches a terminal state, ending the
 /// iteration even if we somehow miss a terminal message.
-fn forward(writer: &mut TcpStream, rx: Receiver<Response>) -> bool {
-    for response in rx {
-        let terminal = matches!(
-            response,
-            Response::Report { .. } | Response::Error { .. } | Response::Cancelled { .. }
-        );
-        if write_line(writer, &response).is_err() {
+fn forward(writer: &mut TcpStream, rx: Receiver<Notice>) -> bool {
+    for notice in rx {
+        let (written, terminal) = match &notice {
+            Notice::Message(response) => (
+                write_line(writer, response),
+                matches!(
+                    response,
+                    Response::Error { .. } | Response::Cancelled { .. }
+                ),
+            ),
+            Notice::Report(line) => (writer.write_all(line.as_bytes()), true),
+        };
+        if written.is_err() {
             return false;
         }
         if terminal {
@@ -849,7 +852,7 @@ fn cancel_job(shared: &Arc<Shared>, job: u64) -> Response {
     state.record(job, JobState::Cancelled, j.completed, j.total);
     state.counters.cancelled += 1;
     for sub in j.subscribers {
-        let _ = sub.tx.send(Response::Cancelled { job });
+        let _ = sub.tx.send(Notice::Message(Response::Cancelled { job }));
     }
     Response::Cancelled { job }
 }
@@ -1012,14 +1015,14 @@ fn record_cell(
         job.hydrated += 1;
     }
     for sub in job.subscribers.iter().filter(|s| s.wants_progress) {
-        let _ = sub.tx.send(Response::Progress {
+        let _ = sub.tx.send(Notice::Message(Response::Progress {
             job: job_id,
             completed: job.completed as u64,
             total: job.total as u64,
             application: labels.0.clone(),
             policy: labels.2.clone(),
             repetition: repetition as u64,
-        });
+        }));
     }
     job.remaining == 0
 }
@@ -1053,19 +1056,26 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
         )
     };
 
-    // The post-pass and serialization run outside the lock; both are
-    // deterministic functions of the keyed outcomes, so the bytes are
-    // identical to a direct `SweepDriver::execute` of the same plan.
+    // The post-pass, serialization, escaping and the subscribers' line all
+    // run outside the lock. The first two are deterministic functions of
+    // the keyed outcomes, so the bytes are identical to a direct
+    // `SweepDriver::execute` of the same plan.
     let report = plan.assemble_report(outcomes, shared.config.pool, std::time::Duration::ZERO);
-    let bytes = report.to_json_string();
+    let cached = CachedReport::new(report.to_json_string(), executed, total);
+    let mut line = String::new();
+    push_report_line(
+        &mut line,
+        job_id,
+        false,
+        executed as u64,
+        hydrated as u64,
+        cached.literal(),
+    );
+    line.push('\n');
+    let line: Arc<str> = line.into();
 
     let mut state = shared.state.lock().unwrap();
-    let cached = Arc::new(CachedReport {
-        bytes,
-        executed_cells: executed,
-        total_cells: total,
-    });
-    state.cache.insert(key, Arc::clone(&cached));
+    state.cache.insert(key, Arc::new(cached));
     let Some(job) = state.remove_live(job_id) else {
         // Cancelled (or failed) while assembling: the bytes still went
         // into the report cache, but nobody is listening any more.
@@ -1073,13 +1083,7 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
     };
     state.record(job_id, JobState::Done, total, total);
     for sub in job.subscribers {
-        let _ = sub.tx.send(Response::Report {
-            job: job_id,
-            cache_hit: false,
-            executed_cells: executed as u64,
-            hydrated_cells: hydrated as u64,
-            report_json: cached.bytes.clone(),
-        });
+        let _ = sub.tx.send(Notice::Report(Arc::clone(&line)));
     }
     state.counters.completed += 1;
 }
@@ -1096,9 +1100,9 @@ fn drain_on_shutdown(state: &mut State) {
         state.counters.failed += 1;
         state.record(id, JobState::Failed, job.completed, job.total);
         for sub in job.subscribers {
-            let _ = sub.tx.send(Response::Error {
+            let _ = sub.tx.send(Notice::Message(Response::Error {
                 message: "server shut down before the job ran".to_string(),
-            });
+            }));
         }
     }
 }
@@ -1156,6 +1160,23 @@ mod tests {
             .expect("keyed by the hex fingerprint");
         assert_eq!((entry.executed_cells, entry.total_cells), (2, 2));
         assert!(entry.bytes.starts_with("{\n  \"machine\": \"bullion_s16"));
+        // A hit on it writes what the derived encoder writes for its two
+        // responses, one line each.
+        let derived = [
+            Response::Submitted {
+                job: 9,
+                cached: true,
+            },
+            Response::Report {
+                job: 9,
+                cache_hit: true,
+                executed_cells: 0,
+                hydrated_cells: 0,
+                report_json: entry.bytes.clone(),
+            },
+        ]
+        .map(|response| to_line(&response) + "\n");
+        assert_eq!(cache_hit_reply(9, &entry), derived.concat());
         save_cache_file(&path, &cache.snapshot()).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), PARENT_CACHE_FILE);
         let _ = std::fs::remove_file(&path);

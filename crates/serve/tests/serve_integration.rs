@@ -697,12 +697,24 @@ fn the_report_cache_survives_a_daemon_restart_through_the_cache_file() {
         ..ServeConfig::default()
     };
 
+    // The committed Full baseline: executed, then hit, the same bytes.
+    let full = SweepSpec {
+        scale: "full".to_string(),
+        policies: "dfifo,rgp-las,rgp-las:prop=repart,ep".to_string(),
+        ..SweepSpec::default()
+    };
+    let baseline = include_str!("../../../BENCH_figure1_full.json");
+
     // First daemon lifetime: execute one sweep, snapshot on shutdown.
     let handle = serve(config.clone()).unwrap();
     let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
-    let first = client.submit(tiny_spec(), false, |_| ()).unwrap();
+    let first = client.submit(full.clone(), false, |_| ()).unwrap();
     assert!(!first.cache_hit);
-    assert!(first.executed_cells > 0);
+    assert_eq!(first.executed_cells, 40);
+    assert_eq!(first.report_json, baseline);
+    let hit = client.submit(full.clone(), false, |_| ()).unwrap();
+    assert_eq!((hit.cache_hit, hit.executed_cells), (true, 0));
+    assert_eq!(hit.report_json, baseline);
     drop(client);
     handle.shutdown();
     handle.join();
@@ -715,10 +727,10 @@ fn the_report_cache_survives_a_daemon_restart_through_the_cache_file() {
     // cache, byte-identical, without executing a single cell.
     let handle = serve(config).unwrap();
     let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
-    let again = client.submit(tiny_spec(), false, |_| ()).unwrap();
+    let again = client.submit(full, false, |_| ()).unwrap();
     assert!(again.cache_hit, "restarted daemon must remember the report");
     assert_eq!(again.executed_cells, 0);
-    assert_eq!(again.report_json, first.report_json);
+    assert_eq!(again.report_json, baseline);
     let stats = client.stats().unwrap();
     assert_eq!(stats.jobs_submitted, 0, "nothing may have executed");
     assert_eq!(stats.report_cache_hits, 1);

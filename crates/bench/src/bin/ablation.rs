@@ -117,7 +117,7 @@ fn socket_ablation(study: &StudyConfig) {
             .topology(Topology::symmetric(sockets, 4))
             .apps(Application::all())
             .scale(SCALE)
-            .policies([PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep])
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
             .run();
         print!("| {sockets:>7} |");
         for label in ["DFIFO", "RGP+LAS", "EP"] {
@@ -139,13 +139,19 @@ fn partitioner_ablation(study: &StudyConfig) {
         Application::IntegralHistogram,
     ];
     let schemes = PartitionScheme::all();
+    let kind = |scheme| {
+        PolicyKind::Rgp(RgpTuning {
+            scheme: Some(scheme),
+            ..RgpTuning::default()
+        })
+    };
 
     println!("\n# ABL-PART — RGP+LAS speedup over LAS per partitioning scheme ({SCALE:?} scale)\n");
     let report = study
         .experiment()
         .apps(apps)
         .scale(SCALE)
-        .policies(schemes.map(|s| PolicyKind::rgp_las(RgpTuning::default().with_scheme(s))))
+        .policies(schemes.map(kind))
         .run();
     print!("| {:<22} |", "application");
     for scheme in schemes {
@@ -155,7 +161,7 @@ fn partitioner_ablation(study: &StudyConfig) {
     for app in apps {
         print!("| {:<22} |", app.label());
         for scheme in schemes {
-            let label = PolicyKind::rgp_las(RgpTuning::default().with_scheme(scheme)).label();
+            let label = kind(scheme).label();
             let s = report.speedup_of(app.label(), &label).unwrap_or(f64::NAN);
             print!(" {s:>10.3} |");
         }
@@ -163,7 +169,7 @@ fn partitioner_ablation(study: &StudyConfig) {
     }
     print!("| {:<22} |", "geometric mean");
     for scheme in schemes {
-        let label = PolicyKind::rgp_las(RgpTuning::default().with_scheme(scheme)).label();
+        let label = kind(scheme).label();
         print!(" {:>10.3} |", report.geomean_of(&label).unwrap_or(f64::NAN));
     }
     println!();
@@ -205,7 +211,7 @@ fn partitioner_ablation(study: &StudyConfig) {
 /// (windows partitioned and partitioner wall time, from the sweep's timing
 /// section).
 fn propagation_ablation(study: &StudyConfig) {
-    use numadag_core::{AnchorMode, Propagation};
+    use numadag_core::AnchorMode;
     let apps = [
         Application::Jacobi,
         Application::NStream,
@@ -223,18 +229,23 @@ fn propagation_ablation(study: &StudyConfig) {
     // covers these apps whole, which would reduce the study to the
     // window-0 partition).
     let w = 256usize;
+    let rgp = |prop, anchor| {
+        PolicyKind::Rgp(RgpTuning {
+            window: Some(w),
+            prop,
+            anchor,
+            ..RgpTuning::default()
+        })
+    };
     let mut policies = vec![
-        PolicyKind::rgp_las(RgpTuning::default().with_window(w)),
-        PolicyKind::rgp_rr(RgpTuning::default().with_window(w)),
+        rgp(Propagation::Las, None),
+        rgp(Propagation::RoundRobin, None),
     ];
-    policies.extend(anchors.iter().map(|&a| {
-        PolicyKind::rgp_las(
-            RgpTuning::default()
-                .with_window(w)
-                .with_prop(Propagation::Repartition)
-                .with_anchor(a),
-        )
-    }));
+    policies.extend(
+        anchors
+            .iter()
+            .map(|&a| rgp(Propagation::Repartition, Some(a))),
+    );
 
     println!("\n# ABL-PROP — RGP speedup over LAS per propagation mode ({SCALE:?} scale, w={w})\n");
     let report = study
@@ -317,14 +328,17 @@ fn trace_study(study: &StudyConfig, scale: ProblemScale) {
     // so the SpecCache key always matches the graph the traces ran.
     let topology = Topology::bullion_s16();
     let collector = Arc::new(TraceCollector::new());
-    let repart = PolicyKind::RgpLasTuned(RgpTuning::default().with_prop(Propagation::Repartition));
+    let repart = PolicyKind::Rgp(RgpTuning {
+        prop: Propagation::Repartition,
+        ..RgpTuning::default()
+    });
     let repart_label = repart.label();
     study
         .experiment()
         .topology(topology.clone())
         .apps(apps)
         .scale(scale)
-        .policies([PolicyKind::RgpLas, repart])
+        .policies([PolicyKind::RGP_LAS, repart])
         .trace(Arc::clone(&collector))
         .run();
 
@@ -448,15 +462,11 @@ fn main() {
             }
             "--scale" => {
                 i += 1;
-                trace_scale = Some(match args.get(i).map(String::as_str) {
-                    Some("tiny") => ProblemScale::Tiny,
-                    Some("small") => ProblemScale::Small,
-                    Some("full") => ProblemScale::Full,
-                    Some(other) => usage_error(format!(
-                        "unknown scale {other:?} (expected tiny, small or full)"
-                    )),
+                match args.get(i).map(|s| s.parse()) {
+                    Some(Ok(scale)) => trace_scale = Some(scale),
+                    Some(Err(e)) => usage_error(e),
                     None => usage_error("--scale needs a value".to_string()),
-                });
+                }
             }
             study @ ("window" | "sockets" | "partitioner" | "propagation" | "trace" | "all") => {
                 match &which {

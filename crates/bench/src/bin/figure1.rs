@@ -46,7 +46,6 @@ use numadag_bench::{
     figure1_experiment, paper_reference, stderr_progress, write_trace_dir, HarnessConfig,
 };
 use numadag_core::PolicyKind;
-use numadag_kernels::ProblemScale;
 use numadag_runtime::{Backend, SweepDriver, SweepReport};
 use numadag_trace::TraceCollector;
 
@@ -83,16 +82,10 @@ fn parse_args() -> (
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => {
-                config.scale = match flag_value(&args, i) {
-                    "tiny" => ProblemScale::Tiny,
-                    "small" => ProblemScale::Small,
-                    "full" => ProblemScale::Full,
-                    other => usage_error(format!(
-                        "unknown scale {other:?} (expected tiny, small or full)"
-                    )),
-                };
-            }
+            "--scale" => match flag_value(&args, i).parse() {
+                Ok(scale) => config.scale = scale,
+                Err(e) => usage_error(e),
+            },
             "--policies" => match PolicyKind::parse_list(flag_value(&args, i)) {
                 Ok(kinds) if !kinds.is_empty() => config.policies = kinds,
                 Ok(_) => usage_error("--policies needs a non-empty list".to_string()),

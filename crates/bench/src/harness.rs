@@ -41,7 +41,7 @@ impl Default for HarnessConfig {
             topology: Topology::bullion_s16(),
             scale: ProblemScale::Full,
             seed: 0xF1617E,
-            policies: vec![PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep],
+            policies: vec![PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep],
             backend: Backend::Simulated,
             repetitions: 1,
             jobs: 1,
@@ -220,7 +220,7 @@ mod tests {
         use std::sync::Arc;
         let collector = Arc::new(TraceCollector::new());
         let config = HarnessConfig {
-            policies: vec![PolicyKind::RgpLas],
+            policies: vec![PolicyKind::RGP_LAS],
             ..tiny_config()
         };
         figure1_experiment(&config)

@@ -83,6 +83,7 @@ fn malformed_arguments_exit_2() {
         &["--seed", "1.5"],
         &["--no-such-flag"],
         &["--policies", ""],
+        &["--policies", "rgp-las:anchor=deps"],
         &["--trace-dir"],
     ];
     for args in figure1_cases {

@@ -1,17 +1,18 @@
 //! The policy registry: every scheduling policy the workspace implements,
 //! addressable by a stable, string-parseable label.
 //!
-//! [`PolicyKind`] is the single source of truth for "which policies exist".
-//! Each kind has a canonical [`PolicyKind::label`] that round-trips through
-//! [`PolicyKind::from_str`], so benchmark binaries, examples and tests can
-//! select policies from CLI arguments or config files instead of hard-coded
-//! match arms. Parameterised policies encode their parameters in the label:
-//! the RGP variants accept a window size, a partitioning scheme, a
-//! refinement pass limit, a propagation mode and an anchoring mode, e.g.
-//! `RGP+LAS:w=512,scheme=rb,passes=4` or `RGP+LAS:prop=repart,anchor=deps`
-//! (see [`RgpTuning`]). Partitioner ablations therefore run through the
-//! exact same `Experiment`/`SweepReport` path as every other policy
-//! comparison — each tuned spelling is its own report column.
+//! [`PolicyKind`] is the single source of truth for "which policies exist":
+//! DFIFO, EP, LAS and RGP. Every value is canonical — one policy is one
+//! value with one [`PolicyKind::label`] — and the label round-trips through
+//! [`PolicyKind::from_str`], so benchmark binaries, examples, tests and the
+//! sweep service's caches name policies by label. RGP carries its parameters
+//! ([`RgpTuning`]) in the label: window size, partitioning scheme,
+//! refinement pass limit, propagation and, under repartition propagation
+//! only, the anchoring mode, e.g. `RGP+LAS:w=512,scheme=rb,passes=4` or
+//! `RGP+LAS:prop=repart,anchor=deps`; round-robin propagation is the
+//! `RGP+RR` base. Partitioner ablations therefore run through the exact same
+//! `Experiment`/`SweepReport` path as every other policy comparison — each
+//! tuned spelling is its own report column.
 
 use std::str::FromStr;
 
@@ -24,12 +25,8 @@ use crate::las::LasPolicy;
 use crate::policy::SchedulingPolicy;
 use crate::rgp::{AnchorMode, Propagation, RgpConfig, RgpPolicy};
 
-/// The tunable knobs of an RGP policy kind, as encoded in registry labels.
-///
-/// `None` means "use the default", and a tuning with every knob unset is
-/// normalised away to the plain `RgpLas`/`RgpRr` kinds by the
-/// [`PolicyKind::rgp_las`]/[`PolicyKind::rgp_rr`] constructors, so label
-/// round-trips stay exact.
+/// The parameters of an RGP policy, as encoded in registry labels. An unset
+/// knob (`None`) keeps the [`RgpConfig`] default.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct RgpTuning {
     /// RGP window size (`w=512`).
@@ -38,56 +35,20 @@ pub struct RgpTuning {
     pub scheme: Option<PartitionScheme>,
     /// Refinement passes per level of the window partitioner (`passes=4`).
     pub passes: Option<usize>,
-    /// Propagation beyond the partitioned window
-    /// (`prop=las|rr|repart`); overrides the propagation implied by the
-    /// base kind. The constructors fold `las` and `rr` into the base kind,
-    /// so a canonical kind carries `repart` here or nothing.
-    pub prop: Option<Propagation>,
-    /// Anchoring mode for repartition propagation
-    /// (`anchor=none|deps|homes|both`).
+    /// Propagation beyond the partitioned window: [`Propagation::Las`] is
+    /// `RGP+LAS`, [`Propagation::RoundRobin`] is `RGP+RR` and
+    /// [`Propagation::Repartition`] is `RGP+LAS:prop=repart`.
+    pub prop: Propagation,
+    /// Anchoring mode of repartition propagation
+    /// (`anchor=none|deps|homes|both`). RGP reads it only under
+    /// [`Propagation::Repartition`], and labels refuse it anywhere else.
     pub anchor: Option<AnchorMode>,
 }
 
 impl RgpTuning {
-    /// True when every knob is unset (the kind behaves like the plain
-    /// registry entry).
-    pub fn is_default(&self) -> bool {
-        *self == RgpTuning::default()
-    }
-
-    /// Sets the window size.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = Some(window);
-        self
-    }
-
-    /// Sets the partitioning scheme.
-    pub fn with_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.scheme = Some(scheme);
-        self
-    }
-
-    /// Sets the refinement pass limit.
-    pub fn with_passes(mut self, passes: usize) -> Self {
-        self.passes = Some(passes);
-        self
-    }
-
-    /// Sets the propagation mode.
-    pub fn with_prop(mut self, prop: Propagation) -> Self {
-        self.prop = Some(prop);
-        self
-    }
-
-    /// Sets the anchoring mode.
-    pub fn with_anchor(mut self, anchor: AnchorMode) -> Self {
-        self.anchor = Some(anchor);
-        self
-    }
-
-    /// The `key=value` parameter list of the canonical label, in stable
-    /// order (`w`, `scheme`, `passes`, `prop`, `anchor`); empty for a
-    /// default tuning.
+    /// The `:key=value,…` suffix of the canonical label, in stable order
+    /// (`w`, `scheme`, `passes`, `prop`, `anchor`); empty when every knob
+    /// is at its default.
     fn params_label(&self) -> String {
         let mut params: Vec<String> = Vec::new();
         if let Some(w) = self.window {
@@ -99,17 +60,24 @@ impl RgpTuning {
         if let Some(passes) = self.passes {
             params.push(format!("passes={passes}"));
         }
-        if let Some(prop) = self.prop {
-            params.push(format!("prop={}", prop.token()));
+        if self.prop == Propagation::Repartition {
+            params.push(format!("prop={}", self.prop.token()));
         }
         if let Some(anchor) = self.anchor {
             params.push(format!("anchor={}", anchor.token()));
         }
-        params.join(",")
+        if params.is_empty() {
+            String::new()
+        } else {
+            format!(":{}", params.join(","))
+        }
     }
 
-    /// Applies the set knobs on top of an [`RgpConfig`].
-    fn apply(&self, mut config: RgpConfig) -> RgpConfig {
+    /// The [`RgpConfig`] this tuning denotes, seeded with `seed`.
+    fn config(&self, seed: u64) -> RgpConfig {
+        let mut config = RgpConfig::default()
+            .with_seed(seed)
+            .with_propagation(self.prop);
         if let Some(w) = self.window {
             config = config.with_window_size(w);
         }
@@ -119,9 +87,6 @@ impl RgpTuning {
         if let Some(passes) = self.passes {
             config = config.with_refine_passes(passes);
         }
-        if let Some(prop) = self.prop {
-            config = config.with_propagation(prop);
-        }
         if let Some(anchor) = self.anchor {
             config = config.with_anchor(anchor);
         }
@@ -129,9 +94,10 @@ impl RgpTuning {
     }
 }
 
-/// The scheduling policies evaluated in the paper (plus the RGP round-robin
-/// propagation ablation). The `…Tuned` variants carry explicit RGP
-/// parameters ([`RgpTuning`]); the plain `Rgp…` variants use the defaults.
+/// The scheduling policies evaluated in the paper: DFIFO, EP, the LAS
+/// baseline and RGP, whose [`RgpTuning`] also spells the round-robin
+/// propagation ablation (RGP+RR). Two kinds are equal exactly when their
+/// labels are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Distributed FIFO.
@@ -140,93 +106,84 @@ pub enum PolicyKind {
     Ep,
     /// Locality-aware scheduling (the baseline).
     Las,
-    /// Runtime graph partitioning with LAS propagation (the contribution).
-    RgpLas,
-    /// Runtime graph partitioning with round-robin propagation (ablation).
-    RgpRr,
-    /// RGP+LAS with explicit window/partitioner parameters.
-    RgpLasTuned(RgpTuning),
-    /// RGP+RR with explicit window/partitioner parameters.
-    RgpRrTuned(RgpTuning),
+    /// Runtime graph partitioning (the contribution) with the given
+    /// parameters.
+    Rgp(RgpTuning),
 }
 
 /// Error returned when a policy label cannot be parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParsePolicyError(String);
 
-impl std::fmt::Display for ParsePolicyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown policy {:?} (expected one of: dfifo, ep, las, rgp-las, rgp-rr, \
+impl ParsePolicyError {
+    fn unknown(label: &str) -> Self {
+        ParsePolicyError(format!(
+            "unknown policy {label:?} (expected one of: dfifo, ep, las, rgp-las, rgp-rr, \
              optionally with RGP parameters like \
              rgp-las:w=512,scheme=rb,passes=4,prop=repart,anchor=deps \
              where scheme is one of ml, rb, bfs; prop is one of las, rr, \
-             repart; anchor is one of none, deps, homes, both)",
-            self.0
-        )
+             repart; anchor is one of none, deps, homes, both)"
+        ))
+    }
+}
+
+impl std::fmt::Display for ParsePolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
     }
 }
 
 impl std::error::Error for ParsePolicyError {}
 
 impl PolicyKind {
+    /// The paper's RGP+LAS with default parameters.
+    pub const RGP_LAS: PolicyKind = PolicyKind::Rgp(RgpTuning {
+        window: None,
+        scheme: None,
+        passes: None,
+        prop: Propagation::Las,
+        anchor: None,
+    });
+
+    /// The RGP+RR ablation (round-robin propagation) with default
+    /// parameters.
+    pub const RGP_RR: PolicyKind = PolicyKind::Rgp(RgpTuning {
+        window: None,
+        scheme: None,
+        passes: None,
+        prop: Propagation::RoundRobin,
+        anchor: None,
+    });
+
     /// The four policies of the paper's Figure 1, in its plotting order.
     pub fn figure1() -> [PolicyKind; 4] {
         [
             PolicyKind::Dfifo,
-            PolicyKind::RgpLas,
+            PolicyKind::RGP_LAS,
             PolicyKind::Ep,
             PolicyKind::Las,
         ]
     }
 
-    /// All registered base policies (tuned RGP variants are parameterised
-    /// spellings of `RgpLas`/`RgpRr`, not separate registry entries).
+    /// All registered base policies (tuned RGP kinds are parameterised
+    /// spellings of RGP+LAS/RGP+RR, not separate registry entries).
     pub fn all() -> [PolicyKind; 5] {
         [
             PolicyKind::Dfifo,
             PolicyKind::Ep,
             PolicyKind::Las,
-            PolicyKind::RgpLas,
-            PolicyKind::RgpRr,
+            PolicyKind::RGP_LAS,
+            PolicyKind::RGP_RR,
         ]
-    }
-
-    /// RGP+LAS with the given tuning, in canonical form: a default tuning is
-    /// the plain [`PolicyKind::RgpLas`], and the *effective* propagation (the
-    /// `prop` knob, else the one this constructor implies) decides the base
-    /// kind — `rr` is RGP+RR, `las` is RGP+LAS, both without a `prop`, and
-    /// `repart` is `RGP+LAS:prop=repart`. Every spelling of one policy
-    /// (`rgp-las:prop=rr` and `rgp-rr`, `rgp-rr:prop=repart` and
-    /// `rgp-las:prop=repart`) is therefore one kind, one label and one cache
-    /// key.
-    pub fn rgp_las(tuning: RgpTuning) -> PolicyKind {
-        PolicyKind::rgp(Propagation::Las, tuning)
-    }
-
-    /// RGP+RR with the given tuning, canonical like [`PolicyKind::rgp_las`].
-    pub fn rgp_rr(tuning: RgpTuning) -> PolicyKind {
-        PolicyKind::rgp(Propagation::RoundRobin, tuning)
-    }
-
-    fn rgp(implied: Propagation, mut tuning: RgpTuning) -> PolicyKind {
-        let propagation = tuning.prop.take().unwrap_or(implied);
-        if propagation == Propagation::Repartition {
-            tuning.prop = Some(propagation);
-        }
-        match (propagation == Propagation::RoundRobin, tuning.is_default()) {
-            (false, true) => PolicyKind::RgpLas,
-            (false, false) => PolicyKind::RgpLasTuned(tuning),
-            (true, true) => PolicyKind::RgpRr,
-            (true, false) => PolicyKind::RgpRrTuned(tuning),
-        }
     }
 
     /// RGP+LAS with an explicit window size (shorthand for the most common
     /// tuning).
     pub fn rgp_las_window(window: usize) -> PolicyKind {
-        PolicyKind::RgpLasTuned(RgpTuning::default().with_window(window))
+        PolicyKind::Rgp(RgpTuning {
+            window: Some(window),
+            ..RgpTuning::default()
+        })
     }
 
     /// The canonical label: the paper's display name, with any parameters
@@ -234,17 +191,7 @@ impl PolicyKind {
     /// [`PolicyKind::from_str`].
     pub fn label(&self) -> String {
         match self {
-            PolicyKind::RgpLasTuned(t) | PolicyKind::RgpRrTuned(t) => {
-                let params = t.params_label();
-                if params.is_empty() {
-                    // A hand-constructed Tuned variant with a default tuning
-                    // (the constructors normalise this away) still labels as
-                    // the plain kind, never as a dangling "RGP+LAS:".
-                    self.base_label().to_string()
-                } else {
-                    format!("{}:{}", self.base_label(), params)
-                }
-            }
+            PolicyKind::Rgp(tuning) => format!("{}{}", self.base_label(), tuning.params_label()),
             other => other.base_label().to_string(),
         }
     }
@@ -256,52 +203,11 @@ impl PolicyKind {
             PolicyKind::Dfifo => "DFIFO",
             PolicyKind::Ep => "EP",
             PolicyKind::Las => "LAS",
-            PolicyKind::RgpLas | PolicyKind::RgpLasTuned(_) => "RGP+LAS",
-            PolicyKind::RgpRr | PolicyKind::RgpRrTuned(_) => "RGP+RR",
-        }
-    }
-
-    /// The RGP tuning encoded in this kind (`None` for non-RGP policies; the
-    /// plain RGP kinds report the default tuning).
-    pub fn tuning(&self) -> Option<RgpTuning> {
-        match self {
-            PolicyKind::RgpLas | PolicyKind::RgpRr => Some(RgpTuning::default()),
-            PolicyKind::RgpLasTuned(t) | PolicyKind::RgpRrTuned(t) => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// The explicit RGP window size encoded in this kind, if any.
-    pub fn window(&self) -> Option<usize> {
-        self.tuning().and_then(|t| t.window)
-    }
-
-    /// This kind with the given explicit RGP window, keeping any other
-    /// encoded parameters. Returns `None` for policies that have no window
-    /// parameter.
-    pub fn with_window(&self, window: usize) -> Option<PolicyKind> {
-        self.map_tuning(|t| t.with_window(window))
-    }
-
-    /// This kind with the given partitioning scheme (RGP kinds only).
-    pub fn with_scheme(&self, scheme: PartitionScheme) -> Option<PolicyKind> {
-        self.map_tuning(|t| t.with_scheme(scheme))
-    }
-
-    /// This kind with the given refinement pass limit (RGP kinds only).
-    pub fn with_passes(&self, passes: usize) -> Option<PolicyKind> {
-        self.map_tuning(|t| t.with_passes(passes))
-    }
-
-    fn map_tuning(&self, f: impl FnOnce(RgpTuning) -> RgpTuning) -> Option<PolicyKind> {
-        match self {
-            PolicyKind::RgpLas | PolicyKind::RgpLasTuned(_) => {
-                Some(PolicyKind::rgp_las(f(self.tuning().unwrap())))
-            }
-            PolicyKind::RgpRr | PolicyKind::RgpRrTuned(_) => {
-                Some(PolicyKind::rgp_rr(f(self.tuning().unwrap())))
-            }
-            _ => None,
+            PolicyKind::Rgp(RgpTuning {
+                prop: Propagation::RoundRobin,
+                ..
+            }) => "RGP+RR",
+            PolicyKind::Rgp(_) => "RGP+LAS",
         }
     }
 
@@ -339,54 +245,58 @@ impl FromStr for PolicyKind {
     /// parameter list selects the RGP window, partitioning scheme,
     /// refinement pass limit, propagation mode and anchoring mode:
     /// `rgp-las:w=512,scheme=rb,passes=4,prop=repart,anchor=deps` (also
-    /// `window=512`, `p=4`).
+    /// `window=512`, `p=4`). A `prop` knob overrides the propagation the
+    /// base names, so `rgp-las:prop=rr` is `RGP+RR` and
+    /// `rgp-rr:prop=repart` is `RGP+LAS:prop=repart`. An anchor without
+    /// `prop=repart` is refused: RGP would ignore it.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParsePolicyError(s.to_string());
+        let err = || ParsePolicyError::unknown(s);
         let normalized = s.trim().to_ascii_lowercase().replace(['+', '_', ' '], "-");
-        let (base, params) = match normalized.split_once(':') {
-            Some((b, p)) => (b, Some(p)),
-            None => (normalized.as_str(), None),
-        };
+        let (base, params) = normalized.split_once(':').unwrap_or((&normalized, ""));
         let mut tuning = RgpTuning::default();
-        if let Some(params) = params {
-            for param in params.split(',').filter(|p| !p.is_empty()) {
-                match param.split_once('=') {
-                    Some(("w" | "window", value)) => {
-                        let w: usize = value.parse().map_err(|_| err())?;
-                        if w == 0 {
-                            return Err(err());
-                        }
-                        tuning.window = Some(w);
+        let mut prop = None;
+        for param in params.split(',').filter(|p| !p.is_empty()) {
+            match param.split_once('=') {
+                Some(("w" | "window", value)) => {
+                    let w: usize = value.parse().map_err(|_| err())?;
+                    if w == 0 {
+                        return Err(err());
                     }
-                    Some(("scheme" | "s", value)) => {
-                        tuning.scheme = Some(PartitionScheme::from_token(value).ok_or_else(err)?);
-                    }
-                    Some(("passes" | "p", value)) => {
-                        tuning.passes = Some(value.parse().map_err(|_| err())?);
-                    }
-                    Some(("prop" | "propagation", value)) => {
-                        tuning.prop = Some(Propagation::from_token(value).ok_or_else(err)?);
-                    }
-                    Some(("anchor", value)) => {
-                        tuning.anchor = Some(AnchorMode::from_token(value).ok_or_else(err)?);
-                    }
-                    _ => return Err(err()),
+                    tuning.window = Some(w);
                 }
+                Some(("scheme" | "s", value)) => {
+                    tuning.scheme = Some(PartitionScheme::from_token(value).ok_or_else(err)?);
+                }
+                Some(("passes" | "p", value)) => {
+                    tuning.passes = Some(value.parse().map_err(|_| err())?);
+                }
+                Some(("prop" | "propagation", value)) => {
+                    prop = Some(Propagation::from_token(value).ok_or_else(err)?);
+                }
+                Some(("anchor", value)) => {
+                    tuning.anchor = Some(AnchorMode::from_token(value).ok_or_else(err)?);
+                }
+                _ => return Err(err()),
             }
         }
-        let kind = match base {
-            // Parameters on a non-RGP policy are a user error. (The RGP
-            // constructors may themselves normalise a tuning to another
-            // base kind — e.g. `rgp-las:prop=rr` — which is fine.)
-            "dfifo" | "ep" | "las" if !tuning.is_default() => return Err(err()),
-            "dfifo" => PolicyKind::Dfifo,
-            "ep" => PolicyKind::Ep,
-            "las" => PolicyKind::Las,
-            "rgp-las" | "rgplas" => PolicyKind::rgp_las(tuning),
-            "rgp-rr" | "rgprr" => PolicyKind::rgp_rr(tuning),
+        let tuned = prop.is_some() || tuning != RgpTuning::default();
+        tuning.prop = match base {
+            // Parameters on a non-RGP policy are a user error.
+            "dfifo" | "ep" | "las" if tuned => return Err(err()),
+            "dfifo" => return Ok(PolicyKind::Dfifo),
+            "ep" => return Ok(PolicyKind::Ep),
+            "las" => return Ok(PolicyKind::Las),
+            "rgp-las" | "rgplas" => prop.unwrap_or(Propagation::Las),
+            "rgp-rr" | "rgprr" => prop.unwrap_or(Propagation::RoundRobin),
             _ => return Err(err()),
         };
-        Ok(kind)
+        if tuning.anchor.is_some() && tuning.prop != Propagation::Repartition {
+            return Err(ParsePolicyError(format!(
+                "policy {s:?}: anchor= needs prop=repart (RGP anchors only the windows \
+                 it repartitions)"
+            )));
+        }
+        Ok(PolicyKind::Rgp(tuning))
     }
 }
 
@@ -412,23 +322,11 @@ pub fn make_policy(
     spec: &TaskGraphSpec,
     seed: u64,
 ) -> Option<Box<dyn SchedulingPolicy>> {
-    let rgp_config = |propagation| {
-        kind.tuning().unwrap_or_default().apply(
-            RgpConfig::default()
-                .with_seed(seed)
-                .with_propagation(propagation),
-        )
-    };
     Some(match kind {
         PolicyKind::Dfifo => Box::new(DfifoPolicy::new()) as Box<dyn SchedulingPolicy>,
         PolicyKind::Ep => Box::new(EpPolicy::from_spec(spec)?),
         PolicyKind::Las => Box::new(LasPolicy::new(seed)),
-        PolicyKind::RgpLas | PolicyKind::RgpLasTuned(_) => {
-            Box::new(RgpPolicy::new(rgp_config(Propagation::Las)))
-        }
-        PolicyKind::RgpRr | PolicyKind::RgpRrTuned(_) => {
-            Box::new(RgpPolicy::new(rgp_config(Propagation::RoundRobin)))
-        }
+        PolicyKind::Rgp(tuning) => Box::new(RgpPolicy::new(tuning.config(seed))),
     })
 }
 
@@ -438,7 +336,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send + ?Sized>() {}
     assert_send_sync::<PolicyKind>();
-    assert_send_sync::<RgpTuning>();
     assert_send::<Box<dyn SchedulingPolicy>>();
 };
 
@@ -461,24 +358,35 @@ mod tests {
         }
     }
 
+    const REPART: RgpTuning = RgpTuning {
+        window: None,
+        scheme: None,
+        passes: None,
+        prop: Propagation::Repartition,
+        anchor: None,
+    };
+
     #[test]
     fn labels_match_paper() {
         assert_eq!(PolicyKind::Dfifo.label(), "DFIFO");
-        assert_eq!(PolicyKind::RgpLas.label(), "RGP+LAS");
+        assert_eq!(PolicyKind::RGP_LAS.label(), "RGP+LAS");
+        assert_eq!(PolicyKind::RGP_RR.label(), "RGP+RR");
         assert_eq!(PolicyKind::Las.to_string(), "LAS");
         assert_eq!(PolicyKind::rgp_las_window(512).label(), "RGP+LAS:w=512");
+        let rr = RgpTuning {
+            window: Some(64),
+            prop: Propagation::RoundRobin,
+            ..RgpTuning::default()
+        };
+        assert_eq!(PolicyKind::Rgp(rr).label(), "RGP+RR:w=64");
+        let tuned = RgpTuning {
+            window: Some(512),
+            scheme: Some(PartitionScheme::RecursiveBisection),
+            passes: Some(4),
+            ..RgpTuning::default()
+        };
         assert_eq!(
-            PolicyKind::RgpRr.with_window(64).unwrap().label(),
-            "RGP+RR:w=64"
-        );
-        assert_eq!(
-            PolicyKind::rgp_las(
-                RgpTuning::default()
-                    .with_window(512)
-                    .with_scheme(PartitionScheme::RecursiveBisection)
-                    .with_passes(4)
-            )
-            .label(),
+            PolicyKind::Rgp(tuned).label(),
             "RGP+LAS:w=512,scheme=rb,passes=4"
         );
         assert_eq!(PolicyKind::figure1().len(), 4);
@@ -490,48 +398,45 @@ mod tests {
         for kind in PolicyKind::all() {
             assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
         }
-        for w in [1usize, 64, 512, 4096] {
-            for kind in [PolicyKind::RgpLas, PolicyKind::RgpRr].map(|k| k.with_window(w).unwrap()) {
-                assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
-            }
-        }
-        // Every tuning combination round-trips exactly.
+        // Every tuning combination round-trips exactly; an anchor only
+        // exists under repartition.
         for scheme in [None, Some(PartitionScheme::BfsGrowing)] {
-            for window in [None, Some(256)] {
+            for window in [None, Some(1), Some(256), Some(4096)] {
                 for passes in [None, Some(2)] {
-                    for prop in [None, Some(Propagation::Repartition)] {
-                        for anchor in [None, Some(AnchorMode::Deps)] {
-                            let tuning = RgpTuning {
+                    for prop in [
+                        Propagation::Las,
+                        Propagation::RoundRobin,
+                        Propagation::Repartition,
+                    ] {
+                        let anchors: &[Option<AnchorMode>] = match prop {
+                            Propagation::Repartition => &[None, Some(AnchorMode::Deps)],
+                            _ => &[None],
+                        };
+                        for &anchor in anchors {
+                            let kind = PolicyKind::Rgp(RgpTuning {
                                 window,
                                 scheme,
                                 passes,
                                 prop,
                                 anchor,
-                            };
-                            for kind in [PolicyKind::rgp_las(tuning), PolicyKind::rgp_rr(tuning)] {
-                                assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
-                            }
+                            });
+                            assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
                         }
                     }
                 }
             }
         }
-        // Every propagation and anchor token round-trips through the label.
-        for prop in [
-            Propagation::Las,
-            Propagation::RoundRobin,
-            Propagation::Repartition,
-        ] {
-            let kind = PolicyKind::rgp_las(RgpTuning::default().with_prop(prop));
-            assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
-        }
+        // Every anchor token round-trips through the label.
         for anchor in [
             AnchorMode::None,
             AnchorMode::Deps,
             AnchorMode::Homes,
             AnchorMode::Both,
         ] {
-            let kind = PolicyKind::rgp_las(RgpTuning::default().with_anchor(anchor));
+            let kind = PolicyKind::Rgp(RgpTuning {
+                anchor: Some(anchor),
+                ..REPART
+            });
             assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind), "{kind}");
         }
         // Every spelling of one policy is one kind with one label: the
@@ -570,18 +475,15 @@ mod tests {
     fn propagation_and_anchor_knobs_parse_and_label() {
         assert_eq!(
             "rgp-las:prop=repart".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLasTuned(
-                RgpTuning::default().with_prop(Propagation::Repartition)
-            ))
+            Ok(PolicyKind::Rgp(REPART))
         );
         assert_eq!(
             "rgp-las:w=512,prop=repart,anchor=deps".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLasTuned(
-                RgpTuning::default()
-                    .with_window(512)
-                    .with_prop(Propagation::Repartition)
-                    .with_anchor(AnchorMode::Deps)
-            ))
+            Ok(PolicyKind::Rgp(RgpTuning {
+                window: Some(512),
+                anchor: Some(AnchorMode::Deps),
+                ..REPART
+            }))
         );
         // Canonical parameter order is stable regardless of input order.
         assert_eq!(
@@ -594,11 +496,10 @@ mod tests {
         // Long spellings of the tokens are accepted.
         assert_eq!(
             "rgp-las:propagation=repartition,anchor=dependences".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLasTuned(
-                RgpTuning::default()
-                    .with_prop(Propagation::Repartition)
-                    .with_anchor(AnchorMode::Deps)
-            ))
+            Ok(PolicyKind::Rgp(RgpTuning {
+                anchor: Some(AnchorMode::Deps),
+                ..REPART
+            }))
         );
     }
 
@@ -630,11 +531,11 @@ mod tests {
         // propagation the base kind already implies.
         assert_eq!(
             "rgp-las:prop=las".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLas)
+            Ok(PolicyKind::RGP_LAS)
         );
         assert_eq!(
             "rgp-rr:prop=rr".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpRr)
+            Ok(PolicyKind::RGP_RR)
         );
         assert_eq!(
             "rgp-las:w=256,prop=las"
@@ -651,7 +552,7 @@ mod tests {
     #[test]
     fn parsing_is_forgiving_about_case_and_separators() {
         for s in ["rgp-las", "RGP+LAS", "Rgp_Las", " rgp las "] {
-            assert_eq!(s.parse::<PolicyKind>(), Ok(PolicyKind::RgpLas), "{s:?}");
+            assert_eq!(s.parse::<PolicyKind>(), Ok(PolicyKind::RGP_LAS), "{s:?}");
         }
         assert_eq!(
             "rgp-las:window=256".parse::<PolicyKind>(),
@@ -659,27 +560,30 @@ mod tests {
         );
         assert_eq!(
             "RGP+RR:w=128".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpRrTuned(
-                RgpTuning::default().with_window(128)
-            ))
+            Ok(PolicyKind::Rgp(RgpTuning {
+                window: Some(128),
+                prop: Propagation::RoundRobin,
+                ..RgpTuning::default()
+            }))
         );
         assert_eq!(
             "rgp-las:scheme=BFS".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLasTuned(
-                RgpTuning::default().with_scheme(PartitionScheme::BfsGrowing)
-            ))
+            Ok(PolicyKind::Rgp(RgpTuning {
+                scheme: Some(PartitionScheme::BfsGrowing),
+                ..RgpTuning::default()
+            }))
         );
         assert_eq!(
             "rgp-las:p=2,s=rb".parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLasTuned(
-                RgpTuning::default()
-                    .with_scheme(PartitionScheme::RecursiveBisection)
-                    .with_passes(2)
-            ))
+            Ok(PolicyKind::Rgp(RgpTuning {
+                scheme: Some(PartitionScheme::RecursiveBisection),
+                passes: Some(2),
+                ..RgpTuning::default()
+            }))
         );
         assert_eq!("dfifo".parse::<PolicyKind>(), Ok(PolicyKind::Dfifo));
         // An empty parameter list is the plain kind.
-        assert_eq!("rgp-las:".parse::<PolicyKind>(), Ok(PolicyKind::RgpLas));
+        assert_eq!("rgp-las:".parse::<PolicyKind>(), Ok(PolicyKind::RGP_LAS));
     }
 
     #[test]
@@ -701,6 +605,17 @@ mod tests {
         }
         let msg = "nope".parse::<PolicyKind>().unwrap_err().to_string();
         assert!(msg.contains("nope"));
+        // RGP ignores an anchor outside repartition, so a spelling with one
+        // would be a second column for the same policy.
+        for s in [
+            "rgp-las:anchor=deps",
+            "rgp-rr:anchor=both",
+            "rgp-las:prop=las,anchor=homes",
+            "rgp-rr:prop=repart,anchor=none,prop=rr",
+        ] {
+            let msg = s.parse::<PolicyKind>().unwrap_err().to_string();
+            assert!(msg.contains("needs prop=repart"), "{s:?}: {msg}");
+        }
     }
 
     #[test]
@@ -719,62 +634,15 @@ mod tests {
         assert_eq!(
             kinds,
             vec![
-                PolicyKind::RgpLasTuned(
-                    RgpTuning::default()
-                        .with_window(64)
-                        .with_scheme(PartitionScheme::RecursiveBisection)
-                ),
+                PolicyKind::Rgp(RgpTuning {
+                    window: Some(64),
+                    scheme: Some(PartitionScheme::RecursiveBisection),
+                    ..RgpTuning::default()
+                }),
                 PolicyKind::Las
             ]
         );
         assert!(PolicyKind::parse_list("dfifo,bogus").is_err());
-    }
-
-    #[test]
-    fn with_window_parameterises_rgp_only() {
-        assert_eq!(
-            PolicyKind::RgpLas.with_window(64),
-            Some(PolicyKind::rgp_las_window(64))
-        );
-        assert_eq!(
-            PolicyKind::RgpRr.with_window(8).unwrap().with_window(16),
-            Some(PolicyKind::RgpRrTuned(RgpTuning::default().with_window(16)))
-        );
-        assert_eq!(PolicyKind::Las.with_window(64), None);
-        assert_eq!(
-            PolicyKind::Dfifo.with_scheme(PartitionScheme::BfsGrowing),
-            None
-        );
-        // Knobs compose without clobbering each other.
-        let kind = PolicyKind::RgpLas
-            .with_window(32)
-            .unwrap()
-            .with_scheme(PartitionScheme::RecursiveBisection)
-            .unwrap()
-            .with_passes(2)
-            .unwrap();
-        assert_eq!(kind.label(), "RGP+LAS:w=32,scheme=rb,passes=2");
-        assert_eq!(kind.window(), Some(32));
-    }
-
-    #[test]
-    fn default_tuning_normalises_to_plain_kinds() {
-        assert_eq!(
-            PolicyKind::rgp_las(RgpTuning::default()),
-            PolicyKind::RgpLas
-        );
-        assert_eq!(PolicyKind::rgp_rr(RgpTuning::default()), PolicyKind::RgpRr);
-        assert_eq!(PolicyKind::RgpLas.tuning(), Some(RgpTuning::default()));
-        assert_eq!(PolicyKind::Ep.tuning(), None);
-        // Even a hand-constructed Tuned variant with a default tuning (which
-        // bypasses the normalising constructors) labels as the plain kind —
-        // no dangling "RGP+LAS:" — and its label parses to the plain kind.
-        let denormal = PolicyKind::RgpLasTuned(RgpTuning::default());
-        assert_eq!(denormal.label(), "RGP+LAS");
-        assert_eq!(
-            denormal.label().parse::<PolicyKind>(),
-            Ok(PolicyKind::RgpLas)
-        );
     }
 
     #[test]
@@ -787,15 +655,14 @@ mod tests {
         // Tuned kinds build the same named policy with the knobs applied.
         let p = make_policy(PolicyKind::rgp_las_window(1), &s, 42).unwrap();
         assert_eq!(p.name(), "RGP+LAS");
-        let p = make_policy(
-            PolicyKind::RgpLas
-                .with_scheme(PartitionScheme::BfsGrowing)
-                .unwrap(),
-            &s,
-            42,
-        )
-        .unwrap();
-        assert_eq!(p.name(), "RGP+LAS");
+        let bfs = RgpTuning {
+            scheme: Some(PartitionScheme::BfsGrowing),
+            ..RgpTuning::default()
+        };
+        assert_eq!(
+            make_policy(PolicyKind::Rgp(bfs), &s, 42).unwrap().name(),
+            "RGP+LAS"
+        );
         // Repartition propagation keeps the paper's display name: it is
         // still RGP with LAS propagation, only applied window by window.
         let p = make_policy(

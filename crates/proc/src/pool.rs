@@ -485,7 +485,7 @@ impl WorkerPool {
     /// live worker, killing any that fail to answer before `timeout`.
     fn barrier(&self, timeout: Duration) {
         let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst);
-        let mut collective = CollectiveBarrier::new(self, epoch);
+        let mut collective = CollectiveBarrier::new(&self.slots, epoch);
         collective.start();
         let deadline = Instant::now() + timeout;
         while !collective.update() {
@@ -781,20 +781,17 @@ impl Drop for WorkerPool {
 /// every live worker, `update()` polls each pending worker with a short read
 /// deadline and reports completion. Workers that fail mid-barrier are killed
 /// and dropped from the pending set (a dead worker cannot hold a barrier).
-struct CollectiveBarrier<'p> {
-    pool: &'p WorkerPool,
+struct CollectiveBarrier {
     epoch: u64,
     pending: Vec<Arc<WorkerSlot>>,
     started: bool,
 }
 
-impl<'p> CollectiveBarrier<'p> {
-    fn new(pool: &'p WorkerPool, epoch: u64) -> Self {
+impl CollectiveBarrier {
+    fn new(slots: &[Arc<WorkerSlot>], epoch: u64) -> Self {
         CollectiveBarrier {
-            pool,
             epoch,
-            pending: pool
-                .slots
+            pending: slots
                 .iter()
                 .filter(|slot| slot.alive.load(Ordering::SeqCst))
                 .cloned()
@@ -817,7 +814,6 @@ impl<'p> CollectiveBarrier<'p> {
             true
         });
         self.started = true;
-        let _ = self.pool; // pool is the lifetime anchor; counters live there
     }
 
     /// One poll round; returns true when every pending worker has answered.

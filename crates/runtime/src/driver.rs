@@ -727,7 +727,7 @@ mod tests {
         Experiment::new()
             .apps([Application::Jacobi, Application::NStream])
             .scale(ProblemScale::Tiny)
-            .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
             .seed(7)
     }
 

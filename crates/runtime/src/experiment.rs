@@ -19,7 +19,7 @@
 //! let report = Experiment::new()
 //!     .app(Application::Jacobi)
 //!     .scale(ProblemScale::Tiny)
-//!     .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+//!     .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
 //!     .backend(Backend::Simulated)
 //!     .parallelism(2) // shard cells over 2 worker threads
 //!     .repetitions(1)
@@ -317,6 +317,20 @@ impl SweepReport {
     }
 }
 
+/// The policy columns of a sweep in report order: `policies` with the
+/// `baseline` deduplicated out and appended last, as in the paper's figure.
+/// [`Experiment::plan`] numbers its policy slots in this order, and the
+/// sweep service names a sweep by it.
+pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<PolicyKind> {
+    let mut ordered: Vec<PolicyKind> = policies
+        .iter()
+        .copied()
+        .filter(|&k| k != baseline)
+        .collect();
+    ordered.push(baseline);
+    ordered
+}
+
 /// Fluent builder for a policy-comparison sweep. See the [module
 /// docs](self) for an example.
 ///
@@ -351,7 +365,7 @@ impl Default for Experiment {
             steal: StealMode::default(),
             backend: Backend::default(),
             baseline: PolicyKind::Las,
-            policies: vec![PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep],
+            policies: vec![PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep],
             apps: Vec::new(),
             scales: Vec::new(),
             workloads: Vec::new(),
@@ -537,16 +551,7 @@ impl Experiment {
             self.scales.clone()
         };
 
-        // The baseline is reported last, as in the paper's figure; dedupe it
-        // out of the configured policy list.
-        let mut policies: Vec<PolicyKind> = self
-            .policies
-            .iter()
-            .copied()
-            .filter(|&k| k != self.baseline)
-            .collect();
-        policies.push(self.baseline);
-
+        let policies = report_order(&self.policies, self.baseline);
         let cache = self
             .spec_cache
             .clone()
@@ -710,7 +715,7 @@ mod tests {
         Experiment::new()
             .apps([Application::Jacobi, Application::NStream])
             .scale(ProblemScale::Tiny)
-            .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
             .seed(7)
     }
 
@@ -808,10 +813,12 @@ mod tests {
         use numadag_core::{PartitionScheme, RgpTuning};
         let report = Experiment::new()
             .app(Application::Jacobi)
-            .policies(
-                PartitionScheme::all()
-                    .map(|s| PolicyKind::rgp_las(RgpTuning::default().with_scheme(s))),
-            )
+            .policies(PartitionScheme::all().map(|s| {
+                PolicyKind::Rgp(RgpTuning {
+                    scheme: Some(s),
+                    ..RgpTuning::default()
+                })
+            }))
             .run();
         assert_eq!(
             report.policy_labels(),

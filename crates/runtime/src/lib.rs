@@ -84,7 +84,7 @@ pub use driver::{
 };
 pub use event_queue::{Event, EventQueue};
 pub use executor::{register_proc_backend, CellContext, Executor, ProcFactory};
-pub use experiment::{Backend, Experiment, SweepAggregate, SweepCell, SweepReport};
+pub use experiment::{report_order, Backend, Experiment, SweepAggregate, SweepCell, SweepReport};
 pub use framing::FrameError;
 pub use report::ExecutionReport;
 pub use simulator::Simulator;

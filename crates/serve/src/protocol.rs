@@ -18,13 +18,16 @@
 use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
-use numadag_runtime::{Backend, Experiment};
+use numadag_runtime::{report_order, Backend, Experiment, SweepPlan};
 use serde::{Deserialize, Serialize};
 
 /// Default seed of the service's sweeps — the same value the benchmark
 /// harness uses, so default service requests reproduce the committed
 /// `BENCH_figure1_*.json` baselines byte-for-byte.
 pub const DEFAULT_SEED: u64 = 0xF1617E;
+
+/// The policy every sweep's speedups are relative to, as in `figure1`.
+const BASELINE: PolicyKind = PolicyKind::Las;
 
 /// Default policy list of a sweep request (the Figure-1 column set).
 pub const DEFAULT_POLICIES: &str = "dfifo,rgp-las,ep";
@@ -74,6 +77,39 @@ pub fn cell_fingerprint(
     mix(&mut hash, rep);
     mix(&mut hash, num_sockets);
     hash
+}
+
+/// The [`cell_fingerprint`] of every job of `plan`, the plan of `sweep`, in
+/// job order: `keys[i]` keys the outcome of `plan.run_cell(i, …)`. The
+/// policy labels and backend are read off the plan itself; the spec
+/// fingerprints come from the [`SpecCache::fingerprint`] memo, one per
+/// application (a sweep has one scale, so one workload per application).
+pub(crate) fn cell_keys(
+    plan: &SweepPlan,
+    sweep: &ResolvedSweep,
+    specs: &SpecCache,
+    num_sockets: usize,
+) -> Vec<u64> {
+    let spec_fps: Vec<u64> = sweep
+        .apps
+        .iter()
+        .map(|&app| specs.fingerprint(app, sweep.scale, num_sockets))
+        .collect();
+    let labels: Vec<String> = plan.policies().iter().map(PolicyKind::label).collect();
+    let backend = plan.backend().label();
+    plan.jobs()
+        .iter()
+        .map(|job| {
+            cell_fingerprint(
+                spec_fps[job.workload],
+                &labels[job.policy_slot],
+                backend,
+                sweep.seed,
+                job.repetition as u64,
+                num_sockets as u64,
+            )
+        })
+        .collect()
 }
 
 /// A sweep request in the CLI string grammar. Fields a client leaves out
@@ -156,30 +192,12 @@ pub struct ResolvedSweep {
 }
 
 impl ResolvedSweep {
-    /// The policy columns in report order: the configured policies with the
-    /// LAS baseline deduplicated out and appended last — the same
-    /// normalization [`Experiment::plan`] applies, so the cache key matches
-    /// the cells the report will actually contain.
-    pub fn report_policies(&self) -> Vec<PolicyKind> {
-        let mut policies: Vec<PolicyKind> = self
-            .policies
-            .iter()
-            .copied()
-            .filter(|&k| k != PolicyKind::Las)
-            .collect();
-        policies.push(PolicyKind::Las);
-        policies
-    }
-
-    /// Total cells the sweep will execute (including skippable ones).
-    pub fn total_cells(&self) -> usize {
-        self.apps.len() * self.report_policies().len() * self.reps
-    }
-
     /// The canonical content fingerprint of this sweep: workload spec hashes
-    /// × canonical policy labels × seed × backend × rep count. Workload
-    /// hashes come from [`SpecCache::fingerprint`], so the first request for
-    /// a workload builds it (and warms the spec cache for the run itself).
+    /// × canonical policy labels in report order ([`report_order`], the
+    /// order [`Experiment::plan`] gives its policy slots) × seed × backend ×
+    /// rep count. Workload hashes come from [`SpecCache::fingerprint`], so
+    /// the first request for a workload builds it (and warms the spec cache
+    /// for the run itself).
     pub fn fingerprint(&self, specs: &SpecCache, num_sockets: usize) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         mix_str(&mut hash, self.backend.label());
@@ -190,37 +208,10 @@ impl ResolvedSweep {
         for &app in &self.apps {
             mix(&mut hash, specs.fingerprint(app, self.scale, num_sockets));
         }
-        for policy in self.report_policies() {
+        for policy in report_order(&self.policies, BASELINE) {
             mix_str(&mut hash, &policy.label());
         }
         hash
-    }
-
-    /// The [`cell_fingerprint`] of every cell of this sweep, in the exact
-    /// order [`Experiment::plan`] materializes its jobs (applications outer,
-    /// then report-order policies, then repetitions) — so `cell_keys()[i]`
-    /// keys the outcome of `plan.run_cell(i, …)`.
-    pub fn cell_keys(&self, specs: &SpecCache, num_sockets: usize) -> Vec<u64> {
-        let policies = self.report_policies();
-        let backend = self.backend.label();
-        let mut keys = Vec::with_capacity(self.total_cells());
-        for &app in &self.apps {
-            let spec_fp = specs.fingerprint(app, self.scale, num_sockets);
-            for policy in &policies {
-                let label = policy.label();
-                for rep in 0..self.reps {
-                    keys.push(cell_fingerprint(
-                        spec_fp,
-                        &label,
-                        backend,
-                        self.seed,
-                        rep as u64,
-                        num_sockets as u64,
-                    ));
-                }
-            }
-        }
-        keys
     }
 
     /// The experiment this sweep denotes, bound to the paper's machine and
@@ -232,7 +223,7 @@ impl ResolvedSweep {
             .apps(self.apps.iter().copied())
             .scale(self.scale)
             .policies(self.policies.iter().copied())
-            .baseline(PolicyKind::Las)
+            .baseline(BASELINE)
             .backend(self.backend)
             .repetitions(self.reps)
             .seed(self.seed)
@@ -433,6 +424,7 @@ impl Response {
 mod tests {
     use super::*;
     use serde::testing::{assert_enum_rejects_malformed, assert_struct_rejects_malformed};
+    use std::sync::Arc;
 
     /// One wire line per request kind, as the parent of the derived
     /// decoders (commit fb5dfe3) wrote them.
@@ -588,6 +580,21 @@ mod tests {
         assert!(Response::from_line("{\"Stats\":").is_err());
     }
 
+    /// The plan serve builds for `spec` on the paper's machine, and the
+    /// cell keys it reads off that plan.
+    fn planned(spec: &SweepSpec, specs: &Arc<SpecCache>) -> (SweepPlan, Vec<u64>) {
+        let sweep = spec.resolve().unwrap();
+        let plan = sweep
+            .experiment(Topology::bullion_s16(), Arc::clone(specs))
+            .plan();
+        let keys = cell_keys(&plan, &sweep, specs, 8);
+        (plan, keys)
+    }
+
+    fn keys_of(spec: SweepSpec, specs: &Arc<SpecCache>) -> Vec<u64> {
+        planned(&spec, specs).1
+    }
+
     #[test]
     fn spec_resolution_reuses_the_cli_grammar() {
         let spec = SweepSpec {
@@ -606,8 +613,9 @@ mod tests {
         assert_eq!(resolved.scale, ProblemScale::Small);
         assert_eq!(resolved.backend, Backend::Simulated);
         // dfifo, rgp-las:..., + appended baseline LAS.
-        assert_eq!(resolved.report_policies().len(), 3);
-        assert_eq!(resolved.total_cells(), 2 * 3 * 2);
+        let (plan, keys) = planned(&spec, &Arc::new(SpecCache::new()));
+        assert_eq!(plan.policies().len(), 3);
+        assert_eq!(keys.len(), 2 * 3 * 2);
     }
 
     #[test]
@@ -615,6 +623,7 @@ mod tests {
         for (field, value) in [
             ("scale", "huge"),
             ("policies", "bogus"),
+            ("policies", "rgp-las:anchor=deps"),
             ("backend", "gpu"),
             ("apps", "fft"),
         ] {
@@ -636,7 +645,7 @@ mod tests {
 
     #[test]
     fn equivalent_policy_spellings_share_a_fingerprint() {
-        let specs = SpecCache::new();
+        let specs = Arc::new(SpecCache::new());
         let a = SweepSpec {
             policies: "rgp-las:scheme=rb,w=512".to_string(),
             ..SweepSpec::default()
@@ -657,13 +666,11 @@ mod tests {
         // The base a propagation knob was typed on is spelling too: the two
         // sweeps share every cell, not only the report.
         let [las_base, rr_base] = ["rgp-las:prop=repart", "rgp-rr:prop=repart"].map(|policies| {
-            SweepSpec {
+            let spec = SweepSpec {
                 policies: policies.to_string(),
                 ..SweepSpec::default()
-            }
-            .resolve()
-            .unwrap()
-            .cell_keys(&specs, 2)
+            };
+            keys_of(spec, &specs)
         });
         assert_eq!(las_base, rr_base);
     }
@@ -690,68 +697,158 @@ mod tests {
 
     #[test]
     fn cell_keys_are_distinct_and_cover_every_cell() {
-        let specs = SpecCache::new();
-        let sweep = SweepSpec::default().resolve().unwrap();
-        let keys = sweep.cell_keys(&specs, 2);
-        assert_eq!(keys.len(), sweep.total_cells());
+        let (plan, keys) = planned(&SweepSpec::default(), &Arc::new(SpecCache::new()));
+        assert_eq!(keys.len(), plan.num_jobs());
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "cell keys must not collide");
     }
 
+    /// The sweeps of [`GOLDEN_KEYS`], in its order.
+    fn golden_specs() -> [SweepSpec; 6] {
+        let policies = |policies: &str| SweepSpec {
+            policies: policies.to_string(),
+            ..SweepSpec::default()
+        };
+        [
+            SweepSpec::default(),
+            SweepSpec {
+                scale: "full".to_string(),
+                ..policies("dfifo,rgp-las,rgp-las:prop=repart,ep")
+            },
+            policies("rgp-rr:prop=repart"),
+            policies("rgp-las:w=512,scheme=rb"),
+            SweepSpec {
+                reps: 2,
+                ..SweepSpec::default()
+            },
+            SweepSpec {
+                backend: "proc".to_string(),
+                ..SweepSpec::default()
+            },
+        ]
+    }
+
+    /// The sweep fingerprint and every cell key of each golden sweep on the
+    /// paper's machine, as commit 2530d38 computed them. They key the
+    /// report cache, the cell cache and every `--cache-file`: a drift
+    /// silently flushes them all.
+    #[rustfmt::skip]
+    const GOLDEN_KEYS: [(u64, &[u64]); 6] = [
+        (0xfe129f8947b1cdab, &[
+            0xa4ed673702fe656f, 0x71e6e101a80494c7, 0x164de305cb01c29c, 0xe0626dc8ac5d0fa1,
+            0xa37c70876a25b422, 0xffcda7718529580e, 0x133aece36f0c967b, 0x9aa703517ab2bed8,
+            0xb840d7cc57ca08e7, 0x1955395c8d869e9f, 0xde0b213b08df00c4, 0xf170f6d67082d149,
+            0x08700f75dfbd89cd, 0xdc0abf2a39658da9, 0x627fe82ebc7ce60a, 0x6f9bcfe5ccae514f,
+            0x002ee3d87974bf88, 0xe901e2bb431b0d80, 0xfbb45e44ee8d7771, 0x119d9979d6e6ce9e,
+            0x86d311aceb576073, 0xb6a8ae251f42aaeb, 0x8a1c6211ff78f440, 0x94a086f12d02697d,
+            0xa962cc1bf1d03d38, 0xdca328cadb119d10, 0xe997848ecaa08021, 0xfe572be02ca7692e,
+            0xf341392d6f1eb92b, 0xdffd06bc26429023, 0x3834d3153e8e4be8, 0x8f29d8591cebd005,
+        ]),
+        (0xef0d12f62ede757b, &[
+            0x9460962ed271eb28, 0x18feb075f1b81be0, 0xaaaec2cf88e31b5e, 0xf279cef5f74d41d1,
+            0x716663f89a988bbe, 0x9e970cc24050ce34, 0x77aa6b309cb246ec, 0x6747edc245fd57fa,
+            0x25df7fbc80d1ab4d, 0x0281eafed467cc32, 0x9fcb3eee2e72928d, 0xc5651d8980edd2e9,
+            0x512da7b5b0960477, 0x19f54569f7747bca, 0xf4ec42f13ceeb00f, 0x8253384effd9880c,
+            0xb15e2139ea62abc4, 0x7c04f181ff7dfd02, 0x115fe511ac9fb775, 0xd5edf9b5d55d14fa,
+            0xc8a8dbcc25b5beab, 0xbe3ea0dff1136da3, 0x616f77d844112cb5, 0xebc419d7a77b7068,
+            0x553afe4699765185, 0xc9ca961a88621b78, 0x61c8efbdf4045fd0, 0xbc54d255115c396e,
+            0xd32d491e3e713c61, 0xbb4956bb9e09b96e, 0x877d59c9840a8def, 0xdc3b41f8077ee947,
+            0x12dd64abbfa75289, 0xf1c6d79ffe2cd01c, 0xb0c8818999287621, 0xc49d0033f2f70767,
+            0x2104891c8b9ecf1f, 0x008508bfb0244a11, 0xe132513c1d47dc44, 0x35da403c387341c9,
+        ]),
+        (0xe3b095f60d7caaac, &[
+            0x785810f4dc5ae609, 0xe0626dc8ac5d0fa1, 0x009780aad0d649c0, 0x9aa703517ab2bed8,
+            0xf3373d6b4639cf91, 0xf170f6d67082d149, 0xc358a1d394668237, 0x6f9bcfe5ccae514f,
+            0x53882530297b2f7e, 0x119d9979d6e6ce9e, 0x47d7e2577108cf0d, 0x94a086f12d02697d,
+            0x228fc1fcf13c61ae, 0xfe572be02ca7692e, 0x63028f290481fd35, 0x8f29d8591cebd005,
+        ]),
+        (0x35c3ed35d6121586, &[
+            0x83473966b1c400e7, 0xe0626dc8ac5d0fa1, 0x6b813c478a19f0be, 0x9aa703517ab2bed8,
+            0x8d9a5359f1b9eabf, 0xf170f6d67082d149, 0xfdba28a5ac1a851d, 0x6f9bcfe5ccae514f,
+            0xf3a6fb3f30130c3c, 0x119d9979d6e6ce9e, 0x346427c7a98497db, 0x94a086f12d02697d,
+            0x4c2682152ae1606c, 0xfe572be02ca7692e, 0x41a744afef6d32b3, 0x8f29d8591cebd005,
+        ]),
+        (0xd369bdaca6b0b452, &[
+            0xa4ed673702fe656f, 0x55ef516eefe94d2e, 0x71e6e101a80494c7, 0x22e8cb3994ef7c86,
+            0x164de305cb01c29c, 0x654bf8cdde16dadd, 0xe0626dc8ac5d0fa1, 0x916458009947f760,
+            0xa37c70876a25b422, 0xf27a864f7d3acc63, 0xffcda7718529580e, 0x4ecbbd39983e704f,
+            0x133aece36f0c967b, 0xc43cd71b5bf77e3a, 0x9aa703517ab2bed8, 0xe9a519198dc7d719,
+            0xb840d7cc57ca08e7, 0x6942c20444b4f0a6, 0x1955395c8d869e9f, 0xca5723947a71865e,
+            0xde0b213b08df00c4, 0x2d0937031bf41905, 0xf170f6d67082d149, 0xa272e10e5d6db908,
+            0x08700f75dfbd89cd, 0xb971f9adcca8718c, 0xdc0abf2a39658da9, 0x8d0ca96226507568,
+            0x627fe82ebc7ce60a, 0xb17dfdf6cf91fe4b, 0x6f9bcfe5ccae514f, 0x209dba1db999390e,
+            0x002ee3d87974bf88, 0x4f2cf9a08c89d7c9, 0xe901e2bb431b0d80, 0x37fff883563025c1,
+            0xfbb45e44ee8d7771, 0xacb6487cdb785f30, 0x119d9979d6e6ce9e, 0x609baf41e9fbe6df,
+            0x86d311aceb576073, 0x37d4fbe4d8424832, 0xb6a8ae251f42aaeb, 0x67aa985d0c2d92aa,
+            0x8a1c6211ff78f440, 0xd91a77da128e0c81, 0x94a086f12d02697d, 0x45a2712919ed513c,
+            0xa962cc1bf1d03d38, 0xf860e1e404e55579, 0xdca328cadb119d10, 0x2ba13e92ee26b551,
+            0xe997848ecaa08021, 0x9a996ec6b78b67e0, 0xfe572be02ca7692e, 0x4d5541a83fbc816f,
+            0xf341392d6f1eb92b, 0xa44323655c09a0ea, 0xdffd06bc26429023, 0x90fef0f4132d77e2,
+            0x3834d3153e8e4be8, 0x8732e8dd51a36429, 0x8f29d8591cebd005, 0x402bc29109d6b7c4,
+        ]),
+        (0xdc1e678bac109d27, &[
+            0x38e6b028150b0739, 0xaba41e1c26da8ff1, 0xbbea5e9a96f95174, 0xc03cf24d3a06b71f,
+            0xf258ecd0ea9cdf0e, 0xc3ba21934dd01952, 0x8f91d14adfe22c3d, 0x1eda0142f9be2548,
+            0x6bb9335e0438aa91, 0x3625859a69642dc9, 0x1b30e252e3159b9c, 0xf711ffcdd22ebc07,
+            0xca42b999d7c7ac13, 0x12496c91e265efe7, 0x1d1b3d86e3752e96, 0xbc2dce913e887399,
+            0x15c953b2b150ac98, 0xdc8b129e9c15da30, 0x21e3e4927c429e8f, 0xa82288e15df11002,
+            0xe4bc56d907bf3595, 0x8e21c9b1351b4ccd, 0x271a324ca421eff0, 0xe621e94c2f0599a3,
+            0x9781dde454896b28, 0xcda9cfd7bce57ce0, 0xd39c289ea5aabc9f, 0xe7c6369a771a32f2,
+            0x09941421c2b5000d, 0xcb71b879eb09cd25, 0x940630e8bc9b9878, 0x387e1b17d868642b,
+        ]),
+    ];
+
+    #[test]
+    fn the_parents_sweep_fingerprints_and_cell_keys_are_unchanged() {
+        let specs = Arc::new(SpecCache::new());
+        for (spec, (fingerprint, keys)) in golden_specs().into_iter().zip(GOLDEN_KEYS) {
+            let sweep = spec.resolve().unwrap();
+            assert_eq!(sweep.fingerprint(&specs, 8), fingerprint, "{spec:?}");
+            assert_eq!(keys_of(spec, &specs), keys);
+        }
+    }
+
     #[test]
     fn overlapping_sweeps_share_exactly_their_common_cells() {
-        let specs = SpecCache::new();
-        let base = SweepSpec::default().resolve().unwrap();
+        let specs = Arc::new(SpecCache::new());
+        let base = SweepSpec::default();
         let base_keys: std::collections::HashSet<u64> =
-            base.cell_keys(&specs, 2).into_iter().collect();
+            keys_of(base.clone(), &specs).into_iter().collect();
 
         // A policy superset shares every base cell; only the new column's
         // cells (apps × reps) are novel.
         let wider = SweepSpec {
             policies: format!("{DEFAULT_POLICIES},rgp-las:prop=repart"),
-            ..SweepSpec::default()
-        }
-        .resolve()
-        .unwrap();
-        let wider_keys = wider.cell_keys(&specs, 2);
+            ..base.clone()
+        };
+        let wider_keys = keys_of(wider, &specs);
         let novel = wider_keys.iter().filter(|k| !base_keys.contains(k)).count();
-        assert_eq!(novel, base.apps.len() * base.reps);
+        assert_eq!(novel, Application::all().len());
 
         // An app subset is entirely contained in the base sweep.
         let subset = SweepSpec {
             apps: "jacobi,nstream".to_string(),
-            ..SweepSpec::default()
-        }
-        .resolve()
-        .unwrap();
-        assert!(subset
-            .cell_keys(&specs, 2)
+            ..base.clone()
+        };
+        assert!(keys_of(subset, &specs)
             .iter()
             .all(|k| base_keys.contains(k)));
 
         // Added repetitions keep rep-0 cells and add only the rep-1 ones.
         let more_reps = SweepSpec {
             reps: 2,
-            ..SweepSpec::default()
-        }
-        .resolve()
-        .unwrap();
-        let rep_keys = more_reps.cell_keys(&specs, 2);
+            ..base.clone()
+        };
+        let rep_keys = keys_of(more_reps, &specs);
         let shared = rep_keys.iter().filter(|k| base_keys.contains(k)).count();
-        assert_eq!(shared, base.total_cells());
-        assert_eq!(rep_keys.len(), 2 * base.total_cells());
+        assert_eq!(shared, base_keys.len());
+        assert_eq!(rep_keys.len(), 2 * base_keys.len());
 
         // A different seed shares nothing.
-        let reseeded = SweepSpec {
-            seed: 1,
-            ..SweepSpec::default()
-        }
-        .resolve()
-        .unwrap();
-        assert!(reseeded
-            .cell_keys(&specs, 2)
+        let reseeded = SweepSpec { seed: 1, ..base };
+        assert!(keys_of(reseeded, &specs)
             .iter()
             .all(|k| !base_keys.contains(k)));
     }

@@ -12,9 +12,10 @@
 //!    the canonical sweep fingerprint. Identical in-flight jobs coalesce
 //!    and exact repeats are answered byte-identically from the sweep-level
 //!    report cache without planning anything — the fast path. Otherwise
-//!    the sweep is planned and decomposed into content-addressed cells
-//!    ([`crate::protocol::cell_fingerprint`]): cells some earlier sweep
-//!    already executed hydrate instantly from the [`CellCache`] — so
+//!    the sweep is planned and each job of the plan is keyed as a
+//!    content-addressed cell ([`crate::protocol::cell_fingerprint`]):
+//!    cells some earlier sweep already executed hydrate instantly from the
+//!    [`CellCache`] — so
 //!    overlapping sweeps of *different* shapes (added policy columns, app
 //!    subsets, extra repetitions) share work — and only the novel cells
 //!    are batched onto the pool queue. Submissions that would blow the
@@ -64,7 +65,7 @@ use numadag_runtime::{CellOutcome, Executor, SweepPlan};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
-use crate::protocol::{push_report_line, Request, Response, ServerStats, SweepSpec};
+use crate::protocol::{cell_keys, push_report_line, Request, Response, ServerStats, SweepSpec};
 
 /// Configuration of a daemon instance.
 #[derive(Clone, Debug)]
@@ -602,8 +603,7 @@ fn handle_submit(
             .experiment(shared.config.topology.clone(), Arc::clone(&shared.specs))
             .plan(),
     );
-    let cell_keys = resolved.cell_keys(&shared.specs, num_sockets);
-    debug_assert_eq!(cell_keys.len(), plan.num_jobs());
+    let cell_keys = cell_keys(&plan, &resolved, &shared.specs, num_sockets);
 
     let (job_id, admission) = {
         let mut state = shared.state.lock().unwrap();

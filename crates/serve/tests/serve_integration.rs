@@ -21,6 +21,15 @@ fn tiny_spec() -> SweepSpec {
     }
 }
 
+/// The cells a sweep executes: the jobs of its plan.
+fn total_cells(spec: &SweepSpec) -> usize {
+    spec.resolve()
+        .unwrap()
+        .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
+        .plan()
+        .num_jobs()
+}
+
 #[test]
 fn concurrent_identical_submissions_execute_once_with_identical_bytes() {
     let handle = serve(ServeConfig::default()).unwrap();
@@ -205,7 +214,7 @@ fn progress_streams_every_cell_to_subscribers_that_ask() {
         })
         .unwrap();
 
-    let total = tiny_spec().resolve().unwrap().total_cells() as u64;
+    let total = total_cells(&tiny_spec()) as u64;
     assert_eq!(seen.len() as u64, outcome.executed_cells);
     assert_eq!(seen.last().map(|&(c, _)| c), Some(total));
     assert!(seen.iter().all(|&(_, t)| t == total));
@@ -286,7 +295,7 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
         reps: 3,
         ..SweepSpec::default()
     };
-    let busy_total = busy_spec.resolve().unwrap().total_cells() as u64;
+    let busy_total = total_cells(&busy_spec) as u64;
     let mut busy = ServeClient::connect(&addr).unwrap();
     busy.send(&Request::SubmitSweep {
         spec: busy_spec,
@@ -309,7 +318,7 @@ fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
         seed: 99,
         ..SweepSpec::default()
     };
-    let doomed_total = doomed_spec.resolve().unwrap().total_cells() as u64;
+    let doomed_total = total_cells(&doomed_spec) as u64;
     let mut doomed = ServeClient::connect(&addr).unwrap();
     doomed
         .send(&Request::SubmitSweep {
@@ -419,9 +428,9 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
     // Seed the cell cache with the default all-apps sweep (4 policy columns
     // including the appended LAS baseline).
     let base = client.submit(SweepSpec::default(), false, |_| ()).unwrap();
-    let base_resolved = SweepSpec::default().resolve().unwrap();
+    let base_cells = total_cells(&SweepSpec::default());
     assert!(!base.cache_hit);
-    assert_eq!(base.executed_cells as usize, base_resolved.total_cells());
+    assert_eq!(base.executed_cells as usize, base_cells);
     assert_eq!(base.hydrated_cells, 0);
 
     // Adding one policy column executes exactly apps × reps novel cells;
@@ -431,14 +440,12 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
         ..SweepSpec::default()
     };
     let wider_resolved = wider_spec.resolve().unwrap();
+    let wider_cells = total_cells(&wider_spec);
     let wider = client.submit(wider_spec, false, |_| ()).unwrap();
     assert!(!wider.cache_hit, "a different sweep shape is not a repeat");
     let novel = wider_resolved.apps.len() * wider_resolved.reps;
     assert_eq!(wider.executed_cells as usize, novel);
-    assert_eq!(
-        wider.hydrated_cells as usize,
-        wider_resolved.total_cells() - novel
-    );
+    assert_eq!(wider.hydrated_cells as usize, wider_cells - novel);
 
     // The report reassembled from hydrated + fresh cells is byte-identical
     // to executing the widened sweep directly.
@@ -455,13 +462,11 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
         ..SweepSpec::default()
     };
     let subset_resolved = subset_spec.resolve().unwrap();
+    let subset_cells = total_cells(&subset_spec);
     let subset = client.submit(subset_spec, false, |_| ()).unwrap();
     assert!(!subset.cache_hit);
     assert_eq!(subset.executed_cells, 0, "every subset cell must hydrate");
-    assert_eq!(
-        subset.hydrated_cells as usize,
-        subset_resolved.total_cells()
-    );
+    assert_eq!(subset.hydrated_cells as usize, subset_cells);
     let direct_plan = subset_resolved
         .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
         .plan();
@@ -469,17 +474,14 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
     assert_eq!(subset.report_json, direct.to_json_string());
 
     let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.executed_cells_total as usize,
-        base_resolved.total_cells() + novel
-    );
+    assert_eq!(stats.executed_cells_total as usize, base_cells + novel);
     assert_eq!(
         stats.cells_hydrated_total,
         wider.hydrated_cells + subset.hydrated_cells
     );
     assert_eq!(
         stats.cell_cache_entries as usize,
-        base_resolved.total_cells() + novel,
+        base_cells + novel,
         "each executed cell is cached exactly once"
     );
 

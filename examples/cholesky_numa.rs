@@ -32,7 +32,7 @@ fn main() {
     let report = Experiment::new()
         .topology(topology.clone())
         .workload(spec.clone())
-        .policies([PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep])
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
         .seed(7)
         .run();
 

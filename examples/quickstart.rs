@@ -24,7 +24,7 @@ fn main() {
         .topology(topology)
         .app(Application::Jacobi)
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep])
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
         .backend(Backend::Simulated)
         .seed(42)
         .run();

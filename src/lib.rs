@@ -32,7 +32,7 @@
 //!     .topology(Topology::bullion_s16())        // the paper's machine
 //!     .app(Application::Jacobi)                 // one of the eight apps
 //!     .scale(ProblemScale::Tiny)
-//!     .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+//!     .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
 //!     .backend(Backend::Simulated)              // or Backend::Threaded
 //!     .seed(42)
 //!     .run();
@@ -44,8 +44,11 @@
 //! ```
 //!
 //! Policies are addressed through the string-parseable [`core::PolicyKind`]
-//! registry — `"rgp-las:w=512".parse::<PolicyKind>()` selects RGP+LAS with a
-//! 512-task window — so CLI tools and configs never hard-code policy lists.
+//! registry of four kinds — `Dfifo`, `Ep`, `Las` and `Rgp(RgpTuning)`, with
+//! `PolicyKind::RGP_LAS` / `RGP_RR` naming RGP's two default propagations —
+//! so CLI tools and configs never hard-code policy lists:
+//! `"rgp-las:w=512".parse::<PolicyKind>()` selects RGP+LAS with a 512-task
+//! window. Each policy has exactly one value and one label.
 //!
 //! For a single run (no sweep), use any backend through the
 //! [`runtime::Executor`] trait:
@@ -55,7 +58,7 @@
 //!
 //! let spec = Application::NStream.build(ProblemScale::Tiny, 8);
 //! let executor = Backend::Simulated.executor(ExecutionConfig::bullion_s16());
-//! let mut policy = make_policy(PolicyKind::RgpLas, &spec, 42).unwrap();
+//! let mut policy = make_policy(PolicyKind::RGP_LAS, &spec, 42).unwrap();
 //! let report = executor.execute(&spec, policy.as_mut());
 //! assert!(report.makespan_ns > 0.0);
 //! ```
@@ -95,7 +98,7 @@
 //! let collector = Arc::new(TraceCollector::new());
 //! Experiment::new()
 //!     .app(Application::IntegralHistogram)
-//!     .policies([PolicyKind::RgpLas])
+//!     .policies([PolicyKind::RGP_LAS])
 //!     .trace(Arc::clone(&collector))
 //!     .run();
 //!

@@ -97,7 +97,7 @@ fn experiment_runs_the_same_sweep_on_both_backends() {
             .topology(Topology::two_socket(2))
             .app(Application::NStream)
             .scale(ProblemScale::Tiny)
-            .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
             .backend(backend)
             .seed(11)
             .run();
@@ -158,7 +158,7 @@ fn experiment_through_the_proc_backend_is_byte_identical_to_simulated() {
             .topology(Topology::two_socket(2))
             .app(Application::NStream)
             .scale(ProblemScale::Tiny)
-            .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
             .backend(backend)
             .seed(11)
             .run()

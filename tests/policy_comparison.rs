@@ -44,7 +44,7 @@ fn every_application_completes_under_every_policy() {
 fn simulation_is_deterministic_across_runs() {
     for app in [Application::Jacobi, Application::QrFactorization] {
         let spec = app.build(ProblemScale::Tiny, 8);
-        for kind in [PolicyKind::Las, PolicyKind::RgpLas, PolicyKind::Dfifo] {
+        for kind in [PolicyKind::Las, PolicyKind::RGP_LAS, PolicyKind::Dfifo] {
             let a = run(&spec, kind, 17);
             let b = run(&spec, kind, 17);
             assert_eq!(a.makespan_ns, b.makespan_ns, "{app} under {kind}");
@@ -79,7 +79,7 @@ fn numa_aware_policies_have_more_local_traffic_than_dfifo() {
             Application::RedBlack,
         ])
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
         .seed(9)
         .run();
     for app in report.application_labels() {
@@ -113,7 +113,7 @@ fn rgp_las_beats_the_baseline_on_the_small_suite_geomean() {
     let report = Experiment::new()
         .apps(Application::all())
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::RgpLas])
+        .policies([PolicyKind::RGP_LAS])
         .seed(23)
         .run();
     let geomean = report.geomean_of("RGP+LAS").unwrap();
@@ -136,7 +136,7 @@ fn flat_cost_model_removes_the_policy_gap() {
         .cost_model(CostModel::flat())
         .app(Application::NStream)
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::RgpLas, PolicyKind::Dfifo])
+        .policies([PolicyKind::RGP_LAS, PolicyKind::Dfifo])
         .seed(1)
         .run();
     let makespan = |policy: &str| {
@@ -157,7 +157,7 @@ fn uma_machine_makes_all_policies_equivalent() {
         .topology(Topology::uma(8))
         .app(Application::Jacobi)
         .scale(ProblemScale::Tiny)
-        .policies([PolicyKind::RgpLas, PolicyKind::Dfifo])
+        .policies([PolicyKind::RGP_LAS, PolicyKind::Dfifo])
         .seed(2)
         .run();
     let makespans: Vec<f64> = report.cells.iter().map(|c| c.makespan_ns).collect();
@@ -180,7 +180,7 @@ fn ep_and_rgp_las_are_competitive_with_each_other() {
     let report = Experiment::new()
         .apps([Application::Jacobi, Application::QrFactorization])
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::Ep, PolicyKind::RgpLas])
+        .policies([PolicyKind::Ep, PolicyKind::RGP_LAS])
         .seed(31)
         .run();
     for app in report.application_labels() {

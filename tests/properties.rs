@@ -198,26 +198,6 @@ proptest! {
         prop_assert!(report.traffic.local_fraction() <= 1.0);
     }
 
-    /// The policy registry: every registered kind's canonical label parses
-    /// back to exactly that kind, for the base policies and for arbitrary
-    /// RGP window parameters, no matter how the label is cased or separated.
-    #[test]
-    fn policy_kind_labels_round_trip(
-        idx in 0usize..5,
-        window in 1usize..100_000,
-    ) {
-        let base = PolicyKind::all()[idx];
-        prop_assert_eq!(base.label().parse::<PolicyKind>().unwrap(), base);
-        prop_assert_eq!(base.label().to_lowercase().parse::<PolicyKind>().unwrap(), base);
-        if let Some(windowed) = base.with_window(window) {
-            prop_assert_eq!(windowed.label().parse::<PolicyKind>().unwrap(), windowed);
-            prop_assert_eq!(windowed.window(), Some(window));
-            prop_assert_eq!(windowed.base_label(), base.base_label());
-        } else {
-            prop_assert_eq!(base.window(), None);
-        }
-    }
-
     /// Deferred allocation places every region on the socket of a task that
     /// touched it: after any simulated run, no region that was accessed is
     /// left unallocated.
@@ -239,6 +219,71 @@ proptest! {
         // Every region was written exactly once, so all deferred allocations
         // add up to the total data size.
         prop_assert_eq!(report.deferred_bytes, 4096 * num_blocks as u64);
+    }
+}
+
+/// The RGP kind numbered `code`, one knob per mixed-radix digit: each knob
+/// unset or set to one of a few values, an anchor only under repartition.
+fn rgp_kind(mut code: usize) -> PolicyKind {
+    use numadag::core::AnchorMode;
+    let mut digit = |radix: usize| {
+        let d = code % radix;
+        code /= radix;
+        d
+    };
+    let window = [None, Some(1), Some(64), Some(99_999)][digit(4)];
+    let scheme = match digit(4) {
+        0 => None,
+        d => Some(PartitionScheme::all()[d - 1]),
+    };
+    let passes = [None, Some(0), Some(4)][digit(3)];
+    let prop = [
+        Propagation::Las,
+        Propagation::RoundRobin,
+        Propagation::Repartition,
+    ][digit(3)];
+    let anchor = match prop {
+        Propagation::Repartition => [
+            None,
+            Some(AnchorMode::None),
+            Some(AnchorMode::Deps),
+            Some(AnchorMode::Homes),
+            Some(AnchorMode::Both),
+        ][digit(5)],
+        _ => None,
+    };
+    PolicyKind::Rgp(RgpTuning {
+        window,
+        scheme,
+        passes,
+        prop,
+        anchor,
+    })
+}
+
+/// A random policy kind: one of the three without parameters (so two draws
+/// often coincide) or an RGP kind.
+fn any_kind(code: usize) -> PolicyKind {
+    match code % 8 {
+        0 => PolicyKind::Dfifo,
+        1 => PolicyKind::Ep,
+        2 => PolicyKind::Las,
+        _ => rgp_kind(code / 8),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The policy registry is canonical: every kind's label parses back to
+    /// exactly that kind, however it is cased, and two kinds share a label
+    /// exactly when they are the same kind.
+    #[test]
+    fn policy_kind_labels_round_trip(a in 0usize..8192, b in 0usize..8192) {
+        let (a, b) = (any_kind(a), any_kind(b));
+        prop_assert_eq!(a.label().parse::<PolicyKind>(), Ok(a));
+        prop_assert_eq!(a.label().to_lowercase().parse::<PolicyKind>(), Ok(a));
+        prop_assert_eq!(a.label() == b.label(), a == b, "{} vs {}", a, b);
     }
 }
 

@@ -17,7 +17,7 @@ fn small_figure1() -> Experiment {
         .topology(Topology::bullion_s16())
         .apps(Application::all())
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::Dfifo, PolicyKind::RgpLas, PolicyKind::Ep])
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
         .seed(0xF1617E)
 }
 

@@ -20,7 +20,7 @@ fn traced_sweep(backend: Backend) -> (Vec<Trace>, SweepReport) {
     let report = Experiment::new()
         .apps([Application::NStream, Application::IntegralHistogram])
         .scale(ProblemScale::Tiny)
-        .policies([PolicyKind::Dfifo, PolicyKind::RgpLas])
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
         .backend(backend)
         .seed(0xF1617E)
         .trace(Arc::clone(&collector))
@@ -52,7 +52,7 @@ fn tracing_does_not_change_simulator_measurements() {
     let experiment = || {
         Experiment::new()
             .apps([Application::Jacobi])
-            .policies([PolicyKind::RgpLas])
+            .policies([PolicyKind::RGP_LAS])
             .seed(7)
     };
     let plain = experiment().run();
@@ -67,7 +67,7 @@ fn critical_path_time_never_exceeds_makespan_for_any_policy() {
     for kind in [
         PolicyKind::Dfifo,
         PolicyKind::Las,
-        PolicyKind::RgpLas,
+        PolicyKind::RGP_LAS,
         PolicyKind::Ep,
     ] {
         let sink = Arc::new(MemorySink::new());
@@ -160,7 +160,7 @@ fn comparison_localizes_the_integral_histogram_divergence_at_small_scale() {
     let report = Experiment::new()
         .app(Application::IntegralHistogram)
         .scale(ProblemScale::Small)
-        .policies([PolicyKind::RgpLas])
+        .policies([PolicyKind::RGP_LAS])
         .seed(0xF1617E)
         .trace(Arc::clone(&collector))
         .run();

@@ -10,6 +10,11 @@
 //!     [--json PATH] [--json-timing PATH] [--trace-dir DIR]
 //! ```
 //!
+//! `--scale --policies --backend --seed --reps` are the sweep grammar
+//! (`SweepSpec::set_flag`, shared with `serve-client`), defaults included,
+//! except that Figure 1 runs at Full scale. A policy named twice is one
+//! column.
+//!
 //! `--backend proc` runs every cell in worker *processes* (the
 //! `numadag-proc` coordinator; `proc:w=N` picks the pool size, default 2).
 //! Workers execute the same deterministic simulator, so the measurement
@@ -42,11 +47,10 @@
 
 use std::sync::Arc;
 
-use numadag_bench::{
-    figure1_experiment, paper_reference, stderr_progress, write_trace_dir, HarnessConfig,
-};
-use numadag_core::PolicyKind;
-use numadag_runtime::{Backend, SweepDriver, SweepReport};
+use numadag_bench::{jobs_label, paper_reference, stderr_progress, write_trace_dir};
+use numadag_kernels::SpecCache;
+use numadag_numa::Topology;
+use numadag_runtime::{Backend, ResolvedSweep, SweepDriver, SweepReport, SweepSpec};
 use numadag_trace::TraceCollector;
 
 /// Prints a CLI usage error and exits with code 2.
@@ -68,59 +72,55 @@ fn flag_value(args: &[String], i: usize) -> &str {
     }
 }
 
-fn parse_args() -> (
-    HarnessConfig,
-    Option<String>,
-    Option<String>,
-    Option<String>,
-) {
-    let mut config = HarnessConfig::default();
-    let mut json_path = None;
-    let mut json_timing_path = None;
-    let mut trace_dir = None;
+/// Figure 1 is the Full-scale sweep of the sweep grammar's defaults.
+fn default_sweep() -> SweepSpec {
+    SweepSpec {
+        scale: "full".to_string(),
+        ..SweepSpec::default()
+    }
+}
+
+/// What the command line asks for.
+struct Args {
+    sweep: ResolvedSweep,
+    jobs: usize,
+    json_path: Option<String>,
+    json_timing_path: Option<String>,
+    trace_dir: Option<String>,
+}
+
+fn parse_args() -> Args {
+    let mut spec = default_sweep();
+    let mut jobs = 1;
+    let (mut json_path, mut json_timing_path, mut trace_dir) = (None, None, None);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--scale" => match flag_value(&args, i).parse() {
-                Ok(scale) => config.scale = scale,
-                Err(e) => usage_error(e),
-            },
-            "--policies" => match PolicyKind::parse_list(flag_value(&args, i)) {
-                Ok(kinds) if !kinds.is_empty() => config.policies = kinds,
-                Ok(_) => usage_error("--policies needs a non-empty list".to_string()),
-                Err(e) => usage_error(e.to_string()),
-            },
-            "--backend" => match flag_value(&args, i).parse() {
-                Ok(backend) => config.backend = backend,
-                Err(e) => usage_error(e),
-            },
             "--jobs" => match numadag_bench::parse_jobs(flag_value(&args, i)) {
-                Ok(jobs) => config.jobs = jobs,
+                Ok(value) => jobs = value,
                 Err(e) => usage_error(e),
-            },
-            "--reps" => match flag_value(&args, i).parse() {
-                Ok(reps) if reps > 0 => config.repetitions = reps,
-                _ => usage_error(format!(
-                    "--reps needs a positive integer, got {:?}",
-                    flag_value(&args, i)
-                )),
-            },
-            "--seed" => match flag_value(&args, i).parse() {
-                Ok(seed) => config.seed = seed,
-                Err(_) => usage_error(format!(
-                    "--seed needs an unsigned integer, got {:?}",
-                    flag_value(&args, i)
-                )),
             },
             "--json" => json_path = Some(flag_value(&args, i).to_string()),
             "--json-timing" => json_timing_path = Some(flag_value(&args, i).to_string()),
             "--trace-dir" => trace_dir = Some(flag_value(&args, i).to_string()),
-            other => usage_error(format!("unknown argument {other:?}")),
+            // Figure 1 is the whole suite: every sweep flag but this one.
+            "--apps" => usage_error("unknown argument \"--apps\"".to_string()),
+            flag => {
+                if let Err(e) = spec.set_flag(flag, args.get(i + 1).map(String::as_str)) {
+                    usage_error(e);
+                }
+            }
         }
         i += 2;
     }
-    (config, json_path, json_timing_path, trace_dir)
+    Args {
+        sweep: spec.resolve().unwrap_or_else(|e| usage_error(e)),
+        jobs,
+        json_path,
+        json_timing_path,
+        trace_dir,
+    }
 }
 
 fn print_table(report: &SweepReport) {
@@ -166,10 +166,16 @@ fn main() {
     // the worker (never returns in that case).
     numadag_proc::maybe_run_worker();
     numadag_proc::install();
-    let (config, json_path, json_timing_path, trace_dir) = parse_args();
+    let Args {
+        sweep,
+        jobs,
+        json_path,
+        json_timing_path,
+        trace_dir,
+    } = parse_args();
     // Spawn (and hold) the worker pool up front so it outlives the sweep's
     // executors and its stats can be reported after the run.
-    let proc_pool = match config.backend {
+    let proc_pool = match sweep.backend {
         Backend::Proc { workers } => {
             match numadag_proc::shared_pool(numadag_proc::PoolConfig::new(workers)) {
                 Ok(pool) => Some(pool),
@@ -181,24 +187,26 @@ fn main() {
         }
         _ => None,
     };
-    if config.backend == Backend::Threaded && config.jobs != 1 {
+    if sweep.backend == Backend::Threaded && jobs != 1 {
         eprintln!(
-            "warning: --jobs {} with the threaded backend runs that many thread \
+            "warning: --jobs {jobs} with the threaded backend runs that many thread \
              pools concurrently; wall-clock makespans will contend for CPUs and \
-             come out inflated — measure the threaded backend with --jobs 1",
-            config.jobs
+             come out inflated — measure the threaded backend with --jobs 1"
         );
     }
+    let topology = Topology::bullion_s16();
     println!(
         "# Figure 1 — speedup over LAS on {} ({:?} scale, {} backend, {} jobs)\n",
-        config.topology.name(),
-        config.scale,
-        config.backend.label(),
-        numadag_bench::jobs_label(config.jobs),
+        topology.name(),
+        sweep.scale,
+        sweep.backend.label(),
+        jobs_label(jobs),
     );
 
     let collector = trace_dir.as_ref().map(|_| Arc::new(TraceCollector::new()));
-    let mut experiment = figure1_experiment(&config).stage_timing(json_timing_path.is_some());
+    let mut experiment = sweep
+        .experiment(topology, Arc::new(SpecCache::new()))
+        .stage_timing(json_timing_path.is_some());
     if let Some(collector) = &collector {
         experiment = experiment.trace(Arc::clone(collector));
     }
@@ -206,7 +214,7 @@ fn main() {
     // window-plan counters after the sweep.
     let plan = experiment.plan();
     let report = SweepDriver::new()
-        .parallelism(config.jobs)
+        .parallelism(jobs)
         .on_cell_complete(stderr_progress)
         .execute(&plan);
     print_table(&report);
@@ -288,5 +296,62 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use numadag_core::PolicyKind;
+    use numadag_kernels::{Application, ProblemScale};
+    use numadag_runtime::{Experiment, SweepPlan};
+
+    /// Everything a plan runs: each job by its labels, then the backend
+    /// and seed.
+    fn jobs_of(plan: &SweepPlan) -> Vec<String> {
+        let mut jobs: Vec<String> = (0..plan.num_jobs())
+            .map(|i| {
+                let (app, scale, policy) = plan.job_labels(i);
+                let rep = plan.job_at(i).repetition;
+                format!("{app}/{scale}/{policy}/rep {rep}")
+            })
+            .collect();
+        let seed = plan.executor().config().seed;
+        jobs.push(format!("{:?} seed {seed:#x}", plan.backend()));
+        jobs
+    }
+
+    #[test]
+    fn the_default_sweep_is_the_sweep_grammars_at_full_scale() {
+        let specs = Arc::new(SpecCache::new());
+        let planned = |spec: SweepSpec| {
+            let sweep = spec.resolve().unwrap();
+            jobs_of(
+                &sweep
+                    .experiment(Topology::bullion_s16(), Arc::clone(&specs))
+                    .plan(),
+            )
+        };
+        let full = SweepSpec {
+            scale: "full".to_string(),
+            ..SweepSpec::default()
+        };
+        assert_eq!(planned(default_sweep()), planned(full));
+        // ... and what `figure1` ran by default before it read the grammar:
+        // the whole suite at Full scale, DFIFO, RGP+LAS and EP against LAS,
+        // one simulated repetition, seed 0xF1617E.
+        let before = Experiment::new()
+            .apps(Application::all())
+            .scale(ProblemScale::Full)
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
+            .baseline(PolicyKind::Las)
+            .backend(Backend::Simulated)
+            .repetitions(1)
+            .seed(0xF1617E)
+            .spec_cache(Arc::clone(&specs))
+            .plan();
+        let jobs = jobs_of(&before);
+        assert_eq!(jobs.len(), 8 * 4 + 1);
+        assert_eq!(planned(default_sweep()), jobs);
     }
 }

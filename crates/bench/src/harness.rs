@@ -1,68 +1,13 @@
-//! Shared harness: the Figure-1 sweep expressed as an [`Experiment`], plus
-//! the paper's reference numbers.
+//! Shared harness of the `figure1` and `ablation` binaries: `--jobs`
+//! parsing, progress lines, trace files and the paper's reference numbers.
 //!
-//! All sweep mechanics (baseline runs, speedups, geometric means, JSON
-//! serialization) live in [`numadag_runtime::Experiment`]; this module only
-//! binds the paper's evaluation setup (machine, suite, policy set) to it.
+//! The sweep itself is [`numadag_runtime::SweepSpec`]: its flags, defaults
+//! and binding to the paper's machine are the sweep service's too.
 
 use std::path::Path;
 
-use numadag_core::PolicyKind;
-use numadag_kernels::{Application, ProblemScale};
-use numadag_numa::Topology;
-use numadag_runtime::{Backend, CellProgress, Experiment, SweepReport};
+use numadag_runtime::CellProgress;
 use numadag_trace::Trace;
-
-/// Configuration of a harness run.
-#[derive(Clone, Debug)]
-pub struct HarnessConfig {
-    /// Machine topology (default: the paper's bullion S16).
-    pub topology: Topology,
-    /// Problem scale for the suite.
-    pub scale: ProblemScale,
-    /// Seed for all seeded components.
-    pub seed: u64,
-    /// Policies to evaluate (the baseline LAS is always run and reported
-    /// last). RGP window sizes are encoded in the kinds (`rgp-las:w=512`).
-    pub policies: Vec<PolicyKind>,
-    /// Execution backend.
-    pub backend: Backend,
-    /// Repetitions per cell (only meaningful for the threaded backend).
-    pub repetitions: usize,
-    /// Worker threads the sweep is sharded across (1 = serial, 0 = one per
-    /// available core). Reports are bit-identical for every value on the
-    /// simulator backend.
-    pub jobs: usize,
-}
-
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig {
-            topology: Topology::bullion_s16(),
-            scale: ProblemScale::Full,
-            seed: 0xF1617E,
-            policies: vec![PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep],
-            backend: Backend::Simulated,
-            repetitions: 1,
-            jobs: 1,
-        }
-    }
-}
-
-/// The Figure-1 experiment for a harness configuration: the whole suite
-/// under LAS (baseline) plus the configured policies.
-pub fn figure1_experiment(config: &HarnessConfig) -> Experiment {
-    Experiment::new()
-        .topology(config.topology.clone())
-        .apps(Application::all())
-        .scale(config.scale)
-        .policies(config.policies.iter().copied())
-        .baseline(PolicyKind::Las)
-        .backend(config.backend)
-        .repetitions(config.repetitions)
-        .seed(config.seed)
-        .parallelism(config.jobs)
-}
 
 /// Parses a `--jobs` CLI value (shared by both bins so their error handling
 /// cannot drift): any unsigned integer, where `0` means "one worker per
@@ -109,11 +54,6 @@ pub fn stderr_progress(progress: &CellProgress) {
             progress.wall_ns / 1e6,
         );
     }
-}
-
-/// Runs the Figure-1 experiment and returns the structured sweep report.
-pub fn run_figure1(config: &HarnessConfig) -> SweepReport {
-    figure1_experiment(config).run()
 }
 
 /// File-system-safe spelling of a workload/policy label: alphanumerics,
@@ -175,17 +115,21 @@ pub fn paper_reference() -> Vec<(&'static str, &'static str, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numadag_kernels::SpecCache;
+    use numadag_numa::Topology;
+    use numadag_runtime::{Experiment, SweepSpec};
+    use std::sync::Arc;
 
-    fn tiny_config() -> HarnessConfig {
-        HarnessConfig {
-            scale: ProblemScale::Tiny,
-            ..HarnessConfig::default()
-        }
+    /// The tiny sweep `spec` names, on the paper's machine.
+    fn tiny(spec: SweepSpec) -> Experiment {
+        spec.resolve()
+            .unwrap()
+            .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
     }
 
     #[test]
     fn figure1_covers_eight_applications_with_all_policies() {
-        let report = run_figure1(&tiny_config());
+        let report = tiny(SweepSpec::default()).run();
         assert_eq!(report.application_labels().len(), 8);
         // DFIFO, RGP+LAS, EP + the LAS baseline itself, baseline last.
         assert_eq!(
@@ -201,11 +145,6 @@ mod tests {
                 assert!(cell.makespan_ns > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn geometric_means_cover_every_policy() {
-        let report = run_figure1(&tiny_config());
         for label in ["DFIFO", "RGP+LAS", "EP", "LAS"] {
             let gm = report.geomean_of(label).expect(label);
             assert!(gm > 0.0, "{label} has non-positive geomean");
@@ -217,15 +156,13 @@ mod tests {
     #[test]
     fn trace_dir_writes_one_round_trippable_file_per_cell() {
         use numadag_trace::TraceCollector;
-        use std::sync::Arc;
         let collector = Arc::new(TraceCollector::new());
-        let config = HarnessConfig {
-            policies: vec![PolicyKind::RGP_LAS],
-            ..tiny_config()
-        };
-        figure1_experiment(&config)
-            .trace(Arc::clone(&collector))
-            .run();
+        tiny(SweepSpec {
+            policies: "rgp-las".to_string(),
+            ..SweepSpec::default()
+        })
+        .trace(Arc::clone(&collector))
+        .run();
         let traces = collector.take();
         assert_eq!(traces.len(), 16); // 8 apps × (RGP+LAS + LAS)
         let dir = std::env::temp_dir().join(format!("numadag_tracedir_{}", std::process::id()));

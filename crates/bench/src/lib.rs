@@ -11,6 +11,5 @@
 pub mod harness;
 
 pub use harness::{
-    figure1_experiment, jobs_label, paper_reference, parse_jobs, run_figure1, sanitize_label,
-    stderr_progress, write_trace_dir, HarnessConfig,
+    jobs_label, paper_reference, parse_jobs, sanitize_label, stderr_progress, write_trace_dir,
 };

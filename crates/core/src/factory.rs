@@ -23,10 +23,12 @@ use crate::dfifo::DfifoPolicy;
 use crate::ep::EpPolicy;
 use crate::las::LasPolicy;
 use crate::policy::SchedulingPolicy;
-use crate::rgp::{AnchorMode, Propagation, RgpConfig, RgpPolicy};
+use crate::rgp::{AnchorMode, Propagation, RgpPolicy};
 
-/// The parameters of an RGP policy, as encoded in registry labels. An unset
-/// knob (`None`) keeps the [`RgpConfig`] default.
+/// The parameters of an RGP policy, as encoded in registry labels and read
+/// by [`RgpPolicy::new`]. An unset knob (`None`) keeps its default: a
+/// 1024-task window, the multilevel scheme, the partitioner's pass limit
+/// and both anchors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct RgpTuning {
     /// RGP window size (`w=512`).
@@ -71,26 +73,6 @@ impl RgpTuning {
         } else {
             format!(":{}", params.join(","))
         }
-    }
-
-    /// The [`RgpConfig`] this tuning denotes, seeded with `seed`.
-    fn config(&self, seed: u64) -> RgpConfig {
-        let mut config = RgpConfig::default()
-            .with_seed(seed)
-            .with_propagation(self.prop);
-        if let Some(w) = self.window {
-            config = config.with_window_size(w);
-        }
-        if let Some(scheme) = self.scheme {
-            config = config.with_scheme(scheme);
-        }
-        if let Some(passes) = self.passes {
-            config = config.with_refine_passes(passes);
-        }
-        if let Some(anchor) = self.anchor {
-            config = config.with_anchor(anchor);
-        }
-        config
     }
 }
 
@@ -326,7 +308,7 @@ pub fn make_policy(
         PolicyKind::Dfifo => Box::new(DfifoPolicy::new()) as Box<dyn SchedulingPolicy>,
         PolicyKind::Ep => Box::new(EpPolicy::from_spec(spec)?),
         PolicyKind::Las => Box::new(LasPolicy::new(seed)),
-        PolicyKind::Rgp(tuning) => Box::new(RgpPolicy::new(tuning.config(seed))),
+        PolicyKind::Rgp(tuning) => Box::new(RgpPolicy::new(tuning, seed)),
     })
 }
 

@@ -42,4 +42,4 @@ pub use factory::{make_policy, ParsePolicyError, PolicyKind, RgpTuning};
 pub use las::LasPolicy;
 pub use numadag_graph::{PartitionScheme, PartitionTuning};
 pub use policy::{DataLocator, MemoryLocator, PartitionStats, SchedulingPolicy};
-pub use rgp::{AnchorMode, Propagation, RgpConfig, RgpPolicy};
+pub use rgp::{AnchorMode, Propagation, RgpPolicy};

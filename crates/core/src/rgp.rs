@@ -27,12 +27,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use numadag_graph::{partition as gp, AffinityCosts, PartitionScheme, PartitionTuning};
+use numadag_graph::{partition as gp, AffinityCosts, PartitionTuning};
 use numadag_numa::SocketId;
 use numadag_tdg::{
     window_to_csr, TaskDescriptor, TaskGraph, TaskId, TaskWindow, WindowConfig, WindowCursor,
 };
 
+use crate::factory::RgpTuning;
 use crate::las::LasPolicy;
 use crate::policy::{DataLocator, PartitionStats, SchedulingPolicy};
 use crate::weights::{socket_weights_into, SocketWeights};
@@ -121,82 +122,13 @@ impl AnchorMode {
     }
 }
 
-/// Configuration of the RGP policy.
-#[derive(Clone, Debug)]
-pub struct RgpConfig {
-    /// Window size limit: how many tasks are captured and partitioned.
-    pub window: WindowConfig,
-    /// Full partitioner configuration (scheme, imbalance, refinement
-    /// passes, coarsening threshold); the part count and seed are filled in
-    /// at [`SchedulingPolicy::prepare`] time from the machine topology.
-    pub partitioner: PartitionTuning,
-    /// Seed for the partitioner and for the propagation policy.
-    pub seed: u64,
-    /// Propagation used beyond the window.
-    pub propagation: Propagation,
-    /// Anchors used by [`Propagation::Repartition`] (ignored otherwise).
-    pub anchor: AnchorMode,
-}
-
-impl Default for RgpConfig {
-    fn default() -> Self {
-        RgpConfig {
-            window: WindowConfig::default(),
-            partitioner: PartitionTuning::default(),
-            seed: 0x56F1,
-            propagation: Propagation::Las,
-            anchor: AnchorMode::default(),
-        }
-    }
-}
-
-impl RgpConfig {
-    /// Sets the window size.
-    pub fn with_window_size(mut self, size: usize) -> Self {
-        self.window = WindowConfig::new(size);
-        self
-    }
-
-    /// Sets the allowed imbalance of the window partition.
-    pub fn with_imbalance(mut self, imbalance: f64) -> Self {
-        self.partitioner.imbalance = imbalance;
-        self
-    }
-
-    /// Sets the partitioning scheme used on the window.
-    pub fn with_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.partitioner.scheme = scheme;
-        self
-    }
-
-    /// Sets the refinement pass limit of the window partitioner.
-    pub fn with_refine_passes(mut self, passes: usize) -> Self {
-        self.partitioner.refine_passes = Some(passes);
-        self
-    }
-
-    /// Sets the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the propagation mode.
-    pub fn with_propagation(mut self, propagation: Propagation) -> Self {
-        self.propagation = propagation;
-        self
-    }
-
-    /// Sets the anchor mode used by [`Propagation::Repartition`].
-    pub fn with_anchor(mut self, anchor: AnchorMode) -> Self {
-        self.anchor = anchor;
-        self
-    }
-}
-
 /// The RGP policy (RGP+LAS by default).
 pub struct RgpPolicy {
-    config: RgpConfig,
+    /// The label's knobs; an unset one keeps its default.
+    tuning: RgpTuning,
+    /// Seed of the partitioner (`seed + k` for the `k`-th window placed)
+    /// and of the LAS propagation.
+    seed: u64,
     /// Socket decided by the partitioner for each window task.
     window_assignment: Vec<Option<SocketId>>,
     /// Fallback policy for tasks outside the window.
@@ -222,13 +154,13 @@ pub struct RgpPolicy {
 }
 
 impl RgpPolicy {
-    /// Creates an RGP policy with the given configuration.
-    pub fn new(config: RgpConfig) -> Self {
-        let las = LasPolicy::new(config.seed ^ 0x1A5);
+    /// Creates the RGP policy `tuning` spells, seeded with `seed`.
+    pub fn new(tuning: RgpTuning, seed: u64) -> Self {
         RgpPolicy {
-            config,
+            tuning,
+            seed,
             window_assignment: Vec::new(),
-            las,
+            las: LasPolicy::new(seed ^ 0x1A5),
             rr_next: 0,
             window_edge_cut: 0,
             window_size_used: 0,
@@ -241,9 +173,16 @@ impl RgpPolicy {
         }
     }
 
-    /// Creates the paper's RGP+LAS with default parameters.
+    /// Creates the paper's RGP+LAS with default parameters and seed.
     pub fn rgp_las() -> Self {
-        RgpPolicy::new(RgpConfig::default())
+        RgpPolicy::new(RgpTuning::default(), 0x56F1)
+    }
+
+    /// The window size limit: how many tasks each window captures.
+    fn window(&self) -> WindowConfig {
+        self.tuning
+            .window
+            .map_or_else(WindowConfig::default, WindowConfig::new)
     }
 
     /// Edge cut (in bytes) of the partition of the initial window — summed
@@ -265,7 +204,7 @@ impl RgpPolicy {
     }
 
     /// Partitions one window and records its plan into `window_assignment`.
-    /// In repartition mode the window is anchored per [`RgpConfig::anchor`]:
+    /// In repartition mode the window is anchored per [`RgpTuning::anchor`]:
     /// dependence anchors point at the recorded plan of earlier windows,
     /// home anchors at the observed placement of each task's data.
     ///
@@ -286,10 +225,15 @@ impl RgpPolicy {
         let started = Instant::now();
         // One seed per window keeps later windows decorrelated from the
         // first without losing determinism.
-        let seed = self.config.seed.wrapping_add(self.partition_windows as u64);
-        let cfg = self.config.partitioner.config_for(num_sockets, seed);
-        let anchor = if self.config.propagation == Propagation::Repartition {
-            self.config.anchor
+        let seed = self.seed.wrapping_add(self.partition_windows as u64);
+        let cfg = PartitionTuning {
+            scheme: self.tuning.scheme.unwrap_or_default(),
+            refine_passes: self.tuning.passes,
+            ..PartitionTuning::default()
+        }
+        .config_for(num_sockets, seed);
+        let anchor = if self.tuning.prop == Propagation::Repartition {
+            self.tuning.anchor.unwrap_or_default()
         } else {
             AnchorMode::None
         };
@@ -369,7 +313,7 @@ impl RgpPolicy {
 
 impl SchedulingPolicy for RgpPolicy {
     fn name(&self) -> &'static str {
-        match self.config.propagation {
+        match self.tuning.prop {
             Propagation::Las | Propagation::Repartition => "RGP+LAS",
             Propagation::RoundRobin => "RGP+RR",
         }
@@ -377,9 +321,9 @@ impl SchedulingPolicy for RgpPolicy {
 
     fn prepare(&mut self, graph: &Arc<TaskGraph>, locator: &dyn DataLocator) {
         self.window_assignment = vec![None; graph.num_tasks()];
-        match self.config.propagation {
+        match self.tuning.prop {
             Propagation::Repartition => {
-                let mut cursor = WindowCursor::new(graph, self.config.window);
+                let mut cursor = WindowCursor::new(graph, self.window());
                 if let Some(window) = cursor.advance() {
                     self.window_size_used = window.len();
                     self.partition_window_on(graph, &window, locator);
@@ -389,7 +333,7 @@ impl SchedulingPolicy for RgpPolicy {
                 self.graph = Some(Arc::clone(graph));
             }
             Propagation::Las | Propagation::RoundRobin => {
-                let window = TaskWindow::initial(graph, self.config.window);
+                let window = TaskWindow::initial(graph, self.window());
                 self.window_size_used = window.len();
                 self.partition_window_on(graph, &window, locator);
             }
@@ -397,7 +341,7 @@ impl SchedulingPolicy for RgpPolicy {
     }
 
     fn assign(&mut self, task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId {
-        if self.config.propagation == Propagation::Repartition {
+        if self.tuning.prop == Propagation::Repartition {
             // Close (and partition) every window up to the one holding this
             // task, then let biased LAS arbitrate between the window plan
             // and the data homes actually observed at this point.
@@ -412,7 +356,7 @@ impl SchedulingPolicy for RgpPolicy {
         if let Some(Some(socket)) = self.window_assignment.get(task.id.index()) {
             return *socket;
         }
-        match self.config.propagation {
+        match self.tuning.prop {
             Propagation::Las | Propagation::Repartition => self.las.assign(task, locator),
             Propagation::RoundRobin => {
                 let num_sockets = locator.topology().num_sockets();
@@ -435,8 +379,22 @@ impl SchedulingPolicy for RgpPolicy {
 mod tests {
     use super::*;
     use crate::policy::MemoryLocator;
+    use numadag_graph::PartitionScheme;
     use numadag_numa::{MemoryMap, Topology};
     use numadag_tdg::{TaskSpec, TdgBuilder};
+
+    /// The seed [`RgpPolicy::rgp_las`] uses.
+    const SEED: u64 = 0x56F1;
+
+    /// RGP with window size `window` and propagation `prop`, other knobs
+    /// at their defaults.
+    fn tuned(window: usize, prop: Propagation) -> RgpTuning {
+        RgpTuning {
+            window: Some(window),
+            prop,
+            ..RgpTuning::default()
+        }
+    }
 
     /// Builds a workload with two independent heavy chains. A partitioner
     /// must put each chain on its own socket.
@@ -461,7 +419,7 @@ mod tests {
             mem.register(*s);
         }
         let loc = MemoryLocator::new(&topo, &mem);
-        let mut p = RgpPolicy::new(RgpConfig::default().with_window_size(40));
+        let mut p = RgpPolicy::new(tuned(40, Propagation::Las), SEED);
         p.prepare(&graph, &loc);
         assert_eq!(p.window_size_used(), 40);
         // Independent chains: zero cut is achievable.
@@ -482,7 +440,7 @@ mod tests {
         let topo = Topology::two_socket(4);
         let mut mem = MemoryMap::new();
         let regions: Vec<_> = sizes.iter().map(|s| mem.register(*s)).collect();
-        let mut p = RgpPolicy::new(RgpConfig::default().with_window_size(20));
+        let mut p = RgpPolicy::new(tuned(20, Propagation::Las), SEED);
         {
             let loc = MemoryLocator::new(&topo, &mem);
             p.prepare(&graph, &loc);
@@ -516,11 +474,7 @@ mod tests {
             mem.register(*s);
         }
         let loc = MemoryLocator::new(&topo, &mem);
-        let mut p = RgpPolicy::new(
-            RgpConfig::default()
-                .with_window_size(2)
-                .with_propagation(Propagation::RoundRobin),
-        );
+        let mut p = RgpPolicy::new(tuned(2, Propagation::RoundRobin), SEED);
         assert_eq!(p.name(), "RGP+RR");
         p.prepare(&graph, &loc);
         // Tasks 2.. are outside the window; they cycle over sockets.
@@ -543,20 +497,20 @@ mod tests {
             mem.register(*s);
         }
         let loc = MemoryLocator::new(&topo, &mem);
-        for scheme in numadag_graph::PartitionScheme::all() {
-            let mut p = RgpPolicy::new(
-                RgpConfig::default()
-                    .with_window_size(80)
-                    .with_scheme(scheme)
-                    .with_refine_passes(4),
-            );
+        for scheme in PartitionScheme::all() {
+            let tuning = RgpTuning {
+                scheme: Some(scheme),
+                passes: Some(4),
+                ..tuned(80, Propagation::Las)
+            };
+            let mut p = RgpPolicy::new(tuning, SEED);
             p.prepare(&graph, &loc);
             assert_eq!(p.window_size_used(), 80, "{scheme:?}");
             for t in graph.task_ids() {
                 assert!(p.window_socket_of(t).is_some(), "{scheme:?}: task {t}");
             }
         }
-        let mut ml = RgpPolicy::new(RgpConfig::default().with_window_size(80));
+        let mut ml = RgpPolicy::new(tuned(80, Propagation::Las), SEED);
         ml.prepare(&graph, &loc);
         assert_eq!(ml.window_edge_cut(), 0, "multilevel must find the zero cut");
     }
@@ -625,11 +579,7 @@ mod tests {
             mem.register(*s);
         }
         let loc = MemoryLocator::new(&topo, &mem);
-        let mut p = RgpPolicy::new(
-            RgpConfig::default()
-                .with_window_size(20)
-                .with_propagation(Propagation::Repartition),
-        );
+        let mut p = RgpPolicy::new(tuned(20, Propagation::Repartition), SEED);
         assert_eq!(p.name(), "RGP+LAS");
         p.prepare(&graph, &loc);
         // Only the first window is partitioned up front.
@@ -660,12 +610,11 @@ mod tests {
             mem.register(*s);
         }
         let loc = MemoryLocator::new(&topo, &mem);
-        let mut p = RgpPolicy::new(
-            RgpConfig::default()
-                .with_window_size(16)
-                .with_propagation(Propagation::Repartition)
-                .with_anchor(AnchorMode::Deps),
-        );
+        let tuning = RgpTuning {
+            anchor: Some(AnchorMode::Deps),
+            ..tuned(16, Propagation::Repartition)
+        };
+        let mut p = RgpPolicy::new(tuning, SEED);
         p.prepare(&graph, &loc);
         p.assign(graph.task(numadag_tdg::TaskId(79)), &loc);
         assert_eq!(windows_placed(&p), 5);
@@ -690,12 +639,11 @@ mod tests {
         let topo = Topology::two_socket(4);
         let mut mem = MemoryMap::new();
         let regions: Vec<_> = sizes.iter().map(|s| mem.register(*s)).collect();
-        let mut p = RgpPolicy::new(
-            RgpConfig::default()
-                .with_window_size(20)
-                .with_propagation(Propagation::Repartition)
-                .with_anchor(AnchorMode::Homes),
-        );
+        let tuning = RgpTuning {
+            anchor: Some(AnchorMode::Homes),
+            ..tuned(20, Propagation::Repartition)
+        };
+        let mut p = RgpPolicy::new(tuning, SEED);
         {
             let loc = MemoryLocator::new(&topo, &mem);
             p.prepare(&graph, &loc);
@@ -724,22 +672,26 @@ mod tests {
         graph.task_ids().map(|t| p.window_socket_of(t)).collect()
     }
 
-    fn repart(config: RgpConfig) -> RgpConfig {
-        config.with_propagation(Propagation::Repartition)
+    /// Repartitioning RGP anchored by `anchor`, window 48.
+    fn repart(anchor: AnchorMode) -> RgpTuning {
+        RgpTuning {
+            anchor: Some(anchor),
+            ..tuned(48, Propagation::Repartition)
+        }
     }
 
     #[test]
     fn policies_over_one_graph_share_the_first_window_plan() {
         let topo = Topology::four_socket(2);
-        let config = RgpConfig::default().with_window_size(48).with_seed(9);
-        let prepare_on = |graph: &Arc<TaskGraph>, sizes: &[u64], config: RgpConfig| {
+        let one_shot = tuned(48, Propagation::Las);
+        let prepare_on = |graph: &Arc<TaskGraph>, sizes: &[u64], tuning: RgpTuning, seed: u64| {
             let mem = MemoryMap::with_regions(sizes);
-            let mut p = RgpPolicy::new(config);
+            let mut p = RgpPolicy::new(tuning, seed);
             p.prepare(graph, &MemoryLocator::new(&topo, &mem));
             p
         };
         let (shared, sizes) = two_chains(40);
-        let one_shot = prepare_on(&shared, &sizes, config.clone());
+        let first = prepare_on(&shared, &sizes, one_shot, 9);
         assert_eq!(shared.window_plan_counts(), (1, 0));
         // Nothing has a home at `prepare`, so every anchor mode of the
         // repartitioning policy starts from the one-shot policy's plan.
@@ -749,20 +701,20 @@ mod tests {
             AnchorMode::Homes,
             AnchorMode::None,
         ] {
-            let again = prepare_on(&shared, &sizes, repart(config.clone()).with_anchor(anchor));
+            let again = prepare_on(&shared, &sizes, repart(anchor), 9);
             assert_eq!(
                 windows_placed(&again),
                 1,
                 "a reused plan is a placed window"
             );
-            assert_eq!(again.window_edge_cut(), one_shot.window_edge_cut());
+            assert_eq!(again.window_edge_cut(), first.window_edge_cut());
             assert_eq!(
                 window_sockets(&again, &shared),
-                window_sockets(&one_shot, &shared)
+                window_sockets(&first, &shared)
             );
             // ... which is what the policy computes alone on a graph of its own.
             let (fresh, _) = two_chains(40);
-            let alone = prepare_on(&fresh, &sizes, repart(config.clone()).with_anchor(anchor));
+            let alone = prepare_on(&fresh, &sizes, repart(anchor), 9);
             assert_eq!(fresh.window_plan_counts(), (1, 0));
             assert_eq!(
                 window_sockets(&alone, &fresh),
@@ -771,25 +723,35 @@ mod tests {
         }
         assert_eq!(shared.window_plan_counts(), (1, 4));
 
-        // Another seed, window size, scheme or imbalance is another plan.
-        for (i, other) in [
-            config.clone().with_seed(10),
-            config.clone().with_window_size(32),
-            config
-                .clone()
-                .with_scheme(PartitionScheme::RecursiveBisection),
-            config.clone().with_imbalance(0.3),
+        // Another seed, window size, scheme or pass limit is another plan.
+        for (i, (other, seed)) in [
+            (one_shot, 10),
+            (tuned(32, Propagation::Las), 9),
+            (
+                RgpTuning {
+                    scheme: Some(PartitionScheme::RecursiveBisection),
+                    ..one_shot
+                },
+                9,
+            ),
+            (
+                RgpTuning {
+                    passes: Some(4),
+                    ..one_shot
+                },
+                9,
+            ),
         ]
         .into_iter()
         .enumerate()
         {
-            prepare_on(&shared, &sizes, other);
+            prepare_on(&shared, &sizes, other, seed);
             assert_eq!(shared.window_plan_counts(), (i + 2, 4));
         }
         // So is another socket count.
         let mem = MemoryMap::with_regions(&sizes);
         let two = Topology::two_socket(4);
-        RgpPolicy::new(config).prepare(&shared, &MemoryLocator::new(&two, &mem));
+        RgpPolicy::new(one_shot, 9).prepare(&shared, &MemoryLocator::new(&two, &mem));
         assert_eq!(shared.window_plan_counts(), (6, 4));
     }
 
@@ -797,29 +759,28 @@ mod tests {
     fn a_first_window_with_a_placed_region_is_anchored_not_shared() {
         let (graph, sizes) = two_chains(40);
         let topo = Topology::four_socket(2);
-        let config = repart(RgpConfig::default().with_window_size(48).with_seed(9));
         let mut mem = MemoryMap::with_regions(&sizes);
-        let mut unplaced = RgpPolicy::new(config.clone());
+        let mut unplaced = RgpPolicy::new(repart(AnchorMode::Both), 9);
         unplaced.prepare(&graph, &MemoryLocator::new(&topo, &mem));
         assert_eq!(graph.window_plan_counts(), (1, 0));
 
         // Chain "a"'s region gets a home on the last socket.
         let home = SocketId(3);
         mem.place(numadag_numa::RegionId(0), home.node());
-        let mut placed = RgpPolicy::new(config.clone());
+        let mut placed = RgpPolicy::new(repart(AnchorMode::Both), 9);
         placed.prepare(&graph, &MemoryLocator::new(&topo, &mem));
         assert_eq!(windows_placed(&placed), 1);
         assert_eq!(graph.window_plan_counts(), (1, 0), "no plan was asked for");
 
         // The anchored partition, spelled out: every task of chain "a" (even
         // vertices) pulls its region's bytes towards `home`.
-        let window = TaskWindow::initial(&graph, config.window);
+        let window = TaskWindow::initial(&graph, WindowConfig::new(48));
         let wg = window_to_csr(&graph, &window);
         let mut affinity = AffinityCosts::zeros(window.len(), 4);
         for v in (0..window.len() as u32).step_by(2) {
             affinity.add(v, home.index() as u32, 1 << 20);
         }
-        let cfg = config.partitioner.config_for(4, config.seed);
+        let cfg = PartitionTuning::default().config_for(4, 9);
         let expected = gp::partition_anchored(&wg.graph, &cfg, &affinity);
         for v in 0..window.len() {
             assert_eq!(
@@ -834,7 +795,7 @@ mod tests {
             "the anchors moved nothing"
         );
         // With homes out of the anchor set the placement is not looked at.
-        let mut deps_only = RgpPolicy::new(config.with_anchor(AnchorMode::Deps));
+        let mut deps_only = RgpPolicy::new(repart(AnchorMode::Deps), 9);
         deps_only.prepare(&graph, &MemoryLocator::new(&topo, &mem));
         assert_eq!(graph.window_plan_counts(), (1, 1));
         assert_eq!(

@@ -37,7 +37,7 @@
 //!
 //! Higher layers configure the partitioner through [`PartitionTuning`], the
 //! `num_parts`-agnostic subset of [`PartitionConfig`] that policies (RGP)
-//! carry until the socket count is known.
+//! fill from their knobs and materialise once the socket count is known.
 //!
 //! *Anchored* partitioning ([`partition_anchored`]) extends every scheme
 //! with per-vertex socket-affinity terms ([`AffinityCosts`]): bytes a vertex
@@ -225,10 +225,9 @@ impl PartitionConfig {
     }
 }
 
-/// The `num_parts`-agnostic partitioner knobs carried by higher layers
-/// (RGP holds one of these until the socket count is known at `prepare`
-/// time, when [`PartitionTuning::config_for`] turns it into a full
-/// [`PartitionConfig`]).
+/// The `num_parts`-agnostic partitioner knobs of higher layers: RGP fills
+/// one from its label's knobs and, once the socket count is known,
+/// [`PartitionTuning::config_for`] turns it into a full [`PartitionConfig`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PartitionTuning {
     /// Allowed load imbalance of the partition.
@@ -255,30 +254,6 @@ impl Default for PartitionTuning {
 }
 
 impl PartitionTuning {
-    /// Sets the allowed imbalance.
-    pub fn with_imbalance(mut self, imbalance: f64) -> Self {
-        self.imbalance = imbalance;
-        self
-    }
-
-    /// Sets the scheme.
-    pub fn with_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Sets the refinement pass limit.
-    pub fn with_refine_passes(mut self, passes: usize) -> Self {
-        self.refine_passes = Some(passes);
-        self
-    }
-
-    /// Sets the coarsening stop threshold.
-    pub fn with_coarsen_until(mut self, coarsen_until: usize) -> Self {
-        self.coarsen_until = Some(coarsen_until);
-        self
-    }
-
     /// Materialises a full [`PartitionConfig`] once the part count and seed
     /// are known.
     pub fn config_for(&self, num_parts: usize, seed: u64) -> PartitionConfig {
@@ -647,10 +622,12 @@ mod tests {
 
     #[test]
     fn tuning_materialises_config() {
-        let tuning = PartitionTuning::default()
-            .with_imbalance(0.05)
-            .with_scheme(PartitionScheme::RecursiveBisection)
-            .with_refine_passes(3);
+        let tuning = PartitionTuning {
+            imbalance: 0.05,
+            scheme: PartitionScheme::RecursiveBisection,
+            refine_passes: Some(3),
+            coarsen_until: None,
+        };
         let cfg = tuning.config_for(8, 42);
         assert_eq!(cfg.num_parts, 8);
         assert_eq!(cfg.seed, 42);

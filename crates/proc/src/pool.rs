@@ -49,7 +49,7 @@ use numadag_runtime::framing::{
     from_line, read_frame, to_line, write_frame, write_line, FrameError, Hex64,
 };
 use numadag_runtime::{ExecutionConfig, ExecutionReport};
-use numadag_tdg::TaskGraphSpec;
+use numadag_tdg::{Fnv1a, TaskGraphSpec};
 use numadag_trace::TraceEvent;
 
 use crate::protocol::{encode_spec, Assignment, ConfigMsg, ToCoordinator, ToWorker};
@@ -281,15 +281,6 @@ struct Counters {
     barriers: AtomicU64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// An [`ExecutionConfig`] together with the stable fingerprint of its wire
 /// form, which is both the config's epoch tag and the "has this worker seen
 /// it" key. Built once per executor, so the config is encoded for hashing
@@ -304,10 +295,11 @@ impl WireConfig {
     /// Fingerprints `config`.
     pub fn new(config: ExecutionConfig) -> Self {
         let wire = ToWorker::Config(ConfigMsg::new(0, &config));
-        let fingerprint = fnv1a(to_line(&wire).as_bytes());
+        let mut hash = Fnv1a::default();
+        hash.write_bytes(to_line(&wire).as_bytes());
         WireConfig {
             config,
-            fingerprint,
+            fingerprint: hash.0,
         }
     }
 

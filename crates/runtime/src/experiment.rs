@@ -317,16 +317,17 @@ impl SweepReport {
     }
 }
 
-/// The policy columns of a sweep in report order: `policies` with the
-/// `baseline` deduplicated out and appended last, as in the paper's figure.
-/// [`Experiment::plan`] numbers its policy slots in this order, and the
-/// sweep service names a sweep by it.
+/// The policy columns of a sweep in report order: the first occurrence of
+/// each of `policies` but the `baseline`, then the baseline, last as in the
+/// paper's figure. [`Experiment::plan`] numbers its policy slots in this
+/// order, and the sweep service names a sweep by it.
 pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<PolicyKind> {
-    let mut ordered: Vec<PolicyKind> = policies
-        .iter()
-        .copied()
-        .filter(|&k| k != baseline)
-        .collect();
+    let mut ordered: Vec<PolicyKind> = Vec::with_capacity(policies.len() + 1);
+    for &kind in policies {
+        if kind != baseline && !ordered.contains(&kind) {
+            ordered.push(kind);
+        }
+    }
     ordered.push(baseline);
     ordered
 }
@@ -370,7 +371,7 @@ impl Default for Experiment {
             scales: Vec::new(),
             workloads: Vec::new(),
             repetitions: 1,
-            seed: 0xF1617E,
+            seed: crate::sweep::DEFAULT_SEED,
             parallelism: 1,
             spec_cache: None,
             progress: None,

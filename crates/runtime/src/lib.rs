@@ -39,7 +39,9 @@
 //! `Experiment::new()…​.parallelism(n).run()` is the one-call front door;
 //! reports carry wall-time and spec-build accounting ([`driver::SweepTiming`])
 //! and diff against each other ([`experiment::SweepReport::diff`]) for the
-//! `BENCH_*.json` perf baselines.
+//! `BENCH_*.json` perf baselines. [`sweep::SweepSpec`] spells the paper's
+//! sweep shape in the one command-line grammar that `figure1`,
+//! `serve-client` and the sweep service parse.
 //!
 //! Both executors implement the paper's *deferred allocation*: regions
 //! written by a task that have no home yet are first-touched on the socket
@@ -74,6 +76,7 @@ pub mod experiment;
 pub mod framing;
 pub mod report;
 pub mod simulator;
+pub mod sweep;
 pub mod threaded;
 
 pub use config::{ExecutionConfig, StealMode};
@@ -88,4 +91,8 @@ pub use experiment::{report_order, Backend, Experiment, SweepAggregate, SweepCel
 pub use framing::FrameError;
 pub use report::ExecutionReport;
 pub use simulator::Simulator;
+pub use sweep::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES, DEFAULT_SEED};
 pub use threaded::ThreadedExecutor;
+// Re-exported so the sweep service keys its caches with the workspace's one
+// FNV-1a without a direct numadag-tdg dependency.
+pub use numadag_tdg::Fnv1a;

@@ -10,6 +10,9 @@
 //! serve-client --addr HOST:PORT [--timeout SECS] shutdown
 //! ```
 //!
+//! The sweep flags of `submit` are `figure1`'s, plus `--apps`: one parser
+//! (`SweepSpec::set_flag`) reads them for both.
+//!
 //! `--timeout SECS` bounds both the connect and every read: a server that
 //! accepts but never answers (or a firewalled address) produces a
 //! `timed out waiting for the server` error and exit code 1 instead of a
@@ -157,39 +160,17 @@ fn run_submit(addr: &str, timeout: Option<std::time::Duration>, args: &[String])
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--apps" => {
-                spec.apps = flag_value(args, i).to_string();
-            }
-            "--scale" => {
-                spec.scale = flag_value(args, i).to_string();
-            }
-            "--policies" => {
-                spec.policies = flag_value(args, i).to_string();
-            }
-            "--backend" => {
-                spec.backend = flag_value(args, i).to_string();
-            }
-            "--seed" => match flag_value(args, i).parse() {
-                Ok(seed) => spec.seed = seed,
-                Err(_) => usage_error(format!(
-                    "--seed needs an unsigned integer, got {:?}",
-                    flag_value(args, i)
-                )),
-            },
-            "--reps" => match flag_value(args, i).parse() {
-                Ok(reps) if reps > 0 => spec.reps = reps,
-                _ => usage_error(format!(
-                    "--reps needs a positive integer, got {:?}",
-                    flag_value(args, i)
-                )),
-            },
             "--stream" => {
                 stream = true;
                 i += 1;
                 continue;
             }
             "--json" => json_path = Some(flag_value(args, i).to_string()),
-            other => usage_error(format!("unknown argument {other:?}")),
+            flag => {
+                if let Err(e) = spec.set_flag(flag, args.get(i + 1).map(String::as_str)) {
+                    usage_error(e);
+                }
+            }
         }
         i += 2;
     }

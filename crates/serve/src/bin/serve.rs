@@ -9,9 +9,8 @@
 //!
 //! Binds the listener (port 0 picks an ephemeral port), prints the actual
 //! address on stdout (and into `--port-file`, which scripts can poll), then
-//! serves until a client sends `Shutdown`. `--jobs N` is accepted as a
-//! deprecated alias of `--pool N`. Malformed arguments exit with code 2
-//! like the other bins; a bind failure exits with code 1.
+//! serves until a client sends `Shutdown`. Malformed arguments exit with
+//! code 2 like the other bins; a bind failure exits with code 1.
 //!
 //! `--cache-file PATH` makes the report cache persistent: the daemon loads
 //! the snapshot at boot (a missing file is fine, a corrupt one is a warning)
@@ -61,9 +60,7 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--addr" => config.addr = flag_value(&args, i).to_string(),
-            // --jobs is the pre-pool spelling; kept as an alias so older
-            // scripts keep working.
-            "--pool" | "--jobs" => config.pool = positive(&args, i),
+            "--pool" => config.pool = positive(&args, i),
             "--cache-capacity" => config.cache_capacity = positive(&args, i),
             "--cell-capacity" => config.cell_capacity = positive(&args, i),
             "--batch-cells" => config.batch_cells = positive(&args, i),

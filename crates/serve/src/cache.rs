@@ -2,7 +2,7 @@
 //! both instances of one O(1) [`Lru`].
 //!
 //! [`ReportCache`] keys whole sweeps on the canonical request fingerprints
-//! ([`crate::protocol::ResolvedSweep::fingerprint`]); values are the exact
+//! ([`crate::protocol::sweep_fingerprint`]); values are the exact
 //! serialized measurement bytes of the report. Storing bytes rather than the
 //! structured report is the point: a repeated request is answered with a
 //! byte-identical body, so clients can `cmp` cached responses against

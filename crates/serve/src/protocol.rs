@@ -10,45 +10,17 @@
 //! a field added to a message is one line, and `#[serde(default)]` on it is
 //! the whole "an older peer does not send this" rule.
 //!
-//! The sweep spec itself reuses the CLI grammar verbatim: applications,
-//! policies, scale and backend travel as the same comma-separated strings
-//! `figure1`/`ablation` accept, so anything expressible on a command line is
-//! expressible in a request.
+//! The sweep spec is the runtime's [`SweepSpec`], the command-line grammar
+//! verbatim: applications, policies, scale and backend travel as the same
+//! comma-separated strings `figure1` and `serve-client` accept, so anything
+//! expressible on a command line is expressible in a request.
 
 use numadag_core::PolicyKind;
-use numadag_kernels::{Application, ProblemScale, SpecCache};
-use numadag_numa::Topology;
-use numadag_runtime::{report_order, Backend, Experiment, SweepPlan};
+use numadag_kernels::SpecCache;
+use numadag_runtime::{report_order, Fnv1a, SweepPlan};
 use serde::{Deserialize, Serialize};
 
-/// Default seed of the service's sweeps — the same value the benchmark
-/// harness uses, so default service requests reproduce the committed
-/// `BENCH_figure1_*.json` baselines byte-for-byte.
-pub const DEFAULT_SEED: u64 = 0xF1617E;
-
-/// The policy every sweep's speedups are relative to, as in `figure1`.
-const BASELINE: PolicyKind = PolicyKind::Las;
-
-/// Default policy list of a sweep request (the Figure-1 column set).
-pub const DEFAULT_POLICIES: &str = "dfifo,rgp-las,ep";
-
-// FNV-1a, same parameters as `TaskGraphSpec::fingerprint`.
-fn mix(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-fn mix_str(hash: &mut u64, s: &str) {
-    for byte in s.as_bytes() {
-        *hash ^= u64::from(*byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Terminator so "ab"+"c" and "a"+"bc" hash differently.
-    *hash ^= 0xff;
-    *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-}
+pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 
 /// The content fingerprint of one sweep **cell** — the unit of the server's
 /// cell cache. A cell's measurement depends only on the workload spec, the
@@ -69,14 +41,43 @@ pub fn cell_fingerprint(
     rep: u64,
     num_sockets: u64,
 ) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    mix(&mut hash, spec_fp);
-    mix_str(&mut hash, policy_label);
-    mix_str(&mut hash, backend_label);
-    mix(&mut hash, seed);
-    mix(&mut hash, rep);
-    mix(&mut hash, num_sockets);
-    hash
+    let mut hash = Fnv1a::default();
+    hash.write_u64(spec_fp);
+    // Each label ends in 0xff, so "ab"+"c" and "a"+"bc" hash differently.
+    for label in [policy_label, backend_label] {
+        hash.write_bytes(label.as_bytes());
+        hash.write_byte(0xff);
+    }
+    for value in [seed, rep, num_sockets] {
+        hash.write_u64(value);
+    }
+    hash.0
+}
+
+/// The canonical content fingerprint of a sweep, the key of the report
+/// cache: backend label × seed × rep count × socket count × workload spec
+/// hashes × canonical policy labels in report order ([`report_order`], the
+/// order [`numadag_runtime::Experiment::plan`] gives its policy slots), so
+/// two spellings of one sweep (`rgp-las:scheme=rb,w=512` vs
+/// `rgp-las:w=512,scheme=rb`) share an entry. Workload hashes come from
+/// [`SpecCache::fingerprint`], so the first request for a workload builds
+/// it (and warms the spec cache for the run itself).
+pub fn sweep_fingerprint(sweep: &ResolvedSweep, specs: &SpecCache, num_sockets: usize) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write_bytes(sweep.backend.label().as_bytes());
+    hash.write_byte(0xff);
+    for value in [sweep.seed, sweep.reps as u64, num_sockets as u64] {
+        hash.write_u64(value);
+    }
+    hash.write_u64(sweep.apps.len() as u64);
+    for &app in &sweep.apps {
+        hash.write_u64(specs.fingerprint(app, sweep.scale, num_sockets));
+    }
+    for policy in report_order(&sweep.policies, ResolvedSweep::BASELINE) {
+        hash.write_bytes(policy.label().as_bytes());
+        hash.write_byte(0xff);
+    }
+    hash.0
 }
 
 /// The [`cell_fingerprint`] of every job of `plan`, the plan of `sweep`, in
@@ -110,125 +111,6 @@ pub(crate) fn cell_keys(
             )
         })
         .collect()
-}
-
-/// A sweep request in the CLI string grammar. Fields a client leaves out
-/// come from [`SweepSpec::default`], so requests carry only what they
-/// override.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct SweepSpec {
-    /// Comma-separated applications (`"jacobi,nstream"`), or `"all"`/empty
-    /// for the whole Figure-1 suite.
-    pub apps: String,
-    /// Problem scale: `tiny`, `small` or `full`.
-    pub scale: String,
-    /// Comma-separated policy labels in registry grammar
-    /// (`"dfifo,rgp-las:w=512,ep"`). The LAS baseline always runs.
-    pub policies: String,
-    /// Execution backend: `simulated`, `threaded`, `proc` or `proc:w=N`
-    /// (the multi-process backend; the daemon must have called
-    /// `numadag_proc::install()`).
-    pub backend: String,
-    /// Seed for all seeded components.
-    pub seed: u64,
-    /// Repetitions per cell.
-    pub reps: usize,
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        SweepSpec {
-            apps: "all".to_string(),
-            scale: "tiny".to_string(),
-            policies: DEFAULT_POLICIES.to_string(),
-            backend: "simulated".to_string(),
-            seed: DEFAULT_SEED,
-            reps: 1,
-        }
-    }
-}
-
-impl SweepSpec {
-    /// Parses every string field through the existing registry grammars.
-    pub fn resolve(&self) -> Result<ResolvedSweep, String> {
-        let apps = Application::parse_list(&self.apps)?;
-        let scale: ProblemScale = self.scale.parse()?;
-        let policies = PolicyKind::parse_list(&self.policies).map_err(|e| e.to_string())?;
-        if policies.is_empty() {
-            return Err("policies must name at least one policy".to_string());
-        }
-        let backend: Backend = self.backend.parse()?;
-        if self.reps == 0 {
-            return Err("reps must be at least 1".to_string());
-        }
-        if apps.is_empty() {
-            return Err("apps must name at least one application".to_string());
-        }
-        Ok(ResolvedSweep {
-            apps,
-            scale,
-            policies,
-            backend,
-            seed: self.seed,
-            reps: self.reps,
-        })
-    }
-}
-
-/// A validated sweep request: every string field parsed into the registry
-/// types. The service keys its report cache on the canonical
-/// [`ResolvedSweep::fingerprint`], so two requests spelling the same sweep
-/// differently (`rgp-las:scheme=rb,w=512` vs `rgp-las:w=512,scheme=rb`)
-/// share one cache entry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResolvedSweep {
-    pub apps: Vec<Application>,
-    pub scale: ProblemScale,
-    pub policies: Vec<PolicyKind>,
-    pub backend: Backend,
-    pub seed: u64,
-    pub reps: usize,
-}
-
-impl ResolvedSweep {
-    /// The canonical content fingerprint of this sweep: workload spec hashes
-    /// × canonical policy labels in report order ([`report_order`], the
-    /// order [`Experiment::plan`] gives its policy slots) × seed × backend ×
-    /// rep count. Workload hashes come from [`SpecCache::fingerprint`], so
-    /// the first request for a workload builds it (and warms the spec cache
-    /// for the run itself).
-    pub fn fingerprint(&self, specs: &SpecCache, num_sockets: usize) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        mix_str(&mut hash, self.backend.label());
-        mix(&mut hash, self.seed);
-        mix(&mut hash, self.reps as u64);
-        mix(&mut hash, num_sockets as u64);
-        mix(&mut hash, self.apps.len() as u64);
-        for &app in &self.apps {
-            mix(&mut hash, specs.fingerprint(app, self.scale, num_sockets));
-        }
-        for policy in report_order(&self.policies, BASELINE) {
-            mix_str(&mut hash, &policy.label());
-        }
-        hash
-    }
-
-    /// The experiment this sweep denotes, bound to the paper's machine and
-    /// baseline exactly like the `figure1` harness — so a default request
-    /// reproduces the committed baselines byte-for-byte.
-    pub fn experiment(&self, topology: Topology, specs: std::sync::Arc<SpecCache>) -> Experiment {
-        Experiment::new()
-            .topology(topology)
-            .apps(self.apps.iter().copied())
-            .scale(self.scale)
-            .policies(self.policies.iter().copied())
-            .baseline(BASELINE)
-            .backend(self.backend)
-            .repetitions(self.reps)
-            .seed(self.seed)
-            .spec_cache(specs)
-    }
 }
 
 /// A client request. Externally tagged on the wire:
@@ -423,6 +305,9 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numadag_kernels::{Application, ProblemScale};
+    use numadag_numa::Topology;
+    use numadag_runtime::Backend;
     use serde::testing::{assert_enum_rejects_malformed, assert_struct_rejects_malformed};
     use std::sync::Arc;
 
@@ -596,54 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_resolution_reuses_the_cli_grammar() {
-        let spec = SweepSpec {
-            apps: "jacobi,nstream".to_string(),
-            scale: "small".to_string(),
-            policies: "dfifo,rgp-las:scheme=rb,w=64".to_string(),
-            backend: "sim".to_string(),
-            seed: 42,
-            reps: 2,
-        };
-        let resolved = spec.resolve().unwrap();
-        assert_eq!(
-            resolved.apps,
-            vec![Application::Jacobi, Application::NStream]
-        );
-        assert_eq!(resolved.scale, ProblemScale::Small);
-        assert_eq!(resolved.backend, Backend::Simulated);
-        // dfifo, rgp-las:..., + appended baseline LAS.
-        let (plan, keys) = planned(&spec, &Arc::new(SpecCache::new()));
-        assert_eq!(plan.policies().len(), 3);
-        assert_eq!(keys.len(), 2 * 3 * 2);
-    }
-
-    #[test]
-    fn malformed_specs_resolve_to_errors() {
-        for (field, value) in [
-            ("scale", "huge"),
-            ("policies", "bogus"),
-            ("policies", "rgp-las:anchor=deps"),
-            ("backend", "gpu"),
-            ("apps", "fft"),
-        ] {
-            let mut spec = SweepSpec::default();
-            match field {
-                "scale" => spec.scale = value.to_string(),
-                "policies" => spec.policies = value.to_string(),
-                "backend" => spec.backend = value.to_string(),
-                _ => spec.apps = value.to_string(),
-            }
-            assert!(spec.resolve().is_err(), "{field}={value} must fail");
-        }
-        let spec = SweepSpec {
-            reps: 0,
-            ..SweepSpec::default()
-        };
-        assert!(spec.resolve().is_err());
-    }
-
-    #[test]
     fn equivalent_policy_spellings_share_a_fingerprint() {
         let specs = Arc::new(SpecCache::new());
         let a = SweepSpec {
@@ -658,9 +495,9 @@ mod tests {
             policies: "rgp-las:w=256".to_string(),
             ..SweepSpec::default()
         };
-        let fa = a.resolve().unwrap().fingerprint(&specs, 2);
-        let fb = b.resolve().unwrap().fingerprint(&specs, 2);
-        let fc = c.resolve().unwrap().fingerprint(&specs, 2);
+        let fa = sweep_fingerprint(&a.resolve().unwrap(), &specs, 2);
+        let fb = sweep_fingerprint(&b.resolve().unwrap(), &specs, 2);
+        let fc = sweep_fingerprint(&c.resolve().unwrap(), &specs, 2);
         assert_eq!(fa, fb, "reordered params must share a cache key");
         assert_ne!(fa, fc, "different windows must not collide");
         // The base a propagation knob was typed on is spelling too: the two
@@ -679,20 +516,24 @@ mod tests {
     fn fingerprint_tracks_seed_backend_reps_and_scale() {
         let specs = SpecCache::new();
         let base = SweepSpec::default().resolve().unwrap();
-        let fp = base.fingerprint(&specs, 2);
+        let fp = sweep_fingerprint(&base, &specs, 2);
         let mut seeded = base.clone();
         seeded.seed = 1;
-        assert_ne!(fp, seeded.fingerprint(&specs, 2));
+        assert_ne!(fp, sweep_fingerprint(&seeded, &specs, 2));
         let mut reps = base.clone();
         reps.reps = 3;
-        assert_ne!(fp, reps.fingerprint(&specs, 2));
+        assert_ne!(fp, sweep_fingerprint(&reps, &specs, 2));
         let mut backend = base.clone();
         backend.backend = Backend::Threaded;
-        assert_ne!(fp, backend.fingerprint(&specs, 2));
+        assert_ne!(fp, sweep_fingerprint(&backend, &specs, 2));
         let mut scale = base.clone();
         scale.scale = ProblemScale::Small;
-        assert_ne!(fp, scale.fingerprint(&specs, 2));
-        assert_ne!(fp, base.fingerprint(&specs, 4), "socket count matters");
+        assert_ne!(fp, sweep_fingerprint(&scale, &specs, 2));
+        assert_ne!(
+            fp,
+            sweep_fingerprint(&base, &specs, 4),
+            "socket count matters"
+        );
     }
 
     #[test]
@@ -805,7 +646,11 @@ mod tests {
         let specs = Arc::new(SpecCache::new());
         for (spec, (fingerprint, keys)) in golden_specs().into_iter().zip(GOLDEN_KEYS) {
             let sweep = spec.resolve().unwrap();
-            assert_eq!(sweep.fingerprint(&specs, 8), fingerprint, "{spec:?}");
+            assert_eq!(
+                sweep_fingerprint(&sweep, &specs, 8),
+                fingerprint,
+                "{spec:?}"
+            );
             assert_eq!(keys_of(spec, &specs), keys);
         }
     }
@@ -851,15 +696,5 @@ mod tests {
         assert!(keys_of(reseeded, &specs)
             .iter()
             .all(|k| !base_keys.contains(k)));
-    }
-
-    #[test]
-    fn partial_spec_objects_fill_in_defaults() {
-        let value = serde_json::from_str(r#"{"scale": "small", "seed": 9}"#).unwrap();
-        let spec = SweepSpec::from_value(&value).unwrap();
-        assert_eq!(spec.scale, "small");
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.policies, DEFAULT_POLICIES);
-        assert_eq!(spec.apps, "all");
     }
 }

@@ -65,7 +65,9 @@ use numadag_runtime::{CellOutcome, Executor, SweepPlan};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
-use crate::protocol::{cell_keys, push_report_line, Request, Response, ServerStats, SweepSpec};
+use crate::protocol::{
+    cell_keys, push_report_line, sweep_fingerprint, Request, Response, ServerStats, SweepSpec,
+};
 
 /// Configuration of a daemon instance.
 #[derive(Clone, Debug)]
@@ -583,7 +585,7 @@ fn handle_submit(
     let num_sockets = shared.config.topology.num_sockets();
     // Fingerprinting may build workload specs (warming the shared spec
     // cache for the run itself) — do it outside the state lock.
-    let key = resolved.fingerprint(&shared.specs, num_sockets);
+    let key = sweep_fingerprint(&resolved, &shared.specs, num_sockets);
     let (tx, rx) = channel::<Notice>();
 
     // Fast path: coalesce onto an identical in-flight job or serve a

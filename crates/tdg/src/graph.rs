@@ -50,31 +50,42 @@ thread_local! {
     pub(crate) static FOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Minimal FNV-1a 64-bit hasher: deterministic across runs and platforms,
-/// unlike `std::collections::hash_map::DefaultHasher` which is seeded.
-pub(crate) struct Fnv1a(pub(crate) u64);
+/// The workspace's one FNV-1a 64-bit hasher: deterministic across runs and
+/// platforms, unlike `std::collections::hash_map::DefaultHasher` which is
+/// seeded. Workload fingerprints, the sweep service's cache keys and the
+/// proc backend's config epochs are all this hash; the field is the state.
+pub struct Fnv1a(pub u64);
 
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
+impl Default for Fnv1a {
+    /// A hasher at the FNV-1a offset basis.
+    fn default() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn write_byte(&mut self, byte: u8) {
+impl Fnv1a {
+    /// Folds one byte in.
+    pub fn write_byte(&mut self, byte: u8) {
         self.0 ^= u64::from(byte);
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
-    pub(crate) fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
+    /// Folds `bytes` in, in order.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.write_byte(byte);
         }
     }
 
+    /// Folds the little-endian bytes of `value` in.
+    pub fn write_u64(&mut self, value: u64) {
+        self.write_bytes(&value.to_le_bytes());
+    }
+
+    /// Folds a length-prefixed string in.
     pub(crate) fn write_str(&mut self, value: &str) {
         self.write_u64(value.len() as u64);
-        for byte in value.as_bytes() {
-            self.write_byte(*byte);
-        }
+        self.write_bytes(value.as_bytes());
     }
 }
 

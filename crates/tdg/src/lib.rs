@@ -38,7 +38,7 @@ pub mod window;
 
 pub use builder::TdgBuilder;
 pub use convert::{window_to_csr, CrossEdge, WindowGraph};
-pub use graph::{FlatTdg, TaskGraph};
+pub use graph::{FlatTdg, Fnv1a, TaskGraph};
 pub use plan::WindowPlan;
 pub use spec::TaskGraphSpec;
 pub use task::{AccessMode, DataAccess, TaskDescriptor, TaskId, TaskSpec};

@@ -80,7 +80,7 @@ impl TaskGraphSpec {
     /// The tasks and edges are hashed once per graph (the graph remembers
     /// its fold); a call costs the name, the region table and the placement.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write_str(&self.name);
         // The graph's share is memoised on the graph; the pub fields around
         // it can change under a shared `Arc<TaskGraph>` and are hashed anew.
@@ -314,7 +314,7 @@ mod tests {
     /// its share: one straight-line fold, successor edges read through the
     /// graph's accessors.
     fn reference_fingerprint(spec: &TaskGraphSpec) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write_str(&spec.name);
         h.write_u64(spec.graph.num_tasks() as u64);
         h.write_u64(spec.graph.num_edges() as u64);

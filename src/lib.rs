@@ -160,18 +160,17 @@ pub use numadag_trace as trace;
 pub mod prelude {
     pub use numadag_core::{
         make_policy, DfifoPolicy, EpPolicy, LasPolicy, ParsePolicyError, PartitionScheme,
-        PartitionTuning, PolicyKind, Propagation, RgpConfig, RgpPolicy, RgpTuning,
-        SchedulingPolicy,
+        PartitionTuning, PolicyKind, Propagation, RgpPolicy, RgpTuning, SchedulingPolicy,
     };
     pub use numadag_kernels::{Application, DenseStore, ProblemScale, SpecCache};
     pub use numadag_numa::{CostModel, MemoryMap, NodeId, SocketId, Topology};
     pub use numadag_proc::{PoolConfig, PoolStats, ProcError, ProcExecutor, WorkerPool};
     pub use numadag_runtime::{
         Backend, CellProgress, ExecutionConfig, ExecutionReport, Executor, Experiment, Simulator,
-        StealMode, SweepCell, SweepDiff, SweepDriver, SweepPlan, SweepReport, SweepTiming,
-        ThreadedExecutor,
+        StealMode, SweepCell, SweepDiff, SweepDriver, SweepPlan, SweepReport, SweepSpec,
+        SweepTiming, ThreadedExecutor,
     };
-    pub use numadag_serve::{ServeClient, ServeConfig, ServeHandle, ServerStats, SweepSpec};
+    pub use numadag_serve::{ServeClient, ServeConfig, ServeHandle, ServerStats};
     pub use numadag_tdg::{
         AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId, TaskSpec, TdgBuilder,
         WindowConfig,

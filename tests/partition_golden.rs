@@ -35,7 +35,7 @@ use numadag::tdg::{window_to_csr, TaskWindow, WindowConfig};
 
 /// Sockets of the paper's machine, which sizes every Full workload.
 const SOCKETS: usize = 8;
-/// The seed `RgpConfig::default()` hands the partitioner.
+/// The seed `RgpPolicy::rgp_las()` hands the partitioner.
 const RGP_SEED: u64 = 0x56F1;
 
 fn fnv1a(assignment: &[u32]) -> u64 {
@@ -50,7 +50,10 @@ fn fnv1a(assignment: &[u32]) -> u64 {
 }
 
 fn window_hashes(scheme: PartitionScheme) -> Vec<(String, u64)> {
-    let tuning = PartitionTuning::default().with_scheme(scheme);
+    let tuning = PartitionTuning {
+        scheme,
+        ..PartitionTuning::default()
+    };
     let mut ctx = PartitionCtx::default();
     let mut out = Vec::new();
     for app in Application::all() {

@@ -51,11 +51,9 @@ fn eight_policies_racing_prepare_on_one_graph_compute_one_plan() {
     let sockets = topo.num_sockets();
     let spec = Application::Jacobi.build(ProblemScale::Full, sockets);
     // One-shot and repartitioning policies alternate.
-    let config = |i: usize| {
-        let propagation = [Propagation::Las, Propagation::Repartition][i % 2];
-        RgpConfig::default()
-            .with_seed(0xF1617E)
-            .with_propagation(propagation)
+    let tuning = |i: usize| RgpTuning {
+        prop: [Propagation::Las, Propagation::Repartition][i % 2],
+        ..RgpTuning::default()
     };
     let window_sockets = |policy: &RgpPolicy, graph: &TaskGraph| -> Vec<Option<SocketId>> {
         graph
@@ -65,7 +63,7 @@ fn eight_policies_racing_prepare_on_one_graph_compute_one_plan() {
     };
     let prepared = |i: usize, graph: &Arc<TaskGraph>| {
         let memory = MemoryMap::with_regions(&spec.region_sizes);
-        let mut policy = RgpPolicy::new(config(i));
+        let mut policy = RgpPolicy::new(tuning(i), 0xF1617E);
         policy.prepare(graph, &MemoryLocator::new(&topo, &memory));
         window_sockets(&policy, graph)
     };

@@ -172,6 +172,48 @@ fn experiment_through_the_proc_backend_is_byte_identical_to_simulated() {
     assert_eq!(sim.to_json_string(), proc.to_json_string());
 }
 
+/// The Figure-1 matrix at Tiny scale on the paper's machine, the sweep
+/// `run_on` is pinned with.
+fn tiny_figure1() -> Experiment {
+    Experiment::new()
+        .apps(Application::all())
+        .scale(ProblemScale::Tiny)
+        .policies(PolicyKind::parse_list("dfifo,rgp-las,rgp-las:prop=repart,ep").unwrap())
+        .seed(11)
+}
+
+#[test]
+fn run_on_a_simulator_of_the_experiments_machine_is_run() {
+    let simulator = Simulator::new(ExecutionConfig::bullion_s16().with_seed(11));
+    let on = tiny_figure1().run_on(&simulator);
+    let run = tiny_figure1().run();
+    assert_eq!(on.backend, "simulator");
+    assert_eq!(on.to_json_string(), run.to_json_string());
+    assert_eq!(on.timing.jobs, 1);
+    assert_eq!(on.timing.cell_wall_ns.len(), on.cells.len());
+}
+
+#[test]
+fn run_on_a_proc_pool_differs_from_run_only_in_its_backend_label() {
+    let pool = install_test_proc_backend();
+    let executor = ProcExecutor::with_pool(ExecutionConfig::bullion_s16().with_seed(11), pool);
+    let on = tiny_figure1().run_on(&executor);
+    let run = tiny_figure1().run();
+    // `run_on` names the executor it ran on; `Backend::Proc` reports under
+    // the simulator's label instead. Every measurement is the simulator's.
+    let diff = run.diff(&on);
+    assert_eq!(diff.header, vec![r#"backend: "simulator" -> "proc""#]);
+    assert_eq!(
+        diff,
+        SweepDiff {
+            header: diff.header.clone(),
+            ..SweepDiff::default()
+        },
+        "{diff}"
+    );
+    assert_eq!(on.cells.len(), 40);
+}
+
 #[test]
 fn every_policy_runs_through_every_backend_trait_object() {
     let spec = Application::Jacobi.build(ProblemScale::Tiny, 2);

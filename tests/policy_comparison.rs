@@ -131,14 +131,15 @@ fn flat_cost_model_removes_the_policy_gap() {
     // (flat) memory costs either way, so the measured ratio is exactly 1.0
     // today; the 2% bound below only leaves room for benign tie-breaking
     // drift in the schedule order, not for a real gap (the original 10%
-    // bound would have masked one).
+    // bound would have masked one). A machine model beyond the topology is
+    // the executor's, so the sweep runs on a flat-cost simulator.
+    let flat = Simulator::new(ExecutionConfig::bullion_s16().with_cost_model(CostModel::flat()));
     let report = Experiment::new()
-        .cost_model(CostModel::flat())
         .app(Application::NStream)
         .scale(ProblemScale::Small)
         .policies([PolicyKind::RGP_LAS, PolicyKind::Dfifo])
         .seed(1)
-        .run();
+        .run_on(&flat);
     let makespan = |policy: &str| {
         report
             .cells_of("NStream", policy)

@@ -83,25 +83,47 @@ fn window_ablation(study: &StudyConfig) {
         Application::QrFactorization,
         Application::SymmetricMatrixInversion,
     ];
-    let window_sizes = [64usize, 128, 256, 512, 1024, 2048, 4096];
+    let columns = [64usize, 128, 256, 512, 1024, 2048, 4096]
+        .map(|w| (w.to_string(), PolicyKind::rgp_las_window(w)));
     let report = study
         .experiment()
         .apps(apps)
         .scale(SCALE)
-        .policies(window_sizes.map(PolicyKind::rgp_las_window))
+        .policies(columns.iter().map(|(_, kind)| *kind))
         .run();
+    print_speedups(&report, &apps, &columns, 6, false);
+}
 
+/// Prints an application × policy table of speedups over LAS: one column
+/// per `(title, policy)`, `width` characters wide, and with `geomean` a
+/// closing geometric-mean row.
+fn print_speedups(
+    report: &SweepReport,
+    apps: &[Application],
+    columns: &[(String, PolicyKind)],
+    width: usize,
+    geomean: bool,
+) {
     print!("| {:<22} |", "application");
-    for w in window_sizes {
-        print!(" {w:>6} |");
+    for (title, _) in columns {
+        print!(" {title:>width$} |");
     }
     println!();
     for app in apps {
         print!("| {:<22} |", app.label());
-        for w in window_sizes {
-            let label = PolicyKind::rgp_las_window(w).label();
-            let s = report.speedup_of(app.label(), &label).unwrap_or(f64::NAN);
-            print!(" {s:>6.3} |");
+        for (_, kind) in columns {
+            let s = report
+                .speedup_of(app.label(), &kind.label())
+                .unwrap_or(f64::NAN);
+            print!(" {s:>width$.3} |");
+        }
+        println!();
+    }
+    if geomean {
+        print!("| {:<22} |", "geometric mean");
+        for (_, kind) in columns {
+            let g = report.geomean_of(&kind.label()).unwrap_or(f64::NAN);
+            print!(" {g:>width$.3} |");
         }
         println!();
     }
@@ -138,41 +160,22 @@ fn partitioner_ablation(study: &StudyConfig) {
         Application::ConjugateGradient,
         Application::IntegralHistogram,
     ];
-    let schemes = PartitionScheme::all();
-    let kind = |scheme| {
-        PolicyKind::Rgp(RgpTuning {
+    let columns = PartitionScheme::all().map(|scheme| {
+        let kind = PolicyKind::Rgp(RgpTuning {
             scheme: Some(scheme),
             ..RgpTuning::default()
-        })
-    };
+        });
+        (format!("scheme={}", scheme.token()), kind)
+    });
 
     println!("\n# ABL-PART — RGP+LAS speedup over LAS per partitioning scheme ({SCALE:?} scale)\n");
     let report = study
         .experiment()
         .apps(apps)
         .scale(SCALE)
-        .policies(schemes.map(kind))
+        .policies(columns.iter().map(|(_, kind)| *kind))
         .run();
-    print!("| {:<22} |", "application");
-    for scheme in schemes {
-        print!(" {:>10} |", format!("scheme={}", scheme.token()));
-    }
-    println!();
-    for app in apps {
-        print!("| {:<22} |", app.label());
-        for scheme in schemes {
-            let label = kind(scheme).label();
-            let s = report.speedup_of(app.label(), &label).unwrap_or(f64::NAN);
-            print!(" {s:>10.3} |");
-        }
-        println!();
-    }
-    print!("| {:<22} |", "geometric mean");
-    for scheme in schemes {
-        let label = kind(scheme).label();
-        print!(" {:>10.3} |", report.geomean_of(&label).unwrap_or(f64::NAN));
-    }
-    println!();
+    print_speedups(&report, &apps, &columns, 10, true);
 
     println!("\n## Window cut quality — multilevel k-way vs naive BFS growing\n");
     let topo = Topology::bullion_s16();
@@ -254,34 +257,18 @@ fn propagation_ablation(study: &StudyConfig) {
         .scale(SCALE)
         .policies(policies.clone())
         .run();
-    print!("| {:<22} |", "application");
-    for kind in &policies {
-        let short = kind
-            .label()
-            .replace(&format!("RGP+LAS:w={w},prop=repart,"), "repart:")
-            .replace(&format!("RGP+LAS:w={w}"), "one-shot")
-            .replace(&format!("RGP+RR:w={w}"), "rr");
-        print!(" {short:>12} |");
-    }
-    println!();
-    for app in apps {
-        print!("| {:<22} |", app.label());
-        for kind in &policies {
-            let s = report
-                .speedup_of(app.label(), &kind.label())
-                .unwrap_or(f64::NAN);
-            print!(" {s:>12.3} |");
-        }
-        println!();
-    }
-    print!("| {:<22} |", "geometric mean");
-    for kind in &policies {
-        print!(
-            " {:>12.3} |",
-            report.geomean_of(&kind.label()).unwrap_or(f64::NAN)
-        );
-    }
-    println!();
+    let columns: Vec<(String, PolicyKind)> = policies
+        .iter()
+        .map(|&kind| {
+            let short = kind
+                .label()
+                .replace(&format!("RGP+LAS:w={w},prop=repart,"), "repart:")
+                .replace(&format!("RGP+LAS:w={w}"), "one-shot")
+                .replace(&format!("RGP+RR:w={w}"), "rr");
+            (short, kind)
+        })
+        .collect();
+    print_speedups(&report, &apps, &columns, 12, true);
 
     println!("\n## Partitioning cost per propagation mode (mean over cells)\n");
     println!(

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use numadag_bench::{jobs_label, paper_reference, stderr_progress, write_trace_dir};
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
-use numadag_runtime::{Backend, ResolvedSweep, SweepDriver, SweepReport, SweepSpec};
+use numadag_runtime::{Backend, ResolvedSweep, SweepReport, SweepSpec};
 use numadag_trace::TraceCollector;
 
 /// Prints a CLI usage error and exits with code 2.
@@ -212,11 +212,8 @@ fn main() {
     }
     // `Experiment::run` spelled out: the plan's graphs are asked for their
     // window-plan counters after the sweep.
-    let plan = experiment.plan();
-    let report = SweepDriver::new()
-        .parallelism(jobs)
-        .on_cell_complete(stderr_progress)
-        .execute(&plan);
+    let plan = experiment.on_cell_complete(stderr_progress).plan();
+    let report = plan.execute(jobs);
     print_table(&report);
 
     if !report.skipped.is_empty() {

@@ -312,7 +312,7 @@ pub fn make_policy(
     })
 }
 
-// Compile-time contract of the sharded sweep driver: policy kinds can be
+// Compile-time contract of a sharded sweep: policy kinds can be
 // shared with worker threads, and built policy instances can live on them.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

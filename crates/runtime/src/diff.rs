@@ -426,6 +426,11 @@ mod tests {
     ]
   }"#;
 
+    /// The two lifetime spec-cache counters `PARENT_TIMING` carries: still
+    /// read (an unknown key is skipped), no longer written.
+    const RETIRED_TIMING: &str =
+        "    \"spec_cache_total_builds\": 1,\n    \"spec_cache_total_hits\": 0,\n";
+
     #[test]
     fn the_parents_reports_decode_and_re_encode_byte_for_byte() {
         let untimed = format!("{PARENT_MEASUREMENTS}\n}}");
@@ -437,7 +442,10 @@ mod tests {
             "no timing section: zeroed accounting"
         );
         let report = SweepReport::from_json_str(&timed).unwrap();
-        assert_eq!(report.to_json_string_with_timing(), timed);
+        assert_eq!(
+            report.to_json_string_with_timing(),
+            timed.replace(RETIRED_TIMING, "")
+        );
         assert_eq!(report.to_json_string(), untimed);
     }
 
@@ -450,11 +458,9 @@ mod tests {
         // Every field, down to each cell's and the timing section's: missing
         // or mistyped is an error that names it, except the timing section
         // itself and the fields it gained after the first timed reports.
-        let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}");
+        let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}").replace(RETIRED_TIMING, "");
         let late = [
             "timing",
-            "spec_cache_total_builds",
-            "spec_cache_total_hits",
             "cell_partition_windows",
             "cell_partition_wall_ns",
             "cell_policy_wall_ns",

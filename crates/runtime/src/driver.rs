@@ -1,27 +1,22 @@
-//! Plan/execute sweep engine: [`SweepPlan`] materializes a sweep as an
-//! explicit list of independent cell jobs, and [`SweepDriver`] executes the
-//! plan serially or sharded across worker threads.
-//!
-//! [`crate::Experiment`] used to run its (workload × policy × repetition)
-//! matrix as one monolithic serial loop. The plan/execute split pulls that
-//! apart:
+//! The sweep plan and how it executes: a sweep is two steps,
+//! [`Experiment`](crate::Experiment) → [`SweepPlan::execute`].
 //!
 //! * **Plan** ([`Experiment::plan`](crate::Experiment::plan)): every
 //!   workload spec is built exactly once (memoized through a
 //!   [`numadag_kernels::SpecCache`], shared as `Arc<TaskGraphSpec>`), and the
 //!   sweep is flattened into keyed [`SweepJob`]s — one per
 //!   (workload, policy, repetition) cell, including the baseline's cells.
-//! * **Execute** ([`SweepDriver::execute`]): jobs are independent, so the
-//!   driver runs them either in order on one executor, or sharded across N
-//!   worker threads (each worker owns its own `Box<dyn Executor>` and builds
-//!   its own policy instances). Baseline-relative speedups are computed in a
+//! * **Execute** ([`SweepPlan::execute`]): jobs are independent, so the plan
+//!   runs them either in order on one executor, or sharded across N worker
+//!   threads (each worker owns its own `Box<dyn Executor>` and builds its
+//!   own policy instances). Baseline-relative speedups are computed in a
 //!   deterministic keyed post-pass, so the report — cells, aggregates,
 //!   skip list, serialization — is **bit-identical** for every `jobs` value
-//!   on the deterministic simulator backend, and identical to what the old
-//!   serial loop produced.
+//!   on the deterministic simulator backend.
 //!
-//! The driver also reports progress ([`SweepDriver::on_cell_complete`]) and
-//! accounts wall time per cell plus spec-build totals in the report's
+//! Execution also reports progress (to the callback installed by
+//! [`Experiment::on_cell_complete`](crate::Experiment::on_cell_complete))
+//! and accounts wall time per cell plus spec-build totals in the report's
 //! [`SweepTiming`] section, which is how sweep runtimes are characterized
 //! and how tests verify that specs are built once per app×scale.
 
@@ -49,7 +44,7 @@ pub struct PlannedWorkload {
     pub scale_label: String,
     /// Whether the sweep's baseline policy can be built for this workload
     /// (probed at plan time). When `false` the whole workload lands in the
-    /// report's skip list, so the driver never runs its cells — speedups
+    /// report's skip list, so execution never runs its cells — speedups
     /// would have no anchor and the measurements would be discarded.
     pub baseline_available: bool,
     /// The workload spec, built once and shared by every job.
@@ -72,8 +67,7 @@ pub struct SweepJob {
 
 /// A fully materialized sweep: shared workload specs plus the flat list of
 /// independent cell jobs. Built by [`Experiment::plan`](crate::Experiment::plan),
-/// executed by a [`SweepDriver`].
-#[derive(Debug)]
+/// run by [`SweepPlan::execute`].
 pub struct SweepPlan {
     pub(crate) config: ExecutionConfig,
     pub(crate) backend: Backend,
@@ -90,14 +84,10 @@ pub struct SweepPlan {
     pub(crate) spec_builds: usize,
     /// Spec lookups served from the cache while planning.
     pub(crate) spec_cache_hits: usize,
-    /// Lifetime build counter of the [`numadag_kernels::SpecCache`] this
-    /// plan drew from, snapshotted after planning. Unlike `spec_builds`
-    /// (this plan's own misses) it accumulates across every experiment and
-    /// service request sharing the cache.
-    pub(crate) spec_cache_total_builds: usize,
-    /// Lifetime hit counter of the shared spec cache (see
-    /// [`SweepPlan::spec_cache_total_builds`]).
-    pub(crate) spec_cache_total_hits: usize,
+    /// Called after every executed cell (see
+    /// [`crate::Experiment::on_cell_complete`]); [`SweepPlan::run_cell`]
+    /// never calls it.
+    pub(crate) progress: Option<ProgressCallback>,
     /// When set, every executed cell is traced into this collector (see
     /// [`crate::Experiment::trace`]): [`SweepPlan::executor`] then gives
     /// each executor a [`numadag_trace::MemorySink`] of its own, drained
@@ -158,11 +148,11 @@ impl SweepPlan {
     }
 
     /// Builds an executor for the plan's backend and execution config —
-    /// what each worker of the driver does once, exposed so external
-    /// schedulers (the sweep service's worker pool) can run cells through
-    /// [`SweepPlan::run_cell`] on an executor they own and reuse across
-    /// cells. The executor of a traced plan carries a sink of its own, so
-    /// events of concurrent cells never mix.
+    /// what each worker of [`SweepPlan::execute`] does once, exposed so
+    /// external schedulers (the sweep service's worker pool) can run cells
+    /// through [`SweepPlan::run_cell`] on an executor they own and reuse
+    /// across cells. The executor of a traced plan carries a sink of its
+    /// own, so events of concurrent cells never mix.
     pub fn executor(&self) -> Box<dyn Executor> {
         let config = self.config.clone();
         self.backend.executor(match self.trace {
@@ -171,13 +161,135 @@ impl SweepPlan {
         })
     }
 
+    /// Executes every job and assembles the report: in order on one
+    /// executor for `jobs == 1`, otherwise sharded across `jobs` worker
+    /// threads (`0` means one per available core), each owning its own
+    /// executor and policy instances.
+    ///
+    /// Results are keyed, not order-dependent: whichever worker finishes a
+    /// cell, the post-pass recomputes baseline means and speedups in the
+    /// plan's canonical order, so the report is identical for any worker
+    /// count (bit-identical on the deterministic simulator backend).
+    ///
+    /// **Threaded-backend caveat:** every worker constructs its own
+    /// executor, so sharding a [`Backend::Threaded`](crate::Backend) plan
+    /// runs that many complete thread pools at once; their wall-clock
+    /// makespans contend for CPUs and come out inflated. Measure the
+    /// threaded backend serially; shard the simulator freely.
+    ///
+    /// ```
+    /// use numadag_runtime::Experiment;
+    /// use numadag_kernels::{Application, ProblemScale};
+    ///
+    /// let plan = Experiment::new()
+    ///     .app(Application::NStream)
+    ///     .scale(ProblemScale::Tiny)
+    ///     .plan();
+    /// let report = plan.execute(2);
+    /// assert_eq!(report.timing.jobs, 2);
+    /// // Sharded execution is bit-identical to serial on the simulator backend.
+    /// assert_eq!(report.to_json_string(), plan.execute(1).to_json_string());
+    /// ```
+    pub fn execute(&self, jobs: usize) -> SweepReport {
+        let requested = if jobs == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            jobs
+        };
+        let workers = requested.clamp(1, self.num_jobs().max(1));
+        if workers == 1 {
+            return self.execute_on(self.executor().as_ref(), self.backend.report_label());
+        }
+        let t0 = Instant::now();
+        let outcomes = self.run_sharded(workers);
+        self.assemble_report(outcomes, workers, t0.elapsed())
+    }
+
+    /// The one serial loop, behind [`SweepPlan::execute`] and
+    /// [`Experiment::run_on`](crate::Experiment::run_on): every job in
+    /// order on `executor`, reported under the executor's machine and
+    /// `backend`.
+    pub(crate) fn execute_on(&self, executor: &dyn Executor, backend: &str) -> SweepReport {
+        let t0 = Instant::now();
+        let completed = AtomicUsize::new(0);
+        let outcomes = self
+            .jobs
+            .iter()
+            .map(|job| self.run_and_notify(job, executor, &completed))
+            .collect();
+        let machine = executor.config().topology.name();
+        assemble(self, outcomes, machine, backend, 1, t0.elapsed())
+    }
+
+    /// Sharded execution: `workers` threads pull jobs from a shared cursor;
+    /// each owns its own executor and policy instances.
+    fn run_sharded(&self, workers: usize) -> Vec<CellOutcome> {
+        let n = self.num_jobs();
+        let cursor = AtomicUsize::new(0);
+        let completed = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let executor = self.executor();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::SeqCst);
+                        if i >= n {
+                            break;
+                        }
+                        let outcome =
+                            self.run_and_notify(&self.jobs[i], executor.as_ref(), &completed);
+                        *slots[i].lock().expect("a worker panicked storing a cell") = Some(outcome);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("a worker panicked storing a cell")
+                    .expect("every planned job must have been executed")
+            })
+            .collect()
+    }
+
+    /// Runs one job and fires the progress callback.
+    fn run_and_notify(
+        &self,
+        job: &SweepJob,
+        executor: &dyn Executor,
+        completed: &AtomicUsize,
+    ) -> CellOutcome {
+        let outcome = run_job(self, job, executor);
+        let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if let Some(callback) = &self.progress {
+            let (application, scale, policy) = self.labels_of(job);
+            let (wall_ns, skipped) = match &outcome {
+                CellOutcome::Measured(m) => (m.wall_ns, false),
+                CellOutcome::Skipped => (0.0, true),
+            };
+            callback(&CellProgress {
+                completed: done,
+                total: self.num_jobs(),
+                application,
+                scale,
+                policy,
+                repetition: job.repetition,
+                wall_ns,
+                skipped,
+            });
+        }
+        outcome
+    }
+
     /// Runs the single cell job at `index` on `executor` and returns its
-    /// outcome — the cell-granular slice of what [`SweepDriver::execute`]
+    /// outcome — the cell-granular slice of what [`SweepPlan::execute`]
     /// does, exposed so external schedulers can execute a plan's cells in
     /// any order (or fetch some from a cache) and still assemble the exact
     /// report via [`SweepPlan::assemble_report`]. A traced plan records the
     /// cell's trace when `executor` carries a sink (one from
-    /// [`SweepPlan::executor`] does), exactly as the driver does.
+    /// [`SweepPlan::executor`] does), exactly as `execute` does.
     ///
     /// # Panics
     /// Panics if `index >= self.num_jobs()`.
@@ -191,7 +303,7 @@ impl SweepPlan {
     /// list, aggregates and timing. `outcomes` must be parallel to
     /// [`SweepPlan::jobs`]. Because the pass is keyed, the report is
     /// bit-identical no matter which worker (or cache) produced each
-    /// outcome — this is the same function [`SweepDriver::execute`] ends
+    /// outcome — this is the same function [`SweepPlan::execute`] ends
     /// with, exposed for external schedulers that mix freshly-executed and
     /// cached cell outcomes.
     ///
@@ -208,11 +320,10 @@ impl SweepPlan {
             self.num_jobs(),
             "outcomes must be parallel to the plan's job list"
         );
-        let machine = self.config.topology.name().to_string();
         assemble(
             self,
             outcomes,
-            &machine,
+            self.config.topology.name(),
             self.backend.report_label(),
             workers,
             total_wall,
@@ -230,7 +341,7 @@ impl SweepPlan {
 /// [`SweepReport::diff`](crate::SweepReport::diff) ignores them.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SweepTiming {
-    /// Worker threads the driver used.
+    /// Worker threads the sweep ran on.
     pub jobs: usize,
     /// Wall time of the whole execute phase (ns).
     pub total_wall_ns: f64,
@@ -243,20 +354,12 @@ pub struct SweepTiming {
     pub spec_builds: usize,
     /// Workload spec lookups served from the cache.
     pub spec_cache_hits: usize,
-    /// Lifetime builds of the shared spec cache at plan time — accumulates
-    /// across every sweep (and service request) sharing the cache, whereas
-    /// `spec_builds` counts only this plan's own misses. (This and every
-    /// `#[serde(default)]` field below arrived after the first timed
-    /// reports were written; older files simply lack them.)
-    #[serde(default)]
-    pub spec_cache_total_builds: usize,
-    /// Lifetime cache hits of the shared spec cache at plan time.
-    #[serde(default)]
-    pub spec_cache_total_hits: usize,
     /// Per-cell wall time (ns), parallel to the report's `cells` array.
     pub cell_wall_ns: Vec<f64>,
     /// Per-cell count of windows the policy handed to the graph
     /// partitioner, parallel to `cells` (0 for non-partitioning policies).
+    /// (This and every `#[serde(default)]` field below arrived after the
+    /// first timed reports were written; older files simply lack them.)
     #[serde(default)]
     pub cell_partition_windows: Vec<usize>,
     /// Per-cell wall time spent inside the graph partitioner (ns),
@@ -276,8 +379,9 @@ pub struct SweepTiming {
     pub cell_event_loop_wall_ns: Vec<f64>,
 }
 
-/// Progress report passed to [`SweepDriver::on_cell_complete`] after each
-/// cell job finishes (from the worker that ran it, when sharded).
+/// Progress report passed to the callback installed by
+/// [`Experiment::on_cell_complete`](crate::Experiment::on_cell_complete)
+/// after each cell job finishes (from the worker that ran it, when sharded).
 #[derive(Clone, Debug)]
 pub struct CellProgress {
     /// Jobs completed so far, including this one.
@@ -300,7 +404,7 @@ pub struct CellProgress {
 }
 
 /// Shared handle to a progress callback (invoked concurrently by workers).
-pub type ProgressCallback = Arc<dyn Fn(&CellProgress) + Send + Sync>;
+pub(crate) type ProgressCallback = Arc<dyn Fn(&CellProgress) + Send + Sync>;
 
 /// What one cell job produced: a measurement, or a skip marker when the
 /// policy cannot be built for the workload (e.g. EP without an expert
@@ -316,8 +420,8 @@ pub enum CellOutcome {
 }
 
 /// The per-cell measurements a job extracts from its execution report.
-/// Deliberately opaque: producers are [`SweepPlan::run_cell`] (or the
-/// driver), the consumer is [`SweepPlan::assemble_report`].
+/// Deliberately opaque: producers are [`SweepPlan::run_cell`] (or
+/// [`SweepPlan::execute`]), the consumer is [`SweepPlan::assemble_report`].
 #[derive(Clone, Debug)]
 pub struct CellMeasurement {
     makespan_ns: f64,
@@ -343,199 +447,6 @@ impl CellMeasurement {
     /// schedulers can report per-cell progress without unpacking the rest.
     pub fn wall_ns(&self) -> f64 {
         self.wall_ns
-    }
-}
-
-/// Executes a [`SweepPlan`], serially or sharded across worker threads.
-///
-/// ```
-/// use numadag_runtime::{Experiment, SweepDriver};
-/// use numadag_kernels::{Application, ProblemScale};
-///
-/// let plan = Experiment::new()
-///     .app(Application::NStream)
-///     .scale(ProblemScale::Tiny)
-///     .plan();
-/// let report = SweepDriver::new().parallelism(2).execute(&plan);
-/// assert_eq!(report.timing.jobs, 2);
-/// // Sharded execution is bit-identical to serial on the simulator backend.
-/// let serial = SweepDriver::new().execute(&plan);
-/// assert_eq!(report.to_json_string(), serial.to_json_string());
-/// ```
-#[derive(Default)]
-pub struct SweepDriver {
-    parallelism: usize,
-    on_cell_complete: Option<ProgressCallback>,
-}
-
-impl SweepDriver {
-    /// A serial driver (parallelism 1, no progress callback).
-    pub fn new() -> Self {
-        SweepDriver::default()
-    }
-
-    /// Sets the number of worker threads. `0` means "one per available
-    /// core"; `1` (the default) executes in order on the calling thread.
-    ///
-    /// **Threaded-backend caveat:** every worker constructs its own
-    /// executor, so sharding a [`Backend::Threaded`] plan runs that many
-    /// complete thread pools at once; their wall-clock makespans contend
-    /// for CPUs and come out inflated. Measure the threaded backend
-    /// serially; shard the simulator freely (its reports are bit-identical
-    /// for any worker count).
-    pub fn parallelism(mut self, jobs: usize) -> Self {
-        self.parallelism = jobs;
-        self
-    }
-
-    /// Installs a callback invoked after every finished cell job. When
-    /// sharded, workers call it concurrently.
-    pub fn on_cell_complete(
-        mut self,
-        callback: impl Fn(&CellProgress) + Send + Sync + 'static,
-    ) -> Self {
-        self.on_cell_complete = Some(Arc::new(callback));
-        self
-    }
-
-    /// Installs an already-shared progress callback (see
-    /// [`SweepDriver::on_cell_complete`]).
-    pub fn on_cell_complete_shared(mut self, callback: ProgressCallback) -> Self {
-        self.on_cell_complete = Some(callback);
-        self
-    }
-
-    /// The effective worker count for a plan of `num_jobs` jobs.
-    fn effective_parallelism(&self, num_jobs: usize) -> usize {
-        let requested = if self.parallelism == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.parallelism
-        };
-        requested.clamp(1, num_jobs.max(1))
-    }
-
-    /// Executes every job of the plan and assembles the report.
-    ///
-    /// Results are keyed, not order-dependent: whichever worker finishes a
-    /// cell, the post-pass recomputes baseline means and speedups in the
-    /// plan's canonical order, so the report is identical for any worker
-    /// count (bit-identical on the deterministic simulator backend).
-    pub fn execute(&self, plan: &SweepPlan) -> SweepReport {
-        let t0 = Instant::now();
-        let workers = self.effective_parallelism(plan.num_jobs());
-        let outcomes = if workers <= 1 {
-            self.execute_serial(plan)
-        } else {
-            self.execute_sharded(plan, workers)
-        };
-        let machine = plan.config.topology.name().to_string();
-        assemble(
-            plan,
-            outcomes,
-            &machine,
-            plan.backend.report_label(),
-            workers,
-            t0.elapsed(),
-        )
-    }
-
-    /// Like [`SweepDriver::execute`] but serially on a caller-supplied
-    /// executor (any [`Executor`] implementation, including ones outside
-    /// this crate). The plan's backend/config are ignored in favour of the
-    /// executor's own — so a traced plan records traces here only if the
-    /// supplied executor's config carries a sink, which is then drained
-    /// after every cell.
-    pub fn execute_on(&self, plan: &SweepPlan, executor: &dyn Executor) -> SweepReport {
-        let t0 = Instant::now();
-        let completed = AtomicUsize::new(0);
-        let outcomes = plan
-            .jobs
-            .iter()
-            .map(|job| self.run_and_notify(plan, job, executor, &completed))
-            .collect();
-        let machine = executor.config().topology.name().to_string();
-        assemble(
-            plan,
-            outcomes,
-            &machine,
-            executor.backend_name(),
-            1,
-            t0.elapsed(),
-        )
-    }
-
-    /// In-order execution on one owned executor.
-    fn execute_serial(&self, plan: &SweepPlan) -> Vec<CellOutcome> {
-        let executor = plan.executor();
-        let completed = AtomicUsize::new(0);
-        plan.jobs
-            .iter()
-            .map(|job| self.run_and_notify(plan, job, executor.as_ref(), &completed))
-            .collect()
-    }
-
-    /// Sharded execution: `workers` threads pull jobs from a shared cursor;
-    /// each owns its own executor and policy instances.
-    fn execute_sharded(&self, plan: &SweepPlan, workers: usize) -> Vec<CellOutcome> {
-        let n = plan.num_jobs();
-        let cursor = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let executor = plan.executor();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome =
-                            self.run_and_notify(plan, &plan.jobs[i], executor.as_ref(), &completed);
-                        *slots[i].lock().unwrap() = Some(outcome);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every planned job must have been executed")
-            })
-            .collect()
-    }
-
-    /// Runs one job and fires the progress callback.
-    fn run_and_notify(
-        &self,
-        plan: &SweepPlan,
-        job: &SweepJob,
-        executor: &dyn Executor,
-        completed: &AtomicUsize,
-    ) -> CellOutcome {
-        let outcome = run_job(plan, job, executor);
-        let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(callback) = &self.on_cell_complete {
-            let (application, scale, policy) = plan.labels_of(job);
-            let (wall_ns, skipped) = match &outcome {
-                CellOutcome::Measured(m) => (m.wall_ns, false),
-                CellOutcome::Skipped => (0.0, true),
-            };
-            callback(&CellProgress {
-                completed: done,
-                total: plan.num_jobs(),
-                application,
-                scale,
-                policy,
-                repetition: job.repetition,
-                wall_ns,
-                skipped,
-            });
-        }
-        outcome
     }
 }
 
@@ -600,9 +511,7 @@ fn run_job(plan: &SweepPlan, job: &SweepJob, executor: &dyn Executor) -> CellOut
 
 /// The deterministic post-pass: walks workloads and policy slots in the
 /// plan's canonical order, anchors every speedup on the baseline's mean
-/// makespan, and emits cells, skip list, aggregates and timing — exactly the
-/// shapes (and, on a deterministic backend, bytes) the old serial loop
-/// produced.
+/// makespan, and emits cells, skip list, aggregates and timing.
 fn assemble(
     plan: &SweepPlan,
     outcomes: Vec<CellOutcome>,
@@ -626,7 +535,7 @@ fn assemble(
     let mut skipped = Vec::new();
     for (w, workload) in plan.workloads.iter().enumerate() {
         // The baseline anchors every speedup of this workload; if it cannot
-        // run, the whole workload is skipped (matching the serial loop).
+        // run, the whole workload is skipped.
         let baseline: Vec<&CellMeasurement> = (0..reps)
             .filter_map(|rep| match &outcomes[job_index(w, baseline_slot, rep)] {
                 CellOutcome::Measured(m) => Some(m),
@@ -706,8 +615,6 @@ fn assemble(
             run_wall_ns,
             spec_builds: plan.spec_builds,
             spec_cache_hits: plan.spec_cache_hits,
-            spec_cache_total_builds: plan.spec_cache_total_builds,
-            spec_cache_total_hits: plan.spec_cache_total_hits,
             cell_wall_ns,
             cell_partition_windows,
             cell_partition_wall_ns,
@@ -759,9 +666,9 @@ mod tests {
     #[test]
     fn sharded_execution_is_bit_identical_to_serial() {
         let plan = tiny_experiment().plan();
-        let serial = SweepDriver::new().execute(&plan);
+        let serial = plan.execute(1);
         for jobs in [2, 3, 8] {
-            let sharded = SweepDriver::new().parallelism(jobs).execute(&plan);
+            let sharded = plan.execute(jobs);
             assert_eq!(
                 serial.to_json_string(),
                 sharded.to_json_string(),
@@ -772,10 +679,20 @@ mod tests {
     }
 
     #[test]
-    fn driver_matches_the_experiment_front_door() {
-        let via_run = tiny_experiment().run();
-        let via_driver = SweepDriver::new().execute(&tiny_experiment().plan());
-        assert_eq!(via_run.to_json_string(), via_driver.to_json_string());
+    fn run_on_reports_progress_through_the_serial_loop() {
+        let seen = Arc::new(AtomicUsize::new(0));
+        let sink = Arc::clone(&seen);
+        let simulator = crate::Simulator::new(ExecutionConfig::bullion_s16());
+        let report = tiny_experiment()
+            .on_cell_complete(move |_: &CellProgress| {
+                sink.fetch_add(1, Ordering::SeqCst);
+            })
+            .run_on(&simulator);
+        assert_eq!(seen.load(Ordering::SeqCst), report.cells.len());
+        assert_eq!(
+            report.to_json_string(),
+            tiny_experiment().run().to_json_string()
+        );
     }
 
     #[test]
@@ -821,12 +738,6 @@ mod tests {
         let second = tiny_experiment().spec_cache(Arc::clone(&cache)).run();
         assert_eq!(second.timing.spec_builds, 0);
         assert_eq!(second.timing.spec_cache_hits, 2);
-        // The global counters accumulate across both experiments: the first
-        // sweep's snapshot sees only its own lookups, the second sees both.
-        assert_eq!(first.timing.spec_cache_total_builds, 2);
-        assert_eq!(first.timing.spec_cache_total_hits, 0);
-        assert_eq!(second.timing.spec_cache_total_builds, 2);
-        assert_eq!(second.timing.spec_cache_total_hits, 2);
         // Cached specs change cost, not results.
         assert_eq!(first.to_json_string(), second.to_json_string());
     }
@@ -866,7 +777,7 @@ mod tests {
             .policies([PolicyKind::Ep, PolicyKind::Dfifo])
             .plan();
         for jobs in [1, 4] {
-            let report = SweepDriver::new().parallelism(jobs).execute(&plan);
+            let report = plan.execute(jobs);
             assert_eq!(report.skipped, vec!["no-ep/EP"], "jobs={jobs}");
             assert_eq!(report.policy_labels(), vec!["DFIFO", "LAS"]);
         }
@@ -881,17 +792,14 @@ mod tests {
         let (g, sizes) = b.finish();
         let spec = TaskGraphSpec::new("no-ep", g, sizes);
         // EP as baseline on a workload without an expert placement: the plan
-        // marks the workload dead, and the driver must not spend executor
+        // marks the workload dead, and execution must not spend executor
         // time on its other policies (their speedups would have no anchor).
+        let skipped_cells = Arc::new(AtomicUsize::new(0));
+        let sink = Arc::clone(&skipped_cells);
         let plan = Experiment::new()
             .workload(spec)
             .baseline(PolicyKind::Ep)
             .policies([PolicyKind::Dfifo, PolicyKind::Las])
-            .plan();
-        assert!(!plan.workloads()[0].baseline_available);
-        let skipped_cells = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&skipped_cells);
-        let report = SweepDriver::new()
             .on_cell_complete(move |p: &CellProgress| {
                 assert!(
                     p.skipped,
@@ -900,9 +808,10 @@ mod tests {
                 );
                 sink.fetch_add(1, Ordering::SeqCst);
             })
-            .execute(&plan);
-        // Matches the old serial loop: one skip entry for the baseline, no
-        // cells, nothing else attempted.
+            .plan();
+        assert!(!plan.workloads()[0].baseline_available);
+        let report = plan.execute(1);
+        // One skip entry for the baseline, no cells, nothing else attempted.
         assert_eq!(report.skipped, vec!["no-ep/EP"]);
         assert!(report.cells.is_empty());
         assert_eq!(skipped_cells.load(Ordering::SeqCst), plan.num_jobs());

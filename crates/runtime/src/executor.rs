@@ -17,11 +17,11 @@ use crate::report::ExecutionReport;
 
 /// Out-of-band description of the sweep cell an execution belongs to.
 ///
-/// The sharded [`crate::SweepDriver`] knows which [`numadag_core::PolicyKind`]
-/// and seed produced the `&mut dyn SchedulingPolicy` it hands to an executor,
-/// but the trait object itself cannot be serialized. Backends that ship work
-/// to other processes (the `numadag-proc` coordinator) need that provenance to
-/// rebuild the policy remotely, so the driver passes it alongside the call via
+/// A [`crate::SweepPlan`] knows which [`numadag_core::PolicyKind`] and seed
+/// produced the `&mut dyn SchedulingPolicy` it hands to an executor, but the
+/// trait object itself cannot be serialized. Backends that ship work to
+/// other processes (the `numadag-proc` coordinator) need that provenance to
+/// rebuild the policy remotely, so the plan passes it alongside the call via
 /// [`Executor::execute_cell`]. In-process backends ignore it — keeping the hot
 /// [`SchedulingPolicy::assign`] path free of any extra indirection.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +48,7 @@ pub struct CellContext<'a> {
 /// graph, then [`SchedulingPolicy::assign`] each time a task becomes ready.
 ///
 /// `Send + Sync` are supertraits so executors can be constructed and owned
-/// per worker thread by the sharded [`crate::SweepDriver`].
+/// per worker thread by a sharded [`crate::SweepPlan::execute`].
 pub trait Executor: Send + Sync {
     /// Short stable backend name (`"simulator"`, `"threaded"`, `"proc"`),
     /// used in sweep reports and CLI arguments.
@@ -68,7 +68,7 @@ pub trait Executor: Send + Sync {
     ///
     /// The default implementation ignores the context and delegates to
     /// [`Executor::execute`]; in-process backends need not override it. The
-    /// sweep driver always calls this entry point with `Some(ctx)`.
+    /// sweep plan always calls this entry point with `Some(ctx)`.
     fn execute_cell(
         &self,
         spec: &TaskGraphSpec,

@@ -4,12 +4,12 @@
 //!
 //! Before this API every harness, example and test hand-rolled the same
 //! loop: build the spec, run the LAS baseline, run each policy, divide
-//! makespans, geometric-mean the speedups. `Experiment` owns that loop, and
-//! since the plan/execute split it runs in two phases: [`Experiment::plan`]
-//! materializes a [`crate::SweepPlan`] (independent keyed cell jobs over
-//! shared, memoized `Arc<TaskGraphSpec>` workloads), and a
-//! [`crate::SweepDriver`] executes the plan — serially, or sharded across
-//! worker threads via [`Experiment::parallelism`]:
+//! makespans, geometric-mean the speedups. `Experiment` owns that loop in
+//! two steps: [`Experiment::plan`] materializes a [`crate::SweepPlan`]
+//! (independent keyed cell jobs over shared, memoized
+//! `Arc<TaskGraphSpec>` workloads), and [`crate::SweepPlan::execute`] runs
+//! it — serially, or sharded across worker threads via
+//! [`Experiment::parallelism`]:
 //!
 //! ```
 //! use numadag_runtime::{Backend, Experiment};
@@ -40,14 +40,14 @@ use std::time::Instant;
 
 use numadag_core::{make_policy, PolicyKind};
 use numadag_kernels::{Application, ProblemScale, SpecCache};
-use numadag_numa::{CostModel, Topology};
+use numadag_numa::Topology;
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceCollector;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::config::{ExecutionConfig, StealMode};
+use crate::config::ExecutionConfig;
 use crate::driver::{
-    CellProgress, PlannedWorkload, ProgressCallback, SweepDriver, SweepJob, SweepPlan, SweepTiming,
+    CellProgress, PlannedWorkload, ProgressCallback, SweepJob, SweepPlan, SweepTiming,
 };
 use crate::executor::Executor;
 use crate::report::geometric_mean;
@@ -335,19 +335,22 @@ pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<Policy
 /// Fluent builder for a policy-comparison sweep. See the [module
 /// docs](self) for an example.
 ///
-/// Defaults: bullion S16 topology, default cost model, nearest-socket
-/// stealing, simulated backend, LAS baseline, Figure-1 policies
-/// (DFIFO, RGP+LAS, EP), Tiny scale, 1 repetition, a fixed seed, serial
-/// execution (parallelism 1), a private spec cache, no progress callback.
+/// Defaults: bullion S16 topology, simulated backend, LAS baseline,
+/// Figure-1 policies (DFIFO, RGP+LAS, EP), Tiny scale, 1 repetition, a
+/// fixed seed, serial execution (parallelism 1), a private spec cache, no
+/// progress callback.
+///
+/// The machine model is the topology and the default cost model with
+/// nearest-socket stealing. To sweep any other model (a flat cost model, no
+/// stealing, ...), configure an executor and pass it to
+/// [`Experiment::run_on`].
 pub struct Experiment {
     topology: Topology,
-    cost_model: CostModel,
-    steal: StealMode,
     backend: Backend,
     baseline: PolicyKind,
     policies: Vec<PolicyKind>,
     apps: Vec<Application>,
-    scales: Vec<ProblemScale>,
+    scale: ProblemScale,
     workloads: Vec<TaskGraphSpec>,
     repetitions: usize,
     seed: u64,
@@ -362,13 +365,11 @@ impl Default for Experiment {
     fn default() -> Self {
         Experiment {
             topology: Topology::bullion_s16(),
-            cost_model: CostModel::default(),
-            steal: StealMode::default(),
             backend: Backend::default(),
             baseline: PolicyKind::Las,
             policies: vec![PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep],
             apps: Vec::new(),
-            scales: Vec::new(),
+            scale: ProblemScale::Tiny,
             workloads: Vec::new(),
             repetitions: 1,
             seed: crate::sweep::DEFAULT_SEED,
@@ -390,18 +391,6 @@ impl Experiment {
     /// Sets the machine topology (default: the paper's bullion S16).
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Sets the cost model (default: the calibrated NUMA model).
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
-    /// Sets the work-stealing mode (default: nearest socket).
-    pub fn steal(mut self, steal: StealMode) -> Self {
-        self.steal = steal;
         self
     }
 
@@ -433,12 +422,6 @@ impl Experiment {
         self
     }
 
-    /// Adds one policy to the list.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policies.push(policy);
-        self
-    }
-
     /// Replaces the application list.
     pub fn apps(mut self, apps: impl IntoIterator<Item = Application>) -> Self {
         self.apps = apps.into_iter().collect();
@@ -451,15 +434,9 @@ impl Experiment {
         self
     }
 
-    /// Replaces the scale list (default: Tiny if any application is set).
-    pub fn scales(mut self, scales: impl IntoIterator<Item = ProblemScale>) -> Self {
-        self.scales = scales.into_iter().collect();
-        self
-    }
-
-    /// Adds one scale.
+    /// Sets the scale every application runs at (default: Tiny).
     pub fn scale(mut self, scale: ProblemScale) -> Self {
-        self.scales.push(scale);
+        self.scale = scale;
         self
     }
 
@@ -507,9 +484,11 @@ impl Experiment {
         self
     }
 
-    /// Installs a progress callback invoked after every finished cell (see
-    /// [`SweepDriver::on_cell_complete`]); long sweeps use it to report live
-    /// progress instead of going dark.
+    /// Installs a progress callback invoked after every finished cell;
+    /// long sweeps use it to report live progress instead of going dark.
+    /// The plan carries it, so [`SweepPlan::execute`] and
+    /// [`Experiment::run_on`] call it (concurrently from every worker, when
+    /// sharded); [`SweepPlan::run_cell`] does not.
     pub fn on_cell_complete(
         mut self,
         callback: impl Fn(&CellProgress) + Send + Sync + 'static,
@@ -518,8 +497,8 @@ impl Experiment {
         self
     }
 
-    /// Traces every cell of the sweep into `collector`: every worker of the
-    /// driver builds its executor once with a
+    /// Traces every cell of the sweep into `collector`: every worker of
+    /// [`SweepPlan::execute`] builds its executor once with a
     /// [`numadag_trace::MemorySink`] of its own and, after each cell, drains
     /// it into a [`numadag_trace::Trace`] (labelled with the cell's
     /// workload, scale, policy and repetition) recorded in the collector.
@@ -537,7 +516,7 @@ impl Experiment {
     /// Materializes the sweep as a [`SweepPlan`]: builds every workload spec
     /// exactly once (memoized through the experiment's [`SpecCache`]) and
     /// flattens the (workload × policy × repetition) matrix into independent
-    /// keyed cell jobs for a [`SweepDriver`].
+    /// keyed cell jobs for [`SweepPlan::execute`].
     pub fn plan(&self) -> SweepPlan {
         self.plan_for_sockets(self.topology.num_sockets())
     }
@@ -546,12 +525,6 @@ impl Experiment {
     /// [`Experiment::run_on`], where the executor's topology sizes the
     /// workloads).
     fn plan_for_sockets(&self, num_sockets: usize) -> SweepPlan {
-        let scales = if self.scales.is_empty() {
-            vec![ProblemScale::Tiny]
-        } else {
-            self.scales.clone()
-        };
-
         let policies = report_order(&self.policies, self.baseline);
         let cache = self
             .spec_cache
@@ -564,21 +537,19 @@ impl Experiment {
         let mut spec_cache_hits = 0;
         let build_start = Instant::now();
         let mut workloads = Vec::new();
-        for &scale in &scales {
-            for &app in &self.apps {
-                let (spec, built) = cache.get_with_stats(app, scale, num_sockets);
-                if built {
-                    spec_builds += 1;
-                } else {
-                    spec_cache_hits += 1;
-                }
-                workloads.push(PlannedWorkload {
-                    label: app.label().to_string(),
-                    scale_label: format!("{scale:?}"),
-                    baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
-                    spec,
-                });
+        for &app in &self.apps {
+            let (spec, built) = cache.get_with_stats(app, self.scale, num_sockets);
+            if built {
+                spec_builds += 1;
+            } else {
+                spec_cache_hits += 1;
             }
+            workloads.push(PlannedWorkload {
+                label: app.label().to_string(),
+                scale_label: format!("{:?}", self.scale),
+                baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
+                spec,
+            });
         }
         for spec in &self.workloads {
             let spec = Arc::new(spec.clone());
@@ -606,10 +577,7 @@ impl Experiment {
 
         SweepPlan {
             config: {
-                let mut config = ExecutionConfig::new(self.topology.clone())
-                    .with_cost_model(self.cost_model.clone())
-                    .with_steal(self.steal)
-                    .with_seed(self.seed);
+                let mut config = ExecutionConfig::new(self.topology.clone()).with_seed(self.seed);
                 config.stage_timing = self.stage_timing;
                 config
             },
@@ -623,22 +591,9 @@ impl Experiment {
             build_wall_ns,
             spec_builds,
             spec_cache_hits,
-            // Global counters of the (possibly shared) cache, after this
-            // plan's lookups: the sweep service surfaces these in `Stats`
-            // and `--json-timing` so operators can see cross-request reuse.
-            spec_cache_total_builds: cache.builds(),
-            spec_cache_total_hits: cache.hits(),
+            progress: self.progress.clone(),
             trace: self.trace.clone(),
         }
-    }
-
-    /// The driver configured by this experiment (parallelism + progress).
-    fn driver(&self) -> SweepDriver {
-        let mut driver = SweepDriver::new().parallelism(self.parallelism);
-        if let Some(progress) = self.progress.clone() {
-            driver = driver.on_cell_complete_shared(progress);
-        }
-        driver
     }
 
     /// Runs the sweep: every workload under the baseline and every
@@ -646,15 +601,19 @@ impl Experiment {
     /// backend — serially, or sharded across [`Experiment::parallelism`]
     /// worker threads (each owning its own executor and policy instances).
     pub fn run(self) -> SweepReport {
-        self.driver().execute(&self.plan())
+        self.plan().execute(self.parallelism)
     }
 
-    /// Like [`Experiment::run`] but serially on a caller-supplied executor
-    /// (any [`Executor`] implementation, including ones outside this
-    /// crate). The executor's own topology is used to size the workloads.
+    /// Runs the sweep serially on a caller-supplied executor (any
+    /// [`Executor`] implementation, including ones outside this crate),
+    /// through the same loop as [`SweepPlan::execute`] with one job. The
+    /// executor's machine model replaces the experiment's: its topology
+    /// sizes the workloads, and its cost model and stealing mode price
+    /// them. The report names the executor's machine and
+    /// [`Executor::backend_name`].
     pub fn run_on(&self, executor: &dyn Executor) -> SweepReport {
         let plan = self.plan_for_sockets(executor.config().topology.num_sockets());
-        self.driver().execute_on(&plan, executor)
+        plan.execute_on(executor, executor.backend_name())
     }
 }
 

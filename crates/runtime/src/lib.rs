@@ -21,25 +21,30 @@
 //! and tests are written once against `dyn Executor` and pick the backend at
 //! runtime.
 //!
-//! Sweeps run through a **plan/execute** split on top of that trait:
+//! A sweep is two steps on top of that trait, `Experiment` →
+//! `SweepPlan::execute`:
 //!
 //! 1. The fluent [`experiment::Experiment`] builder declares the
-//!    (application × scale × policy × repetition) matrix;
+//!    (application × policy × repetition) matrix at one scale;
 //!    [`Experiment::plan`](experiment::Experiment::plan) materializes it as
 //!    a [`driver::SweepPlan`] — a flat list of independent, keyed cell jobs
 //!    over workload specs built exactly once (memoized through a
 //!    [`numadag_kernels::SpecCache`] and shared as `Arc<TaskGraphSpec>`).
-//! 2. A [`driver::SweepDriver`] executes the plan, serially or sharded
-//!    across N worker threads (each owning its own `Box<dyn Executor>` and
-//!    policy instances), reports per-cell progress, and assembles the
-//!    structured, JSON-serializable [`experiment::SweepReport`] in a
-//!    deterministic keyed post-pass — so the report is bit-identical for
-//!    every worker count on the simulator backend.
+//! 2. [`SweepPlan::execute`](driver::SweepPlan::execute) runs the plan,
+//!    serially or sharded across N worker threads (each owning its own
+//!    `Box<dyn Executor>` and policy instances), reports per-cell progress,
+//!    and assembles the structured, JSON-serializable
+//!    [`experiment::SweepReport`] in a deterministic keyed post-pass — so
+//!    the report is bit-identical for every worker count on the simulator
+//!    backend.
 //!
-//! `Experiment::new()…​.parallelism(n).run()` is the one-call front door;
-//! reports carry wall-time and spec-build accounting ([`driver::SweepTiming`])
-//! and diff against each other ([`experiment::SweepReport::diff`]) for the
-//! `BENCH_*.json` perf baselines. [`sweep::SweepSpec`] spells the paper's
+//! `Experiment::new()…​.parallelism(n).run()` is both steps in one call, and
+//! [`Experiment::run_on`](experiment::Experiment::run_on) runs the serial
+//! loop on a caller-configured executor (another cost model or stealing
+//! mode). Reports carry wall-time and spec-build accounting
+//! ([`driver::SweepTiming`]) and diff against each other
+//! ([`experiment::SweepReport::diff`]) for the `BENCH_*.json` perf
+//! baselines. [`sweep::SweepSpec`] spells the paper's
 //! sweep shape in the one command-line grammar that `figure1`,
 //! `serve-client` and the sweep service parse.
 //!
@@ -56,7 +61,7 @@
 //! sites guard on it, so tracing is zero-cost unless requested. This event
 //! stream is the one record of an execution: where each task ran and when
 //! is [`numadag_trace::Trace::task_intervals`], derived from it. Sweeps
-//! trace per cell via [`experiment::Experiment::trace`]: every driver worker
+//! trace per cell via [`experiment::Experiment::trace`]: every sweep worker
 //! builds its executor once with a sink of its own and drains it after each
 //! cell into one labelled [`numadag_trace::Trace`] in a
 //! [`numadag_trace::TraceCollector`] for the analytics layer (critical
@@ -82,8 +87,7 @@ pub mod threaded;
 pub use config::{ExecutionConfig, StealMode};
 pub use diff::{CellDelta, FieldDelta, SweepDiff};
 pub use driver::{
-    CellMeasurement, CellOutcome, CellProgress, PlannedWorkload, ProgressCallback, SweepDriver,
-    SweepJob, SweepPlan, SweepTiming,
+    CellMeasurement, CellOutcome, CellProgress, PlannedWorkload, SweepJob, SweepPlan, SweepTiming,
 };
 pub use event_queue::{Event, EventQueue};
 pub use executor::{register_proc_backend, CellContext, Executor, ProcFactory};

@@ -1061,7 +1061,7 @@ fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
     // The post-pass, serialization, escaping and the subscribers' line all
     // run outside the lock. The first two are deterministic functions of
     // the keyed outcomes, so the bytes are identical to a direct
-    // `SweepDriver::execute` of the same plan.
+    // `SweepPlan::execute` of the same plan.
     let report = plan.assemble_report(outcomes, shared.config.pool, std::time::Duration::ZERO);
     let cached = CachedReport::new(report.to_json_string(), executed, total);
     let mut line = String::new();

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
-use numadag_runtime::SweepDriver;
 use numadag_serve::client::{ClientError, ServeClient};
 use numadag_serve::protocol::{Request, Response, SweepSpec, DEFAULT_POLICIES};
 use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY};
@@ -188,7 +187,7 @@ fn service_reports_match_directly_executed_experiments_byte_for_byte() {
     let plan = direct
         .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
         .plan();
-    let report = SweepDriver::new().parallelism(1).execute(&plan);
+    let report = plan.execute(1);
     assert_eq!(
         outcome.report_json,
         report.to_json_string(),
@@ -452,7 +451,7 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
     let direct_plan = wider_resolved
         .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
         .plan();
-    let direct = SweepDriver::new().parallelism(1).execute(&direct_plan);
+    let direct = direct_plan.execute(1);
     assert_eq!(wider.report_json, direct.to_json_string());
 
     // An app subset of the cached sweep hydrates completely: a fresh job
@@ -470,7 +469,7 @@ fn overlapping_sweeps_hydrate_shared_cells_and_execute_only_novel_ones() {
     let direct_plan = subset_resolved
         .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
         .plan();
-    let direct = SweepDriver::new().parallelism(1).execute(&direct_plan);
+    let direct = direct_plan.execute(1);
     assert_eq!(subset.report_json, direct.to_json_string());
 
     let stats = client.stats().unwrap();

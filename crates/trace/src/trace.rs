@@ -15,7 +15,7 @@ use crate::event::TraceEvent;
 ///
 /// Traces are produced by the executors in `numadag-runtime` (through a
 /// [`crate::MemorySink`] installed on the execution configuration) and by
-/// the sweep driver for every cell of a traced `Experiment`. The analytics
+/// the sweep plan for every cell of a traced `Experiment`. The analytics
 /// layer ([`crate::analytics`], [`crate::compare`]) works on this type.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -340,7 +340,7 @@ impl Deserialize for TraceEvent {
     }
 }
 
-/// Thread-safe accumulator for the traces of a sweep: the sweep driver
+/// Thread-safe accumulator for the traces of a sweep: the sweep plan
 /// records one [`Trace`] per executed cell, and harnesses drain it after the
 /// run (to write trace files or feed the comparison analytics).
 #[derive(Debug, Default)]

@@ -16,14 +16,17 @@
 //! Execution is unified behind two pieces: the [`runtime::Executor`] trait
 //! (implemented by the discrete-event [`runtime::Simulator`] and the real
 //! [`runtime::ThreadedExecutor`]) and the fluent [`runtime::Experiment`]
-//! builder, which sweeps an (application × scale × policy) matrix through
-//! either backend and returns a structured, JSON-serializable
-//! [`runtime::SweepReport`]. Under the hood a sweep is plan/execute:
-//! [`runtime::Experiment::plan`] materializes a [`runtime::SweepPlan`] of
-//! independent keyed cell jobs (workload specs built once, memoized in a
-//! [`kernels::SpecCache`]), and a [`runtime::SweepDriver`] executes it
-//! serially or sharded across worker threads (`.parallelism(n)`) — with
-//! bit-identical reports on the simulator backend either way:
+//! builder, which sweeps an (application × policy) matrix at one scale
+//! through either backend and returns a structured, JSON-serializable
+//! [`runtime::SweepReport`]. A sweep is two steps: `Experiment` →
+//! [`runtime::SweepPlan::execute`]. [`runtime::Experiment::plan`]
+//! materializes a [`runtime::SweepPlan`] of independent keyed cell jobs
+//! (workload specs built once, memoized in a [`kernels::SpecCache`]), and
+//! the plan executes itself serially or sharded across worker threads
+//! (`.parallelism(n)`) — with bit-identical reports on the simulator
+//! backend either way. A machine model beyond the topology (a flat cost
+//! model, no stealing) is an executor's, swept with
+//! [`runtime::Experiment::run_on`]:
 //!
 //! ```rust
 //! use numadag::prelude::*;
@@ -41,6 +44,14 @@
 //! let speedup = report.speedup_of("Jacobi", "RGP+LAS").unwrap();
 //! println!("RGP+LAS speedup over LAS: {speedup:.3}x");
 //! assert!(report.geomean_of("RGP+LAS").unwrap() > 0.0);
+//!
+//! // The same sweep on a machine without NUMA penalties.
+//! let flat = Simulator::new(ExecutionConfig::bullion_s16().with_cost_model(CostModel::flat()));
+//! let control = Experiment::new()
+//!     .app(Application::Jacobi)
+//!     .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
+//!     .run_on(&flat);
+//! assert_eq!(control.cells.len(), 3);
 //! ```
 //!
 //! Policies are addressed through the string-parseable [`core::PolicyKind`]
@@ -71,7 +82,7 @@
 //! | [`graph`] (`numadag-graph`) | CSR graphs + multilevel k-way partitioner (SCOTCH substitute): one coarsen / initial-partition / refine driver behind three schemes (`ml`, `rb`, `bfs`) |
 //! | [`tdg`] (`numadag-tdg`) | tasks, dependence analysis, the TDG, windows |
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
-//! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, plan/execute sweep engine (`Experiment` → `SweepPlan` → `SweepDriver` → `SweepReport` + `bench-diff`) |
+//! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, sweeps in two steps (`Experiment` → `SweepPlan::execute` → `SweepReport` + `bench-diff`) |
 //! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
 //! | [`trace`] (`numadag-trace`) | execution traces: the event model and its one sink (`MemorySink`), placements as a view of the events, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
@@ -88,7 +99,7 @@
 //! [`trace::MemorySink`], decided once per executor — `None` costs nothing,
 //! and where each task ran is a view of the events
 //! ([`trace::Trace::task_intervals`]), not a second record. A traced sweep
-//! gives every driver worker (and every proc worker process) one executor
+//! gives every sweep worker (and every proc worker process) one executor
 //! with one sink and drains it after each cell:
 //!
 //! ```rust
@@ -113,10 +124,11 @@
 //!
 //! The [`serve`] subsystem turns the sweep engine into a long-running
 //! daemon: a TCP listener speaking newline-delimited JSON, one process-wide
-//! [`kernels::SpecCache`], one shared [`runtime::SweepDriver`], and a
-//! content-addressed LRU report cache keyed by the canonical request
-//! fingerprint — repeated requests (however their policy strings are
-//! spelled) return byte-identical reports without executing:
+//! [`kernels::SpecCache`], a worker pool that runs plans cell by cell
+//! ([`runtime::SweepPlan::run_cell`]), and a content-addressed LRU report
+//! cache keyed by the canonical request fingerprint — repeated requests
+//! (however their policy strings are spelled) return byte-identical reports
+//! without executing:
 //!
 //! ```rust,no_run
 //! use numadag::prelude::*;
@@ -167,8 +179,8 @@ pub mod prelude {
     pub use numadag_proc::{PoolConfig, PoolStats, ProcError, ProcExecutor, WorkerPool};
     pub use numadag_runtime::{
         Backend, CellProgress, ExecutionConfig, ExecutionReport, Executor, Experiment, Simulator,
-        StealMode, SweepCell, SweepDiff, SweepDriver, SweepPlan, SweepReport, SweepSpec,
-        SweepTiming, ThreadedExecutor,
+        StealMode, SweepCell, SweepDiff, SweepPlan, SweepReport, SweepSpec, SweepTiming,
+        ThreadedExecutor,
     };
     pub use numadag_serve::{ServeClient, ServeConfig, ServeHandle, ServerStats};
     pub use numadag_tdg::{

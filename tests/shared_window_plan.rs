@@ -22,7 +22,7 @@ fn a_full_sweep_computes_each_first_window_once_for_any_worker_count() {
     for jobs in [1usize, 2, 4] {
         // Fresh specs per sweep: the counters are the graphs' own.
         let plan = figure1_full().plan();
-        let report = SweepDriver::new().parallelism(jobs).execute(&plan);
+        let report = plan.execute(jobs);
         let (plans, reused) = plan
             .workloads()
             .iter()

@@ -1,7 +1,8 @@
-//! Parallel-vs-serial determinism of the plan/execute sweep engine.
+//! Parallel-vs-serial determinism of a sweep, which is two steps:
+//! `Experiment` plans it, `SweepPlan::execute` runs the plan.
 //!
-//! The contract of [`SweepDriver`]: sharding a sweep across worker threads
-//! changes who computes each cell, never what the report says. On the
+//! The contract of [`SweepPlan::execute`]: sharding a sweep across worker
+//! threads changes who computes each cell, never what the report says. On the
 //! deterministic simulator backend that contract is byte-level — the
 //! serialized `SweepReport` must be identical for jobs ∈ {1, 2, 8}. On the
 //! threaded backend, makespans are wall-clock (and work stealing races by
@@ -94,8 +95,8 @@ fn one_plan_executes_identically_under_different_drivers() {
     // Stronger than run()-vs-run(): the *same* plan object (shared specs and
     // all) through different worker counts, as the bins use it.
     let plan = experiment(Backend::Simulated).plan();
-    let serial = SweepDriver::new().execute(&plan);
-    let sharded = SweepDriver::new().parallelism(8).execute(&plan);
+    let serial = plan.execute(1);
+    let sharded = plan.execute(8);
     assert_eq!(serial.to_json_string(), sharded.to_json_string());
     // Timing differs (that's its job) but its shape is consistent.
     assert_eq!(serial.timing.cell_wall_ns.len(), serial.cells.len());

@@ -1,7 +1,7 @@
 //! Release-mode sweep-scale test (ignored by default; run in CI as its own
-//! step): the Small-scale Figure-1 sweep through the sharded driver must
+//! step): the Small-scale Figure-1 sweep sharded over two workers must
 //! finish within a generous time budget and stay bit-identical to the
-//! serial driver.
+//! serial loop.
 //!
 //! ```sh
 //! cargo test --release -- --ignored sweep_scale

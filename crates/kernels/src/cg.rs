@@ -45,12 +45,6 @@ impl CgParams {
     }
 }
 
-impl Default for CgParams {
-    fn default() -> Self {
-        CgParams::with_scale(ProblemScale::Full)
-    }
-}
-
 /// Builds the CG task graph with expert placement.
 pub fn build(params: CgParams, num_sockets: usize) -> TaskGraphSpec {
     let nb = params.blocks;
@@ -60,29 +54,16 @@ pub fn build(params: CgParams, num_sockets: usize) -> TaskGraphSpec {
     let scalar_bytes = std::mem::size_of::<f64>() as u64;
 
     let mut builder = TdgBuilder::new();
-    let a: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(mat_bytes, format!("A[{i}]")))
-        .collect();
-    let x: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(vec_bytes, format!("x[{i}]")))
-        .collect();
-    let r: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(vec_bytes, format!("r[{i}]")))
-        .collect();
-    let p: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(vec_bytes, format!("p[{i}]")))
-        .collect();
-    let q: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(vec_bytes, format!("q[{i}]")))
-        .collect();
-    let dot_pq: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(scalar_bytes, format!("dot_pq[{i}]")))
-        .collect();
-    let dot_rr: Vec<_> = (0..nb)
-        .map(|i| builder.labelled_region(scalar_bytes, format!("dot_rr[{i}]")))
-        .collect();
-    let alpha = builder.labelled_region(scalar_bytes, "alpha");
-    let beta = builder.labelled_region(scalar_bytes, "beta");
+    let mut blocks = |bytes: u64| -> Vec<_> { (0..nb).map(|_| builder.region(bytes)).collect() };
+    let a = blocks(mat_bytes);
+    let x = blocks(vec_bytes);
+    let r = blocks(vec_bytes);
+    let p = blocks(vec_bytes);
+    let q = blocks(vec_bytes);
+    let dot_pq = blocks(scalar_bytes);
+    let dot_rr = blocks(scalar_bytes);
+    let alpha = builder.region(scalar_bytes);
+    let beta = builder.region(scalar_bytes);
 
     let mut ep = Vec::new();
     let owner = |i: usize| block_owner(i, nb, num_sockets);

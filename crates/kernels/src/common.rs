@@ -75,12 +75,6 @@ pub fn block_cyclic_2d(i: usize, j: usize, sockets: usize) -> usize {
     (i % p) * q + (j % q)
 }
 
-/// 2-D row-block distribution for an `nb × nb` grid of blocks: the grid is
-/// cut into `sockets` horizontal slabs.
-pub fn row_block_owner(i: usize, _j: usize, nb: usize, sockets: usize) -> usize {
-    block_owner(i, nb, sockets)
-}
-
 /// Flop count of a `b × b` GEMM tile (used as task work units).
 pub fn gemm_flops(b: usize) -> f64 {
     2.0 * (b as f64).powi(3)
@@ -151,12 +145,6 @@ mod tests {
         }
         assert!(counts.iter().all(|&c| c == 4));
         assert_eq!(block_cyclic_2d(0, 0, 0), 0);
-    }
-
-    #[test]
-    fn row_block_owner_splits_rows() {
-        assert_eq!(row_block_owner(0, 5, 8, 4), 0);
-        assert_eq!(row_block_owner(7, 0, 8, 4), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 
-use crate::common::{row_block_owner, ProblemScale};
+use crate::common::{block_owner, ProblemScale};
 
 /// Parameters of the integral-histogram kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,12 +48,6 @@ impl IntegralHistogramParams {
     }
 }
 
-impl Default for IntegralHistogramParams {
-    fn default() -> Self {
-        IntegralHistogramParams::with_scale(ProblemScale::Full)
-    }
-}
-
 /// Builds the integral-histogram task graph with expert placement.
 pub fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSpec {
     let nb = params.nb;
@@ -61,15 +55,11 @@ pub fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSp
     let hist_bytes = (params.bins * std::mem::size_of::<u32>()) as u64 * 64; // per-tile integral histograms are large
     let mut builder = TdgBuilder::new();
     let idx = |i: usize, j: usize| i * nb + j;
-    let img: Vec<_> = (0..nb * nb)
-        .map(|k| builder.labelled_region(img_bytes, format!("img[{}][{}]", k / nb, k % nb)))
-        .collect();
-    let hist: Vec<_> = (0..nb * nb)
-        .map(|k| builder.labelled_region(hist_bytes, format!("hist[{}][{}]", k / nb, k % nb)))
-        .collect();
+    let img: Vec<_> = (0..nb * nb).map(|_| builder.region(img_bytes)).collect();
+    let hist: Vec<_> = (0..nb * nb).map(|_| builder.region(hist_bytes)).collect();
 
     let mut ep = Vec::new();
-    let owner = |i: usize, j: usize| row_block_owner(i, j, nb, num_sockets);
+    let owner = |i: usize| block_owner(i, nb, num_sockets);
 
     for frame in 0..params.frames {
         // Capture the new frame tile by tile.
@@ -80,7 +70,7 @@ pub fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSp
                         .work(params.tile_pixels as f64 * 0.25)
                         .writes(img[idx(i, j)], img_bytes),
                 );
-                ep.push(owner(i, j));
+                ep.push(owner(i));
             }
         }
         // Integral histogram propagation (row-major, so the dependence
@@ -98,7 +88,7 @@ pub fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSp
                     task = task.reads(hist[idx(i, j - 1)], hist_bytes);
                 }
                 builder.submit(task);
-                ep.push(owner(i, j));
+                ep.push(owner(i));
             }
         }
     }

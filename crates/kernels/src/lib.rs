@@ -10,30 +10,28 @@
 //! | module | application | TDG shape |
 //! |--------|-------------|-----------|
 //! | [`nstream`]            | STREAM-triad style vector update | independent per-block chains |
-//! | [`jacobi`]             | 2-D Jacobi heat diffusion        | 5-point stencil, two grids |
-//! | [`gauss_seidel`]       | 2-D Gauss–Seidel (in place)      | wavefront |
-//! | [`red_black`]          | red–black Gauss–Seidel           | bipartite stencil phases |
+//! | [`stencil`]            | 2-D Jacobi, Gauss–Seidel (in place) and red–black Gauss–Seidel | 5-point stencil: two grids, wavefront, bipartite phases |
 //! | [`integral_histogram`] | integral histogram over frames   | right/down propagation |
 //! | [`cg`]                 | blocked conjugate gradient       | SpMV + global reductions |
 //! | [`qr`]                 | tiled QR factorisation           | dense factorisation DAG |
 //! | [`symm_inv`]           | symmetric (SPD) matrix inversion | Cholesky + triangular inverse + multiply |
 //!
-//! Two of the kernels ([`nstream`], [`jacobi`]) additionally ship *real*
-//! numerical task bodies over a [`storage::DenseStore`], together with
-//! sequential references, so the threaded executor can demonstrate that the
-//! numerical results are identical under every scheduling policy.
+//! NStream ([`nstream::body`]) and Jacobi ([`stencil::jacobi_body`])
+//! additionally ship *real* numerical task bodies over a
+//! [`storage::DenseStore`], together with checks against their sequential
+//! semantics, so the threaded executor can demonstrate that the numerical
+//! results are identical under every scheduling policy. Both read their
+//! region ids off the params.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod cg;
 pub mod common;
-pub mod gauss_seidel;
 pub mod integral_histogram;
-pub mod jacobi;
 pub mod nstream;
 pub mod qr;
-pub mod red_black;
+pub mod stencil;
 pub mod storage;
 pub mod suite;
 pub mod symm_inv;
@@ -41,4 +39,4 @@ pub mod symm_inv;
 pub use cache::SpecCache;
 pub use common::ProblemScale;
 pub use storage::DenseStore;
-pub use suite::{figure1_suite, Application};
+pub use suite::Application;

@@ -50,50 +50,18 @@ impl NStreamParams {
     }
 }
 
-impl Default for NStreamParams {
-    fn default() -> Self {
-        NStreamParams::with_scale(ProblemScale::Full)
-    }
-}
-
-/// Region layout of the built workload, needed to attach real bodies.
-#[derive(Clone, Debug)]
-pub struct NStreamLayout {
-    /// `a[b]` region index (as usize).
-    pub a: Vec<usize>,
-    /// `b[b]` region index.
-    pub b: Vec<usize>,
-    /// `c[b]` region index.
-    pub c: Vec<usize>,
-    /// Elements per block.
-    pub block_elems: usize,
-    /// Triad scalar.
-    pub scalar: f64,
-}
-
 /// Builds the NStream task graph with its expert placement for `num_sockets`
-/// sockets.
+/// sockets. Block `i` of `a`, `b` and `c` is region `i`, `blocks + i` and
+/// `2 * blocks + i`.
 pub fn build(params: NStreamParams, num_sockets: usize) -> TaskGraphSpec {
-    build_with_layout(params, num_sockets).0
-}
-
-/// Builds the task graph and also returns the region layout (used to attach
-/// real numerical bodies).
-pub fn build_with_layout(
-    params: NStreamParams,
-    num_sockets: usize,
-) -> (TaskGraphSpec, NStreamLayout) {
     let block_bytes = (params.block_elems * std::mem::size_of::<f64>()) as u64;
     let mut builder = TdgBuilder::new();
-    let a: Vec<_> = (0..params.blocks)
-        .map(|i| builder.labelled_region(block_bytes, format!("a[{i}]")))
-        .collect();
-    let b: Vec<_> = (0..params.blocks)
-        .map(|i| builder.labelled_region(block_bytes, format!("b[{i}]")))
-        .collect();
-    let c: Vec<_> = (0..params.blocks)
-        .map(|i| builder.labelled_region(block_bytes, format!("c[{i}]")))
-        .collect();
+    let mut vector = || -> Vec<_> {
+        (0..params.blocks)
+            .map(|_| builder.region(block_bytes))
+            .collect()
+    };
+    let (a, b, c) = (vector(), vector(), vector());
 
     let mut ep = Vec::new();
     let owner = |i: usize| block_owner(i, params.blocks, num_sockets);
@@ -135,25 +103,18 @@ pub fn build_with_layout(
     }
 
     let (graph, sizes) = builder.finish();
-    let layout = NStreamLayout {
-        a: a.iter().map(|r| r.index()).collect(),
-        b: b.iter().map(|r| r.index()).collect(),
-        c: c.iter().map(|r| r.index()).collect(),
-        block_elems: params.block_elems,
-        scalar: params.scalar,
-    };
-    let spec = TaskGraphSpec::new("NStream", graph, sizes).with_ep_placement(ep);
-    (spec, layout)
+    TaskGraphSpec::new("NStream", graph, sizes).with_ep_placement(ep)
 }
 
 /// Returns a task body executing the real triad over `store`, suitable for
 /// `numadag_runtime::ThreadedExecutor`. The store must have one region per
-/// spec region, each with `layout.block_elems` elements.
+/// spec region, each with `params.block_elems` elements.
 pub fn body<'a>(
     spec: &'a TaskGraphSpec,
-    layout: &'a NStreamLayout,
+    params: &NStreamParams,
     store: &'a DenseStore,
 ) -> impl Fn(TaskId) + Sync + 'a {
+    let scalar = params.scalar;
     move |task: TaskId| {
         let descriptor = spec.graph.task(task);
         match descriptor.kind.as_str() {
@@ -165,7 +126,7 @@ pub fn body<'a>(
                 let c = store.snapshot(descriptor.accesses[1].region.index());
                 store.write(descriptor.accesses[2].region.index(), |a| {
                     for i in 0..a.len() {
-                        a[i] = b[i] + layout.scalar * c[i];
+                        a[i] = b[i] + scalar * c[i];
                     }
                 });
             }
@@ -181,10 +142,10 @@ pub fn expected_a_value(params: &NStreamParams) -> f64 {
 
 /// Verifies the store against the sequential semantics. Returns the maximum
 /// absolute error over all `a` blocks.
-pub fn verify(layout: &NStreamLayout, store: &DenseStore, params: &NStreamParams) -> f64 {
+pub fn verify(store: &DenseStore, params: &NStreamParams) -> f64 {
     let expected = expected_a_value(params);
     let mut max_err = 0.0f64;
-    for &r in &layout.a {
+    for r in 0..params.blocks {
         store.read(r, |v| {
             for x in v {
                 max_err = max_err.max((x - expected).abs());
@@ -240,13 +201,13 @@ mod tests {
     #[test]
     fn sequential_body_execution_matches_reference() {
         let p = NStreamParams::with_scale(ProblemScale::Tiny);
-        let (spec, layout) = build_with_layout(p, 2);
+        let spec = build(p, 2);
         let store = DenseStore::uniform(spec.num_regions(), p.block_elems);
-        let run = body(&spec, &layout, &store);
+        let run = body(&spec, &p, &store);
         for t in spec.graph.task_ids() {
             run(t);
         }
-        assert_eq!(verify(&layout, &store, &p), 0.0);
+        assert_eq!(verify(&store, &p), 0.0);
         assert_eq!(expected_a_value(&p), 7.0);
     }
 }

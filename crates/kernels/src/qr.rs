@@ -35,12 +35,6 @@ impl QrParams {
     }
 }
 
-impl Default for QrParams {
-    fn default() -> Self {
-        QrParams::with_scale(ProblemScale::Full)
-    }
-}
-
 /// Builds the tiled-QR task graph with a 2-D block-cyclic expert placement.
 pub fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
     let nt = params.nt;
@@ -49,15 +43,9 @@ pub fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
 
     let mut builder = TdgBuilder::new();
     let idx = |i: usize, j: usize| i * nt + j;
-    let a: Vec<_> = (0..nt * nt)
-        .map(|k| builder.labelled_region(tile_bytes, format!("A[{}][{}]", k / nt, k % nt)))
-        .collect();
-    let t_diag: Vec<_> = (0..nt)
-        .map(|k| builder.labelled_region(t_bytes, format!("T[{k}]")))
-        .collect();
-    let t_sub: Vec<_> = (0..nt * nt)
-        .map(|k| builder.labelled_region(t_bytes, format!("T2[{}][{}]", k / nt, k % nt)))
-        .collect();
+    let a: Vec<_> = (0..nt * nt).map(|_| builder.region(tile_bytes)).collect();
+    let t_diag: Vec<_> = (0..nt).map(|_| builder.region(t_bytes)).collect();
+    let t_sub: Vec<_> = (0..nt * nt).map(|_| builder.region(t_bytes)).collect();
 
     let mut ep = Vec::new();
     let owner = |i: usize, j: usize| block_cyclic_2d(i, j, num_sockets);

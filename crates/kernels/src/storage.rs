@@ -15,17 +15,6 @@ pub struct DenseStore {
 }
 
 impl DenseStore {
-    /// Creates a store with one zero-initialised block of `block_elems[i]`
-    /// elements per region.
-    pub fn new(block_elems: &[usize]) -> Self {
-        DenseStore {
-            blocks: block_elems
-                .iter()
-                .map(|&n| RwLock::new(vec![0.0; n]))
-                .collect(),
-        }
-    }
-
     /// Creates a store where every region has the same number of elements.
     pub fn uniform(num_regions: usize, elems: usize) -> Self {
         DenseStore {
@@ -59,11 +48,6 @@ impl DenseStore {
     pub fn snapshot(&self, r: usize) -> Vec<f64> {
         self.read(r, |s| s.to_vec())
     }
-
-    /// Sum of all elements of region `r`.
-    pub fn sum(&self, r: usize) -> f64 {
-        self.read(r, |s| s.iter().sum())
-    }
 }
 
 #[cfg(test)]
@@ -76,15 +60,6 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
         assert_eq!(s.snapshot(3), vec![0.0; 8]);
-        assert_eq!(s.sum(0), 0.0);
-    }
-
-    #[test]
-    fn per_region_sizes() {
-        let s = DenseStore::new(&[2, 5, 0]);
-        assert_eq!(s.snapshot(0).len(), 2);
-        assert_eq!(s.snapshot(1).len(), 5);
-        assert!(s.snapshot(2).is_empty());
     }
 
     #[test]
@@ -94,7 +69,7 @@ mod tests {
             v[0] = 1.5;
             v[2] = 2.5;
         });
-        assert_eq!(s.sum(1), 4.0);
+        assert_eq!(s.snapshot(1), [1.5, 0.0, 2.5]);
         let total = s.read(1, |v| v.iter().filter(|x| **x > 0.0).count());
         assert_eq!(total, 2);
     }

@@ -4,7 +4,8 @@
 use numadag_tdg::TaskGraphSpec;
 
 use crate::common::ProblemScale;
-use crate::{cg, gauss_seidel, integral_histogram, jacobi, nstream, qr, red_black, symm_inv};
+use crate::stencil::{self, Stencil, StencilParams};
+use crate::{cg, integral_histogram, nstream, qr, symm_inv};
 
 /// The eight applications of the paper's evaluation, in the order Figure 1
 /// plots them.
@@ -60,28 +61,23 @@ impl Application {
     /// Builds the application's task graph at the given scale for a machine
     /// with `num_sockets` sockets.
     pub fn build(&self, scale: ProblemScale, num_sockets: usize) -> TaskGraphSpec {
+        let build_stencil =
+            |kind| stencil::build(kind, StencilParams::with_scale(scale), num_sockets);
         match self {
             Application::ConjugateGradient => {
                 cg::build(cg::CgParams::with_scale(scale), num_sockets)
             }
-            Application::GaussSeidel => gauss_seidel::build(
-                gauss_seidel::GaussSeidelParams::with_scale(scale),
-                num_sockets,
-            ),
+            Application::GaussSeidel => build_stencil(Stencil::GaussSeidel),
             Application::IntegralHistogram => integral_histogram::build(
                 integral_histogram::IntegralHistogramParams::with_scale(scale),
                 num_sockets,
             ),
-            Application::Jacobi => {
-                jacobi::build(jacobi::JacobiParams::with_scale(scale), num_sockets)
-            }
+            Application::Jacobi => build_stencil(Stencil::Jacobi),
             Application::NStream => {
                 nstream::build(nstream::NStreamParams::with_scale(scale), num_sockets)
             }
             Application::QrFactorization => qr::build(qr::QrParams::with_scale(scale), num_sockets),
-            Application::RedBlack => {
-                red_black::build(red_black::RedBlackParams::with_scale(scale), num_sockets)
-            }
+            Application::RedBlack => build_stencil(Stencil::RedBlack),
             Application::SymmetricMatrixInversion => {
                 symm_inv::build(symm_inv::SymmInvParams::with_scale(scale), num_sockets)
             }
@@ -146,21 +142,14 @@ impl Application {
     }
 }
 
-/// Builds the whole Figure-1 suite at the given scale.
-pub fn figure1_suite(scale: ProblemScale, num_sockets: usize) -> Vec<(Application, TaskGraphSpec)> {
-    Application::all()
-        .into_iter()
-        .map(|app| (app, app.build(scale, num_sockets)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_eight_applications_build_and_validate() {
-        for (app, spec) in figure1_suite(ProblemScale::Tiny, 8) {
+        for app in Application::all() {
+            let spec = app.build(ProblemScale::Tiny, 8);
             assert!(spec.validate().is_ok(), "{app}: invalid spec");
             assert!(spec.num_tasks() > 0, "{app}: no tasks");
             assert!(spec.graph.is_acyclic(), "{app}: cyclic graph");
@@ -250,7 +239,8 @@ mod tests {
     #[test]
     fn flat_view_equals_the_nested_accessors_on_the_eight_full_specs() {
         use numadag_tdg::TaskId;
-        for (app, spec) in figure1_suite(ProblemScale::Full, 8) {
+        for app in Application::all() {
+            let spec = app.build(ProblemScale::Full, 8);
             let g = &spec.graph;
             let flat = g.flat();
             assert_eq!(flat.num_tasks(), g.num_tasks(), "{app}");

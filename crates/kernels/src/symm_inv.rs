@@ -38,12 +38,6 @@ impl SymmInvParams {
     }
 }
 
-impl Default for SymmInvParams {
-    fn default() -> Self {
-        SymmInvParams::with_scale(ProblemScale::Full)
-    }
-}
-
 /// Builds the symmetric-matrix-inversion task graph with a 2-D block-cyclic
 /// expert placement.
 pub fn build(params: SymmInvParams, num_sockets: usize) -> TaskGraphSpec {
@@ -57,9 +51,8 @@ pub fn build(params: SymmInvParams, num_sockets: usize) -> TaskGraphSpec {
     let mut regions = Vec::new();
     for i in 0..nt {
         for j in 0..=i {
-            let r = builder.labelled_region(tile_bytes, format!("A[{i}][{j}]"));
             tile[i * nt + j] = regions.len();
-            regions.push(r);
+            regions.push(builder.region(tile_bytes));
         }
     }
     let region = |i: usize, j: usize| regions[tile[i * nt + j]];

@@ -8,38 +8,23 @@
 //! any of them fails here. The values were captured before the three
 //! stencil builders were merged into one.
 
-use numadag_kernels::{gauss_seidel, jacobi, red_black, Application, ProblemScale};
+use numadag_kernels::stencil::{self, Stencil, StencilParams};
+use numadag_kernels::{Application, ProblemScale};
 
 /// The fingerprint of the stencil whose spec is named `name`.
 fn stencil_fingerprint(name: &str, nb: usize, iterations: usize, sockets: usize) -> u64 {
-    let block_elems = 8;
-    let spec = match name {
-        "Jacobi" => jacobi::build(
-            jacobi::JacobiParams {
-                nb,
-                block_elems,
-                iterations,
-            },
-            sockets,
-        ),
-        "Gauss-Seidel" => gauss_seidel::build(
-            gauss_seidel::GaussSeidelParams {
-                nb,
-                block_elems,
-                iterations,
-            },
-            sockets,
-        ),
-        "Red-Black" => red_black::build(
-            red_black::RedBlackParams {
-                nb,
-                block_elems,
-                iterations,
-            },
-            sockets,
-        ),
+    let stencil = match name {
+        "Jacobi" => Stencil::Jacobi,
+        "Gauss-Seidel" => Stencil::GaussSeidel,
+        "Red-Black" => Stencil::RedBlack,
         other => panic!("no stencil {other}"),
     };
+    let params = StencilParams {
+        nb,
+        block_elems: 8,
+        iterations,
+    };
+    let spec = stencil::build(stencil, params, sockets);
     assert_eq!(&*spec.name, name);
     spec.fingerprint()
 }

@@ -20,7 +20,6 @@ pub struct TdgBuilder {
     /// `(predecessor, bytes)` pairs of the task being submitted.
     deps: Vec<(TaskId, u64)>,
     region_sizes: Vec<u64>,
-    region_labels: Vec<Option<String>>,
 }
 
 impl TdgBuilder {
@@ -33,14 +32,6 @@ impl TdgBuilder {
     pub fn region(&mut self, size_bytes: u64) -> RegionId {
         let id = RegionId(self.region_sizes.len());
         self.region_sizes.push(size_bytes);
-        self.region_labels.push(None);
-        id
-    }
-
-    /// Registers a labelled data region (labels show up in traces).
-    pub fn labelled_region(&mut self, size_bytes: u64, label: impl Into<String>) -> RegionId {
-        let id = self.region(size_bytes);
-        self.region_labels[id.index()] = Some(label.into());
         id
     }
 
@@ -137,7 +128,7 @@ mod tests {
     fn regions_are_sequential_and_sized() {
         let mut b = TdgBuilder::new();
         let r0 = b.region(100);
-        let r1 = b.labelled_region(200, "B[0]");
+        let r1 = b.region(200);
         assert_eq!(r0.index(), 0);
         assert_eq!(r1.index(), 1);
         assert_eq!(b.num_regions(), 2);

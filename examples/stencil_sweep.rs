@@ -13,39 +13,21 @@
 //! cargo run --example stencil_sweep --release
 //! ```
 
-use numadag::kernels::{gauss_seidel, jacobi, red_black};
+use numadag::kernels::stencil::{self, Stencil, StencilParams};
 use numadag::prelude::*;
 
 fn main() {
     let topology = Topology::bullion_s16();
     let sockets = topology.num_sockets();
 
-    let specs: Vec<TaskGraphSpec> = vec![
-        jacobi::build(
-            jacobi::JacobiParams {
-                nb: 10,
-                block_elems: 32 * 1024,
-                iterations: 8,
-            },
-            sockets,
-        ),
-        gauss_seidel::build(
-            gauss_seidel::GaussSeidelParams {
-                nb: 10,
-                block_elems: 32 * 1024,
-                iterations: 8,
-            },
-            sockets,
-        ),
-        red_black::build(
-            red_black::RedBlackParams {
-                nb: 10,
-                block_elems: 32 * 1024,
-                iterations: 8,
-            },
-            sockets,
-        ),
-    ];
+    let params = StencilParams {
+        nb: 10,
+        block_elems: 32 * 1024,
+        iterations: 8,
+    };
+    let specs: Vec<TaskGraphSpec> = [Stencil::Jacobi, Stencil::GaussSeidel, Stencil::RedBlack]
+        .map(|kind| stencil::build(kind, params, sockets))
+        .into();
     let names: Vec<String> = specs.iter().map(|s| s.name.to_string()).collect();
 
     let windows = [32usize, 64, 128, 256, 512, 1024];

@@ -3,7 +3,8 @@
 //! the sequential reference, regardless of placement, stealing or
 //! interleaving.
 
-use numadag::kernels::{jacobi, nstream};
+use numadag::kernels::nstream;
+use numadag::kernels::stencil::{self, Stencil, StencilParams};
 use numadag::prelude::*;
 
 #[test]
@@ -14,16 +15,16 @@ fn nstream_results_are_identical_under_every_policy() {
         iterations: 4,
         scalar: 3.0,
     };
-    let (spec, layout) = nstream::build_with_layout(params, 4);
+    let spec = nstream::build(params, 4);
     for kind in PolicyKind::all() {
         let store = DenseStore::uniform(spec.num_regions(), params.block_elems);
         let executor = ThreadedExecutor::new(ExecutionConfig::new(Topology::four_socket(2)));
         let mut policy = make_policy(kind, &spec, 13).expect("policy");
-        let body = nstream::body(&spec, &layout, &store);
+        let body = nstream::body(&spec, &params, &store);
         let report = executor.run(&spec, policy.as_mut(), &body);
         assert_eq!(report.tasks, spec.num_tasks());
         assert_eq!(
-            nstream::verify(&layout, &store, &params),
+            nstream::verify(&store, &params),
             0.0,
             "{kind}: NStream result corrupted by scheduling"
         );
@@ -32,19 +33,19 @@ fn nstream_results_are_identical_under_every_policy() {
 
 #[test]
 fn jacobi_results_match_sequential_reference_under_every_policy() {
-    let params = jacobi::JacobiParams {
+    let params = StencilParams {
         nb: 6,
         block_elems: 64,
         iterations: 5,
     };
-    let (spec, layout) = jacobi::build_with_layout(params, 4);
+    let spec = stencil::build(Stencil::Jacobi, params, 4);
     for kind in PolicyKind::all() {
         let store = DenseStore::uniform(spec.num_regions(), params.block_elems);
         let executor = ThreadedExecutor::new(ExecutionConfig::new(Topology::two_socket(4)));
         let mut policy = make_policy(kind, &spec, 29).expect("policy");
-        let body = jacobi::body(&spec, &layout, &store);
+        let body = stencil::jacobi_body(&spec, &params, &store);
         executor.run(&spec, policy.as_mut(), &body);
-        let err = jacobi::verify(&layout, &store, &params);
+        let err = stencil::jacobi_verify(&store, &params);
         assert!(
             err < 1e-12,
             "{kind}: Jacobi diverged from the sequential reference by {err}"

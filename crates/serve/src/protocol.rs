@@ -187,10 +187,9 @@ pub struct ServerStats {
     pub spec_cache_hits: u64,
     /// Distinct workload instances resident in the spec cache.
     pub spec_cache_entries: u64,
-    /// Queued or running jobs identical submissions would coalesce onto
-    /// (the size of the admission index). This and the two gauges below are
-    /// newer than the first release: a reply from an older daemon lacks
-    /// them and still parses.
+    /// Queued or running jobs identical submissions would coalesce onto.
+    /// This and the two gauges below are newer than the first release: a
+    /// reply from an older daemon lacks them and still parses.
     #[serde(default)]
     pub jobs_in_flight: u64,
     /// Jobs `Status` can still describe: the live ones plus the bounded

@@ -2,60 +2,61 @@
 //! a pool of worker threads draining cell batches fairly (round-robin
 //! across active jobs) over the process-wide [`SpecCache`].
 //!
-//! Life of a request:
+//! All daemon state is one `State` behind one mutex, and only `State`'s
+//! methods change it: one transition each, with no I/O, no lock and no
+//! panic on a job invariant. The shell — connection handlers, pool workers,
+//! [`ServeHandle`] — locks for one call at a time and acts on its result
+//! outside the lock, where fingerprinting, planning, executing cells,
+//! assembling reports and socket writes happen. Life of a request:
 //!
 //! 1. A connection handler parses one JSON line into a [`Request`].
 //!    Malformed lines are answered with a structured `Error` and the
 //!    connection survives (the service analogue of the bins' exit-2 usage
 //!    convention).
-//! 2. `SubmitSweep` resolves the spec through the CLI grammar and computes
-//!    the canonical sweep fingerprint. Identical in-flight jobs coalesce
-//!    and exact repeats are answered byte-identically from the sweep-level
-//!    report cache without planning anything — the fast path. Otherwise
-//!    the sweep is planned and each job of the plan is keyed as a
-//!    content-addressed cell ([`crate::protocol::cell_fingerprint`]):
-//!    cells some earlier sweep already executed hydrate instantly from the
-//!    [`CellCache`] — so
-//!    overlapping sweeps of *different* shapes (added policy columns, app
-//!    subsets, extra repetitions) share work — and only the novel cells
-//!    are batched onto the pool queue. Submissions that would blow the
-//!    admission quotas bounce with a structured `Overloaded` instead of
-//!    queueing unboundedly. The handler then blocks on the job's
-//!    subscriber channel, forwarding `Progress` lines (when streaming)
-//!    until the terminal `Report`.
-//! 3. Pool workers take one batch at a time from the job at the front of
-//!    the round-robin rotation, so a tiny sweep keeps making progress
-//!    while a Full sweep is in flight instead of starving behind it.
-//!    Executed outcomes always feed the cell cache; when a job's last
-//!    cell resolves, the resolving worker assembles the report through
-//!    the deterministic keyed post-pass — byte-identical to direct
-//!    execution no matter how many cells were hydrated, executed out of
-//!    order, or shared with other sweeps — serializes the measurement
-//!    bytes and escapes them into a JSON string literal, stores both in the
-//!    LRU report cache and hands every subscriber one `Report` line
-//!    rendered around that literal. A cache hit's `Report` line is rendered
-//!    around the same literal, so a report is escaped once in the daemon's
-//!    life however often it is served.
+//! 2. **admit.** `SubmitSweep` resolves the spec through the CLI grammar and
+//!    admits its canonical fingerprint: onto an identical live job
+//!    (coalesced), from the report cache (a byte-identical hit, nothing
+//!    planned), or, for a novel key, back with "needs a plan". The handler
+//!    plans the sweep, keys each cell
+//!    ([`crate::protocol::cell_fingerprint`]) and admits again: cells an
+//!    earlier sweep of any shape executed hydrate from the [`CellCache`],
+//!    and only the novel ones are queued, in batches — unless that would
+//!    exceed a quota, which bounces with `Overloaded`. The handler then
+//!    forwards the job's `Progress` (when streaming) and terminal lines.
+//! 3. **take.** A pool worker takes one batch from the job at the front of
+//!    the rotation, so a tiny sweep keeps moving while a Full one runs.
+//! 4. **resolve.** Each cell resolves from the cell cache (another job may
+//!    have executed it meanwhile) or with the outcome the worker executed,
+//!    which feeds the cell cache even if its job has left. The last cell
+//!    hands back the job's outcomes.
+//! 5. **publish.** Whoever resolved it (the worker, or the submitter when
+//!    every cell hydrated) assembles the report through the deterministic
+//!    keyed post-pass — byte-identical to direct execution — escapes it
+//!    once, and publishes it to the LRU report cache and as one `Report`
+//!    line to every subscriber. A hit's line is rendered around the same
+//!    literal.
+//! 6. **cancel** ends a live job and frees its queued cells; a batch a
+//!    worker already took stops at its next cell.
+//! 7. **close** is shutdown. Batches already taken finish, so a job whose
+//!    remaining cells they hold still publishes; a job with a batch still
+//!    queued fails with "server shut down before the job ran"; later
+//!    submissions are refused with "server is shutting down". Pool workers
+//!    exit at their next take.
 //!
-//! What a request costs does not depend on how many the daemon has served.
-//! Everything above happens under one state mutex, so its bookkeeping is
-//! bounded: identical in-flight jobs are found through an index keyed by
-//! sweep fingerprint, not by scanning jobs; the job table holds only queued
-//! and running jobs (at most `max_active_jobs`); a job reaching a terminal
-//! state — a report-cache hit is born in one — shrinks to a
-//! `(id, state, completed, total)` record in a ring of [`JOB_HISTORY`],
-//! releasing its plan, outcomes and subscribers; and both caches are O(1)
-//! [`Lru`](crate::cache::Lru)s that alone keep finished reports alive.
-//! `Status`/`CancelJob` answer from the table, then the ring; an id that has
-//! left the ring answers `job N retired`, one never handed out `unknown job
-//! N`.
+//! What a request costs does not depend on how many the daemon has served:
+//! the job table holds only live jobs (at most `max_active_jobs`, all that
+//! coalescing scans); a terminal job — a cache hit is born one — shrinks to
+//! a `(id, state, completed, total)` record in a ring of [`JOB_HISTORY`];
+//! both caches are O(1) [`Lru`](crate::cache::Lru)s that alone keep reports
+//! alive. `Status`/`CancelJob` answer from the table, then the ring; an id
+//! that has left the ring answers `job N retired`, one never issued
+//! `unknown job N`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use numadag_kernels::SpecCache;
@@ -141,6 +142,7 @@ impl JobState {
 }
 
 /// What a job sends the connection handler of each of its subscribers.
+#[derive(Clone)]
 enum Notice {
     /// `Progress`, or a terminal `Cancelled` / `Error`, still to encode.
     Message(Response),
@@ -151,6 +153,7 @@ enum Notice {
 
 /// One subscriber of a job: the sending half of the handler's channel, plus
 /// whether it asked for per-cell progress.
+#[derive(Clone)]
 struct Subscriber {
     tx: Sender<Notice>,
     wants_progress: bool,
@@ -162,24 +165,74 @@ struct Job {
     key: u64,
     /// `Queued` or `Running`, nothing else.
     state: JobState,
-    /// Cells resolved so far (hydrated at admission + executed).
-    completed: usize,
-    total: usize,
     plan: Arc<SweepPlan>,
     /// Per-cell content fingerprints, in plan job order.
     cell_keys: Vec<u64>,
     /// Per-cell outcomes; filled at admission (cell-cache hydration) and by
-    /// pool workers, drained by the finalizing post-pass.
+    /// `resolve`, handed over whole when the last one is.
     outcomes: Vec<Option<CellOutcome>>,
     /// Batches of novel cell indices still waiting for a pool worker.
     pending: VecDeque<Vec<usize>>,
-    /// Novel cells not yet resolved; the job finalizes when this hits 0.
-    remaining: usize,
-    /// Cells this job actually executed.
+    /// Cells this job executed.
     executed: usize,
-    /// Cells hydrated from the cell cache instead of executed.
+    /// Cells resolved from the cell cache instead of executed.
     hydrated: usize,
     subscribers: Vec<Subscriber>,
+}
+
+impl Job {
+    fn completed(&self) -> usize {
+        self.executed + self.hydrated
+    }
+
+    /// Hands over what assembling the report takes, once every cell has
+    /// resolved.
+    fn finish(&mut self) -> Finished {
+        Finished {
+            key: self.key,
+            plan: Arc::clone(&self.plan),
+            outcomes: std::mem::take(&mut self.outcomes)
+                .into_iter()
+                .flatten()
+                .collect(),
+            executed: self.executed,
+            hydrated: self.hydrated,
+        }
+    }
+}
+
+/// A job whose every cell has resolved: the outcomes its report is
+/// assembled from, outside the lock.
+struct Finished {
+    key: u64,
+    plan: Arc<SweepPlan>,
+    outcomes: Vec<CellOutcome>,
+    executed: usize,
+    hydrated: usize,
+}
+
+impl Finished {
+    /// Job `id`'s report, serialized and escaped once, and the `Report` line
+    /// around it: the keyed post-pass is deterministic, so the bytes are
+    /// those of a direct `SweepPlan::execute`.
+    fn render(self, id: u64, workers: usize) -> (Arc<CachedReport>, Arc<str>) {
+        let total = self.outcomes.len();
+        let report = self
+            .plan
+            .assemble_report(self.outcomes, workers, std::time::Duration::ZERO);
+        let report = CachedReport::new(report.to_json_string(), self.executed, total);
+        let mut line = String::new();
+        push_report_line(
+            &mut line,
+            id,
+            false,
+            self.executed as u64,
+            self.hydrated as u64,
+            report.literal(),
+        );
+        line.push('\n');
+        (Arc::new(report), line.into())
+    }
 }
 
 /// Terminal jobs `Status`/`CancelJob` can still name. Older ids answer
@@ -194,23 +247,59 @@ struct JobRecord {
     total: usize,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: u64,
-    coalesced: u64,
-    completed: u64,
-    cancelled: u64,
-    failed: u64,
-    rejected: u64,
-    malformed: u64,
-    executed_cells: u64,
-    hydrated_cells: u64,
+/// What [`State::admit`] made of a submission.
+enum Admission {
+    /// A novel sweep: plan it, key its cells and admit it again with them.
+    NeedsPlan,
+    /// Refused: the daemon is closed (`Error`) or a quota is full
+    /// (`Overloaded`).
+    Refused(Response),
+    /// Answered from the report cache by a job born done.
+    CacheHit(u64, Arc<CachedReport>),
+    /// Subscribed to an identical live job.
+    Coalesced(u64),
+    /// A new job with batches queued for the pool.
+    Enqueued(u64),
+    /// A new job whose every cell hydrated: the submitter publishes it.
+    Hydrated(u64, Finished),
 }
 
+/// What a pool worker gets from [`State::take`].
+enum Take {
+    /// Cells of one job to resolve, as `(index, cell key)`.
+    Run {
+        job: u64,
+        plan: Arc<SweepPlan>,
+        cells: Vec<(usize, u64)>,
+    },
+    /// Nothing queued: wait for work.
+    Wait,
+    /// Closed: exit.
+    Exit,
+}
+
+/// What resolving one cell of a taken batch came to.
+enum Resolved {
+    /// No cache holds the cell: execute it and resolve it with the outcome.
+    Execute,
+    /// Recorded; the job has cells to go.
+    Recorded,
+    /// The job's last cell: assemble its report and publish it.
+    Finished(Finished),
+    /// The job was cancelled or failed: the rest of the batch is moot.
+    Gone,
+}
+
+/// The daemon's state; its methods are the transitions of the module doc.
 struct State {
+    max_active_jobs: usize,
+    max_queued_cells: usize,
+    batch_cells: usize,
+    /// Set by [`State::close`]: nothing is admitted or taken after it.
+    closed: bool,
     next_job: u64,
-    /// Round-robin rotation of jobs with pending batches: workers pop the
-    /// front, take one batch, and push the job back while it has more.
+    /// Round-robin rotation of jobs with pending batches: `take` pops the
+    /// front and pushes the job back while it has more.
     active: VecDeque<u64>,
     /// Cells currently sitting in pending batches (the `max_queued_cells`
     /// quota gauge).
@@ -218,19 +307,271 @@ struct State {
     /// The live table: queued and running jobs only, so its length is the
     /// `max_active_jobs` gauge.
     jobs: HashMap<u64, Job>,
-    /// Sweep fingerprint → id of the live job executing that sweep; what
-    /// identical submissions coalesce onto. One entry per live job.
-    in_flight: HashMap<u64, u64>,
     /// The last [`JOB_HISTORY`] terminal jobs, oldest first.
     history: VecDeque<JobRecord>,
     /// Records pushed out of `history`.
     retired: u64,
     cache: ReportCache,
     cells: CellCache,
-    counters: Counters,
+    /// The counters `Stats` reports; [`State::stats`] adds the gauges.
+    stats: ServerStats,
 }
 
 impl State {
+    fn new(config: &ServeConfig, cache: ReportCache) -> State {
+        State {
+            max_active_jobs: config.max_active_jobs,
+            max_queued_cells: config.max_queued_cells,
+            batch_cells: config.batch_cells,
+            closed: false,
+            next_job: 1,
+            active: VecDeque::new(),
+            queued_cells: 0,
+            jobs: HashMap::new(),
+            history: VecDeque::with_capacity(JOB_HISTORY),
+            retired: 0,
+            cache,
+            cells: CellCache::new(config.cell_capacity),
+            stats: ServerStats {
+                pool_workers: config.pool as u64,
+                ..ServerStats::default()
+            },
+        }
+    }
+
+    /// Admits the submission of sweep `key` for `subscriber`. Without
+    /// `planned` (the plan and its cell keys) a novel key answers
+    /// [`Admission::NeedsPlan`]; with it, the sweep becomes a job unless an
+    /// identical one was admitted meanwhile.
+    fn admit(
+        &mut self,
+        key: u64,
+        planned: Option<(Arc<SweepPlan>, Vec<u64>)>,
+        subscriber: &Subscriber,
+    ) -> Admission {
+        if self.closed {
+            return Admission::Refused(Response::Error {
+                message: "server is shutting down".to_string(),
+            });
+        }
+        if let Some((&id, job)) = self.jobs.iter_mut().find(|(_, job)| job.key == key) {
+            self.stats.jobs_coalesced += 1;
+            job.subscribers.push(subscriber.clone());
+            return Admission::Coalesced(id);
+        }
+        // A hit counts here; the one miss counts when a job is created, so
+        // racing identical submissions keep misses == executed sweeps.
+        if let Some(report) = self.cache.revalidate(key) {
+            let id = self.issue();
+            self.record(id, JobState::Done, report.total_cells, report.total_cells);
+            return Admission::CacheHit(id, report);
+        }
+        let Some((plan, cell_keys)) = planned else {
+            return Admission::NeedsPlan;
+        };
+        if self.jobs.len() >= self.max_active_jobs {
+            return self.overloaded();
+        }
+        // Hydrate every cell some earlier sweep already produced; only the
+        // novel ones go to the pool.
+        let outcomes: Vec<_> = cell_keys.iter().map(|&k| self.cells.lookup(k)).collect();
+        let novel: Vec<usize> = (0..outcomes.len())
+            .filter(|&index| outcomes[index].is_none())
+            .collect();
+        if self.queued_cells + novel.len() > self.max_queued_cells {
+            return self.overloaded();
+        }
+        let id = self.issue();
+        let hydrated = cell_keys.len() - novel.len();
+        self.cache.note_miss();
+        self.stats.jobs_submitted += 1;
+        self.stats.cells_hydrated_total += hydrated as u64;
+        self.queued_cells += novel.len();
+        let mut job = Job {
+            key,
+            state: JobState::Queued,
+            plan,
+            cell_keys,
+            outcomes,
+            pending: novel
+                .chunks(self.batch_cells)
+                .map(<[usize]>::to_vec)
+                .collect(),
+            executed: 0,
+            hydrated,
+            subscribers: vec![subscriber.clone()],
+        };
+        let admission = if novel.is_empty() {
+            job.state = JobState::Running;
+            Admission::Hydrated(id, job.finish())
+        } else {
+            self.active.push_back(id);
+            Admission::Enqueued(id)
+        };
+        self.jobs.insert(id, job);
+        admission
+    }
+
+    fn overloaded(&mut self) -> Admission {
+        self.stats.jobs_rejected += 1;
+        Admission::Refused(Response::Overloaded {
+            queued_cells: self.queued_cells as u64,
+            limit: self.max_queued_cells as u64,
+        })
+    }
+
+    fn issue(&mut self) -> u64 {
+        self.next_job += 1;
+        self.next_job - 1
+    }
+
+    /// Takes one batch from the job at the front of the rotation, then
+    /// sends that job to the back while it has more, so no sweep starves
+    /// behind a bigger one.
+    fn take(&mut self) -> Take {
+        if self.closed {
+            return Take::Exit;
+        }
+        while let Some(id) = self.active.pop_front() {
+            let Some(job) = self.jobs.get_mut(&id) else {
+                continue;
+            };
+            let Some(batch) = job.pending.pop_front() else {
+                continue;
+            };
+            job.state = JobState::Running;
+            if !job.pending.is_empty() {
+                self.active.push_back(id);
+            }
+            self.queued_cells -= batch.len();
+            return Take::Run {
+                job: id,
+                plan: Arc::clone(&job.plan),
+                cells: batch.into_iter().map(|i| (i, job.cell_keys[i])).collect(),
+            };
+        }
+        Take::Wait
+    }
+
+    /// Resolves cell `index` (content key `cell`) of job `id`: with the
+    /// outcome a worker `executed`, or else from the cell cache if another
+    /// job executed it since admission. Streaming subscribers get one
+    /// `Progress` per resolved cell.
+    fn resolve(
+        &mut self,
+        id: u64,
+        index: usize,
+        cell: u64,
+        executed: Option<CellOutcome>,
+    ) -> Resolved {
+        if let Some(outcome) = &executed {
+            // Executed work feeds the cell cache even when its job has
+            // left: it is done either way, so future sweeps may share it.
+            self.cells.insert(cell, outcome.clone());
+        }
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return Resolved::Gone;
+        };
+        let outcome = match executed {
+            Some(outcome) => {
+                job.executed += 1;
+                self.stats.executed_cells_total += 1;
+                outcome
+            }
+            None => match self.cells.peek(cell) {
+                Some(outcome) => {
+                    job.hydrated += 1;
+                    self.stats.cells_hydrated_total += 1;
+                    outcome
+                }
+                None => return Resolved::Execute,
+            },
+        };
+        job.outcomes[index] = Some(outcome);
+        if job.subscribers.iter().any(|s| s.wants_progress) {
+            let (application, _, policy) = job.plan.job_labels(index);
+            let progress = Response::Progress {
+                job: id,
+                completed: job.completed() as u64,
+                total: job.cell_keys.len() as u64,
+                application,
+                policy,
+                repetition: job.plan.job_at(index).repetition as u64,
+            };
+            for sub in job.subscribers.iter().filter(|s| s.wants_progress) {
+                let _ = sub.tx.send(Notice::Message(progress.clone()));
+            }
+        }
+        if job.completed() < job.cell_keys.len() {
+            Resolved::Recorded
+        } else {
+            Resolved::Finished(job.finish())
+        }
+    }
+
+    /// Files job `id`'s rendered report under sweep `key` in the report
+    /// cache and hands every subscriber its `line`. A job cancelled while
+    /// its report was assembled still leaves the bytes in the cache.
+    fn publish(&mut self, id: u64, key: u64, report: Arc<CachedReport>, line: Arc<str>) {
+        self.cache.insert(key, report);
+        if self.end(id, JobState::Done, Notice::Report(line)) {
+            self.stats.jobs_completed += 1;
+        }
+    }
+
+    /// Cancels live job `id`, or says why it cannot be.
+    fn cancel(&mut self, id: u64) -> Response {
+        let cancelled = Response::Cancelled { job: id };
+        if self.end(id, JobState::Cancelled, Notice::Message(cancelled.clone())) {
+            self.stats.jobs_cancelled += 1;
+            return cancelled;
+        }
+        let message = match self.terminal(id) {
+            Ok(record) => format!(
+                "job {id} is {}; only queued or running jobs can be cancelled",
+                record.state.label()
+            ),
+            Err(message) => message,
+        };
+        Response::Error { message }
+    }
+
+    /// Shuts the daemon down: nothing is admitted or taken from now on, and
+    /// every job with a batch still queued fails. Batches already taken
+    /// finish, so a job whose remaining cells they all are still publishes.
+    fn close(&mut self) {
+        self.closed = true;
+        let waiting: Vec<u64> = self
+            .jobs
+            .iter()
+            .filter(|(_, job)| !job.pending.is_empty())
+            .map(|(&id, _)| id)
+            .collect();
+        self.stats.jobs_failed += waiting.len() as u64;
+        let failed = Notice::Message(Response::Error {
+            message: "server shut down before the job ran".to_string(),
+        });
+        for id in waiting {
+            self.end(id, JobState::Failed, failed.clone());
+        }
+    }
+
+    /// Ends live job `id` in terminal `state`: frees its queued cells,
+    /// files its record and sends each subscriber `notice`. False when the
+    /// job is not live.
+    fn end(&mut self, id: u64, state: JobState, notice: Notice) -> bool {
+        let Some(job) = self.jobs.remove(&id) else {
+            return false;
+        };
+        self.queued_cells -= job.pending.iter().map(Vec::len).sum::<usize>();
+        self.active.retain(|&active| active != id);
+        self.record(id, state, job.completed(), job.cell_keys.len());
+        for sub in job.subscribers {
+            let _ = sub.tx.send(notice.clone());
+        }
+        true
+    }
+
     /// Files the record of a job that just reached a terminal state,
     /// retiring the oldest one when the ring is full.
     fn record(&mut self, id: u64, state: JobState, completed: usize, total: usize) {
@@ -246,14 +587,6 @@ impl State {
         });
     }
 
-    /// Takes a job out of the live table and the coalescing index; the
-    /// caller files its [`State::record`].
-    fn remove_live(&mut self, id: u64) -> Option<Job> {
-        let job = self.jobs.remove(&id)?;
-        self.in_flight.remove(&job.key);
-        Some(job)
-    }
-
     /// The record of an id that is not live, or why there is none — the
     /// error message `Status` and `CancelJob` answer with.
     fn terminal(&self, id: u64) -> Result<&JobRecord, String> {
@@ -266,6 +599,56 @@ impl State {
             Err(format!("unknown job {id}"))
         }
     }
+
+    fn status(&self, id: u64) -> Response {
+        let (state, completed, total) = match self.jobs.get(&id) {
+            Some(job) => (job.state, job.completed(), job.cell_keys.len()),
+            None => match self.terminal(id) {
+                Ok(record) => (record.state, record.completed, record.total),
+                Err(message) => return Response::Error { message },
+            },
+        };
+        Response::JobStatus {
+            job: id,
+            state: state.label().to_string(),
+            completed: completed as u64,
+            total: total as u64,
+        }
+    }
+
+    fn stats(&self, specs: &SpecCache) -> ServerStats {
+        ServerStats {
+            report_cache_entries: self.cache.len() as u64,
+            report_cache_capacity: self.cache.capacity() as u64,
+            report_cache_hits: self.cache.hits(),
+            report_cache_misses: self.cache.misses(),
+            report_cache_evictions: self.cache.evictions(),
+            cell_cache_entries: self.cells.len() as u64,
+            cell_cache_capacity: self.cells.capacity() as u64,
+            cell_cache_hits: self.cells.hits(),
+            cell_cache_misses: self.cells.misses(),
+            cell_cache_evictions: self.cells.evictions(),
+            spec_cache_builds: specs.builds() as u64,
+            spec_cache_hits: specs.hits() as u64,
+            spec_cache_entries: specs.len() as u64,
+            jobs_in_flight: self.jobs.len() as u64,
+            jobs_tracked: (self.jobs.len() + self.history.len()) as u64,
+            jobs_retired: self.retired,
+            ..self.stats.clone()
+        }
+    }
+
+    fn malformed(&mut self) {
+        self.stats.requests_malformed += 1;
+    }
+
+    fn closed(&self) -> bool {
+        self.closed
+    }
+
+    fn cached_reports(&self) -> Vec<(u64, Arc<CachedReport>)> {
+        self.cache.snapshot()
+    }
 }
 
 struct Shared {
@@ -273,8 +656,17 @@ struct Shared {
     addr: SocketAddr,
     specs: Arc<SpecCache>,
     state: Mutex<State>,
+    /// Signalled when a batch is queued and when the state closes.
     work: Condvar,
-    shutdown: AtomicBool,
+}
+
+const POISONED: &str = "a thread panicked while holding the daemon state";
+
+impl Shared {
+    /// The daemon state, locked: the one way to reach it.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
 }
 
 /// A running daemon: join it to block until shutdown.
@@ -299,7 +691,7 @@ impl ServeHandle {
     /// [`ServeHandle::join`] persists. The cache holds the only long-lived
     /// reference to each report, so an evicted one is freed.
     pub fn cached_reports(&self) -> Vec<(u64, Arc<CachedReport>)> {
-        self.shared.state.lock().unwrap().cache.snapshot()
+        self.shared.state().cached_reports()
     }
 
     /// Requests shutdown without a client connection (used by tests and the
@@ -317,7 +709,7 @@ impl ServeHandle {
             worker.join().expect("pool worker panicked");
         }
         if let Some(path) = &self.shared.config.cache_file {
-            let snapshot = self.shared.state.lock().unwrap().cache.snapshot();
+            let snapshot = self.shared.state().cached_reports();
             match save_cache_file(path, &snapshot) {
                 Ok(()) => eprintln!(
                     "numadag-serve: saved {} cached report(s) to {path}",
@@ -404,10 +796,7 @@ pub fn serve_with_specs(
     config.batch_cells = config.batch_cells.max(1);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let cache_capacity = config.cache_capacity;
-    let cell_capacity = config.cell_capacity;
-    let pool = config.pool;
-    let mut cache = ReportCache::new(cache_capacity);
+    let mut cache = ReportCache::new(config.cache_capacity);
     if let Some(path) = &config.cache_file {
         match load_cache_file(path, &mut cache) {
             Ok(loaded) if loaded > 0 => {
@@ -418,30 +807,18 @@ pub fn serve_with_specs(
         }
     }
     let shared = Arc::new(Shared {
+        state: Mutex::new(State::new(&config, cache)),
         config,
         addr,
         specs,
-        state: Mutex::new(State {
-            next_job: 1,
-            active: VecDeque::new(),
-            queued_cells: 0,
-            jobs: HashMap::new(),
-            in_flight: HashMap::new(),
-            history: VecDeque::with_capacity(JOB_HISTORY),
-            retired: 0,
-            cache,
-            cells: CellCache::new(cell_capacity),
-            counters: Counters::default(),
-        }),
         work: Condvar::new(),
-        shutdown: AtomicBool::new(false),
     });
 
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || accept_loop(listener, shared))
     };
-    let workers = (0..pool)
+    let workers = (0..shared.config.pool)
         .map(|_| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || worker_loop(shared))
@@ -454,17 +831,19 @@ pub fn serve_with_specs(
     })
 }
 
-/// Flags shutdown and wakes both the pool (condvar) and the accept loop
-/// (self-connection, since `accept` has no timeout in std).
-fn begin_shutdown(shared: &Arc<Shared>) {
-    shared.shutdown.store(true, Ordering::SeqCst);
+/// Closes the state, then wakes the pool (condvar) and the accept loop
+/// (self-connection, since `accept` has no timeout in std). The flag is set
+/// under the lock a waiting worker checks it under, so no worker can miss
+/// the wake-up between its check and its wait.
+fn begin_shutdown(shared: &Shared) {
+    shared.state().close();
     shared.work.notify_all();
     let _ = TcpStream::connect(shared.addr);
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.state().closed() {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -499,7 +878,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 // Oversized, truncated or non-UTF-8 frames poison the
                 // stream: answer with a structured error (best effort — the
                 // peer may already be gone) and close the connection.
-                shared.state.lock().unwrap().counters.malformed += 1;
+                shared.state().malformed();
                 let _ = write_line(
                     &mut writer,
                     &Response::Error {
@@ -512,274 +891,89 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Request::from_line(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                // Malformed request: structured error, connection survives.
-                shared.state.lock().unwrap().counters.malformed += 1;
-                if write_line(&mut writer, &Response::Error { message }).is_err() {
-                    break;
+        // Each arm's guard is dropped at the end of the arm, before the
+        // socket write.
+        let response = match Request::from_line(&line) {
+            Ok(Request::SubmitSweep { spec, stream }) => {
+                if handle_submit(&shared, &mut writer, &spec, stream) {
+                    continue;
                 }
-                continue;
+                break;
             }
-        };
-        let keep_going = match request {
-            Request::SubmitSweep { spec, stream } => {
-                handle_submit(&shared, &mut writer, &spec, stream)
-            }
-            Request::Status { job } => {
-                write_line(&mut writer, &status_response(&shared, job)).is_ok()
-            }
-            Request::CancelJob { job } => {
-                write_line(&mut writer, &cancel_job(&shared, job)).is_ok()
-            }
-            Request::Stats => write_line(&mut writer, &Response::Stats(stats(&shared))).is_ok(),
-            Request::Shutdown => {
+            Ok(Request::Status { job }) => shared.state().status(job),
+            Ok(Request::CancelJob { job }) => shared.state().cancel(job),
+            Ok(Request::Stats) => Response::Stats(shared.state().stats(&shared.specs)),
+            Ok(Request::Shutdown) => {
                 let _ = write_line(&mut writer, &Response::ShuttingDown);
                 begin_shutdown(&shared);
-                false
+                break;
+            }
+            // Malformed request: structured error, connection survives.
+            Err(message) => {
+                shared.state().malformed();
+                Response::Error { message }
             }
         };
-        if !keep_going {
+        if write_line(&mut writer, &response).is_err() {
             break;
         }
     }
 }
 
-enum Admission {
-    Enqueued,
-    Coalesced,
-    CacheHit(Arc<CachedReport>),
-    /// Every cell hydrated from the cell cache: the submitting thread runs
-    /// the finalizing post-pass itself, no pool involvement.
-    Hydrated,
-    Rejected {
-        queued_cells: u64,
-        limit: u64,
-    },
-}
-
 /// Admits a submission and forwards its responses; returns false when the
 /// connection died.
 fn handle_submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut TcpStream,
     spec: &SweepSpec,
     wants_progress: bool,
 ) -> bool {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return write_line(
-            writer,
-            &Response::Error {
-                message: "server is shutting down".to_string(),
-            },
-        )
-        .is_ok();
-    }
     let resolved = match spec.resolve() {
         Ok(resolved) => resolved,
-        Err(message) => {
-            return write_line(writer, &Response::Error { message }).is_ok();
-        }
+        Err(message) => return write_line(writer, &Response::Error { message }).is_ok(),
     };
     let num_sockets = shared.config.topology.num_sockets();
     // Fingerprinting may build workload specs (warming the shared spec
     // cache for the run itself) — do it outside the state lock.
     let key = sweep_fingerprint(&resolved, &shared.specs, num_sockets);
-    let (tx, rx) = channel::<Notice>();
-
-    // Fast path: coalesce onto an identical in-flight job or serve a
-    // repeat from the sweep-level report cache, without planning anything.
-    let fast = {
-        let mut state = shared.state.lock().unwrap();
-        fast_admit(&mut state, key, &tx, wants_progress)
-    };
-    if let Some((job_id, admission)) = fast {
-        return respond(shared, writer, job_id, admission, rx);
-    }
-
-    // Novel sweep shape: materialize the plan and the per-cell content
-    // fingerprints (both potentially expensive — also outside the lock).
-    let plan = Arc::new(
-        resolved
-            .experiment(shared.config.topology.clone(), Arc::clone(&shared.specs))
-            .plan(),
-    );
-    let cell_keys = cell_keys(&plan, &resolved, &shared.specs, num_sockets);
-
-    let (job_id, admission) = {
-        let mut state = shared.state.lock().unwrap();
-        // Close the race with an identical submission admitted while we
-        // were planning.
-        if let Some(fast) = fast_admit(&mut state, key, &tx, wants_progress) {
-            fast
-        } else if state.jobs.len() >= shared.config.max_active_jobs {
-            state.counters.rejected += 1;
-            (
-                0,
-                Admission::Rejected {
-                    queued_cells: state.queued_cells as u64,
-                    limit: shared.config.max_queued_cells as u64,
-                },
-            )
-        } else {
-            // Hydrate every cell some earlier sweep already produced; only
-            // the novel ones go to the pool.
-            let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(cell_keys.len());
-            let mut novel: Vec<usize> = Vec::new();
-            for (index, &cell_key) in cell_keys.iter().enumerate() {
-                match state.cells.lookup(cell_key) {
-                    Some(outcome) => outcomes.push(Some(outcome)),
-                    None => {
-                        outcomes.push(None);
-                        novel.push(index);
-                    }
-                }
+    let (tx, rx) = channel();
+    let subscriber = Subscriber { tx, wants_progress };
+    let mut planned = None;
+    let (job, finished) = loop {
+        let admission = shared.state().admit(key, planned.take(), &subscriber);
+        match admission {
+            Admission::NeedsPlan => {
+                // A novel sweep shape: materialize the plan and the per-cell
+                // content fingerprints, both potentially expensive.
+                let plan = resolved
+                    .experiment(shared.config.topology.clone(), Arc::clone(&shared.specs))
+                    .plan();
+                let keys = cell_keys(&plan, &resolved, &shared.specs, num_sockets);
+                planned = Some((Arc::new(plan), keys));
             }
-            if state.queued_cells + novel.len() > shared.config.max_queued_cells {
-                state.counters.rejected += 1;
-                (
-                    0,
-                    Admission::Rejected {
-                        queued_cells: state.queued_cells as u64,
-                        limit: shared.config.max_queued_cells as u64,
-                    },
-                )
-            } else {
-                let hydrated = cell_keys.len() - novel.len();
-                let fully_hydrated = novel.is_empty();
-                let pending: VecDeque<Vec<usize>> = novel
-                    .chunks(shared.config.batch_cells)
-                    .map(<[usize]>::to_vec)
-                    .collect();
-                let id = state.next_job;
-                state.next_job += 1;
-                // The one report-cache miss of this submission: counted when
-                // the job actually executes, so racing identical submissions
-                // (which coalesce or hit) keep misses == executed sweeps.
-                state.cache.note_miss();
-                state.counters.submitted += 1;
-                state.counters.hydrated_cells += hydrated as u64;
-                state.queued_cells += novel.len();
-                state.in_flight.insert(key, id);
-                let total = cell_keys.len();
-                state.jobs.insert(
-                    id,
-                    Job {
-                        key,
-                        state: if fully_hydrated {
-                            JobState::Running
-                        } else {
-                            JobState::Queued
-                        },
-                        completed: hydrated,
-                        total,
-                        plan: Arc::clone(&plan),
-                        cell_keys,
-                        outcomes,
-                        pending,
-                        remaining: novel.len(),
-                        executed: 0,
-                        hydrated,
-                        subscribers: vec![Subscriber { tx, wants_progress }],
-                    },
-                );
-                if fully_hydrated {
-                    (id, Admission::Hydrated)
-                } else {
-                    state.active.push_back(id);
-                    shared.work.notify_all();
-                    (id, Admission::Enqueued)
-                }
+            Admission::Refused(response) => return write_line(writer, &response).is_ok(),
+            Admission::CacheHit(job, report) => {
+                return writer
+                    .write_all(cache_hit_reply(job, &report).as_bytes())
+                    .is_ok()
             }
+            Admission::Coalesced(job) => break (job, None),
+            Admission::Enqueued(job) => {
+                shared.work.notify_all();
+                break (job, None);
+            }
+            Admission::Hydrated(job, finished) => break (job, Some(finished)),
         }
     };
-    respond(shared, writer, job_id, admission, rx)
-}
-
-/// The lock-held fast admission paths: coalescing and the sweep-level
-/// report cache. Runs twice per novel submission (before and after the
-/// expensive planning step), so it revalidates rather than looks up — the
-/// single miss is counted where the executing job is created.
-fn fast_admit(
-    state: &mut State,
-    key: u64,
-    tx: &Sender<Notice>,
-    wants_progress: bool,
-) -> Option<(u64, Admission)> {
-    // 1) Coalesce onto an identical queued/running job: it executes once,
-    //    every subscriber gets the same bytes.
-    if let Some(&id) = state.in_flight.get(&key) {
-        state.counters.coalesced += 1;
-        let job = state.jobs.get_mut(&id).expect("indexed job must be live");
-        job.subscribers.push(Subscriber {
-            tx: tx.clone(),
-            wants_progress,
-        });
-        return Some((id, Admission::Coalesced));
+    // The job now holds the only sender: the channel ends with the job.
+    drop(subscriber);
+    let wrote = write_line(writer, &Response::Submitted { job, cached: false }).is_ok();
+    if let Some(finished) = finished {
+        // Publish even if the submitter vanished, so the assembled sweep
+        // still lands in the report cache.
+        assemble(shared, job, finished);
     }
-    // 2) Serve a repeat from the report cache without executing: the job
-    //    is born done, so all it leaves is its record.
-    let report = state.cache.revalidate(key)?;
-    let id = state.next_job;
-    state.next_job += 1;
-    state.record(id, JobState::Done, report.total_cells, report.total_cells);
-    Some((id, Admission::CacheHit(report)))
-}
-
-/// Writes the admission outcome and forwards the job's responses; returns
-/// false when the connection died.
-fn respond(
-    shared: &Arc<Shared>,
-    writer: &mut TcpStream,
-    job_id: u64,
-    admission: Admission,
-    rx: Receiver<Notice>,
-) -> bool {
-    match admission {
-        Admission::Rejected {
-            queued_cells,
-            limit,
-        } => write_line(
-            writer,
-            &Response::Overloaded {
-                queued_cells,
-                limit,
-            },
-        )
-        .is_ok(),
-        Admission::CacheHit(report) => writer
-            .write_all(cache_hit_reply(job_id, &report).as_bytes())
-            .is_ok(),
-        Admission::Hydrated => {
-            let wrote = write_line(
-                writer,
-                &Response::Submitted {
-                    job: job_id,
-                    cached: false,
-                },
-            )
-            .is_ok();
-            // Finalize even if the submitter vanished, so the assembled
-            // sweep still lands in the report cache.
-            finalize_job(shared, job_id);
-            wrote && forward(writer, rx)
-        }
-        Admission::Coalesced | Admission::Enqueued => {
-            if write_line(
-                writer,
-                &Response::Submitted {
-                    job: job_id,
-                    cached: false,
-                },
-            )
-            .is_err()
-            {
-                return false;
-            }
-            forward(writer, rx)
-        }
-    }
+    wrote && forward(writer, rx)
 }
 
 /// The two lines a report-cache hit answers with, for one `write_all`:
@@ -817,294 +1011,50 @@ fn forward(writer: &mut TcpStream, rx: Receiver<Notice>) -> bool {
     true
 }
 
-fn status_response(shared: &Arc<Shared>, job: u64) -> Response {
-    let state = shared.state.lock().unwrap();
-    let (job_state, completed, total) = match state.jobs.get(&job) {
-        Some(j) => (j.state, j.completed, j.total),
-        None => match state.terminal(job) {
-            Ok(record) => (record.state, record.completed, record.total),
-            Err(message) => return Response::Error { message },
-        },
-    };
-    Response::JobStatus {
-        job,
-        state: job_state.label().to_string(),
-        completed: completed as u64,
-        total: total as u64,
-    }
+/// Renders a finished job's report outside the lock and publishes it.
+/// Called by whichever thread resolved the job's last cell (a pool worker,
+/// or the submitting handler when every cell hydrated at admission).
+fn assemble(shared: &Shared, job: u64, finished: Finished) {
+    let key = finished.key;
+    let (report, line) = finished.render(job, shared.config.pool);
+    shared.state().publish(job, key, report, line);
 }
 
-fn cancel_job(shared: &Arc<Shared>, job: u64) -> Response {
-    let mut state = shared.state.lock().unwrap();
-    let Some(j) = state.remove_live(job) else {
-        let message = match state.terminal(job) {
-            Ok(record) => format!(
-                "job {job} is {}; only queued or running jobs can be cancelled",
-                record.state.label()
-            ),
-            Err(message) => message,
-        };
-        return Response::Error { message };
-    };
-    // Free the cells still queued; batches already taken by a worker stop
-    // at its next per-cell liveness check (and whatever it executed
-    // meanwhile still feeds the cell cache).
-    state.queued_cells -= j.pending.iter().map(Vec::len).sum::<usize>();
-    state.active.retain(|&id| id != job);
-    state.record(job, JobState::Cancelled, j.completed, j.total);
-    state.counters.cancelled += 1;
-    for sub in j.subscribers {
-        let _ = sub.tx.send(Notice::Message(Response::Cancelled { job }));
-    }
-    Response::Cancelled { job }
-}
-
-fn stats(shared: &Arc<Shared>) -> ServerStats {
-    let state = shared.state.lock().unwrap();
-    debug_assert_eq!(state.in_flight.len(), state.jobs.len());
-    ServerStats {
-        jobs_submitted: state.counters.submitted,
-        jobs_coalesced: state.counters.coalesced,
-        jobs_completed: state.counters.completed,
-        jobs_cancelled: state.counters.cancelled,
-        jobs_failed: state.counters.failed,
-        jobs_rejected: state.counters.rejected,
-        requests_malformed: state.counters.malformed,
-        executed_cells_total: state.counters.executed_cells,
-        cells_hydrated_total: state.counters.hydrated_cells,
-        report_cache_entries: state.cache.len() as u64,
-        report_cache_capacity: state.cache.capacity() as u64,
-        report_cache_hits: state.cache.hits(),
-        report_cache_misses: state.cache.misses(),
-        report_cache_evictions: state.cache.evictions(),
-        cell_cache_entries: state.cells.len() as u64,
-        cell_cache_capacity: state.cells.capacity() as u64,
-        cell_cache_hits: state.cells.hits(),
-        cell_cache_misses: state.cells.misses(),
-        cell_cache_evictions: state.cells.evictions(),
-        pool_workers: shared.config.pool as u64,
-        spec_cache_builds: shared.specs.builds() as u64,
-        spec_cache_hits: shared.specs.hits() as u64,
-        spec_cache_entries: shared.specs.len() as u64,
-        jobs_in_flight: state.in_flight.len() as u64,
-        jobs_tracked: (state.jobs.len() + state.history.len()) as u64,
-        jobs_retired: state.retired,
-    }
-}
-
-/// One pool worker: takes one batch of cells from the job at the front of
-/// the round-robin rotation, executes them on a worker-owned executor
-/// (rebuilt only when the plan changes), and finalizes whichever job it
-/// resolves the last cell of.
+/// One pool worker: takes one batch of cells at a time, resolves each on a
+/// worker-owned executor (rebuilt only when the plan changes), and
+/// assembles whichever job it resolves the last cell of.
 fn worker_loop(shared: Arc<Shared>) {
     let mut executor_cache: Option<(Arc<SweepPlan>, Box<dyn Executor>)> = None;
     loop {
-        let (job_id, plan, batch) = {
-            let mut state = shared.state.lock().unwrap();
+        let (job, plan, cells) = {
+            let mut state = shared.state();
             loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    drain_on_shutdown(&mut state);
-                    return;
+                match state.take() {
+                    Take::Run { job, plan, cells } => break (job, plan, cells),
+                    Take::Wait => state = shared.work.wait(state).expect(POISONED),
+                    Take::Exit => return,
                 }
-                let Some(id) = state.active.pop_front() else {
-                    state = shared.work.wait(state).unwrap();
-                    continue;
-                };
-                let job = state.jobs.get_mut(&id).expect("active job must exist");
-                let Some(batch) = job.pending.pop_front() else {
-                    // Defensive: a job with nothing pending leaves the
-                    // rotation.
-                    continue;
-                };
-                if job.state == JobState::Queued {
-                    job.state = JobState::Running;
-                }
-                let plan = Arc::clone(&job.plan);
-                if !job.pending.is_empty() {
-                    // Fair rotation: one batch per turn, then back of the
-                    // line so no sweep starves behind a bigger one.
-                    state.active.push_back(id);
-                }
-                state.queued_cells -= batch.len();
-                break (id, plan, batch);
             }
         };
-
-        let stale = match &executor_cache {
-            Some((cached, _)) => !Arc::ptr_eq(cached, &plan),
-            None => true,
+        let executor = match &mut executor_cache {
+            Some((cached, executor)) if Arc::ptr_eq(cached, &plan) => executor,
+            stale => &mut stale.insert((Arc::clone(&plan), plan.executor())).1,
         };
-        if stale {
-            executor_cache = Some((Arc::clone(&plan), plan.executor()));
-        }
-        let executor: &dyn Executor = executor_cache.as_ref().unwrap().1.as_ref();
 
-        let mut finished = false;
-        for index in batch {
-            let labels = plan.job_labels(index);
-            let repetition = plan.job_at(index).repetition;
-            let pending_key = {
-                let mut state = shared.state.lock().unwrap();
-                // Cancelled (or failed by shutdown) jobs have left the live
-                // table: the rest of the batch is moot.
-                let Some(job) = state.jobs.get(&job_id) else {
+        for (index, cell) in cells {
+            let mut resolved = shared.state().resolve(job, index, cell, None);
+            if let Resolved::Execute = resolved {
+                let outcome = plan.run_cell(index, executor.as_ref());
+                resolved = shared.state().resolve(job, index, cell, Some(outcome));
+            }
+            match resolved {
+                Resolved::Execute | Resolved::Recorded => {}
+                Resolved::Finished(finished) => {
+                    assemble(&shared, job, finished);
                     break;
-                };
-                let cell_key = job.cell_keys[index];
-                // Another job may have executed this very cell since
-                // admission — resolve it from the cache instead.
-                match state.cells.peek(cell_key) {
-                    Some(outcome) => {
-                        finished = record_cell(
-                            &mut state, job_id, index, outcome, false, &labels, repetition,
-                        );
-                        None
-                    }
-                    None => Some(cell_key),
                 }
-            };
-            if let Some(cell_key) = pending_key {
-                let outcome = plan.run_cell(index, executor);
-                let mut state = shared.state.lock().unwrap();
-                // Executed outcomes always feed the cell cache, even when
-                // the job was cancelled mid-cell — the work is done either
-                // way, so future sweeps may as well share it.
-                state.cells.insert(cell_key, outcome.clone());
-                if state.jobs.contains_key(&job_id) {
-                    finished = record_cell(
-                        &mut state, job_id, index, outcome, true, &labels, repetition,
-                    );
-                }
+                Resolved::Gone => break,
             }
-            if finished {
-                break;
-            }
-        }
-        if finished {
-            finalize_job(&shared, job_id);
-        }
-    }
-}
-
-/// Records one resolved cell of a running job under the state lock: stores
-/// the outcome, advances progress (fanning out `Progress` lines to
-/// streaming subscribers), and reports whether the job just resolved its
-/// last cell — the caller then finalizes outside the lock.
-fn record_cell(
-    state: &mut State,
-    job_id: u64,
-    index: usize,
-    outcome: CellOutcome,
-    executed: bool,
-    labels: &(String, String, String),
-    repetition: usize,
-) -> bool {
-    if executed {
-        state.counters.executed_cells += 1;
-    } else {
-        state.counters.hydrated_cells += 1;
-    }
-    let job = state
-        .jobs
-        .get_mut(&job_id)
-        .expect("recorded job must exist");
-    job.outcomes[index] = Some(outcome);
-    job.completed += 1;
-    job.remaining -= 1;
-    if executed {
-        job.executed += 1;
-    } else {
-        job.hydrated += 1;
-    }
-    for sub in job.subscribers.iter().filter(|s| s.wants_progress) {
-        let _ = sub.tx.send(Notice::Message(Response::Progress {
-            job: job_id,
-            completed: job.completed as u64,
-            total: job.total as u64,
-            application: labels.0.clone(),
-            policy: labels.2.clone(),
-            repetition: repetition as u64,
-        }));
-    }
-    job.remaining == 0
-}
-
-/// Assembles and publishes a finished job's report: the deterministic keyed
-/// post-pass over hydrated + executed outcomes, serialized once, stored in
-/// the sweep-level report cache and handed to every subscriber. Called by
-/// whichever thread resolves the job's last cell (a pool worker, or the
-/// submitting handler when every cell hydrated at admission).
-fn finalize_job(shared: &Arc<Shared>, job_id: u64) {
-    let (plan, outcomes, key, executed, hydrated, total) = {
-        let mut state = shared.state.lock().unwrap();
-        let Some(job) = state.jobs.get_mut(&job_id) else {
-            return;
-        };
-        if job.state != JobState::Running || job.remaining != 0 {
-            return;
-        }
-        let plan = Arc::clone(&job.plan);
-        let outcomes: Vec<CellOutcome> = std::mem::take(&mut job.outcomes)
-            .into_iter()
-            .map(|slot| slot.expect("finished job has every outcome"))
-            .collect();
-        (
-            plan,
-            outcomes,
-            job.key,
-            job.executed,
-            job.hydrated,
-            job.total,
-        )
-    };
-
-    // The post-pass, serialization, escaping and the subscribers' line all
-    // run outside the lock. The first two are deterministic functions of
-    // the keyed outcomes, so the bytes are identical to a direct
-    // `SweepPlan::execute` of the same plan.
-    let report = plan.assemble_report(outcomes, shared.config.pool, std::time::Duration::ZERO);
-    let cached = CachedReport::new(report.to_json_string(), executed, total);
-    let mut line = String::new();
-    push_report_line(
-        &mut line,
-        job_id,
-        false,
-        executed as u64,
-        hydrated as u64,
-        cached.literal(),
-    );
-    line.push('\n');
-    let line: Arc<str> = line.into();
-
-    let mut state = shared.state.lock().unwrap();
-    state.cache.insert(key, Arc::new(cached));
-    let Some(job) = state.remove_live(job_id) else {
-        // Cancelled (or failed) while assembling: the bytes still went
-        // into the report cache, but nobody is listening any more.
-        return;
-    };
-    state.record(job_id, JobState::Done, total, total);
-    for sub in job.subscribers {
-        let _ = sub.tx.send(Notice::Report(Arc::clone(&line)));
-    }
-    state.counters.completed += 1;
-}
-
-/// Fails everything still queued or running when the daemon stops, so
-/// blocked submitters get a terminal response instead of hanging. Safe to
-/// call from every pool worker: it empties the coalescing index it walks,
-/// so repeated calls are no-ops.
-fn drain_on_shutdown(state: &mut State) {
-    state.active.clear();
-    state.queued_cells = 0;
-    for id in std::mem::take(&mut state.in_flight).into_values() {
-        let job = state.jobs.remove(&id).expect("indexed job must be live");
-        state.counters.failed += 1;
-        state.record(id, JobState::Failed, job.completed, job.total);
-        for sub in job.subscribers {
-            let _ = sub.tx.send(Notice::Message(Response::Error {
-                message: "server shut down before the job ran".to_string(),
-            }));
         }
     }
 }
@@ -1211,5 +1161,293 @@ mod tests {
         assert!(cache.is_empty());
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));
+    }
+
+    /// A Tiny sweep the model test submits: its fingerprint, plan, cell keys
+    /// and the report direct execution gives.
+    struct Fixture {
+        key: u64,
+        plan: Arc<SweepPlan>,
+        cell_keys: Vec<u64>,
+        report: String,
+    }
+
+    /// Four overlapping Tiny sweeps — one, a policy column more, an app
+    /// subset, another seed — and the outcome of each of their cells by
+    /// cell key, each computed once.
+    fn fixtures() -> &'static (Vec<Fixture>, HashMap<u64, CellOutcome>) {
+        static FIXTURES: std::sync::OnceLock<(Vec<Fixture>, HashMap<u64, CellOutcome>)> =
+            std::sync::OnceLock::new();
+        FIXTURES.get_or_init(|| {
+            let specs = Arc::new(SpecCache::new());
+            let tiny = |apps: &str, policies: &str| SweepSpec {
+                apps: apps.to_string(),
+                policies: policies.to_string(),
+                ..SweepSpec::default()
+            };
+            let sweeps = [
+                tiny("jacobi,nstream", "dfifo,rgp-las,ep"),
+                tiny("jacobi,nstream", "dfifo,rgp-las,ep,rgp-las:prop=repart"),
+                tiny("jacobi", "dfifo,rgp-las,ep"),
+                SweepSpec {
+                    seed: 7,
+                    ..tiny("jacobi,nstream", "dfifo,rgp-las,ep")
+                },
+            ];
+            let mut outcomes = HashMap::new();
+            let fixtures = sweeps.map(|spec| {
+                let sweep = spec.resolve().unwrap();
+                let plan = sweep
+                    .experiment(Topology::bullion_s16(), Arc::clone(&specs))
+                    .plan();
+                let cell_keys = cell_keys(&plan, &sweep, &specs, 8);
+                let executor = plan.executor();
+                let cells: Vec<CellOutcome> = cell_keys
+                    .iter()
+                    .enumerate()
+                    .map(|(index, cell)| {
+                        outcomes
+                            .entry(*cell)
+                            .or_insert_with(|| plan.run_cell(index, executor.as_ref()))
+                            .clone()
+                    })
+                    .collect();
+                let report = plan.assemble_report(cells, 1, std::time::Duration::ZERO);
+                Fixture {
+                    key: sweep_fingerprint(&sweep, &specs, 8),
+                    plan: Arc::new(plan),
+                    cell_keys,
+                    report: report.to_json_string(),
+                }
+            });
+            (fixtures.into(), outcomes)
+        })
+    }
+
+    /// One subscriber of an admitted job, and every notice it received so
+    /// far as `(terminal, text)`.
+    struct Listener {
+        job: u64,
+        rx: Receiver<Notice>,
+        seen: Vec<(bool, String)>,
+    }
+
+    /// `State` driven the way the shell drives it, with channels standing in
+    /// for connections and a list of taken batches for the pool.
+    struct Model {
+        state: State,
+        listeners: Vec<Listener>,
+        batches: Vec<(u64, VecDeque<(usize, u64)>)>,
+        finished: Vec<(u64, Finished)>,
+        closed: bool,
+    }
+
+    impl Model {
+        fn admit(&mut self, fixture: &Fixture, wants_progress: bool) {
+            let (tx, rx) = channel();
+            let subscriber = Subscriber { tx, wants_progress };
+            let (issued, submitted) = (self.state.next_job, self.state.stats.jobs_submitted);
+            let mut planned = None;
+            let admission = loop {
+                match self.state.admit(fixture.key, planned.take(), &subscriber) {
+                    Admission::NeedsPlan => {
+                        planned = Some((Arc::clone(&fixture.plan), fixture.cell_keys.clone()))
+                    }
+                    admission => break admission,
+                }
+            };
+            let job = match admission {
+                Admission::CacheHit(_, report) => {
+                    assert_eq!(report.bytes, fixture.report);
+                    None
+                }
+                Admission::Coalesced(job) | Admission::Enqueued(job) => Some(job),
+                Admission::Hydrated(job, finished) => {
+                    self.finished.push((job, finished));
+                    Some(job)
+                }
+                Admission::Refused(response) => {
+                    if self.closed {
+                        assert!(matches!(response, Response::Error { .. }), "{response:?}");
+                    }
+                    None
+                }
+                Admission::NeedsPlan => unreachable!("the loop plans"),
+            };
+            if self.closed {
+                assert_eq!(job, None, "admitted after close");
+                assert_eq!(self.state.next_job, issued);
+                assert_eq!(self.state.stats.jobs_submitted, submitted);
+            }
+            if let Some(job) = job {
+                let seen = Vec::new();
+                self.listeners.push(Listener { job, rx, seen });
+            }
+        }
+
+        fn take(&mut self) {
+            match self.state.take() {
+                Take::Run { job, cells, .. } => self.batches.push((job, cells.into())),
+                Take::Wait => assert!(!self.closed && self.state.queued_cells == 0),
+                Take::Exit => assert!(self.closed),
+            }
+        }
+
+        /// Resolves the next cell of a taken batch, executing it (from the
+        /// fixture outcomes) when no cache holds it.
+        fn resolve(&mut self, pick: usize) {
+            if self.batches.is_empty() {
+                return;
+            }
+            let at = pick % self.batches.len();
+            let (job, cells) = &mut self.batches[at];
+            let (job, (index, cell)) = (*job, cells.pop_front().unwrap());
+            let mut resolved = self.state.resolve(job, index, cell, None);
+            if let Resolved::Execute = resolved {
+                let outcome = fixtures().1[&cell].clone();
+                resolved = self.state.resolve(job, index, cell, Some(outcome));
+            }
+            let exhausted = self.batches[at].1.is_empty();
+            match resolved {
+                Resolved::Execute => panic!("an executed cell resolves"),
+                Resolved::Recorded if !exhausted => return,
+                Resolved::Recorded | Resolved::Gone => {}
+                Resolved::Finished(finished) => {
+                    assert!(exhausted, "job {job} finished with cells still taken");
+                    self.finished.push((job, finished));
+                }
+            }
+            self.batches.swap_remove(at);
+        }
+
+        /// Renders a finished job's report, checks it against direct
+        /// execution, and publishes it.
+        fn publish(&mut self, pick: usize) {
+            if self.finished.is_empty() {
+                return;
+            }
+            let (job, finished) = self.finished.swap_remove(pick % self.finished.len());
+            let key = finished.key;
+            let (report, line) = finished.render(job, 1);
+            let fixture = fixtures().0.iter().find(|f| f.key == key).unwrap();
+            assert_eq!(report.bytes, fixture.report);
+            self.state.publish(job, key, report, line);
+        }
+
+        fn cancel(&mut self, pick: usize) {
+            let id = pick as u64 % (self.state.next_job + 1);
+            let live = self.state.jobs.contains_key(&id);
+            let cancelled =
+                matches!(self.state.cancel(id), Response::Cancelled { job } if job == id);
+            assert_eq!(cancelled, live);
+        }
+
+        fn close(&mut self) {
+            self.state.close();
+            self.closed = true;
+        }
+
+        /// The invariants that hold between any two transitions.
+        fn check(&mut self) {
+            let state = &self.state;
+            assert!(state.jobs.len() <= state.max_active_jobs);
+            let pending = state.jobs.values().flat_map(|job| &job.pending);
+            assert_eq!(state.queued_cells, pending.map(Vec::len).sum::<usize>());
+            assert!(state.queued_cells <= state.max_queued_cells);
+            assert!(state.history.len() <= JOB_HISTORY);
+            for id in 1..state.next_job {
+                match state.status(id) {
+                    Response::JobStatus { .. } => {}
+                    Response::Error { message } => assert_eq!(message, format!("job {id} retired")),
+                    other => panic!("status of job {id}: {other:?}"),
+                }
+            }
+            for listener in &mut self.listeners {
+                for notice in listener.rx.try_iter() {
+                    let seen = match notice {
+                        Notice::Report(line) => (true, line.to_string()),
+                        Notice::Message(response) => (
+                            !matches!(response, Response::Progress { .. }),
+                            to_line(&response),
+                        ),
+                    };
+                    let job = listener.job;
+                    assert!(
+                        !listener.seen.iter().any(|s| s.0),
+                        "job {job}: past its end"
+                    );
+                    listener.seen.push(seen);
+                }
+            }
+        }
+
+        /// Closes, lets the pool finish what it took, publishes, and checks
+        /// that every subscriber got exactly one terminal line, the same one
+        /// as every other subscriber of its job.
+        fn drain(mut self) {
+            self.close();
+            self.check();
+            self.take();
+            while !self.batches.is_empty() {
+                self.resolve(0);
+                self.check();
+            }
+            while !self.finished.is_empty() {
+                self.publish(0);
+                self.check();
+            }
+            assert!(self.state.jobs.is_empty() && self.state.active.is_empty());
+            assert_eq!(self.state.queued_cells, 0);
+            let mut reports = HashMap::new();
+            for listener in &self.listeners {
+                let job = listener.job;
+                assert!(listener.rx.try_recv().is_err(), "job {job} kept a sender");
+                let terminal: Vec<&String> =
+                    listener.seen.iter().filter(|s| s.0).map(|s| &s.1).collect();
+                assert_eq!(terminal.len(), 1, "job {job}: {:?}", listener.seen);
+                assert_eq!(*reports.entry(job).or_insert(terminal[0]), terminal[0]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Random admit / take / resolve / publish / cancel / close
+        /// sequences over small quotas and caches keep every invariant, and
+        /// end with every subscriber answered exactly once.
+        #[test]
+        fn the_state_keeps_its_invariants_under_any_transition_sequence(
+            steps in proptest::prop::collection::vec((0u8..8, 0usize..64), 1..160),
+        ) {
+            let config = ServeConfig {
+                cache_capacity: 2,
+                cell_capacity: 16,
+                batch_cells: 3,
+                max_queued_cells: 12,
+                max_active_jobs: 2,
+                ..ServeConfig::default()
+            };
+            let mut model = Model {
+                state: State::new(&config, ReportCache::new(config.cache_capacity)),
+                listeners: Vec::new(),
+                batches: Vec::new(),
+                finished: Vec::new(),
+                closed: false,
+            };
+            for (step, pick) in steps {
+                match step {
+                    0 | 1 => model.admit(&fixtures().0[pick % 4], pick % 8 >= 4),
+                    2 => model.take(),
+                    3 | 4 => model.resolve(pick),
+                    5 => model.publish(pick),
+                    6 => model.cancel(pick),
+                    _ if pick == 0 => model.close(),
+                    _ => model.take(),
+                }
+                model.check();
+            }
+            model.drain();
+        }
     }
 }

@@ -10,10 +10,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_numa::Topology;
+use numadag_numa::{CostModel, DistanceMatrix, Topology};
 use numadag_proc::worker::{CRASH_AFTER_ENV, CRASH_WORKER_ENV, GARBAGE_AFTER_ENV};
 use numadag_proc::{PoolConfig, ProcError, ProcExecutor, WireConfig, WorkerPool, CONNECT_ENV};
-use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator};
+use numadag_runtime::{
+    CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator, StealMode,
+};
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 use numadag_trace::MemorySink;
 
@@ -118,6 +120,70 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
     // one spec, the other worker never spoken to.
     assert_eq!(stats.config_broadcasts, 1);
     assert_eq!(stats.spec_transfers, 1);
+}
+
+/// Every field of the config crosses the wire: one row per knob, each run
+/// under four policies on the pool and in process. A codec that drops or
+/// renames a field the simulator reads makes its row's reports (or, for the
+/// traced row, its events) differ; `seed` and `stage_timing` leave the
+/// compared measurements alone, so their rows pin that such a config is
+/// taken at all.
+#[test]
+fn every_config_knob_reaches_the_workers() {
+    let pool = test_pool(2, &[]);
+    let spec = sample_spec();
+    let base = || ExecutionConfig::new(Topology::four_socket(2));
+    let far = Topology::new(
+        "2-node cluster (2 sockets x 3 cores, far=120)",
+        4,
+        3,
+        DistanceMatrix::from_rows(
+            4,
+            vec![
+                10, 15, 120, 120, 15, 10, 120, 120, 120, 120, 10, 15, 120, 120, 15, 10,
+            ],
+        ),
+    );
+    let sink = Arc::new(MemorySink::new());
+    let rows = [
+        ("flat cost model", base().with_cost_model(CostModel::flat())),
+        (
+            "every cost field moved",
+            base().with_cost_model(CostModel {
+                local_bandwidth: 5.5,
+                local_latency: 73.25,
+                bandwidth_exponent: 1.75,
+                latency_exponent: 0.625,
+                contention_factor: 0.4,
+                time_per_work_unit: 1.3,
+            }),
+        ),
+        ("no stealing", base().with_steal(StealMode::NoStealing)),
+        ("stage timing", base().with_stage_timing()),
+        ("seed above 2^53", base().with_seed(u64::MAX - 0xF1617E)),
+        ("far 4-socket topology", ExecutionConfig::new(far)),
+        ("traced", base().with_trace_sink(sink.clone())),
+    ];
+    for (row, config) in rows {
+        let wire = WireConfig::new(config.clone());
+        for (label, seed) in [
+            ("las", 51u64),
+            ("dfifo", 52),
+            ("rgp+las", 53),
+            ("rgp+rr", 54),
+        ] {
+            let kind: PolicyKind = label.parse().expect("label parses");
+            let want = local_report(&spec, kind, seed, &config);
+            let want_events = sink.take();
+            let (got, events) = pool
+                .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
+                .unwrap_or_else(|e| panic!("{row}, {label}: {e}"));
+            assert_reports_identical(&got, &want);
+            assert_eq!(events, want_events, "{row}, {label}");
+            assert_eq!(events.is_empty(), config.trace_sink.is_none(), "{row}");
+        }
+    }
+    assert_eq!(pool.stats().redispatches, 0);
 }
 
 #[test]

@@ -15,11 +15,13 @@
 //! figure, and those ratios are taken from typical measured local/remote
 //! bandwidth and latency gaps on 8-socket glueless/node-controller machines.
 
+use serde::{Deserialize, Serialize};
+
 use crate::topology::DistanceMatrix;
 
 /// Parameters of the memory/compute cost model. Times are in abstract
 /// "simulation nanoseconds"; bandwidths in bytes per simulation nanosecond.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Bandwidth, in bytes per ns, of a core streaming from its local node.
     pub local_bandwidth: f64,

@@ -7,6 +7,10 @@
 
 use std::collections::BTreeMap;
 
+use serde::de::field;
+use serde::{Deserialize, Serialize, Value};
+
+use crate::hex::{Hex128, Hex64};
 use crate::ids::NodeId;
 use crate::topology::DistanceMatrix;
 
@@ -108,8 +112,7 @@ impl TrafficStats {
     }
 
     /// Iterates the link matrix entries as `((from, to), bytes)`, in
-    /// deterministic key order. Exposed (with [`TrafficStats::from_parts`])
-    /// so a ledger can cross a process boundary and be rebuilt bit-exactly.
+    /// deterministic key order.
     pub fn link_entries(&self) -> impl Iterator<Item = ((usize, usize), u64)> + '_ {
         self.link.iter().map(|(&k, &v)| (k, v))
     }
@@ -118,28 +121,6 @@ impl TrafficStats {
     /// [`TrafficStats::mean_access_distance`].
     pub fn distance_weighted(&self) -> u128 {
         self.distance_weighted_bytes
-    }
-
-    /// Reconstructs a ledger from its exact parts — the inverse of reading
-    /// the public counters, [`TrafficStats::link_entries`] and
-    /// [`TrafficStats::distance_weighted`]. Used to ship execution reports
-    /// across process boundaries without losing the private matrix or
-    /// re-deriving counters (which would not round-trip: the recording
-    /// methods couple them).
-    pub fn from_parts(
-        local_bytes: u64,
-        remote_bytes: u64,
-        deferred_allocated_bytes: u64,
-        link: impl IntoIterator<Item = ((usize, usize), u64)>,
-        distance_weighted_bytes: u128,
-    ) -> Self {
-        TrafficStats {
-            local_bytes,
-            remote_bytes,
-            deferred_allocated_bytes,
-            link: link.into_iter().collect(),
-            distance_weighted_bytes,
-        }
     }
 
     /// Merges another ledger into this one.
@@ -151,6 +132,50 @@ impl TrafficStats {
         for (k, v) in &other.link {
             *self.link.entry(*k).or_default() += v;
         }
+    }
+}
+
+/// The wire form carries the exact parts, private matrix included —
+/// re-deriving the counters would not round-trip, as the recording methods
+/// couple them: `{local, remote, deferred, dw, links}`, every integer in hex
+/// and `links` as `[from, to, bytes]` triples in key order.
+impl Serialize for TrafficStats {
+    fn to_value(&self) -> Value {
+        let links: Vec<_> = self
+            .link
+            .iter()
+            .map(|(&(from, to), &bytes)| (from, to, Hex64(bytes)))
+            .collect();
+        Value::Object(vec![
+            ("local".to_string(), Hex64(self.local_bytes).to_value()),
+            ("remote".to_string(), Hex64(self.remote_bytes).to_value()),
+            (
+                "deferred".to_string(),
+                Hex64(self.deferred_allocated_bytes).to_value(),
+            ),
+            (
+                "dw".to_string(),
+                Hex128(self.distance_weighted_bytes).to_value(),
+            ),
+            ("links".to_string(), links.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for TrafficStats {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let hex = |name| field(value, "TrafficStats", name).map(|Hex64(n)| n);
+        let links: Vec<(usize, usize, Hex64)> = field(value, "TrafficStats", "links")?;
+        Ok(TrafficStats {
+            local_bytes: hex("local")?,
+            remote_bytes: hex("remote")?,
+            deferred_allocated_bytes: hex("deferred")?,
+            link: links
+                .into_iter()
+                .map(|(from, to, Hex64(bytes))| ((from, to), bytes))
+                .collect(),
+            distance_weighted_bytes: field(value, "TrafficStats", "dw").map(|Hex128(n)| n)?,
+        })
     }
 }
 
@@ -194,21 +219,21 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_a_recorded_ledger() {
+    fn a_recorded_ledger_round_trips_through_its_wire_form() {
         let mut s = TrafficStats::new();
         s.record_access(NodeId(0), NodeId(0), 10, 1000);
         s.record_access(NodeId(2), NodeId(5), 27, 500);
-        s.record_access(NodeId(1), NodeId(0), 15, 300);
+        s.record_access(NodeId(1), NodeId(0), 15, u64::MAX / 2);
         s.record_deferred_allocation(4096);
-        let rebuilt = TrafficStats::from_parts(
-            s.local_bytes,
-            s.remote_bytes,
-            s.deferred_allocated_bytes,
-            s.link_entries(),
-            s.distance_weighted(),
-        );
+        let rebuilt = TrafficStats::from_value(&s.to_value()).unwrap();
         assert_eq!(rebuilt, s);
+        assert_eq!(rebuilt.distance_weighted(), s.distance_weighted());
         assert_eq!(rebuilt.mean_access_distance(), s.mean_access_distance());
+        serde::testing::assert_struct_rejects_malformed(
+            &s.to_value(),
+            &[],
+            TrafficStats::from_value,
+        );
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! distance between two sockets depends on whether they share a module.
 //! [`Topology::bullion_s16`] models exactly that.
 
+use serde::de::field;
+use serde::{Deserialize, Serialize, Value};
+
 use crate::ids::{CoreId, NodeId, SocketId};
 
 /// ACPI-SLIT style distance matrix between NUMA nodes.
@@ -27,28 +30,47 @@ impl DistanceMatrix {
     ///
     /// # Panics
     /// Panics if `values.len() != n * n`, if any diagonal element is not
-    /// [`Self::LOCAL`], or if the matrix is not symmetric.
+    /// [`Self::LOCAL`], if the matrix is not symmetric or if a distance is
+    /// below [`Self::LOCAL`].
     pub fn from_rows(n: usize, values: Vec<u32>) -> Self {
-        assert_eq!(values.len(), n * n, "distance matrix must be n*n");
+        Self::checked(n, values).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DistanceMatrix::from_rows`], refusing instead of panicking: the one
+    /// validation of a matrix, which the wire decode runs too.
+    fn checked(n: usize, values: Vec<u32>) -> Result<Self, String> {
+        if n.checked_mul(n) != Some(values.len()) {
+            return Err(format!(
+                "distance matrix must be n*n: {} entries for {n} nodes",
+                values.len()
+            ));
+        }
+        let at = |i: usize, j: usize| values[i * n + j];
         for i in 0..n {
-            assert_eq!(
-                values[i * n + i],
-                Self::LOCAL,
-                "diagonal of distance matrix must be the local distance"
-            );
+            if at(i, i) != Self::LOCAL {
+                return Err(format!(
+                    "diagonal of distance matrix must be the local distance {}: d[{i}][{i}] = {}",
+                    Self::LOCAL,
+                    at(i, i)
+                ));
+            }
             for j in 0..n {
-                assert_eq!(
-                    values[i * n + j],
-                    values[j * n + i],
-                    "distance matrix must be symmetric"
-                );
-                assert!(
-                    values[i * n + j] >= Self::LOCAL,
-                    "remote distance cannot be smaller than the local distance"
-                );
+                if at(i, j) != at(j, i) {
+                    return Err(format!(
+                        "distance matrix must be symmetric: d[{i}][{j}] = {}, d[{j}][{i}] = {}",
+                        at(i, j),
+                        at(j, i)
+                    ));
+                }
+                if at(i, j) < Self::LOCAL {
+                    return Err(format!(
+                        "remote distance cannot be smaller than the local distance: d[{i}][{j}] = {}",
+                        at(i, j)
+                    ));
+                }
             }
         }
-        DistanceMatrix { n, values }
+        Ok(DistanceMatrix { n, values })
     }
 
     /// The distinct distance values of the matrix, ascending.
@@ -123,19 +145,39 @@ impl Topology {
         cores_per_socket: usize,
         distances: DistanceMatrix,
     ) -> Self {
-        assert!(num_sockets > 0, "a machine needs at least one socket");
-        assert!(cores_per_socket > 0, "a socket needs at least one core");
-        assert_eq!(
-            distances.len(),
-            num_sockets,
-            "distance matrix must have one row per socket"
-        );
-        Topology {
+        Self::checked(name.into(), num_sockets, cores_per_socket, Ok(distances))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Topology::new`], refusing instead of panicking: the one validation
+    /// of a machine, which the wire decode runs too. The dimensions are
+    /// judged before the distance matrix, whose own complaint (if any)
+    /// `distances` carries.
+    fn checked(
+        name: String,
+        num_sockets: usize,
+        cores_per_socket: usize,
+        distances: Result<DistanceMatrix, String>,
+    ) -> Result<Self, String> {
+        if num_sockets == 0 {
+            return Err("a machine needs at least one socket".to_string());
+        }
+        if cores_per_socket == 0 {
+            return Err("a socket needs at least one core".to_string());
+        }
+        let distances = distances?;
+        if distances.len() != num_sockets {
+            return Err(format!(
+                "distance matrix must have one row per socket: {} rows for {num_sockets} sockets",
+                distances.len()
+            ));
+        }
+        Ok(Topology {
             num_sockets,
             cores_per_socket,
             distances,
-            name: name.into(),
-        }
+            name,
+        })
     }
 
     /// The machine used in the paper's evaluation: an Atos Bull bullion S16
@@ -296,6 +338,34 @@ impl Topology {
     }
 }
 
+/// The wire form: `{name, sockets, cores, distances}`, the matrix row-major.
+impl Serialize for Topology {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("sockets".to_string(), self.num_sockets.to_value()),
+            ("cores".to_string(), self.cores_per_socket.to_value()),
+            ("distances".to_string(), self.distances.values.to_value()),
+        ])
+    }
+}
+
+/// Refuses, with [`Topology::new`]'s words, every machine it would panic on.
+impl Deserialize for Topology {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let name = field(value, "Topology", "name")?;
+        let sockets = field(value, "Topology", "sockets")?;
+        let cores = field(value, "Topology", "cores")?;
+        let distances = field(value, "Topology", "distances")?;
+        Topology::checked(
+            name,
+            sockets,
+            cores,
+            DistanceMatrix::checked(sockets, distances),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +462,65 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         Topology::new("bad", 2, 0, DistanceMatrix::uniform(2, 21));
+    }
+
+    #[test]
+    fn a_topology_round_trips_through_its_wire_form() {
+        for t in [
+            Topology::bullion_s16(),
+            Topology::uma(3),
+            Topology::symmetric(64, 1),
+        ] {
+            assert_eq!(Topology::from_value(&t.to_value()), Ok(t.clone()));
+        }
+        let wire = Topology::two_socket(2).to_value();
+        serde::testing::assert_struct_rejects_malformed(&wire, &[], Topology::from_value);
+    }
+
+    /// Every machine [`Topology::new`] would panic on is refused on the
+    /// wire, in the words of the panic.
+    #[test]
+    fn the_wire_decode_refuses_what_the_constructors_panic_on() {
+        let topology = |sockets: f64, cores: f64, distances: &[u32]| {
+            Value::Object(vec![
+                ("name".to_string(), "m".to_value()),
+                ("sockets".to_string(), Value::Number(sockets)),
+                ("cores".to_string(), Value::Number(cores)),
+                ("distances".to_string(), distances.to_value()),
+            ])
+        };
+        for (wire, complaint) in [
+            (
+                topology(0.0, 2.0, &[10]),
+                "a machine needs at least one socket",
+            ),
+            (
+                topology(2.0, 0.0, &[10, 21, 21, 10]),
+                "a socket needs at least one core",
+            ),
+            (
+                topology(2.0, 2.0, &[10, 21, 30, 10]),
+                "distance matrix must be symmetric: d[0][1] = 21, d[1][0] = 30",
+            ),
+            (
+                topology(2.0, 2.0, &[0, 21, 21, 10]),
+                "diagonal of distance matrix must be the local distance 10: d[0][0] = 0",
+            ),
+            (
+                topology(2.0, 2.0, &[10, 9, 9, 10]),
+                "remote distance cannot be smaller than the local distance: d[0][1] = 9",
+            ),
+            (
+                topology(2.0, 2.0, &[10, 21, 21]),
+                "distance matrix must be n*n: 3 entries for 2 nodes",
+            ),
+            (
+                topology(2f64.powi(33), 1.0, &[10]),
+                "distance matrix must be n*n: 1 entries for 8589934592 nodes",
+            ),
+        ] {
+            assert_eq!(Topology::from_value(&wire), Err(complaint.to_string()));
+        }
     }
 
     #[test]

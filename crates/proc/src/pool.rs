@@ -45,14 +45,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
+use numadag_numa::Hex64;
 use numadag_runtime::framing::{
-    from_line, read_frame, to_line, write_frame, write_line, FrameError, Hex64,
+    from_line, read_frame, to_line, write_frame, write_line, FrameError,
 };
 use numadag_runtime::{ExecutionConfig, ExecutionReport};
 use numadag_tdg::{Fnv1a, TaskGraphSpec};
 use numadag_trace::TraceEvent;
 
-use crate::protocol::{encode_spec, Assignment, ConfigMsg, ToCoordinator, ToWorker};
+use crate::protocol::{encode_spec, Assignment, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// How a worker pool is launched.
@@ -294,7 +295,7 @@ pub struct WireConfig {
 impl WireConfig {
     /// Fingerprints `config`.
     pub fn new(config: ExecutionConfig) -> Self {
-        let wire = ToWorker::Config(ConfigMsg::new(0, &config));
+        let wire = ToWorker::configure(0, &config);
         let mut hash = Fnv1a::default();
         hash.write_bytes(to_line(&wire).as_bytes());
         WireConfig {
@@ -611,7 +612,7 @@ impl WorkerPool {
         // Config sync: only when this worker's acked fingerprint differs.
         let config_fp = config.fingerprint;
         if state.config_fp != Some(config_fp) {
-            let message = ToWorker::Config(ConfigMsg::new(config_fp, &config.config));
+            let message = ToWorker::configure(config_fp, &config.config);
             if write_frame(&mut state.writer, &message).is_err() {
                 return Err(lost(slot, &mut state));
             }
@@ -656,10 +657,12 @@ impl WorkerPool {
         match read_message(&mut state.reader) {
             Some(ToCoordinator::Done {
                 cell,
-                report,
+                mut report,
                 events,
             }) if cell == assignment.cell => {
-                Ok((report.into_report(spec.name.clone(), policy_name), events))
+                report.workload = spec.name.clone();
+                report.policy = policy_name;
+                Ok((report, events))
             }
             Some(ToCoordinator::Error { message }) => {
                 // The complaint may be about this cell's spec, shipped now
@@ -825,10 +828,11 @@ impl CollectiveBarrier {
             }
             match read_frame(&mut state.reader) {
                 Ok(Some(line)) => {
-                    let acked = ToCoordinator::BarrierAck {
-                        epoch: Hex64(epoch),
-                    };
-                    if from_line(&line) != Ok(acked) {
+                    let acked = matches!(
+                        from_line(&line),
+                        Ok(ToCoordinator::BarrierAck { epoch: Hex64(e) }) if e == epoch
+                    );
+                    if !acked {
                         // Anything else on a quiesced channel is corruption.
                         slot.kill(&mut state);
                     }

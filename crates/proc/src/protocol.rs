@@ -23,14 +23,16 @@
 //! Every message but one is a variant of [`ToWorker`] or [`ToCoordinator`]:
 //! plain data whose `#[derive(Serialize, Deserialize)]` *is* the wire
 //! format, so the two directions cannot drift and both ends `match` on
-//! variants instead of string tags. The full-range integers are declared
-//! [`Hex64`] / [`Hex128`] in the message types — the hex rule is a field's
-//! type, not a call to remember. Types of other crates that cross the wire
-//! ([`ExecutionConfig`], [`ExecutionReport`]) have a mirror struct here
-//! ([`ConfigMsg`], [`ReportMsg`]) with a checked conversion each way. A
-//! cell is one `assign` answered by one `done` (or one `error`); whether it
-//! is traced is part of the `config` it runs under ([`ConfigMsg::events`],
-//! protocol version 3), and its events come back inside that `done`.
+//! variants instead of string tags. The runtime types the messages carry
+//! ([`ExecutionConfig`], [`ExecutionReport`]) are wire types themselves:
+//! their own derives (and the hand-written ones of `Topology` and
+//! `TrafficStats`) are the format, and a decoded config is refused with the
+//! words the in-process constructors panic with. The full-range integers
+//! are declared [`Hex64`] where they are — the hex rule is a field's
+//! declaration, not a call to remember. A cell is one `assign` answered by
+//! one `done` (or one `error`); whether it is traced travels beside the
+//! config (`events`, since protocol version 3), and its events come back
+//! inside that `done`.
 //!
 //! The exception is `spec`, the only message whose size grows with the
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
@@ -46,9 +48,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use numadag_numa::{CostModel, DistanceMatrix, NodeId, Topology, TrafficStats};
-use numadag_runtime::framing::{push_wire_u64, read_wire_u64, Hex128, Hex64};
-use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator, StealMode};
+use numadag_numa::Hex64;
+use numadag_runtime::framing::{push_wire_u64, read_wire_u64};
+use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::{MemorySink, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -56,16 +58,29 @@ use serde_json::{Reader, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 3;
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
 /// [`encode_spec`] / [`decode_spec`]). Externally tagged with lowercase
 /// tags: `{"assign": {...}}`, `"shutdown"`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ToWorker {
     /// The executor configuration every later `assign` runs under.
-    Config(ConfigMsg),
+    Config {
+        /// Must equal [`PROTOCOL_VERSION`].
+        version: u64,
+        /// The config's own fingerprint, so acks can be matched to the
+        /// config they acknowledge.
+        epoch: Hex64,
+        /// Whether the executor carries a trace sink: the worker's
+        /// simulator then gets one of its own, drained into every `done`.
+        /// Part of the config's fingerprint, so traced and untraced cells
+        /// are two epochs.
+        events: bool,
+        /// The executor configuration; its sink does not travel.
+        config: ExecutionConfig,
+    },
     /// One cell of work.
     Assign(Assignment),
     /// The coordinator's side of a collective barrier.
@@ -78,7 +93,7 @@ pub enum ToWorker {
 }
 
 /// Everything a worker sends.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ToCoordinator {
     /// Sent once, right after connecting.
@@ -90,7 +105,7 @@ pub enum ToCoordinator {
     },
     /// The worker now runs under the config with this epoch.
     ConfigAck {
-        /// [`ConfigMsg::epoch`] of the acknowledged config.
+        /// The `epoch` of the acknowledged config.
         epoch: Hex64,
     },
     /// The worker's side of a collective barrier.
@@ -104,15 +119,14 @@ pub enum ToCoordinator {
         message: String,
     },
     /// The cell's result, and the one reply to its `assign`. The report's
-    /// string labels do not travel: the coordinator re-attaches them
-    /// ([`ReportMsg::into_report`]).
+    /// string labels do not travel: the coordinator re-attaches them.
     Done {
         /// The assignment's cell id.
         cell: u64,
-        /// The full execution report.
-        report: ReportMsg,
+        /// The full execution report, labels empty.
+        report: ExecutionReport,
         /// The cell's trace events, in emission order; empty unless the
-        /// config it ran under asked for them ([`ConfigMsg::events`]).
+        /// config it ran under asked for them (`events`).
         events: Vec<TraceEvent>,
     },
 }
@@ -131,254 +145,38 @@ pub struct Assignment {
     pub policy_seed: Hex64,
 }
 
-/// The `config` message: the full [`ExecutionConfig`] a worker needs to
-/// mirror the coordinator's executor. The sink itself does not travel, only
-/// whether there is one ([`ConfigMsg::events`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ConfigMsg {
-    /// Must equal [`PROTOCOL_VERSION`].
-    pub version: u64,
-    /// The config's own fingerprint, so acks can be matched to the config
-    /// they acknowledge.
-    pub epoch: Hex64,
-    /// The machine.
-    pub topology: TopologyMsg,
-    /// The memory-cost model.
-    pub cost: CostMsg,
-    /// `"nearest"` or `"none"` ([`StealMode`]).
-    pub steal: String,
-    /// [`ExecutionConfig::stage_timing`].
-    pub stage_timing: bool,
-    /// [`ExecutionConfig::seed`].
-    pub seed: Hex64,
-    /// Whether the executor carries a trace sink: the worker's simulator
-    /// then gets one of its own, drained into every `done`. Part of the
-    /// config's fingerprint, so traced and untraced cells are two epochs.
-    pub events: bool,
-}
-
-/// Wire form of a [`Topology`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TopologyMsg {
-    /// Machine name.
-    pub name: String,
-    /// Socket (= NUMA node) count.
-    pub sockets: usize,
-    /// Cores per socket.
-    pub cores: usize,
-    /// The SLIT distance matrix, row-major, `sockets * sockets` entries.
-    pub distances: Vec<u32>,
-}
-
-/// Wire form of a [`CostModel`], field for field.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CostMsg {
-    /// [`CostModel::local_bandwidth`].
-    pub local_bandwidth: f64,
-    /// [`CostModel::local_latency`].
-    pub local_latency: f64,
-    /// [`CostModel::bandwidth_exponent`].
-    pub bandwidth_exponent: f64,
-    /// [`CostModel::latency_exponent`].
-    pub latency_exponent: f64,
-    /// [`CostModel::contention_factor`].
-    pub contention_factor: f64,
-    /// [`CostModel::time_per_work_unit`].
-    pub time_per_work_unit: f64,
-}
-
-impl ConfigMsg {
-    /// The wire form of `config`, tagged with `epoch`.
-    pub fn new(epoch: u64, config: &ExecutionConfig) -> ConfigMsg {
-        let topo = &config.topology;
-        let n = topo.num_sockets();
-        let cost = &config.cost_model;
-        ConfigMsg {
+impl ToWorker {
+    /// The `config` message that puts a worker on `config`, tagged with
+    /// `epoch`.
+    pub(crate) fn configure(epoch: u64, config: &ExecutionConfig) -> ToWorker {
+        ToWorker::Config {
             version: PROTOCOL_VERSION,
             epoch: Hex64(epoch),
-            topology: TopologyMsg {
-                name: topo.name().to_string(),
-                sockets: n,
-                cores: topo.cores_per_socket(),
-                distances: (0..n * n)
-                    .map(|at| topo.distance(NodeId(at / n), NodeId(at % n)))
-                    .collect(),
-            },
-            cost: CostMsg {
-                local_bandwidth: cost.local_bandwidth,
-                local_latency: cost.local_latency,
-                bandwidth_exponent: cost.bandwidth_exponent,
-                latency_exponent: cost.latency_exponent,
-                contention_factor: cost.contention_factor,
-                time_per_work_unit: cost.time_per_work_unit,
-            },
-            steal: match config.steal {
-                StealMode::NearestSocket => "nearest",
-                StealMode::NoStealing => "none",
-            }
-            .to_string(),
-            stage_timing: config.stage_timing,
-            seed: Hex64(config.seed),
             events: config.trace_sink.is_some(),
+            config: config.clone(),
         }
-    }
-
-    /// Rebuilds the [`ExecutionConfig`], refusing what a worker must not
-    /// guess at or build: another protocol version, more sockets than the
-    /// simulator dispatches over, a distance matrix of the wrong size, an
-    /// unknown steal mode.
-    pub fn into_config(self) -> Result<ExecutionConfig, String> {
-        if self.version != PROTOCOL_VERSION {
-            return Err(format!(
-                "config.version {} is not the supported protocol version {PROTOCOL_VERSION}",
-                self.version
-            ));
-        }
-        let TopologyMsg {
-            name,
-            sockets,
-            cores,
-            distances,
-        } = self.topology;
-        if sockets > Simulator::MAX_SOCKETS {
-            return Err(format!(
-                "config.topology.sockets {sockets} exceeds the simulator's limit of {}",
-                Simulator::MAX_SOCKETS
-            ));
-        }
-        if distances.len() != sockets * sockets {
-            return Err(format!(
-                "config.topology.distances has {} entries, expected {}",
-                distances.len(),
-                sockets * sockets
-            ));
-        }
-        let steal = match self.steal.as_str() {
-            "nearest" => StealMode::NearestSocket,
-            "none" => StealMode::NoStealing,
-            other => return Err(format!("config.steal {other:?} is not a known steal mode")),
-        };
-        let topology = Topology::new(
-            name,
-            sockets,
-            cores,
-            DistanceMatrix::from_rows(sockets, distances),
-        );
-        let mut config = ExecutionConfig::new(topology)
-            .with_cost_model(CostModel {
-                local_bandwidth: self.cost.local_bandwidth,
-                local_latency: self.cost.local_latency,
-                bandwidth_exponent: self.cost.bandwidth_exponent,
-                latency_exponent: self.cost.latency_exponent,
-                contention_factor: self.cost.contention_factor,
-                time_per_work_unit: self.cost.time_per_work_unit,
-            })
-            .with_steal(steal)
-            .with_seed(self.seed.0);
-        if self.stage_timing {
-            config = config.with_stage_timing();
-        }
-        if self.events {
-            config = config.with_trace_sink(Arc::new(MemorySink::new()));
-        }
-        Ok(config)
     }
 }
 
-/// Wire form of an [`ExecutionReport`] minus its two string labels (the
-/// coordinator re-attaches them from its own policy/workload handles, which
-/// is what keeps `policy` a `'static` literal).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ReportMsg {
-    /// [`ExecutionReport::makespan_ns`].
-    pub makespan_ns: f64,
-    /// [`ExecutionReport::tasks`].
-    pub tasks: usize,
-    /// [`ExecutionReport::traffic`].
-    pub traffic: TrafficMsg,
-    /// [`ExecutionReport::tasks_per_socket`].
-    pub tasks_per_socket: Vec<usize>,
-    /// [`ExecutionReport::busy_per_socket`].
-    pub busy_per_socket: Vec<f64>,
-    /// [`ExecutionReport::stolen_tasks`].
-    pub stolen_tasks: usize,
-    /// [`ExecutionReport::deferred_bytes`].
-    pub deferred_bytes: Hex64,
-    /// [`ExecutionReport::policy_wall_ns`].
-    pub policy_wall_ns: f64,
-    /// [`ExecutionReport::event_loop_wall_ns`].
-    pub event_loop_wall_ns: f64,
-}
-
-/// Wire form of a [`TrafficStats`] ledger: its exact parts
-/// ([`TrafficStats::from_parts`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TrafficMsg {
-    /// [`TrafficStats::local_bytes`].
-    pub local: Hex64,
-    /// [`TrafficStats::remote_bytes`].
-    pub remote: Hex64,
-    /// [`TrafficStats::deferred_allocated_bytes`].
-    pub deferred: Hex64,
-    /// The distance-weighted byte total.
-    pub dw: Hex128,
-    /// `(from, to, bytes)` per directed link that carried traffic.
-    pub links: Vec<(usize, usize, Hex64)>,
-}
-
-impl ReportMsg {
-    /// The wire form of `report`.
-    pub fn new(report: &ExecutionReport) -> ReportMsg {
-        let traffic = &report.traffic;
-        ReportMsg {
-            makespan_ns: report.makespan_ns,
-            tasks: report.tasks,
-            traffic: TrafficMsg {
-                local: Hex64(traffic.local_bytes),
-                remote: Hex64(traffic.remote_bytes),
-                deferred: Hex64(traffic.deferred_allocated_bytes),
-                dw: Hex128(traffic.distance_weighted()),
-                links: traffic
-                    .link_entries()
-                    .map(|((from, to), bytes)| (from, to, Hex64(bytes)))
-                    .collect(),
-            },
-            tasks_per_socket: report.tasks_per_socket.clone(),
-            busy_per_socket: report.busy_per_socket.clone(),
-            stolen_tasks: report.stolen_tasks,
-            deferred_bytes: Hex64(report.deferred_bytes),
-            policy_wall_ns: report.policy_wall_ns,
-            event_loop_wall_ns: report.event_loop_wall_ns,
-        }
+/// The simulator a worker builds for a decoded `config` message, refusing
+/// what it must not guess at or build: another protocol version, or a
+/// machine [`Simulator::new`] would panic on (in its words). A machine
+/// `Topology::new` would panic on never decodes.
+pub(crate) fn simulator_for(
+    version: u64,
+    events: bool,
+    config: ExecutionConfig,
+) -> Result<Simulator, String> {
+    if version != PROTOCOL_VERSION {
+        return Err(format!(
+            "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
+        ));
     }
-
-    /// Rebuilds the report. `workload` and `policy` are supplied by the
-    /// coordinator (it knows which assignment the cell id maps to).
-    pub fn into_report(self, workload: Arc<str>, policy: &'static str) -> ExecutionReport {
-        let traffic = self.traffic;
-        ExecutionReport {
-            workload,
-            policy,
-            makespan_ns: self.makespan_ns,
-            tasks: self.tasks,
-            traffic: TrafficStats::from_parts(
-                traffic.local.0,
-                traffic.remote.0,
-                traffic.deferred.0,
-                traffic
-                    .links
-                    .into_iter()
-                    .map(|(from, to, bytes)| ((from, to), bytes.0)),
-                traffic.dw.0,
-            ),
-            tasks_per_socket: self.tasks_per_socket,
-            busy_per_socket: self.busy_per_socket,
-            stolen_tasks: self.stolen_tasks,
-            deferred_bytes: self.deferred_bytes.0,
-            policy_wall_ns: self.policy_wall_ns,
-            event_loop_wall_ns: self.event_loop_wall_ns,
-        }
-    }
+    let config = match events {
+        true => config.with_trace_sink(Arc::new(MemorySink::new())),
+        false => config,
+    };
+    Simulator::try_new(config)
 }
 
 /// Starts a column of the `spec` message: `,"name":[`.
@@ -852,6 +650,7 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numadag_numa::Topology;
     use numadag_runtime::framing::to_line;
     use serde::de::untag;
     use serde::testing::assert_enum_rejects_malformed;
@@ -872,12 +671,13 @@ mod tests {
 
     /// One wire line per coordinator → worker message kind (`config` twice),
     /// as the hand-written `encode_*` functions this module had up to commit
-    /// fb5dfe3 rendered them, edited once for protocol version 3: `config`
-    /// says `"version":3` and gained `events`, which `assign` lost together
-    /// with `placements`.
+    /// fb5dfe3 rendered them, edited for protocol version 3 (`config` gained
+    /// `events`, which `assign` lost together with `placements`) and
+    /// re-captured for version 4, where the `config` lines alone changed:
+    /// the executor configuration travels in its own derived form.
     const TO_WORKER_LINES: [&str; 5] = [
-        r#"{"config":{"version":3,"epoch":"7","topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest","stage_timing":false,"seed":"e0","events":false}}"#,
-        r#"{"config":{"version":3,"epoch":"ffffffffffffffff","topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"none","stage_timing":true,"seed":"f1617e00f1617e","events":true}}"#,
+        r#"{"config":{"version":4,"epoch":"7","events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":"e0","stage_timing":false}}}"#,
+        r#"{"config":{"version":4,"epoch":"ffffffffffffffff","events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":"f1617e00f1617e","stage_timing":true}}}"#,
         r#"{"assign":{"cell":9000,"fp":"fffffffffffffffc","policy":"rgp-las:w=512","policy_seed":"f1617e"}}"#,
         r#"{"barrier":{"epoch":"ffffffffffffffff"}}"#,
         r#""shutdown""#,
@@ -906,40 +706,33 @@ mod tests {
             let message =
                 ToWorker::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
-            // ... and through the types the messages mirror.
-            if let ToWorker::Config(config) = message {
-                let epoch = config.epoch.0;
-                let rebuilt = ConfigMsg::new(epoch, &config.into_config().unwrap());
-                assert_eq!(to_line(&ToWorker::Config(rebuilt)), line);
+            // ... and through the simulator a worker builds from it.
+            if let ToWorker::Config {
+                version,
+                epoch,
+                events,
+                config,
+            } = message
+            {
+                let simulator = simulator_for(version, events, config).unwrap();
+                let rebuilt = ToWorker::configure(epoch.0, simulator.config());
+                assert_eq!(to_line(&rebuilt), line);
             }
         }
         for line in TO_COORDINATOR_LINES {
             let message =
                 ToCoordinator::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
-            if let ToCoordinator::Done {
-                cell,
-                report,
-                events,
-            } = message
-            {
-                let report = report.into_report(Arc::from("wire-spec"), "RGP+LAS");
-                assert_eq!(
-                    (report.workload.as_ref(), report.policy),
-                    ("wire-spec", "RGP+LAS")
-                );
+            if let ToCoordinator::Done { report, .. } = message {
+                // The labels do not travel; everything else arrives exactly.
+                assert_eq!((report.workload.as_ref(), report.policy), ("", ""));
                 assert_eq!(report.traffic.local_bytes, u64::MAX / 3);
                 assert_eq!(report.traffic.distance_weighted(), (u64::MAX as u128) * 27);
+                assert_eq!(report.deferred_bytes, 1 << 55);
                 assert_eq!(report.busy_per_socket[1], 1e300);
-                let rebuilt = ToCoordinator::Done {
-                    cell,
-                    report: ReportMsg::new(&report),
-                    events,
-                };
-                assert_eq!(to_line(&rebuilt), line);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 3);
+        assert_eq!(PROTOCOL_VERSION, 4);
     }
 
     #[test]
@@ -1172,47 +965,112 @@ mod tests {
         with_field(payload, name, Some(arr(entries)))
     }
 
+    /// What a worker makes of a `config` line: the simulator, or the
+    /// complaint of the decode or of [`simulator_for`].
+    fn simulator_from(message: &Value) -> Result<Simulator, String> {
+        match ToWorker::from_value(message)? {
+            ToWorker::Config {
+                version,
+                events,
+                config,
+                ..
+            } => simulator_for(version, events, config),
+            other => panic!("not a config: {other:?}"),
+        }
+    }
+
+    /// `message` with the value at `path` (object keys, from the envelope
+    /// down) replaced.
+    fn with_path(message: &Value, path: &[&str], value: Value) -> Value {
+        let mut message = message.clone();
+        let mut at = &mut message;
+        for key in path {
+            let Value::Object(fields) = at else {
+                panic!("{key}: not an object");
+            };
+            at = &mut fields.iter_mut().find(|(name, _)| name == key).unwrap().1;
+        }
+        *at = value;
+        message
+    }
+
     #[test]
     fn a_config_a_worker_must_not_build_is_refused() {
-        let two_socket = || ConfigMsg::new(7, &ExecutionConfig::new(Topology::two_socket(2)));
+        let two_socket = ExecutionConfig::new(Topology::two_socket(2));
+        let good = ToWorker::configure(7, &two_socket).to_value();
         // The sink does not travel, whether there is one does.
-        let untraced = two_socket().into_config().unwrap();
-        assert!(untraced.trace_sink.is_none());
-        let traced = untraced.with_trace_sink(Arc::new(MemorySink::new()));
-        assert!(ConfigMsg::new(7, &traced).events);
-        let refused = |change: fn(&mut ConfigMsg)| {
-            let mut message = two_socket();
-            change(&mut message);
-            message.into_config().unwrap_err()
-        };
-        for (err, complaint) in [
+        let untraced = simulator_from(&good).unwrap();
+        assert!(untraced.config().trace_sink.is_none());
+        let traced = two_socket.with_trace_sink(Arc::new(MemorySink::new()));
+        let traced = ToWorker::configure(7, &traced).to_value();
+        assert!(simulator_from(&traced)
+            .unwrap()
+            .config()
+            .trace_sink
+            .is_some());
+
+        let topology = ["config", "config", "topology"];
+        let at = |leaf: &'static str| [&topology[..], &[leaf]].concat();
+        let numbers =
+            |values: &[f64]| Value::Array(values.iter().map(|&n| Value::Number(n)).collect());
+        for (path, value, complaint) in [
             (
-                refused(|m| m.version = 2),
-                "not the supported protocol version 3",
+                vec!["config", "version"],
+                Value::Number(3.0),
+                "config.version 3 is not the supported protocol version 4",
             ),
             (
-                refused(|m| m.version = 4),
-                "not the supported protocol version 3",
+                vec!["config", "version"],
+                Value::Number(5.0),
+                "config.version 5 is not the supported protocol version 4",
             ),
             (
-                refused(|m| m.topology.distances.truncate(3)),
-                "distances has 3 entries, expected 4",
+                vec!["config", "config", "steal"],
+                Value::String("sometimes".to_string()),
+                "unknown StealMode variant \"sometimes\"",
             ),
             (
-                refused(|m| m.steal = "sometimes".to_string()),
-                "not a known steal mode",
+                at("distances"),
+                numbers(&[10.0, 21.0, 21.0]),
+                "distance matrix must be n*n: 3 entries for 2 nodes",
+            ),
+            // Each of these four panicked the worker: the coordinator read
+            // EOF where the reply should have been.
+            (
+                at("sockets"),
+                Value::Number(0.0),
+                "a machine needs at least one socket",
+            ),
+            (
+                at("cores"),
+                Value::Number(0.0),
+                "a socket needs at least one core",
+            ),
+            (
+                at("distances"),
+                numbers(&[10.0, 21.0, 30.0, 10.0]),
+                "distance matrix must be symmetric: d[0][1] = 21, d[1][0] = 30",
+            ),
+            (
+                at("distances"),
+                numbers(&[0.0, 21.0, 21.0, 10.0]),
+                "diagonal of distance matrix must be the local distance 10: d[0][0] = 0",
             ),
         ] {
-            assert!(err.contains(complaint), "{err}");
+            let err = simulator_from(&with_path(&good, &path, value))
+                .err()
+                .unwrap();
+            assert!(err.ends_with(complaint), "{path:?}: {err}");
         }
-        // The simulator dispatches over at most 64 sockets.
-        let sockets = |n| ConfigMsg::new(1, &ExecutionConfig::new(Topology::symmetric(n, 1)));
-        let err = sockets(65).into_config().unwrap_err();
-        assert!(
-            err.contains("sockets 65 exceeds the simulator's limit of 64"),
-            "{err}"
+        // The simulator dispatches over at most 64 sockets, here and in
+        // process alike.
+        let sockets = |n| ToWorker::configure(1, &ExecutionConfig::new(Topology::symmetric(n, 1)));
+        let err = simulator_from(&sockets(65).to_value()).err().unwrap();
+        assert_eq!(
+            err,
+            "the simulator supports at most 64 sockets, topology \"65-socket x 1 cores\" has 65"
         );
-        assert!(sockets(64).into_config().is_ok());
+        assert!(simulator_from(&sockets(64).to_value()).is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use numadag_trace::TraceEvent;
 use serde::{de::untag, Deserialize, Value};
 
 use crate::protocol::{
-    decode_spec, is_spec_line, Assignment, ReportMsg, SpecError, ToCoordinator, ToWorker,
+    decode_spec, is_spec_line, simulator_for, Assignment, SpecError, ToCoordinator, ToWorker,
 };
 
 /// Environment variable carrying the coordinator's `host:port`.
@@ -173,16 +173,18 @@ fn run_worker(
             }
         };
         match message {
-            ToWorker::Config(config) => {
-                let epoch = config.epoch;
-                match config.into_config() {
-                    Ok(config) => {
-                        simulator = Some(Simulator::new(config));
-                        send(&mut writer, &ToCoordinator::ConfigAck { epoch })?;
-                    }
-                    Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
+            ToWorker::Config {
+                version,
+                epoch,
+                events,
+                config,
+            } => match simulator_for(version, events, config) {
+                Ok(built) => {
+                    simulator = Some(built);
+                    send(&mut writer, &ToCoordinator::ConfigAck { epoch })?;
                 }
-            }
+                Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
+            },
             ToWorker::Assign(assign) => {
                 assigns_seen += 1;
                 if matches!(faults.crash_after, Some(n) if assigns_seen > n) {
@@ -210,7 +212,7 @@ fn run_worker(
                 }
                 let done = ToCoordinator::Done {
                     cell: assign.cell,
-                    report: ReportMsg::new(&report),
+                    report,
                     events,
                 };
                 send(&mut writer, &done)?;
@@ -259,12 +261,12 @@ mod tests {
     use std::net::TcpListener;
     use std::time::Duration;
 
-    use numadag_numa::Topology;
-    use numadag_runtime::framing::{from_line, to_line, write_line, Hex64};
+    use numadag_numa::{Hex64, Topology};
+    use numadag_runtime::framing::{from_line, to_line, write_line};
     use numadag_runtime::ExecutionConfig;
     use numadag_tdg::{TaskSpec, TdgBuilder};
 
-    use crate::protocol::{encode_spec, ConfigMsg};
+    use crate::protocol::encode_spec;
 
     /// The coordinator's end of a loopback conversation with `run_worker`.
     struct Coordinator {
@@ -282,6 +284,16 @@ mod tests {
                 .expect("the worker is still talking")
                 .expect("the worker has not hung up");
             from_line(&line).unwrap()
+        }
+
+        /// Puts the worker on `config` under `epoch`, checking the ack.
+        fn configure(&mut self, epoch: u64, config: &ExecutionConfig) {
+            self.send(&ToWorker::configure(epoch, config));
+            let reply = self.reply();
+            assert!(
+                matches!(reply, ToCoordinator::ConfigAck { epoch: Hex64(e) } if e == epoch),
+                "{reply:?}"
+            );
         }
 
         fn expect_error(&mut self, prefix: &str, complaint: &str) {
@@ -344,12 +356,7 @@ mod tests {
     #[test]
     fn a_refused_spec_is_answered_once_by_the_assign_behind_it() {
         let (mut coordinator, worker) = loopback();
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-        coordinator.send(&ToWorker::Config(ConfigMsg::new(1, &config)));
-        assert_eq!(
-            coordinator.reply(),
-            ToCoordinator::ConfigAck { epoch: Hex64(1) }
-        );
+        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
         let (spec, assign) = loopback_cell();
         let line = encode_spec(&spec);
 
@@ -363,10 +370,10 @@ mod tests {
         // One reply, not two: a second `error` would be read here, as it
         // would be by the next cell dispatched on this worker's slot.
         coordinator.send(&ToWorker::Barrier { epoch: Hex64(9) });
-        assert_eq!(
+        assert!(matches!(
             coordinator.reply(),
             ToCoordinator::BarrierAck { epoch: Hex64(9) }
-        );
+        ));
 
         // The slot is usable: the intact spec and the same cell run.
         write_line(&mut coordinator.writer, line).unwrap();
@@ -388,12 +395,7 @@ mod tests {
     #[test]
     fn a_refused_spec_written_ahead_answers_its_own_assign_not_the_next_one() {
         let (mut coordinator, worker) = loopback();
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-        coordinator.send(&ToWorker::Config(ConfigMsg::new(1, &config)));
-        assert_eq!(
-            coordinator.reply(),
-            ToCoordinator::ConfigAck { epoch: Hex64(1) }
-        );
+        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
         let (held, held_assign) = loopback_cell();
         write_line(&mut coordinator.writer, encode_spec(&held)).unwrap();
 
@@ -448,28 +450,23 @@ mod tests {
     fn a_poison_spec_is_refused_and_the_worker_keeps_serving() {
         let (mut coordinator, worker) = loopback();
         let config = ExecutionConfig::new(Topology::two_socket(2));
-        let shipped = ConfigMsg::new(1, &config);
 
         // A distance that only fits a u32 after truncation (2^32 + 10) used
         // to be cast to 10 silently; so did anything else `as` would take.
-        let line = to_line(&ToWorker::Config(shipped.clone()));
+        let line = to_line(&ToWorker::configure(1, &config));
         let truncating = line.replacen("\"distances\":[10,", "\"distances\":[4294967306,", 1);
         assert_ne!(truncating, line);
         write_line(&mut coordinator.writer, truncating).unwrap();
         coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
         // The refusals of a well-typed config are structured errors too.
-        let mut next_version = shipped.clone();
-        next_version.version = 4;
-        coordinator.send(&ToWorker::Config(next_version));
-        coordinator.expect_error("bad config: ", "not the supported protocol version 3");
+        let next_version = line.replacen("\"version\":4", "\"version\":5", 1);
+        assert_ne!(next_version, line);
+        write_line(&mut coordinator.writer, next_version).unwrap();
+        coordinator.expect_error("bad config: ", "not the supported protocol version 4");
         write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
         coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 
-        coordinator.send(&ToWorker::Config(shipped));
-        assert_eq!(
-            coordinator.reply(),
-            ToCoordinator::ConfigAck { epoch: Hex64(1) }
-        );
+        coordinator.configure(1, &config);
 
         let (spec, assign) = loopback_cell();
         let line = encode_spec(&spec);
@@ -503,11 +500,64 @@ mod tests {
             panic!("expected done for cell 3");
         };
         assert!(events.is_empty(), "the config did not ask for events");
-        let report = report.into_report(spec.name.clone(), "LAS");
         assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
         assert_eq!(report.traffic, want.traffic);
         assert_eq!(report.deferred_bytes, want.deferred_bytes);
         assert_eq!(report.stolen_tasks, want.stolen_tasks);
+
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
+    /// Each of these `config` lines is well-formed JSON naming a machine
+    /// `Topology::new` / `DistanceMatrix::from_rows` would panic on; each
+    /// used to panic the worker thread, and the coordinator read EOF where
+    /// the reply should have been.
+    #[test]
+    fn a_config_naming_an_impossible_machine_is_refused_and_the_worker_keeps_serving() {
+        let (mut coordinator, worker) = loopback();
+        let config = ExecutionConfig::new(Topology::two_socket(2));
+        let line = to_line(&ToWorker::configure(1, &config));
+        for (from, to, complaint) in [
+            (
+                "\"sockets\":2",
+                "\"sockets\":0",
+                "a machine needs at least one socket",
+            ),
+            (
+                "\"cores\":2",
+                "\"cores\":0",
+                "a socket needs at least one core",
+            ),
+            (
+                "[10,21,21,10]",
+                "[10,21,30,10]",
+                "distance matrix must be symmetric",
+            ),
+            (
+                "[10,21,21,10]",
+                "[0,21,21,10]",
+                "diagonal of distance matrix must be the local",
+            ),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line);
+            write_line(&mut coordinator.writer, bad).unwrap();
+            coordinator.expect_error("bad config: ", complaint);
+        }
+
+        // The same worker takes the intact config and runs a cell under it.
+        coordinator.configure(1, &config);
+        let (spec, assign) = loopback_cell();
+        write_line(&mut coordinator.writer, encode_spec(&spec)).unwrap();
+        coordinator.send(&ToWorker::Assign(assign));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Done { cell: 3, .. }
+        ));
 
         coordinator.send(&ToWorker::Shutdown);
         worker

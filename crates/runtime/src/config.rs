@@ -2,11 +2,13 @@
 
 use std::sync::Arc;
 
-use numadag_numa::{CostModel, Topology};
+use numadag_numa::{CostModel, Hex64, Topology};
 use numadag_trace::MemorySink;
+use serde::{Deserialize, Serialize};
 
 /// What an idle core does when its socket's queue is empty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum StealMode {
     /// Steal from the nearest socket (by NUMA distance) that has queued
     /// tasks. This is how socket-aware runtimes (Nanos++, OpenStream) behave
@@ -18,8 +20,9 @@ pub enum StealMode {
     NoStealing,
 }
 
-/// Configuration shared by the executors.
-#[derive(Clone)]
+/// Configuration shared by the executors. Its derived wire form is the proc
+/// backend's `config`; the sink does not travel.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).
     pub topology: Topology,
@@ -29,6 +32,7 @@ pub struct ExecutionConfig {
     pub steal: StealMode,
     /// Seed forwarded to components that need randomness (none in the
     /// simulator itself — determinism comes from the policies' own seeds).
+    #[serde(with = "Hex64")]
     pub seed: u64,
     /// Whether the simulator accumulates per-stage wall time (policy vs
     /// event loop) into the report. Costs two clock reads per assignment
@@ -41,6 +45,7 @@ pub struct ExecutionConfig {
     /// [`ExecutionConfig::with_trace_sink`]. An executor keeps its sink for
     /// its lifetime; whoever traces cell by cell drains it
     /// ([`MemorySink::take`]) after each one.
+    #[serde(skip)]
     pub trace_sink: Option<Arc<MemorySink>>,
 }
 

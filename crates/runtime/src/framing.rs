@@ -15,13 +15,12 @@
 //! * invalid UTF-8 is [`FrameError::InvalidUtf8`] instead of a panic or a
 //!   lossy re-decode.
 //!
-//! On top of the line layer it carries the two integer wire rules. Values
+//! On top of the line layer it carries the bulk-column integer rule. Values
 //! that must cross the wire bit-exactly but do not survive the `f64`-backed
 //! JSON number representation (u64 fingerprints and seeds above 2^53, u128
-//! counters) are declared as [`Hex64`] / [`Hex128`] in a message type and
-//! travel as lowercase hex strings — the rule is the field's type, not a
-//! call someone has to remember. Bulk numeric columns use the number-or-hex
-//! form instead ([`push_wire_u64`]/[`read_wire_u64`]): a plain JSON integer
+//! counters) travel as lowercase hex strings, declared where the value is
+//! ([`numadag_numa::hex`]). Bulk numeric columns use the number-or-hex form
+//! instead ([`push_wire_u64`]/[`read_wire_u64`]): a plain JSON integer
 //! whenever the value is exactly representable, hex only above 2^53.
 //! (Message envelopes themselves are decoded by `#[derive(Deserialize)]`;
 //! the one hand-written codec, the proc `spec` columns, reads its line
@@ -33,6 +32,7 @@
 
 use std::io::{BufRead, Read, Write};
 
+use numadag_numa::Hex64;
 use serde::{Deserialize, Serialize, Value};
 use serde_json::{Reader, Token};
 
@@ -155,48 +155,6 @@ pub fn read_frame_with_limit(
         .map_err(|_| FrameError::InvalidUtf8)
 }
 
-/// A `u64` that travels as a lowercase hex string. JSON numbers are
-/// `f64`-backed in the vendored `serde_json`, so integers above 2^53
-/// (fingerprints, seeds) must travel as strings to keep every bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hex64(pub u64);
-
-impl Serialize for Hex64 {
-    fn to_value(&self) -> Value {
-        Value::String(format!("{:x}", self.0))
-    }
-}
-
-fn parse_hex_u64(text: &str) -> Result<u64, String> {
-    u64::from_str_radix(text, 16).map_err(|_| format!("invalid hex u64 {text:?}"))
-}
-
-impl Deserialize for Hex64 {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let text = value.as_str().ok_or("must be a hex string")?;
-        parse_hex_u64(text).map(Hex64)
-    }
-}
-
-/// A `u128` that travels as a lowercase hex string (see [`Hex64`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hex128(pub u128);
-
-impl Serialize for Hex128 {
-    fn to_value(&self) -> Value {
-        Value::String(format!("{:x}", self.0))
-    }
-}
-
-impl Deserialize for Hex128 {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let text = value.as_str().ok_or("must be a hex string")?;
-        u128::from_str_radix(text, 16)
-            .map(Hex128)
-            .map_err(|_| format!("invalid hex u128 {text:?}"))
-    }
-}
-
 /// JSON numbers are `f64`-backed, so only integers below this travel exactly.
 const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
 
@@ -241,7 +199,7 @@ pub fn read_wire_u64(reader: &mut Reader<'_>) -> Result<u64, String> {
         return Ok(value);
     }
     match reader.peek()? {
-        Token::String => parse_hex_u64(&reader.string()?),
+        Token::String => Hex64::from_value(&Value::String(reader.string()?)).map(|Hex64(n)| n),
         Token::Number => {
             let n = reader.number()?;
             if n >= 0.0 && n.trunc() == n && n < EXACT_JSON_INTEGER_LIMIT as f64 {
@@ -407,28 +365,5 @@ mod tests {
         let text = String::from_utf8(wire).unwrap();
         let (first, second) = text.split_once('\n').unwrap();
         assert_eq!(Some(first), second.strip_suffix('\n'));
-    }
-
-    #[test]
-    fn hex_newtypes_round_trip_full_range_integers_as_strings() {
-        for v in [0u64, 1, 0xF1617E, u64::MAX, (1 << 53) + 1] {
-            assert_eq!(Hex64(v).to_value(), Value::String(format!("{v:x}")));
-            assert_eq!(Hex64::from_value(&Hex64(v).to_value()), Ok(Hex64(v)));
-        }
-        for v in [0u128, u128::from(u64::MAX) + 1, u128::MAX] {
-            assert_eq!(Hex128::from_value(&Hex128(v).to_value()), Ok(Hex128(v)));
-        }
-        assert_eq!(
-            to_line(&Hex128(u128::MAX)),
-            format!("\"{}\"", "f".repeat(32))
-        );
-        // The rule is "a hex string": numbers, non-hex and overflow are errors.
-        for bad in ["17", "\"not hex\"", "null", "\"1ffffffffffffffff\""] {
-            let value = serde_json::from_str(bad).unwrap();
-            assert!(Hex64::from_value(&value).is_err(), "{bad}");
-        }
-        let overflow = Value::String("1".repeat(33));
-        assert!(Hex128::from_value(&overflow).is_err());
-        assert!(Hex128::from_value(&Value::Number(1.0)).is_err());
     }
 }

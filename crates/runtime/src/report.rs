@@ -2,18 +2,23 @@
 
 use std::sync::Arc;
 
-use numadag_numa::TrafficStats;
+use numadag_numa::{Hex64, TrafficStats};
+use serde::{Deserialize, Serialize};
 
 /// The result of executing a workload under one policy.
 ///
 /// The labels are deliberately cheap: the workload name is shared with the
 /// spec (`Arc`) and the policy name is the policy's `'static` literal, so
 /// building a report allocates nothing for either — sweeps build thousands.
-#[derive(Clone, Debug, Default)]
+/// Neither travels in the derived wire form (the proc backend's `done`):
+/// whoever decodes one re-attaches its own.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ExecutionReport {
     /// Name of the workload.
+    #[serde(skip)]
     pub workload: Arc<str>,
     /// Name of the scheduling policy.
+    #[serde(skip)]
     pub policy: &'static str,
     /// Simulated makespan in nanoseconds (wall-clock nanoseconds for the
     /// threaded executor).
@@ -30,6 +35,7 @@ pub struct ExecutionReport {
     /// chose (work stealing).
     pub stolen_tasks: usize,
     /// Bytes placed by deferred allocation.
+    #[serde(with = "Hex64")]
     pub deferred_bytes: u64,
     /// Real wall time spent inside the scheduling policy (`prepare` plus all
     /// `assign` batches), ns. Filled by the simulator; the threaded executor

@@ -177,14 +177,21 @@ impl Simulator {
     /// Panics if the topology has more than [`Simulator::MAX_SOCKETS`]
     /// sockets.
     pub fn new(config: ExecutionConfig) -> Self {
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Simulator::new`], refusing a machine it cannot simulate instead of
+    /// panicking (a proc worker answers a `config` it cannot build this way).
+    pub fn try_new(config: ExecutionConfig) -> Result<Self, String> {
         let topo = &config.topology;
-        assert!(
-            topo.num_sockets() <= Self::MAX_SOCKETS,
-            "the simulator supports at most {} sockets, topology {:?} has {}",
-            Self::MAX_SOCKETS,
-            topo.name(),
-            topo.num_sockets()
-        );
+        if topo.num_sockets() > Self::MAX_SOCKETS {
+            return Err(format!(
+                "the simulator supports at most {} sockets, topology {:?} has {}",
+                Self::MAX_SOCKETS,
+                topo.name(),
+                topo.num_sockets()
+            ));
+        }
         let steal_order = (0..topo.num_sockets())
             .map(|s| {
                 topo.nodes_by_distance(SocketId(s).node())
@@ -205,13 +212,13 @@ impl Simulator {
         let transfer = config
             .cost_model
             .transfer_table(config.topology.distances());
-        Simulator {
+        Ok(Simulator {
             config,
             steal_order,
             idle_template,
             transfer,
             scratch: Mutex::new(SimScratch::default()),
-        }
+        })
     }
 
     /// The configuration the simulator was built with.

@@ -60,8 +60,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use numadag_kernels::SpecCache;
-use numadag_numa::Topology;
-use numadag_runtime::framing::{from_line, read_frame, to_line, Hex64};
+use numadag_numa::{Hex64, Topology};
+use numadag_runtime::framing::{from_line, read_frame, to_line};
 use numadag_runtime::{CellOutcome, Executor, SweepPlan};
 use serde::{Deserialize, Serialize};
 

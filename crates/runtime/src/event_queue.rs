@@ -1,18 +1,18 @@
-//! Index-keyed min-heap of simulator events over a preallocated slab.
+//! Min-heap of simulator events, each ordered by one inline `u128` key.
 //!
-//! The discrete-event simulator has at most one in-flight completion event
-//! per core, so the event "slab" is simply a vector indexed by core id and
-//! the heap orders core indices by the `(time, seq)` key of the event each
-//! slot holds. Compared to a `BinaryHeap<Event>` rebuilt per cell, this
-//! structure allocates nothing after the first run of a sweep: both the slab
-//! and the heap vector are reset (not freed) between cells.
+//! The simulator has at most one in-flight completion event per core, so
+//! `reset` reserves `num_cores` entries and a sweep allocates nothing after
+//! its first cell. An entry packs its event's `(time, seq)` into one key,
+//! `ordered(time) << 64 | seq`, where `ordered` is the bit transform
+//! `f64::total_cmp` compares through: key order is exactly
+//! `(time.total_cmp, seq)` order, for −0.0, subnormals, ±∞ and NaN too, and
+//! a heap compare is one integer compare. The key is reversible, so an entry
+//! is the key, the task and the core.
 //!
 //! `(time, seq)` is a total order — `seq` is unique per event — so any
-//! correct min-heap pops events in exactly the same order as the previous
-//! `BinaryHeap` implementation. Determinism of the simulation therefore does
-//! not depend on heap internals, and the swap is bit-identical by
-//! construction (a property the `event_queue_equivalence` proptest pins
-//! down).
+//! correct min-heap pops events in the same order as a `BinaryHeap<Event>`:
+//! the simulation does not depend on heap internals (the
+//! `event_queue_equivalence` proptest pins this down).
 
 use std::cmp::Ordering;
 
@@ -29,25 +29,52 @@ pub struct Event {
     pub seq: u64,
     /// The completing task.
     pub task: TaskId,
-    /// The core it ran on. Doubles as the slab slot index: a core has at
-    /// most one event in flight.
+    /// The core it ran on; a core has at most one event in flight.
     pub core: CoreId,
 }
 
-impl Event {
+/// `total_cmp`'s transform: flips the magnitude bits of a negative `f64` so
+/// its bits compare as an `i64`. Its own inverse.
+#[inline]
+fn flip(b: i64) -> i64 {
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// A heap entry: the event with `(time, seq)` packed into one key, the time
+/// flipped and its sign bit toggled so the whole key compares as a `u128`.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: u128,
+    task: TaskId,
+    core: CoreId,
+}
+
+impl Entry {
     #[inline]
-    fn key_lt(&self, other: &Event) -> bool {
-        match self.time.total_cmp(&other.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
+    fn new(event: Event) -> Self {
+        let time = flip(event.time.to_bits() as i64) as u64 ^ 1 << 63;
+        Entry {
+            key: (time as u128) << 64 | event.seq as u128,
+            task: event.task,
+            core: event.core,
+        }
+    }
+
+    #[inline]
+    fn event(self) -> Event {
+        let time = flip(((self.key >> 64) as u64 ^ 1 << 63) as i64);
+        Event {
+            time: f64::from_bits(time as u64),
+            seq: self.key as u64,
+            task: self.task,
+            core: self.core,
         }
     }
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Event {}
@@ -68,15 +95,10 @@ impl Ord for Event {
     }
 }
 
-/// Min-heap of events keyed on `(time, seq)`, storing core indices into a
-/// preallocated per-core slab. `reset` reuses both allocations across runs.
+/// Min-heap of events on `(time, seq)`; `reset` keeps its allocation.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// One slot per core; slot `c` holds the in-flight event of core `c`
-    /// (stale once popped — the heap is the source of truth for liveness).
-    slab: Vec<Event>,
-    /// Heap of live slot indices, min on the slot's `(time, seq)`.
-    heap: Vec<u32>,
+    heap: Vec<Entry>,
 }
 
 impl EventQueue {
@@ -85,20 +107,10 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Clears the queue and sizes the slab for `num_cores` slots.
+    /// Clears the queue and makes room for one event per core.
     pub fn reset(&mut self, num_cores: usize) {
         self.heap.clear();
-        let filler = Event {
-            time: 0.0,
-            seq: 0,
-            task: TaskId(0),
-            core: CoreId(0),
-        };
-        self.slab.clear();
-        self.slab.resize(num_cores, filler);
-        if self.heap.capacity() < num_cores {
-            self.heap.reserve(num_cores - self.heap.capacity());
-        }
+        self.heap.reserve(num_cores);
     }
 
     /// Number of in-flight events.
@@ -115,63 +127,51 @@ impl EventQueue {
     /// event in flight (guaranteed by the simulator: a core runs one task at
     /// a time).
     pub fn push(&mut self, event: Event) {
-        let slot = event.core.index();
-        debug_assert!(slot < self.slab.len(), "core {slot} outside slab");
         debug_assert!(
-            !self.heap.contains(&(slot as u32)),
-            "core {slot} already has an event in flight"
+            self.heap.iter().all(|e| e.core != event.core),
+            "core {} already has an event in flight",
+            event.core.index()
         );
-        self.slab[slot] = event;
-        self.heap.push(slot as u32);
-        self.sift_up(self.heap.len() - 1);
+        let entry = Entry::new(event);
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
     /// Removes and returns the event with the smallest `(time, seq)`.
+    ///
+    /// Bottom-up: the root's hole walks to a leaf along the smaller children
+    /// (one compare a level), then the former last entry sifts up from there.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.heap.is_empty() {
-            return None;
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last.event());
+        };
+        let (n, mut hole, mut child) = (self.heap.len(), 0, 1);
+        while child + 1 < n {
+            child += (self.heap[child + 1].key < self.heap[child].key) as usize;
+            self.heap[hole] = self.heap[child];
+            (hole, child) = (child, 2 * child + 1);
         }
-        let top = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+        if child < n {
+            self.heap[hole] = self.heap[child];
+            hole = child;
         }
-        Some(self.slab[top as usize])
+        self.sift_up(hole, last);
+        Some(top.event())
     }
 
+    /// Moves the hole at `hole` up until `entry` fits, and fills it.
     #[inline]
-    fn lt(&self, a: u32, b: u32) -> bool {
-        self.slab[a as usize].key_lt(&self.slab[b as usize])
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !self.lt(self.heap[i], self.heap[parent]) {
+    fn sift_up(&mut self, mut hole: usize, entry: Entry) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if self.heap[parent].key <= entry.key {
                 break;
             }
-            self.heap.swap(i, parent);
-            i = parent;
+            self.heap[hole] = self.heap[parent];
+            hole = parent;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let mut best = left;
-            if right < n && self.lt(self.heap[right], self.heap[left]) {
-                best = right;
-            }
-            if !self.lt(self.heap[best], self.heap[i]) {
-                break;
-            }
-            self.heap.swap(i, best);
-            i = best;
-        }
+        self.heap[hole] = entry;
     }
 }
 
@@ -187,6 +187,89 @@ mod tests {
             task: TaskId(seq as usize),
             core: CoreId(core),
         }
+    }
+
+    /// Every class of `f64` a bit-pattern key could misplace, ascending in
+    /// `total_cmp` order: NaNs of both signs and payloads, ±∞, ±MAX, normal,
+    /// subnormal and zero values of both signs.
+    const EDGE_TIMES: [f64; 21] = [
+        f64::from_bits(u64::MAX),
+        -f64::NAN,
+        f64::from_bits(0xFFF0_0000_0000_0001),
+        f64::NEG_INFINITY,
+        f64::MIN,
+        -1e300,
+        -1.0,
+        -f64::MIN_POSITIVE,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        1e-300,
+        1.0,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::from_bits(0x7FF0_0000_0000_0001),
+        f64::NAN,
+        f64::from_bits(u64::MAX >> 1),
+    ];
+    const EDGE_SEQS: [u64; 5] = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX];
+
+    #[test]
+    fn key_order_is_total_cmp_then_seq() {
+        let events: Vec<Event> = EDGE_TIMES
+            .iter()
+            .flat_map(|&t| EDGE_SEQS.iter().map(move |&s| ev(t, s, 0)))
+            .collect();
+        for a in &events {
+            let back = Entry::new(*a).event();
+            assert_eq!(
+                (back.time.to_bits(), back.seq),
+                (a.time.to_bits(), a.seq),
+                "round trip of {a:?}"
+            );
+            for b in &events {
+                let want = a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq));
+                assert_eq!(
+                    Entry::new(*a).key.cmp(&Entry::new(*b).key),
+                    want,
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        // The table itself is ascending, so the test covers every neighbour.
+        assert!(EDGE_TIMES
+            .windows(2)
+            .all(|w| w[0].total_cmp(&w[1]) == Ordering::Less));
+    }
+
+    #[test]
+    fn event_equality_follows_the_order() {
+        for a in EDGE_TIMES {
+            for b in EDGE_TIMES {
+                for (x, y) in [(ev(a, 7, 0), ev(b, 7, 1)), (ev(a, 7, 0), ev(b, 8, 0))] {
+                    assert_eq!(x == y, x.cmp(&y) == Ordering::Equal, "{x:?} vs {y:?}");
+                }
+            }
+        }
+        let nan = ev(f64::NAN, 3, 0);
+        assert_eq!(nan, nan);
+        assert_ne!(ev(-0.0, 3, 0), ev(0.0, 3, 0));
+    }
+
+    #[test]
+    fn reset_reserves_for_the_larger_core_count() {
+        let mut q = EventQueue::new();
+        q.reset(20);
+        q.reset(32);
+        let capacity = q.heap.capacity();
+        assert!(capacity >= 32, "capacity {capacity}");
+        for core in 0..32 {
+            q.push(ev(core as f64, core as u64, core));
+        }
+        assert_eq!(q.heap.capacity(), capacity, "a push reallocated");
     }
 
     #[test]

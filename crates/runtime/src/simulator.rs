@@ -254,7 +254,7 @@ impl Simulator {
             policy_wall_ns += t.elapsed().as_nanos() as f64;
         }
 
-        // Reusable run state (queues, indegrees, idle stacks, event slab):
+        // Reusable run state (queues, indegrees, idle stacks, event heap):
         // reset, not reallocated, between cells of a sweep.
         let mut scratch_guard = self
             .scratch

@@ -1,7 +1,7 @@
 //! Allocation gate for a warmed simulator cell: the second
 //! `Simulator::run` of a spec allocates only what it returns and the
 //! per-run memory map — the run state (in-degrees, queues, idle stacks,
-//! event slab, link matrix) is reset in place, the TDG's flat view is
+//! event heap, link matrix) is reset in place, the TDG's flat view is
 //! memoised, and no task, access or event allocates. A reintroduced
 //! per-task allocation fails this test instead of a benchmark.
 //!

@@ -290,11 +290,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The indexed event queue (slab + index heap) agrees with a
+    /// The event queue (a heap of `u128`-keyed entries) agrees with a
     /// `BinaryHeap<Event>` on arbitrary interleavings of pushes and pops,
     /// with timestamps quantised so hard that most events tie and the `seq`
     /// tie-breaker decides the order — the invariant the simulator's
-    /// determinism rests on (event_queue_equivalence).
+    /// determinism rests on (event_queue_equivalence). Half the times are
+    /// drawn from the values a bit-pattern key could misplace (signed zeros,
+    /// a subnormal, ±∞, NaN, the extremes), and `seq` runs up near
+    /// `u64::MAX`, the key's low half.
     #[test]
     fn event_queue_equivalence(
         cores in 1usize..16,
@@ -305,11 +308,15 @@ proptest! {
         use numadag::runtime::{Event, EventQueue};
         use std::collections::BinaryHeap;
 
+        const EDGES: [f64; 9] = [
+            -0.0, 0.0, 5e-324, 1e-300, 1e300, f64::MAX, f64::INFINITY,
+            f64::NEG_INFINITY, f64::NAN,
+        ];
         let mut queue = EventQueue::new();
         queue.reset(cores);
         let mut reference: BinaryHeap<Event> = BinaryHeap::new();
         let mut free: Vec<usize> = (0..cores).rev().collect();
-        let mut seq = 0u64;
+        let mut seq = u64::MAX - 500;
         for (op, raw_time) in ops {
             let push = !free.is_empty() && (reference.is_empty() || op != 0);
             if push {
@@ -318,7 +325,11 @@ proptest! {
                     // Coarse quantisation: collisions on `time` are the
                     // common case, so `(time, seq)` ordering is what's
                     // actually exercised.
-                    time: (raw_time % time_levels) as f64,
+                    time: if raw_time < 500 {
+                        (raw_time % time_levels) as f64
+                    } else {
+                        EDGES[raw_time as usize % EDGES.len()]
+                    },
                     seq,
                     task: TaskId(seq as usize),
                     core: CoreId(free.pop().unwrap()),
@@ -329,7 +340,8 @@ proptest! {
                 let got = queue.pop().unwrap();
                 let want = reference.pop().unwrap();
                 prop_assert_eq!(got, want);
-                prop_assert_eq!(got.task, want.task);
+                prop_assert_eq!(got.time.to_bits(), want.time.to_bits());
+                prop_assert_eq!((got.task, got.core), (want.task, want.core));
                 free.push(got.core.index());
             }
         }
@@ -337,7 +349,8 @@ proptest! {
         while let Some(want) = reference.pop() {
             let got = queue.pop().unwrap();
             prop_assert_eq!(got, want);
-            prop_assert_eq!(got.task, want.task);
+            prop_assert_eq!(got.time.to_bits(), want.time.to_bits());
+            prop_assert_eq!((got.task, got.core), (want.task, want.core));
         }
         prop_assert!(queue.is_empty());
         prop_assert!(queue.pop().is_none());

@@ -46,7 +46,7 @@ impl SchedulingPolicy for EpPolicy {
         "EP"
     }
 
-    fn assign(&mut self, task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId {
+    fn assign(&mut self, task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketId {
         let num_sockets = locator.topology().num_sockets();
         let raw = self
             .placement
@@ -62,15 +62,16 @@ mod tests {
     use super::*;
     use crate::policy::MemoryLocator;
     use numadag_numa::{MemoryMap, Topology};
-    use numadag_tdg::{TaskDescriptor, TaskId, TaskSpec, TdgBuilder};
+    use numadag_tdg::{TaskDescriptor, TaskGraph, TaskId, TaskSpec, TdgBuilder};
 
-    fn dummy_task(id: usize) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(id),
-            kind: "t".into(),
-            work_units: 1.0,
-            accesses: vec![],
+    /// Task `id` of a graph of `id + 1` tasks without accesses, leaked so
+    /// the view can outlive the call.
+    fn dummy_task(id: usize) -> TaskDescriptor<'static> {
+        let mut graph = TaskGraph::new();
+        for _ in 0..=id {
+            graph.push_task("t", 1.0, &[], &[]);
         }
+        Box::leak(Box::new(graph)).task(TaskId(id))
     }
 
     #[test]

@@ -76,14 +76,14 @@ impl LasPolicy {
     /// RNG stream) is exactly [`SchedulingPolicy::assign`]'s.
     pub fn assign_biased(
         &mut self,
-        task: &TaskDescriptor,
+        task: &TaskDescriptor<'_>,
         locator: &dyn DataLocator,
         bias: Option<SocketId>,
     ) -> SocketId {
         let num_sockets = locator.topology().num_sockets();
         socket_weights_into(task, locator, &mut self.weights);
         let allocated = self.weights.total_allocated();
-        let total = allocated + self.weights.unallocated;
+        let total = allocated.saturating_add(self.weights.unallocated);
         let allocated_fraction = if total == 0 {
             0.0
         } else {
@@ -124,7 +124,7 @@ impl SchedulingPolicy for LasPolicy {
         "LAS"
     }
 
-    fn assign(&mut self, task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId {
+    fn assign(&mut self, task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketId {
         self.assign_biased(task, locator, None)
     }
 }
@@ -134,15 +134,13 @@ mod tests {
     use super::*;
     use crate::policy::MemoryLocator;
     use numadag_numa::{MemoryMap, NodeId, Topology};
-    use numadag_tdg::{DataAccess, TaskDescriptor, TaskId};
+    use numadag_tdg::{DataAccess, TaskDescriptor, TaskGraph, TaskId};
 
-    fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(0),
-            kind: "t".into(),
-            work_units: 1.0,
-            accesses,
-        }
+    /// The one task of a graph, leaked so the view can outlive the call.
+    fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor<'static> {
+        let mut graph = TaskGraph::new();
+        graph.push_task("t", 1.0, &accesses, &[]);
+        Box::leak(Box::new(graph)).task(TaskId(0))
     }
 
     #[test]

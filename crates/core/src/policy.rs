@@ -70,7 +70,7 @@ pub trait SchedulingPolicy: Send {
     fn prepare(&mut self, _graph: &Arc<TaskGraph>, _locator: &dyn DataLocator) {}
 
     /// Called when `task` becomes ready; returns the socket to run it on.
-    fn assign(&mut self, task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId;
+    fn assign(&mut self, task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketId;
 
     /// Partitioning cost accounting, if this policy partitions windows.
     /// `None` (the default) means the policy never runs a partitioner.

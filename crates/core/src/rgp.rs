@@ -30,7 +30,8 @@ use std::time::Instant;
 use numadag_graph::{partition as gp, AffinityCosts, PartitionTuning};
 use numadag_numa::SocketId;
 use numadag_tdg::{
-    window_to_csr, TaskDescriptor, TaskGraph, TaskId, TaskWindow, WindowConfig, WindowCursor,
+    clamp_weight, window_to_csr, window_weight_cap, TaskDescriptor, TaskGraph, TaskId, TaskWindow,
+    WindowConfig, WindowCursor,
 };
 
 use crate::factory::RgpTuning;
@@ -246,11 +247,14 @@ impl RgpPolicy {
             self.affinity.reset(window.len(), num_sockets);
         }
         if anchor.uses_homes() {
+            // A vertex's row of home anchors sums to at most the window's cap.
+            let cap = window_weight_cap(graph, window) / num_sockets as i64;
             for (v, t) in window.task_ids().enumerate() {
-                socket_weights_into(graph.task(t), locator, &mut self.home_weights);
+                socket_weights_into(&graph.task(t), locator, &mut self.home_weights);
                 for (s, &bytes) in self.home_weights.weights.iter().enumerate() {
                     if bytes > 0 && s < num_sockets {
-                        self.affinity.add(v as u32, s as u32, bytes as i64);
+                        self.affinity
+                            .add(v as u32, s as u32, clamp_weight(bytes, cap));
                         anchored = true;
                     }
                 }
@@ -340,7 +344,7 @@ impl SchedulingPolicy for RgpPolicy {
         }
     }
 
-    fn assign(&mut self, task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketId {
+    fn assign(&mut self, task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketId {
         if self.tuning.prop == Propagation::Repartition {
             // Close (and partition) every window up to the one holding this
             // task, then let biased LAS arbitrate between the window plan
@@ -449,7 +453,7 @@ mod tests {
         let t0 = graph.task(numadag_tdg::TaskId(0));
         let in_window = {
             let loc = MemoryLocator::new(&topo, &mem);
-            p.assign(t0, &loc)
+            p.assign(&t0, &loc)
         };
         assert_eq!(Some(in_window), p.window_socket_of(numadag_tdg::TaskId(0)));
         // A task beyond the window whose data is by now resident follows LAS:
@@ -461,7 +465,7 @@ mod tests {
         mem.place(regions[0], other.node());
         mem.place(regions[1], other.node());
         let loc = MemoryLocator::new(&topo, &mem);
-        let s = p.assign(late, &loc);
+        let s = p.assign(&late, &loc);
         assert_eq!(s, other, "LAS propagation must follow the allocated data");
     }
 
@@ -479,7 +483,7 @@ mod tests {
         p.prepare(&graph, &loc);
         // Tasks 2.. are outside the window; they cycle over sockets.
         let s: Vec<usize> = (2..6)
-            .map(|i| p.assign(graph.task(numadag_tdg::TaskId(i)), &loc).index())
+            .map(|i| p.assign(&graph.task(numadag_tdg::TaskId(i)), &loc).index())
             .collect();
         assert_eq!(s, vec![0, 1, 2, 3]);
     }
@@ -528,7 +532,7 @@ mod tests {
         p.prepare(&graph, &loc);
         assert_eq!(p.name(), "RGP+LAS");
         for t in graph.task_ids() {
-            assert_eq!(p.assign(graph.task(t), &loc), SocketId(0));
+            assert_eq!(p.assign(&graph.task(t), &loc), SocketId(0));
         }
     }
 
@@ -587,7 +591,7 @@ mod tests {
         assert!(p.window_socket_of(numadag_tdg::TaskId(0)).is_some());
         assert!(p.window_socket_of(numadag_tdg::TaskId(25)).is_none());
         // Assigning a task in the last window closes the middle one too.
-        p.assign(graph.task(numadag_tdg::TaskId(45)), &loc);
+        p.assign(&graph.task(numadag_tdg::TaskId(45)), &loc);
         assert_eq!(windows_placed(&p), 3);
         for t in graph.task_ids() {
             assert!(p.window_socket_of(t).is_some(), "task {t} uncovered");
@@ -616,7 +620,7 @@ mod tests {
         };
         let mut p = RgpPolicy::new(tuning, SEED);
         p.prepare(&graph, &loc);
-        p.assign(graph.task(numadag_tdg::TaskId(79)), &loc);
+        p.assign(&graph.task(numadag_tdg::TaskId(79)), &loc);
         assert_eq!(windows_placed(&p), 5);
         let sa = p.window_socket_of(numadag_tdg::TaskId(0)).unwrap();
         let sb = p.window_socket_of(numadag_tdg::TaskId(1)).unwrap();
@@ -652,7 +656,7 @@ mod tests {
         mem.place(regions[0], target.node());
         mem.place(regions[1], target.node());
         let loc = MemoryLocator::new(&topo, &mem);
-        let s = p.assign(graph.task(numadag_tdg::TaskId(39)), &loc);
+        let s = p.assign(&graph.task(numadag_tdg::TaskId(39)), &loc);
         assert_eq!(windows_placed(&p), 2);
         // The balance constraint caps how much of the window the anchors can
         // pull to one socket, but the final assignment must follow the

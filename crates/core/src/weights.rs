@@ -5,7 +5,7 @@
 //! and weights the sockets using the size of the allocated input and output
 //! data. Then, the task is scheduled to the socket with the highest weight."
 
-use numadag_numa::SocketId;
+use numadag_numa::{RegionId, SocketId};
 use numadag_tdg::TaskDescriptor;
 
 use crate::policy::DataLocator;
@@ -23,7 +23,7 @@ pub struct SocketWeights {
 impl SocketWeights {
     /// Total allocated bytes across all sockets.
     pub fn total_allocated(&self) -> u64 {
-        self.weights.iter().sum()
+        self.weights.iter().fold(0, |sum, &w| sum.saturating_add(w))
     }
 
     /// The sockets with the maximum weight (more than one on ties). Empty if
@@ -55,7 +55,7 @@ impl SocketWeights {
 /// Computes the socket weights of `task` given the current data placement.
 /// Every access (input and output alike) contributes its bytes to the sockets
 /// currently holding the region; unallocated bytes are tallied separately.
-pub fn socket_weights(task: &TaskDescriptor, locator: &dyn DataLocator) -> SocketWeights {
+pub fn socket_weights(task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketWeights {
     let mut out = SocketWeights::default();
     socket_weights_into(task, locator, &mut out);
     out
@@ -65,7 +65,7 @@ pub fn socket_weights(task: &TaskDescriptor, locator: &dyn DataLocator) -> Socke
 /// once per scheduled task, so the reuse keeps the assignment hot path free
 /// of allocations. Results are identical to [`socket_weights`] bit for bit.
 pub fn socket_weights_into(
-    task: &TaskDescriptor,
+    task: &TaskDescriptor<'_>,
     locator: &dyn DataLocator,
     out: &mut SocketWeights,
 ) {
@@ -73,14 +73,17 @@ pub fn socket_weights_into(
     out.weights.clear();
     out.weights.resize(num_sockets, 0);
     out.unallocated = 0;
-    for access in &task.accesses {
+    // Saturating: a task may declare more bytes than a `u64` can sum.
+    let accesses = task.accesses;
+    for (&region, &bytes) in accesses.regions().iter().zip(accesses.bytes()) {
         let weights = &mut out.weights;
-        out.unallocated +=
-            locator.access_shares(access.region, access.bytes, &mut |node, share| {
+        let unallocated =
+            locator.access_shares(RegionId(region as usize), bytes, &mut |node, share| {
                 if let Some(weight) = weights.get_mut(node.socket().index()) {
-                    *weight += share;
+                    *weight = weight.saturating_add(share);
                 }
             });
+        out.unallocated = out.unallocated.saturating_add(unallocated);
     }
 }
 
@@ -90,15 +93,13 @@ mod tests {
     use crate::policy::MemoryLocator;
     use numadag_numa::memory::NodeBytes;
     use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
-    use numadag_tdg::{DataAccess, TaskDescriptor, TaskId};
+    use numadag_tdg::{DataAccess, TaskDescriptor, TaskGraph, TaskId};
 
-    fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(0),
-            kind: "t".into(),
-            work_units: 1.0,
-            accesses,
-        }
+    /// The one task of a graph, leaked so the view can outlive the call.
+    fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor<'static> {
+        let mut graph = TaskGraph::new();
+        graph.push_task("t", 1.0, &accesses, &[]);
+        Box::leak(Box::new(graph)).task(TaskId(0))
     }
 
     #[test]

@@ -84,11 +84,12 @@ impl CsrGraph {
         Ok(g)
     }
 
-    /// Builds a graph from CSR arrays that are known to be valid (the
-    /// contraction path constructs symmetric sorted adjacency by design and
-    /// cannot afford the O(E·deg) symmetry check per level). Invariants are
-    /// still checked in debug builds.
-    pub(crate) fn from_parts_unchecked(
+    /// Builds a graph from CSR arrays that are known to be valid — symmetric
+    /// with equal weights, no self loops, positive weights — because their
+    /// producer builds them that way (the contraction path, the conversion
+    /// of a task window) and cannot afford the O(E·deg) symmetry check.
+    /// Invariants are still checked in debug builds.
+    pub fn from_parts_unchecked(
         xadj: Vec<usize>,
         adjncy: Vec<u32>,
         adjwgt: Vec<i64>,
@@ -108,74 +109,6 @@ impl CsrGraph {
     /// vwgt)`, the inverse of [`CsrGraph::from_parts`].
     pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<i64>, Vec<i64>) {
         (self.xadj, self.adjncy, self.adjwgt, self.vwgt)
-    }
-
-    /// Builds a graph from a flat list of undirected `(u, v, w)` edges with
-    /// exactly [`GraphBuilder`]'s semantics — self loops and non-positive
-    /// weights dropped, duplicate edges merged by weight addition, adjacency
-    /// sorted ascending — but through one sort over a vector instead of a
-    /// `BTreeMap` insertion per edge. `vwgt` must have `n` positive entries.
-    /// Produces a `CsrGraph` identical to the builder's for any input.
-    pub fn from_undirected_edges(
-        n: usize,
-        vwgt: Vec<i64>,
-        edges: &mut Vec<(u32, u32, i64)>,
-    ) -> Self {
-        assert_eq!(vwgt.len(), n);
-        edges.retain_mut(|e| {
-            if e.0 == e.1 || e.2 <= 0 {
-                return false;
-            }
-            assert!(
-                (e.0 as usize) < n && (e.1 as usize) < n,
-                "edge endpoint out of range"
-            );
-            if e.0 > e.1 {
-                std::mem::swap(&mut e.0, &mut e.1);
-            }
-            true
-        });
-        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        // Merge duplicates in place.
-        let mut m = 0usize;
-        for i in 0..edges.len() {
-            if m > 0 && edges[m - 1].0 == edges[i].0 && edges[m - 1].1 == edges[i].1 {
-                edges[m - 1].2 += edges[i].2;
-            } else {
-                edges[m] = edges[i];
-                m += 1;
-            }
-        }
-        edges.truncate(m);
-
-        let mut degree = vec![0usize; n];
-        for &(u, v, _) in edges.iter() {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut xadj = vec![0usize; n + 1];
-        for v in 0..n {
-            xadj[v + 1] = xadj[v] + degree[v];
-        }
-        let mut cursor = xadj.clone();
-        let mut adjncy = vec![0u32; m * 2];
-        let mut adjwgt = vec![0i64; m * 2];
-        for &(u, v, w) in edges.iter() {
-            adjncy[cursor[u as usize]] = v;
-            adjwgt[cursor[u as usize]] = w;
-            cursor[u as usize] += 1;
-            adjncy[cursor[v as usize]] = u;
-            adjwgt[cursor[v as usize]] = w;
-            cursor[v as usize] += 1;
-        }
-        let g = CsrGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        };
-        debug_assert!(g.validate().is_ok());
-        g
     }
 
     /// A graph with `n` isolated vertices of unit weight.

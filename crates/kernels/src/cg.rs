@@ -205,7 +205,6 @@ mod tests {
         let reduce = spec
             .graph
             .tasks()
-            .iter()
             .find(|t| t.kind == "reduce_alpha")
             .unwrap();
         assert_eq!(spec.graph.in_degree(reduce.id), p.blocks);
@@ -222,7 +221,6 @@ mod tests {
         let spmv1 = spec
             .graph
             .tasks()
-            .iter()
             .filter(|t| t.kind == "spmv")
             .nth(1)
             .unwrap();

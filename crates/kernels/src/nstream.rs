@@ -117,14 +117,15 @@ pub fn body<'a>(
     let scalar = params.scalar;
     move |task: TaskId| {
         let descriptor = spec.graph.task(task);
-        match descriptor.kind.as_str() {
-            "init_b" => store.write(descriptor.accesses[0].region.index(), |v| v.fill(1.0)),
-            "init_c" => store.write(descriptor.accesses[0].region.index(), |v| v.fill(2.0)),
-            "init_a" => store.write(descriptor.accesses[0].region.index(), |v| v.fill(0.0)),
+        let region = |i: usize| descriptor.accesses.regions()[i] as usize;
+        match descriptor.kind {
+            "init_b" => store.write(region(0), |v| v.fill(1.0)),
+            "init_c" => store.write(region(0), |v| v.fill(2.0)),
+            "init_a" => store.write(region(0), |v| v.fill(0.0)),
             "triad" => {
-                let b = store.snapshot(descriptor.accesses[0].region.index());
-                let c = store.snapshot(descriptor.accesses[1].region.index());
-                store.write(descriptor.accesses[2].region.index(), |a| {
+                let b = store.snapshot(region(0));
+                let c = store.snapshot(region(1));
+                store.write(region(2), |a| {
                     for i in 0..a.len() {
                         a[i] = b[i] + scalar * c[i];
                     }

@@ -146,7 +146,6 @@ mod tests {
         let geqrt_levels: Vec<usize> = spec
             .graph
             .tasks()
-            .iter()
             .filter(|t| t.kind == "geqrt")
             .map(|t| levels[t.id.index()])
             .collect();
@@ -160,12 +159,7 @@ mod tests {
     fn trailing_update_reads_panel_tiles() {
         let p = QrParams { nt: 3, tile_n: 8 };
         let spec = build(p, 2);
-        let tsmqr = spec
-            .graph
-            .tasks()
-            .iter()
-            .find(|t| t.kind == "tsmqr")
-            .unwrap();
+        let tsmqr = spec.graph.tasks().find(|t| t.kind == "tsmqr").unwrap();
         assert_eq!(tsmqr.accesses.len(), 4);
         assert!(tsmqr.bytes_read() > tsmqr.bytes_written());
     }

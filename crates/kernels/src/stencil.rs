@@ -177,9 +177,10 @@ pub fn jacobi_body<'a>(
     let nb = params.nb;
     move |task: TaskId| {
         let descriptor = spec.graph.task(task);
-        match descriptor.kind.as_str() {
+        let regions = descriptor.accesses.regions();
+        match descriptor.kind {
             "init" => {
-                let region = descriptor.accesses[0].region.index();
+                let region = regions[0] as usize;
                 let k = region % (nb * nb);
                 let value = initial_value(k / nb, k % nb);
                 store.write(region, |v| v.fill(value));
@@ -187,12 +188,11 @@ pub fn jacobi_body<'a>(
             "sweep" => {
                 // accesses[0] = own tile (read), accesses[1] = output tile,
                 // the rest are the neighbours.
-                let own = descriptor.accesses[0].region.index();
-                let out = descriptor.accesses[1].region.index();
+                let (own, out) = (regions[0] as usize, regions[1] as usize);
                 let mut sum = store.read(own, |v| v[0]);
                 let mut count = 1.0;
-                for access in &descriptor.accesses[2..] {
-                    sum += store.read(access.region.index(), |v| v[0]);
+                for &neighbour in &regions[2..] {
+                    sum += store.read(neighbour as usize, |v| v[0]);
                     count += 1.0;
                 }
                 let new = sum / count;
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn red_black_phases_alternate_colours() {
         let spec = build(Stencil::RedBlack, params(2, 4, 1), 2);
-        let kinds: Vec<&str> = spec.graph.tasks().iter().map(|t| t.kind.as_str()).collect();
+        let kinds: Vec<&str> = spec.graph.tasks().map(|t| t.kind).collect();
         // 4 inits, then 2 red tiles ((0,0), (1,1)), then 2 black tiles.
         assert_eq!(
             kinds,

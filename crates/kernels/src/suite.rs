@@ -253,7 +253,6 @@ mod tests {
                 }
             }
             for t in g.task_ids() {
-                let task = g.task(t);
                 let want = &successors[t.index()];
                 assert_eq!(&g.successors(t).collect::<Vec<_>>(), want, "{app} {t}");
                 assert!(
@@ -265,20 +264,19 @@ mod tests {
                     "{app} {t}"
                 );
                 assert_eq!(flat.in_degrees()[t.index()] as usize, g.in_degree(t));
-                let (regions, bytes) = flat.accesses(t);
-                assert!(
-                    regions
-                        .iter()
-                        .zip(bytes)
-                        .map(|(&r, &b)| (r as usize, b))
-                        .eq(task.accesses.iter().map(|a| (a.region.index(), a.bytes))),
-                    "{app} {t}"
-                );
-                assert_eq!(flat.work(t).to_bits(), task.work_units.to_bits());
             }
+            // The largest access per region, and every region accessed.
+            let mut max_bytes = vec![0; spec.num_regions()];
+            for access in g.tasks().flat_map(|t| t.accesses.iter()) {
+                let max = &mut max_bytes[access.region.index()];
+                *max = (*max).max(access.bytes);
+            }
+            let accessed = flat.region_max_bytes().len();
+            assert_eq!(flat.region_max_bytes(), &max_bytes[..accessed], "{app}");
+            assert!(max_bytes[accessed..].iter().all(|&b| b == 0), "{app}");
             assert_eq!(
-                flat.all_accesses().0.len(),
-                g.tasks().iter().map(|t| t.accesses.len()).sum::<usize>()
+                g.all_accesses().len(),
+                g.tasks().map(|t| t.accesses.len()).sum::<usize>()
             );
         }
     }

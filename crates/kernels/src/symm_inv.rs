@@ -196,7 +196,7 @@ mod tests {
     fn three_phases_are_chained_on_the_diagonal() {
         let p = SymmInvParams { nt: 3, tile_n: 8 };
         let spec = build(p, 2);
-        let kinds: Vec<&str> = spec.graph.tasks().iter().map(|t| t.kind.as_str()).collect();
+        let kinds: Vec<&str> = spec.graph.tasks().map(|t| t.kind).collect();
         // potrf of the first sweep appears before trtri_diag, which appears
         // before lauum_diag.
         let first_potrf = kinds.iter().position(|k| *k == "potrf").unwrap();
@@ -214,12 +214,7 @@ mod tests {
     fn gemm_updates_read_two_panel_tiles() {
         let p = SymmInvParams { nt: 4, tile_n: 8 };
         let spec = build(p, 4);
-        let gemm = spec
-            .graph
-            .tasks()
-            .iter()
-            .find(|t| t.kind == "gemm")
-            .unwrap();
+        let gemm = spec.graph.tasks().find(|t| t.kind == "gemm").unwrap();
         assert_eq!(gemm.accesses.len(), 3);
         assert_eq!(gemm.bytes_written(), (8 * 8 * 8) as u64);
     }

@@ -45,13 +45,12 @@
 //! envelope key ([`is_spec_line`]) and decodes everything else as a
 //! [`ToWorker`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use numadag_numa::Hex64;
 use numadag_runtime::framing::{push_wire_u64, read_wire_u64};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
-use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
+use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::{MemorySink, TraceEvent};
 use serde::{Deserialize, Serialize};
 use serde_json::{Reader, Token};
@@ -229,11 +228,11 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     use std::fmt::Write as _;
 
     let graph = &spec.graph;
-    let tasks = graph.tasks();
-    let accesses: usize = tasks.iter().map(|task| task.accesses.len()).sum();
+    let (kinds, kind) = graph.kind_table();
+    let accesses = graph.all_accesses();
     // A little over 4 bytes per number on the eight paper applications.
-    let numbers = 4 * tasks.len()
-        + 3 * accesses
+    let numbers = 4 * graph.num_tasks()
+        + 3 * accesses.len()
         + 2 * graph.num_edges()
         + spec.region_sizes.len()
         + spec.ep_socket.as_ref().map_or(0, Vec::len);
@@ -244,30 +243,23 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     out.push_str("\"name\":");
     push_json_str(&mut out, &spec.name);
 
-    // The string table first (in order of first appearance), remembering
-    // each task's index into it for the `kind` column.
-    let mut kind_index: HashMap<&str, u64> = HashMap::new();
-    let mut kind_column = Vec::with_capacity(tasks.len());
+    // The graph's kind table is the string table: every kind once, in
+    // order of first appearance.
     open_column(&mut out, "kinds");
-    for task in tasks {
-        let next = kind_index.len() as u64;
-        let index = *kind_index.entry(task.kind.as_str()).or_insert_with(|| {
-            push_json_str(&mut out, &task.kind);
-            out.push(',');
-            next
-        });
-        kind_column.push(index);
+    for name in kinds {
+        push_json_str(&mut out, name);
+        out.push(',');
     }
     close_column(&mut out);
 
     open_column(&mut out, "kind");
-    for index in kind_column {
-        push_entry(&mut out, index);
+    for &index in kind {
+        push_entry(&mut out, u64::from(index));
     }
     close_column(&mut out);
 
     open_column(&mut out, "work");
-    for task in tasks {
+    for task in graph.tasks() {
         if let Some(work) = integral_work(task.work_units) {
             push_entry(&mut out, work);
         } else if task.work_units.is_finite() {
@@ -280,35 +272,28 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     close_column(&mut out);
 
     open_column(&mut out, "n_acc");
-    for task in tasks {
+    for task in graph.tasks() {
         push_entry(&mut out, task.accesses.len() as u64);
     }
     close_column(&mut out);
 
     open_column(&mut out, "n_dep");
-    for task in tasks {
-        push_entry(&mut out, graph.predecessors(task.id).len() as u64);
+    for task in graph.task_ids() {
+        push_entry(&mut out, graph.predecessors(task).len() as u64);
     }
     close_column(&mut out);
 
     open_column(&mut out, "acc");
-    for access in tasks.iter().flat_map(|task| &task.accesses) {
+    for access in accesses.iter() {
         push_entry(&mut out, access.region.0 as u64);
-        push_entry(
-            &mut out,
-            match access.mode {
-                AccessMode::In => 0,
-                AccessMode::Out => 1,
-                AccessMode::InOut => 2,
-            },
-        );
+        push_entry(&mut out, access.mode.code());
         push_entry(&mut out, access.bytes);
     }
     close_column(&mut out);
 
     open_column(&mut out, "dep");
-    for task in tasks {
-        for &(pred, bytes) in graph.predecessors(task.id) {
+    for task in graph.task_ids() {
+        for &(pred, bytes) in graph.predecessors(task) {
             push_entry(&mut out, pred.0 as u64);
             push_entry(&mut out, bytes);
         }
@@ -568,7 +553,7 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
     let mut graph = TaskGraph::new();
     let mut acc = acc.chunks_exact(3);
     let mut dep = dep.chunks_exact(2);
-    let mut deps = Vec::new();
+    let (mut accesses, mut deps) = (Vec::new(), Vec::new());
     for index in 0..tasks {
         let kind = kinds.get(kind[index] as usize).ok_or_else(|| {
             format!(
@@ -579,34 +564,24 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
         })?;
         let work_units =
             work[index].ok_or_else(|| format!("spec.work[{index}] is not a number"))?;
-        let accesses = acc
-            .by_ref()
-            .take(n_acc[index] as usize)
-            .map(|entry| {
-                let (region, mode, bytes) = (entry[0], entry[1], entry[2]);
-                if region >= regions.len() as u64 {
-                    return Err(format!(
-                        "task {index} accesses region {region}, the region table has {} entries",
-                        regions.len()
-                    ));
-                }
-                let mode = match mode {
-                    0 => AccessMode::In,
-                    1 => AccessMode::Out,
-                    2 => AccessMode::InOut,
-                    other => {
-                        return Err(format!(
-                            "task {index} has access mode {other}, expected 0, 1 or 2"
-                        ))
-                    }
-                };
-                Ok(DataAccess {
-                    region: numadag_numa::RegionId(region as usize),
-                    mode,
-                    bytes,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        accesses.clear();
+        for entry in acc.by_ref().take(n_acc[index] as usize) {
+            let (region, mode, bytes) = (entry[0], entry[1], entry[2]);
+            if region >= regions.len() as u64 {
+                return Err(format!(
+                    "task {index} accesses region {region}, the region table has {} entries",
+                    regions.len()
+                ));
+            }
+            let mode = AccessMode::from_code(mode).ok_or_else(|| {
+                format!("task {index} has access mode {mode}, expected 0, 1 or 2")
+            })?;
+            accesses.push(DataAccess {
+                region: numadag_numa::RegionId(region as usize),
+                mode,
+                bytes,
+            });
+        }
         deps.clear();
         for entry in dep.by_ref().take(n_dep[index] as usize) {
             let (pred, bytes) = (entry[0], entry[1]);
@@ -622,15 +597,7 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
             }
             deps.push((TaskId(pred as usize), bytes));
         }
-        graph.push_task(
-            TaskDescriptor {
-                id: TaskId(index),
-                kind: kind.clone(),
-                work_units,
-                accesses,
-            },
-            &deps,
-        );
+        graph.push_task(kind, work_units, &accesses, &deps);
     }
 
     let mut spec = TaskGraphSpec::new(name, graph, regions);
@@ -748,39 +715,46 @@ mod tests {
         assert!(ToCoordinator::from_value(&parse(TO_WORKER_LINES[4])).is_err());
     }
 
-    fn task(
-        index: usize,
+    fn push(
+        graph: &mut TaskGraph,
         kind: &str,
         work_units: f64,
         accesses: &[(usize, AccessMode, u64)],
-    ) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(index),
-            kind: kind.to_string(),
-            work_units,
-            accesses: accesses
-                .iter()
-                .map(|&(region, mode, bytes)| DataAccess {
-                    region: numadag_numa::RegionId(region),
-                    mode,
-                    bytes,
-                })
-                .collect(),
-        }
+        deps: &[(TaskId, u64)],
+    ) -> TaskId {
+        let accesses: Vec<DataAccess> = accesses
+            .iter()
+            .map(|&(region, mode, bytes)| DataAccess {
+                region: numadag_numa::RegionId(region),
+                mode,
+                bytes,
+            })
+            .collect();
+        graph.push_task(kind, work_units, &accesses, deps)
     }
 
     /// Two writers and a reader of both: every column has an entry.
     fn sample_spec() -> TaskGraphSpec {
         let mut graph = TaskGraph::new();
-        let a = graph.push_task(task(0, "init", 3.5, &[(0, AccessMode::Out, 1 << 20)]), &[]);
-        let b = graph.push_task(task(1, "init", 0.25, &[(1, AccessMode::InOut, 4096)]), &[]);
-        graph.push_task(
-            task(
-                2,
-                "use",
-                7.0,
-                &[(0, AccessMode::In, 1 << 20), (1, AccessMode::In, 4096)],
-            ),
+        let a = push(
+            &mut graph,
+            "init",
+            3.5,
+            &[(0, AccessMode::Out, 1 << 20)],
+            &[],
+        );
+        let b = push(
+            &mut graph,
+            "init",
+            0.25,
+            &[(1, AccessMode::InOut, 4096)],
+            &[],
+        );
+        push(
+            &mut graph,
+            "use",
+            7.0,
+            &[(0, AccessMode::In, 1 << 20), (1, AccessMode::In, 4096)],
             &[(a, 1 << 20), (b, 4096)],
         );
         TaskGraphSpec::new("wire-spec", graph, vec![1 << 20, 4096]).with_ep_placement(vec![1, 0, 1])
@@ -919,7 +893,7 @@ mod tests {
         assert_eq!(decoded.region_sizes, spec.region_sizes);
         assert_eq!(decoded.ep_socket, spec.ep_socket);
         assert_eq!(decoded.graph.num_edges(), spec.graph.num_edges());
-        for (got, want) in decoded.graph.tasks().iter().zip(spec.graph.tasks()) {
+        for (got, want) in decoded.graph.tasks().zip(spec.graph.tasks()) {
             assert_eq!((got.id, &got.kind), (want.id, &want.kind));
             assert_eq!(got.work_units.to_bits(), want.work_units.to_bits());
             assert_eq!(got.accesses, want.accesses);
@@ -1095,9 +1069,12 @@ mod tests {
         // Byte counts the f64 behind a JSON number cannot hold travel as hex.
         let big = [1u64 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
         let mut graph = TaskGraph::new();
-        let first = graph.push_task(task(0, "big", 1.0, &[(0, AccessMode::Out, big[1])]), &[]);
-        graph.push_task(
-            task(1, "big", 1.0, &[(1, AccessMode::InOut, big[3])]),
+        let first = push(&mut graph, "big", 1.0, &[(0, AccessMode::Out, big[1])], &[]);
+        push(
+            &mut graph,
+            "big",
+            1.0,
+            &[(1, AccessMode::InOut, big[3])],
             &[(first, big[2])],
         );
         let huge = TaskGraphSpec::new("huge", graph, vec![big[0], big[3]]);
@@ -1121,8 +1098,8 @@ mod tests {
             (1u64 << 53) as f64 + 2.0,
         ];
         let mut graph = TaskGraph::new();
-        for (index, work) in works.iter().enumerate() {
-            graph.push_task(task(index, "w", *work, &[]), &[]);
+        for work in &works {
+            push(&mut graph, "w", *work, &[], &[]);
         }
         assert_spec_round_trips(&TaskGraphSpec::new("works", graph, vec![]));
 
@@ -1133,18 +1110,15 @@ mod tests {
 
         // Strings the line must escape.
         let mut graph = TaskGraph::new();
-        for (index, kind) in [
+        for kind in [
             "quo\"te",
             "back\\slash",
             "new\nline",
             "ünï∑ 🦀",
             "",
             "quo\"te",
-        ]
-        .iter()
-        .enumerate()
-        {
-            graph.push_task(task(index, kind, 1.0, &[]), &[]);
+        ] {
+            push(&mut graph, kind, 1.0, &[], &[]);
         }
         assert_spec_round_trips(&TaskGraphSpec::new("na\"me\\with\nall ∑", graph, vec![]));
     }
@@ -1153,7 +1127,7 @@ mod tests {
     fn a_spec_with_work_that_json_cannot_carry_is_refused_not_mangled() {
         for work in [f64::NAN, f64::INFINITY] {
             let mut graph = TaskGraph::new();
-            graph.push_task(task(0, "w", work, &[]), &[]);
+            push(&mut graph, "w", work, &[], &[]);
             let err = decode_both_ways(&encode_spec(&TaskGraphSpec::new("nan", graph, vec![])))
                 .unwrap_err();
             assert_eq!(

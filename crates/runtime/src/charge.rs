@@ -2,7 +2,7 @@
 //! bookkeeping the simulator and the threaded executor share.
 
 use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
-use numadag_tdg::TaskId;
+use numadag_tdg::{Accesses, TaskId};
 use numadag_trace::{MemorySink, TraceEvent};
 
 /// Moves every byte `task`, running on `node` at time `now`, accesses
@@ -13,8 +13,7 @@ use numadag_trace::{MemorySink, TraceEvent};
 /// `sink`, a `Traffic` event is emitted — access by access, home by home,
 /// in declaration order.
 ///
-/// `accesses` are the task's `(region, bytes)` columns from the TDG's flat
-/// view. Deferred allocation has run, so no share is without a home.
+/// `accesses` are the task's access columns, read off the TDG. Deferred allocation has run, so no share is without a home.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn charge_accesses(
@@ -23,13 +22,13 @@ pub(crate) fn charge_accesses(
     sink: Option<&MemorySink>,
     link: &mut [u64],
     task: TaskId,
-    (regions, bytes): (&[u32], &[u64]),
+    accesses: Accesses<'_>,
     node: NodeId,
     now: f64,
     mut moved: impl FnMut(u64, u32),
 ) {
     let num_nodes = topology.num_nodes();
-    for (&region, &access_bytes) in regions.iter().zip(bytes) {
+    for (&region, &access_bytes) in accesses.regions().iter().zip(accesses.bytes()) {
         memory.access_shares(RegionId(region as usize), access_bytes, |home, share| {
             if share == 0 {
                 return;

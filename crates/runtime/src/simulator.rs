@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use numadag_core::{MemoryLocator, SchedulingPolicy};
 use numadag_numa::{CoreId, CostTransferTable, MemoryMap, SocketId};
-use numadag_tdg::{FlatTdg, TaskGraphSpec, TaskId};
+use numadag_tdg::{FlatTdg, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::TraceEvent;
 
 use crate::charge::charge_accesses;
@@ -86,7 +86,7 @@ pub struct Simulator {
 /// run's memory state, clocks and report accumulators.
 struct Run<'a> {
     sim: &'a Simulator,
-    flat: &'a FlatTdg,
+    graph: &'a TaskGraph,
     memory: MemoryMap,
     report: ExecutionReport,
     busy_count: &'a mut [usize],
@@ -106,7 +106,7 @@ impl Run<'_> {
         let sink = sim.config.trace_sink.as_deref();
         let socket = topo.socket_of(core);
         let node = socket.node();
-        let accesses = self.flat.accesses(task);
+        let row = self.graph.task(task);
 
         if let Some(sink) = sink {
             sink.record(TraceEvent::Start {
@@ -119,8 +119,12 @@ impl Run<'_> {
         }
 
         // Deferred allocation / first touch on the executing node.
-        let placed =
-            apply_deferred_allocation(&mut self.memory, &mut self.report.traffic, accesses.0, node);
+        let placed = apply_deferred_allocation(
+            &mut self.memory,
+            &mut self.report.traffic,
+            row.accesses.regions(),
+            node,
+        );
         self.report.deferred_bytes += placed;
         if let Some(sink) = sink.filter(|_| placed > 0) {
             sink.record(TraceEvent::DeferredAlloc {
@@ -140,14 +144,14 @@ impl Run<'_> {
             sink,
             self.link,
             task,
-            accesses,
+            row.accesses,
             node,
             now,
             |bytes, distance| memory_time += sim.transfer.transfer_time(bytes, distance),
         );
         // Bandwidth contention between the cores of this socket.
         let concurrent = self.busy_count[socket.index()] + 1;
-        let duration = cost.compute_time(self.flat.work(task))
+        let duration = cost.compute_time(row.work_units)
             + memory_time * cost.contention_multiplier(concurrent);
 
         self.busy_count[socket.index()] += 1;
@@ -273,7 +277,7 @@ impl Simulator {
 
         let mut run = Run {
             sim: self,
-            flat,
+            graph: &spec.graph,
             memory,
             report: ExecutionReport {
                 workload: spec.name.clone(),
@@ -300,7 +304,7 @@ impl Simulator {
             let t = stage_timing.then(std::time::Instant::now);
             let locator = MemoryLocator::new(topo, &run.memory);
             for &task in ready {
-                let socket = policy.assign(spec.graph.task(task), &locator);
+                let socket = policy.assign(&spec.graph.task(task), &locator);
                 debug_assert!(socket.index() < num_sockets);
                 sockets.push(socket, task);
                 if let Some(sink) = sink {

@@ -113,7 +113,7 @@ impl ThreadedExecutor {
         for &task in &sources {
             let socket = {
                 let locator = MemoryLocator::new(topo, &shared.memory);
-                shared.policy.assign(spec.graph.task(task), &locator)
+                shared.policy.assign(&spec.graph.task(task), &locator)
             };
             shared.queues[socket.index()].push_back(task);
             if let Some(sink) = sink {
@@ -230,9 +230,10 @@ fn worker_loop(
                         // Deferred allocation happens when the task is picked
                         // up by the socket that will actually run it.
                         let node = my_socket.node();
-                        let accesses = spec.graph.flat().accesses(task);
+                        let accesses = spec.graph.task(task).accesses;
                         let Shared { memory, stats, .. } = &mut *s;
-                        let placed = apply_deferred_allocation(memory, stats, accesses.0, node);
+                        let placed =
+                            apply_deferred_allocation(memory, stats, accesses.regions(), node);
                         s.deferred_bytes += placed;
                         if let Some(sink) = sink.filter(|_| placed > 0) {
                             sink.record(TraceEvent::DeferredAlloc {
@@ -299,7 +300,7 @@ fn worker_loop(
             let socket = {
                 let Shared { memory, policy, .. } = &mut *s;
                 let locator = MemoryLocator::new(topo, memory);
-                policy.assign(spec.graph.task(ready), &locator)
+                policy.assign(&spec.graph.task(ready), &locator)
             };
             s.queues[socket.index()].push_back(ready);
             if let Some(sink) = sink {
@@ -417,12 +418,10 @@ mod tests {
             exec.run(&spec, policy, &|t| {
                 let task = spec.graph.task(t);
                 if task.kind == "leaf" {
-                    let out = task.accesses[0].region.index();
+                    let out = task.accesses.regions()[0] as usize;
                     *values[out].lock() = 1.0;
                 } else {
-                    let a = task.accesses[0].region.index();
-                    let b = task.accesses[1].region.index();
-                    let out = task.accesses[2].region.index();
+                    let [a, b, out] = [0, 1, 2].map(|i| task.accesses.regions()[i] as usize);
                     let sum = *values[a].lock() + *values[b].lock();
                     *values[out].lock() = sum;
                 }

@@ -9,7 +9,7 @@ use numadag_numa::RegionId;
 
 use crate::deps::DependencyTracker;
 use crate::graph::TaskGraph;
-use crate::task::{TaskDescriptor, TaskId, TaskSpec};
+use crate::task::{TaskId, TaskSpec};
 
 /// Incrementally builds a [`TaskGraph`] (and the associated region table)
 /// from task submissions.
@@ -67,14 +67,8 @@ impl TdgBuilder {
         let id = TaskId(self.graph.num_tasks());
         self.tracker
             .register_into(id, &spec.accesses, &mut self.deps);
-        let descriptor = TaskDescriptor {
-            id,
-            kind: spec.kind,
-            work_units: spec.work_units,
-            accesses: spec.accesses,
-        };
-        self.graph.push_task(descriptor, &self.deps);
-        id
+        self.graph
+            .push_task(&spec.kind, spec.work_units, &spec.accesses, &self.deps)
     }
 
     /// Number of tasks submitted so far.

@@ -10,6 +10,10 @@
 //! trade edge cut against affinity to the fixed data homes.
 //! Vertex weights are the task compute costs, so the balance constraint of
 //! the partitioner balances *work*, not just task counts.
+//!
+//! Every weight is capped per window ([`window_weight_cap`]) so that no sum
+//! the partitioner forms over a window — cut, gains, part weights, merged
+//! vertices — can overflow `i64`, however large the dependences are.
 
 use numadag_graph::CsrGraph;
 
@@ -39,8 +43,25 @@ pub struct CrossEdge {
     pub vertex: u32,
     /// The already-placed predecessor task (its id is below `window.start`).
     pub predecessor: TaskId,
-    /// Dependence byte count, clamped to at least 1 like in-window edges.
+    /// Dependence byte count, clamped like in-window edges.
     pub bytes: i64,
+}
+
+/// The largest weight any vertex, edge, cross edge or per-vertex anchor row
+/// of `window` is given: `i64::MAX / 8` shared out over the window's tasks
+/// and dependence entries, so the sum of every weight of the window — and
+/// any gain or total the partitioner derives from them — stays far from
+/// overflow. A window of the paper's applications caps at tens of terabytes,
+/// far above any of its dependences.
+pub fn window_weight_cap(graph: &TaskGraph, window: &TaskWindow) -> i64 {
+    let entries = graph.window_edge_entries(window) + window.len() + 1;
+    (i64::MAX / 8) / i64::try_from(entries).unwrap_or(i64::MAX)
+}
+
+/// `bytes` as a partitioner weight under `cap`: saturated into `i64`, then
+/// clamped to `1..=cap`. Never smaller for more bytes.
+pub fn clamp_weight(bytes: u64, cap: i64) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX).clamp(1, cap)
 }
 
 /// Converts the tasks of `window` into an undirected [`CsrGraph`].
@@ -51,33 +72,47 @@ pub struct CrossEdge {
 /// * Dependences from tasks before the window are returned as
 ///   [`CrossEdge`]s rather than graph edges: their endpoints are already
 ///   placed, so they are anchors, not free vertices.
+///
+/// Each row is filled straight from the TDG: the vertex's in-window
+/// predecessors, then its in-window successors, both ascending — a sorted
+/// row, and without repeats since the TDG keeps one edge per task pair.
 pub fn window_to_csr(graph: &TaskGraph, window: &TaskWindow) -> WindowGraph {
-    let tasks: Vec<TaskId> = window.task_ids().collect();
-    let base = window.start.index();
-    let mut vwgt = Vec::with_capacity(tasks.len());
-    let mut edges: Vec<(u32, u32, i64)> = Vec::new();
+    let (base, end) = (window.start.index(), window.end.index());
+    let flat = graph.flat();
+    let cap = window_weight_cap(graph, window);
+    let mut xadj = Vec::with_capacity(window.len() + 1);
+    xadj.push(0);
+    let mut adjncy = Vec::with_capacity(graph.window_edge_entries(window));
+    let mut adjwgt = Vec::with_capacity(adjncy.capacity());
+    let mut vwgt = Vec::with_capacity(window.len());
     let mut cross_edges = Vec::new();
-    for (v, &t) in tasks.iter().enumerate() {
-        vwgt.push(graph.task(t).work_units.ceil().max(1.0) as i64);
-        for (succ, bytes) in graph.successors(t) {
-            if window.contains(succ) {
-                let u = succ.index() - base;
-                edges.push((v as u32, u as u32, (bytes as i64).max(1)));
-            }
-        }
+    for (v, t) in window.task_ids().enumerate() {
+        let work = graph.task(t).work_units.ceil().max(1.0);
+        vwgt.push((work as i64).min(cap));
         for &(pred, bytes) in graph.predecessors(t) {
             if pred.index() < base {
                 cross_edges.push(CrossEdge {
                     vertex: v as u32,
                     predecessor: pred,
-                    bytes: (bytes as i64).max(1),
+                    bytes: clamp_weight(bytes, cap),
                 });
+            } else {
+                adjncy.push((pred.index() - base) as u32);
+                adjwgt.push(clamp_weight(bytes, cap));
             }
         }
+        for (&succ, &bytes) in flat.successors(t).iter().zip(flat.successor_bytes(t)) {
+            if succ as usize >= end {
+                break;
+            }
+            adjncy.push(succ - base as u32);
+            adjwgt.push(clamp_weight(bytes, cap));
+        }
+        xadj.push(adjncy.len());
     }
     WindowGraph {
-        graph: CsrGraph::from_undirected_edges(tasks.len(), vwgt, &mut edges),
-        tasks,
+        graph: CsrGraph::from_parts_unchecked(xadj, adjncy, adjwgt, vwgt),
+        tasks: window.task_ids().collect(),
         cross_edges,
     }
 }

@@ -3,19 +3,34 @@
 use std::sync::OnceLock;
 
 use crate::plan::WindowPlans;
-use crate::task::{AccessMode, TaskDescriptor, TaskId};
+use crate::task::{AccessMode, Accesses, DataAccess, TaskDescriptor, TaskId};
+use crate::window::TaskWindow;
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
 /// edges carry the number of bytes of data flowing (or being serialised)
 /// between the two tasks.
 ///
-/// Tasks only ever gain edges from earlier tasks, so the predecessor lists
-/// are stored as one append-only CSR; everything keyed the other way round
-/// (successors) or read once per simulated task (access columns, work,
-/// in-degrees) lives in the derived [`FlatTdg`] view.
+/// Tasks are stored as columns, one entry per task — an index into the
+/// table of distinct kinds, the work units, and the offsets of the task's
+/// run in the access columns (region, mode, bytes) — so a built graph is a
+/// dozen flat arrays whatever its size, and [`TaskGraph::task`] hands out a
+/// borrowed [`TaskDescriptor`] view of one row. Tasks only ever gain edges
+/// from earlier tasks, so the predecessor lists are one append-only CSR;
+/// everything keyed the other way round (successors, in-degrees) lives in
+/// the derived [`FlatTdg`] view.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
-    tasks: Vec<TaskDescriptor>,
+    /// The distinct kinds, in order of first appearance.
+    kinds: Vec<Box<str>>,
+    /// Per task: the index of its kind in `kinds`, and its work units.
+    kind: Vec<u32>,
+    work: Vec<f64>,
+    /// `access_*[access_offsets[t]..access_offsets[t + 1]]` are the accesses
+    /// of task `t`, in declaration order.
+    access_offsets: Vec<u32>,
+    access_regions: Vec<u32>,
+    access_modes: Vec<AccessMode>,
+    access_bytes: Vec<u64>,
     /// `pred_edges[pred_offsets[t]..pred_offsets[t + 1]]` = (predecessor
     /// task, bytes) of task `t`, ascending and deduplicated.
     pred_offsets: Vec<u32>,
@@ -34,7 +49,13 @@ pub struct TaskGraph {
 impl Default for TaskGraph {
     fn default() -> Self {
         TaskGraph {
-            tasks: Vec::new(),
+            kinds: Vec::new(),
+            kind: Vec::new(),
+            work: Vec::new(),
+            access_offsets: vec![0],
+            access_regions: Vec::new(),
+            access_modes: Vec::new(),
+            access_bytes: Vec::new(),
             pred_offsets: vec![0],
             pred_edges: Vec::new(),
             flat: OnceLock::new(),
@@ -89,33 +110,26 @@ impl Fnv1a {
     }
 }
 
-/// The flat, executor-facing view of a [`TaskGraph`]: what an event loop
-/// reads per task, as dense columns instead of per-task heap vectors.
-/// Obtained from [`TaskGraph::flat`]; element for element equal to the
-/// graph's own accessors.
+/// The facts an executor derives from a [`TaskGraph`]'s columns once and
+/// reads per task or per cell: the successor CSR, the in-degrees, the
+/// acyclicity verdict and the largest access per region. Obtained from
+/// [`TaskGraph::flat`]; element for element equal to the graph's own
+/// accessors. The task columns themselves are read off the graph.
 #[derive(Clone, Debug)]
 pub struct FlatTdg {
     succ_offsets: Vec<u32>,
     succ_targets: Vec<u32>,
     succ_bytes: Vec<u64>,
     in_degrees: Vec<u32>,
-    access_offsets: Vec<u32>,
-    access_regions: Vec<u32>,
-    access_bytes: Vec<u64>,
-    work: Vec<f64>,
+    /// `region_max_bytes[r]` = the largest byte count of an access to
+    /// region `r`; one entry per region up to the largest one accessed.
+    region_max_bytes: Vec<u64>,
     acyclic: bool,
 }
 
 impl FlatTdg {
     fn build(graph: &TaskGraph) -> FlatTdg {
-        let n = graph.tasks.len();
-        let total_accesses: usize = graph.tasks.iter().map(|t| t.accesses.len()).sum();
-        // Edge counts already fit (`push_task` checks the offsets it pushes).
-        assert!(
-            n.max(total_accesses) <= u32::MAX as usize,
-            "TDG exceeds u32 column indices"
-        );
-
+        let n = graph.num_tasks();
         // Successors: a counting sort of the predecessor CSR by source.
         // Visiting targets in ascending order leaves every successor list
         // ascending, like the per-task pushes it replaces.
@@ -140,18 +154,13 @@ impl FlatTdg {
             }
         }
 
-        let mut access_offsets = Vec::with_capacity(n + 1);
-        access_offsets.push(0);
-        let mut access_regions = Vec::with_capacity(total_accesses);
-        let mut access_bytes = Vec::with_capacity(total_accesses);
-        for task in &graph.tasks {
-            for access in &task.accesses {
-                // An index beyond u32 cannot name a region of any real
-                // table; saturating keeps it out of range for validation.
-                access_regions.push(u32::try_from(access.region.index()).unwrap_or(u32::MAX));
-                access_bytes.push(access.bytes);
+        let mut region_max_bytes = Vec::new();
+        for (&region, &bytes) in graph.access_regions.iter().zip(&graph.access_bytes) {
+            let region = region as usize;
+            if region >= region_max_bytes.len() {
+                region_max_bytes.resize(region + 1, 0);
             }
-            access_offsets.push(access_regions.len() as u32);
+            region_max_bytes[region] = region_max_bytes[region].max(bytes);
         }
 
         FlatTdg {
@@ -159,17 +168,14 @@ impl FlatTdg {
             succ_targets,
             succ_bytes,
             in_degrees: graph.pred_offsets.windows(2).map(|w| w[1] - w[0]).collect(),
-            access_offsets,
-            access_regions,
-            access_bytes,
-            work: graph.tasks.iter().map(|t| t.work_units).collect(),
+            region_max_bytes,
             acyclic,
         }
     }
 
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
-        self.work.len()
+        self.in_degrees.len()
     }
 
     /// The tasks depending on `task`, ascending.
@@ -191,29 +197,11 @@ impl FlatTdg {
         &self.in_degrees
     }
 
-    /// The `(region, bytes)` columns of `task`'s accesses, in declaration
-    /// order: `regions[i]` is the index of the region the `i`-th access
-    /// touches, `bytes[i]` how much of it.
-    #[inline]
-    pub fn accesses(&self, task: TaskId) -> (&[u32], &[u64]) {
-        let t = task.index();
-        let range = self.access_offsets[t] as usize..self.access_offsets[t + 1] as usize;
-        (
-            &self.access_regions[range.clone()],
-            &self.access_bytes[range],
-        )
-    }
-
-    /// The `(region, bytes)` columns of every access of every task, in task
-    /// order.
-    pub fn all_accesses(&self) -> (&[u32], &[u64]) {
-        (&self.access_regions, &self.access_bytes)
-    }
-
-    /// Work units of `task`.
-    #[inline]
-    pub fn work(&self, task: TaskId) -> f64 {
-        self.work[task.index()]
+    /// The largest byte count of any access to each region, indexed by
+    /// region up to the largest region accessed (0 for a region no task
+    /// touches): what a region table must cover for every access to fit.
+    pub fn region_max_bytes(&self) -> &[u64] {
+        &self.region_max_bytes
     }
 
     /// The memoised verdict of [`TaskGraph::is_acyclic`].
@@ -230,7 +218,7 @@ impl TaskGraph {
 
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.work.len()
     }
 
     /// Number of (deduplicated) dependence edges.
@@ -240,22 +228,58 @@ impl TaskGraph {
 
     /// True if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.work.is_empty()
     }
 
-    /// The task descriptor for `id`.
-    pub fn task(&self, id: TaskId) -> &TaskDescriptor {
-        &self.tasks[id.index()]
+    /// The task `id`: a view of its row of the task columns.
+    #[inline]
+    pub fn task(&self, id: TaskId) -> TaskDescriptor<'_> {
+        let t = id.index();
+        let range = self.access_offsets[t] as usize..self.access_offsets[t + 1] as usize;
+        TaskDescriptor {
+            id,
+            kind: &self.kinds[self.kind[t] as usize],
+            work_units: self.work[t],
+            accesses: Accesses {
+                regions: &self.access_regions[range.clone()],
+                modes: &self.access_modes[range.clone()],
+                bytes: &self.access_bytes[range],
+            },
+        }
     }
 
-    /// All task descriptors in submission order.
-    pub fn tasks(&self) -> &[TaskDescriptor] {
-        &self.tasks
+    /// All tasks in submission order.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = TaskDescriptor<'_>> + '_ {
+        self.task_ids().map(|t| self.task(t))
     }
 
     /// All task ids in submission order.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        (0..self.tasks.len()).map(TaskId)
+    pub fn task_ids(&self) -> impl ExactSizeIterator<Item = TaskId> {
+        (0..self.num_tasks()).map(TaskId)
+    }
+
+    /// The kind table — every distinct kind once, in order of first
+    /// appearance — and each task's index into it, in task order.
+    pub fn kind_table(&self) -> (&[Box<str>], &[u32]) {
+        (&self.kinds, &self.kind)
+    }
+
+    /// Every access of every task, in task order.
+    pub fn all_accesses(&self) -> Accesses<'_> {
+        Accesses {
+            regions: &self.access_regions,
+            modes: &self.access_modes,
+            bytes: &self.access_bytes,
+        }
+    }
+
+    /// How many predecessor and successor entries the tasks of `window`
+    /// have: a bound on the edge and cross-edge entries of its CSR.
+    pub(crate) fn window_edge_entries(&self, window: &TaskWindow) -> usize {
+        let (start, end) = (window.start.index(), window.end.index());
+        let flat = self.flat();
+        (self.pred_offsets[end] - self.pred_offsets[start] + flat.succ_offsets[end]
+            - flat.succ_offsets[start]) as usize
     }
 
     /// The flat view of the graph, built on the first call after the last
@@ -304,32 +328,53 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Appends a task and its dependence edges. `deps` is a list of
-    /// `(predecessor, bytes)`; duplicates are merged by adding bytes.
-    /// Intended to be called by [`crate::builder::TdgBuilder`], but public so
-    /// synthetic graphs can be assembled directly in tests and benches.
+    /// Appends a task — its kind, work units and accesses — with its
+    /// dependence edges, and returns its id (the next dense one). `deps` is
+    /// a list of `(predecessor, bytes)`; duplicates are merged by adding
+    /// bytes (saturating). Intended to be called by
+    /// [`crate::builder::TdgBuilder`], but public so synthetic graphs can be
+    /// assembled directly in tests and benches.
+    ///
+    /// A kind is looked up in the kind table by a scan, which suits the
+    /// handful of task kinds an application defines.
     ///
     /// # Panics
-    /// Panics if the descriptor's id is not the next dense id, or if a
-    /// dependence refers to a not-yet-submitted task (which would create a
-    /// cycle).
-    pub fn push_task(&mut self, descriptor: TaskDescriptor, deps: &[(TaskId, u64)]) -> TaskId {
-        let id = descriptor.id;
-        assert_eq!(
-            id.index(),
-            self.tasks.len(),
-            "tasks must be pushed in dense submission order"
-        );
+    /// Panics if a dependence refers to a not-yet-submitted task (which
+    /// would create a cycle), or if a region index or a column outgrows
+    /// `u32`.
+    pub fn push_task(
+        &mut self,
+        kind: &str,
+        work_units: f64,
+        accesses: &[DataAccess],
+        deps: &[(TaskId, u64)],
+    ) -> TaskId {
+        let id = TaskId(self.num_tasks());
         for &(pred, _) in deps {
-            assert!(
-                pred.index() < self.tasks.len(),
-                "dependence on not-yet-submitted task {pred:?}"
-            );
-            assert_ne!(pred, id, "a task cannot depend on itself");
+            assert!(pred < id, "dependence on not-yet-submitted task {pred:?}");
         }
         self.flat.take();
         self.fold.take();
         self.plans.clear();
+        let kind = match self.kinds.iter().rposition(|known| **known == *kind) {
+            Some(index) => index,
+            None => {
+                self.kinds.push(kind.into());
+                self.kinds.len() - 1
+            }
+        };
+        self.kind.push(kind as u32);
+        self.work.push(work_units);
+        for access in accesses {
+            self.access_regions.push(
+                u32::try_from(access.region.index()).expect("TDG exceeds u32 region indices"),
+            );
+            self.access_modes.push(access.mode);
+            self.access_bytes.push(access.bytes);
+        }
+        self.access_offsets.push(
+            u32::try_from(self.access_regions.len()).expect("TDG exceeds u32 access indices"),
+        );
         // A task has a handful of predecessors: sort the pairs in place at
         // the tail of the edge array and fold duplicates into the first of
         // each run.
@@ -340,7 +385,8 @@ impl TaskGraph {
         for i in start..self.pred_edges.len() {
             let (pred, bytes) = self.pred_edges[i];
             if kept > start && self.pred_edges[kept - 1].0 == pred {
-                self.pred_edges[kept - 1].1 += bytes;
+                let merged = &mut self.pred_edges[kept - 1].1;
+                *merged = merged.saturating_add(bytes);
             } else {
                 self.pred_edges[kept] = (pred, bytes);
                 kept += 1;
@@ -349,7 +395,6 @@ impl TaskGraph {
         self.pred_edges.truncate(kept);
         self.pred_offsets
             .push(u32::try_from(kept).expect("TDG exceeds u32 edge indices"));
-        self.tasks.push(descriptor);
         id
     }
 
@@ -381,17 +426,13 @@ impl TaskGraph {
         let mut h = Fnv1a(state);
         h.write_u64(self.num_tasks() as u64);
         h.write_u64(self.num_edges() as u64);
-        for task in &self.tasks {
-            h.write_str(&task.kind);
+        for task in self.tasks() {
+            h.write_str(task.kind);
             h.write_u64(task.work_units.to_bits());
             h.write_u64(task.accesses.len() as u64);
-            for access in &task.accesses {
+            for access in task.accesses.iter() {
                 h.write_u64(access.region.index() as u64);
-                h.write_u64(match access.mode {
-                    AccessMode::In => 0,
-                    AccessMode::Out => 1,
-                    AccessMode::InOut => 2,
-                });
+                h.write_u64(access.mode.code());
                 h.write_u64(access.bytes);
             }
         }
@@ -410,7 +451,7 @@ impl TaskGraph {
 
     /// Total work units of all tasks.
     pub fn total_work(&self) -> f64 {
-        self.tasks.iter().map(|t| t.work_units).sum()
+        self.work.iter().sum()
     }
 
     /// Bytes on the edge `from → to`, if present.
@@ -440,7 +481,7 @@ impl TaskGraph {
                 .iter()
                 .map(|(p, _)| finish[p.index()])
                 .fold(0.0f64, f64::max);
-            finish[t.index()] = start + self.task(t).work_units;
+            finish[t.index()] = start + self.work[t.index()];
         }
         finish.into_iter().fold(0.0f64, f64::max)
     }
@@ -477,25 +518,25 @@ impl TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{DataAccess, TaskDescriptor};
+    use crate::task::DataAccess;
     use numadag_numa::RegionId;
 
-    fn task(id: usize, work: f64) -> TaskDescriptor {
-        TaskDescriptor {
-            id: TaskId(id),
-            kind: format!("t{id}"),
-            work_units: work,
-            accesses: vec![DataAccess::write(RegionId(id), 8)],
-        }
+    /// Pushes task `id` of kind `t{id}`, writing 8 bytes of region `id`.
+    fn push(g: &mut TaskGraph, id: usize, work: f64, deps: &[(TaskId, u64)]) {
+        let access = [DataAccess::write(RegionId(id), 8)];
+        assert_eq!(
+            g.push_task(&format!("t{id}"), work, &access, deps),
+            TaskId(id)
+        );
     }
 
     /// Diamond: 0 → {1, 2} → 3.
     fn diamond() -> TaskGraph {
         let mut g = TaskGraph::new();
-        g.push_task(task(0, 1.0), &[]);
-        g.push_task(task(1, 2.0), &[(TaskId(0), 100)]);
-        g.push_task(task(2, 3.0), &[(TaskId(0), 200)]);
-        g.push_task(task(3, 1.0), &[(TaskId(1), 100), (TaskId(2), 200)]);
+        push(&mut g, 0, 1.0, &[]);
+        push(&mut g, 1, 2.0, &[(TaskId(0), 100)]);
+        push(&mut g, 2, 3.0, &[(TaskId(0), 200)]);
+        push(&mut g, 3, 1.0, &[(TaskId(1), 100), (TaskId(2), 200)]);
         g
     }
 
@@ -532,10 +573,25 @@ mod tests {
     #[test]
     fn duplicate_dependences_are_merged() {
         let mut g = TaskGraph::new();
-        g.push_task(task(0, 1.0), &[]);
-        g.push_task(task(1, 1.0), &[(TaskId(0), 100), (TaskId(0), 50)]);
+        push(&mut g, 0, 1.0, &[]);
+        push(&mut g, 1, 1.0, &[(TaskId(0), 100), (TaskId(0), 50)]);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_bytes(TaskId(0), TaskId(1)), Some(150));
+        push(&mut g, 2, 1.0, &[(TaskId(1), u64::MAX), (TaskId(1), 2)]);
+        assert_eq!(g.edge_bytes(TaskId(1), TaskId(2)), Some(u64::MAX));
+    }
+
+    #[test]
+    fn kinds_are_interned_in_order_of_first_appearance() {
+        let mut g = TaskGraph::new();
+        for kind in ["b", "a", "b", "c", "a"] {
+            g.push_task(kind, 1.0, &[], &[]);
+        }
+        let (table, index) = g.kind_table();
+        assert_eq!(table, [Box::from("b"), Box::from("a"), Box::from("c")]);
+        assert_eq!(index, [0, 1, 0, 2, 1]);
+        let kinds: Vec<&str> = g.tasks().map(|t| t.kind).collect();
+        assert_eq!(kinds, ["b", "a", "b", "c", "a"]);
     }
 
     #[test]
@@ -549,17 +605,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dense submission order")]
-    fn out_of_order_push_rejected() {
-        let mut g = TaskGraph::new();
-        g.push_task(task(1, 1.0), &[]);
-    }
-
-    #[test]
     #[should_panic(expected = "not-yet-submitted")]
     fn forward_dependence_rejected() {
         let mut g = TaskGraph::new();
-        g.push_task(task(0, 1.0), &[(TaskId(5), 8)]);
+        push(&mut g, 0, 1.0, &[(TaskId(0), 8)]);
     }
 
     /// The nested successor lists `push_task` kept before the flat view
@@ -580,14 +629,15 @@ mod tests {
     }
 
     /// Checks the flat view (and the accessors reading it) against the
-    /// descriptors, the predecessor lists and `successors`, element for
+    /// task views, the predecessor lists and `successors`, element for
     /// element.
     fn assert_flat_matches(g: &TaskGraph, successors: &[Vec<(TaskId, u64)>]) {
         let flat = g.flat();
         assert_eq!(flat.num_tasks(), g.num_tasks());
         assert!(flat.is_acyclic());
-        let (all_regions, all_bytes) = flat.all_accesses();
+        let all = g.all_accesses();
         let mut seen_accesses = 0;
+        let mut region_max_bytes = Vec::new();
         for t in g.task_ids() {
             let task = g.task(t);
             let want = &successors[t.index()];
@@ -606,22 +656,18 @@ mod tests {
                 flat.in_degrees()[t.index()] as usize,
                 g.predecessors(t).len()
             );
-            let (regions, access_bytes) = flat.accesses(t);
-            let want_regions: Vec<u32> = task
-                .accesses
-                .iter()
-                .map(|a| a.region.index() as u32)
-                .collect();
-            let want_bytes: Vec<u64> = task.accesses.iter().map(|a| a.bytes).collect();
-            assert_eq!(regions, want_regions, "access regions of {t}");
-            assert_eq!(access_bytes, want_bytes, "access bytes of {t}");
-            let range = seen_accesses..seen_accesses + regions.len();
-            assert_eq!(&all_regions[range.clone()], regions);
-            assert_eq!(&all_bytes[range], access_bytes);
-            seen_accesses += regions.len();
-            assert_eq!(flat.work(t).to_bits(), task.work_units.to_bits());
+            for (i, access) in task.accesses.iter().enumerate() {
+                assert_eq!(all.get(seen_accesses + i), access, "access {i} of {t}");
+                let r = access.region.index();
+                if r >= region_max_bytes.len() {
+                    region_max_bytes.resize(r + 1, 0);
+                }
+                region_max_bytes[r] = region_max_bytes[r].max(access.bytes);
+            }
+            seen_accesses += task.accesses.len();
         }
-        assert_eq!(all_regions.len(), seen_accesses);
+        assert_eq!(all.len(), seen_accesses);
+        assert_eq!(flat.region_max_bytes(), region_max_bytes);
     }
 
     proptest::proptest! {
@@ -642,15 +688,14 @@ mod tests {
                 } else {
                     raw_deps.iter().map(|&(p, b)| (TaskId(p % t), b)).collect()
                 };
-                let descriptor = TaskDescriptor {
-                    id: TaskId(t),
-                    kind: "t".into(),
-                    work_units: *work as f64 * 0.5,
-                    accesses: (0..*accesses)
-                        .map(|a| DataAccess::read(RegionId((t * 7 + a) % 13), (t + a) as u64))
-                        .collect(),
-                };
-                g.push_task(descriptor, &task_deps);
+                let accesses: Vec<DataAccess> = (0..*accesses)
+                    .map(|a| DataAccess::read(RegionId((t * 7 + a) % 13), (t + a) as u64))
+                    .collect();
+                let work = *work as f64 * 0.5;
+                g.push_task("t", work, &accesses, &task_deps);
+                let task = g.task(TaskId(t));
+                proptest::prop_assert_eq!((task.kind, task.work_units), ("t", work));
+                proptest::prop_assert!(task.accesses.iter().eq(accesses));
                 deps.push(task_deps);
             }
             assert_flat_matches(&g, &nested_successors(&deps));
@@ -664,18 +709,19 @@ mod tests {
         let mut g = diamond();
         assert_eq!(g.flat().num_tasks(), 4);
         assert!(g.flat().successors(TaskId(3)).is_empty());
-        g.push_task(task(4, 2.0), &[(TaskId(3), 64), (TaskId(0), 8)]);
+        push(&mut g, 4, 2.0, &[(TaskId(3), 64), (TaskId(0), 8)]);
         let flat = g.flat();
         assert_eq!(flat.num_tasks(), 5);
         assert_eq!(flat.successors(TaskId(3)), [4]);
         assert_eq!(flat.successors(TaskId(0)), [1, 2, 4]);
         assert_eq!(flat.successor_bytes(TaskId(0)), [100, 200, 8]);
         assert_eq!(flat.in_degrees(), [0, 1, 1, 2, 2]);
-        assert_eq!(flat.work(TaskId(4)), 2.0);
+        assert_eq!(g.task(TaskId(4)).work_units, 2.0);
+        assert_eq!(flat.region_max_bytes(), [8; 5]);
         assert_eq!(g.sinks(), vec![TaskId(4)]);
         // A clone carries (or rebuilds) a view of its own.
         let mut copy = g.clone();
-        copy.push_task(task(5, 1.0), &[(TaskId(4), 1)]);
+        push(&mut copy, 5, 1.0, &[(TaskId(4), 1)]);
         assert_eq!(copy.flat().num_tasks(), 6);
         assert_eq!(g.flat().num_tasks(), 5);
     }

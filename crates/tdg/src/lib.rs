@@ -37,9 +37,9 @@ pub mod task;
 pub mod window;
 
 pub use builder::TdgBuilder;
-pub use convert::{window_to_csr, CrossEdge, WindowGraph};
+pub use convert::{clamp_weight, window_to_csr, window_weight_cap, CrossEdge, WindowGraph};
 pub use graph::{FlatTdg, Fnv1a, TaskGraph};
 pub use plan::WindowPlan;
 pub use spec::TaskGraphSpec;
-pub use task::{AccessMode, DataAccess, TaskDescriptor, TaskId, TaskSpec};
+pub use task::{AccessMode, Accesses, DataAccess, TaskDescriptor, TaskId, TaskSpec};
 pub use window::{TaskWindow, WindowConfig, WindowCursor};

@@ -255,10 +255,7 @@ mod tests {
         assert_eq!(copy.plans.remembered(), 0);
         assert_eq!(copy.window_plan_counts(), (0, 0));
 
-        let id = TaskId(g.num_tasks());
-        let mut tail = g.task(TaskId(0)).clone();
-        tail.id = id;
-        g.push_task(tail, &[(TaskId(0), 8)]);
+        g.push_task("tail", 1.0, &[], &[(TaskId(0), 8)]);
         assert_eq!(g.plans.remembered(), 0);
         let after = g.window_plan(&window, &config);
         assert!(!Arc::ptr_eq(&before, &after));

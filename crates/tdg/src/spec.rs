@@ -106,8 +106,9 @@ impl TaskGraphSpec {
     ///
     /// Executors call this once per cell, so the verdict comes from the
     /// graph's [`FlatTdg`](crate::graph::FlatTdg) view — the memoised
-    /// acyclicity and one pass over the flat access columns; only a failing
-    /// spec is walked task by task, to say what is wrong with it.
+    /// acyclicity, and the largest access per region against the region
+    /// table, O(regions); only a failing spec is walked task by task, to say
+    /// what is wrong with it.
     pub fn validate(&self) -> Result<(), String> {
         if self.is_valid() {
             return Ok(());
@@ -119,13 +120,13 @@ impl TaskGraphSpec {
     /// The verdict of [`TaskGraphSpec::validate`] without the diagnosis.
     fn is_valid(&self) -> bool {
         let flat = self.graph.flat();
-        let (regions, bytes) = flat.all_accesses();
-        let sizes = &self.region_sizes;
-        // No early exit: a valid spec (the only kind worth being fast for)
-        // is scanned to the end anyway, and the loop stays branch-free.
-        let accesses_fit = regions.iter().zip(bytes).fold(true, |ok, (&r, &b)| {
-            ok & sizes.get(r as usize).is_some_and(|&size| b <= size)
-        });
+        let max_bytes = flat.region_max_bytes();
+        // Every accessed region is in the table and no access outgrows it.
+        let accesses_fit = max_bytes.len() <= self.region_sizes.len()
+            && max_bytes
+                .iter()
+                .zip(&self.region_sizes)
+                .all(|(max, size)| max <= size);
         let ep_covers = self
             .ep_socket
             .as_ref()
@@ -140,7 +141,7 @@ impl TaskGraphSpec {
             return Err("task graph has a cycle".to_string());
         }
         for task in self.graph.tasks() {
-            for access in &task.accesses {
+            for access in task.accesses.iter() {
                 let idx = access.region.index();
                 if idx >= self.region_sizes.len() {
                     return Err(format!(
@@ -319,10 +320,10 @@ mod tests {
         h.write_u64(spec.graph.num_tasks() as u64);
         h.write_u64(spec.graph.num_edges() as u64);
         for task in spec.graph.tasks() {
-            h.write_str(&task.kind);
+            h.write_str(task.kind);
             h.write_u64(task.work_units.to_bits());
             h.write_u64(task.accesses.len() as u64);
-            for access in &task.accesses {
+            for access in task.accesses.iter() {
                 h.write_u64(access.region.index() as u64);
                 h.write_u64(match access.mode {
                     crate::task::AccessMode::In => 0,
@@ -393,15 +394,7 @@ mod tests {
         let mut graph = (*spec.graph).clone();
         let grown = |graph: &TaskGraph| TaskGraphSpec::new("toy", graph.clone(), vec![128, 256]);
         assert_eq!(grown(&graph).fingerprint(), fp);
-        graph.push_task(
-            crate::task::TaskDescriptor {
-                id: TaskId(3),
-                kind: "tail".into(),
-                work_units: 1.0,
-                accesses: Vec::new(),
-            },
-            &[(TaskId(2), 8)],
-        );
+        graph.push_task("tail", 1.0, &[], &[(TaskId(2), 8)]);
         let after = grown(&graph);
         assert_ne!(after.fingerprint(), fp);
         assert_eq!(after.fingerprint(), reference_fingerprint(&after));
@@ -421,7 +414,7 @@ mod tests {
             placed in 0u8..2,
         ) {
             let name = &"abcdef"[..name_len];
-            use crate::task::{DataAccess, TaskDescriptor};
+            use crate::task::DataAccess;
             use numadag_numa::RegionId;
             let mut graph = TaskGraph::new();
             for (t, (deps, accesses, work)) in tasks.iter().enumerate() {
@@ -430,19 +423,14 @@ mod tests {
                     .filter(|_| t > 0)
                     .map(|&(p, b)| (TaskId(p % t.max(1)), b))
                     .collect();
-                let descriptor = TaskDescriptor {
-                    id: TaskId(t),
-                    kind: format!("k{}", t % 3),
-                    work_units: *work as f64 * 0.25,
-                    accesses: (0..*accesses)
-                        .map(|a| match a % 3 {
-                            0 => DataAccess::read(RegionId((t + a) % 7), (t * a) as u64),
-                            1 => DataAccess::write(RegionId((t + a) % 7), t as u64),
-                            _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
-                        })
-                        .collect(),
-                };
-                graph.push_task(descriptor, &deps);
+                let accesses: Vec<DataAccess> = (0..*accesses)
+                    .map(|a| match a % 3 {
+                        0 => DataAccess::read(RegionId((t + a) % 7), (t * a) as u64),
+                        1 => DataAccess::write(RegionId((t + a) % 7), t as u64),
+                        _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
+                    })
+                    .collect();
+                graph.push_task(&format!("k{}", t % 3), *work as f64 * 0.25, &accesses, &deps);
             }
             let n = graph.num_tasks();
             let mut spec = TaskGraphSpec::new(name, graph, (0..7).map(|r| r * 100).collect());

@@ -1,6 +1,7 @@
 //! Task descriptors and data accesses.
 
 use numadag_numa::RegionId;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a task within one [`crate::graph::TaskGraph`]. Tasks are
@@ -34,14 +35,27 @@ impl fmt::Display for TaskId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum AccessMode {
     /// The task only reads the region (`in`).
-    In,
+    In = 0,
     /// The task overwrites the region without reading it (`out`).
-    Out,
+    Out = 1,
     /// The task reads and writes the region (`inout`).
-    InOut,
+    InOut = 2,
 }
 
 impl AccessMode {
+    /// The mode's number in fingerprints and on the wire: 0 `in`, 1 `out`,
+    /// 2 `inout`.
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The mode numbered `code` by [`AccessMode::code`], if any.
+    pub fn from_code(code: u64) -> Option<AccessMode> {
+        [AccessMode::In, AccessMode::Out, AccessMode::InOut]
+            .get(usize::try_from(code).ok()?)
+            .copied()
+    }
+
     /// True if the access reads the previous contents of the region.
     pub fn reads(self) -> bool {
         matches!(self, AccessMode::In | AccessMode::InOut)
@@ -94,22 +108,23 @@ impl DataAccess {
 }
 
 /// A task: a fragment of sequential code with a compute cost estimate and a
-/// list of data accesses.
-#[derive(Clone, PartialEq, Debug)]
-pub struct TaskDescriptor {
+/// list of data accesses. A view of one row of the graph's task columns,
+/// handed out by value by [`TaskGraph::task`](crate::TaskGraph::task).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct TaskDescriptor<'a> {
     /// Dense id of the task within its graph.
     pub id: TaskId,
     /// Human-readable kind (e.g. `"potrf"`, `"jacobi_sweep"`). Used by
     /// traces, the expert-programmer policy and the benchmark reports.
-    pub kind: String,
+    pub kind: &'a str,
     /// Compute cost estimate in abstract work units (translated to time by
     /// the cost model). Must be non-negative.
     pub work_units: f64,
-    /// Data accesses of the task.
-    pub accesses: Vec<DataAccess>,
+    /// Data accesses of the task, in declaration order.
+    pub accesses: Accesses<'a>,
 }
 
-impl TaskDescriptor {
+impl TaskDescriptor<'_> {
     /// Total bytes the task reads (modes `in` and `inout`).
     pub fn bytes_read(&self) -> u64 {
         self.accesses
@@ -131,7 +146,58 @@ impl TaskDescriptor {
     /// Total bytes the task touches (each access counted once, `inout`
     /// counted once).
     pub fn bytes_touched(&self) -> u64 {
-        self.accesses.iter().map(|a| a.bytes).sum()
+        self.accesses.bytes.iter().sum()
+    }
+}
+
+/// A run of data accesses as three parallel columns (region index, mode,
+/// bytes): one task's accesses, or every access of a graph in task order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Accesses<'a> {
+    pub(crate) regions: &'a [u32],
+    pub(crate) modes: &'a [AccessMode],
+    pub(crate) bytes: &'a [u64],
+}
+
+impl<'a> Accesses<'a> {
+    /// Number of accesses.
+    pub fn len(&self) -> usize {
+        self.regions.len()
+    }
+
+    /// True if there are no accesses.
+    pub fn is_empty(&self) -> bool {
+        self.regions.is_empty()
+    }
+
+    /// The `i`-th access.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> DataAccess {
+        DataAccess {
+            region: RegionId(self.regions[i] as usize),
+            mode: self.modes[i],
+            bytes: self.bytes[i],
+        }
+    }
+
+    /// The accesses in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DataAccess> + 'a {
+        let this = *self;
+        (0..this.len()).map(move |i| this.get(i))
+    }
+
+    /// The region index column: `regions()[i]` is the region the `i`-th
+    /// access touches.
+    pub fn regions(&self) -> &'a [u32] {
+        self.regions
+    }
+
+    /// The byte column: `bytes()[i]` is how much of its region the `i`-th
+    /// access touches.
+    pub fn bytes(&self) -> &'a [u64] {
+        self.bytes
     }
 }
 
@@ -139,8 +205,8 @@ impl TaskDescriptor {
 /// been assigned by the builder.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct TaskSpec {
-    /// Human readable kind.
-    pub kind: String,
+    /// Human readable kind; a literal kind is not copied.
+    pub kind: Cow<'static, str>,
     /// Compute cost estimate in work units.
     pub work_units: f64,
     /// Data accesses.
@@ -149,7 +215,7 @@ pub struct TaskSpec {
 
 impl TaskSpec {
     /// Starts a task specification of the given kind.
-    pub fn new(kind: impl Into<String>) -> Self {
+    pub fn new(kind: impl Into<Cow<'static, str>>) -> Self {
         TaskSpec {
             kind: kind.into(),
             work_units: 0.0,
@@ -199,16 +265,18 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let t = TaskDescriptor {
-            id: TaskId(0),
-            kind: "gemm".into(),
-            work_units: 10.0,
-            accesses: vec![
-                DataAccess::read(RegionId(0), 100),
-                DataAccess::read(RegionId(1), 200),
-                DataAccess::read_write(RegionId(2), 300),
-            ],
-        };
+        let mut g = crate::TaskGraph::new();
+        let accesses = [
+            DataAccess::read(RegionId(0), 100),
+            DataAccess::read(RegionId(1), 200),
+            DataAccess::read_write(RegionId(2), 300),
+        ];
+        g.push_task("gemm", 10.0, &accesses, &[]);
+        let t = g.task(TaskId(0));
+        assert_eq!((t.kind, t.work_units), ("gemm", 10.0));
+        assert!(t.accesses.iter().eq(accesses));
+        assert_eq!(t.accesses.get(2), accesses[2]);
+        assert_eq!(t.accesses.regions(), [0, 1, 2]);
         assert_eq!(t.bytes_read(), 600);
         assert_eq!(t.bytes_written(), 300);
         assert_eq!(t.bytes_touched(), 600);

@@ -378,7 +378,7 @@ mod tests {
     /// Chain 0 → 1 → 2 on one core, gap-free (the degenerate serial
     /// schedule where the critical path must equal the makespan).
     fn serial_trace() -> (Trace, TaskGraph) {
-        use numadag_tdg::{DataAccess, TaskDescriptor};
+        use numadag_tdg::DataAccess;
         let mut graph = TaskGraph::new();
         for t in 0..3 {
             let deps: Vec<(TaskId, u64)> = if t == 0 {
@@ -387,12 +387,9 @@ mod tests {
                 vec![(TaskId(t - 1), 8)]
             };
             graph.push_task(
-                TaskDescriptor {
-                    id: TaskId(t),
-                    kind: "step".into(),
-                    work_units: 10.0,
-                    accesses: vec![DataAccess::read_write(numadag_numa::RegionId(0), 8)],
-                },
+                "step",
+                10.0,
+                &[DataAccess::read_write(numadag_numa::RegionId(0), 8)],
                 &deps,
             );
         }
@@ -456,16 +453,13 @@ mod tests {
     fn core_busy_links_are_classified() {
         // Two independent tasks forced onto one core: the second is bound by
         // core occupancy, not by a dependence.
-        use numadag_tdg::{DataAccess, TaskDescriptor};
+        use numadag_tdg::DataAccess;
         let mut graph = TaskGraph::new();
         for t in 0..2 {
             graph.push_task(
-                TaskDescriptor {
-                    id: TaskId(t),
-                    kind: "independent".into(),
-                    work_units: 5.0,
-                    accesses: vec![DataAccess::write(numadag_numa::RegionId(t), 8)],
-                },
+                "independent",
+                5.0,
+                &[DataAccess::write(numadag_numa::RegionId(t), 8)],
                 &[],
             );
         }

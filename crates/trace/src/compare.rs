@@ -207,7 +207,7 @@ impl Trace {
             }
             task_deltas.push(TaskDelta {
                 task: TaskId(t),
-                kind: graph.task(TaskId(t)).kind.clone(),
+                kind: graph.task(TaskId(t)).kind.to_string(),
                 socket_self: a.socket.index(),
                 socket_other: b.socket.index(),
                 duration_self: a.duration(),
@@ -297,28 +297,17 @@ fn per_region_flows(trace: &Trace) -> Vec<(u64, u64)> {
 mod tests {
     use super::*;
     use numadag_numa::{CoreId, NodeId, RegionId, SocketId};
-    use numadag_tdg::{DataAccess, TaskDescriptor};
+    use numadag_tdg::DataAccess;
 
     /// Two tasks, 0 → 1; variant A runs both on socket 0 (all local),
     /// variant B runs task 1 remotely (slower).
     fn traces() -> (Trace, Trace, TaskGraph) {
         let mut graph = TaskGraph::new();
+        graph.push_task("produce", 10.0, &[DataAccess::write(RegionId(0), 64)], &[]);
         graph.push_task(
-            TaskDescriptor {
-                id: TaskId(0),
-                kind: "produce".into(),
-                work_units: 10.0,
-                accesses: vec![DataAccess::write(RegionId(0), 64)],
-            },
-            &[],
-        );
-        graph.push_task(
-            TaskDescriptor {
-                id: TaskId(1),
-                kind: "consume".into(),
-                work_units: 10.0,
-                accesses: vec![DataAccess::read(RegionId(0), 64)],
-            },
+            "consume",
+            10.0,
+            &[DataAccess::read(RegionId(0), 64)],
             &[(TaskId(0), 64)],
         );
 

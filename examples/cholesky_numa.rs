@@ -60,7 +60,6 @@ fn main() {
     let panel_sockets: Vec<String> = spec
         .graph
         .tasks()
-        .iter()
         .filter(|t| t.kind == "potrf")
         .filter_map(|t| rgp.window_socket_of(t.id).map(|s| format!("{}→{s}", t.id)))
         .collect();

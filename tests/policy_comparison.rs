@@ -56,7 +56,7 @@ fn simulation_is_deterministic_across_runs() {
 #[test]
 fn traffic_conservation_holds_for_all_policies() {
     let spec = Application::IntegralHistogram.build(ProblemScale::Tiny, 8);
-    let total_declared: u64 = spec.graph.tasks().iter().map(|t| t.bytes_touched()).sum();
+    let total_declared: u64 = spec.graph.tasks().map(|t| t.bytes_touched()).sum();
     for kind in PolicyKind::all() {
         let report = run(&spec, kind, 5);
         assert_eq!(

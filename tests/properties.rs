@@ -183,7 +183,7 @@ proptest! {
             }
         }
         let (graph, sizes) = builder.finish();
-        let declared: u64 = graph.tasks().iter().map(|t| t.bytes_touched()).sum();
+        let declared: u64 = graph.tasks().map(|t| t.bytes_touched()).sum();
         let num_tasks = graph.num_tasks();
         let spec = TaskGraphSpec::new("prop-sim", graph, sizes)
             .with_ep_placement(vec![0; num_tasks]);

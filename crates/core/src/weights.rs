@@ -5,7 +5,7 @@
 //! and weights the sockets using the size of the allocated input and output
 //! data. Then, the task is scheduled to the socket with the highest weight."
 
-use numadag_numa::{RegionId, SocketId};
+use numadag_numa::SocketId;
 use numadag_tdg::TaskDescriptor;
 
 use crate::policy::DataLocator;
@@ -74,15 +74,13 @@ pub fn socket_weights_into(
     out.weights.resize(num_sockets, 0);
     out.unallocated = 0;
     // Saturating: a task may declare more bytes than a `u64` can sum.
-    let accesses = task.accesses;
-    for (&region, &bytes) in accesses.regions().iter().zip(accesses.bytes()) {
+    for access in task.accesses.iter() {
         let weights = &mut out.weights;
-        let unallocated =
-            locator.access_shares(RegionId(region as usize), bytes, &mut |node, share| {
-                if let Some(weight) = weights.get_mut(node.socket().index()) {
-                    *weight = weight.saturating_add(share);
-                }
-            });
+        let unallocated = locator.access_shares(access.region, access.bytes, &mut |node, share| {
+            if let Some(weight) = weights.get_mut(node.socket().index()) {
+                *weight = weight.saturating_add(share);
+            }
+        });
         out.unallocated = out.unallocated.saturating_add(unallocated);
     }
 }

@@ -10,10 +10,6 @@
 //! trade edge cut against affinity to the fixed data homes.
 //! Vertex weights are the task compute costs, so the balance constraint of
 //! the partitioner balances *work*, not just task counts.
-//!
-//! Every weight is capped per window ([`window_weight_cap`]) so that no sum
-//! the partitioner forms over a window — cut, gains, part weights, merged
-//! vertices — can overflow `i64`, however large the dependences are.
 
 use numadag_graph::CsrGraph;
 
@@ -47,19 +43,16 @@ pub struct CrossEdge {
     pub bytes: i64,
 }
 
-/// The largest weight any vertex, edge, cross edge or per-vertex anchor row
-/// of `window` is given: `i64::MAX / 8` shared out over the window's tasks
-/// and dependence entries, so the sum of every weight of the window — and
-/// any gain or total the partitioner derives from them — stays far from
-/// overflow. A window of the paper's applications caps at tens of terabytes,
-/// far above any of its dependences.
+/// The largest weight a vertex, edge, cross edge or per-vertex anchor row of
+/// `window` gets: `i64::MAX / 8` shared out over its tasks and dependence
+/// entries, so no sum or gain the partitioner forms over the window can
+/// overflow. Tens of terabytes for the paper's applications.
 pub fn window_weight_cap(graph: &TaskGraph, window: &TaskWindow) -> i64 {
     let entries = graph.window_edge_entries(window) + window.len() + 1;
     (i64::MAX / 8) / i64::try_from(entries).unwrap_or(i64::MAX)
 }
 
-/// `bytes` as a partitioner weight under `cap`: saturated into `i64`, then
-/// clamped to `1..=cap`. Never smaller for more bytes.
+/// `bytes` saturated into `i64` and clamped to `1..=cap`: monotone in bytes.
 pub fn clamp_weight(bytes: u64, cap: i64) -> i64 {
     i64::try_from(bytes).unwrap_or(i64::MAX).clamp(1, cap)
 }
@@ -69,13 +62,14 @@ pub fn clamp_weight(bytes: u64, cap: i64) -> i64 {
 /// * Edge weights are the dependence byte counts, clamped to at least 1 so
 ///   zero-byte control dependences still keep related tasks together.
 /// * Vertex weights are the task work units rounded up to at least 1.
+/// * Both are capped by [`window_weight_cap`].
 /// * Dependences from tasks before the window are returned as
 ///   [`CrossEdge`]s rather than graph edges: their endpoints are already
 ///   placed, so they are anchors, not free vertices.
 ///
-/// Each row is filled straight from the TDG: the vertex's in-window
-/// predecessors, then its in-window successors, both ascending — a sorted
-/// row, and without repeats since the TDG keeps one edge per task pair.
+/// A row is the vertex's in-window predecessors, then its in-window
+/// successors, both ascending: sorted, and free of repeats (the TDG keeps
+/// one edge per task pair).
 pub fn window_to_csr(graph: &TaskGraph, window: &TaskWindow) -> WindowGraph {
     let (base, end) = (window.start.index(), window.end.index());
     let flat = graph.flat();

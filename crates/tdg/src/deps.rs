@@ -17,18 +17,6 @@ use numadag_numa::RegionId;
 
 use crate::task::{DataAccess, TaskId};
 
-/// A single derived dependence: `predecessor` must finish before `successor`
-/// starts, because of `bytes` bytes of shared data.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Dependence {
-    /// The earlier task.
-    pub predecessor: TaskId,
-    /// The later task.
-    pub successor: TaskId,
-    /// Bytes of the region that induced the ordering.
-    pub bytes: u64,
-}
-
 #[derive(Clone, Debug, Default)]
 struct RegionState {
     last_writer: Option<TaskId>,
@@ -52,24 +40,10 @@ impl DependencyTracker {
     }
 
     /// Registers the accesses of `task` (which must be submitted in program
-    /// order, i.e. with increasing ids) and returns the dependences it incurs.
-    pub fn register(&mut self, task: TaskId, accesses: &[DataAccess]) -> Vec<Dependence> {
-        let mut pairs = Vec::new();
-        self.register_into(task, accesses, &mut pairs);
-        pairs
-            .into_iter()
-            .map(|(predecessor, bytes)| Dependence {
-                predecessor,
-                successor: task,
-                bytes,
-            })
-            .collect()
-    }
-
-    /// [`DependencyTracker::register`] into a caller-owned buffer of
-    /// `(predecessor, bytes)` pairs (cleared first) — the shape
-    /// [`crate::TaskGraph::push_task`] takes, so a builder submitting task
-    /// after task reuses one buffer instead of allocating two per task.
+    /// order, i.e. with increasing ids) and writes the dependences it incurs
+    /// into `deps` (cleared first) as `(predecessor, bytes)` pairs — the
+    /// shape [`crate::TaskGraph::push_task`] takes, so a builder submitting
+    /// task after task reuses one buffer.
     pub fn register_into(
         &mut self,
         task: TaskId,
@@ -142,41 +116,42 @@ mod tests {
         RegionId(i)
     }
 
+    fn register(
+        t: &mut DependencyTracker,
+        task: TaskId,
+        accesses: &[DataAccess],
+    ) -> Vec<(TaskId, u64)> {
+        let mut deps = Vec::new();
+        t.register_into(task, accesses, &mut deps);
+        deps
+    }
+
     #[test]
     fn raw_dependence() {
         let mut t = DependencyTracker::new();
-        assert!(t
-            .register(TaskId(0), &[DataAccess::write(r(0), 100)])
-            .is_empty());
-        let deps = t.register(TaskId(1), &[DataAccess::read(r(0), 100)]);
-        assert_eq!(
-            deps,
-            vec![Dependence {
-                predecessor: TaskId(0),
-                successor: TaskId(1),
-                bytes: 100
-            }]
-        );
+        assert!(register(&mut t, TaskId(0), &[DataAccess::write(r(0), 100)]).is_empty());
+        let deps = register(&mut t, TaskId(1), &[DataAccess::read(r(0), 100)]);
+        assert_eq!(deps, vec![(TaskId(0), 100)]);
     }
 
     #[test]
     fn waw_dependence() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 50)]);
-        let deps = t.register(TaskId(1), &[DataAccess::write(r(0), 50)]);
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 50)]);
+        let deps = register(&mut t, TaskId(1), &[DataAccess::write(r(0), 50)]);
         assert_eq!(deps.len(), 1);
-        assert_eq!(deps[0].predecessor, TaskId(0));
+        assert_eq!(deps[0].0, TaskId(0));
         assert_eq!(t.last_writer(r(0)), Some(TaskId(1)));
     }
 
     #[test]
     fn war_dependence_covers_all_readers() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 10)]);
-        t.register(TaskId(1), &[DataAccess::read(r(0), 10)]);
-        t.register(TaskId(2), &[DataAccess::read(r(0), 10)]);
-        let deps = t.register(TaskId(3), &[DataAccess::write(r(0), 10)]);
-        let preds: Vec<TaskId> = deps.iter().map(|d| d.predecessor).collect();
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 10)]);
+        register(&mut t, TaskId(1), &[DataAccess::read(r(0), 10)]);
+        register(&mut t, TaskId(2), &[DataAccess::read(r(0), 10)]);
+        let deps = register(&mut t, TaskId(3), &[DataAccess::write(r(0), 10)]);
+        let preds: Vec<TaskId> = deps.iter().map(|d| d.0).collect();
         assert!(preds.contains(&TaskId(1)));
         assert!(preds.contains(&TaskId(2)));
         // No WAW against task 0: the readers already order task 3 after it
@@ -187,41 +162,42 @@ mod tests {
     #[test]
     fn inout_chains_serialise() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::read_write(r(0), 64)]);
-        let d1 = t.register(TaskId(1), &[DataAccess::read_write(r(0), 64)]);
-        let d2 = t.register(TaskId(2), &[DataAccess::read_write(r(0), 64)]);
+        register(&mut t, TaskId(0), &[DataAccess::read_write(r(0), 64)]);
+        let d1 = register(&mut t, TaskId(1), &[DataAccess::read_write(r(0), 64)]);
+        let d2 = register(&mut t, TaskId(2), &[DataAccess::read_write(r(0), 64)]);
         assert_eq!(d1.len(), 1);
-        assert_eq!(d1[0].predecessor, TaskId(0));
+        assert_eq!(d1[0].0, TaskId(0));
         assert_eq!(d2.len(), 1);
-        assert_eq!(d2[0].predecessor, TaskId(1));
+        assert_eq!(d2[0].0, TaskId(1));
     }
 
     #[test]
     fn independent_regions_have_no_deps() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 8)]);
-        let deps = t.register(TaskId(1), &[DataAccess::write(r(1), 8)]);
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
+        let deps = register(&mut t, TaskId(1), &[DataAccess::write(r(1), 8)]);
         assert!(deps.is_empty());
     }
 
     #[test]
     fn readers_reset_after_write() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 8)]);
-        t.register(TaskId(1), &[DataAccess::read(r(0), 8)]);
-        t.register(TaskId(2), &[DataAccess::write(r(0), 8)]);
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
+        register(&mut t, TaskId(1), &[DataAccess::read(r(0), 8)]);
+        register(&mut t, TaskId(2), &[DataAccess::write(r(0), 8)]);
         // A new reader depends only on the latest writer, not on task 1.
-        let deps = t.register(TaskId(3), &[DataAccess::read(r(0), 8)]);
+        let deps = register(&mut t, TaskId(3), &[DataAccess::read(r(0), 8)]);
         assert_eq!(deps.len(), 1);
-        assert_eq!(deps[0].predecessor, TaskId(2));
+        assert_eq!(deps[0].0, TaskId(2));
     }
 
     #[test]
     fn multi_access_task_emits_all_deps() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 100)]);
-        t.register(TaskId(1), &[DataAccess::write(r(1), 200)]);
-        let deps = t.register(
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 100)]);
+        register(&mut t, TaskId(1), &[DataAccess::write(r(1), 200)]);
+        let deps = register(
+            &mut t,
             TaskId(2),
             &[
                 DataAccess::read(r(0), 100),
@@ -230,18 +206,18 @@ mod tests {
             ],
         );
         assert_eq!(deps.len(), 2);
-        let total: u64 = deps.iter().map(|d| d.bytes).sum();
+        let total: u64 = deps.iter().map(|d| d.1).sum();
         assert_eq!(total, 300);
     }
 
     #[test]
     fn concurrent_readers_do_not_depend_on_each_other() {
         let mut t = DependencyTracker::new();
-        t.register(TaskId(0), &[DataAccess::write(r(0), 8)]);
-        let d1 = t.register(TaskId(1), &[DataAccess::read(r(0), 8)]);
-        let d2 = t.register(TaskId(2), &[DataAccess::read(r(0), 8)]);
-        assert_eq!(d1[0].predecessor, TaskId(0));
-        assert_eq!(d2[0].predecessor, TaskId(0));
+        register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
+        let d1 = register(&mut t, TaskId(1), &[DataAccess::read(r(0), 8)]);
+        let d2 = register(&mut t, TaskId(2), &[DataAccess::read(r(0), 8)]);
+        assert_eq!(d1[0].0, TaskId(0));
+        assert_eq!(d2[0].0, TaskId(0));
         assert_eq!(d2.len(), 1);
     }
 }

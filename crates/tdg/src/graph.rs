@@ -10,14 +10,13 @@ use crate::window::TaskWindow;
 /// edges carry the number of bytes of data flowing (or being serialised)
 /// between the two tasks.
 ///
-/// Tasks are stored as columns, one entry per task — an index into the
-/// table of distinct kinds, the work units, and the offsets of the task's
-/// run in the access columns (region, mode, bytes) — so a built graph is a
-/// dozen flat arrays whatever its size, and [`TaskGraph::task`] hands out a
-/// borrowed [`TaskDescriptor`] view of one row. Tasks only ever gain edges
-/// from earlier tasks, so the predecessor lists are one append-only CSR;
-/// everything keyed the other way round (successors, in-degrees) lives in
-/// the derived [`FlatTdg`] view.
+/// Tasks are columns — a kind index into a table of distinct kinds, work
+/// units, and offsets into the access columns (region, mode, bytes) — so a
+/// built graph is a dozen flat arrays whatever its size; [`TaskGraph::task`]
+/// hands out a borrowed [`TaskDescriptor`] view of one row. Tasks only ever
+/// gain edges from earlier tasks, so the predecessor lists are one
+/// append-only CSR; successors and in-degrees live in the derived
+/// [`FlatTdg`] view.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     /// The distinct kinds, in order of first appearance.
@@ -110,19 +109,17 @@ impl Fnv1a {
     }
 }
 
-/// The facts an executor derives from a [`TaskGraph`]'s columns once and
-/// reads per task or per cell: the successor CSR, the in-degrees, the
-/// acyclicity verdict and the largest access per region. Obtained from
-/// [`TaskGraph::flat`]; element for element equal to the graph's own
-/// accessors. The task columns themselves are read off the graph.
+/// What executors derive from a [`TaskGraph`]'s columns once and read per
+/// task or per cell: the successor CSR, the in-degrees, the acyclicity
+/// verdict and the largest access per region. Obtained from
+/// [`TaskGraph::flat`]; element for element equal to the graph's accessors.
 #[derive(Clone, Debug)]
 pub struct FlatTdg {
     succ_offsets: Vec<u32>,
     succ_targets: Vec<u32>,
     succ_bytes: Vec<u64>,
     in_degrees: Vec<u32>,
-    /// `region_max_bytes[r]` = the largest byte count of an access to
-    /// region `r`; one entry per region up to the largest one accessed.
+    /// Per region up to the largest one accessed: its largest access.
     region_max_bytes: Vec<u64>,
     acyclic: bool,
 }
@@ -328,15 +325,12 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Appends a task — its kind, work units and accesses — with its
-    /// dependence edges, and returns its id (the next dense one). `deps` is
-    /// a list of `(predecessor, bytes)`; duplicates are merged by adding
-    /// bytes (saturating). Intended to be called by
-    /// [`crate::builder::TdgBuilder`], but public so synthetic graphs can be
-    /// assembled directly in tests and benches.
-    ///
-    /// A kind is looked up in the kind table by a scan, which suits the
-    /// handful of task kinds an application defines.
+    /// Appends a task — kind, work units, accesses — and its dependence
+    /// edges, and returns its (dense) id. `deps` is a list of `(predecessor,
+    /// bytes)`; duplicates are merged by adding bytes, saturating. Intended
+    /// for [`crate::builder::TdgBuilder`], but public so synthetic graphs can
+    /// be assembled directly in tests and benches. A kind is found in the
+    /// kind table by a scan: an application has a handful.
     ///
     /// # Panics
     /// Panics if a dependence refers to a not-yet-submitted task (which
@@ -356,14 +350,11 @@ impl TaskGraph {
         self.flat.take();
         self.fold.take();
         self.plans.clear();
-        let kind = match self.kinds.iter().rposition(|known| **known == *kind) {
-            Some(index) => index,
-            None => {
-                self.kinds.push(kind.into());
-                self.kinds.len() - 1
-            }
-        };
-        self.kind.push(kind as u32);
+        let index = self.kinds.iter().rposition(|known| **known == *kind);
+        self.kind.push(index.unwrap_or_else(|| {
+            self.kinds.push(kind.into());
+            self.kinds.len() - 1
+        }) as u32);
         self.work.push(work_units);
         for access in accesses {
             self.access_regions.push(

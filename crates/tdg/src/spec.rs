@@ -120,13 +120,10 @@ impl TaskGraphSpec {
     /// The verdict of [`TaskGraphSpec::validate`] without the diagnosis.
     fn is_valid(&self) -> bool {
         let flat = self.graph.flat();
-        let max_bytes = flat.region_max_bytes();
+        let (max_bytes, sizes) = (flat.region_max_bytes(), &self.region_sizes);
         // Every accessed region is in the table and no access outgrows it.
-        let accesses_fit = max_bytes.len() <= self.region_sizes.len()
-            && max_bytes
-                .iter()
-                .zip(&self.region_sizes)
-                .all(|(max, size)| max <= size);
+        let accesses_fit = max_bytes.len() <= sizes.len()
+            && max_bytes.iter().zip(sizes).all(|(max, size)| max <= size);
         let ep_covers = self
             .ep_socket
             .as_ref()

@@ -150,13 +150,16 @@ impl TaskDescriptor<'_> {
     }
 }
 
-/// A run of data accesses as three parallel columns (region index, mode,
-/// bytes): one task's accesses, or every access of a graph in task order.
+/// A run of data accesses as three parallel columns of equal length: one
+/// task's accesses, or every access of a graph in task order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Accesses<'a> {
-    pub(crate) regions: &'a [u32],
-    pub(crate) modes: &'a [AccessMode],
-    pub(crate) bytes: &'a [u64],
+    /// `regions[i]` is the index of the region the `i`-th access touches.
+    pub regions: &'a [u32],
+    /// `modes[i]` is the direction of the `i`-th access.
+    pub modes: &'a [AccessMode],
+    /// `bytes[i]` is how much of its region the `i`-th access touches.
+    pub bytes: &'a [u64],
 }
 
 impl<'a> Accesses<'a> {
@@ -187,18 +190,6 @@ impl<'a> Accesses<'a> {
         let this = *self;
         (0..this.len()).map(move |i| this.get(i))
     }
-
-    /// The region index column: `regions()[i]` is the region the `i`-th
-    /// access touches.
-    pub fn regions(&self) -> &'a [u32] {
-        self.regions
-    }
-
-    /// The byte column: `bytes()[i]` is how much of its region the `i`-th
-    /// access touches.
-    pub fn bytes(&self) -> &'a [u64] {
-        self.bytes
-    }
 }
 
 /// A task specification as submitted by the application, before an id has
@@ -219,7 +210,8 @@ impl TaskSpec {
         TaskSpec {
             kind: kind.into(),
             work_units: 0.0,
-            accesses: Vec::new(),
+            // Room for any task of the paper's kernels: no regrowth.
+            accesses: Vec::with_capacity(8),
         }
     }
 
@@ -276,7 +268,7 @@ mod tests {
         assert_eq!((t.kind, t.work_units), ("gemm", 10.0));
         assert!(t.accesses.iter().eq(accesses));
         assert_eq!(t.accesses.get(2), accesses[2]);
-        assert_eq!(t.accesses.regions(), [0, 1, 2]);
+        assert_eq!(t.accesses.regions, [0, 1, 2]);
         assert_eq!(t.bytes_read(), 600);
         assert_eq!(t.bytes_written(), 300);
         assert_eq!(t.bytes_touched(), 600);

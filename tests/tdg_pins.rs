@@ -7,6 +7,9 @@
 //! column entry, one changed edge weight or one re-ordered adjacency row.
 //!
 //! The values were captured before the task graph was stored as columns.
+//! Beside them, the words `validate` finds for three ways to break each Full
+//! spec (24 rows).
+//!
 //! A change that is *meant* to move them regenerates the table: the failure
 //! message prints it in paste-able form. Also run in release mode by CI.
 
@@ -71,6 +74,30 @@ fn spec_lines_are_the_parents() {
     check(actual, SPEC_LINES);
 }
 
+/// What `validate` says about three ways to break each Full spec: a region
+/// table cut in half, its upper half shrunk to one byte each, and an expert
+/// placement one task short.
+#[test]
+fn validation_messages_are_the_parents() {
+    let mut actual = Vec::new();
+    for app in Application::all() {
+        let spec = app.build(ProblemScale::Full, SOCKETS);
+        assert_eq!(spec.validate(), Ok(()));
+        let middle = spec.num_regions() / 2;
+        let mut unknown = spec.clone();
+        unknown.region_sizes.truncate(middle);
+        let mut oversize = spec.clone();
+        oversize.region_sizes[middle..].fill(1);
+        let mut short = spec.clone();
+        short.ep_socket.as_mut().unwrap().pop();
+        for (case, spec) in [("unknown", unknown), ("oversize", oversize), ("ep", short)] {
+            let message = spec.validate().unwrap_err();
+            actual.push(format!("{}/{case}: {message}", app.label()));
+        }
+    }
+    assert_eq!(actual, VALIDATION_MESSAGES);
+}
+
 #[test]
 fn window_csrs_are_the_parents() {
     let mut actual = Vec::new();
@@ -131,4 +158,31 @@ const WINDOW_CSRS: &[(&str, u64)] = &[
     ("Red-Black/w0", 0x5304332e93d7470d),
     ("Red-Black/w1", 0x97d4a0278490e875),
     ("Symm. mat. inv./w0", 0x16ae3a4256b3738c),
+];
+
+const VALIDATION_MESSAGES: &[&str] = &[
+    "Conjugate gradient/unknown: task T103 accesses unknown region R169",
+    "Conjugate gradient/oversize: task T103 accesses 262144 bytes of region R169 which only has 1",
+    "Conjugate gradient/ep: EP placement length mismatch",
+    "Gauss-Seidel/unknown: task T72 accesses unknown region R72",
+    "Gauss-Seidel/oversize: task T72 accesses 524288 bytes of region R72 which only has 1",
+    "Gauss-Seidel/ep: EP placement length mismatch",
+    "Integral histogram/unknown: task T100 accesses unknown region R100",
+    "Integral histogram/oversize: task T100 accesses 65536 bytes of region R100 which only has 1",
+    "Integral histogram/ep: EP placement length mismatch",
+    "Jacobi/unknown: task T144 accesses unknown region R144",
+    "Jacobi/oversize: task T144 accesses 524288 bytes of region R144 which only has 1",
+    "Jacobi/ep: EP placement length mismatch",
+    "NStream/unknown: task T1 accesses unknown region R96",
+    "NStream/oversize: task T1 accesses 2097152 bytes of region R96 which only has 1",
+    "NStream/ep: EP placement length mismatch",
+    "QR factorization/unknown: task T156 accesses unknown region R168",
+    "QR factorization/oversize: task T156 accesses 65536 bytes of region R168 which only has 1",
+    "QR factorization/ep: EP placement length mismatch",
+    "Red-Black/unknown: task T72 accesses unknown region R72",
+    "Red-Black/oversize: task T72 accesses 524288 bytes of region R72 which only has 1",
+    "Red-Black/ep: EP placement length mismatch",
+    "Symm. mat. inv./unknown: task T39 accesses unknown region R39",
+    "Symm. mat. inv./oversize: task T39 accesses 524288 bytes of region R39 which only has 1",
+    "Symm. mat. inv./ep: EP placement length mismatch",
 ];

@@ -117,7 +117,7 @@ pub fn body<'a>(
     let scalar = params.scalar;
     move |task: TaskId| {
         let descriptor = spec.graph.task(task);
-        let region = |i: usize| descriptor.accesses.regions[i] as usize;
+        let region = |i: usize| descriptor.accesses.regions()[i] as usize;
         match descriptor.kind {
             "init_b" => store.write(region(0), |v| v.fill(1.0)),
             "init_c" => store.write(region(0), |v| v.fill(2.0)),

@@ -177,7 +177,7 @@ pub fn jacobi_body<'a>(
     let nb = params.nb;
     move |task: TaskId| {
         let descriptor = spec.graph.task(task);
-        let regions = descriptor.accesses.regions;
+        let regions = descriptor.accesses.regions();
         match descriptor.kind {
             "init" => {
                 let region = regions[0] as usize;

@@ -254,7 +254,6 @@ mod tests {
             }
             for t in g.task_ids() {
                 let want = &successors[t.index()];
-                assert_eq!(&g.successors(t).collect::<Vec<_>>(), want, "{app} {t}");
                 assert!(
                     flat.successors(t)
                         .iter()
@@ -265,15 +264,6 @@ mod tests {
                 );
                 assert_eq!(flat.in_degrees()[t.index()] as usize, g.in_degree(t));
             }
-            // The largest access per region, and every region accessed.
-            let mut max_bytes = vec![0; spec.num_regions()];
-            for access in g.tasks().flat_map(|t| t.accesses.iter()) {
-                let max = &mut max_bytes[access.region.index()];
-                *max = (*max).max(access.bytes);
-            }
-            let accessed = flat.region_max_bytes().len();
-            assert_eq!(flat.region_max_bytes(), &max_bytes[..accessed], "{app}");
-            assert!(max_bytes[accessed..].iter().all(|&b| b == 0), "{app}");
             assert_eq!(
                 g.all_accesses().len(),
                 g.tasks().map(|t| t.accesses.len()).sum::<usize>()

@@ -901,10 +901,12 @@ mod tests {
                 decoded.graph.predecessors(got.id),
                 spec.graph.predecessors(want.id)
             );
-            assert!(decoded
-                .graph
-                .successors(got.id)
-                .eq(spec.graph.successors(want.id)));
+            let (got_flat, want_flat) = (decoded.graph.flat(), spec.graph.flat());
+            assert_eq!(got_flat.successors(got.id), want_flat.successors(want.id));
+            assert_eq!(
+                got_flat.successor_bytes(got.id),
+                want_flat.successor_bytes(want.id)
+            );
         }
         assert_eq!(decoded.graph.num_tasks(), spec.graph.num_tasks());
     }

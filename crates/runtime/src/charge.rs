@@ -28,7 +28,7 @@ pub(crate) fn charge_accesses(
     mut moved: impl FnMut(u64, u32),
 ) {
     let num_nodes = topology.num_nodes();
-    for (&region, &access_bytes) in accesses.regions.iter().zip(accesses.bytes) {
+    for (&region, &access_bytes) in accesses.regions().iter().zip(accesses.bytes()) {
         memory.access_shares(RegionId(region as usize), access_bytes, |home, share| {
             if share == 0 {
                 return;

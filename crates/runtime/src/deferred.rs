@@ -11,7 +11,7 @@ use numadag_numa::{MemoryMap, NodeId, RegionId, TrafficStats};
 /// Applies deferred allocation for a task executing on `node`: every region
 /// the task writes (or reads) that is still unallocated is placed on `node`.
 /// `regions` are the region indices of the task's accesses (the region
-/// column of [`numadag_tdg::FlatTdg::accesses`]). Returns the number of
+/// column of [`numadag_tdg::Accesses`]). Returns the number of
 /// bytes placed and records them in `stats`.
 pub fn apply_deferred_allocation(
     memory: &mut MemoryMap,

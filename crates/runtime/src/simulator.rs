@@ -122,7 +122,7 @@ impl Run<'_> {
         let placed = apply_deferred_allocation(
             &mut self.memory,
             &mut self.report.traffic,
-            row.accesses.regions,
+            row.accesses.regions(),
             node,
         );
         self.report.deferred_bytes += placed;

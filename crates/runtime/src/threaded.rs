@@ -233,7 +233,7 @@ fn worker_loop(
                         let accesses = spec.graph.task(task).accesses;
                         let Shared { memory, stats, .. } = &mut *s;
                         let placed =
-                            apply_deferred_allocation(memory, stats, accesses.regions, node);
+                            apply_deferred_allocation(memory, stats, accesses.regions(), node);
                         s.deferred_bytes += placed;
                         if let Some(sink) = sink.filter(|_| placed > 0) {
                             sink.record(TraceEvent::DeferredAlloc {
@@ -418,10 +418,10 @@ mod tests {
             exec.run(&spec, policy, &|t| {
                 let task = spec.graph.task(t);
                 if task.kind == "leaf" {
-                    let out = task.accesses.regions[0] as usize;
+                    let out = task.accesses.regions()[0] as usize;
                     *values[out].lock() = 1.0;
                 } else {
-                    let [a, b, out] = [0, 1, 2].map(|i| task.accesses.regions[i] as usize);
+                    let [a, b, out] = [0, 1, 2].map(|i| task.accesses.regions()[i] as usize);
                     let sum = *values[a].lock() + *values[b].lock();
                     *values[out].lock() = sum;
                 }

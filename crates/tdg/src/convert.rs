@@ -46,7 +46,7 @@ pub struct CrossEdge {
 /// The largest weight a vertex, edge, cross edge or per-vertex anchor row of
 /// `window` gets: `i64::MAX / 8` shared out over its tasks and dependence
 /// entries, so no sum or gain the partitioner forms over the window can
-/// overflow. Tens of terabytes for the paper's applications.
+/// overflow. Over ten terabytes for the paper's applications.
 pub fn window_weight_cap(graph: &TaskGraph, window: &TaskWindow) -> i64 {
     let entries = graph.window_edge_entries(window) + window.len() + 1;
     (i64::MAX / 8) / i64::try_from(entries).unwrap_or(i64::MAX)

@@ -12,11 +12,11 @@ use crate::window::TaskWindow;
 ///
 /// Tasks are columns — a kind index into a table of distinct kinds, work
 /// units, and offsets into the access columns (region, mode, bytes) — so a
-/// built graph is a dozen flat arrays whatever its size; [`TaskGraph::task`]
-/// hands out a borrowed [`TaskDescriptor`] view of one row. Tasks only ever
-/// gain edges from earlier tasks, so the predecessor lists are one
-/// append-only CSR; successors and in-degrees live in the derived
-/// [`FlatTdg`] view.
+/// built graph is a fixed set of flat arrays whatever its size;
+/// [`TaskGraph::task`] hands out a borrowed [`TaskDescriptor`] view of one
+/// row. Tasks only ever gain edges from earlier tasks, so the predecessor
+/// lists are one append-only CSR; successors and in-degrees live in the
+/// derived [`FlatTdg`] view.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     /// The distinct kinds, in order of first appearance.
@@ -197,7 +197,7 @@ impl FlatTdg {
     /// The largest byte count of any access to each region, indexed by
     /// region up to the largest region accessed (0 for a region no task
     /// touches): what a region table must cover for every access to fit.
-    pub fn region_max_bytes(&self) -> &[u64] {
+    pub(crate) fn region_max_bytes(&self) -> &[u64] {
         &self.region_max_bytes
     }
 
@@ -275,24 +275,14 @@ impl TaskGraph {
     pub(crate) fn window_edge_entries(&self, window: &TaskWindow) -> usize {
         let (start, end) = (window.start.index(), window.end.index());
         let flat = self.flat();
-        (self.pred_offsets[end] - self.pred_offsets[start] + flat.succ_offsets[end]
-            - flat.succ_offsets[start]) as usize
+        (self.pred_offsets[end] - self.pred_offsets[start]) as usize
+            + (flat.succ_offsets[end] - flat.succ_offsets[start]) as usize
     }
 
     /// The flat view of the graph, built on the first call after the last
     /// [`TaskGraph::push_task`] and shared by every later one.
     pub fn flat(&self) -> &FlatTdg {
         self.flat.get_or_init(|| FlatTdg::build(self))
-    }
-
-    /// Successor edges of a task as `(successor, bytes)`, ascending (read
-    /// from the [`FlatTdg`] view).
-    pub fn successors(&self, id: TaskId) -> impl ExactSizeIterator<Item = (TaskId, u64)> + '_ {
-        let flat = self.flat();
-        flat.successors(id)
-            .iter()
-            .map(|&t| TaskId(t as usize))
-            .zip(flat.successor_bytes(id).iter().copied())
     }
 
     /// Predecessor edges of a task.
@@ -641,7 +631,6 @@ mod tests {
                 .collect();
             assert_eq!(flat_targets, targets, "successors of {t}");
             assert_eq!(flat.successor_bytes(t), bytes, "edge bytes of {t}");
-            assert_eq!(&g.successors(t).collect::<Vec<_>>(), want);
             assert_eq!(g.out_degree(t), want.len());
             assert_eq!(
                 flat.in_degrees()[t.index()] as usize,

@@ -9,11 +9,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`task`] — task descriptors and data accesses (`in`/`out`/`inout`).
+//! * [`task`] — task specifications, data accesses (`in`/`out`/`inout`) and
+//!   [`TaskDescriptor`], the borrowed view of one task of a graph.
 //! * [`deps`] — incremental dependence derivation with OpenMP `depend`
 //!   semantics (RAW, WAR and WAW ordering per region).
-//! * [`graph`] — the [`graph::TaskGraph`] itself with topological utilities
-//!   (sources, critical path, acyclicity checks).
+//! * [`graph`] — the [`graph::TaskGraph`] itself, stored as columns (kind,
+//!   work, access runs, a predecessor CSR), and its derived [`FlatTdg`].
 //! * [`builder`] — [`builder::TdgBuilder`], the front door: submit tasks in
 //!   program order and get the TDG.
 //! * [`window`] — task windows, the unit RGP partitions.

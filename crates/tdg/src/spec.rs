@@ -309,8 +309,7 @@ mod tests {
     }
 
     /// [`TaskGraphSpec::fingerprint`] as it was before the graph memoised
-    /// its share: one straight-line fold, successor edges read through the
-    /// graph's accessors.
+    /// its share: one straight-line fold, successor edges read task by task.
     fn reference_fingerprint(spec: &TaskGraphSpec) -> u64 {
         let mut h = Fnv1a::default();
         h.write_str(&spec.name);
@@ -330,9 +329,10 @@ mod tests {
                 h.write_u64(access.bytes);
             }
         }
+        let flat = spec.graph.flat();
         for id in spec.graph.task_ids() {
-            for (succ, bytes) in spec.graph.successors(id) {
-                h.write_u64(succ.index() as u64);
+            for (&succ, &bytes) in flat.successors(id).iter().zip(flat.successor_bytes(id)) {
+                h.write_u64(u64::from(succ));
                 h.write_u64(bytes);
             }
         }

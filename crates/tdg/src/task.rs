@@ -150,16 +150,14 @@ impl TaskDescriptor<'_> {
     }
 }
 
-/// A run of data accesses as three parallel columns of equal length: one
-/// task's accesses, or every access of a graph in task order.
+/// A run of data accesses as three parallel columns (region index, mode,
+/// bytes) of equal length: one task's accesses, or every access of a graph
+/// in task order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Accesses<'a> {
-    /// `regions[i]` is the index of the region the `i`-th access touches.
-    pub regions: &'a [u32],
-    /// `modes[i]` is the direction of the `i`-th access.
-    pub modes: &'a [AccessMode],
-    /// `bytes[i]` is how much of its region the `i`-th access touches.
-    pub bytes: &'a [u64],
+    pub(crate) regions: &'a [u32],
+    pub(crate) modes: &'a [AccessMode],
+    pub(crate) bytes: &'a [u64],
 }
 
 impl<'a> Accesses<'a> {
@@ -174,10 +172,7 @@ impl<'a> Accesses<'a> {
     }
 
     /// The `i`-th access.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> DataAccess {
+    pub(crate) fn get(&self, i: usize) -> DataAccess {
         DataAccess {
             region: RegionId(self.regions[i] as usize),
             mode: self.modes[i],
@@ -189,6 +184,18 @@ impl<'a> Accesses<'a> {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DataAccess> + 'a {
         let this = *self;
         (0..this.len()).map(move |i| this.get(i))
+    }
+
+    /// The region column: `regions()[i]` is the region the `i`-th access
+    /// touches.
+    pub fn regions(&self) -> &'a [u32] {
+        self.regions
+    }
+
+    /// The byte column: `bytes()[i]` is how much of it the `i`-th access
+    /// touches.
+    pub fn bytes(&self) -> &'a [u64] {
+        self.bytes
     }
 }
 
@@ -267,8 +274,7 @@ mod tests {
         let t = g.task(TaskId(0));
         assert_eq!((t.kind, t.work_units), ("gemm", 10.0));
         assert!(t.accesses.iter().eq(accesses));
-        assert_eq!(t.accesses.get(2), accesses[2]);
-        assert_eq!(t.accesses.regions, [0, 1, 2]);
+        assert_eq!(t.accesses.regions(), [0, 1, 2]);
         assert_eq!(t.bytes_read(), 600);
         assert_eq!(t.bytes_written(), 300);
         assert_eq!(t.bytes_touched(), 600);

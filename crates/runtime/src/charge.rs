@@ -13,7 +13,8 @@ use numadag_trace::{MemorySink, TraceEvent};
 /// `sink`, a `Traffic` event is emitted — access by access, home by home,
 /// in declaration order.
 ///
-/// `accesses` are the task's access columns, read off the TDG. Deferred allocation has run, so no share is without a home.
+/// `accesses` are the task's access columns, read off the TDG. Deferred
+/// allocation has run, so no share is without a home.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn charge_accesses(

@@ -1,4 +1,4 @@
-//! The task dependency graph (TDG).
+//! The task dependency graph (TDG), stored as task and access columns.
 
 use std::sync::OnceLock;
 

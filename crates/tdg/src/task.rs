@@ -1,4 +1,4 @@
-//! Task descriptors and data accesses.
+//! Task specifications, data accesses and the borrowed task view.
 
 use numadag_numa::RegionId;
 use std::borrow::Cow;

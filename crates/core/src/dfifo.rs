@@ -52,7 +52,7 @@ mod tests {
     fn dummy_task(id: usize) -> TaskDescriptor<'static> {
         let mut graph = TaskGraph::new();
         for _ in 0..=id {
-            graph.push_task("t", 1.0, &[], &[]);
+            graph.push_task("t", 1.0, &[], &[]).unwrap();
         }
         Box::leak(Box::new(graph)).task(TaskId(id))
     }

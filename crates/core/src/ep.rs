@@ -27,7 +27,8 @@ impl EpPolicy {
     /// Returns `None` if the spec has no expert placement (the harness then
     /// skips the EP bar for that application, as a real study would).
     pub fn from_spec(spec: &TaskGraphSpec) -> Option<Self> {
-        spec.ep_socket.clone().map(EpPolicy::new)
+        spec.ep_placement()
+            .map(|placement| EpPolicy::new(placement.to_vec()))
     }
 
     /// Number of tasks covered by the placement.
@@ -69,7 +70,7 @@ mod tests {
     fn dummy_task(id: usize) -> TaskDescriptor<'static> {
         let mut graph = TaskGraph::new();
         for _ in 0..=id {
-            graph.push_task("t", 1.0, &[], &[]);
+            graph.push_task("t", 1.0, &[], &[]).unwrap();
         }
         Box::leak(Box::new(graph)).task(TaskId(id))
     }
@@ -114,10 +115,9 @@ mod tests {
         let r = b.region(8);
         b.submit(TaskSpec::new("a").writes(r, 8));
         b.submit(TaskSpec::new("b").reads(r, 8));
-        let (g, sizes) = b.finish();
-        let spec = numadag_tdg::TaskGraphSpec::new("toy", g, sizes);
+        let spec = numadag_tdg::TaskGraphSpec::new("toy", b.finish());
         assert!(EpPolicy::from_spec(&spec).is_none());
-        let spec = spec.with_ep_placement(vec![1, 1]);
+        let spec = spec.with_ep_placement(vec![1, 1]).unwrap();
         let p = EpPolicy::from_spec(&spec).unwrap();
         assert_eq!(p.len(), 2);
     }

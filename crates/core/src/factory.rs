@@ -331,10 +331,9 @@ mod tests {
         let r = b.region(64);
         b.submit(TaskSpec::new("w").writes(r, 64));
         b.submit(TaskSpec::new("r").reads(r, 64));
-        let (g, sizes) = b.finish();
-        let s = TaskGraphSpec::new("toy", g, sizes);
+        let s = TaskGraphSpec::new("toy", b.finish());
         if with_ep {
-            s.with_ep_placement(vec![0, 0])
+            s.with_ep_placement(vec![0, 0]).unwrap()
         } else {
             s
         }

@@ -410,7 +410,8 @@ mod tests {
             b.submit(TaskSpec::new("a").work(10.0).reads_writes(ra, 1 << 20));
             b.submit(TaskSpec::new("b").work(10.0).reads_writes(rb, 1 << 20));
         }
-        let (graph, sizes) = b.finish();
+        let graph = b.finish();
+        let sizes = graph.region_sizes().to_vec();
         (Arc::new(graph), sizes)
     }
 

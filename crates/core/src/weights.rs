@@ -94,9 +94,14 @@ mod tests {
     use numadag_tdg::{DataAccess, TaskDescriptor, TaskGraph, TaskId};
 
     /// The one task of a graph, leaked so the view can outlive the call.
+    /// The graph's regions fit any access; the memory map under test has
+    /// the sizes that matter.
     fn task_with(accesses: Vec<DataAccess>) -> TaskDescriptor<'static> {
         let mut graph = TaskGraph::new();
-        graph.push_task("t", 1.0, &accesses, &[]);
+        for _ in 0..=accesses.iter().map(|a| a.region.index()).max().unwrap_or(0) {
+            graph.region(u64::MAX);
+        }
+        graph.push_task("t", 1.0, &accesses, &[]).unwrap();
         Box::leak(Box::new(graph)).task(TaskId(0))
     }
 

@@ -1,6 +1,16 @@
 //! Helpers shared by the kernel builders: expert placements, problem
 //! scaling and the per-tile flop counts of the dense kernels.
 
+use numadag_tdg::{TaskGraphSpec, TdgBuilder};
+
+/// A kernel's workload: the graph `builder` built and the expert placement
+/// `ep`, one socket per task.
+pub(crate) fn kernel_spec(name: &str, builder: TdgBuilder, ep: Vec<usize>) -> TaskGraphSpec {
+    TaskGraphSpec::new(name, builder.finish())
+        .with_ep_placement(ep)
+        .expect("a kernel places each of its tasks")
+}
+
 /// How large the Figure-1 problem instances should be. The paper uses inputs
 /// sized for a 32-core machine; the reproduction offers three scales so tests
 /// can run tiny instances while the benchmark harness runs the full ones.

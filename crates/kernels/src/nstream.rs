@@ -8,7 +8,7 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskId, TaskSpec, TdgBuilder};
 
-use crate::common::{block_owner, ProblemScale};
+use crate::common::{block_owner, kernel_spec, ProblemScale};
 use crate::storage::DenseStore;
 
 /// Parameters of the NStream kernel.
@@ -102,8 +102,7 @@ pub fn build(params: NStreamParams, num_sockets: usize) -> TaskGraphSpec {
         }
     }
 
-    let (graph, sizes) = builder.finish();
-    TaskGraphSpec::new("NStream", graph, sizes).with_ep_placement(ep)
+    kernel_spec("NStream", builder, ep)
 }
 
 /// Returns a task body executing the real triad over `store`, suitable for
@@ -168,9 +167,7 @@ mod tests {
         // 3 init tasks per block + blocks per iteration.
         assert_eq!(spec.num_tasks(), 3 * p.blocks + p.iterations * p.blocks);
         assert_eq!(spec.num_regions(), 3 * p.blocks);
-        assert!(spec.validate().is_ok());
-        assert!(spec.graph.is_acyclic());
-        assert!(spec.ep_socket.is_some());
+        assert!(spec.ep_placement().is_some());
     }
 
     #[test]
@@ -191,7 +188,7 @@ mod tests {
             scalar: 3.0,
         };
         let spec = build(p, 4);
-        let ep = spec.ep_socket.as_ref().unwrap();
+        let ep = spec.ep_placement().unwrap();
         // The first three tasks (inits of block 0) are on socket 0; the
         // last triad of block 7 is on socket 3.
         assert_eq!(ep[0], 0);

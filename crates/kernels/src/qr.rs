@@ -10,7 +10,9 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 
-use crate::common::{block_cyclic_2d, gemm_flops, geqrt_flops, trsm_flops, ProblemScale};
+use crate::common::{
+    block_cyclic_2d, gemm_flops, geqrt_flops, kernel_spec, trsm_flops, ProblemScale,
+};
 
 /// Parameters of the tiled QR kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,8 +112,7 @@ pub fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
         }
     }
 
-    let (graph, sizes) = builder.finish();
-    TaskGraphSpec::new("QR factorization", graph, sizes).with_ep_placement(ep)
+    kernel_spec("QR factorization", builder, ep)
 }
 
 #[cfg(test)]
@@ -131,9 +132,7 @@ mod tests {
             })
             .sum();
         assert_eq!(spec.num_tasks(), p.nt * p.nt + factorization);
-        assert!(spec.validate().is_ok());
-        assert!(spec.graph.is_acyclic());
-        assert!(spec.ep_socket.is_some());
+        assert!(spec.ep_placement().is_some());
     }
 
     #[test]

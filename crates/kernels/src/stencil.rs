@@ -22,7 +22,7 @@
 
 use numadag_tdg::{TaskGraphSpec, TaskId, TaskSpec, TdgBuilder};
 
-use crate::common::{block_owner, ProblemScale};
+use crate::common::{block_owner, kernel_spec, ProblemScale};
 use crate::storage::DenseStore;
 
 /// Which 2-D stencil to build.
@@ -150,13 +150,12 @@ pub fn build(stencil: Stencil, params: StencilParams, num_sockets: usize) -> Tas
         }
     }
 
-    let (graph, sizes) = builder.finish();
     let name = match stencil {
         Stencil::Jacobi => "Jacobi",
         Stencil::GaussSeidel => "Gauss-Seidel",
         Stencil::RedBlack => "Red-Black",
     };
-    TaskGraphSpec::new(name, graph, sizes).with_ep_placement(ep)
+    kernel_spec(name, builder, ep)
 }
 
 /// Initial tile value used by both the task body and the reference: tile
@@ -283,9 +282,7 @@ mod tests {
             let spec = build(stencil, p, 4);
             assert_eq!(spec.num_regions(), grids * p.nb * p.nb, "{stencil:?}");
             assert_eq!(spec.num_tasks(), p.nb * p.nb * (1 + p.iterations));
-            assert!(spec.validate().is_ok(), "{stencil:?}");
-            assert!(spec.graph.is_acyclic(), "{stencil:?}");
-            assert!(spec.ep_socket.is_some(), "{stencil:?}");
+            assert!(spec.ep_placement().is_some(), "{stencil:?}");
         }
     }
 
@@ -303,7 +300,7 @@ mod tests {
     #[test]
     fn expert_placement_splits_rows() {
         let spec = build(Stencil::Jacobi, params(8, 8, 1), 4);
-        let ep = spec.ep_socket.as_ref().unwrap();
+        let ep = spec.ep_placement().unwrap();
         // Init of tile (0, *) on socket 0, tile (7, *) on socket 3.
         assert_eq!(ep[0], 0);
         assert_eq!(ep[7 * 8], 3);

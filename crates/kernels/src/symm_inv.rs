@@ -12,7 +12,7 @@
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 
 use crate::common::{
-    block_cyclic_2d, gemm_flops, potrf_flops, syrk_flops, trsm_flops, ProblemScale,
+    block_cyclic_2d, gemm_flops, kernel_spec, potrf_flops, syrk_flops, trsm_flops, ProblemScale,
 };
 
 /// Parameters of the symmetric-matrix-inversion kernel.
@@ -165,8 +165,7 @@ pub fn build(params: SymmInvParams, num_sockets: usize) -> TaskGraphSpec {
         ep.push(owner(k, k));
     }
 
-    let (graph, sizes) = builder.finish();
-    TaskGraphSpec::new("Symm. mat. inv.", graph, sizes).with_ep_placement(ep)
+    kernel_spec("Symm. mat. inv.", builder, ep)
 }
 
 #[cfg(test)]
@@ -177,9 +176,7 @@ mod tests {
     fn counts_and_validity() {
         let p = SymmInvParams::with_scale(ProblemScale::Tiny);
         let spec = build(p, 4);
-        assert!(spec.validate().is_ok());
-        assert!(spec.graph.is_acyclic());
-        assert!(spec.ep_socket.is_some());
+        assert!(spec.ep_placement().is_some());
         // Lower triangle has nt(nt+1)/2 tiles.
         assert_eq!(spec.num_regions(), p.nt * (p.nt + 1) / 2);
         // More tasks than the Cholesky sweep alone.
@@ -223,8 +220,8 @@ mod tests {
     fn ep_placement_covers_all_sockets() {
         let p = SymmInvParams { nt: 8, tile_n: 8 };
         let spec = build(p, 8);
-        let ep = spec.ep_socket.as_ref().unwrap();
-        let mut seen: Vec<usize> = ep.clone();
+        let ep = spec.ep_placement().unwrap();
+        let mut seen: Vec<usize> = ep.to_vec();
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 8, "expert placement should use all sockets");

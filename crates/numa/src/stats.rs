@@ -15,6 +15,10 @@ use crate::ids::NodeId;
 use crate::topology::DistanceMatrix;
 
 /// Byte counters accumulated over an execution.
+///
+/// Every counter saturates: recording, [`TrafficStats::merge`] and
+/// [`TrafficStats::total_bytes`] stop at the type's maximum, so accesses
+/// adding up to more than `u64::MAX` bytes report `u64::MAX`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficStats {
     /// Bytes accessed from the node local to the executing core.
@@ -48,16 +52,20 @@ impl TrafficStats {
         distance: u32,
         bytes: u64,
     ) {
-        if core_node == data_node {
-            self.local_bytes += bytes;
+        let counter = if core_node == data_node {
+            &mut self.local_bytes
         } else {
-            self.remote_bytes += bytes;
-        }
-        *self
+            &mut self.remote_bytes
+        };
+        *counter = counter.saturating_add(bytes);
+        let link = self
             .link
             .entry((data_node.index(), core_node.index()))
-            .or_default() += bytes;
-        self.distance_weighted_bytes += u128::from(bytes) * u128::from(distance);
+            .or_default();
+        *link = link.saturating_add(bytes);
+        self.distance_weighted_bytes = self
+            .distance_weighted_bytes
+            .saturating_add(u128::from(bytes) * u128::from(distance));
     }
 
     /// Folds a dense row-major byte matrix over the nodes of `distances`
@@ -82,12 +90,12 @@ impl TrafficStats {
 
     /// Records a deferred allocation of `bytes` on the executing node.
     pub fn record_deferred_allocation(&mut self, bytes: u64) {
-        self.deferred_allocated_bytes += bytes;
+        self.deferred_allocated_bytes = self.deferred_allocated_bytes.saturating_add(bytes);
     }
 
     /// Total bytes accessed.
     pub fn total_bytes(&self) -> u64 {
-        self.local_bytes + self.remote_bytes
+        self.local_bytes.saturating_add(self.remote_bytes)
     }
 
     /// Fraction of bytes served locally, in `[0, 1]`. Returns 1.0 when no
@@ -125,12 +133,15 @@ impl TrafficStats {
 
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
-        self.local_bytes += other.local_bytes;
-        self.remote_bytes += other.remote_bytes;
-        self.deferred_allocated_bytes += other.deferred_allocated_bytes;
-        self.distance_weighted_bytes += other.distance_weighted_bytes;
+        self.local_bytes = self.local_bytes.saturating_add(other.local_bytes);
+        self.remote_bytes = self.remote_bytes.saturating_add(other.remote_bytes);
+        self.record_deferred_allocation(other.deferred_allocated_bytes);
+        self.distance_weighted_bytes = self
+            .distance_weighted_bytes
+            .saturating_add(other.distance_weighted_bytes);
         for (k, v) in &other.link {
-            *self.link.entry(*k).or_default() += v;
+            let link = self.link.entry(*k).or_default();
+            *link = link.saturating_add(*v);
         }
     }
 }
@@ -252,6 +263,37 @@ mod tests {
             a.link_entries().collect::<Vec<_>>(),
             [((0, 0), 10), ((0, 1), 20)]
         );
+    }
+
+    #[test]
+    fn every_counter_saturates() {
+        let mut s = TrafficStats::new();
+        s.record_access(NodeId(0), NodeId(0), 10, u64::MAX);
+        s.record_access(NodeId(0), NodeId(0), 10, 1);
+        s.record_access(NodeId(0), NodeId(1), 21, u64::MAX);
+        s.record_deferred_allocation(u64::MAX);
+        s.record_deferred_allocation(1);
+        assert_eq!((s.local_bytes, s.remote_bytes), (u64::MAX, u64::MAX));
+        assert_eq!(s.total_bytes(), u64::MAX);
+        assert_eq!(s.deferred_allocated_bytes, u64::MAX);
+        assert_eq!(
+            s.link_entries().map(|(_, b)| b).collect::<Vec<_>>(),
+            [u64::MAX; 2]
+        );
+        let before = s.distance_weighted();
+        let copy = s.clone();
+        s.merge(&copy);
+        assert_eq!(
+            s.link_entries().map(|(_, b)| b).collect::<Vec<_>>(),
+            [u64::MAX; 2]
+        );
+        assert_eq!((s.local_bytes, s.remote_bytes), (u64::MAX, u64::MAX));
+        assert_eq!(s.deferred_allocated_bytes, u64::MAX);
+        assert_eq!(s.distance_weighted(), 2 * before);
+        s.distance_weighted_bytes = u128::MAX - 1;
+        s.record_access(NodeId(1), NodeId(0), 21, 1);
+        assert_eq!(s.distance_weighted(), u128::MAX);
+        assert!(s.mean_access_distance().is_finite());
     }
 
     /// A small machine and an access sequence on it, both drawn from

@@ -234,8 +234,8 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     let numbers = 4 * graph.num_tasks()
         + 3 * accesses.len()
         + 2 * graph.num_edges()
-        + spec.region_sizes.len()
-        + spec.ep_socket.as_ref().map_or(0, Vec::len);
+        + graph.region_sizes().len()
+        + spec.ep_placement().map_or(0, <[usize]>::len);
     let mut out = String::with_capacity(256 + 5 * numbers);
 
     out.push_str("{\"spec\":{\"fp\":");
@@ -260,13 +260,10 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
 
     open_column(&mut out, "work");
     for task in graph.tasks() {
-        if let Some(work) = integral_work(task.work_units) {
-            push_entry(&mut out, work);
-        } else if task.work_units.is_finite() {
-            write!(out, "{},", task.work_units).expect("writing to a String cannot fail");
-        } else {
-            // JSON has no NaN/Infinity; the decoder rejects the null.
-            out.push_str("null,");
+        // Work is finite: a graph holds no other.
+        match integral_work(task.work_units) {
+            Some(work) => push_entry(&mut out, work),
+            None => write!(out, "{},", task.work_units).expect("writing to a String cannot fail"),
         }
     }
     close_column(&mut out);
@@ -301,12 +298,12 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     close_column(&mut out);
 
     open_column(&mut out, "regions");
-    for &bytes in &spec.region_sizes {
+    for &bytes in graph.region_sizes() {
         push_entry(&mut out, bytes);
     }
     close_column(&mut out);
 
-    match &spec.ep_socket {
+    match spec.ep_placement() {
         Some(placement) => {
             open_column(&mut out, "ep");
             for &socket in placement {
@@ -503,16 +500,15 @@ pub fn is_spec_line(line: &str) -> bool {
 /// Decodes a `spec` wire line into the advertised fingerprint and the
 /// rebuilt [`TaskGraphSpec`], reading the columns straight off the line.
 ///
-/// Everything [`TaskGraph::push_task`] and
-/// [`TaskGraphSpec::with_ep_placement`] would `assert!` — and the table
-/// bounds they take on trust — is validated on the columns first, so a
-/// malformed message is an `Err`, never a worker panic: column lengths
-/// against the task count and their own counts, kind indices against the
-/// string table, region ids against the region table, modes in `0..=2`,
-/// every dependence on a strictly earlier task (ascending within a task,
-/// the order the encoder emits, so none repeats) and the EP length. Last,
-/// the rebuilt spec's own fingerprint must match the advertised one or the
-/// transfer corrupted something the shape checks cannot see.
+/// The decoder checks the wire's shape: column lengths against the task
+/// count and their own counts, kind indices against the string table,
+/// modes in `0..=2`, each task's dependences ascending (the order the
+/// encoder emits, so none repeats) and `work` entries that are numbers.
+/// Whether the tasks make a runnable graph is [`TaskGraph::push_task`]'s
+/// call, and its refusal is the answer, in its words. Last, the rebuilt
+/// spec's own fingerprint must match the advertised one or the transfer
+/// corrupted something the shape checks cannot see. A malformed message is
+/// an `Err`, never a worker panic.
 ///
 /// The reader stops at its first complaint, so a refused line is parsed
 /// once more, whole, to tell a line that is not JSON ([`SpecError::Syntax`])
@@ -527,7 +523,7 @@ pub fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
         })
 }
 
-/// The validate-before-build half of [`decode_spec`].
+/// The build half of [`decode_spec`].
 fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
     fn present<T>(column: Option<T>, name: &str) -> Result<T, String> {
         column.ok_or_else(|| format!("spec is missing field {name:?}"))
@@ -551,6 +547,9 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
     };
 
     let mut graph = TaskGraph::new();
+    for size in regions {
+        graph.region(size);
+    }
     let mut acc = acc.chunks_exact(3);
     let mut dep = dep.chunks_exact(2);
     let (mut accesses, mut deps) = (Vec::new(), Vec::new());
@@ -567,17 +566,11 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
         accesses.clear();
         for entry in acc.by_ref().take(n_acc[index] as usize) {
             let (region, mode, bytes) = (entry[0], entry[1], entry[2]);
-            if region >= regions.len() as u64 {
-                return Err(format!(
-                    "task {index} accesses region {region}, the region table has {} entries",
-                    regions.len()
-                ));
-            }
             let mode = AccessMode::from_code(mode).ok_or_else(|| {
                 format!("task {index} has access mode {mode}, expected 0, 1 or 2")
             })?;
             accesses.push(DataAccess {
-                region: numadag_numa::RegionId(region as usize),
+                region: numadag_numa::RegionId(usize::try_from(region).unwrap_or(usize::MAX)),
                 mode,
                 bytes,
             });
@@ -585,24 +578,23 @@ fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
         deps.clear();
         for entry in dep.by_ref().take(n_dep[index] as usize) {
             let (pred, bytes) = (entry[0], entry[1]);
-            if pred >= index as u64 {
-                return Err(format!(
-                    "task {index} depends on task {pred}, which is not an earlier task"
-                ));
-            }
             if matches!(deps.last(), Some(&(TaskId(last), _)) if pred <= last as u64) {
                 return Err(format!(
                     "task {index} lists its dependences out of order at task {pred}"
                 ));
             }
-            deps.push((TaskId(pred as usize), bytes));
+            deps.push((TaskId(usize::try_from(pred).unwrap_or(usize::MAX)), bytes));
         }
-        graph.push_task(kind, work_units, &accesses, &deps);
+        graph
+            .push_task(kind, work_units, &accesses, &deps)
+            .map_err(|refused| refused.to_string())?;
     }
 
-    let mut spec = TaskGraphSpec::new(name, graph, regions);
+    let mut spec = TaskGraphSpec::new(name, graph);
     if let Some(placement) = ep {
-        spec = spec.with_ep_placement(placement.into_iter().map(|s| s as usize).collect());
+        spec = spec
+            .with_ep_placement(placement.into_iter().map(|s| s as usize).collect())
+            .map_err(|refused| refused.to_string())?;
     }
     let rebuilt = spec.fingerprint();
     if rebuilt != fp {
@@ -730,12 +722,21 @@ mod tests {
                 bytes,
             })
             .collect();
-        graph.push_task(kind, work_units, &accesses, deps)
+        graph.push_task(kind, work_units, &accesses, deps).unwrap()
+    }
+
+    /// A graph whose region table is `sizes`.
+    fn graph_over(sizes: &[u64]) -> TaskGraph {
+        let mut graph = TaskGraph::new();
+        for &size in sizes {
+            graph.region(size);
+        }
+        graph
     }
 
     /// Two writers and a reader of both: every column has an entry.
     fn sample_spec() -> TaskGraphSpec {
-        let mut graph = TaskGraph::new();
+        let mut graph = graph_over(&[1 << 20, 4096]);
         let a = push(
             &mut graph,
             "init",
@@ -757,7 +758,9 @@ mod tests {
             &[(0, AccessMode::In, 1 << 20), (1, AccessMode::In, 4096)],
             &[(a, 1 << 20), (b, 4096)],
         );
-        TaskGraphSpec::new("wire-spec", graph, vec![1 << 20, 4096]).with_ep_placement(vec![1, 0, 1])
+        TaskGraphSpec::new("wire-spec", graph)
+            .with_ep_placement(vec![1, 0, 1])
+            .unwrap()
     }
 
     // The decoder `decode_spec` replaced looked its columns up in the parsed
@@ -890,8 +893,8 @@ mod tests {
         assert_eq!(fp, spec.fingerprint());
         assert_eq!(decoded.fingerprint(), fp);
         assert_eq!(decoded.name, spec.name);
-        assert_eq!(decoded.region_sizes, spec.region_sizes);
-        assert_eq!(decoded.ep_socket, spec.ep_socket);
+        assert_eq!(decoded.graph.region_sizes(), spec.graph.region_sizes());
+        assert_eq!(decoded.ep_placement(), spec.ep_placement());
         assert_eq!(decoded.graph.num_edges(), spec.graph.num_edges());
         for (got, want) in decoded.graph.tasks().zip(spec.graph.tasks()) {
             assert_eq!((got.id, &got.kind), (want.id, &want.kind));
@@ -1063,15 +1066,14 @@ mod tests {
     fn hand_built_specs_round_trip_bit_exactly() {
         let spec = sample_spec();
         assert_spec_round_trips(&spec);
-        let mut without_ep = spec.clone();
-        without_ep.ep_socket = None;
+        let without_ep = TaskGraphSpec::new(spec.name.clone(), spec.graph.clone());
         assert_spec_round_trips(&without_ep);
         assert!(encode_spec(&without_ep).contains("\"ep\":null"));
 
         // Byte counts the f64 behind a JSON number cannot hold travel as hex.
         let big = [1u64 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
-        let mut graph = TaskGraph::new();
-        let first = push(&mut graph, "big", 1.0, &[(0, AccessMode::Out, big[1])], &[]);
+        let mut graph = graph_over(&[big[1], big[3]]);
+        let first = push(&mut graph, "big", 1.0, &[(0, AccessMode::Out, big[0])], &[]);
         push(
             &mut graph,
             "big",
@@ -1079,11 +1081,12 @@ mod tests {
             &[(1, AccessMode::InOut, big[3])],
             &[(first, big[2])],
         );
-        let huge = TaskGraphSpec::new("huge", graph, vec![big[0], big[3]]);
+        let huge = TaskGraphSpec::new("huge", graph);
         assert_spec_round_trips(&huge);
         let line = encode_spec(&huge);
         assert!(line.contains("\"ffffffffffffffff\""), "{line}");
         assert!(line.contains("\"20000000000000\""), "{line}");
+        assert!(line.contains("\"20000000000001\""), "{line}");
         // ... and everything below 2^53 as a plain integer.
         assert!(encode_spec(&spec).contains("\"regions\":[1048576,4096]"));
 
@@ -1103,12 +1106,12 @@ mod tests {
         for work in &works {
             push(&mut graph, "w", *work, &[], &[]);
         }
-        assert_spec_round_trips(&TaskGraphSpec::new("works", graph, vec![]));
+        assert_spec_round_trips(&TaskGraphSpec::new("works", graph));
 
         // The empty graph, with and without an (empty) expert placement.
-        let empty = TaskGraphSpec::new("", TaskGraph::new(), vec![]);
+        let empty = TaskGraphSpec::new("", TaskGraph::new());
         assert_spec_round_trips(&empty);
-        assert_spec_round_trips(&empty.clone().with_ep_placement(vec![]));
+        assert_spec_round_trips(&empty.clone().with_ep_placement(vec![]).unwrap());
 
         // Strings the line must escape.
         let mut graph = TaskGraph::new();
@@ -1122,20 +1125,33 @@ mod tests {
         ] {
             push(&mut graph, kind, 1.0, &[], &[]);
         }
-        assert_spec_round_trips(&TaskGraphSpec::new("na\"me\\with\nall ∑", graph, vec![]));
+        assert_spec_round_trips(&TaskGraphSpec::new("na\"me\\with\nall ∑", graph));
     }
 
+    /// No graph holds work JSON cannot carry, so these lines are written by
+    /// hand: a `null` entry is not a number, a number too large for an `f64`
+    /// reads as infinite, and a negative one is refused by `push_task`, in
+    /// its words.
     #[test]
-    fn a_spec_with_work_that_json_cannot_carry_is_refused_not_mangled() {
-        for work in [f64::NAN, f64::INFINITY] {
-            let mut graph = TaskGraph::new();
-            push(&mut graph, "w", work, &[], &[]);
-            let err = decode_both_ways(&encode_spec(&TaskGraphSpec::new("nan", graph, vec![])))
-                .unwrap_err();
-            assert_eq!(
-                err,
-                SpecError::Refused("spec.work[0] is not a number".to_string())
-            );
+    fn a_spec_with_work_no_graph_can_hold_is_refused_not_mangled() {
+        let mut graph = TaskGraph::new();
+        push(&mut graph, "w", 1.0, &[], &[]);
+        let line = encode_spec(&TaskGraphSpec::new("nan", graph));
+        for (work, complaint) in [
+            ("null", "spec.work[0] is not a number"),
+            (
+                "1e999",
+                "task T0 has work inf, which is not a finite non-negative number",
+            ),
+            (
+                "-5",
+                "task T0 has work -5, which is not a finite non-negative number",
+            ),
+        ] {
+            let bad = line.replacen("\"work\":[1]", &format!("\"work\":[{work}]"), 1);
+            assert_ne!(bad, line);
+            let err = decode_both_ways(&bad).unwrap_err();
+            assert_eq!(err, SpecError::Refused(complaint.to_string()));
         }
     }
 
@@ -1230,10 +1246,7 @@ mod tests {
                 "dep",
                 "spec.dep has 3 numbers, its per-task counts announce 4",
             ),
-            (
-                "regions",
-                "accesses region 1, the region table has 1 entries",
-            ),
+            ("regions", "task T1 accesses unknown region R1"),
             ("ep", "spec.ep has 2 entries for 3 tasks"),
         ] {
             let mut entries = column(&good, name);
@@ -1286,11 +1299,11 @@ mod tests {
         for (pred, complaint) in [
             (
                 2.0,
-                "task 2 depends on task 2, which is not an earlier task",
+                "task T2 depends on task T2, which is not an earlier task",
             ),
             (
                 7.0,
-                "task 2 depends on task 7, which is not an earlier task",
+                "task T2 depends on task T7, which is not an earlier task",
             ),
             (0.0, "task 2 lists its dependences out of order at task 0"),
         ] {
@@ -1323,7 +1336,7 @@ mod tests {
                 "dep",
                 Some(arr(vec![num(0.0), num(1.0), num(0.0), num(1.0)])),
             ),
-            "task 0 depends on task 0",
+            "task T0 depends on task T0",
         );
 
         // Table indices and enumerations out of range.
@@ -1331,13 +1344,13 @@ mod tests {
             &mut rows,
             "unknown region",
             with_entry(&good, "acc", 3, num(2.0)),
-            "task 1 accesses region 2, the region table has 2 entries",
+            "task T1 accesses unknown region R2",
         );
         push(
             &mut rows,
             "unknown region (hex)",
             with_entry(&good, "acc", 0, hex_max()),
-            "accesses region 18446744073709551615",
+            "task T0 accesses unknown region R18446744073709551615",
         );
         push(
             &mut rows,
@@ -1414,8 +1427,14 @@ mod tests {
         );
         push(
             &mut rows,
-            "a region resized in transit",
+            "a region shrunk in transit",
             with_entry(&good, "regions", 1, num(42.0)),
+            "task T1 accesses 4096 bytes of region R1 which only has 42",
+        );
+        push(
+            &mut rows,
+            "a region grown in transit",
+            with_entry(&good, "regions", 1, num(8192.0)),
             "fingerprint mismatch",
         );
         push(
@@ -1485,7 +1504,7 @@ mod tests {
         repeated.push(("fp".to_string(), Value::Null));
         assert_eq!(fp(Value::Object(repeated)), Ok(spec.fingerprint()));
         let mut shadowed = fields.clone();
-        shadowed[regions].1 = arr(vec![num(1.0), num(4096.0)]);
+        shadowed[regions].1 = arr(vec![num(2097152.0), num(4096.0)]);
         shadowed.push(fields[regions].clone());
         match fp(Value::Object(shadowed)) {
             Err(SpecError::Refused(e)) => assert!(e.contains("fingerprint mismatch"), "{e}"),
@@ -1565,8 +1584,7 @@ mod tests {
             ",",
         ];
         let spec = sample_spec();
-        let mut without_ep = spec.clone();
-        without_ep.ep_socket = None;
+        let without_ep = TaskGraphSpec::new(spec.name.clone(), spec.graph.clone());
         let mut judged = [0usize; 3];
         for spec in [&spec, &without_ep] {
             let line = encode_spec(spec);

@@ -342,8 +342,7 @@ mod tests {
         let region = builder.region(1 << 16);
         builder.submit(TaskSpec::new("init").work(50.0).writes(region, 1 << 16));
         builder.submit(TaskSpec::new("use").work(20.0).reads(region, 1 << 16));
-        let (graph, sizes) = builder.finish();
-        let spec = TaskGraphSpec::new("loopback", graph, sizes);
+        let spec = TaskGraphSpec::new("loopback", builder.finish());
         let assign = Assignment {
             cell: 3,
             fp: Hex64(spec.fingerprint()),
@@ -403,8 +402,7 @@ mod tests {
         let mut builder = TdgBuilder::new();
         let region = builder.region(64);
         builder.submit(TaskSpec::new("next").work(5.0).writes(region, 64));
-        let (graph, sizes) = builder.finish();
-        let next = TaskGraphSpec::new("next", graph, sizes);
+        let next = TaskGraphSpec::new("next", builder.finish());
         let line = encode_spec(&next);
         let poison = line.replacen("\"ep\":null", "\"ep\":[0,1]", 1);
         assert_ne!(poison, line);
@@ -471,15 +469,15 @@ mod tests {
         let (spec, assign) = loopback_cell();
         let line = encode_spec(&spec);
 
-        // Either of these reached an `assert!` in `TaskGraph::push_task` /
-        // `with_ep_placement` before the decoder validated its columns, and
-        // the panic looked like a lost worker to the coordinator. The refusal
-        // is the reply to the `assign` behind the spec.
+        // Either of these once reached an `assert!` in
+        // `TaskGraph::push_task` / `with_ep_placement`, and the panic looked
+        // like a lost worker to the coordinator. The refusal is the reply to
+        // the `assign` behind the spec.
         let self_dependence = line.replacen("\"dep\":[0,", "\"dep\":[1,", 1);
         assert_ne!(self_dependence, line);
         write_line(&mut coordinator.writer, self_dependence).unwrap();
         coordinator.send(&ToWorker::Assign(assign.clone()));
-        coordinator.expect_error("bad spec: ", "task 1 depends on task 1");
+        coordinator.expect_error("bad spec: ", "task T1 depends on task T1");
         let short_placement = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
         assert_ne!(short_placement, line);
         write_line(&mut coordinator.writer, short_placement).unwrap();
@@ -512,10 +510,62 @@ mod tests {
             .expect("the worker left cleanly");
     }
 
+    /// Spec lines written by hand, each carrying the fingerprint of its
+    /// content, which the decoder used to accept: a 128-byte access to a
+    /// 10-byte region (the worker then panicked running the cell) and
+    /// negative work (the worker ran it). Each is refused in
+    /// `TaskGraph::push_task`'s words, and the next good cell still runs.
+    #[test]
+    fn a_spec_the_task_graph_refuses_is_answered_in_its_words_and_the_worker_keeps_serving() {
+        const OVERSIZE: &str = r#"{"spec":{"fp":"3c0359f2469e35d0","name":"oversize","kinds":["w"],"kind":[0],"work":[1],"n_acc":[1],"n_dep":[0],"acc":[0,1,128],"dep":[],"regions":[10],"ep":null}}"#;
+        const NEGATIVE: &str = r#"{"spec":{"fp":"e056adc72dfdb15f","name":"negative","kinds":["w"],"kind":[0],"work":[-1000000000],"n_acc":[1],"n_dep":[0],"acc":[0,1,64],"dep":[],"regions":[64],"ep":null}}"#;
+        let (mut coordinator, worker) = loopback();
+        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
+        for (line, fp, complaint) in [
+            (
+                OVERSIZE,
+                0x3c03_59f2_469e_35d0,
+                "bad spec: task T0 accesses 128 bytes of region R0 which only has 10",
+            ),
+            (
+                NEGATIVE,
+                0xe056_adc7_2dfd_b15f,
+                "bad spec: task T0 has work -1000000000, which is not a finite non-negative number",
+            ),
+        ] {
+            write_line(&mut coordinator.writer, line.to_string()).unwrap();
+            coordinator.send(&ToWorker::Assign(Assignment {
+                cell: 4,
+                fp: Hex64(fp),
+                policy: "las".to_string(),
+                policy_seed: Hex64(5),
+            }));
+            let ToCoordinator::Error { message } = coordinator.reply() else {
+                panic!("expected an error reply to {line}");
+            };
+            assert_eq!(message, complaint);
+        }
+
+        let (spec, assign) = loopback_cell();
+        write_line(&mut coordinator.writer, encode_spec(&spec)).unwrap();
+        coordinator.send(&ToWorker::Assign(assign));
+        assert!(matches!(
+            coordinator.reply(),
+            ToCoordinator::Done { cell: 3, .. }
+        ));
+
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
     /// Each of these `config` lines is well-formed JSON naming a machine
-    /// `Topology::new` / `DistanceMatrix::from_rows` would panic on; each
-    /// used to panic the worker thread, and the coordinator read EOF where
-    /// the reply should have been.
+    /// `Topology::new` / `DistanceMatrix::from_rows` would panic on, or one
+    /// the simulator would allocate per core for without bound; each used to
+    /// panic (or exhaust) the worker, and the coordinator read EOF where the
+    /// reply should have been.
     #[test]
     fn a_config_naming_an_impossible_machine_is_refused_and_the_worker_keeps_serving() {
         let (mut coordinator, worker) = loopback();
@@ -541,6 +591,11 @@ mod tests {
                 "[10,21,21,10]",
                 "[0,21,21,10]",
                 "diagonal of distance matrix must be the local",
+            ),
+            (
+                "\"cores\":2",
+                "\"cores\":1099511627776",
+                "the simulator supports at most 65536 cores",
             ),
         ] {
             let bad = line.replacen(from, to, 1);

@@ -58,8 +58,7 @@ fn named_spec(name: &str) -> TaskGraphSpec {
                 .reads_writes(pair[1], 1 << 14),
         );
     }
-    let (graph, sizes) = b.finish();
-    TaskGraphSpec::new(name, graph, sizes)
+    TaskGraphSpec::new(name, b.finish())
 }
 
 fn local_report(

@@ -36,7 +36,8 @@ pub(crate) fn charge_accesses(
             }
             let distance = topology.distance(node, home);
             moved(share, distance);
-            link[home.index() * num_nodes + node.index()] += share;
+            let link = &mut link[home.index() * num_nodes + node.index()];
+            *link = link.saturating_add(share);
             if let Some(sink) = sink {
                 sink.record(TraceEvent::Traffic {
                     task,

@@ -26,7 +26,7 @@ pub fn apply_deferred_allocation(
             memory.place(region, node);
             let bytes = memory.size_of(region);
             stats.record_deferred_allocation(bytes);
-            placed += bytes;
+            placed = placed.saturating_add(bytes);
         }
     }
     placed

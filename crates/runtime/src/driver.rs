@@ -770,8 +770,7 @@ mod tests {
         let mut b = TdgBuilder::new();
         let r = b.region(64);
         b.submit(TaskSpec::new("t").work(1.0).writes(r, 64));
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("no-ep", g, sizes);
+        let spec = TaskGraphSpec::new("no-ep", b.finish());
         let plan = Experiment::new()
             .workload(spec)
             .policies([PolicyKind::Ep, PolicyKind::Dfifo])
@@ -789,8 +788,7 @@ mod tests {
         let mut b = TdgBuilder::new();
         let r = b.region(64);
         b.submit(TaskSpec::new("t").work(1.0).writes(r, 64));
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("no-ep", g, sizes);
+        let spec = TaskGraphSpec::new("no-ep", b.finish());
         // EP as baseline on a workload without an expert placement: the plan
         // marks the workload dead, and execution must not spend executor
         // time on its other policies (their speedups would have no anchor).
@@ -869,8 +867,7 @@ mod tests {
         let mut b = TdgBuilder::new();
         let r = b.region(64);
         b.submit(TaskSpec::new("t").work(1.0).writes(r, 64));
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("no-ep", g, sizes);
+        let spec = TaskGraphSpec::new("no-ep", b.finish());
         let collector = Arc::new(TraceCollector::new());
         let report = Experiment::new()
             .workload(spec)

@@ -58,9 +58,6 @@ pub trait Executor: Send + Sync {
     fn config(&self) -> &ExecutionConfig;
 
     /// Runs `spec` under `policy` and returns the execution report.
-    ///
-    /// # Panics
-    /// Panics if the workload is invalid (see [`TaskGraphSpec::validate`]).
     fn execute(&self, spec: &TaskGraphSpec, policy: &mut dyn SchedulingPolicy) -> ExecutionReport;
 
     /// Runs one sweep cell, with optional provenance ([`CellContext`]) for
@@ -113,8 +110,7 @@ mod tests {
         let r = b.region(4096);
         b.submit(TaskSpec::new("w").work(10.0).writes(r, 4096));
         b.submit(TaskSpec::new("r").work(10.0).reads(r, 4096));
-        let (g, sizes) = b.finish();
-        TaskGraphSpec::new("toy", g, sizes)
+        TaskGraphSpec::new("toy", b.finish())
     }
 
     #[test]

@@ -725,8 +725,7 @@ mod tests {
         for _ in 0..32 {
             b.submit(TaskSpec::new("step").work(100.0).reads_writes(r, 1 << 16));
         }
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("custom-chain", g, sizes);
+        let spec = TaskGraphSpec::new("custom-chain", b.finish());
         let report = Experiment::new()
             .workload(spec)
             .policies([PolicyKind::Dfifo])
@@ -741,8 +740,7 @@ mod tests {
         let mut b = TdgBuilder::new();
         let r = b.region(64);
         b.submit(TaskSpec::new("t").work(1.0).writes(r, 64));
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("no-ep", g, sizes);
+        let spec = TaskGraphSpec::new("no-ep", b.finish());
         let report = Experiment::new()
             .workload(spec)
             .policies([PolicyKind::Ep, PolicyKind::Dfifo])

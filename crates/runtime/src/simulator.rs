@@ -125,7 +125,7 @@ impl Run<'_> {
             row.accesses.regions(),
             node,
         );
-        self.report.deferred_bytes += placed;
+        self.report.deferred_bytes = self.report.deferred_bytes.saturating_add(placed);
         if let Some(sink) = sink.filter(|_| placed > 0) {
             sink.record(TraceEvent::DeferredAlloc {
                 task,
@@ -175,11 +175,18 @@ impl Simulator {
     /// per-socket state in one 64-bit mask.
     pub const MAX_SOCKETS: usize = MAX_SOCKETS;
 
+    /// The most cores a simulated machine may have: the simulator allocates
+    /// per core, so without a bound a `config` line could make it allocate
+    /// without one. 2^16 is [`Simulator::MAX_SOCKETS`] sockets of 1,024
+    /// cores, more than any NUMA machine built and 1,024 times the largest
+    /// topology the repository simulates (64 sockets of 1 core).
+    pub const MAX_CORES: usize = 1 << 16;
+
     /// Creates a simulator for the given machine configuration.
     ///
     /// # Panics
     /// Panics if the topology has more than [`Simulator::MAX_SOCKETS`]
-    /// sockets.
+    /// sockets or [`Simulator::MAX_CORES`] cores.
     pub fn new(config: ExecutionConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -194,6 +201,17 @@ impl Simulator {
                 Self::MAX_SOCKETS,
                 topo.name(),
                 topo.num_sockets()
+            ));
+        }
+        // Sockets are at most 64 here, so the product cannot overflow once
+        // one socket's cores are within the bound.
+        if topo.cores_per_socket() > Self::MAX_CORES || topo.num_cores() > Self::MAX_CORES {
+            return Err(format!(
+                "the simulator supports at most {} cores, topology {:?} has {} x {}",
+                Self::MAX_CORES,
+                topo.name(),
+                topo.num_sockets(),
+                topo.cores_per_socket()
             ));
         }
         let steal_order = (0..topo.num_sockets())
@@ -230,14 +248,10 @@ impl Simulator {
         &self.config
     }
 
-    /// Runs `spec` under `policy` and returns the execution report.
-    ///
-    /// # Panics
-    /// Panics if the workload is invalid (see [`TaskGraphSpec::validate`]) or
-    /// if the dependence graph deadlocks (which cannot happen for graphs
-    /// produced by [`numadag_tdg::TdgBuilder`]).
+    /// Runs `spec` under `policy` and returns the execution report. Every
+    /// spec is runnable (see [`numadag_tdg::TaskGraph::push_task`]), so
+    /// there is nothing to check first.
     pub fn run(&self, spec: &TaskGraphSpec, policy: &mut dyn SchedulingPolicy) -> ExecutionReport {
-        spec.validate().expect("invalid workload spec");
         let topo = &self.config.topology;
         let num_sockets = topo.num_sockets();
         let flat = spec.graph.flat();
@@ -245,7 +259,7 @@ impl Simulator {
         let sink = self.config.trace_sink.as_deref();
 
         // Memory state: all regions start unallocated (deferred allocation).
-        let memory = MemoryMap::with_regions(&spec.region_sizes);
+        let memory = MemoryMap::with_regions(spec.graph.region_sizes());
 
         let run_started = std::time::Instant::now();
         let mut policy_wall_ns = 0.0f64;
@@ -333,12 +347,8 @@ impl Simulator {
         );
 
         while completed < n {
-            let Some(event) = run.events.pop() else {
-                panic!(
-                    "simulation deadlock: {} of {} tasks completed but no task is running",
-                    completed, n
-                );
-            };
+            // Every graph is acyclic, so a task runs until every task has.
+            let event = run.events.pop().expect("an unfinished task is running");
             let now = event.time;
             makespan = makespan.max(now);
             completed += 1;
@@ -424,8 +434,7 @@ mod tests {
                 );
             }
         }
-        let (g, sizes) = b.finish();
-        TaskGraphSpec::new("chains", g, sizes)
+        TaskGraphSpec::new("chains", b.finish())
     }
 
     fn sim() -> Simulator {
@@ -592,6 +601,21 @@ mod tests {
     }
 
     #[test]
+    fn a_machine_over_the_core_bound_is_refused_before_it_allocates() {
+        use numadag_numa::Topology;
+        let build = |topology| Simulator::try_new(ExecutionConfig::new(topology)).err();
+        assert_eq!(build(Topology::symmetric(64, 1024)), None);
+        assert_eq!(
+            build(Topology::symmetric(64, 1025)).unwrap(),
+            "the simulator supports at most 65536 cores, topology \"64-socket x 1025 cores\" has 64 x 1025"
+        );
+        for cores in [(1 << 16) + 1, 1 << 40, usize::MAX] {
+            let refused = build(Topology::uma(cores)).unwrap();
+            assert!(refused.starts_with("the simulator supports at most 65536 cores"));
+        }
+    }
+
+    #[test]
     fn a_64_socket_machine_uses_every_socket() {
         use numadag_numa::Topology;
         let spec = chains(128, 2);
@@ -619,8 +643,7 @@ mod tests {
         let mut b = TdgBuilder::new();
         let r = b.region(4096);
         b.submit(TaskSpec::new("only").work(10.0).writes(r, 4096));
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("single", g, sizes);
+        let spec = TaskGraphSpec::new("single", b.finish());
         let report = sim().run(&spec, &mut LasPolicy::new(0));
         assert_eq!(report.tasks, 1);
         assert!(report.makespan_ns > 0.0);

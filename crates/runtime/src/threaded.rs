@@ -80,13 +80,12 @@ impl ThreadedExecutor {
         policy: &mut dyn SchedulingPolicy,
         body: &(dyn Fn(TaskId) + Sync),
     ) -> ExecutionReport {
-        spec.validate().expect("invalid workload spec");
         let topo = &self.config.topology;
         let num_sockets = topo.num_sockets();
         let n = spec.num_tasks();
         let policy_name = policy.name();
 
-        let memory = MemoryMap::with_regions(&spec.region_sizes);
+        let memory = MemoryMap::with_regions(spec.graph.region_sizes());
         {
             let locator = MemoryLocator::new(topo, &memory);
             policy.prepare(&spec.graph, &locator);
@@ -234,7 +233,7 @@ fn worker_loop(
                         let Shared { memory, stats, .. } = &mut *s;
                         let placed =
                             apply_deferred_allocation(memory, stats, accesses.regions(), node);
-                        s.deferred_bytes += placed;
+                        s.deferred_bytes = s.deferred_bytes.saturating_add(placed);
                         if let Some(sink) = sink.filter(|_| placed > 0) {
                             sink.record(TraceEvent::DeferredAlloc {
                                 task,
@@ -328,7 +327,7 @@ mod tests {
     use super::*;
     use numadag_core::{DfifoPolicy, LasPolicy, RgpPolicy};
     use numadag_numa::Topology;
-    use numadag_tdg::{TaskSpec, TdgBuilder};
+    use numadag_tdg::{TaskGraph, TaskSpec, TdgBuilder};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A reduction tree: `leaves` leaf tasks each produce a value; inner
@@ -364,8 +363,7 @@ mod tests {
             frontier = new_frontier;
         }
         let root = frontier[0];
-        let (g, sizes) = b.finish();
-        (TaskGraphSpec::new("reduction", g, sizes), root)
+        (TaskGraphSpec::new("reduction", b.finish()), root)
     }
 
     #[test]
@@ -395,8 +393,7 @@ mod tests {
         for i in 0..64 {
             b.submit(TaskSpec::new(format!("s{i}")).work(1.0).reads_writes(r, 8));
         }
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("chain", g, sizes);
+        let spec = TaskGraphSpec::new("chain", b.finish());
         let log = Mutex::new(Vec::new());
         let exec = ThreadedExecutor::new(ExecutionConfig::new(Topology::two_socket(2)));
         let mut policy = LasPolicy::new(1);
@@ -457,8 +454,7 @@ mod tests {
         for _ in 0..128 {
             b.submit(TaskSpec::new("link").work(1.0).reads_writes(r, 8));
         }
-        let (g, sizes) = b.finish();
-        let spec = TaskGraphSpec::new("chain", g, sizes);
+        let spec = TaskGraphSpec::new("chain", b.finish());
         let config =
             ExecutionConfig::new(Topology::four_socket(2)).with_steal(StealMode::NoStealing);
         let exec = ThreadedExecutor::new(config);
@@ -505,8 +501,7 @@ mod tests {
 
     #[test]
     fn empty_workload_returns_immediately() {
-        let (g, sizes) = TdgBuilder::new().finish();
-        let spec = TaskGraphSpec::new("empty", g, sizes);
+        let spec = TaskGraphSpec::new("empty", TaskGraph::new());
         let exec = ThreadedExecutor::new(ExecutionConfig::new(Topology::two_socket(2)));
         let mut policy = DfifoPolicy::new();
         let report = exec.run(&spec, &mut policy, &|_| panic!("no tasks to run"));

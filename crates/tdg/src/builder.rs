@@ -11,15 +11,14 @@ use crate::deps::DependencyTracker;
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskSpec};
 
-/// Incrementally builds a [`TaskGraph`] (and the associated region table)
-/// from task submissions.
+/// Incrementally builds a [`TaskGraph`], region table included, from task
+/// submissions.
 #[derive(Clone, Debug, Default)]
 pub struct TdgBuilder {
     graph: TaskGraph,
     tracker: DependencyTracker,
     /// `(predecessor, bytes)` pairs of the task being submitted.
     deps: Vec<(TaskId, u64)>,
-    region_sizes: Vec<u64>,
 }
 
 impl TdgBuilder {
@@ -28,52 +27,26 @@ impl TdgBuilder {
         Self::default()
     }
 
-    /// Registers a data region of `size_bytes` bytes and returns its id.
+    /// Registers a data region of `size_bytes` bytes in the graph's region
+    /// table and returns its id.
     pub fn region(&mut self, size_bytes: u64) -> RegionId {
-        let id = RegionId(self.region_sizes.len());
-        self.region_sizes.push(size_bytes);
-        id
-    }
-
-    /// Number of regions registered so far.
-    pub fn num_regions(&self) -> usize {
-        self.region_sizes.len()
-    }
-
-    /// Size in bytes of a region.
-    pub fn region_size(&self, region: RegionId) -> u64 {
-        self.region_sizes[region.index()]
-    }
-
-    /// All region sizes, indexed by region id.
-    pub fn region_sizes(&self) -> &[u64] {
-        &self.region_sizes
+        self.graph.region(size_bytes)
     }
 
     /// Submits a task. Dependences on earlier tasks are derived automatically
     /// from the declared accesses. Returns the id of the new task.
     ///
     /// # Panics
-    /// Panics if the task accesses a region id that was not created by this
-    /// builder.
+    /// Panics with [`TaskGraph::push_task`]'s refusal if the task is not
+    /// runnable: an access to a region this builder did not register or
+    /// larger than its region, or work that is not finite and non-negative.
     pub fn submit(&mut self, spec: TaskSpec) -> TaskId {
-        for access in &spec.accesses {
-            assert!(
-                access.region.index() < self.region_sizes.len(),
-                "task accesses unknown region {:?}",
-                access.region
-            );
-        }
         let id = TaskId(self.graph.num_tasks());
         self.tracker
             .register_into(id, &spec.accesses, &mut self.deps);
         self.graph
             .push_task(&spec.kind, spec.work_units, &spec.accesses, &self.deps)
-    }
-
-    /// Number of tasks submitted so far.
-    pub fn num_tasks(&self) -> usize {
-        self.graph.num_tasks()
+            .unwrap_or_else(|refused| panic!("{refused}"))
     }
 
     /// Read-only view of the graph built so far.
@@ -81,10 +54,9 @@ impl TdgBuilder {
         &self.graph
     }
 
-    /// Finishes building and returns the graph together with the region size
-    /// table.
-    pub fn finish(self) -> (TaskGraph, Vec<u64>) {
-        (self.graph, self.region_sizes)
+    /// Finishes building and returns the graph.
+    pub fn finish(self) -> TaskGraph {
+        self.graph
     }
 }
 
@@ -107,9 +79,9 @@ mod tests {
                 .reads(c, 4096)
                 .writes(a, 4096),
         );
-        let (g, sizes) = b.finish();
+        let g = b.finish();
         assert_eq!(g.num_tasks(), 3);
-        assert_eq!(sizes, vec![4096, 4096]);
+        assert_eq!(g.region_sizes(), [4096, 4096]);
         assert_eq!(g.in_degree(t2), 2);
         // RAW (read of `a`) and WAW (write of `a`) edges from t0 are merged: 4096 + 4096.
         assert_eq!(g.edge_bytes(t0, t2), Some(4096 + 4096));
@@ -125,9 +97,7 @@ mod tests {
         let r1 = b.region(200);
         assert_eq!(r0.index(), 0);
         assert_eq!(r1.index(), 1);
-        assert_eq!(b.num_regions(), 2);
-        assert_eq!(b.region_size(r1), 200);
-        assert_eq!(b.region_sizes(), &[100, 200]);
+        assert_eq!(b.graph().region_sizes(), [100, 200]);
     }
 
     #[test]
@@ -137,7 +107,7 @@ mod tests {
         for &r in &regions {
             b.submit(TaskSpec::new("independent").work(1.0).writes(r, 64));
         }
-        let (g, _) = b.finish();
+        let g = b.finish();
         assert_eq!(g.num_tasks(), 10);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.sources().len(), 10);
@@ -154,17 +124,24 @@ mod tests {
                     .reads_writes(r, 1024),
             );
         }
-        let (g, _) = b.finish();
+        let g = b.finish();
         assert_eq!(g.num_edges(), 49);
         assert!((g.critical_path_work() - 50.0).abs() < 1e-9);
         assert!((g.average_parallelism() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    #[should_panic(expected = "unknown region")]
+    #[should_panic(expected = "task T0 accesses unknown region R3")]
     fn unknown_region_rejected() {
         let mut b = TdgBuilder::new();
         b.submit(TaskSpec::new("bad").writes(RegionId(3), 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "task T0 has work -1, which is not a finite non-negative number")]
+    fn negative_work_rejected() {
+        let mut b = TdgBuilder::new();
+        b.submit(TaskSpec::new("bad").work(-1.0));
     }
 
     #[test]
@@ -175,6 +152,5 @@ mod tests {
         assert_eq!(b.graph().num_tasks(), 1);
         b.submit(TaskSpec::new("b").reads(r, 8));
         assert_eq!(b.graph().num_tasks(), 2);
-        assert_eq!(b.num_tasks(), 2);
     }
 }

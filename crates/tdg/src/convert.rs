@@ -132,7 +132,7 @@ mod tests {
         b.submit(TaskSpec::new("l").work(2.0).reads(a, 1000).writes(d, 500));
         b.submit(TaskSpec::new("r").work(3.0).reads(c, 2000));
         b.submit(TaskSpec::new("sink").work(4.0).reads(d, 500).reads(c, 2000));
-        b.finish().0
+        b.finish()
     }
 
     /// The window that spans every task of `graph`, converted.
@@ -177,7 +177,7 @@ mod tests {
         let r = b.region(0);
         b.submit(TaskSpec::new("a").work(0.0).writes(r, 0));
         b.submit(TaskSpec::new("b").work(0.0).reads(r, 0));
-        let g = b.finish().0;
+        let g = b.finish();
         let wg = whole_graph(&g);
         assert_eq!(wg.graph.vertex_weight(0), 1);
         assert_eq!(wg.graph.edge_weight(0, 1), Some(1));

@@ -1,14 +1,21 @@
-//! The task dependency graph (TDG), stored as task and access columns.
+//! The task dependency graph (TDG), stored as task and access columns, and
+//! the one rule every graph satisfies: [`TaskGraph::push_task`] refuses a
+//! task that would make the graph unrunnable.
 
 use std::sync::OnceLock;
+
+use numadag_numa::RegionId;
 
 use crate::plan::WindowPlans;
 use crate::task::{AccessMode, Accesses, DataAccess, TaskDescriptor, TaskId};
 use crate::window::TaskWindow;
 
-/// A directed acyclic graph of tasks. Nodes are tasks in submission order;
-/// edges carry the number of bytes of data flowing (or being serialised)
-/// between the two tasks.
+/// A directed acyclic graph of tasks over a table of data regions. Nodes are
+/// tasks in submission order; edges carry the number of bytes of data flowing
+/// (or being serialised) between the two tasks.
+///
+/// Every graph is runnable by construction: [`TaskGraph::push_task`], the
+/// only way a task gets in, checks the rule, and executors rely on it.
 ///
 /// Tasks are columns — a kind index into a table of distinct kinds, work
 /// units, and offsets into the access columns (region, mode, bytes) — so a
@@ -34,6 +41,8 @@ pub struct TaskGraph {
     /// task, bytes) of task `t`, ascending and deduplicated.
     pred_offsets: Vec<u32>,
     pred_edges: Vec<(TaskId, u64)>,
+    /// Size in bytes of every region, indexed by region id.
+    region_sizes: Vec<u64>,
     /// Built on first use, dropped by [`TaskGraph::push_task`] — the only
     /// mutator, so a view handed out can never be stale.
     flat: OnceLock<FlatTdg>,
@@ -57,6 +66,7 @@ impl Default for TaskGraph {
             access_bytes: Vec::new(),
             pred_offsets: vec![0],
             pred_edges: Vec::new(),
+            region_sizes: Vec::new(),
             flat: OnceLock::new(),
             fold: OnceLock::new(),
             plans: WindowPlans::default(),
@@ -109,9 +119,59 @@ impl Fnv1a {
     }
 }
 
+/// Why [`TaskGraph::push_task`] refused a task, or
+/// [`TaskGraphSpec::with_ep_placement`](crate::TaskGraphSpec::with_ep_placement)
+/// a placement. `Display` is the sentence a worker sends back after
+/// `bad spec: `. The first field is always the task being pushed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TdgError {
+    /// The task depends on a task that is not earlier (the second field).
+    LaterDependence(TaskId, TaskId),
+    /// The task accesses a region the graph's table does not have.
+    UnknownRegion(TaskId, RegionId),
+    /// The task accesses more bytes (the third field) of a region than the
+    /// region has (the fourth).
+    OversizeAccess(TaskId, RegionId, u64, u64),
+    /// The task's work units are NaN, infinite or negative.
+    BadWork(TaskId, f64),
+    /// The task would grow the named column past `u32` indices.
+    Capacity(TaskId, &'static str),
+    /// An expert placement with one entry per task too many or too few.
+    EpLength,
+}
+
+impl std::fmt::Display for TdgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TdgError::LaterDependence(task, on) => {
+                write!(
+                    f,
+                    "task {task} depends on task {on}, which is not an earlier task"
+                )
+            }
+            TdgError::UnknownRegion(task, region) => {
+                write!(f, "task {task} accesses unknown region {region}")
+            }
+            TdgError::OversizeAccess(task, region, bytes, size) => write!(
+                f,
+                "task {task} accesses {bytes} bytes of region {region} which only has {size}"
+            ),
+            TdgError::BadWork(task, work) => write!(
+                f,
+                "task {task} has work {work}, which is not a finite non-negative number"
+            ),
+            TdgError::Capacity(task, column) => {
+                write!(f, "task {task} outgrows the graph's u32 {column} column")
+            }
+            TdgError::EpLength => f.write_str("EP placement length mismatch"),
+        }
+    }
+}
+
+impl std::error::Error for TdgError {}
+
 /// What executors derive from a [`TaskGraph`]'s columns once and read per
-/// task or per cell: the successor CSR, the in-degrees, the acyclicity
-/// verdict and the largest access per region. Obtained from
+/// task or per cell: the successor CSR and the in-degrees. Obtained from
 /// [`TaskGraph::flat`]; element for element equal to the graph's accessors.
 #[derive(Clone, Debug)]
 pub struct FlatTdg {
@@ -119,9 +179,6 @@ pub struct FlatTdg {
     succ_targets: Vec<u32>,
     succ_bytes: Vec<u64>,
     in_degrees: Vec<u32>,
-    /// Per region up to the largest one accessed: its largest access.
-    region_max_bytes: Vec<u64>,
-    acyclic: bool,
 }
 
 impl FlatTdg {
@@ -140,10 +197,8 @@ impl FlatTdg {
         let mut cursor = succ_offsets.clone();
         let mut succ_targets = vec![0u32; graph.pred_edges.len()];
         let mut succ_bytes = vec![0u64; graph.pred_edges.len()];
-        let mut acyclic = true;
         for t in 0..n {
             for &(pred, bytes) in graph.predecessors(TaskId(t)) {
-                acyclic &= pred.index() < t;
                 let slot = &mut cursor[pred.index()];
                 succ_targets[*slot as usize] = t as u32;
                 succ_bytes[*slot as usize] = bytes;
@@ -151,22 +206,11 @@ impl FlatTdg {
             }
         }
 
-        let mut region_max_bytes = Vec::new();
-        for (&region, &bytes) in graph.access_regions.iter().zip(&graph.access_bytes) {
-            let region = region as usize;
-            if region >= region_max_bytes.len() {
-                region_max_bytes.resize(region + 1, 0);
-            }
-            region_max_bytes[region] = region_max_bytes[region].max(bytes);
-        }
-
         FlatTdg {
             succ_offsets,
             succ_targets,
             succ_bytes,
             in_degrees: graph.pred_offsets.windows(2).map(|w| w[1] - w[0]).collect(),
-            region_max_bytes,
-            acyclic,
         }
     }
 
@@ -193,18 +237,6 @@ impl FlatTdg {
     pub fn in_degrees(&self) -> &[u32] {
         &self.in_degrees
     }
-
-    /// The largest byte count of any access to each region, indexed by
-    /// region up to the largest region accessed (0 for a region no task
-    /// touches): what a region table must cover for every access to fit.
-    pub(crate) fn region_max_bytes(&self) -> &[u64] {
-        &self.region_max_bytes
-    }
-
-    /// The memoised verdict of [`TaskGraph::is_acyclic`].
-    pub fn is_acyclic(&self) -> bool {
-        self.acyclic
-    }
 }
 
 impl TaskGraph {
@@ -226,6 +258,18 @@ impl TaskGraph {
     /// True if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
         self.work.is_empty()
+    }
+
+    /// Adds a data region of `size_bytes` bytes to the region table and
+    /// returns its id. Tasks pushed after this may access it.
+    pub fn region(&mut self, size_bytes: u64) -> RegionId {
+        self.region_sizes.push(size_bytes);
+        RegionId(self.region_sizes.len() - 1)
+    }
+
+    /// Size in bytes of every region, indexed by region id.
+    pub fn region_sizes(&self) -> &[u64] {
+        &self.region_sizes
     }
 
     /// The task `id`: a view of its row of the task columns.
@@ -322,21 +366,48 @@ impl TaskGraph {
     /// be assembled directly in tests and benches. A kind is found in the
     /// kind table by a scan: an application has a handful.
     ///
-    /// # Panics
-    /// Panics if a dependence refers to a not-yet-submitted task (which
-    /// would create a cycle), or if a region index or a column outgrows
-    /// `u32`.
+    /// This is where the rule for a runnable graph is checked, and the only
+    /// place. Before it changes anything it refuses, in this order: a
+    /// dependence on a task that is not earlier (which would create a
+    /// cycle), an access to a region not in the table, an access larger
+    /// than its region, work that is NaN, infinite or negative, and a
+    /// column that would outgrow `u32`. A refused task leaves the graph as
+    /// it was.
     pub fn push_task(
         &mut self,
         kind: &str,
         work_units: f64,
         accesses: &[DataAccess],
         deps: &[(TaskId, u64)],
-    ) -> TaskId {
-        let id = TaskId(self.num_tasks());
-        for &(pred, _) in deps {
-            assert!(pred < id, "dependence on not-yet-submitted task {pred:?}");
+    ) -> Result<TaskId, TdgError> {
+        let task = TaskId(self.num_tasks());
+        if let Some(&(on, _)) = deps.iter().find(|&&(pred, _)| pred >= task) {
+            return Err(TdgError::LaterDependence(task, on));
         }
+        for &DataAccess { region, bytes, .. } in accesses {
+            let Some(&size) = self.region_sizes.get(region.index()) else {
+                return Err(TdgError::UnknownRegion(task, region));
+            };
+            if bytes > size {
+                return Err(TdgError::OversizeAccess(task, region, bytes, size));
+            }
+        }
+        if !(work_units.is_finite() && work_units >= 0.0) {
+            return Err(TdgError::BadWork(task, work_units));
+        }
+        // Every index the columns store is a `u32`; a known region's index
+        // is below the table's length.
+        let lengths = [
+            ("task", task.index() + 1),
+            ("kind", self.kinds.len() + 1),
+            ("region", self.region_sizes.len()),
+            ("access", self.access_regions.len() + accesses.len()),
+            ("edge", self.pred_edges.len() + deps.len()),
+        ];
+        if let Some(&(column, _)) = lengths.iter().find(|(_, len)| u32::try_from(*len).is_err()) {
+            return Err(TdgError::Capacity(task, column));
+        }
+
         self.flat.take();
         self.fold.take();
         self.plans.clear();
@@ -347,15 +418,11 @@ impl TaskGraph {
         }) as u32);
         self.work.push(work_units);
         for access in accesses {
-            self.access_regions.push(
-                u32::try_from(access.region.index()).expect("TDG exceeds u32 region indices"),
-            );
+            self.access_regions.push(access.region.index() as u32);
             self.access_modes.push(access.mode);
             self.access_bytes.push(access.bytes);
         }
-        self.access_offsets.push(
-            u32::try_from(self.access_regions.len()).expect("TDG exceeds u32 access indices"),
-        );
+        self.access_offsets.push(self.access_regions.len() as u32);
         // A task has a handful of predecessors: sort the pairs in place at
         // the tail of the edge array and fold duplicates into the first of
         // each run.
@@ -374,9 +441,8 @@ impl TaskGraph {
             }
         }
         self.pred_edges.truncate(kept);
-        self.pred_offsets
-            .push(u32::try_from(kept).expect("TDG exceeds u32 edge indices"));
-        id
+        self.pred_offsets.push(kept as u32);
+        Ok(task)
     }
 
     /// Folds everything the graph contributes to
@@ -443,13 +509,6 @@ impl TaskGraph {
             .map(|(_, b)| *b)
     }
 
-    /// True if every edge points from a lower to a higher task id (which
-    /// implies acyclicity): tasks are submitted in program order and edges
-    /// only point forward, so the submission order is topological.
-    pub fn is_acyclic(&self) -> bool {
-        self.flat().is_acyclic()
-    }
-
     /// Length of the critical path in work units: the heaviest chain of tasks
     /// under the dependence relation. This bounds the best possible makespan
     /// of any schedule on any number of cores (ignoring memory time).
@@ -499,15 +558,17 @@ impl TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::DataAccess;
-    use numadag_numa::RegionId;
+    use crate::spec::TaskGraphSpec;
 
-    /// Pushes task `id` of kind `t{id}`, writing 8 bytes of region `id`.
+    /// Pushes task `id` of kind `t{id}`, writing all 8 bytes of a new region
+    /// `id`.
     fn push(g: &mut TaskGraph, id: usize, work: f64, deps: &[(TaskId, u64)]) {
-        let access = [DataAccess::write(RegionId(id), 8)];
+        let region = g.region(8);
+        assert_eq!(region, RegionId(id));
+        let access = [DataAccess::write(region, 8)];
         assert_eq!(
             g.push_task(&format!("t{id}"), work, &access, deps),
-            TaskId(id)
+            Ok(TaskId(id))
         );
     }
 
@@ -532,7 +593,7 @@ mod tests {
         assert_eq!(g.out_degree(TaskId(0)), 2);
         assert_eq!(g.edge_bytes(TaskId(0), TaskId(2)), Some(200));
         assert_eq!(g.edge_bytes(TaskId(1), TaskId(2)), None);
-        assert!(g.is_acyclic());
+        assert_eq!(g.region_sizes(), [8; 4]);
         assert_eq!(g.total_edge_bytes(), 600);
     }
 
@@ -566,7 +627,7 @@ mod tests {
     fn kinds_are_interned_in_order_of_first_appearance() {
         let mut g = TaskGraph::new();
         for kind in ["b", "a", "b", "c", "a"] {
-            g.push_task(kind, 1.0, &[], &[]);
+            g.push_task(kind, 1.0, &[], &[]).unwrap();
         }
         let (table, index) = g.kind_table();
         assert_eq!(table, [Box::from("b"), Box::from("a"), Box::from("c")]);
@@ -582,14 +643,71 @@ mod tests {
         assert_eq!(g.critical_path_work(), 0.0);
         assert_eq!(g.average_parallelism(), 0.0);
         assert!(g.sources().is_empty());
-        assert!(g.is_acyclic());
+        assert!(g.region_sizes().is_empty());
     }
 
+    /// Each task breaks the rule once, and is refused with the words a
+    /// worker sends back; the graph it was pushed onto is unchanged.
     #[test]
-    #[should_panic(expected = "not-yet-submitted")]
-    fn forward_dependence_rejected() {
-        let mut g = TaskGraph::new();
-        push(&mut g, 0, 1.0, &[(TaskId(0), 8)]);
+    fn push_task_refuses_an_unrunnable_task_and_changes_nothing() {
+        let mut g = diamond();
+        let fingerprint = |g: &TaskGraph| TaskGraphSpec::new("d", g.clone()).fingerprint();
+        let before = fingerprint(&g);
+        let fits = DataAccess::read(RegionId(3), 8);
+        let bad_work = "which is not a finite non-negative number";
+        let later = "which is not an earlier task";
+        for (work, access, dep, message) in [
+            (
+                f64::NAN,
+                fits,
+                3,
+                format!("task T4 has work NaN, {bad_work}"),
+            ),
+            (
+                -1e9,
+                fits,
+                3,
+                format!("task T4 has work -1000000000, {bad_work}"),
+            ),
+            (
+                f64::INFINITY,
+                fits,
+                3,
+                format!("task T4 has work inf, {bad_work}"),
+            ),
+            (
+                f64::NEG_INFINITY,
+                fits,
+                3,
+                format!("task T4 has work -inf, {bad_work}"),
+            ),
+            (
+                1.0,
+                DataAccess::read(RegionId(4), 8),
+                3,
+                "task T4 accesses unknown region R4".to_string(),
+            ),
+            (
+                1.0,
+                DataAccess::write(RegionId(2), 9),
+                3,
+                "task T4 accesses 9 bytes of region R2 which only has 8".to_string(),
+            ),
+            (1.0, fits, 4, format!("task T4 depends on task T4, {later}")),
+            (1.0, fits, 9, format!("task T4 depends on task T9, {later}")),
+        ] {
+            let deps = [(TaskId(3), 8), (TaskId(dep), 8)];
+            let refused = g.push_task("bad", work, &[access], &deps).unwrap_err();
+            assert_eq!(refused.to_string(), message);
+            assert_eq!((g.num_tasks(), g.num_edges()), (4, 4));
+            assert_eq!(g.all_accesses().len(), 4);
+            assert_eq!(fingerprint(&g), before, "{message}");
+        }
+        // Zero work, an access of a whole region and a merged dependence
+        // are runnable.
+        let deps = [(TaskId(3), 8), (TaskId(3), 8)];
+        assert_eq!(g.push_task("ok", -0.0, &[fits], &deps), Ok(TaskId(4)));
+        assert_ne!(fingerprint(&g), before);
     }
 
     /// The nested successor lists `push_task` kept before the flat view
@@ -615,10 +733,8 @@ mod tests {
     fn assert_flat_matches(g: &TaskGraph, successors: &[Vec<(TaskId, u64)>]) {
         let flat = g.flat();
         assert_eq!(flat.num_tasks(), g.num_tasks());
-        assert!(flat.is_acyclic());
         let all = g.all_accesses();
         let mut seen_accesses = 0;
-        let mut region_max_bytes = Vec::new();
         for t in g.task_ids() {
             let task = g.task(t);
             let want = &successors[t.index()];
@@ -638,16 +754,10 @@ mod tests {
             );
             for (i, access) in task.accesses.iter().enumerate() {
                 assert_eq!(all.get(seen_accesses + i), access, "access {i} of {t}");
-                let r = access.region.index();
-                if r >= region_max_bytes.len() {
-                    region_max_bytes.resize(r + 1, 0);
-                }
-                region_max_bytes[r] = region_max_bytes[r].max(access.bytes);
             }
             seen_accesses += task.accesses.len();
         }
         assert_eq!(all.len(), seen_accesses);
-        assert_eq!(flat.region_max_bytes(), region_max_bytes);
     }
 
     proptest::proptest! {
@@ -661,6 +771,9 @@ mod tests {
             ),
         ) {
             let mut g = TaskGraph::new();
+            for _ in 0..13 {
+                g.region(64);
+            }
             let mut deps: Vec<Vec<(TaskId, u64)>> = Vec::new();
             for (t, (raw_deps, accesses, work)) in tasks.iter().enumerate() {
                 let task_deps: Vec<(TaskId, u64)> = if t == 0 {
@@ -672,7 +785,7 @@ mod tests {
                     .map(|a| DataAccess::read(RegionId((t * 7 + a) % 13), (t + a) as u64))
                     .collect();
                 let work = *work as f64 * 0.5;
-                g.push_task("t", work, &accesses, &task_deps);
+                g.push_task("t", work, &accesses, &task_deps).unwrap();
                 let task = g.task(TaskId(t));
                 proptest::prop_assert_eq!((task.kind, task.work_units), ("t", work));
                 proptest::prop_assert!(task.accesses.iter().eq(accesses));
@@ -697,7 +810,6 @@ mod tests {
         assert_eq!(flat.successor_bytes(TaskId(0)), [100, 200, 8]);
         assert_eq!(flat.in_degrees(), [0, 1, 1, 2, 2]);
         assert_eq!(g.task(TaskId(4)).work_units, 2.0);
-        assert_eq!(flat.region_max_bytes(), [8; 5]);
         assert_eq!(g.sinks(), vec![TaskId(4)]);
         // A clone carries (or rebuilds) a view of its own.
         let mut copy = g.clone();

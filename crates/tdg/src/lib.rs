@@ -14,7 +14,8 @@
 //! * [`deps`] — incremental dependence derivation with OpenMP `depend`
 //!   semantics (RAW, WAR and WAW ordering per region).
 //! * [`graph`] — the [`graph::TaskGraph`] itself, stored as columns (kind,
-//!   work, access runs, a predecessor CSR), and its derived [`FlatTdg`].
+//!   work, access runs, a predecessor CSR) over the region table it owns,
+//!   and its derived [`FlatTdg`].
 //! * [`builder`] — [`builder::TdgBuilder`], the front door: submit tasks in
 //!   program order and get the TDG.
 //! * [`window`] — task windows, the unit RGP partitions.
@@ -23,8 +24,17 @@
 //! * [`plan`] — [`plan::WindowPlan`], the unanchored partition of a window,
 //!   computed once per graph and shared by every policy that asks.
 //! * [`spec`] — [`spec::TaskGraphSpec`], a self-contained workload
-//!   description (TDG + region sizes + optional expert placement) produced by
-//!   the kernels crate and consumed by the runtime.
+//!   description (TDG + optional expert placement) produced by the kernels
+//!   crate and consumed by the runtime.
+//!
+//! ## One rule for a runnable workload
+//!
+//! [`TaskGraph::push_task`] — the one way in, behind [`TdgBuilder::submit`]
+//! and the proc backend's spec decoder — refuses with a [`TdgError`] a task
+//! whose dependences are not all earlier, whose accesses do not all fit a
+//! region of the graph's table, or whose work is not finite and
+//! non-negative. [`TaskGraphSpec::with_ep_placement`] checks a placement's
+//! length once. Nothing downstream checks a workload again.
 
 #![warn(missing_docs)]
 
@@ -39,7 +49,7 @@ pub mod window;
 
 pub use builder::TdgBuilder;
 pub use convert::{clamp_weight, window_to_csr, window_weight_cap, CrossEdge, WindowGraph};
-pub use graph::{FlatTdg, Fnv1a, TaskGraph};
+pub use graph::{FlatTdg, Fnv1a, TaskGraph, TdgError};
 pub use plan::WindowPlan;
 pub use spec::TaskGraphSpec;
 pub use task::{AccessMode, Accesses, DataAccess, TaskDescriptor, TaskId, TaskSpec};

@@ -175,7 +175,7 @@ mod tests {
                 );
             }
         }
-        b.finish().0
+        b.finish()
     }
 
     fn first_window(graph: &TaskGraph, size: usize) -> TaskWindow {
@@ -255,7 +255,7 @@ mod tests {
         assert_eq!(copy.plans.remembered(), 0);
         assert_eq!(copy.window_plan_counts(), (0, 0));
 
-        g.push_task("tail", 1.0, &[], &[(TaskId(0), 8)]);
+        g.push_task("tail", 1.0, &[], &[(TaskId(0), 8)]).unwrap();
         assert_eq!(g.plans.remembered(), 0);
         let after = g.window_plan(&window, &config);
         assert!(!Arc::ptr_eq(&before, &after));

@@ -1,15 +1,18 @@
 //! Self-contained workload descriptions.
 //!
 //! A [`TaskGraphSpec`] bundles everything an executor needs to run (or
-//! simulate) a task-based application: the TDG, the sizes of the data regions
-//! it references and, optionally, the expert-programmer placement the paper's
-//! `EP` policy uses.
+//! simulate) a task-based application: the TDG, which owns the sizes of the
+//! data regions it references, and, optionally, the expert-programmer
+//! placement the paper's `EP` policy uses. The graph is runnable by
+//! construction (see [`TaskGraph::push_task`]), and the placement is checked
+//! against it once, when attached, so a spec that exists can be run.
 
 use std::sync::Arc;
 
-use crate::graph::{Fnv1a, TaskGraph};
+use crate::graph::{Fnv1a, TaskGraph, TdgError};
 
-/// A complete workload: the task graph plus its data-region table.
+/// A complete workload: the task graph (with its region table) and an
+/// optional expert placement.
 ///
 /// The name and the graph are held by `Arc`: specs are cloned per sweep cell
 /// (and their names copied into every execution report), so both must be
@@ -20,41 +23,36 @@ pub struct TaskGraphSpec {
     pub name: Arc<str>,
     /// The task dependency graph.
     pub graph: Arc<TaskGraph>,
-    /// Size in bytes of every region, indexed by region id.
-    pub region_sizes: Vec<u64>,
     /// Expert-programmer placement: for each task, the socket (by index) the
     /// benchmark author would pin it to. `None` if the kernel does not define
     /// an expert schedule.
-    pub ep_socket: Option<Vec<usize>>,
+    ep_socket: Option<Vec<usize>>,
 }
 
 impl TaskGraphSpec {
     /// Creates a spec without an expert placement.
-    pub fn new(
-        name: impl Into<Arc<str>>,
-        graph: impl Into<Arc<TaskGraph>>,
-        region_sizes: Vec<u64>,
-    ) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, graph: impl Into<Arc<TaskGraph>>) -> Self {
         TaskGraphSpec {
             name: name.into(),
             graph: graph.into(),
-            region_sizes,
             ep_socket: None,
         }
     }
 
-    /// Attaches an expert-programmer placement (one socket index per task).
-    ///
-    /// # Panics
-    /// Panics if the placement length does not match the number of tasks.
-    pub fn with_ep_placement(mut self, placement: Vec<usize>) -> Self {
-        assert_eq!(
-            placement.len(),
-            self.graph.num_tasks(),
-            "EP placement must cover every task"
-        );
+    /// Attaches an expert-programmer placement (one socket index per task),
+    /// refusing one whose length is not the task count.
+    pub fn with_ep_placement(mut self, placement: Vec<usize>) -> Result<Self, TdgError> {
+        if placement.len() != self.graph.num_tasks() {
+            return Err(TdgError::EpLength);
+        }
         self.ep_socket = Some(placement);
-        self
+        Ok(self)
+    }
+
+    /// The expert-programmer placement, one socket index per task, if the
+    /// kernel defines one.
+    pub fn ep_placement(&self) -> Option<&[usize]> {
+        self.ep_socket.as_deref()
     }
 
     /// Number of tasks in the workload.
@@ -64,7 +62,7 @@ impl TaskGraphSpec {
 
     /// Number of data regions in the workload.
     pub fn num_regions(&self) -> usize {
-        self.region_sizes.len()
+        self.graph.region_sizes().len()
     }
 
     /// A stable 64-bit content fingerprint of the workload.
@@ -82,10 +80,11 @@ impl TaskGraphSpec {
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::default();
         h.write_str(&self.name);
-        // The graph's share is memoised on the graph; the pub fields around
-        // it can change under a shared `Arc<TaskGraph>` and are hashed anew.
+        // The graph's share is memoised on the graph; the name before it
+        // and the placement after it can differ between specs sharing one
+        // `Arc<TaskGraph>`.
         h.0 = self.graph.fold_fingerprint(h.0);
-        for &size in &self.region_sizes {
+        for &size in self.graph.region_sizes() {
             h.write_u64(size);
         }
         match &self.ep_socket {
@@ -99,68 +98,6 @@ impl TaskGraphSpec {
         }
         h.0
     }
-
-    /// Sanity checks: every task access refers to a known region, its byte
-    /// count does not exceed the region size, and the graph is acyclic.
-    /// Returns a human readable error description on failure.
-    ///
-    /// Executors call this once per cell, so the verdict comes from the
-    /// graph's [`FlatTdg`](crate::graph::FlatTdg) view — the memoised
-    /// acyclicity, and the largest access per region against the region
-    /// table, O(regions); only a failing spec is walked task by task, to say
-    /// what is wrong with it.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.is_valid() {
-            return Ok(());
-        }
-        self.validate_nested()
-            .and(Err("invalid workload spec".to_string()))
-    }
-
-    /// The verdict of [`TaskGraphSpec::validate`] without the diagnosis.
-    fn is_valid(&self) -> bool {
-        let flat = self.graph.flat();
-        let (max_bytes, sizes) = (flat.region_max_bytes(), &self.region_sizes);
-        // Every accessed region is in the table and no access outgrows it.
-        let accesses_fit = max_bytes.len() <= sizes.len()
-            && max_bytes.iter().zip(sizes).all(|(max, size)| max <= size);
-        let ep_covers = self
-            .ep_socket
-            .as_ref()
-            .is_none_or(|ep| ep.len() == flat.num_tasks());
-        flat.is_acyclic() & accesses_fit & ep_covers
-    }
-
-    /// [`TaskGraphSpec::validate`] by walking the task descriptors: slower,
-    /// but names the first offending task.
-    fn validate_nested(&self) -> Result<(), String> {
-        if !self.graph.is_acyclic() {
-            return Err("task graph has a cycle".to_string());
-        }
-        for task in self.graph.tasks() {
-            for access in task.accesses.iter() {
-                let idx = access.region.index();
-                if idx >= self.region_sizes.len() {
-                    return Err(format!(
-                        "task {} accesses unknown region {}",
-                        task.id, access.region
-                    ));
-                }
-                if access.bytes > self.region_sizes[idx] {
-                    return Err(format!(
-                        "task {} accesses {} bytes of region {} which only has {}",
-                        task.id, access.bytes, access.region, self.region_sizes[idx]
-                    ));
-                }
-            }
-        }
-        if let Some(ep) = &self.ep_socket {
-            if ep.len() != self.graph.num_tasks() {
-                return Err("EP placement length mismatch".to_string());
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -169,15 +106,20 @@ mod tests {
     use crate::builder::TdgBuilder;
     use crate::task::{TaskId, TaskSpec};
 
-    fn small_spec() -> TaskGraphSpec {
+    /// Two writers of a 128- and an `r1`-byte region and their reader; the
+    /// first writer does `w0` units of work.
+    fn toy_graph(w0: f64, r1: u64) -> TaskGraph {
         let mut b = TdgBuilder::new();
         let r0 = b.region(128);
-        let r1 = b.region(256);
-        b.submit(TaskSpec::new("w0").work(1.0).writes(r0, 128));
+        let r1 = b.region(r1);
+        b.submit(TaskSpec::new("w0").work(w0).writes(r0, 128));
         b.submit(TaskSpec::new("w1").work(1.0).writes(r1, 256));
         b.submit(TaskSpec::new("sum").work(2.0).reads(r0, 128).reads(r1, 256));
-        let (graph, sizes) = b.finish();
-        TaskGraphSpec::new("toy", graph, sizes)
+        b.finish()
+    }
+
+    fn small_spec() -> TaskGraphSpec {
+        TaskGraphSpec::new("toy", toy_graph(1.0, 256))
     }
 
     #[test]
@@ -186,67 +128,22 @@ mod tests {
         assert_eq!(&*s.name, "toy");
         assert_eq!(s.num_tasks(), 3);
         assert_eq!(s.num_regions(), 2);
-        assert_eq!(s.region_sizes.iter().sum::<u64>(), 384);
-        assert!(s.ep_socket.is_none());
-        assert!(s.validate().is_ok());
+        assert_eq!(s.graph.region_sizes().iter().sum::<u64>(), 384);
+        assert!(s.ep_placement().is_none());
     }
 
     #[test]
     fn ep_placement_round_trip() {
-        let s = small_spec().with_ep_placement(vec![0, 1, 0]);
-        assert_eq!(s.ep_socket.as_deref(), Some(&[0, 1, 0][..]));
-        assert!(s.validate().is_ok());
+        let s = small_spec().with_ep_placement(vec![0, 1, 0]).unwrap();
+        assert_eq!(s.ep_placement(), Some(&[0, 1, 0][..]));
     }
 
     #[test]
-    #[should_panic(expected = "cover every task")]
     fn wrong_ep_length_rejected() {
-        small_spec().with_ep_placement(vec![0, 1]);
-    }
-
-    /// `spec` is rejected with `message` by the descriptor walk, and the
-    /// flat-view verdict the executors rely on agrees.
-    fn assert_rejected(spec: &TaskGraphSpec, message: &str) {
-        assert_eq!(spec.validate_nested(), Err(message.to_string()));
-        assert!(!spec.is_valid());
-        assert_eq!(spec.validate(), Err(message.to_string()));
-    }
-
-    #[test]
-    fn validate_catches_oversized_access() {
-        let mut s = small_spec();
-        // Corrupt the region table to be smaller than the declared access.
-        s.region_sizes[1] = 10;
-        assert_rejected(
-            &s,
-            "task T1 accesses 256 bytes of region R1 which only has 10",
-        );
-    }
-
-    #[test]
-    fn validate_catches_unknown_region() {
-        let mut s = small_spec();
-        s.region_sizes.pop();
-        assert_rejected(&s, "task T1 accesses unknown region R1");
-    }
-
-    #[test]
-    fn validate_catches_ep_length_mismatch() {
-        let mut s = small_spec().with_ep_placement(vec![0, 1, 0]);
-        s.ep_socket.as_mut().unwrap().pop();
-        assert_rejected(&s, "EP placement length mismatch");
-    }
-
-    #[test]
-    fn flat_and_nested_validation_accept_the_same_specs() {
-        for s in [
-            small_spec(),
-            small_spec().with_ep_placement(vec![1, 0, 1]),
-            TaskGraphSpec::new("empty", TaskGraph::new(), vec![]),
-        ] {
-            assert!(s.is_valid());
-            assert_eq!(s.validate_nested(), Ok(()));
-            assert_eq!(s.validate(), Ok(()));
+        for placement in [vec![0, 1], vec![0, 1, 0, 1]] {
+            let refused = small_spec().with_ep_placement(placement).unwrap_err();
+            assert_eq!(refused, TdgError::EpLength);
+            assert_eq!(refused.to_string(), "EP placement length mismatch");
         }
     }
 
@@ -269,13 +166,13 @@ mod tests {
         renamed.name = "toy2".into();
         assert_ne!(fp, renamed.fingerprint(), "name must be hashed");
 
-        let mut resized = base.clone();
-        resized.region_sizes[0] += 1;
+        let resized = TaskGraphSpec::new("toy", toy_graph(1.0, 257));
         assert_ne!(fp, resized.fingerprint(), "region sizes must be hashed");
+        assert_eq!(resized.fingerprint(), reference_fingerprint(&resized));
 
-        let placed = base.clone().with_ep_placement(vec![0, 1, 0]);
+        let placed = base.clone().with_ep_placement(vec![0, 1, 0]).unwrap();
         assert_ne!(fp, placed.fingerprint(), "EP placement must be hashed");
-        let other_placement = base.clone().with_ep_placement(vec![1, 1, 0]);
+        let other_placement = base.clone().with_ep_placement(vec![1, 1, 0]).unwrap();
         assert_ne!(
             placed.fingerprint(),
             other_placement.fingerprint(),
@@ -283,22 +180,13 @@ mod tests {
         );
 
         let mut reworked = base.clone();
-        reworked.graph = Arc::new({
-            let mut b = TdgBuilder::new();
-            let r0 = b.region(128);
-            let r1 = b.region(256);
-            b.submit(TaskSpec::new("w0").work(1.5).writes(r0, 128));
-            b.submit(TaskSpec::new("w1").work(1.0).writes(r1, 256));
-            b.submit(TaskSpec::new("sum").work(2.0).reads(r0, 128).reads(r1, 256));
-            b.finish().0
-        });
+        reworked.graph = Arc::new(toy_graph(1.5, 256));
         assert_ne!(fp, reworked.fingerprint(), "task work must be hashed");
 
-        // `renamed` / `resized` / `placed` share `base`'s graph, whose fold
-        // `base` has claimed by now: their second answers are their first.
+        // `renamed` / `placed` share `base`'s graph, whose fold `base` has
+        // claimed by now: their second answers are their first.
         for (clone, first) in [
             (&renamed, renamed.fingerprint()),
-            (&resized, resized.fingerprint()),
             (&placed, placed.fingerprint()),
         ] {
             assert!(Arc::ptr_eq(&clone.graph, &base.graph));
@@ -336,10 +224,10 @@ mod tests {
                 h.write_u64(bytes);
             }
         }
-        for &size in &spec.region_sizes {
+        for &size in spec.graph.region_sizes() {
             h.write_u64(size);
         }
-        match &spec.ep_socket {
+        match spec.ep_placement() {
             None => h.write_u64(u64::MAX),
             Some(placement) => {
                 h.write_u64(placement.len() as u64);
@@ -368,7 +256,7 @@ mod tests {
 
         // A clone keeps the memo, whether it shares the graph or copies it.
         assert_eq!(spec.clone().fingerprint(), fp);
-        let deep = TaskGraphSpec::new("toy", (*spec.graph).clone(), spec.region_sizes.clone());
+        let deep = TaskGraphSpec::new("toy", (*spec.graph).clone());
         assert!(!Arc::ptr_eq(&deep.graph, &spec.graph));
         assert_eq!(deep.fingerprint(), fp);
         assert_eq!(folds() - before, 1);
@@ -389,9 +277,11 @@ mod tests {
         let spec = small_spec();
         let fp = spec.fingerprint();
         let mut graph = (*spec.graph).clone();
-        let grown = |graph: &TaskGraph| TaskGraphSpec::new("toy", graph.clone(), vec![128, 256]);
+        let grown = |graph: &TaskGraph| TaskGraphSpec::new("toy", graph.clone());
         assert_eq!(grown(&graph).fingerprint(), fp);
-        graph.push_task("tail", 1.0, &[], &[(TaskId(2), 8)]);
+        graph
+            .push_task("tail", 1.0, &[], &[(TaskId(2), 8)])
+            .unwrap();
         let after = grown(&graph);
         assert_ne!(after.fingerprint(), fp);
         assert_eq!(after.fingerprint(), reference_fingerprint(&after));
@@ -414,6 +304,9 @@ mod tests {
             use crate::task::DataAccess;
             use numadag_numa::RegionId;
             let mut graph = TaskGraph::new();
+            for r in 0..7 {
+                graph.region(1000 + r * 100);
+            }
             for (t, (deps, accesses, work)) in tasks.iter().enumerate() {
                 let deps: Vec<(TaskId, u64)> = deps
                     .iter()
@@ -427,12 +320,14 @@ mod tests {
                         _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
                     })
                     .collect();
-                graph.push_task(&format!("k{}", t % 3), *work as f64 * 0.25, &accesses, &deps);
+                graph
+                    .push_task(&format!("k{}", t % 3), *work as f64 * 0.25, &accesses, &deps)
+                    .unwrap();
             }
             let n = graph.num_tasks();
-            let mut spec = TaskGraphSpec::new(name, graph, (0..7).map(|r| r * 100).collect());
+            let mut spec = TaskGraphSpec::new(name, graph);
             if placed == 1 {
-                spec = spec.with_ep_placement((0..n).map(|t| t % 4).collect());
+                spec = spec.with_ep_placement((0..n).map(|t| t % 4).collect()).unwrap();
             }
             let want = reference_fingerprint(&spec);
             proptest::prop_assert_eq!(spec.fingerprint(), want);

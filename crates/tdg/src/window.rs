@@ -170,7 +170,7 @@ mod tests {
         for _ in 0..n {
             b.submit(TaskSpec::new("step").work(1.0).reads_writes(r, 64));
         }
-        b.finish().0
+        b.finish()
     }
 
     #[test]

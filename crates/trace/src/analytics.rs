@@ -380,18 +380,16 @@ mod tests {
     fn serial_trace() -> (Trace, TaskGraph) {
         use numadag_tdg::DataAccess;
         let mut graph = TaskGraph::new();
+        let region = graph.region(8);
         for t in 0..3 {
             let deps: Vec<(TaskId, u64)> = if t == 0 {
                 vec![]
             } else {
                 vec![(TaskId(t - 1), 8)]
             };
-            graph.push_task(
-                "step",
-                10.0,
-                &[DataAccess::read_write(numadag_numa::RegionId(0), 8)],
-                &deps,
-            );
+            graph
+                .push_task("step", 10.0, &[DataAccess::read_write(region, 8)], &deps)
+                .unwrap();
         }
         let mut events = Vec::new();
         for t in 0..3 {
@@ -455,13 +453,11 @@ mod tests {
         // core occupancy, not by a dependence.
         use numadag_tdg::DataAccess;
         let mut graph = TaskGraph::new();
-        for t in 0..2 {
-            graph.push_task(
-                "independent",
-                5.0,
-                &[DataAccess::write(numadag_numa::RegionId(t), 8)],
-                &[],
-            );
+        for _ in 0..2 {
+            let region = graph.region(8);
+            graph
+                .push_task("independent", 5.0, &[DataAccess::write(region, 8)], &[])
+                .unwrap();
         }
         let events = vec![
             TraceEvent::Assign {

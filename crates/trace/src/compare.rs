@@ -296,20 +296,25 @@ fn per_region_flows(trace: &Trace) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numadag_numa::{CoreId, NodeId, RegionId, SocketId};
+    use numadag_numa::{CoreId, NodeId, SocketId};
     use numadag_tdg::DataAccess;
 
     /// Two tasks, 0 → 1; variant A runs both on socket 0 (all local),
     /// variant B runs task 1 remotely (slower).
     fn traces() -> (Trace, Trace, TaskGraph) {
         let mut graph = TaskGraph::new();
-        graph.push_task("produce", 10.0, &[DataAccess::write(RegionId(0), 64)], &[]);
-        graph.push_task(
-            "consume",
-            10.0,
-            &[DataAccess::read(RegionId(0), 64)],
-            &[(TaskId(0), 64)],
-        );
+        let region = graph.region(64);
+        graph
+            .push_task("produce", 10.0, &[DataAccess::write(region, 64)], &[])
+            .unwrap();
+        graph
+            .push_task(
+                "consume",
+                10.0,
+                &[DataAccess::read(region, 64)],
+                &[(TaskId(0), 64)],
+            )
+            .unwrap();
 
         let base = |policy: &str, remote: bool| {
             let socket1 = if remote { SocketId(1) } else { SocketId(0) };

@@ -71,7 +71,7 @@ pub enum TraceEvent {
         /// The task performing the access.
         task: TaskId,
         /// Region index of the access (see
-        /// [`numadag_tdg::TaskGraphSpec::region_sizes`]).
+        /// [`numadag_tdg::TaskGraph::region_sizes`]).
         region: usize,
         /// Node holding the bytes.
         from: NodeId,

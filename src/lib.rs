@@ -74,13 +74,36 @@
 //! assert!(report.makespan_ns > 0.0);
 //! ```
 //!
+//! ## Every workload is runnable
+//!
+//! A [`tdg::TaskGraph`] owns its region table, and
+//! [`tdg::TaskGraph::push_task`] — the one way a task gets in, behind
+//! [`tdg::TdgBuilder::submit`] and the proc backend's spec decoder alike —
+//! refuses a task that could not run: a dependence on a task that is not
+//! earlier, an access to an unknown region or larger than its region, work
+//! that is not finite and non-negative. So executors never check a spec,
+//! and `Executor::execute` has no invalid-workload panic:
+//!
+//! ```rust
+//! use numadag::prelude::*;
+//!
+//! let mut graph = TaskGraph::new();
+//! let region = graph.region(10);
+//! let refused = graph.push_task("w", 1.0, &[DataAccess::write(region, 128)], &[]);
+//! assert_eq!(
+//!     refused.unwrap_err().to_string(),
+//!     "task T0 accesses 128 bytes of region R0 which only has 10"
+//! );
+//! assert!(graph.is_empty());
+//! ```
+//!
 //! ## Crate map
 //!
 //! | crate | contents |
 //! |-------|----------|
 //! | [`numa`] (`numadag-numa`) | topology, distance matrix, page placement, cost model, traffic stats |
 //! | [`graph`] (`numadag-graph`) | CSR graphs + multilevel k-way partitioner (SCOTCH substitute): one coarsen / initial-partition / refine driver behind three schemes (`ml`, `rb`, `bfs`) |
-//! | [`tdg`] (`numadag-tdg`) | tasks, dependence analysis, the TDG, windows |
+//! | [`tdg`] (`numadag-tdg`) | tasks, dependence analysis, the TDG and its region table (the one check of a runnable workload), windows |
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
 //! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, sweeps in two steps (`Experiment` → `SweepPlan::execute` → `SweepReport` + `bench-diff`) |
 //! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
@@ -202,8 +225,7 @@ mod tests {
         let r = builder.region(1024);
         builder.submit(TaskSpec::new("producer").work(10.0).writes(r, 1024));
         builder.submit(TaskSpec::new("consumer").work(10.0).reads(r, 1024));
-        let (graph, sizes) = builder.finish();
-        let spec = TaskGraphSpec::new("facade", graph, sizes);
+        let spec = TaskGraphSpec::new("facade", builder.finish());
         let executor = Backend::Simulated.executor(ExecutionConfig::new(Topology::two_socket(2)));
         let mut policy = LasPolicy::new(1);
         let report = executor.execute(&spec, &mut policy);
@@ -217,8 +239,7 @@ mod tests {
         for _ in 0..8 {
             builder.submit(TaskSpec::new("step").work(10.0).reads_writes(r, 1024));
         }
-        let (graph, sizes) = builder.finish();
-        let spec = TaskGraphSpec::new("facade-sweep", graph, sizes);
+        let spec = TaskGraphSpec::new("facade-sweep", builder.finish());
         let report = Experiment::new()
             .topology(Topology::two_socket(2))
             .workload(spec)

@@ -4,10 +4,12 @@
 //! lightest edge), and 2^61- or 2^62-byte ones overflowed the partitioner's
 //! gain sums (a debug build panicked, a release build wrapped). Weights now
 //! saturate and are capped per window; kernel-sized graphs never reach the
-//! cap (the golden partitions and `tdg_pins` pin that).
+//! cap (the golden partitions and `tdg_pins` pin that). The simulator's
+//! byte ledger saturates too, so such a workload also runs end to end.
 
 use numadag::core::{make_policy, MemoryLocator};
 use numadag::numa::{MemoryMap, Topology};
+use numadag::runtime::{ExecutionConfig, Simulator};
 use numadag::tdg::{
     window_to_csr, window_weight_cap, TaskGraphSpec, TaskId, TaskSpec, TaskWindow, TdgBuilder,
 };
@@ -26,8 +28,7 @@ fn read_read_write(size: u64) -> TaskGraphSpec {
                 .writes(regions[(t + 11) % 16], size),
         );
     }
-    let (graph, sizes) = b.finish();
-    TaskGraphSpec::new("huge", graph, sizes)
+    TaskGraphSpec::new("huge", b.finish())
 }
 
 /// Prepares the policy `label` on `spec` and assigns every task in program
@@ -35,7 +36,7 @@ fn read_read_write(size: u64) -> TaskGraphSpec {
 /// Returns how many windows the policy partitioned.
 fn schedule(label: &str, spec: &TaskGraphSpec) -> usize {
     let topo = Topology::bullion_s16();
-    let mut memory = MemoryMap::with_regions(&spec.region_sizes);
+    let mut memory = MemoryMap::with_regions(spec.graph.region_sizes());
     let mut policy = make_policy(label.parse().unwrap(), spec, 7).unwrap();
     policy.prepare(&spec.graph, &MemoryLocator::new(&topo, &memory));
     for task in spec.graph.tasks() {
@@ -54,11 +55,30 @@ fn schedule(label: &str, spec: &TaskGraphSpec) -> usize {
 fn both_rgp_policies_schedule_huge_dependences() {
     for size in [1 << 61, 1 << 62, 1 << 63, u64::MAX] {
         let spec = read_read_write(size);
-        assert!(spec.validate().is_ok());
         assert_eq!(schedule("rgp-las", &spec), 1, "{size:#x}");
         assert_eq!(schedule("rgp-las:prop=repart", &spec), 1, "{size:#x}");
         // Four windows, each anchored on the ones before it.
         assert_eq!(schedule("rgp-las:w=32,prop=repart", &spec), 4, "{size:#x}");
+    }
+}
+
+/// 384 accesses of 2^61 bytes or more add up to more than `u64::MAX`: the
+/// ledger's totals stop there instead of overflowing (a debug build
+/// panicked on the first add past it).
+#[test]
+fn the_simulator_runs_huge_dependences_under_las_and_both_rgp_policies() {
+    let simulator = Simulator::new(ExecutionConfig::bullion_s16());
+    for size in [1 << 61, 1 << 62, 1 << 63, u64::MAX] {
+        let spec = read_read_write(size);
+        for label in ["las", "rgp-las", "rgp-las:prop=repart"] {
+            let mut policy = make_policy(label.parse().unwrap(), &spec, 7).unwrap();
+            let report = simulator.run(&spec, policy.as_mut());
+            assert_eq!(report.tasks, 128, "{label} {size:#x}");
+            assert_eq!(report.tasks_per_socket.iter().sum::<usize>(), 128);
+            assert!(report.makespan_ns.is_finite(), "{label} {size:#x}");
+            assert_eq!(report.traffic.total_bytes(), u64::MAX, "{label} {size:#x}");
+            assert_eq!(report.deferred_bytes, u64::MAX, "{label} {size:#x}");
+        }
     }
 }
 
@@ -88,7 +108,7 @@ fn a_larger_dependence_never_gets_a_smaller_weight() {
     for (&r, size) in regions.iter().zip(sizes) {
         b.submit(TaskSpec::new("r").work(1.0).reads(r, size));
     }
-    let graph = b.finish().0;
+    let graph = b.finish();
     let n = graph.num_tasks();
 
     let whole = TaskWindow::new(TaskId(0), TaskId(n));

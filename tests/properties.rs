@@ -149,10 +149,12 @@ proptest! {
             };
             builder.submit(spec);
         }
-        let (graph, sizes) = builder.finish();
-        prop_assert!(graph.is_acyclic());
-        let spec = TaskGraphSpec::new("prop", graph, sizes);
-        prop_assert!(spec.validate().is_ok());
+        let spec = TaskGraphSpec::new("prop", builder.finish());
+        for task in spec.graph.task_ids() {
+            for &(pred, _) in spec.graph.predecessors(task) {
+                prop_assert!(pred < task);
+            }
+        }
         // Critical path never exceeds total work.
         prop_assert!(spec.graph.critical_path_work() <= spec.graph.total_work() + 1e-9);
     }
@@ -182,11 +184,12 @@ proptest! {
                 builder.submit(t);
             }
         }
-        let (graph, sizes) = builder.finish();
+        let graph = builder.finish();
         let declared: u64 = graph.tasks().map(|t| t.bytes_touched()).sum();
         let num_tasks = graph.num_tasks();
-        let spec = TaskGraphSpec::new("prop-sim", graph, sizes)
-            .with_ep_placement(vec![0; num_tasks]);
+        let spec = TaskGraphSpec::new("prop-sim", graph)
+            .with_ep_placement(vec![0; num_tasks])
+            .unwrap();
         let kind = PolicyKind::all()[policy_idx % 5];
         let mut policy = make_policy(kind, &spec, seed).unwrap();
         let executor = Backend::Simulated.executor(ExecutionConfig::bullion_s16());
@@ -211,8 +214,7 @@ proptest! {
         for &r in &regions {
             builder.submit(TaskSpec::new("touch").work(1.0).writes(r, 4096));
         }
-        let (graph, sizes) = builder.finish();
-        let spec = TaskGraphSpec::new("prop-defer", graph, sizes);
+        let spec = TaskGraphSpec::new("prop-defer", builder.finish());
         let mut policy = LasPolicy::new(seed);
         let executor = Backend::Simulated.executor(ExecutionConfig::bullion_s16());
         let report = executor.execute(&spec, &mut policy);

@@ -62,7 +62,7 @@ fn eight_policies_racing_prepare_on_one_graph_compute_one_plan() {
             .collect()
     };
     let prepared = |i: usize, graph: &Arc<TaskGraph>| {
-        let memory = MemoryMap::with_regions(&spec.region_sizes);
+        let memory = MemoryMap::with_regions(spec.graph.region_sizes());
         let mut policy = RgpPolicy::new(tuning(i), 0xF1617E);
         policy.prepare(graph, &MemoryLocator::new(&topo, &memory));
         window_sockets(&policy, graph)

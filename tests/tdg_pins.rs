@@ -7,8 +7,8 @@
 //! column entry, one changed edge weight or one re-ordered adjacency row.
 //!
 //! The values were captured before the task graph was stored as columns.
-//! Beside them, the words `validate` finds for three ways to break each Full
-//! spec (24 rows).
+//! Beside them, the words found for three ways to break each Full spec (24
+//! rows): `validate`'s when they were captured, the task graph's own now.
 //!
 //! A change that is *meant* to move them regenerates the table: the failure
 //! message prints it in paste-able form. Also run in release mode by CI.
@@ -16,7 +16,10 @@
 use numadag::graph::CsrGraph;
 use numadag::kernels::{Application, ProblemScale};
 use numadag::proc::protocol::encode_spec;
-use numadag::tdg::{window_to_csr, Fnv1a, TaskWindow, WindowConfig, WindowGraph};
+use numadag::tdg::{
+    window_to_csr, DataAccess, Fnv1a, TaskGraph, TaskGraphSpec, TaskWindow, TdgError, WindowConfig,
+    WindowGraph,
+};
 
 /// Sockets of the paper's machine, which sizes every workload.
 const SOCKETS: usize = 8;
@@ -74,26 +77,50 @@ fn spec_lines_are_the_parents() {
     check(actual, SPEC_LINES);
 }
 
-/// What `validate` says about three ways to break each Full spec: a region
-/// table cut in half, its upper half shrunk to one byte each, and an expert
-/// placement one task short.
+/// `graph`'s tasks pushed in order onto a graph whose region table is
+/// `table`: the copy, or the first refusal.
+fn repush(graph: &TaskGraph, table: &[u64]) -> Result<TaskGraph, TdgError> {
+    let mut copy = TaskGraph::new();
+    for &size in table {
+        copy.region(size);
+    }
+    for task in graph.tasks() {
+        let accesses: Vec<DataAccess> = task.accesses.iter().collect();
+        copy.push_task(
+            task.kind,
+            task.work_units,
+            &accesses,
+            graph.predecessors(task.id),
+        )?;
+    }
+    Ok(copy)
+}
+
+/// What the task graph says about three ways to break each Full spec: its
+/// tasks pushed onto a region table cut in half, or onto one whose upper
+/// half is shrunk to one byte each, and an expert placement one task short.
 #[test]
 fn validation_messages_are_the_parents() {
     let mut actual = Vec::new();
     for app in Application::all() {
         let spec = app.build(ProblemScale::Full, SOCKETS);
-        assert_eq!(spec.validate(), Ok(()));
-        let middle = spec.num_regions() / 2;
-        let mut unknown = spec.clone();
-        unknown.region_sizes.truncate(middle);
-        let mut oversize = spec.clone();
-        oversize.region_sizes[middle..].fill(1);
-        let mut short = spec.clone();
-        short.ep_socket.as_mut().unwrap().pop();
-        for (case, spec) in [("unknown", unknown), ("oversize", oversize), ("ep", short)] {
-            let message = spec.validate().unwrap_err();
+        let sizes = spec.graph.region_sizes();
+        let ep = spec.ep_placement().unwrap().to_vec();
+        let copy = TaskGraphSpec::new(spec.name.clone(), repush(&spec.graph, sizes).unwrap());
+        let copy = copy.with_ep_placement(ep.clone()).unwrap();
+        assert_eq!(copy.fingerprint(), spec.fingerprint(), "{}", app.label());
+        let middle = sizes.len() / 2;
+        let mut shrunk = sizes.to_vec();
+        shrunk[middle..].fill(1);
+        for (case, table) in [("unknown", &sizes[..middle]), ("oversize", &shrunk[..])] {
+            let message = repush(&spec.graph, table).unwrap_err();
             actual.push(format!("{}/{case}: {message}", app.label()));
         }
+        let mut short = ep;
+        short.pop();
+        let without_ep = TaskGraphSpec::new(spec.name.clone(), spec.graph.clone());
+        let message = without_ep.with_ep_placement(short).unwrap_err();
+        actual.push(format!("{}/ep: {message}", app.label()));
     }
     assert_eq!(actual, VALIDATION_MESSAGES);
 }

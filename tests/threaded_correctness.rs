@@ -65,8 +65,7 @@ fn threaded_executor_handles_wide_and_deep_graphs() {
     for &r in &regions {
         wide.submit(TaskSpec::new("leaf").work(1.0).writes(r, 8));
     }
-    let (graph, sizes) = wide.finish();
-    let wide_spec = TaskGraphSpec::new("wide", graph, sizes);
+    let wide_spec = TaskGraphSpec::new("wide", wide.finish());
     let counter = std::sync::atomic::AtomicUsize::new(0);
     let mut las = LasPolicy::new(1);
     executor.run(&wide_spec, &mut las, &|_| {
@@ -79,8 +78,7 @@ fn threaded_executor_handles_wide_and_deep_graphs() {
     for _ in 0..300 {
         deep.submit(TaskSpec::new("link").work(1.0).reads_writes(r, 8));
     }
-    let (graph, sizes) = deep.finish();
-    let deep_spec = TaskGraphSpec::new("deep", graph, sizes);
+    let deep_spec = TaskGraphSpec::new("deep", deep.finish());
     let counter = std::sync::atomic::AtomicUsize::new(0);
     let mut rgp = RgpPolicy::rgp_las();
     executor.run(&deep_spec, &mut rgp, &|_| {

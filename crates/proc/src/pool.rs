@@ -2,12 +2,22 @@
 //!
 //! [`WorkerPool::spawn`] re-execs the current executable once per worker
 //! (passing the rendezvous socket through the environment), collects each
-//! worker's `hello`, and then runs a startup barrier so every later
-//! dispatch starts from a known-good collective state. Barriers follow the
-//! oneCCL shape — a non-blocking state machine with an explicit
-//! `CollectiveBarrier::start` and repeated `CollectiveBarrier::update`
-//! polls — rather than one blocking wait per worker, so a dead worker
-//! surfaces as a killed slot instead of a hang.
+//! worker's `hello`, and runs a startup barrier, so every later dispatch
+//! starts from a known-good collective state; a spawn that fails on the way
+//! reaps every worker it launched. Barriers follow the oneCCL shape — a
+//! non-blocking state machine with an explicit `CollectiveBarrier::start`
+//! and repeated `CollectiveBarrier::update` polls — so a dead worker
+//! surfaces as a lost worker instead of a hang.
+//!
+//! What the coordinator knows about its workers (alive, cells booked, specs
+//! held), its cell and barrier numbering and its counters are one
+//! `PoolState` behind one lock. Only its transitions change it: `book`,
+//! `book_spec` and `ahead`, `answered`, `refused` and `lost`, `barrier`;
+//! each is one step with no I/O and no panic. Sockets, spawning and reaping
+//! are the shell's: one `Conn` per worker behind its own lock. Holding the
+//! state, the shell may `try_lock` a `Conn` but never waits for one, so
+//! choosing a worker never waits for a conversation; only the holder of a
+//! worker's `Conn` books it lost.
 //!
 //! Which worker gets a cell is the paper's own argument applied to the
 //! coordinator — run the task where its data already lives: `pick_slot`
@@ -29,20 +39,19 @@
 //! it later: the spec of the sweep's next workload (the cell's
 //! [`numadag_runtime::CellContext::next_spec`]), written to the worker
 //! `pick_slot` would give that workload's first cell — if no live worker
-//! holds it yet, that worker is idle and its lock is free (`try_lock`: a
+//! holds it yet, that worker is idle and its `Conn` is free (`try_lock`: a
 //! look-ahead never waits). `spec` is un-acked and a worker reads its lines
 //! in order, so this is the same message at another time: the encode and
 //! the idle worker's decode overlap the current cell instead of preceding
 //! the next one. A look-ahead write that fails kills its worker, never the
-//! cell in conversation; every write to a worker is bounded by the cell
-//! timeout.
+//! cell in conversation; every write to a worker is bounded by
+//! [`CELL_TIMEOUT`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use numadag_numa::Hex64;
@@ -56,43 +65,46 @@ use numadag_trace::TraceEvent;
 use crate::protocol::{encode_spec, Assignment, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
+/// Deadline for every worker of a new pool to connect and pass the startup
+/// barrier.
+pub const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Deadline for one cell's conversation and for any one write to a worker:
+/// a worker quiet for longer is treated as lost and its cell redispatched.
+pub const CELL_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Deadline for a dropped pool's drain barrier, and then for its dismissed
+/// workers to exit before they are killed.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// How a worker pool is launched.
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
-    /// Number of worker processes.
-    pub workers: usize,
-    /// Arguments passed to the re-exec'd executable. The default,
-    /// `["--proc-worker"]`, is what [`crate::maybe_run_worker`] looks for;
-    /// test binaries override this to re-enter through a libtest filter.
-    pub worker_args: Vec<String>,
-    /// Extra environment for the workers (fault injection in tests).
-    pub worker_env: Vec<(String, String)>,
-    /// Deadline for all workers to connect and pass the startup barrier.
-    pub spawn_timeout: Duration,
-    /// Deadline for one cell's conversation; a worker quiet for longer is
-    /// treated as lost and its cell redispatched.
-    pub cell_timeout: Duration,
+    workers: usize,
+    worker_args: Vec<String>,
+    worker_env: Vec<(String, String)>,
 }
 
 impl PoolConfig {
-    /// A pool of `workers` processes with default timeouts.
+    /// A pool of `workers` processes (at least one), each launched with
+    /// `--proc-worker`, the argument [`crate::maybe_run_worker`] looks for.
     pub fn new(workers: usize) -> Self {
         PoolConfig {
             workers: workers.max(1),
             worker_args: vec![WORKER_FLAG.to_string()],
             worker_env: Vec::new(),
-            spawn_timeout: Duration::from_secs(30),
-            cell_timeout: Duration::from_secs(120),
         }
     }
 
-    /// Replaces the worker argv (see [`PoolConfig::worker_args`]).
+    /// Replaces the arguments passed to the re-exec'd executable; test
+    /// binaries re-enter through a libtest filter instead.
     pub fn with_worker_args(mut self, args: Vec<String>) -> Self {
         self.worker_args = args;
         self
     }
 
-    /// Adds one environment variable to every worker.
+    /// Adds one environment variable to every worker (fault injection in
+    /// tests).
     pub fn with_env(mut self, key: &str, value: &str) -> Self {
         self.worker_env.push((key.to_string(), value.to_string()));
         self
@@ -137,8 +149,8 @@ impl std::error::Error for ProcError {}
 
 /// Point-in-time snapshot of the pool's counters (see
 /// [`WorkerPool::stats`]). `Display` renders the `key=value` line the
-/// `figure1` bin prints for CI to grep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `figure1` bin prints.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker processes launched over the pool's lifetime.
     pub workers_spawned: u64,
@@ -177,109 +189,179 @@ impl std::fmt::Display for PoolStats {
     }
 }
 
-struct SlotState {
-    child: Child,
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Fingerprint of the config this worker last acknowledged.
-    config_fp: Option<u64>,
-}
-
-/// What choosing a worker needs to know about each of them, kept apart from
-/// [`SlotState`] so that a choice never waits for a conversation to end.
-struct Dispatch {
-    /// Cells chosen so far; where the scan for a worker starts, so equally
-    /// good workers take turns.
-    rotation: usize,
-    books: Vec<SlotBook>,
-    /// Fingerprint of the spec of the last cell placed. A cell over another
-    /// spec starts a workload: the one cell of it whose next-workload hint
-    /// is worth fingerprinting (every cell of a workload carries the same).
-    last_spec: Option<u64>,
-}
-
+/// One worker as the pool's book keeps it (by default, live and idle).
 #[derive(Default)]
-struct SlotBook {
-    /// Cells sent this worker's way and not yet answered (one in
-    /// conversation, the rest queued on its lock).
+struct Worker {
+    dead: bool,
+    /// Cells booked on it and not yet ended: one in conversation, the rest
+    /// waiting for its `Conn`.
     in_flight: usize,
-    /// Fingerprints of the specs this worker holds (or is being shipped).
+    /// Fingerprints of the specs it holds (or is being shipped).
     specs: HashSet<u64>,
 }
 
-/// One worker as [`pick_slot`] sees it.
-#[derive(Clone, Copy, Debug)]
-struct SlotRow {
-    alive: bool,
-    /// A cell is in conversation with it or queued behind one.
-    busy: bool,
-    /// It holds the spec of the cell being placed.
-    holds: bool,
-    /// How many specs it holds.
-    specs_held: usize,
+/// Everything the coordinator knows about its workers (see the module doc).
+#[derive(Default)]
+struct PoolState {
+    workers: Vec<Worker>,
+    /// Cells booked so far; where the scan for a worker starts, so equally
+    /// good workers take turns.
+    rotation: usize,
+    /// Fingerprint of the spec of the last cell dispatched. A cell over
+    /// another spec starts a workload: the one cell of it whose
+    /// next-workload hint is worth fingerprinting (every cell of a workload
+    /// carries the same).
+    last_spec: Option<u64>,
+    next_cell: u64,
+    next_epoch: u64,
+    /// The counters; `workers_alive` is derived when they are read.
+    counts: PoolStats,
 }
 
-/// Data-affine choice of the worker for one cell: among live workers, an
-/// idle one that holds the cell's spec; else the idle one holding the
-/// fewest specs (it pays one transfer, and the specs stay spread); else —
-/// every worker busy — one that holds the spec; else any. Equally good
-/// workers are taken in turn, scanning from `rotation`.
-fn pick_slot(rows: &[SlotRow], rotation: usize) -> Option<usize> {
-    let n = rows.len();
-    (0..n)
-        .map(|offset| (rotation + offset) % n)
-        .filter(|&at| rows[at].alive)
-        .min_by_key(|&at| match (rows[at].busy, rows[at].holds) {
-            (false, true) => (0, 0),
-            (false, false) => (1, rows[at].specs_held),
-            (true, true) => (2, 0),
-            (true, false) => (3, 0),
-        })
-}
-
-/// Where a spec whose cells come next is worth writing ahead: nowhere when
-/// a live worker already holds it (or is being shipped it); else the worker
-/// [`pick_slot`] would place its first cell on right now, if that one is
-/// idle.
-fn ahead_slot(rows: &[SlotRow], rotation: usize) -> Option<usize> {
-    if rows.iter().any(|row| row.alive && row.holds) {
-        return None;
-    }
-    pick_slot(rows, rotation).filter(|&at| !rows[at].busy)
-}
-
-struct WorkerSlot {
-    id: u64,
-    alive: AtomicBool,
-    state: Mutex<SlotState>,
-}
-
-impl WorkerSlot {
-    fn lock(&self) -> MutexGuard<'_, SlotState> {
-        // A panic while holding the lock leaves the worker in an unknown
-        // protocol state; the slot is killed below either way, so the
-        // poisoned state is safe to take over.
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+impl PoolState {
+    fn new(workers: usize) -> Self {
+        PoolState {
+            workers: (0..workers).map(|_| Worker::default()).collect(),
+            counts: PoolStats {
+                workers_spawned: workers as u64,
+                ..PoolStats::default()
+            },
+            ..PoolState::default()
         }
     }
 
-    fn kill(&self, state: &mut SlotState) {
-        self.alive.store(false, Ordering::SeqCst);
-        let _ = state.child.kill();
-        let _ = state.child.wait();
+    /// Numbers a new cell over the spec `fp`, and says whether it starts a
+    /// workload.
+    fn dispatched(&mut self, fp: u64) -> (u64, bool) {
+        let cell = self.next_cell;
+        self.next_cell = cell.wrapping_add(1);
+        self.counts.cells_dispatched += 1;
+        (cell, self.last_spec.replace(fp) != Some(fp))
+    }
+
+    /// Books a cell over the spec `fp` on the worker [`pick_slot`] chooses.
+    fn book(&mut self, fp: u64) -> Option<usize> {
+        let at = pick_slot(&self.workers, fp, self.rotation)?;
+        self.rotation = self.rotation.wrapping_add(1);
+        self.workers[at].in_flight += 1;
+        Some(at)
+    }
+
+    fn live(&self, at: usize) -> bool {
+        self.workers.get(at).is_some_and(|worker| !worker.dead)
+    }
+
+    /// Books the spec `fp` on the worker at `at`: true when it was not
+    /// there yet, so it must be shipped.
+    fn book_spec(&mut self, at: usize, fp: u64) -> bool {
+        self.workers
+            .get_mut(at)
+            .is_some_and(|worker| worker.specs.insert(fp))
+    }
+
+    /// Books the spec `fp` ahead on the worker [`ahead_slot`] names, if
+    /// `claim` takes that worker's `Conn` without waiting; returns the
+    /// worker and the claim.
+    fn ahead<T>(&mut self, fp: u64, claim: impl FnOnce(usize) -> Option<T>) -> Option<(usize, T)> {
+        let at = ahead_slot(&self.workers, fp, self.rotation)?;
+        let claimed = claim(at)?;
+        self.workers[at].specs.insert(fp);
+        Some((at, claimed))
+    }
+
+    /// A `config` was written.
+    fn configured(&mut self) {
+        self.counts.config_broadcasts += 1;
+    }
+
+    /// A `spec` was written; `ahead` of its first cell.
+    fn shipped(&mut self, ahead: bool) {
+        self.counts.spec_transfers += 1;
+        self.counts.spec_prefetches += u64::from(ahead);
+    }
+
+    /// The cell booked on `at` got its `done`.
+    fn answered(&mut self, at: usize) {
+        if let Some(worker) = self.workers.get_mut(at) {
+            worker.in_flight = worker.in_flight.saturating_sub(1);
+        }
+    }
+
+    /// The cell booked on `at` got a structured `error`. `unbook`: a spec
+    /// the complaint may be about, which the worker then does not hold.
+    fn refused(&mut self, at: usize, unbook: Option<u64>) {
+        self.answered(at);
+        if let (Some(worker), Some(fp)) = (self.workers.get_mut(at), unbook) {
+            worker.specs.remove(&fp);
+        }
+    }
+
+    /// The worker at `at` is dead: it holds nothing and is never booked
+    /// again. `booked`: a cell booked on it ends here too, to be
+    /// redispatched.
+    fn lost(&mut self, at: usize, booked: bool) {
+        if let Some(worker) = self.workers.get_mut(at) {
+            worker.dead = true;
+            worker.specs.clear();
+        }
+        if booked {
+            self.answered(at);
+            self.counts.redispatches += 1;
+        }
+    }
+
+    /// A new collective barrier: its epoch and its members, every live
+    /// worker.
+    fn barrier(&mut self) -> (u64, Vec<usize>) {
+        let epoch = self.next_epoch;
+        self.next_epoch = epoch.wrapping_add(1);
+        self.counts.barriers += 1;
+        let members = (0..self.workers.len()).filter(|&at| self.live(at));
+        (epoch, members.collect())
+    }
+
+    fn stats(&self) -> PoolStats {
+        let alive = self.workers.iter().filter(|worker| !worker.dead).count();
+        PoolStats {
+            workers_alive: alive as u64,
+            ..self.counts
+        }
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    cells_dispatched: AtomicU64,
-    redispatches: AtomicU64,
-    config_broadcasts: AtomicU64,
-    spec_transfers: AtomicU64,
-    spec_prefetches: AtomicU64,
-    barriers: AtomicU64,
+/// Data-affine choice of the worker for a cell over the spec `fp`: among
+/// live workers, an idle one that holds the spec; else the idle one holding
+/// the fewest specs (it pays one transfer, and the specs stay spread); else
+/// — every worker busy — one that holds the spec; else any. Equally good
+/// workers are taken in turn, scanning from `rotation`.
+fn pick_slot(workers: &[Worker], fp: u64, rotation: usize) -> Option<usize> {
+    let n = workers.len().max(1);
+    (0..workers.len())
+        .map(|offset| (rotation % n + offset) % n)
+        .filter(|&at| !workers[at].dead)
+        .min_by_key(|&at| {
+            let worker = &workers[at];
+            match (worker.in_flight > 0, worker.specs.contains(&fp)) {
+                (false, true) => (0, 0),
+                (false, false) => (1, worker.specs.len()),
+                (true, true) => (2, 0),
+                (true, false) => (3, 0),
+            }
+        })
+}
+
+/// Where the spec `fp`, whose cells come next, is worth writing ahead:
+/// nowhere when a live worker already holds it (or is being shipped it);
+/// else the worker [`pick_slot`] would place its first cell on right now,
+/// if that one is idle.
+fn ahead_slot(workers: &[Worker], fp: u64, rotation: usize) -> Option<usize> {
+    if workers
+        .iter()
+        .any(|worker| !worker.dead && worker.specs.contains(&fp))
+    {
+        return None;
+    }
+    pick_slot(workers, fp, rotation).filter(|&at| workers[at].in_flight == 0)
 }
 
 /// An [`ExecutionConfig`] together with the stable fingerprint of its wire
@@ -310,137 +392,86 @@ impl WireConfig {
     }
 }
 
-enum DispatchFailure {
-    /// The worker died or corrupted its stream: killed, cell redispatchable.
-    WorkerLost,
-    /// Deterministic failure; retrying elsewhere would reproduce it.
-    Fatal(ProcError),
+/// One worker's process and connection: the shell's half of the pool.
+struct Conn {
+    child: Child,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    /// Fingerprint of the config this worker last acknowledged.
+    config_fp: Option<u64>,
+}
+
+/// How one cell's conversation with its worker ended.
+enum End {
+    Done(ExecutionReport, Vec<TraceEvent>),
+    /// A structured `error`, and the spec to unbook with it (see
+    /// [`PoolState::refused`]).
+    Refused(String, Option<u64>),
+    /// The worker died or corrupted its stream.
+    Lost,
+}
+
+/// Locks `mutex`, taking over a poisoned one: every transition leaves the
+/// state whole, and a `Conn` left mid-conversation fails its next reply.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits for `child` to exit until `deadline`, then kills it and waits: the
+/// one way a worker process ends on this side, so none is left a zombie.
+/// An already reaped child returns at once.
+fn reap(child: &mut Child, deadline: Instant) {
+    loop {
+        match child.try_wait() {
+            Ok(Some(_)) => return,
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_micros(100)),
+            _ => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return;
+            }
+        }
+    }
 }
 
 /// A pool of worker processes executing sweep cells over newline-JSON IPC.
 pub struct WorkerPool {
-    slots: Vec<Arc<WorkerSlot>>,
-    dispatch: Mutex<Dispatch>,
-    next_cell: AtomicU64,
-    next_epoch: AtomicU64,
-    cell_timeout: Duration,
-    counters: Counters,
+    state: Mutex<PoolState>,
+    conns: Vec<Mutex<Conn>>,
 }
 
 impl WorkerPool {
     /// Launches the workers and runs the startup barrier.
     pub fn spawn(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
-        let spawn_err = |m: String| ProcError::Spawn(m);
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| spawn_err(format!("cannot bind rendezvous socket: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| spawn_err(format!("cannot read rendezvous address: {e}")))?;
-        let exe = std::env::current_exe()
-            .map_err(|e| spawn_err(format!("cannot locate own executable: {e}")))?;
-
-        let mut unmatched: HashMap<u64, Child> = HashMap::new();
-        for id in 0..config.workers {
-            let mut cmd = Command::new(&exe);
-            cmd.args(&config.worker_args)
-                .env(CONNECT_ENV, addr.to_string())
-                .env(WORKER_ENV, id.to_string())
-                .stdin(Stdio::null())
-                // Workers of a test binary re-enter through libtest, which
-                // chats on stdout; none of it is protocol (IPC is TCP).
-                .stdout(Stdio::null());
-            for (key, value) in &config.worker_env {
-                cmd.env(key, value);
+        let mut children = Vec::with_capacity(config.workers);
+        let streams = match rendezvous(&config, &mut children) {
+            Ok(streams) => streams,
+            Err(message) => {
+                let now = Instant::now();
+                children.iter_mut().for_each(|child| reap(child, now));
+                return Err(ProcError::Spawn(message));
             }
-            let child = cmd
-                .spawn()
-                .map_err(|e| spawn_err(format!("cannot spawn worker {id}: {e}")))?;
-            unmatched.insert(id as u64, child);
-        }
-
-        // Rendezvous: accept until every worker said hello. Non-blocking
-        // accept so a worker that dies before connecting trips the deadline
-        // instead of blocking forever.
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| spawn_err(format!("cannot configure rendezvous socket: {e}")))?;
-        let deadline = Instant::now() + config.spawn_timeout;
-        let mut slots: Vec<Arc<WorkerSlot>> = Vec::new();
-        while slots.len() < config.workers {
-            if Instant::now() > deadline {
-                for (_, mut child) in unmatched {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(spawn_err(format!(
-                    "only {}/{} workers connected within {:?}",
-                    slots.len(),
-                    config.workers,
-                    config.spawn_timeout
-                )));
-            }
-            let (stream, _) = match listener.accept() {
-                Ok(accepted) => accepted,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // A worker connects a few ms after its exec; a coarse
-                    // poll here is pure added start-up latency.
-                    std::thread::sleep(Duration::from_micros(250));
-                    continue;
-                }
-                Err(e) => return Err(spawn_err(format!("rendezvous accept failed: {e}"))),
-            };
-            // A write no worker drains for a whole cell timeout fails like a
-            // read that long would: the worker is lost, never waited on.
-            stream
-                .set_nonblocking(false)
-                .and_then(|_| stream.set_nodelay(true))
-                .and_then(|_| stream.set_read_timeout(Some(config.spawn_timeout)))
-                .and_then(|_| stream.set_write_timeout(Some(config.cell_timeout)))
-                .map_err(|e| spawn_err(format!("cannot configure worker socket: {e}")))?;
-            let reader_stream = stream
-                .try_clone()
-                .map_err(|e| spawn_err(format!("cannot clone worker socket: {e}")))?;
-            let mut reader = BufReader::new(reader_stream);
-            let hello = read_frame(&mut reader)
-                .map_err(|e| spawn_err(format!("bad hello frame: {e}")))?
-                .ok_or_else(|| spawn_err("worker closed before hello".to_string()))?;
-            let worker = match from_line(&hello) {
-                Ok(ToCoordinator::Hello { worker, .. }) => worker,
-                _ => return Err(spawn_err(format!("expected hello, got {hello:?}"))),
-            };
-            let child = unmatched
-                .remove(&worker)
-                .ok_or_else(|| spawn_err(format!("unexpected hello from worker {worker}")))?;
-            slots.push(Arc::new(WorkerSlot {
-                id: worker,
-                alive: AtomicBool::new(true),
-                state: Mutex::new(SlotState {
-                    child,
-                    reader,
-                    writer: stream,
-                    config_fp: None,
-                }),
-            }));
-        }
-        slots.sort_by_key(|slot| slot.id);
-
+        };
+        let conns = children.into_iter().zip(streams);
         let pool = Arc::new(WorkerPool {
-            dispatch: Mutex::new(Dispatch {
-                rotation: 0,
-                books: slots.iter().map(|_| SlotBook::default()).collect(),
-                last_spec: None,
-            }),
-            slots,
-            next_cell: AtomicU64::new(0),
-            next_epoch: AtomicU64::new(0),
-            cell_timeout: config.cell_timeout,
-            counters: Counters::default(),
+            state: Mutex::new(PoolState::new(config.workers)),
+            conns: conns
+                .map(|(child, (reader, writer))| {
+                    Mutex::new(Conn {
+                        child,
+                        reader,
+                        writer,
+                        config_fp: None,
+                    })
+                })
+                .collect(),
         });
         // Startup collective: every worker must answer the epoch-0 barrier
-        // before any cell is dispatched.
-        pool.barrier(config.spawn_timeout);
+        // before any cell is dispatched. A pool that fails it is dropped
+        // here, which reaps its workers.
+        pool.barrier(SPAWN_TIMEOUT);
         if pool.alive_workers() == 0 {
-            return Err(spawn_err(
+            return Err(ProcError::Spawn(
                 "all workers died during the startup barrier".to_string(),
             ));
         }
@@ -449,88 +480,50 @@ impl WorkerPool {
 
     /// Number of worker slots (dead or alive).
     pub fn num_slots(&self) -> usize {
-        self.slots.len()
+        self.conns.len()
     }
 
     /// Number of workers still alive.
     pub fn alive_workers(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter(|slot| slot.alive.load(Ordering::SeqCst))
-            .count() as u64
+        self.stats().workers_alive
     }
 
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers_spawned: self.slots.len() as u64,
-            workers_alive: self.alive_workers(),
-            cells_dispatched: self.counters.cells_dispatched.load(Ordering::Relaxed),
-            redispatches: self.counters.redispatches.load(Ordering::Relaxed),
-            config_broadcasts: self.counters.config_broadcasts.load(Ordering::Relaxed),
-            spec_transfers: self.counters.spec_transfers.load(Ordering::Relaxed),
-            spec_prefetches: self.counters.spec_prefetches.load(Ordering::Relaxed),
-            barriers: self.counters.barriers.load(Ordering::Relaxed),
-        }
+        self.state().stats()
+    }
+
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        lock(&self.state)
+    }
+
+    /// Reaps the worker at `at`, whose `Conn` the caller holds, and books it
+    /// lost (with the cell booked on it, when `booked`).
+    fn lose(&self, at: usize, conn: &mut Conn, booked: bool) {
+        reap(&mut conn.child, Instant::now());
+        self.state().lost(at, booked);
     }
 
     /// Runs a full collective barrier (start + update polls) against every
-    /// live worker, killing any that fail to answer before `timeout`.
+    /// live worker, losing any that fail to answer before `timeout`.
     fn barrier(&self, timeout: Duration) {
-        let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst);
-        let mut collective = CollectiveBarrier::new(&self.slots, epoch);
+        let (epoch, pending) = self.state().barrier();
+        let mut collective = CollectiveBarrier {
+            pool: self,
+            epoch,
+            pending,
+            started: false,
+        };
         collective.start();
         let deadline = Instant::now() + timeout;
         while !collective.update() {
             if Instant::now() > deadline {
-                for slot in &collective.pending {
-                    let mut state = slot.lock();
-                    slot.kill(&mut state);
+                for &at in &collective.pending {
+                    self.lose(at, &mut lock(&self.conns[at]), false);
                 }
                 break;
             }
         }
-        self.counters.barriers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn dispatch(&self) -> MutexGuard<'_, Dispatch> {
-        // Every update of the books is one insert, remove or count step, so
-        // they are valid even if a holder of the lock panicked.
-        match self.dispatch.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Every worker as [`pick_slot`] sees it for a cell over the spec with
-    /// fingerprint `fp`.
-    fn rows(&self, dispatch: &Dispatch, fp: u64) -> Vec<SlotRow> {
-        self.slots
-            .iter()
-            .zip(&dispatch.books)
-            .map(|(slot, book)| SlotRow {
-                alive: slot.alive.load(Ordering::SeqCst),
-                busy: book.in_flight > 0,
-                holds: book.specs.contains(&fp),
-                specs_held: book.specs.len(),
-            })
-            .collect()
-    }
-
-    /// Chooses the worker (by slot index) for a cell over the spec with
-    /// fingerprint `fp` and counts the cell as in flight on it;
-    /// [`WorkerPool::release_slot`] undoes the count.
-    fn acquire_slot(&self, fp: u64) -> Option<usize> {
-        let mut dispatch = self.dispatch();
-        let rows = self.rows(&dispatch, fp);
-        let chosen = pick_slot(&rows, dispatch.rotation)?;
-        dispatch.rotation = dispatch.rotation.wrapping_add(1);
-        dispatch.books[chosen].in_flight += 1;
-        Some(chosen)
-    }
-
-    fn release_slot(&self, index: usize) {
-        self.dispatch().books[index].in_flight -= 1;
     }
 
     /// Executes one sweep cell on some live worker, redispatching on worker
@@ -549,103 +542,89 @@ impl WorkerPool {
         policy_seed: u64,
         config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
-        let cell = self.next_cell.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .cells_dispatched
-            .fetch_add(1, Ordering::Relaxed);
+        let fp = spec.fingerprint();
+        let (cell, starts_workload) = self.state().dispatched(fp);
         let assignment = Assignment {
             cell,
-            fp: Hex64(spec.fingerprint()),
+            fp: Hex64(fp),
             policy: policy_label.to_string(),
             policy_seed: Hex64(policy_seed),
         };
         // `fingerprint()` still folds the region table (~20 µs on a Full
         // spec): the hint is fingerprinted on its workload's first cell only.
-        let starts_workload =
-            self.dispatch().last_spec.replace(assignment.fp.0) != Some(assignment.fp.0);
         let ahead = next_spec
             .filter(|_| starts_workload)
             .map(|next| (next.fingerprint(), next));
         loop {
-            let index = self
-                .acquire_slot(assignment.fp.0)
+            let at = self
+                .state()
+                .book(fp)
                 .ok_or(ProcError::AllWorkersDead { cell })?;
-            let outcome = self.dispatch_on(index, &assignment, spec, ahead, policy_name, config);
-            self.release_slot(index);
-            match outcome {
-                Ok(result) => return Ok(result),
-                Err(DispatchFailure::WorkerLost) => {
-                    self.counters.redispatches.fetch_add(1, Ordering::Relaxed);
+            let mut conn = lock(&self.conns[at]);
+            match self.converse(at, &mut conn, &assignment, spec, ahead, config) {
+                End::Done(mut report, events) => {
+                    self.state().answered(at);
+                    report.workload = spec.name.clone();
+                    report.policy = policy_name;
+                    return Ok((report, events));
                 }
-                Err(DispatchFailure::Fatal(e)) => return Err(e),
+                End::Refused(message, unbook) => {
+                    self.state().refused(at, unbook);
+                    let worker = at as u64;
+                    return Err(ProcError::Worker { worker, message });
+                }
+                End::Lost => self.lose(at, &mut conn, true),
             }
         }
     }
 
-    fn dispatch_on(
+    /// One cell's conversation with the worker at `at`, on which the cell
+    /// is booked and whose `Conn` the caller holds.
+    fn converse(
         &self,
-        index: usize,
+        at: usize,
+        conn: &mut Conn,
         assignment: &Assignment,
         spec: &TaskGraphSpec,
         ahead: Option<(u64, &TaskGraphSpec)>,
-        policy_name: &'static str,
         config: &WireConfig,
-    ) -> Result<(ExecutionReport, Vec<TraceEvent>), DispatchFailure> {
-        let slot: &WorkerSlot = &self.slots[index];
-        let mut state = slot.lock();
-        if !slot.alive.load(Ordering::SeqCst) {
-            return Err(DispatchFailure::WorkerLost);
-        }
-        let lost = |slot: &WorkerSlot, state: &mut SlotState| {
-            slot.kill(state);
-            DispatchFailure::WorkerLost
-        };
-        if state
-            .reader
-            .get_ref()
-            .set_read_timeout(Some(self.cell_timeout))
-            .is_err()
-        {
-            return Err(lost(slot, &mut state));
+    ) -> End {
+        // A worker lost while this cell waited for its `Conn` stays lost.
+        let timeout = conn.reader.get_ref().set_read_timeout(Some(CELL_TIMEOUT));
+        if !self.state().live(at) || timeout.is_err() {
+            return End::Lost;
         }
 
         // Config sync: only when this worker's acked fingerprint differs.
         let config_fp = config.fingerprint;
-        if state.config_fp != Some(config_fp) {
+        if conn.config_fp != Some(config_fp) {
             let message = ToWorker::configure(config_fp, &config.config);
-            if write_frame(&mut state.writer, &message).is_err() {
-                return Err(lost(slot, &mut state));
+            if write_frame(&mut conn.writer, &message).is_err() {
+                return End::Lost;
             }
-            self.counters
-                .config_broadcasts
-                .fetch_add(1, Ordering::Relaxed);
-            // The conversation is serial under the slot lock, so the next
+            self.state().configured();
+            // The conversation is serial under the `Conn` lock, so the next
             // frame must be the ack (or a structured rejection).
-            match read_message(&mut state.reader) {
+            match read_message(&mut conn.reader) {
                 Some(ToCoordinator::ConfigAck { epoch }) if epoch.0 == config_fp => {
-                    state.config_fp = Some(config_fp)
+                    conn.config_fp = Some(config_fp)
                 }
-                Some(ToCoordinator::Error { message }) => {
-                    return Err(DispatchFailure::Fatal(ProcError::Worker {
-                        worker: slot.id,
-                        message,
-                    }));
-                }
-                _ => return Err(lost(slot, &mut state)),
+                Some(ToCoordinator::Error { message }) => return End::Refused(message, None),
+                _ => return End::Lost,
             }
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        if self.dispatch().books[index].specs.insert(assignment.fp.0) {
-            if write_line(&mut state.writer, encode_spec(spec)).is_err() {
-                return Err(lost(slot, &mut state));
+        if self.state().book_spec(at, assignment.fp.0) {
+            if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
+                return End::Lost;
             }
-            self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
+            self.state().shipped(false);
         }
 
         // The message owns its assignment; the clone is one short label.
-        if write_frame(&mut state.writer, &ToWorker::Assign(assignment.clone())).is_err() {
-            return Err(lost(slot, &mut state));
+        if write_frame(&mut conn.writer, &ToWorker::Assign(assignment.clone())).is_err() {
+            return End::Lost;
         }
         if let Some((fp, next)) = ahead {
             self.ship_ahead(fp, next);
@@ -654,68 +633,129 @@ impl WorkerPool {
         // One reply per `assign`: `done`, or a structured `error`. A reply
         // about another cell falls through to the last arm like any other
         // corruption of the conversation.
-        match read_message(&mut state.reader) {
+        match read_message(&mut conn.reader) {
             Some(ToCoordinator::Done {
                 cell,
-                mut report,
+                report,
                 events,
-            }) if cell == assignment.cell => {
-                report.workload = spec.name.clone();
-                report.policy = policy_name;
-                Ok((report, events))
-            }
-            Some(ToCoordinator::Error { message }) => {
-                // The complaint may be about this cell's spec, shipped now
-                // or ahead and refused (`spec` is un-acked; its refusal
-                // answers the first `assign` over it): the worker does not
-                // hold it.
-                self.dispatch().books[index].specs.remove(&assignment.fp.0);
-                Err(DispatchFailure::Fatal(ProcError::Worker {
-                    worker: slot.id,
-                    message,
-                }))
-            }
-            _ => Err(lost(slot, &mut state)),
+            }) if cell == assignment.cell => End::Done(report, events),
+            // The complaint may be about this cell's spec, shipped now or
+            // ahead and refused (`spec` is un-acked; its refusal answers the
+            // first `assign` over it): the worker does not hold it.
+            Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp.0)),
+            _ => End::Lost,
         }
     }
 
     /// Writes the spec with fingerprint `fp` to the worker [`ahead_slot`]
-    /// names, if its lock is free, and books it there. Called between an
+    /// names, if its `Conn` is free, and books it there. Called between an
     /// `assign` and the wait for its reply, so it never waits itself: a
-    /// taken lock skips the write, and a failed one kills its own worker,
+    /// taken `Conn` skips the write, and a failed one loses its own worker,
     /// not the conversation it interrupted.
     fn ship_ahead(&self, fp: u64, spec: &TaskGraphSpec) {
-        let (slot, mut state) = {
-            let mut dispatch = self.dispatch();
-            let rows = self.rows(&dispatch, fp);
-            let Some(at) = ahead_slot(&rows, dispatch.rotation) else {
-                return;
-            };
-            let slot: &WorkerSlot = &self.slots[at];
-            let Ok(state) = slot.state.try_lock() else {
-                return;
-            };
-            // Killed since its row was read: nothing to book.
-            if !slot.alive.load(Ordering::SeqCst) {
-                return;
-            }
-            dispatch.books[at].specs.insert(fp);
-            (slot, state)
+        let claimed = self.state().ahead(fp, |at| self.conns[at].try_lock().ok());
+        let Some((at, mut conn)) = claimed else {
+            return;
         };
-        if write_line(&mut state.writer, encode_spec(spec)).is_err() {
-            slot.kill(&mut state);
+        if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
+            self.lose(at, &mut conn, false);
             return;
         }
-        self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .spec_prefetches
-            .fetch_add(1, Ordering::Relaxed);
+        self.state().shipped(true);
     }
+}
+
+/// Binds a rendezvous socket, launches `config.workers` workers into
+/// `children`, and collects each one's `hello`: every worker's reader and
+/// writer, in worker order. On an error the caller reaps `children`.
+fn rendezvous(
+    config: &PoolConfig,
+    children: &mut Vec<Child>,
+) -> Result<Vec<(BufReader<TcpStream>, TcpStream)>, String> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| format!("cannot bind rendezvous socket: {e}"))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("cannot read rendezvous address: {e}"))?;
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
+    for id in 0..config.workers {
+        let mut cmd = Command::new(&exe);
+        cmd.args(&config.worker_args)
+            .env(CONNECT_ENV, addr.to_string())
+            .env(WORKER_ENV, id.to_string())
+            .stdin(Stdio::null())
+            // Workers of a test binary re-enter through libtest, which
+            // chats on stdout; none of it is protocol (IPC is TCP).
+            .stdout(Stdio::null());
+        for (key, value) in &config.worker_env {
+            cmd.env(key, value);
+        }
+        let child = cmd
+            .spawn()
+            .map_err(|e| format!("cannot spawn worker {id}: {e}"))?;
+        children.push(child);
+    }
+
+    // Accept until every worker said hello. Non-blocking accept so a worker
+    // that dies before connecting trips the deadline instead of blocking
+    // forever.
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("cannot configure rendezvous socket: {e}"))?;
+    let deadline = Instant::now() + SPAWN_TIMEOUT;
+    let mut streams: Vec<Option<(BufReader<TcpStream>, TcpStream)>> =
+        (0..config.workers).map(|_| None).collect();
+    for connected in 0..config.workers {
+        let stream = loop {
+            if Instant::now() > deadline {
+                return Err(format!(
+                    "only {connected}/{} workers connected within {SPAWN_TIMEOUT:?}",
+                    config.workers
+                ));
+            }
+            match listener.accept() {
+                Ok((stream, _)) => break stream,
+                // A worker connects a few ms after its exec; a coarse poll
+                // here is pure added start-up latency.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_micros(250))
+                }
+                Err(e) => return Err(format!("rendezvous accept failed: {e}")),
+            }
+        };
+        // A write no worker drains for a whole cell timeout fails like a
+        // read that long would: the worker is lost, never waited on.
+        stream
+            .set_nonblocking(false)
+            .and_then(|_| stream.set_nodelay(true))
+            .and_then(|_| stream.set_read_timeout(Some(SPAWN_TIMEOUT)))
+            .and_then(|_| stream.set_write_timeout(Some(CELL_TIMEOUT)))
+            .map_err(|e| format!("cannot configure worker socket: {e}"))?;
+        let reader_stream = stream
+            .try_clone()
+            .map_err(|e| format!("cannot clone worker socket: {e}"))?;
+        let mut reader = BufReader::new(reader_stream);
+        let hello = read_frame(&mut reader)
+            .map_err(|e| format!("bad hello frame: {e}"))?
+            .ok_or_else(|| "worker closed before hello".to_string())?;
+        let worker = match from_line(&hello) {
+            Ok(ToCoordinator::Hello { worker, .. }) => worker,
+            _ => return Err(format!("expected hello, got {hello:?}")),
+        };
+        match usize::try_from(worker)
+            .ok()
+            .and_then(|at| streams.get_mut(at))
+        {
+            Some(slot) if slot.is_none() => *slot = Some((reader, stream)),
+            _ => return Err(format!("unexpected hello from worker {worker}")),
+        }
+    }
+    Ok(streams.into_iter().flatten().collect())
 }
 
 /// Reads and decodes one frame; any failure (EOF, timeout, framing, JSON, a
 /// message that is not a [`ToCoordinator`]) collapses to `None` — the caller
-/// kills the worker for all of them.
+/// loses the worker for all of them.
 fn read_message(reader: &mut BufReader<TcpStream>) -> Option<ToCoordinator> {
     from_line(&read_frame(reader).ok()??).ok()
 }
@@ -724,86 +764,52 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Drain barrier: prove every channel is quiet, then dismiss the
         // workers and reap them.
-        self.barrier(Duration::from_secs(5));
-        for slot in &self.slots {
-            if !slot.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut state = slot.lock();
-            let _ = write_frame(&mut state.writer, &ToWorker::Shutdown);
+        self.barrier(DRAIN_TIMEOUT);
+        let live: Vec<bool> = (0..self.conns.len())
+            .map(|at| self.state().live(at))
+            .collect();
+        for (conn, _) in self.conns.iter().zip(&live).filter(|(_, &live)| live) {
+            let _ = write_frame(&mut lock(conn).writer, &ToWorker::Shutdown);
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        for slot in &self.slots {
-            let mut state = slot.lock();
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        for (conn, live) in self.conns.iter().zip(live) {
+            let conn = &mut *lock(conn);
             // A dismissed worker closes its socket by exiting, so EOF (or any
             // read failure, including the deadline) is the wake-up — not a
             // poll interval.
-            if slot.alive.load(Ordering::SeqCst) {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let timeout = left.max(Duration::from_millis(1));
-                if state
-                    .reader
-                    .get_ref()
-                    .set_read_timeout(Some(timeout))
-                    .is_ok()
-                {
-                    while Instant::now() < deadline
-                        && matches!(read_frame(&mut state.reader), Ok(Some(_)))
-                    {
-                    }
-                }
+            let left = deadline.saturating_duration_since(Instant::now());
+            let timeout = Some(left.max(Duration::from_millis(1)));
+            if live && conn.reader.get_ref().set_read_timeout(timeout).is_ok() {
+                while Instant::now() < deadline
+                    && matches!(read_frame(&mut conn.reader), Ok(Some(_)))
+                {}
             }
             // The socket closes a moment before the process becomes
             // reapable; workers that ignore the dismissal are killed.
-            loop {
-                match state.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_micros(100))
-                    }
-                    _ => {
-                        let _ = state.child.kill();
-                        let _ = state.child.wait();
-                        break;
-                    }
-                }
-            }
+            reap(&mut conn.child, deadline);
         }
     }
 }
 
 /// oneCCL-style non-blocking barrier: `start()` posts the barrier message to
-/// every live worker, `update()` polls each pending worker with a short read
-/// deadline and reports completion. Workers that fail mid-barrier are killed
+/// every member, `update()` polls each pending one with a short read
+/// deadline and reports completion. Members that fail mid-barrier are lost
 /// and dropped from the pending set (a dead worker cannot hold a barrier).
-struct CollectiveBarrier {
+struct CollectiveBarrier<'a> {
+    pool: &'a WorkerPool,
     epoch: u64,
-    pending: Vec<Arc<WorkerSlot>>,
+    /// Members (worker indices) that have not answered yet.
+    pending: Vec<usize>,
     started: bool,
 }
 
-impl CollectiveBarrier {
-    fn new(slots: &[Arc<WorkerSlot>], epoch: u64) -> Self {
-        CollectiveBarrier {
-            epoch,
-            pending: slots
-                .iter()
-                .filter(|slot| slot.alive.load(Ordering::SeqCst))
-                .cloned()
-                .collect(),
-            started: false,
-        }
-    }
-
+impl CollectiveBarrier<'_> {
     fn start(&mut self) {
-        let epoch = self.epoch;
-        self.pending.retain(|slot| {
-            let mut state = slot.lock();
-            let barrier = ToWorker::Barrier {
-                epoch: Hex64(epoch),
-            };
-            if write_frame(&mut state.writer, &barrier).is_err() {
-                slot.kill(&mut state);
+        let (pool, epoch) = (self.pool, Hex64(self.epoch));
+        self.pending.retain(|&at| {
+            let mut conn = lock(&pool.conns[at]);
+            if write_frame(&mut conn.writer, &ToWorker::Barrier { epoch }).is_err() {
+                pool.lose(at, &mut conn, false);
                 return false;
             }
             true
@@ -811,46 +817,34 @@ impl CollectiveBarrier {
         self.started = true;
     }
 
-    /// One poll round; returns true when every pending worker has answered.
+    /// One poll round; returns true when every pending member has answered.
     fn update(&mut self) -> bool {
         assert!(self.started, "update() before start()");
-        let epoch = self.epoch;
-        self.pending.retain(|slot| {
-            let mut state = slot.lock();
-            if state
-                .reader
-                .get_ref()
-                .set_read_timeout(Some(Duration::from_millis(25)))
-                .is_err()
-            {
-                slot.kill(&mut state);
-                return false;
-            }
-            match read_frame(&mut state.reader) {
-                Ok(Some(line)) => {
-                    let acked = matches!(
-                        from_line(&line),
-                        Ok(ToCoordinator::BarrierAck { epoch: Hex64(e) }) if e == epoch
-                    );
-                    if !acked {
-                        // Anything else on a quiesced channel is corruption.
-                        slot.kill(&mut state);
-                    }
-                    false // answered or dead: out of the pending set
-                }
-                Err(FrameError::Io(e))
+        let (pool, epoch) = (self.pool, self.epoch);
+        self.pending.retain(|&at| {
+            let mut conn = lock(&pool.conns[at]);
+            let poll = Some(Duration::from_millis(25));
+            let answer = conn.reader.get_ref().set_read_timeout(poll).ok();
+            let acked = match answer.map(|()| read_frame(&mut conn.reader)) {
+                Some(Ok(Some(line))) => matches!(
+                    from_line(&line),
+                    Ok(ToCoordinator::BarrierAck { epoch: Hex64(e) }) if e == epoch
+                ),
+                Some(Err(FrameError::Io(e)))
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    true // still pending
+                    return true; // still pending
                 }
-                Ok(None) | Err(_) => {
-                    slot.kill(&mut state);
-                    false
-                }
+                _ => false,
+            };
+            // Anything but the ack on a quiesced channel is corruption.
+            if !acked {
+                pool.lose(at, &mut conn, false);
             }
+            false // answered or dead: out of the pending set
         });
         self.pending.is_empty()
     }
@@ -859,14 +853,10 @@ impl CollectiveBarrier {
 static SHARED: OnceLock<Mutex<Weak<WorkerPool>>> = OnceLock::new();
 
 /// Returns the process-wide shared pool, spawning one if none is live or
-/// the live one is smaller than `config.workers`. Executors hold `Arc`s;
+/// the live one has fewer than `config`'s workers. Executors hold `Arc`s;
 /// the pool shuts its workers down when the last executor drops.
 pub fn shared_pool(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
-    let cell = SHARED.get_or_init(|| Mutex::new(Weak::new()));
-    let mut guard = match cell.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut guard = lock(SHARED.get_or_init(|| Mutex::new(Weak::new())));
     if let Some(pool) = guard.upgrade() {
         if pool.num_slots() >= config.workers && pool.alive_workers() > 0 {
             return Ok(pool);
@@ -881,15 +871,21 @@ pub fn shared_pool(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
 mod tests {
     use super::*;
 
+    /// The fingerprint of the spec the cell being placed is over.
+    const FP: u64 = 0;
+
     /// `"AIH3"`: **A**live or **D**ead, **I**dle or **B**usy, **H**olds the
-    /// spec or `-`, and how many specs it holds.
-    fn row(text: &str) -> SlotRow {
+    /// spec [`FP`] or `-`, and how many specs it holds.
+    fn row(text: &str) -> Worker {
         let bytes = text.as_bytes();
-        SlotRow {
-            alive: bytes[0] == b'A',
-            busy: bytes[1] == b'B',
-            holds: bytes[2] == b'H',
-            specs_held: usize::from(bytes[3] - b'0'),
+        let holds = bytes[2] == b'H';
+        let held = u64::from(bytes[3] - b'0').max(u64::from(holds));
+        Worker {
+            dead: bytes[0] == b'D',
+            in_flight: usize::from(bytes[1] == b'B'),
+            specs: (0..held)
+                .map(|s| if holds && s == 0 { FP } else { FP + 1 + s })
+                .collect(),
         }
     }
 
@@ -912,8 +908,8 @@ mod tests {
             ("DIH1 AB-0", 0, Some(1), "a dead holder holds nothing"),
             ("DI-0 AI-3 DIH0", 2, Some(1), "the only survivor"),
         ] {
-            let rows: Vec<SlotRow> = rows.split_whitespace().map(row).collect();
-            assert_eq!(pick_slot(&rows, rotation), want, "{why}");
+            let rows: Vec<Worker> = rows.split_whitespace().map(row).collect();
+            assert_eq!(pick_slot(&rows, FP, rotation), want, "{why}");
         }
     }
 
@@ -940,71 +936,26 @@ mod tests {
             ("AB-1 AB-0", 0, None, "every worker busy"),
             ("AB-1 DI-0", 0, None, "the only idle worker is dead"),
         ] {
-            let rows: Vec<SlotRow> = rows.split_whitespace().map(row).collect();
-            assert_eq!(ahead_slot(&rows, rotation), want, "{why}");
+            let rows: Vec<Worker> = rows.split_whitespace().map(row).collect();
+            assert_eq!(ahead_slot(&rows, FP, rotation), want, "{why}");
         }
     }
 
-    /// The books of `workers` processes driven the way [`WorkerPool`]
-    /// drives them: a placed cell ships its spec to a worker that lacks it,
-    /// the first cell of a workload writes the next workload's spec ahead,
-    /// and a finished cell leaves its worker.
-    struct Model {
-        held: Vec<Vec<u64>>,
-        in_flight: Vec<usize>,
-        rotation: usize,
-        last_spec: Option<u64>,
-        transfers: usize,
-        ahead: usize,
-    }
-
-    impl Model {
-        fn new(workers: usize) -> Model {
-            Model {
-                held: vec![Vec::new(); workers],
-                in_flight: vec![0; workers],
-                rotation: 0,
-                last_spec: None,
-                transfers: 0,
-                ahead: 0,
+    /// Books a cell over `fp` with `next` as its hint the way
+    /// [`WorkerPool::run_cell`] does, every write succeeding; returns its
+    /// worker, on which the cell stays booked.
+    fn place(state: &mut PoolState, fp: u64, next: Option<u64>) -> usize {
+        let (_, starts_workload) = state.dispatched(fp);
+        let at = state.book(fp).expect("a live worker");
+        if state.book_spec(at, fp) {
+            state.shipped(false);
+        }
+        if let Some(next) = next.filter(|_| starts_workload) {
+            if state.ahead(next, Some).is_some() {
+                state.shipped(true);
             }
         }
-
-        fn rows(&self, fp: u64) -> Vec<SlotRow> {
-            (0..self.held.len())
-                .map(|at| SlotRow {
-                    alive: true,
-                    busy: self.in_flight[at] > 0,
-                    holds: self.held[at].contains(&fp),
-                    specs_held: self.held[at].len(),
-                })
-                .collect()
-        }
-
-        /// Places a cell over `fp` with `next` as its hint; returns its
-        /// worker.
-        fn place(&mut self, fp: u64, next: Option<u64>) -> usize {
-            let at = pick_slot(&self.rows(fp), self.rotation).expect("all alive");
-            self.rotation += 1;
-            self.in_flight[at] += 1;
-            if !self.held[at].contains(&fp) {
-                self.held[at].push(fp);
-                self.transfers += 1;
-            }
-            let starts_workload = self.last_spec.replace(fp) != Some(fp);
-            if let Some(next) = next.filter(|_| starts_workload) {
-                if let Some(to) = ahead_slot(&self.rows(next), self.rotation) {
-                    self.held[to].push(next);
-                    self.transfers += 1;
-                    self.ahead += 1;
-                }
-            }
-            at
-        }
-
-        fn release(&mut self, at: usize) {
-            self.in_flight[at] -= 1;
-        }
+        at
     }
 
     /// The serial Full sweep in miniature: eight specs, five cells each, two
@@ -1013,22 +964,24 @@ mod tests {
     #[test]
     fn a_serial_sweep_ships_each_spec_once_and_splits_them_evenly() {
         for look_ahead in [false, true] {
-            let mut model = Model::new(2);
+            let mut state = PoolState::new(2);
             for cell in 0..40u64 {
                 let (fp, next) = (cell / 5, cell / 5 + 1);
                 if look_ahead && cell % 5 == 0 && fp > 0 {
                     assert!(
-                        model.held.iter().any(|specs| specs.contains(&fp)),
+                        state.workers.iter().any(|w| w.specs.contains(&fp)),
                         "spec {fp} is held before its first cell is placed"
                     );
                 }
                 let hint = (look_ahead && next < 8).then_some(next);
-                let at = model.place(fp, hint);
-                model.release(at);
+                let at = place(&mut state, fp, hint);
+                state.answered(at);
             }
-            assert_eq!(model.transfers, 8, "look_ahead={look_ahead}");
-            assert_eq!((model.held[0].len(), model.held[1].len()), (4, 4));
-            assert_eq!(model.ahead, if look_ahead { 7 } else { 0 });
+            let stats = state.stats();
+            assert_eq!(stats.spec_transfers, 8, "look_ahead={look_ahead}");
+            assert_eq!(stats.spec_prefetches, if look_ahead { 7 } else { 0 });
+            let held: Vec<usize> = state.workers.iter().map(|w| w.specs.len()).collect();
+            assert_eq!(held, [4, 4]);
         }
     }
 
@@ -1037,23 +990,157 @@ mod tests {
     #[test]
     fn two_cells_in_flight_ship_each_spec_at_most_once_per_worker() {
         for newer_finishes_first in [false, true] {
-            let mut model = Model::new(2);
+            let mut state = PoolState::new(2);
             let mut in_flight: Vec<usize> = Vec::new();
             for cell in 0..40u64 {
                 let (fp, next) = (cell / 5, cell / 5 + 1);
-                in_flight.push(model.place(fp, (next < 8).then_some(next)));
+                in_flight.push(place(&mut state, fp, (next < 8).then_some(next)));
                 if in_flight.len() == 2 {
                     let done = in_flight.remove(usize::from(newer_finishes_first));
-                    model.release(done);
+                    state.answered(done);
                 }
             }
-            assert!((8..=16).contains(&model.transfers), "{}", model.transfers);
-            for specs in &model.held {
-                let mut distinct = specs.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                assert_eq!(distinct.len(), specs.len(), "a spec shipped twice");
+            let transfers = state.stats().spec_transfers;
+            let held: usize = state.workers.iter().map(|w| w.specs.len()).sum();
+            assert!((8..=16).contains(&transfers), "{transfers}");
+            assert_eq!(held as u64, transfers, "a spec shipped twice");
+        }
+    }
+
+    /// A [`PoolState`] driven by random transitions, each checked against
+    /// what the shell's calls promise.
+    struct Checked {
+        state: PoolState,
+        /// Worker of every cell booked and not yet ended.
+        booked: Vec<usize>,
+        dead: HashSet<usize>,
+        /// `(worker, spec)` booked on a live worker and not unbooked since.
+        held: HashSet<(usize, u64)>,
+        redispatches: u64,
+        epochs: u64,
+    }
+
+    impl Checked {
+        fn book(&mut self, fp: u64) {
+            match self.state.book(fp) {
+                Some(at) => {
+                    assert!(!self.dead.contains(&at), "booked dead worker {at}");
+                    self.booked.push(at);
+                }
+                None => assert_eq!(self.dead.len(), self.state.workers.len()),
             }
+        }
+
+        fn book_spec(&mut self, pick: usize, fp: u64) {
+            // The shell books a spec only for a cell whose worker is live.
+            let Some(&at) = self.booked.get(pick % self.booked.len().max(1)) else {
+                return;
+            };
+            if self.state.live(at) {
+                let fresh = self.state.book_spec(at, fp);
+                assert_eq!(fresh, self.held.insert((at, fp)), "spec {fp} on {at}");
+            }
+        }
+
+        fn ahead(&mut self, fp: u64, free: bool) {
+            let was_held = self.held.iter().any(|&(_, held)| held == fp);
+            if let Some((at, ())) = self.state.ahead(fp, |_| free.then_some(())) {
+                assert!(free, "booked ahead on a taken Conn");
+                assert!(!self.dead.contains(&at), "ahead on dead worker {at}");
+                assert!(!self.booked.contains(&at), "ahead on busy worker {at}");
+                assert!(!was_held, "spec {fp} already on a live worker");
+                assert!(self.held.insert((at, fp)));
+            }
+        }
+
+        /// Ends the cell booked at `pick`: `how` 0..=4 answered, 5 refused,
+        /// 6 refused over its spec `fp`, else lost.
+        fn end(&mut self, pick: usize, how: usize, fp: u64) {
+            if self.booked.is_empty() {
+                return;
+            }
+            let at = self.booked.swap_remove(pick % self.booked.len());
+            match how {
+                0..=4 => self.state.answered(at),
+                5 => self.state.refused(at, None),
+                6 => {
+                    self.state.refused(at, Some(fp));
+                    self.held.remove(&(at, fp));
+                }
+                _ => self.lose(at, true),
+            }
+        }
+
+        fn lose(&mut self, at: usize, booked: bool) {
+            self.state.lost(at, booked);
+            self.dead.insert(at);
+            self.held.retain(|&(worker, _)| worker != at);
+            self.redispatches += u64::from(booked);
+        }
+
+        fn barrier(&mut self) {
+            let (epoch, members) = self.state.barrier();
+            assert_eq!(epoch, self.epochs);
+            self.epochs += 1;
+            let live = (0..self.state.workers.len()).filter(|at| !self.dead.contains(at));
+            assert_eq!(members, live.collect::<Vec<_>>());
+        }
+
+        fn check(&self) {
+            for (at, worker) in self.state.workers.iter().enumerate() {
+                let booked = self.booked.iter().filter(|&&b| b == at).count();
+                assert_eq!(worker.in_flight, booked, "worker {at}'s books");
+                assert_eq!(worker.dead, self.dead.contains(&at), "worker {at}");
+                for fp in &worker.specs {
+                    assert!(self.held.contains(&(at, *fp)), "worker {at} spec {fp}");
+                }
+            }
+            let stats = self.state.stats();
+            let alive = self.state.workers.len() - self.dead.len();
+            assert_eq!(stats.workers_alive, alive as u64);
+            assert_eq!(stats.redispatches, self.redispatches);
+            assert_eq!(stats.barriers, self.epochs);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random book / spec / ahead / answered / refused / lost / barrier
+        /// sequences: every booked cell is released exactly once, whether
+        /// answered or lost; a dead worker is never booked; a spec is
+        /// booked at most once per live worker; the ahead booking never
+        /// targets a busy worker; `in_flight` never underflows.
+        #[test]
+        fn the_pool_state_keeps_its_invariants_under_any_transition_sequence(
+            workers in 1usize..4,
+            steps in proptest::prop::collection::vec((0u8..9, 0usize..64), 1..120),
+        ) {
+            let mut checked = Checked {
+                state: PoolState::new(workers),
+                booked: Vec::new(),
+                dead: HashSet::new(),
+                held: HashSet::new(),
+                redispatches: 0,
+                epochs: 0,
+            };
+            for (step, pick) in steps {
+                let fp = (pick % 3) as u64;
+                match step {
+                    0 | 1 => checked.book(fp),
+                    2 => checked.book_spec(pick / 3, fp),
+                    3 => checked.ahead(fp, pick % 4 != 0),
+                    4 | 5 => checked.end(pick / 3, pick % 8, fp),
+                    6 if pick % 8 == 0 => checked.lose(pick % workers, false),
+                    7 => checked.barrier(),
+                    _ => checked.end(pick / 3, 0, fp),
+                }
+                checked.check();
+            }
+            while !checked.booked.is_empty() {
+                checked.end(0, 0, 0);
+            }
+            checked.check();
         }
     }
 }

@@ -7,7 +7,6 @@
 //! the children is harmless.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use numadag_core::{make_policy, PolicyKind};
 use numadag_numa::{CostModel, DistanceMatrix, Topology};
@@ -32,8 +31,6 @@ fn proc_worker_entry() {
 fn test_pool(workers: usize, env: &[(&str, &str)]) -> Arc<WorkerPool> {
     let mut config = PoolConfig::new(workers)
         .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-    config.spawn_timeout = Duration::from_secs(60);
-    config.cell_timeout = Duration::from_secs(60);
     for (key, value) in env {
         config = config.with_env(key, value);
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
-use numadag_numa::Topology;
+use numadag_numa::{Hex64, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{Backend, Experiment};
@@ -42,7 +42,9 @@ pub struct SweepSpec {
     /// (the multi-process backend; the process must have called
     /// `numadag_proc::install()`).
     pub backend: String,
-    /// Seed for all seeded components.
+    /// Seed for all seeded components. Any `u64` is a seed, so it travels
+    /// as a hex string: a JSON number would round seeds above 2^53.
+    #[serde(with = "Hex64")]
     pub seed: u64,
     /// Repetitions per cell.
     pub reps: usize,
@@ -248,11 +250,33 @@ mod tests {
 
     #[test]
     fn partial_spec_objects_fill_in_defaults() {
-        let value = serde_json::from_str(r#"{"scale": "small", "seed": 9}"#).unwrap();
+        let value = serde_json::from_str(r#"{"scale": "small", "seed": "9"}"#).unwrap();
         let spec = SweepSpec::from_value(&value).unwrap();
         assert_eq!(spec.scale, "small");
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.policies, DEFAULT_POLICIES);
         assert_eq!(spec.apps, "all");
+    }
+
+    /// Seeds JSON numbers would round (2^53 + 1 becomes 2^53, u64::MAX − 5
+    /// becomes u64::MAX) survive the wire; a seed spelled as a number, even
+    /// one that fits, is refused with the field named.
+    #[test]
+    fn every_seed_crosses_the_wire_bit_exactly() {
+        for seed in [0, DEFAULT_SEED, (1 << 53) + 1, u64::MAX - 5, u64::MAX] {
+            let spec = SweepSpec {
+                seed,
+                ..SweepSpec::default()
+            };
+            let line = serde_json::to_string(&spec).unwrap();
+            assert!(line.contains(&format!(r#""seed":"{seed:x}""#)), "{line}");
+            let value = serde_json::from_str(&line).unwrap();
+            assert_eq!(SweepSpec::from_value(&value), Ok(spec));
+        }
+        for seed in ["9", "9007199254740993", "1e999", "-1"] {
+            let value = serde_json::from_str(&format!(r#"{{"seed": {seed}}}"#)).unwrap();
+            let error = SweepSpec::from_value(&value).unwrap_err();
+            assert!(error.contains("SweepSpec.seed"), "{seed}: {error}");
+        }
     }
 }

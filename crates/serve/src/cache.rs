@@ -28,19 +28,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use numadag_runtime::framing::to_line;
 use numadag_runtime::CellOutcome;
+
+use crate::protocol::report_wire_form;
 
 /// A finished sweep report as served to clients.
 #[derive(Debug)]
 pub struct CachedReport {
     /// The exact `SweepReport::to_json_string` bytes of the report.
     pub bytes: String,
-    /// `bytes` as a JSON string literal, quotes included (`to_line(&bytes)`):
-    /// what the `report_json` field of every `Report` line about this
-    /// report carries. Escaped once, when the report is produced or loaded,
+    /// `bytes` in [`report_wire_form`]: what every `Report` line about this
+    /// report embeds. Mapped once, when the report is produced or loaded,
     /// however many cache hits and subscribers are then sent it.
-    literal: String,
+    wire: String,
     /// Cells the sweep executed to produce it (for accounting; repeats
     /// served from cache execute zero — and cells hydrated from the cell
     /// cache never counted in the first place).
@@ -50,20 +50,20 @@ pub struct CachedReport {
 }
 
 impl CachedReport {
-    /// A report and its escaped literal. Escaping a Full report takes tens
-    /// of microseconds: callers run this outside the daemon's state lock.
+    /// A report and its wire form. Callers run this outside the daemon's
+    /// state lock: it copies the whole report.
     pub(crate) fn new(bytes: String, executed_cells: usize, total_cells: usize) -> Self {
         CachedReport {
-            literal: to_line(&bytes),
+            wire: report_wire_form(&bytes),
             bytes,
             executed_cells,
             total_cells,
         }
     }
 
-    /// The JSON string literal of [`CachedReport::bytes`].
-    pub(crate) fn literal(&self) -> &str {
-        &self.literal
+    /// [`CachedReport::bytes`] in [`report_wire_form`].
+    pub(crate) fn wire(&self) -> &str {
+        &self.wire
     }
 }
 

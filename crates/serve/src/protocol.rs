@@ -18,7 +18,8 @@
 use numadag_core::PolicyKind;
 use numadag_kernels::SpecCache;
 use numadag_runtime::{report_order, Fnv1a, SweepPlan};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
+use serde_json::Reader;
 
 pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 
@@ -220,11 +221,14 @@ pub enum Response {
         repetition: u64,
     },
     /// Terminal response of a submission: the exact measurement-JSON bytes
-    /// of the sweep report (`SweepReport::to_json_string`), embedded as a
-    /// string so the envelope stays one line. `executed_cells` is the number
-    /// of cells executed *for this request* — 0 when served from cache;
-    /// `hydrated_cells` is the number answered from the cell cache instead
-    /// of executed (overlap with previously executed sweeps).
+    /// of the sweep report (`SweepReport::to_json_string`). The daemon
+    /// writes it raw, `"report_bytes":N,"report":<N bytes>` with each line
+    /// feed sent as a carriage return, so the line stays one line; the
+    /// derived spelling, the report as the string `report_json`, decodes
+    /// too. `executed_cells` is the number of cells executed *for this
+    /// request* — 0 when served from cache; `hydrated_cells` is the number
+    /// answered from the cell cache instead of executed (overlap with
+    /// previously executed sweeps).
     Report {
         job: u64,
         cache_hit: bool,
@@ -259,32 +263,94 @@ pub enum Response {
 use numadag_runtime::framing::from_line;
 pub use numadag_runtime::framing::to_line;
 
-/// Appends the wire line of a [`Response::Report`] (no newline) whose
-/// `report_json` is the string that `literal` — a JSON string literal,
-/// quotes included — spells: byte for byte what [`to_line`] writes for
-/// that `Report`, without escaping the report again. The derived encoder
-/// is the specification; tests pin this to it.
+/// A report's wire form: every line feed of its JSON sent as a carriage
+/// return. A CR is JSON whitespace, so the `Report` line carrying it stays
+/// one line and one JSON document; the serializer escapes every control
+/// character inside strings, so a raw CR is never part of the report itself.
+pub(crate) fn report_wire_form(report: &str) -> String {
+    debug_assert!(!report.contains('\r'), "a report holds no raw CR");
+    report.replace('\n', "\r")
+}
+
+/// Appends the wire line of a [`Response::Report`] (no newline) around
+/// `wire`, a report in [`report_wire_form`]:
+/// `{"Report":{"job":J,"cache_hit":B,"executed_cells":E,"hydrated_cells":H,"report_bytes":N,"report":<the N bytes of wire>}}`.
+/// The report is embedded raw, so neither end escapes or unescapes it;
+/// [`Response::from_line`] takes its N bytes by length.
 pub(crate) fn push_report_line(
     line: &mut String,
     job: u64,
     cache_hit: bool,
     executed_cells: u64,
     hydrated_cells: u64,
-    literal: &str,
+    wire: &str,
 ) {
     use std::fmt::Write as _;
-    // Numbers go through f64, as the data model's only number type does in
-    // the derived encoder, so every u64 is spelled the way it spells it.
+    // Numbers go through f64, the data model's only number type, so each is
+    // spelled as the derived encoder spells it and decodes as it decodes.
     let [job, executed_cells, hydrated_cells] =
         [job, executed_cells, hydrated_cells].map(|n| n as f64);
-    line.reserve(literal.len() + 96);
+    line.reserve(wire.len() + 128);
     write!(
         line,
-        r#"{{"Report":{{"job":{job},"cache_hit":{cache_hit},"executed_cells":{executed_cells},"hydrated_cells":{hydrated_cells},"report_json":"#
+        r#"{{"Report":{{"job":{job},"cache_hit":{cache_hit},"executed_cells":{executed_cells},"hydrated_cells":{hydrated_cells},"report_bytes":{},"report":"#,
+        wire.len()
     )
     .expect("writing to a String cannot fail");
-    line.push_str(literal);
+    line.push_str(wire);
     line.push_str("}}");
+}
+
+/// Decodes a `Report` line in [`push_report_line`]'s spelling, or `None`
+/// for any other line — another message, or the derived `report_json`
+/// spelling — which [`Response::from_line`] hands to the derived decoder.
+/// The header is a handful of small values; the report is sliced out of the
+/// line by its stated length and never parsed or unescaped.
+fn raw_report_from_line(line: &str) -> Option<Result<Response, String>> {
+    let mut reader = Reader::new(line);
+    if reader.begin_object().ok()?.as_deref() != Some("Report") {
+        return None;
+    }
+    // The header fields come first, `report_bytes` after them: that key is
+    // what marks this spelling.
+    let mut header = Vec::with_capacity(4);
+    let mut key = reader.begin_object().ok()??;
+    while key != "report_bytes" {
+        if header.len() == 4 {
+            return None;
+        }
+        header.push((key, reader.value().ok()?));
+        key = reader.next_key().ok()??;
+    }
+    Some(raw_report_body(reader, Value::Object(header)))
+}
+
+/// The rest of [`raw_report_from_line`], committed to the raw spelling:
+/// `reader` stands in front of `report_bytes`' value.
+fn raw_report_body(mut reader: Reader<'_>, header: Value) -> Result<Response, String> {
+    let report_bytes = reader
+        .value()
+        .map_err(String::from)
+        .and_then(|n| usize::from_value(&n))
+        .map_err(|e| format!("Report.report_bytes: {e}"))?;
+    if reader.next_key()?.as_deref() != Some("report") {
+        return Err("Report.report must follow report_bytes".to_string());
+    }
+    let wire = reader
+        .raw(report_bytes)
+        .map_err(|e| format!("Report.report: {e}"))?;
+    if reader.raw(2).ok() != Some("}}") || reader.end().is_err() {
+        return Err(format!(
+            "Report.report must end with `}}}}` and the line after its {report_bytes} bytes"
+        ));
+    }
+    Ok(Response::Report {
+        job: de::field(&header, "Report", "job")?,
+        cache_hit: de::field(&header, "Report", "cache_hit")?,
+        executed_cells: de::field(&header, "Report", "executed_cells")?,
+        hydrated_cells: de::field(&header, "Report", "hydrated_cells")?,
+        report_json: wire.replace('\r', "\n"),
+    })
 }
 
 impl Request {
@@ -295,9 +361,10 @@ impl Request {
 }
 
 impl Response {
-    /// Decodes one wire line.
+    /// Decodes one wire line: a `Report` that embeds its report raw by
+    /// slicing the report out, anything else through the derived decoder.
     pub fn from_line(line: &str) -> Result<Response, String> {
-        from_line(line)
+        raw_report_from_line(line).unwrap_or_else(|| from_line(line))
     }
 }
 
@@ -313,7 +380,7 @@ mod tests {
     /// One wire line per request kind, as the parent of the derived
     /// decoders (commit fb5dfe3) wrote them.
     const REQUEST_LINES: [&str; 5] = [
-        r#"{"SubmitSweep":{"spec":{"apps":"jacobi,nstream","scale":"small","policies":"dfifo,rgp-las:w=512","backend":"simulated","seed":42,"reps":2},"stream":true}}"#,
+        r#"{"SubmitSweep":{"spec":{"apps":"jacobi,nstream","scale":"small","policies":"dfifo,rgp-las:w=512","backend":"simulated","seed":"2a","reps":2},"stream":true}}"#,
         r#"{"Status":{"job":7}}"#,
         r#"{"CancelJob":{"job":2}}"#,
         r#""Stats""#,
@@ -375,9 +442,8 @@ mod tests {
         }
     }
 
-    /// [`push_report_line`] over the literal of `report_json` against the
-    /// derived encoder of the same `Report`.
-    fn assert_rendered_like_the_derive(counters: [u64; 3], cache_hit: bool, report_json: &str) {
+    /// The `Report` line [`push_report_line`] writes for `report`.
+    fn report_line(counters: [u64; 3], cache_hit: bool, report: &str) -> String {
         let [job, executed_cells, hydrated_cells] = counters;
         let mut line = String::new();
         push_report_line(
@@ -386,20 +452,33 @@ mod tests {
             cache_hit,
             executed_cells,
             hydrated_cells,
-            &to_line(&report_json),
+            &report_wire_form(report),
         );
-        let derived = to_line(&Response::Report {
-            job,
-            cache_hit,
-            executed_cells,
-            hydrated_cells,
-            report_json: report_json.to_string(),
-        });
-        assert_eq!(line, derived, "{counters:?} {cache_hit} {report_json:?}");
+        line
     }
 
-    #[test]
-    fn a_rendered_report_line_is_the_derived_one() {
+    /// Decodes [`report_line`] and checks it against the `Report` it was
+    /// written from.
+    fn assert_report_round_trips(counters: [u64; 3], cache_hit: bool, report: &str) {
+        let line = report_line(counters, cache_hit, report);
+        assert!(!line.contains('\n'), "one frame");
+        let [job, executed_cells, hydrated_cells] = counters;
+        assert_eq!(
+            Response::from_line(&line),
+            Ok(Response::Report {
+                job,
+                cache_hit,
+                executed_cells,
+                hydrated_cells,
+                report_json: report.to_string(),
+            }),
+            "{line:?}"
+        );
+    }
+
+    /// The reports the daemon serves, and strings with every escape the
+    /// derived spelling needs.
+    fn sample_reports() -> Vec<String> {
         let mut reports: Vec<String> = [
             include_str!("../../../BENCH_figure1_tiny.json"),
             include_str!("../../../BENCH_figure1_small.json"),
@@ -410,38 +489,148 @@ mod tests {
         ]
         .map(String::from)
         .into();
-        reports.push((0u8..0x20).map(char::from).collect());
+        reports.push(
+            (0u8..0x20)
+                .filter(|&b| b != b'\r')
+                .map(char::from)
+                .collect(),
+        );
+        reports
+    }
+
+    #[test]
+    fn a_report_line_embeds_the_report_raw_and_decodes_back() {
+        let report = "{\n  \"machine\": \"bullion_s16\",\n  \"s\": \"x\\\"y\"\n}";
+        assert_eq!(
+            report_line([1, 0, 12], true, report),
+            "{\"Report\":{\"job\":1,\"cache_hit\":true,\"executed_cells\":0,\"hydrated_cells\":12,\
+             \"report_bytes\":45,\"report\":{\r  \"machine\": \"bullion_s16\",\r  \"s\": \"x\\\"y\"\r}}}"
+        );
+        // The line is JSON: the derived decoder reads it as a `Report`
+        // without `report_json`, and a tree holding the report.
+        let tree = serde_json::from_str(&report_line([1, 0, 12], true, report)).unwrap();
+        assert_eq!(
+            tree.get("Report").unwrap().get("report"),
+            Some(&serde_json::from_str(report).unwrap())
+        );
         let counters = [
             [1, 0, 0],
             [7, 40, 0],
             [0, 8, 40],
-            [u64::MAX, 1 << 53, (1 << 53) + 1],
+            [(1 << 53) - 1, 1 << 53, 0],
         ];
-        for report in &reports {
+        for report in sample_reports() {
             for (counters, cache_hit) in counters.iter().zip([true, false, false, true]) {
-                assert_rendered_like_the_derive(*counters, cache_hit, report);
+                assert_report_round_trips(*counters, cache_hit, &report);
             }
         }
-        // The golden line, through the renderer.
-        let mut line = String::new();
-        let report = "{\n  \"machine\": \"bullion_s16\",\n  \"s\": \"x\\\"y\"\n}";
-        push_report_line(&mut line, 1, true, 0, 12, &to_line(&report));
-        assert_eq!(line, RESPONSE_LINES[2]);
+        // The hot reply of the benchmark: the Full report is 16,501 bytes
+        // and the line adds only its header.
+        let full = include_str!("../../../BENCH_figure1_full.json");
+        let line = report_line([3, 0, 0], true, full);
+        assert_eq!(line.len(), full.len() + 106);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         #[test]
-        fn any_report_renders_like_the_derive(
+        fn any_report_line_decodes_to_the_report_it_was_written_from(
             chars in proptest::prop::collection::vec(proptest::prop::char::any(), 0..64),
-            job in 0u64..u64::MAX,
+            baseline in 0usize..4,
+            job in 0u64..(1 << 53),
             executed_cells in 0u64..4096,
             hydrated_cells in 0u64..4096,
             cache_hit in 0u8..2,
         ) {
-            let report: String = chars.into_iter().collect();
-            assert_rendered_like_the_derive([job, executed_cells, hydrated_cells], cache_hit == 1, &report);
+            // Generated strings without a raw CR, or one of the baselines.
+            let report: String = match baseline {
+                0..=2 => sample_reports().swap_remove(baseline),
+                _ => chars.into_iter().filter(|&c| c != '\r').collect(),
+            };
+            assert_report_round_trips([job, executed_cells, hydrated_cells], cache_hit == 1, &report);
+        }
+    }
+
+    /// Every way a raw `Report` line can be wrong is an error that names
+    /// it: never a panic, never a partial report.
+    #[test]
+    fn a_bad_report_line_is_an_error_that_names_the_problem() {
+        let good = report_line([1, 0, 12], true, "{\"é\": 1}");
+        assert!(
+            good.contains(r#""report_bytes":9,"report":{"é": 1}}}"#),
+            "{good}"
+        );
+        let bad = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from}");
+            good.replacen(from, to, 1)
+        };
+        let rows = [
+            // The stated length runs past the line, or splits the `é`.
+            (
+                bad(":9,", ":12,"),
+                "Report.report: 12 raw bytes run past the input",
+            ),
+            (bad(":9,", ":99999999999999,"), "run past the input"),
+            (bad(":9,", ":3,"), "end inside a character"),
+            // Too short a length leaves report bytes where `}}` must be.
+            (bad(":9,", ":8,"), "must end with `}}`"),
+            (bad("}}}", "} }}"), "must end with `}}`"),
+            (bad("}}}", "}},\"x\":1}"), "must end with `}}`"),
+            (bad("}}}", "}}}}"), "must end with `}}`"),
+            (bad("}}}", "}}"), "must end with `}}`"),
+            (good.clone() + " x", "must end with `}}`"),
+            // A header field missing or mistyped.
+            (bad(r#""job":1,"#, ""), r#"Report is missing field "job""#),
+            (
+                bad(r#""cache_hit":true"#, r#""cache_hit":1"#),
+                "Report.cache_hit",
+            ),
+            (
+                bad(r#""executed_cells":0"#, r#""executed_cells":-1"#),
+                "Report.executed_cells",
+            ),
+            (
+                bad(r#""hydrated_cells":12"#, r#""hydrated_cells":"c""#),
+                "Report.hydrated_cells",
+            ),
+            // `report_bytes` that is no length.
+            (
+                bad(":9,", ":-1,"),
+                "Report.report_bytes: must be an unsigned integer",
+            ),
+            (
+                bad(":9,", ":1.5,"),
+                "Report.report_bytes: must be an unsigned integer",
+            ),
+            (
+                bad(":9,", ":1e999,"),
+                "Report.report_bytes: must be an unsigned integer",
+            ),
+            (
+                bad(":9,", ":\"10\","),
+                "Report.report_bytes: must be an unsigned integer",
+            ),
+            (bad(":9,", ":,"), "Report.report_bytes"),
+            // `report` must follow it.
+            (
+                bad(r#""report":"#, r#""r":"#),
+                "Report.report must follow report_bytes",
+            ),
+            (
+                bad(r#","report":{"é": 1}"#, ""),
+                "Report.report must follow report_bytes",
+            ),
+        ];
+        for (line, says) in rows {
+            match Response::from_line(&line) {
+                Err(error) => assert!(error.contains(says), "{line}: {error}"),
+                Ok(response) => panic!("{line} decoded to {response:?}"),
+            }
+        }
+        // Cut anywhere, the line is an error.
+        for cut in (0..good.len()).filter(|&cut| good.is_char_boundary(cut)) {
+            assert!(Response::from_line(&good[..cut]).is_err(), "cut at {cut}");
         }
     }
 

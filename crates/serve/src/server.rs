@@ -31,10 +31,10 @@
 //!    hands back the job's outcomes.
 //! 5. **publish.** Whoever resolved it (the worker, or the submitter when
 //!    every cell hydrated) assembles the report through the deterministic
-//!    keyed post-pass — byte-identical to direct execution — escapes it
-//!    once, and publishes it to the LRU report cache and as one `Report`
-//!    line to every subscriber. A hit's line is rendered around the same
-//!    literal.
+//!    keyed post-pass — byte-identical to direct execution — maps it once
+//!    to its wire form, and publishes it to the LRU report cache and as one
+//!    `Report` line to every subscriber. A hit's line is rendered around the
+//!    same wire form.
 //! 6. **cancel** ends a live job and frees its queued cells; a batch a
 //!    worker already took stops at its next cell.
 //! 7. **close** is shutdown. Batches already taken finish, so a job whose
@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use numadag_kernels::SpecCache;
 use numadag_numa::{Hex64, Topology};
 use numadag_runtime::framing::{from_line, read_frame, to_line};
-use numadag_runtime::{CellOutcome, Executor, SweepPlan};
+use numadag_runtime::{CellOutcome, Executor, SweepPlan, SweepReport};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
@@ -212,9 +212,9 @@ struct Finished {
 }
 
 impl Finished {
-    /// Job `id`'s report, serialized and escaped once, and the `Report` line
-    /// around it: the keyed post-pass is deterministic, so the bytes are
-    /// those of a direct `SweepPlan::execute`.
+    /// Job `id`'s report, serialized and mapped to its wire form once, and
+    /// the `Report` line around it: the keyed post-pass is deterministic, so
+    /// the bytes are those of a direct `SweepPlan::execute`.
     fn render(self, id: u64, workers: usize) -> (Arc<CachedReport>, Arc<str>) {
         let total = self.outcomes.len();
         let report = self
@@ -228,7 +228,7 @@ impl Finished {
             false,
             self.executed as u64,
             self.hydrated as u64,
-            report.literal(),
+            report.wire(),
         );
         line.push('\n');
         (Arc::new(report), line.into())
@@ -760,9 +760,11 @@ fn save_cache_file(path: &str, snapshot: &[(u64, Arc<CachedReport>)]) -> std::io
 }
 
 /// Loads a [`save_cache_file`] snapshot into `cache`, returning how many
-/// entries were restored. The whole file is decoded before anything is
-/// inserted, so a malformed file — even one whose first entries are fine —
-/// is an error the boot path logs and ignores, and the cache stays empty.
+/// entries were restored. The whole file is decoded and checked before
+/// anything is inserted, so a malformed file — even one whose first entries
+/// are fine — is an error the boot path logs and ignores, and the cache
+/// stays empty. An entry's report must be a `SweepReport` document with no
+/// raw CR, the one report a `Report` line can carry.
 fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String> {
     if !std::path::Path::new(path).exists() {
         return Ok(0);
@@ -771,6 +773,13 @@ fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String>
     let file: CacheFile = from_line(&body)?;
     if file.version != 1 {
         return Err(format!("unsupported cache file version {}", file.version));
+    }
+    for (i, entry) in file.entries.iter().enumerate() {
+        let refuse = |why: String| format!("entries: [{i}]: CacheEntry.report: {why}");
+        if entry.report.contains('\r') {
+            return Err(refuse("holds a raw CR".to_string()));
+        }
+        SweepReport::from_json_str(&entry.report).map_err(refuse)?;
     }
     let loaded = file.entries.len();
     for entry in file.entries {
@@ -977,11 +986,11 @@ fn handle_submit(
 }
 
 /// The two lines a report-cache hit answers with, for one `write_all`:
-/// `Submitted`, then the `Report` around the cached literal.
+/// `Submitted`, then the `Report` around the cached wire form.
 fn cache_hit_reply(job: u64, report: &CachedReport) -> String {
     let mut reply = to_line(&Response::Submitted { job, cached: true });
     reply.push('\n');
-    push_report_line(&mut reply, job, true, 0, 0, report.literal());
+    push_report_line(&mut reply, job, true, 0, 0, report.wire());
     reply.push('\n');
     reply
 }
@@ -1112,23 +1121,29 @@ mod tests {
             .expect("keyed by the hex fingerprint");
         assert_eq!((entry.executed_cells, entry.total_cells), (2, 2));
         assert!(entry.bytes.starts_with("{\n  \"machine\": \"bullion_s16"));
-        // A hit on it writes what the derived encoder writes for its two
-        // responses, one line each.
-        let derived = [
-            Response::Submitted {
-                job: 9,
-                cached: true,
-            },
-            Response::Report {
-                job: 9,
-                cache_hit: true,
-                executed_cells: 0,
-                hydrated_cells: 0,
-                report_json: entry.bytes.clone(),
-            },
-        ]
-        .map(|response| to_line(&response) + "\n");
-        assert_eq!(cache_hit_reply(9, &entry), derived.concat());
+        // A hit on it writes two lines that decode to its two responses.
+        let reply = cache_hit_reply(9, &entry);
+        let lines: Vec<Response> = reply
+            .lines()
+            .map(|line| Response::from_line(line).unwrap())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                Response::Submitted {
+                    job: 9,
+                    cached: true,
+                },
+                Response::Report {
+                    job: 9,
+                    cache_hit: true,
+                    executed_cells: 0,
+                    hydrated_cells: 0,
+                    report_json: entry.bytes.clone(),
+                },
+            ]
+        );
+        assert!(reply.ends_with('\n'));
         save_cache_file(&path, &cache.snapshot()).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), PARENT_CACHE_FILE);
         let _ = std::fs::remove_file(&path);
@@ -1161,6 +1176,39 @@ mod tests {
         assert!(cache.is_empty());
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));
+    }
+
+    /// A report the wire cannot carry as it is — not a `SweepReport`, or
+    /// holding a raw CR, which a `Report` line would hand back as a line
+    /// feed — refuses the whole file, like any malformed entry.
+    #[test]
+    fn a_cache_file_entry_the_wire_cannot_carry_loads_nothing() {
+        let tag = r#""report":"#;
+        let head = &PARENT_CACHE_FILE[..PARENT_CACHE_FILE.find(tag).unwrap() + tag.len()];
+        let with_report = |report: &str| format!("{head}{report}}}]}}");
+        let rows = [
+            (with_report(r#""garbage\r""#), "holds a raw CR"),
+            (with_report(r#""garbage""#), "invalid JSON"),
+            (with_report(r#""{}""#), "missing field"),
+            // The parent's report with one CR as whitespace: still a
+            // `SweepReport` document, still refused.
+            (
+                PARENT_CACHE_FILE.replacen(r#""report":"{\n"#, r#""report":"{\r\n"#, 1),
+                "holds a raw CR",
+            ),
+        ];
+        for (i, (body, says)) in rows.iter().enumerate() {
+            assert_ne!(body, PARENT_CACHE_FILE);
+            let path = scratch_file(&format!("unwireable-{i}.json"), body);
+            let mut cache = ReportCache::new(4);
+            let err = load_cache_file(&path, &mut cache).unwrap_err();
+            assert!(
+                err.contains("entries: [0]: CacheEntry.report") && err.contains(says),
+                "{i}: {err}"
+            );
+            assert!(cache.is_empty());
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     /// A Tiny sweep the model test submits: its fingerprint, plan, cell keys

@@ -87,12 +87,9 @@ pub fn write_trace_dir(dir: &Path, traces: &[Trace]) -> Result<usize, String> {
         let path = dir.join(name);
         let file = std::fs::File::create(&path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-        let mut writer = std::io::BufWriter::new(file);
         trace
-            .to_json_writer(&mut writer)
+            .to_json_writer(&mut { file })
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        std::io::Write::flush(&mut writer)
-            .map_err(|e| format!("cannot flush {}: {e}", path.display()))?;
     }
     Ok(traces.len())
 }

@@ -52,6 +52,17 @@ macro_rules! impl_id {
                 write!(f, concat!($prefix, "{}"), self.0)
             }
         }
+        /// Travels as its bare index.
+        impl serde::Serialize for $t {
+            fn serialize(&self, out: &mut serde::Writer<'_>) {
+                serde::Serialize::serialize(&self.0, out);
+            }
+        }
+        impl serde::Deserialize for $t {
+            fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, String> {
+                <usize as serde::Deserialize>::deserialize(input).map($t)
+            }
+        }
     };
 }
 

@@ -7,8 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::de::field;
-use serde::{Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Reader, Serialize, Token, Writer};
 
 use crate::hex::{Hex128, Hex64};
 use crate::ids::NodeId;
@@ -151,41 +150,82 @@ impl TrafficStats {
 /// couple them: `{local, remote, deferred, dw, links}`, every integer in hex
 /// and `links` as `[from, to, bytes]` triples in key order.
 impl Serialize for TrafficStats {
-    fn to_value(&self) -> Value {
-        let links: Vec<_> = self
-            .link
-            .iter()
-            .map(|(&(from, to), &bytes)| (from, to, Hex64(bytes)))
-            .collect();
-        Value::Object(vec![
-            ("local".to_string(), Hex64(self.local_bytes).to_value()),
-            ("remote".to_string(), Hex64(self.remote_bytes).to_value()),
-            (
-                "deferred".to_string(),
-                Hex64(self.deferred_allocated_bytes).to_value(),
-            ),
-            (
-                "dw".to_string(),
-                Hex128(self.distance_weighted_bytes).to_value(),
-            ),
-            ("links".to_string(), links.to_value()),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.field("local", &Hex64(self.local_bytes));
+        out.field("remote", &Hex64(self.remote_bytes));
+        out.field("deferred", &Hex64(self.deferred_allocated_bytes));
+        out.field("dw", &Hex128(self.distance_weighted_bytes));
+        out.key("links");
+        out.begin_array();
+        for (&(from, to), &bytes) in &self.link {
+            out.element();
+            out.begin_array();
+            for part in [&from as &dyn Serialize, &to, &Hex64(bytes)] {
+                out.element();
+                part.serialize(out);
+            }
+            out.end_array();
+        }
+        out.end_array();
+        out.end_object();
+    }
+}
+
+/// One `[from, to, bytes]` entry of the wire form's `links`.
+struct Link((usize, usize), u64);
+
+impl Deserialize for Link {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        let wrong = || "must be an array of 3 entries".to_string();
+        let mut more = input.peek() == Ok(Token::Array) && input.begin_array()?;
+        let mut part = |input: &mut Reader<'_>, at: usize| -> Result<u64, String> {
+            if !more {
+                return Err(wrong());
+            }
+            let part = match at {
+                2 => Hex64::deserialize(input).map(|Hex64(n)| n),
+                _ => usize::deserialize(input).map(|n| n as u64),
+            };
+            more = input.next_element()?;
+            part.map_err(|e| format!("[{at}]: {e}"))
+        };
+        let (from, to, bytes) = (part(input, 0)?, part(input, 1)?, part(input, 2)?);
+        match more {
+            true => Err(wrong()),
+            false => Ok(Link((from as usize, to as usize), bytes)),
+        }
     }
 }
 
 impl Deserialize for TrafficStats {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let hex = |name| field(value, "TrafficStats", name).map(|Hex64(n)| n);
-        let links: Vec<(usize, usize, Hex64)> = field(value, "TrafficStats", "links")?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        const OWNER: &str = "TrafficStats";
+        let (mut local, mut remote, mut deferred, mut dw, mut links) =
+            (None, None, None, None, None);
+        let first = de::begin(input, OWNER)?;
+        de::members(input, first, |input, key| match key {
+            "local" => de::take(&mut local, input, OWNER, key),
+            "remote" => de::take(&mut remote, input, OWNER, key),
+            "deferred" => de::take(&mut deferred, input, OWNER, key),
+            "dw" => de::take(&mut dw, input, OWNER, key),
+            "links" => de::take(&mut links, input, OWNER, key),
+            _ => Ok(false),
+        })?;
+        let Hex64(local_bytes) = de::present(local, OWNER, "local")?;
+        let Hex64(remote_bytes) = de::present(remote, OWNER, "remote")?;
+        let Hex64(deferred_allocated_bytes) = de::present(deferred, OWNER, "deferred")?;
+        let Hex128(distance_weighted_bytes) = de::present(dw, OWNER, "dw")?;
+        let links: Vec<Link> = de::present(links, OWNER, "links")?;
         Ok(TrafficStats {
-            local_bytes: hex("local")?,
-            remote_bytes: hex("remote")?,
-            deferred_allocated_bytes: hex("deferred")?,
+            local_bytes,
+            remote_bytes,
+            deferred_allocated_bytes,
             link: links
                 .into_iter()
-                .map(|(from, to, Hex64(bytes))| ((from, to), bytes))
+                .map(|Link(key, bytes)| (key, bytes))
                 .collect(),
-            distance_weighted_bytes: field(value, "TrafficStats", "dw").map(|Hex128(n)| n)?,
+            distance_weighted_bytes,
         })
     }
 }
@@ -236,14 +276,14 @@ mod tests {
         s.record_access(NodeId(2), NodeId(5), 27, 500);
         s.record_access(NodeId(1), NodeId(0), 15, u64::MAX / 2);
         s.record_deferred_allocation(4096);
-        let rebuilt = TrafficStats::from_value(&s.to_value()).unwrap();
+        let rebuilt = serde_json::from_value::<TrafficStats>(&serde_json::to_value(&s)).unwrap();
         assert_eq!(rebuilt, s);
         assert_eq!(rebuilt.distance_weighted(), s.distance_weighted());
         assert_eq!(rebuilt.mean_access_distance(), s.mean_access_distance());
         serde::testing::assert_struct_rejects_malformed(
-            &s.to_value(),
+            &serde_json::to_value(&s),
             &[],
-            TrafficStats::from_value,
+            serde_json::from_value::<TrafficStats>,
         );
     }
 

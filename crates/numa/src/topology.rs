@@ -6,8 +6,7 @@
 //! distance between two sockets depends on whether they share a module.
 //! [`Topology::bullion_s16`] models exactly that.
 
-use serde::de::field;
-use serde::{Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Reader, Serialize, Writer};
 
 use crate::ids::{CoreId, NodeId, SocketId};
 
@@ -340,23 +339,33 @@ impl Topology {
 
 /// The wire form: `{name, sockets, cores, distances}`, the matrix row-major.
 impl Serialize for Topology {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("sockets".to_string(), self.num_sockets.to_value()),
-            ("cores".to_string(), self.cores_per_socket.to_value()),
-            ("distances".to_string(), self.distances.values.to_value()),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        out.field("name", &self.name);
+        out.field("sockets", &self.num_sockets);
+        out.field("cores", &self.cores_per_socket);
+        out.field("distances", &self.distances.values);
+        out.end_object();
     }
 }
 
 /// Refuses, with [`Topology::new`]'s words, every machine it would panic on.
 impl Deserialize for Topology {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let name = field(value, "Topology", "name")?;
-        let sockets = field(value, "Topology", "sockets")?;
-        let cores = field(value, "Topology", "cores")?;
-        let distances = field(value, "Topology", "distances")?;
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        const OWNER: &str = "Topology";
+        let (mut name, mut sockets, mut cores, mut distances) = (None, None, None, None);
+        let first = de::begin(input, OWNER)?;
+        de::members(input, first, |input, key| match key {
+            "name" => de::take(&mut name, input, OWNER, key),
+            "sockets" => de::take(&mut sockets, input, OWNER, key),
+            "cores" => de::take(&mut cores, input, OWNER, key),
+            "distances" => de::take(&mut distances, input, OWNER, key),
+            _ => Ok(false),
+        })?;
+        let name = de::present(name, OWNER, "name")?;
+        let sockets = de::present(sockets, OWNER, "sockets")?;
+        let cores = de::present(cores, OWNER, "cores")?;
+        let distances = de::present(distances, OWNER, "distances")?;
         Topology::checked(
             name,
             sockets,
@@ -369,6 +378,7 @@ impl Deserialize for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn bullion_dimensions() {
@@ -471,10 +481,17 @@ mod tests {
             Topology::uma(3),
             Topology::symmetric(64, 1),
         ] {
-            assert_eq!(Topology::from_value(&t.to_value()), Ok(t.clone()));
+            assert_eq!(
+                serde_json::from_value::<Topology>(&serde_json::to_value(&t)),
+                Ok(t.clone())
+            );
         }
-        let wire = Topology::two_socket(2).to_value();
-        serde::testing::assert_struct_rejects_malformed(&wire, &[], Topology::from_value);
+        let wire = serde_json::to_value(&Topology::two_socket(2));
+        serde::testing::assert_struct_rejects_malformed(
+            &wire,
+            &[],
+            serde_json::from_value::<Topology>,
+        );
     }
 
     /// Every machine [`Topology::new`] would panic on is refused on the
@@ -483,10 +500,10 @@ mod tests {
     fn the_wire_decode_refuses_what_the_constructors_panic_on() {
         let topology = |sockets: f64, cores: f64, distances: &[u32]| {
             Value::Object(vec![
-                ("name".to_string(), "m".to_value()),
+                ("name".to_string(), serde_json::to_value(&"m")),
                 ("sockets".to_string(), Value::Number(sockets)),
                 ("cores".to_string(), Value::Number(cores)),
-                ("distances".to_string(), distances.to_value()),
+                ("distances".to_string(), serde_json::to_value(&distances)),
             ])
         };
         for (wire, complaint) in [
@@ -519,7 +536,10 @@ mod tests {
                 "distance matrix must be n*n: 1 entries for 8589934592 nodes",
             ),
         ] {
-            assert_eq!(Topology::from_value(&wire), Err(complaint.to_string()));
+            assert_eq!(
+                serde_json::from_value::<Topology>(&wire),
+                Err(complaint.to_string())
+            );
         }
     }
 

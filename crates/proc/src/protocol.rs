@@ -9,9 +9,9 @@
 //! Two encoding rules keep cross-process results byte-identical to
 //! in-process runs:
 //!
-//! * **`f64` travels as a JSON number.** The vendored `serde_json`
-//!   guarantees that parsing reproduces every finite shortest-round-trip
-//!   formatted number exactly, so simulated makespans survive the hop
+//! * **`f64` travels as a JSON number.** The vendored serde writes every
+//!   finite value in its shortest round-trip form (`-0.0` as `-0`) and
+//!   reads it back exactly, so simulated makespans survive the hop
 //!   bit-for-bit.
 //! * **`u64`/`u128` never lose bits to the `f64` behind a JSON number**,
 //!   which only holds 53 bits of integer. In the small messages they travel
@@ -36,24 +36,20 @@
 //!
 //! The exception is `spec`, the only message whose size grows with the
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
-//! to every worker): [`encode_spec`] writes its line straight into one
-//! `String`, in a columnar layout that costs a worker one flat array per
-//! field instead of one object per task, and [`decode_spec`] fills those
-//! columns straight from the line (no [`serde::Value`] tree in between) and
-//! validates them before it constructs anything, so a malformed `spec` is a
-//! structured `error` reply and never a worker panic. A worker peeks the
-//! envelope key ([`is_spec_line`]) and decodes everything else as a
-//! [`ToWorker`].
+//! to every worker), in a columnar layout: one flat array per field instead
+//! of one object per task. [`encode_spec`] writes it by hand from the
+//! graph's own columns; [`decode_spec`] reads it with a derived decoder and
+//! validates it before it constructs anything. A worker peeks the envelope
+//! key ([`is_spec_line`]) and decodes everything else as a [`ToWorker`].
 
 use std::sync::Arc;
 
 use numadag_numa::Hex64;
-use numadag_runtime::framing::{push_wire_u64, read_wire_u64};
+use numadag_runtime::framing::{from_line, push_wire_u64, DecodeError, WireU64};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::{MemorySink, TraceEvent};
-use serde::{Deserialize, Serialize};
-use serde_json::{Reader, Token};
+use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
@@ -212,8 +208,7 @@ fn push_json_str(out: &mut String, text: &str) {
 
 /// Encodes the `spec` message — a complete [`TaskGraphSpec`], keyed by its
 /// fingerprint, shipped once per worker and referenced by `fp` afterwards —
-/// straight into its wire line (no trailing newline, no intermediate
-/// [`serde::Value`] nodes).
+/// straight into its wire line (no trailing newline).
 ///
 /// The layout is columnar: the distinct task kinds form a string table
 /// (`kinds`) and everything per task, per access and per dependence is a
@@ -317,131 +312,71 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     out
 }
 
-/// The columns of a `spec` payload as they came off the wire, each `None`
-/// until its key has been read.
-#[derive(Default)]
-struct SpecColumns {
-    fp: Option<u64>,
-    name: Option<String>,
-    kinds: Option<Vec<String>>,
-    /// `None` entries are the ones that were not numbers.
-    work: Option<Vec<Option<f64>>>,
-    kind: Option<Vec<u64>>,
-    n_acc: Option<Vec<u64>>,
-    n_dep: Option<Vec<u64>>,
-    acc: Option<Vec<u64>>,
-    dep: Option<Vec<u64>>,
-    regions: Option<Vec<u64>>,
-    /// `Some(None)` is the `null` of a spec without an expert placement.
-    ep: Option<Option<Vec<u64>>>,
+/// The payload of a `spec` line, named as the wire names it (errors quote
+/// it: `spec.kind: ...`); `u64` columns in the number-or-hex form.
+#[derive(Deserialize)]
+#[allow(non_camel_case_types)]
+struct spec {
+    #[serde(with = "WireU64")]
+    fp: u64,
+    name: String,
+    kinds: Vec<String>,
+    /// Which entry is `null` is said where the task is built, after the
+    /// checks on the tasks before it.
+    work: Vec<Option<f64>>,
+    #[serde(with = "WireU64s")]
+    kind: Vec<u64>,
+    #[serde(with = "WireU64s")]
+    n_acc: Vec<u64>,
+    #[serde(with = "WireU64s")]
+    n_dep: Vec<u64>,
+    #[serde(with = "WireU64s")]
+    acc: Vec<u64>,
+    #[serde(with = "WireU64s")]
+    dep: Vec<u64>,
+    #[serde(with = "WireU64s")]
+    regions: Vec<u64>,
+    /// `null` for a spec without an expert placement.
+    #[serde(with = "Placement")]
+    ep: Option<Vec<u64>>,
 }
 
-impl SpecColumns {
-    /// The slot of the `u64` column called `name`.
-    fn u64_column(&mut self, name: &str) -> Option<&mut Option<Vec<u64>>> {
-        match name {
-            "kind" => Some(&mut self.kind),
-            "n_acc" => Some(&mut self.n_acc),
-            "n_dep" => Some(&mut self.n_dep),
-            "acc" => Some(&mut self.acc),
-            "dep" => Some(&mut self.dep),
-            "regions" => Some(&mut self.regions),
-            _ => None,
+/// A column of [`WireU64`]s.
+struct WireU64s(Vec<u64>);
+
+impl Deserialize for WireU64s {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        let column = Vec::<WireU64>::deserialize(input)?;
+        Ok(WireU64s(column.into_iter().map(|WireU64(n)| n).collect()))
+    }
+}
+
+/// `ep`: `null`, or a column. Unlike an `Option` field it may not be absent.
+struct Placement(Option<Vec<u64>>);
+
+impl Deserialize for Placement {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        match input.peek()? {
+            Token::Null => Ok(Placement(input.null().map(|()| None)?)),
+            _ => WireU64s::deserialize(input).map(|WireU64s(column)| Placement(Some(column))),
         }
     }
 }
 
-/// Reads the array under `spec.{name}`, one `entry(reader, index)` per
-/// element.
-fn read_column<T>(
-    reader: &mut Reader<'_>,
-    name: &str,
-    mut entry: impl FnMut(&mut Reader<'_>, usize) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    if reader.peek()? != Token::Array {
-        return Err(format!("spec.{name} is not an array"));
-    }
-    let mut column = Vec::new();
-    let mut more = reader.begin_array()?;
-    while more {
-        column.push(entry(reader, column.len())?);
-        more = reader.next_element()?;
-    }
-    Ok(column)
-}
+/// The `spec` envelope: `{"spec": payload}`, one key.
+struct SpecLine(spec);
 
-fn read_u64_column(reader: &mut Reader<'_>, name: &str) -> Result<Vec<u64>, String> {
-    read_column(reader, name, |reader, i| {
-        read_wire_u64(reader).map_err(|e| format!("spec.{name}[{i}]: {e}"))
-    })
-}
-
-/// Fills the columns from a `spec` line, token by token. Keys may come in
-/// any order; a key seen before keeps its first value (what looking a key
-/// up in the parsed tree would find) and unknown keys are skipped. Stops at
-/// the first complaint, which may be the text of a syntax error.
-fn read_columns(line: &str) -> Result<SpecColumns, String> {
-    let mut reader = Reader::new(line);
-    if reader.begin_object()?.as_deref() != Some("spec") {
-        return Err("not a spec envelope".to_string());
-    }
-    if reader.peek()? != Token::Object {
-        return Err("spec must be an object".to_string());
-    }
-    let mut columns = SpecColumns::default();
-    let mut member = reader.begin_object()?;
-    while let Some(key) = member {
-        let reader = &mut reader;
-        match key.as_str() {
-            "fp" if columns.fp.is_none() => {
-                columns.fp = Some(read_wire_u64(reader).map_err(|e| format!("spec.fp: {e}"))?);
-            }
-            "name" if columns.name.is_none() => {
-                if reader.peek()? != Token::String {
-                    return Err("spec.name must be a string".to_string());
-                }
-                columns.name = Some(reader.string()?);
-            }
-            "kinds" if columns.kinds.is_none() => {
-                columns.kinds = Some(read_column(reader, "kinds", |reader, _| {
-                    if reader.peek()? != Token::String {
-                        return Err("spec.kinds entry is not a string".to_string());
-                    }
-                    Ok(reader.string()?)
-                })?);
-            }
-            "work" if columns.work.is_none() => {
-                // Which entry is not a number is said where the task is
-                // built, after the checks on the tasks before it.
-                columns.work = Some(read_column(reader, "work", |reader, _| {
-                    if reader.peek()? == Token::Number {
-                        Ok(Some(reader.number()?))
-                    } else {
-                        reader.skip_value()?;
-                        Ok(None)
-                    }
-                })?);
-            }
-            "ep" if columns.ep.is_none() => {
-                columns.ep = Some(if reader.peek()? == Token::Null {
-                    reader.null()?;
-                    None
-                } else {
-                    Some(read_u64_column(reader, "ep")?)
-                });
-            }
-            name => match columns.u64_column(name) {
-                Some(slot @ None) => *slot = Some(read_u64_column(reader, name)?),
-                _ => reader.skip_value()?,
-            },
+impl Deserialize for SpecLine {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
+        if input.begin_object()?.as_deref() != Some("spec") {
+            return Err("not a spec envelope".to_string());
         }
-        member = reader.next_key()?;
+        let payload = spec::deserialize(input)?;
+        if input.next_key()?.is_some() {
+            return Err("a spec envelope has one key".to_string());
+        }
+        Ok(SpecLine(payload))
     }
-    if reader.next_key()?.is_some() {
-        return Err("a spec envelope has one key".to_string());
-    }
-    reader.end()?;
-    Ok(columns)
 }
 
 /// A per-task column: exactly one entry per task.
@@ -472,25 +407,6 @@ fn check_runs(name: &str, run: &[u64], width: usize, counts: &[u64]) -> Result<(
     Ok(())
 }
 
-/// Why a line was not taken as a `spec`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SpecError {
-    /// The line is not JSON at all: the framing is lost and the conversation
-    /// with it.
-    Syntax(String),
-    /// Well-formed JSON that is not a spec a worker may build; the
-    /// conversation goes on.
-    Refused(String),
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::Syntax(e) | SpecError::Refused(e) => f.write_str(e),
-        }
-    }
-}
-
 /// True when `line` opens as the `spec` envelope does (`{"spec":`): the
 /// one message a worker hands to [`decode_spec`] instead of [`ToWorker`].
 pub fn is_spec_line(line: &str) -> bool {
@@ -498,50 +414,42 @@ pub fn is_spec_line(line: &str) -> bool {
 }
 
 /// Decodes a `spec` wire line into the advertised fingerprint and the
-/// rebuilt [`TaskGraphSpec`], reading the columns straight off the line.
+/// rebuilt [`TaskGraphSpec`].
 ///
 /// The decoder checks the wire's shape: column lengths against the task
 /// count and their own counts, kind indices against the string table,
 /// modes in `0..=2`, each task's dependences ascending (the order the
 /// encoder emits, so none repeats) and `work` entries that are numbers.
 /// Whether the tasks make a runnable graph is [`TaskGraph::push_task`]'s
-/// call, and its refusal is the answer, in its words. Last, the rebuilt
-/// spec's own fingerprint must match the advertised one or the transfer
-/// corrupted something the shape checks cannot see. A malformed message is
-/// an `Err`, never a worker panic.
-///
-/// The reader stops at its first complaint, so a refused line is parsed
-/// once more, whole, to tell a line that is not JSON ([`SpecError::Syntax`])
-/// from a well-formed one that is not a spec ([`SpecError::Refused`]) —
-/// exactly the split a worker that parsed every line first would make.
-pub fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
-    read_columns(line)
-        .and_then(build_spec)
-        .map_err(|complaint| match serde_json::from_str(line) {
-            Err(e) => SpecError::Syntax(e.to_string()),
-            Ok(_) => SpecError::Refused(complaint),
-        })
+/// call, in its words. Last, the rebuilt spec's fingerprint must match the
+/// advertised one. A malformed line is an `Err`, never a worker panic.
+pub fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
+    let SpecLine(columns) = from_line(line)?;
+    build_spec(columns).map_err(DecodeError::Refused)
 }
 
 /// The build half of [`decode_spec`].
-fn build_spec(columns: SpecColumns) -> Result<(u64, TaskGraphSpec), String> {
-    fn present<T>(column: Option<T>, name: &str) -> Result<T, String> {
-        column.ok_or_else(|| format!("spec is missing field {name:?}"))
-    }
-    let fp = present(columns.fp, "fp")?;
-    let name = present(columns.name, "name")?;
-    let kinds = present(columns.kinds, "kinds")?;
-    let work = present(columns.work, "work")?;
+fn build_spec(columns: spec) -> Result<(u64, TaskGraphSpec), String> {
+    let spec {
+        fp,
+        name,
+        kinds,
+        work,
+        kind,
+        n_acc,
+        n_dep,
+        acc,
+        dep,
+        regions,
+        ep,
+    } = columns;
     let tasks = work.len();
-    let kind = per_task("kind", present(columns.kind, "kind")?, tasks)?;
-    let n_acc = per_task("n_acc", present(columns.n_acc, "n_acc")?, tasks)?;
-    let n_dep = per_task("n_dep", present(columns.n_dep, "n_dep")?, tasks)?;
-    let acc = present(columns.acc, "acc")?;
-    let dep = present(columns.dep, "dep")?;
+    let kind = per_task("kind", kind, tasks)?;
+    let n_acc = per_task("n_acc", n_acc, tasks)?;
+    let n_dep = per_task("n_dep", n_dep, tasks)?;
     check_runs("acc", &acc, 3, &n_acc)?;
     check_runs("dep", &dep, 2, &n_dep)?;
-    let regions = present(columns.regions, "regions")?;
-    let ep = match present(columns.ep, "ep")? {
+    let ep = match ep {
         None => None,
         Some(placement) => Some(per_task("ep", placement, tasks)?),
     };
@@ -611,7 +519,6 @@ mod tests {
     use super::*;
     use numadag_numa::Topology;
     use numadag_runtime::framing::to_line;
-    use serde::de::untag;
     use serde::testing::assert_enum_rejects_malformed;
     use serde::Value;
 
@@ -662,8 +569,8 @@ mod tests {
     #[test]
     fn the_parents_wire_lines_decode_and_re_encode_byte_for_byte() {
         for line in TO_WORKER_LINES {
-            let message =
-                ToWorker::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let message = serde_json::from_value::<ToWorker>(&parse(line))
+                .unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
             // ... and through the simulator a worker builds from it.
             if let ToWorker::Config {
@@ -679,8 +586,8 @@ mod tests {
             }
         }
         for line in TO_COORDINATOR_LINES {
-            let message =
-                ToCoordinator::from_value(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let message = serde_json::from_value::<ToCoordinator>(&parse(line))
+                .unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
             if let ToCoordinator::Done { report, .. } = message {
                 // The labels do not travel; everything else arrives exactly.
@@ -694,17 +601,50 @@ mod tests {
         assert_eq!(PROTOCOL_VERSION, 4);
     }
 
+    /// `-0.0` keeps its sign across the wire: in a `done` report, whose
+    /// writer printed it `0` once, and as `spec` work.
+    #[test]
+    fn negative_zero_crosses_the_wire_bit_for_bit() {
+        let done =
+            TO_COORDINATOR_LINES[4].replacen("\"policy_wall_ns\":17.5", "\"policy_wall_ns\":-0", 1);
+        let Ok(ToCoordinator::Done { report, .. }) = from_line(&done) else {
+            panic!("{done}");
+        };
+        assert_eq!(report.policy_wall_ns.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            to_line(&ToCoordinator::Done {
+                cell: 77,
+                report,
+                events: Vec::new()
+            })
+            .matches("\"policy_wall_ns\":-0,")
+            .count(),
+            1
+        );
+
+        let mut graph = TaskGraph::new();
+        push(&mut graph, "w", -0.0, &[], &[]);
+        let spec = TaskGraphSpec::new("negative zero", graph);
+        let (_, decoded) = decode_spec(&encode_spec(&spec)).unwrap();
+        let work = decoded.graph.tasks().next().unwrap().work_units;
+        assert_eq!(work.to_bits(), (-0.0f64).to_bits());
+    }
+
     #[test]
     fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
         for line in TO_WORKER_LINES {
-            assert_enum_rejects_malformed(&parse(line), &[], ToWorker::from_value);
+            assert_enum_rejects_malformed(&parse(line), &[], serde_json::from_value::<ToWorker>);
         }
         for line in TO_COORDINATOR_LINES {
-            assert_enum_rejects_malformed(&parse(line), &[], ToCoordinator::from_value);
+            assert_enum_rejects_malformed(
+                &parse(line),
+                &[],
+                serde_json::from_value::<ToCoordinator>,
+            );
         }
         // One direction's messages are not the other's.
-        assert!(ToWorker::from_value(&parse(TO_COORDINATOR_LINES[0])).is_err());
-        assert!(ToCoordinator::from_value(&parse(TO_WORKER_LINES[4])).is_err());
+        assert!(serde_json::from_value::<ToWorker>(&parse(TO_COORDINATOR_LINES[0])).is_err());
+        assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[4])).is_err());
     }
 
     fn push(
@@ -777,19 +717,19 @@ mod tests {
         field(value, variant, name)?
             .as_str()
             .map(str::to_string)
-            .ok_or_else(|| format!("{variant}.{name} must be a string"))
+            .ok_or_else(|| format!("{variant}.{name}: must be a string"))
     }
 
     fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
         field(value, variant, name)?
             .as_array()
             .map(|v| v.as_slice())
-            .ok_or_else(|| format!("{variant}.{name} is not an array"))
+            .ok_or_else(|| format!("{variant}.{name}: must be an array"))
     }
 
     fn wire_u64(value: &Value) -> Result<u64, String> {
         match value {
-            Value::String(_) => Hex64::from_value(value).map(|hex| hex.0),
+            Value::String(_) => serde_json::from_value::<Hex64>(value).map(|hex| hex.0),
             Value::Number(n) if *n >= 0.0 && n.trunc() == *n && *n < (1u64 << 53) as f64 => {
                 Ok(*n as u64)
             }
@@ -801,8 +741,16 @@ mod tests {
         array_field(payload, "spec", name)?
             .iter()
             .enumerate()
-            .map(|(i, value)| wire_u64(value).map_err(|e| format!("spec.{name}[{i}]: {e}")))
+            .map(|(i, value)| wire_u64(value).map_err(|e| format!("spec.{name}: [{i}]: {e}")))
             .collect()
+    }
+
+    /// The tag and payload of an externally tagged envelope tree.
+    fn untag(message: &Value) -> Option<(&str, &Value)> {
+        match message.as_object()?.as_slice() {
+            [(tag, payload)] => Some((tag, payload)),
+            _ => None,
+        }
     }
 
     #[test]
@@ -818,59 +766,66 @@ mod tests {
     /// The reference: the columns of a `spec` payload looked up in its
     /// parsed tree, then the same [`build_spec`].
     fn decode_spec_reference(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
+        if payload.as_object().is_none() {
+            return Err("spec must be an object".to_string());
+        }
         let fp = wire_u64(field(payload, "spec", "fp")?).map_err(|e| format!("spec.fp: {e}"))?;
-        let columns = SpecColumns {
-            fp: Some(fp),
-            name: Some(str_field(payload, "spec", "name")?),
-            kinds: Some(
-                array_field(payload, "spec", "kinds")?
-                    .iter()
-                    .map(|kind| kind.as_str().map(str::to_string))
-                    .collect::<Option<_>>()
-                    .ok_or("spec.kinds entry is not a string")?,
-            ),
-            work: Some(
-                array_field(payload, "spec", "work")?
-                    .iter()
-                    .map(Value::as_f64)
-                    .collect(),
-            ),
-            kind: Some(u64_column(payload, "kind")?),
-            n_acc: Some(u64_column(payload, "n_acc")?),
-            n_dep: Some(u64_column(payload, "n_dep")?),
-            acc: Some(u64_column(payload, "acc")?),
-            dep: Some(u64_column(payload, "dep")?),
-            regions: Some(u64_column(payload, "regions")?),
-            ep: Some(match field(payload, "spec", "ep")? {
+        let columns = spec {
+            fp,
+            name: str_field(payload, "spec", "name")?,
+            kinds: array_field(payload, "spec", "kinds")?
+                .iter()
+                .enumerate()
+                .map(|(i, kind)| {
+                    kind.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| format!("spec.kinds: [{i}]: must be a string"))
+                })
+                .collect::<Result<_, _>>()?,
+            work: array_field(payload, "spec", "work")?
+                .iter()
+                .enumerate()
+                .map(|(i, work)| match work {
+                    Value::Null | Value::Number(_) => Ok(work.as_f64()),
+                    _ => Err(format!("spec.work: [{i}]: must be a number")),
+                })
+                .collect::<Result<_, _>>()?,
+            kind: u64_column(payload, "kind")?,
+            n_acc: u64_column(payload, "n_acc")?,
+            n_dep: u64_column(payload, "n_dep")?,
+            acc: u64_column(payload, "acc")?,
+            dep: u64_column(payload, "dep")?,
+            regions: u64_column(payload, "regions")?,
+            ep: match field(payload, "spec", "ep")? {
                 Value::Null => None,
                 _ => Some(u64_column(payload, "ep")?),
-            }),
+            },
         };
         build_spec(columns)
     }
 
     /// What a worker that parsed every line into a tree first made of
     /// `line`: not JSON, not a spec, or a spec.
-    fn reference(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
+    fn reference(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
         let message: Value =
-            serde_json::from_str(line).map_err(|e| SpecError::Syntax(e.to_string()))?;
+            serde_json::from_str(line).map_err(|e| DecodeError::Syntax(e.to_string()))?;
         match untag(&message) {
-            Ok(("spec", payload)) => decode_spec_reference(payload).map_err(SpecError::Refused),
-            _ => Err(SpecError::Refused("not a spec envelope".to_string())),
+            Some(("spec", payload)) => decode_spec_reference(payload).map_err(DecodeError::Refused),
+            _ => Err(DecodeError::Refused("not a spec envelope".to_string())),
         }
     }
 
     /// Decodes `line` both ways and checks that they agree: on the
     /// fingerprint bits of a spec both take, on which kind of error both
     /// make of anything else. Returns the line decoder's verdict.
-    fn decode_both_ways(line: &str) -> Result<(u64, TaskGraphSpec), SpecError> {
+    fn decode_both_ways(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
         let got = decode_spec(line);
         match (&got, reference(line)) {
             (Ok((fp, spec)), Ok((want_fp, want))) => {
                 assert_eq!((*fp, spec.fingerprint()), (want_fp, want.fingerprint()));
             }
-            (Err(SpecError::Syntax(_)), Err(SpecError::Syntax(_))) => {}
-            (Err(SpecError::Refused(_)), Err(SpecError::Refused(_))) => {}
+            (Err(DecodeError::Syntax(_)), Err(DecodeError::Syntax(_))) => {}
+            (Err(DecodeError::Refused(_)), Err(DecodeError::Refused(_))) => {}
             (got, want) => panic!(
                 "{line}\nline decoder: {:?}\nreference: {:?}",
                 got.as_ref().map(|(fp, _)| fp),
@@ -947,7 +902,7 @@ mod tests {
     /// What a worker makes of a `config` line: the simulator, or the
     /// complaint of the decode or of [`simulator_for`].
     fn simulator_from(message: &Value) -> Result<Simulator, String> {
-        match ToWorker::from_value(message)? {
+        match serde_json::from_value::<ToWorker>(message)? {
             ToWorker::Config {
                 version,
                 events,
@@ -976,12 +931,12 @@ mod tests {
     #[test]
     fn a_config_a_worker_must_not_build_is_refused() {
         let two_socket = ExecutionConfig::new(Topology::two_socket(2));
-        let good = ToWorker::configure(7, &two_socket).to_value();
+        let good = serde_json::to_value(&ToWorker::configure(7, &two_socket));
         // The sink does not travel, whether there is one does.
         let untraced = simulator_from(&good).unwrap();
         assert!(untraced.config().trace_sink.is_none());
         let traced = two_socket.with_trace_sink(Arc::new(MemorySink::new()));
-        let traced = ToWorker::configure(7, &traced).to_value();
+        let traced = serde_json::to_value(&ToWorker::configure(7, &traced));
         assert!(simulator_from(&traced)
             .unwrap()
             .config()
@@ -1044,12 +999,14 @@ mod tests {
         // The simulator dispatches over at most 64 sockets, here and in
         // process alike.
         let sockets = |n| ToWorker::configure(1, &ExecutionConfig::new(Topology::symmetric(n, 1)));
-        let err = simulator_from(&sockets(65).to_value()).err().unwrap();
+        let err = simulator_from(&serde_json::to_value(&sockets(65)))
+            .err()
+            .unwrap();
         assert_eq!(
             err,
             "the simulator supports at most 64 sockets, topology \"65-socket x 1 cores\" has 65"
         );
-        assert!(simulator_from(&sockets(64).to_value()).is_ok());
+        assert!(simulator_from(&serde_json::to_value(&sockets(64))).is_ok());
     }
 
     #[test]
@@ -1151,7 +1108,7 @@ mod tests {
             let bad = line.replacen("\"work\":[1]", &format!("\"work\":[{work}]"), 1);
             assert_ne!(bad, line);
             let err = decode_both_ways(&bad).unwrap_err();
-            assert_eq!(err, SpecError::Refused(complaint.to_string()));
+            assert_eq!(err, DecodeError::Refused(complaint.to_string()));
         }
     }
 
@@ -1210,7 +1167,7 @@ mod tests {
         let spec = sample_spec();
         let good = spec_payload(&spec);
         assert!(decode_both_ways(&spec_line(&good)).is_ok());
-        let hex_max = || Hex64(u64::MAX).to_value();
+        let hex_max = || serde_json::to_value(&Hex64(u64::MAX));
         let mut rows: Vec<(String, Value, String)> = Vec::new();
         fn push(
             rows: &mut Vec<(String, Value, String)>,
@@ -1379,7 +1336,7 @@ mod tests {
                     &mut rows,
                     format!("{name}[0] = {bad:?}"),
                     with_entry(&good, name, 0, bad),
-                    format!("spec.{name}[0]: "),
+                    format!("spec.{name}: [0]: "),
                 );
             }
         }
@@ -1387,13 +1344,13 @@ mod tests {
             &mut rows,
             "work entry is a string",
             with_entry(&good, "work", 1, s("3.5")),
-            "spec.work[1] is not a number",
+            "spec.work: [1]: must be a number",
         );
         push(
             &mut rows,
             "kinds entry is a number",
             with_entry(&good, "kinds", 0, num(1.0)),
-            "spec.kinds entry is not a string",
+            "spec.kinds: [0]: must be a string",
         );
         for name in [
             "kinds", "kind", "work", "n_acc", "n_dep", "acc", "dep", "regions",
@@ -1402,27 +1359,31 @@ mod tests {
                 &mut rows,
                 format!("{name} is not an array"),
                 with_field(&good, name, Some(num(3.0))),
-                "is not an array",
+                ": must be an array",
             );
         }
         push(
             &mut rows,
             "ep is neither null nor an array",
             with_field(&good, "ep", Some(num(3.0))),
-            "spec.ep is not an array",
+            "spec.ep: must be an array",
         );
         push(
             &mut rows,
             "name is a number",
             with_field(&good, "name", Some(num(3.0))),
-            "spec.name must be a string",
+            "spec.name: must be a string",
         );
 
         // Well-formed but not what the fingerprint advertises.
         push(
             &mut rows,
             "wrong fingerprint",
-            with_field(&good, "fp", Some(Hex64(spec.fingerprint() ^ 1).to_value())),
+            with_field(
+                &good,
+                "fp",
+                Some(serde_json::to_value(&Hex64(spec.fingerprint() ^ 1))),
+            ),
             "fingerprint mismatch",
         );
         push(
@@ -1454,7 +1415,7 @@ mod tests {
         for (row, payload, complaint) in rows {
             // The row as it would arrive, and as the tree decoder saw it.
             match decode_both_ways(&spec_line(&payload)) {
-                Err(SpecError::Refused(e)) => assert!(e.contains(&complaint), "{row}: {e}"),
+                Err(DecodeError::Refused(e)) => assert!(e.contains(&complaint), "{row}: {e}"),
                 other => panic!("{row}: {:?}", other.map(|(fp, _)| fp)),
             }
             match decode_spec_reference(&payload) {
@@ -1466,7 +1427,7 @@ mod tests {
         for payload in [Value::Null, num(1.0), arr(vec![]), s("spec")] {
             assert!(matches!(
                 decode_both_ways(&spec_line(&payload)),
-                Err(SpecError::Refused(_))
+                Err(DecodeError::Refused(_))
             ));
         }
     }
@@ -1507,7 +1468,7 @@ mod tests {
         shadowed[regions].1 = arr(vec![num(2097152.0), num(4096.0)]);
         shadowed.push(fields[regions].clone());
         match fp(Value::Object(shadowed)) {
-            Err(SpecError::Refused(e)) => assert!(e.contains("fingerprint mismatch"), "{e}"),
+            Err(DecodeError::Refused(e)) => assert!(e.contains("fingerprint mismatch"), "{e}"),
             other => panic!("{other:?}"),
         }
 
@@ -1525,7 +1486,7 @@ mod tests {
         ] {
             assert!(matches!(
                 decode_both_ways(&line),
-                Err(SpecError::Refused(_))
+                Err(DecodeError::Refused(_))
             ));
         }
         assert!(is_spec_line(&spec_line(&good)));
@@ -1594,8 +1555,8 @@ mod tests {
                     mutated.replace_range(token.clone(), replacement);
                     judged[match decode_both_ways(&mutated) {
                         Ok(_) => 0,
-                        Err(SpecError::Refused(_)) => 1,
-                        Err(SpecError::Syntax(_)) => 2,
+                        Err(DecodeError::Refused(_)) => 1,
+                        Err(DecodeError::Syntax(_)) => 2,
                     }] += 1;
                 }
             }
@@ -1616,7 +1577,7 @@ mod tests {
         assert!(decode_spec(&line).is_ok());
         for cut in 0..line.len() {
             assert!(
-                matches!(decode_spec(&line[..cut]), Err(SpecError::Syntax(_))),
+                matches!(decode_spec(&line[..cut]), Err(DecodeError::Syntax(_))),
                 "cut at {cut}"
             );
         }

@@ -15,14 +15,14 @@ use std::io::BufReader;
 use std::net::TcpStream;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_runtime::framing::{read_frame, write_frame, FrameError};
+use numadag_runtime::framing::{from_line, read_frame, write_frame, DecodeError, FrameError};
 use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
-use serde::{de::untag, Deserialize, Value};
+use serde::{de, Reader};
 
 use crate::protocol::{
-    decode_spec, is_spec_line, simulator_for, Assignment, SpecError, ToCoordinator, ToWorker,
+    decode_spec, is_spec_line, simulator_for, Assignment, ToCoordinator, ToWorker,
 };
 
 /// Environment variable carrying the coordinator's `host:port`.
@@ -143,31 +143,24 @@ fn run_worker(
             }
         };
         // `spec` is the one message with its own codec, read straight off
-        // the line; every other line is a `ToWorker` variant.
+        // the line; every other line is a `ToWorker` variant. Either way a
+        // line that is not JSON ends the conversation, and one that is JSON
+        // but refused is answered and the conversation goes on.
         if is_spec_line(&line) {
             match decode_spec(&line) {
                 Ok((fp, spec)) => {
                     specs.insert(fp, spec);
                 }
-                Err(SpecError::Refused(e)) => refused_spec = Some(format!("bad spec: {e}")),
-                Err(SpecError::Syntax(e)) => return Err(not_json(&mut writer, e)),
+                Err(DecodeError::Refused(e)) => refused_spec = Some(format!("bad spec: {e}")),
+                Err(DecodeError::Syntax(e)) => return Err(not_json(&mut writer, e)),
             }
             continue;
         }
-        let value: Value = match serde_json::from_str(&line) {
-            Ok(value) => value,
-            Err(e) => return Err(not_json(&mut writer, e.to_string())),
-        };
-        let tag = match untag(&value) {
-            Ok((tag, _)) => tag,
-            Err(e) => {
-                send(&mut writer, &error(format!("bad envelope: {e}")))?;
-                continue;
-            }
-        };
-        let message = match ToWorker::from_value(&value) {
+        let message = match from_line(&line) {
             Ok(message) => message,
-            Err(e) => {
+            Err(DecodeError::Syntax(e)) => return Err(not_json(&mut writer, e)),
+            Err(DecodeError::Refused(e)) => {
+                let tag = de::tag(&mut Reader::new(&line)).map_or("envelope".to_string(), |t| t.0);
                 send(&mut writer, &error(format!("bad {tag}: {e}")))?;
                 continue;
             }

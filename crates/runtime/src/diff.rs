@@ -239,7 +239,7 @@ impl SweepReport {
     /// or [`SweepReport::to_json_string_with_timing`]. A missing timing
     /// section parses as zeroed accounting.
     pub fn from_json_str(text: &str) -> Result<SweepReport, String> {
-        crate::framing::from_line(text)
+        Ok(crate::framing::from_line(text)?)
     }
 }
 
@@ -249,7 +249,6 @@ mod tests {
     use crate::experiment::Experiment;
     use numadag_core::PolicyKind;
     use numadag_kernels::{Application, ProblemScale};
-    use serde::Deserialize;
 
     fn report() -> SweepReport {
         Experiment::new()
@@ -467,6 +466,10 @@ mod tests {
             "cell_event_loop_wall_ns",
         ];
         let sample = serde_json::from_str(&timed).unwrap();
-        serde::testing::assert_struct_rejects_malformed(&sample, &late, SweepReport::from_value);
+        serde::testing::assert_struct_rejects_malformed(
+            &sample,
+            &late,
+            serde_json::from_value::<SweepReport>,
+        );
     }
 }

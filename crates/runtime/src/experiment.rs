@@ -43,7 +43,7 @@ use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceCollector;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Writer};
 
 use crate::config::ExecutionConfig;
 use crate::driver::{
@@ -228,21 +228,14 @@ pub struct SweepReport {
     pub timing: SweepTiming,
 }
 
+/// Hand-written (not derived) so `timing` stays out of the measurement
+/// serialization: the field order below must match the struct exactly,
+/// because the `BENCH_*.json` baselines are compared byte for byte.
 impl Serialize for SweepReport {
-    // Hand-written (not derived) so `timing` stays out of the measurement
-    // serialization: the field order below must match the struct exactly,
-    // because the `BENCH_*.json` baselines are compared byte for byte.
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("machine".to_string(), self.machine.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            ("baseline".to_string(), self.baseline.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("repetitions".to_string(), self.repetitions.to_value()),
-            ("cells".to_string(), self.cells.to_value()),
-            ("aggregates".to_string(), self.aggregates.to_value()),
-            ("skipped".to_string(), self.skipped.to_value()),
-        ])
+    fn serialize(&self, out: &mut Writer<'_>) {
+        out.begin_object();
+        self.measurements(out);
+        out.end_object();
     }
 }
 
@@ -309,11 +302,25 @@ impl SweepReport {
     /// Pretty-printed JSON including the wall-time accounting as a trailing
     /// `"timing"` section.
     pub fn to_json_string_with_timing(&self) -> String {
-        let mut value = self.to_value();
-        if let Value::Object(entries) = &mut value {
-            entries.push(("timing".to_string(), self.timing.to_value()));
-        }
-        serde_json::to_string_pretty(&value).expect("SweepReport serialization cannot fail")
+        let mut text = String::new();
+        let mut out = Writer::new(&mut text, true);
+        out.begin_object();
+        self.measurements(&mut out);
+        out.field("timing", &self.timing);
+        out.end_object();
+        text
+    }
+
+    /// The members of the measurement serialization.
+    fn measurements(&self, out: &mut Writer<'_>) {
+        out.field("machine", &self.machine);
+        out.field("backend", &self.backend);
+        out.field("baseline", &self.baseline);
+        out.field("seed", &self.seed);
+        out.field("repetitions", &self.repetitions);
+        out.field("cells", &self.cells);
+        out.field("aggregates", &self.aggregates);
+        out.field("skipped", &self.skipped);
     }
 }
 

@@ -15,26 +15,24 @@
 //! * invalid UTF-8 is [`FrameError::InvalidUtf8`] instead of a panic or a
 //!   lossy re-decode.
 //!
+//! A line decodes through [`from_line`], whose [`DecodeError`] says whether
+//! the line is not JSON (the conversation's framing is lost) or is JSON its
+//! type refused (the conversation goes on). No message is built as a tree.
+//!
 //! On top of the line layer it carries the bulk-column integer rule. Values
 //! that must cross the wire bit-exactly but do not survive the `f64`-backed
 //! JSON number representation (u64 fingerprints and seeds above 2^53, u128
 //! counters) travel as lowercase hex strings, declared where the value is
 //! ([`numadag_numa::hex`]). Bulk numeric columns use the number-or-hex form
-//! instead ([`push_wire_u64`]/[`read_wire_u64`]): a plain JSON integer
-//! whenever the value is exactly representable, hex only above 2^53.
-//! (Message envelopes themselves are decoded by `#[derive(Deserialize)]`;
-//! the one hand-written codec, the proc `spec` columns, reads its line
-//! through a `serde_json::Reader` and [`read_wire_u64`].)
-//!
-//! Nothing on the write path clones a message: [`to_line`] renders a
-//! [`Value`] by reference and a derived type through exactly one
-//! `to_value()`, and [`write_line`] frames a line a codec rendered itself.
+//! instead ([`push_wire_u64`]/[`WireU64`]): a plain JSON integer
+//! whenever the value is exactly representable, hex only above 2^53 (the
+//! proc `spec` columns).
 
 use std::io::{BufRead, Read, Write};
 
 use numadag_numa::Hex64;
-use serde::{Deserialize, Serialize, Value};
-use serde_json::{Reader, Token};
+pub use serde::DecodeError;
+use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Default per-frame size limit: generous enough for a full-scale report or
 /// trace payload embedded in one line, small enough to bound a hostile
@@ -88,18 +86,14 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Serializes a message to its one-line wire form (no trailing newline).
-/// A [`Value`] is rendered by reference and any other type through exactly
-/// one `to_value()` (see `Serialize::as_value`): no message is deep-cloned
-/// on its way to the socket.
 pub fn to_line(value: &impl Serialize) -> String {
-    serde_json::to_string(value).expect("message values are always encodable")
+    serde_json::to_string(value).expect("a String takes any JSON")
 }
 
 /// Decodes a message from its wire text — the inverse of [`to_line`], though
 /// any JSON spelling of the value (a pretty-printed file) decodes too.
-pub fn from_line<T: Deserialize>(line: &str) -> Result<T, String> {
-    let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    T::from_value(&value)
+pub fn from_line<T: Deserialize>(line: &str) -> Result<T, DecodeError> {
+    serde::decode(line)
 }
 
 /// Writes one frame: the compact one-line serialization plus the newline.
@@ -107,9 +101,8 @@ pub fn write_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::
     write_line(writer, to_line(value))
 }
 
-/// Writes an already-rendered one-line message as a frame (for codecs that
-/// stream their wire form straight into a `String` instead of building a
-/// [`Value`]). `line` must not contain a raw newline.
+/// Writes an already-rendered one-line message as a frame (for the codecs
+/// that write their line by hand). `line` must not contain a raw newline.
 pub fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
     debug_assert!(!line.contains('\n'), "a frame is exactly one line");
     line.push('\n');
@@ -162,7 +155,7 @@ const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
 /// then `separator` (the `,` after a column entry): a JSON integer when it
 /// is exactly representable (below 2^53), the quoted [`Hex64`] string
 /// otherwise. Bulk numeric columns use this instead of always paying for a
-/// string; [`read_wire_u64`] reads either form back.
+/// string; [`WireU64`] reads either form back.
 pub fn push_wire_u64(out: &mut String, value: u64, separator: char) {
     if value >= EXACT_JSON_INTEGER_LIMIT {
         out.push_str(&to_line(&Hex64(value)));
@@ -187,28 +180,30 @@ pub fn push_wire_u64(out: &mut String, value: u64, separator: char) {
     out.push_str(std::str::from_utf8(&entry[at..end]).expect("ASCII digits and a char"));
 }
 
-/// Reads a `u64` written by [`push_wire_u64`] off a pull reader, accepting
-/// both forms: an integral JSON number below 2^53 or a [`Hex64`] string. The
-/// error is the complaint alone (a syntax error's text included); the value
-/// is consumed only when it was a number or a string.
-pub fn read_wire_u64(reader: &mut Reader<'_>) -> Result<u64, String> {
-    // What the encoder writes below 2^53 is read as an integer, without the
-    // round trip through an `f64`; anything else (a hex string, another
-    // spelling of a number, a refusal) takes the general path.
-    if let Some(value) = reader.integer() {
-        return Ok(value);
-    }
-    match reader.peek()? {
-        Token::String => Hex64::from_value(&Value::String(reader.string()?)).map(|Hex64(n)| n),
-        Token::Number => {
-            let n = reader.number()?;
-            if n >= 0.0 && n.trunc() == n && n < EXACT_JSON_INTEGER_LIMIT as f64 {
-                Ok(n as u64)
-            } else {
-                Err(NOT_A_WIRE_U64.to_string())
-            }
+/// A `u64` as [`push_wire_u64`] writes it, read back in either form: an
+/// integral JSON number below 2^53 or a [`Hex64`] string. The error is the
+/// complaint alone; the value is consumed only when it was a number or a
+/// string.
+pub struct WireU64(pub u64);
+
+impl Deserialize for WireU64 {
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, String> {
+        // What the encoder writes below 2^53 is read as an integer, without
+        // the round trip through an `f64`; anything else (a hex string,
+        // another spelling of a number, a refusal) takes the general path.
+        if let Some(value) = reader.integer() {
+            return Ok(WireU64(value));
         }
-        _ => Err(NOT_A_WIRE_U64.to_string()),
+        match reader.peek()? {
+            Token::String => Hex64::deserialize(reader).map(|Hex64(n)| WireU64(n)),
+            Token::Number => match reader.number()? {
+                n if n >= 0.0 && n.trunc() == n && n < EXACT_JSON_INTEGER_LIMIT as f64 => {
+                    Ok(WireU64(n as u64))
+                }
+                _ => Err(NOT_A_WIRE_U64.to_string()),
+            },
+            _ => Err(NOT_A_WIRE_U64.to_string()),
+        }
     }
 }
 
@@ -331,11 +326,18 @@ mod tests {
             if v < limit {
                 assert_eq!(text, v.to_string());
             }
-            assert_eq!(read_wire_u64(&mut Reader::new(text)), Ok(v));
+            assert_eq!(
+                WireU64::deserialize(&mut Reader::new(text)).map(|w| w.0),
+                Ok(v)
+            );
         }
         // Spellings the number parser takes for the same integer.
         for (text, v) in [("1e3", 1000), ("-0", 0), ("12.0", 12), (" 7", 7)] {
-            assert_eq!(read_wire_u64(&mut Reader::new(text)), Ok(v), "{text}");
+            assert_eq!(
+                WireU64::deserialize(&mut Reader::new(text)).map(|w| w.0),
+                Ok(v),
+                "{text}"
+            );
         }
         // A number the f64 cannot hold exactly must have come as hex.
         for bad in [
@@ -350,7 +352,100 @@ mod tests {
             "\"ff",
             "",
         ] {
-            assert!(read_wire_u64(&mut Reader::new(bad)).is_err(), "{bad}");
+            assert!(
+                WireU64::deserialize(&mut Reader::new(bad)).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    /// A derived struct with a plain, a `default`, a `with` and an
+    /// `Option` field, and a struct variant beside it.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Row {
+        n: u64,
+        #[serde(default)]
+        d: u64,
+        #[serde(with = "Hex64")]
+        h: u64,
+        o: Option<String>,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Message {
+        Row(Row),
+        Move {
+            x: f64,
+            #[serde(default)]
+            fast: bool,
+        },
+    }
+
+    enum Want {
+        Decodes(Message),
+        Refused(&'static str),
+        NotJson,
+    }
+
+    /// The rules a derived decoder keeps, for every kind of field: a
+    /// repeated key keeps its first value, an unknown key's value is skipped
+    /// however deep, and a line whose first field is refused but which is
+    /// not JSON further on is not JSON — a worker drops the conversation on
+    /// it instead of answering and reading on.
+    #[test]
+    fn derived_decoders_keep_first_values_skip_unknown_keys_and_class_broken_lines() {
+        use Want::*;
+        let row = |members: &str| format!(r#"{{"Row":{{{members}}}}}"#);
+        let deep = r#"{"a":[[{"b":[1,{"c":"]}"}]}],{}],"d":null}"#;
+        let good_row = || {
+            Decodes(Message::Row(Row {
+                n: 1,
+                d: 2,
+                h: 255,
+                o: Some("x".to_string()),
+            }))
+        };
+        let good_move = || Decodes(Message::Move { x: 1.5, fast: true });
+        let rows = [
+            (row(r#""n":1,"d":2,"h":"ff","o":"x","n":7"#), good_row()),
+            (row(r#""n":1,"d":2,"d":"two","h":"ff","o":"x""#), good_row()),
+            (row(r#""n":1,"d":2,"h":"ff","h":3,"o":"x""#), good_row()),
+            (row(r#""n":1,"d":2,"h":"ff","o":"x","o":null"#), good_row()),
+            (
+                r#"{"Move":{"x":1.5,"fast":true,"x":"no"}}"#.to_string(),
+                good_move(),
+            ),
+            (
+                row(&format!(r#""u":{deep},"n":1,"d":2,"h":"ff","o":"x""#)),
+                good_row(),
+            ),
+            (
+                format!(r#"{{"Move":{{"x":1.5,"u":{deep},"fast":true}}}}"#),
+                good_move(),
+            ),
+            (
+                row(r#""n":"1","d":2,"h":"ff","o":"x""#),
+                Refused("Row: Row.n: must be"),
+            ),
+            (row(r#""n":"1","d":2,"h":"ff","o":"x"}"#), NotJson),
+            (row(r#""d":"2","n":1,"h":"ff","o":"x","#), NotJson),
+            (row(r#""h":3,"n":1,"d":2,"o":"x" "y""#), NotJson),
+            (row(r#""o":3,"n":1,"d":2,"h":"ff","u":01"#), NotJson),
+            (r#"{"Move":{"x":"1.5","fast":tru}}"#.to_string(), NotJson),
+            (
+                r#"{"Move":{"x":"1.5","fast":true}}"#.to_string(),
+                Refused("Move.x: must be"),
+            ),
+        ];
+        for (line, want) in rows {
+            match (from_line::<Message>(&line), want) {
+                (Ok(got), Decodes(want)) => assert_eq!(got, want, "{line}"),
+                (Err(DecodeError::Refused(e)), Refused(says)) => {
+                    assert!(e.starts_with(says), "{line}: {e}")
+                }
+                (Err(DecodeError::Syntax(e)), NotJson) => assert!(e.contains("at byte"), "{e}"),
+                (got, _) => panic!("{line}: {got:?}"),
+            }
         }
     }
 

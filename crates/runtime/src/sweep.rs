@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn partial_spec_objects_fill_in_defaults() {
         let value = serde_json::from_str(r#"{"scale": "small", "seed": "9"}"#).unwrap();
-        let spec = SweepSpec::from_value(&value).unwrap();
+        let spec = serde_json::from_value::<SweepSpec>(&value).unwrap();
         assert_eq!(spec.scale, "small");
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.policies, DEFAULT_POLICIES);
@@ -271,11 +271,11 @@ mod tests {
             let line = serde_json::to_string(&spec).unwrap();
             assert!(line.contains(&format!(r#""seed":"{seed:x}""#)), "{line}");
             let value = serde_json::from_str(&line).unwrap();
-            assert_eq!(SweepSpec::from_value(&value), Ok(spec));
+            assert_eq!(serde_json::from_value::<SweepSpec>(&value), Ok(spec));
         }
         for seed in ["9", "9007199254740993", "1e999", "-1"] {
             let value = serde_json::from_str(&format!(r#"{{"seed": {seed}}}"#)).unwrap();
-            let error = SweepSpec::from_value(&value).unwrap_err();
+            let error = serde_json::from_value::<SweepSpec>(&value).unwrap_err();
             assert!(error.contains("SweepSpec.seed"), "{seed}: {error}");
         }
     }

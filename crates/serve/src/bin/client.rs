@@ -123,9 +123,8 @@ fn main() {
             let mut client = connect(&addr, timeout);
             match client.stats() {
                 Ok(stats) => {
-                    use serde::Serialize;
-                    let pretty = serde_json::to_string_pretty(&stats.to_value())
-                        .expect("stats are always encodable");
+                    let pretty =
+                        serde_json::to_string_pretty(&stats).expect("stats are always encodable");
                     println!("{pretty}");
                 }
                 Err(e) => fail(e),

@@ -18,8 +18,7 @@
 use numadag_core::PolicyKind;
 use numadag_kernels::SpecCache;
 use numadag_runtime::{report_order, Fnv1a, SweepPlan};
-use serde::{de, Deserialize, Serialize, Value};
-use serde_json::Reader;
+use serde::{de, Deserialize, Reader, Serialize};
 
 pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 
@@ -301,38 +300,40 @@ pub(crate) fn push_report_line(
     line.push_str("}}");
 }
 
-/// Decodes a `Report` line in [`push_report_line`]'s spelling, or `None`
-/// for any other line — another message, or the derived `report_json`
-/// spelling — which [`Response::from_line`] hands to the derived decoder.
-/// The header is a handful of small values; the report is sliced out of the
-/// line by its stated length and never parsed or unescaped.
+/// Decodes a `Report` line in [`push_report_line`]'s spelling, header in
+/// its order, slicing the report out by its stated length; `None` hands
+/// any other line to the derived decoder, which names what is wrong.
 fn raw_report_from_line(line: &str) -> Option<Result<Response, String>> {
     let mut reader = Reader::new(line);
-    if reader.begin_object().ok()?.as_deref() != Some("Report") {
+    let envelope = reader.begin_object().ok()?;
+    let first = reader.begin_object().ok()?;
+    if envelope.as_deref() != Some("Report") || first.as_deref() != Some("job") {
         return None;
     }
-    // The header fields come first, `report_bytes` after them: that key is
-    // what marks this spelling.
-    let mut header = Vec::with_capacity(4);
-    let mut key = reader.begin_object().ok()??;
-    while key != "report_bytes" {
-        if header.len() == 4 {
-            return None;
-        }
-        header.push((key, reader.value().ok()?));
-        key = reader.next_key().ok()??;
-    }
-    Some(raw_report_body(reader, Value::Object(header)))
+    let job = u64::deserialize(&mut reader).ok()?;
+    let next = |reader: &mut Reader<'_>, key: &str| {
+        (reader.next_key().ok()?.as_deref() == Some(key)).then_some(())
+    };
+    next(&mut reader, "cache_hit")?;
+    let cache_hit = bool::deserialize(&mut reader).ok()?;
+    next(&mut reader, "executed_cells")?;
+    let executed_cells = u64::deserialize(&mut reader).ok()?;
+    next(&mut reader, "hydrated_cells")?;
+    let hydrated_cells = u64::deserialize(&mut reader).ok()?;
+    next(&mut reader, "report_bytes")?;
+    Some(raw_report_body(reader).map(|report_json| Response::Report {
+        job,
+        cache_hit,
+        executed_cells,
+        hydrated_cells,
+        report_json,
+    }))
 }
 
-/// The rest of [`raw_report_from_line`], committed to the raw spelling:
-/// `reader` stands in front of `report_bytes`' value.
-fn raw_report_body(mut reader: Reader<'_>, header: Value) -> Result<Response, String> {
-    let report_bytes = reader
-        .value()
-        .map_err(String::from)
-        .and_then(|n| usize::from_value(&n))
-        .map_err(|e| format!("Report.report_bytes: {e}"))?;
+/// The report of a line [`raw_report_from_line`] committed to the raw
+/// spelling: `reader` stands in front of `report_bytes`' value.
+fn raw_report_body(mut reader: Reader<'_>) -> Result<String, String> {
+    let report_bytes: usize = de::member(&mut reader, "Report", "report_bytes")?;
     if reader.next_key()?.as_deref() != Some("report") {
         return Err("Report.report must follow report_bytes".to_string());
     }
@@ -344,19 +345,13 @@ fn raw_report_body(mut reader: Reader<'_>, header: Value) -> Result<Response, St
             "Report.report must end with `}}}}` and the line after its {report_bytes} bytes"
         ));
     }
-    Ok(Response::Report {
-        job: de::field(&header, "Report", "job")?,
-        cache_hit: de::field(&header, "Report", "cache_hit")?,
-        executed_cells: de::field(&header, "Report", "executed_cells")?,
-        hydrated_cells: de::field(&header, "Report", "hydrated_cells")?,
-        report_json: wire.replace('\r', "\n"),
-    })
+    Ok(wire.replace('\r', "\n"))
 }
 
 impl Request {
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Request, String> {
-        from_line(line)
+        Ok(from_line(line)?)
     }
 }
 
@@ -364,7 +359,7 @@ impl Response {
     /// Decodes one wire line: a `Report` that embeds its report raw by
     /// slicing the report out, anything else through the derived decoder.
     pub fn from_line(line: &str) -> Result<Response, String> {
-        raw_report_from_line(line).unwrap_or_else(|| from_line(line))
+        raw_report_from_line(line).unwrap_or_else(|| Ok(from_line(line)?))
     }
 }
 
@@ -641,14 +636,18 @@ mod tests {
             "stream", "apps", "scale", "policies", "backend", "seed", "reps",
         ];
         for line in REQUEST_LINES {
-            assert_enum_rejects_malformed(&parse(line), &optional, Request::from_value);
+            assert_enum_rejects_malformed(
+                &parse(line),
+                &optional,
+                serde_json::from_value::<Request>,
+            );
         }
         let late = ["jobs_in_flight", "jobs_tracked", "jobs_retired"];
         for line in RESPONSE_LINES {
-            assert_enum_rejects_malformed(&parse(line), &late, Response::from_value);
+            assert_enum_rejects_malformed(&parse(line), &late, serde_json::from_value::<Response>);
         }
-        let stats = ServerStats::default().to_value();
-        assert_struct_rejects_malformed(&stats, &late, ServerStats::from_value);
+        let stats = serde_json::to_value(&ServerStats::default());
+        assert_struct_rejects_malformed(&stats, &late, serde_json::from_value::<ServerStats>);
         assert!(Request::from_line("not json").is_err());
         assert!(Response::from_line("{\"Stats\":").is_err());
     }

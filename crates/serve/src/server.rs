@@ -1150,7 +1150,11 @@ mod tests {
         // Every field of the file and of an entry: missing or mistyped is an
         // error that names it.
         let sample = serde_json::from_str(PARENT_CACHE_FILE).unwrap();
-        serde::testing::assert_struct_rejects_malformed(&sample, &[], CacheFile::from_value);
+        serde::testing::assert_struct_rejects_malformed(
+            &sample,
+            &[],
+            serde_json::from_value::<CacheFile>,
+        );
     }
 
     #[test]

@@ -30,6 +30,19 @@ impl fmt::Display for TaskId {
     }
 }
 
+/// Travels as its bare index.
+impl serde::Serialize for TaskId {
+    fn serialize(&self, out: &mut serde::Writer<'_>) {
+        serde::Serialize::serialize(&self.0, out);
+    }
+}
+
+impl serde::Deserialize for TaskId {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, String> {
+        <usize as serde::Deserialize>::deserialize(input).map(TaskId)
+    }
+}
+
 /// How a task accesses a data region — the OpenMP/OmpSs `depend` clause
 /// directions.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

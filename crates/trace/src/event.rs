@@ -6,6 +6,7 @@
 //! events are buffered in memory for the analytics layer.
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 use numadag_numa::{CoreId, NodeId, SocketId};
 use numadag_tdg::TaskId;
@@ -17,7 +18,8 @@ use numadag_tdg::TaskId;
 /// A complete execution trace contains exactly one `Assign`, one `Start` and
 /// one `Finish` per task, plus any number of `DeferredAlloc` and `Traffic`
 /// events.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum TraceEvent {
     /// The scheduling policy decided which socket a ready task goes to.
     Assign {

@@ -3,10 +3,11 @@
 //! [`Trace::from_json_str`].
 
 use parking_lot::Mutex;
-use serde::{de, Deserialize, Serialize, Value};
+use std::io::Write as _;
 
-use numadag_numa::{CoreId, NodeId, SocketId};
-use numadag_tdg::TaskId;
+use serde::{Deserialize, Serialize};
+
+use numadag_numa::{CoreId, SocketId};
 
 use crate::event::TraceEvent;
 
@@ -66,9 +67,6 @@ impl TaskInterval {
         self.end - self.start
     }
 }
-
-/// How many events [`Trace::to_json_writer`] renders and writes at a time.
-const EVENTS_PER_WRITE: usize = 512;
 
 impl Trace {
     /// Events of one kind, by their serialization tag.
@@ -155,188 +153,24 @@ impl Trace {
         Ok(())
     }
 
-    /// Pretty-printed JSON of the whole trace: [`Trace::to_json_writer`]
-    /// into memory.
+    /// Pretty-printed JSON of the whole trace, as [`Trace::to_json_writer`]
+    /// writes it.
     pub fn to_json_string(&self) -> String {
-        // An event renders to ~150 bytes; growing to megabytes copies them.
-        let mut bytes = Vec::with_capacity(512 + 160 * self.events.len());
-        self.to_json_writer(&mut bytes)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(bytes).expect("the renderer emits UTF-8")
+        serde_json::to_string_pretty(self).expect("a String takes any JSON")
     }
 
-    /// Streams the pretty-printed JSON into `writer` without materializing
-    /// the document as one `Value` tree (which for a trace means a copy of
-    /// every event): trace files grow with event count, so the events are
-    /// rendered and written a bounded run at a time. The one renderer of a
-    /// trace; the bytes are what `serde_json::to_string_pretty` makes of the
-    /// derived `Serialize`.
+    /// Streams the pretty-printed JSON into `writer` through a buffer, token
+    /// by token: nothing of the trace is copied on the way.
     pub fn to_json_writer(&self, writer: &mut dyn std::io::Write) -> Result<(), String> {
-        let io = |e: std::io::Error| format!("I/O error while writing trace JSON: {e}");
-        let scalar = |v: &Value| serde_json::to_string(v).expect("scalar serialization is total");
-        // Header scalars, rendered through the vendored serializer so
-        // escaping and number formatting are its own.
-        let header: [(&str, Value); 8] = [
-            ("workload", self.workload.to_value()),
-            ("policy", self.policy.to_value()),
-            ("backend", self.backend.to_value()),
-            ("scale", self.scale.to_value()),
-            ("repetition", self.repetition.to_value()),
-            ("tasks", self.tasks.to_value()),
-            ("num_sockets", self.num_sockets.to_value()),
-            ("makespan_ns", self.makespan_ns.to_value()),
-        ];
-        writer.write_all(b"{").map_err(io)?;
-        for (key, value) in &header {
-            // The comma is correct unconditionally: "events" always follows.
-            write!(writer, "\n  \"{key}\": {},", scalar(value)).map_err(io)?;
-        }
-        writer.write_all(b"\n  \"events\": ").map_err(io)?;
-        if self.events.is_empty() {
-            writer.write_all(b"[]").map_err(io)?;
-        } else {
-            writer.write_all(b"[").map_err(io)?;
-            // Rendered as the `events` member of an object, a run of events
-            // comes out at the nesting depth it lives at: what is between
-            // the brackets of each rendering is written, run after run.
-            const OPEN: &str = "{\n  \"events\": [";
-            const CLOSE: &str = "\n  ]\n}";
-            for (i, run) in self.events.chunks(EVENTS_PER_WRITE).enumerate() {
-                let run = Value::Array(run.iter().map(Serialize::to_value).collect());
-                let nested = Value::Object(vec![("events".to_string(), run)]);
-                let text = serde_json::to_string_pretty(&nested).expect("events always render");
-                if i > 0 {
-                    writer.write_all(b",").map_err(io)?;
-                }
-                writer
-                    .write_all(&text.as_bytes()[OPEN.len()..text.len() - CLOSE.len()])
-                    .map_err(io)?;
-            }
-            writer.write_all(b"\n  ]").map_err(io)?;
-        }
-        writer.write_all(b"\n}").map_err(io)?;
+        let mut buffered = std::io::BufWriter::new(writer);
+        serde_json::to_writer_pretty(&mut buffered, self)?;
+        buffered.flush().map_err(serde_json::Error::from)?;
         Ok(())
     }
 
     /// Parses a trace previously serialized by [`Trace::to_json_string`].
     pub fn from_json_str(text: &str) -> Result<Trace, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        Trace::from_value(&value)
-    }
-}
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("type".to_string(), self.tag().to_value())];
-        match self {
-            TraceEvent::Assign { task, socket, time } => {
-                entries.push(("task".to_string(), task.index().to_value()));
-                entries.push(("socket".to_string(), socket.index().to_value()));
-                entries.push(("time".to_string(), time.to_value()));
-            }
-            TraceEvent::Start {
-                task,
-                socket,
-                core,
-                time,
-                stolen,
-            } => {
-                entries.push(("task".to_string(), task.index().to_value()));
-                entries.push(("socket".to_string(), socket.index().to_value()));
-                entries.push(("core".to_string(), core.index().to_value()));
-                entries.push(("time".to_string(), time.to_value()));
-                entries.push(("stolen".to_string(), stolen.to_value()));
-            }
-            TraceEvent::Finish {
-                task,
-                socket,
-                core,
-                time,
-            } => {
-                entries.push(("task".to_string(), task.index().to_value()));
-                entries.push(("socket".to_string(), socket.index().to_value()));
-                entries.push(("core".to_string(), core.index().to_value()));
-                entries.push(("time".to_string(), time.to_value()));
-            }
-            TraceEvent::DeferredAlloc {
-                task,
-                node,
-                bytes,
-                time,
-            } => {
-                entries.push(("task".to_string(), task.index().to_value()));
-                entries.push(("node".to_string(), node.index().to_value()));
-                entries.push(("bytes".to_string(), bytes.to_value()));
-                entries.push(("time".to_string(), time.to_value()));
-            }
-            TraceEvent::Traffic {
-                task,
-                region,
-                from,
-                to,
-                distance,
-                bytes,
-                time,
-            } => {
-                entries.push(("task".to_string(), task.index().to_value()));
-                entries.push(("region".to_string(), region.to_value()));
-                entries.push(("from".to_string(), from.index().to_value()));
-                entries.push(("to".to_string(), to.index().to_value()));
-                entries.push(("distance".to_string(), distance.to_value()));
-                entries.push(("bytes".to_string(), bytes.to_value()));
-                entries.push(("time".to_string(), time.to_value()));
-            }
-        }
-        Value::Object(entries)
-    }
-}
-
-// By hand like the `Serialize` above: the event is internally tagged
-// (`{"type": "assign", ...}`), a shape the derive does not have, and its id
-// newtypes live in crates that know nothing of serde. This is also the wire
-// form the multi-process executor ships event streams in.
-impl Deserialize for TraceEvent {
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let index = |name: &str| de::field::<usize>(value, "event", name);
-        let tag: String = de::field(value, "event", "type")?;
-        let task = TaskId(index("task")?);
-        let time = de::field(value, "event", "time")?;
-        match tag.as_str() {
-            "assign" => Ok(TraceEvent::Assign {
-                task,
-                socket: SocketId(index("socket")?),
-                time,
-            }),
-            "start" => Ok(TraceEvent::Start {
-                task,
-                socket: SocketId(index("socket")?),
-                core: CoreId(index("core")?),
-                time,
-                stolen: de::field(value, "event", "stolen")?,
-            }),
-            "finish" => Ok(TraceEvent::Finish {
-                task,
-                socket: SocketId(index("socket")?),
-                core: CoreId(index("core")?),
-                time,
-            }),
-            "deferred_alloc" => Ok(TraceEvent::DeferredAlloc {
-                task,
-                node: NodeId(index("node")?),
-                bytes: de::field(value, "event", "bytes")?,
-                time,
-            }),
-            "traffic" => Ok(TraceEvent::Traffic {
-                task,
-                region: index("region")?,
-                from: NodeId(index("from")?),
-                to: NodeId(index("to")?),
-                distance: de::field(value, "event", "distance")?,
-                bytes: de::field(value, "event", "bytes")?,
-                time,
-            }),
-            other => Err(format!("unknown event type {other:?}")),
-        }
+        Ok(serde::decode(text)?)
     }
 }
 
@@ -391,6 +225,8 @@ impl TraceCollector {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use numadag_numa::NodeId;
+    use numadag_tdg::TaskId;
 
     pub(crate) fn toy_trace() -> Trace {
         // Two tasks on a 2-socket machine: task 0 local on S0, task 1
@@ -592,33 +428,6 @@ pub(crate) mod tests {
 }"#;
 
     #[test]
-    fn the_writer_renders_what_the_derived_serializer_would() {
-        let mut empty = toy_trace();
-        // Empty event list: the one shape the streamed array can't derive
-        // from the loop.
-        empty.events.clear();
-        // Metadata needing JSON escapes.
-        let mut quoted = toy_trace();
-        quoted.workload = "odd \"name\"\nwith\tescapes \\".to_string();
-        // More events than one run, and exactly two runs' worth.
-        let mut long = toy_trace();
-        long.events = long
-            .events
-            .iter()
-            .cycle()
-            .take(2 * EVENTS_PER_WRITE + 1)
-            .cloned()
-            .collect();
-        let mut two_runs = long.clone();
-        two_runs.events.pop();
-        for trace in [toy_trace(), empty, quoted, long, two_runs] {
-            let text = trace.to_json_string();
-            assert_eq!(text, serde_json::to_string_pretty(&trace).unwrap());
-            assert_eq!(Trace::from_json_str(&text).unwrap(), trace);
-        }
-    }
-
-    #[test]
     fn streaming_writer_surfaces_io_errors() {
         struct Broken;
         impl std::io::Write for Broken {
@@ -682,17 +491,31 @@ pub(crate) mod tests {
         let warp = PARENT_TRACE_FILE.replacen("\"start\"", "\"warp\"", 1);
         assert!(Trace::from_json_str(&warp)
             .unwrap_err()
-            .contains("unknown event type \"warp\""));
+            .contains("unknown TraceEvent variant \"warp\""));
+        // An event's tag comes first: a later one is refused, not searched.
+        let late = PARENT_TRACE_FILE.replacen(
+            "\"type\": \"start\",\n      \"task\": 0,",
+            "\"task\": 0,\n      \"type\": \"start\",",
+            1,
+        );
+        assert_ne!(late, PARENT_TRACE_FILE);
+        assert!(Trace::from_json_str(&late)
+            .unwrap_err()
+            .contains("TraceEvent must begin with its \"type\" tag"));
         // A distance that only fits a u32 truncated is refused, not cast.
         let far = PARENT_TRACE_FILE.replacen("\"distance\": 21", "\"distance\": 4294967306", 1);
         assert!(Trace::from_json_str(&far)
             .unwrap_err()
-            .contains("event.distance: 4294967306 does not fit in a u32"));
+            .contains("traffic.distance: 4294967306 does not fit in a u32"));
         // Every field of the file and of every event kind: missing or
         // mistyped is an error that names it.
-        let every_kind = toy_trace().to_value();
+        let every_kind = serde_json::to_value(&toy_trace());
         for sample in [serde_json::from_str(PARENT_TRACE_FILE).unwrap(), every_kind] {
-            serde::testing::assert_struct_rejects_malformed(&sample, &[], Trace::from_value);
+            serde::testing::assert_struct_rejects_malformed(
+                &sample,
+                &[],
+                serde_json::from_value::<Trace>,
+            );
         }
     }
 

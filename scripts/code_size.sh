@@ -1,9 +1,10 @@
 #!/bin/sh
-# Code size of the workspace crates, counted one way: per crate, the
-# non-blank lines of crates/<crate>/src/**/*.rs before the `#[cfg(test)]`
-# that gates a `mod ... {` (the whole file when it has none), and the
-# `pub fn`s among those lines. An earlier `#[cfg(test)]` on a single item
-# (a static, a counter) does not end the count.
+# Code size of the workspace crates and of the vendored serde, counted one
+# way: per crate, the non-blank lines of <crate>/src/**/*.rs before the
+# `#[cfg(test)]` that gates a `mod ... {` (the whole file when it has
+# none), and the `pub fn`s among those lines. An earlier `#[cfg(test)]` on
+# a single item (a static, a counter) does not end the count. `total` sums
+# crates/*; `vendor` sums serde, serde_derive and serde_json.
 #
 #   scripts/code_size.sh
 set -eu
@@ -25,13 +26,21 @@ count() {
     '
 }
 
-printf '%-8s %7s %7s\n' crate lines 'pub fn'
-total_lines=0
-total_pub_fns=0
-for crate in crates/*/; do
-    set -- $(count "$crate")
-    printf '%-8s %7d %7d\n' "$(basename "$crate")" "$1" "$2"
-    total_lines=$((total_lines + $1))
-    total_pub_fns=$((total_pub_fns + $2))
-done
-printf '%-8s %7d %7d\n' total "$total_lines" "$total_pub_fns"
+# Prints one row per directory and a subtotal row named `$1`.
+table() {
+    label=$1
+    shift
+    sum_lines=0
+    sum_pub_fns=0
+    for dir in "$@"; do
+        set -- $(count "$dir")
+        printf '%-12s %7d %7d\n' "$(basename "$dir")" "$1" "$2"
+        sum_lines=$((sum_lines + $1))
+        sum_pub_fns=$((sum_pub_fns + $2))
+    done
+    printf '%-12s %7d %7d\n' "$label" "$sum_lines" "$sum_pub_fns"
+}
+
+printf '%-12s %7s %7s\n' crate lines 'pub fn'
+table total crates/*/
+table vendor vendor/serde/ vendor/serde_derive/ vendor/serde_json/

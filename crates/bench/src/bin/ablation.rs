@@ -1,5 +1,6 @@
-//! Design-choice ablations (DESIGN.md: ABL-WIN, ABL-SOCK, ABL-PART), the
-//! `trace` divergence study and the `bench-diff` baseline comparator.
+//! Design-choice ablations (ABL-WIN, ABL-SOCK, ABL-PART: window size,
+//! socket count, partitioner quality), the `trace` divergence study and the
+//! `bench-diff` baseline comparator.
 //!
 //! Usage:
 //! ```text

@@ -5,8 +5,8 @@
 //! * the `figure1` binary regenerates Figure 1 (speedup of DFIFO, EP and
 //!   RGP+LAS over the LAS baseline on the eight applications, plus the
 //!   geometric mean) on the simulated bullion S16;
-//! * the `ablation` binary runs the design-choice studies listed in
-//!   DESIGN.md (window size, socket count, partitioner quality).
+//! * the `ablation` binary runs the design-choice studies (window size,
+//!   socket count, partitioner quality; README, "Running the sweeps").
 
 pub mod harness;
 

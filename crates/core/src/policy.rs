@@ -3,40 +3,28 @@
 
 use std::sync::Arc;
 
-use numadag_numa::memory::NodeBytes;
 use numadag_numa::{MemoryMap, NodeId, RegionId, SocketId, Topology};
 use numadag_tdg::{TaskDescriptor, TaskGraph};
 
 /// What a policy is allowed to ask about the machine and the current
-/// placement of data. Implemented by the executors in `numadag-runtime`
-/// (backed by their [`MemoryMap`]) and by [`MemoryLocator`] for direct use.
+/// placement of data. The executors in `numadag-runtime` answer through a
+/// [`MemoryLocator`] over their [`MemoryMap`].
 pub trait DataLocator {
     /// The machine topology.
     fn topology(&self) -> &Topology;
-    /// How the bytes of `region` are currently distributed over NUMA nodes.
-    fn region_location(&self, region: RegionId) -> NodeBytes;
-    /// [`DataLocator::region_location`] into a caller-owned buffer, so hot
-    /// paths (one lookup per task access) can reuse the allocation. The
-    /// default implementation falls back to the allocating call.
-    fn region_location_into(&self, region: RegionId, out: &mut NodeBytes) {
-        *out = self.region_location(region);
-    }
     /// Size of `region` in bytes.
     fn region_size(&self, region: RegionId) -> u64;
     /// Splits one task access — `access_bytes` bytes of `region` — over the
     /// nodes holding the region: `visit(home, share)` once per holding node
     /// in ascending node order, the share without a home yet as the return
     /// value (see [`MemoryMap::access_shares`]). What socket weighting asks
-    /// per access; the default derives it from the two lookups above.
+    /// per access.
     fn access_shares(
         &self,
         region: RegionId,
         access_bytes: u64,
         visit: &mut dyn FnMut(NodeId, u64),
-    ) -> u64 {
-        self.region_location(region)
-            .access_shares(self.region_size(region), access_bytes, visit)
-    }
+    ) -> u64;
 }
 
 /// Cost accounting of a partitioning policy: how many windows it partitioned
@@ -98,14 +86,6 @@ impl DataLocator for MemoryLocator<'_> {
         self.topology
     }
 
-    fn region_location(&self, region: RegionId) -> NodeBytes {
-        self.memory.bytes_per_node(region)
-    }
-
-    fn region_location_into(&self, region: RegionId, out: &mut NodeBytes) {
-        self.memory.bytes_per_node_into(region, out);
-    }
-
     fn region_size(&self, region: RegionId) -> u64 {
         self.memory.size_of(region)
     }
@@ -123,7 +103,14 @@ impl DataLocator for MemoryLocator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numadag_numa::NodeId;
+
+    /// Every `(home, share)` of a whole-region access, and the homeless rest.
+    fn whole_access(loc: &MemoryLocator<'_>, region: RegionId) -> (Vec<(NodeId, u64)>, u64) {
+        let mut homes = Vec::new();
+        let size = loc.region_size(region);
+        let rest = loc.access_shares(region, size, &mut |node, share| homes.push((node, share)));
+        (homes, rest)
+    }
 
     #[test]
     fn memory_locator_reports_placement() {
@@ -134,9 +121,7 @@ mod tests {
         let loc = MemoryLocator::new(&topo, &mem);
         assert_eq!(loc.topology().num_sockets(), 2);
         assert_eq!(loc.region_size(r), 4096);
-        let nb = loc.region_location(r);
-        assert_eq!(nb.per_node, vec![(NodeId(1), 4096)]);
-        assert_eq!(nb.unallocated, 0);
+        assert_eq!(whole_access(&loc, r), (vec![(NodeId(1), 4096)], 0));
     }
 
     #[test]
@@ -145,8 +130,6 @@ mod tests {
         let mut mem = MemoryMap::new();
         let r = mem.register(100);
         let loc = MemoryLocator::new(&topo, &mem);
-        let nb = loc.region_location(r);
-        assert!(nb.per_node.is_empty());
-        assert_eq!(nb.unallocated, 100);
+        assert_eq!(whole_access(&loc, r), (vec![], 100));
     }
 }

@@ -89,7 +89,6 @@ pub fn socket_weights_into(
 mod tests {
     use super::*;
     use crate::policy::MemoryLocator;
-    use numadag_numa::memory::NodeBytes;
     use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
     use numadag_tdg::{DataAccess, TaskDescriptor, TaskGraph, TaskId};
 
@@ -175,14 +174,18 @@ mod tests {
             fn topology(&self) -> &Topology {
                 &self.0
             }
-            fn region_location(&self, _region: RegionId) -> NodeBytes {
-                NodeBytes {
-                    per_node: vec![(NodeId(0), 200), (NodeId(1), 200)],
-                    unallocated: 0,
-                }
-            }
             fn region_size(&self, _region: RegionId) -> u64 {
                 400
+            }
+            fn access_shares(
+                &self,
+                _region: RegionId,
+                access_bytes: u64,
+                visit: &mut dyn FnMut(NodeId, u64),
+            ) -> u64 {
+                visit(NodeId(0), access_bytes / 2);
+                visit(NodeId(1), access_bytes - access_bytes / 2);
+                0
             }
         }
         let loc = HalfAndHalf(Topology::two_socket(2));

@@ -25,9 +25,9 @@
 //!   useful for small graphs and as a reference for the multilevel
 //!   implementation.
 //! * [`PartitionScheme::BfsGrowing`] (token `bfs`) — a deliberately naive,
-//!   edge-weight-oblivious BFS partitioner kept as the ablation baseline
-//!   (ABL-PART in DESIGN.md): it produces balanced parts but much larger
-//!   cuts.
+//!   edge-weight-oblivious BFS partitioner kept as the baseline of the
+//!   partitioner ablation (`ablation partitioner`): it produces balanced
+//!   parts but much larger cuts.
 //!
 //! The hot paths are engineered for 100k+ vertex windows: coarsening reuses
 //! its matching and contraction buffers across levels and contracts straight

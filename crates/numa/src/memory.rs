@@ -40,37 +40,6 @@ impl Placement {
     }
 }
 
-/// Per-region byte distribution over nodes, produced by
-/// [`MemoryMap::bytes_per_node`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NodeBytes {
-    /// `(node, bytes)` pairs for every node that holds at least one byte of
-    /// the region, sorted by node id.
-    pub per_node: Vec<(NodeId, u64)>,
-    /// Bytes of the region that are not yet allocated anywhere.
-    pub unallocated: u64,
-}
-
-impl NodeBytes {
-    /// Splits an access of `access_bytes` bytes to a region of `region_size`
-    /// bytes distributed like `self`: `visit(home, share)` once per holding
-    /// node in ascending node order, and the share that has no home yet as
-    /// the return value. What [`MemoryMap::access_shares`] computes, for a
-    /// distribution over any number of nodes — a `DataLocator` that is not
-    /// backed by a [`MemoryMap`] may report one.
-    pub fn access_shares(
-        &self,
-        region_size: u64,
-        access_bytes: u64,
-        mut visit: impl FnMut(NodeId, u64),
-    ) -> u64 {
-        for &(home, resident) in &self.per_node {
-            visit(home, scaled_share(resident, access_bytes, region_size));
-        }
-        scaled_share(self.unallocated, access_bytes, region_size)
-    }
-}
-
 /// The part of an access touching `access_bytes` bytes of a `region_size`-byte
 /// region that falls on `resident` of the region's bytes:
 /// `round(resident × access_bytes / max(region_size, 1))` in `f64`. The one
@@ -176,30 +145,10 @@ impl MemoryMap {
         self.regions[region.index()].1 = Placement::Node(node);
     }
 
-    /// How many bytes of `region` live on each node.
-    pub fn bytes_per_node(&self, region: RegionId) -> NodeBytes {
-        let mut out = NodeBytes::default();
-        self.bytes_per_node_into(region, &mut out);
-        out
-    }
-
-    /// [`MemoryMap::bytes_per_node`] into a caller-owned buffer, which a
-    /// warmed buffer fills without allocating.
-    pub fn bytes_per_node_into(&self, region: RegionId, out: &mut NodeBytes) {
-        out.per_node.clear();
-        out.unallocated = 0;
-        match self.regions[region.index()] {
-            (size, Placement::Unallocated) => out.unallocated = size,
-            (size, Placement::Node(n)) => out.per_node.push((n, size)),
-        }
-    }
-
     /// Splits one task access — `access_bytes` bytes of `region` — over the
     /// node currently holding the region: `visit(home, share)` if the region
     /// has a home (a share can round to zero), and the share that has no
-    /// home yet as the return value. Performs the operations of
-    /// [`NodeBytes::access_shares`] on the single pair of
-    /// [`MemoryMap::bytes_per_node`], without building it.
+    /// home yet as the return value.
     #[inline]
     pub fn access_shares(
         &self,
@@ -235,7 +184,6 @@ mod tests {
         assert!(!m.is_allocated(r));
         assert_eq!(*m.placement(r), Placement::Unallocated);
         assert_eq!(m.size_of(r), 1 << 20);
-        assert_eq!(m.bytes_per_node(r).unallocated, 1 << 20);
     }
 
     #[test]
@@ -244,10 +192,8 @@ mod tests {
         let r = m.register(8192);
         m.place(r, NodeId(3));
         assert!(m.is_allocated(r));
+        assert_eq!(*m.placement(r), Placement::Node(NodeId(3)));
         assert_eq!(m.placement(r).single_node(), Some(NodeId(3)));
-        let nb = m.bytes_per_node(r);
-        assert_eq!(nb.per_node, vec![(NodeId(3), 8192)]);
-        assert_eq!(nb.unallocated, 0);
     }
 
     #[test]
@@ -256,7 +202,8 @@ mod tests {
         let r = m.register(10_000);
         m.place(r, NodeId(0));
         m.place(r, NodeId(5));
-        assert_eq!(m.bytes_per_node(r).per_node, vec![(NodeId(5), 10_000)]);
+        assert_eq!(*m.placement(r), Placement::Node(NodeId(5)));
+        assert_eq!(m.size_of(r), 10_000);
     }
 
     #[test]
@@ -275,8 +222,9 @@ mod tests {
     }
 
     /// What the executors and the socket weighting computed per access
-    /// before `access_shares` existed: `bytes_per_node`, then the float
-    /// formula per pair and for the unallocated rest.
+    /// before `access_shares` existed: the region's bytes per node (all on
+    /// its home, or all unallocated), then the float formula per pair and
+    /// for the unallocated rest.
     fn shares_by_the_old_formula(
         m: &MemoryMap,
         region: RegionId,
@@ -284,13 +232,10 @@ mod tests {
     ) -> (Vec<(NodeId, u64)>, u64) {
         let region_size = m.size_of(region);
         let scale = |resident| share_by_the_float_formula(resident, access_bytes, region_size);
-        let location = m.bytes_per_node(region);
-        let per_node = location
-            .per_node
-            .iter()
-            .map(|&(node, resident)| (node, scale(resident)))
-            .collect();
-        (per_node, scale(location.unallocated))
+        match *m.placement(region) {
+            Placement::Node(home) => (vec![(home, scale(region_size))], scale(0)),
+            Placement::Unallocated => (Vec::new(), scale(region_size)),
+        }
     }
 
     #[test]
@@ -402,10 +347,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-        /// The map's single-pair path and the general distribution path give
-        /// one answer, placed or not, whole-region accesses and partial ones.
+        /// The map's shares are the old formula's at every magnitude, placed
+        /// or not, whole-region accesses and partial ones.
         #[test]
-        fn map_shares_equal_node_bytes_shares(
+        fn map_shares_are_the_old_formula_at_every_magnitude(
             size in AnyMagnitude,
             partial in AnyMagnitude,
             whole in 0u8..2,
@@ -420,11 +365,10 @@ mod tests {
             }
             let mut direct = Vec::new();
             let direct_rest = m.access_shares(region, access_bytes, |n, b| direct.push((n, b)));
-            let mut general = Vec::new();
-            let general_rest = m
-                .bytes_per_node(region)
-                .access_shares(size, access_bytes, |n, b| general.push((n, b)));
-            prop_assert_eq!((direct, direct_rest), (general, general_rest));
+            prop_assert_eq!(
+                (direct, direct_rest),
+                shares_by_the_old_formula(&m, region, access_bytes)
+            );
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The whole point of the paper's techniques is to increase the fraction of
 //! task input/output bytes that are served from the socket the task runs on.
-//! [`TrafficStats`] is the ledger both executors write to, and the quantity
-//! EXPERIMENTS.md reports next to the speedups.
+//! [`TrafficStats`] is the ledger both executors write to, and the local
+//! fraction `figure1` reports next to the speedups.
 
 use std::collections::BTreeMap;
 

@@ -8,8 +8,8 @@
 //!   NUMA machine. Every task is charged its compute time plus the time to
 //!   move its input/output bytes between the socket it runs on and the NUMA
 //!   nodes holding them (with bandwidth contention between cores of the same
-//!   socket). This is what produces the makespans behind the figures in
-//!   EXPERIMENTS.md.
+//!   socket). This is what produces the makespans behind the README's
+//!   Figure-1 baselines ("Running the sweeps").
 //! * [`threaded::ThreadedExecutor`] — a real work-pushing/work-stealing
 //!   thread pool that executes actual task bodies (closures) while following
 //!   the same scheduling-policy decisions and deferred-allocation

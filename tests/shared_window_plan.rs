@@ -1,49 +1,14 @@
-//! The shared window plan, end to end: every RGP cell of a workload finds the
-//! unanchored partition of its first window on the workload's graph
-//! (`TaskGraph::window_plan`), so a sweep partitions it once however many
-//! policy columns and worker threads it has — and reports exactly what it
-//! reported when every cell partitioned for itself.
+//! The shared window plan under a race: every RGP cell of a workload finds
+//! the unanchored partition of its first window on the workload's graph
+//! (`TaskGraph::window_plan`), so eight policies preparing on one graph at
+//! once compute it once and each see what a policy alone computes. The
+//! sweep-level counts (8 plans, 8 reused, 24 windows at Full for any
+//! `--jobs`) are `tests/envelope.rs`'s in-process rows.
 
 use std::sync::{Arc, Barrier};
 
 use numadag::core::MemoryLocator;
 use numadag::prelude::*;
-
-/// The Figure-1 sweep behind `BENCH_figure1_full.json`.
-fn figure1_full() -> Experiment {
-    Experiment::new()
-        .apps(Application::all())
-        .scale(ProblemScale::Full)
-        .policies(PolicyKind::parse_list("dfifo,rgp-las,rgp-las:prop=repart,ep").unwrap())
-}
-
-#[test]
-fn a_full_sweep_computes_each_first_window_once_for_any_worker_count() {
-    for jobs in [1usize, 2, 4] {
-        // Fresh specs per sweep: the counters are the graphs' own.
-        let plan = figure1_full().plan();
-        let report = plan.execute(jobs);
-        let (plans, reused) = plan
-            .workloads()
-            .iter()
-            .map(|workload| workload.spec.graph.window_plan_counts())
-            .fold((0, 0), |sum, counts| (sum.0 + counts.0, sum.1 + counts.1));
-        // Eight applications: `rgp-las` computes window 0, `prop=repart`
-        // finds it and partitions its eight later windows anchored.
-        assert_eq!((plans, reused), (8, 8), "jobs={jobs}");
-        let placed: usize = report.timing.cell_partition_windows.iter().sum();
-        assert_eq!(
-            placed, 24,
-            "jobs={jobs}: a reused plan is still a placed window"
-        );
-        assert_eq!(placed - reused, 16, "jobs={jobs}: partitioner runs");
-        assert_eq!(
-            report.to_json_string(),
-            include_str!("../BENCH_figure1_full.json"),
-            "jobs={jobs} moved the committed baseline"
-        );
-    }
-}
 
 #[test]
 fn eight_policies_racing_prepare_on_one_graph_compute_one_plan() {

@@ -13,81 +13,16 @@
 //! | serve pool 3             | ✓    |       | ✓    | `SubmitOutcome`, `ServerStats` |
 //! | traced, in-process vs proc | ✓  |       |      | every `Trace`       |
 //!
-//! A change that keeps the behaviour keeps every row.
+//! The proc and traced rows re-exec their test binary as workers, so they
+//! live in `tests/proc_session.rs`; both files share `tests/rows`. A change
+//! that keeps the behaviour keeps every row.
 
-use std::sync::{Arc, Mutex, Once, PoisonError};
+mod rows;
 
 use numadag::prelude::*;
-use numadag::proc::CONNECT_ENV;
 use numadag::serve::protocol::Response;
 use numadag::serve::server::serve;
-
-const TINY: &str = include_str!("../BENCH_figure1_tiny.json");
-const SMALL: &str = include_str!("../BENCH_figure1_small.json");
-const FULL: &str = include_str!("../BENCH_figure1_full.json");
-
-/// The sweep of the Full baseline.
-const FULL_ARGS: &str = "--scale full --policies dfifo,rgp-las,rgp-las:prop=repart,ep";
-
-/// The committed report of a sweep at `scale`. The Small file is `figure1
-/// --json-timing` output: the `--json` report with a trailing `timing`
-/// member, whose wall times no rerun reproduces, so its measurement bytes
-/// are the file without that member.
-fn baseline(scale: &str) -> String {
-    match scale {
-        "tiny" => TINY.to_string(),
-        "full" => FULL.to_string(),
-        _ => {
-            let (measurements, timing) = SMALL
-                .split_once(",\n  \"timing\": {")
-                .expect("the Small baseline carries its timing member");
-            assert!(timing.ends_with("\n  }\n}"), "timing is the last member");
-            format!("{measurements}\n}}")
-        }
-    }
-}
-
-/// Fails `row` unless `report` is the committed `baseline`, byte for byte.
-fn assert_reproduces(row: &str, report: &str, baseline: &str) {
-    assert!(report == baseline, "{row} moved the committed baseline");
-}
-
-/// The sweep and worker count of a `figure1` / `serve-client submit` command
-/// line: each flag and its value through `SweepSpec::set_flag`, `--jobs` as
-/// `figure1` reads it.
-fn parse(args: &str) -> (SweepSpec, usize) {
-    let (mut spec, mut jobs) = (SweepSpec::default(), 1);
-    let words: Vec<&str> = args.split_whitespace().collect();
-    for pair in words.chunks(2) {
-        let set = match *pair {
-            ["--jobs", n] => n
-                .parse::<usize>()
-                .map(|n| jobs = n)
-                .map_err(|e| e.to_string()),
-            [flag, value] => spec.set_flag(flag, Some(value)),
-            _ => Err("a flag without a value".to_string()),
-        };
-        set.unwrap_or_else(|e| panic!("{args}: {e}"));
-    }
-    (spec, jobs)
-}
-
-/// Runs `figure1 <args>` over a fresh spec cache, so the graphs, and their
-/// window-plan counters, are the row's own; returns the plan, the report
-/// and the committed report it must reproduce.
-fn figure1(args: &str, trace: Option<Arc<TraceCollector>>) -> (SweepPlan, SweepReport, String) {
-    let (spec, jobs) = parse(args);
-    let mut experiment = spec
-        .resolve()
-        .unwrap_or_else(|e| panic!("{args}: {e}"))
-        .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()));
-    if let Some(collector) = trace {
-        experiment = experiment.trace(collector);
-    }
-    let plan = experiment.plan();
-    let report = plan.execute(jobs);
-    (plan, report, baseline(&spec.scale))
-}
+use rows::{assert_reproduces, figure1, parse, FULL, FULL_ARGS, TINY};
 
 /// (first-window plans computed, plans a later cell found instead of
 /// partitioning, windows placed): `placed - reused` partitioner runs.
@@ -126,111 +61,6 @@ fn in_process_rows_reproduce_every_baseline_at_any_worker_count() {
             let placed = report.timing.cell_partition_windows.iter().sum();
             assert_eq!((plans, reused, placed), window_plans, "{row}");
         }
-    }
-}
-
-/// Worker re-entry point: each proc row's pool re-execs this test binary
-/// with `proc_worker_entry --exact` as the argv. Without the rendezvous
-/// environment it is an instant pass.
-#[test]
-fn proc_worker_entry() {
-    if std::env::var(CONNECT_ENV).is_ok() {
-        numadag::proc::run_worker_from_env().expect("worker loop failed");
-    }
-}
-
-/// The pool `Backend::Proc` executors attach to while a row runs. Rows take
-/// turns (the factory is process-wide), so each sees only its own pool.
-static ROW_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
-static ROW: Mutex<()> = Mutex::new(());
-
-/// Runs `sweep` on a fresh 2-worker pool whose workers get `env`, as
-/// `figure1 --backend proc` does, and returns what `sweep` returned and the
-/// pool's counters after it.
-fn on_proc_pool<T>(env: &[(&str, &str)], sweep: impl FnOnce() -> T) -> (T, PoolStats) {
-    static FACTORY: Once = Once::new();
-    FACTORY.call_once(|| {
-        numadag::runtime::register_proc_backend(Box::new(|config, _workers| {
-            let pool = ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner);
-            let pool = pool.clone().expect("a row's pool is installed");
-            Box::new(ProcExecutor::with_pool(config, pool))
-        }));
-    });
-    let _row = ROW.lock().unwrap_or_else(PoisonError::into_inner);
-
-    let mut config = PoolConfig::new(2)
-        .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-    for (key, value) in env {
-        config = config.with_env(key, value);
-    }
-    let pool = WorkerPool::spawn(config).expect("worker pool spawns");
-    *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&pool));
-    let out = sweep();
-    *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    (out, pool.stats())
-}
-
-/// A 2-worker Full session that ships each of the eight specs once, seven
-/// of them while the cell before computes.
-const SHIPS_EACH_SPEC_ONCE: PoolStats = PoolStats {
-    workers_spawned: 2,
-    workers_alive: 2,
-    cells_dispatched: 40,
-    redispatches: 0,
-    config_broadcasts: 2,
-    spec_transfers: 8,
-    spec_prefetches: 7,
-    barriers: 1,
-};
-
-/// The same at Tiny, which runs one policy column fewer.
-const TINY_SESSION: PoolStats = PoolStats {
-    cells_dispatched: 32,
-    ..SHIPS_EACH_SPEC_ONCE
-};
-
-/// Worker 1 exits after its third cell: that cell goes to worker 0, which
-/// is then shipped the spec worker 1 held, and less goes ahead.
-const LOSES_WORKER_1: PoolStats = PoolStats {
-    workers_alive: 1,
-    redispatches: 1,
-    spec_transfers: 9,
-    spec_prefetches: 2,
-    ..SHIPS_EACH_SPEC_ONCE
-};
-
-/// Proc rows: (`figure1 --backend proc` args, jobs, whether worker 1 is
-/// lost, counters). Two cells in flight may each carry a spec the other
-/// worker is shipped too: at `--jobs 2`, `spec_transfers` lands in 8..=16
-/// and how many went ahead is the race's.
-const PROC: [(&str, usize, bool, PoolStats); 4] = [
-    ("--scale tiny", 1, false, TINY_SESSION),
-    (FULL_ARGS, 1, false, SHIPS_EACH_SPEC_ONCE),
-    (FULL_ARGS, 2, false, SHIPS_EACH_SPEC_ONCE),
-    (FULL_ARGS, 1, true, LOSES_WORKER_1),
-];
-
-#[test]
-fn proc_rows_reproduce_the_baselines_and_their_pool_counters() {
-    for (args, jobs, lost, mut counters) in PROC {
-        let args = format!("{args} --backend proc --jobs {jobs}");
-        let row = format!("figure1 {args}, worker 1 lost: {lost}");
-        let crash = [
-            ("NUMADAG_PROC_CRASH_AFTER", "3"),
-            ("NUMADAG_PROC_CRASH_WORKER", "1"),
-        ];
-        let env = if lost { &crash[..] } else { &[] };
-        let ((report, baseline), stats) = on_proc_pool(env, || {
-            let (_, report, baseline) = figure1(&args, None);
-            (report.to_json_string(), baseline)
-        });
-        assert_reproduces(&row, &report, &baseline);
-        if jobs > 1 {
-            assert!((8..=16).contains(&stats.spec_transfers), "{row}: {stats}");
-            (counters.spec_transfers, counters.spec_prefetches) =
-                (stats.spec_transfers, stats.spec_prefetches);
-        }
-        assert_eq!(stats, counters, "{row}");
     }
 }
 
@@ -287,25 +117,4 @@ fn serve_rows_answer_the_baselines_from_a_three_worker_pool_and_its_caches() {
     assert_eq!(stats.pool_workers, 3, "serve stats");
     client.shutdown().expect("shutdown");
     handle.join();
-}
-
-/// Proc workers trace under one config epoch (one `config` each) and their
-/// events ride in `done`: the trace files are the in-process ones.
-#[test]
-fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
-    let traced = |args: &str| {
-        let collector = Arc::new(TraceCollector::new());
-        let (_, report, baseline) = figure1(args, Some(Arc::clone(&collector)));
-        let row = format!("figure1 {args}, traced");
-        assert_reproduces(&row, &report.to_json_string(), &baseline);
-        // Cells are recorded in completion order.
-        let mut traces = collector.take();
-        traces.sort_by(|a, b| (&a.workload, &a.policy).cmp(&(&b.workload, &b.policy)));
-        traces
-    };
-    let in_process = traced("--scale tiny --jobs 2");
-    let (through_proc, stats) = on_proc_pool(&[], || traced("--scale tiny --backend proc"));
-    assert_eq!(stats.config_broadcasts, 2, "traced proc tiny");
-    assert_eq!(in_process.len(), 32);
-    assert!(in_process == through_proc, "proc traces differ");
 }

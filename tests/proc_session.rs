@@ -1,14 +1,17 @@
-//! A whole proc session, pinned: each row spawns a 2-worker pool, runs a
-//! Figure-1 sweep through `Backend::Proc` on it exactly as `figure1
-//! --backend proc` does, and compares the report with the committed
-//! baseline bytes and the pool's counters with what that session must
-//! leave behind. A rewrite of the coordinator that keeps its behaviour
-//! keeps every row.
+//! The behaviour envelope's proc rows (`tests/envelope.rs` holds the others).
+//! Each row spawns a 2-worker pool, runs `figure1 --backend proc` through the
+//! library path on it, holds the report to the committed baseline bytes and
+//! compares every `PoolStats` field with what that session must leave
+//! behind. A rewrite of the coordinator that keeps its behaviour keeps every
+//! row.
+
+mod rows;
 
 use std::sync::{Arc, Mutex, Once, PoisonError};
 
 use numadag::prelude::*;
 use numadag::proc::CONNECT_ENV;
+use rows::{assert_reproduces, figure1, FULL_ARGS};
 
 /// Worker re-entry point: each row's pool re-execs this test binary with
 /// `proc_worker_entry --exact` as the argv. Without the rendezvous
@@ -25,15 +28,10 @@ fn proc_worker_entry() {
 static ROW_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
 static ROW: Mutex<()> = Mutex::new(());
 
-/// Runs `figure1 --scale <scale> [--policies <policies>] --backend proc
-/// --jobs <jobs>` on a fresh 2-worker pool whose workers get `env`, and
-/// returns the report's JSON and the pool's counters after the sweep.
-fn session(
-    scale: &str,
-    policies: Option<&str>,
-    jobs: usize,
-    env: &[(&str, &str)],
-) -> (String, PoolStats) {
+/// Runs `sweep` on a fresh 2-worker pool whose workers get `env`, as
+/// `figure1 --backend proc` does, and returns what `sweep` returned and the
+/// pool's counters after it.
+fn on_proc_pool<T>(env: &[(&str, &str)], sweep: impl FnOnce() -> T) -> (T, PoolStats) {
     static FACTORY: Once = Once::new();
     FACTORY.call_once(|| {
         numadag::runtime::register_proc_backend(Box::new(|config, _workers| {
@@ -51,98 +49,101 @@ fn session(
     }
     let pool = WorkerPool::spawn(config).expect("worker pool spawns");
     *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&pool));
-
-    let mut sweep = SweepSpec::default();
-    let flags = [("--scale", Some(scale)), ("--policies", policies)];
-    for (flag, value) in flags.into_iter().filter(|(_, value)| value.is_some()) {
-        sweep.set_flag(flag, value).expect("a sweep flag");
-    }
-    sweep.set_flag("--backend", Some("proc")).expect("proc");
-    let report = sweep
-        .resolve()
-        .expect("the sweep resolves")
-        .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
-        .plan()
-        .execute(jobs);
-
+    let out = sweep();
     *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    (report.to_json_string(), pool.stats())
+    (out, pool.stats())
 }
 
-const FULL_POLICIES: &str = "dfifo,rgp-las,rgp-las:prop=repart,ep";
-const TINY: &str = include_str!("../BENCH_figure1_tiny.json");
-const FULL: &str = include_str!("../BENCH_figure1_full.json");
+/// A 2-worker Full session that ships each of the eight specs once, seven
+/// of them while the cell before computes.
+const SHIPS_EACH_SPEC_ONCE: PoolStats = PoolStats {
+    workers_spawned: 2,
+    workers_alive: 2,
+    cells_dispatched: 40,
+    redispatches: 0,
+    config_broadcasts: 2,
+    spec_transfers: 8,
+    spec_prefetches: 7,
+    barriers: 1,
+};
 
+/// Runs the proc row `figure1 <args> --backend proc --jobs <jobs>`, with
+/// worker 1 exiting after its third cell if `lost`, and holds it to the
+/// baseline and `counters`. Two cells in flight may each carry a spec the
+/// other worker is shipped too: at `--jobs 2`, `spec_transfers` lands in
+/// 8..=16 and how many went ahead is the race's.
+fn proc_row(args: &str, jobs: usize, lost: bool, mut counters: PoolStats) {
+    let args = format!("{args} --backend proc --jobs {jobs}");
+    let row = format!("figure1 {args}, worker 1 lost: {lost}");
+    let crash = [
+        ("NUMADAG_PROC_CRASH_AFTER", "3"),
+        ("NUMADAG_PROC_CRASH_WORKER", "1"),
+    ];
+    let env = if lost { &crash[..] } else { &[] };
+    let ((report, baseline), stats) = on_proc_pool(env, || {
+        let (_, report, baseline) = figure1(&args, None);
+        (report.to_json_string(), baseline)
+    });
+    assert_reproduces(&row, &report, &baseline);
+    if jobs > 1 {
+        assert!((8..=16).contains(&stats.spec_transfers), "{row}: {stats}");
+        (counters.spec_transfers, counters.spec_prefetches) =
+            (stats.spec_transfers, stats.spec_prefetches);
+    }
+    assert_eq!(stats, counters, "{row}");
+}
+
+/// Tiny runs one policy column fewer than Full.
 #[test]
 fn a_serial_tiny_sweep_ships_each_spec_once_and_seven_ahead() {
-    let (json, stats) = session("tiny", None, 1, &[]);
-    assert_eq!(json, TINY, "the proc sweep moved the committed baseline");
-    assert_eq!(
-        stats,
-        PoolStats {
-            workers_spawned: 2,
-            workers_alive: 2,
-            cells_dispatched: 32,
-            redispatches: 0,
-            config_broadcasts: 2,
-            spec_transfers: 8,
-            spec_prefetches: 7,
-            barriers: 1,
-        }
-    );
+    let tiny = PoolStats {
+        cells_dispatched: 32,
+        ..SHIPS_EACH_SPEC_ONCE
+    };
+    proc_row("--scale tiny", 1, false, tiny);
 }
 
 #[test]
 fn a_serial_full_sweep_ships_each_spec_once_and_seven_ahead() {
-    let (json, stats) = session("full", Some(FULL_POLICIES), 1, &[]);
-    assert_eq!(json, FULL, "the proc sweep moved the committed baseline");
-    assert_eq!(
-        stats,
-        PoolStats {
-            workers_spawned: 2,
-            workers_alive: 2,
-            cells_dispatched: 40,
-            redispatches: 0,
-            config_broadcasts: 2,
-            spec_transfers: 8,
-            spec_prefetches: 7,
-            barriers: 1,
-        }
-    );
+    proc_row(FULL_ARGS, 1, false, SHIPS_EACH_SPEC_ONCE);
 }
 
 #[test]
 fn a_two_job_full_sweep_ships_each_spec_at_most_once_per_worker() {
-    let (json, stats) = session("full", Some(FULL_POLICIES), 2, &[]);
-    assert_eq!(json, FULL, "the proc sweep moved the committed baseline");
-    assert!(
-        (8..=16).contains(&stats.spec_transfers),
-        "spec_transfers={}",
-        stats.spec_transfers
-    );
-    assert_eq!(stats.redispatches, 0);
-    assert_eq!(stats.cells_dispatched, 40);
+    proc_row(FULL_ARGS, 2, false, SHIPS_EACH_SPEC_ONCE);
 }
 
+/// The lost worker's third cell goes to worker 0, which is then shipped the
+/// spec worker 1 held, and less goes ahead.
 #[test]
 fn a_full_sweep_that_loses_a_worker_redispatches_one_cell() {
-    let env = [
-        ("NUMADAG_PROC_CRASH_AFTER", "3"),
-        ("NUMADAG_PROC_CRASH_WORKER", "1"),
-    ];
-    let (json, stats) = session("full", Some(FULL_POLICIES), 1, &env);
-    assert_eq!(json, FULL, "the proc sweep moved the committed baseline");
-    assert_eq!(
-        stats,
-        PoolStats {
-            workers_spawned: 2,
-            workers_alive: 1,
-            cells_dispatched: 40,
-            redispatches: 1,
-            config_broadcasts: 2,
-            spec_transfers: 9,
-            spec_prefetches: 2,
-            barriers: 1,
-        }
-    );
+    let loses_worker_1 = PoolStats {
+        workers_alive: 1,
+        redispatches: 1,
+        spec_transfers: 9,
+        spec_prefetches: 2,
+        ..SHIPS_EACH_SPEC_ONCE
+    };
+    proc_row(FULL_ARGS, 1, true, loses_worker_1);
+}
+
+/// Proc workers trace under one config epoch (one `config` each) and their
+/// events ride in `done`: the trace files are the in-process ones.
+#[test]
+fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
+    let traced = |args: &str| {
+        let collector = Arc::new(TraceCollector::new());
+        let (_, report, baseline) = figure1(args, Some(Arc::clone(&collector)));
+        let row = format!("figure1 {args}, traced");
+        assert_reproduces(&row, &report.to_json_string(), &baseline);
+        // Cells are recorded in completion order.
+        let mut traces = collector.take();
+        traces.sort_by(|a, b| (&a.workload, &a.policy).cmp(&(&b.workload, &b.policy)));
+        traces
+    };
+    let in_process = traced("--scale tiny --jobs 2");
+    let (through_proc, stats) = on_proc_pool(&[], || traced("--scale tiny --backend proc"));
+    assert_eq!(stats.config_broadcasts, 2, "traced proc tiny");
+    assert_eq!(in_process.len(), 32);
+    assert!(in_process == through_proc, "proc traces differ");
 }

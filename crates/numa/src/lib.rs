@@ -23,14 +23,12 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod hex;
 pub mod ids;
 pub mod memory;
 pub mod stats;
 pub mod topology;
 
 pub use cost::{CostModel, TransferTable as CostTransferTable};
-pub use hex::{Hex128, Hex64};
 pub use ids::{CoreId, NodeId, RegionId, SocketId};
 pub use memory::{MemoryMap, Placement};
 pub use stats::TrafficStats;

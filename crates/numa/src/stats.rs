@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 
 use serde::{de, Deserialize, Reader, Serialize, Token, Writer};
 
-use crate::hex::{Hex128, Hex64};
 use crate::ids::NodeId;
 use crate::topology::DistanceMatrix;
 
@@ -147,25 +146,20 @@ impl TrafficStats {
 
 /// The wire form carries the exact parts, private matrix included —
 /// re-deriving the counters would not round-trip, as the recording methods
-/// couple them: `{local, remote, deferred, dw, links}`, every integer in hex
-/// and `links` as `[from, to, bytes]` triples in key order.
+/// couple them: `{local, remote, deferred, dw, links}`, with `links` as
+/// `[from, to, bytes]` triples in key order.
 impl Serialize for TrafficStats {
     fn serialize(&self, out: &mut Writer<'_>) {
         out.begin_object();
-        out.field("local", &Hex64(self.local_bytes));
-        out.field("remote", &Hex64(self.remote_bytes));
-        out.field("deferred", &Hex64(self.deferred_allocated_bytes));
-        out.field("dw", &Hex128(self.distance_weighted_bytes));
+        out.field("local", &self.local_bytes);
+        out.field("remote", &self.remote_bytes);
+        out.field("deferred", &self.deferred_allocated_bytes);
+        out.field("dw", &self.distance_weighted_bytes);
         out.key("links");
         out.begin_array();
         for (&(from, to), &bytes) in &self.link {
             out.element();
-            out.begin_array();
-            for part in [&from as &dyn Serialize, &to, &Hex64(bytes)] {
-                out.element();
-                part.serialize(out);
-            }
-            out.end_array();
+            [from as u64, to as u64, bytes].serialize(out);
         }
         out.end_array();
         out.end_object();
@@ -183,10 +177,7 @@ impl Deserialize for Link {
             if !more {
                 return Err(wrong());
             }
-            let part = match at {
-                2 => Hex64::deserialize(input).map(|Hex64(n)| n),
-                _ => usize::deserialize(input).map(|n| n as u64),
-            };
+            let part = u64::deserialize(input);
             more = input.next_element()?;
             part.map_err(|e| format!("[{at}]: {e}"))
         };
@@ -212,20 +203,15 @@ impl Deserialize for TrafficStats {
             "links" => de::take(&mut links, input, OWNER, key),
             _ => Ok(false),
         })?;
-        let Hex64(local_bytes) = de::present(local, OWNER, "local")?;
-        let Hex64(remote_bytes) = de::present(remote, OWNER, "remote")?;
-        let Hex64(deferred_allocated_bytes) = de::present(deferred, OWNER, "deferred")?;
-        let Hex128(distance_weighted_bytes) = de::present(dw, OWNER, "dw")?;
-        let links: Vec<Link> = de::present(links, OWNER, "links")?;
         Ok(TrafficStats {
-            local_bytes,
-            remote_bytes,
-            deferred_allocated_bytes,
-            link: links
+            local_bytes: de::present(local, OWNER, "local")?,
+            remote_bytes: de::present(remote, OWNER, "remote")?,
+            deferred_allocated_bytes: de::present(deferred, OWNER, "deferred")?,
+            distance_weighted_bytes: de::present(dw, OWNER, "dw")?,
+            link: de::present::<Vec<Link>>(links, OWNER, "links")?
                 .into_iter()
                 .map(|Link(key, bytes)| (key, bytes))
                 .collect(),
-            distance_weighted_bytes,
         })
     }
 }
@@ -276,7 +262,7 @@ mod tests {
         s.record_access(NodeId(2), NodeId(5), 27, 500);
         s.record_access(NodeId(1), NodeId(0), 15, u64::MAX / 2);
         s.record_deferred_allocation(4096);
-        let rebuilt = serde_json::from_value::<TrafficStats>(&serde_json::to_value(&s)).unwrap();
+        let rebuilt: TrafficStats = serde::decode(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(rebuilt, s);
         assert_eq!(rebuilt.distance_weighted(), s.distance_weighted());
         assert_eq!(rebuilt.mean_access_distance(), s.mean_access_distance());

@@ -54,7 +54,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-use numadag_numa::Hex64;
 use numadag_runtime::framing::{
     from_line, read_frame, to_line, write_frame, write_line, FrameError,
 };
@@ -546,9 +545,9 @@ impl WorkerPool {
         let (cell, starts_workload) = self.state().dispatched(fp);
         let assignment = Assignment {
             cell,
-            fp: Hex64(fp),
+            fp,
             policy: policy_label.to_string(),
-            policy_seed: Hex64(policy_seed),
+            policy_seed,
         };
         // `fingerprint()` still folds the region table (~20 µs on a Full
         // spec): the hint is fingerprinted on its workload's first cell only.
@@ -606,7 +605,7 @@ impl WorkerPool {
             // The conversation is serial under the `Conn` lock, so the next
             // frame must be the ack (or a structured rejection).
             match read_message(&mut conn.reader) {
-                Some(ToCoordinator::ConfigAck { epoch }) if epoch.0 == config_fp => {
+                Some(ToCoordinator::ConfigAck { epoch }) if epoch == config_fp => {
                     conn.config_fp = Some(config_fp)
                 }
                 Some(ToCoordinator::Error { message }) => return End::Refused(message, None),
@@ -615,7 +614,7 @@ impl WorkerPool {
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        if self.state().book_spec(at, assignment.fp.0) {
+        if self.state().book_spec(at, assignment.fp) {
             if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
                 return End::Lost;
             }
@@ -642,7 +641,7 @@ impl WorkerPool {
             // The complaint may be about this cell's spec, shipped now or
             // ahead and refused (`spec` is un-acked; its refusal answers the
             // first `assign` over it): the worker does not hold it.
-            Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp.0)),
+            Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp)),
             _ => End::Lost,
         }
     }
@@ -805,7 +804,7 @@ struct CollectiveBarrier<'a> {
 
 impl CollectiveBarrier<'_> {
     fn start(&mut self) {
-        let (pool, epoch) = (self.pool, Hex64(self.epoch));
+        let (pool, epoch) = (self.pool, self.epoch);
         self.pending.retain(|&at| {
             let mut conn = lock(&pool.conns[at]);
             if write_frame(&mut conn.writer, &ToWorker::Barrier { epoch }).is_err() {
@@ -828,7 +827,7 @@ impl CollectiveBarrier<'_> {
             let acked = match answer.map(|()| read_frame(&mut conn.reader)) {
                 Some(Ok(Some(line))) => matches!(
                     from_line(&line),
-                    Ok(ToCoordinator::BarrierAck { epoch: Hex64(e) }) if e == epoch
+                    Ok(ToCoordinator::BarrierAck { epoch: e }) if e == epoch
                 ),
                 Some(Err(FrameError::Io(e)))
                     if matches!(

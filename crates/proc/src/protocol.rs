@@ -13,12 +13,10 @@
 //!   finite value in its shortest round-trip form (`-0.0` as `-0`) and
 //!   reads it back exactly, so simulated makespans survive the hop
 //!   bit-for-bit.
-//! * **`u64`/`u128` never lose bits to the `f64` behind a JSON number**,
-//!   which only holds 53 bits of integer. In the small messages they travel
-//!   as lowercase hex strings. In the bulk columns of `spec` they follow
-//!   the number-or-hex rule of [`push_wire_u64`]: a plain JSON integer when
-//!   exactly representable (below 2^53), the hex string otherwise, and the
-//!   decoder accepts both forms.
+//! * **Integers travel as plain JSON integers, exactly.** The codec writes
+//!   every integer type in exact decimal and reads it back into its own
+//!   type, so fingerprints, seeds and the `u128` distance ledger keep every
+//!   bit, in the small messages and in the bulk columns of `spec` alike.
 //!
 //! Every message but one is a variant of [`ToWorker`] or [`ToCoordinator`]:
 //! plain data whose `#[derive(Serialize, Deserialize)]` *is* the wire
@@ -27,12 +25,10 @@
 //! ([`ExecutionConfig`], [`ExecutionReport`]) are wire types themselves:
 //! their own derives (and the hand-written ones of `Topology` and
 //! `TrafficStats`) are the format, and a decoded config is refused with the
-//! words the in-process constructors panic with. The full-range integers
-//! are declared [`Hex64`] where they are — the hex rule is a field's
-//! declaration, not a call to remember. A cell is one `assign` answered by
-//! one `done` (or one `error`); whether it is traced travels beside the
-//! config (`events`, since protocol version 3), and its events come back
-//! inside that `done`.
+//! words the in-process constructors panic with. A cell is one `assign`
+//! answered by one `done` (or one `error`); whether it is traced travels
+//! beside the config (`events`, since protocol version 3), and its events
+//! come back inside that `done`.
 //!
 //! The exception is `spec`, the only message whose size grows with the
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
@@ -44,8 +40,7 @@
 
 use std::sync::Arc;
 
-use numadag_numa::Hex64;
-use numadag_runtime::framing::{from_line, push_wire_u64, DecodeError, WireU64};
+use numadag_runtime::framing::{from_line, DecodeError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
 use numadag_trace::{MemorySink, TraceEvent};
@@ -53,7 +48,7 @@ use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
 /// [`encode_spec`] / [`decode_spec`]). Externally tagged with lowercase
@@ -67,7 +62,7 @@ pub enum ToWorker {
         version: u64,
         /// The config's own fingerprint, so acks can be matched to the
         /// config they acknowledge.
-        epoch: Hex64,
+        epoch: u64,
         /// Whether the executor carries a trace sink: the worker's
         /// simulator then gets one of its own, drained into every `done`.
         /// Part of the config's fingerprint, so traced and untraced cells
@@ -81,7 +76,7 @@ pub enum ToWorker {
     /// The coordinator's side of a collective barrier.
     Barrier {
         /// Barrier epoch, echoed in the `barrier_ack`.
-        epoch: Hex64,
+        epoch: u64,
     },
     /// Leave the request loop and exit.
     Shutdown,
@@ -101,12 +96,12 @@ pub enum ToCoordinator {
     /// The worker now runs under the config with this epoch.
     ConfigAck {
         /// The `epoch` of the acknowledged config.
-        epoch: Hex64,
+        epoch: u64,
     },
     /// The worker's side of a collective barrier.
     BarrierAck {
         /// The epoch of the `barrier` being answered.
-        epoch: Hex64,
+        epoch: u64,
     },
     /// A structured, deterministic failure (bad config, unknown spec, …).
     Error {
@@ -133,11 +128,11 @@ pub struct Assignment {
     /// Coordinator-side cell id, echoed back in `done`.
     pub cell: u64,
     /// Fingerprint of a spec previously shipped with a `spec` message.
-    pub fp: Hex64,
+    pub fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
     /// Seed handed to the policy factory.
-    pub policy_seed: Hex64,
+    pub policy_seed: u64,
 }
 
 impl ToWorker {
@@ -146,7 +141,7 @@ impl ToWorker {
     pub(crate) fn configure(epoch: u64, config: &ExecutionConfig) -> ToWorker {
         ToWorker::Config {
             version: PROTOCOL_VERSION,
-            epoch: Hex64(epoch),
+            epoch,
             events: config.trace_sink.is_some(),
             config: config.clone(),
         }
@@ -183,7 +178,9 @@ fn open_column(out: &mut String, name: &str) {
 
 /// Appends one `u64` entry and its separator to the open column.
 fn push_entry(out: &mut String, value: u64) {
-    push_wire_u64(out, value, ',');
+    let mut digits = [0; 39];
+    out.push_str(serde::ser::decimal(value.into(), &mut digits));
+    out.push(',');
 }
 
 /// A `work` value `{}` writes as a plain integer — integral, not negative
@@ -216,9 +213,8 @@ fn push_json_str(out: &mut String, text: &str) {
 /// `n_dep` (how many accesses / dependences each task owns), `acc`
 /// (`region, mode, bytes` runs in task order), `dep` (`pred, bytes` runs in
 /// task order), then `regions` and `ep` (`null` without an expert
-/// placement). Every `u64` is in the number-or-hex form of
-/// [`push_wire_u64`]; `work` is the shortest decimal that parses back to the
-/// same bits.
+/// placement). Every `u64` is a plain integer; `work` is the shortest
+/// decimal that parses back to the same bits.
 pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     use std::fmt::Write as _;
 
@@ -234,7 +230,7 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
     let mut out = String::with_capacity(256 + 5 * numbers);
 
     out.push_str("{\"spec\":{\"fp\":");
-    push_wire_u64(&mut out, spec.fingerprint(), ',');
+    push_entry(&mut out, spec.fingerprint());
     out.push_str("\"name\":");
     push_json_str(&mut out, &spec.name);
 
@@ -313,42 +309,25 @@ pub fn encode_spec(spec: &TaskGraphSpec) -> String {
 }
 
 /// The payload of a `spec` line, named as the wire names it (errors quote
-/// it: `spec.kind: ...`); `u64` columns in the number-or-hex form.
+/// it: `spec.kind: ...`).
 #[derive(Deserialize)]
 #[allow(non_camel_case_types)]
 struct spec {
-    #[serde(with = "WireU64")]
     fp: u64,
     name: String,
     kinds: Vec<String>,
     /// Which entry is `null` is said where the task is built, after the
     /// checks on the tasks before it.
     work: Vec<Option<f64>>,
-    #[serde(with = "WireU64s")]
     kind: Vec<u64>,
-    #[serde(with = "WireU64s")]
     n_acc: Vec<u64>,
-    #[serde(with = "WireU64s")]
     n_dep: Vec<u64>,
-    #[serde(with = "WireU64s")]
     acc: Vec<u64>,
-    #[serde(with = "WireU64s")]
     dep: Vec<u64>,
-    #[serde(with = "WireU64s")]
     regions: Vec<u64>,
     /// `null` for a spec without an expert placement.
     #[serde(with = "Placement")]
     ep: Option<Vec<u64>>,
-}
-
-/// A column of [`WireU64`]s.
-struct WireU64s(Vec<u64>);
-
-impl Deserialize for WireU64s {
-    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
-        let column = Vec::<WireU64>::deserialize(input)?;
-        Ok(WireU64s(column.into_iter().map(|WireU64(n)| n).collect()))
-    }
 }
 
 /// `ep`: `null`, or a column. Unlike an `Option` field it may not be absent.
@@ -358,7 +337,7 @@ impl Deserialize for Placement {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
         match input.peek()? {
             Token::Null => Ok(Placement(input.null().map(|()| None)?)),
-            _ => WireU64s::deserialize(input).map(|WireU64s(column)| Placement(Some(column))),
+            _ => Vec::deserialize(input).map(|column| Placement(Some(column))),
         }
     }
 }
@@ -538,28 +517,29 @@ mod tests {
     /// One wire line per coordinator → worker message kind (`config` twice),
     /// as the hand-written `encode_*` functions this module had up to commit
     /// fb5dfe3 rendered them, edited for protocol version 3 (`config` gained
-    /// `events`, which `assign` lost together with `placements`) and
-    /// re-captured for version 4, where the `config` lines alone changed:
-    /// the executor configuration travels in its own derived form.
+    /// `events`, which `assign` lost together with `placements`), re-captured
+    /// for version 4, where the executor configuration began to travel in
+    /// its own derived form, and re-spelled for version 5, where every
+    /// integer is a plain number (the second `config`'s seed is `u64::MAX`).
     const TO_WORKER_LINES: [&str; 5] = [
-        r#"{"config":{"version":4,"epoch":"7","events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":"e0","stage_timing":false}}}"#,
-        r#"{"config":{"version":4,"epoch":"ffffffffffffffff","events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":"f1617e00f1617e","stage_timing":true}}}"#,
-        r#"{"assign":{"cell":9000,"fp":"fffffffffffffffc","policy":"rgp-las:w=512","policy_seed":"f1617e"}}"#,
-        r#"{"barrier":{"epoch":"ffffffffffffffff"}}"#,
+        r#"{"config":{"version":5,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
+        r#"{"config":{"version":5,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
+        r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134}}"#,
+        r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
     ];
 
-    /// The same for worker → coordinator: full-range `u64`s, a `u128`
-    /// ledger total, an escaped string, `1e300`, and a `done` with all five
-    /// event kinds. Version 3 dropped the two notification lines that used
-    /// to precede `done` and the report's `trace` array; the five lines left
-    /// are byte for byte what they were.
+    /// The same for worker → coordinator: full-range `u64`s, the `u128`
+    /// ledger total at `u128::MAX`, an escaped string, `1e300`, and a `done`
+    /// with all five event kinds. Version 3 dropped the two notification
+    /// lines that used to precede `done` and the report's `trace` array;
+    /// version 5 re-spelled the hex integers as plain numbers.
     const TO_COORDINATOR_LINES: [&str; 5] = [
         r#"{"hello":{"worker":3,"pid":4242}}"#,
-        r#"{"config_ack":{"epoch":"5"}}"#,
-        r#"{"barrier_ack":{"epoch":"2"}}"#,
+        r#"{"config_ack":{"epoch":5}}"#,
+        r#"{"barrier_ack":{"epoch":2}}"#,
         r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
-        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":"5555555555555555","remote":"2000000000000000","deferred":"3039","dw":"1affffffffffffffe5","links":[[0,1,"309"],[1,0,"3333333333333333"]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":"80000000000000","policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
+        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":6148914691236517205,"remote":2305843009213693952,"deferred":12345,"dw":340282366920938463463374607431768211455,"links":[[0,1,777],[1,0,3689348814741910323]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968,"policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
     ];
 
     fn parse(line: &str) -> Value {
@@ -569,8 +549,7 @@ mod tests {
     #[test]
     fn the_parents_wire_lines_decode_and_re_encode_byte_for_byte() {
         for line in TO_WORKER_LINES {
-            let message = serde_json::from_value::<ToWorker>(&parse(line))
-                .unwrap_or_else(|e| panic!("{line}: {e}"));
+            let message: ToWorker = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
             // ... and through the simulator a worker builds from it.
             if let ToWorker::Config {
@@ -581,24 +560,23 @@ mod tests {
             } = message
             {
                 let simulator = simulator_for(version, events, config).unwrap();
-                let rebuilt = ToWorker::configure(epoch.0, simulator.config());
+                let rebuilt = ToWorker::configure(epoch, simulator.config());
                 assert_eq!(to_line(&rebuilt), line);
             }
         }
         for line in TO_COORDINATOR_LINES {
-            let message = serde_json::from_value::<ToCoordinator>(&parse(line))
-                .unwrap_or_else(|e| panic!("{line}: {e}"));
+            let message: ToCoordinator = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
             if let ToCoordinator::Done { report, .. } = message {
                 // The labels do not travel; everything else arrives exactly.
                 assert_eq!((report.workload.as_ref(), report.policy), ("", ""));
                 assert_eq!(report.traffic.local_bytes, u64::MAX / 3);
-                assert_eq!(report.traffic.distance_weighted(), (u64::MAX as u128) * 27);
+                assert_eq!(report.traffic.distance_weighted(), u128::MAX);
                 assert_eq!(report.deferred_bytes, 1 << 55);
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 4);
+        assert_eq!(PROTOCOL_VERSION, 5);
     }
 
     /// `-0.0` keeps its sign across the wire: in a `done` report, whose
@@ -630,14 +608,34 @@ mod tests {
         assert_eq!(work.to_bits(), (-0.0f64).to_bits());
     }
 
+    /// The tree of a golden line, for the malformed-input property, which
+    /// mutates trees. A tree's numbers are `f64`s: the rows' integers near
+    /// `u64::MAX` and `u128::MAX` round to 2^64 and 2^128, past their types,
+    /// so the tree holds 2^63 there instead.
+    fn sample(line: &str) -> Value {
+        fn lower(value: &mut Value) {
+            match value {
+                Value::Number(n) if [64, 128].map(|k| 2f64.powi(k)).contains(n) => {
+                    *n = 2f64.powi(63)
+                }
+                Value::Array(items) => items.iter_mut().for_each(lower),
+                Value::Object(entries) => entries.iter_mut().for_each(|(_, v)| lower(v)),
+                _ => {}
+            }
+        }
+        let mut tree = parse(line);
+        lower(&mut tree);
+        tree
+    }
+
     #[test]
     fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
         for line in TO_WORKER_LINES {
-            assert_enum_rejects_malformed(&parse(line), &[], serde_json::from_value::<ToWorker>);
+            assert_enum_rejects_malformed(&sample(line), &[], serde_json::from_value::<ToWorker>);
         }
         for line in TO_COORDINATOR_LINES {
             assert_enum_rejects_malformed(
-                &parse(line),
+                &sample(line),
                 &[],
                 serde_json::from_value::<ToCoordinator>,
             );
@@ -727,13 +725,69 @@ mod tests {
             .ok_or_else(|| format!("{variant}.{name}: must be an array"))
     }
 
+    /// Whether `text` is a plain JSON integer of 16 or more digits. A tree's
+    /// numbers are `f64`s, exact only below 2^53, so such an integer is
+    /// quoted before a line becomes a tree ([`respell`]) and read back from
+    /// its digits.
+    fn long_integer(text: &str) -> bool {
+        text.len() >= 16 && !text.starts_with('0') && text.bytes().all(|b| b.is_ascii_digit())
+    }
+
+    /// `line` with every [`long_integer`] quoted, or (`bare`) unquoted: the
+    /// tree's spelling of a line, or the wire's of a tree written as a line.
+    fn respell(line: &str, bare: bool) -> String {
+        let mut out = String::with_capacity(line.len());
+        let mut rest = line;
+        while let Some(at) = rest.find(|c: char| c == '"' || c == '-' || c.is_ascii_digit()) {
+            out.push_str(&rest[..at]);
+            rest = &rest[at..];
+            let len = match rest.strip_prefix('"') {
+                // A string, through its closing quote.
+                Some(body) => {
+                    let mut escaped = false;
+                    let end = body.find(|c| {
+                        let end = c == '"' && !escaped;
+                        escaped = c == '\\' && !escaped;
+                        end
+                    });
+                    end.map_or(rest.len(), |end| end + 2)
+                }
+                None => rest
+                    .find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'))
+                    .unwrap_or(rest.len()),
+            };
+            let (token, tail) = rest.split_at(len);
+            let digits = token.trim_matches('"');
+            let key = tail.trim_start().starts_with(':');
+            match long_integer(digits) && !key {
+                true if bare => out.push_str(digits),
+                true => out.push_str(&format!("\"{digits}\"")),
+                false => out.push_str(token),
+            }
+            rest = tail;
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// `n` as a row's tree holds it exactly: a number below 2^53, else its
+    /// quoted digits.
+    fn exact(n: u64) -> Value {
+        match n < 1 << 53 {
+            true => num(n as f64),
+            false => s(n.to_string()),
+        }
+    }
+
     fn wire_u64(value: &Value) -> Result<u64, String> {
         match value {
-            Value::String(_) => serde_json::from_value::<Hex64>(value).map(|hex| hex.0),
+            Value::String(digits) if long_integer(digits) => digits
+                .parse()
+                .map_err(|_| format!("{digits} does not fit in a u64")),
             Value::Number(n) if *n >= 0.0 && n.trunc() == *n && *n < (1u64 << 53) as f64 => {
                 Ok(*n as u64)
             }
-            _ => Err("expected an unsigned integer below 2^53 or a hex string".to_string()),
+            _ => Err("must be an unsigned integer".to_string()),
         }
     }
 
@@ -787,6 +841,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, work)| match work {
                     Value::Null | Value::Number(_) => Ok(work.as_f64()),
+                    Value::String(digits) if long_integer(digits) => Ok(digits.parse().ok()),
                     _ => Err(format!("spec.work: [{i}]: must be a number")),
                 })
                 .collect::<Result<_, _>>()?,
@@ -807,8 +862,8 @@ mod tests {
     /// What a worker that parsed every line into a tree first made of
     /// `line`: not JSON, not a spec, or a spec.
     fn reference(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
-        let message: Value =
-            serde_json::from_str(line).map_err(|e| DecodeError::Syntax(e.to_string()))?;
+        let message: Value = serde_json::from_str(&respell(line, false))
+            .map_err(|e| DecodeError::Syntax(e.to_string()))?;
         match untag(&message) {
             Some(("spec", payload)) => decode_spec_reference(payload).map_err(DecodeError::Refused),
             _ => Err(DecodeError::Refused("not a spec envelope".to_string())),
@@ -837,7 +892,7 @@ mod tests {
 
     /// The wire line of a `spec` whose payload is `payload`.
     fn spec_line(payload: &Value) -> String {
-        format!("{{\"spec\":{}}}", to_line(payload))
+        respell(&format!("{{\"spec\":{}}}", to_line(payload)), true)
     }
 
     fn assert_spec_round_trips(spec: &TaskGraphSpec) {
@@ -871,7 +926,7 @@ mod tests {
 
     /// The payload of `spec`'s wire line, for the malformed-input rows.
     fn spec_payload(spec: &TaskGraphSpec) -> Value {
-        let message: Value = serde_json::from_str(&encode_spec(spec)).unwrap();
+        let message: Value = serde_json::from_str(&respell(&encode_spec(spec), false)).unwrap();
         untag(&message).unwrap().1.clone()
     }
 
@@ -950,13 +1005,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["config", "version"],
-                Value::Number(3.0),
-                "config.version 3 is not the supported protocol version 4",
+                Value::Number(4.0),
+                "config.version 4 is not the supported protocol version 5",
             ),
             (
                 vec!["config", "version"],
-                Value::Number(5.0),
-                "config.version 5 is not the supported protocol version 4",
+                Value::Number(6.0),
+                "config.version 6 is not the supported protocol version 5",
             ),
             (
                 vec!["config", "config", "steal"],
@@ -1027,7 +1082,7 @@ mod tests {
         assert_spec_round_trips(&without_ep);
         assert!(encode_spec(&without_ep).contains("\"ep\":null"));
 
-        // Byte counts the f64 behind a JSON number cannot hold travel as hex.
+        // Byte counts an f64 cannot hold travel as plain integers.
         let big = [1u64 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
         let mut graph = graph_over(&[big[1], big[3]]);
         let first = push(&mut graph, "big", 1.0, &[(0, AccessMode::Out, big[0])], &[]);
@@ -1041,10 +1096,9 @@ mod tests {
         let huge = TaskGraphSpec::new("huge", graph);
         assert_spec_round_trips(&huge);
         let line = encode_spec(&huge);
-        assert!(line.contains("\"ffffffffffffffff\""), "{line}");
-        assert!(line.contains("\"20000000000000\""), "{line}");
-        assert!(line.contains("\"20000000000001\""), "{line}");
-        // ... and everything below 2^53 as a plain integer.
+        for n in big {
+            assert!(line.contains(&n.to_string()), "{line}");
+        }
         assert!(encode_spec(&spec).contains("\"regions\":[1048576,4096]"));
 
         // Work units that are not integers, not normal, or not short.
@@ -1167,7 +1221,7 @@ mod tests {
         let spec = sample_spec();
         let good = spec_payload(&spec);
         assert!(decode_both_ways(&spec_line(&good)).is_ok());
-        let hex_max = || serde_json::to_value(&Hex64(u64::MAX));
+        let max = || exact(u64::MAX);
         let mut rows: Vec<(String, Value, String)> = Vec::new();
         fn push(
             rows: &mut Vec<(String, Value, String)>,
@@ -1232,11 +1286,7 @@ mod tests {
         push(
             &mut rows,
             "counts that overflow",
-            with_field(
-                &good,
-                "n_acc",
-                Some(arr(vec![hex_max(), hex_max(), hex_max()])),
-            ),
+            with_field(&good, "n_acc", Some(arr(vec![max(), max(), max()]))),
             "an overflowing total",
         );
         // A count moved between tasks keeps every length right and here
@@ -1305,8 +1355,8 @@ mod tests {
         );
         push(
             &mut rows,
-            "unknown region (hex)",
-            with_entry(&good, "acc", 0, hex_max()),
+            "unknown region u64::MAX",
+            with_entry(&good, "acc", 0, max()),
             "task T0 accesses unknown region R18446744073709551615",
         );
         push(
@@ -1322,13 +1372,13 @@ mod tests {
             "spec.kind[1] is 2, the kinds table has 2 entries",
         );
 
-        // Entries of the wrong type or outside the number-or-hex rule.
+        // Entries of the wrong type or outside `u64`.
         for name in ["kind", "n_acc", "n_dep", "acc", "dep", "regions", "ep"] {
             for bad in [
                 num(-1.0),
                 num(0.5),
-                num((1u64 << 53) as f64),
-                s("not hex"),
+                num(1e20),
+                s("7"),
                 Value::Null,
                 arr(vec![]),
             ] {
@@ -1379,11 +1429,7 @@ mod tests {
         push(
             &mut rows,
             "wrong fingerprint",
-            with_field(
-                &good,
-                "fp",
-                Some(serde_json::to_value(&Hex64(spec.fingerprint() ^ 1))),
-            ),
+            with_field(&good, "fp", Some(exact(spec.fingerprint() ^ 1))),
             "fingerprint mismatch",
         );
         push(
@@ -1461,7 +1507,7 @@ mod tests {
         // a bad repeat is never looked at, a good repeat does not rescue.
         let regions = fields.iter().position(|(key, _)| key == "regions").unwrap();
         let mut repeated = fields.clone();
-        repeated.push(("regions".to_string(), arr(vec![s("not hex")])));
+        repeated.push(("regions".to_string(), arr(vec![s("7")])));
         repeated.push(("fp".to_string(), Value::Null));
         assert_eq!(fp(Value::Object(repeated)), Ok(spec.fingerprint()));
         let mut shadowed = fields.clone();
@@ -1537,7 +1583,7 @@ mod tests {
             "-0",
             "9007199254740992",
             "\"2\"",
-            "\"not hex\"",
+            "\"x\"",
             "null",
             "true",
             "[]",

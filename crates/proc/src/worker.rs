@@ -184,7 +184,7 @@ fn run_worker(
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let outcome = match refused_spec.take_if(|_| !specs.contains_key(&assign.fp.0)) {
+                let outcome = match refused_spec.take_if(|_| !specs.contains_key(&assign.fp)) {
                     Some(complaint) => Err(complaint),
                     None => run_cell(&assign, simulator.as_ref(), &specs),
                 };
@@ -230,13 +230,13 @@ fn run_cell(
 ) -> Result<(ExecutionReport, Vec<TraceEvent>), String> {
     let simulator = simulator.ok_or("assign before any config was shipped")?;
     let spec = specs
-        .get(&assign.fp.0)
-        .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.fp.0))?;
+        .get(&assign.fp)
+        .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.fp))?;
     let kind: PolicyKind = assign
         .policy
         .parse()
         .map_err(|e| format!("bad policy: {e}"))?;
-    let mut policy = make_policy(kind, spec, assign.policy_seed.0).ok_or_else(|| {
+    let mut policy = make_policy(kind, spec, assign.policy_seed).ok_or_else(|| {
         format!(
             "policy {:?} is unavailable for workload {:?} (no expert placement?)",
             assign.policy, spec.name
@@ -254,7 +254,7 @@ mod tests {
     use std::net::TcpListener;
     use std::time::Duration;
 
-    use numadag_numa::{Hex64, Topology};
+    use numadag_numa::Topology;
     use numadag_runtime::framing::{from_line, to_line, write_line};
     use numadag_runtime::ExecutionConfig;
     use numadag_tdg::{TaskSpec, TdgBuilder};
@@ -284,7 +284,7 @@ mod tests {
             self.send(&ToWorker::configure(epoch, config));
             let reply = self.reply();
             assert!(
-                matches!(reply, ToCoordinator::ConfigAck { epoch: Hex64(e) } if e == epoch),
+                matches!(reply, ToCoordinator::ConfigAck { epoch: e } if e == epoch),
                 "{reply:?}"
             );
         }
@@ -338,9 +338,9 @@ mod tests {
         let spec = TaskGraphSpec::new("loopback", builder.finish());
         let assign = Assignment {
             cell: 3,
-            fp: Hex64(spec.fingerprint()),
+            fp: spec.fingerprint(),
             policy: "las".to_string(),
-            policy_seed: Hex64(5),
+            policy_seed: 5,
         };
         (spec, assign)
     }
@@ -361,10 +361,10 @@ mod tests {
         coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
         // One reply, not two: a second `error` would be read here, as it
         // would be by the next cell dispatched on this worker's slot.
-        coordinator.send(&ToWorker::Barrier { epoch: Hex64(9) });
+        coordinator.send(&ToWorker::Barrier { epoch: 9 });
         assert!(matches!(
             coordinator.reply(),
-            ToCoordinator::BarrierAck { epoch: Hex64(9) }
+            ToCoordinator::BarrierAck { epoch: 9 }
         ));
 
         // The slot is usable: the intact spec and the same cell run.
@@ -410,9 +410,9 @@ mod tests {
         // The first cell over the refused spec hears why.
         coordinator.send(&ToWorker::Assign(Assignment {
             cell: 4,
-            fp: Hex64(next.fingerprint()),
+            fp: next.fingerprint(),
             policy: "las".to_string(),
-            policy_seed: Hex64(5),
+            policy_seed: 5,
         }));
         coordinator.expect_error("bad spec: ", "spec.ep has 2 entries for 1 tasks");
 
@@ -450,10 +450,10 @@ mod tests {
         write_line(&mut coordinator.writer, truncating).unwrap();
         coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
         // The refusals of a well-typed config are structured errors too.
-        let next_version = line.replacen("\"version\":4", "\"version\":5", 1);
+        let next_version = line.replacen("\"version\":5", "\"version\":6", 1);
         assert_ne!(next_version, line);
         write_line(&mut coordinator.writer, next_version).unwrap();
-        coordinator.expect_error("bad config: ", "not the supported protocol version 4");
+        coordinator.expect_error("bad config: ", "not the supported protocol version 5");
         write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
         coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 
@@ -510,28 +510,28 @@ mod tests {
     /// `TaskGraph::push_task`'s words, and the next good cell still runs.
     #[test]
     fn a_spec_the_task_graph_refuses_is_answered_in_its_words_and_the_worker_keeps_serving() {
-        const OVERSIZE: &str = r#"{"spec":{"fp":"3c0359f2469e35d0","name":"oversize","kinds":["w"],"kind":[0],"work":[1],"n_acc":[1],"n_dep":[0],"acc":[0,1,128],"dep":[],"regions":[10],"ep":null}}"#;
-        const NEGATIVE: &str = r#"{"spec":{"fp":"e056adc72dfdb15f","name":"negative","kinds":["w"],"kind":[0],"work":[-1000000000],"n_acc":[1],"n_dep":[0],"acc":[0,1,64],"dep":[],"regions":[64],"ep":null}}"#;
+        const OVERSIZE: &str = r#"{"spec":{"fp":4324398964307539408,"name":"oversize","kinds":["w"],"kind":[0],"work":[1],"n_acc":[1],"n_dep":[0],"acc":[0,1,128],"dep":[],"regions":[10],"ep":null}}"#;
+        const NEGATIVE: &str = r#"{"spec":{"fp":16165298983474671967,"name":"negative","kinds":["w"],"kind":[0],"work":[-1000000000],"n_acc":[1],"n_dep":[0],"acc":[0,1,64],"dep":[],"regions":[64],"ep":null}}"#;
         let (mut coordinator, worker) = loopback();
         coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
         for (line, fp, complaint) in [
             (
                 OVERSIZE,
-                0x3c03_59f2_469e_35d0,
+                4_324_398_964_307_539_408,
                 "bad spec: task T0 accesses 128 bytes of region R0 which only has 10",
             ),
             (
                 NEGATIVE,
-                0xe056_adc7_2dfd_b15f,
+                16_165_298_983_474_671_967,
                 "bad spec: task T0 has work -1000000000, which is not a finite non-negative number",
             ),
         ] {
             write_line(&mut coordinator.writer, line.to_string()).unwrap();
             coordinator.send(&ToWorker::Assign(Assignment {
                 cell: 4,
-                fp: Hex64(fp),
+                fp,
                 policy: "las".to_string(),
-                policy_seed: Hex64(5),
+                policy_seed: 5,
             }));
             let ToCoordinator::Error { message } = coordinator.reply() else {
                 panic!("expected an error reply to {line}");

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use numadag_numa::{CostModel, Hex64, Topology};
+use numadag_numa::{CostModel, Topology};
 use numadag_trace::MemorySink;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +32,6 @@ pub struct ExecutionConfig {
     pub steal: StealMode,
     /// Seed forwarded to components that need randomness (none in the
     /// simulator itself — determinism comes from the policies' own seeds).
-    #[serde(with = "Hex64")]
     pub seed: u64,
     /// Whether the simulator accumulates per-stage wall time (policy vs
     /// event loop) into the report. Costs two clock reads per assignment

@@ -261,12 +261,20 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_every_measurement() {
-        let original = report();
+        let mut original = report();
+        // Integers an `f64` would round cross exactly.
+        let above = (1 << 53) + 1;
+        original.seed = above;
+        original.cells[0].deferred_bytes = above;
         for text in [
             original.to_json_string(),
             original.to_json_string_with_timing(),
         ] {
             let reparsed = SweepReport::from_json_str(&text).unwrap();
+            assert_eq!(
+                (reparsed.seed, reparsed.cells[0].deferred_bytes),
+                (above, above)
+            );
             assert_eq!(reparsed.to_json_string(), original.to_json_string());
             assert!(original.diff(&reparsed).is_empty());
         }

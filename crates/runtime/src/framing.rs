@@ -19,20 +19,15 @@
 //! the line is not JSON (the conversation's framing is lost) or is JSON its
 //! type refused (the conversation goes on). No message is built as a tree.
 //!
-//! On top of the line layer it carries the bulk-column integer rule. Values
-//! that must cross the wire bit-exactly but do not survive the `f64`-backed
-//! JSON number representation (u64 fingerprints and seeds above 2^53, u128
-//! counters) travel as lowercase hex strings, declared where the value is
-//! ([`numadag_numa::hex`]). Bulk numeric columns use the number-or-hex form
-//! instead ([`push_wire_u64`]/[`WireU64`]): a plain JSON integer
-//! whenever the value is exactly representable, hex only above 2^53 (the
-//! proc `spec` columns).
+//! Integers cross the line exactly: the codec writes every integer type
+//! in exact decimal and reads a plain integer back into its own type at any
+//! length, so fingerprints, seeds and byte counters travel as plain JSON
+//! numbers.
 
 use std::io::{BufRead, Read, Write};
 
-use numadag_numa::Hex64;
 pub use serde::DecodeError;
-use serde::{Deserialize, Reader, Serialize, Token};
+use serde::{Deserialize, Serialize};
 
 /// Default per-frame size limit: generous enough for a full-scale report or
 /// trace payload embedded in one line, small enough to bound a hostile
@@ -148,67 +143,6 @@ pub fn read_frame_with_limit(
         .map_err(|_| FrameError::InvalidUtf8)
 }
 
-/// JSON numbers are `f64`-backed, so only integers below this travel exactly.
-const EXACT_JSON_INTEGER_LIMIT: u64 = 1 << 53;
-
-/// Appends the compact wire form of a `u64` to a line under construction,
-/// then `separator` (the `,` after a column entry): a JSON integer when it
-/// is exactly representable (below 2^53), the quoted [`Hex64`] string
-/// otherwise. Bulk numeric columns use this instead of always paying for a
-/// string; [`WireU64`] reads either form back.
-pub fn push_wire_u64(out: &mut String, value: u64, separator: char) {
-    if value >= EXACT_JSON_INTEGER_LIMIT {
-        out.push_str(&to_line(&Hex64(value)));
-        out.push(separator);
-        return;
-    }
-    // At most 16 decimal digits, filled from the end in front of the
-    // separator and appended in one push (a `write!` per number would be the
-    // encoder's hottest line).
-    let mut entry = [0u8; 16 + 4];
-    let end = 16 + separator.encode_utf8(&mut entry[16..]).len();
-    let mut at = 16;
-    let mut rest = value;
-    loop {
-        at -= 1;
-        entry[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&entry[at..end]).expect("ASCII digits and a char"));
-}
-
-/// A `u64` as [`push_wire_u64`] writes it, read back in either form: an
-/// integral JSON number below 2^53 or a [`Hex64`] string. The error is the
-/// complaint alone; the value is consumed only when it was a number or a
-/// string.
-pub struct WireU64(pub u64);
-
-impl Deserialize for WireU64 {
-    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, String> {
-        // What the encoder writes below 2^53 is read as an integer, without
-        // the round trip through an `f64`; anything else (a hex string,
-        // another spelling of a number, a refusal) takes the general path.
-        if let Some(value) = reader.integer() {
-            return Ok(WireU64(value));
-        }
-        match reader.peek()? {
-            Token::String => Hex64::deserialize(reader).map(|Hex64(n)| WireU64(n)),
-            Token::Number => match reader.number()? {
-                n if n >= 0.0 && n.trunc() == n && n < EXACT_JSON_INTEGER_LIMIT as f64 => {
-                    Ok(WireU64(n as u64))
-                }
-                _ => Err(NOT_A_WIRE_U64.to_string()),
-            },
-            _ => Err(NOT_A_WIRE_U64.to_string()),
-        }
-    }
-}
-
-const NOT_A_WIRE_U64: &str = "expected an unsigned integer below 2^53 or a hex string";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,69 +238,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn number_or_hex_wire_form_round_trips_and_rejects_inexact_numbers() {
-        let limit = 1u64 << 53;
-        for v in [
-            0u64,
-            7,
-            10,
-            99,
-            4096,
-            0xF1617E,
-            limit - 1,
-            limit,
-            limit + 1,
-            u64::MAX,
-        ] {
-            let mut entry = String::new();
-            push_wire_u64(&mut entry, v, ',');
-            let text = entry.strip_suffix(',').expect("the separator comes last");
-            assert_eq!(text.starts_with('"'), v >= limit, "{v} -> {text}");
-            if v < limit {
-                assert_eq!(text, v.to_string());
-            }
-            assert_eq!(
-                WireU64::deserialize(&mut Reader::new(text)).map(|w| w.0),
-                Ok(v)
-            );
-        }
-        // Spellings the number parser takes for the same integer.
-        for (text, v) in [("1e3", 1000), ("-0", 0), ("12.0", 12), (" 7", 7)] {
-            assert_eq!(
-                WireU64::deserialize(&mut Reader::new(text)).map(|w| w.0),
-                Ok(v),
-                "{text}"
-            );
-        }
-        // A number the f64 cannot hold exactly must have come as hex.
-        for bad in [
-            "9007199254740992",
-            "1e300",
-            "-1",
-            "1.5",
-            "null",
-            "[1]",
-            "\"xyz\"",
-            "1-2",
-            "\"ff",
-            "",
-        ] {
-            assert!(
-                WireU64::deserialize(&mut Reader::new(bad)).is_err(),
-                "{bad}"
-            );
-        }
-    }
-
-    /// A derived struct with a plain, a `default`, a `with` and an
-    /// `Option` field, and a struct variant beside it.
+    /// A derived struct with two plain fields, a `default` and an `Option`
+    /// one, and a struct variant beside it.
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Row {
         n: u64,
         #[serde(default)]
         d: u64,
-        #[serde(with = "Hex64")]
         h: u64,
         o: Option<String>,
     }
@@ -407,16 +285,16 @@ mod tests {
         };
         let good_move = || Decodes(Message::Move { x: 1.5, fast: true });
         let rows = [
-            (row(r#""n":1,"d":2,"h":"ff","o":"x","n":7"#), good_row()),
-            (row(r#""n":1,"d":2,"d":"two","h":"ff","o":"x""#), good_row()),
-            (row(r#""n":1,"d":2,"h":"ff","h":3,"o":"x""#), good_row()),
-            (row(r#""n":1,"d":2,"h":"ff","o":"x","o":null"#), good_row()),
+            (row(r#""n":1,"d":2,"h":255,"o":"x","n":7"#), good_row()),
+            (row(r#""n":1,"d":2,"d":"two","h":255,"o":"x""#), good_row()),
+            (row(r#""n":1,"d":2,"h":255,"h":3,"o":"x""#), good_row()),
+            (row(r#""n":1,"d":2,"h":255,"o":"x","o":null"#), good_row()),
             (
                 r#"{"Move":{"x":1.5,"fast":true,"x":"no"}}"#.to_string(),
                 good_move(),
             ),
             (
-                row(&format!(r#""u":{deep},"n":1,"d":2,"h":"ff","o":"x""#)),
+                row(&format!(r#""u":{deep},"n":1,"d":2,"h":255,"o":"x""#)),
                 good_row(),
             ),
             (
@@ -424,13 +302,13 @@ mod tests {
                 good_move(),
             ),
             (
-                row(r#""n":"1","d":2,"h":"ff","o":"x""#),
+                row(r#""n":"1","d":2,"h":255,"o":"x""#),
                 Refused("Row: Row.n: must be"),
             ),
-            (row(r#""n":"1","d":2,"h":"ff","o":"x"}"#), NotJson),
-            (row(r#""d":"2","n":1,"h":"ff","o":"x","#), NotJson),
+            (row(r#""n":"1","d":2,"h":255,"o":"x"}"#), NotJson),
+            (row(r#""d":"2","n":1,"h":255,"o":"x","#), NotJson),
             (row(r#""h":3,"n":1,"d":2,"o":"x" "y""#), NotJson),
-            (row(r#""o":3,"n":1,"d":2,"h":"ff","u":01"#), NotJson),
+            (row(r#""o":3,"n":1,"d":2,"h":255,"u":01"#), NotJson),
             (r#"{"Move":{"x":"1.5","fast":tru}}"#.to_string(), NotJson),
             (
                 r#"{"Move":{"x":"1.5","fast":true}}"#.to_string(),

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use numadag_numa::{Hex64, TrafficStats};
+use numadag_numa::TrafficStats;
 use serde::{Deserialize, Serialize};
 
 /// The result of executing a workload under one policy.
@@ -35,7 +35,6 @@ pub struct ExecutionReport {
     /// chose (work stealing).
     pub stolen_tasks: usize,
     /// Bytes placed by deferred allocation.
-    #[serde(with = "Hex64")]
     pub deferred_bytes: u64,
     /// Real wall time spent inside the scheduling policy (`prepare` plus all
     /// `assign` batches), ns. Filled by the simulator; the threaded executor

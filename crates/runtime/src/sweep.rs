@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
-use numadag_numa::{Hex64, Topology};
+use numadag_numa::Topology;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{Backend, Experiment};
@@ -42,9 +42,8 @@ pub struct SweepSpec {
     /// (the multi-process backend; the process must have called
     /// `numadag_proc::install()`).
     pub backend: String,
-    /// Seed for all seeded components. Any `u64` is a seed, so it travels
-    /// as a hex string: a JSON number would round seeds above 2^53.
-    #[serde(with = "Hex64")]
+    /// Seed for all seeded components: any `u64`, a plain number on the
+    /// wire.
     pub seed: u64,
     /// Repetitions per cell.
     pub reps: usize,
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn partial_spec_objects_fill_in_defaults() {
-        let value = serde_json::from_str(r#"{"scale": "small", "seed": "9"}"#).unwrap();
+        let value = serde_json::from_str(r#"{"scale": "small", "seed": 9}"#).unwrap();
         let spec = serde_json::from_value::<SweepSpec>(&value).unwrap();
         assert_eq!(spec.scale, "small");
         assert_eq!(spec.seed, 9);
@@ -258,9 +257,9 @@ mod tests {
         assert_eq!(spec.apps, "all");
     }
 
-    /// Seeds JSON numbers would round (2^53 + 1 becomes 2^53, u64::MAX − 5
-    /// becomes u64::MAX) survive the wire; a seed spelled as a number, even
-    /// one that fits, is refused with the field named.
+    /// Seeds an `f64` would round (2^53 + 1 becomes 2^53, u64::MAX − 5
+    /// becomes u64::MAX) survive the wire as plain numbers; a seed spelled
+    /// otherwise, or past `u64`, is refused with the field named.
     #[test]
     fn every_seed_crosses_the_wire_bit_exactly() {
         for seed in [0, DEFAULT_SEED, (1 << 53) + 1, u64::MAX - 5, u64::MAX] {
@@ -269,13 +268,12 @@ mod tests {
                 ..SweepSpec::default()
             };
             let line = serde_json::to_string(&spec).unwrap();
-            assert!(line.contains(&format!(r#""seed":"{seed:x}""#)), "{line}");
-            let value = serde_json::from_str(&line).unwrap();
-            assert_eq!(serde_json::from_value::<SweepSpec>(&value), Ok(spec));
+            assert!(line.contains(&format!(r#""seed":{seed},"#)), "{line}");
+            assert_eq!(serde::decode::<SweepSpec>(&line), Ok(spec));
         }
-        for seed in ["9", "9007199254740993", "1e999", "-1"] {
-            let value = serde_json::from_str(&format!(r#"{{"seed": {seed}}}"#)).unwrap();
-            let error = serde_json::from_value::<SweepSpec>(&value).unwrap_err();
+        for seed in ["\"9\"", "18446744073709551616", "1e999", "-1"] {
+            let line = format!(r#"{{"seed": {seed}}}"#);
+            let error = String::from(serde::decode::<SweepSpec>(&line).unwrap_err());
             assert!(error.contains("SweepSpec.seed"), "{seed}: {error}");
         }
     }

@@ -373,9 +373,10 @@ mod tests {
     use std::sync::Arc;
 
     /// One wire line per request kind, as the parent of the derived
-    /// decoders (commit fb5dfe3) wrote them.
+    /// decoders (commit fb5dfe3) wrote them, the seed re-spelled from hex
+    /// (`"2a"`) to a plain number.
     const REQUEST_LINES: [&str; 5] = [
-        r#"{"SubmitSweep":{"spec":{"apps":"jacobi,nstream","scale":"small","policies":"dfifo,rgp-las:w=512","backend":"simulated","seed":"2a","reps":2},"stream":true}}"#,
+        r#"{"SubmitSweep":{"spec":{"apps":"jacobi,nstream","scale":"small","policies":"dfifo,rgp-las:w=512","backend":"simulated","seed":42,"reps":2},"stream":true}}"#,
         r#"{"Status":{"job":7}}"#,
         r#"{"CancelJob":{"job":2}}"#,
         r#""Stats""#,

@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use numadag_kernels::SpecCache;
-use numadag_numa::{Hex64, Topology};
+use numadag_numa::Topology;
 use numadag_runtime::framing::{from_line, read_frame, to_line};
 use numadag_runtime::{CellOutcome, Executor, SweepPlan, SweepReport};
 use serde::{Deserialize, Serialize};
@@ -722,19 +722,29 @@ impl ServeHandle {
 }
 
 /// The persisted report cache (`--cache-file`): one JSON object,
-/// `{"version": 1, "entries": [{key, executed_cells, total_cells, report}]}`,
+/// `{"version": 2, "entries": [{key, executed_cells, total_cells, report}]}`,
 /// with entries least-recently-used first (so reloading in file order
-/// reproduces the LRU ranking) and keys in the hex wire form fingerprints
-/// use everywhere else (u64 does not survive the f64-backed JSON numbers).
+/// reproduces the LRU ranking) and each key the sweep's fingerprint as a
+/// plain integer. Version 1 spelled the keys in hex; such a file is refused
+/// whole, and the daemon boots with an empty cache.
 #[derive(Serialize, Deserialize)]
 struct CacheFile {
     version: u64,
     entries: Vec<CacheEntry>,
 }
 
+/// The version of [`CacheFile`] this daemon writes and reads.
+const CACHE_FILE_VERSION: u64 = 2;
+
+/// A file's `version`, read before its entries, whose spelling it decides.
+#[derive(Deserialize)]
+struct CacheFileVersion {
+    version: u64,
+}
+
 #[derive(Serialize, Deserialize)]
 struct CacheEntry {
-    key: Hex64,
+    key: u64,
     executed_cells: usize,
     total_cells: usize,
     report: String,
@@ -742,11 +752,11 @@ struct CacheEntry {
 
 fn save_cache_file(path: &str, snapshot: &[(u64, Arc<CachedReport>)]) -> std::io::Result<()> {
     let file = CacheFile {
-        version: 1,
+        version: CACHE_FILE_VERSION,
         entries: snapshot
             .iter()
             .map(|(key, report)| CacheEntry {
-                key: Hex64(*key),
+                key: *key,
                 executed_cells: report.executed_cells,
                 total_cells: report.total_cells,
                 report: report.bytes.clone(),
@@ -770,10 +780,11 @@ fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String>
         return Ok(0);
     }
     let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let file: CacheFile = from_line(&body)?;
-    if file.version != 1 {
-        return Err(format!("unsupported cache file version {}", file.version));
+    let CacheFileVersion { version } = from_line(&body)?;
+    if version != CACHE_FILE_VERSION {
+        return Err(format!("unsupported cache file version {version}"));
     }
+    let file: CacheFile = from_line(&body)?;
     for (i, entry) in file.entries.iter().enumerate() {
         let refuse = |why: String| format!("entries: [{i}]: CacheEntry.report: {why}");
         if entry.report.contains('\r') {
@@ -784,7 +795,7 @@ fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String>
     let loaded = file.entries.len();
     for entry in file.entries {
         let report = CachedReport::new(entry.report, entry.executed_cells, entry.total_cells);
-        cache.insert(entry.key.0, Arc::new(report));
+        cache.insert(entry.key, Arc::new(report));
     }
     Ok(loaded)
 }
@@ -1103,6 +1114,13 @@ mod tests {
     /// last with a hand-written loader) saved it after one NStream sweep.
     const PARENT_CACHE_FILE: &str = r#"{"version":1,"entries":[{"key":"de10a53c7defda1d","executed_cells":2,"total_cells":2,"report":"{\n  \"machine\": \"bullion_s16 (8 sockets x 4 cores)\",\n  \"backend\": \"simulator\",\n  \"baseline\": \"LAS\",\n  \"seed\": 15819134,\n  \"repetitions\": 1,\n  \"cells\": [\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 7020.300000000001,\n      \"speedup_vs_baseline\": 0.7225902026978902,\n      \"local_fraction\": 0.25,\n      \"load_imbalance\": 1.7804238635214433,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    },\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 5072.799999999999,\n      \"speedup_vs_baseline\": 1,\n      \"local_fraction\": 0.5,\n      \"load_imbalance\": 2.4953818028022976,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    }\n  ],\n  \"aggregates\": [\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"geomean_speedup\": 0.7225902026978902,\n      \"applications\": 1\n    },\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"geomean_speedup\": 1,\n      \"applications\": 1\n    }\n  ],\n  \"skipped\": []\n}"}]}"#;
 
+    /// [`PARENT_CACHE_FILE`] in version 2, its key a plain integer.
+    fn cache_file() -> String {
+        PARENT_CACHE_FILE
+            .replacen("\"version\":1", "\"version\":2", 1)
+            .replacen("\"de10a53c7defda1d\"", "16001471155276864029", 1)
+    }
+
     fn scratch_file(name: &str, body: &str) -> String {
         let dir = std::env::temp_dir().join(format!("numadag-cache-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1111,14 +1129,21 @@ mod tests {
         path
     }
 
+    /// The parent's version-1 file is refused whole; its version-2 spelling
+    /// loads and saves back byte for byte.
     #[test]
     fn the_parents_cache_file_loads_and_saves_back_byte_for_byte() {
         let path = scratch_file("parent.json", PARENT_CACHE_FILE);
         let mut cache = ReportCache::new(4);
+        let err = load_cache_file(&path, &mut cache).unwrap_err();
+        assert_eq!(err, "unsupported cache file version 1");
+        assert!(cache.is_empty());
+        let file = cache_file();
+        std::fs::write(&path, &file).unwrap();
         assert_eq!(load_cache_file(&path, &mut cache), Ok(1));
         let entry = cache
             .peek(0xde10a53c7defda1d)
-            .expect("keyed by the hex fingerprint");
+            .expect("keyed by the fingerprint");
         assert_eq!((entry.executed_cells, entry.total_cells), (2, 2));
         assert!(entry.bytes.starts_with("{\n  \"machine\": \"bullion_s16"));
         // A hit on it writes two lines that decode to its two responses.
@@ -1145,11 +1170,11 @@ mod tests {
         );
         assert!(reply.ends_with('\n'));
         save_cache_file(&path, &cache.snapshot()).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), PARENT_CACHE_FILE);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), file);
         let _ = std::fs::remove_file(&path);
         // Every field of the file and of an entry: missing or mistyped is an
         // error that names it.
-        let sample = serde_json::from_str(PARENT_CACHE_FILE).unwrap();
+        let sample = serde_json::from_str(&file).unwrap();
         serde::testing::assert_struct_rejects_malformed(
             &sample,
             &[],
@@ -1159,10 +1184,11 @@ mod tests {
 
     #[test]
     fn a_cache_file_with_one_bad_entry_loads_nothing() {
-        // A second entry whose key is not hex: the file is refused whole,
-        // and the good entry before it must not already be in the cache.
-        let second = r#",{"key":"not hex","executed_cells":1,"total_cells":1,"report":"{}"}]}"#;
-        let body = PARENT_CACHE_FILE.replacen("]}", second, 1);
+        // A second entry whose key is not an integer: the file is refused
+        // whole, and the good entry before it must not already be in the
+        // cache.
+        let second = r#",{"key":"1f","executed_cells":1,"total_cells":1,"report":"{}"}]}"#;
+        let body = cache_file().replacen("]}", second, 1);
         assert!(body.ends_with(second));
         let path = scratch_file("bad-entry.json", &body);
         let mut cache = ReportCache::new(4);
@@ -1173,10 +1199,10 @@ mod tests {
         // So is a version this daemon does not know, however well-formed.
         let path = scratch_file(
             "next-version.json",
-            &PARENT_CACHE_FILE.replacen("\"version\":1", "\"version\":2", 1),
+            &cache_file().replacen("\"version\":2", "\"version\":3", 1),
         );
         let err = load_cache_file(&path, &mut cache).unwrap_err();
-        assert!(err.contains("unsupported cache file version 2"), "{err}");
+        assert!(err.contains("unsupported cache file version 3"), "{err}");
         assert!(cache.is_empty());
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));
@@ -1188,7 +1214,8 @@ mod tests {
     #[test]
     fn a_cache_file_entry_the_wire_cannot_carry_loads_nothing() {
         let tag = r#""report":"#;
-        let head = &PARENT_CACHE_FILE[..PARENT_CACHE_FILE.find(tag).unwrap() + tag.len()];
+        let file = cache_file();
+        let head = &file[..file.find(tag).unwrap() + tag.len()];
         let with_report = |report: &str| format!("{head}{report}}}]}}");
         let rows = [
             (with_report(r#""garbage\r""#), "holds a raw CR"),
@@ -1197,12 +1224,12 @@ mod tests {
             // The parent's report with one CR as whitespace: still a
             // `SweepReport` document, still refused.
             (
-                PARENT_CACHE_FILE.replacen(r#""report":"{\n"#, r#""report":"{\r\n"#, 1),
+                file.replacen(r#""report":"{\n"#, r#""report":"{\r\n"#, 1),
                 "holds a raw CR",
             ),
         ];
         for (i, (body, says)) in rows.iter().enumerate() {
-            assert_ne!(body, PARENT_CACHE_FILE);
+            assert_ne!(body, &file);
             let path = scratch_file(&format!("unwireable-{i}.json"), body);
             let mut cache = ReportCache::new(4);
             let err = load_cache_file(&path, &mut cache).unwrap_err();

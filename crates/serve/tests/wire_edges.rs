@@ -1,5 +1,5 @@
-//! The wire at its edges, over real sockets: a seed JSON numbers would
-//! round still names its own sweep, and a `Report` line the decoder refuses
+//! The wire at its edges, over real sockets: a seed an `f64` would round
+//! still names its own sweep, and a `Report` line the decoder refuses
 //! reaches the client as a protocol error that names the problem.
 
 use std::io::{BufRead, BufReader, Write};
@@ -33,15 +33,19 @@ fn in_process(spec: &SweepSpec) -> String {
 
 #[test]
 fn a_seed_above_2_pow_53_runs_its_own_sweep_through_the_daemon() {
-    // 2^53 + 1 is what a JSON number rounds to 2^53: the two sweeps differ.
-    let seed = (1u64 << 53) + 1;
-    let direct = in_process(&spec_at(seed));
-    assert_ne!(direct, in_process(&spec_at(seed - 1)));
-
+    // An `f64` rounds 2^53 + 1 to 2^53: the two sweeps differ, and each
+    // report served in one session spells its own seed.
     let handle = serve(ServeConfig::default()).unwrap();
     let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
-    let served = client.submit(spec_at(seed), false, |_| ()).unwrap();
-    assert_eq!(served.report_json, direct);
+    let mut reports = Vec::new();
+    for seed in [1u64 << 53, (1 << 53) + 1] {
+        let served = client.submit(spec_at(seed), false, |_| ()).unwrap();
+        assert_eq!(served.report_json, in_process(&spec_at(seed)));
+        let spelled = format!("\n  \"seed\": {seed},\n");
+        assert!(served.report_json.contains(&spelled), "{seed}");
+        reports.push(served.report_json);
+    }
+    assert_ne!(reports[0], reports[1]);
     client.shutdown().unwrap();
     handle.join();
 }

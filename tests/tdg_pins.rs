@@ -12,6 +12,8 @@
 //!
 //! A change that is *meant* to move them regenerates the table: the failure
 //! message prints it in paste-able form. Also run in release mode by CI.
+//! The spec lines are hashed with their fingerprint in the spelling of the
+//! capture (hex from 2^53 on; a plain integer since protocol version 5).
 
 use numadag::graph::CsrGraph;
 use numadag::kernels::{Application, ProblemScale};
@@ -64,13 +66,27 @@ fn csr_hash(wg: &WindowGraph) -> u64 {
     h.0
 }
 
+/// `line` with its fingerprint, which must be `fp`, spelled as the lines
+/// were when the pins were captured: a quoted hex string from 2^53 on.
+fn captured_spelling(line: &str, fp: u64) -> String {
+    let head = "{\"spec\":{\"fp\":";
+    let (digits, rest) = line[head.len()..].split_once(',').unwrap();
+    assert_eq!(digits.parse(), Ok(fp), "{}", &line[..80]);
+    match fp < 1 << 53 {
+        true => line.to_string(),
+        false => format!("{head}\"{fp:x}\",{rest}"),
+    }
+}
+
 #[test]
 fn spec_lines_are_the_parents() {
     let mut actual = Vec::new();
     for scale in [ProblemScale::Tiny, ProblemScale::Small, ProblemScale::Full] {
         for app in Application::all() {
+            let spec = app.build(scale, SOCKETS);
+            let line = captured_spelling(&encode_spec(&spec), spec.fingerprint());
             let mut h = Fnv1a::default();
-            h.write_bytes(encode_spec(&app.build(scale, SOCKETS)).as_bytes());
+            h.write_bytes(line.as_bytes());
             actual.push((format!("{scale:?}/{}", app.label()), h.0));
         }
     }

@@ -34,8 +34,8 @@ impl ProcExecutor {
         }
     }
 
-    /// An executor bound to an explicit pool (tests use this to inject
-    /// fault-configured pools).
+    /// An executor bound to an explicit pool (one launched on threads, or
+    /// behind a relay, in tests).
     pub fn with_pool(config: ExecutionConfig, pool: Arc<WorkerPool>) -> Self {
         let workers = pool.num_slots();
         ProcExecutor {
@@ -69,7 +69,7 @@ impl ProcExecutor {
 
     /// The fallible twin of [`Executor::execute_cell`]: runs the cell on the
     /// pool and returns structured [`ProcError`]s instead of panicking.
-    pub fn try_execute_cell(
+    pub(crate) fn try_execute_cell(
         &self,
         spec: &TaskGraphSpec,
         policy: &mut dyn SchedulingPolicy,

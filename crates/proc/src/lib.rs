@@ -7,7 +7,11 @@
 //! executable once per worker with a `--proc-worker` flag, and the
 //! processes speak newline-delimited JSON over local TCP sockets — the same
 //! framing the `numadag-serve` daemon uses, hoisted into
-//! [`numadag_runtime::framing`].
+//! [`numadag_runtime::framing`]. Workers are started through one seam,
+//! [`WorkerPool::launch`]: a launcher gets the rendezvous address and a
+//! slot and returns a [`WorkerHandle`]; [`WorkerPool::spawn`] is that seam
+//! with the re-exec launcher, and a test can run [`run_worker`] on threads
+//! instead, or put a relay that breaks lines between the two ends.
 //!
 //! Messages cover the whole lifecycle: `config`/`config_ack` (execution
 //! config sync, fingerprint-keyed; the config says whether cells are traced,
@@ -49,8 +53,10 @@ pub mod protocol;
 pub mod worker;
 
 pub use executor::ProcExecutor;
-pub use pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerPool};
-pub use worker::{run_worker_from_env, CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
+pub use pool::{
+    shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerHandle, WorkerPool,
+};
+pub use worker::{run_worker, run_worker_from_env, CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// Registers [`ProcExecutor`] as the factory behind
 /// `numadag_runtime::Backend::Proc`. Idempotent (first registration wins).

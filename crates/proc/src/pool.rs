@@ -1,19 +1,23 @@
-//! Coordinator side: the worker-process pool.
+//! Coordinator side: the worker pool.
 //!
-//! [`WorkerPool::spawn`] re-execs the current executable once per worker
-//! (passing the rendezvous socket through the environment), collects each
-//! worker's `hello`, and runs a startup barrier, so every later dispatch
-//! starts from a known-good collective state; a spawn that fails on the way
-//! reaps every worker it launched. Barriers follow the oneCCL shape — a
-//! non-blocking state machine with an explicit `CollectiveBarrier::start`
-//! and repeated `CollectiveBarrier::update` polls — so a dead worker
-//! surfaces as a lost worker instead of a hang.
+//! [`WorkerPool::launch`] binds a rendezvous socket and hands its address
+//! and a slot id to a launcher once per worker; whatever the launcher
+//! starts connects back and says `hello`, and the launcher returns a
+//! [`WorkerHandle`] the pool ends it through (kill, has-exited, wait). The
+//! pool then runs a startup barrier, so every later dispatch starts from a
+//! known-good collective state; a launch that fails on the way reaps every
+//! worker already launched. [`WorkerPool::spawn`] is `launch` with the
+//! production launcher: re-exec the current executable as a worker process
+//! (passing the rendezvous socket through the environment). Barriers follow
+//! the oneCCL shape — a non-blocking state machine with an explicit
+//! `CollectiveBarrier::start` and repeated `CollectiveBarrier::update` polls
+//! — so a dead worker surfaces as a lost worker instead of a hang.
 //!
 //! What the coordinator knows about its workers (alive, cells booked, specs
 //! held), its cell and barrier numbering and its counters are one
 //! `PoolState` behind one lock. Only its transitions change it: `book`,
 //! `book_spec` and `ahead`, `answered`, `refused` and `lost`, `barrier`;
-//! each is one step with no I/O and no panic. Sockets, spawning and reaping
+//! each is one step with no I/O and no panic. Sockets, launching and reaping
 //! are the shell's: one `Conn` per worker behind its own lock. Holding the
 //! state, the shell may `try_lock` a `Conn` but never waits for one, so
 //! choosing a worker never waits for a conversation; only the holder of a
@@ -49,7 +53,7 @@
 
 use std::collections::HashSet;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
@@ -80,8 +84,6 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
     workers: usize,
-    worker_args: Vec<String>,
-    worker_env: Vec<(String, String)>,
 }
 
 impl PoolConfig {
@@ -90,30 +92,40 @@ impl PoolConfig {
     pub fn new(workers: usize) -> Self {
         PoolConfig {
             workers: workers.max(1),
-            worker_args: vec![WORKER_FLAG.to_string()],
-            worker_env: Vec::new(),
         }
     }
+}
 
-    /// Replaces the arguments passed to the re-exec'd executable; test
-    /// binaries re-enter through a libtest filter instead.
-    pub fn with_worker_args(mut self, args: Vec<String>) -> Self {
-        self.worker_args = args;
-        self
+/// A launched worker, as the pool ends it: everything else goes over its
+/// socket.
+pub trait WorkerHandle: Send {
+    /// Ends the worker now.
+    fn kill(&mut self);
+    /// Whether the worker has exited (a process: and been reaped).
+    fn has_exited(&mut self) -> bool;
+    /// Waits for the worker to exit.
+    fn wait(&mut self);
+}
+
+impl WorkerHandle for Child {
+    fn kill(&mut self) {
+        let _ = Child::kill(self);
     }
 
-    /// Adds one environment variable to every worker (fault injection in
-    /// tests).
-    pub fn with_env(mut self, key: &str, value: &str) -> Self {
-        self.worker_env.push((key.to_string(), value.to_string()));
-        self
+    /// A child that cannot be waited for has nothing left to reap.
+    fn has_exited(&mut self) -> bool {
+        !matches!(self.try_wait(), Ok(None))
+    }
+
+    fn wait(&mut self) {
+        let _ = Child::wait(self);
     }
 }
 
 /// Failures of the multi-process backend.
 #[derive(Debug)]
 pub enum ProcError {
-    /// The pool could not be brought up (exec, bind, or startup barrier).
+    /// The pool could not be brought up (launch, bind, or startup barrier).
     Spawn(String),
     /// A worker reported a structured, deterministic failure — retrying on
     /// another worker would fail identically.
@@ -151,7 +163,7 @@ impl std::error::Error for ProcError {}
 /// `figure1` bin prints.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker processes launched over the pool's lifetime.
+    /// Workers launched over the pool's lifetime.
     pub workers_spawned: u64,
     /// Workers currently alive.
     pub workers_alive: u64,
@@ -391,9 +403,9 @@ impl WireConfig {
     }
 }
 
-/// One worker's process and connection: the shell's half of the pool.
+/// One worker's handle and connection: the shell's half of the pool.
 struct Conn {
-    child: Child,
+    child: Box<dyn WorkerHandle>,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     /// Fingerprint of the config this worker last acknowledged.
@@ -417,43 +429,64 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Waits for `child` to exit until `deadline`, then kills it and waits: the
-/// one way a worker process ends on this side, so none is left a zombie.
-/// An already reaped child returns at once.
-fn reap(child: &mut Child, deadline: Instant) {
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_micros(100)),
-            _ => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return;
-            }
+/// one way a worker ends on this side, so none is left a zombie. An already
+/// reaped child returns at once.
+fn reap(child: &mut dyn WorkerHandle, deadline: Instant) {
+    while !child.has_exited() {
+        if Instant::now() >= deadline {
+            child.kill();
+            child.wait();
+            return;
         }
+        std::thread::sleep(Duration::from_micros(100));
     }
 }
 
-/// A pool of worker processes executing sweep cells over newline-JSON IPC.
+/// A pool of workers executing sweep cells over newline-JSON IPC.
 pub struct WorkerPool {
     state: Mutex<PoolState>,
     conns: Vec<Mutex<Conn>>,
 }
 
 impl WorkerPool {
-    /// Launches the workers and runs the startup barrier.
+    /// Launches `config`'s workers as processes re-exec'ing the current
+    /// executable and runs the startup barrier.
     pub fn spawn(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
-        let mut children = Vec::with_capacity(config.workers);
-        let streams = match rendezvous(&config, &mut children) {
+        let exe = std::env::current_exe()
+            .map_err(|e| ProcError::Spawn(format!("cannot locate own executable: {e}")))?;
+        WorkerPool::launch(config.workers, |addr, id| {
+            Command::new(&exe)
+                .arg(WORKER_FLAG)
+                .env(CONNECT_ENV, addr.to_string())
+                .env(WORKER_ENV, id.to_string())
+                .stdin(Stdio::null())
+                // None of a worker's stdout is protocol (IPC is TCP).
+                .stdout(Stdio::null())
+                .spawn()
+        })
+    }
+
+    /// Launches `workers` workers through `launcher` and runs the startup
+    /// barrier. `launcher(addr, slot)` starts a worker that connects to
+    /// `addr` and says `hello` as `slot`, and returns its handle.
+    pub fn launch<H: WorkerHandle + 'static>(
+        workers: usize,
+        launcher: impl FnMut(SocketAddr, usize) -> std::io::Result<H>,
+    ) -> Result<Arc<WorkerPool>, ProcError> {
+        let mut children = Vec::with_capacity(workers);
+        let streams = match rendezvous(workers, launcher, &mut children) {
             Ok(streams) => streams,
             Err(message) => {
                 let now = Instant::now();
-                children.iter_mut().for_each(|child| reap(child, now));
+                for child in &mut children {
+                    reap(child.as_mut(), now);
+                }
                 return Err(ProcError::Spawn(message));
             }
         };
         let conns = children.into_iter().zip(streams);
         let pool = Arc::new(WorkerPool {
-            state: Mutex::new(PoolState::new(config.workers)),
+            state: Mutex::new(PoolState::new(workers)),
             conns: conns
                 .map(|(child, (reader, writer))| {
                     Mutex::new(Conn {
@@ -478,12 +511,12 @@ impl WorkerPool {
     }
 
     /// Number of worker slots (dead or alive).
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.conns.len()
     }
 
     /// Number of workers still alive.
-    pub fn alive_workers(&self) -> u64 {
+    pub(crate) fn alive_workers(&self) -> u64 {
         self.stats().workers_alive
     }
 
@@ -499,7 +532,7 @@ impl WorkerPool {
     /// Reaps the worker at `at`, whose `Conn` the caller holds, and books it
     /// lost (with the cell booked on it, when `booked`).
     fn lose(&self, at: usize, conn: &mut Conn, booked: bool) {
-        reap(&mut conn.child, Instant::now());
+        reap(conn.child.as_mut(), Instant::now());
         self.state().lost(at, booked);
     }
 
@@ -664,35 +697,22 @@ impl WorkerPool {
     }
 }
 
-/// Binds a rendezvous socket, launches `config.workers` workers into
-/// `children`, and collects each one's `hello`: every worker's reader and
-/// writer, in worker order. On an error the caller reaps `children`.
-fn rendezvous(
-    config: &PoolConfig,
-    children: &mut Vec<Child>,
+/// Binds a rendezvous socket, launches `workers` workers into `children`,
+/// and collects each one's `hello`: every worker's reader and writer, in
+/// worker order. On an error the caller reaps `children`.
+fn rendezvous<H: WorkerHandle + 'static>(
+    workers: usize,
+    mut launcher: impl FnMut(SocketAddr, usize) -> std::io::Result<H>,
+    children: &mut Vec<Box<dyn WorkerHandle>>,
 ) -> Result<Vec<(BufReader<TcpStream>, TcpStream)>, String> {
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| format!("cannot bind rendezvous socket: {e}"))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("cannot read rendezvous address: {e}"))?;
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
-    for id in 0..config.workers {
-        let mut cmd = Command::new(&exe);
-        cmd.args(&config.worker_args)
-            .env(CONNECT_ENV, addr.to_string())
-            .env(WORKER_ENV, id.to_string())
-            .stdin(Stdio::null())
-            // Workers of a test binary re-enter through libtest, which
-            // chats on stdout; none of it is protocol (IPC is TCP).
-            .stdout(Stdio::null());
-        for (key, value) in &config.worker_env {
-            cmd.env(key, value);
-        }
-        let child = cmd
-            .spawn()
-            .map_err(|e| format!("cannot spawn worker {id}: {e}"))?;
-        children.push(child);
+    for id in 0..workers {
+        let child = launcher(addr, id).map_err(|e| format!("cannot spawn worker {id}: {e}"))?;
+        children.push(Box::new(child));
     }
 
     // Accept until every worker said hello. Non-blocking accept so a worker
@@ -703,13 +723,12 @@ fn rendezvous(
         .map_err(|e| format!("cannot configure rendezvous socket: {e}"))?;
     let deadline = Instant::now() + SPAWN_TIMEOUT;
     let mut streams: Vec<Option<(BufReader<TcpStream>, TcpStream)>> =
-        (0..config.workers).map(|_| None).collect();
-    for connected in 0..config.workers {
+        (0..workers).map(|_| None).collect();
+    for connected in 0..workers {
         let stream = loop {
             if Instant::now() > deadline {
                 return Err(format!(
-                    "only {connected}/{} workers connected within {SPAWN_TIMEOUT:?}",
-                    config.workers
+                    "only {connected}/{workers} workers connected within {SPAWN_TIMEOUT:?}"
                 ));
             }
             match listener.accept() {
@@ -785,7 +804,7 @@ impl Drop for WorkerPool {
             }
             // The socket closes a moment before the process becomes
             // reapable; workers that ignore the dismissal are killed.
-            reap(&mut conn.child, deadline);
+            reap(conn.child.as_mut(), deadline);
         }
     }
 }

@@ -34,9 +34,9 @@
 //! workload (1.3 MB for the eight paper applications at Full scale, shipped
 //! to every worker), in a columnar layout: one flat array per field instead
 //! of one object per task. [`encode_spec`] writes it by hand from the
-//! graph's own columns; [`decode_spec`] reads it with a derived decoder and
+//! graph's own columns; `decode_spec` reads it with a derived decoder and
 //! validates it before it constructs anything. A worker peeks the envelope
-//! key ([`is_spec_line`]) and decodes everything else as a [`ToWorker`].
+//! key (`is_spec_line`) and decodes everything else as a [`ToWorker`].
 
 use std::sync::Arc;
 
@@ -51,7 +51,7 @@ use serde::{Deserialize, Reader, Serialize, Token};
 pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
-/// [`encode_spec`] / [`decode_spec`]). Externally tagged with lowercase
+/// [`encode_spec`] / `decode_spec`). Externally tagged with lowercase
 /// tags: `{"assign": {...}}`, `"shutdown"`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -388,7 +388,7 @@ fn check_runs(name: &str, run: &[u64], width: usize, counts: &[u64]) -> Result<(
 
 /// True when `line` opens as the `spec` envelope does (`{"spec":`): the
 /// one message a worker hands to [`decode_spec`] instead of [`ToWorker`].
-pub fn is_spec_line(line: &str) -> bool {
+pub(crate) fn is_spec_line(line: &str) -> bool {
     matches!(Reader::new(line).begin_object(), Ok(Some(key)) if key == "spec")
 }
 
@@ -402,7 +402,7 @@ pub fn is_spec_line(line: &str) -> bool {
 /// Whether the tasks make a runnable graph is [`TaskGraph::push_task`]'s
 /// call, in its words. Last, the rebuilt spec's fingerprint must match the
 /// advertised one. A malformed line is an `Err`, never a worker panic.
-pub fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
+pub(crate) fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
     let SpecLine(columns) = from_line(line)?;
     build_spec(columns).map_err(DecodeError::Refused)
 }

@@ -1,14 +1,16 @@
-//! Worker-process side of the proc backend.
+//! Worker side of the proc backend.
 //!
-//! A worker is the same executable as the coordinator, re-entered through
-//! [`crate::maybe_run_worker`]: the pool self-execs `current_exe()` with a
-//! `--proc-worker` argument and passes the coordinator's socket address via
-//! the environment. The worker connects back, introduces itself with
-//! `hello`, and then serves a simple request loop — `config`, `spec`,
-//! `assign`, `barrier`, `shutdown` — until the coordinator closes the
-//! conversation. All randomness comes from the seeds in the messages, so a
-//! cell executed here is byte-identical to the same cell executed by an
-//! in-process [`Simulator`].
+//! [`run_worker`] serves one coordinator over one connected socket: it
+//! introduces itself with `hello`, then serves a simple request loop —
+//! `config`, `spec`, `assign`, `barrier`, `shutdown` — until the coordinator
+//! closes the conversation. A worker process is the same executable as the
+//! coordinator, re-entered through [`crate::maybe_run_worker`]: the pool
+//! self-execs `current_exe()` with a `--proc-worker` argument and passes the
+//! coordinator's socket address via the environment, which
+//! [`run_worker_from_env`] reads; a worker on a thread is `run_worker` over
+//! a socket its launcher connected. All randomness comes from the seeds in
+//! the messages, so a cell executed here is byte-identical to the same cell
+//! executed by an in-process [`Simulator`].
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -32,72 +34,39 @@ pub const WORKER_ENV: &str = "NUMADAG_PROC_WORKER";
 /// The argv flag the pool appends to re-enter the executable as a worker.
 pub const WORKER_FLAG: &str = "--proc-worker";
 
-/// Fault injection (tests only): exit the process hard on assignment
-/// `N + 1`, before any reply, simulating a mid-cell crash.
-pub const CRASH_AFTER_ENV: &str = "NUMADAG_PROC_CRASH_AFTER";
-/// Fault injection (tests only): restrict [`CRASH_AFTER_ENV`] /
-/// [`GARBAGE_AFTER_ENV`] to the worker with this id.
-pub const CRASH_WORKER_ENV: &str = "NUMADAG_PROC_CRASH_WORKER";
-/// Fault injection (tests only): on assignment `N + 1`, write a line that is
-/// not valid JSON instead of the `done` reply.
-pub const GARBAGE_AFTER_ENV: &str = "NUMADAG_PROC_GARBAGE_AFTER";
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-struct FaultPlan {
-    crash_after: Option<u64>,
-    garbage_after: Option<u64>,
-}
-
-impl FaultPlan {
-    fn from_env(worker: u64) -> FaultPlan {
-        let applies = match env_u64(CRASH_WORKER_ENV) {
-            Some(target) => target == worker,
-            None => true,
-        };
-        FaultPlan {
-            crash_after: env_u64(CRASH_AFTER_ENV).filter(|_| applies),
-            garbage_after: env_u64(GARBAGE_AFTER_ENV).filter(|_| applies),
-        }
-    }
-}
-
-/// Runs the worker loop, connecting to the address in [`CONNECT_ENV`].
-/// Returns when the coordinator sends `shutdown` or closes the socket;
-/// errors are connection-level failures (protocol-level problems are
-/// reported back to the coordinator as `error` messages instead).
+/// Runs the worker loop, connecting to the address in [`CONNECT_ENV`] as
+/// the worker numbered in [`WORKER_ENV`] (see [`run_worker`]).
 pub fn run_worker_from_env() -> Result<(), String> {
     let addr = std::env::var(CONNECT_ENV)
         .map_err(|_| format!("{CONNECT_ENV} is not set: not launched by a worker pool"))?;
-    let worker =
-        env_u64(WORKER_ENV).ok_or_else(|| format!("{WORKER_ENV} is not set or not a number"))?;
+    let worker = std::env::var(WORKER_ENV)
+        .ok()
+        .and_then(|id| id.parse().ok())
+        .ok_or_else(|| format!("{WORKER_ENV} is not set or not a number"))?;
     let stream = TcpStream::connect(&addr)
         .map_err(|e| format!("worker {worker}: cannot connect to coordinator {addr}: {e}"))?;
+    run_worker(stream, worker)
+}
+
+/// Serves the coordinator on `stream` as worker `worker`. Returns when the
+/// coordinator sends `shutdown` or closes the socket; errors are
+/// connection-level failures (protocol-level problems are reported back to
+/// the coordinator as `error` messages instead).
+pub fn run_worker(stream: TcpStream, worker: u64) -> Result<(), String> {
     stream
         .set_nodelay(true)
         .map_err(|e| format!("worker {worker}: set_nodelay failed: {e}"))?;
     let writer = stream
         .try_clone()
         .map_err(|e| format!("worker {worker}: cannot clone socket: {e}"))?;
-    run_worker(
-        worker,
-        BufReader::new(stream),
-        writer,
-        FaultPlan::from_env(worker),
-    )
-    .map_err(|e| format!("worker {worker}: {e}"))
+    serve(worker, BufReader::new(stream), writer).map_err(|e| format!("worker {worker}: {e}"))
 }
 
-fn run_worker(
+fn serve(
     worker: u64,
     mut reader: BufReader<TcpStream>,
     mut writer: TcpStream,
-    faults: FaultPlan,
 ) -> Result<(), String> {
-    use std::io::Write as _;
-
     let send = |writer: &mut TcpStream, message: &ToCoordinator| -> Result<(), String> {
         write_frame(writer, message).map_err(|e| format!("write to coordinator failed: {e}"))
     };
@@ -128,7 +97,6 @@ fn run_worker(
     // hold — the one the refused spec was shipped for, now or ahead. Cells
     // over specs it holds run as usual in between.
     let mut refused_spec: Option<String> = None;
-    let mut assigns_seen: u64 = 0;
 
     loop {
         let line = match read_frame(&mut reader) {
@@ -179,11 +147,6 @@ fn run_worker(
                 Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
             },
             ToWorker::Assign(assign) => {
-                assigns_seen += 1;
-                if matches!(faults.crash_after, Some(n) if assigns_seen > n) {
-                    // Simulated crash: die without a word, mid-cell.
-                    std::process::exit(3);
-                }
                 let outcome = match refused_spec.take_if(|_| !specs.contains_key(&assign.fp)) {
                     Some(complaint) => Err(complaint),
                     None => run_cell(&assign, simulator.as_ref(), &specs),
@@ -195,14 +158,6 @@ fn run_worker(
                         continue;
                     }
                 };
-                if matches!(faults.garbage_after, Some(n) if assigns_seen > n) {
-                    // Simulated corruption: an unparseable line where the
-                    // replies should be.
-                    writer
-                        .write_all(b"{this is not json\n")
-                        .map_err(|e| format!("write to coordinator failed: {e}"))?;
-                    continue;
-                }
                 let done = ToCoordinator::Done {
                     cell: assign.cell,
                     report,
@@ -300,20 +255,13 @@ mod tests {
 
     type Worker = std::thread::JoinHandle<Result<(), String>>;
 
-    /// A `run_worker` thread (worker 7) and the coordinator's end of its
-    /// socket, past the `hello`.
+    /// A `run_worker` thread (worker 7), started the way a thread launcher
+    /// starts one, and the coordinator's end of its socket, past the
+    /// `hello`.
     fn loopback() -> (Coordinator, Worker) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let worker = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let writer = stream.try_clone().unwrap();
-            let faults = FaultPlan {
-                crash_after: None,
-                garbage_after: None,
-            };
-            run_worker(7, BufReader::new(stream), writer, faults)
-        });
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let worker = std::thread::spawn(move || run_worker(stream, 7));
         let (stream, _) = listener.accept().unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))

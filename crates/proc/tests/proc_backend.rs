@@ -1,41 +1,36 @@
-//! End-to-end tests of the multi-process backend: real worker processes,
-//! real sockets, fault injection.
-//!
-//! The worker processes are this very test binary, re-entered through the
-//! [`proc_worker_entry`] test (the pool passes `proc_worker_entry --exact`
-//! as the worker argv). IPC runs over TCP, so libtest's stdout chatter in
-//! the children is harmless.
+//! End-to-end tests of the proc backend's pool: real sockets and the real
+//! worker loop, on threads of this test binary (`relay::threads`), with
+//! faults injected by the relay between the pool and its workers. Worker
+//! processes are covered by the root `tests/proc_session.rs` and by
+//! `spawn_failure.rs`.
+
+mod relay;
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use numadag_core::{make_policy, PolicyKind};
 use numadag_numa::{CostModel, DistanceMatrix, Topology};
-use numadag_proc::worker::{CRASH_AFTER_ENV, CRASH_WORKER_ENV, GARBAGE_AFTER_ENV};
-use numadag_proc::{PoolConfig, ProcError, ProcExecutor, WireConfig, WorkerPool, CONNECT_ENV};
+use numadag_proc::{ProcError, ProcExecutor, WireConfig, WorkerPool};
 use numadag_runtime::{
     CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator, StealMode,
 };
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 use numadag_trace::MemorySink;
+use relay::{threads, Action, Dir, Relay};
 
-/// Worker re-entry point: when the pool launches this binary with the
-/// rendezvous environment set, this "test" becomes the worker loop. Run
-/// normally (no environment), it is an instant no-op pass.
-#[test]
-fn proc_worker_entry() {
-    if std::env::var(CONNECT_ENV).is_ok() {
-        numadag_proc::run_worker_from_env().expect("worker loop failed");
-    }
+fn test_pool(workers: usize) -> Arc<WorkerPool> {
+    WorkerPool::launch(workers, threads).expect("worker pool launches")
 }
 
-fn test_pool(workers: usize, env: &[(&str, &str)]) -> Arc<WorkerPool> {
-    let mut config = PoolConfig::new(workers)
-        .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-    for (key, value) in env {
-        config = config.with_env(key, value);
-    }
-    WorkerPool::spawn(config).expect("worker pool spawns")
+/// A pool of thread workers behind `relay`.
+fn relayed_pool(workers: usize, relay: Relay) -> Arc<WorkerPool> {
+    WorkerPool::launch(workers, relay.around(threads)).expect("worker pool launches")
 }
+
+/// What a lost worker may cost in wall time: far below `CELL_TIMEOUT`
+/// (120 s), which a worker lost without a word would take.
+const PROMPT: Duration = Duration::from_secs(10);
 
 fn sample_spec() -> TaskGraphSpec {
     named_spec("proc-e2e")
@@ -89,7 +84,7 @@ fn assert_reports_identical(got: &ExecutionReport, want: &ExecutionReport) {
 
 #[test]
 fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::bullion_s16());
     let wire = WireConfig::new(config.clone());
@@ -126,7 +121,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
 /// taken at all.
 #[test]
 fn every_config_knob_reaches_the_workers() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     let spec = sample_spec();
     let base = || ExecutionConfig::new(Topology::four_socket(2));
     let far = Topology::new(
@@ -184,7 +179,7 @@ fn every_config_knob_reaches_the_workers() {
 
 #[test]
 fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     let specs = [
         named_spec("first"),
         named_spec("second"),
@@ -216,7 +211,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
 
 #[test]
 fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     // Two specs, so that data-affine dispatch keeps both workers in play.
     let specs = [named_spec("first"), named_spec("second")];
     let kind: PolicyKind = "rgp+las".parse().unwrap();
@@ -252,7 +247,7 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
 
 #[test]
 fn executor_trait_ships_cells_and_forwards_events() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     let spec = sample_spec();
     let kind: PolicyKind = "las".parse().unwrap();
     let seed = 21;
@@ -281,8 +276,9 @@ fn executor_trait_ships_cells_and_forwards_events() {
 
 #[test]
 fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
-    // Worker 0 dies hard on its second assignment, mid-cell.
-    let pool = test_pool(2, &[(CRASH_AFTER_ENV, "1"), (CRASH_WORKER_ENV, "0")]);
+    // Worker 0's link dies under its second assignment, mid-cell.
+    let crash = Relay::new().on(0, Dir::ToWorker, "assign", 2, Action::Die);
+    let pool = relayed_pool(2, crash);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
@@ -308,7 +304,8 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
 fn a_spec_written_ahead_to_a_worker_that_dies_is_shipped_to_the_survivor() {
     // Worker 1 holds nothing but the spec written ahead to it, and dies on
     // the first cell over that spec.
-    let pool = test_pool(2, &[(CRASH_AFTER_ENV, "0"), (CRASH_WORKER_ENV, "1")]);
+    let crash = Relay::new().on(1, Dir::ToWorker, "assign", 1, Action::Die);
+    let pool = relayed_pool(2, crash);
     let specs = [
         named_spec("first"),
         named_spec("second"),
@@ -346,29 +343,32 @@ fn a_spec_written_ahead_to_a_worker_that_dies_is_shipped_to_the_survivor() {
 
 #[test]
 fn garbage_frames_kill_the_worker_not_the_coordinator() {
-    // Worker 0 answers its second assignment with a line that is not JSON.
-    let pool = test_pool(2, &[(GARBAGE_AFTER_ENV, "1"), (CRASH_WORKER_ENV, "0")]);
-    let spec = sample_spec();
-    let config = ExecutionConfig::new(Topology::two_socket(2));
-    let wire = WireConfig::new(config.clone());
-    let kind: PolicyKind = "dfifo".parse().unwrap();
-    let want = local_report(&spec, kind, 6, &config);
-    for _ in 0..6 {
-        let (got, _) = pool
-            .run_cell(&spec, None, "dfifo", kind.base_label(), 6, &wire)
-            .expect("cells survive the corruption via redispatch");
-        assert_reports_identical(&got, &want);
+    // Worker 0's link corrupts one `done`: its second arrives as a line
+    // that is not JSON; its first stops halfway and the link closes; its
+    // first arrives twice, and the copy is read as the reply to the next
+    // `assign`, about another cell.
+    for (nth, corruption) in [
+        (2, Action::Garbage),
+        (1, Action::Truncate),
+        (1, Action::Duplicate),
+    ] {
+        let relay = Relay::new().on(0, Dir::ToCoordinator, "done", nth, corruption);
+        let pool = relayed_pool(2, relay);
+        let took = run_cells(&pool, "dfifo", 6, 6);
+        assert!(took < PROMPT, "{corruption:?}: {took:?}");
+        let stats = pool.stats();
+        let row = format!("{corruption:?} on done {nth}");
+        assert_eq!(stats.workers_alive, 1, "{row}: the worker was killed");
+        assert_eq!(stats.redispatches, 1, "{row}");
+        assert_eq!(stats.spec_transfers, 2, "{row}: the survivor got the spec");
     }
-    let stats = pool.stats();
-    assert_eq!(stats.workers_alive, 1, "the corrupting worker was killed");
-    assert_eq!(stats.redispatches, 1);
-    assert_eq!(stats.spec_transfers, 2, "the survivor was shipped the spec");
 }
 
 #[test]
 fn losing_every_worker_is_a_structured_error_not_a_hang() {
-    // The only worker crashes on its first assignment.
-    let pool = test_pool(1, &[(CRASH_AFTER_ENV, "0")]);
+    // The only worker dies on its first assignment.
+    let crash = Relay::new().on(0, Dir::ToWorker, "assign", 1, Action::Die);
+    let pool = relayed_pool(1, crash);
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
@@ -384,7 +384,7 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
 
 #[test]
 fn a_worker_side_failure_propagates_as_a_deterministic_error() {
-    let pool = test_pool(2, &[]);
+    let pool = test_pool(2);
     // EP needs an expert placement; this spec has none, so the worker
     // answers with a structured `error` — which must NOT be retried (it
     // would fail identically everywhere).
@@ -420,7 +420,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
 
 #[test]
 fn config_changes_resync_by_fingerprint() {
-    let pool = test_pool(1, &[]);
+    let pool = test_pool(1);
     let spec = sample_spec();
     let kind: PolicyKind = "las".parse().unwrap();
     let first = ExecutionConfig::new(Topology::two_socket(2));
@@ -437,5 +437,74 @@ fn config_changes_resync_by_fingerprint() {
     // re-broadcast it; the spec shipped only once.
     let stats = pool.stats();
     assert_eq!(stats.config_broadcasts, 3);
+    assert_eq!(stats.spec_transfers, 1);
+}
+
+/// Runs `cells` serial cells of `label` and `seed` over [`sample_spec`],
+/// each report held to the in-process one; returns the wall time they took.
+fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duration {
+    let spec = sample_spec();
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
+    let kind: PolicyKind = label.parse().unwrap();
+    let want = local_report(&spec, kind, seed, &config);
+    let started = Instant::now();
+    for _ in 0..cells {
+        let (got, _) = pool
+            .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
+            .expect("the cell completes");
+        assert_reports_identical(&got, &want);
+    }
+    started.elapsed()
+}
+
+#[test]
+fn a_spec_written_ahead_to_a_worker_that_dies_mid_line_loses_only_that_worker() {
+    // Worker 1 is written "second" ahead while worker 0 runs the first
+    // cell, and its link dies halfway through that line.
+    let cut = Relay::new().on(1, Dir::ToWorker, "spec", 1, Action::Truncate);
+    let pool = relayed_pool(2, cut);
+    let specs = [named_spec("first"), named_spec("second")];
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let wire = WireConfig::new(config.clone());
+    let started = Instant::now();
+    for (at, spec) in specs.iter().enumerate() {
+        for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
+            let kind: PolicyKind = label.parse().unwrap();
+            let want = local_report(spec, kind, seed, &config);
+            let (got, _) = pool
+                .run_cell(
+                    spec,
+                    specs.get(at + 1),
+                    label,
+                    kind.base_label(),
+                    seed,
+                    &wire,
+                )
+                .expect("the cell completes");
+            assert_reports_identical(&got, &want);
+        }
+    }
+    let took = started.elapsed();
+    assert!(took < PROMPT, "{took:?}");
+    let stats = pool.stats();
+    assert_eq!(stats.workers_alive, 1, "the cut worker is gone");
+    // The first cell over "second" went to worker 1, the book's holder of
+    // it, and found it lost: that cell, and the spec, moved to worker 0.
+    assert_eq!(stats.redispatches, 1);
+    assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
+    assert_eq!((stats.spec_transfers, stats.spec_prefetches), (3, 1));
+}
+
+#[test]
+fn a_done_delayed_200_ms_is_waited_for_not_redispatched() {
+    let pause = Duration::from_millis(200);
+    let slow = Relay::new().on(0, Dir::ToCoordinator, "done", 1, Action::Delay(pause));
+    let pool = relayed_pool(2, slow);
+    let took = run_cells(&pool, "las", 5, 2);
+    assert!(pause <= took && took < PROMPT, "{took:?}");
+    let stats = pool.stats();
+    assert_eq!(stats.workers_alive, 2, "a slow worker is not a lost one");
+    assert_eq!(stats.redispatches, 0);
     assert_eq!(stats.spec_transfers, 1);
 }

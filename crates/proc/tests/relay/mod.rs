@@ -1,0 +1,279 @@
+//! Test support for the proc backend: the two launchers a test pool is
+//! built from, and a relay that breaks the conversation between a pool and
+//! its workers. `crates/proc/tests/*.rs` declare it as `mod relay;`; the
+//! root `tests/*.rs` that need it include it by `#[path]`.
+//!
+//! - [`processes`] re-execs the test binary through its
+//!   `proc_worker_entry` test: a worker process, as `WorkerPool::spawn`
+//!   starts one.
+//! - [`threads`] runs `run_worker` on a thread over loopback TCP.
+//! - A [`Relay`] wraps either launcher. Each worker connects to a socket of
+//!   the relay's own, which forwards every line between it and the pool and
+//!   applies its rules, keyed by worker, direction, message kind and count:
+//!   "worker 1 dies on its fourth `assign`" is
+//!   `Relay::new().on(1, Dir::ToWorker, "assign", 4, Action::Die)`.
+
+// Each test binary uses its own part of this file.
+#![allow(dead_code)]
+
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use numadag_proc::{run_worker, WorkerHandle, CONNECT_ENV, WORKER_ENV};
+
+/// Launches worker `slot` as a process: this test binary, re-entered
+/// through its `proc_worker_entry` test.
+pub fn processes(addr: SocketAddr, slot: usize) -> io::Result<Child> {
+    Command::new(std::env::current_exe()?)
+        .args(["proc_worker_entry", "--exact"])
+        .env(CONNECT_ENV, addr.to_string())
+        .env(WORKER_ENV, slot.to_string())
+        .stdin(Stdio::null())
+        // libtest chats on stdout; none of it is protocol (IPC is TCP).
+        .stdout(Stdio::null())
+        .spawn()
+}
+
+/// Launches worker `slot` on a thread of this process, over loopback TCP.
+pub fn threads(addr: SocketAddr, slot: usize) -> io::Result<ThreadWorker> {
+    let stream = TcpStream::connect(addr)?;
+    let (socket, end) = (stream.try_clone()?, stream.try_clone()?);
+    let thread = std::thread::spawn(move || {
+        let left = run_worker(stream, slot as u64);
+        // The handle's clone keeps the socket open: close it, as a worker
+        // process's exit would.
+        let _ = end.shutdown(Shutdown::Both);
+        left
+    });
+    Ok(ThreadWorker {
+        socket,
+        thread: Some(thread),
+    })
+}
+
+/// A worker on a thread: killed by shutting its socket down, waited for by
+/// joining the thread.
+pub struct ThreadWorker {
+    socket: TcpStream,
+    thread: Option<JoinHandle<Result<(), String>>>,
+}
+
+impl WorkerHandle for ThreadWorker {
+    fn kill(&mut self) {
+        let _ = self.socket.shutdown(Shutdown::Both);
+    }
+
+    fn has_exited(&mut self) -> bool {
+        self.thread.as_ref().is_none_or(JoinHandle::is_finished)
+    }
+
+    fn wait(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Which way a line travels through the relay.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dir {
+    ToWorker,
+    ToCoordinator,
+}
+
+/// What the relay does with the line a rule matches.
+#[derive(Clone, Copy, Debug)]
+pub enum Action {
+    /// Closes both ends instead of forwarding it.
+    Die,
+    /// Forwards a line that is not JSON instead.
+    Garbage,
+    /// Forwards its first half, without the newline, then dies.
+    Truncate,
+    /// Forwards it twice.
+    Duplicate,
+    /// Forwards it this much later.
+    Delay(Duration),
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Rule {
+    slot: usize,
+    dir: Dir,
+    kind: &'static str,
+    nth: u64,
+    action: Action,
+}
+
+/// A launcher wrapper that puts itself between the pool and each worker
+/// (see the module doc).
+#[derive(Default)]
+pub struct Relay {
+    rules: Vec<Rule>,
+}
+
+impl Relay {
+    /// A relay that forwards every line unchanged.
+    pub fn new() -> Relay {
+        Relay::default()
+    }
+
+    /// Applies `action` to the `nth` line (counting from 1) of message kind
+    /// `kind` (`"assign"`, `"spec"`, `"done"`, ...) travelling `dir` on
+    /// worker `slot`'s connection.
+    pub fn on(
+        mut self,
+        slot: usize,
+        dir: Dir,
+        kind: &'static str,
+        nth: u64,
+        action: Action,
+    ) -> Relay {
+        self.rules.push(Rule {
+            slot,
+            dir,
+            kind,
+            nth,
+            action,
+        });
+        self
+    }
+
+    /// A launcher: `launch` starts each worker against a socket of the
+    /// relay's, which the relay then joins to the pool's `addr`.
+    pub fn around<H: WorkerHandle + 'static>(
+        self,
+        mut launch: impl FnMut(SocketAddr, usize) -> io::Result<H>,
+    ) -> impl FnMut(SocketAddr, usize) -> io::Result<Relayed> {
+        move |addr, slot| {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let mut inner = launch(listener.local_addr()?, slot)?;
+            let ends = accept(&listener).and_then(|worker| {
+                let coordinator = TcpStream::connect(addr)?;
+                coordinator.set_nodelay(true)?;
+                Ok((worker, coordinator))
+            });
+            let (worker, coordinator) = match ends {
+                Ok(ends) => ends,
+                Err(e) => {
+                    inner.kill();
+                    inner.wait();
+                    return Err(e);
+                }
+            };
+            for (from, to, dir) in [
+                (&worker, &coordinator, Dir::ToCoordinator),
+                (&coordinator, &worker, Dir::ToWorker),
+            ] {
+                let rules = self
+                    .rules
+                    .iter()
+                    .filter(|rule| (rule.slot, rule.dir) == (slot, dir));
+                let rules: Vec<Rule> = rules.copied().collect();
+                let (from, to) = (from.try_clone()?, to.try_clone()?);
+                std::thread::spawn(move || pump(from, to, &rules));
+            }
+            Ok(Relayed {
+                inner: Box::new(inner),
+                ends: [worker, coordinator],
+            })
+        }
+    }
+}
+
+/// The worker's connection to the relay, within the time a pool gives its
+/// workers to connect.
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    listener.set_nonblocking(true)?;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_micros(250))
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// A relayed worker: killing it closes both of the relay's ends, then kills
+/// the worker behind them.
+pub struct Relayed {
+    inner: Box<dyn WorkerHandle>,
+    ends: [TcpStream; 2],
+}
+
+impl WorkerHandle for Relayed {
+    fn kill(&mut self) {
+        for end in &self.ends {
+            let _ = end.shutdown(Shutdown::Both);
+        }
+        self.inner.kill();
+    }
+
+    fn has_exited(&mut self) -> bool {
+        self.inner.has_exited()
+    }
+
+    fn wait(&mut self) {
+        self.inner.wait();
+    }
+}
+
+/// Forwards lines from `from` to `to`, applying `rules` (this worker's, in
+/// this direction). When either end closes or a rule kills the link, closes
+/// both, so the other direction's pump ends too.
+fn pump(from: TcpStream, mut to: TcpStream, rules: &[Rule]) {
+    let mut reader = BufReader::new(&from);
+    let mut seen: HashMap<String, u64> = HashMap::new();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if !matches!(reader.read_until(b'\n', &mut line), Ok(n) if n > 0) {
+            break;
+        }
+        let kind = kind_of(&line);
+        let nth = seen.entry(kind.clone()).or_default();
+        *nth += 1;
+        let rule = rules
+            .iter()
+            .find(|rule| rule.kind == kind && rule.nth == *nth);
+        let forwarded = match rule.map(|rule| rule.action) {
+            None => to.write_all(&line),
+            Some(Action::Die) => break,
+            Some(Action::Garbage) => to.write_all(b"{this is not json\n"),
+            Some(Action::Truncate) => {
+                let _ = to.write_all(&line[..line.len() / 2]);
+                break;
+            }
+            Some(Action::Duplicate) => to.write_all(&line).and_then(|()| to.write_all(&line)),
+            Some(Action::Delay(pause)) => {
+                std::thread::sleep(pause);
+                to.write_all(&line)
+            }
+        };
+        if forwarded.is_err() {
+            break;
+        }
+    }
+    let _ = from.shutdown(Shutdown::Both);
+    let _ = to.shutdown(Shutdown::Both);
+}
+
+/// The message kind of a wire line: its envelope's tag (`assign`, `spec`,
+/// `done`, ...), or the bare string a unit message is (`shutdown`).
+fn kind_of(line: &[u8]) -> String {
+    let text = String::from_utf8_lossy(line);
+    let tag = text.trim_start().trim_start_matches('{').trim_start();
+    let tag = tag.strip_prefix('"').and_then(|tag| tag.split('"').next());
+    tag.unwrap_or_default().to_string()
+}

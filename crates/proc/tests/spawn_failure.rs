@@ -1,5 +1,5 @@
 //! A pool that fails to come up leaves no child process behind: every
-//! worker it launched is killed and reaped before `WorkerPool::spawn`
+//! worker it launched is killed and reaped before `WorkerPool::launch`
 //! returns its error.
 //!
 //! Its own test binary, because it counts the children of the test process
@@ -9,7 +9,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use numadag_proc::{PoolConfig, ProcError, WorkerPool, CONNECT_ENV, WORKER_ENV};
+mod relay;
+
+use numadag_proc::{ProcError, WorkerPool, CONNECT_ENV, WORKER_ENV};
 
 /// Worker re-entry point. Worker 1 connects and greets with a line that is
 /// not a `hello`, then waits for the coordinator to hang up; every other
@@ -59,9 +61,7 @@ fn a_spawn_that_fails_on_a_bad_hello_reaps_every_worker() {
         Vec::<u32>::new(),
         "no children before the spawn"
     );
-    let config = PoolConfig::new(2)
-        .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-    match WorkerPool::spawn(config) {
+    match WorkerPool::launch(2, relay::processes) {
         Err(ProcError::Spawn(message)) => assert!(message.contains("hello"), "{message}"),
         Err(e) => panic!("expected a spawn failure, got {e}"),
         Ok(_) => panic!("a pool whose worker 1 never says hello came up"),

@@ -861,16 +861,27 @@ fn begin_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.addr);
 }
 
+/// Hands every accepted connection to a handler. After `close` it drains
+/// the backlog without blocking and returns: a client that connected before
+/// the listener went away is answered (a submission with "server is
+/// shutting down"), never reset.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.state().closed() {
+        match stream {
+            // Blocking, also when accepted off the draining listener.
+            Ok(stream) if stream.set_nonblocking(false).is_ok() => {
+                let shared = Arc::clone(&shared);
+                // Handlers are detached: they exit when their client
+                // disconnects or after answering the terminal response of a
+                // dead daemon.
+                std::thread::spawn(move || handle_connection(stream, shared));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            _ => {}
+        }
+        if shared.state().closed() && listener.set_nonblocking(true).is_err() {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(&shared);
-        // Handlers are detached: they exit when their client disconnects or
-        // after answering the terminal response of a dead daemon.
-        std::thread::spawn(move || handle_connection(stream, shared));
     }
 }
 

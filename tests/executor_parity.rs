@@ -4,10 +4,12 @@
 //! bookkeeping. Driven entirely through `dyn Executor` trait objects, as
 //! the harnesses use them.
 
+#[path = "../crates/proc/tests/relay/mod.rs"]
+mod relay;
+
 use std::sync::{Arc, OnceLock};
 
 use numadag::prelude::*;
-use numadag::proc::CONNECT_ENV;
 use numadag::runtime::CellContext;
 
 fn backends(config: ExecutionConfig) -> Vec<Box<dyn Executor>> {
@@ -17,27 +19,12 @@ fn backends(config: ExecutionConfig) -> Vec<Box<dyn Executor>> {
     ]
 }
 
-/// Worker re-entry point for the proc-backend tests: the pool re-execs this
-/// test binary with `proc_worker_entry --exact` as the argv, turning this
-/// "test" into the worker loop. Without the rendezvous environment it is an
-/// instant pass.
-#[test]
-fn proc_worker_entry() {
-    if std::env::var(CONNECT_ENV).is_ok() {
-        numadag::proc::run_worker_from_env().expect("worker loop failed");
-    }
-}
-
-/// One worker pool shared by every proc test in this binary, and a
-/// `Backend::Proc` factory bound to it (the default factory's
-/// `--proc-worker` argv does not survive libtest's argument parsing).
+/// One worker pool shared by every proc test in this binary, its two
+/// workers on threads, and a `Backend::Proc` factory bound to it.
 fn install_test_proc_backend() -> Arc<WorkerPool> {
     static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| {
-        let config = PoolConfig::new(2)
-            .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-        WorkerPool::spawn(config).expect("worker pool spawns")
-    });
+    let pool =
+        POOL.get_or_init(|| WorkerPool::launch(2, relay::threads).expect("worker pool launches"));
     let factory_pool = pool.clone();
     numadag::runtime::register_proc_backend(Box::new(move |config, _workers| {
         Box::new(ProcExecutor::with_pool(config, factory_pool.clone()))

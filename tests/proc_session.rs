@@ -1,20 +1,24 @@
 //! The behaviour envelope's proc rows (`tests/envelope.rs` holds the others).
-//! Each row spawns a 2-worker pool, runs `figure1 --backend proc` through the
-//! library path on it, holds the report to the committed baseline bytes and
-//! compares every `PoolStats` field with what that session must leave
-//! behind. A rewrite of the coordinator that keeps its behaviour keeps every
-//! row.
+//! Each row launches a 2-worker pool, runs `figure1 --backend proc` through
+//! the library path on it, holds the report to the committed baseline bytes
+//! and compares every `PoolStats` field with what that session must leave
+//! behind. Each row runs twice: on worker processes (this test binary,
+//! re-exec'd) and on worker threads. A rewrite of the coordinator that keeps
+//! its behaviour keeps every row.
 
+#[path = "../crates/proc/tests/relay/mod.rs"]
+mod relay;
 mod rows;
 
 use std::sync::{Arc, Mutex, Once, PoisonError};
 
 use numadag::prelude::*;
 use numadag::proc::CONNECT_ENV;
+use relay::{processes, threads, Action, Dir, Relay};
 use rows::{assert_reproduces, figure1, FULL_ARGS};
 
-/// Worker re-entry point: each row's pool re-execs this test binary with
-/// `proc_worker_entry --exact` as the argv. Without the rendezvous
+/// Worker re-entry point: the process launcher re-execs this test binary
+/// with `proc_worker_entry --exact` as the argv. Without the rendezvous
 /// environment it is an instant pass.
 #[test]
 fn proc_worker_entry() {
@@ -28,10 +32,29 @@ fn proc_worker_entry() {
 static ROW_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
 static ROW: Mutex<()> = Mutex::new(());
 
-/// Runs `sweep` on a fresh 2-worker pool whose workers get `env`, as
-/// `figure1 --backend proc` does, and returns what `sweep` returned and the
-/// pool's counters after it.
-fn on_proc_pool<T>(env: &[(&str, &str)], sweep: impl FnOnce() -> T) -> (T, PoolStats) {
+/// Where a row's workers run.
+#[derive(Clone, Copy, Debug)]
+enum Workers {
+    Processes,
+    Threads,
+}
+
+/// Launches a 2-worker pool on `workers`; if `lost`, worker 1's link dies
+/// on its fourth `assign`, as a worker exiting after its third cell would.
+fn launch(workers: Workers, lost: bool) -> Arc<WorkerPool> {
+    let crash = || Relay::new().on(1, Dir::ToWorker, "assign", 4, Action::Die);
+    let pool = match (workers, lost) {
+        (Workers::Processes, false) => WorkerPool::launch(2, processes),
+        (Workers::Threads, false) => WorkerPool::launch(2, threads),
+        (Workers::Processes, true) => WorkerPool::launch(2, crash().around(processes)),
+        (Workers::Threads, true) => WorkerPool::launch(2, crash().around(threads)),
+    };
+    pool.expect("worker pool launches")
+}
+
+/// Runs `sweep` on `pool`, as `figure1 --backend proc` does, and returns
+/// what `sweep` returned and the pool's counters after it.
+fn on_proc_pool<T>(pool: Arc<WorkerPool>, sweep: impl FnOnce() -> T) -> (T, PoolStats) {
     static FACTORY: Once = Once::new();
     FACTORY.call_once(|| {
         numadag::runtime::register_proc_backend(Box::new(|config, _workers| {
@@ -42,12 +65,6 @@ fn on_proc_pool<T>(env: &[(&str, &str)], sweep: impl FnOnce() -> T) -> (T, PoolS
     });
     let _row = ROW.lock().unwrap_or_else(PoisonError::into_inner);
 
-    let mut config = PoolConfig::new(2)
-        .with_worker_args(vec!["proc_worker_entry".to_string(), "--exact".to_string()]);
-    for (key, value) in env {
-        config = config.with_env(key, value);
-    }
-    let pool = WorkerPool::spawn(config).expect("worker pool spawns");
     *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&pool));
     let out = sweep();
     *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = None;
@@ -67,30 +84,29 @@ const SHIPS_EACH_SPEC_ONCE: PoolStats = PoolStats {
     barriers: 1,
 };
 
-/// Runs the proc row `figure1 <args> --backend proc --jobs <jobs>`, with
-/// worker 1 exiting after its third cell if `lost`, and holds it to the
-/// baseline and `counters`. Two cells in flight may each carry a spec the
-/// other worker is shipped too: at `--jobs 2`, `spec_transfers` lands in
-/// 8..=16 and how many went ahead is the race's.
-fn proc_row(args: &str, jobs: usize, lost: bool, mut counters: PoolStats) {
+/// Runs the proc row `figure1 <args> --backend proc --jobs <jobs>` on
+/// worker processes and then on worker threads, with worker 1 lost after
+/// its third cell if `lost`, and holds each run to the baseline and
+/// `counters`. Two cells in flight may each carry a spec the other worker
+/// is shipped too: at `--jobs 2`, `spec_transfers` lands in 8..=16 and how
+/// many went ahead is the race's.
+fn proc_row(args: &str, jobs: usize, lost: bool, counters: PoolStats) {
     let args = format!("{args} --backend proc --jobs {jobs}");
-    let row = format!("figure1 {args}, worker 1 lost: {lost}");
-    let crash = [
-        ("NUMADAG_PROC_CRASH_AFTER", "3"),
-        ("NUMADAG_PROC_CRASH_WORKER", "1"),
-    ];
-    let env = if lost { &crash[..] } else { &[] };
-    let ((report, baseline), stats) = on_proc_pool(env, || {
-        let (_, report, baseline) = figure1(&args, None);
-        (report.to_json_string(), baseline)
-    });
-    assert_reproduces(&row, &report, &baseline);
-    if jobs > 1 {
-        assert!((8..=16).contains(&stats.spec_transfers), "{row}: {stats}");
-        (counters.spec_transfers, counters.spec_prefetches) =
-            (stats.spec_transfers, stats.spec_prefetches);
+    for workers in [Workers::Processes, Workers::Threads] {
+        let row = format!("figure1 {args}, worker 1 lost: {lost}, on {workers:?}");
+        let ((report, baseline), stats) = on_proc_pool(launch(workers, lost), || {
+            let (_, report, baseline) = figure1(&args, None);
+            (report.to_json_string(), baseline)
+        });
+        assert_reproduces(&row, &report, &baseline);
+        let mut counters = counters;
+        if jobs > 1 {
+            assert!((8..=16).contains(&stats.spec_transfers), "{row}: {stats}");
+            (counters.spec_transfers, counters.spec_prefetches) =
+                (stats.spec_transfers, stats.spec_prefetches);
+        }
+        assert_eq!(stats, counters, "{row}");
     }
-    assert_eq!(stats, counters, "{row}");
 }
 
 /// Tiny runs one policy column fewer than Full.
@@ -142,7 +158,8 @@ fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
         traces
     };
     let in_process = traced("--scale tiny --jobs 2");
-    let (through_proc, stats) = on_proc_pool(&[], || traced("--scale tiny --backend proc"));
+    let pool = launch(Workers::Processes, false);
+    let (through_proc, stats) = on_proc_pool(pool, || traced("--scale tiny --backend proc"));
     assert_eq!(stats.config_broadcasts, 2, "traced proc tiny");
     assert_eq!(in_process.len(), 32);
     assert!(in_process == through_proc, "proc traces differ");

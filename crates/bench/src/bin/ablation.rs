@@ -21,7 +21,7 @@
 //! (`rgp-las:scheme=ml|rb|bfs` registry labels) — every ablation therefore
 //! lands in the same `SweepReport` shape. The partitioner study additionally
 //! prints the raw window-cut comparison underlying the speedups. `--jobs N`
-//! shards every study's cells across N worker threads (0 = one per core);
+//! runs every study on N lanes, each pulling whole workloads (0 = one per core);
 //! the studies share one `SpecCache`, so each workload spec is built once
 //! across all of them.
 //!

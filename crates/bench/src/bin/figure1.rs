@@ -27,9 +27,9 @@
 //! refinement passes (`rgp-las:passes=4`), in any combination — partitioner
 //! ablations run through the same sweep as everything else.
 //!
-//! `--jobs N` shards the sweep's cells across N worker threads (0 = one per
-//! core); on the simulator backend the report is bit-identical for every
-//! value. Per-cell progress goes to stderr, keeping stdout tables and the
+//! `--jobs N` runs the sweep on N lanes, each pulling whole workloads (0 =
+//! one per core; `--backend proc` runs at least one per live worker); on the
+//! simulator backend the report is bit-identical for every value. Per-cell progress goes to stderr, keeping stdout tables and the
 //! JSON exports clean. `--json` writes the byte-stable measurement report
 //! (the `BENCH_*.json` baseline format); `--json-timing` additionally
 //! includes the wall-time/spec-build accounting, which varies run to run.

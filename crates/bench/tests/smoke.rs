@@ -203,6 +203,36 @@ fn sharded_sweep_writes_identical_json_and_reports_progress() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `figure1 --backend proc` re-execs itself as its workers: the pool's
+/// report is the committed Tiny baseline, and its counters line shows both
+/// workers alive and no cell redispatched.
+#[test]
+fn figure1_on_the_proc_backend_writes_the_tiny_baseline() {
+    let dir = std::env::temp_dir().join(format!("numadag_proc_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("proc.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_figure1"))
+        .args(["--scale", "tiny", "--backend", "proc", "--json"])
+        .arg(&json_path)
+        .output()
+        .expect("figure1 must spawn");
+    assert!(
+        out.status.success(),
+        "figure1 exited with {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let baseline = include_str!("../../../BENCH_figure1_tiny.json");
+    let json = std::fs::read_to_string(&json_path).expect("--json must write the file");
+    assert!(json == baseline, "the proc report moved the Tiny baseline");
+    // The pool's counters are the `## Proc backend pool` line of stdout.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for counters in ["workers_spawned=2 workers_alive=2", "redispatches=0"] {
+        assert!(stdout.contains(counters), "missing {counters}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn json_timing_export_carries_wall_time_accounting() {
     let dir = std::env::temp_dir().join(format!("numadag_timing_smoke_{}", std::process::id()));

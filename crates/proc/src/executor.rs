@@ -77,7 +77,7 @@ impl ProcExecutor {
     ) -> Result<ExecutionReport, ProcError> {
         let (report, events) = self.pool()?.run_cell(
             spec,
-            ctx.next_spec,
+            ctx.lane,
             ctx.policy_label,
             policy.name(),
             ctx.seed,
@@ -105,6 +105,13 @@ impl Executor for ProcExecutor {
     /// workers use — identical results, no IPC.
     fn execute(&self, spec: &TaskGraphSpec, policy: &mut dyn SchedulingPolicy) -> ExecutionReport {
         Simulator::new(self.config.config().clone()).run(spec, policy)
+    }
+
+    /// One lane per live worker: a sweep's lanes keep every worker busy,
+    /// lane `i` on worker `i`. One while no pool can be attached; the cell
+    /// that needs it then fails loudly.
+    fn lanes(&self) -> usize {
+        self.pool().map_or(1, |pool| pool.alive_workers() as usize)
     }
 
     /// # Panics

@@ -18,9 +18,8 @@
 //! so traced and untraced cells are two config epochs and a worker keeps one
 //! simulator per epoch), `spec` (workload transfer, shipped to a worker the
 //! first time a cell over it is dispatched there — dispatch prefers a worker
-//! that already holds it — or written ahead to an idle worker while the
-//! previous workload's first cell computes, and referenced by fingerprint
-//! after; never acknowledged — a worker that refuses one says so in its one
+//! that already holds it, then the worker of the cell's sweep lane — and
+//! referenced by fingerprint after; never acknowledged — a worker that refuses one says so in its one
 //! reply to the first `assign` over a spec it lacks), `assign`/`done` (one
 //! sweep cell: `done`, carrying the whole report and the cell's trace
 //! events, is the one reply; there are no per-field notifications beside it

@@ -16,19 +16,24 @@
 //! What the coordinator knows about its workers (alive, cells booked, specs
 //! held), its cell and barrier numbering and its counters are one
 //! `PoolState` behind one lock. Only its transitions change it: `book`,
-//! `book_spec` and `ahead`, `answered`, `refused` and `lost`, `barrier`;
+//! `book_spec`, `answered`, `refused` and `lost`, `barrier`;
 //! each is one step with no I/O and no panic. Sockets, launching and reaping
-//! are the shell's: one `Conn` per worker behind its own lock. Holding the
-//! state, the shell may `try_lock` a `Conn` but never waits for one, so
-//! choosing a worker never waits for a conversation; only the holder of a
-//! worker's `Conn` books it lost.
+//! are the shell's: one `Conn` per worker behind its own lock. The shell
+//! never takes a `Conn` while holding the state, so choosing a worker never
+//! waits for a conversation; only the holder of a worker's `Conn` books it
+//! lost.
 //!
 //! Which worker gets a cell is the paper's own argument applied to the
 //! coordinator — run the task where its data already lives: `pick_slot`
-//! prefers an idle worker that already holds the cell's spec, then the idle
-//! worker holding the fewest specs, and only with every worker busy queues
-//! the cell behind one (a holder first). A serial sweep therefore ships each
-//! spec once, to one worker, and spreads the specs evenly.
+//! prefers an idle worker that already holds the cell's spec, then the
+//! worker of the cell's lane, if idle, then the idle worker holding the
+//! fewest specs, and only with every worker busy queues the cell behind one
+//! (a holder first). A sweep's lanes each pull whole workloads (see
+//! [`numadag_runtime::SweepPlan::execute`]), and a proc executor asks for
+//! one lane per live worker, lane `i` preferring worker `i`: each lane keeps
+//! its workload on its own worker, so every worker computes, each spec is
+//! shipped once, to the worker that runs its cells, and the window plans
+//! its policies build are built there once.
 //!
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
@@ -36,20 +41,8 @@
 //! `assign`, then the one `done` reply. Any framing
 //! failure or timeout on that conversation kills the worker and redispatches
 //! the cell to a live one; a structured `error` reply is deterministic
-//! (bad policy, bad spec) and propagates instead of retrying.
-//!
-//! Between the `assign` and the wait for its `done`, the coordinator posts
-//! one more line, the way the oneCCL entries post a `start()` and consume
-//! it later: the spec of the sweep's next workload (the cell's
-//! [`numadag_runtime::CellContext::next_spec`]), written to the worker
-//! `pick_slot` would give that workload's first cell — if no live worker
-//! holds it yet, that worker is idle and its `Conn` is free (`try_lock`: a
-//! look-ahead never waits). `spec` is un-acked and a worker reads its lines
-//! in order, so this is the same message at another time: the encode and
-//! the idle worker's decode overlap the current cell instead of preceding
-//! the next one. A look-ahead write that fails kills its worker, never the
-//! cell in conversation; every write to a worker is bounded by
-//! [`CELL_TIMEOUT`].
+//! (bad policy, bad spec) and propagates instead of retrying. Every write
+//! to a worker is bounded by [`CELL_TIMEOUT`].
 
 use std::collections::HashSet;
 use std::io::BufReader;
@@ -175,9 +168,6 @@ pub struct PoolStats {
     pub config_broadcasts: u64,
     /// `spec` messages sent (one per worker per distinct workload).
     pub spec_transfers: u64,
-    /// Of the `spec_transfers`, those written ahead of their first cell,
-    /// while the cell before it computed.
-    pub spec_prefetches: u64,
     /// Collective barriers completed (startup + shutdown drains).
     pub barriers: u64,
 }
@@ -187,14 +177,13 @@ impl std::fmt::Display for PoolStats {
         write!(
             f,
             "workers_spawned={} workers_alive={} cells_dispatched={} redispatches={} \
-             config_broadcasts={} spec_transfers={} spec_prefetches={} barriers={}",
+             config_broadcasts={} spec_transfers={} barriers={}",
             self.workers_spawned,
             self.workers_alive,
             self.cells_dispatched,
             self.redispatches,
             self.config_broadcasts,
             self.spec_transfers,
-            self.spec_prefetches,
             self.barriers,
         )
     }
@@ -218,11 +207,6 @@ struct PoolState {
     /// Cells booked so far; where the scan for a worker starts, so equally
     /// good workers take turns.
     rotation: usize,
-    /// Fingerprint of the spec of the last cell dispatched. A cell over
-    /// another spec starts a workload: the one cell of it whose
-    /// next-workload hint is worth fingerprinting (every cell of a workload
-    /// carries the same).
-    last_spec: Option<u64>,
     next_cell: u64,
     next_epoch: u64,
     /// The counters; `workers_alive` is derived when they are read.
@@ -241,18 +225,18 @@ impl PoolState {
         }
     }
 
-    /// Numbers a new cell over the spec `fp`, and says whether it starts a
-    /// workload.
-    fn dispatched(&mut self, fp: u64) -> (u64, bool) {
+    /// Numbers a new cell.
+    fn dispatched(&mut self) -> u64 {
         let cell = self.next_cell;
         self.next_cell = cell.wrapping_add(1);
         self.counts.cells_dispatched += 1;
-        (cell, self.last_spec.replace(fp) != Some(fp))
+        cell
     }
 
-    /// Books a cell over the spec `fp` on the worker [`pick_slot`] chooses.
-    fn book(&mut self, fp: u64) -> Option<usize> {
-        let at = pick_slot(&self.workers, fp, self.rotation)?;
+    /// Books a cell over the spec `fp` on the worker [`pick_slot`] chooses,
+    /// `prefer`ring its lane's worker.
+    fn book(&mut self, fp: u64, prefer: Option<usize>) -> Option<usize> {
+        let at = pick_slot(&self.workers, fp, prefer, self.rotation)?;
         self.rotation = self.rotation.wrapping_add(1);
         self.workers[at].in_flight += 1;
         Some(at)
@@ -270,25 +254,14 @@ impl PoolState {
             .is_some_and(|worker| worker.specs.insert(fp))
     }
 
-    /// Books the spec `fp` ahead on the worker [`ahead_slot`] names, if
-    /// `claim` takes that worker's `Conn` without waiting; returns the
-    /// worker and the claim.
-    fn ahead<T>(&mut self, fp: u64, claim: impl FnOnce(usize) -> Option<T>) -> Option<(usize, T)> {
-        let at = ahead_slot(&self.workers, fp, self.rotation)?;
-        let claimed = claim(at)?;
-        self.workers[at].specs.insert(fp);
-        Some((at, claimed))
-    }
-
     /// A `config` was written.
     fn configured(&mut self) {
         self.counts.config_broadcasts += 1;
     }
 
-    /// A `spec` was written; `ahead` of its first cell.
-    fn shipped(&mut self, ahead: bool) {
+    /// A `spec` was written.
+    fn shipped(&mut self) {
         self.counts.spec_transfers += 1;
-        self.counts.spec_prefetches += u64::from(ahead);
     }
 
     /// The cell booked on `at` got its `done`.
@@ -341,11 +314,12 @@ impl PoolState {
 }
 
 /// Data-affine choice of the worker for a cell over the spec `fp`: among
-/// live workers, an idle one that holds the spec; else the idle one holding
-/// the fewest specs (it pays one transfer, and the specs stay spread); else
-/// — every worker busy — one that holds the spec; else any. Equally good
-/// workers are taken in turn, scanning from `rotation`.
-fn pick_slot(workers: &[Worker], fp: u64, rotation: usize) -> Option<usize> {
+/// live workers, an idle one that holds the spec; else the `prefer`red one
+/// (its lane's), if idle; else the idle one holding the fewest specs (it
+/// pays one transfer, and the specs stay spread); else — every worker busy
+/// — one that holds the spec; else any. Equally good workers are taken in
+/// turn, scanning from `rotation`.
+fn pick_slot(workers: &[Worker], fp: u64, prefer: Option<usize>, rotation: usize) -> Option<usize> {
     let n = workers.len().max(1);
     (0..workers.len())
         .map(|offset| (rotation % n + offset) % n)
@@ -354,25 +328,12 @@ fn pick_slot(workers: &[Worker], fp: u64, rotation: usize) -> Option<usize> {
             let worker = &workers[at];
             match (worker.in_flight > 0, worker.specs.contains(&fp)) {
                 (false, true) => (0, 0),
-                (false, false) => (1, worker.specs.len()),
-                (true, true) => (2, 0),
-                (true, false) => (3, 0),
+                (false, false) if prefer == Some(at) => (1, 0),
+                (false, false) => (2, worker.specs.len()),
+                (true, true) => (3, 0),
+                (true, false) => (4, 0),
             }
         })
-}
-
-/// Where the spec `fp`, whose cells come next, is worth writing ahead:
-/// nowhere when a live worker already holds it (or is being shipped it);
-/// else the worker [`pick_slot`] would place its first cell on right now,
-/// if that one is idle.
-fn ahead_slot(workers: &[Worker], fp: u64, rotation: usize) -> Option<usize> {
-    if workers
-        .iter()
-        .any(|worker| !worker.dead && worker.specs.contains(&fp))
-    {
-        return None;
-    }
-    pick_slot(workers, fp, rotation).filter(|&at| workers[at].in_flight == 0)
 }
 
 /// An [`ExecutionConfig`] together with the stable fingerprint of its wire
@@ -562,38 +523,33 @@ impl WorkerPool {
     /// loss. `policy_label` must parse back to the policy that produced
     /// `policy_name` (its `'static` display name, re-attached to the report
     /// on this side of the wire — labels never travel). The events are the
-    /// cell's trace, empty unless `config` carries a sink. `next_spec` is
-    /// the spec the cells after this workload's need, written ahead to an
-    /// idle worker while this cell computes (see the module doc).
+    /// cell's trace, empty unless `config` carries a sink. A cell of sweep
+    /// `lane` prefers worker `lane` (modulo the pool; see the module doc).
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
-        next_spec: Option<&TaskGraphSpec>,
+        lane: Option<usize>,
         policy_label: &str,
         policy_name: &'static str,
         policy_seed: u64,
         config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
         let fp = spec.fingerprint();
-        let (cell, starts_workload) = self.state().dispatched(fp);
+        let cell = self.state().dispatched();
         let assignment = Assignment {
             cell,
             fp,
             policy: policy_label.to_string(),
             policy_seed,
         };
-        // `fingerprint()` still folds the region table (~20 µs on a Full
-        // spec): the hint is fingerprinted on its workload's first cell only.
-        let ahead = next_spec
-            .filter(|_| starts_workload)
-            .map(|next| (next.fingerprint(), next));
+        let prefer = lane.map(|lane| lane % self.num_slots());
         loop {
             let at = self
                 .state()
-                .book(fp)
+                .book(fp, prefer)
                 .ok_or(ProcError::AllWorkersDead { cell })?;
             let mut conn = lock(&self.conns[at]);
-            match self.converse(at, &mut conn, &assignment, spec, ahead, config) {
+            match self.converse(at, &mut conn, &assignment, spec, config) {
                 End::Done(mut report, events) => {
                     self.state().answered(at);
                     report.workload = spec.name.clone();
@@ -618,7 +574,6 @@ impl WorkerPool {
         conn: &mut Conn,
         assignment: &Assignment,
         spec: &TaskGraphSpec,
-        ahead: Option<(u64, &TaskGraphSpec)>,
         config: &WireConfig,
     ) -> End {
         // A worker lost while this cell waited for its `Conn` stays lost.
@@ -651,15 +606,12 @@ impl WorkerPool {
             if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
                 return End::Lost;
             }
-            self.state().shipped(false);
+            self.state().shipped();
         }
 
         // The message owns its assignment; the clone is one short label.
         if write_frame(&mut conn.writer, &ToWorker::Assign(assignment.clone())).is_err() {
             return End::Lost;
-        }
-        if let Some((fp, next)) = ahead {
-            self.ship_ahead(fp, next);
         }
 
         // One reply per `assign`: `done`, or a structured `error`. A reply
@@ -671,29 +623,12 @@ impl WorkerPool {
                 report,
                 events,
             }) if cell == assignment.cell => End::Done(report, events),
-            // The complaint may be about this cell's spec, shipped now or
-            // ahead and refused (`spec` is un-acked; its refusal answers the
-            // first `assign` over it): the worker does not hold it.
+            // The complaint may be about this cell's spec, shipped and
+            // refused (`spec` is un-acked; its refusal answers the first
+            // `assign` over it): the worker does not hold it.
             Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp)),
             _ => End::Lost,
         }
-    }
-
-    /// Writes the spec with fingerprint `fp` to the worker [`ahead_slot`]
-    /// names, if its `Conn` is free, and books it there. Called between an
-    /// `assign` and the wait for its reply, so it never waits itself: a
-    /// taken `Conn` skips the write, and a failed one loses its own worker,
-    /// not the conversation it interrupted.
-    fn ship_ahead(&self, fp: u64, spec: &TaskGraphSpec) {
-        let claimed = self.state().ahead(fp, |at| self.conns[at].try_lock().ok());
-        let Some((at, mut conn)) = claimed else {
-            return;
-        };
-        if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
-            self.lose(at, &mut conn, false);
-            return;
-        }
-        self.state().shipped(true);
     }
 }
 
@@ -893,7 +828,8 @@ mod tests {
     const FP: u64 = 0;
 
     /// `"AIH3"`: **A**live or **D**ead, **I**dle or **B**usy, **H**olds the
-    /// spec [`FP`] or `-`, and how many specs it holds.
+    /// spec [`FP`] or `-`, and how many specs it holds; a trailing `*` marks
+    /// the worker of the cell's lane.
     fn row(text: &str) -> Worker {
         let bytes = text.as_bytes();
         let holds = bytes[2] == b'H';
@@ -925,81 +861,81 @@ mod tests {
             ("AB-0 AB-9", 1, Some(1), "... wherever it is"),
             ("DIH1 AB-0", 0, Some(1), "a dead holder holds nothing"),
             ("DI-0 AI-3 DIH0", 2, Some(1), "the only survivor"),
+            ("AI-1 AI-1*", 0, Some(1), "the lane's idle worker"),
+            ("AI-0 AI-4*", 0, Some(1), "... beats fewer specs"),
+            ("AIH1 AI-0*", 1, Some(0), "an idle holder beats it"),
+            ("AI-1 AB-0*", 1, Some(0), "a busy lane worker: an idle one"),
+            ("AB-0 AB-0*", 0, Some(0), "all busy: the rotation"),
+            ("AI-2 DI-0*", 1, Some(0), "a dead lane worker: the survivor"),
         ] {
-            let rows: Vec<Worker> = rows.split_whitespace().map(row).collect();
-            assert_eq!(pick_slot(&rows, FP, rotation), want, "{why}");
+            let rows: Vec<&str> = rows.split_whitespace().collect();
+            let prefer = rows.iter().position(|row| row.ends_with('*'));
+            let rows: Vec<Worker> = rows.into_iter().map(row).collect();
+            assert_eq!(pick_slot(&rows, FP, prefer, rotation), want, "{why}");
         }
     }
 
-    #[test]
-    fn ahead_slot_is_the_idle_worker_the_first_cell_would_get() {
-        for (rows, rotation, want, why) in [
-            ("", 0, None, "no workers"),
-            ("AB-1 AI-0", 0, Some(1), "the idle worker"),
-            (
-                "AB-1 AI-3 AI-1",
-                1,
-                Some(2),
-                "the idle one with fewest specs",
-            ),
-            ("AI-0 AI-0", 1, Some(1), "the rotation among equals"),
-            ("AB-1 AIH1", 0, None, "an idle worker holds it"),
-            (
-                "ABH1 AI-0",
-                0,
-                None,
-                "a busy worker holds (or is shipped) it",
-            ),
-            ("DIH1 AI-0", 0, Some(1), "a dead holder holds nothing"),
-            ("AB-1 AB-0", 0, None, "every worker busy"),
-            ("AB-1 DI-0", 0, None, "the only idle worker is dead"),
-        ] {
-            let rows: Vec<Worker> = rows.split_whitespace().map(row).collect();
-            assert_eq!(ahead_slot(&rows, FP, rotation), want, "{why}");
-        }
-    }
-
-    /// Books a cell over `fp` with `next` as its hint the way
-    /// [`WorkerPool::run_cell`] does, every write succeeding; returns its
-    /// worker, on which the cell stays booked.
-    fn place(state: &mut PoolState, fp: u64, next: Option<u64>) -> usize {
-        let (_, starts_workload) = state.dispatched(fp);
-        let at = state.book(fp).expect("a live worker");
+    /// Books a cell over `fp` for `lane` the way [`WorkerPool::run_cell`]
+    /// does, every write succeeding; returns its worker, on which the cell
+    /// stays booked.
+    fn place(state: &mut PoolState, fp: u64, lane: Option<usize>) -> usize {
+        state.dispatched();
+        let at = state.book(fp, lane).expect("a live worker");
         if state.book_spec(at, fp) {
-            state.shipped(false);
-        }
-        if let Some(next) = next.filter(|_| starts_workload) {
-            if state.ahead(next, Some).is_some() {
-                state.shipped(true);
-            }
+            state.shipped();
         }
         at
     }
 
-    /// The serial Full sweep in miniature: eight specs, five cells each, two
-    /// idle workers — every spec shipped once, four to each worker; with the
-    /// look-ahead, every spec after the first while the cell before it ran.
+    /// The serial Full sweep in miniature, one cell at a time and outside
+    /// any lane: eight specs, five cells each, two idle workers — every spec
+    /// shipped once, four to each worker.
     #[test]
     fn a_serial_sweep_ships_each_spec_once_and_splits_them_evenly() {
-        for look_ahead in [false, true] {
+        let mut state = PoolState::new(2);
+        for cell in 0..40u64 {
+            let at = place(&mut state, cell / 5, None);
+            state.answered(at);
+        }
+        assert_eq!(state.stats().spec_transfers, 8);
+        let held: Vec<usize> = state.workers.iter().map(|w| w.specs.len()).collect();
+        assert_eq!(held, [4, 4]);
+    }
+
+    /// The same sweep on two lanes, lane `i` preferring worker `i`: however
+    /// the lanes' cells interleave and whichever lane pulls which workload,
+    /// a lane's workload stays on its worker, so each spec is shipped once,
+    /// to the worker that runs every cell over it.
+    #[test]
+    fn two_lanes_ship_each_spec_once_however_their_cells_interleave() {
+        for schedule in 0u64..256 {
             let mut state = PoolState::new(2);
-            for cell in 0..40u64 {
-                let (fp, next) = (cell / 5, cell / 5 + 1);
-                if look_ahead && cell % 5 == 0 && fp > 0 {
-                    assert!(
-                        state.workers.iter().any(|w| w.specs.contains(&fp)),
-                        "spec {fp} is held before its first cell is placed"
-                    );
+            // Per lane: its workload, cells left of it, the cell in flight.
+            let mut lanes = [(0u64, 0u64, None::<usize>); 2];
+            let (mut next_workload, mut turns) = (0u64, schedule);
+            while next_workload < 8 || lanes.iter().any(|lane| lane.1 > 0 || lane.2.is_some()) {
+                // Which lane moves next: a bit of an LCG seeded by `schedule`.
+                turns = turns
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let lane = (turns >> 33) as usize & 1;
+                let (workload, left, in_flight) = &mut lanes[lane];
+                if let Some(at) = in_flight.take() {
+                    assert_eq!(at, lane, "schedule {schedule}: lane {lane}'s cell moved");
+                    state.answered(at);
+                    continue;
                 }
-                let hint = (look_ahead && next < 8).then_some(next);
-                let at = place(&mut state, fp, hint);
-                state.answered(at);
+                if *left == 0 {
+                    if next_workload == 8 {
+                        continue;
+                    }
+                    (*workload, *left) = (next_workload, 5);
+                    next_workload += 1;
+                }
+                *left -= 1;
+                *in_flight = Some(place(&mut state, *workload, Some(lane)));
             }
-            let stats = state.stats();
-            assert_eq!(stats.spec_transfers, 8, "look_ahead={look_ahead}");
-            assert_eq!(stats.spec_prefetches, if look_ahead { 7 } else { 0 });
-            let held: Vec<usize> = state.workers.iter().map(|w| w.specs.len()).collect();
-            assert_eq!(held, [4, 4]);
+            assert_eq!(state.stats().spec_transfers, 8, "schedule {schedule}");
         }
     }
 
@@ -1011,8 +947,7 @@ mod tests {
             let mut state = PoolState::new(2);
             let mut in_flight: Vec<usize> = Vec::new();
             for cell in 0..40u64 {
-                let (fp, next) = (cell / 5, cell / 5 + 1);
-                in_flight.push(place(&mut state, fp, (next < 8).then_some(next)));
+                in_flight.push(place(&mut state, cell / 5, None));
                 if in_flight.len() == 2 {
                     let done = in_flight.remove(usize::from(newer_finishes_first));
                     state.answered(done);
@@ -1039,10 +974,19 @@ mod tests {
     }
 
     impl Checked {
-        fn book(&mut self, fp: u64) {
-            match self.state.book(fp) {
+        /// Books a cell over `fp`, for the lane of worker `prefer` if any.
+        fn book(&mut self, fp: u64, prefer: Option<usize>) {
+            // The lane's worker is taken when it is live and idle, unless an
+            // idle live worker holds the spec.
+            let idle = |at: usize| !self.dead.contains(&at) && !self.booked.contains(&at);
+            let idle_holder = self.held.iter().any(|&(at, held)| held == fp && idle(at));
+            let lane_worker = prefer.filter(|&at| at < self.state.workers.len() && idle(at));
+            match self.state.book(fp, prefer) {
                 Some(at) => {
                     assert!(!self.dead.contains(&at), "booked dead worker {at}");
+                    if let (Some(lane), false) = (lane_worker, idle_holder) {
+                        assert_eq!(at, lane, "passed over the lane's idle worker");
+                    }
                     self.booked.push(at);
                 }
                 None => assert_eq!(self.dead.len(), self.state.workers.len()),
@@ -1057,17 +1001,6 @@ mod tests {
             if self.state.live(at) {
                 let fresh = self.state.book_spec(at, fp);
                 assert_eq!(fresh, self.held.insert((at, fp)), "spec {fp} on {at}");
-            }
-        }
-
-        fn ahead(&mut self, fp: u64, free: bool) {
-            let was_held = self.held.iter().any(|&(_, held)| held == fp);
-            if let Some((at, ())) = self.state.ahead(fp, |_| free.then_some(())) {
-                assert!(free, "booked ahead on a taken Conn");
-                assert!(!self.dead.contains(&at), "ahead on dead worker {at}");
-                assert!(!self.booked.contains(&at), "ahead on busy worker {at}");
-                assert!(!was_held, "spec {fp} already on a live worker");
-                assert!(self.held.insert((at, fp)));
             }
         }
 
@@ -1124,11 +1057,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Random book / spec / ahead / answered / refused / lost / barrier
+        /// Random book / spec / answered / refused / lost / barrier
         /// sequences: every booked cell is released exactly once, whether
-        /// answered or lost; a dead worker is never booked; a spec is
-        /// booked at most once per live worker; the ahead booking never
-        /// targets a busy worker; `in_flight` never underflows.
+        /// answered or lost; a dead worker is never booked; a lane's idle
+        /// worker is booked unless an idle one holds the spec; a spec is
+        /// booked at most once per live worker; `in_flight` never
+        /// underflows.
         #[test]
         fn the_pool_state_keeps_its_invariants_under_any_transition_sequence(
             workers in 1usize..4,
@@ -1145,9 +1079,9 @@ mod tests {
             for (step, pick) in steps {
                 let fp = (pick % 3) as u64;
                 match step {
-                    0 | 1 => checked.book(fp),
+                    0 => checked.book(fp, None),
+                    1 | 3 => checked.book(fp, Some(pick % 4)),
                     2 => checked.book_spec(pick / 3, fp),
-                    3 => checked.ahead(fp, pick % 4 != 0),
                     4 | 5 => checked.end(pick / 3, pick % 8, fp),
                     6 if pick % 8 == 0 => checked.lose(pick % workers, false),
                     7 => checked.barrier(),

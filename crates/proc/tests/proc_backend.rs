@@ -13,7 +13,7 @@ use numadag_core::{make_policy, PolicyKind};
 use numadag_numa::{CostModel, DistanceMatrix, Topology};
 use numadag_proc::{ProcError, ProcExecutor, WireConfig, WorkerPool};
 use numadag_runtime::{
-    CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator, StealMode,
+    CellContext, ExecutionConfig, ExecutionReport, Executor, Experiment, Simulator, StealMode,
 };
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
 use numadag_trace::MemorySink;
@@ -261,7 +261,7 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let ctx = CellContext {
         policy_label: "las",
         seed,
-        next_spec: None,
+        lane: None,
     };
     let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
     let remote_events = sink.take();
@@ -300,45 +300,41 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
 }
 
-#[test]
-fn a_spec_written_ahead_to_a_worker_that_dies_is_shipped_to_the_survivor() {
-    // Worker 1 holds nothing but the spec written ahead to it, and dies on
-    // the first cell over that spec.
-    let crash = Relay::new().on(1, Dir::ToWorker, "assign", 1, Action::Die);
-    let pool = relayed_pool(2, crash);
-    let specs = [
-        named_spec("first"),
-        named_spec("second"),
-        named_spec("third"),
-    ];
+/// Runs three serial cells over each of `specs` in turn, as a sweep's lone
+/// lane would, each report held to the in-process one; returns the wall
+/// time they took.
+fn run_workloads(pool: &WorkerPool, specs: &[TaskGraphSpec]) -> Duration {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
-    // A serial, workload-major sweep: every cell names the next workload.
-    for (at, spec) in specs.iter().enumerate() {
+    let started = Instant::now();
+    for spec in specs {
         for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
             let kind: PolicyKind = label.parse().unwrap();
             let want = local_report(spec, kind, seed, &config);
             let (got, _) = pool
-                .run_cell(
-                    spec,
-                    specs.get(at + 1),
-                    label,
-                    kind.base_label(),
-                    seed,
-                    &wire,
-                )
-                .expect("cells survive the crash via redispatch");
+                .run_cell(spec, None, label, kind.base_label(), seed, &wire)
+                .expect("cells survive a lost worker via redispatch");
             assert_reports_identical(&got, &want);
         }
     }
+    started.elapsed()
+}
+
+#[test]
+fn a_spec_shipped_to_a_worker_that_dies_is_shipped_again_to_the_survivor() {
+    // Worker 1 dies under the first cell it is sent: the first over
+    // "second", which it was shipped with that cell.
+    let crash = Relay::new().on(1, Dir::ToWorker, "assign", 1, Action::Die);
+    let pool = relayed_pool(2, crash);
+    let specs = ["first", "second", "third"].map(named_spec);
+    run_workloads(&pool, &specs);
     let stats = pool.stats();
     assert_eq!(stats.workers_alive, 1, "the crashed worker is gone");
     assert_eq!(stats.redispatches, 1, "the lost cell was redispatched");
     assert_eq!(stats.cells_dispatched, 9, "no cell was lost or duplicated");
-    // "first" shipped with its cell; "second" ahead to worker 1, which died
-    // under its first cell, then again, to the survivor, with that cell;
-    // "third" ahead to the survivor while worker 1 held the lost cell.
-    assert_eq!((stats.spec_transfers, stats.spec_prefetches), (4, 2));
+    // "first" to worker 0; "second" to worker 1, then again, with its lost
+    // cell, to worker 0; "third" to worker 0.
+    assert_eq!(stats.spec_transfers, 4);
 }
 
 #[test]
@@ -459,41 +455,49 @@ fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duratio
 }
 
 #[test]
-fn a_spec_written_ahead_to_a_worker_that_dies_mid_line_loses_only_that_worker() {
-    // Worker 1 is written "second" ahead while worker 0 runs the first
-    // cell, and its link dies halfway through that line.
+fn a_spec_cut_mid_line_loses_only_that_worker() {
+    // Worker 1 is shipped "second" with its first cell, and its link dies
+    // halfway through that line.
     let cut = Relay::new().on(1, Dir::ToWorker, "spec", 1, Action::Truncate);
     let pool = relayed_pool(2, cut);
-    let specs = [named_spec("first"), named_spec("second")];
-    let config = ExecutionConfig::new(Topology::two_socket(2));
-    let wire = WireConfig::new(config.clone());
-    let started = Instant::now();
-    for (at, spec) in specs.iter().enumerate() {
-        for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
-            let kind: PolicyKind = label.parse().unwrap();
-            let want = local_report(spec, kind, seed, &config);
-            let (got, _) = pool
-                .run_cell(
-                    spec,
-                    specs.get(at + 1),
-                    label,
-                    kind.base_label(),
-                    seed,
-                    &wire,
-                )
-                .expect("the cell completes");
-            assert_reports_identical(&got, &want);
-        }
-    }
-    let took = started.elapsed();
+    let took = run_workloads(&pool, &["first", "second"].map(named_spec));
     assert!(took < PROMPT, "{took:?}");
     let stats = pool.stats();
     assert_eq!(stats.workers_alive, 1, "the cut worker is gone");
-    // The first cell over "second" went to worker 1, the book's holder of
-    // it, and found it lost: that cell, and the spec, moved to worker 0.
+    // That cell, and the spec with it, moved to worker 0.
     assert_eq!(stats.redispatches, 1);
     assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
-    assert_eq!((stats.spec_transfers, stats.spec_prefetches), (3, 1));
+    assert_eq!(stats.spec_transfers, 3);
+}
+
+/// A sweep on a 2-worker pool runs two lanes, one per worker, even at
+/// `parallelism(1)`: worker 0's first `done` is held until worker 1 has
+/// been sent an `assign`, and a sweep that left worker 1 idle meanwhile
+/// would lose worker 0 at the hold's deadline instead.
+#[test]
+fn a_sweep_keeps_both_workers_of_its_pool_busy() {
+    let hold = Action::Await {
+        slot: 1,
+        dir: Dir::ToWorker,
+        kind: "assign",
+        within: PROMPT,
+    };
+    let pool = relayed_pool(2, Relay::new().on(0, Dir::ToCoordinator, "done", 1, hold));
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let sweep = Experiment::new()
+        .workload(named_spec("first"))
+        .workload(named_spec("second"))
+        .policies([PolicyKind::Dfifo])
+        .parallelism(1);
+    let mut report = sweep.run_on(&ProcExecutor::with_pool(config.clone(), Arc::clone(&pool)));
+    let stats = pool.stats();
+    assert_eq!((stats.workers_alive, stats.redispatches), (2, 0), "{stats}");
+    // Each workload's spec went to its lane's worker only.
+    assert_eq!(stats.spec_transfers, 2, "{stats}");
+    assert_eq!(report.timing.jobs, 2, "two lanes ran");
+    let local = sweep.run_on(&Simulator::new(config));
+    report.backend = local.backend.clone();
+    assert_eq!(report.to_json_string(), local.to_json_string());
 }
 
 #[test]

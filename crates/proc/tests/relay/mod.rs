@@ -11,7 +11,9 @@
 //!   the relay's own, which forwards every line between it and the pool and
 //!   applies its rules, keyed by worker, direction, message kind and count:
 //!   "worker 1 dies on its fourth `assign`" is
-//!   `Relay::new().on(1, Dir::ToWorker, "assign", 4, Action::Die)`.
+//!   `Relay::new().on(1, Dir::ToWorker, "assign", 4, Action::Die)`. A rule
+//!   may also hold its line until a line of another worker's connection has
+//!   passed ([`Action::Await`]).
 
 // Each test binary uses its own part of this file.
 #![allow(dead_code)]
@@ -20,6 +22,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,7 +82,7 @@ impl WorkerHandle for ThreadWorker {
 }
 
 /// Which way a line travels through the relay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dir {
     ToWorker,
     ToCoordinator,
@@ -98,6 +101,14 @@ pub enum Action {
     Duplicate,
     /// Forwards it this much later.
     Delay(Duration),
+    /// Forwards it once a `kind` line has travelled `dir` on worker
+    /// `slot`'s connection; dies instead if none has within `within`.
+    Await {
+        slot: usize,
+        dir: Dir,
+        kind: &'static str,
+        within: Duration,
+    },
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -114,6 +125,40 @@ struct Rule {
 #[derive(Default)]
 pub struct Relay {
     rules: Vec<Rule>,
+    ledger: Arc<Ledger>,
+}
+
+/// The lines every connection of one relay has seen, by worker, direction
+/// and kind: what an [`Action::Await`] waits on.
+#[derive(Default)]
+struct Ledger {
+    seen: Mutex<HashMap<(usize, Dir, String), u64>>,
+    moved: Condvar,
+}
+
+impl Ledger {
+    /// Counts a `kind` line on worker `slot`'s connection going `dir`;
+    /// returns its count, from 1.
+    fn count(&self, slot: usize, dir: Dir, kind: String) -> u64 {
+        let mut seen = self.seen.lock().unwrap_or_else(PoisonError::into_inner);
+        let nth = seen.entry((slot, dir, kind)).or_default();
+        *nth += 1;
+        let nth = *nth;
+        self.moved.notify_all();
+        nth
+    }
+
+    /// Whether a `kind` line went `dir` on worker `slot`'s connection
+    /// before `within` ran out.
+    fn wait(&self, slot: usize, dir: Dir, kind: &str, within: Duration) -> bool {
+        let key = (slot, dir, kind.to_string());
+        let seen = self.seen.lock().unwrap_or_else(PoisonError::into_inner);
+        let (seen, _) = self
+            .moved
+            .wait_timeout_while(seen, within, |seen| !seen.contains_key(&key))
+            .unwrap_or_else(PoisonError::into_inner);
+        seen.contains_key(&key)
+    }
 }
 
 impl Relay {
@@ -175,7 +220,8 @@ impl Relay {
                     .filter(|rule| (rule.slot, rule.dir) == (slot, dir));
                 let rules: Vec<Rule> = rules.copied().collect();
                 let (from, to) = (from.try_clone()?, to.try_clone()?);
-                std::thread::spawn(move || pump(from, to, &rules));
+                let ledger = Arc::clone(&self.ledger);
+                std::thread::spawn(move || pump(from, to, &rules, (slot, dir), &ledger));
             }
             Ok(Relayed {
                 inner: Box::new(inner),
@@ -229,12 +275,18 @@ impl WorkerHandle for Relayed {
     }
 }
 
-/// Forwards lines from `from` to `to`, applying `rules` (this worker's, in
+/// Forwards lines from `from` to `to` on worker `slot`'s connection going
+/// `dir`, counting each in `ledger` and applying `rules` (this worker's, in
 /// this direction). When either end closes or a rule kills the link, closes
 /// both, so the other direction's pump ends too.
-fn pump(from: TcpStream, mut to: TcpStream, rules: &[Rule]) {
+fn pump(
+    from: TcpStream,
+    mut to: TcpStream,
+    rules: &[Rule],
+    (slot, dir): (usize, Dir),
+    ledger: &Ledger,
+) {
     let mut reader = BufReader::new(&from);
-    let mut seen: HashMap<String, u64> = HashMap::new();
     let mut line = Vec::new();
     loop {
         line.clear();
@@ -242,11 +294,10 @@ fn pump(from: TcpStream, mut to: TcpStream, rules: &[Rule]) {
             break;
         }
         let kind = kind_of(&line);
-        let nth = seen.entry(kind.clone()).or_default();
-        *nth += 1;
+        let nth = ledger.count(slot, dir, kind.clone());
         let rule = rules
             .iter()
-            .find(|rule| rule.kind == kind && rule.nth == *nth);
+            .find(|rule| rule.kind == kind && rule.nth == nth);
         let forwarded = match rule.map(|rule| rule.action) {
             None => to.write_all(&line),
             Some(Action::Die) => break,
@@ -258,6 +309,17 @@ fn pump(from: TcpStream, mut to: TcpStream, rules: &[Rule]) {
             Some(Action::Duplicate) => to.write_all(&line).and_then(|()| to.write_all(&line)),
             Some(Action::Delay(pause)) => {
                 std::thread::sleep(pause);
+                to.write_all(&line)
+            }
+            Some(Action::Await {
+                slot: other,
+                dir: way,
+                kind: awaited,
+                within,
+            }) => {
+                if !ledger.wait(other, way, awaited, within) {
+                    break;
+                }
                 to.write_all(&line)
             }
         };

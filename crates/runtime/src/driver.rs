@@ -6,12 +6,14 @@
 //!   [`numadag_kernels::SpecCache`], shared as `Arc<TaskGraphSpec>`), and the
 //!   sweep is flattened into keyed [`SweepJob`]s — one per
 //!   (workload, policy, repetition) cell, including the baseline's cells.
-//! * **Execute** ([`SweepPlan::execute`]): jobs are independent, so the plan
-//!   runs them either in order on one executor, or sharded across N worker
-//!   threads (each worker owns its own `Box<dyn Executor>` and builds its
-//!   own policy instances). Baseline-relative speedups are computed in a
+//! * **Execute** ([`SweepPlan::execute`]): workloads are independent, so
+//!   the plan runs them on N *lanes*: each lane pulls the next workload from
+//!   one cursor and runs its cells in plan order, on an executor of its own
+//!   (or, under [`Experiment::run_on`](crate::Experiment::run_on), the
+//!   caller's, shared), building its own policy instances. Lane 0 runs on
+//!   the calling thread. Baseline-relative speedups are computed in a
 //!   deterministic keyed post-pass, so the report — cells, aggregates,
-//!   skip list, serialization — is **bit-identical** for every `jobs` value
+//!   skip list, serialization — is **bit-identical** for every lane count
 //!   on the deterministic simulator backend.
 //!
 //! Execution also reports progress (to the callback installed by
@@ -21,7 +23,7 @@
 //! and how tests verify that specs are built once per app×scale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use numadag_core::{make_policy, PolicyKind};
@@ -148,7 +150,7 @@ impl SweepPlan {
     }
 
     /// Builds an executor for the plan's backend and execution config —
-    /// what each worker of [`SweepPlan::execute`] does once, exposed so
+    /// what each lane of [`SweepPlan::execute`] does once, exposed so
     /// external schedulers (the sweep service's worker pool) can run cells
     /// through [`SweepPlan::run_cell`] on an executor they own and reuse
     /// across cells. The executor of a traced plan carries a sink of its
@@ -161,107 +163,123 @@ impl SweepPlan {
         })
     }
 
-    /// Executes every job and assembles the report: in order on one
-    /// executor for `jobs == 1`, otherwise sharded across `jobs` worker
-    /// threads (`0` means one per available core), each owning its own
-    /// executor and policy instances.
+    /// Executes every job and assembles the report, on as many *lanes* as
+    /// `jobs` asks for (`0` means one per available core), raised to what
+    /// the plan's executor can keep busy ([`Executor::lanes`]; a proc
+    /// executor reports its live workers) and capped at one per workload.
+    /// A lane pulls the next whole workload and runs its cells in plan
+    /// order on an executor of its own, building its own policy instances;
+    /// lane 0 runs on the calling thread, so a sweep with one workload runs
+    /// on one lane and starts no thread.
     ///
-    /// Results are keyed, not order-dependent: whichever worker finishes a
+    /// Results are keyed, not order-dependent: whichever lane finishes a
     /// cell, the post-pass recomputes baseline means and speedups in the
-    /// plan's canonical order, so the report is identical for any worker
+    /// plan's canonical order, so the report is identical for any lane
     /// count (bit-identical on the deterministic simulator backend).
     ///
-    /// **Threaded-backend caveat:** every worker constructs its own
-    /// executor, so sharding a [`Backend::Threaded`](crate::Backend) plan
-    /// runs that many complete thread pools at once; their wall-clock
-    /// makespans contend for CPUs and come out inflated. Measure the
-    /// threaded backend serially; shard the simulator freely.
+    /// **Threaded-backend caveat:** every lane constructs its own executor,
+    /// so several lanes on a [`Backend::Threaded`](crate::Backend) plan run
+    /// that many complete thread pools at once; their wall-clock makespans
+    /// contend for CPUs and come out inflated. Measure the threaded backend
+    /// serially; run the simulator on any number of lanes.
     ///
     /// ```
     /// use numadag_runtime::Experiment;
     /// use numadag_kernels::{Application, ProblemScale};
     ///
     /// let plan = Experiment::new()
-    ///     .app(Application::NStream)
+    ///     .apps([Application::NStream, Application::Jacobi])
     ///     .scale(ProblemScale::Tiny)
     ///     .plan();
     /// let report = plan.execute(2);
     /// assert_eq!(report.timing.jobs, 2);
-    /// // Sharded execution is bit-identical to serial on the simulator backend.
+    /// // Two lanes are bit-identical to one on the simulator backend.
     /// assert_eq!(report.to_json_string(), plan.execute(1).to_json_string());
     /// ```
     pub fn execute(&self, jobs: usize) -> SweepReport {
+        let first = self.executor();
+        let lanes = self.lane_count(jobs, first.as_ref());
+        let mut executors = vec![first];
+        executors.extend((1..lanes).map(|_| self.executor()));
+        let lanes: Vec<&dyn Executor> = executors.iter().map(Box::as_ref).collect();
+        self.run_lanes(&lanes, self.backend.report_label())
+    }
+
+    /// The lanes of [`Experiment::run_on`](crate::Experiment::run_on): as
+    /// [`SweepPlan::execute`] counts them, all sharing `executor` and
+    /// reported under its backend name. Lanes that shared a trace sink would
+    /// mix their cells' events, so an executor carrying one runs one lane.
+    pub(crate) fn execute_on(&self, executor: &dyn Executor, jobs: usize) -> SweepReport {
+        let lanes = match executor.config().trace_sink {
+            Some(_) => 1,
+            None => self.lane_count(jobs, executor),
+        };
+        self.run_lanes(&vec![executor; lanes], executor.backend_name())
+    }
+
+    /// `jobs` (`0`: one per available core) raised to `executor`'s lanes,
+    /// at most one per workload and at least one.
+    fn lane_count(&self, jobs: usize, executor: &dyn Executor) -> usize {
         let requested = if jobs == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             jobs
         };
-        let workers = requested.clamp(1, self.num_jobs().max(1));
-        if workers == 1 {
-            return self.execute_on(self.executor().as_ref(), self.backend.report_label());
-        }
-        let t0 = Instant::now();
-        let outcomes = self.run_sharded(workers);
-        self.assemble_report(outcomes, workers, t0.elapsed())
+        requested
+            .max(executor.lanes())
+            .clamp(1, self.workloads.len().max(1))
     }
 
-    /// The one serial loop, behind [`SweepPlan::execute`] and
-    /// [`Experiment::run_on`](crate::Experiment::run_on): every job in
-    /// order on `executor`, reported under the executor's machine and
+    /// The one lane loop: lane `i` runs on `lanes[i]`, lane 0 on this
+    /// thread, each pulling the next workload from one cursor and running
+    /// its cells in plan order. The report names `lanes[0]`'s machine and
     /// `backend`.
-    pub(crate) fn execute_on(&self, executor: &dyn Executor, backend: &str) -> SweepReport {
+    fn run_lanes(&self, lanes: &[&dyn Executor], backend: &str) -> SweepReport {
         let t0 = Instant::now();
-        let completed = AtomicUsize::new(0);
-        let outcomes = self
-            .jobs
-            .iter()
-            .map(|job| self.run_and_notify(job, executor, &completed))
-            .collect();
-        let machine = executor.config().topology.name();
-        assemble(self, outcomes, machine, backend, 1, t0.elapsed())
-    }
-
-    /// Sharded execution: `workers` threads pull jobs from a shared cursor;
-    /// each owns its own executor and policy instances.
-    fn run_sharded(&self, workers: usize) -> Vec<CellOutcome> {
-        let n = self.num_jobs();
+        // The plan is workload-major: a workload's jobs are one run.
+        let per_workload = self.policies.len() * self.repetitions;
         let cursor = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let executor = self.executor();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome =
-                            self.run_and_notify(&self.jobs[i], executor.as_ref(), &completed);
-                        *slots[i].lock().expect("a worker panicked storing a cell") = Some(outcome);
-                    }
-                });
+        let lane = |lane: usize| {
+            let mut ran = Vec::new();
+            loop {
+                let w = cursor.fetch_add(1, Ordering::SeqCst);
+                let Some(jobs) = self.jobs.get(w * per_workload..(w + 1) * per_workload) else {
+                    return ran;
+                };
+                let executor = lanes[lane];
+                let run = |job| self.run_and_notify(job, executor, lane, &completed);
+                ran.push((w, jobs.iter().map(run).collect::<Vec<_>>()));
             }
+        };
+        let mut ran = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..lanes.len())
+                .map(|at| scope.spawn(move || lane(at)))
+                .collect();
+            let mut ran = lane(0);
+            for other in others {
+                match other.join() {
+                    Ok(more) => ran.extend(more),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            ran
         });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("a worker panicked storing a cell")
-                    .expect("every planned job must have been executed")
-            })
-            .collect()
+        ran.sort_unstable_by_key(|(w, _)| *w);
+        let outcomes = ran.into_iter().flat_map(|(_, outcomes)| outcomes).collect();
+        let machine = lanes[0].config().topology.name();
+        assemble(self, outcomes, machine, backend, lanes.len(), t0.elapsed())
     }
 
-    /// Runs one job and fires the progress callback.
+    /// Runs one job on `lane` and fires the progress callback.
     fn run_and_notify(
         &self,
         job: &SweepJob,
         executor: &dyn Executor,
+        lane: usize,
         completed: &AtomicUsize,
     ) -> CellOutcome {
-        let outcome = run_job(self, job, executor);
+        let outcome = run_job(self, job, executor, Some(lane));
         let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(callback) = &self.progress {
             let (application, scale, policy) = self.labels_of(job);
@@ -294,7 +312,7 @@ impl SweepPlan {
     /// # Panics
     /// Panics if `index >= self.num_jobs()`.
     pub fn run_cell(&self, index: usize, executor: &dyn Executor) -> CellOutcome {
-        run_job(self, &self.jobs[index], executor)
+        run_job(self, &self.jobs[index], executor, None)
     }
 
     /// The deterministic keyed post-pass over per-cell outcomes: walks
@@ -341,14 +359,14 @@ impl SweepPlan {
 /// [`SweepReport::diff`](crate::SweepReport::diff) ignores them.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SweepTiming {
-    /// Worker threads the sweep ran on.
+    /// Lanes the sweep ran on (see [`SweepPlan::execute`]).
     pub jobs: usize,
     /// Wall time of the whole execute phase (ns).
     pub total_wall_ns: f64,
     /// Wall time spent building workload specs during planning (ns).
     pub build_wall_ns: f64,
-    /// Sum of per-cell wall times across all workers (ns); with `jobs`
-    /// workers this exceeds `total_wall_ns` up to `jobs`-fold.
+    /// Sum of per-cell wall times across all lanes (ns); with `jobs` lanes
+    /// this exceeds `total_wall_ns` up to `jobs`-fold.
     pub run_wall_ns: f64,
     /// Workload specs actually built (once per app×scale on a cold cache).
     pub spec_builds: usize,
@@ -381,7 +399,7 @@ pub struct SweepTiming {
 
 /// Progress report passed to the callback installed by
 /// [`Experiment::on_cell_complete`](crate::Experiment::on_cell_complete)
-/// after each cell job finishes (from the worker that ran it, when sharded).
+/// after each cell job finishes (from the lane that ran it).
 #[derive(Clone, Debug)]
 pub struct CellProgress {
     /// Jobs completed so far, including this one.
@@ -450,9 +468,15 @@ impl CellMeasurement {
     }
 }
 
-/// Builds the job's policy and runs its cell on the given executor; a traced
-/// plan then drains the executor's sink into the cell's [`Trace`].
-fn run_job(plan: &SweepPlan, job: &SweepJob, executor: &dyn Executor) -> CellOutcome {
+/// Builds the job's policy and runs its cell on the given executor (for
+/// `lane`, if a lane runs it); a traced plan then drains the executor's
+/// sink into the cell's [`Trace`].
+fn run_job(
+    plan: &SweepPlan,
+    job: &SweepJob,
+    executor: &dyn Executor,
+    lane: Option<usize>,
+) -> CellOutcome {
     let workload = &plan.workloads[job.workload];
     // A workload whose baseline cannot be built is skipped wholesale: its
     // speedups would have no anchor and `assemble` would discard the
@@ -467,16 +491,13 @@ fn run_job(plan: &SweepPlan, job: &SweepJob, executor: &dyn Executor) -> CellOut
         return CellOutcome::Skipped;
     };
     // The label/seed pair lets out-of-process backends rebuild the policy
-    // remotely, and the next workload's spec lets them ship it ahead;
+    // remotely, and the lane lets them keep its cells on one worker;
     // in-process backends ignore both (default execute_cell).
     let policy_label = kind.label();
     let ctx = CellContext {
         policy_label: &policy_label,
         seed,
-        next_spec: plan.workloads[job.workload + 1..]
-            .iter()
-            .find(|next| next.baseline_available)
-            .map(|next| next.spec.as_ref()),
+        lane,
     };
     let report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
     let config = executor.config();
@@ -629,6 +650,7 @@ mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use numadag_kernels::{Application, ProblemScale, SpecCache};
+    use std::sync::Mutex;
 
     fn tiny_experiment() -> Experiment {
         Experiment::new()
@@ -674,7 +696,8 @@ mod tests {
                 sharded.to_json_string(),
                 "jobs={jobs} must not change the report"
             );
-            assert_eq!(sharded.timing.jobs, jobs.min(plan.num_jobs()));
+            // One lane per workload at most.
+            assert_eq!(sharded.timing.jobs, jobs.min(plan.workloads().len()));
         }
     }
 
@@ -883,6 +906,6 @@ mod tests {
     fn parallelism_zero_means_available_cores() {
         let report = tiny_experiment().parallelism(0).run();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(report.timing.jobs, cores.clamp(1, 6));
+        assert_eq!(report.timing.jobs, cores.clamp(1, 2));
     }
 }

@@ -32,12 +32,12 @@ pub struct CellContext<'a> {
     pub policy_label: &'a str,
     /// The seed the policy instance was built with.
     pub seed: u64,
-    /// The spec the plan's next workload runs (the next one whose baseline
-    /// can be built), `None` on the last: in a workload-major plan, what
-    /// the cells after this workload's will need. A backend that ships specs
-    /// to other processes can write it ahead, while this cell computes; the
-    /// in-process backends ignore it.
-    pub next_spec: Option<&'a TaskGraphSpec>,
+    /// The lane of the sweep running the cell (see
+    /// [`crate::SweepPlan::execute`]), `None` for a cell run on its own
+    /// ([`crate::SweepPlan::run_cell`]). A backend with workers of its own
+    /// can keep a lane's cells, and so its workload's spec, on one worker;
+    /// the in-process backends ignore it.
+    pub lane: Option<usize>,
 }
 
 /// A backend that can execute a task-graph workload under a scheduling
@@ -47,8 +47,9 @@ pub struct CellContext<'a> {
 /// does: [`SchedulingPolicy::prepare`] once before execution with the full
 /// graph, then [`SchedulingPolicy::assign`] each time a task becomes ready.
 ///
-/// `Send + Sync` are supertraits so executors can be constructed and owned
-/// per worker thread by a sharded [`crate::SweepPlan::execute`].
+/// `Send + Sync` are supertraits so the lanes of a
+/// [`crate::SweepPlan::execute`] can each own an executor, and the lanes of
+/// an [`crate::Experiment::run_on`] share one.
 pub trait Executor: Send + Sync {
     /// Short stable backend name (`"simulator"`, `"threaded"`, `"proc"`),
     /// used in sweep reports and CLI arguments.
@@ -74,6 +75,13 @@ pub trait Executor: Send + Sync {
     ) -> ExecutionReport {
         let _ = ctx;
         self.execute(spec, policy)
+    }
+
+    /// How many lanes of a sweep this executor can keep busy at once
+    /// (default 1): a sweep on it runs on at least that many lanes, each
+    /// pulling whole workloads (see [`crate::SweepPlan::execute`]).
+    fn lanes(&self) -> usize {
+        1
     }
 }
 
@@ -142,7 +150,7 @@ mod tests {
         let ctx = CellContext {
             policy_label: "las",
             seed: 7,
-            next_spec: Some(&spec),
+            lane: Some(1),
         };
         let mut p1 = LasPolicy::new(1);
         let mut p2 = LasPolicy::new(1);

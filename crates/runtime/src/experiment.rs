@@ -8,7 +8,7 @@
 //! two steps: [`Experiment::plan`] materializes a [`crate::SweepPlan`]
 //! (independent keyed cell jobs over shared, memoized
 //! `Arc<TaskGraphSpec>` workloads), and [`crate::SweepPlan::execute`] runs
-//! it — serially, or sharded across worker threads via
+//! it — serially, or on several lanes (threads pulling whole workloads) via
 //! [`Experiment::parallelism`]:
 //!
 //! ```
@@ -21,7 +21,7 @@
 //!     .scale(ProblemScale::Tiny)
 //!     .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
 //!     .backend(Backend::Simulated)
-//!     .parallelism(2) // shard cells over 2 worker threads
+//!     .parallelism(2) // up to 2 lanes, one per workload
 //!     .repetitions(1)
 //!     .run();
 //! assert!(report.speedup_of("Jacobi", "RGP+LAS").unwrap() > 0.0);
@@ -467,16 +467,21 @@ impl Experiment {
         self
     }
 
-    /// Sets how many worker threads the sweep is sharded across (default 1,
-    /// i.e. serial; `0` means one per available core). On the deterministic
-    /// simulator backend the report is bit-identical for every value.
+    /// Sets how many lanes the sweep runs on (default 1, i.e. serial; `0`
+    /// means one per available core). A lane pulls the next whole workload
+    /// and runs its cells in plan order; lane 0 runs on the calling thread,
+    /// the others on threads of their own. The count is raised to what the
+    /// executor can keep busy ([`Executor::lanes`]: a proc executor's live
+    /// workers) and capped at one per workload, so a sweep with one
+    /// workload runs on one lane. On the deterministic simulator backend
+    /// the report is bit-identical for every value.
     ///
-    /// **Threaded-backend caveat:** each worker owns a full
+    /// **Threaded-backend caveat:** each lane owns a full
     /// [`ThreadedExecutor`] (one OS thread per core of the topology), so
     /// `parallelism(n)` runs `n` complete thread pools concurrently. The
     /// threaded backend's makespans *are* wall-clock, so they then contend
-    /// for CPUs and come out inflated versus a serial sweep — shard the
-    /// simulator freely, but measure the threaded backend with
+    /// for CPUs and come out inflated versus a serial sweep — run the
+    /// simulator on any number of lanes, but measure the threaded backend with
     /// `parallelism(1)`.
     pub fn parallelism(mut self, jobs: usize) -> Self {
         self.parallelism = jobs;
@@ -494,8 +499,8 @@ impl Experiment {
     /// Installs a progress callback invoked after every finished cell;
     /// long sweeps use it to report live progress instead of going dark.
     /// The plan carries it, so [`SweepPlan::execute`] and
-    /// [`Experiment::run_on`] call it (concurrently from every worker, when
-    /// sharded); [`SweepPlan::run_cell`] does not.
+    /// [`Experiment::run_on`] call it (concurrently from every lane, when
+    /// there are several); [`SweepPlan::run_cell`] does not.
     pub fn on_cell_complete(
         mut self,
         callback: impl Fn(&CellProgress) + Send + Sync + 'static,
@@ -605,22 +610,24 @@ impl Experiment {
 
     /// Runs the sweep: every workload under the baseline and every
     /// configured policy, `repetitions` times each, on the configured
-    /// backend — serially, or sharded across [`Experiment::parallelism`]
-    /// worker threads (each owning its own executor and policy instances).
+    /// backend — on [`Experiment::parallelism`] lanes (each owning its own
+    /// executor and policy instances; see [`SweepPlan::execute`]).
     pub fn run(self) -> SweepReport {
         self.plan().execute(self.parallelism)
     }
 
-    /// Runs the sweep serially on a caller-supplied executor (any
-    /// [`Executor`] implementation, including ones outside this crate),
-    /// through the same loop as [`SweepPlan::execute`] with one job. The
-    /// executor's machine model replaces the experiment's: its topology
-    /// sizes the workloads, and its cost model and stealing mode price
-    /// them. The report names the executor's machine and
-    /// [`Executor::backend_name`].
+    /// Runs the sweep on a caller-supplied executor (any [`Executor`]
+    /// implementation, including ones outside this crate), through the same
+    /// lane loop as [`SweepPlan::execute`]: [`Experiment::parallelism`]
+    /// lanes raised to [`Executor::lanes`] (a proc executor's live
+    /// workers), at most one per workload, every lane sharing `executor`;
+    /// one lane when the executor carries a trace sink. The executor's
+    /// machine model replaces the experiment's: its topology sizes the
+    /// workloads, and its cost model and stealing mode price them. The
+    /// report names the executor's machine and [`Executor::backend_name`].
     pub fn run_on(&self, executor: &dyn Executor) -> SweepReport {
         let plan = self.plan_for_sockets(executor.config().topology.num_sockets());
-        plan.execute_on(executor, executor.backend_name())
+        plan.execute_on(executor, self.parallelism)
     }
 }
 

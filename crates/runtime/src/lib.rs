@@ -31,7 +31,7 @@
 //!    over workload specs built exactly once (memoized through a
 //!    [`numadag_kernels::SpecCache`] and shared as `Arc<TaskGraphSpec>`).
 //! 2. [`SweepPlan::execute`](driver::SweepPlan::execute) runs the plan,
-//!    serially or sharded across N worker threads (each owning its own
+//!    on one or more lanes (each pulling whole workloads and owning its own
 //!    `Box<dyn Executor>` and policy instances), reports per-cell progress,
 //!    and assembles the structured, JSON-serializable
 //!    [`experiment::SweepReport`] in a deterministic keyed post-pass — so

@@ -22,8 +22,8 @@
 //! [`runtime::SweepPlan::execute`]. [`runtime::Experiment::plan`]
 //! materializes a [`runtime::SweepPlan`] of independent keyed cell jobs
 //! (workload specs built once, memoized in a [`kernels::SpecCache`]), and
-//! the plan executes itself serially or sharded across worker threads
-//! (`.parallelism(n)`) — with bit-identical reports on the simulator
+//! the plan executes itself on one or more lanes, threads that pull whole
+//! workloads (`.parallelism(n)`) — with bit-identical reports on the simulator
 //! backend either way. A machine model beyond the topology (a flat cost
 //! model, no stealing) is an executor's, swept with
 //! [`runtime::Experiment::run_on`]:

@@ -113,7 +113,7 @@ fn proc_backend_agrees_with_simulator_and_threaded_on_placements() {
         let ctx = CellContext {
             policy_label: "ep",
             seed: 5,
-            next_spec: None,
+            lane: None,
         };
         let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
         assert_eq!(

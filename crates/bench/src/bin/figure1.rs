@@ -28,8 +28,10 @@
 //! ablations run through the same sweep as everything else.
 //!
 //! `--jobs N` runs the sweep on N lanes, each pulling whole workloads (0 =
-//! one per core; `--backend proc` runs at least one per live worker); on the
-//! simulator backend the report is bit-identical for every value. Per-cell progress goes to stderr, keeping stdout tables and the
+//! one per core; `--backend proc` runs at least one per live worker), and
+//! the sweep accounting line prints the lanes that ran; on the simulator
+//! backend the report is bit-identical for every value. Per-cell progress
+//! goes to stderr, keeping stdout tables and the
 //! JSON exports clean. `--json` writes the byte-stable measurement report
 //! (the `BENCH_*.json` baseline format); `--json-timing` additionally
 //! includes the wall-time/spec-build accounting, which varies run to run.
@@ -47,7 +49,7 @@
 
 use std::sync::Arc;
 
-use numadag_bench::{jobs_label, paper_reference, stderr_progress, write_trace_dir};
+use numadag_bench::{paper_reference, stderr_progress, write_trace_dir};
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_runtime::{Backend, ResolvedSweep, SweepReport, SweepSpec};
@@ -195,12 +197,13 @@ fn main() {
         );
     }
     let topology = Topology::bullion_s16();
+    // How many lanes run is known once the sweep has: the accounting line
+    // says.
     println!(
-        "# Figure 1 — speedup over LAS on {} ({:?} scale, {} backend, {} jobs)\n",
+        "# Figure 1 — speedup over LAS on {} ({:?} scale, {} backend)\n",
         topology.name(),
         sweep.scale,
         sweep.backend.label(),
-        jobs_label(jobs),
     );
 
     let collector = trace_dir.as_ref().map(|_| Arc::new(TraceCollector::new()));
@@ -247,7 +250,7 @@ fn main() {
     }
 
     print!(
-        "\n## Sweep accounting\n\n  total {:.1} ms wall ({} jobs) | cells {:.1} ms | \
+        "\n## Sweep accounting\n\n  total {:.1} ms wall ({} lanes) | cells {:.1} ms | \
          spec builds {} ({:.1} ms, {} cache hits)",
         report.timing.total_wall_ns / 1e6,
         report.timing.jobs,

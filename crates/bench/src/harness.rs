@@ -18,17 +18,6 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
         .map_err(|_| format!("--jobs needs an unsigned integer, got {value:?}"))
 }
 
-/// How a `--jobs` value reads in banners: the literal count, or `"auto"`
-/// for `0` (the effective worker count is recorded in the report's timing
-/// section).
-pub fn jobs_label(jobs: usize) -> String {
-    if jobs == 0 {
-        "auto".to_string()
-    } else {
-        jobs.to_string()
-    }
-}
-
 /// Per-cell progress line on stderr — install with
 /// `Experiment::on_cell_complete(stderr_progress)` so long sweeps report
 /// live progress instead of going dark (stderr keeps stdout tables and

@@ -10,6 +10,4 @@
 
 pub mod harness;
 
-pub use harness::{
-    jobs_label, paper_reference, parse_jobs, sanitize_label, stderr_progress, write_trace_dir,
-};
+pub use harness::{paper_reference, parse_jobs, sanitize_label, stderr_progress, write_trace_dir};

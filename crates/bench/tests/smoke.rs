@@ -204,15 +204,24 @@ fn sharded_sweep_writes_identical_json_and_reports_progress() {
 }
 
 /// `figure1 --backend proc` re-execs itself as its workers: the pool's
-/// report is the committed Tiny baseline, and its counters line shows both
-/// workers alive and no cell redispatched.
+/// report is the committed Tiny baseline, its counters line shows both
+/// workers alive and no cell redispatched, and at `--jobs 1` stdout names
+/// one lane count, the two lanes that ran (one per worker).
 #[test]
 fn figure1_on_the_proc_backend_writes_the_tiny_baseline() {
     let dir = std::env::temp_dir().join(format!("numadag_proc_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("proc.json");
     let out = Command::new(env!("CARGO_BIN_EXE_figure1"))
-        .args(["--scale", "tiny", "--backend", "proc", "--json"])
+        .args([
+            "--scale",
+            "tiny",
+            "--backend",
+            "proc",
+            "--jobs",
+            "1",
+            "--json",
+        ])
         .arg(&json_path)
         .output()
         .expect("figure1 must spawn");
@@ -230,6 +239,9 @@ fn figure1_on_the_proc_backend_writes_the_tiny_baseline() {
     for counters in ["workers_spawned=2 workers_alive=2", "redispatches=0"] {
         assert!(stdout.contains(counters), "missing {counters}: {stdout}");
     }
+    assert!(stdout.contains("(2 lanes)"), "{stdout}");
+    assert_eq!(stdout.matches("lanes").count(), 1, "{stdout}");
+    assert!(!stdout.contains("jobs"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

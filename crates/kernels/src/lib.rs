@@ -36,7 +36,7 @@ pub mod storage;
 pub mod suite;
 pub mod symm_inv;
 
-pub use cache::SpecCache;
+pub use cache::{SpecCache, SpecKey};
 pub use common::ProblemScale;
 pub use storage::DenseStore;
 pub use suite::Application;

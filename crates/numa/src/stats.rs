@@ -267,9 +267,9 @@ mod tests {
         assert_eq!(rebuilt.distance_weighted(), s.distance_weighted());
         assert_eq!(rebuilt.mean_access_distance(), s.mean_access_distance());
         serde::testing::assert_struct_rejects_malformed(
-            &serde_json::to_value(&s),
+            &serde_json::to_string(&s).unwrap(),
             &[],
-            serde_json::from_value::<TrafficStats>,
+            serde::decode::<TrafficStats>,
         );
     }
 

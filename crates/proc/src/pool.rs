@@ -37,8 +37,9 @@
 //!
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
-//! differs), spec transfer (only the first time this worker sees the spec),
-//! `assign`, then the one `done` reply. Any framing
+//! differs), spec transfer (only the first time this worker sees the spec:
+//! the kernel recipe that builds it when the cell carries one, else the
+//! spec's columns), `assign`, then the one `done` reply. Any framing
 //! failure or timeout on that conversation kills the worker and redispatches
 //! the cell to a live one; a structured `error` reply is deterministic
 //! (bad policy, bad spec) and propagates instead of retrying. Every write
@@ -51,10 +52,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
+use numadag_kernels::SpecKey;
 use numadag_runtime::framing::{
     from_line, read_frame, to_line, write_frame, write_line, FrameError,
 };
-use numadag_runtime::{ExecutionConfig, ExecutionReport};
+use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport};
 use numadag_tdg::{Fnv1a, TaskGraphSpec};
 use numadag_trace::TraceEvent;
 
@@ -166,7 +168,8 @@ pub struct PoolStats {
     pub redispatches: u64,
     /// `config` messages sent (one per worker per distinct config).
     pub config_broadcasts: u64,
-    /// `spec` messages sent (one per worker per distinct workload).
+    /// Workloads shipped, as `recipe` or `spec` (one per worker per
+    /// distinct workload).
     pub spec_transfers: u64,
     /// Collective barriers completed (startup + shutdown drains).
     pub barriers: u64,
@@ -259,7 +262,7 @@ impl PoolState {
         self.counts.config_broadcasts += 1;
     }
 
-    /// A `spec` was written.
+    /// A `recipe` or `spec` was written.
     fn shipped(&mut self) {
         self.counts.spec_transfers += 1;
     }
@@ -520,36 +523,37 @@ impl WorkerPool {
     }
 
     /// Executes one sweep cell on some live worker, redispatching on worker
-    /// loss. `policy_label` must parse back to the policy that produced
+    /// loss. `cell.policy_label` must parse back to the policy that produced
     /// `policy_name` (its `'static` display name, re-attached to the report
     /// on this side of the wire — labels never travel). The events are the
     /// cell's trace, empty unless `config` carries a sink. A cell of sweep
-    /// `lane` prefers worker `lane` (modulo the pool; see the module doc).
+    /// lane `i` prefers worker `i` (modulo the pool; see the module doc). A
+    /// worker that lacks the spec is shipped `cell.recipe` when there is
+    /// one, which must be what built `spec` (the worker refuses it
+    /// otherwise), and `spec` itself when there is none.
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
-        lane: Option<usize>,
-        policy_label: &str,
+        cell: &CellContext<'_>,
         policy_name: &'static str,
-        policy_seed: u64,
         config: &WireConfig,
     ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
         let fp = spec.fingerprint();
-        let cell = self.state().dispatched();
+        let id = self.state().dispatched();
         let assignment = Assignment {
-            cell,
+            cell: id,
             fp,
-            policy: policy_label.to_string(),
-            policy_seed,
+            policy: cell.policy_label.to_string(),
+            policy_seed: cell.seed,
         };
-        let prefer = lane.map(|lane| lane % self.num_slots());
+        let prefer = cell.lane.map(|lane| lane % self.num_slots());
         loop {
             let at = self
                 .state()
                 .book(fp, prefer)
-                .ok_or(ProcError::AllWorkersDead { cell })?;
+                .ok_or(ProcError::AllWorkersDead { cell: id })?;
             let mut conn = lock(&self.conns[at]);
-            match self.converse(at, &mut conn, &assignment, spec, config) {
+            match self.converse(at, &mut conn, &assignment, spec, cell.recipe, config) {
                 End::Done(mut report, events) => {
                     self.state().answered(at);
                     report.workload = spec.name.clone();
@@ -567,13 +571,15 @@ impl WorkerPool {
     }
 
     /// One cell's conversation with the worker at `at`, on which the cell
-    /// is booked and whose `Conn` the caller holds.
+    /// is booked and whose `Conn` the caller holds, over `spec`, built by
+    /// `recipe` if it has one.
     fn converse(
         &self,
         at: usize,
         conn: &mut Conn,
         assignment: &Assignment,
         spec: &TaskGraphSpec,
+        recipe: Option<SpecKey>,
         config: &WireConfig,
     ) -> End {
         // A worker lost while this cell waited for its `Conn` stays lost.
@@ -601,9 +607,15 @@ impl WorkerPool {
             }
         }
 
-        // Spec transfer: ship once per worker, reference by fingerprint after.
+        // Spec transfer: ship once per worker, reference by fingerprint
+        // after. A kernel's recipe, for the worker to build; a custom
+        // graph's columns.
         if self.state().book_spec(at, assignment.fp) {
-            if write_line(&mut conn.writer, encode_spec(spec)).is_err() {
+            let line = match recipe {
+                Some(recipe) => to_line(&ToWorker::recipe(assignment.fp, recipe)),
+                None => encode_spec(spec),
+            };
+            if write_line(&mut conn.writer, line).is_err() {
                 return End::Lost;
             }
             self.state().shipped();
@@ -624,8 +636,8 @@ impl WorkerPool {
                 events,
             }) if cell == assignment.cell => End::Done(report, events),
             // The complaint may be about this cell's spec, shipped and
-            // refused (`spec` is un-acked; its refusal answers the first
-            // `assign` over it): the worker does not hold it.
+            // refused (`spec` and `recipe` are un-acked; a refusal answers
+            // the first `assign` over it): the worker does not hold it.
             Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp)),
             _ => End::Lost,
         }

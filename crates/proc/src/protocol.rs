@@ -30,16 +30,25 @@
 //! beside the config (`events`, since protocol version 3), and its events
 //! come back inside that `done`.
 //!
-//! The exception is `spec`, the only message whose size grows with the
-//! workload (1.3 MB for the eight paper applications at Full scale, shipped
-//! to every worker), in a columnar layout: one flat array per field instead
-//! of one object per task. [`encode_spec`] writes it by hand from the
-//! graph's own columns; `decode_spec` reads it with a derived decoder and
-//! validates it before it constructs anything. A worker peeks the envelope
-//! key (`is_spec_line`) and decodes everything else as a [`ToWorker`].
+//! A workload reaches a worker in one of two forms, each un-acked: its
+//! refusal is the reply to the first `assign` over the spec.
+//!
+//! * **`recipe`**, for the paper's kernels: the application, scale and
+//!   socket count that build the spec, and its fingerprint. The worker
+//!   builds the spec itself (`build_recipe`) and refuses it unless the
+//!   built fingerprint is the advertised one, so a recipe is a few dozen
+//!   bytes where the eight Full specs' columns are 1.3 MB.
+//! * **`spec`**, for a custom graph, which has no recipe: the spec itself,
+//!   the only message whose size grows with the workload, in a columnar
+//!   layout — one flat array per field instead of one object per task.
+//!   [`encode_spec`] writes it by hand from the graph's own columns;
+//!   `decode_spec` reads it with a derived decoder and validates it before
+//!   it constructs anything. A worker peeks the envelope key
+//!   (`is_spec_line`) and decodes everything else as a [`ToWorker`].
 
 use std::sync::Arc;
 
+use numadag_kernels::{Application, ProblemScale, SpecKey};
 use numadag_runtime::framing::{from_line, DecodeError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
@@ -48,10 +57,10 @@ use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
-/// [`encode_spec`] / `decode_spec`). Externally tagged with lowercase
+/// [`encode_spec`] / `decode_spec`). Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -70,6 +79,19 @@ pub enum ToWorker {
         events: bool,
         /// The executor configuration; its sink does not travel.
         config: ExecutionConfig,
+    },
+    /// A kernel workload, as the recipe that builds its spec: the worker
+    /// builds `app` at `scale` for `sockets` sockets and holds the spec
+    /// under `fp` if that is the built spec's fingerprint.
+    Recipe {
+        /// The fingerprint the built spec must have; `assign`s name it.
+        fp: u64,
+        /// The application, in a spelling `Application`'s `FromStr` reads.
+        app: String,
+        /// The problem scale: `tiny`, `small` or `full`.
+        scale: String,
+        /// The socket count the spec is built for.
+        sockets: u64,
     },
     /// One cell of work.
     Assign(Assignment),
@@ -127,7 +149,7 @@ pub enum ToCoordinator {
 pub struct Assignment {
     /// Coordinator-side cell id, echoed back in `done`.
     pub cell: u64,
-    /// Fingerprint of a spec previously shipped with a `spec` message.
+    /// Fingerprint of a spec previously shipped as `spec` or `recipe`.
     pub fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
@@ -146,6 +168,44 @@ impl ToWorker {
             config: config.clone(),
         }
     }
+
+    /// The `recipe` message of the kernel spec `recipe` builds, whose
+    /// fingerprint is `fp`.
+    pub(crate) fn recipe(fp: u64, (app, scale, sockets): SpecKey) -> ToWorker {
+        ToWorker::Recipe {
+            fp,
+            app: app.label().to_string(),
+            scale: scale.label().to_string(),
+            sockets: sockets as u64,
+        }
+    }
+}
+
+/// The spec a decoded `recipe` message builds, refusing what a worker must
+/// not build or hold: an application or scale their `FromStr` does not know
+/// (in its words), a socket count outside `1..=`[`Simulator::MAX_SOCKETS`],
+/// or a spec whose fingerprint is not the advertised `fp`.
+pub(crate) fn build_recipe(
+    fp: u64,
+    app: &str,
+    scale: &str,
+    sockets: u64,
+) -> Result<TaskGraphSpec, String> {
+    let app: Application = app.parse()?;
+    let scale: ProblemScale = scale.parse()?;
+    let most = Simulator::MAX_SOCKETS;
+    let sockets = usize::try_from(sockets)
+        .ok()
+        .filter(|n| (1..=most).contains(n))
+        .ok_or_else(|| format!("recipe.sockets is {sockets}, expected 1..={most}"))?;
+    let spec = app.build(scale, sockets);
+    let built = spec.fingerprint();
+    if built != fp {
+        return Err(format!(
+            "recipe fingerprint mismatch: advertised {fp:#x}, built {built:#x}"
+        ));
+    }
+    Ok(spec)
 }
 
 /// The simulator a worker builds for a decoded `config` message, refusing
@@ -519,11 +579,14 @@ mod tests {
     /// fb5dfe3 rendered them, edited for protocol version 3 (`config` gained
     /// `events`, which `assign` lost together with `placements`), re-captured
     /// for version 4, where the executor configuration began to travel in
-    /// its own derived form, and re-spelled for version 5, where every
-    /// integer is a plain number (the second `config`'s seed is `u64::MAX`).
-    const TO_WORKER_LINES: [&str; 5] = [
-        r#"{"config":{"version":5,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
-        r#"{"config":{"version":5,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
+    /// its own derived form, re-spelled for version 5, where every integer
+    /// is a plain number (the second `config`'s seed is `u64::MAX`), and
+    /// extended for version 6 by `recipe`: Symm. mat. inv. at Tiny scale on
+    /// eight sockets, whose fingerprint is above 2^63.
+    const TO_WORKER_LINES: [&str; 6] = [
+        r#"{"config":{"version":6,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
+        r#"{"config":{"version":6,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
+        r#"{"recipe":{"fp":10207178263391561073,"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}"#,
         r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
@@ -551,18 +614,35 @@ mod tests {
         for line in TO_WORKER_LINES {
             let message: ToWorker = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
-            // ... and through the simulator a worker builds from it.
-            if let ToWorker::Config {
-                version,
-                epoch,
-                events,
-                config,
-            } = message
-            {
-                let simulator = simulator_for(version, events, config).unwrap();
-                let rebuilt = ToWorker::configure(epoch, simulator.config());
-                assert_eq!(to_line(&rebuilt), line);
-            }
+            // ... and through what a worker builds from it.
+            let rebuilt = match message {
+                ToWorker::Config {
+                    version,
+                    epoch,
+                    events,
+                    config,
+                } => {
+                    let simulator = simulator_for(version, events, config).unwrap();
+                    ToWorker::configure(epoch, simulator.config())
+                }
+                ToWorker::Recipe {
+                    fp,
+                    app,
+                    scale,
+                    sockets,
+                } => {
+                    let spec = build_recipe(fp, &app, &scale, sockets).unwrap();
+                    let recipe = (
+                        app.parse().unwrap(),
+                        scale.parse().unwrap(),
+                        sockets as usize,
+                    );
+                    assert_eq!(spec.fingerprint(), fp);
+                    ToWorker::recipe(fp, recipe)
+                }
+                other => other,
+            };
+            assert_eq!(to_line(&rebuilt), line);
         }
         for line in TO_COORDINATOR_LINES {
             let message: ToCoordinator = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -576,7 +656,7 @@ mod tests {
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 5);
+        assert_eq!(PROTOCOL_VERSION, 6);
     }
 
     /// `-0.0` keeps its sign across the wire: in a `done` report, whose
@@ -608,41 +688,19 @@ mod tests {
         assert_eq!(work.to_bits(), (-0.0f64).to_bits());
     }
 
-    /// The tree of a golden line, for the malformed-input property, which
-    /// mutates trees. A tree's numbers are `f64`s: the rows' integers near
-    /// `u64::MAX` and `u128::MAX` round to 2^64 and 2^128, past their types,
-    /// so the tree holds 2^63 there instead.
-    fn sample(line: &str) -> Value {
-        fn lower(value: &mut Value) {
-            match value {
-                Value::Number(n) if [64, 128].map(|k| 2f64.powi(k)).contains(n) => {
-                    *n = 2f64.powi(63)
-                }
-                Value::Array(items) => items.iter_mut().for_each(lower),
-                Value::Object(entries) => entries.iter_mut().for_each(|(_, v)| lower(v)),
-                _ => {}
-            }
-        }
-        let mut tree = parse(line);
-        lower(&mut tree);
-        tree
-    }
-
+    /// Every golden line, its full-range integers (`u64::MAX` epochs and
+    /// seeds, the recipe's fingerprint, the `u128::MAX` ledger) as written.
     #[test]
     fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
         for line in TO_WORKER_LINES {
-            assert_enum_rejects_malformed(&sample(line), &[], serde_json::from_value::<ToWorker>);
+            assert_enum_rejects_malformed(line, &[], from_line::<ToWorker>);
         }
         for line in TO_COORDINATOR_LINES {
-            assert_enum_rejects_malformed(
-                &sample(line),
-                &[],
-                serde_json::from_value::<ToCoordinator>,
-            );
+            assert_enum_rejects_malformed(line, &[], from_line::<ToCoordinator>);
         }
         // One direction's messages are not the other's.
         assert!(serde_json::from_value::<ToWorker>(&parse(TO_COORDINATOR_LINES[0])).is_err());
-        assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[4])).is_err());
+        assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[5])).is_err());
     }
 
     fn push(
@@ -1005,13 +1063,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["config", "version"],
-                Value::Number(4.0),
-                "config.version 4 is not the supported protocol version 5",
+                Value::Number(5.0),
+                "config.version 5 is not the supported protocol version 6",
             ),
             (
                 vec!["config", "version"],
-                Value::Number(6.0),
-                "config.version 6 is not the supported protocol version 5",
+                Value::Number(7.0),
+                "config.version 7 is not the supported protocol version 6",
             ),
             (
                 vec!["config", "config", "steal"],
@@ -1062,6 +1120,40 @@ mod tests {
             "the simulator supports at most 64 sockets, topology \"65-socket x 1 cores\" has 65"
         );
         assert!(simulator_from(&serde_json::to_value(&sockets(64))).is_ok());
+    }
+
+    /// A recipe names a spec a worker can build, or is refused: an unknown
+    /// application or scale in `FromStr`'s words, a socket count the
+    /// simulator does not take, and a spec that is not the advertised one.
+    #[test]
+    fn a_recipe_a_worker_must_not_build_is_refused() {
+        const FP: u64 = 0x8da7_2e8c_f48a_e571; // Symm. mat. inv., Tiny, 8 sockets
+        assert_eq!(
+            build_recipe(FP, "symm", "TINY", 8).unwrap().fingerprint(),
+            FP
+        );
+        let mismatch = "recipe fingerprint mismatch: advertised 0x8da72e8cf48ae571, built 0x";
+        for (app, scale, sockets, complaint) in [
+            ("fft", "tiny", 8, "unknown application 'fft' (expected cg|gs|ih|jacobi|nstream|qr|rb|symm or a Figure-1 label)"),
+            ("symm", "huge", 8, "unknown scale 'huge' (expected tiny|small|full)"),
+            ("symm", "tiny", 0, "recipe.sockets is 0, expected 1..=64"),
+            ("symm", "tiny", 65, "recipe.sockets is 65, expected 1..=64"),
+            ("symm", "tiny", u64::MAX, "recipe.sockets is 18446744073709551615, expected 1..=64"),
+            ("symm", "tiny", 4, mismatch),
+            ("symm", "small", 8, mismatch),
+            ("cg", "tiny", 8, mismatch),
+        ] {
+            let err = build_recipe(FP, app, scale, sockets).err();
+            let err = err.unwrap_or_else(|| panic!("{app} {scale} {sockets}: built"));
+            assert!(err.starts_with(complaint), "{app} {scale} {sockets}: {err}");
+        }
+        // The range is the simulator's.
+        for sockets in [1, 64] {
+            let fp = Application::Jacobi
+                .build(ProblemScale::Tiny, sockets)
+                .fingerprint();
+            assert!(build_recipe(fp, "jacobi", "tiny", sockets as u64).is_ok());
+        }
     }
 
     #[test]

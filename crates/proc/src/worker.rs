@@ -2,15 +2,16 @@
 //!
 //! [`run_worker`] serves one coordinator over one connected socket: it
 //! introduces itself with `hello`, then serves a simple request loop —
-//! `config`, `spec`, `assign`, `barrier`, `shutdown` — until the coordinator
-//! closes the conversation. A worker process is the same executable as the
-//! coordinator, re-entered through [`crate::maybe_run_worker`]: the pool
-//! self-execs `current_exe()` with a `--proc-worker` argument and passes the
-//! coordinator's socket address via the environment, which
-//! [`run_worker_from_env`] reads; a worker on a thread is `run_worker` over
-//! a socket its launcher connected. All randomness comes from the seeds in
-//! the messages, so a cell executed here is byte-identical to the same cell
-//! executed by an in-process [`Simulator`].
+//! `config`, `recipe` or `spec`, `assign`, `barrier`, `shutdown` — until the
+//! coordinator closes the conversation. A worker process is the same
+//! executable as the coordinator, re-entered through
+//! [`crate::maybe_run_worker`]: the pool self-execs `current_exe()` with a
+//! `--proc-worker` argument and passes the coordinator's socket address via
+//! the environment, which [`run_worker_from_env`] reads; a worker on a
+//! thread is `run_worker` over a socket its launcher connected. All
+//! randomness comes from the seeds in the messages, so a cell executed here
+//! is byte-identical to the same cell executed by an in-process
+//! [`Simulator`].
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -24,7 +25,7 @@ use numadag_trace::TraceEvent;
 use serde::{de, Reader};
 
 use crate::protocol::{
-    decode_spec, is_spec_line, simulator_for, Assignment, ToCoordinator, ToWorker,
+    build_recipe, decode_spec, is_spec_line, simulator_for, Assignment, ToCoordinator, ToWorker,
 };
 
 /// Environment variable carrying the coordinator's `host:port`.
@@ -91,10 +92,10 @@ fn serve(
     // reused by every cell that follows.
     let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
-    // `spec` is un-acked, so a refused one may not be answered on the spot:
-    // the coordinator reads one reply per `assign`, and the complaint is
-    // that reply for the first `assign` over a spec this worker does not
-    // hold — the one the refused spec was shipped for, now or ahead. Cells
+    // `spec` and `recipe` are un-acked, so a refused one may not be answered
+    // on the spot: the coordinator reads one reply per `assign`, and the
+    // complaint is that reply for the first `assign` over a spec this
+    // worker does not hold — the one the refused spec was shipped for. Cells
     // over specs it holds run as usual in between.
     let mut refused_spec: Option<String> = None;
 
@@ -129,11 +130,26 @@ fn serve(
             Err(DecodeError::Syntax(e)) => return Err(not_json(&mut writer, e)),
             Err(DecodeError::Refused(e)) => {
                 let tag = de::tag(&mut Reader::new(&line)).map_or("envelope".to_string(), |t| t.0);
-                send(&mut writer, &error(format!("bad {tag}: {e}")))?;
+                let complaint = format!("bad {tag}: {e}");
+                match tag.as_str() {
+                    "recipe" => refused_spec = Some(complaint),
+                    _ => send(&mut writer, &error(complaint))?,
+                }
                 continue;
             }
         };
         match message {
+            ToWorker::Recipe {
+                fp,
+                app,
+                scale,
+                sockets,
+            } => match build_recipe(fp, &app, &scale, sockets) {
+                Ok(spec) => {
+                    specs.insert(fp, spec);
+                }
+                Err(e) => refused_spec = Some(format!("bad recipe: {e}")),
+            },
             ToWorker::Config {
                 version,
                 epoch,
@@ -371,6 +387,94 @@ mod tests {
             .expect("the worker left cleanly");
     }
 
+    /// Each refused recipe, whether its line decodes or not, is the one
+    /// reply to the first `assign` over its fingerprint; then the worker
+    /// builds a good recipe and runs a cell over it.
+    #[test]
+    fn a_refused_recipe_answers_the_assign_behind_it_and_the_worker_keeps_serving() {
+        use numadag_kernels::{Application, ProblemScale};
+        let (mut coordinator, worker) = loopback();
+        let config = ExecutionConfig::new(Topology::two_socket(2));
+        coordinator.configure(1, &config);
+        let spec = Application::Jacobi.build(ProblemScale::Tiny, 2);
+        let fp = spec.fingerprint();
+        let good = to_line(&ToWorker::recipe(
+            fp,
+            (Application::Jacobi, ProblemScale::Tiny, 2),
+        ));
+        let assign = Assignment {
+            cell: 8,
+            fp,
+            policy: "las".to_string(),
+            policy_seed: 5,
+        };
+        for (from, to, complaint) in [
+            (
+                "\"app\":\"Jacobi\"",
+                "\"app\":\"fft\"",
+                "unknown application 'fft'",
+            ),
+            (
+                "\"scale\":\"tiny\"",
+                "\"scale\":\"huge\"",
+                "unknown scale 'huge'",
+            ),
+            (
+                "\"sockets\":2",
+                "\"sockets\":0",
+                "recipe.sockets is 0, expected 1..=64",
+            ),
+            (
+                "\"sockets\":2",
+                "\"sockets\":65",
+                "recipe.sockets is 65, expected 1..=64",
+            ),
+            (
+                "\"sockets\":2",
+                "\"sockets\":4",
+                "recipe fingerprint mismatch",
+            ),
+            (
+                "\"app\":\"Jacobi\"",
+                "\"app\":\"rb\"",
+                "recipe fingerprint mismatch",
+            ),
+            ("\"sockets\":2", "\"sockets\":\"2\"", "recipe.sockets: "),
+            ("\"app\":\"Jacobi\",", "", "missing field \"app\""),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good);
+            write_line(&mut coordinator.writer, bad).unwrap();
+            coordinator.send(&ToWorker::Assign(assign.clone()));
+            coordinator.expect_error("bad recipe: ", complaint);
+            // One reply, not two.
+            coordinator.send(&ToWorker::Barrier { epoch: 9 });
+            assert!(matches!(
+                coordinator.reply(),
+                ToCoordinator::BarrierAck { epoch: 9 }
+            ));
+        }
+
+        write_line(&mut coordinator.writer, good).unwrap();
+        coordinator.send(&ToWorker::Assign(assign));
+        let ToCoordinator::Done {
+            cell: 8, report, ..
+        } = coordinator.reply()
+        else {
+            panic!("expected done for cell 8");
+        };
+        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
+        let want = Simulator::new(config).run(&spec, policy.as_mut());
+        assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
+        assert_eq!(report.traffic, want.traffic);
+
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
     #[test]
     fn a_spec_line_that_is_not_json_ends_the_conversation() {
         let (mut coordinator, worker) = loopback();
@@ -397,11 +501,14 @@ mod tests {
         assert_ne!(truncating, line);
         write_line(&mut coordinator.writer, truncating).unwrap();
         coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
-        // The refusals of a well-typed config are structured errors too.
-        let next_version = line.replacen("\"version\":5", "\"version\":6", 1);
-        assert_ne!(next_version, line);
-        write_line(&mut coordinator.writer, next_version).unwrap();
-        coordinator.expect_error("bad config: ", "not the supported protocol version 5");
+        // The refusals of a well-typed config are structured errors too: the
+        // last version and the next.
+        for version in [5, 7] {
+            let other = line.replacen("\"version\":6", &format!("\"version\":{version}"), 1);
+            assert_ne!(other, line);
+            write_line(&mut coordinator.writer, other).unwrap();
+            coordinator.expect_error("bad config: ", "not the supported protocol version 6");
+        }
         write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
         coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 

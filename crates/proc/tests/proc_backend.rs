@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use numadag_core::{make_policy, PolicyKind};
+use numadag_kernels::{Application, ProblemScale, SpecKey};
 use numadag_numa::{CostModel, DistanceMatrix, Topology};
 use numadag_proc::{ProcError, ProcExecutor, WireConfig, WorkerPool};
 use numadag_runtime::{
@@ -51,6 +52,17 @@ fn named_spec(name: &str) -> TaskGraphSpec {
         );
     }
     TaskGraphSpec::new(name, b.finish())
+}
+
+/// A cell of policy `label` seeded `seed`, run on its own: outside any
+/// lane, over a spec without a recipe.
+fn cell(label: &str, seed: u64) -> CellContext<'_> {
+    CellContext {
+        policy_label: label,
+        seed,
+        lane: None,
+        recipe: None,
+    }
 }
 
 fn local_report(
@@ -97,7 +109,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
         let (got, events) = pool
-            .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
+            .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
             .expect("cell executes");
         assert!(events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
@@ -167,7 +179,7 @@ fn every_config_knob_reaches_the_workers() {
             let want = local_report(&spec, kind, seed, &config);
             let want_events = sink.take();
             let (got, events) = pool
-                .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
+                .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
                 .unwrap_or_else(|e| panic!("{row}, {label}: {e}"));
             assert_reports_identical(&got, &want);
             assert_eq!(events, want_events, "{row}, {label}");
@@ -195,7 +207,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
             let seed = 30 + round;
             let want = local_report(spec, kind, seed, &config);
             let (got, _) = pool
-                .run_cell(spec, None, "las", kind.base_label(), seed, &wire)
+                .run_cell(spec, &cell("las", seed), kind.base_label(), &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
         }
@@ -228,7 +240,7 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
             let want = local_report(spec, kind, seed, config);
             let want_events = sink.take();
             let (got, events) = pool
-                .run_cell(spec, None, "rgp+las", kind.base_label(), seed, &wire)
+                .run_cell(spec, &cell("rgp+las", seed), kind.base_label(), &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
             // Events come back for the traced epoch only.
@@ -258,12 +270,7 @@ fn executor_trait_ships_cells_and_forwards_events() {
     assert_eq!(executor.backend_name(), "proc");
 
     let mut policy = make_policy(kind, &spec, seed).unwrap();
-    let ctx = CellContext {
-        policy_label: "las",
-        seed,
-        lane: None,
-    };
-    let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
+    let report = executor.execute_cell(&spec, policy.as_mut(), Some(&cell("las", seed)));
     let remote_events = sink.take();
 
     let local_sink = Arc::new(MemorySink::new());
@@ -286,7 +293,7 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, None, "las", kind.base_label(), 5, &wire)
+            .run_cell(&spec, &cell("las", 5), kind.base_label(), &wire)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -304,15 +311,25 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
 /// lane would, each report held to the in-process one; returns the wall
 /// time they took.
 fn run_workloads(pool: &WorkerPool, specs: &[TaskGraphSpec]) -> Duration {
+    let workloads: Vec<_> = specs.iter().map(|spec| (spec.clone(), None)).collect();
+    run_recipes(pool, &workloads)
+}
+
+/// [`run_workloads`] over workloads that may have a recipe.
+fn run_recipes(pool: &WorkerPool, workloads: &[(TaskGraphSpec, Option<SpecKey>)]) -> Duration {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let started = Instant::now();
-    for spec in specs {
+    for (spec, recipe) in workloads {
         for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
             let kind: PolicyKind = label.parse().unwrap();
             let want = local_report(spec, kind, seed, &config);
+            let cell = CellContext {
+                recipe: *recipe,
+                ..cell(label, seed)
+            };
             let (got, _) = pool
-                .run_cell(spec, None, label, kind.base_label(), seed, &wire)
+                .run_cell(spec, &cell, kind.base_label(), &wire)
                 .expect("cells survive a lost worker via redispatch");
             assert_reports_identical(&got, &want);
         }
@@ -369,7 +386,7 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, None, "las", "LAS", 7, &wire)
+        .run_cell(&spec, &cell("las", 7), "LAS", &wire)
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -388,7 +405,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let err = pool
-        .run_cell(&spec, None, "ep", "EP", 8, &wire)
+        .run_cell(&spec, &cell("ep", 8), "EP", &wire)
         .expect_err("EP without a placement fails");
     match &err {
         ProcError::Worker { message, .. } => {
@@ -409,7 +426,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
     let (got, _) = pool
-        .run_cell(&spec, None, "las", kind.base_label(), 9, &wire)
+        .run_cell(&spec, &cell("las", 9), kind.base_label(), &wire)
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
 }
@@ -425,7 +442,7 @@ fn config_changes_resync_by_fingerprint() {
         let want = local_report(&spec, kind, 3, config);
         let wire = WireConfig::new(config.clone());
         let (got, _) = pool
-            .run_cell(&spec, None, "las", kind.base_label(), 3, &wire)
+            .run_cell(&spec, &cell("las", 3), kind.base_label(), &wire)
             .expect("cell executes");
         assert_reports_identical(&got, &want);
     }
@@ -447,7 +464,7 @@ fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duratio
     let started = Instant::now();
     for _ in 0..cells {
         let (got, _) = pool
-            .run_cell(&spec, None, label, kind.base_label(), seed, &wire)
+            .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
             .expect("the cell completes");
         assert_reports_identical(&got, &want);
     }
@@ -468,6 +485,54 @@ fn a_spec_cut_mid_line_loses_only_that_worker() {
     assert_eq!(stats.redispatches, 1);
     assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
     assert_eq!(stats.spec_transfers, 3);
+}
+
+#[test]
+fn a_recipe_cut_mid_line_loses_only_that_worker() {
+    // Worker 1 is shipped NStream's recipe with its first cell, and its
+    // link dies halfway through that line.
+    let cut = Relay::new().on(1, Dir::ToWorker, "recipe", 1, Action::Truncate);
+    let pool = relayed_pool(2, cut);
+    let workloads = [Application::Jacobi, Application::NStream].map(|app| {
+        let recipe = (app, ProblemScale::Tiny, 2);
+        (app.build(ProblemScale::Tiny, 2), Some(recipe))
+    });
+    let took = run_recipes(&pool, &workloads);
+    assert!(took < PROMPT, "{took:?}");
+    let stats = pool.stats();
+    assert_eq!(stats.workers_alive, 1, "the cut worker is gone");
+    // That cell, and the recipe with it, moved to worker 0.
+    assert_eq!(stats.redispatches, 1);
+    assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
+    assert_eq!(stats.spec_transfers, 3);
+}
+
+/// One sweep over a paper kernel and a custom workload, on one pool: the
+/// kernel travels as its recipe, the custom graph as its columns, and the
+/// report is the in-process one byte for byte.
+#[test]
+fn a_kernel_ships_as_its_recipe_and_a_custom_workload_as_its_columns() {
+    let relay = Relay::new();
+    let tally = relay.tally();
+    let pool = relayed_pool(2, relay);
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let sweep = Experiment::new()
+        .app(Application::Jacobi)
+        .scale(ProblemScale::Tiny)
+        .workload(named_spec("custom"))
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS]);
+    let mut report = sweep.run_on(&ProcExecutor::with_pool(config.clone(), Arc::clone(&pool)));
+    let shipped = ["recipe", "spec"].map(|kind| tally.lines(Dir::ToWorker, kind));
+    assert_eq!(shipped, [1, 1], "recipe and spec lines");
+    let stats = pool.stats();
+    assert_eq!(
+        (stats.spec_transfers, stats.redispatches),
+        (2, 0),
+        "{stats}"
+    );
+    let local = sweep.run_on(&Simulator::new(config));
+    report.backend = local.backend.clone();
+    assert_eq!(report.to_json_string(), local.to_json_string());
 }
 
 /// A sweep on a 2-worker pool runs two lanes, one per worker, even at

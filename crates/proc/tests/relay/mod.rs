@@ -161,14 +161,35 @@ impl Ledger {
     }
 }
 
+/// A relay's count of the lines it forwarded, readable after the relay has
+/// gone into a launcher.
+pub struct Tally(Arc<Ledger>);
+
+impl Tally {
+    /// How many `kind` lines have travelled `dir`, on every worker's
+    /// connection together.
+    pub fn lines(&self, dir: Dir, kind: &str) -> u64 {
+        let seen = self.0.seen.lock().unwrap_or_else(PoisonError::into_inner);
+        let matching = seen
+            .iter()
+            .filter(|((_, way, seen), _)| (*way, seen.as_str()) == (dir, kind));
+        matching.map(|(_, n)| n).sum()
+    }
+}
+
 impl Relay {
     /// A relay that forwards every line unchanged.
     pub fn new() -> Relay {
         Relay::default()
     }
 
+    /// The count of the lines this relay forwards.
+    pub fn tally(&self) -> Tally {
+        Tally(Arc::clone(&self.ledger))
+    }
+
     /// Applies `action` to the `nth` line (counting from 1) of message kind
-    /// `kind` (`"assign"`, `"spec"`, `"done"`, ...) travelling `dir` on
+    /// `kind` (`"assign"`, `"recipe"`, `"spec"`, `"done"`, ...) travelling `dir` on
     /// worker `slot`'s connection.
     pub fn on(
         mut self,
@@ -331,8 +352,8 @@ fn pump(
     let _ = to.shutdown(Shutdown::Both);
 }
 
-/// The message kind of a wire line: its envelope's tag (`assign`, `spec`,
-/// `done`, ...), or the bare string a unit message is (`shutdown`).
+/// The message kind of a wire line: its envelope's tag (`assign`, `recipe`,
+/// `spec`, `done`, ...), or the bare string a unit message is (`shutdown`).
 fn kind_of(line: &[u8]) -> String {
     let text = String::from_utf8_lossy(line);
     let tag = text.trim_start().trim_start_matches('{').trim_start();

@@ -473,11 +473,10 @@ mod tests {
             "cell_policy_wall_ns",
             "cell_event_loop_wall_ns",
         ];
-        let sample = serde_json::from_str(&timed).unwrap();
         serde::testing::assert_struct_rejects_malformed(
-            &sample,
+            &timed,
             &late,
-            serde_json::from_value::<SweepReport>,
+            serde::decode::<SweepReport>,
         );
     }
 }

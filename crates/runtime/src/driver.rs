@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use numadag_core::{make_policy, PolicyKind};
+use numadag_kernels::SpecKey;
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::{MemorySink, Trace, TraceCollector};
 use serde::{Deserialize, Serialize};
@@ -51,6 +52,11 @@ pub struct PlannedWorkload {
     pub baseline_available: bool,
     /// The workload spec, built once and shared by every job.
     pub spec: Arc<TaskGraphSpec>,
+    /// What built [`PlannedWorkload::spec`]: its application, scale and
+    /// socket count (the [`numadag_kernels::SpecCache`] key), or `None` for
+    /// a custom workload. A backend whose workers can build the spec
+    /// themselves ships this instead of the spec.
+    pub recipe: Option<SpecKey>,
 }
 
 /// One independent cell job of a [`SweepPlan`]: run one policy once on one
@@ -491,13 +497,15 @@ fn run_job(
         return CellOutcome::Skipped;
     };
     // The label/seed pair lets out-of-process backends rebuild the policy
-    // remotely, and the lane lets them keep its cells on one worker;
-    // in-process backends ignore both (default execute_cell).
+    // remotely, the lane lets them keep its cells on one worker and the
+    // recipe lets that worker build the spec; in-process backends ignore
+    // all three (default execute_cell).
     let policy_label = kind.label();
     let ctx = CellContext {
         policy_label: &policy_label,
         seed,
         lane,
+        recipe: workload.recipe,
     };
     let report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
     let config = executor.config();

@@ -10,6 +10,7 @@
 use std::sync::OnceLock;
 
 use numadag_core::SchedulingPolicy;
+use numadag_kernels::SpecKey;
 use numadag_tdg::TaskGraphSpec;
 
 use crate::config::ExecutionConfig;
@@ -38,6 +39,11 @@ pub struct CellContext<'a> {
     /// can keep a lane's cells, and so its workload's spec, on one worker;
     /// the in-process backends ignore it.
     pub lane: Option<usize>,
+    /// The kernel recipe of the cell's workload (see
+    /// [`crate::PlannedWorkload::recipe`]), `None` for a custom workload. A
+    /// backend with workers of its own can ship it instead of the spec; the
+    /// in-process backends ignore it.
+    pub recipe: Option<SpecKey>,
 }
 
 /// A backend that can execute a task-graph workload under a scheduling
@@ -151,6 +157,7 @@ mod tests {
             policy_label: "las",
             seed: 7,
             lane: Some(1),
+            recipe: None,
         };
         let mut p1 = LasPolicy::new(1);
         let mut p2 = LasPolicy::new(1);

@@ -561,6 +561,7 @@ impl Experiment {
                 scale_label: format!("{:?}", self.scale),
                 baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                 spec,
+                recipe: Some((app, self.scale, num_sockets)),
             });
         }
         for spec in &self.workloads {
@@ -570,6 +571,7 @@ impl Experiment {
                 scale_label: "custom".to_string(),
                 baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                 spec,
+                recipe: None,
             });
         }
         let build_wall_ns = build_start.elapsed().as_nanos() as f64;

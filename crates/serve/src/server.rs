@@ -13,7 +13,9 @@
 //!    Malformed lines are answered with a structured `Error` and the
 //!    connection survives (the service analogue of the bins' exit-2 usage
 //!    convention).
-//! 2. **admit.** `SubmitSweep` resolves the spec through the CLI grammar and
+//! 2. **admit.** `SubmitSweep` resolves the spec through the CLI grammar
+//!    (refusing the threaded backend, whose wall-clock makespans the pool
+//!    would measure under contention and the caches would replay) and
 //!    admits its canonical fingerprint: onto an identical live job
 //!    (coalesced), from the report cache (a byte-identical hit, nothing
 //!    planned), or, for a novel key, back with "needs a plan". The handler
@@ -62,7 +64,7 @@ use std::thread::JoinHandle;
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_runtime::framing::{from_line, read_frame, to_line};
-use numadag_runtime::{CellOutcome, Executor, SweepPlan, SweepReport};
+use numadag_runtime::{Backend, CellOutcome, Executor, SweepPlan, SweepReport};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
@@ -951,6 +953,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
+/// Why a `backend: threaded` submission is refused.
+pub const THREADED_REFUSAL: &str = "the service does not run the threaded backend: its \
+     makespans are wall-clock, so cells beside the pool's others would measure the \
+     contention and the caches would replay it (run figure1 --backend threaded --jobs 1)";
+
 /// Admits a submission and forwards its responses; returns false when the
 /// connection died.
 fn handle_submit(
@@ -960,6 +967,10 @@ fn handle_submit(
     wants_progress: bool,
 ) -> bool {
     let resolved = match spec.resolve() {
+        Ok(resolved) if resolved.backend == Backend::Threaded => Err(THREADED_REFUSAL.to_string()),
+        resolved => resolved,
+    };
+    let resolved = match resolved {
         Ok(resolved) => resolved,
         Err(message) => return write_line(writer, &Response::Error { message }).is_ok(),
     };
@@ -1185,12 +1196,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // Every field of the file and of an entry: missing or mistyped is an
         // error that names it.
-        let sample = serde_json::from_str(&file).unwrap();
-        serde::testing::assert_struct_rejects_malformed(
-            &sample,
-            &[],
-            serde_json::from_value::<CacheFile>,
-        );
+        serde::testing::assert_struct_rejects_malformed(&file, &[], serde::decode::<CacheFile>);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_serve::client::{ClientError, ServeClient};
 use numadag_serve::protocol::{Request, Response, SweepSpec, DEFAULT_POLICIES};
-use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY};
+use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY, THREADED_REFUSAL};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -170,6 +170,33 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
         other => panic!("expected Stats, got {other:?}"),
     }
 
+    handle.shutdown();
+    handle.join();
+}
+
+/// The threaded backend's makespans are wall-clock: the service refuses it
+/// with a structured error, caches nothing, and serves the next sweep.
+#[test]
+fn a_threaded_submission_is_refused_and_nothing_is_cached() {
+    let handle = serve(ServeConfig::default()).unwrap();
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+    let threaded = SweepSpec {
+        backend: "threaded".to_string(),
+        ..SweepSpec::default()
+    };
+    match client.submit(threaded, false, |_| ()) {
+        Err(ClientError::Server(message)) => assert_eq!(message, THREADED_REFUSAL),
+        other => panic!("expected a structured error, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.jobs_submitted, stats.report_cache_entries),
+        (0, 0),
+        "{stats:?}"
+    );
+    let outcome = client.submit(SweepSpec::default(), false, |_| ()).unwrap();
+    assert!(!outcome.cache_hit);
+    assert!(outcome.report_json == include_str!("../../../BENCH_figure1_tiny.json"));
     handle.shutdown();
     handle.join();
 }

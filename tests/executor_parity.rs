@@ -114,6 +114,7 @@ fn proc_backend_agrees_with_simulator_and_threaded_on_placements() {
             policy_label: "ep",
             seed: 5,
             lane: None,
+            recipe: Some((Application::NStream, ProblemScale::Tiny, 4)),
         };
         let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
         assert_eq!(

@@ -75,14 +75,8 @@ impl ProcExecutor {
         policy: &mut dyn SchedulingPolicy,
         ctx: &CellContext<'_>,
     ) -> Result<ExecutionReport, ProcError> {
-        let (report, events) = self
-            .pool()?
-            .run_cell(spec, ctx, policy.name(), &self.config)?;
-        // No sink, no events: the workers trace what the config says.
-        if let Some(sink) = &self.config.config().trace_sink {
-            events.into_iter().for_each(|event| sink.record(event));
-        }
-        Ok(report)
+        self.pool()?
+            .run_cell(spec, ctx, policy.name(), &self.config)
     }
 }
 

@@ -58,7 +58,6 @@ use numadag_runtime::framing::{
 };
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport};
 use numadag_tdg::{Fnv1a, TaskGraphSpec};
-use numadag_trace::TraceEvent;
 
 use crate::protocol::{encode_spec, Assignment, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
@@ -378,7 +377,7 @@ struct Conn {
 
 /// How one cell's conversation with its worker ended.
 enum End {
-    Done(ExecutionReport, Vec<TraceEvent>),
+    Done(ExecutionReport),
     /// A structured `error`, and the spec to unbook with it (see
     /// [`PoolState::refused`]).
     Refused(String, Option<u64>),
@@ -525,8 +524,8 @@ impl WorkerPool {
     /// Executes one sweep cell on some live worker, redispatching on worker
     /// loss. `cell.policy_label` must parse back to the policy that produced
     /// `policy_name` (its `'static` display name, re-attached to the report
-    /// on this side of the wire — labels never travel). The events are the
-    /// cell's trace, empty unless `config` carries a sink. A cell of sweep
+    /// on this side of the wire — labels never travel). The report's events
+    /// are the cell's trace, empty unless `config` asks for them. A cell of sweep
     /// lane `i` prefers worker `i` (modulo the pool; see the module doc). A
     /// worker that lacks the spec is shipped `cell.recipe` when there is
     /// one, which must be what built `spec` (the worker refuses it
@@ -537,7 +536,7 @@ impl WorkerPool {
         cell: &CellContext<'_>,
         policy_name: &'static str,
         config: &WireConfig,
-    ) -> Result<(ExecutionReport, Vec<TraceEvent>), ProcError> {
+    ) -> Result<ExecutionReport, ProcError> {
         let fp = spec.fingerprint();
         let id = self.state().dispatched();
         let assignment = Assignment {
@@ -554,11 +553,11 @@ impl WorkerPool {
                 .ok_or(ProcError::AllWorkersDead { cell: id })?;
             let mut conn = lock(&self.conns[at]);
             match self.converse(at, &mut conn, &assignment, spec, cell.recipe, config) {
-                End::Done(mut report, events) => {
+                End::Done(mut report) => {
                     self.state().answered(at);
                     report.workload = spec.name.clone();
                     report.policy = policy_name;
-                    return Ok((report, events));
+                    return Ok(report);
                 }
                 End::Refused(message, unbook) => {
                     self.state().refused(at, unbook);
@@ -632,9 +631,12 @@ impl WorkerPool {
         match read_message(&mut conn.reader) {
             Some(ToCoordinator::Done {
                 cell,
-                report,
+                mut report,
                 events,
-            }) if cell == assignment.cell => End::Done(report, events),
+            }) if cell == assignment.cell => {
+                report.events = events;
+                End::Done(*report)
+            }
             // The complaint may be about this cell's spec, shipped and
             // refused (`spec` and `recipe` are un-acked; a refusal answers
             // the first `assign` over it): the worker does not hold it.

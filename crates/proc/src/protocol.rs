@@ -46,13 +46,11 @@
 //!   it constructs anything. A worker peeks the envelope key
 //!   (`is_spec_line`) and decodes everything else as a [`ToWorker`].
 
-use std::sync::Arc;
-
 use numadag_kernels::{Application, ProblemScale, SpecKey};
 use numadag_runtime::framing::{from_line, DecodeError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
-use numadag_trace::{MemorySink, TraceEvent};
+use numadag_trace::TraceEvent;
 use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
@@ -72,12 +70,13 @@ pub enum ToWorker {
         /// The config's own fingerprint, so acks can be matched to the
         /// config they acknowledge.
         epoch: u64,
-        /// Whether the executor carries a trace sink: the worker's
-        /// simulator then gets one of its own, drained into every `done`.
-        /// Part of the config's fingerprint, so traced and untraced cells
-        /// are two epochs.
+        /// Whether the config asks for events
+        /// ([`ExecutionConfig::events`]): the worker's simulator then
+        /// returns each cell's events, sent back in its `done`. Part of the
+        /// config's fingerprint, so traced and untraced cells are two
+        /// epochs.
         events: bool,
-        /// The executor configuration; its sink does not travel.
+        /// The executor configuration; its events switch is `events`.
         config: ExecutionConfig,
     },
     /// A kernel workload, as the recipe that builds its spec: the worker
@@ -135,8 +134,9 @@ pub enum ToCoordinator {
     Done {
         /// The assignment's cell id.
         cell: u64,
-        /// The full execution report, labels empty.
-        report: ExecutionReport,
+        /// The full execution report, labels and events empty (boxed: it
+        /// is most of the message's size).
+        report: Box<ExecutionReport>,
         /// The cell's trace events, in emission order; empty unless the
         /// config it ran under asked for them (`events`).
         events: Vec<TraceEvent>,
@@ -164,7 +164,7 @@ impl ToWorker {
         ToWorker::Config {
             version: PROTOCOL_VERSION,
             epoch,
-            events: config.trace_sink.is_some(),
+            events: config.events,
             config: config.clone(),
         }
     }
@@ -215,17 +215,14 @@ pub(crate) fn build_recipe(
 pub(crate) fn simulator_for(
     version: u64,
     events: bool,
-    config: ExecutionConfig,
+    mut config: ExecutionConfig,
 ) -> Result<Simulator, String> {
     if version != PROTOCOL_VERSION {
         return Err(format!(
             "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
         ));
     }
-    let config = match events {
-        true => config.with_trace_sink(Arc::new(MemorySink::new())),
-        false => config,
-    };
+    config.events = events;
     Simulator::try_new(config)
 }
 
@@ -1045,16 +1042,11 @@ mod tests {
     fn a_config_a_worker_must_not_build_is_refused() {
         let two_socket = ExecutionConfig::new(Topology::two_socket(2));
         let good = serde_json::to_value(&ToWorker::configure(7, &two_socket));
-        // The sink does not travel, whether there is one does.
+        // The events switch travels beside the config.
         let untraced = simulator_from(&good).unwrap();
-        assert!(untraced.config().trace_sink.is_none());
-        let traced = two_socket.with_trace_sink(Arc::new(MemorySink::new()));
-        let traced = serde_json::to_value(&ToWorker::configure(7, &traced));
-        assert!(simulator_from(&traced)
-            .unwrap()
-            .config()
-            .trace_sink
-            .is_some());
+        assert!(!untraced.config().events);
+        let traced = serde_json::to_value(&ToWorker::configure(7, &two_socket.with_events()));
+        assert!(simulator_from(&traced).unwrap().config().events);
 
         let topology = ["config", "config", "topology"];
         let at = |leaf: &'static str| [&topology[..], &[leaf]].concat();

@@ -21,7 +21,6 @@ use numadag_core::{make_policy, PolicyKind};
 use numadag_runtime::framing::{from_line, read_frame, write_frame, DecodeError, FrameError};
 use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
-use numadag_trace::TraceEvent;
 use serde::{de, Reader};
 
 use crate::protocol::{
@@ -87,9 +86,8 @@ fn serve(
         },
     )?;
 
-    // One simulator per config epoch: its topology tables, scratch arena and
-    // (when the config asks for events) trace sink are built on `config` and
-    // reused by every cell that follows.
+    // One simulator per config epoch: its topology tables and scratch arena
+    // are built on `config` and reused by every cell that follows.
     let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
     // `spec` and `recipe` are un-acked, so a refused one may not be answered
@@ -167,8 +165,8 @@ fn serve(
                     Some(complaint) => Err(complaint),
                     None => run_cell(&assign, simulator.as_ref(), &specs),
                 };
-                let (report, events) = match outcome {
-                    Ok(done) => done,
+                let mut report = match outcome {
+                    Ok(report) => report,
                     Err(complaint) => {
                         send(&mut writer, &error(complaint))?;
                         continue;
@@ -176,8 +174,8 @@ fn serve(
                 };
                 let done = ToCoordinator::Done {
                     cell: assign.cell,
-                    report,
-                    events,
+                    events: std::mem::take(&mut report.events),
+                    report: Box::new(report),
                 };
                 send(&mut writer, &done)?;
             }
@@ -198,7 +196,7 @@ fn run_cell(
     assign: &Assignment,
     simulator: Option<&Simulator>,
     specs: &HashMap<u64, TaskGraphSpec>,
-) -> Result<(ExecutionReport, Vec<TraceEvent>), String> {
+) -> Result<ExecutionReport, String> {
     let simulator = simulator.ok_or("assign before any config was shipped")?;
     let spec = specs
         .get(&assign.fp)
@@ -213,10 +211,7 @@ fn run_cell(
             assign.policy, spec.name
         )
     })?;
-    let report = simulator.run(spec, policy.as_mut());
-    // The cell's events are whatever the epoch's sink holds now.
-    let sink = simulator.config().trace_sink.as_ref();
-    Ok((report, sink.map(|sink| sink.take()).unwrap_or_default()))
+    Ok(simulator.run(spec, policy.as_mut()))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use numadag_runtime::{
     CellContext, ExecutionConfig, ExecutionReport, Executor, Experiment, Simulator, StealMode,
 };
 use numadag_tdg::{TaskGraphSpec, TaskSpec, TdgBuilder};
-use numadag_trace::MemorySink;
+use numadag_trace::TraceCollector;
 use relay::{threads, Action, Dir, Relay};
 
 fn test_pool(workers: usize) -> Arc<WorkerPool> {
@@ -92,6 +92,7 @@ fn assert_reports_identical(got: &ExecutionReport, want: &ExecutionReport) {
     }
     assert_eq!(got.stolen_tasks, want.stolen_tasks);
     assert_eq!(got.deferred_bytes, want.deferred_bytes);
+    assert_eq!(got.events, want.events);
 }
 
 #[test]
@@ -108,10 +109,10 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
     ] {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
-        let (got, events) = pool
+        let got = pool
             .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
             .expect("cell executes");
-        assert!(events.is_empty(), "no events were requested");
+        assert!(got.events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
     }
     let stats = pool.stats();
@@ -147,7 +148,6 @@ fn every_config_knob_reaches_the_workers() {
             ],
         ),
     );
-    let sink = Arc::new(MemorySink::new());
     let rows = [
         ("flat cost model", base().with_cost_model(CostModel::flat())),
         (
@@ -165,7 +165,7 @@ fn every_config_knob_reaches_the_workers() {
         ("stage timing", base().with_stage_timing()),
         ("seed above 2^53", base().with_seed(u64::MAX - 0xF1617E)),
         ("far 4-socket topology", ExecutionConfig::new(far)),
-        ("traced", base().with_trace_sink(sink.clone())),
+        ("traced", base().with_events()),
     ];
     for (row, config) in rows {
         let wire = WireConfig::new(config.clone());
@@ -177,13 +177,11 @@ fn every_config_knob_reaches_the_workers() {
         ] {
             let kind: PolicyKind = label.parse().expect("label parses");
             let want = local_report(&spec, kind, seed, &config);
-            let want_events = sink.take();
-            let (got, events) = pool
+            let got = pool
                 .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
                 .unwrap_or_else(|e| panic!("{row}, {label}: {e}"));
             assert_reports_identical(&got, &want);
-            assert_eq!(events, want_events, "{row}, {label}");
-            assert_eq!(events.is_empty(), config.trace_sink.is_none(), "{row}");
+            assert_eq!(got.events.is_empty(), !config.events, "{row}");
         }
     }
     assert_eq!(pool.stats().redispatches, 0);
@@ -206,7 +204,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
         for spec in &specs {
             let seed = 30 + round;
             let want = local_report(spec, kind, seed, &config);
-            let (got, _) = pool
+            let got = pool
                 .run_cell(spec, &cell("las", seed), kind.base_label(), &wire)
                 .expect("cell executes");
             assert_reports_identical(&got, &want);
@@ -229,8 +227,7 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
     let kind: PolicyKind = "rgp+las".parse().unwrap();
     let seed = 0xF1617E;
     let untraced = ExecutionConfig::new(Topology::two_socket(4));
-    let sink = Arc::new(MemorySink::new());
-    let traced = untraced.clone().with_trace_sink(sink.clone());
+    let traced = untraced.clone().with_events();
 
     for (phase, config) in [&untraced, &traced, &untraced].into_iter().enumerate() {
         let wire = WireConfig::new(config.clone());
@@ -238,17 +235,15 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
         // events of its first.
         for spec in specs.iter().chain(&specs) {
             let want = local_report(spec, kind, seed, config);
-            let want_events = sink.take();
-            let (got, events) = pool
+            let got = pool
                 .run_cell(spec, &cell("rgp+las", seed), kind.base_label(), &wire)
                 .expect("cell executes");
-            assert_reports_identical(&got, &want);
             // Events come back for the traced epoch only.
-            assert_eq!(events.is_empty(), config.trace_sink.is_none());
-            assert_eq!(events, want_events);
+            assert_reports_identical(&got, &want);
+            assert_eq!(got.events.is_empty(), !config.events);
         }
         // One `config` per worker per epoch switch; the worker keeps one
-        // simulator (and its sink) for the whole epoch.
+        // simulator for the whole epoch.
         assert_eq!(pool.stats().config_broadcasts, 2 * (phase as u64 + 1));
     }
     let stats = pool.stats();
@@ -264,20 +259,15 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let kind: PolicyKind = "las".parse().unwrap();
     let seed = 21;
 
-    let sink = Arc::new(MemorySink::new());
-    let config = ExecutionConfig::new(Topology::four_socket(2)).with_trace_sink(sink.clone());
+    let config = ExecutionConfig::new(Topology::four_socket(2)).with_events();
     let executor = ProcExecutor::with_pool(config.clone(), pool);
     assert_eq!(executor.backend_name(), "proc");
 
     let mut policy = make_policy(kind, &spec, seed).unwrap();
     let report = executor.execute_cell(&spec, policy.as_mut(), Some(&cell("las", seed)));
-    let remote_events = sink.take();
-
-    let local_sink = Arc::new(MemorySink::new());
-    let local_config = config.with_trace_sink(local_sink.clone());
-    let want = local_report(&spec, kind, seed, &local_config);
+    let want = local_report(&spec, kind, seed, &config);
+    assert!(!report.events.is_empty());
     assert_reports_identical(&report, &want);
-    assert_eq!(remote_events, local_sink.take());
     assert_eq!(executor.stats().expect("pool attached").workers_spawned, 2);
 }
 
@@ -292,7 +282,7 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
-        let (got, _) = pool
+        let got = pool
             .run_cell(&spec, &cell("las", 5), kind.base_label(), &wire)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
@@ -328,7 +318,7 @@ fn run_recipes(pool: &WorkerPool, workloads: &[(TaskGraphSpec, Option<SpecKey>)]
                 recipe: *recipe,
                 ..cell(label, seed)
             };
-            let (got, _) = pool
+            let got = pool
                 .run_cell(spec, &cell, kind.base_label(), &wire)
                 .expect("cells survive a lost worker via redispatch");
             assert_reports_identical(&got, &want);
@@ -425,7 +415,7 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     // The pool is still healthy: the next cell runs fine.
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
-    let (got, _) = pool
+    let got = pool
         .run_cell(&spec, &cell("las", 9), kind.base_label(), &wire)
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
@@ -441,7 +431,7 @@ fn config_changes_resync_by_fingerprint() {
     for config in [&first, &second, &first] {
         let want = local_report(&spec, kind, 3, config);
         let wire = WireConfig::new(config.clone());
-        let (got, _) = pool
+        let got = pool
             .run_cell(&spec, &cell("las", 3), kind.base_label(), &wire)
             .expect("cell executes");
         assert_reports_identical(&got, &want);
@@ -463,7 +453,7 @@ fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duratio
     let want = local_report(&spec, kind, seed, &config);
     let started = Instant::now();
     for _ in 0..cells {
-        let (got, _) = pool
+        let got = pool
             .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
             .expect("the cell completes");
         assert_reports_identical(&got, &want);
@@ -536,33 +526,63 @@ fn a_kernel_ships_as_its_recipe_and_a_custom_workload_as_its_columns() {
 }
 
 /// A sweep on a 2-worker pool runs two lanes, one per worker, even at
-/// `parallelism(1)`: worker 0's first `done` is held until worker 1 has
-/// been sent an `assign`, and a sweep that left worker 1 idle meanwhile
-/// would lose worker 0 at the hold's deadline instead.
+/// `parallelism(1)`, traced or not: worker 0's first `done` is held until
+/// worker 1 has been sent an `assign`, and a sweep that left worker 1 idle
+/// meanwhile would lose worker 0 at the hold's deadline instead. A traced
+/// sweep records the traces the in-process simulator does.
 #[test]
 fn a_sweep_keeps_both_workers_of_its_pool_busy() {
-    let hold = Action::Await {
-        slot: 1,
-        dir: Dir::ToWorker,
-        kind: "assign",
-        within: PROMPT,
-    };
-    let pool = relayed_pool(2, Relay::new().on(0, Dir::ToCoordinator, "done", 1, hold));
-    let config = ExecutionConfig::new(Topology::two_socket(2));
-    let sweep = Experiment::new()
-        .workload(named_spec("first"))
-        .workload(named_spec("second"))
-        .policies([PolicyKind::Dfifo])
-        .parallelism(1);
-    let mut report = sweep.run_on(&ProcExecutor::with_pool(config.clone(), Arc::clone(&pool)));
-    let stats = pool.stats();
-    assert_eq!((stats.workers_alive, stats.redispatches), (2, 0), "{stats}");
-    // Each workload's spec went to its lane's worker only.
-    assert_eq!(stats.spec_transfers, 2, "{stats}");
-    assert_eq!(report.timing.jobs, 2, "two lanes ran");
-    let local = sweep.run_on(&Simulator::new(config));
-    report.backend = local.backend.clone();
-    assert_eq!(report.to_json_string(), local.to_json_string());
+    for traced in [false, true] {
+        let hold = Action::Await {
+            slot: 1,
+            dir: Dir::ToWorker,
+            kind: "assign",
+            within: PROMPT,
+        };
+        let pool = relayed_pool(2, Relay::new().on(0, Dir::ToCoordinator, "done", 1, hold));
+        let config = match traced {
+            true => ExecutionConfig::new(Topology::two_socket(2)).with_events(),
+            false => ExecutionConfig::new(Topology::two_socket(2)),
+        };
+        let sweep = |collector: &Arc<TraceCollector>| {
+            let sweep = Experiment::new()
+                .workload(named_spec("first"))
+                .workload(named_spec("second"))
+                .policies([PolicyKind::Dfifo])
+                .parallelism(1);
+            match traced {
+                true => sweep.trace(Arc::clone(collector)),
+                false => sweep,
+            }
+        };
+        let (remote, local) = (
+            Arc::new(TraceCollector::new()),
+            Arc::new(TraceCollector::new()),
+        );
+        let executor = ProcExecutor::with_pool(config.clone(), Arc::clone(&pool));
+        let mut report = sweep(&remote).run_on(&executor);
+        let stats = pool.stats();
+        let row = if traced { "traced" } else { "untraced" };
+        assert_eq!(
+            (stats.workers_alive, stats.redispatches),
+            (2, 0),
+            "{row}: {stats}"
+        );
+        // Each workload's spec went to its lane's worker only.
+        assert_eq!(stats.spec_transfers, 2, "{row}: {stats}");
+        assert_eq!(report.timing.jobs, 2, "{row}: two lanes ran");
+        let want = sweep(&local).run_on(&Simulator::new(config));
+        report.backend = want.backend.clone();
+        assert_eq!(report.to_json_string(), want.to_json_string(), "{row}");
+        let sorted = |collector: &TraceCollector| {
+            let mut traces = collector.take();
+            traces.sort_by(|a, b| (&a.workload, &a.policy).cmp(&(&b.workload, &b.policy)));
+            traces
+        };
+        let traces = sorted(&remote);
+        assert_eq!(traces.len(), if traced { report.cells.len() } else { 0 });
+        assert_eq!(traces, sorted(&local), "{row}");
+    }
 }
 
 #[test]

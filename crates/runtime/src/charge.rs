@@ -3,14 +3,14 @@
 
 use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
 use numadag_tdg::{Accesses, TaskId};
-use numadag_trace::{MemorySink, TraceEvent};
+use numadag_trace::TraceEvent;
 
 /// Moves every byte `task`, running on `node` at time `now`, accesses
 /// between its home node and `node`: for each share of each access that
 /// rounds to at least one byte, `moved(bytes, distance)` is called, the bytes
 /// are added to the dense `link` matrix (`link[home * nodes + node]`, folded
-/// into the run's `TrafficStats` by `fold_link_matrix`) and, when there is a
-/// `sink`, a `Traffic` event is emitted — access by access, home by home,
+/// into the run's `TrafficStats` by `fold_link_matrix`) and, when there are
+/// `events`, a `Traffic` event is pushed — access by access, home by home,
 /// in declaration order.
 ///
 /// `accesses` are the task's access columns, read off the TDG. Deferred
@@ -20,7 +20,7 @@ use numadag_trace::{MemorySink, TraceEvent};
 pub(crate) fn charge_accesses(
     topology: &Topology,
     memory: &MemoryMap,
-    sink: Option<&MemorySink>,
+    mut events: Option<&mut Vec<TraceEvent>>,
     link: &mut [u64],
     task: TaskId,
     accesses: Accesses<'_>,
@@ -38,8 +38,8 @@ pub(crate) fn charge_accesses(
             moved(share, distance);
             let link = &mut link[home.index() * num_nodes + node.index()];
             *link = link.saturating_add(share);
-            if let Some(sink) = sink {
-                sink.record(TraceEvent::Traffic {
+            if let Some(events) = events.as_deref_mut() {
+                events.push(TraceEvent::Traffic {
                     task,
                     region: region as usize,
                     from: home,

@@ -1,9 +1,6 @@
 //! Executor configuration.
 
-use std::sync::Arc;
-
 use numadag_numa::{CostModel, Topology};
-use numadag_trace::MemorySink;
 use serde::{Deserialize, Serialize};
 
 /// What an idle core does when its socket's queue is empty.
@@ -21,8 +18,8 @@ pub enum StealMode {
 }
 
 /// Configuration shared by the executors. Its derived wire form is the proc
-/// backend's `config`; the sink does not travel.
-#[derive(Clone, Serialize, Deserialize)]
+/// backend's `config`; the events switch travels beside it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).
     pub topology: Topology,
@@ -38,26 +35,12 @@ pub struct ExecutionConfig {
     /// batch in the hot loop, so it is off unless a timing report was asked
     /// for (`figure1 --json-timing` turns it on).
     pub stage_timing: bool,
-    /// Where executors emit [`numadag_trace::TraceEvent`]s. `None` (the
-    /// default) is the off switch: both executors skip event construction
-    /// entirely, so tracing is zero-cost unless a sink is installed via
-    /// [`ExecutionConfig::with_trace_sink`]. An executor keeps its sink for
-    /// its lifetime; whoever traces cell by cell drains it
-    /// ([`MemorySink::take`]) after each one.
+    /// Whether executions return their [`numadag_trace::TraceEvent`]s in
+    /// [`crate::ExecutionReport::events`]. Off by default: both executors
+    /// then skip event construction entirely, so tracing is zero-cost
+    /// unless asked for ([`ExecutionConfig::with_events`]).
     #[serde(skip)]
-    pub trace_sink: Option<Arc<MemorySink>>,
-}
-
-impl std::fmt::Debug for ExecutionConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecutionConfig")
-            .field("topology", &self.topology)
-            .field("cost_model", &self.cost_model)
-            .field("steal", &self.steal)
-            .field("seed", &self.seed)
-            .field("tracing", &self.trace_sink.is_some())
-            .finish()
-    }
+    pub events: bool,
 }
 
 impl ExecutionConfig {
@@ -75,7 +58,7 @@ impl ExecutionConfig {
             steal: StealMode::default(),
             seed: 0xE0,
             stage_timing: false,
-            trace_sink: None,
+            events: false,
         }
     }
 
@@ -104,10 +87,10 @@ impl ExecutionConfig {
         self
     }
 
-    /// Installs the sink both executors emit
-    /// [`numadag_trace::TraceEvent`]s into (default: none, tracing off).
-    pub fn with_trace_sink(mut self, sink: Arc<MemorySink>) -> Self {
-        self.trace_sink = Some(sink);
+    /// Makes executions return their trace events (see
+    /// [`ExecutionConfig::events`]).
+    pub fn with_events(mut self) -> Self {
+        self.events = true;
         self
     }
 }
@@ -136,11 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_defaults_to_none_and_installs() {
+    fn events_default_to_off_and_switch_on() {
         let cfg = ExecutionConfig::new(Topology::two_socket(2));
-        assert!(cfg.trace_sink.is_none());
-        assert!(format!("{cfg:?}").contains("tracing: false"));
-        let cfg = cfg.with_trace_sink(Arc::new(MemorySink::new()));
-        assert!(cfg.trace_sink.is_some());
+        assert!(!cfg.events);
+        assert!(format!("{cfg:?}").contains("events: false"));
+        assert!(cfg.with_events().events);
     }
 }

@@ -29,7 +29,7 @@ use std::time::Instant;
 use numadag_core::{make_policy, PolicyKind};
 use numadag_kernels::SpecKey;
 use numadag_tdg::TaskGraphSpec;
-use numadag_trace::{MemorySink, Trace, TraceCollector};
+use numadag_trace::{Trace, TraceCollector};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ExecutionConfig;
@@ -97,10 +97,10 @@ pub struct SweepPlan {
     /// never calls it.
     pub(crate) progress: Option<ProgressCallback>,
     /// When set, every executed cell is traced into this collector (see
-    /// [`crate::Experiment::trace`]): [`SweepPlan::executor`] then gives
-    /// each executor a [`numadag_trace::MemorySink`] of its own, drained
-    /// after every cell. On the deterministic simulator the measurements
-    /// are identical to an untraced sweep's.
+    /// [`crate::Experiment::trace`]): the plan's config then asks for
+    /// events, and each cell's report hands its own to the cell's
+    /// [`Trace`]. On the deterministic simulator the measurements are
+    /// identical to an untraced sweep's.
     pub(crate) trace: Option<Arc<TraceCollector>>,
 }
 
@@ -159,14 +159,10 @@ impl SweepPlan {
     /// what each lane of [`SweepPlan::execute`] does once, exposed so
     /// external schedulers (the sweep service's worker pool) can run cells
     /// through [`SweepPlan::run_cell`] on an executor they own and reuse
-    /// across cells. The executor of a traced plan carries a sink of its
-    /// own, so events of concurrent cells never mix.
+    /// across cells. The executor of a traced plan returns every cell's
+    /// events with that cell's report.
     pub fn executor(&self) -> Box<dyn Executor> {
-        let config = self.config.clone();
-        self.backend.executor(match self.trace {
-            Some(_) => config.with_trace_sink(Arc::new(MemorySink::new())),
-            None => config,
-        })
+        self.backend.executor(self.config.clone())
     }
 
     /// Executes every job and assembles the report, on as many *lanes* as
@@ -213,13 +209,9 @@ impl SweepPlan {
 
     /// The lanes of [`Experiment::run_on`](crate::Experiment::run_on): as
     /// [`SweepPlan::execute`] counts them, all sharing `executor` and
-    /// reported under its backend name. Lanes that shared a trace sink would
-    /// mix their cells' events, so an executor carrying one runs one lane.
+    /// reported under its backend name.
     pub(crate) fn execute_on(&self, executor: &dyn Executor, jobs: usize) -> SweepReport {
-        let lanes = match executor.config().trace_sink {
-            Some(_) => 1,
-            None => self.lane_count(jobs, executor),
-        };
+        let lanes = self.lane_count(jobs, executor);
         self.run_lanes(&vec![executor; lanes], executor.backend_name())
     }
 
@@ -312,7 +304,7 @@ impl SweepPlan {
     /// does, exposed so external schedulers can execute a plan's cells in
     /// any order (or fetch some from a cache) and still assemble the exact
     /// report via [`SweepPlan::assemble_report`]. A traced plan records the
-    /// cell's trace when `executor` carries a sink (one from
+    /// cell's trace when `executor`'s config asks for events (one from
     /// [`SweepPlan::executor`] does), exactly as `execute` does.
     ///
     /// # Panics
@@ -475,8 +467,8 @@ impl CellMeasurement {
 }
 
 /// Builds the job's policy and runs its cell on the given executor (for
-/// `lane`, if a lane runs it); a traced plan then drains the executor's
-/// sink into the cell's [`Trace`].
+/// `lane`, if a lane runs it); a traced plan then moves the report's events
+/// into the cell's [`Trace`] if the executor's config asked for them.
 fn run_job(
     plan: &SweepPlan,
     job: &SweepJob,
@@ -507,9 +499,9 @@ fn run_job(
         lane,
         recipe: workload.recipe,
     };
-    let report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
+    let mut report = executor.execute_cell(&workload.spec, policy.as_mut(), Some(&ctx));
     let config = executor.config();
-    if let (Some(collector), Some(sink)) = (&plan.trace, &config.trace_sink) {
+    if let Some(collector) = plan.trace.as_ref().filter(|_| config.events) {
         collector.record(Trace {
             workload: workload.label.clone(),
             policy: policy_label,
@@ -519,7 +511,7 @@ fn run_job(
             tasks: report.tasks,
             num_sockets: config.topology.num_sockets(),
             makespan_ns: report.makespan_ns,
-            events: sink.take(),
+            events: std::mem::take(&mut report.events),
         });
     }
     let partition_stats = policy.partition_stats().unwrap_or_default();
@@ -862,8 +854,8 @@ mod tests {
                 traced.to_json_string(),
                 "jobs={jobs}"
             );
-            // Each worker drains the sink of the one executor it built, cell
-            // by cell: whichever worker ran a cell, its trace is the same.
+            // Each cell's trace is its own report's events: whichever lane
+            // ran a cell, its trace is the same.
             let mut traces = collector.take();
             traces.sort_by(|a, b| {
                 (&a.workload, &a.policy, a.repetition).cmp(&(&b.workload, &b.policy, b.repetition))

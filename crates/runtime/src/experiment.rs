@@ -509,17 +509,17 @@ impl Experiment {
         self
     }
 
-    /// Traces every cell of the sweep into `collector`: every worker of
-    /// [`SweepPlan::execute`] builds its executor once with a
-    /// [`numadag_trace::MemorySink`] of its own and, after each cell, drains
-    /// it into a [`numadag_trace::Trace`] (labelled with the cell's
-    /// workload, scale, policy and repetition) recorded in the collector.
+    /// Traces every cell of the sweep into `collector`: the executors of
+    /// [`SweepPlan::execute`] are configured to return their events
+    /// ([`ExecutionConfig::with_events`]), and each cell's events become a
+    /// [`numadag_trace::Trace`] (labelled with the cell's workload, scale,
+    /// policy and repetition) recorded in the collector, from every lane.
     /// Drain it after [`Experiment::run`] with [`TraceCollector::take`].
     ///
     /// Tracing never changes the measurements on the deterministic
     /// simulator backend — it only observes. Under [`Experiment::run_on`]
     /// the caller-supplied executor owns its configuration: traces are
-    /// recorded if that carries a sink.
+    /// recorded if that asks for events.
     pub fn trace(mut self, collector: Arc<TraceCollector>) -> Self {
         self.trace = Some(collector);
         self
@@ -593,6 +593,7 @@ impl Experiment {
             config: {
                 let mut config = ExecutionConfig::new(self.topology.clone()).with_seed(self.seed);
                 config.stage_timing = self.stage_timing;
+                config.events = self.trace.is_some();
                 config
             },
             backend: self.backend,
@@ -622,11 +623,11 @@ impl Experiment {
     /// implementation, including ones outside this crate), through the same
     /// lane loop as [`SweepPlan::execute`]: [`Experiment::parallelism`]
     /// lanes raised to [`Executor::lanes`] (a proc executor's live
-    /// workers), at most one per workload, every lane sharing `executor`;
-    /// one lane when the executor carries a trace sink. The executor's
-    /// machine model replaces the experiment's: its topology sizes the
-    /// workloads, and its cost model and stealing mode price them. The
-    /// report names the executor's machine and [`Executor::backend_name`].
+    /// workers), at most one per workload, every lane sharing `executor`.
+    /// The executor's machine model replaces the experiment's: its topology
+    /// sizes the workloads, and its cost model and stealing mode price them.
+    /// The report names the executor's machine and
+    /// [`Executor::backend_name`].
     pub fn run_on(&self, executor: &dyn Executor) -> SweepReport {
         let plan = self.plan_for_sockets(executor.config().topology.num_sockets());
         plan.execute_on(executor, self.parallelism)

@@ -55,17 +55,18 @@
 //! Executions are **observable** through the `numadag-trace` subsystem:
 //! both executors emit [`numadag_trace::TraceEvent`]s (assign decisions,
 //! task start/finish with socket and timestamp, steals, deferred
-//! placements, per-access traffic with NUMA distance) into the sink carried
-//! by [`config::ExecutionConfig::trace_sink`] (a
-//! [`numadag_trace::MemorySink`]). The default is no sink and the emission
-//! sites guard on it, so tracing is zero-cost unless requested. This event
-//! stream is the one record of an execution: where each task ran and when
-//! is [`numadag_trace::Trace::task_intervals`], derived from it. Sweeps
-//! trace per cell via [`experiment::Experiment::trace`]: every sweep worker
-//! builds its executor once with a sink of its own and drains it after each
-//! cell into one labelled [`numadag_trace::Trace`] in a
-//! [`numadag_trace::TraceCollector`] for the analytics layer (critical
-//! paths, traffic matrices, two-policy divergence reports).
+//! placements, per-access traffic with NUMA distance) into the run's own
+//! [`report::ExecutionReport::events`] when
+//! [`config::ExecutionConfig::events`] asks for them. The switch is off by
+//! default and the emission sites guard on it, so tracing is zero-cost
+//! unless requested. This event stream is the one record of an execution:
+//! where each task ran and when is
+//! [`numadag_trace::Trace::task_intervals`], derived from it. Sweeps trace
+//! per cell via [`experiment::Experiment::trace`]: each cell's events
+//! become one labelled [`numadag_trace::Trace`] in a
+//! [`numadag_trace::TraceCollector`], on any number of lanes, for the
+//! analytics layer (critical paths, traffic matrices, two-policy divergence
+//! reports).
 
 #![warn(missing_docs)]
 

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use numadag_numa::TrafficStats;
+use numadag_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 /// The result of executing a workload under one policy.
@@ -11,7 +12,8 @@ use serde::{Deserialize, Serialize};
 /// spec (`Arc`) and the policy name is the policy's `'static` literal, so
 /// building a report allocates nothing for either — sweeps build thousands.
 /// Neither travels in the derived wire form (the proc backend's `done`):
-/// whoever decodes one re-attaches its own.
+/// whoever decodes one re-attaches its own. Nor do the events, which
+/// `done` carries beside the report.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ExecutionReport {
     /// Name of the workload.
@@ -43,6 +45,12 @@ pub struct ExecutionReport {
     /// Real wall time of the executor's run minus `policy_wall_ns` — the
     /// event loop plus the memory-cost model, ns. Filled by the simulator.
     pub event_loop_wall_ns: f64,
+    /// Every trace event of the run, in emission order, when the
+    /// executor's configuration asks for them
+    /// ([`crate::ExecutionConfig::events`]); empty, and never allocated,
+    /// otherwise.
+    #[serde(skip)]
+    pub events: Vec<TraceEvent>,
 }
 
 impl ExecutionReport {

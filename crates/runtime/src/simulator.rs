@@ -103,13 +103,13 @@ impl Run<'_> {
         let sim = self.sim;
         let topo = &sim.config.topology;
         let cost = &sim.config.cost_model;
-        let sink = sim.config.trace_sink.as_deref();
+        let traced = sim.config.events;
         let socket = topo.socket_of(core);
         let node = socket.node();
         let row = self.graph.task(task);
 
-        if let Some(sink) = sink {
-            sink.record(TraceEvent::Start {
+        if traced {
+            self.report.events.push(TraceEvent::Start {
                 task,
                 socket,
                 core,
@@ -126,8 +126,8 @@ impl Run<'_> {
             node,
         );
         self.report.deferred_bytes = self.report.deferred_bytes.saturating_add(placed);
-        if let Some(sink) = sink.filter(|_| placed > 0) {
-            sink.record(TraceEvent::DeferredAlloc {
+        if traced && placed > 0 {
+            self.report.events.push(TraceEvent::DeferredAlloc {
                 task,
                 node,
                 bytes: placed,
@@ -141,7 +141,7 @@ impl Run<'_> {
         charge_accesses(
             topo,
             &self.memory,
-            sink,
+            traced.then_some(&mut self.report.events),
             self.link,
             task,
             row.accesses,
@@ -256,7 +256,7 @@ impl Simulator {
         let num_sockets = topo.num_sockets();
         let flat = spec.graph.flat();
         let n = flat.num_tasks();
-        let sink = self.config.trace_sink.as_deref();
+        let traced = self.config.events;
 
         // Memory state: all regions start unallocated (deferred allocation).
         let memory = MemoryMap::with_regions(spec.graph.region_sizes());
@@ -299,6 +299,12 @@ impl Simulator {
                 tasks: n,
                 tasks_per_socket: vec![0; num_sockets],
                 busy_per_socket: vec![0.0; num_sockets],
+                // An assign, a start and a finish per task, and a traffic
+                // event per access with a single home.
+                events: match traced {
+                    true => Vec::with_capacity(3 * n + spec.graph.all_accesses().len()),
+                    false => Vec::new(),
+                },
                 ..Default::default()
             },
             busy_count,
@@ -314,30 +320,31 @@ impl Simulator {
         // for.
         let stage_timing = self.config.stage_timing;
         // Hands the ready tasks to the policy and queues them where it says.
-        let mut assign_ready = |ready: &[TaskId], run: &Run, sockets: &mut SocketQueues, now| {
-            let t = stage_timing.then(std::time::Instant::now);
-            let locator = MemoryLocator::new(topo, &run.memory);
-            for &task in ready {
-                let socket = policy.assign(&spec.graph.task(task), &locator);
-                debug_assert!(socket.index() < num_sockets);
-                sockets.push(socket, task);
-                if let Some(sink) = sink {
-                    sink.record(TraceEvent::Assign {
-                        task,
-                        socket,
-                        time: now,
-                    });
+        let mut assign_ready =
+            |ready: &[TaskId], run: &mut Run, sockets: &mut SocketQueues, now| {
+                let t = stage_timing.then(std::time::Instant::now);
+                let locator = MemoryLocator::new(topo, &run.memory);
+                for &task in ready {
+                    let socket = policy.assign(&spec.graph.task(task), &locator);
+                    debug_assert!(socket.index() < num_sockets);
+                    sockets.push(socket, task);
+                    if traced {
+                        run.report.events.push(TraceEvent::Assign {
+                            task,
+                            socket,
+                            time: now,
+                        });
+                    }
                 }
-            }
-            if let Some(t) = t {
-                policy_wall_ns += t.elapsed().as_nanos() as f64;
-            }
-        };
+                if let Some(t) = t {
+                    policy_wall_ns += t.elapsed().as_nanos() as f64;
+                }
+            };
 
         // Assign the initial ready tasks (the graph's sources, in ascending
         // task order — exactly `TaskGraph::sources`, without the Vec).
         ready.extend((0..n).filter(|&t| indegree[t] == 0).map(TaskId));
-        assign_ready(ready, &run, sockets, 0.0);
+        assign_ready(ready, &mut run, sockets, 0.0);
         // Dispatch: match idle cores with queued tasks (local first, then
         // steal from the nearest socket).
         sockets.dispatch(
@@ -357,8 +364,8 @@ impl Simulator {
             let socket = topo.socket_of(event.core);
             run.busy_count[socket.index()] -= 1;
             sockets.release(socket, event.core);
-            if let Some(sink) = sink {
-                sink.record(TraceEvent::Finish {
+            if traced {
+                run.report.events.push(TraceEvent::Finish {
                     task: event.task,
                     socket,
                     core: event.core,
@@ -378,7 +385,7 @@ impl Simulator {
             // Nothing to hand to the policy skips the batch (and its clock
             // reads under stage timing).
             if !ready.is_empty() {
-                assign_ready(ready, &run, sockets, now);
+                assign_ready(ready, &mut run, sockets, now);
             }
             sockets.dispatch(
                 self.config.steal,
@@ -530,13 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_one_assign_start_finish_per_task() {
-        use numadag_trace::{MemorySink, Trace};
-        use std::sync::Arc;
+    fn events_hold_one_assign_start_finish_per_task() {
+        use numadag_trace::Trace;
         let spec = chains(4, 2);
-        let sink = Arc::new(MemorySink::new());
-        let cfg = ExecutionConfig::bullion_s16().with_trace_sink(sink.clone());
-        let report = Simulator::new(cfg).run(&spec, &mut LasPolicy::new(3));
+        let cfg = ExecutionConfig::bullion_s16().with_events();
+        let mut report = Simulator::new(cfg).run(&spec, &mut LasPolicy::new(3));
         let trace = Trace {
             workload: spec.name.to_string(),
             policy: report.policy.to_string(),
@@ -546,7 +551,7 @@ mod tests {
             tasks: spec.num_tasks(),
             num_sockets: 8,
             makespan_ns: report.makespan_ns,
-            events: sink.take(),
+            events: std::mem::take(&mut report.events),
         };
         trace.validate().expect("simulator trace must be complete");
         // Every task has an interval, on a socket of the machine.
@@ -572,13 +577,12 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_the_simulation() {
-        use numadag_trace::MemorySink;
-        use std::sync::Arc;
         let spec = chains(8, 4);
         let plain = sim().run(&spec, &mut LasPolicy::new(5));
-        let traced_cfg =
-            ExecutionConfig::bullion_s16().with_trace_sink(Arc::new(MemorySink::new()));
+        assert_eq!(plain.events.capacity(), 0, "no events were asked for");
+        let traced_cfg = ExecutionConfig::bullion_s16().with_events();
         let traced = Simulator::new(traced_cfg).run(&spec, &mut LasPolicy::new(5));
+        assert!(!traced.events.is_empty());
         assert_eq!(plain.makespan_ns, traced.makespan_ns);
         assert_eq!(plain.traffic, traced.traffic);
         assert_eq!(plain.tasks_per_socket, traced.tasks_per_socket);

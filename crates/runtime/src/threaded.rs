@@ -21,8 +21,7 @@
 //! timing claims all come from [`crate::simulator::Simulator`].
 
 use std::collections::VecDeque;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use numadag_core::{MemoryLocator, SchedulingPolicy};
 use numadag_numa::{CoreId, MemoryMap, SocketId, TrafficStats};
@@ -36,7 +35,8 @@ use crate::executor::Executor;
 use crate::report::ExecutionReport;
 
 /// Shared scheduler state protected by one lock (contention is irrelevant at
-/// the scale of the functional tests this executor serves).
+/// the scale of the functional tests this executor serves). Every trace
+/// event is emitted under it, so `events` is in emission order.
 struct Shared<'p> {
     queues: Vec<VecDeque<TaskId>>,
     indegree: Vec<u32>,
@@ -50,6 +50,14 @@ struct Shared<'p> {
     tasks_per_socket: Vec<usize>,
     stolen: usize,
     deferred_bytes: u64,
+    /// The run's trace events; empty unless the config asks for them.
+    events: Vec<TraceEvent>,
+}
+
+/// Locks the shared state, taking over a poisoned lock. Task bodies run
+/// outside it, so a panicking body never leaves it half-updated.
+fn lock<'a, 'p>(mutex: &'a Mutex<Shared<'p>>) -> MutexGuard<'a, Shared<'p>> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The threaded executor.
@@ -102,12 +110,12 @@ impl ThreadedExecutor {
             tasks_per_socket: vec![0; num_sockets],
             stolen: 0,
             deferred_bytes: 0,
+            events: Vec::new(),
         };
 
         // Seed the queues with the source tasks. Seeding happens before the
         // makespan clock starts (the parallel section is what is measured),
         // so the seeding `Assign` events are stamped 0.0.
-        let sink = self.config.trace_sink.as_deref();
         let sources = spec.graph.sources();
         for &task in &sources {
             let socket = {
@@ -115,8 +123,8 @@ impl ThreadedExecutor {
                 shared.policy.assign(&spec.graph.task(task), &locator)
             };
             shared.queues[socket.index()].push_back(task);
-            if let Some(sink) = sink {
-                sink.record(TraceEvent::Assign {
+            if self.config.events {
+                shared.events.push(TraceEvent::Assign {
                     task,
                     socket,
                     time: 0.0,
@@ -139,7 +147,7 @@ impl ThreadedExecutor {
         });
 
         let elapsed = start.elapsed();
-        let mut guard = sync.0.lock();
+        let mut guard = lock(&sync.0);
         let Shared { stats, link, .. } = &mut *guard;
         stats.fold_link_matrix(link, topo.distances());
         let mut report = ExecutionReport {
@@ -154,6 +162,7 @@ impl ThreadedExecutor {
             deferred_bytes: guard.deferred_bytes,
             policy_wall_ns: 0.0,
             event_loop_wall_ns: 0.0,
+            events: std::mem::take(&mut guard.events),
         };
         // Busy time is not meaningful for the host machine; report task
         // counts as a proxy so load_imbalance() still says something useful.
@@ -188,12 +197,12 @@ fn worker_loop(
     body: &(dyn Fn(TaskId) + Sync),
 ) {
     let topo = &config.topology;
-    let sink = config.trace_sink.as_deref();
-    let (lock, cv) = sync;
+    let traced = config.events;
+    let (shared, cv) = sync;
     loop {
         // Grab a task: local queue first, then steal (nearest socket first).
         let grabbed = {
-            let mut s = lock.lock();
+            let mut s = lock(shared);
             loop {
                 if s.remaining == 0 {
                     return;
@@ -217,8 +226,8 @@ fn worker_loop(
                 match found {
                     Some((task, stolen)) => {
                         let now = t0.elapsed().as_nanos() as f64;
-                        if let Some(sink) = sink {
-                            sink.record(TraceEvent::Start {
+                        if traced {
+                            s.events.push(TraceEvent::Start {
                                 task,
                                 socket: my_socket,
                                 core: my_core,
@@ -234,8 +243,8 @@ fn worker_loop(
                         let placed =
                             apply_deferred_allocation(memory, stats, accesses.regions(), node);
                         s.deferred_bytes = s.deferred_bytes.saturating_add(placed);
-                        if let Some(sink) = sink.filter(|_| placed > 0) {
-                            sink.record(TraceEvent::DeferredAlloc {
+                        if traced && placed > 0 {
+                            s.events.push(TraceEvent::DeferredAlloc {
                                 task,
                                 node,
                                 bytes: placed,
@@ -243,11 +252,16 @@ fn worker_loop(
                             });
                         }
                         // Account traffic against the virtual NUMA map.
-                        let Shared { memory, link, .. } = &mut *s;
+                        let Shared {
+                            memory,
+                            link,
+                            events,
+                            ..
+                        } = &mut *s;
                         charge_accesses(
                             topo,
                             memory,
-                            sink,
+                            traced.then_some(events),
                             link,
                             task,
                             accesses,
@@ -266,7 +280,7 @@ fn worker_loop(
                         // new ready tasks or the last task finishes. `wait`
                         // releases the lock atomically, so a notification
                         // cannot be missed between the check and the sleep.
-                        cv.wait(&mut s);
+                        s = cv.wait(s).unwrap_or_else(PoisonError::into_inner);
                     }
                 }
             }
@@ -276,10 +290,10 @@ fn worker_loop(
         body(grabbed);
 
         // Publish completion: release successors and push newly ready tasks.
-        let mut s = lock.lock();
+        let mut s = lock(shared);
         let now = t0.elapsed().as_nanos() as f64;
-        if let Some(sink) = sink {
-            sink.record(TraceEvent::Finish {
+        if traced {
+            s.events.push(TraceEvent::Finish {
                 task: grabbed,
                 socket: my_socket,
                 core: my_core,
@@ -302,8 +316,8 @@ fn worker_loop(
                 policy.assign(&spec.graph.task(ready), &locator)
             };
             s.queues[socket.index()].push_back(ready);
-            if let Some(sink) = sink {
-                sink.record(TraceEvent::Assign {
+            if traced {
+                s.events.push(TraceEvent::Assign {
                     task: ready,
                     socket,
                     time: now,
@@ -398,9 +412,9 @@ mod tests {
         let exec = ThreadedExecutor::new(ExecutionConfig::new(Topology::two_socket(2)));
         let mut policy = LasPolicy::new(1);
         exec.run(&spec, &mut policy, &|t| {
-            log.lock().push(t.index());
+            log.lock().unwrap().push(t.index());
         });
-        let log = log.into_inner();
+        let log = log.into_inner().unwrap();
         assert_eq!(log, (0..64).collect::<Vec<_>>());
     }
 
@@ -416,15 +430,15 @@ mod tests {
                 let task = spec.graph.task(t);
                 if task.kind == "leaf" {
                     let out = task.accesses.regions()[0] as usize;
-                    *values[out].lock() = 1.0;
+                    *values[out].lock().unwrap() = 1.0;
                 } else {
                     let [a, b, out] = [0, 1, 2].map(|i| task.accesses.regions()[i] as usize);
-                    let sum = *values[a].lock() + *values[b].lock();
-                    *values[out].lock() = sum;
+                    let sum = *values[a].lock().unwrap() + *values[b].lock().unwrap();
+                    *values[out].lock().unwrap() = sum;
                 }
             });
             let root = spec.num_regions() - 1;
-            let v = *values[root].lock();
+            let v = *values[root].lock().unwrap();
             v
         };
         assert_eq!(run(&mut DfifoPolicy::new()), 16.0);
@@ -468,15 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_a_complete_wall_clock_trace() {
-        use numadag_trace::{MemorySink, Trace};
-        use std::sync::Arc;
+    fn events_form_a_complete_wall_clock_trace() {
+        use numadag_trace::Trace;
         let (spec, _) = reduction_spec(16);
-        let sink = Arc::new(MemorySink::new());
-        let cfg = ExecutionConfig::new(Topology::two_socket(2)).with_trace_sink(sink.clone());
+        let cfg = ExecutionConfig::new(Topology::two_socket(2)).with_events();
         let exec = ThreadedExecutor::new(cfg);
         let mut policy = LasPolicy::new(4);
-        let report = exec.run(&spec, &mut policy, &|_| {});
+        let mut report = exec.run(&spec, &mut policy, &|_| {});
         let trace = Trace {
             workload: spec.name.to_string(),
             policy: report.policy.to_string(),
@@ -486,7 +498,7 @@ mod tests {
             tasks: spec.num_tasks(),
             num_sockets: 2,
             makespan_ns: report.makespan_ns,
-            events: sink.take(),
+            events: std::mem::take(&mut report.events),
         };
         trace.validate().expect("threaded trace must be complete");
         assert_eq!(

@@ -1,11 +1,10 @@
-//! The trace event model and the sink executors emit into.
+//! The trace event model.
 //!
-//! Executors record [`TraceEvent`]s into the [`MemorySink`] their
-//! configuration may carry. Without one they skip event construction
-//! entirely (tracing is zero-cost unless a sink is installed); with one the
-//! events are buffered in memory for the analytics layer.
+//! An executor whose configuration asks for events returns its
+//! [`TraceEvent`]s with the execution's report, in emission order. Without
+//! the switch it skips event construction entirely (tracing is zero-cost
+//! unless requested).
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use numadag_numa::{CoreId, NodeId, SocketId};
@@ -123,30 +122,6 @@ impl TraceEvent {
     }
 }
 
-/// The sink executors emit into: buffers every event in memory, in arrival
-/// order. Shared (`Arc<MemorySink>`) between an execution's worker threads.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// Records one event.
-    pub fn record(&self, event: TraceEvent) {
-        self.events.lock().push(event);
-    }
-
-    /// Removes and returns everything recorded so far.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,19 +132,6 @@ mod tests {
             socket: SocketId(0),
             time,
         }
-    }
-
-    #[test]
-    fn memory_sink_buffers_in_order() {
-        let sink = MemorySink::new();
-        assert!(sink.take().is_empty());
-        sink.record(assign(0, 1.0));
-        sink.record(assign(1, 2.0));
-        let events = sink.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].task(), TaskId(0));
-        assert_eq!(events[1].time(), 2.0);
-        assert!(sink.take().is_empty(), "take drains the sink");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   decisions, task `start`/`finish` with socket, core and timestamp
 //!   (steals flagged), deferred-allocation placements, and per-access
 //!   traffic with NUMA distance.
-//! * [`MemorySink`] — where events go: an executor whose configuration
-//!   carries none skips event construction entirely (tracing is zero-cost
-//!   unless requested), one that carries a sink buffers its events there
-//!   until they are taken; [`TraceCollector`] accumulates one [`Trace`] per
-//!   cell of a traced sweep.
+//!   An execution returns its events with its report when its
+//!   configuration asks for them, and skips event construction entirely
+//!   when it does not (tracing is zero-cost unless requested);
+//!   [`TraceCollector`] accumulates one [`Trace`] per cell of a traced
+//!   sweep.
 //! * [`Trace`] — the container: metadata + events, with a pretty-printed
 //!   JSON serialization that round-trips through [`Trace::from_json_str`]
 //!   (and streams to disk via [`Trace::to_json_writer`]). Where each task
@@ -29,8 +29,8 @@
 //!   flows where one loses time to the other — the tool for localizing the
 //!   per-app Figure 1 divergences.
 //!
-//! The runtime wires the sink through `ExecutionConfig::with_trace_sink` and
-//! sweeps through `Experiment::trace`; the `figure1 --trace-dir` and
+//! The runtime turns events on through `ExecutionConfig::with_events` and
+//! traces sweeps through `Experiment::trace`; the `figure1 --trace-dir` and
 //! `ablation trace` CLI modes expose both end to end.
 
 #![warn(missing_docs)]
@@ -44,5 +44,5 @@ pub use analytics::{
     CpBound, CpLink, CriticalPath, LocalityHistogram, QueueSample, QueueTimeline, TrafficMatrix,
 };
 pub use compare::{FlowDelta, TaskDelta, TraceComparison};
-pub use event::{MemorySink, TraceEvent};
+pub use event::TraceEvent;
 pub use trace::{TaskInterval, Trace, TraceCollector};

@@ -2,8 +2,8 @@
 //! to interpret them, with a JSON serialization that round-trips through
 //! [`Trace::from_json_str`].
 
-use parking_lot::Mutex;
 use std::io::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -14,9 +14,9 @@ use crate::event::TraceEvent;
 /// A complete execution trace: which workload ran under which policy on
 /// which backend, and every event the executor emitted.
 ///
-/// Traces are produced by the executors in `numadag-runtime` (through a
-/// [`crate::MemorySink`] installed on the execution configuration) and by
-/// the sweep plan for every cell of a traced `Experiment`. The analytics
+/// Traces are built from the events an execution of `numadag-runtime`
+/// returns when its configuration asks for them, and by the sweep plan for
+/// every cell of a traced `Experiment`. The analytics
 /// layer ([`crate::analytics`], [`crate::compare`]) works on this type.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -188,33 +188,38 @@ impl TraceCollector {
         TraceCollector::default()
     }
 
+    /// The traces, taking over a poisoned lock: every method leaves the
+    /// list whole.
+    fn traces(&self) -> MutexGuard<'_, Vec<Trace>> {
+        self.traces.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one cell's trace.
     pub fn record(&self, trace: Trace) {
-        self.traces.lock().push(trace);
+        self.traces().push(trace);
     }
 
     /// Number of traces collected.
     pub fn len(&self) -> usize {
-        self.traces.lock().len()
+        self.traces().len()
     }
 
     /// True if nothing was collected.
     pub fn is_empty(&self) -> bool {
-        self.traces.lock().is_empty()
+        self.traces().is_empty()
     }
 
     /// Removes and returns every collected trace.
     pub fn take(&self) -> Vec<Trace> {
-        std::mem::take(&mut *self.traces.lock())
+        std::mem::take(&mut *self.traces())
     }
 
     /// A clone of the lowest-repetition trace matching `(workload, policy)`.
-    /// Cells of a sharded sweep are recorded in completion order, so "first
-    /// recorded" would be nondeterministic; keying on the repetition index
-    /// keeps multi-rep comparisons anchored on matching repetitions.
+    /// The lanes of a sweep record their cells in completion order, so
+    /// "first recorded" would be nondeterministic; keying on the repetition
+    /// index keeps multi-rep comparisons anchored on matching repetitions.
     pub fn find(&self, workload: &str, policy: &str) -> Option<Trace> {
-        self.traces
-            .lock()
+        self.traces()
             .iter()
             .filter(|t| t.workload == workload && t.policy == policy)
             .min_by_key(|t| t.repetition)

@@ -107,7 +107,7 @@
 //! | [`core`] (`numadag-core`) | the scheduling policies: DFIFO, EP, LAS, RGP(+LAS) + the `PolicyKind` registry |
 //! | [`runtime`] (`numadag-runtime`) | `Executor` trait, simulator + threaded backends, sweeps in two steps (`Experiment` → `SweepPlan::execute` → `SweepReport` + `bench-diff`) |
 //! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
-//! | [`trace`] (`numadag-trace`) | execution traces: the event model and its one sink (`MemorySink`), placements as a view of the events, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
+//! | [`trace`] (`numadag-trace`) | execution traces: the event model (an execution's events come back in its report), placements as a view of the events, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
 //! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch (`--backend proc`) |
 //! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins |
@@ -118,12 +118,13 @@
 //! task start/finish with socket and timestamp, steals, deferred
 //! placements, per-access traffic with NUMA distance) through the
 //! [`trace`] subsystem. There is one mechanism and one switch:
-//! [`runtime::ExecutionConfig::trace_sink`] is an optional
-//! [`trace::MemorySink`], decided once per executor — `None` costs nothing,
-//! and where each task ran is a view of the events
-//! ([`trace::Trace::task_intervals`]), not a second record. A traced sweep
-//! gives every sweep worker (and every proc worker process) one executor
-//! with one sink and drains it after each cell:
+//! [`runtime::ExecutionConfig::events`], decided once per executor, makes
+//! every execution return its events in
+//! [`runtime::ExecutionReport::events`] — off costs nothing, and where each
+//! task ran is a view of the events ([`trace::Trace::task_intervals`]), not
+//! a second record. A traced sweep turns the switch on for its executors
+//! (proc worker processes included) and makes each cell's events one
+//! [`trace::Trace`], on every lane:
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -210,9 +211,7 @@ pub mod prelude {
         AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId, TaskSpec, TdgBuilder,
         WindowConfig,
     };
-    pub use numadag_trace::{
-        CriticalPath, MemorySink, Trace, TraceCollector, TraceComparison, TraceEvent,
-    };
+    pub use numadag_trace::{CriticalPath, Trace, TraceCollector, TraceComparison, TraceEvent};
 }
 
 #[cfg(test)]

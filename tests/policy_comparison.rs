@@ -3,8 +3,6 @@
 //! claims of the paper on small problem instances. Sweeps go through the
 //! `Experiment` API; single-run invariants go through the `Executor` trait.
 
-use std::sync::Arc;
-
 use numadag::prelude::*;
 
 fn executor() -> Box<dyn Executor> {
@@ -203,16 +201,15 @@ fn window_socket_decisions_are_respected_without_stealing() {
     // With stealing disabled, every task of the initial window must run on
     // the socket the partitioner chose for it.
     let spec = Application::Jacobi.build(ProblemScale::Tiny, 8);
-    let sink = Arc::new(MemorySink::new());
     let config = ExecutionConfig::bullion_s16()
         .with_steal(StealMode::NoStealing)
-        .with_trace_sink(sink.clone());
+        .with_events();
     let executor = Backend::Simulated.executor(config);
     let mut rgp = RgpPolicy::rgp_las();
     let report = executor.execute(&spec, &mut rgp);
     assert_eq!(report.stolen_tasks, 0);
     let mut started = 0;
-    for event in sink.take() {
+    for event in report.events {
         let TraceEvent::Start { task, socket, .. } = event else {
             continue;
         };

@@ -13,19 +13,18 @@
 //!   local / remote / distance-weighted / deferred bytes) and
 //!   `deferred_bytes`. The table was captured from the per-task placement
 //!   records `ExecutionReport` carried until PR 24; the rows are now read
-//!   off the `Start` / `Finish` events of a [`MemorySink`], and the hashes
-//!   not moving is the proof that the events always held the same facts;
-//! * **sink events** — the same five policy columns at Small through a
-//!   [`MemorySink`]: every `TraceEvent` (assign, start, finish, deferred
-//!   allocation, per-access traffic) in emission order.
+//!   off the `Start` / `Finish` events the run returns in
+//!   `ExecutionReport::events`, and the hashes not moving is the proof that
+//!   the events always held the same facts;
+//! * **events** — the same five policy columns at Small, with events on:
+//!   every `TraceEvent` (assign, start, finish, deferred allocation,
+//!   per-access traffic) a run returns, in emission order.
 //!
 //! A simulator change that is *meant* to move a schedule regenerates the
 //! tables: the failure message prints them in paste-able form.
 //!
 //! Also run in release mode by CI (`cargo test --release --test
 //! sim_golden`), the profile every committed baseline comes from.
-
-use std::sync::Arc;
 
 use numadag::prelude::*;
 
@@ -105,8 +104,7 @@ fn report_hash(report: &ExecutionReport, events: &[TraceEvent]) -> u64 {
 }
 
 fn placement_hashes() -> Vec<(String, u64)> {
-    let sink = Arc::new(MemorySink::new());
-    let traced = || ExecutionConfig::bullion_s16().with_trace_sink(sink.clone());
+    let traced = || ExecutionConfig::bullion_s16().with_events();
     let stealing = Simulator::new(traced());
     let pinned = Simulator::new(traced().with_steal(StealMode::NoStealing));
     let mut out = Vec::new();
@@ -117,7 +115,7 @@ fn placement_hashes() -> Vec<(String, u64)> {
                 let report = sim.run(&spec, policy_for(policy, &spec).as_mut());
                 out.push((
                     format!("{}/{}/{column}", scale.label(), app.label()),
-                    report_hash(&report, &sink.take()),
+                    report_hash(&report, &report.events),
                 ));
             };
             for policy in POLICIES {
@@ -129,15 +127,13 @@ fn placement_hashes() -> Vec<(String, u64)> {
     out
 }
 
-fn sink_event_hashes() -> Vec<(String, u64)> {
-    let sink = Arc::new(MemorySink::new());
-    let sim = Simulator::new(ExecutionConfig::bullion_s16().with_trace_sink(sink.clone()));
+fn event_hashes() -> Vec<(String, u64)> {
+    let sim = Simulator::new(ExecutionConfig::bullion_s16().with_events());
     let mut out = Vec::new();
     for app in Application::all() {
         let spec = app.build(ProblemScale::Small, SOCKETS);
         for policy in POLICIES {
-            sim.run(&spec, policy_for(policy, &spec).as_mut());
-            let events = sink.take();
+            let events = sim.run(&spec, policy_for(policy, &spec).as_mut()).events;
             let mut h = Fnv1a::new();
             h.u64(events.len() as u64);
             for event in &events {
@@ -181,7 +177,7 @@ fn simulated_placements_match_golden() {
 
 #[test]
 fn simulated_sink_events_match_golden() {
-    check("sink events", sink_event_hashes(), SINK_EVENT_GOLDEN);
+    check("events", event_hashes(), SINK_EVENT_GOLDEN);
 }
 
 const PLACEMENT_GOLDEN: &[(&str, u64)] = &[

@@ -2,7 +2,8 @@
 //! these as part of the workspace tests):
 //!
 //! * a traced sweep collects one complete trace per cell, with exactly one
-//!   assign/start/finish event per task;
+//!   assign/start/finish event per task, also on lanes that share one
+//!   threaded executor;
 //! * the extracted critical-path time never exceeds the makespan, and
 //!   equals it under a flat cost model on one socket (where the schedule is
 //!   gap-free and the chain must span the whole execution);
@@ -28,20 +29,49 @@ fn traced_sweep(backend: Backend) -> (Vec<Trace>, SweepReport) {
     (collector.take(), report)
 }
 
+/// The same sweep traced through `run_on` on one threaded executor shared
+/// by two lanes, whose cells run at the same time.
+fn traced_threaded_lanes() -> (Vec<Trace>, SweepReport) {
+    let collector = Arc::new(TraceCollector::new());
+    let executor =
+        ThreadedExecutor::new(ExecutionConfig::new(Topology::two_socket(2)).with_events());
+    let report = Experiment::new()
+        .apps([Application::NStream, Application::IntegralHistogram])
+        .scale(ProblemScale::Tiny)
+        .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
+        .seed(0xF1617E)
+        .parallelism(2)
+        .trace(Arc::clone(&collector))
+        .run_on(&executor);
+    assert_eq!(report.timing.jobs, 2, "two lanes ran");
+    (collector.take(), report)
+}
+
 #[test]
 fn traced_sweep_event_counts_match_task_counts_on_both_backends() {
-    for backend in [Backend::Simulated, Backend::Threaded] {
-        let (traces, report) = traced_sweep(backend);
-        assert_eq!(traces.len(), report.cells.len(), "{backend:?}");
+    let inputs = [
+        ("simulator", traced_sweep(Backend::Simulated)),
+        ("threaded", traced_sweep(Backend::Threaded)),
+        ("threaded, two lanes", traced_threaded_lanes()),
+    ];
+    for (input, (traces, report)) in inputs {
+        assert_eq!(traces.len(), report.cells.len(), "{input}");
         for trace in &traces {
             // One assign, one start, one finish per task — `validate`
             // checks exactly that, plus interval sanity.
             trace
                 .validate()
-                .unwrap_or_else(|e| panic!("{backend:?} {}/{}: {e}", trace.workload, trace.policy));
+                .unwrap_or_else(|e| panic!("{input} {}/{}: {e}", trace.workload, trace.policy));
             assert_eq!(trace.events_tagged("assign").count(), trace.tasks);
             assert_eq!(trace.events_tagged("start").count(), trace.tasks);
             assert_eq!(trace.events_tagged("finish").count(), trace.tasks);
+            // ... and the tasks are its own cell's.
+            let cell = report
+                .cells
+                .iter()
+                .find(|c| c.application == trace.workload && c.policy == trace.policy)
+                .unwrap_or_else(|| panic!("{input}: no cell {}/{}", trace.workload, trace.policy));
+            assert_eq!(trace.tasks, cell.tasks, "{input}");
         }
     }
 }
@@ -70,10 +100,9 @@ fn critical_path_time_never_exceeds_makespan_for_any_policy() {
         PolicyKind::RGP_LAS,
         PolicyKind::Ep,
     ] {
-        let sink = Arc::new(MemorySink::new());
-        let config = ExecutionConfig::bullion_s16().with_trace_sink(sink.clone());
+        let config = ExecutionConfig::bullion_s16().with_events();
         let mut policy = make_policy(kind, &spec, 3).expect("policy builds");
-        let report = Simulator::new(config).run(&spec, policy.as_mut());
+        let mut report = Simulator::new(config).run(&spec, policy.as_mut());
         let trace = Trace {
             workload: spec.name.to_string(),
             policy: report.policy.to_string(),
@@ -83,7 +112,7 @@ fn critical_path_time_never_exceeds_makespan_for_any_policy() {
             tasks: spec.num_tasks(),
             num_sockets: 8,
             makespan_ns: report.makespan_ns,
-            events: sink.take(),
+            events: std::mem::take(&mut report.events),
         };
         let cp = trace.critical_path(&spec.graph);
         assert!(!cp.links.is_empty(), "{kind:?}: empty critical path");
@@ -111,12 +140,11 @@ fn critical_path_equals_makespan_under_flat_cost_on_one_socket() {
     // chain must account for every nanosecond of the makespan.
     let spec = Application::Jacobi.build(ProblemScale::Tiny, 1);
     for kind in [PolicyKind::Dfifo, PolicyKind::Las] {
-        let sink = Arc::new(MemorySink::new());
         let config = ExecutionConfig::new(Topology::uma(4))
             .with_cost_model(CostModel::flat())
-            .with_trace_sink(sink.clone());
+            .with_events();
         let mut policy = make_policy(kind, &spec, 11).expect("policy builds");
-        let report = Simulator::new(config).run(&spec, policy.as_mut());
+        let mut report = Simulator::new(config).run(&spec, policy.as_mut());
         let trace = Trace {
             workload: spec.name.to_string(),
             policy: report.policy.to_string(),
@@ -126,7 +154,7 @@ fn critical_path_equals_makespan_under_flat_cost_on_one_socket() {
             tasks: spec.num_tasks(),
             num_sockets: 1,
             makespan_ns: report.makespan_ns,
-            events: sink.take(),
+            events: std::mem::take(&mut report.events),
         };
         let cp = trace.critical_path(&spec.graph);
         let relative_gap = (cp.time_ns - report.makespan_ns).abs() / report.makespan_ns;

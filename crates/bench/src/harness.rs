@@ -47,7 +47,7 @@ pub fn stderr_progress(progress: &CellProgress) {
 
 /// File-system-safe spelling of a workload/policy label: alphanumerics,
 /// `-`, `=` and `.` pass through, everything else becomes `-`.
-pub fn sanitize_label(label: &str) -> String {
+pub(crate) fn sanitize_label(label: &str) -> String {
     label
         .chars()
         .map(|c| {

@@ -8,6 +8,6 @@
 //! * the `ablation` binary runs the design-choice studies (window size,
 //!   socket count, partitioner quality; README, "Running the sweeps").
 
-pub mod harness;
+mod harness;
 
-pub use harness::{paper_reference, parse_jobs, sanitize_label, stderr_progress, write_trace_dir};
+pub use harness::{paper_reference, parse_jobs, stderr_progress, write_trace_dir};

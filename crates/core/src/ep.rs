@@ -12,13 +12,13 @@ use crate::policy::{DataLocator, SchedulingPolicy};
 
 /// The EP policy: a fixed task → socket map.
 #[derive(Clone, Debug)]
-pub struct EpPolicy {
+pub(crate) struct EpPolicy {
     placement: Vec<usize>,
 }
 
 impl EpPolicy {
     /// Builds the policy from an explicit per-task socket index vector.
-    pub fn new(placement: Vec<usize>) -> Self {
+    pub(crate) fn new(placement: Vec<usize>) -> Self {
         EpPolicy { placement }
     }
 
@@ -26,19 +26,9 @@ impl EpPolicy {
     ///
     /// Returns `None` if the spec has no expert placement (the harness then
     /// skips the EP bar for that application, as a real study would).
-    pub fn from_spec(spec: &TaskGraphSpec) -> Option<Self> {
+    pub(crate) fn from_spec(spec: &TaskGraphSpec) -> Option<Self> {
         spec.ep_placement()
             .map(|placement| EpPolicy::new(placement.to_vec()))
-    }
-
-    /// Number of tasks covered by the placement.
-    pub fn len(&self) -> usize {
-        self.placement.len()
-    }
-
-    /// True if the placement covers no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.placement.is_empty()
     }
 }
 
@@ -85,8 +75,6 @@ mod tests {
         assert_eq!(p.assign(&dummy_task(1), &loc), SocketId(1));
         assert_eq!(p.assign(&dummy_task(3), &loc), SocketId(2));
         assert_eq!(p.name(), "EP");
-        assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
     }
 
     #[test]
@@ -118,7 +106,6 @@ mod tests {
         let spec = numadag_tdg::TaskGraphSpec::new("toy", b.finish());
         assert!(EpPolicy::from_spec(&spec).is_none());
         let spec = spec.with_ep_placement(vec![1, 1]).unwrap();
-        let p = EpPolicy::from_spec(&spec).unwrap();
-        assert_eq!(p.len(), 2);
+        assert_eq!(EpPolicy::from_spec(&spec).unwrap().placement, [1, 1]);
     }
 }

@@ -129,23 +129,13 @@ impl PolicyKind {
 
     /// The RGP+RR ablation (round-robin propagation) with default
     /// parameters.
-    pub const RGP_RR: PolicyKind = PolicyKind::Rgp(RgpTuning {
+    pub(crate) const RGP_RR: PolicyKind = PolicyKind::Rgp(RgpTuning {
         window: None,
         scheme: None,
         passes: None,
         prop: Propagation::RoundRobin,
         anchor: None,
     });
-
-    /// The four policies of the paper's Figure 1, in its plotting order.
-    pub fn figure1() -> [PolicyKind; 4] {
-        [
-            PolicyKind::Dfifo,
-            PolicyKind::RGP_LAS,
-            PolicyKind::Ep,
-            PolicyKind::Las,
-        ]
-    }
 
     /// All registered base policies (tuned RGP kinds are parameterised
     /// spellings of RGP+LAS/RGP+RR, not separate registry entries).
@@ -370,7 +360,6 @@ mod tests {
             PolicyKind::Rgp(tuned).label(),
             "RGP+LAS:w=512,scheme=rb,passes=4"
         );
-        assert_eq!(PolicyKind::figure1().len(), 4);
         assert_eq!(PolicyKind::all().len(), 5);
     }
 

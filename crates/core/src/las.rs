@@ -32,8 +32,6 @@ const ALLOCATED_FRACTION_THRESHOLD: f64 = 0.5;
 #[derive(Clone, Debug)]
 pub struct LasPolicy {
     rng: StdRng,
-    random_assignments: usize,
-    weighted_assignments: usize,
     // Per-assignment scratch, reused across calls so the hot path does not
     // allocate: socket weights and the tied-heaviest-sockets list.
     weights: SocketWeights,
@@ -46,22 +44,9 @@ impl LasPolicy {
     pub fn new(seed: u64) -> Self {
         LasPolicy {
             rng: StdRng::seed_from_u64(seed),
-            random_assignments: 0,
-            weighted_assignments: 0,
             weights: SocketWeights::default(),
             heaviest: Vec::new(),
         }
-    }
-
-    /// Number of tasks that were placed randomly (no usable locality
-    /// information at scheduling time).
-    pub fn random_assignments(&self) -> usize {
-        self.random_assignments
-    }
-
-    /// Number of tasks that were placed by the socket-weighting rule.
-    pub fn weighted_assignments(&self) -> usize {
-        self.weighted_assignments
     }
 
     /// [`SchedulingPolicy::assign`] with an optional affinity bias (the
@@ -74,7 +59,7 @@ impl LasPolicy {
     /// data signal still overrides the bias — observed placements beat the
     /// partitioner's plan. With `bias` `None` the behaviour (including the
     /// RNG stream) is exactly [`SchedulingPolicy::assign`]'s.
-    pub fn assign_biased(
+    pub(crate) fn assign_biased(
         &mut self,
         task: &TaskDescriptor<'_>,
         locator: &dyn DataLocator,
@@ -92,14 +77,12 @@ impl LasPolicy {
         if allocated == 0 || allocated_fraction < ALLOCATED_FRACTION_THRESHOLD {
             // "If most of the data is unallocated, the final socket is
             // randomly chosen among all sockets available to the runtime."
-            self.random_assignments += 1;
             if let Some(b) = bias {
                 return b;
             }
             return SocketId(self.rng.gen_range(0..num_sockets));
         }
         self.weights.heaviest_into(&mut self.heaviest);
-        self.weighted_assignments += 1;
         if self.heaviest.len() == 1 {
             self.heaviest[0]
         } else if let Some(b) = bias.filter(|b| self.heaviest.contains(b)) {
@@ -163,8 +146,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(p.assign(&t, &loc), SocketId(5));
         }
-        assert_eq!(p.weighted_assignments(), 10);
-        assert_eq!(p.random_assignments(), 0);
     }
 
     #[test]
@@ -185,7 +166,6 @@ mod tests {
             seen.len() >= 4,
             "random placement looks degenerate: {seen:?}"
         );
-        assert_eq!(p.random_assignments(), 64);
     }
 
     #[test]
@@ -209,7 +189,6 @@ mod tests {
             distinct.insert(p.assign(&t, &loc).index());
         }
         assert!(distinct.len() > 1);
-        assert_eq!(p.weighted_assignments(), 0);
     }
 
     #[test]
@@ -244,7 +223,6 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(p.assign_biased(&t, &loc, Some(SocketId(2))), SocketId(2));
         }
-        assert_eq!(p.random_assignments(), 8);
         // Tied sockets: the bias wins the tie when it is among them...
         let a = mem.register(100);
         let b = mem.register(100);

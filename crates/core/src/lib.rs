@@ -8,7 +8,7 @@
 //!
 //! * [`dfifo::DfifoPolicy`] — *distributed FIFO*: locality-blind round-robin
 //!   over the sockets; the "no NUMA awareness" lower bound.
-//! * [`ep::EpPolicy`] — *expert programmer*: the placement hard-coded in the
+//! * EP ([`PolicyKind::Ep`]) — *expert programmer*: the placement hard-coded in the
 //!   benchmark source (block/owner-computes distributions).
 //! * [`las::LasPolicy`] — *locality-aware scheduling* (Drebes et al.,
 //!   PACT'16): deferred allocation plus enhanced work pushing towards the
@@ -26,16 +26,16 @@
 
 #![warn(missing_docs)]
 
-pub mod dfifo;
-pub mod ep;
-pub mod factory;
-pub mod las;
-pub mod policy;
-pub mod rgp;
-pub mod weights;
+mod dfifo;
+mod ep;
+mod factory;
+mod las;
+mod policy;
+mod rgp;
+mod weights;
 
 pub use dfifo::DfifoPolicy;
-pub use ep::EpPolicy;
+
 pub use factory::{make_policy, ParsePolicyError, PolicyKind, RgpTuning};
 // Re-exported so policy consumers can spell partitioner knobs without a
 // direct numadag-graph dependency.

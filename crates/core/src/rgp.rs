@@ -56,7 +56,7 @@ impl Propagation {
     /// The short, stable token used in policy labels (`prop=las`,
     /// `prop=rr`, `prop=repart`). Round-trips through
     /// [`Propagation::from_token`].
-    pub fn token(&self) -> &'static str {
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             Propagation::Las => "las",
             Propagation::RoundRobin => "rr",
@@ -65,7 +65,7 @@ impl Propagation {
     }
 
     /// Parses a propagation token (short or spelled-out, case-insensitive).
-    pub fn from_token(s: &str) -> Option<Propagation> {
+    pub(crate) fn from_token(s: &str) -> Option<Propagation> {
         match s.trim().to_ascii_lowercase().as_str() {
             "las" => Some(Propagation::Las),
             "rr" | "round-robin" | "roundrobin" => Some(Propagation::RoundRobin),
@@ -94,7 +94,7 @@ impl AnchorMode {
     /// The short, stable token used in policy labels (`anchor=none`,
     /// `anchor=deps`, `anchor=homes`, `anchor=both`). Round-trips through
     /// [`AnchorMode::from_token`].
-    pub fn token(&self) -> &'static str {
+    pub(crate) fn token(&self) -> &'static str {
         match self {
             AnchorMode::None => "none",
             AnchorMode::Deps => "deps",
@@ -104,7 +104,7 @@ impl AnchorMode {
     }
 
     /// Parses an anchor-mode token (case-insensitive).
-    pub fn from_token(s: &str) -> Option<AnchorMode> {
+    pub(crate) fn from_token(s: &str) -> Option<AnchorMode> {
         match s.trim().to_ascii_lowercase().as_str() {
             "none" | "off" => Some(AnchorMode::None),
             "deps" | "dependences" | "dependencies" => Some(AnchorMode::Deps),

@@ -13,30 +13,22 @@ use crate::policy::DataLocator;
 /// Per-socket byte weights for a task, plus the number of bytes whose home is
 /// still undecided (deferred allocations).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SocketWeights {
+pub(crate) struct SocketWeights {
     /// `weights[s]` = bytes of the task's dependences allocated on socket `s`.
-    pub weights: Vec<u64>,
+    pub(crate) weights: Vec<u64>,
     /// Bytes of the task's dependences not yet allocated anywhere.
-    pub unallocated: u64,
+    pub(crate) unallocated: u64,
 }
 
 impl SocketWeights {
     /// Total allocated bytes across all sockets.
-    pub fn total_allocated(&self) -> u64 {
+    pub(crate) fn total_allocated(&self) -> u64 {
         self.weights.iter().fold(0, |sum, &w| sum.saturating_add(w))
     }
 
-    /// The sockets with the maximum weight (more than one on ties). Empty if
-    /// nothing is allocated.
-    pub fn heaviest(&self) -> Vec<SocketId> {
-        let mut out = Vec::new();
-        self.heaviest_into(&mut out);
-        out
-    }
-
-    /// [`SocketWeights::heaviest`] into a caller-owned buffer (ascending
-    /// socket order, exactly like the allocating call).
-    pub fn heaviest_into(&self, out: &mut Vec<SocketId>) {
+    /// Writes the sockets with the maximum weight (more than one on ties,
+    /// ascending) into a caller-owned buffer. Empty if nothing is allocated.
+    pub(crate) fn heaviest_into(&self, out: &mut Vec<SocketId>) {
         out.clear();
         let max = self.weights.iter().copied().max().unwrap_or(0);
         if max == 0 {
@@ -52,19 +44,13 @@ impl SocketWeights {
     }
 }
 
-/// Computes the socket weights of `task` given the current data placement.
-/// Every access (input and output alike) contributes its bytes to the sockets
-/// currently holding the region; unallocated bytes are tallied separately.
-pub fn socket_weights(task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketWeights {
-    let mut out = SocketWeights::default();
-    socket_weights_into(task, locator, &mut out);
-    out
-}
-
-/// [`socket_weights`] into a caller-owned buffer. The executors call this
-/// once per scheduled task, so the reuse keeps the assignment hot path free
-/// of allocations. Results are identical to [`socket_weights`] bit for bit.
-pub fn socket_weights_into(
+/// Computes the socket weights of `task` given the current data placement
+/// into a caller-owned buffer. Every access (input and output alike)
+/// contributes its bytes to the sockets currently holding the region;
+/// unallocated bytes are tallied separately. The executors call this once
+/// per scheduled task, so the reuse keeps the assignment hot path free of
+/// allocations.
+pub(crate) fn socket_weights_into(
     task: &TaskDescriptor<'_>,
     locator: &dyn DataLocator,
     out: &mut SocketWeights,
@@ -92,6 +78,18 @@ mod tests {
     use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
     use numadag_tdg::{DataAccess, TaskDescriptor, TaskGraph, TaskId};
 
+    fn socket_weights(task: &TaskDescriptor<'_>, locator: &dyn DataLocator) -> SocketWeights {
+        let mut out = SocketWeights::default();
+        socket_weights_into(task, locator, &mut out);
+        out
+    }
+
+    fn heaviest(weights: &SocketWeights) -> Vec<SocketId> {
+        let mut out = Vec::new();
+        weights.heaviest_into(&mut out);
+        out
+    }
+
     /// The one task of a graph, leaked so the view can outlive the call.
     /// The graph's regions fit any access; the memory map under test has
     /// the sizes that matter.
@@ -117,7 +115,7 @@ mod tests {
         let w = socket_weights(&t, &loc);
         assert_eq!(w.weights, vec![1000, 0, 3000, 0]);
         assert_eq!(w.unallocated, 0);
-        assert_eq!(w.heaviest(), vec![SocketId(2)]);
+        assert_eq!(heaviest(&w), vec![SocketId(2)]);
     }
 
     #[test]
@@ -147,7 +145,7 @@ mod tests {
         let t = task_with(vec![DataAccess::write(a, 100)]);
         let w = socket_weights(&t, &loc);
         assert_eq!(w.total_allocated(), 0);
-        assert!(w.heaviest().is_empty());
+        assert!(heaviest(&w).is_empty());
         assert_eq!(w.unallocated, 100);
     }
 
@@ -162,7 +160,7 @@ mod tests {
         let loc = MemoryLocator::new(&topo, &mem);
         let t = task_with(vec![DataAccess::read(a, 100), DataAccess::read(b, 100)]);
         let w = socket_weights(&t, &loc);
-        assert_eq!(w.heaviest(), vec![SocketId(1), SocketId(3)]);
+        assert_eq!(heaviest(&w), vec![SocketId(1), SocketId(3)]);
     }
 
     #[test]
@@ -192,7 +190,7 @@ mod tests {
         let t = task_with(vec![DataAccess::read(RegionId(0), 400)]);
         let w = socket_weights(&t, &loc);
         assert_eq!(w.weights, vec![200, 200]);
-        assert_eq!(w.heaviest().len(), 2);
+        assert_eq!(heaviest(&w).len(), 2);
     }
 
     #[test]

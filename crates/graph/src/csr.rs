@@ -64,26 +64,6 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from CSR arrays.
-    ///
-    /// Prefer [`GraphBuilder`] unless the arrays already exist. The input is
-    /// validated; invalid structure returns an error.
-    pub fn from_parts(
-        xadj: Vec<usize>,
-        adjncy: Vec<u32>,
-        adjwgt: Vec<i64>,
-        vwgt: Vec<i64>,
-    ) -> Result<Self, GraphError> {
-        let g = CsrGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        };
-        g.validate()?;
-        Ok(g)
-    }
-
     /// Builds a graph from CSR arrays that are known to be valid — symmetric
     /// with equal weights, no self loops, positive weights — because their
     /// producer builds them that way (the contraction path, the conversion
@@ -106,19 +86,9 @@ impl CsrGraph {
     }
 
     /// Takes the graph apart into its CSR arrays `(xadj, adjncy, adjwgt,
-    /// vwgt)`, the inverse of [`CsrGraph::from_parts`].
+    /// vwgt)`, the inverse of [`CsrGraph::from_parts_unchecked`].
     pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<i64>, Vec<i64>) {
         (self.xadj, self.adjncy, self.adjwgt, self.vwgt)
-    }
-
-    /// A graph with `n` isolated vertices of unit weight.
-    pub fn empty(n: usize) -> Self {
-        CsrGraph {
-            xadj: vec![0; n + 1],
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
-            vwgt: vec![1; n],
-        }
     }
 
     /// Number of vertices.
@@ -131,32 +101,21 @@ impl CsrGraph {
         self.adjncy.len() / 2
     }
 
-    /// True if the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.num_vertices() == 0
-    }
-
-    /// Degree of a vertex.
-    #[inline]
-    pub fn degree(&self, v: u32) -> usize {
-        self.xadj[v as usize + 1] - self.xadj[v as usize]
-    }
-
     /// Neighbours of `v`.
     #[inline]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         &self.adjncy[self.xadj[v as usize]..self.xadj[v as usize + 1]]
     }
 
     /// Weights of the edges incident to `v`, aligned with [`Self::neighbors`].
     #[inline]
-    pub fn edge_weights(&self, v: u32) -> &[i64] {
+    pub(crate) fn edge_weights(&self, v: u32) -> &[i64] {
         &self.adjwgt[self.xadj[v as usize]..self.xadj[v as usize + 1]]
     }
 
     /// Iterate over `(neighbor, weight)` pairs of `v`.
     #[inline]
-    pub fn edges_of(&self, v: u32) -> impl Iterator<Item = (u32, i64)> + '_ {
+    pub(crate) fn edges_of(&self, v: u32) -> impl Iterator<Item = (u32, i64)> + '_ {
         self.neighbors(v)
             .iter()
             .copied()
@@ -253,7 +212,7 @@ impl CsrGraph {
 /// Incremental builder that accumulates edges (merging duplicates by adding
 /// their weights) and produces a validated [`CsrGraph`].
 #[derive(Clone, Debug, Default)]
-pub struct GraphBuilder {
+pub(crate) struct GraphBuilder {
     num_vertices: usize,
     vwgt: Vec<i64>,
     edges: BTreeMap<(u32, u32), i64>,
@@ -261,7 +220,7 @@ pub struct GraphBuilder {
 
 impl GraphBuilder {
     /// A builder for a graph with `n` vertices of unit weight.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         GraphBuilder {
             num_vertices: n,
             vwgt: vec![1; n],
@@ -269,13 +228,11 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of vertices the builder was created with.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Sets the weight of vertex `v` (must be positive).
-    pub fn set_vertex_weight(&mut self, v: u32, w: i64) -> &mut Self {
+    /// Sets the weight of vertex `v` (must be positive). Only tests build
+    /// weighted graphs this way; the partitioner's own weighted graphs come
+    /// from contraction and window conversion.
+    #[cfg(test)]
+    pub(crate) fn set_vertex_weight(&mut self, v: u32, w: i64) -> &mut Self {
         assert!(w > 0, "vertex weights must be positive");
         self.vwgt[v as usize] = w;
         self
@@ -284,7 +241,7 @@ impl GraphBuilder {
     /// Adds (or accumulates onto) the undirected edge `{u, v}` with weight
     /// `w`. Self loops and non-positive weights are ignored, matching what a
     /// partitioner front-end would do when symmetrising a DAG.
-    pub fn add_edge(&mut self, u: u32, v: u32, w: i64) -> &mut Self {
+    pub(crate) fn add_edge(&mut self, u: u32, v: u32, w: i64) -> &mut Self {
         if u == v || w <= 0 {
             return self;
         }
@@ -297,13 +254,8 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of distinct undirected edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Produces the CSR graph.
-    pub fn build(&self) -> CsrGraph {
+    pub(crate) fn build(&self) -> CsrGraph {
         let n = self.num_vertices;
         let mut degree = vec![0usize; n];
         for &(u, v) in self.edges.keys() {
@@ -352,7 +304,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert!(g.validate().is_ok());
-        assert_eq!(g.degree(0), 2);
+        assert_eq!(g.neighbors(0).len(), 2);
         assert_eq!(g.edge_weight(0, 1), Some(5));
         assert_eq!(g.edge_weight(1, 0), Some(5));
         assert_eq!(g.edge_weight(2, 1), Some(7));
@@ -393,11 +345,11 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(5);
+        let g = GraphBuilder::new(5).build();
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
         assert!(g.validate().is_ok());
-        assert_eq!(g.degree(4), 0);
+        assert!(g.neighbors(4).is_empty());
     }
 
     #[test]
@@ -445,12 +397,6 @@ mod tests {
             g.validate(),
             Err(GraphError::NonPositiveWeight(_))
         ));
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        assert!(CsrGraph::from_parts(vec![0, 0], vec![], vec![], vec![1]).is_ok());
-        assert!(CsrGraph::from_parts(vec![0, 1], vec![0], vec![1], vec![1]).is_err());
     }
 
     #[test]

@@ -24,22 +24,12 @@ pub fn grid_2d(width: usize, height: usize, edge_weight: i64) -> CsrGraph {
     b.build()
 }
 
-/// A path graph with `n` vertices and unit edge weights.
-pub fn path(n: usize) -> CsrGraph {
+/// A path graph with `n` vertices and unit edge weights (a test fixture).
+#[cfg(test)]
+pub(crate) fn path(n: usize) -> CsrGraph {
     let mut b = GraphBuilder::new(n);
     for v in 1..n {
         b.add_edge((v - 1) as u32, v as u32, 1);
-    }
-    b.build()
-}
-
-/// A complete graph on `n` vertices with unit edge weights.
-pub fn complete(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            b.add_edge(u, v, 1);
-        }
     }
     b.build()
 }
@@ -111,46 +101,6 @@ pub fn two_clusters(cluster_size: usize, heavy: i64) -> CsrGraph {
     b.build()
 }
 
-/// The 27-graph refinement corpus: the generator families (random, grid,
-/// layered DAG) at sizes from 16 to 1024 vertices. Crossed with the part
-/// counts 2/4/8 and the two shapes of [`imbalanced_assignments`] it gives
-/// the 162 cases the refiner's rewritten kernels are pinned on.
-pub fn refine_corpus() -> Vec<CsrGraph> {
-    let mut graphs = Vec::new();
-    for &n in &[50usize, 200, 1000] {
-        for &degree in &[2usize, 4] {
-            for seed in 1..=3u64 {
-                graphs.push(random_graph(n, degree, 1 << 12, seed));
-            }
-        }
-    }
-    for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16)] {
-        graphs.push(grid_2d(w, h, 8));
-    }
-    for &(layers, width) in &[
-        (8usize, 8usize),
-        (8, 16),
-        (16, 16),
-        (16, 32),
-        (32, 16),
-        (32, 32),
-    ] {
-        graphs.push(layered_dag_skeleton(layers, width, 2, 1 << 10));
-    }
-    graphs
-}
-
-/// Two imbalanced `k`-way assignments of `n` vertices: "everything crammed
-/// into the low parts" (what a degenerate projection produces) and
-/// "balanced with one part overloaded" (what real projections produce).
-pub fn imbalanced_assignments(n: usize, k: usize) -> [Vec<u32>; 2] {
-    let crammed: Vec<u32> = (0..n as u32).map(|v| v % (k as u32 / 2).max(1)).collect();
-    let skewed: Vec<u32> = (0..n as u32)
-        .map(|v| if v % 5 == 0 { 0 } else { v % k as u32 })
-        .collect();
-    [crammed, skewed]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,15 +114,6 @@ mod tests {
         assert_eq!(g.edge_weight(0, 1), Some(2));
         assert_eq!(g.edge_weight(0, 4), Some(2));
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn path_and_complete() {
-        let p = path(5);
-        assert_eq!(p.num_edges(), 4);
-        let k = complete(5);
-        assert_eq!(k.num_edges(), 10);
-        assert_eq!(k.degree(2), 4);
     }
 
     #[test]
@@ -192,7 +133,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 32);
         assert!(g.validate().is_ok());
         // Every vertex in layers 1..3 has incoming edges from the previous layer.
-        assert!(g.degree(8) >= 1);
+        assert!(!g.neighbors(8).is_empty());
     }
 
     #[test]

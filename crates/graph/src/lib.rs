@@ -4,8 +4,8 @@
 //! available in this environment, so this crate provides the same capability
 //! from scratch:
 //!
-//! * [`csr::CsrGraph`] — an undirected, vertex- and edge-weighted graph in
-//!   compressed sparse row form, plus a convenient [`csr::GraphBuilder`].
+//! * [`CsrGraph`] — an undirected, vertex- and edge-weighted graph in
+//!   compressed sparse row form.
 //! * [`mod@partition`] — a multilevel k-way edge-cut partitioner in the
 //!   SCOTCH/METIS family: one driver that runs heavy-edge-matching
 //!   coarsening, greedy graph-growing / recursive-bisection initial
@@ -22,12 +22,12 @@
 
 #![warn(missing_docs)]
 
-pub mod csr;
+mod csr;
 pub mod generators;
 pub mod metrics;
 pub mod partition;
 
-pub use csr::{CsrGraph, GraphBuilder};
+pub use csr::{CsrGraph, GraphError};
 pub use partition::{
     partition, partition_anchored, partition_anchored_ctx, partition_ctx, AffinityCosts,
     PartMembers, Partition, PartitionConfig, PartitionCtx, PartitionScheme, PartitionTuning,

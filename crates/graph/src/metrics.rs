@@ -21,7 +21,7 @@ pub fn edge_cut(graph: &CsrGraph, partition: &Partition) -> i64 {
 /// foreign parts among its neighbours, weighted by the vertex weight. This is
 /// the METIS "totalv" objective and approximates the bytes a task's outputs
 /// must be shipped to.
-pub fn communication_volume(graph: &CsrGraph, partition: &Partition) -> i64 {
+pub(crate) fn communication_volume(graph: &CsrGraph, partition: &Partition) -> i64 {
     let mut vol = 0i64;
     let mut seen: Vec<u32> = Vec::new();
     for v in 0..graph.num_vertices() as u32 {
@@ -67,7 +67,7 @@ pub fn imbalance(graph: &CsrGraph, partition: &Partition) -> f64 {
 
 /// Number of boundary vertices (vertices with at least one neighbour in a
 /// different part).
-pub fn boundary_size(graph: &CsrGraph, partition: &Partition) -> usize {
+pub(crate) fn boundary_size(graph: &CsrGraph, partition: &Partition) -> usize {
     (0..graph.num_vertices() as u32)
         .filter(|&v| {
             graph
@@ -84,11 +84,11 @@ pub struct PartitionQuality {
     /// Total weight of cut edges.
     pub edge_cut: i64,
     /// METIS-style total communication volume.
-    pub communication_volume: i64,
+    pub(crate) communication_volume: i64,
     /// `max part weight / ideal part weight`.
     pub imbalance: f64,
     /// Number of boundary vertices.
-    pub boundary_vertices: usize,
+    pub(crate) boundary_vertices: usize,
     /// Number of non-empty parts.
     pub nonempty_parts: usize,
 }

@@ -11,7 +11,7 @@
 //! `cost(v, p)` is the number of bytes vertex `v` pulls from data already
 //! fixed on part `p` — and flows through the multilevel driver: coarsening
 //! sums the rows of merged vertices
-//! ([`AffinityCosts::project_to_coarse_into`]),
+//! (`AffinityCosts::project_to_coarse_into`),
 //! and refinement adds the row deltas to its move gains, so the partitioner
 //! trades edge cut against affinity to fixed data in one objective.
 
@@ -42,12 +42,12 @@ impl AffinityCosts {
     }
 
     /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.costs.len() / self.k
     }
 
     /// Number of parts per row.
-    pub fn num_parts(&self) -> usize {
+    pub(crate) fn num_parts(&self) -> usize {
         self.k
     }
 
@@ -59,22 +59,17 @@ impl AffinityCosts {
 
     /// The affinity row of `v` across all parts.
     #[inline]
-    pub fn row(&self, v: u32) -> &[i64] {
+    pub(crate) fn row(&self, v: u32) -> &[i64] {
         &self.costs[v as usize * self.k..(v as usize + 1) * self.k]
     }
 
-    /// Total affinity weight in the table.
-    pub fn total(&self) -> i64 {
-        self.costs.iter().sum()
-    }
-
     /// True if no vertex has any affinity (anchoring is a no-op).
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.costs.iter().all(|&c| c == 0)
     }
 
     /// The raw flat table (row-major `n × k`).
-    pub fn flat(&self) -> &[i64] {
+    pub(crate) fn flat(&self) -> &[i64] {
         &self.costs
     }
 
@@ -82,7 +77,7 @@ impl AffinityCosts {
     /// table for the coarse graph, so anchors survive every coarsening level.
     /// `coarse` is overwritten (and reused without allocating once it has the
     /// capacity).
-    pub fn project_to_coarse_into(
+    pub(crate) fn project_to_coarse_into(
         &self,
         fine_to_coarse: &[u32],
         coarse_vertices: usize,
@@ -117,7 +112,7 @@ mod tests {
         assert_eq!(a.row(0), &[0, 0, 0, 0]);
         assert_eq!(a.row(1), &[0, 0, 150, 0]);
         assert_eq!(a.row(2), &[7, 0, 0, 0]);
-        assert_eq!(a.total(), 157);
+        assert_eq!(a.flat().iter().sum::<i64>(), 157);
         assert!(!a.is_zero());
     }
 
@@ -143,7 +138,10 @@ mod tests {
         a.project_to_coarse_into(&[0, 0, 1, 1], 2, &mut coarse);
         assert_eq!(coarse.row(0), &[10, 20]);
         assert_eq!(coarse.row(1), &[5, 1]);
-        assert_eq!(coarse.total(), a.total());
+        assert_eq!(
+            coarse.flat().iter().sum::<i64>(),
+            a.flat().iter().sum::<i64>()
+        );
     }
 
     #[test]

@@ -24,12 +24,12 @@ use crate::csr::CsrGraph;
 
 /// One level of the coarsening hierarchy.
 #[derive(Clone, Debug)]
-pub struct CoarseLevel {
+pub(crate) struct CoarseLevel {
     /// The coarser graph.
     pub graph: CsrGraph,
     /// For every vertex of the *finer* graph, the coarse vertex it collapsed
     /// into.
-    pub fine_to_coarse: Vec<u32>,
+    pub(crate) fine_to_coarse: Vec<u32>,
 }
 
 /// Scratch buffers shared by every level of one coarsening run — and, when
@@ -37,7 +37,7 @@ pub struct CoarseLevel {
 /// through that context. All buffers grow to the size of the finest graph
 /// once and shrink logically (via `clear`/truncation) on the coarser levels.
 #[derive(Debug, Default)]
-pub struct CoarsenWorkspace {
+pub(crate) struct CoarsenWorkspace {
     /// `(weight, v, u)` of the current level's edges, in post-shuffle order.
     edges: Vec<(i64, u32, u32)>,
     /// The same edges heaviest-first, equal weights in post-shuffle order:
@@ -80,7 +80,7 @@ impl CoarsenWorkspace {
     /// next coarsening run through it builds its levels in them instead of
     /// allocating six fresh vectors per level. Any hierarchy may be recycled
     /// (the vectors are only capacity), and never recycling is fine too.
-    pub fn recycle(&mut self, mut levels: Vec<CoarseLevel>) {
+    pub(crate) fn recycle(&mut self, mut levels: Vec<CoarseLevel>) {
         // Coarsest level first and, within a level, in reverse order of use:
         // the pools are stacks, so the next run pops the finest level's
         // (largest) vectors first, each for the role it had before.
@@ -334,7 +334,7 @@ fn coarsen_once_with(graph: &CsrGraph, rng: &mut StdRng, ws: &mut CoarsenWorkspa
 /// state only and never influences the result. Hand the hierarchy back with
 /// [`CoarsenWorkspace::recycle`] once it is no longer needed and the next run
 /// reuses its vectors too.
-pub fn coarsen_to_with(
+pub(crate) fn coarsen_to_with(
     graph: &CsrGraph,
     target_vertices: usize,
     rng: &mut StdRng,
@@ -514,7 +514,7 @@ mod tests {
                 let level = coarsen_once_with(fine, &mut rng, &mut ws);
                 prop_assert_eq!(&level.graph, &map_built(fine, &level));
                 let rows = 0..level.graph.num_vertices() as u32;
-                let longest = rows.map(|c| level.graph.degree(c)).max().unwrap_or(0);
+                let longest = rows.map(|c| level.graph.neighbors(c).len()).max().unwrap_or(0);
                 LONGEST_ROW.fetch_max(longest, Ordering::Relaxed);
                 levels.push(level);
             }
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn coarsening_stops_on_isolated_vertices() {
-        let g = CsrGraph::empty(100);
+        let g = crate::csr::GraphBuilder::new(100).build();
         let levels = coarsen_to_with(&g, 10, &mut rng(), &mut CoarsenWorkspace::default());
         assert!(levels.is_empty(), "no edges means nothing can be merged");
     }

@@ -12,7 +12,7 @@ use crate::csr::CsrGraph;
 /// `k` parts runs `k − 1` bisections, each of which used to allocate all of
 /// these afresh. Pure scratch: results do not depend on what it held before.
 #[derive(Debug, Default)]
-pub struct BisectionScratch {
+pub(crate) struct BisectionScratch {
     in_subset: Vec<bool>,
     in_left: Vec<bool>,
     /// `gain[v]` = (weight to left) − (weight to right), only meaningful for
@@ -248,7 +248,7 @@ fn seed_vertex(
 ///
 /// A call with a warmed [`BisectionScratch`] and a large enough `assignment`
 /// does not allocate.
-pub fn recursive_bisection_with(
+pub(crate) fn recursive_bisection_with(
     graph: &CsrGraph,
     k: usize,
     imbalance: f64,
@@ -341,7 +341,7 @@ fn split_by_weight(graph: &CsrGraph, vertices: &[u32], target_left: i64) -> usiz
 /// vertex weight, written over `assignment`. This is the "simple heuristic"
 /// the paper contrasts graph partitioning against, and the ABL-PART ablation
 /// baseline.
-pub fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng, assignment: &mut Vec<u32>) {
+pub(crate) fn bfs_growing(graph: &CsrGraph, k: usize, rng: &mut StdRng, assignment: &mut Vec<u32>) {
     let n = graph.num_vertices();
     assignment.clear();
     assignment.resize(n, 0);
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn bfs_growing_covers_disconnected_graphs() {
-        let g = crate::csr::CsrGraph::empty(17);
+        let g = crate::csr::GraphBuilder::new(17).build();
         let mut a = Vec::new();
         bfs_growing(&g, 4, &mut rng(), &mut a);
         assert_eq!(a.len(), 17);

@@ -5,7 +5,7 @@
 //! [`PartitionScheme`] decides what each step does:
 //!
 //! 1. *coarsening* collapses the graph into a hierarchy of successively
-//!    smaller graphs by heavy-edge matching ([`coarsen`]) — or is skipped,
+//!    smaller graphs by heavy-edge matching (`coarsen`) — or is skipped,
 //! 2. the *initial partition* splits the coarsest graph by recursive
 //!    bisection with greedy graph growing, or by BFS growing for the ablation
 //!    baseline ([`initial`]),
@@ -32,7 +32,7 @@
 //! The hot paths are engineered for 100k+ vertex windows: coarsening reuses
 //! its matching and contraction buffers across levels and contracts straight
 //! into CSR form (no edge-map churn), and refinement maintains a flat
-//! vertex×part connectivity table (see [`refine::GainTable`]) updated in
+//! vertex×part connectivity table (see `refine::GainTable`) updated in
 //! `O(deg)` per move instead of allocating a per-visit connectivity vector.
 //!
 //! Higher layers configure the partitioner through [`PartitionTuning`], the
@@ -48,7 +48,7 @@
 //! RNG streams — behaves exactly as before.
 
 pub mod affinity;
-pub mod coarsen;
+mod coarsen;
 mod driver;
 pub mod initial;
 pub mod refine;
@@ -156,7 +156,7 @@ impl PartitionScheme {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionConfig {
     /// Number of parts (one per NUMA socket for RGP).
-    pub num_parts: usize,
+    pub(crate) num_parts: usize,
     /// Allowed load imbalance: the heaviest part may weigh up to
     /// `(1 + imbalance) * total / num_parts`.
     pub imbalance: f64,
@@ -283,7 +283,7 @@ impl Partition {
     ///
     /// # Panics
     /// Panics if any entry is `>= num_parts`.
-    pub fn from_assignment(assignment: Vec<u32>, num_parts: usize) -> Self {
+    pub(crate) fn from_assignment(assignment: Vec<u32>, num_parts: usize) -> Self {
         assert!(
             assignment.iter().all(|&p| (p as usize) < num_parts.max(1)),
             "part id out of range"
@@ -301,7 +301,7 @@ impl Partition {
     }
 
     /// Number of parts this partition was computed for (parts may be empty).
-    pub fn num_parts(&self) -> usize {
+    pub(crate) fn num_parts(&self) -> usize {
         self.num_parts
     }
 
@@ -328,11 +328,6 @@ impl Partition {
     /// Total weight of cut edges under `graph`.
     pub fn edge_cut(&self, graph: &CsrGraph) -> i64 {
         metrics::edge_cut(graph, self)
-    }
-
-    /// Vertex weight per part under `graph`.
-    pub fn part_weights(&self, graph: &CsrGraph) -> Vec<i64> {
-        metrics::part_weights(graph, self)
     }
 
     /// Load imbalance under `graph`.
@@ -371,12 +366,12 @@ impl PartMembers {
     }
 
     /// Number of parts indexed.
-    pub fn num_parts(&self) -> usize {
+    pub(crate) fn num_parts(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// The vertices of `part`, in ascending order.
-    pub fn members_of(&self, part: u32) -> &[u32] {
+    pub(crate) fn members_of(&self, part: u32) -> &[u32] {
         &self.members[self.offsets[part as usize]..self.offsets[part as usize + 1]]
     }
 
@@ -511,7 +506,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = crate::csr::GraphBuilder::new(0).build();
         let p = partition(&g, &PartitionConfig::new(4));
         assert!(p.is_empty());
     }
@@ -530,7 +525,7 @@ mod tests {
                 1,
                 "{scheme:?} must find the single bridge edge"
             );
-            let w = p.part_weights(&g);
+            let w = metrics::part_weights(&g, &p);
             assert_eq!(w, vec![8, 8]);
         }
     }

@@ -8,7 +8,7 @@
 //! parts exceed the allowed maximum weight (which can happen after projecting
 //! a coarse partition onto a finer graph).
 //!
-//! The hot path is allocation-free per vertex visit: a [`GainTable`] holds
+//! The hot path is allocation-free per vertex visit: a `GainTable` holds
 //! the vertex→part connectivity of the *whole* graph as one flat `n × k`
 //! array, built once in `O(E)` and updated incrementally in `O(deg)` per
 //! move. Boundary membership falls out of the same table for free (a vertex
@@ -38,7 +38,7 @@ use crate::partition::PartitionConfig;
 /// whose anchors pull them elsewhere. Without anchors both reduce exactly to
 /// the connectivity-only quantities, so the unanchored path is unchanged.
 #[derive(Debug, Default)]
-pub struct GainTable {
+pub(crate) struct GainTable {
     k: usize,
     /// Flat row-major `n × k` connectivity.
     conn: Vec<i64>,
@@ -56,7 +56,7 @@ impl GainTable {
     /// Builds the table for `assignment` in one edge sweep, in place for a
     /// (possibly different) graph and assignment: allocation-free once the
     /// buffers have grown to the working size.
-    pub fn rebuild(&mut self, graph: &CsrGraph, assignment: &[u32], k: usize) {
+    pub(crate) fn rebuild(&mut self, graph: &CsrGraph, assignment: &[u32], k: usize) {
         let n = graph.num_vertices();
         self.k = k;
         self.conn.clear();
@@ -77,7 +77,7 @@ impl GainTable {
 
     /// [`GainTable::rebuild`] plus the affinity anchors of `affinity` (one
     /// row per vertex, `affinity.num_parts()` must equal `k`).
-    pub fn rebuild_anchored(
+    pub(crate) fn rebuild_anchored(
         &mut self,
         graph: &CsrGraph,
         assignment: &[u32],
@@ -94,28 +94,22 @@ impl GainTable {
 
     /// Connectivity of `v` to part `p`.
     #[inline]
-    pub fn conn(&self, v: u32, p: usize) -> i64 {
+    pub(crate) fn conn(&self, v: u32, p: usize) -> i64 {
         self.conn[v as usize * self.k + p]
-    }
-
-    /// The connectivity row of `v` across all parts.
-    #[inline]
-    pub fn row(&self, v: u32) -> &[i64] {
-        &self.conn[v as usize * self.k..(v as usize + 1) * self.k]
     }
 
     /// True if `v` has at least one neighbour outside its own part. Edge
     /// weights are strictly positive, so this is exactly "some incident
     /// weight leaves the part".
     #[inline]
-    pub fn is_boundary(&self, assignment: &[u32], v: u32) -> bool {
+    pub(crate) fn is_boundary(&self, assignment: &[u32], v: u32) -> bool {
         self.conn(v, assignment[v as usize] as usize) != self.incident[v as usize]
     }
 
     /// Gain of moving `v` from part `from` to part `to`: connectivity delta
     /// plus, when the table is anchored, the affinity delta.
     #[inline]
-    pub fn gain(&self, v: u32, from: usize, to: usize) -> i64 {
+    pub(crate) fn gain(&self, v: u32, from: usize, to: usize) -> i64 {
         let row = v as usize * self.k;
         let mut gain = self.conn[row + to] - self.conn[row + from];
         if self.anchored {
@@ -127,7 +121,7 @@ impl GainTable {
     /// True if `v` is a candidate for refinement: on the edge boundary, or
     /// anchored more strongly to some other part than to its own.
     #[inline]
-    pub fn is_movable(&self, assignment: &[u32], v: u32) -> bool {
+    pub(crate) fn is_movable(&self, assignment: &[u32], v: u32) -> bool {
         if self.is_boundary(assignment, v) {
             return true;
         }
@@ -143,7 +137,7 @@ impl GainTable {
     /// rows of its neighbours (its own row is unaffected: it describes the
     /// neighbours' parts, not its own).
     #[inline]
-    pub fn apply_move(&mut self, graph: &CsrGraph, v: u32, from: usize, to: usize) {
+    pub(crate) fn apply_move(&mut self, graph: &CsrGraph, v: u32, from: usize, to: usize) {
         for (u, w) in graph.edges_of(v) {
             let row = u as usize * self.k;
             self.conn[row + from] -= w;
@@ -153,7 +147,7 @@ impl GainTable {
 
     /// Edge cut implied by the current table: half the total weight leaving
     /// each vertex's own part. `O(n)` instead of re-walking every edge.
-    pub fn edge_cut(&self, assignment: &[u32]) -> i64 {
+    pub(crate) fn edge_cut(&self, assignment: &[u32]) -> i64 {
         let mut external = 0i64;
         for (v, &own) in assignment.iter().enumerate() {
             external += self.incident[v] - self.conn[v * self.k + own as usize];
@@ -808,7 +802,13 @@ mod tests {
         }
         let fresh = build_table(&g, &a, k);
         for v in 0..g.num_vertices() as u32 {
-            assert_eq!(table.row(v), fresh.row(v), "row of vertex {v} drifted");
+            for p in 0..k {
+                assert_eq!(
+                    table.conn(v, p),
+                    fresh.conn(v, p),
+                    "row of vertex {v} drifted"
+                );
+            }
             assert_eq!(
                 table.is_boundary(&a, v),
                 fresh.is_boundary(&a, v),
@@ -867,7 +867,7 @@ mod tests {
 
     #[test]
     fn refine_empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = crate::csr::GraphBuilder::new(0).build();
         let mut a: Vec<u32> = Vec::new();
         let cfg = PartitionConfig::new(4);
         assert_eq!(refine_kway(&g, &mut a, &cfg, None), 0);
@@ -913,13 +913,53 @@ mod tests {
         assert_eq!(a[4], 1, "anchored vertex must follow its fixed data");
     }
 
+    /// The 27-graph refinement corpus: the generator families (random, grid,
+    /// layered DAG) at sizes from 16 to 1024 vertices. Crossed with the part
+    /// counts 2/4/8 and the two shapes of [`imbalanced_assignments`] it gives
+    /// the 162 cases the refiner's rewritten kernels are pinned on.
+    fn refine_corpus() -> Vec<CsrGraph> {
+        let mut graphs = Vec::new();
+        for &n in &[50usize, 200, 1000] {
+            for &degree in &[2usize, 4] {
+                for seed in 1..=3u64 {
+                    graphs.push(generators::random_graph(n, degree, 1 << 12, seed));
+                }
+            }
+        }
+        for &(w, h) in &[(4usize, 4usize), (8, 8), (16, 16)] {
+            graphs.push(generators::grid_2d(w, h, 8));
+        }
+        for &(layers, width) in &[
+            (8usize, 8usize),
+            (8, 16),
+            (16, 16),
+            (16, 32),
+            (32, 16),
+            (32, 32),
+        ] {
+            graphs.push(generators::layered_dag_skeleton(layers, width, 2, 1 << 10));
+        }
+        graphs
+    }
+
+    /// Two imbalanced `k`-way assignments of `n` vertices: "everything crammed
+    /// into the low parts" (what a degenerate projection produces) and
+    /// "balanced with one part overloaded" (what real projections produce).
+    fn imbalanced_assignments(n: usize, k: usize) -> [Vec<u32>; 2] {
+        let crammed: Vec<u32> = (0..n as u32).map(|v| v % (k as u32 / 2).max(1)).collect();
+        let skewed: Vec<u32> = (0..n as u32)
+            .map(|v| if v % 5 == 0 { 0 } else { v % k as u32 })
+            .collect();
+        [crammed, skewed]
+    }
+
     #[test]
     fn settled_vertices_are_exactly_the_ones_no_pass_would_move() {
         // The specification of the settled-vertex skip: a run that scores
         // every boundary vertex on every pass. Same assignment, same cut, on
         // every case of the corpus, unanchored and anchored.
         let mut cases = 0usize;
-        for graph in generators::refine_corpus() {
+        for graph in refine_corpus() {
             let n = graph.num_vertices();
             for k in [2usize, 4, 8] {
                 let cfg = PartitionConfig::new(k);
@@ -927,7 +967,7 @@ mod tests {
                 for v in (0..n as u32).step_by(7) {
                     aff.add(v, v % k as u32, 1 << 11);
                 }
-                for start in generators::imbalanced_assignments(n, k) {
+                for start in imbalanced_assignments(n, k) {
                     for affinity in [None, Some(&aff)] {
                         let mut skipping = start.clone();
                         let cut = refine_kway_anchored_with(
@@ -958,18 +998,18 @@ mod tests {
     /// Bit-identity corpus for the queue-driven rebalance: the [`GainQueue`]
     /// implementation must produce the exact assignment (and move count) of
     /// the retained linear-scan reference on every case of
-    /// `generators::refine_corpus` — the generator families (random, grid,
-    /// layered DAG) × part counts 2/4/8 × the two imbalance shapes of
-    /// `generators::imbalanced_assignments`.
+    /// [`refine_corpus`] — the generator families (random, grid, layered
+    /// DAG) × part counts 2/4/8 × the two imbalance shapes of
+    /// [`imbalanced_assignments`].
     #[test]
     fn rebalance_queue_matches_linear_reference_on_corpus() {
         let mut cases = 0usize;
-        for graph in generators::refine_corpus() {
+        for graph in refine_corpus() {
             let n = graph.num_vertices();
             let total: i64 = graph.vertex_weights().iter().sum();
             for k in [2usize, 4, 8] {
                 let max_part_weight = (total + k as i64 - 1) / k as i64 + total / 20;
-                for seed in generators::imbalanced_assignments(n, k) {
+                for seed in imbalanced_assignments(n, k) {
                     let mut queued = seed.clone();
                     let mut linear = seed;
                     let queued_moves = rebalance(&graph, &mut queued, k, max_part_weight);

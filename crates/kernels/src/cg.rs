@@ -13,7 +13,7 @@ use crate::common::{block_owner, kernel_spec, ProblemScale};
 
 /// Parameters of the conjugate-gradient kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CgParams {
+pub(crate) struct CgParams {
     /// Number of vector blocks (the matrix has `blocks` block rows).
     pub blocks: usize,
     /// Elements per vector block.
@@ -24,7 +24,7 @@ pub struct CgParams {
 
 impl CgParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => CgParams {
                 blocks: 6,
@@ -46,7 +46,7 @@ impl CgParams {
 }
 
 /// Builds the CG task graph with expert placement.
-pub fn build(params: CgParams, num_sockets: usize) -> TaskGraphSpec {
+pub(crate) fn build(params: CgParams, num_sockets: usize) -> TaskGraphSpec {
     let nb = params.blocks;
     let vec_bytes = (params.block_elems * std::mem::size_of::<f64>()) as u64;
     // Block-tridiagonal matrix: each block row stores three dense blocks.

@@ -60,7 +60,7 @@ impl std::str::FromStr for ProblemScale {
 /// Owner-computes block distribution: block `i` of `n` blocks goes to socket
 /// `i * sockets / n` (contiguous chunks, the classic expert choice for
 /// streams and stencils).
-pub fn block_owner(i: usize, n: usize, sockets: usize) -> usize {
+pub(crate) fn block_owner(i: usize, n: usize, sockets: usize) -> usize {
     if n == 0 || sockets == 0 {
         return 0;
     }
@@ -70,7 +70,7 @@ pub fn block_owner(i: usize, n: usize, sockets: usize) -> usize {
 /// 2-D block-cyclic distribution over a near-square process grid — the
 /// placement an expert would use for tiled dense factorisations (ScaLAPACK
 /// style). Returns the socket owning tile `(i, j)`.
-pub fn block_cyclic_2d(i: usize, j: usize, sockets: usize) -> usize {
+pub(crate) fn block_cyclic_2d(i: usize, j: usize, sockets: usize) -> usize {
     if sockets == 0 {
         return 0;
     }
@@ -86,27 +86,27 @@ pub fn block_cyclic_2d(i: usize, j: usize, sockets: usize) -> usize {
 }
 
 /// Flop count of a `b × b` GEMM tile (used as task work units).
-pub fn gemm_flops(b: usize) -> f64 {
+pub(crate) fn gemm_flops(b: usize) -> f64 {
     2.0 * (b as f64).powi(3)
 }
 
 /// Flop count of a `b × b` POTRF tile.
-pub fn potrf_flops(b: usize) -> f64 {
+pub(crate) fn potrf_flops(b: usize) -> f64 {
     (b as f64).powi(3) / 3.0
 }
 
 /// Flop count of a `b × b` TRSM tile.
-pub fn trsm_flops(b: usize) -> f64 {
+pub(crate) fn trsm_flops(b: usize) -> f64 {
     (b as f64).powi(3)
 }
 
 /// Flop count of a `b × b` SYRK tile.
-pub fn syrk_flops(b: usize) -> f64 {
+pub(crate) fn syrk_flops(b: usize) -> f64 {
     (b as f64).powi(3)
 }
 
 /// Flop count of a `b × b` GEQRT tile (Householder panel factorisation).
-pub fn geqrt_flops(b: usize) -> f64 {
+pub(crate) fn geqrt_flops(b: usize) -> f64 {
     4.0 / 3.0 * (b as f64).powi(3)
 }
 

@@ -11,20 +11,20 @@ use crate::common::{block_owner, kernel_spec, ProblemScale};
 
 /// Parameters of the integral-histogram kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntegralHistogramParams {
+pub(crate) struct IntegralHistogramParams {
     /// Tiles per dimension.
     pub nb: usize,
     /// Pixels per tile.
-    pub tile_pixels: usize,
+    pub(crate) tile_pixels: usize,
     /// Histogram bins per tile.
-    pub bins: usize,
+    pub(crate) bins: usize,
     /// Number of frames processed.
-    pub frames: usize,
+    pub(crate) frames: usize,
 }
 
 impl IntegralHistogramParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => IntegralHistogramParams {
                 nb: 4,
@@ -49,7 +49,7 @@ impl IntegralHistogramParams {
 }
 
 /// Builds the integral-histogram task graph with expert placement.
-pub fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSpec {
+pub(crate) fn build(params: IntegralHistogramParams, num_sockets: usize) -> TaskGraphSpec {
     let nb = params.nb;
     let img_bytes = params.tile_pixels as u64; // one byte per pixel
     let hist_bytes = (params.bins * std::mem::size_of::<u32>()) as u64 * 64; // per-tile integral histograms are large

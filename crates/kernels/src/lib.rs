@@ -11,9 +11,9 @@
 //! |--------|-------------|-----------|
 //! | [`nstream`]            | STREAM-triad style vector update | independent per-block chains |
 //! | [`stencil`]            | 2-D Jacobi, Gauss–Seidel (in place) and red–black Gauss–Seidel | 5-point stencil: two grids, wavefront, bipartite phases |
-//! | [`integral_histogram`] | integral histogram over frames   | right/down propagation |
-//! | [`cg`]                 | blocked conjugate gradient       | SpMV + global reductions |
-//! | [`qr`]                 | tiled QR factorisation           | dense factorisation DAG |
+//! | `integral_histogram`   | integral histogram over frames   | right/down propagation |
+//! | `cg`                   | blocked conjugate gradient       | SpMV + global reductions |
+//! | `qr`                   | tiled QR factorisation           | dense factorisation DAG |
 //! | [`symm_inv`]           | symmetric (SPD) matrix inversion | Cholesky + triangular inverse + multiply |
 //!
 //! NStream ([`nstream::body`]) and Jacobi ([`stencil::jacobi_body`])
@@ -25,15 +25,15 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod cg;
-pub mod common;
-pub mod integral_histogram;
+mod cache;
+mod cg;
+mod common;
+mod integral_histogram;
 pub mod nstream;
-pub mod qr;
+mod qr;
 pub mod stencil;
-pub mod storage;
-pub mod suite;
+mod storage;
+mod suite;
 pub mod symm_inv;
 
 pub use cache::{SpecCache, SpecKey};

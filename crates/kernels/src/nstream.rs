@@ -26,7 +26,7 @@ pub struct NStreamParams {
 
 impl NStreamParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => NStreamParams {
                 blocks: 6,
@@ -136,7 +136,7 @@ pub fn body<'a>(
 }
 
 /// The value every element of `a` must hold after any number of iterations.
-pub fn expected_a_value(params: &NStreamParams) -> f64 {
+pub(crate) fn expected_a_value(params: &NStreamParams) -> f64 {
     1.0 + params.scalar * 2.0
 }
 

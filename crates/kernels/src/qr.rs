@@ -16,7 +16,7 @@ use crate::common::{
 
 /// Parameters of the tiled QR kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QrParams {
+pub(crate) struct QrParams {
     /// Tiles per dimension (the matrix is `nt × nt` tiles).
     pub nt: usize,
     /// Tile side length in elements.
@@ -25,7 +25,7 @@ pub struct QrParams {
 
 impl QrParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => QrParams { nt: 4, tile_n: 16 },
             ProblemScale::Small => QrParams { nt: 8, tile_n: 128 },
@@ -38,7 +38,7 @@ impl QrParams {
 }
 
 /// Builds the tiled-QR task graph with a 2-D block-cyclic expert placement.
-pub fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
+pub(crate) fn build(params: QrParams, num_sockets: usize) -> TaskGraphSpec {
     let nt = params.nt;
     let tile_bytes = (params.tile_n * params.tile_n * std::mem::size_of::<f64>()) as u64;
     let t_bytes = (params.tile_n * std::mem::size_of::<f64>()) as u64 * 32;

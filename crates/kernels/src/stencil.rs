@@ -61,7 +61,7 @@ pub struct StencilParams {
 
 impl StencilParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => StencilParams {
                 nb: 4,

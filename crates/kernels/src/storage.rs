@@ -24,28 +24,18 @@ impl DenseStore {
         }
     }
 
-    /// Number of regions in the store.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True if the store holds no regions.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Reads region `r` through a closure.
-    pub fn read<T>(&self, r: usize, f: impl FnOnce(&[f64]) -> T) -> T {
+    pub(crate) fn read<T>(&self, r: usize, f: impl FnOnce(&[f64]) -> T) -> T {
         f(&self.blocks[r].read().expect("poisoned region lock"))
     }
 
     /// Mutates region `r` through a closure.
-    pub fn write<T>(&self, r: usize, f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
+    pub(crate) fn write<T>(&self, r: usize, f: impl FnOnce(&mut Vec<f64>) -> T) -> T {
         f(&mut self.blocks[r].write().expect("poisoned region lock"))
     }
 
     /// Copies region `r` out (convenient in verifications).
-    pub fn snapshot(&self, r: usize) -> Vec<f64> {
+    pub(crate) fn snapshot(&self, r: usize) -> Vec<f64> {
         self.read(r, |s| s.to_vec())
     }
 }
@@ -57,8 +47,7 @@ mod tests {
     #[test]
     fn uniform_store_has_zeroed_blocks() {
         let s = DenseStore::uniform(4, 8);
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
+        assert_eq!(s.blocks.len(), 4);
         assert_eq!(s.snapshot(3), vec![0.0; 8]);
     }
 

@@ -26,7 +26,7 @@ pub struct SymmInvParams {
 
 impl SymmInvParams {
     /// Parameters for a given problem scale.
-    pub fn with_scale(scale: ProblemScale) -> Self {
+    pub(crate) fn with_scale(scale: ProblemScale) -> Self {
         match scale {
             ProblemScale::Tiny => SymmInvParams { nt: 4, tile_n: 16 },
             ProblemScale::Small => SymmInvParams { nt: 8, tile_n: 128 },

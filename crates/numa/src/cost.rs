@@ -73,24 +73,15 @@ impl CostModel {
     }
 
     /// Effective bandwidth (bytes per ns) for an access at SLIT `distance`.
-    pub fn bandwidth(&self, distance: u32) -> f64 {
+    pub(crate) fn bandwidth(&self, distance: u32) -> f64 {
         let rel = distance as f64 / DistanceMatrix::LOCAL as f64;
         self.local_bandwidth / rel.powf(self.bandwidth_exponent)
     }
 
     /// Effective latency (ns) for an access at SLIT `distance`.
-    pub fn latency(&self, distance: u32) -> f64 {
+    pub(crate) fn latency(&self, distance: u32) -> f64 {
         let rel = distance as f64 / DistanceMatrix::LOCAL as f64;
         self.local_latency * rel.powf(self.latency_exponent)
-    }
-
-    /// Time (ns) to transfer `bytes` over a path with SLIT `distance`,
-    /// ignoring contention.
-    pub fn transfer_time(&self, bytes: u64, distance: u32) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        self.latency(distance) + bytes as f64 / self.bandwidth(distance)
     }
 
     /// Multiplier applied to memory time when `concurrent` tasks (including
@@ -107,9 +98,9 @@ impl CostModel {
     }
 
     /// Precomputes a [`TransferTable`] for every distance that occurs in
-    /// `distances`. The table returns bit-identical times to
-    /// [`CostModel::transfer_time`] without the two `powf` calls per lookup
-    /// — those dominated the simulator's memory loop.
+    /// `distances`: the model's latency and bandwidth at each distance,
+    /// without the two `powf` calls per lookup that dominated the
+    /// simulator's memory loop.
     pub fn transfer_table(&self, distances: &DistanceMatrix) -> TransferTable {
         let max = distances.max_distance() as usize;
         let mut lat = vec![f64::NAN; max + 1];
@@ -125,9 +116,9 @@ impl CostModel {
 /// Per-distance latency and bandwidth memoized from a [`CostModel`] over a
 /// concrete [`DistanceMatrix`] (see [`CostModel::transfer_table`]).
 ///
-/// `transfer_time` performs the same float operations on the same cached
-/// values as the model itself — `lat(d) + bytes / bw(d)` — so results are
-/// bit-identical, which the byte-compared `BENCH_*.json` baselines rely on.
+/// `transfer_time` is `latency(d) + bytes / bandwidth(d)` of the model on
+/// the cached values, so results are bit-identical to evaluating the model,
+/// which the byte-compared `BENCH_*.json` baselines rely on.
 #[derive(Clone, Debug, Default)]
 pub struct TransferTable {
     /// `latency(d)` indexed by distance; NaN at distances absent from the
@@ -139,8 +130,8 @@ pub struct TransferTable {
 
 impl TransferTable {
     /// Time (ns) to transfer `bytes` over a path with SLIT `distance`,
-    /// ignoring contention. Exactly [`CostModel::transfer_time`] for every
-    /// distance of the matrix the table was built from.
+    /// ignoring contention, for every distance of the matrix the table was
+    /// built from.
     ///
     /// # Panics
     /// Panics (index out of bounds) on a distance the matrix did not
@@ -158,40 +149,49 @@ impl TransferTable {
 mod tests {
     use super::*;
 
+    /// The model evaluated directly: what [`TransferTable::transfer_time`]
+    /// caches.
+    fn transfer_time(m: &CostModel, bytes: u64, distance: u32) -> f64 {
+        if bytes == 0 {
+            return 0.0;
+        }
+        m.latency(distance) + bytes as f64 / m.bandwidth(distance)
+    }
+
     #[test]
     fn local_access_uses_base_numbers() {
         let m = CostModel::default();
         assert!((m.bandwidth(10) - 8.0).abs() < 1e-12);
         assert!((m.latency(10) - 100.0).abs() < 1e-12);
         // 8000 bytes at 8 B/ns = 1000 ns, plus 100 ns latency.
-        assert!((m.transfer_time(8000, 10) - 1100.0).abs() < 1e-9);
+        assert!((transfer_time(&m, 8000, 10) - 1100.0).abs() < 1e-9);
     }
 
     #[test]
     fn remote_access_is_slower() {
         let m = CostModel::default();
-        let local = m.transfer_time(1 << 20, 10);
-        let sibling = m.transfer_time(1 << 20, 15);
-        let far = m.transfer_time(1 << 20, 27);
+        let local = transfer_time(&m, 1 << 20, 10);
+        let sibling = transfer_time(&m, 1 << 20, 15);
+        let far = transfer_time(&m, 1 << 20, 27);
         assert!(local < sibling);
         assert!(sibling < far);
         // With linear exponents the far/local ratio approaches 2.7 for large
         // transfers.
-        let ratio = m.transfer_time(1 << 30, 27) / m.transfer_time(1 << 30, 10);
+        let ratio = transfer_time(&m, 1 << 30, 27) / transfer_time(&m, 1 << 30, 10);
         assert!((ratio - 2.7).abs() < 0.01);
     }
 
     #[test]
     fn flat_model_has_no_penalty() {
         let m = CostModel::flat();
-        assert_eq!(m.transfer_time(4096, 10), m.transfer_time(4096, 27));
+        assert_eq!(transfer_time(&m, 4096, 10), transfer_time(&m, 4096, 27));
         assert_eq!(m.contention_multiplier(16), 1.0);
     }
 
     #[test]
     fn zero_bytes_cost_nothing() {
         let m = CostModel::default();
-        assert_eq!(m.transfer_time(0, 27), 0.0);
+        assert_eq!(transfer_time(&m, 0, 27), 0.0);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod ids;
-pub mod memory;
-pub mod stats;
-pub mod topology;
+mod cost;
+mod ids;
+mod memory;
+mod stats;
+mod topology;
 
 pub use cost::{CostModel, TransferTable as CostTransferTable};
 pub use ids::{CoreId, NodeId, RegionId, SocketId};

@@ -27,7 +27,7 @@ pub enum Placement {
 
 impl Placement {
     /// True if the region has a home node.
-    pub fn is_allocated(&self) -> bool {
+    pub(crate) fn is_allocated(&self) -> bool {
         !matches!(self, Placement::Unallocated)
     }
 
@@ -101,16 +101,6 @@ impl MemoryMap {
         }
     }
 
-    /// Number of registered regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// True if no region has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
     /// Registers a new region of `size_bytes` bytes and returns its id.
     /// The region starts unallocated (deferred).
     pub fn register(&mut self, size_bytes: u64) -> RegionId {
@@ -164,11 +154,6 @@ impl MemoryMap {
             (size, Placement::Unallocated) => scaled_share(size, access_bytes, size),
         }
     }
-
-    /// Iterates over all region ids.
-    pub fn regions(&self) -> impl Iterator<Item = RegionId> {
-        (0..self.regions.len()).map(RegionId)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +165,7 @@ mod tests {
     fn register_starts_unallocated() {
         let mut m = MemoryMap::new();
         let r = m.register(1 << 20);
-        assert_eq!(m.num_regions(), 1);
+        assert_eq!(m.regions.len(), 1);
         assert!(!m.is_allocated(r));
         assert_eq!(*m.placement(r), Placement::Unallocated);
         assert_eq!(m.size_of(r), 1 << 20);
@@ -209,9 +194,9 @@ mod tests {
     #[test]
     fn with_regions_registers_every_size_unallocated() {
         let m = MemoryMap::with_regions(&[64, 0, 4096]);
-        assert_eq!(m.num_regions(), 3);
+        assert_eq!(m.regions.len(), 3);
         assert_eq!(m.size_of(RegionId(0)), 64);
-        assert!(m.regions().all(|r| !m.is_allocated(r)));
+        assert!((0..3).all(|r| !m.is_allocated(RegionId(r))));
         assert_eq!(m.size_of(RegionId(2)), 4096);
     }
 

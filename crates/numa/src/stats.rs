@@ -14,9 +14,9 @@ use crate::topology::DistanceMatrix;
 
 /// Byte counters accumulated over an execution.
 ///
-/// Every counter saturates: recording, [`TrafficStats::merge`] and
-/// [`TrafficStats::total_bytes`] stop at the type's maximum, so accesses
-/// adding up to more than `u64::MAX` bytes report `u64::MAX`.
+/// Every counter saturates: recording and [`TrafficStats::total_bytes`]
+/// stop at the type's maximum, so accesses adding up to more than
+/// `u64::MAX` bytes report `u64::MAX`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrafficStats {
     /// Bytes accessed from the node local to the executing core.
@@ -107,40 +107,15 @@ impl TrafficStats {
         }
     }
 
-    /// Average SLIT distance of an accessed byte (10.0 = everything local).
-    pub fn mean_access_distance(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            DistanceMatrix::LOCAL as f64
-        } else {
-            self.distance_weighted_bytes as f64 / total as f64
-        }
-    }
-
     /// Iterates the link matrix entries as `((from, to), bytes)`, in
     /// deterministic key order.
     pub fn link_entries(&self) -> impl Iterator<Item = ((usize, usize), u64)> + '_ {
         self.link.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// The distance-weighted byte sum behind
-    /// [`TrafficStats::mean_access_distance`].
+    /// The sum over accessed bytes of their SLIT distance.
     pub fn distance_weighted(&self) -> u128 {
         self.distance_weighted_bytes
-    }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.local_bytes = self.local_bytes.saturating_add(other.local_bytes);
-        self.remote_bytes = self.remote_bytes.saturating_add(other.remote_bytes);
-        self.record_deferred_allocation(other.deferred_allocated_bytes);
-        self.distance_weighted_bytes = self
-            .distance_weighted_bytes
-            .saturating_add(other.distance_weighted_bytes);
-        for (k, v) in &other.link {
-            let link = self.link.entry(*k).or_default();
-            *link = link.saturating_add(*v);
-        }
     }
 }
 
@@ -225,7 +200,6 @@ mod tests {
         let s = TrafficStats::new();
         assert_eq!(s.total_bytes(), 0);
         assert_eq!(s.local_fraction(), 1.0);
-        assert_eq!(s.mean_access_distance(), 10.0);
     }
 
     #[test]
@@ -244,7 +218,7 @@ mod tests {
         let mut s = TrafficStats::new();
         s.record_access(NodeId(0), NodeId(0), 10, 100);
         s.record_access(NodeId(0), NodeId(1), 30, 100);
-        assert!((s.mean_access_distance() - 20.0).abs() < 1e-12);
+        assert_eq!(s.distance_weighted(), 10 * 100 + 30 * 100);
     }
 
     #[test]
@@ -265,29 +239,10 @@ mod tests {
         let rebuilt: TrafficStats = serde::decode(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(rebuilt, s);
         assert_eq!(rebuilt.distance_weighted(), s.distance_weighted());
-        assert_eq!(rebuilt.mean_access_distance(), s.mean_access_distance());
         serde::testing::assert_struct_rejects_malformed(
             &serde_json::to_string(&s).unwrap(),
             &[],
             serde::decode::<TrafficStats>,
-        );
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = TrafficStats::new();
-        a.record_access(NodeId(0), NodeId(0), 10, 10);
-        a.record_deferred_allocation(64);
-        let mut b = TrafficStats::new();
-        b.record_access(NodeId(1), NodeId(0), 21, 20);
-        b.record_deferred_allocation(128);
-        a.merge(&b);
-        assert_eq!(a.local_bytes, 10);
-        assert_eq!(a.remote_bytes, 20);
-        assert_eq!(a.deferred_allocated_bytes, 192);
-        assert_eq!(
-            a.link_entries().collect::<Vec<_>>(),
-            [((0, 0), 10), ((0, 1), 20)]
         );
     }
 
@@ -306,20 +261,9 @@ mod tests {
             s.link_entries().map(|(_, b)| b).collect::<Vec<_>>(),
             [u64::MAX; 2]
         );
-        let before = s.distance_weighted();
-        let copy = s.clone();
-        s.merge(&copy);
-        assert_eq!(
-            s.link_entries().map(|(_, b)| b).collect::<Vec<_>>(),
-            [u64::MAX; 2]
-        );
-        assert_eq!((s.local_bytes, s.remote_bytes), (u64::MAX, u64::MAX));
-        assert_eq!(s.deferred_allocated_bytes, u64::MAX);
-        assert_eq!(s.distance_weighted(), 2 * before);
         s.distance_weighted_bytes = u128::MAX - 1;
         s.record_access(NodeId(1), NodeId(0), 21, 1);
         assert_eq!(s.distance_weighted(), u128::MAX);
-        assert!(s.mean_access_distance().is_finite());
     }
 
     /// A small machine and an access sequence on it, both drawn from

@@ -73,7 +73,7 @@ impl DistanceMatrix {
     }
 
     /// The distinct distance values of the matrix, ascending.
-    pub fn distinct_distances(&self) -> Vec<u32> {
+    pub(crate) fn distinct_distances(&self) -> Vec<u32> {
         let mut distances = self.values.clone();
         distances.sort_unstable();
         distances.dedup();
@@ -81,7 +81,7 @@ impl DistanceMatrix {
     }
 
     /// A uniform matrix: every remote access has the same `remote` distance.
-    pub fn uniform(n: usize, remote: u32) -> Self {
+    pub(crate) fn uniform(n: usize, remote: u32) -> Self {
         assert!(remote >= Self::LOCAL);
         let mut values = vec![remote; n * n];
         for i in 0..n {
@@ -91,30 +91,18 @@ impl DistanceMatrix {
     }
 
     /// Number of NUMA nodes covered by this matrix.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// True if the matrix covers zero nodes (never the case for a valid machine).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Distance between two nodes.
     #[inline]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
+    pub(crate) fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         self.values[a.index() * self.n + b.index()]
     }
 
-    /// Relative cost of an access from `a` to `b` compared to a local access
-    /// (`1.0` for local).
-    #[inline]
-    pub fn relative_cost(&self, a: NodeId, b: NodeId) -> f64 {
-        self.distance(a, b) as f64 / Self::LOCAL as f64
-    }
-
     /// Largest distance in the matrix (the "diameter" of the machine).
-    pub fn max_distance(&self) -> u32 {
+    pub(crate) fn max_distance(&self) -> u32 {
         self.values.iter().copied().max().unwrap_or(Self::LOCAL)
     }
 }
@@ -283,12 +271,6 @@ impl Topology {
         SocketId(core.index() / self.cores_per_socket)
     }
 
-    /// NUMA node local to a core.
-    #[inline]
-    pub fn node_of(&self, core: CoreId) -> NodeId {
-        self.socket_of(core).node()
-    }
-
     /// The cores that belong to a socket, in increasing id order.
     pub fn cores_of(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
         debug_assert!(socket.index() < self.num_sockets);
@@ -302,7 +284,7 @@ impl Topology {
     }
 
     /// All NUMA nodes of the machine.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_sockets).map(NodeId)
     }
 
@@ -320,12 +302,6 @@ impl Topology {
     #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         self.distances.distance(a, b)
-    }
-
-    /// Relative access cost between the node local to `core` and `data` node.
-    #[inline]
-    pub fn relative_cost(&self, core: CoreId, data: NodeId) -> f64 {
-        self.distances.relative_cost(self.node_of(core), data)
     }
 
     /// Nodes sorted by distance from `from` (closest first, `from` itself is
@@ -424,7 +400,6 @@ mod tests {
         for s in t.sockets() {
             for c in t.cores_of(s) {
                 assert_eq!(t.socket_of(c), s);
-                assert_eq!(t.node_of(c), s.node());
             }
         }
     }
@@ -434,7 +409,7 @@ mod tests {
         let t = Topology::uma(4);
         assert_eq!(t.num_sockets(), 1);
         assert_eq!(t.num_cores(), 4);
-        assert_eq!(t.relative_cost(CoreId(2), NodeId(0)), 1.0);
+        assert_eq!(t.distance(NodeId(0), NodeId(0)), DistanceMatrix::LOCAL);
     }
 
     #[test]
@@ -444,7 +419,6 @@ mod tests {
         assert_eq!(d.distance(NodeId(0), NodeId(0)), 10);
         assert_eq!(d.distance(NodeId(0), NodeId(3)), 21);
         assert_eq!(d.max_distance(), 21);
-        assert!((d.relative_cost(NodeId(1), NodeId(2)) - 2.1).abs() < 1e-12);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct ProcExecutor {
 impl ProcExecutor {
     /// An executor that lazily attaches to the process-wide shared pool
     /// (spawning `workers` worker processes on first use).
-    pub fn new(config: ExecutionConfig, workers: usize) -> Self {
+    pub(crate) fn new(config: ExecutionConfig, workers: usize) -> Self {
         ProcExecutor {
             config: WireConfig::new(config),
             workers,

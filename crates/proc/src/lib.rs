@@ -50,15 +50,16 @@
 #![warn(missing_docs)]
 
 mod executor;
-pub mod pool;
+mod pool;
 pub mod protocol;
-pub mod worker;
+mod worker;
 
 pub use executor::ProcExecutor;
 pub use pool::{
     shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerHandle, WorkerPool,
 };
-pub use worker::{run_worker, run_worker_from_env, CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
+use worker::WORKER_FLAG;
+pub use worker::{run_worker, run_worker_from_env, CONNECT_ENV, WORKER_ENV};
 
 /// Registers [`ProcExecutor`] as the factory behind
 /// `numadag_runtime::Backend::Proc`. Idempotent (first registration wins).
@@ -69,7 +70,7 @@ pub fn install() {
 }
 
 /// Re-enters the process as a worker when launched by a pool: if the
-/// argv contains [`WORKER_FLAG`] and [`CONNECT_ENV`] is set, runs the
+/// argv contains `WORKER_FLAG` and [`CONNECT_ENV`] is set, runs the
 /// worker loop and exits the process. Call this before argument parsing in
 /// every binary that can host the proc backend.
 pub fn maybe_run_worker() {

@@ -64,11 +64,11 @@ use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// Deadline for every worker of a new pool to connect and pass the startup
 /// barrier.
-pub const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Deadline for one cell's conversation and for any one write to a worker:
 /// a worker quiet for longer is treated as lost and its cell redispatched.
-pub const CELL_TIMEOUT: Duration = Duration::from_secs(120);
+pub(crate) const CELL_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Deadline for a dropped pool's drain barrier, and then for its dismissed
 /// workers to exit before they are killed.
@@ -361,7 +361,7 @@ impl WireConfig {
     }
 
     /// The config itself.
-    pub fn config(&self) -> &ExecutionConfig {
+    pub(crate) fn config(&self) -> &ExecutionConfig {
         &self.config
     }
 }

@@ -55,7 +55,7 @@ use serde::{Deserialize, Reader, Serialize, Token};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 6;
+pub(crate) const PROTOCOL_VERSION: u64 = 6;
 
 /// Everything the coordinator sends except `spec` (which has its own codec:
 /// [`encode_spec`] / `decode_spec`). Externally tagged with snake-case
@@ -65,7 +65,7 @@ pub const PROTOCOL_VERSION: u64 = 6;
 pub enum ToWorker {
     /// The executor configuration every later `assign` runs under.
     Config {
-        /// Must equal [`PROTOCOL_VERSION`].
+        /// Must equal `PROTOCOL_VERSION`.
         version: u64,
         /// The config's own fingerprint, so acks can be matched to the
         /// config they acknowledge.
@@ -148,13 +148,13 @@ pub enum ToCoordinator {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Assignment {
     /// Coordinator-side cell id, echoed back in `done`.
-    pub cell: u64,
+    pub(crate) cell: u64,
     /// Fingerprint of a spec previously shipped as `spec` or `recipe`.
-    pub fp: u64,
+    pub(crate) fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
     /// Seed handed to the policy factory.
-    pub policy_seed: u64,
+    pub(crate) policy_seed: u64,
 }
 
 impl ToWorker {

@@ -32,7 +32,7 @@ pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
 /// Environment variable carrying this worker's numeric id.
 pub const WORKER_ENV: &str = "NUMADAG_PROC_WORKER";
 /// The argv flag the pool appends to re-enter the executable as a worker.
-pub const WORKER_FLAG: &str = "--proc-worker";
+pub(crate) const WORKER_FLAG: &str = "--proc-worker";
 
 /// Runs the worker loop, connecting to the address in [`CONNECT_ENV`] as
 /// the worker numbered in [`WORKER_ENV`] (see [`run_worker`]).

@@ -30,7 +30,7 @@ use numadag_proc::{run_worker, WorkerHandle, CONNECT_ENV, WORKER_ENV};
 
 /// Launches worker `slot` as a process: this test binary, re-entered
 /// through its `proc_worker_entry` test.
-pub fn processes(addr: SocketAddr, slot: usize) -> io::Result<Child> {
+pub(crate) fn processes(addr: SocketAddr, slot: usize) -> io::Result<Child> {
     Command::new(std::env::current_exe()?)
         .args(["proc_worker_entry", "--exact"])
         .env(CONNECT_ENV, addr.to_string())
@@ -42,7 +42,7 @@ pub fn processes(addr: SocketAddr, slot: usize) -> io::Result<Child> {
 }
 
 /// Launches worker `slot` on a thread of this process, over loopback TCP.
-pub fn threads(addr: SocketAddr, slot: usize) -> io::Result<ThreadWorker> {
+pub(crate) fn threads(addr: SocketAddr, slot: usize) -> io::Result<ThreadWorker> {
     let stream = TcpStream::connect(addr)?;
     let (socket, end) = (stream.try_clone()?, stream.try_clone()?);
     let thread = std::thread::spawn(move || {
@@ -60,7 +60,7 @@ pub fn threads(addr: SocketAddr, slot: usize) -> io::Result<ThreadWorker> {
 
 /// A worker on a thread: killed by shutting its socket down, waited for by
 /// joining the thread.
-pub struct ThreadWorker {
+pub(crate) struct ThreadWorker {
     socket: TcpStream,
     thread: Option<JoinHandle<Result<(), String>>>,
 }
@@ -83,14 +83,14 @@ impl WorkerHandle for ThreadWorker {
 
 /// Which way a line travels through the relay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Dir {
+pub(crate) enum Dir {
     ToWorker,
     ToCoordinator,
 }
 
 /// What the relay does with the line a rule matches.
 #[derive(Clone, Copy, Debug)]
-pub enum Action {
+pub(crate) enum Action {
     /// Closes both ends instead of forwarding it.
     Die,
     /// Forwards a line that is not JSON instead.
@@ -123,7 +123,7 @@ struct Rule {
 /// A launcher wrapper that puts itself between the pool and each worker
 /// (see the module doc).
 #[derive(Default)]
-pub struct Relay {
+pub(crate) struct Relay {
     rules: Vec<Rule>,
     ledger: Arc<Ledger>,
 }
@@ -163,12 +163,12 @@ impl Ledger {
 
 /// A relay's count of the lines it forwarded, readable after the relay has
 /// gone into a launcher.
-pub struct Tally(Arc<Ledger>);
+pub(crate) struct Tally(Arc<Ledger>);
 
 impl Tally {
     /// How many `kind` lines have travelled `dir`, on every worker's
     /// connection together.
-    pub fn lines(&self, dir: Dir, kind: &str) -> u64 {
+    pub(crate) fn lines(&self, dir: Dir, kind: &str) -> u64 {
         let seen = self.0.seen.lock().unwrap_or_else(PoisonError::into_inner);
         let matching = seen
             .iter()
@@ -179,19 +179,19 @@ impl Tally {
 
 impl Relay {
     /// A relay that forwards every line unchanged.
-    pub fn new() -> Relay {
+    pub(crate) fn new() -> Relay {
         Relay::default()
     }
 
     /// The count of the lines this relay forwards.
-    pub fn tally(&self) -> Tally {
+    pub(crate) fn tally(&self) -> Tally {
         Tally(Arc::clone(&self.ledger))
     }
 
     /// Applies `action` to the `nth` line (counting from 1) of message kind
     /// `kind` (`"assign"`, `"recipe"`, `"spec"`, `"done"`, ...) travelling `dir` on
     /// worker `slot`'s connection.
-    pub fn on(
+    pub(crate) fn on(
         mut self,
         slot: usize,
         dir: Dir,
@@ -211,7 +211,7 @@ impl Relay {
 
     /// A launcher: `launch` starts each worker against a socket of the
     /// relay's, which the relay then joins to the pool's `addr`.
-    pub fn around<H: WorkerHandle + 'static>(
+    pub(crate) fn around<H: WorkerHandle + 'static>(
         self,
         mut launch: impl FnMut(SocketAddr, usize) -> io::Result<H>,
     ) -> impl FnMut(SocketAddr, usize) -> io::Result<Relayed> {
@@ -274,7 +274,7 @@ fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
 
 /// A relayed worker: killing it closes both of the relay's ends, then kills
 /// the worker behind them.
-pub struct Relayed {
+pub(crate) struct Relayed {
     inner: Box<dyn WorkerHandle>,
     ends: [TcpStream; 2],
 }

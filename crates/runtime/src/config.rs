@@ -24,9 +24,9 @@ pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).
     pub topology: Topology,
     /// Cost model translating bytes and work units into simulated time.
-    pub cost_model: CostModel,
+    pub(crate) cost_model: CostModel,
     /// Work-stealing behaviour of idle cores.
-    pub steal: StealMode,
+    pub(crate) steal: StealMode,
     /// Seed forwarded to components that need randomness (none in the
     /// simulator itself — determinism comes from the policies' own seeds).
     pub seed: u64,
@@ -34,7 +34,7 @@ pub struct ExecutionConfig {
     /// event loop) into the report. Costs two clock reads per assignment
     /// batch in the hot loop, so it is off unless a timing report was asked
     /// for (`figure1 --json-timing` turns it on).
-    pub stage_timing: bool,
+    pub(crate) stage_timing: bool,
     /// Whether executions return their [`numadag_trace::TraceEvent`]s in
     /// [`crate::ExecutionReport::events`]. Off by default: both executors
     /// then skip event construction entirely, so tracing is zero-cost
@@ -75,7 +75,7 @@ impl ExecutionConfig {
     }
 
     /// Enables per-stage wall-time accounting in the simulator (see
-    /// [`ExecutionConfig::stage_timing`]).
+    /// `ExecutionConfig::stage_timing`).
     pub fn with_stage_timing(mut self) -> Self {
         self.stage_timing = true;
         self

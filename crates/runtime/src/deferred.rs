@@ -13,7 +13,7 @@ use numadag_numa::{MemoryMap, NodeId, RegionId, TrafficStats};
 /// `regions` are the region indices of the task's accesses (the region
 /// column of [`numadag_tdg::Accesses`]). Returns the number of
 /// bytes placed and records them in `stats`.
-pub fn apply_deferred_allocation(
+pub(crate) fn apply_deferred_allocation(
     memory: &mut MemoryMap,
     stats: &mut TrafficStats,
     regions: &[u32],

@@ -17,20 +17,20 @@ use crate::experiment::{SweepCell, SweepReport};
 #[derive(Clone, Debug, PartialEq)]
 pub struct FieldDelta {
     /// Field name (`"makespan_ns"`, `"speedup_vs_baseline"`, …).
-    pub field: &'static str,
+    pub(crate) field: &'static str,
     /// Value in `self` (the report `diff` was called on).
-    pub before: f64,
+    pub(crate) before: f64,
     /// Value in `other`.
-    pub after: f64,
+    pub(crate) after: f64,
 }
 
 /// All measurement changes of one cell, keyed like the report cells.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellDelta {
     /// `application/scale/policy/rep` key of the cell.
-    pub key: String,
+    pub(crate) key: String,
     /// Every measurement field whose value changed.
-    pub fields: Vec<FieldDelta>,
+    pub(crate) fields: Vec<FieldDelta>,
 }
 
 /// The structured difference between two [`SweepReport`]s. Empty

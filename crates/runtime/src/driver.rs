@@ -42,14 +42,14 @@ use crate::experiment::{aggregate, mean, Backend, SweepCell, SweepReport};
 pub struct PlannedWorkload {
     /// Workload label (application name, or the spec name for custom
     /// workloads).
-    pub label: String,
+    pub(crate) label: String,
     /// Problem-scale label (`"Tiny"`, `"Small"`, `"Full"` or `"custom"`).
-    pub scale_label: String,
+    pub(crate) scale_label: String,
     /// Whether the sweep's baseline policy can be built for this workload
     /// (probed at plan time). When `false` the whole workload lands in the
     /// report's skip list, so execution never runs its cells — speedups
     /// would have no anchor and the measurements would be discarded.
-    pub baseline_available: bool,
+    pub(crate) baseline_available: bool,
     /// The workload spec, built once and shared by every job.
     pub spec: Arc<TaskGraphSpec>,
     /// What built [`PlannedWorkload::spec`]: its application, scale and
@@ -123,11 +123,6 @@ impl SweepPlan {
     /// Number of cell jobs in the plan.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Specs actually built while planning (cache misses).
-    pub fn spec_builds(&self) -> usize {
-        self.spec_builds
     }
 
     /// The backend the plan will execute on.
@@ -385,7 +380,7 @@ pub struct SweepTiming {
     /// Per-cell wall time spent inside the scheduling policy (`prepare` +
     /// `assign`, of which the partitioner time is a subset), parallel to
     /// `cells`. All zeros unless the execution config enabled
-    /// [`crate::ExecutionConfig::stage_timing`] (assign batches are only
+    /// `crate::ExecutionConfig::stage_timing` (assign batches are only
     /// clocked then); `prepare` is always included.
     #[serde(default)]
     pub cell_policy_wall_ns: Vec<f64>,
@@ -456,14 +451,6 @@ pub struct CellMeasurement {
     policy_wall_ns: f64,
     /// Executor run wall minus policy time, ns.
     event_loop_wall_ns: f64,
-}
-
-impl CellMeasurement {
-    /// Wall time this cell took to execute (ns). Exposed so external
-    /// schedulers can report per-cell progress without unpacking the rest.
-    pub fn wall_ns(&self) -> f64 {
-        self.wall_ns
-    }
 }
 
 /// Builds the job's policy and runs its cell on the given executor (for
@@ -681,7 +668,7 @@ mod tests {
             (1, 2, 1)
         );
         // Specs were built once per workload, no hits on a private cache.
-        assert_eq!(plan.spec_builds(), 2);
+        assert_eq!(plan.spec_builds, 2);
         assert_eq!(plan.spec_cache_hits, 0);
     }
 

@@ -113,11 +113,6 @@ impl EventQueue {
         self.heap.reserve(num_cores);
     }
 
-    /// Number of in-flight events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// True if no event is in flight.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()

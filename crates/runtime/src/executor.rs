@@ -93,7 +93,8 @@ pub trait Executor: Send + Sync {
 
 /// Constructor signature for the out-of-crate `proc` backend: takes the
 /// execution config and the worker-process count, returns the executor.
-pub type ProcFactory = Box<dyn Fn(ExecutionConfig, usize) -> Box<dyn Executor> + Send + Sync>;
+pub(crate) type ProcFactory =
+    Box<dyn Fn(ExecutionConfig, usize) -> Box<dyn Executor> + Send + Sync>;
 
 static PROC_FACTORY: OnceLock<ProcFactory> = OnceLock::new();
 

@@ -98,7 +98,7 @@ impl Backend {
     /// measurements — reports label them `"simulator"` and stay
     /// byte-identical to in-process simulator baselines. The other backends
     /// report their own [`Backend::label`].
-    pub fn report_label(&self) -> &'static str {
+    pub(crate) fn report_label(&self) -> &'static str {
         match self {
             Backend::Proc { .. } => Backend::Simulated.label(),
             other => other.label(),
@@ -189,9 +189,9 @@ pub struct SweepAggregate {
     pub policy: String,
     /// Geometric mean over workloads of the per-workload mean speedup — the
     /// "geometric mean" bar of Figure 1.
-    pub geomean_speedup: f64,
+    pub(crate) geomean_speedup: f64,
     /// Number of workloads aggregated.
-    pub applications: usize,
+    pub(crate) applications: usize,
 }
 
 /// The structured result of an [`Experiment`] run: every cell measurement
@@ -205,15 +205,15 @@ pub struct SweepAggregate {
 #[derive(Clone, Debug, Deserialize)]
 pub struct SweepReport {
     /// Machine (topology) name.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Backend that produced the measurements.
     pub backend: String,
     /// Canonical label of the baseline policy speedups are relative to.
-    pub baseline: String,
+    pub(crate) baseline: String,
     /// Seed all seeded components derived from.
     pub seed: u64,
     /// Repetitions per cell.
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
     /// Every measurement, in (scale, workload, policy, repetition) order.
     pub cells: Vec<SweepCell>,
     /// Per-(scale, policy) geometric means across workloads.
@@ -339,8 +339,8 @@ pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<Policy
     ordered
 }
 
-/// Fluent builder for a policy-comparison sweep. See the [module
-/// docs](self) for an example.
+/// Fluent builder for a policy-comparison sweep: the first of the two
+/// steps the [crate docs](crate) describe.
 ///
 /// Defaults: bullion S16 topology, simulated backend, LAS baseline,
 /// Figure-1 policies (DFIFO, RGP+LAS, EP), Tiny scale, 1 repetition, a
@@ -408,7 +408,7 @@ impl Experiment {
     }
 
     /// Enables per-stage wall-time accounting (policy vs event loop) in the
-    /// simulator; see [`crate::ExecutionConfig::stage_timing`]. Off by
+    /// simulator; see `crate::ExecutionConfig::stage_timing`. Off by
     /// default because it clocks every assignment batch in the hot loop.
     pub fn stage_timing(mut self, on: bool) -> Self {
         self.stage_timing = on;

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// Default per-frame size limit: generous enough for a full-scale report or
 /// trace payload embedded in one line, small enough to bound a hostile
 /// connection's memory.
-pub const DEFAULT_FRAME_LIMIT: usize = 64 * 1024 * 1024;
+pub(crate) const DEFAULT_FRAME_LIMIT: usize = 64 * 1024 * 1024;
 
 /// Why a frame could not be read. Every variant poisons the stream — the
 /// connection died, holds unread line bytes, or does not speak the protocol —
@@ -104,7 +104,7 @@ pub fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<
     writer.write_all(line.as_bytes())
 }
 
-/// Reads one frame with the [`DEFAULT_FRAME_LIMIT`]. `Ok(None)` is clean
+/// Reads one frame with the `DEFAULT_FRAME_LIMIT`. `Ok(None)` is clean
 /// EOF between frames; the returned line has its terminating newline (and
 /// any `\r` before it) stripped.
 pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<String>, FrameError> {
@@ -112,7 +112,7 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<String>, FrameErro
 }
 
 /// [`read_frame`] with an explicit per-line byte limit (newline excluded).
-pub fn read_frame_with_limit(
+pub(crate) fn read_frame_with_limit(
     reader: &mut impl BufRead,
     limit: usize,
 ) -> Result<Option<String>, FrameError> {

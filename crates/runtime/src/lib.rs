@@ -50,7 +50,7 @@
 //!
 //! Both executors implement the paper's *deferred allocation*: regions
 //! written by a task that have no home yet are first-touched on the socket
-//! the task runs on ([`deferred`]).
+//! the task runs on (`deferred`).
 //!
 //! Executions are **observable** through the `numadag-trace` subsystem:
 //! both executors emit [`numadag_trace::TraceEvent`]s (assign decisions,
@@ -71,19 +71,19 @@
 #![warn(missing_docs)]
 
 mod charge;
-pub mod config;
-pub mod deferred;
-pub mod diff;
+mod config;
+mod deferred;
+mod diff;
 mod dispatch;
-pub mod driver;
-pub mod event_queue;
-pub mod executor;
-pub mod experiment;
+mod driver;
+mod event_queue;
+mod executor;
+mod experiment;
 pub mod framing;
-pub mod report;
-pub mod simulator;
-pub mod sweep;
-pub mod threaded;
+mod report;
+mod simulator;
+mod sweep;
+mod threaded;
 
 pub use config::{ExecutionConfig, StealMode};
 pub use diff::{CellDelta, FieldDelta, SweepDiff};
@@ -91,12 +91,12 @@ pub use driver::{
     CellMeasurement, CellOutcome, CellProgress, PlannedWorkload, SweepJob, SweepPlan, SweepTiming,
 };
 pub use event_queue::{Event, EventQueue};
-pub use executor::{register_proc_backend, CellContext, Executor, ProcFactory};
+pub use executor::{register_proc_backend, CellContext, Executor};
 pub use experiment::{report_order, Backend, Experiment, SweepAggregate, SweepCell, SweepReport};
 pub use framing::FrameError;
 pub use report::ExecutionReport;
 pub use simulator::Simulator;
-pub use sweep::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES, DEFAULT_SEED};
+pub use sweep::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 pub use threaded::ThreadedExecutor;
 // Re-exported so the sweep service keys its caches with the workspace's one
 // FNV-1a without a direct numadag-tdg dependency.

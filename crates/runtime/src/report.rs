@@ -44,7 +44,7 @@ pub struct ExecutionReport {
     pub policy_wall_ns: f64,
     /// Real wall time of the executor's run minus `policy_wall_ns` — the
     /// event loop plus the memory-cost model, ns. Filled by the simulator.
-    pub event_loop_wall_ns: f64,
+    pub(crate) event_loop_wall_ns: f64,
     /// Every trace event of the run, in emission order, when the
     /// executor's configuration asks for them
     /// ([`crate::ExecutionConfig::events`]); empty, and never allocated,
@@ -61,7 +61,7 @@ impl ExecutionReport {
 
     /// Load imbalance across sockets: max busy time / mean busy time.
     /// 1.0 means perfectly balanced; returns 1.0 for degenerate inputs.
-    pub fn load_imbalance(&self) -> f64 {
+    pub(crate) fn load_imbalance(&self) -> f64 {
         if self.busy_per_socket.is_empty() {
             return 1.0;
         }
@@ -75,31 +75,18 @@ impl ExecutionReport {
     }
 
     /// Fraction of tasks that were stolen.
-    pub fn steal_fraction(&self) -> f64 {
+    pub(crate) fn steal_fraction(&self) -> f64 {
         if self.tasks == 0 {
             0.0
         } else {
             self.stolen_tasks as f64 / self.tasks as f64
         }
     }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{:<22} {:<8} makespan={:>12.0} ns  local={:>5.1}%  imbalance={:.2}  stolen={:.1}%",
-            self.workload,
-            self.policy,
-            self.makespan_ns,
-            100.0 * self.local_fraction(),
-            self.load_imbalance(),
-            100.0 * self.steal_fraction(),
-        )
-    }
 }
 
 /// Geometric mean of a slice of positive numbers (used for the "geometric
 /// mean" bar of Figure 1). Returns 0.0 for an empty slice.
-pub fn geometric_mean(values: &[f64]) -> f64 {
+pub(crate) fn geometric_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -157,13 +144,5 @@ mod tests {
         assert!((geometric_mean(&[4.0]) - 4.0).abs() < 1e-12);
         assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_contains_key_fields() {
-        let r = report(1234.0, vec![1.0, 2.0]);
-        let s = r.summary();
-        assert!(s.contains("toy"));
-        assert!(s.contains("LAS"));
     }
 }

@@ -73,13 +73,14 @@ pub struct Simulator {
     /// Initial idle-core stack per socket (reversed so `pop()` hands out the
     /// lowest core id first).
     idle_template: Vec<Vec<CoreId>>,
-    /// Per-distance latency/bandwidth cache (bit-identical to the cost
-    /// model's `transfer_time`, minus its two `powf` calls per access).
+    /// Per-distance latency/bandwidth cache (bit-identical to evaluating
+    /// the cost model, minus its two `powf` calls per access).
     transfer: CostTransferTable,
-    /// Reusable run state. A `Mutex` only to satisfy `Executor: Sync`; each
-    /// sweep worker owns its executor, so the lock is uncontended and taken
-    /// once per cell.
-    scratch: Mutex<SimScratch>,
+    /// Reusable run states, one per run in flight at its peak. A run pops
+    /// one (or builds a fresh one) and pushes it back when it ends, holding
+    /// the lock only for the pop and the push: the lanes of a sweep sharing
+    /// this simulator run their cells at the same time.
+    scratch: Mutex<Vec<SimScratch>>,
 }
 
 /// What starting a task reads and writes besides the socket queues: the
@@ -180,13 +181,13 @@ impl Simulator {
     /// without one. 2^16 is [`Simulator::MAX_SOCKETS`] sockets of 1,024
     /// cores, more than any NUMA machine built and 1,024 times the largest
     /// topology the repository simulates (64 sockets of 1 core).
-    pub const MAX_CORES: usize = 1 << 16;
+    pub(crate) const MAX_CORES: usize = 1 << 16;
 
     /// Creates a simulator for the given machine configuration.
     ///
     /// # Panics
     /// Panics if the topology has more than [`Simulator::MAX_SOCKETS`]
-    /// sockets or [`Simulator::MAX_CORES`] cores.
+    /// sockets or `Simulator::MAX_CORES` cores.
     pub fn new(config: ExecutionConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -239,7 +240,7 @@ impl Simulator {
             steal_order,
             idle_template,
             transfer,
-            scratch: Mutex::new(SimScratch::default()),
+            scratch: Mutex::new(Vec::new()),
         })
     }
 
@@ -274,11 +275,7 @@ impl Simulator {
 
         // Reusable run state (queues, indegrees, idle stacks, event heap):
         // reset, not reallocated, between cells of a sweep.
-        let mut scratch_guard = self
-            .scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let scratch = &mut *scratch_guard;
+        let mut scratch = self.scratch_pool().pop().unwrap_or_default();
         scratch.reset(flat, topo.num_cores(), &self.idle_template);
         let SimScratch {
             indegree,
@@ -287,7 +284,7 @@ impl Simulator {
             ready,
             events,
             link,
-        } = scratch;
+        } = &mut scratch;
 
         let mut run = Run {
             sim: self,
@@ -399,7 +396,16 @@ impl Simulator {
         report.traffic.fold_link_matrix(link, topo.distances());
         report.policy_wall_ns = policy_wall_ns;
         report.event_loop_wall_ns = run_started.elapsed().as_nanos() as f64 - policy_wall_ns;
+        self.scratch_pool().push(scratch);
         report
+    }
+
+    /// The pool of idle run states. A run that panicked never returned its
+    /// state, so a poisoned pool is still whole.
+    fn scratch_pool(&self) -> std::sync::MutexGuard<'_, Vec<SimScratch>> {
+        self.scratch
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -652,5 +658,65 @@ mod tests {
         assert_eq!(report.tasks, 1);
         assert!(report.makespan_ns > 0.0);
         assert_eq!(report.traffic.remote_bytes, 0);
+    }
+
+    /// A policy whose first assignment waits (up to ten seconds) until a
+    /// second policy sharing `arrived` has reached its own first one.
+    struct Rendezvous {
+        arrived: std::sync::Arc<(Mutex<usize>, std::sync::Condvar)>,
+        first: bool,
+        met: bool,
+    }
+
+    impl SchedulingPolicy for Rendezvous {
+        fn name(&self) -> &'static str {
+            "rendezvous"
+        }
+
+        fn assign(
+            &mut self,
+            _task: &numadag_tdg::TaskDescriptor<'_>,
+            _locator: &dyn numadag_core::DataLocator,
+        ) -> SocketId {
+            if std::mem::take(&mut self.first) {
+                let (count, arrival) = &*self.arrived;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                arrival.notify_all();
+                let timeout = std::time::Duration::from_secs(10);
+                let (count, _) = arrival
+                    .wait_timeout_while(count, timeout, |count| *count < 2)
+                    .unwrap();
+                self.met = *count == 2;
+            }
+            SocketId(0)
+        }
+    }
+
+    #[test]
+    fn runs_sharing_one_simulator_overlap() {
+        // Each run's policy waits inside the event loop for the other run
+        // to reach its event loop too, which it can only do if the first
+        // run's working state does not lock the simulator.
+        let (simulator, spec) = (&sim(), &chains(4, 2));
+        let arrived = std::sync::Arc::new((Mutex::new(0), std::sync::Condvar::new()));
+        let met: Vec<bool> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    let arrived = std::sync::Arc::clone(&arrived);
+                    scope.spawn(move || {
+                        let mut policy = Rendezvous {
+                            arrived,
+                            first: true,
+                            met: false,
+                        };
+                        simulator.run(spec, &mut policy);
+                        policy.met
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        assert_eq!(met, [true, true], "one run waited for the other to finish");
     }
 }

@@ -19,7 +19,7 @@ use crate::experiment::{Backend, Experiment};
 
 /// The seed of every default sweep ([`Experiment`]'s and [`SweepSpec`]'s),
 /// the one the committed `BENCH_figure1_*.json` baselines were made with.
-pub const DEFAULT_SEED: u64 = 0xF1617E;
+pub(crate) const DEFAULT_SEED: u64 = 0xF1617E;
 
 /// Default policy list of a sweep (the Figure-1 column set).
 pub const DEFAULT_POLICIES: &str = "dfifo,rgp-las,ep";

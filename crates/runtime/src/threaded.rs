@@ -72,11 +72,6 @@ impl ThreadedExecutor {
         ThreadedExecutor { config }
     }
 
-    /// The configuration the executor was built with.
-    pub fn config(&self) -> &ExecutionConfig {
-        &self.config
-    }
-
     /// Executes the workload: `body(task_id)` is invoked exactly once per
     /// task, respecting all dependences, on whichever worker the scheduling
     /// decisions place it. Returns an [`ExecutionReport`] whose `makespan_ns`

@@ -46,7 +46,7 @@ pub struct CachedReport {
     /// cache never counted in the first place).
     pub executed_cells: usize,
     /// Cells the sweep contains in total (executed + hydrated).
-    pub total_cells: usize,
+    pub(crate) total_cells: usize,
 }
 
 impl CachedReport {
@@ -68,9 +68,9 @@ impl CachedReport {
 }
 
 /// The sweep-level cache: fingerprint → shared report bytes.
-pub type ReportCache = Lru<Arc<CachedReport>>;
+pub(crate) type ReportCache = Lru<Arc<CachedReport>>;
 /// The cell-level cache: [`crate::protocol::cell_fingerprint`] → outcome.
-pub type CellCache = Lru<CellOutcome>;
+pub(crate) type CellCache = Lru<CellOutcome>;
 
 /// The "no node" link.
 const NIL: u32 = u32::MAX;
@@ -90,7 +90,7 @@ struct Node<V> {
 /// it, so the slab needs no free list and never outgrows the capacity. Not
 /// internally synchronized — the server keeps it inside its state mutex.
 #[derive(Debug)]
-pub struct Lru<V> {
+pub(crate) struct Lru<V> {
     index: HashMap<u64, u32>,
     nodes: Vec<Node<V>>,
     /// Least recently used: the next eviction victim.
@@ -105,7 +105,7 @@ pub struct Lru<V> {
 
 impl<V: Clone> Lru<V> {
     /// An empty cache holding at most `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Lru {
             index: HashMap::new(),
             nodes: Vec::new(),
@@ -119,7 +119,7 @@ impl<V: Clone> Lru<V> {
     }
 
     /// Looks up a value, counting a hit (and refreshing recency) or a miss.
-    pub fn lookup(&mut self, key: u64) -> Option<V> {
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<V> {
         let found = self.revalidate(key);
         self.misses += u64::from(found.is_none());
         found
@@ -130,7 +130,7 @@ impl<V: Clone> Lru<V> {
     /// counts exactly one [`Lru::note_miss`] when it actually creates an
     /// executing job, so racing identical submissions never inflate the
     /// miss counter.
-    pub fn revalidate(&mut self, key: u64) -> Option<V> {
+    pub(crate) fn revalidate(&mut self, key: u64) -> Option<V> {
         let slot = *self.index.get(&key)?;
         self.hits += 1;
         self.touch(slot);
@@ -141,21 +141,21 @@ impl<V: Clone> Lru<V> {
     /// passes both [`Lru::revalidate`] phases and becomes an executing job,
     /// keeping the invariant that each report-cache miss corresponds to
     /// exactly one executed sweep.
-    pub fn note_miss(&mut self) {
+    pub(crate) fn note_miss(&mut self) {
         self.misses += 1;
     }
 
     /// Peeks without touching the hit/miss counters or recency — used by
     /// pool workers to skip cells another job already executed between
     /// admission and dispatch.
-    pub fn peek(&self, key: u64) -> Option<V> {
+    pub(crate) fn peek(&self, key: u64) -> Option<V> {
         let slot = *self.index.get(&key)?;
         Some(self.nodes[slot as usize].value.clone())
     }
 
     /// Inserts a value, evicting the least-recently-used entry when full.
     /// Re-inserting an existing key refreshes both value and recency.
-    pub fn insert(&mut self, key: u64, value: V) {
+    pub(crate) fn insert(&mut self, key: u64, value: V) {
         if let Some(&slot) = self.index.get(&key) {
             self.nodes[slot as usize].value = value;
             self.touch(slot);
@@ -213,32 +213,27 @@ impl<V: Clone> Lru<V> {
     }
 
     /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lookups that found nothing, plus every [`Lru::note_miss`].
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Entries discarded by the LRU policy.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
     /// Entries currently resident.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Maximum resident entries before eviction.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -246,7 +241,7 @@ impl<V: Clone> Lru<V> {
     /// recency list). Re-inserting them in this order into an empty cache
     /// reproduces the same LRU ranking — the contract the daemon's
     /// `--cache-file` persistence relies on across restarts.
-    pub fn snapshot(&self) -> Vec<(u64, V)> {
+    pub(crate) fn snapshot(&self) -> Vec<(u64, V)> {
         let mut entries = Vec::with_capacity(self.nodes.len());
         let mut slot = self.head;
         while slot != NIL {
@@ -371,7 +366,7 @@ mod tests {
             assert_eq!(reloaded.snapshot(), cache.snapshot());
         }
         assert_eq!(reloaded.evictions(), 4);
-        assert!(!reloaded.is_empty());
+        assert_ne!(reloaded.len(), 0);
         assert_eq!(Lru::<u32>::new(0).capacity(), 1, "capacity has a floor");
     }
 }

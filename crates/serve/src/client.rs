@@ -143,7 +143,7 @@ impl ServeClient {
     }
 
     /// Sends a request and reads its single response.
-    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
+    pub(crate) fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.send(request)?;
         self.recv()
     }

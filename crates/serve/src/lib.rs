@@ -3,14 +3,14 @@
 //! The ROADMAP's "millions of users" shape: instead of re-running a ~81 ms
 //! Full sweep per query, a long-running [`server`] keeps one process-wide
 //! [`numadag_kernels::SpecCache`] hot and caches finished work at two
-//! granularities (two instances of one O(1) [`cache::Lru`]). Whole sweeps
-//! are content-addressed in an LRU [`cache::ReportCache`] keyed by the
+//! granularities (two instances of one O(1) `cache::Lru`). Whole sweeps
+//! are content-addressed in an LRU `cache::ReportCache` keyed by the
 //! canonical request fingerprint (workload spec hashes × canonical policy
 //! labels × seed × backend × rep count): a repeated request — however its
 //! policy strings are spelled — is answered with the byte-identical cached
 //! report without executing anything. Novel sweep *shapes* are decomposed into content-addressed
-//! cells ([`protocol::cell_fingerprint`]) backed by an LRU
-//! [`cache::CellCache`], so overlapping sweeps (added policy columns, app
+//! cells (`protocol::cell_fingerprint`) backed by an LRU
+//! `cache::CellCache`, so overlapping sweeps (added policy columns, app
 //! subsets, extra repetitions) hydrate their shared cells and execute only
 //! the genuinely new ones. The novel cells are batched onto a fair
 //! round-robin queue drained by a pool of worker threads (`--pool N`), so
@@ -42,12 +42,12 @@
 //! (submit/status/stats/cancel/shutdown, used by CI); the `serve_mix`
 //! workload of `benchmark/` measures the service under load.
 
-pub mod cache;
+mod cache;
 pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CachedReport, CellCache, Lru, ReportCache};
+pub use cache::CachedReport;
 pub use client::{ClientError, ServeClient, SubmitOutcome};
 pub use protocol::{Request, ResolvedSweep, Response, ServerStats, SweepSpec};
 pub use server::{serve, serve_with_specs, ServeConfig, ServeHandle};

@@ -33,7 +33,7 @@ pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 /// ([`numadag_kernels::SpecCache::fingerprint`], which already encodes
 /// application, scale and socket count) × canonical policy label × sweep
 /// seed × repetition index × backend label × socket count.
-pub fn cell_fingerprint(
+pub(crate) fn cell_fingerprint(
     spec_fp: u64,
     policy_label: &str,
     backend_label: &str,
@@ -62,7 +62,11 @@ pub fn cell_fingerprint(
 /// `rgp-las:w=512,scheme=rb`) share an entry. Workload hashes come from
 /// [`SpecCache::fingerprint`], so the first request for a workload builds
 /// it (and warms the spec cache for the run itself).
-pub fn sweep_fingerprint(sweep: &ResolvedSweep, specs: &SpecCache, num_sockets: usize) -> u64 {
+pub(crate) fn sweep_fingerprint(
+    sweep: &ResolvedSweep,
+    specs: &SpecCache,
+    num_sockets: usize,
+) -> u64 {
     let mut hash = Fnv1a::default();
     hash.write_bytes(sweep.backend.label().as_bytes());
     hash.write_byte(0xff);
@@ -350,7 +354,7 @@ fn raw_report_body(mut reader: Reader<'_>) -> Result<String, String> {
 
 impl Request {
     /// Decodes one wire line.
-    pub fn from_line(line: &str) -> Result<Request, String> {
+    pub(crate) fn from_line(line: &str) -> Result<Request, String> {
         Ok(from_line(line)?)
     }
 }

@@ -20,8 +20,8 @@
 //!    (coalesced), from the report cache (a byte-identical hit, nothing
 //!    planned), or, for a novel key, back with "needs a plan". The handler
 //!    plans the sweep, keys each cell
-//!    ([`crate::protocol::cell_fingerprint`]) and admits again: cells an
-//!    earlier sweep of any shape executed hydrate from the [`CellCache`],
+//!    (`crate::protocol::cell_fingerprint`) and admits again: cells an
+//!    earlier sweep of any shape executed hydrate from the `CellCache`,
 //!    and only the novel ones are queued, in batches — unless that would
 //!    exceed a quota, which bounces with `Overloaded`. The handler then
 //!    forwards the job's `Progress` (when streaming) and terminal lines.
@@ -49,7 +49,7 @@
 //! the job table holds only live jobs (at most `max_active_jobs`, all that
 //! coalescing scans); a terminal job — a cache hit is born one — shrinks to
 //! a `(id, state, completed, total)` record in a ring of [`JOB_HISTORY`];
-//! both caches are O(1) [`Lru`](crate::cache::Lru)s that alone keep reports
+//! both caches are O(1) `Lru`s that alone keep reports
 //! alive. `Status`/`CancelJob` answer from the table, then the ring; an id
 //! that has left the ring answers `job N retired`, one never issued
 //! `unknown job N`.
@@ -1159,7 +1159,7 @@ mod tests {
         let mut cache = ReportCache::new(4);
         let err = load_cache_file(&path, &mut cache).unwrap_err();
         assert_eq!(err, "unsupported cache file version 1");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let file = cache_file();
         std::fs::write(&path, &file).unwrap();
         assert_eq!(load_cache_file(&path, &mut cache), Ok(1));
@@ -1211,7 +1211,7 @@ mod tests {
         let mut cache = ReportCache::new(4);
         let err = load_cache_file(&path, &mut cache).unwrap_err();
         assert!(err.contains("entries: [1]: CacheEntry.key"), "{err}");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let _ = std::fs::remove_file(&path);
         // So is a version this daemon does not know, however well-formed.
         let path = scratch_file(
@@ -1220,7 +1220,7 @@ mod tests {
         );
         let err = load_cache_file(&path, &mut cache).unwrap_err();
         assert!(err.contains("unsupported cache file version 3"), "{err}");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));
     }
@@ -1254,7 +1254,7 @@ mod tests {
                 err.contains("entries: [0]: CacheEntry.report") && err.contains(says),
                 "{i}: {err}"
             );
-            assert!(cache.is_empty());
+            assert_eq!(cache.len(), 0);
             let _ = std::fs::remove_file(&path);
         }
     }

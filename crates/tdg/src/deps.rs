@@ -13,8 +13,6 @@
 //! the graph with their byte counts added, matching how the paper weighs TDG
 //! edges "depending on the amount of bytes they represent".
 
-use numadag_numa::RegionId;
-
 use crate::task::{DataAccess, TaskId};
 
 #[derive(Clone, Debug, Default)]
@@ -27,24 +25,19 @@ struct RegionState {
 ///
 /// Region ids are dense by construction ([`crate::TdgBuilder::region`] hands
 /// them out in sequence), so the per-region state lives in a vector indexed
-/// by [`RegionId::index`], grown to the highest id seen.
+/// by [`numadag_numa::RegionId::index`], grown to the highest id seen.
 #[derive(Clone, Debug, Default)]
-pub struct DependencyTracker {
+pub(crate) struct DependencyTracker {
     regions: Vec<RegionState>,
 }
 
 impl DependencyTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers the accesses of `task` (which must be submitted in program
     /// order, i.e. with increasing ids) and writes the dependences it incurs
     /// into `deps` (cleared first) as `(predecessor, bytes)` pairs — the
     /// shape [`crate::TaskGraph::push_task`] takes, so a builder submitting
     /// task after task reuses one buffer.
-    pub fn register_into(
+    pub(crate) fn register_into(
         &mut self,
         task: TaskId,
         accesses: &[DataAccess],
@@ -100,17 +93,13 @@ impl DependencyTracker {
             }
         }
     }
-
-    /// The task that last wrote `region`, if any.
-    pub fn last_writer(&self, region: RegionId) -> Option<TaskId> {
-        self.regions.get(region.index()).and_then(|s| s.last_writer)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::DataAccess;
+    use numadag_numa::RegionId;
 
     fn r(i: usize) -> RegionId {
         RegionId(i)
@@ -128,7 +117,7 @@ mod tests {
 
     #[test]
     fn raw_dependence() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         assert!(register(&mut t, TaskId(0), &[DataAccess::write(r(0), 100)]).is_empty());
         let deps = register(&mut t, TaskId(1), &[DataAccess::read(r(0), 100)]);
         assert_eq!(deps, vec![(TaskId(0), 100)]);
@@ -136,17 +125,19 @@ mod tests {
 
     #[test]
     fn waw_dependence() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 50)]);
         let deps = register(&mut t, TaskId(1), &[DataAccess::write(r(0), 50)]);
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].0, TaskId(0));
-        assert_eq!(t.last_writer(r(0)), Some(TaskId(1)));
+        // The second write is now the one a read depends on.
+        let deps = register(&mut t, TaskId(2), &[DataAccess::read(r(0), 50)]);
+        assert_eq!(deps, vec![(TaskId(1), 50)]);
     }
 
     #[test]
     fn war_dependence_covers_all_readers() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 10)]);
         register(&mut t, TaskId(1), &[DataAccess::read(r(0), 10)]);
         register(&mut t, TaskId(2), &[DataAccess::read(r(0), 10)]);
@@ -161,7 +152,7 @@ mod tests {
 
     #[test]
     fn inout_chains_serialise() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::read_write(r(0), 64)]);
         let d1 = register(&mut t, TaskId(1), &[DataAccess::read_write(r(0), 64)]);
         let d2 = register(&mut t, TaskId(2), &[DataAccess::read_write(r(0), 64)]);
@@ -173,7 +164,7 @@ mod tests {
 
     #[test]
     fn independent_regions_have_no_deps() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
         let deps = register(&mut t, TaskId(1), &[DataAccess::write(r(1), 8)]);
         assert!(deps.is_empty());
@@ -181,7 +172,7 @@ mod tests {
 
     #[test]
     fn readers_reset_after_write() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
         register(&mut t, TaskId(1), &[DataAccess::read(r(0), 8)]);
         register(&mut t, TaskId(2), &[DataAccess::write(r(0), 8)]);
@@ -193,7 +184,7 @@ mod tests {
 
     #[test]
     fn multi_access_task_emits_all_deps() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 100)]);
         register(&mut t, TaskId(1), &[DataAccess::write(r(1), 200)]);
         let deps = register(
@@ -212,7 +203,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_do_not_depend_on_each_other() {
-        let mut t = DependencyTracker::new();
+        let mut t = DependencyTracker::default();
         register(&mut t, TaskId(0), &[DataAccess::write(r(0), 8)]);
         let d1 = register(&mut t, TaskId(1), &[DataAccess::read(r(0), 8)]);
         let d2 = register(&mut t, TaskId(2), &[DataAccess::read(r(0), 8)]);

@@ -250,14 +250,14 @@ impl TaskGraph {
         self.work.len()
     }
 
-    /// Number of (deduplicated) dependence edges.
-    pub fn num_edges(&self) -> usize {
-        self.pred_edges.len()
-    }
-
     /// True if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
         self.work.is_empty()
+    }
+
+    /// Number of (deduplicated) dependence edges.
+    pub fn num_edges(&self) -> usize {
+        self.pred_edges.len()
     }
 
     /// Adds a data region of `size_bytes` bytes to the region table and
@@ -340,22 +340,10 @@ impl TaskGraph {
         self.predecessors(id).len()
     }
 
-    /// Number of successors of a task.
-    pub fn out_degree(&self, id: TaskId) -> usize {
-        self.flat().successors(id).len()
-    }
-
     /// Tasks with no predecessors (ready at the start of the execution).
     pub fn sources(&self) -> Vec<TaskId> {
         self.task_ids()
             .filter(|&t| self.in_degree(t) == 0)
-            .collect()
-    }
-
-    /// Tasks with no successors.
-    pub fn sinks(&self) -> Vec<TaskId> {
-        self.task_ids()
-            .filter(|&t| self.out_degree(t) == 0)
             .collect()
     }
 
@@ -501,14 +489,6 @@ impl TaskGraph {
         self.work.iter().sum()
     }
 
-    /// Bytes on the edge `from → to`, if present.
-    pub fn edge_bytes(&self, from: TaskId, to: TaskId) -> Option<u64> {
-        self.predecessors(to)
-            .iter()
-            .find(|(t, _)| *t == from)
-            .map(|(_, b)| *b)
-    }
-
     /// Length of the critical path in work units: the heaviest chain of tasks
     /// under the dependence relation. This bounds the best possible makespan
     /// of any schedule on any number of cores (ignoring memory time).
@@ -588,11 +568,9 @@ mod tests {
         assert_eq!(g.num_tasks(), 4);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.sources(), vec![TaskId(0)]);
-        assert_eq!(g.sinks(), vec![TaskId(3)]);
         assert_eq!(g.in_degree(TaskId(3)), 2);
-        assert_eq!(g.out_degree(TaskId(0)), 2);
-        assert_eq!(g.edge_bytes(TaskId(0), TaskId(2)), Some(200));
-        assert_eq!(g.edge_bytes(TaskId(1), TaskId(2)), None);
+        assert_eq!(g.flat().successors(TaskId(0)).len(), 2);
+        assert_eq!(g.predecessors(TaskId(2)), [(TaskId(0), 200)]);
         assert_eq!(g.region_sizes(), [8; 4]);
         assert_eq!(g.total_edge_bytes(), 600);
     }
@@ -618,9 +596,9 @@ mod tests {
         push(&mut g, 0, 1.0, &[]);
         push(&mut g, 1, 1.0, &[(TaskId(0), 100), (TaskId(0), 50)]);
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edge_bytes(TaskId(0), TaskId(1)), Some(150));
+        assert_eq!(g.predecessors(TaskId(1)), [(TaskId(0), 150)]);
         push(&mut g, 2, 1.0, &[(TaskId(1), u64::MAX), (TaskId(1), 2)]);
-        assert_eq!(g.edge_bytes(TaskId(1), TaskId(2)), Some(u64::MAX));
+        assert_eq!(g.predecessors(TaskId(2)), [(TaskId(1), u64::MAX)]);
     }
 
     #[test]
@@ -639,7 +617,7 @@ mod tests {
     #[test]
     fn empty_graph_properties() {
         let g = TaskGraph::new();
-        assert!(g.is_empty());
+        assert_eq!(g.num_tasks(), 0);
         assert_eq!(g.critical_path_work(), 0.0);
         assert_eq!(g.average_parallelism(), 0.0);
         assert!(g.sources().is_empty());
@@ -747,7 +725,6 @@ mod tests {
                 .collect();
             assert_eq!(flat_targets, targets, "successors of {t}");
             assert_eq!(flat.successor_bytes(t), bytes, "edge bytes of {t}");
-            assert_eq!(g.out_degree(t), want.len());
             assert_eq!(
                 flat.in_degrees()[t.index()] as usize,
                 g.predecessors(t).len()
@@ -810,7 +787,6 @@ mod tests {
         assert_eq!(flat.successor_bytes(TaskId(0)), [100, 200, 8]);
         assert_eq!(flat.in_degrees(), [0, 1, 1, 2, 2]);
         assert_eq!(g.task(TaskId(4)).work_units, 2.0);
-        assert_eq!(g.sinks(), vec![TaskId(4)]);
         // A clone carries (or rebuilds) a view of its own.
         let mut copy = g.clone();
         push(&mut copy, 5, 1.0, &[(TaskId(4), 1)]);

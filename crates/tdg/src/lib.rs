@@ -9,21 +9,21 @@
 //!
 //! This crate provides:
 //!
-//! * [`task`] — task specifications, data accesses (`in`/`out`/`inout`) and
+//! * `task` — task specifications, data accesses (`in`/`out`/`inout`) and
 //!   [`TaskDescriptor`], the borrowed view of one task of a graph.
-//! * [`deps`] — incremental dependence derivation with OpenMP `depend`
+//! * `deps` — incremental dependence derivation with OpenMP `depend`
 //!   semantics (RAW, WAR and WAW ordering per region).
-//! * [`graph`] — the [`graph::TaskGraph`] itself, stored as columns (kind,
+//! * `graph` — the [`graph::TaskGraph`] itself, stored as columns (kind,
 //!   work, access runs, a predecessor CSR) over the region table it owns,
 //!   and its derived [`FlatTdg`].
-//! * [`builder`] — [`builder::TdgBuilder`], the front door: submit tasks in
+//! * `builder` — [`builder::TdgBuilder`], the front door: submit tasks in
 //!   program order and get the TDG.
-//! * [`window`] — task windows, the unit RGP partitions.
-//! * [`convert`] — symmetrisation of (a window of) the TDG into the weighted
+//! * `window` — task windows, the unit RGP partitions.
+//! * `convert` — symmetrisation of (a window of) the TDG into the weighted
 //!   undirected [`numadag_graph::CsrGraph`] the partitioner consumes.
-//! * [`plan`] — [`plan::WindowPlan`], the unanchored partition of a window,
+//! * `plan` — [`plan::WindowPlan`], the unanchored partition of a window,
 //!   computed once per graph and shared by every policy that asks.
-//! * [`spec`] — [`spec::TaskGraphSpec`], a self-contained workload
+//! * `spec` — [`spec::TaskGraphSpec`], a self-contained workload
 //!   description (TDG + optional expert placement) produced by the kernels
 //!   crate and consumed by the runtime.
 //!
@@ -38,14 +38,14 @@
 
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod convert;
-pub mod deps;
-pub mod graph;
-pub mod plan;
-pub mod spec;
-pub mod task;
-pub mod window;
+mod builder;
+mod convert;
+mod deps;
+mod graph;
+mod plan;
+mod spec;
+mod task;
+mod window;
 
 pub use builder::TdgBuilder;
 pub use convert::{clamp_weight, window_to_csr, window_weight_cap, CrossEdge, WindowGraph};

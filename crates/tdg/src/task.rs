@@ -70,12 +70,12 @@ impl AccessMode {
     }
 
     /// True if the access reads the previous contents of the region.
-    pub fn reads(self) -> bool {
+    pub(crate) fn reads(self) -> bool {
         matches!(self, AccessMode::In | AccessMode::InOut)
     }
 
     /// True if the access writes the region.
-    pub fn writes(self) -> bool {
+    pub(crate) fn writes(self) -> bool {
         matches!(self, AccessMode::Out | AccessMode::InOut)
     }
 }

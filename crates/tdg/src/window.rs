@@ -74,11 +74,6 @@ impl TaskWindow {
         self.len() == 0
     }
 
-    /// True if the window contains `task`.
-    pub fn contains(&self, task: TaskId) -> bool {
-        task.index() >= self.start.index() && task.index() < self.end.index()
-    }
-
     /// The task ids in the window.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
         (self.start.index()..self.end.index()).map(TaskId)
@@ -97,7 +92,6 @@ pub struct WindowCursor {
     window_size: usize,
     num_tasks: usize,
     next_start: usize,
-    windows_emitted: usize,
 }
 
 impl WindowCursor {
@@ -108,18 +102,12 @@ impl WindowCursor {
     }
 
     /// A cursor over `num_tasks` submission slots (no graph required).
-    pub fn over(num_tasks: usize, config: WindowConfig) -> Self {
+    pub(crate) fn over(num_tasks: usize, config: WindowConfig) -> Self {
         WindowCursor {
             window_size: config.window_size,
             num_tasks,
             next_start: 0,
-            windows_emitted: 0,
         }
-    }
-
-    /// The first task id not yet covered by an emitted window.
-    pub fn frontier(&self) -> TaskId {
-        TaskId(self.next_start)
     }
 
     /// True if `task` lies inside a window that has already been emitted.
@@ -128,13 +116,8 @@ impl WindowCursor {
     }
 
     /// True once every task has been covered by an emitted window.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.next_start >= self.num_tasks
-    }
-
-    /// Number of windows emitted so far.
-    pub fn windows_emitted(&self) -> usize {
-        self.windows_emitted
     }
 
     /// Emits the next window, or `None` once the graph is exhausted.
@@ -145,7 +128,6 @@ impl WindowCursor {
         let end = (self.next_start + self.window_size).min(self.num_tasks);
         let window = TaskWindow::new(TaskId(self.next_start), TaskId(end));
         self.next_start = end;
-        self.windows_emitted += 1;
         Some(window)
     }
 }
@@ -178,9 +160,7 @@ mod tests {
         let g = chain(100);
         let w = TaskWindow::initial(&g, WindowConfig::new(32));
         assert_eq!(w.len(), 32);
-        assert!(w.contains(TaskId(0)));
-        assert!(w.contains(TaskId(31)));
-        assert!(!w.contains(TaskId(32)));
+        assert_eq!((w.start, w.end), (TaskId(0), TaskId(32)));
         assert_eq!(w.task_ids().count(), 32);
     }
 
@@ -238,8 +218,7 @@ mod tests {
         let mut c = WindowCursor::new(&g, WindowConfig::default());
         assert!(c.is_exhausted());
         assert_eq!(c.advance(), None);
-        assert_eq!(c.windows_emitted(), 0);
-        assert_eq!(c.frontier(), TaskId(0));
+        assert!(!c.covers(TaskId(0)));
     }
 
     #[test]
@@ -250,7 +229,6 @@ mod tests {
         assert_eq!(w, TaskWindow::new(TaskId(0), TaskId(10)));
         assert!(c.is_exhausted());
         assert_eq!(c.advance(), None);
-        assert_eq!(c.windows_emitted(), 1);
         // split_all agrees.
         assert_eq!(
             TaskWindow::split_all(&g, WindowConfig::new(1000)),
@@ -266,7 +244,7 @@ mod tests {
         assert_eq!(windows.len(), 4);
         for (i, w) in windows.iter().enumerate() {
             assert_eq!(w.len(), 1);
-            assert!(w.contains(TaskId(i)));
+            assert_eq!(w.start, TaskId(i));
         }
         assert_eq!(TaskWindow::split_all(&g, cfg), windows);
     }
@@ -279,9 +257,7 @@ mod tests {
         let windows: Vec<TaskWindow> = c.by_ref().collect();
         assert_eq!(windows.len(), 4);
         assert!(windows.iter().all(|w| w.len() == 25));
-        assert_eq!(c.windows_emitted(), 4);
         assert_eq!(c.advance(), None);
-        assert_eq!(c.windows_emitted(), 4, "exhausted advance must not count");
     }
 
     #[test]
@@ -292,10 +268,9 @@ mod tests {
         c.advance();
         assert!(c.covers(TaskId(3)));
         assert!(!c.covers(TaskId(4)));
-        assert_eq!(c.frontier(), TaskId(4));
         c.advance();
         assert!(c.covers(TaskId(7)));
-        assert_eq!(c.frontier(), TaskId(8));
+        assert!(!c.covers(TaskId(8)));
         c.advance();
         assert!(c.covers(TaskId(9)));
         assert!(c.is_exhausted());

@@ -37,12 +37,12 @@ pub struct CpLink {
     /// Socket the task ran on.
     pub socket: SocketId,
     /// What the task was waiting on before it started.
-    pub bound: CpBound,
+    pub(crate) bound: CpBound,
 }
 
 impl CpLink {
     /// Duration of this link (ns).
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.end - self.start
     }
 }
@@ -63,48 +63,29 @@ pub struct CriticalPath {
     pub time_ns: f64,
     /// Time on links that were dependence-bound (ns), the `Source` link
     /// included.
-    pub dependency_time_ns: f64,
+    pub(crate) dependency_time_ns: f64,
     /// Time on links that were core-occupancy-bound (ns).
-    pub core_busy_time_ns: f64,
+    pub(crate) core_busy_time_ns: f64,
 }
 
-impl CriticalPath {
-    /// The tasks of the chain in execution order.
-    pub fn tasks(&self) -> Vec<TaskId> {
-        self.links.iter().map(|l| l.task).collect()
-    }
-}
-
-/// Per-socket-pair and per-distance traffic totals of one trace.
+/// Per-socket-pair traffic totals of one trace.
 #[derive(Clone, Debug)]
 pub struct TrafficMatrix {
     n: usize,
     /// Row-major `n × n`: `bytes[from * n + to]` = bytes cores of socket
     /// `to` pulled from memory of socket `from`.
     bytes: Vec<u64>,
-    /// `(distance, bytes)` totals, ascending by distance.
-    by_distance: Vec<(u32, u64)>,
 }
 
 impl TrafficMatrix {
-    /// Number of sockets covered.
-    pub fn num_sockets(&self) -> usize {
-        self.n
-    }
-
     /// Bytes moved from memory of `from` to cores of `to`.
-    pub fn bytes(&self, from: usize, to: usize) -> u64 {
+    pub(crate) fn bytes(&self, from: usize, to: usize) -> u64 {
         self.bytes[from * self.n + to]
     }
 
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
-    }
-
-    /// Bytes moved at each SLIT distance, ascending by distance.
-    pub fn by_distance(&self) -> &[(u32, u64)] {
-        &self.by_distance
     }
 
     /// Bytes served at the local distance (10).
@@ -120,7 +101,7 @@ pub struct LocalityHistogram {
     /// `buckets[i]` counts tasks with local fraction in
     /// `[i/len, (i+1)/len)`; the last bucket includes 1.0. Tasks that moved
     /// no bytes count as fully local.
-    pub buckets: Vec<usize>,
+    pub(crate) buckets: Vec<usize>,
     /// Mean per-task local fraction.
     pub mean: f64,
 }
@@ -133,7 +114,7 @@ pub struct QueueSample {
     /// The socket whose queue changed.
     pub socket: SocketId,
     /// Queue depth after the change.
-    pub depth: usize,
+    pub(crate) depth: usize,
 }
 
 /// Timeline of socket-queue depths, reconstructed from `Assign` (enqueue)
@@ -141,7 +122,7 @@ pub struct QueueSample {
 #[derive(Clone, Debug, Default)]
 pub struct QueueTimeline {
     /// Every depth change, in event order.
-    pub samples: Vec<QueueSample>,
+    pub(crate) samples: Vec<QueueSample>,
     /// Maximum depth each socket's queue reached.
     pub max_depth: Vec<usize>,
 }
@@ -260,30 +241,19 @@ impl Trace {
         cp
     }
 
-    /// The socket × socket traffic matrix of the trace (plus per-distance
-    /// totals).
+    /// The socket × socket traffic matrix of the trace.
     pub fn traffic_matrix(&self) -> TrafficMatrix {
         let n = self.num_sockets;
         let mut bytes = vec![0u64; n * n];
-        let mut by_distance: std::collections::BTreeMap<u32, u64> = Default::default();
         for event in &self.events {
             if let TraceEvent::Traffic {
-                from,
-                to,
-                distance,
-                bytes: b,
-                ..
+                from, to, bytes: b, ..
             } = event
             {
                 bytes[from.index() * n + to.index()] += b;
-                *by_distance.entry(*distance).or_default() += b;
             }
         }
-        TrafficMatrix {
-            n,
-            bytes,
-            by_distance: by_distance.into_iter().collect(),
-        }
+        TrafficMatrix { n, bytes }
     }
 
     /// Histogram of per-task local fractions over `buckets` equal bins.
@@ -440,7 +410,10 @@ mod tests {
     fn serial_chain_critical_path_equals_makespan() {
         let (trace, graph) = serial_trace();
         let cp = trace.critical_path(&graph);
-        assert_eq!(cp.tasks(), vec![TaskId(0), TaskId(1), TaskId(2)]);
+        assert_eq!(
+            cp.links.iter().map(|l| l.task).collect::<Vec<_>>(),
+            vec![TaskId(0), TaskId(1), TaskId(2)]
+        );
         assert!((cp.time_ns - trace.makespan_ns).abs() < 1e-9);
         assert_eq!(cp.links[0].bound, CpBound::Source);
         assert_eq!(cp.links[1].bound, CpBound::Dependency);
@@ -509,7 +482,10 @@ mod tests {
             events,
         };
         let cp = trace.critical_path(&graph);
-        assert_eq!(cp.tasks(), vec![TaskId(0), TaskId(1)]);
+        assert_eq!(
+            cp.links.iter().map(|l| l.task).collect::<Vec<_>>(),
+            vec![TaskId(0), TaskId(1)]
+        );
         assert_eq!(cp.links[1].bound, CpBound::CoreBusy);
         assert!((cp.core_busy_time_ns - 5.0).abs() < 1e-9);
         assert!((cp.time_ns - 10.0).abs() < 1e-9);
@@ -519,12 +495,11 @@ mod tests {
     fn traffic_matrix_and_locality_histogram() {
         let trace = crate::trace::tests::toy_trace();
         let matrix = trace.traffic_matrix();
-        assert_eq!(matrix.num_sockets(), 2);
+        assert_eq!(matrix.n, 2);
         assert_eq!(matrix.bytes(0, 0), 256);
         assert_eq!(matrix.bytes(0, 1), 256);
         assert_eq!(matrix.total_bytes(), 512);
         assert_eq!(matrix.local_bytes(), 256);
-        assert_eq!(matrix.by_distance(), &[(10, 256), (21, 256)]);
 
         let histogram = trace.locality_histogram(4);
         // Task 0 fully local (last bucket), task 1 fully remote (first).

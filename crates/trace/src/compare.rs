@@ -22,17 +22,17 @@ pub struct TaskDelta {
     /// The task's kind label (from the task descriptor).
     pub kind: String,
     /// Socket the task ran on under `self` / `other`.
-    pub socket_self: usize,
+    pub(crate) socket_self: usize,
     /// Socket under the other policy.
-    pub socket_other: usize,
+    pub(crate) socket_other: usize,
     /// Execution duration under `self` (ns).
-    pub duration_self: f64,
+    pub(crate) duration_self: f64,
     /// Execution duration under `other` (ns).
-    pub duration_other: f64,
+    pub(crate) duration_other: f64,
     /// Remote bytes the task pulled under `self`.
-    pub remote_bytes_self: u64,
+    pub(crate) remote_bytes_self: u64,
     /// Remote bytes under `other`.
-    pub remote_bytes_other: u64,
+    pub(crate) remote_bytes_other: u64,
 }
 
 impl TaskDelta {
@@ -51,13 +51,13 @@ pub struct FlowDelta {
     /// The region index.
     pub region: usize,
     /// Total bytes moved for this region under `self` / `other`.
-    pub bytes_self: u64,
+    pub(crate) bytes_self: u64,
     /// Bytes under the other policy.
-    pub bytes_other: u64,
+    pub(crate) bytes_other: u64,
     /// Distance-weighted bytes (bytes × SLIT distance) under `self`.
-    pub weighted_self: u64,
+    pub(crate) weighted_self: u64,
     /// Distance-weighted bytes under `other`.
-    pub weighted_other: u64,
+    pub(crate) weighted_other: u64,
 }
 
 impl FlowDelta {
@@ -72,9 +72,9 @@ impl FlowDelta {
 #[derive(Clone, Debug)]
 pub struct TraceComparison {
     /// Policy label of the trace `compare` was called on.
-    pub policy_self: String,
+    pub(crate) policy_self: String,
     /// Policy label of the other trace.
-    pub policy_other: String,
+    pub(crate) policy_other: String,
     /// Workload both traces ran.
     pub workload: String,
     /// Makespan under `self` (ns).
@@ -85,19 +85,19 @@ pub struct TraceComparison {
     pub task_deltas: Vec<TaskDelta>,
     /// Every region's flow delta, ranked by distance-weighted growth under
     /// `self` (descending).
-    pub flow_deltas: Vec<FlowDelta>,
+    pub(crate) flow_deltas: Vec<FlowDelta>,
     /// Critical path of `self`'s schedule.
-    pub critical_path_self: CriticalPath,
+    pub(crate) critical_path_self: CriticalPath,
     /// Critical path of `other`'s schedule.
-    pub critical_path_other: CriticalPath,
+    pub(crate) critical_path_other: CriticalPath,
     /// Tasks placed on different sockets by the two policies.
-    pub tasks_moved: usize,
+    pub(crate) tasks_moved: usize,
 }
 
 impl TraceComparison {
     /// Makespan difference `self - other` (ns); positive means `self` is
     /// slower overall.
-    pub fn makespan_delta_ns(&self) -> f64 {
+    pub(crate) fn makespan_delta_ns(&self) -> f64 {
         self.makespan_self - self.makespan_other
     }
 

@@ -88,19 +88,8 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's timestamp (ns).
-    pub fn time(&self) -> f64 {
-        match self {
-            TraceEvent::Assign { time, .. }
-            | TraceEvent::Start { time, .. }
-            | TraceEvent::Finish { time, .. }
-            | TraceEvent::DeferredAlloc { time, .. }
-            | TraceEvent::Traffic { time, .. } => *time,
-        }
-    }
-
     /// The task the event concerns.
-    pub fn task(&self) -> TaskId {
+    pub(crate) fn task(&self) -> TaskId {
         match self {
             TraceEvent::Assign { task, .. }
             | TraceEvent::Start { task, .. }
@@ -111,7 +100,7 @@ impl TraceEvent {
     }
 
     /// Stable lowercase tag used in the JSON serialization.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             TraceEvent::Assign { .. } => "assign",
             TraceEvent::Start { .. } => "start",
@@ -174,7 +163,6 @@ mod tests {
         );
         for e in &events {
             assert_eq!(e.task(), TaskId(3));
-            assert!(e.time() > 0.0);
         }
     }
 }

@@ -20,11 +20,11 @@
 //!   (and streams to disk via [`Trace::to_json_writer`]). Where each task
 //!   ran and when is a derived view of the `start` / `finish` events
 //!   ([`Trace::task_intervals`]), not a second record.
-//! * [`analytics`] — post-processing: schedule critical-path extraction
+//! * `analytics` — post-processing: schedule critical-path extraction
 //!   (dependence-bound vs core-busy links), socket × socket and
 //!   per-distance traffic matrices, per-task locality histograms, and
 //!   queue-depth timelines.
-//! * [`compare`] — the two-policy comparison ([`Trace::compare`]): given
+//! * `compare` — the two-policy comparison ([`Trace::compare`]): given
 //!   the same workload traced under two policies, rank the tasks and data
 //!   flows where one loses time to the other — the tool for localizing the
 //!   per-app Figure 1 divergences.
@@ -35,10 +35,10 @@
 
 #![warn(missing_docs)]
 
-pub mod analytics;
-pub mod compare;
-pub mod event;
-pub mod trace;
+mod analytics;
+mod compare;
+mod event;
+mod trace;
 
 pub use analytics::{
     CpBound, CpLink, CriticalPath, LocalityHistogram, QueueSample, QueueTimeline, TrafficMatrix,

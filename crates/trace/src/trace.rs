@@ -17,7 +17,7 @@ use crate::event::TraceEvent;
 /// Traces are built from the events an execution of `numadag-runtime`
 /// returns when its configuration asks for them, and by the sweep plan for
 /// every cell of a traced `Experiment`. The analytics
-/// layer ([`crate::analytics`], [`crate::compare`]) works on this type.
+/// layer (`crate::analytics`, `crate::compare`) works on this type.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Workload label (application name or spec name).
@@ -56,14 +56,14 @@ pub struct TaskInterval {
     pub core: CoreId,
     /// Socket the policy originally assigned (equals `socket` unless the
     /// task was stolen).
-    pub assigned: SocketId,
+    pub(crate) assigned: SocketId,
     /// True if the task was stolen.
-    pub stolen: bool,
+    pub(crate) stolen: bool,
 }
 
 impl TaskInterval {
     /// Execution duration (ns).
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.end - self.start
     }
 }

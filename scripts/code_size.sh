@@ -7,8 +7,11 @@
 # crates/*; `vendor` sums serde, serde_derive and serde_json.
 #
 # For each crate, `outside` counts those `pub fn`s whose name appears as a
-# word in a file outside the crate's src/: another crate, the facade's
-# src/, tests/, crates/*/tests, examples/ or benchmark/.
+# word in a file outside the crate's library: another crate, the crate's
+# own src/bin/ (each binary is a crate of its own), the facade's src/,
+# tests/, crates/*/tests, examples/ or benchmark/. The script exits 1 when
+# a crate has a `pub fn` that nothing outside it names: such a function is
+# `pub(crate)` or dead.
 #
 #   scripts/code_size.sh
 set -eu
@@ -40,7 +43,7 @@ count() {
 # How many `pub fn`s of the crate in $1 are named outside it.
 outside() {
     {
-        find crates -path 'crates/*/src/*' -name '*.rs' ! -path "$1/src/*"
+        find crates -path 'crates/*/src/*' -name '*.rs' \( ! -path "$1/src/*" -o -path "$1/src/bin/*" \)
         find src tests crates/*/tests examples benchmark/src benchmark/tests -name '*.rs'
     } | xargs cat | tr -cs 'A-Za-z0-9_' '\n' >"$words"
     region "$1" | awk -v words="$words" '
@@ -69,6 +72,7 @@ table() {
         if [ "$column" = outside ]; then
             named=$(outside "$dir")
             sum_outside=$((sum_outside + named))
+            [ "$named" -eq "$2" ] || unnamed="$unnamed $(basename "$dir")"
             printf '%-12s %7d %7d %7d\n' "$(basename "$dir")" "$1" "$2" "$named"
         else
             printf '%-12s %7d %7d\n' "$(basename "$dir")" "$1" "$2"
@@ -85,7 +89,13 @@ table() {
 
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
+unnamed=
 
 printf '%-12s %7s %7s %7s\n' crate lines 'pub fn' outside
 table total outside crates/*/
 table vendor - vendor/serde/ vendor/serde_derive/ vendor/serde_json/
+
+if [ -n "$unnamed" ]; then
+    echo "pub fn that nothing outside its crate names, in:$unnamed" >&2
+    exit 1
+fi

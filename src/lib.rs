@@ -195,8 +195,8 @@ pub use numadag_trace as trace;
 /// The most common imports for users of the library.
 pub mod prelude {
     pub use numadag_core::{
-        make_policy, DfifoPolicy, EpPolicy, LasPolicy, ParsePolicyError, PartitionScheme,
-        PartitionTuning, PolicyKind, Propagation, RgpPolicy, RgpTuning, SchedulingPolicy,
+        make_policy, DfifoPolicy, LasPolicy, ParsePolicyError, PartitionScheme, PartitionTuning,
+        PolicyKind, Propagation, RgpPolicy, RgpTuning, SchedulingPolicy,
     };
     pub use numadag_kernels::{Application, DenseStore, ProblemScale, SpecCache};
     pub use numadag_numa::{CostModel, MemoryMap, NodeId, SocketId, Topology};

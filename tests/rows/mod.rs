@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use numadag::prelude::*;
 
-pub const TINY: &str = include_str!("../../BENCH_figure1_tiny.json");
+pub(crate) const TINY: &str = include_str!("../../BENCH_figure1_tiny.json");
 const SMALL: &str = include_str!("../../BENCH_figure1_small.json");
-pub const FULL: &str = include_str!("../../BENCH_figure1_full.json");
+pub(crate) const FULL: &str = include_str!("../../BENCH_figure1_full.json");
 
 /// The sweep of the Full baseline.
-pub const FULL_ARGS: &str = "--scale full --policies dfifo,rgp-las,rgp-las:prop=repart,ep";
+pub(crate) const FULL_ARGS: &str = "--scale full --policies dfifo,rgp-las,rgp-las:prop=repart,ep";
 
 /// The committed report of a sweep at `scale`. The Small file is `figure1
 /// --json-timing` output: the `--json` report with a trailing `timing`
@@ -32,14 +32,14 @@ fn baseline(scale: &str) -> String {
 }
 
 /// Fails `row` unless `report` is the committed `baseline`, byte for byte.
-pub fn assert_reproduces(row: &str, report: &str, baseline: &str) {
+pub(crate) fn assert_reproduces(row: &str, report: &str, baseline: &str) {
     assert!(report == baseline, "{row} moved the committed baseline");
 }
 
 /// The sweep and worker count of a `figure1` / `serve-client submit` command
 /// line: each flag and its value through `SweepSpec::set_flag`, `--jobs` as
 /// `figure1` reads it.
-pub fn parse(args: &str) -> (SweepSpec, usize) {
+pub(crate) fn parse(args: &str) -> (SweepSpec, usize) {
     let (mut spec, mut jobs) = (SweepSpec::default(), 1);
     let words: Vec<&str> = args.split_whitespace().collect();
     for pair in words.chunks(2) {
@@ -59,7 +59,10 @@ pub fn parse(args: &str) -> (SweepSpec, usize) {
 /// Runs `figure1 <args>` over a fresh spec cache, so the graphs, and their
 /// window-plan counters, are the row's own; returns the plan, the report
 /// and the committed report it must reproduce.
-pub fn figure1(args: &str, trace: Option<Arc<TraceCollector>>) -> (SweepPlan, SweepReport, String) {
+pub(crate) fn figure1(
+    args: &str,
+    trace: Option<Arc<TraceCollector>>,
+) -> (SweepPlan, SweepReport, String) {
     let (spec, jobs) = parse(args);
     let mut experiment = spec
         .resolve()

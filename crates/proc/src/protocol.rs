@@ -1148,12 +1148,26 @@ mod tests {
         }
     }
 
+    /// Every application's recipe, at Tiny and Small, reaches a worker as a
+    /// line it builds the advertised spec from: each label and scale reads
+    /// back through `FromStr`.
     #[test]
     fn every_application_round_trips_at_tiny_and_small() {
-        use numadag_kernels::{Application, ProblemScale};
         for scale in [ProblemScale::Tiny, ProblemScale::Small] {
             for app in Application::all() {
-                assert_spec_round_trips(&app.build(scale, 8));
+                let fp = app.build(scale, 8).fingerprint();
+                let line = to_line(&ToWorker::recipe(fp, (app, scale, 8)));
+                let Ok(ToWorker::Recipe {
+                    fp: sent,
+                    app: label,
+                    scale: size,
+                    sockets,
+                }) = from_line(&line)
+                else {
+                    panic!("{line}");
+                };
+                let built = build_recipe(sent, &label, &size, sockets);
+                assert_eq!(built.map(|spec| spec.fingerprint()), Ok(fp), "{line}");
             }
         }
     }
@@ -1696,20 +1710,21 @@ mod tests {
         assert!(judged.iter().all(|&n| n > 50), "{judged:?}");
     }
 
+    /// A line cut short is not JSON, whatever it was: a worker ends the
+    /// conversation instead of holding a refusal for an `assign` that may
+    /// never come.
     #[test]
     fn a_line_cut_anywhere_is_an_error_never_a_panic() {
-        use numadag_kernels::{Application, ProblemScale};
-        let line = Application::all()
-            .iter()
-            .map(|app| encode_spec(&app.build(ProblemScale::Tiny, 8)))
-            .min_by_key(String::len)
-            .unwrap();
-        assert!(decode_spec(&line).is_ok());
-        for cut in 0..line.len() {
-            assert!(
-                matches!(decode_spec(&line[..cut]), Err(DecodeError::Syntax(_))),
-                "cut at {cut}"
-            );
+        for line in TO_WORKER_LINES {
+            for cut in 0..line.len() {
+                assert!(
+                    matches!(
+                        from_line::<ToWorker>(&line[..cut]),
+                        Err(DecodeError::Syntax(_))
+                    ),
+                    "{line} cut at {cut}"
+                );
+            }
         }
     }
 }

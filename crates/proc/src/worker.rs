@@ -220,12 +220,10 @@ mod tests {
     use std::net::TcpListener;
     use std::time::Duration;
 
+    use numadag_kernels::{Application, ProblemScale};
     use numadag_numa::Topology;
     use numadag_runtime::framing::{from_line, to_line, write_line};
     use numadag_runtime::ExecutionConfig;
-    use numadag_tdg::{TaskSpec, TdgBuilder};
-
-    use crate::protocol::encode_spec;
 
     /// The coordinator's end of a loopback conversation with `run_worker`.
     struct Coordinator {
@@ -288,75 +286,39 @@ mod tests {
         (coordinator, worker)
     }
 
-    /// A two-task workload and the `assign` of cell 3 (LAS, seed 5) on it.
-    fn loopback_cell() -> (TaskGraphSpec, Assignment) {
-        let mut builder = TdgBuilder::new();
-        let region = builder.region(1 << 16);
-        builder.submit(TaskSpec::new("init").work(50.0).writes(region, 1 << 16));
-        builder.submit(TaskSpec::new("use").work(20.0).reads(region, 1 << 16));
-        let spec = TaskGraphSpec::new("loopback", builder.finish());
+    /// Jacobi at Tiny scale for two sockets, the `recipe` line that ships
+    /// it, and the `assign` of cell 3 (LAS, seed 5) on it.
+    fn loopback_cell() -> (TaskGraphSpec, String, Assignment) {
+        recipe_cell(Application::Jacobi, 3)
+    }
+
+    /// `app` at Tiny scale for two sockets, the `recipe` line that ships
+    /// it, and the `assign` of cell `cell` (LAS, seed 5) on it.
+    fn recipe_cell(app: Application, cell: u64) -> (TaskGraphSpec, String, Assignment) {
+        let spec = app.build(ProblemScale::Tiny, 2);
+        let fp = spec.fingerprint();
+        let line = to_line(&ToWorker::recipe(fp, (app, ProblemScale::Tiny, 2)));
         let assign = Assignment {
-            cell: 3,
-            fp: spec.fingerprint(),
+            cell,
+            fp,
             policy: "las".to_string(),
             policy_seed: 5,
         };
-        (spec, assign)
+        (spec, line, assign)
     }
 
-    #[test]
-    fn a_refused_spec_is_answered_once_by_the_assign_behind_it() {
-        let (mut coordinator, worker) = loopback();
-        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
-        let (spec, assign) = loopback_cell();
-        let line = encode_spec(&spec);
-
-        // What the pool writes for a cell whose spec this worker lacks:
-        // `spec`, then `assign`, then it reads until `done` or `error`.
-        let poison = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
-        assert_ne!(poison, line);
-        write_line(&mut coordinator.writer, poison).unwrap();
-        coordinator.send(&ToWorker::Assign(assign.clone()));
-        coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
-        // One reply, not two: a second `error` would be read here, as it
-        // would be by the next cell dispatched on this worker's slot.
-        coordinator.send(&ToWorker::Barrier { epoch: 9 });
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::BarrierAck { epoch: 9 }
-        ));
-
-        // The slot is usable: the intact spec and the same cell run.
-        write_line(&mut coordinator.writer, line).unwrap();
-        coordinator.send(&ToWorker::Assign(assign));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::Done { cell: 3, .. }
-        ));
-
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
-    }
-
-    /// A spec written ahead is refused while the worker runs cells over a
+    /// A recipe written ahead is refused while the worker runs cells over a
     /// spec it holds: the refusal waits for the `assign` it belongs to.
     #[test]
     fn a_refused_spec_written_ahead_answers_its_own_assign_not_the_next_one() {
         let (mut coordinator, worker) = loopback();
         coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
-        let (held, held_assign) = loopback_cell();
-        write_line(&mut coordinator.writer, encode_spec(&held)).unwrap();
+        let (_, held, held_assign) = loopback_cell();
+        write_line(&mut coordinator.writer, held).unwrap();
 
-        // The next workload's spec, ahead of its cells and refused.
-        let mut builder = TdgBuilder::new();
-        let region = builder.region(64);
-        builder.submit(TaskSpec::new("next").work(5.0).writes(region, 64));
-        let next = TaskGraphSpec::new("next", builder.finish());
-        let line = encode_spec(&next);
-        let poison = line.replacen("\"ep\":null", "\"ep\":[0,1]", 1);
+        // The next workload's recipe, ahead of its cells and refused.
+        let (_, line, next_assign) = recipe_cell(Application::NStream, 4);
+        let poison = line.replacen("\"sockets\":2", "\"sockets\":4", 1);
         assert_ne!(poison, line);
         write_line(&mut coordinator.writer, poison).unwrap();
 
@@ -366,14 +328,9 @@ mod tests {
             coordinator.reply(),
             ToCoordinator::Done { cell: 3, .. }
         ));
-        // The first cell over the refused spec hears why.
-        coordinator.send(&ToWorker::Assign(Assignment {
-            cell: 4,
-            fp: next.fingerprint(),
-            policy: "las".to_string(),
-            policy_seed: 5,
-        }));
-        coordinator.expect_error("bad spec: ", "spec.ep has 2 entries for 1 tasks");
+        // The first cell over the refused recipe hears why.
+        coordinator.send(&ToWorker::Assign(next_assign));
+        coordinator.expect_error("bad recipe: ", "recipe fingerprint mismatch");
 
         coordinator.send(&ToWorker::Shutdown);
         worker
@@ -387,22 +344,10 @@ mod tests {
     /// builds a good recipe and runs a cell over it.
     #[test]
     fn a_refused_recipe_answers_the_assign_behind_it_and_the_worker_keeps_serving() {
-        use numadag_kernels::{Application, ProblemScale};
         let (mut coordinator, worker) = loopback();
         let config = ExecutionConfig::new(Topology::two_socket(2));
         coordinator.configure(1, &config);
-        let spec = Application::Jacobi.build(ProblemScale::Tiny, 2);
-        let fp = spec.fingerprint();
-        let good = to_line(&ToWorker::recipe(
-            fp,
-            (Application::Jacobi, ProblemScale::Tiny, 2),
-        ));
-        let assign = Assignment {
-            cell: 8,
-            fp,
-            policy: "las".to_string(),
-            policy_seed: 5,
-        };
+        let (spec, good, assign) = recipe_cell(Application::Jacobi, 8);
         for (from, to, complaint) in [
             (
                 "\"app\":\"Jacobi\"",
@@ -453,94 +398,16 @@ mod tests {
         write_line(&mut coordinator.writer, good).unwrap();
         coordinator.send(&ToWorker::Assign(assign));
         let ToCoordinator::Done {
-            cell: 8, report, ..
-        } = coordinator.reply()
-        else {
-            panic!("expected done for cell 8");
-        };
-        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
-        let want = Simulator::new(config).run(&spec, policy.as_mut());
-        assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
-        assert_eq!(report.traffic, want.traffic);
-
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
-    }
-
-    #[test]
-    fn a_spec_line_that_is_not_json_ends_the_conversation() {
-        let (mut coordinator, worker) = loopback();
-        let (spec, _) = loopback_cell();
-        // Cut in the middle of a column: up to the cut it reads as a spec,
-        // and no `assign` follows it — the complaint cannot be held back.
-        let line = encode_spec(&spec);
-        let cut = line.find("\"n_acc\"").unwrap() + 10;
-        write_line(&mut coordinator.writer, line[..cut].to_string()).unwrap();
-        coordinator.expect_error("bad frame: ", "at byte");
-        let left = worker.join().expect("the worker never panicked");
-        assert!(left.unwrap_err().contains("invalid JSON"));
-    }
-
-    #[test]
-    fn a_poison_spec_is_refused_and_the_worker_keeps_serving() {
-        let (mut coordinator, worker) = loopback();
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-
-        // A distance that only fits a u32 after truncation (2^32 + 10) used
-        // to be cast to 10 silently; so did anything else `as` would take.
-        let line = to_line(&ToWorker::configure(1, &config));
-        let truncating = line.replacen("\"distances\":[10,", "\"distances\":[4294967306,", 1);
-        assert_ne!(truncating, line);
-        write_line(&mut coordinator.writer, truncating).unwrap();
-        coordinator.expect_error("bad config: ", "4294967306 does not fit in a u32");
-        // The refusals of a well-typed config are structured errors too: the
-        // last version and the next.
-        for version in [5, 7] {
-            let other = line.replacen("\"version\":6", &format!("\"version\":{version}"), 1);
-            assert_ne!(other, line);
-            write_line(&mut coordinator.writer, other).unwrap();
-            coordinator.expect_error("bad config: ", "not the supported protocol version 6");
-        }
-        write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
-        coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
-
-        coordinator.configure(1, &config);
-
-        let (spec, assign) = loopback_cell();
-        let line = encode_spec(&spec);
-
-        // Either of these once reached an `assert!` in
-        // `TaskGraph::push_task` / `with_ep_placement`, and the panic looked
-        // like a lost worker to the coordinator. The refusal is the reply to
-        // the `assign` behind the spec.
-        let self_dependence = line.replacen("\"dep\":[0,", "\"dep\":[1,", 1);
-        assert_ne!(self_dependence, line);
-        write_line(&mut coordinator.writer, self_dependence).unwrap();
-        coordinator.send(&ToWorker::Assign(assign.clone()));
-        coordinator.expect_error("bad spec: ", "task T1 depends on task T1");
-        let short_placement = line.replacen("\"ep\":null", "\"ep\":[0]", 1);
-        assert_ne!(short_placement, line);
-        write_line(&mut coordinator.writer, short_placement).unwrap();
-        coordinator.send(&ToWorker::Assign(assign.clone()));
-        coordinator.expect_error("bad spec: ", "spec.ep has 1 entries for 2 tasks");
-
-        // The same worker still takes the intact spec and runs a cell on it.
-        write_line(&mut coordinator.writer, line).unwrap();
-        coordinator.send(&ToWorker::Assign(assign));
-        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
-        let want = Simulator::new(config).run(&spec, policy.as_mut());
-        let ToCoordinator::Done {
-            cell: 3,
+            cell: 8,
             report,
             events,
         } = coordinator.reply()
         else {
-            panic!("expected done for cell 3");
+            panic!("expected done for cell 8");
         };
         assert!(events.is_empty(), "the config did not ask for events");
+        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
+        let want = Simulator::new(config).run(&spec, policy.as_mut());
         assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
         assert_eq!(report.traffic, want.traffic);
         assert_eq!(report.deferred_bytes, want.deferred_bytes);
@@ -553,62 +420,26 @@ mod tests {
             .expect("the worker left cleanly");
     }
 
-    /// Spec lines written by hand, each carrying the fingerprint of its
-    /// content, which the decoder used to accept: a 128-byte access to a
-    /// 10-byte region (the worker then panicked running the cell) and
-    /// negative work (the worker ran it). Each is refused in
-    /// `TaskGraph::push_task`'s words, and the next good cell still runs.
     #[test]
-    fn a_spec_the_task_graph_refuses_is_answered_in_its_words_and_the_worker_keeps_serving() {
-        const OVERSIZE: &str = r#"{"spec":{"fp":4324398964307539408,"name":"oversize","kinds":["w"],"kind":[0],"work":[1],"n_acc":[1],"n_dep":[0],"acc":[0,1,128],"dep":[],"regions":[10],"ep":null}}"#;
-        const NEGATIVE: &str = r#"{"spec":{"fp":16165298983474671967,"name":"negative","kinds":["w"],"kind":[0],"work":[-1000000000],"n_acc":[1],"n_dep":[0],"acc":[0,1,64],"dep":[],"regions":[64],"ep":null}}"#;
+    fn a_spec_line_that_is_not_json_ends_the_conversation() {
         let (mut coordinator, worker) = loopback();
-        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
-        for (line, fp, complaint) in [
-            (
-                OVERSIZE,
-                4_324_398_964_307_539_408,
-                "bad spec: task T0 accesses 128 bytes of region R0 which only has 10",
-            ),
-            (
-                NEGATIVE,
-                16_165_298_983_474_671_967,
-                "bad spec: task T0 has work -1000000000, which is not a finite non-negative number",
-            ),
-        ] {
-            write_line(&mut coordinator.writer, line.to_string()).unwrap();
-            coordinator.send(&ToWorker::Assign(Assignment {
-                cell: 4,
-                fp,
-                policy: "las".to_string(),
-                policy_seed: 5,
-            }));
-            let ToCoordinator::Error { message } = coordinator.reply() else {
-                panic!("expected an error reply to {line}");
-            };
-            assert_eq!(message, complaint);
-        }
-
-        let (spec, assign) = loopback_cell();
-        write_line(&mut coordinator.writer, encode_spec(&spec)).unwrap();
-        coordinator.send(&ToWorker::Assign(assign));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::Done { cell: 3, .. }
-        ));
-
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
+        // A recipe cut in the middle: no `assign` follows it, and the
+        // complaint cannot be held back.
+        let (_, line, _) = loopback_cell();
+        let cut = line.find("\"scale\"").unwrap() + 3;
+        write_line(&mut coordinator.writer, line[..cut].to_string()).unwrap();
+        coordinator.expect_error("bad frame: ", "at byte");
+        let left = worker.join().expect("the worker never panicked");
+        assert!(left.unwrap_err().contains("invalid JSON"));
     }
 
     /// Each of these `config` lines is well-formed JSON naming a machine
     /// `Topology::new` / `DistanceMatrix::from_rows` would panic on, or one
     /// the simulator would allocate per core for without bound; each used to
     /// panic (or exhaust) the worker, and the coordinator read EOF where the
-    /// reply should have been.
+    /// reply should have been. So is a distance that only fits a `u32` after
+    /// truncation (2^32 + 10), once cast to 10 silently, and another
+    /// protocol version.
     #[test]
     fn a_config_naming_an_impossible_machine_is_refused_and_the_worker_keeps_serving() {
         let (mut coordinator, worker) = loopback();
@@ -640,17 +471,35 @@ mod tests {
                 "\"cores\":1099511627776",
                 "the simulator supports at most 65536 cores",
             ),
+            (
+                "\"distances\":[10,",
+                "\"distances\":[4294967306,",
+                "4294967306 does not fit in a u32",
+            ),
+            // The last version and the next.
+            (
+                "\"version\":6",
+                "\"version\":5",
+                "not the supported protocol version 6",
+            ),
+            (
+                "\"version\":6",
+                "\"version\":7",
+                "not the supported protocol version 6",
+            ),
         ] {
             let bad = line.replacen(from, to, 1);
             assert_ne!(bad, line);
             write_line(&mut coordinator.writer, bad).unwrap();
             coordinator.expect_error("bad config: ", complaint);
         }
+        write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
+        coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 
         // The same worker takes the intact config and runs a cell under it.
         coordinator.configure(1, &config);
-        let (spec, assign) = loopback_cell();
-        write_line(&mut coordinator.writer, encode_spec(&spec)).unwrap();
+        let (_, recipe, assign) = loopback_cell();
+        write_line(&mut coordinator.writer, recipe).unwrap();
         coordinator.send(&ToWorker::Assign(assign));
         assert!(matches!(
             coordinator.reply(),

@@ -33,10 +33,28 @@ fn relayed_pool(workers: usize, relay: Relay) -> Arc<WorkerPool> {
 /// (120 s), which a worker lost without a word would take.
 const PROMPT: Duration = Duration::from_secs(10);
 
-fn sample_spec() -> TaskGraphSpec {
-    named_spec("proc-e2e")
+/// A paper kernel at Tiny scale for two sockets, and the recipe a worker
+/// builds it from.
+fn kernel(app: Application) -> (TaskGraphSpec, SpecKey) {
+    let recipe = (app, ProblemScale::Tiny, 2);
+    (app.build(ProblemScale::Tiny, 2), recipe)
 }
 
+fn sample_kernel() -> (TaskGraphSpec, SpecKey) {
+    kernel(Application::Jacobi)
+}
+
+/// Three distinct kernels, for tests that spread workloads over workers.
+fn three_kernels() -> [(TaskGraphSpec, SpecKey); 3] {
+    [
+        Application::Jacobi,
+        Application::NStream,
+        Application::GaussSeidel,
+    ]
+    .map(kernel)
+}
+
+/// A custom workload: a graph no recipe builds.
 fn named_spec(name: &str) -> TaskGraphSpec {
     let mut b = TdgBuilder::new();
     let regions: Vec<_> = (0..6).map(|_| b.region(1 << 16)).collect();
@@ -54,15 +72,28 @@ fn named_spec(name: &str) -> TaskGraphSpec {
     TaskGraphSpec::new(name, b.finish())
 }
 
-/// A cell of policy `label` seeded `seed`, run on its own: outside any
-/// lane, over a spec without a recipe.
-fn cell(label: &str, seed: u64) -> CellContext<'_> {
+/// A cell of policy `label` seeded `seed` over the workload `recipe`
+/// builds, run on its own: outside any lane.
+fn cell(label: &str, seed: u64, recipe: SpecKey) -> CellContext<'_> {
     CellContext {
         policy_label: label,
         seed,
         lane: None,
-        recipe: None,
+        recipe: Some(recipe),
     }
+}
+
+/// Runs one cell of `label` seeded `seed` over `workload` on `pool`,
+/// reported under `policy_name`.
+fn run(
+    pool: &WorkerPool,
+    (spec, recipe): &(TaskGraphSpec, SpecKey),
+    label: &str,
+    seed: u64,
+    policy_name: &'static str,
+    wire: &WireConfig,
+) -> Result<ExecutionReport, ProcError> {
+    pool.run_cell(spec, &cell(label, seed, *recipe), policy_name, wire)
 }
 
 fn local_report(
@@ -98,7 +129,7 @@ fn assert_reports_identical(got: &ExecutionReport, want: &ExecutionReport) {
 #[test]
 fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
     let pool = test_pool(2);
-    let spec = sample_spec();
+    let workload = sample_kernel();
     let config = ExecutionConfig::new(Topology::bullion_s16());
     let wire = WireConfig::new(config.clone());
     for (label, seed) in [
@@ -108,10 +139,9 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         ("rgp+rr", 14),
     ] {
         let kind: PolicyKind = label.parse().expect("label parses");
-        let want = local_report(&spec, kind, seed, &config);
-        let got = pool
-            .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
-            .expect("cell executes");
+        let want = local_report(&workload.0, kind, seed, &config);
+        let got =
+            run(&pool, &workload, label, seed, kind.base_label(), &wire).expect("cell executes");
         assert!(got.events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
     }
@@ -135,7 +165,7 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
 #[test]
 fn every_config_knob_reaches_the_workers() {
     let pool = test_pool(2);
-    let spec = sample_spec();
+    let workload = sample_kernel();
     let base = || ExecutionConfig::new(Topology::four_socket(2));
     let far = Topology::new(
         "2-node cluster (2 sockets x 3 cores, far=120)",
@@ -176,9 +206,8 @@ fn every_config_knob_reaches_the_workers() {
             ("rgp+rr", 54),
         ] {
             let kind: PolicyKind = label.parse().expect("label parses");
-            let want = local_report(&spec, kind, seed, &config);
-            let got = pool
-                .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
+            let want = local_report(&workload.0, kind, seed, &config);
+            let got = run(&pool, &workload, label, seed, kind.base_label(), &wire)
                 .unwrap_or_else(|e| panic!("{row}, {label}: {e}"));
             assert_reports_identical(&got, &want);
             assert_eq!(got.events.is_empty(), !config.events, "{row}");
@@ -190,23 +219,18 @@ fn every_config_knob_reaches_the_workers() {
 #[test]
 fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
     let pool = test_pool(2);
-    let specs = [
-        named_spec("first"),
-        named_spec("second"),
-        named_spec("third"),
-    ];
+    let workloads = three_kernels();
     let config = ExecutionConfig::new(Topology::bullion_s16());
     let wire = WireConfig::new(config.clone());
     let kind: PolicyKind = "las".parse().unwrap();
     // Interleaved, the way no sweep orders its cells: affinity is by
     // content, not by what ran last.
     for round in 0..3 {
-        for spec in &specs {
+        for workload in &workloads {
             let seed = 30 + round;
-            let want = local_report(spec, kind, seed, &config);
-            let got = pool
-                .run_cell(spec, &cell("las", seed), kind.base_label(), &wire)
-                .expect("cell executes");
+            let want = local_report(&workload.0, kind, seed, &config);
+            let got =
+                run(&pool, workload, "las", seed, kind.base_label(), &wire).expect("cell executes");
             assert_reports_identical(&got, &want);
         }
     }
@@ -223,7 +247,7 @@ fn serial_cells_go_where_their_spec_is_and_specs_spread_over_workers() {
 fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
     let pool = test_pool(2);
     // Two specs, so that data-affine dispatch keeps both workers in play.
-    let specs = [named_spec("first"), named_spec("second")];
+    let workloads = [Application::Jacobi, Application::NStream].map(kernel);
     let kind: PolicyKind = "rgp+las".parse().unwrap();
     let seed = 0xF1617E;
     let untraced = ExecutionConfig::new(Topology::two_socket(4));
@@ -233,10 +257,9 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
         let wire = WireConfig::new(config.clone());
         // Each spec twice: a worker's second traced cell must not carry the
         // events of its first.
-        for spec in specs.iter().chain(&specs) {
-            let want = local_report(spec, kind, seed, config);
-            let got = pool
-                .run_cell(spec, &cell("rgp+las", seed), kind.base_label(), &wire)
+        for workload in workloads.iter().chain(&workloads) {
+            let want = local_report(&workload.0, kind, seed, config);
+            let got = run(&pool, workload, "rgp+las", seed, kind.base_label(), &wire)
                 .expect("cell executes");
             // Events come back for the traced epoch only.
             assert_reports_identical(&got, &want);
@@ -255,20 +278,21 @@ fn traced_and_untraced_cells_are_two_config_epochs_on_one_pool() {
 #[test]
 fn executor_trait_ships_cells_and_forwards_events() {
     let pool = test_pool(2);
-    let spec = sample_spec();
+    let (spec, recipe) = sample_kernel();
     let kind: PolicyKind = "las".parse().unwrap();
     let seed = 21;
 
     let config = ExecutionConfig::new(Topology::four_socket(2)).with_events();
-    let executor = ProcExecutor::with_pool(config.clone(), pool);
+    let executor = ProcExecutor::with_pool(config.clone(), Arc::clone(&pool));
     assert_eq!(executor.backend_name(), "proc");
 
     let mut policy = make_policy(kind, &spec, seed).unwrap();
-    let report = executor.execute_cell(&spec, policy.as_mut(), Some(&cell("las", seed)));
+    let report = executor.execute_cell(&spec, policy.as_mut(), Some(&cell("las", seed, recipe)));
     let want = local_report(&spec, kind, seed, &config);
     assert!(!report.events.is_empty());
     assert_reports_identical(&report, &want);
     assert_eq!(executor.stats().expect("pool attached").workers_spawned, 2);
+    assert_eq!(pool.stats().cells_dispatched, 1, "the cell was shipped");
 }
 
 #[test]
@@ -276,14 +300,13 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     // Worker 0's link dies under its second assignment, mid-cell.
     let crash = Relay::new().on(0, Dir::ToWorker, "assign", 2, Action::Die);
     let pool = relayed_pool(2, crash);
-    let spec = sample_spec();
+    let workload = sample_kernel();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let kind: PolicyKind = "las".parse().unwrap();
-    let want = local_report(&spec, kind, 5, &config);
+    let want = local_report(&workload.0, kind, 5, &config);
     for _ in 0..6 {
-        let got = pool
-            .run_cell(&spec, &cell("las", 5), kind.base_label(), &wire)
+        let got = run(&pool, &workload, "las", 5, kind.base_label(), &wire)
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -297,29 +320,18 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
 }
 
-/// Runs three serial cells over each of `specs` in turn, as a sweep's lone
-/// lane would, each report held to the in-process one; returns the wall
-/// time they took.
-fn run_workloads(pool: &WorkerPool, specs: &[TaskGraphSpec]) -> Duration {
-    let workloads: Vec<_> = specs.iter().map(|spec| (spec.clone(), None)).collect();
-    run_recipes(pool, &workloads)
-}
-
-/// [`run_workloads`] over workloads that may have a recipe.
-fn run_recipes(pool: &WorkerPool, workloads: &[(TaskGraphSpec, Option<SpecKey>)]) -> Duration {
+/// Runs three serial cells over each of `workloads` in turn, as a sweep's
+/// lone lane would, each report held to the in-process one; returns the
+/// wall time they took.
+fn run_recipes(pool: &WorkerPool, workloads: &[(TaskGraphSpec, SpecKey)]) -> Duration {
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let started = Instant::now();
-    for (spec, recipe) in workloads {
+    for workload in workloads {
         for (label, seed) in [("las", 40u64), ("dfifo", 41), ("rgp+las", 42)] {
             let kind: PolicyKind = label.parse().unwrap();
-            let want = local_report(spec, kind, seed, &config);
-            let cell = CellContext {
-                recipe: *recipe,
-                ..cell(label, seed)
-            };
-            let got = pool
-                .run_cell(spec, &cell, kind.base_label(), &wire)
+            let want = local_report(&workload.0, kind, seed, &config);
+            let got = run(pool, workload, label, seed, kind.base_label(), &wire)
                 .expect("cells survive a lost worker via redispatch");
             assert_reports_identical(&got, &want);
         }
@@ -329,18 +341,17 @@ fn run_recipes(pool: &WorkerPool, workloads: &[(TaskGraphSpec, Option<SpecKey>)]
 
 #[test]
 fn a_spec_shipped_to_a_worker_that_dies_is_shipped_again_to_the_survivor() {
-    // Worker 1 dies under the first cell it is sent: the first over
-    // "second", which it was shipped with that cell.
+    // Worker 1 dies under the first cell it is sent: the first over the
+    // second kernel, whose recipe it was shipped with that cell.
     let crash = Relay::new().on(1, Dir::ToWorker, "assign", 1, Action::Die);
     let pool = relayed_pool(2, crash);
-    let specs = ["first", "second", "third"].map(named_spec);
-    run_workloads(&pool, &specs);
+    run_recipes(&pool, &three_kernels());
     let stats = pool.stats();
     assert_eq!(stats.workers_alive, 1, "the crashed worker is gone");
     assert_eq!(stats.redispatches, 1, "the lost cell was redispatched");
     assert_eq!(stats.cells_dispatched, 9, "no cell was lost or duplicated");
-    // "first" to worker 0; "second" to worker 1, then again, with its lost
-    // cell, to worker 0; "third" to worker 0.
+    // The first kernel to worker 0; the second to worker 1, then again,
+    // with its lost cell, to worker 0; the third to worker 0.
     assert_eq!(stats.spec_transfers, 4);
 }
 
@@ -372,11 +383,9 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     // The only worker dies on its first assignment.
     let crash = Relay::new().on(0, Dir::ToWorker, "assign", 1, Action::Die);
     let pool = relayed_pool(1, crash);
-    let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
-    let err = pool
-        .run_cell(&spec, &cell("las", 7), "LAS", &wire)
+    let err = run(&pool, &sample_kernel(), "las", 7, "LAS", &wire)
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -388,18 +397,17 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
 #[test]
 fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let pool = test_pool(2);
-    // EP needs an expert placement; this spec has none, so the worker
-    // answers with a structured `error` — which must NOT be retried (it
-    // would fail identically everywhere).
-    let spec = sample_spec();
+    // No policy is spelled `fifo`, so the worker answers with a structured
+    // `error` — which must NOT be retried (it would fail identically
+    // everywhere).
+    let workload = sample_kernel();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
-    let err = pool
-        .run_cell(&spec, &cell("ep", 8), "EP", &wire)
-        .expect_err("EP without a placement fails");
+    let err = run(&pool, &workload, "fifo", 8, "FIFO", &wire)
+        .expect_err("a policy no worker knows fails");
     match &err {
         ProcError::Worker { message, .. } => {
-            assert!(message.contains("unavailable"), "message: {message}");
+            assert!(message.starts_with("bad policy: "), "message: {message}");
         }
         other => panic!("expected a worker error, got {other}"),
     }
@@ -414,26 +422,23 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     );
     // The pool is still healthy: the next cell runs fine.
     let kind: PolicyKind = "las".parse().unwrap();
-    let want = local_report(&spec, kind, 9, &config);
-    let got = pool
-        .run_cell(&spec, &cell("las", 9), kind.base_label(), &wire)
-        .expect("pool still serves cells");
+    let want = local_report(&workload.0, kind, 9, &config);
+    let got =
+        run(&pool, &workload, "las", 9, kind.base_label(), &wire).expect("pool still serves cells");
     assert_reports_identical(&got, &want);
 }
 
 #[test]
 fn config_changes_resync_by_fingerprint() {
     let pool = test_pool(1);
-    let spec = sample_spec();
+    let workload = sample_kernel();
     let kind: PolicyKind = "las".parse().unwrap();
     let first = ExecutionConfig::new(Topology::two_socket(2));
     let second = ExecutionConfig::new(Topology::four_socket(2));
     for config in [&first, &second, &first] {
-        let want = local_report(&spec, kind, 3, config);
+        let want = local_report(&workload.0, kind, 3, config);
         let wire = WireConfig::new(config.clone());
-        let got = pool
-            .run_cell(&spec, &cell("las", 3), kind.base_label(), &wire)
-            .expect("cell executes");
+        let got = run(&pool, &workload, "las", 3, kind.base_label(), &wire).expect("cell executes");
         assert_reports_identical(&got, &want);
     }
     // Three cells, but the config changed between each, so every dispatch
@@ -443,38 +448,21 @@ fn config_changes_resync_by_fingerprint() {
     assert_eq!(stats.spec_transfers, 1);
 }
 
-/// Runs `cells` serial cells of `label` and `seed` over [`sample_spec`],
+/// Runs `cells` serial cells of `label` and `seed` over [`sample_kernel`],
 /// each report held to the in-process one; returns the wall time they took.
 fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duration {
-    let spec = sample_spec();
+    let workload = sample_kernel();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let wire = WireConfig::new(config.clone());
     let kind: PolicyKind = label.parse().unwrap();
-    let want = local_report(&spec, kind, seed, &config);
+    let want = local_report(&workload.0, kind, seed, &config);
     let started = Instant::now();
     for _ in 0..cells {
-        let got = pool
-            .run_cell(&spec, &cell(label, seed), kind.base_label(), &wire)
+        let got = run(pool, &workload, label, seed, kind.base_label(), &wire)
             .expect("the cell completes");
         assert_reports_identical(&got, &want);
     }
     started.elapsed()
-}
-
-#[test]
-fn a_spec_cut_mid_line_loses_only_that_worker() {
-    // Worker 1 is shipped "second" with its first cell, and its link dies
-    // halfway through that line.
-    let cut = Relay::new().on(1, Dir::ToWorker, "spec", 1, Action::Truncate);
-    let pool = relayed_pool(2, cut);
-    let took = run_workloads(&pool, &["first", "second"].map(named_spec));
-    assert!(took < PROMPT, "{took:?}");
-    let stats = pool.stats();
-    assert_eq!(stats.workers_alive, 1, "the cut worker is gone");
-    // That cell, and the spec with it, moved to worker 0.
-    assert_eq!(stats.redispatches, 1);
-    assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
-    assert_eq!(stats.spec_transfers, 3);
 }
 
 #[test]
@@ -483,10 +471,7 @@ fn a_recipe_cut_mid_line_loses_only_that_worker() {
     // link dies halfway through that line.
     let cut = Relay::new().on(1, Dir::ToWorker, "recipe", 1, Action::Truncate);
     let pool = relayed_pool(2, cut);
-    let workloads = [Application::Jacobi, Application::NStream].map(|app| {
-        let recipe = (app, ProblemScale::Tiny, 2);
-        (app.build(ProblemScale::Tiny, 2), Some(recipe))
-    });
+    let workloads = [Application::Jacobi, Application::NStream].map(kernel);
     let took = run_recipes(&pool, &workloads);
     assert!(took < PROMPT, "{took:?}");
     let stats = pool.stats();
@@ -546,8 +531,8 @@ fn a_sweep_keeps_both_workers_of_its_pool_busy() {
         };
         let sweep = |collector: &Arc<TraceCollector>| {
             let sweep = Experiment::new()
-                .workload(named_spec("first"))
-                .workload(named_spec("second"))
+                .apps([Application::Jacobi, Application::NStream])
+                .scale(ProblemScale::Tiny)
                 .policies([PolicyKind::Dfifo])
                 .parallelism(1);
             match traced {

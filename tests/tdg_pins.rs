@@ -1,6 +1,7 @@
 //! Pins of the two products of the task graph that neither the fingerprints
-//! nor the partition goldens see in full: the proc `spec` wire line of every
-//! application at every scale (24 rows), and the partitioner input of every
+//! nor the partition goldens see in full: the columnar spelling of every
+//! application's spec at every scale (24 rows, in the form the proc `spec`
+//! line had; see [`spec_line`]), and the partitioner input of every
 //! default-size window of the Full workloads — the CSR arrays, the window's
 //! task list and its cross edges (16 rows). A fingerprint notices a changed
 //! graph, a partition golden a changed cut; these notice one reordered
@@ -12,12 +13,12 @@
 //!
 //! A change that is *meant* to move them regenerates the table: the failure
 //! message prints it in paste-able form. Also run in release mode by CI.
-//! The spec lines are hashed with their fingerprint in the spelling of the
-//! capture (hex from 2^53 on; a plain integer since protocol version 5).
+
+use std::fmt::{Display, Write};
 
 use numadag::graph::CsrGraph;
 use numadag::kernels::{Application, ProblemScale};
-use numadag::proc::protocol::encode_spec;
+use numadag::runtime::framing::to_line;
 use numadag::tdg::{
     window_to_csr, DataAccess, Fnv1a, TaskGraph, TaskGraphSpec, TaskWindow, TdgError, WindowConfig,
     WindowGraph,
@@ -66,16 +67,64 @@ fn csr_hash(wg: &WindowGraph) -> u64 {
     h.0
 }
 
-/// `line` with its fingerprint, which must be `fp`, spelled as the lines
-/// were when the pins were captured: a quoted hex string from 2^53 on.
-fn captured_spelling(line: &str, fp: u64) -> String {
-    let head = "{\"spec\":{\"fp\":";
-    let (digits, rest) = line[head.len()..].split_once(',').unwrap();
-    assert_eq!(digits.parse(), Ok(fp), "{}", &line[..80]);
-    match fp < 1 << 53 {
-        true => line.to_string(),
-        false => format!("{head}\"{fp:x}\",{rest}"),
+/// `spec` as the proc protocol's `spec` message spelled it when the pins
+/// were captured: columns in task order — the kind table (`kinds`) and each
+/// task's index into it, `work`, the access and dependence counts, flat
+/// `region, mode, bytes` and `pred, bytes` runs — then `regions` and `ep`,
+/// the fingerprint a quoted hex string from 2^53 on. A fixture of this
+/// test: it pins graph content, and no wire carries it any more.
+fn spec_line(spec: &TaskGraphSpec) -> String {
+    fn column<T: Display>(out: &mut String, name: &str, entries: impl Iterator<Item = T>) {
+        let entries: Vec<String> = entries.map(|entry| entry.to_string()).collect();
+        write!(out, ",\"{name}\":[{}]", entries.join(",")).unwrap();
     }
+    let graph = &spec.graph;
+    let fp = spec.fingerprint();
+    let mut out = match fp < 1 << 53 {
+        true => format!("{{\"spec\":{{\"fp\":{fp}"),
+        false => format!("{{\"spec\":{{\"fp\":\"{fp:x}\""),
+    };
+    write!(out, ",\"name\":{}", to_line(&spec.name.to_string())).unwrap();
+    let (kinds, kind) = graph.kind_table();
+    column(
+        &mut out,
+        "kinds",
+        kinds.iter().map(|k| to_line(&k.to_string())),
+    );
+    column(&mut out, "kind", kind.iter());
+    column(&mut out, "work", graph.tasks().map(|task| task.work_units));
+    column(
+        &mut out,
+        "n_acc",
+        graph.tasks().map(|task| task.accesses.len()),
+    );
+    let deps = |task| graph.predecessors(task);
+    column(
+        &mut out,
+        "n_dep",
+        graph.task_ids().map(|task| deps(task).len()),
+    );
+    let accesses = graph
+        .tasks()
+        .flat_map(|task| task.accesses.iter().collect::<Vec<_>>());
+    column(
+        &mut out,
+        "acc",
+        accesses.flat_map(|a| [a.region.0 as u64, a.mode.code(), a.bytes]),
+    );
+    let runs = graph.task_ids().flat_map(|task| deps(task).iter());
+    column(
+        &mut out,
+        "dep",
+        runs.flat_map(|&(pred, bytes)| [pred.0 as u64, bytes]),
+    );
+    column(&mut out, "regions", graph.region_sizes().iter());
+    match spec.ep_placement() {
+        Some(placement) => column(&mut out, "ep", placement.iter()),
+        None => out.push_str(",\"ep\":null"),
+    }
+    out.push_str("}}");
+    out
 }
 
 #[test]
@@ -84,9 +133,8 @@ fn spec_lines_are_the_parents() {
     for scale in [ProblemScale::Tiny, ProblemScale::Small, ProblemScale::Full] {
         for app in Application::all() {
             let spec = app.build(scale, SOCKETS);
-            let line = captured_spelling(&encode_spec(&spec), spec.fingerprint());
             let mut h = Fnv1a::default();
-            h.write_bytes(line.as_bytes());
+            h.write_bytes(spec_line(&spec).as_bytes());
             actual.push((format!("{scale:?}/{}", app.label()), h.0));
         }
     }

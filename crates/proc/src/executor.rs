@@ -12,15 +12,20 @@ use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, Wor
 /// The multi-process backend: ships sweep cells to worker processes and
 /// re-labels the reports they send back.
 ///
-/// Workers run the deterministic in-process [`Simulator`] over the same
-/// spec, policy and seed, so a proc-backend report is byte-identical to a
-/// simulator report of the same cell — which is why the backend reports
-/// its measurements under the `"simulator"` label (see
+/// A worker runs only what it can build: a cell over a paper kernel ships
+/// as its recipe, and any other cell (a custom graph, or one without a
+/// [`CellContext`]) runs here, in the executor's own [`Simulator`].
+/// Workers run that same deterministic simulator over the same spec,
+/// policy and seed, so a proc-backend report is byte-identical to a
+/// simulator report of the same cell wherever it ran — which is why the
+/// backend reports its measurements under the `"simulator"` label (see
 /// `numadag_runtime::Backend::report_label`).
 pub struct ProcExecutor {
     config: WireConfig,
     workers: usize,
     pool: Mutex<Option<Arc<WorkerPool>>>,
+    /// Runs the cells no worker can build.
+    simulator: Simulator,
 }
 
 impl ProcExecutor {
@@ -28,6 +33,7 @@ impl ProcExecutor {
     /// (spawning `workers` worker processes on first use).
     pub(crate) fn new(config: ExecutionConfig, workers: usize) -> Self {
         ProcExecutor {
+            simulator: Simulator::new(config.clone()),
             config: WireConfig::new(config),
             workers,
             pool: Mutex::new(None),
@@ -39,6 +45,7 @@ impl ProcExecutor {
     pub fn with_pool(config: ExecutionConfig, pool: Arc<WorkerPool>) -> Self {
         let workers = pool.num_slots();
         ProcExecutor {
+            simulator: Simulator::new(config.clone()),
             config: WireConfig::new(config),
             workers,
             pool: Mutex::new(Some(pool)),
@@ -66,18 +73,6 @@ impl ProcExecutor {
         };
         guard.as_ref().map(|pool| pool.stats())
     }
-
-    /// The fallible twin of [`Executor::execute_cell`]: runs the cell on the
-    /// pool and returns structured [`ProcError`]s instead of panicking.
-    pub(crate) fn try_execute_cell(
-        &self,
-        spec: &TaskGraphSpec,
-        policy: &mut dyn SchedulingPolicy,
-        ctx: &CellContext<'_>,
-    ) -> Result<ExecutionReport, ProcError> {
-        self.pool()?
-            .run_cell(spec, ctx, policy.name(), &self.config)
-    }
 }
 
 impl Executor for ProcExecutor {
@@ -93,7 +88,7 @@ impl Executor for ProcExecutor {
     /// this runs the cell in-process through the same [`Simulator`] the
     /// workers use — identical results, no IPC.
     fn execute(&self, spec: &TaskGraphSpec, policy: &mut dyn SchedulingPolicy) -> ExecutionReport {
-        Simulator::new(self.config.config().clone()).run(spec, policy)
+        self.simulator.run(spec, policy)
     }
 
     /// One lane per live worker: a sweep's lanes keep every worker busy,
@@ -103,6 +98,9 @@ impl Executor for ProcExecutor {
         self.pool().map_or(1, |pool| pool.alive_workers() as usize)
     }
 
+    /// Ships the cell to the pool when its context has a recipe; runs it
+    /// like [`Executor::execute`] otherwise.
+    ///
     /// # Panics
     /// Panics with the [`ProcError`] rendered into the message when the pool
     /// cannot produce the cell (spawn failure, every worker dead, or a
@@ -113,12 +111,12 @@ impl Executor for ProcExecutor {
         policy: &mut dyn SchedulingPolicy,
         ctx: Option<&CellContext<'_>>,
     ) -> ExecutionReport {
-        match ctx {
+        match ctx.and_then(|ctx| ctx.recipe.map(|recipe| (ctx, recipe))) {
             None => self.execute(spec, policy),
-            Some(ctx) => match self.try_execute_cell(spec, policy, ctx) {
-                Ok(report) => report,
-                Err(e) => panic!("proc backend failed: {e}"),
-            },
+            Some((ctx, recipe)) => self
+                .pool()
+                .and_then(|pool| pool.run_cell(spec, recipe, ctx, policy.name(), &self.config))
+                .unwrap_or_else(|e| panic!("proc backend failed: {e}")),
         }
     }
 }

@@ -16,14 +16,13 @@
 //! Messages cover the whole lifecycle: `config`/`config_ack` (execution
 //! config sync, fingerprint-keyed; the config says whether cells are traced,
 //! so traced and untraced cells are two config epochs and a worker keeps one
-//! simulator per epoch), `recipe` or `spec` (workload transfer, shipped to a
-//! worker the first time a cell over it is dispatched there — dispatch
+//! simulator per epoch), `recipe` (workload transfer: the paper kernel the
+//! worker builds the spec from, checked against its fingerprint, shipped to
+//! a worker the first time a cell over it is dispatched there — dispatch
 //! prefers a worker that already holds it, then the worker of the cell's
-//! sweep lane — and referenced by fingerprint after: a paper kernel as the
-//! recipe the worker builds it from, checked against its fingerprint, a
-//! custom graph as its columns; never acknowledged — a worker that refuses
-//! one says so in its one reply to the first `assign` over a spec it
-//! lacks), `assign`/`done` (one sweep cell: `done`, carrying the whole
+//! sweep lane — and referenced by fingerprint after; never acknowledged — a
+//! worker that refuses one says so in its one reply to the first `assign`
+//! over a spec it lacks), `assign`/`done` (one sweep cell: `done`, carrying the whole
 //! report and the cell's trace events, is the one reply; there are no
 //! per-field notifications beside it to cross-check — they would be
 //! rendered from the same report in the same write, and what guards a
@@ -31,6 +30,9 @@
 //! tests), `barrier`/`barrier_ack` (oneCCL-style
 //! non-blocking collectives at startup and shutdown), `error` and
 //! `shutdown`.
+//!
+//! A worker runs only what it can build: a cell over a custom graph, which
+//! no recipe builds, runs in the coordinator's own simulator instead.
 //!
 //! Determinism: a worker rebuilds the policy from the `(label, seed)` in
 //! the assignment and runs the in-process [`numadag_runtime::Simulator`],

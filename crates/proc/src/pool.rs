@@ -38,12 +38,11 @@
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
 //! differs), spec transfer (only the first time this worker sees the spec:
-//! the kernel recipe that builds it when the cell carries one, else the
-//! spec's columns), `assign`, then the one `done` reply. Any framing
-//! failure or timeout on that conversation kills the worker and redispatches
-//! the cell to a live one; a structured `error` reply is deterministic
-//! (bad policy, bad spec) and propagates instead of retrying. Every write
-//! to a worker is bounded by [`CELL_TIMEOUT`].
+//! the kernel recipe the worker builds it from), `assign`, then the one
+//! `done` reply. Any framing failure or timeout on that conversation kills
+//! the worker and redispatches the cell to a live one; a structured `error`
+//! reply is deterministic (bad policy, bad recipe) and propagates instead
+//! of retrying. Every write to a worker is bounded by [`CELL_TIMEOUT`].
 
 use std::collections::HashSet;
 use std::io::BufReader;
@@ -53,13 +52,11 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use numadag_kernels::SpecKey;
-use numadag_runtime::framing::{
-    from_line, read_frame, to_line, write_frame, write_line, FrameError,
-};
+use numadag_runtime::framing::{from_line, read_frame, to_line, write_frame, FrameError};
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport};
 use numadag_tdg::{Fnv1a, TaskGraphSpec};
 
-use crate::protocol::{encode_spec, Assignment, ToCoordinator, ToWorker};
+use crate::protocol::{Assignment, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// Deadline for every worker of a new pool to connect and pass the startup
@@ -167,7 +164,7 @@ pub struct PoolStats {
     pub redispatches: u64,
     /// `config` messages sent (one per worker per distinct config).
     pub config_broadcasts: u64,
-    /// Workloads shipped, as `recipe` or `spec` (one per worker per
+    /// Workloads shipped as `recipe`s (one per worker per
     /// distinct workload).
     pub spec_transfers: u64,
     /// Collective barriers completed (startup + shutdown drains).
@@ -261,7 +258,7 @@ impl PoolState {
         self.counts.config_broadcasts += 1;
     }
 
-    /// A `recipe` or `spec` was written.
+    /// A `recipe` was written.
     fn shipped(&mut self) {
         self.counts.spec_transfers += 1;
     }
@@ -527,12 +524,12 @@ impl WorkerPool {
     /// on this side of the wire — labels never travel). The report's events
     /// are the cell's trace, empty unless `config` asks for them. A cell of sweep
     /// lane `i` prefers worker `i` (modulo the pool; see the module doc). A
-    /// worker that lacks the spec is shipped `cell.recipe` when there is
-    /// one, which must be what built `spec` (the worker refuses it
-    /// otherwise), and `spec` itself when there is none.
+    /// worker that lacks the spec is shipped `recipe`, which must be what
+    /// built `spec` (the worker refuses it otherwise).
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
+        recipe: SpecKey,
         cell: &CellContext<'_>,
         policy_name: &'static str,
         config: &WireConfig,
@@ -552,7 +549,7 @@ impl WorkerPool {
                 .book(fp, prefer)
                 .ok_or(ProcError::AllWorkersDead { cell: id })?;
             let mut conn = lock(&self.conns[at]);
-            match self.converse(at, &mut conn, &assignment, spec, cell.recipe, config) {
+            match self.converse(at, &mut conn, &assignment, recipe, config) {
                 End::Done(mut report) => {
                     self.state().answered(at);
                     report.workload = spec.name.clone();
@@ -570,15 +567,14 @@ impl WorkerPool {
     }
 
     /// One cell's conversation with the worker at `at`, on which the cell
-    /// is booked and whose `Conn` the caller holds, over `spec`, built by
-    /// `recipe` if it has one.
+    /// is booked and whose `Conn` the caller holds, over the spec `recipe`
+    /// builds.
     fn converse(
         &self,
         at: usize,
         conn: &mut Conn,
         assignment: &Assignment,
-        spec: &TaskGraphSpec,
-        recipe: Option<SpecKey>,
+        recipe: SpecKey,
         config: &WireConfig,
     ) -> End {
         // A worker lost while this cell waited for its `Conn` stays lost.
@@ -606,15 +602,11 @@ impl WorkerPool {
             }
         }
 
-        // Spec transfer: ship once per worker, reference by fingerprint
-        // after. A kernel's recipe, for the worker to build; a custom
-        // graph's columns.
+        // Spec transfer: ship the recipe once per worker, for the worker to
+        // build; reference the spec by fingerprint after.
         if self.state().book_spec(at, assignment.fp) {
-            let line = match recipe {
-                Some(recipe) => to_line(&ToWorker::recipe(assignment.fp, recipe)),
-                None => encode_spec(spec),
-            };
-            if write_line(&mut conn.writer, line).is_err() {
+            let recipe = ToWorker::recipe(assignment.fp, recipe);
+            if write_frame(&mut conn.writer, &recipe).is_err() {
                 return End::Lost;
             }
             self.state().shipped();
@@ -637,9 +629,9 @@ impl WorkerPool {
                 report.events = events;
                 End::Done(*report)
             }
-            // The complaint may be about this cell's spec, shipped and
-            // refused (`spec` and `recipe` are un-acked; a refusal answers
-            // the first `assign` over it): the worker does not hold it.
+            // The complaint may be about this cell's recipe, shipped and
+            // refused (`recipe` is un-acked; a refusal answers the first
+            // `assign` over it): the worker does not hold its spec.
             Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp)),
             _ => End::Lost,
         }

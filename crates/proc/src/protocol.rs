@@ -16,9 +16,9 @@
 //! * **Integers travel as plain JSON integers, exactly.** The codec writes
 //!   every integer type in exact decimal and reads it back into its own
 //!   type, so fingerprints, seeds and the `u128` distance ledger keep every
-//!   bit, in the small messages and in the bulk columns of `spec` alike.
+//!   bit.
 //!
-//! Every message but one is a variant of [`ToWorker`] or [`ToCoordinator`]:
+//! Every message is a variant of [`ToWorker`] or [`ToCoordinator`]:
 //! plain data whose `#[derive(Serialize, Deserialize)]` *is* the wire
 //! format, so the two directions cannot drift and both ends `match` on
 //! variants instead of string tags. The runtime types the messages carry
@@ -30,35 +30,25 @@
 //! beside the config (`events`, since protocol version 3), and its events
 //! come back inside that `done`.
 //!
-//! A workload reaches a worker in one of two forms, each un-acked: its
-//! refusal is the reply to the first `assign` over the spec.
-//!
-//! * **`recipe`**, for the paper's kernels: the application, scale and
-//!   socket count that build the spec, and its fingerprint. The worker
-//!   builds the spec itself (`build_recipe`) and refuses it unless the
-//!   built fingerprint is the advertised one, so a recipe is a few dozen
-//!   bytes where the eight Full specs' columns are 1.3 MB.
-//! * **`spec`**, for a custom graph, which has no recipe: the spec itself,
-//!   the only message whose size grows with the workload, in a columnar
-//!   layout — one flat array per field instead of one object per task.
-//!   [`encode_spec`] writes it by hand from the graph's own columns;
-//!   `decode_spec` reads it with a derived decoder and validates it before
-//!   it constructs anything. A worker peeks the envelope key
-//!   (`is_spec_line`) and decodes everything else as a [`ToWorker`].
+//! A workload reaches a worker as its **`recipe`**: the paper kernel's
+//! application, scale and socket count, and the fingerprint of the spec
+//! they build. The worker builds the spec itself (`build_recipe`) and
+//! refuses it unless the built fingerprint is the advertised one. A recipe
+//! is un-acked: its refusal is the reply to the first `assign` over the
+//! spec. A workload no recipe builds (a custom graph) never travels; the
+//! coordinator runs its cells itself.
 
 use numadag_kernels::{Application, ProblemScale, SpecKey};
-use numadag_runtime::framing::{from_line, DecodeError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
-use numadag_tdg::{AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId};
+use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
-use serde::{Deserialize, Reader, Serialize, Token};
+use serde::{Deserialize, Serialize};
 
 /// Protocol version, sent in every `config` message. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub(crate) const PROTOCOL_VERSION: u64 = 6;
+pub(crate) const PROTOCOL_VERSION: u64 = 7;
 
-/// Everything the coordinator sends except `spec` (which has its own codec:
-/// [`encode_spec`] / `decode_spec`). Externally tagged with snake-case
+/// Everything the coordinator sends. Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -149,7 +139,7 @@ pub enum ToCoordinator {
 pub struct Assignment {
     /// Coordinator-side cell id, echoed back in `done`.
     pub(crate) cell: u64,
-    /// Fingerprint of a spec previously shipped as `spec` or `recipe`.
+    /// Fingerprint of a spec previously shipped as a `recipe`.
     pub(crate) fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
@@ -226,350 +216,13 @@ pub(crate) fn simulator_for(
     Simulator::try_new(config)
 }
 
-/// Starts a column of the `spec` message: `,"name":[`.
-fn open_column(out: &mut String, name: &str) {
-    out.push_str(",\"");
-    out.push_str(name);
-    out.push_str("\":[");
-}
-
-/// Appends one `u64` entry and its separator to the open column.
-fn push_entry(out: &mut String, value: u64) {
-    let mut digits = [0; 39];
-    out.push_str(serde::ser::decimal(value.into(), &mut digits));
-    out.push(',');
-}
-
-/// A `work` value `{}` writes as a plain integer — integral, not negative
-/// (`-0.0` is written `-0`) and below 2^53 — as that integer, so that
-/// [`push_entry`] writes the same bytes without the float formatter.
-fn integral_work(work: f64) -> Option<u64> {
-    (work.is_sign_positive() && work.trunc() == work && work < (1u64 << 53) as f64)
-        .then_some(work as u64)
-}
-
-/// Ends the open column, turning the last entry's separator into the `]`.
-fn close_column(out: &mut String) {
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push(']');
-}
-
-fn push_json_str(out: &mut String, text: &str) {
-    out.push_str(&serde_json::to_string(&text).expect("strings are always encodable"));
-}
-
-/// Encodes the `spec` message — a complete [`TaskGraphSpec`], keyed by its
-/// fingerprint, shipped once per worker and referenced by `fp` afterwards —
-/// straight into its wire line (no trailing newline).
-///
-/// The layout is columnar: the distinct task kinds form a string table
-/// (`kinds`) and everything per task, per access and per dependence is a
-/// flat numeric array — `kind` (index into `kinds`), `work`, `n_acc` /
-/// `n_dep` (how many accesses / dependences each task owns), `acc`
-/// (`region, mode, bytes` runs in task order), `dep` (`pred, bytes` runs in
-/// task order), then `regions` and `ep` (`null` without an expert
-/// placement). Every `u64` is a plain integer; `work` is the shortest
-/// decimal that parses back to the same bits.
-pub fn encode_spec(spec: &TaskGraphSpec) -> String {
-    use std::fmt::Write as _;
-
-    let graph = &spec.graph;
-    let (kinds, kind) = graph.kind_table();
-    let accesses = graph.all_accesses();
-    // A little over 4 bytes per number on the eight paper applications.
-    let numbers = 4 * graph.num_tasks()
-        + 3 * accesses.len()
-        + 2 * graph.num_edges()
-        + graph.region_sizes().len()
-        + spec.ep_placement().map_or(0, <[usize]>::len);
-    let mut out = String::with_capacity(256 + 5 * numbers);
-
-    out.push_str("{\"spec\":{\"fp\":");
-    push_entry(&mut out, spec.fingerprint());
-    out.push_str("\"name\":");
-    push_json_str(&mut out, &spec.name);
-
-    // The graph's kind table is the string table: every kind once, in
-    // order of first appearance.
-    open_column(&mut out, "kinds");
-    for name in kinds {
-        push_json_str(&mut out, name);
-        out.push(',');
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "kind");
-    for &index in kind {
-        push_entry(&mut out, u64::from(index));
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "work");
-    for task in graph.tasks() {
-        // Work is finite: a graph holds no other.
-        match integral_work(task.work_units) {
-            Some(work) => push_entry(&mut out, work),
-            None => write!(out, "{},", task.work_units).expect("writing to a String cannot fail"),
-        }
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "n_acc");
-    for task in graph.tasks() {
-        push_entry(&mut out, task.accesses.len() as u64);
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "n_dep");
-    for task in graph.task_ids() {
-        push_entry(&mut out, graph.predecessors(task).len() as u64);
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "acc");
-    for access in accesses.iter() {
-        push_entry(&mut out, access.region.0 as u64);
-        push_entry(&mut out, access.mode.code());
-        push_entry(&mut out, access.bytes);
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "dep");
-    for task in graph.task_ids() {
-        for &(pred, bytes) in graph.predecessors(task) {
-            push_entry(&mut out, pred.0 as u64);
-            push_entry(&mut out, bytes);
-        }
-    }
-    close_column(&mut out);
-
-    open_column(&mut out, "regions");
-    for &bytes in graph.region_sizes() {
-        push_entry(&mut out, bytes);
-    }
-    close_column(&mut out);
-
-    match spec.ep_placement() {
-        Some(placement) => {
-            open_column(&mut out, "ep");
-            for &socket in placement {
-                push_entry(&mut out, socket as u64);
-            }
-            close_column(&mut out);
-        }
-        None => out.push_str(",\"ep\":null"),
-    }
-    out.push_str("}}");
-    out
-}
-
-/// The payload of a `spec` line, named as the wire names it (errors quote
-/// it: `spec.kind: ...`).
-#[derive(Deserialize)]
-#[allow(non_camel_case_types)]
-struct spec {
-    fp: u64,
-    name: String,
-    kinds: Vec<String>,
-    /// Which entry is `null` is said where the task is built, after the
-    /// checks on the tasks before it.
-    work: Vec<Option<f64>>,
-    kind: Vec<u64>,
-    n_acc: Vec<u64>,
-    n_dep: Vec<u64>,
-    acc: Vec<u64>,
-    dep: Vec<u64>,
-    regions: Vec<u64>,
-    /// `null` for a spec without an expert placement.
-    #[serde(with = "Placement")]
-    ep: Option<Vec<u64>>,
-}
-
-/// `ep`: `null`, or a column. Unlike an `Option` field it may not be absent.
-struct Placement(Option<Vec<u64>>);
-
-impl Deserialize for Placement {
-    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
-        match input.peek()? {
-            Token::Null => Ok(Placement(input.null().map(|()| None)?)),
-            _ => Vec::deserialize(input).map(|column| Placement(Some(column))),
-        }
-    }
-}
-
-/// The `spec` envelope: `{"spec": payload}`, one key.
-struct SpecLine(spec);
-
-impl Deserialize for SpecLine {
-    fn deserialize(input: &mut Reader<'_>) -> Result<Self, String> {
-        if input.begin_object()?.as_deref() != Some("spec") {
-            return Err("not a spec envelope".to_string());
-        }
-        let payload = spec::deserialize(input)?;
-        if input.next_key()?.is_some() {
-            return Err("a spec envelope has one key".to_string());
-        }
-        Ok(SpecLine(payload))
-    }
-}
-
-/// A per-task column: exactly one entry per task.
-fn per_task(name: &str, column: Vec<u64>, tasks: usize) -> Result<Vec<u64>, String> {
-    if column.len() != tasks {
-        return Err(format!(
-            "spec.{name} has {} entries for {tasks} tasks",
-            column.len()
-        ));
-    }
-    Ok(column)
-}
-
-/// Checks that a flattened run column holds exactly the `width`-number
-/// entries its per-task count column announces.
-fn check_runs(name: &str, run: &[u64], width: usize, counts: &[u64]) -> Result<(), String> {
-    let announced = counts
-        .iter()
-        .try_fold(0u64, |sum, &n| sum.checked_add(n))
-        .and_then(|entries| entries.checked_mul(width as u64));
-    if announced != Some(run.len() as u64) {
-        return Err(format!(
-            "spec.{name} has {} numbers, its per-task counts announce {}",
-            run.len(),
-            announced.map_or("an overflowing total".to_string(), |n| n.to_string()),
-        ));
-    }
-    Ok(())
-}
-
-/// True when `line` opens as the `spec` envelope does (`{"spec":`): the
-/// one message a worker hands to [`decode_spec`] instead of [`ToWorker`].
-pub(crate) fn is_spec_line(line: &str) -> bool {
-    matches!(Reader::new(line).begin_object(), Ok(Some(key)) if key == "spec")
-}
-
-/// Decodes a `spec` wire line into the advertised fingerprint and the
-/// rebuilt [`TaskGraphSpec`].
-///
-/// The decoder checks the wire's shape: column lengths against the task
-/// count and their own counts, kind indices against the string table,
-/// modes in `0..=2`, each task's dependences ascending (the order the
-/// encoder emits, so none repeats) and `work` entries that are numbers.
-/// Whether the tasks make a runnable graph is [`TaskGraph::push_task`]'s
-/// call, in its words. Last, the rebuilt spec's fingerprint must match the
-/// advertised one. A malformed line is an `Err`, never a worker panic.
-pub(crate) fn decode_spec(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
-    let SpecLine(columns) = from_line(line)?;
-    build_spec(columns).map_err(DecodeError::Refused)
-}
-
-/// The build half of [`decode_spec`].
-fn build_spec(columns: spec) -> Result<(u64, TaskGraphSpec), String> {
-    let spec {
-        fp,
-        name,
-        kinds,
-        work,
-        kind,
-        n_acc,
-        n_dep,
-        acc,
-        dep,
-        regions,
-        ep,
-    } = columns;
-    let tasks = work.len();
-    let kind = per_task("kind", kind, tasks)?;
-    let n_acc = per_task("n_acc", n_acc, tasks)?;
-    let n_dep = per_task("n_dep", n_dep, tasks)?;
-    check_runs("acc", &acc, 3, &n_acc)?;
-    check_runs("dep", &dep, 2, &n_dep)?;
-    let ep = match ep {
-        None => None,
-        Some(placement) => Some(per_task("ep", placement, tasks)?),
-    };
-
-    let mut graph = TaskGraph::new();
-    for size in regions {
-        graph.region(size);
-    }
-    let mut acc = acc.chunks_exact(3);
-    let mut dep = dep.chunks_exact(2);
-    let (mut accesses, mut deps) = (Vec::new(), Vec::new());
-    for index in 0..tasks {
-        let kind = kinds.get(kind[index] as usize).ok_or_else(|| {
-            format!(
-                "spec.kind[{index}] is {}, the kinds table has {} entries",
-                kind[index],
-                kinds.len()
-            )
-        })?;
-        let work_units =
-            work[index].ok_or_else(|| format!("spec.work[{index}] is not a number"))?;
-        accesses.clear();
-        for entry in acc.by_ref().take(n_acc[index] as usize) {
-            let (region, mode, bytes) = (entry[0], entry[1], entry[2]);
-            let mode = AccessMode::from_code(mode).ok_or_else(|| {
-                format!("task {index} has access mode {mode}, expected 0, 1 or 2")
-            })?;
-            accesses.push(DataAccess {
-                region: numadag_numa::RegionId(usize::try_from(region).unwrap_or(usize::MAX)),
-                mode,
-                bytes,
-            });
-        }
-        deps.clear();
-        for entry in dep.by_ref().take(n_dep[index] as usize) {
-            let (pred, bytes) = (entry[0], entry[1]);
-            if matches!(deps.last(), Some(&(TaskId(last), _)) if pred <= last as u64) {
-                return Err(format!(
-                    "task {index} lists its dependences out of order at task {pred}"
-                ));
-            }
-            deps.push((TaskId(usize::try_from(pred).unwrap_or(usize::MAX)), bytes));
-        }
-        graph
-            .push_task(kind, work_units, &accesses, &deps)
-            .map_err(|refused| refused.to_string())?;
-    }
-
-    let mut spec = TaskGraphSpec::new(name, graph);
-    if let Some(placement) = ep {
-        spec = spec
-            .with_ep_placement(placement.into_iter().map(|s| s as usize).collect())
-            .map_err(|refused| refused.to_string())?;
-    }
-    let rebuilt = spec.fingerprint();
-    if rebuilt != fp {
-        return Err(format!(
-            "spec fingerprint mismatch: advertised {:#x}, rebuilt {:#x}",
-            fp, rebuilt
-        ));
-    }
-    Ok((fp, spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use numadag_numa::Topology;
-    use numadag_runtime::framing::to_line;
+    use numadag_runtime::framing::{from_line, to_line, DecodeError};
     use serde::testing::assert_enum_rejects_malformed;
     use serde::Value;
-
-    // Shorthands for the malformed-`spec` table's hand-built payloads.
-    fn s(text: impl Into<String>) -> Value {
-        Value::String(text.into())
-    }
-
-    fn num(value: f64) -> Value {
-        Value::Number(value)
-    }
-
-    fn arr(values: Vec<Value>) -> Value {
-        Value::Array(values)
-    }
 
     /// One wire line per coordinator → worker message kind (`config` twice),
     /// as the hand-written `encode_*` functions this module had up to commit
@@ -577,12 +230,13 @@ mod tests {
     /// `events`, which `assign` lost together with `placements`), re-captured
     /// for version 4, where the executor configuration began to travel in
     /// its own derived form, re-spelled for version 5, where every integer
-    /// is a plain number (the second `config`'s seed is `u64::MAX`), and
+    /// is a plain number (the second `config`'s seed is `u64::MAX`),
     /// extended for version 6 by `recipe`: Symm. mat. inv. at Tiny scale on
-    /// eight sockets, whose fingerprint is above 2^63.
+    /// eight sockets, whose fingerprint is above 2^63, and re-versioned for
+    /// 7, where the `spec` message left the wire.
     const TO_WORKER_LINES: [&str; 6] = [
-        r#"{"config":{"version":6,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
-        r#"{"config":{"version":6,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
+        r#"{"config":{"version":7,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
+        r#"{"config":{"version":7,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
         r#"{"recipe":{"fp":10207178263391561073,"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}"#,
         r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
@@ -653,11 +307,11 @@ mod tests {
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 6);
+        assert_eq!(PROTOCOL_VERSION, 7);
     }
 
-    /// `-0.0` keeps its sign across the wire: in a `done` report, whose
-    /// writer printed it `0` once, and as `spec` work.
+    /// `-0.0` keeps its sign across the wire in a `done` report, whose
+    /// writer printed it `0` once.
     #[test]
     fn negative_zero_crosses_the_wire_bit_for_bit() {
         let done =
@@ -676,13 +330,6 @@ mod tests {
             .count(),
             1
         );
-
-        let mut graph = TaskGraph::new();
-        push(&mut graph, "w", -0.0, &[], &[]);
-        let spec = TaskGraphSpec::new("negative zero", graph);
-        let (_, decoded) = decode_spec(&encode_spec(&spec)).unwrap();
-        let work = decoded.graph.tasks().next().unwrap().work_units;
-        assert_eq!(work.to_bits(), (-0.0f64).to_bits());
     }
 
     /// Every golden line, its full-range integers (`u64::MAX` epochs and
@@ -698,315 +345,6 @@ mod tests {
         // One direction's messages are not the other's.
         assert!(serde_json::from_value::<ToWorker>(&parse(TO_COORDINATOR_LINES[0])).is_err());
         assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[5])).is_err());
-    }
-
-    fn push(
-        graph: &mut TaskGraph,
-        kind: &str,
-        work_units: f64,
-        accesses: &[(usize, AccessMode, u64)],
-        deps: &[(TaskId, u64)],
-    ) -> TaskId {
-        let accesses: Vec<DataAccess> = accesses
-            .iter()
-            .map(|&(region, mode, bytes)| DataAccess {
-                region: numadag_numa::RegionId(region),
-                mode,
-                bytes,
-            })
-            .collect();
-        graph.push_task(kind, work_units, &accesses, deps).unwrap()
-    }
-
-    /// A graph whose region table is `sizes`.
-    fn graph_over(sizes: &[u64]) -> TaskGraph {
-        let mut graph = TaskGraph::new();
-        for &size in sizes {
-            graph.region(size);
-        }
-        graph
-    }
-
-    /// Two writers and a reader of both: every column has an entry.
-    fn sample_spec() -> TaskGraphSpec {
-        let mut graph = graph_over(&[1 << 20, 4096]);
-        let a = push(
-            &mut graph,
-            "init",
-            3.5,
-            &[(0, AccessMode::Out, 1 << 20)],
-            &[],
-        );
-        let b = push(
-            &mut graph,
-            "init",
-            0.25,
-            &[(1, AccessMode::InOut, 4096)],
-            &[],
-        );
-        push(
-            &mut graph,
-            "use",
-            7.0,
-            &[(0, AccessMode::In, 1 << 20), (1, AccessMode::In, 4096)],
-            &[(a, 1 << 20), (b, 4096)],
-        );
-        TaskGraphSpec::new("wire-spec", graph)
-            .with_ep_placement(vec![1, 0, 1])
-            .unwrap()
-    }
-
-    // The decoder `decode_spec` replaced looked its columns up in the parsed
-    // tree. It is kept, with the `framing` accessors only it used, as the
-    // reference the line decoder is compared against.
-
-    fn field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v Value, String> {
-        value
-            .get(name)
-            .ok_or_else(|| format!("{variant} is missing field {name:?}"))
-    }
-
-    fn str_field(value: &Value, variant: &str, name: &str) -> Result<String, String> {
-        field(value, variant, name)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("{variant}.{name}: must be a string"))
-    }
-
-    fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
-        field(value, variant, name)?
-            .as_array()
-            .map(|v| v.as_slice())
-            .ok_or_else(|| format!("{variant}.{name}: must be an array"))
-    }
-
-    /// Whether `text` is a plain JSON integer of 16 or more digits. A tree's
-    /// numbers are `f64`s, exact only below 2^53, so such an integer is
-    /// quoted before a line becomes a tree ([`respell`]) and read back from
-    /// its digits.
-    fn long_integer(text: &str) -> bool {
-        text.len() >= 16 && !text.starts_with('0') && text.bytes().all(|b| b.is_ascii_digit())
-    }
-
-    /// `line` with every [`long_integer`] quoted, or (`bare`) unquoted: the
-    /// tree's spelling of a line, or the wire's of a tree written as a line.
-    fn respell(line: &str, bare: bool) -> String {
-        let mut out = String::with_capacity(line.len());
-        let mut rest = line;
-        while let Some(at) = rest.find(|c: char| c == '"' || c == '-' || c.is_ascii_digit()) {
-            out.push_str(&rest[..at]);
-            rest = &rest[at..];
-            let len = match rest.strip_prefix('"') {
-                // A string, through its closing quote.
-                Some(body) => {
-                    let mut escaped = false;
-                    let end = body.find(|c| {
-                        let end = c == '"' && !escaped;
-                        escaped = c == '\\' && !escaped;
-                        end
-                    });
-                    end.map_or(rest.len(), |end| end + 2)
-                }
-                None => rest
-                    .find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '+' | '-'))
-                    .unwrap_or(rest.len()),
-            };
-            let (token, tail) = rest.split_at(len);
-            let digits = token.trim_matches('"');
-            let key = tail.trim_start().starts_with(':');
-            match long_integer(digits) && !key {
-                true if bare => out.push_str(digits),
-                true => out.push_str(&format!("\"{digits}\"")),
-                false => out.push_str(token),
-            }
-            rest = tail;
-        }
-        out.push_str(rest);
-        out
-    }
-
-    /// `n` as a row's tree holds it exactly: a number below 2^53, else its
-    /// quoted digits.
-    fn exact(n: u64) -> Value {
-        match n < 1 << 53 {
-            true => num(n as f64),
-            false => s(n.to_string()),
-        }
-    }
-
-    fn wire_u64(value: &Value) -> Result<u64, String> {
-        match value {
-            Value::String(digits) if long_integer(digits) => digits
-                .parse()
-                .map_err(|_| format!("{digits} does not fit in a u64")),
-            Value::Number(n) if *n >= 0.0 && n.trunc() == *n && *n < (1u64 << 53) as f64 => {
-                Ok(*n as u64)
-            }
-            _ => Err("must be an unsigned integer".to_string()),
-        }
-    }
-
-    fn u64_column(payload: &Value, name: &str) -> Result<Vec<u64>, String> {
-        array_field(payload, "spec", name)?
-            .iter()
-            .enumerate()
-            .map(|(i, value)| wire_u64(value).map_err(|e| format!("spec.{name}: [{i}]: {e}")))
-            .collect()
-    }
-
-    /// The tag and payload of an externally tagged envelope tree.
-    fn untag(message: &Value) -> Option<(&str, &Value)> {
-        match message.as_object()?.as_slice() {
-            [(tag, payload)] => Some((tag, payload)),
-            _ => None,
-        }
-    }
-
-    #[test]
-    fn field_accessors_name_the_variant_in_errors() {
-        let value = serde_json::from_str(r#"{"n": 3, "s": "x"}"#).unwrap();
-        assert_eq!(str_field(&value, "V", "s"), Ok("x".to_string()));
-        let err = field(&value, "V", "missing").unwrap_err();
-        assert!(err.contains('V') && err.contains("missing"), "{err}");
-        let err = str_field(&value, "V", "n").unwrap_err();
-        assert!(err.contains("must be a string"), "{err}");
-    }
-
-    /// The reference: the columns of a `spec` payload looked up in its
-    /// parsed tree, then the same [`build_spec`].
-    fn decode_spec_reference(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
-        if payload.as_object().is_none() {
-            return Err("spec must be an object".to_string());
-        }
-        let fp = wire_u64(field(payload, "spec", "fp")?).map_err(|e| format!("spec.fp: {e}"))?;
-        let columns = spec {
-            fp,
-            name: str_field(payload, "spec", "name")?,
-            kinds: array_field(payload, "spec", "kinds")?
-                .iter()
-                .enumerate()
-                .map(|(i, kind)| {
-                    kind.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("spec.kinds: [{i}]: must be a string"))
-                })
-                .collect::<Result<_, _>>()?,
-            work: array_field(payload, "spec", "work")?
-                .iter()
-                .enumerate()
-                .map(|(i, work)| match work {
-                    Value::Null | Value::Number(_) => Ok(work.as_f64()),
-                    Value::String(digits) if long_integer(digits) => Ok(digits.parse().ok()),
-                    _ => Err(format!("spec.work: [{i}]: must be a number")),
-                })
-                .collect::<Result<_, _>>()?,
-            kind: u64_column(payload, "kind")?,
-            n_acc: u64_column(payload, "n_acc")?,
-            n_dep: u64_column(payload, "n_dep")?,
-            acc: u64_column(payload, "acc")?,
-            dep: u64_column(payload, "dep")?,
-            regions: u64_column(payload, "regions")?,
-            ep: match field(payload, "spec", "ep")? {
-                Value::Null => None,
-                _ => Some(u64_column(payload, "ep")?),
-            },
-        };
-        build_spec(columns)
-    }
-
-    /// What a worker that parsed every line into a tree first made of
-    /// `line`: not JSON, not a spec, or a spec.
-    fn reference(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
-        let message: Value = serde_json::from_str(&respell(line, false))
-            .map_err(|e| DecodeError::Syntax(e.to_string()))?;
-        match untag(&message) {
-            Some(("spec", payload)) => decode_spec_reference(payload).map_err(DecodeError::Refused),
-            _ => Err(DecodeError::Refused("not a spec envelope".to_string())),
-        }
-    }
-
-    /// Decodes `line` both ways and checks that they agree: on the
-    /// fingerprint bits of a spec both take, on which kind of error both
-    /// make of anything else. Returns the line decoder's verdict.
-    fn decode_both_ways(line: &str) -> Result<(u64, TaskGraphSpec), DecodeError> {
-        let got = decode_spec(line);
-        match (&got, reference(line)) {
-            (Ok((fp, spec)), Ok((want_fp, want))) => {
-                assert_eq!((*fp, spec.fingerprint()), (want_fp, want.fingerprint()));
-            }
-            (Err(DecodeError::Syntax(_)), Err(DecodeError::Syntax(_))) => {}
-            (Err(DecodeError::Refused(_)), Err(DecodeError::Refused(_))) => {}
-            (got, want) => panic!(
-                "{line}\nline decoder: {:?}\nreference: {:?}",
-                got.as_ref().map(|(fp, _)| fp),
-                want.as_ref().map(|(fp, _)| fp)
-            ),
-        }
-        got
-    }
-
-    /// The wire line of a `spec` whose payload is `payload`.
-    fn spec_line(payload: &Value) -> String {
-        respell(&format!("{{\"spec\":{}}}", to_line(payload)), true)
-    }
-
-    fn assert_spec_round_trips(spec: &TaskGraphSpec) {
-        let line = encode_spec(spec);
-        assert!(!line.contains('\n'), "{}: a frame is one line", spec.name);
-        let (fp, decoded) =
-            decode_both_ways(&line).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        assert_eq!(fp, spec.fingerprint());
-        assert_eq!(decoded.fingerprint(), fp);
-        assert_eq!(decoded.name, spec.name);
-        assert_eq!(decoded.graph.region_sizes(), spec.graph.region_sizes());
-        assert_eq!(decoded.ep_placement(), spec.ep_placement());
-        assert_eq!(decoded.graph.num_edges(), spec.graph.num_edges());
-        for (got, want) in decoded.graph.tasks().zip(spec.graph.tasks()) {
-            assert_eq!((got.id, &got.kind), (want.id, &want.kind));
-            assert_eq!(got.work_units.to_bits(), want.work_units.to_bits());
-            assert_eq!(got.accesses, want.accesses);
-            assert_eq!(
-                decoded.graph.predecessors(got.id),
-                spec.graph.predecessors(want.id)
-            );
-            let (got_flat, want_flat) = (decoded.graph.flat(), spec.graph.flat());
-            assert_eq!(got_flat.successors(got.id), want_flat.successors(want.id));
-            assert_eq!(
-                got_flat.successor_bytes(got.id),
-                want_flat.successor_bytes(want.id)
-            );
-        }
-        assert_eq!(decoded.graph.num_tasks(), spec.graph.num_tasks());
-    }
-
-    /// The payload of `spec`'s wire line, for the malformed-input rows.
-    fn spec_payload(spec: &TaskGraphSpec) -> Value {
-        let message: Value = serde_json::from_str(&respell(&encode_spec(spec), false)).unwrap();
-        untag(&message).unwrap().1.clone()
-    }
-
-    fn column(payload: &Value, name: &str) -> Vec<Value> {
-        array_field(payload, "spec", name).unwrap().to_vec()
-    }
-
-    /// `payload` with field `name` replaced (`Some`) or removed (`None`).
-    fn with_field(payload: &Value, name: &str, value: Option<Value>) -> Value {
-        let mut fields = payload.as_object().unwrap().clone();
-        let at = fields.iter().position(|(key, _)| key == name).unwrap();
-        match value {
-            Some(value) => fields[at].1 = value,
-            None => {
-                fields.remove(at);
-            }
-        }
-        Value::Object(fields)
-    }
-
-    /// `payload` with entry `index` of column `name` replaced.
-    fn with_entry(payload: &Value, name: &str, index: usize, value: Value) -> Value {
-        let mut entries = column(payload, name);
-        entries[index] = value;
-        with_field(payload, name, Some(arr(entries)))
     }
 
     /// What a worker makes of a `config` line: the simulator, or the
@@ -1055,13 +393,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["config", "version"],
-                Value::Number(5.0),
-                "config.version 5 is not the supported protocol version 6",
+                Value::Number(6.0),
+                "config.version 6 is not the supported protocol version 7",
             ),
             (
                 vec!["config", "version"],
-                Value::Number(7.0),
-                "config.version 7 is not the supported protocol version 6",
+                Value::Number(8.0),
+                "config.version 8 is not the supported protocol version 7",
             ),
             (
                 vec!["config", "config", "steal"],
@@ -1170,544 +508,6 @@ mod tests {
                 assert_eq!(built.map(|spec| spec.fingerprint()), Ok(fp), "{line}");
             }
         }
-    }
-
-    #[test]
-    fn hand_built_specs_round_trip_bit_exactly() {
-        let spec = sample_spec();
-        assert_spec_round_trips(&spec);
-        let without_ep = TaskGraphSpec::new(spec.name.clone(), spec.graph.clone());
-        assert_spec_round_trips(&without_ep);
-        assert!(encode_spec(&without_ep).contains("\"ep\":null"));
-
-        // Byte counts an f64 cannot hold travel as plain integers.
-        let big = [1u64 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
-        let mut graph = graph_over(&[big[1], big[3]]);
-        let first = push(&mut graph, "big", 1.0, &[(0, AccessMode::Out, big[0])], &[]);
-        push(
-            &mut graph,
-            "big",
-            1.0,
-            &[(1, AccessMode::InOut, big[3])],
-            &[(first, big[2])],
-        );
-        let huge = TaskGraphSpec::new("huge", graph);
-        assert_spec_round_trips(&huge);
-        let line = encode_spec(&huge);
-        for n in big {
-            assert!(line.contains(&n.to_string()), "{line}");
-        }
-        assert!(encode_spec(&spec).contains("\"regions\":[1048576,4096]"));
-
-        // Work units that are not integers, not normal, or not short.
-        let works = [
-            0.1,
-            3.0000000000000004,
-            1e300,
-            5e-324,
-            f64::MIN_POSITIVE / 2.0,
-            f64::MAX,
-            0.0,
-            -0.0,
-            (1u64 << 53) as f64 + 2.0,
-        ];
-        let mut graph = TaskGraph::new();
-        for work in &works {
-            push(&mut graph, "w", *work, &[], &[]);
-        }
-        assert_spec_round_trips(&TaskGraphSpec::new("works", graph));
-
-        // The empty graph, with and without an (empty) expert placement.
-        let empty = TaskGraphSpec::new("", TaskGraph::new());
-        assert_spec_round_trips(&empty);
-        assert_spec_round_trips(&empty.clone().with_ep_placement(vec![]).unwrap());
-
-        // Strings the line must escape.
-        let mut graph = TaskGraph::new();
-        for kind in [
-            "quo\"te",
-            "back\\slash",
-            "new\nline",
-            "ünï∑ 🦀",
-            "",
-            "quo\"te",
-        ] {
-            push(&mut graph, kind, 1.0, &[], &[]);
-        }
-        assert_spec_round_trips(&TaskGraphSpec::new("na\"me\\with\nall ∑", graph));
-    }
-
-    /// No graph holds work JSON cannot carry, so these lines are written by
-    /// hand: a `null` entry is not a number, a number too large for an `f64`
-    /// reads as infinite, and a negative one is refused by `push_task`, in
-    /// its words.
-    #[test]
-    fn a_spec_with_work_no_graph_can_hold_is_refused_not_mangled() {
-        let mut graph = TaskGraph::new();
-        push(&mut graph, "w", 1.0, &[], &[]);
-        let line = encode_spec(&TaskGraphSpec::new("nan", graph));
-        for (work, complaint) in [
-            ("null", "spec.work[0] is not a number"),
-            (
-                "1e999",
-                "task T0 has work inf, which is not a finite non-negative number",
-            ),
-            (
-                "-5",
-                "task T0 has work -5, which is not a finite non-negative number",
-            ),
-        ] {
-            let bad = line.replacen("\"work\":[1]", &format!("\"work\":[{work}]"), 1);
-            assert_ne!(bad, line);
-            let err = decode_both_ways(&bad).unwrap_err();
-            assert_eq!(err, DecodeError::Refused(complaint.to_string()));
-        }
-    }
-
-    /// The integer path of the `work` column writes exactly what `{}` wrote
-    /// for every value it takes: 100k integers spread over `[0, 2^53)` by a
-    /// fixed-seed SplitMix64, every power of two and of ten below the limit
-    /// and their neighbours.
-    #[test]
-    fn integral_work_is_written_as_the_float_formatter_wrote_it() {
-        let limit = 1u64 << 53;
-        let mut state = 0x2511u64;
-        let mut splitmix = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut values: Vec<u64> = (0..100_000).map(|i| splitmix() >> (11 + i % 53)).collect();
-        for k in 0..53 {
-            values.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
-        }
-        values.extend(
-            (0..16)
-                .map(|k| 10u64.pow(k))
-                .flat_map(|p| [p - 1, p, p + 1]),
-        );
-        values.push(limit - 1);
-        for n in values.into_iter().filter(|&n| n < limit) {
-            let work = n as f64;
-            assert_eq!(integral_work(work), Some(n), "{work}");
-            let mut entry = String::new();
-            push_entry(&mut entry, n);
-            assert_eq!(entry, format!("{work},"));
-        }
-        // Everything else keeps the float formatter (or the `null`).
-        for work in [
-            -0.0,
-            0.5,
-            -1.0,
-            limit as f64,
-            (limit + 2) as f64,
-            1e300,
-            f64::MAX,
-            5e-324,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ] {
-            assert_eq!(integral_work(work), None, "{work}");
-        }
-    }
-
-    #[test]
-    fn every_malformed_spec_is_an_error_never_a_panic() {
-        let spec = sample_spec();
-        let good = spec_payload(&spec);
-        assert!(decode_both_ways(&spec_line(&good)).is_ok());
-        let max = || exact(u64::MAX);
-        let mut rows: Vec<(String, Value, String)> = Vec::new();
-        fn push(
-            rows: &mut Vec<(String, Value, String)>,
-            row: impl Into<String>,
-            payload: Value,
-            complaint: impl Into<String>,
-        ) {
-            rows.push((row.into(), payload, complaint.into()));
-        }
-
-        // Every field missing; every column one entry short.
-        for name in [
-            "fp", "name", "kinds", "kind", "work", "n_acc", "n_dep", "acc", "dep", "regions", "ep",
-        ] {
-            push(
-                &mut rows,
-                format!("{name} missing"),
-                with_field(&good, name, None),
-                "missing field",
-            );
-        }
-        for (name, complaint) in [
-            ("kinds", "the kinds table has 1 entries"),
-            ("kind", "spec.kind has 2 entries for 3 tasks"),
-            ("work", "entries for 2 tasks"),
-            ("n_acc", "spec.n_acc has 2 entries for 3 tasks"),
-            ("n_dep", "spec.n_dep has 2 entries for 3 tasks"),
-            (
-                "acc",
-                "spec.acc has 11 numbers, its per-task counts announce 12",
-            ),
-            (
-                "dep",
-                "spec.dep has 3 numbers, its per-task counts announce 4",
-            ),
-            ("regions", "task T1 accesses unknown region R1"),
-            ("ep", "spec.ep has 2 entries for 3 tasks"),
-        ] {
-            let mut entries = column(&good, name);
-            entries.pop();
-            push(
-                &mut rows,
-                format!("{name} truncated"),
-                with_field(&good, name, Some(arr(entries))),
-                complaint,
-            );
-        }
-
-        // Counts that disagree with the runs they describe.
-        push(
-            &mut rows,
-            "one access too many announced",
-            with_entry(&good, "n_acc", 0, num(2.0)),
-            "spec.acc has 12 numbers, its per-task counts announce 15",
-        );
-        push(
-            &mut rows,
-            "one dependence too few announced",
-            with_entry(&good, "n_dep", 2, num(1.0)),
-            "spec.dep has 4 numbers, its per-task counts announce 2",
-        );
-        push(
-            &mut rows,
-            "counts that overflow",
-            with_field(&good, "n_acc", Some(arr(vec![max(), max(), max()]))),
-            "an overflowing total",
-        );
-        // A count moved between tasks keeps every length right and here
-        // even every ordering rule: only the fingerprint can tell.
-        push(
-            &mut rows,
-            "a dependence moved to an earlier task",
-            with_field(
-                &good,
-                "n_dep",
-                Some(arr(vec![num(0.0), num(1.0), num(1.0)])),
-            ),
-            "fingerprint mismatch",
-        );
-
-        // Dependences: forward, on itself, repeated, out of order.
-        for (pred, complaint) in [
-            (
-                2.0,
-                "task T2 depends on task T2, which is not an earlier task",
-            ),
-            (
-                7.0,
-                "task T2 depends on task T7, which is not an earlier task",
-            ),
-            (0.0, "task 2 lists its dependences out of order at task 0"),
-        ] {
-            push(
-                &mut rows,
-                format!("second dependence of task 2 on task {pred}"),
-                with_entry(&good, "dep", 2, num(pred)),
-                complaint,
-            );
-        }
-        push(
-            &mut rows,
-            "dependences of task 2 swapped",
-            with_field(
-                &good,
-                "dep",
-                Some(arr(vec![num(1.0), num(4096.0), num(0.0), num(1048576.0)])),
-            ),
-            "out of order at task 0",
-        );
-        push(
-            &mut rows,
-            "a source task given a dependence on itself",
-            with_field(
-                &with_field(
-                    &good,
-                    "n_dep",
-                    Some(arr(vec![num(1.0), num(0.0), num(1.0)])),
-                ),
-                "dep",
-                Some(arr(vec![num(0.0), num(1.0), num(0.0), num(1.0)])),
-            ),
-            "task T0 depends on task T0",
-        );
-
-        // Table indices and enumerations out of range.
-        push(
-            &mut rows,
-            "unknown region",
-            with_entry(&good, "acc", 3, num(2.0)),
-            "task T1 accesses unknown region R2",
-        );
-        push(
-            &mut rows,
-            "unknown region u64::MAX",
-            with_entry(&good, "acc", 0, max()),
-            "task T0 accesses unknown region R18446744073709551615",
-        );
-        push(
-            &mut rows,
-            "bad access mode",
-            with_entry(&good, "acc", 1, num(3.0)),
-            "task 0 has access mode 3, expected 0, 1 or 2",
-        );
-        push(
-            &mut rows,
-            "kind index out of range",
-            with_entry(&good, "kind", 1, num(2.0)),
-            "spec.kind[1] is 2, the kinds table has 2 entries",
-        );
-
-        // Entries of the wrong type or outside `u64`.
-        for name in ["kind", "n_acc", "n_dep", "acc", "dep", "regions", "ep"] {
-            for bad in [
-                num(-1.0),
-                num(0.5),
-                num(1e20),
-                s("7"),
-                Value::Null,
-                arr(vec![]),
-            ] {
-                push(
-                    &mut rows,
-                    format!("{name}[0] = {bad:?}"),
-                    with_entry(&good, name, 0, bad),
-                    format!("spec.{name}: [0]: "),
-                );
-            }
-        }
-        push(
-            &mut rows,
-            "work entry is a string",
-            with_entry(&good, "work", 1, s("3.5")),
-            "spec.work: [1]: must be a number",
-        );
-        push(
-            &mut rows,
-            "kinds entry is a number",
-            with_entry(&good, "kinds", 0, num(1.0)),
-            "spec.kinds: [0]: must be a string",
-        );
-        for name in [
-            "kinds", "kind", "work", "n_acc", "n_dep", "acc", "dep", "regions",
-        ] {
-            push(
-                &mut rows,
-                format!("{name} is not an array"),
-                with_field(&good, name, Some(num(3.0))),
-                ": must be an array",
-            );
-        }
-        push(
-            &mut rows,
-            "ep is neither null nor an array",
-            with_field(&good, "ep", Some(num(3.0))),
-            "spec.ep: must be an array",
-        );
-        push(
-            &mut rows,
-            "name is a number",
-            with_field(&good, "name", Some(num(3.0))),
-            "spec.name: must be a string",
-        );
-
-        // Well-formed but not what the fingerprint advertises.
-        push(
-            &mut rows,
-            "wrong fingerprint",
-            with_field(&good, "fp", Some(exact(spec.fingerprint() ^ 1))),
-            "fingerprint mismatch",
-        );
-        push(
-            &mut rows,
-            "a region shrunk in transit",
-            with_entry(&good, "regions", 1, num(42.0)),
-            "task T1 accesses 4096 bytes of region R1 which only has 42",
-        );
-        push(
-            &mut rows,
-            "a region grown in transit",
-            with_entry(&good, "regions", 1, num(8192.0)),
-            "fingerprint mismatch",
-        );
-        push(
-            &mut rows,
-            "a task moved to another socket in transit",
-            with_entry(&good, "ep", 0, num(0.0)),
-            "fingerprint mismatch",
-        );
-        push(
-            &mut rows,
-            "the expert placement dropped in transit",
-            with_field(&good, "ep", Some(Value::Null)),
-            "fingerprint mismatch",
-        );
-
-        assert!(rows.len() > 90, "the table lost rows: {}", rows.len());
-        for (row, payload, complaint) in rows {
-            // The row as it would arrive, and as the tree decoder saw it.
-            match decode_both_ways(&spec_line(&payload)) {
-                Err(DecodeError::Refused(e)) => assert!(e.contains(&complaint), "{row}: {e}"),
-                other => panic!("{row}: {:?}", other.map(|(fp, _)| fp)),
-            }
-            match decode_spec_reference(&payload) {
-                Ok(_) => panic!("{row}: decoded"),
-                Err(e) => assert!(e.contains(&complaint), "{row}: {e}"),
-            }
-        }
-        // Not an object at all.
-        for payload in [Value::Null, num(1.0), arr(vec![]), s("spec")] {
-            assert!(matches!(
-                decode_both_ways(&spec_line(&payload)),
-                Err(DecodeError::Refused(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn columns_are_found_by_key_whatever_the_order_or_the_company() {
-        let spec = sample_spec();
-        let good = spec_payload(&spec);
-        let fields = good.as_object().unwrap().clone();
-        let fp = |payload: Value| decode_both_ways(&spec_line(&payload)).map(|(fp, _)| fp);
-
-        // Any key order: back to front.
-        let reversed = Value::Object(fields.iter().rev().cloned().collect());
-        assert_ne!(spec_line(&reversed), spec_line(&good));
-        assert_eq!(fp(reversed), Ok(spec.fingerprint()));
-
-        // Unknown keys, scalar and nested, are skipped.
-        let mut extended = fields.clone();
-        extended.insert(0, ("version".to_string(), num(3.0)));
-        extended.insert(
-            5,
-            (
-                "notes".to_string(),
-                serde_json::json!({ "by": "x", "n": vec![vec![1u8], vec![]] }),
-            ),
-        );
-        extended.push(("acc2".to_string(), Value::Null));
-        assert_eq!(fp(Value::Object(extended)), Ok(spec.fingerprint()));
-
-        // A repeated key keeps its first value, as a lookup in the tree does:
-        // a bad repeat is never looked at, a good repeat does not rescue.
-        let regions = fields.iter().position(|(key, _)| key == "regions").unwrap();
-        let mut repeated = fields.clone();
-        repeated.push(("regions".to_string(), arr(vec![s("7")])));
-        repeated.push(("fp".to_string(), Value::Null));
-        assert_eq!(fp(Value::Object(repeated)), Ok(spec.fingerprint()));
-        let mut shadowed = fields.clone();
-        shadowed[regions].1 = arr(vec![num(2097152.0), num(4096.0)]);
-        shadowed.push(fields[regions].clone());
-        match fp(Value::Object(shadowed)) {
-            Err(DecodeError::Refused(e)) => assert!(e.contains("fingerprint mismatch"), "{e}"),
-            other => panic!("{other:?}"),
-        }
-
-        // Whitespace a hand-written line might carry.
-        let spaced = spec_line(&good).replace(',', " ,\t").replace(':', " : ");
-        assert_eq!(
-            decode_both_ways(&format!("  {spaced}  ")).map(|(fp, _)| fp),
-            Ok(spec.fingerprint())
-        );
-        // An envelope is one key.
-        for line in [
-            format!("{{\"spec\":{},\"spec\":{{}}}}", to_line(&good)),
-            format!("{{\"assign\":{}}}", to_line(&good)),
-            "\"spec\"".to_string(),
-        ] {
-            assert!(matches!(
-                decode_both_ways(&line),
-                Err(DecodeError::Refused(_))
-            ));
-        }
-        assert!(is_spec_line(&spec_line(&good)));
-        assert!(is_spec_line("  { \"spec\" : 3"));
-        for line in TO_WORKER_LINES {
-            assert!(!is_spec_line(line), "{line}");
-        }
-    }
-
-    /// Every token of a `spec` line: numbers, strings, `null` and each
-    /// punctuation mark, as byte ranges.
-    fn tokens(line: &str) -> Vec<std::ops::Range<usize>> {
-        let bytes = line.as_bytes();
-        let mut tokens = Vec::new();
-        let mut at = 0;
-        while at < bytes.len() {
-            let start = at;
-            match bytes[at] {
-                b'"' => {
-                    at += 1;
-                    while bytes[at] != b'"' {
-                        at += if bytes[at] == b'\\' { 2 } else { 1 };
-                    }
-                    at += 1;
-                }
-                b'[' | b']' | b'{' | b'}' | b',' | b':' => at += 1,
-                _ => {
-                    while !matches!(bytes[at], b'[' | b']' | b'{' | b'}' | b',' | b':' | b'"') {
-                        at += 1;
-                    }
-                }
-            }
-            tokens.push(start..at);
-        }
-        tokens
-    }
-
-    #[test]
-    fn any_single_token_mutation_is_judged_as_the_tree_decoder_judged_it() {
-        const REPLACEMENTS: [&str; 16] = [
-            "",
-            "0",
-            "1",
-            "2",
-            "-1",
-            "0.5",
-            "1e0",
-            "-0",
-            "9007199254740992",
-            "\"2\"",
-            "\"x\"",
-            "null",
-            "true",
-            "[]",
-            "{}",
-            ",",
-        ];
-        let spec = sample_spec();
-        let without_ep = TaskGraphSpec::new(spec.name.clone(), spec.graph.clone());
-        let mut judged = [0usize; 3];
-        for spec in [&spec, &without_ep] {
-            let line = encode_spec(spec);
-            for token in tokens(&line) {
-                for replacement in REPLACEMENTS {
-                    let mut mutated = line.clone();
-                    mutated.replace_range(token.clone(), replacement);
-                    judged[match decode_both_ways(&mutated) {
-                        Ok(_) => 0,
-                        Err(DecodeError::Refused(_)) => 1,
-                        Err(DecodeError::Syntax(_)) => 2,
-                    }] += 1;
-                }
-            }
-        }
-        // Some mutations are harmless (`1e0` for `1`, a kind renamed with
-        // its only user), many break the spec, many break the line.
-        assert!(judged.iter().all(|&n| n > 50), "{judged:?}");
     }
 
     /// A line cut short is not JSON, whatever it was: a worker ends the

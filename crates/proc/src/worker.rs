@@ -2,7 +2,7 @@
 //!
 //! [`run_worker`] serves one coordinator over one connected socket: it
 //! introduces itself with `hello`, then serves a simple request loop —
-//! `config`, `recipe` or `spec`, `assign`, `barrier`, `shutdown` — until the
+//! `config`, `recipe`, `assign`, `barrier`, `shutdown` — until the
 //! coordinator closes the conversation. A worker process is the same
 //! executable as the coordinator, re-entered through
 //! [`crate::maybe_run_worker`]: the pool self-execs `current_exe()` with a
@@ -23,9 +23,7 @@ use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
 use serde::{de, Reader};
 
-use crate::protocol::{
-    build_recipe, decode_spec, is_spec_line, simulator_for, Assignment, ToCoordinator, ToWorker,
-};
+use crate::protocol::{build_recipe, simulator_for, Assignment, ToCoordinator, ToWorker};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
@@ -71,12 +69,6 @@ fn serve(
         write_frame(writer, message).map_err(|e| format!("write to coordinator failed: {e}"))
     };
     let error = |message: String| ToCoordinator::Error { message };
-    // A line that is not JSON is unrecoverable (framing is lost), but say so
-    // before going.
-    let not_json = |writer: &mut TcpStream, e: String| -> String {
-        let _ = write_frame(writer, &error(format!("bad frame: {e}")));
-        format!("coordinator sent invalid JSON: {e}")
-    };
 
     send(
         &mut writer,
@@ -90,11 +82,11 @@ fn serve(
     // are built on `config` and reused by every cell that follows.
     let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
-    // `spec` and `recipe` are un-acked, so a refused one may not be answered
-    // on the spot: the coordinator reads one reply per `assign`, and the
+    // A `recipe` is un-acked, so a refused one may not be answered on the
+    // spot: the coordinator reads one reply per `assign`, and the
     // complaint is that reply for the first `assign` over a spec this
-    // worker does not hold — the one the refused spec was shipped for. Cells
-    // over specs it holds run as usual in between.
+    // worker does not hold — the one the refused recipe was shipped for.
+    // Cells over specs it holds run as usual in between.
     let mut refused_spec: Option<String> = None;
 
     loop {
@@ -109,23 +101,15 @@ fn serve(
                 return Err(format!("coordinator sent an unreadable frame: {e}"));
             }
         };
-        // `spec` is the one message with its own codec, read straight off
-        // the line; every other line is a `ToWorker` variant. Either way a
-        // line that is not JSON ends the conversation, and one that is JSON
-        // but refused is answered and the conversation goes on.
-        if is_spec_line(&line) {
-            match decode_spec(&line) {
-                Ok((fp, spec)) => {
-                    specs.insert(fp, spec);
-                }
-                Err(DecodeError::Refused(e)) => refused_spec = Some(format!("bad spec: {e}")),
-                Err(DecodeError::Syntax(e)) => return Err(not_json(&mut writer, e)),
-            }
-            continue;
-        }
+        // A line that is not JSON is unrecoverable (framing is lost), but
+        // say so before going; one that is JSON but refused is answered and
+        // the conversation goes on.
         let message = match from_line(&line) {
             Ok(message) => message,
-            Err(DecodeError::Syntax(e)) => return Err(not_json(&mut writer, e)),
+            Err(DecodeError::Syntax(e)) => {
+                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
+                return Err(format!("coordinator sent invalid JSON: {e}"));
+            }
             Err(DecodeError::Refused(e)) => {
                 let tag = de::tag(&mut Reader::new(&line)).map_or("envelope".to_string(), |t| t.0);
                 let complaint = format!("bad {tag}: {e}");
@@ -286,12 +270,6 @@ mod tests {
         (coordinator, worker)
     }
 
-    /// Jacobi at Tiny scale for two sockets, the `recipe` line that ships
-    /// it, and the `assign` of cell 3 (LAS, seed 5) on it.
-    fn loopback_cell() -> (TaskGraphSpec, String, Assignment) {
-        recipe_cell(Application::Jacobi, 3)
-    }
-
     /// `app` at Tiny scale for two sockets, the `recipe` line that ships
     /// it, and the `assign` of cell `cell` (LAS, seed 5) on it.
     fn recipe_cell(app: Application, cell: u64) -> (TaskGraphSpec, String, Assignment) {
@@ -313,7 +291,7 @@ mod tests {
     fn a_refused_spec_written_ahead_answers_its_own_assign_not_the_next_one() {
         let (mut coordinator, worker) = loopback();
         coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
-        let (_, held, held_assign) = loopback_cell();
+        let (_, held, held_assign) = recipe_cell(Application::Jacobi, 3);
         write_line(&mut coordinator.writer, held).unwrap();
 
         // The next workload's recipe, ahead of its cells and refused.
@@ -425,7 +403,7 @@ mod tests {
         let (mut coordinator, worker) = loopback();
         // A recipe cut in the middle: no `assign` follows it, and the
         // complaint cannot be held back.
-        let (_, line, _) = loopback_cell();
+        let (_, line, _) = recipe_cell(Application::Jacobi, 3);
         let cut = line.find("\"scale\"").unwrap() + 3;
         write_line(&mut coordinator.writer, line[..cut].to_string()).unwrap();
         coordinator.expect_error("bad frame: ", "at byte");
@@ -478,14 +456,14 @@ mod tests {
             ),
             // The last version and the next.
             (
+                "\"version\":7",
                 "\"version\":6",
-                "\"version\":5",
-                "not the supported protocol version 6",
+                "not the supported protocol version 7",
             ),
             (
-                "\"version\":6",
                 "\"version\":7",
-                "not the supported protocol version 6",
+                "\"version\":8",
+                "not the supported protocol version 7",
             ),
         ] {
             let bad = line.replacen(from, to, 1);
@@ -498,7 +476,7 @@ mod tests {
 
         // The same worker takes the intact config and runs a cell under it.
         coordinator.configure(1, &config);
-        let (_, recipe, assign) = loopback_cell();
+        let (_, recipe, assign) = recipe_cell(Application::Jacobi, 3);
         write_line(&mut coordinator.writer, recipe).unwrap();
         coordinator.send(&ToWorker::Assign(assign));
         assert!(matches!(

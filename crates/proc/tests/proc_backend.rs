@@ -93,7 +93,13 @@ fn run(
     policy_name: &'static str,
     wire: &WireConfig,
 ) -> Result<ExecutionReport, ProcError> {
-    pool.run_cell(spec, &cell(label, seed, *recipe), policy_name, wire)
+    pool.run_cell(
+        spec,
+        *recipe,
+        &cell(label, seed, *recipe),
+        policy_name,
+        wire,
+    )
 }
 
 fn local_report(
@@ -483,10 +489,11 @@ fn a_recipe_cut_mid_line_loses_only_that_worker() {
 }
 
 /// One sweep over a paper kernel and a custom workload, on one pool: the
-/// kernel travels as its recipe, the custom graph as its columns, and the
-/// report is the in-process one byte for byte.
+/// kernel travels as its recipe, the custom graph's cells run in the
+/// coordinator's simulator and never reach a worker, and the report is the
+/// in-process one byte for byte.
 #[test]
-fn a_kernel_ships_as_its_recipe_and_a_custom_workload_as_its_columns() {
+fn a_kernel_ships_as_its_recipe_and_a_custom_workload_runs_on_the_coordinator() {
     let relay = Relay::new();
     let tally = relay.tally();
     let pool = relayed_pool(2, relay);
@@ -497,12 +504,19 @@ fn a_kernel_ships_as_its_recipe_and_a_custom_workload_as_its_columns() {
         .workload(named_spec("custom"))
         .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS]);
     let mut report = sweep.run_on(&ProcExecutor::with_pool(config.clone(), Arc::clone(&pool)));
-    let shipped = ["recipe", "spec"].map(|kind| tally.lines(Dir::ToWorker, kind));
-    assert_eq!(shipped, [1, 1], "recipe and spec lines");
+    // DFIFO, RGP+LAS and the LAS baseline RGP+LAS brings, per workload.
+    let kernel_cells = report.cells.iter().filter(|c| c.application == "Jacobi");
+    assert_eq!((kernel_cells.count(), report.cells.len()), (3, 6));
+    let sent = ["recipe", "assign"].map(|kind| tally.lines(Dir::ToWorker, kind));
+    assert_eq!(sent, [1, 3], "one recipe, and the kernel's cells only");
     let stats = pool.stats();
     assert_eq!(
-        (stats.spec_transfers, stats.redispatches),
-        (2, 0),
+        (
+            stats.cells_dispatched,
+            stats.spec_transfers,
+            stats.redispatches
+        ),
+        (3, 1, 0),
         "{stats}"
     );
     let local = sweep.run_on(&Simulator::new(config));

@@ -189,7 +189,7 @@ impl Relay {
     }
 
     /// Applies `action` to the `nth` line (counting from 1) of message kind
-    /// `kind` (`"assign"`, `"recipe"`, `"spec"`, `"done"`, ...) travelling `dir` on
+    /// `kind` (`"assign"`, `"recipe"`, `"done"`, ...) travelling `dir` on
     /// worker `slot`'s connection.
     pub(crate) fn on(
         mut self,
@@ -353,7 +353,7 @@ fn pump(
 }
 
 /// The message kind of a wire line: its envelope's tag (`assign`, `recipe`,
-/// `spec`, `done`, ...), or the bare string a unit message is (`shutdown`).
+/// `done`, ...), or the bare string a unit message is (`shutdown`).
 fn kind_of(line: &[u8]) -> String {
     let text = String::from_utf8_lossy(line);
     let tag = text.trim_start().trim_start_matches('{').trim_start();

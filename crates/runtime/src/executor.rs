@@ -1,11 +1,12 @@
 //! The [`Executor`] trait: one execution interface for every backend.
 //!
 //! The paper's claim is validated by running the same (application × scale ×
-//! policy) matrix through two backends — the deterministic discrete-event
-//! [`crate::Simulator`] and the real [`crate::ThreadedExecutor`]. Both
-//! implement this trait, so harnesses, examples and tests are written once
-//! against `dyn Executor` (usually via [`crate::Experiment`]) and choose the
-//! backend at runtime.
+//! policy) matrix through the deterministic discrete-event
+//! [`crate::Simulator`] and the real [`crate::ThreadedExecutor`]; the
+//! out-of-crate proc backend (`numadag-proc`) runs the simulator in worker
+//! processes. All three implement this trait, so harnesses, examples and
+//! tests are written once against `dyn Executor` (usually via
+//! [`crate::Experiment`]) and choose the backend at runtime.
 
 use std::sync::OnceLock;
 
@@ -41,8 +42,9 @@ pub struct CellContext<'a> {
     pub lane: Option<usize>,
     /// The kernel recipe of the cell's workload (see
     /// [`crate::PlannedWorkload::recipe`]), `None` for a custom workload. A
-    /// backend with workers of its own can ship it instead of the spec; the
-    /// in-process backends ignore it.
+    /// backend with workers of its own ships it for the worker to build the
+    /// spec from, and runs a cell without one itself; the in-process
+    /// backends ignore it.
     pub recipe: Option<SpecKey>,
 }
 

@@ -65,8 +65,10 @@ pub enum Backend {
     /// only; wall-clock makespans depend on the host machine).
     Threaded,
     /// The multi-process message-passing coordinator (`numadag-proc`):
-    /// sweep cells are shipped over local-socket JSON IPC to worker
-    /// processes, each running the deterministic simulator. Requires
+    /// sweep cells over the paper's kernels are shipped over local-socket
+    /// JSON IPC to worker processes, which build each spec from its recipe
+    /// and run the deterministic simulator; cells over a custom workload
+    /// run in the coordinator's own simulator. Requires
     /// `numadag_proc::install()` to have been called.
     Proc {
         /// Number of worker processes to spawn.

@@ -96,8 +96,8 @@ pub fn write_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::
     write_line(writer, to_line(value))
 }
 
-/// Writes an already-rendered one-line message as a frame (for the codecs
-/// that write their line by hand). `line` must not contain a raw newline.
+/// Writes an already-rendered one-line message as a frame (a line written
+/// by hand, say). `line` must not contain a raw newline.
 pub fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
     debug_assert!(!line.contains('\n'), "a frame is exactly one line");
     line.push('\n');

@@ -56,17 +56,9 @@ pub enum AccessMode {
 }
 
 impl AccessMode {
-    /// The mode's number in fingerprints and on the wire: 0 `in`, 1 `out`,
-    /// 2 `inout`.
+    /// The mode's number in fingerprints: 0 `in`, 1 `out`, 2 `inout`.
     pub fn code(self) -> u64 {
         self as u64
-    }
-
-    /// The mode numbered `code` by [`AccessMode::code`], if any.
-    pub fn from_code(code: u64) -> Option<AccessMode> {
-        [AccessMode::In, AccessMode::Out, AccessMode::InOut]
-            .get(usize::try_from(code).ok()?)
-            .copied()
     }
 
     /// True if the access reads the previous contents of the region.

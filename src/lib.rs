@@ -195,23 +195,21 @@ pub use numadag_trace as trace;
 /// The most common imports for users of the library.
 pub mod prelude {
     pub use numadag_core::{
-        make_policy, DfifoPolicy, LasPolicy, ParsePolicyError, PartitionScheme, PartitionTuning,
-        PolicyKind, Propagation, RgpPolicy, RgpTuning, SchedulingPolicy,
+        make_policy, LasPolicy, PartitionScheme, PartitionTuning, PolicyKind, Propagation,
+        RgpPolicy, RgpTuning, SchedulingPolicy,
     };
     pub use numadag_kernels::{Application, DenseStore, ProblemScale, SpecCache};
-    pub use numadag_numa::{CostModel, MemoryMap, NodeId, SocketId, Topology};
-    pub use numadag_proc::{PoolConfig, PoolStats, ProcError, ProcExecutor, WorkerPool};
+    pub use numadag_numa::{CostModel, MemoryMap, SocketId, Topology};
+    pub use numadag_proc::{PoolConfig, PoolStats, ProcExecutor, WorkerPool};
     pub use numadag_runtime::{
         Backend, CellProgress, ExecutionConfig, ExecutionReport, Executor, Experiment, Simulator,
-        StealMode, SweepCell, SweepDiff, SweepPlan, SweepReport, SweepSpec, SweepTiming,
-        ThreadedExecutor,
+        StealMode, SweepDiff, SweepPlan, SweepReport, SweepSpec, SweepTiming, ThreadedExecutor,
     };
     pub use numadag_serve::{ServeClient, ServeConfig, ServeHandle, ServerStats};
     pub use numadag_tdg::{
-        AccessMode, DataAccess, TaskGraph, TaskGraphSpec, TaskId, TaskSpec, TdgBuilder,
-        WindowConfig,
+        DataAccess, TaskGraph, TaskGraphSpec, TaskId, TaskSpec, TdgBuilder, WindowConfig,
     };
-    pub use numadag_trace::{CriticalPath, Trace, TraceCollector, TraceComparison, TraceEvent};
+    pub use numadag_trace::{Trace, TraceCollector, TraceEvent};
 }
 
 #[cfg(test)]

@@ -13,23 +13,20 @@
 //! with the re-exec launcher, and a test can run [`run_worker`] on threads
 //! instead, or put a relay that breaks lines between the two ends.
 //!
-//! Messages cover the whole lifecycle: `config`/`config_ack` (execution
-//! config sync, fingerprint-keyed; the config says whether cells are traced,
-//! so traced and untraced cells are two config epochs and a worker keeps one
-//! simulator per epoch), `recipe` (workload transfer: the paper kernel the
-//! worker builds the spec from, checked against its fingerprint, shipped to
-//! a worker the first time a cell over it is dispatched there — dispatch
-//! prefers a worker that already holds it, then the worker of the cell's
-//! sweep lane — and referenced by fingerprint after; never acknowledged — a
-//! worker that refuses one says so in its one reply to the first `assign`
-//! over a spec it lacks), `assign`/`done` (one sweep cell: `done`, carrying the whole
-//! report and the cell's trace events, is the one reply; there are no
-//! per-field notifications beside it to cross-check — they would be
-//! rendered from the same report in the same write, and what guards a
+//! Messages cover the whole lifecycle: `hello` (a worker connected),
+//! `assign` and its one reply, `done` or `error` (one sweep cell: `done`
+//! carries the whole report and the cell's trace events; what guards a
 //! cell's integrity is the spec fingerprint and the simulator-parity
-//! tests), `barrier`/`barrier_ack` (oneCCL-style
-//! non-blocking collectives at startup and shutdown), `error` and
-//! `shutdown`.
+//! tests), `barrier`/`barrier_ack` (oneCCL-style non-blocking collectives
+//! at startup and shutdown) and `shutdown`. An `assign` carries what its
+//! worker lacks: the execution config when the worker's differs
+//! (fingerprint-keyed; the config says whether cells are traced, so traced
+//! and untraced cells are two config epochs and a worker keeps one
+//! simulator per epoch), and the recipe of the cell's workload the first
+//! time a cell over it is dispatched to that worker (the paper kernel the
+//! worker builds the spec from, checked against its fingerprint; dispatch
+//! prefers a worker that already holds it, then the worker of the cell's
+//! sweep lane). A worker that refuses any part says so in its one reply.
 //!
 //! A worker runs only what it can build: a cell over a custom graph, which
 //! no recipe builds, runs in the coordinator's own simulator instead.

@@ -35,14 +35,15 @@
 //! shipped once, to the worker that runs its cells, and the window plans
 //! its policies build are built there once.
 //!
-//! Per-cell dispatch is a short serial conversation on one worker's socket:
-//! config sync (only when the worker's last-acked config fingerprint
-//! differs), spec transfer (only the first time this worker sees the spec:
-//! the kernel recipe the worker builds it from), `assign`, then the one
-//! `done` reply. Any framing failure or timeout on that conversation kills
+//! A cell is one `assign` on its worker's socket and its one reply. The
+//! `assign` carries the config unless the last config the worker answered
+//! `done` under is this one, and the spec's kernel recipe the first time
+//! the spec is booked on the worker; after that, the spec is named by
+//! fingerprint. Any framing failure or timeout on that conversation kills
 //! the worker and redispatches the cell to a live one; a structured `error`
-//! reply is deterministic (bad policy, bad recipe) and propagates instead
-//! of retrying. Every write to a worker is bounded by [`CELL_TIMEOUT`].
+//! reply is deterministic (bad config, recipe or policy) and propagates
+//! instead of retrying. Every write to a worker is bounded by
+//! [`CELL_TIMEOUT`].
 
 use std::collections::HashSet;
 use std::io::BufReader;
@@ -56,7 +57,7 @@ use numadag_runtime::framing::{from_line, read_frame, to_line, write_frame, Fram
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport};
 use numadag_tdg::{Fnv1a, TaskGraphSpec};
 
-use crate::protocol::{Assignment, ToCoordinator, ToWorker};
+use crate::protocol::{Assignment, EpochConfig, Recipe, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// Deadline for every worker of a new pool to connect and pass the startup
@@ -162,9 +163,9 @@ pub struct PoolStats {
     pub cells_dispatched: u64,
     /// Cells re-sent to another worker after their first worker was lost.
     pub redispatches: u64,
-    /// `config` messages sent (one per worker per distinct config).
+    /// Configs sent in an `assign` (one per worker per distinct config).
     pub config_broadcasts: u64,
-    /// Workloads shipped as `recipe`s (one per worker per
+    /// Workloads shipped as the `recipe` in an `assign` (one per worker per
     /// distinct workload).
     pub spec_transfers: u64,
     /// Collective barriers completed (startup + shutdown drains).
@@ -253,12 +254,12 @@ impl PoolState {
             .is_some_and(|worker| worker.specs.insert(fp))
     }
 
-    /// A `config` was written.
+    /// An `assign` carrying a config was written.
     fn configured(&mut self) {
         self.counts.config_broadcasts += 1;
     }
 
-    /// A `recipe` was written.
+    /// An `assign` carrying a recipe was written.
     fn shipped(&mut self) {
         self.counts.spec_transfers += 1;
     }
@@ -270,8 +271,9 @@ impl PoolState {
         }
     }
 
-    /// The cell booked on `at` got a structured `error`. `unbook`: a spec
-    /// the complaint may be about, which the worker then does not hold.
+    /// The cell booked on `at` got a structured `error`. `unbook`: the spec
+    /// whose recipe its `assign` carried, which the worker then does not
+    /// hold.
     fn refused(&mut self, at: usize, unbook: Option<u64>) {
         self.answered(at);
         if let (Some(worker), Some(fp)) = (self.workers.get_mut(at), unbook) {
@@ -335,31 +337,26 @@ fn pick_slot(workers: &[Worker], fp: u64, prefer: Option<usize>, rotation: usize
         })
 }
 
-/// An [`ExecutionConfig`] together with the stable fingerprint of its wire
-/// form, which is both the config's epoch tag and the "has this worker seen
-/// it" key. Built once per executor, so the config is encoded for hashing
-/// once rather than once per cell.
+/// An [`ExecutionConfig`] as an `assign` carries it, its epoch the stable
+/// fingerprint of its wire form (under epoch 0), which is also the "has this
+/// worker seen it" key. Built once per executor, so the config is encoded
+/// for hashing once rather than once per cell.
 #[derive(Clone, Debug)]
-pub struct WireConfig {
-    config: ExecutionConfig,
-    fingerprint: u64,
-}
+pub struct WireConfig(EpochConfig);
 
 impl WireConfig {
     /// Fingerprints `config`.
     pub fn new(config: ExecutionConfig) -> Self {
-        let wire = ToWorker::configure(0, &config);
+        let mut wire = EpochConfig::new(0, config);
         let mut hash = Fnv1a::default();
         hash.write_bytes(to_line(&wire).as_bytes());
-        WireConfig {
-            config,
-            fingerprint: hash.0,
-        }
+        wire.epoch = hash.0;
+        WireConfig(wire)
     }
 
     /// The config itself.
     pub(crate) fn config(&self) -> &ExecutionConfig {
-        &self.config
+        &self.0.config
     }
 }
 
@@ -368,16 +365,16 @@ struct Conn {
     child: Box<dyn WorkerHandle>,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Fingerprint of the config this worker last acknowledged.
+    /// Fingerprint of the config of this worker's last `done` to an
+    /// `assign` that carried one.
     config_fp: Option<u64>,
 }
 
 /// How one cell's conversation with its worker ended.
 enum End {
     Done(ExecutionReport),
-    /// A structured `error`, and the spec to unbook with it (see
-    /// [`PoolState::refused`]).
-    Refused(String, Option<u64>),
+    /// A structured `error`.
+    Refused(String),
     /// The worker died or corrupted its stream.
     Lost,
 }
@@ -541,6 +538,8 @@ impl WorkerPool {
             fp,
             policy: cell.policy_label.to_string(),
             policy_seed: cell.seed,
+            configure: None,
+            recipe: None,
         };
         let prefer = cell.lane.map(|lane| lane % self.num_slots());
         loop {
@@ -551,13 +550,11 @@ impl WorkerPool {
             let mut conn = lock(&self.conns[at]);
             match self.converse(at, &mut conn, &assignment, recipe, config) {
                 End::Done(mut report) => {
-                    self.state().answered(at);
                     report.workload = spec.name.clone();
                     report.policy = policy_name;
                     return Ok(report);
                 }
-                End::Refused(message, unbook) => {
-                    self.state().refused(at, unbook);
+                End::Refused(message) => {
                     let worker = at as u64;
                     return Err(ProcError::Worker { worker, message });
                 }
@@ -568,7 +565,9 @@ impl WorkerPool {
 
     /// One cell's conversation with the worker at `at`, on which the cell
     /// is booked and whose `Conn` the caller holds, over the spec `recipe`
-    /// builds.
+    /// builds: one `assign`, carrying what the worker lacks, and its one
+    /// reply. A reply ends the cell in the books; a lost worker is the
+    /// caller's to book.
     fn converse(
         &self,
         at: usize,
@@ -583,38 +582,21 @@ impl WorkerPool {
             return End::Lost;
         }
 
-        // Config sync: only when this worker's acked fingerprint differs.
-        let config_fp = config.fingerprint;
-        if conn.config_fp != Some(config_fp) {
-            let message = ToWorker::configure(config_fp, &config.config);
-            if write_frame(&mut conn.writer, &message).is_err() {
-                return End::Lost;
-            }
-            self.state().configured();
-            // The conversation is serial under the `Conn` lock, so the next
-            // frame must be the ack (or a structured rejection).
-            match read_message(&mut conn.reader) {
-                Some(ToCoordinator::ConfigAck { epoch }) if epoch == config_fp => {
-                    conn.config_fp = Some(config_fp)
-                }
-                Some(ToCoordinator::Error { message }) => return End::Refused(message, None),
-                _ => return End::Lost,
-            }
-        }
-
-        // Spec transfer: ship the recipe once per worker, for the worker to
-        // build; reference the spec by fingerprint after.
-        if self.state().book_spec(at, assignment.fp) {
-            let recipe = ToWorker::recipe(assignment.fp, recipe);
-            if write_frame(&mut conn.writer, &recipe).is_err() {
-                return End::Lost;
-            }
-            self.state().shipped();
-        }
-
-        // The message owns its assignment; the clone is one short label.
-        if write_frame(&mut conn.writer, &ToWorker::Assign(assignment.clone())).is_err() {
+        let configure = conn.config_fp != Some(config.0.epoch);
+        let ship = self.state().book_spec(at, assignment.fp);
+        let assign = Assignment {
+            configure: configure.then(|| Box::new(config.0.clone())),
+            recipe: ship.then(|| Recipe::new(recipe)),
+            ..assignment.clone()
+        };
+        if write_frame(&mut conn.writer, &ToWorker::Assign(assign)).is_err() {
             return End::Lost;
+        }
+        if configure {
+            self.state().configured();
+        }
+        if ship {
+            self.state().shipped();
         }
 
         // One reply per `assign`: `done`, or a structured `error`. A reply
@@ -626,13 +608,19 @@ impl WorkerPool {
                 mut report,
                 events,
             }) if cell == assignment.cell => {
+                if configure {
+                    conn.config_fp = Some(config.0.epoch);
+                }
+                self.state().answered(at);
                 report.events = events;
                 End::Done(*report)
             }
-            // The complaint may be about this cell's recipe, shipped and
-            // refused (`recipe` is un-acked; a refusal answers the first
-            // `assign` over it): the worker does not hold its spec.
-            Some(ToCoordinator::Error { message }) => End::Refused(message, Some(assignment.fp)),
+            // A refused `assign` leaves the worker as it was: without the
+            // spec of the recipe it carried.
+            Some(ToCoordinator::Error { message }) => {
+                self.state().refused(at, ship.then_some(assignment.fp));
+                End::Refused(message)
+            }
             _ => End::Lost,
         }
     }
@@ -698,7 +686,7 @@ fn rendezvous<H: WorkerHandle + 'static>(
             .map_err(|e| format!("bad hello frame: {e}"))?
             .ok_or_else(|| "worker closed before hello".to_string())?;
         let worker = match from_line(&hello) {
-            Ok(ToCoordinator::Hello { worker, .. }) => worker,
+            Ok(ToCoordinator::Hello { worker }) => worker,
             _ => return Err(format!("expected hello, got {hello:?}")),
         };
         match usize::try_from(worker)

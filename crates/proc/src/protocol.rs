@@ -25,18 +25,18 @@
 //! ([`ExecutionConfig`], [`ExecutionReport`]) are wire types themselves:
 //! their own derives (and the hand-written ones of `Topology` and
 //! `TrafficStats`) are the format, and a decoded config is refused with the
-//! words the in-process constructors panic with. A cell is one `assign`
-//! answered by one `done` (or one `error`); whether it is traced travels
-//! beside the config (`events`, since protocol version 3), and its events
-//! come back inside that `done`.
+//! words the in-process constructors panic with.
 //!
-//! A workload reaches a worker as its **`recipe`**: the paper kernel's
-//! application, scale and socket count, and the fingerprint of the spec
-//! they build. The worker builds the spec itself (`build_recipe`) and
-//! refuses it unless the built fingerprint is the advertised one. A recipe
-//! is un-acked: its refusal is the reply to the first `assign` over the
-//! spec. A workload no recipe builds (a custom graph) never travels; the
-//! coordinator runs its cells itself.
+//! A cell is one `assign`, answered by one `done` (with the cell's events,
+//! when its config asks for them) or one `error`. The `assign` carries what
+//! its worker lacks to run it: the executor configuration as an
+//! [`EpochConfig`] when the worker's differs, and the [`Recipe`] of the
+//! spec `fp` when the worker does not hold it — the paper kernel's
+//! application, scale and socket count, which the worker builds the spec
+//! from and refuses unless the built fingerprint is `fp`. A refusal of any
+//! part is the `error` reply to that `assign`, and a refused `assign`
+//! leaves the worker as it was. A workload no recipe builds (a custom
+//! graph) never travels; the coordinator runs its cells itself.
 
 use numadag_kernels::{Application, ProblemScale, SpecKey};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
@@ -44,44 +44,15 @@ use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
-/// Protocol version, sent in every `config` message. A worker that sees a
+/// Protocol version, sent in every [`EpochConfig`]. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub(crate) const PROTOCOL_VERSION: u64 = 7;
+pub(crate) const PROTOCOL_VERSION: u64 = 8;
 
 /// Everything the coordinator sends. Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ToWorker {
-    /// The executor configuration every later `assign` runs under.
-    Config {
-        /// Must equal `PROTOCOL_VERSION`.
-        version: u64,
-        /// The config's own fingerprint, so acks can be matched to the
-        /// config they acknowledge.
-        epoch: u64,
-        /// Whether the config asks for events
-        /// ([`ExecutionConfig::events`]): the worker's simulator then
-        /// returns each cell's events, sent back in its `done`. Part of the
-        /// config's fingerprint, so traced and untraced cells are two
-        /// epochs.
-        events: bool,
-        /// The executor configuration; its events switch is `events`.
-        config: ExecutionConfig,
-    },
-    /// A kernel workload, as the recipe that builds its spec: the worker
-    /// builds `app` at `scale` for `sockets` sockets and holds the spec
-    /// under `fp` if that is the built spec's fingerprint.
-    Recipe {
-        /// The fingerprint the built spec must have; `assign`s name it.
-        fp: u64,
-        /// The application, in a spelling `Application`'s `FromStr` reads.
-        app: String,
-        /// The problem scale: `tiny`, `small` or `full`.
-        scale: String,
-        /// The socket count the spec is built for.
-        sockets: u64,
-    },
     /// One cell of work.
     Assign(Assignment),
     /// The coordinator's side of a collective barrier.
@@ -101,20 +72,14 @@ pub enum ToCoordinator {
     Hello {
         /// The worker id the pool assigned through the environment.
         worker: u64,
-        /// The worker's process id.
-        pid: u64,
-    },
-    /// The worker now runs under the config with this epoch.
-    ConfigAck {
-        /// The `epoch` of the acknowledged config.
-        epoch: u64,
     },
     /// The worker's side of a collective barrier.
     BarrierAck {
         /// The epoch of the `barrier` being answered.
         epoch: u64,
     },
-    /// A structured, deterministic failure (bad config, unknown spec, …).
+    /// A structured, deterministic refusal of an `assign` (bad config,
+    /// recipe or policy, unknown spec, …), and its one reply.
     Error {
         /// What went wrong.
         message: String,
@@ -134,86 +99,120 @@ pub enum ToCoordinator {
 }
 
 /// One cell of work: run `policy` (seeded with `policy_seed`) over the spec
-/// identified by `fp` and report back under id `cell`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// identified by `fp` and report back under id `cell` — under `configure`
+/// and over the spec `recipe` builds, when they ride along.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Assignment {
     /// Coordinator-side cell id, echoed back in `done`.
     pub(crate) cell: u64,
-    /// Fingerprint of a spec previously shipped as a `recipe`.
+    /// Fingerprint of the spec the cell runs over.
     pub(crate) fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
     /// Seed handed to the policy factory.
     pub(crate) policy_seed: u64,
+    /// The executor configuration, when the worker's is another epoch's;
+    /// the worker keeps it for the cells after this one (boxed: it is most
+    /// of the message's size).
+    pub(crate) configure: Option<Box<EpochConfig>>,
+    /// The recipe of the spec `fp`, when the worker does not hold it; the
+    /// worker keeps the spec for the cells after this one.
+    pub(crate) recipe: Option<Recipe>,
 }
 
-impl ToWorker {
-    /// The `config` message that puts a worker on `config`, tagged with
-    /// `epoch`.
-    pub(crate) fn configure(epoch: u64, config: &ExecutionConfig) -> ToWorker {
-        ToWorker::Config {
+/// The executor configuration an `assign` carries, tagged with its epoch.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct EpochConfig {
+    /// Must equal `PROTOCOL_VERSION`.
+    pub(crate) version: u64,
+    /// The config's own fingerprint (see [`crate::WireConfig`]).
+    pub(crate) epoch: u64,
+    /// Whether the config asks for events ([`ExecutionConfig::events`]):
+    /// the worker's simulator then returns each cell's events, sent back in
+    /// its `done`. Part of the config's fingerprint, so traced and untraced
+    /// cells are two epochs.
+    pub(crate) events: bool,
+    /// The executor configuration; its events switch is `events`.
+    pub(crate) config: ExecutionConfig,
+}
+
+impl EpochConfig {
+    /// `config` on the wire, tagged with `epoch`.
+    pub(crate) fn new(epoch: u64, config: ExecutionConfig) -> EpochConfig {
+        EpochConfig {
             version: PROTOCOL_VERSION,
             epoch,
             events: config.events,
-            config: config.clone(),
+            config,
         }
     }
 
-    /// The `recipe` message of the kernel spec `recipe` builds, whose
-    /// fingerprint is `fp`.
-    pub(crate) fn recipe(fp: u64, (app, scale, sockets): SpecKey) -> ToWorker {
-        ToWorker::Recipe {
-            fp,
+    /// The simulator a worker builds for a decoded config, refusing what it
+    /// must not guess at or build: another protocol version, or a machine
+    /// [`Simulator::new`] would panic on (in its words). A machine
+    /// `Topology::new` would panic on never decodes.
+    pub(crate) fn simulator(self) -> Result<Simulator, String> {
+        let EpochConfig {
+            version,
+            events,
+            mut config,
+            ..
+        } = self;
+        if version != PROTOCOL_VERSION {
+            return Err(format!(
+                "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
+            ));
+        }
+        config.events = events;
+        Simulator::try_new(config)
+    }
+}
+
+/// A kernel workload as the recipe that builds its spec: the worker builds
+/// `app` at `scale` for `sockets` sockets.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Recipe {
+    /// The application, in a spelling `Application`'s `FromStr` reads.
+    pub(crate) app: String,
+    /// The problem scale: `tiny`, `small` or `full`.
+    pub(crate) scale: String,
+    /// The socket count the spec is built for.
+    pub(crate) sockets: u64,
+}
+
+impl Recipe {
+    /// The recipe of the kernel spec `key` names.
+    pub(crate) fn new((app, scale, sockets): SpecKey) -> Recipe {
+        Recipe {
             app: app.label().to_string(),
             scale: scale.label().to_string(),
             sockets: sockets as u64,
         }
     }
-}
 
-/// The spec a decoded `recipe` message builds, refusing what a worker must
-/// not build or hold: an application or scale their `FromStr` does not know
-/// (in its words), a socket count outside `1..=`[`Simulator::MAX_SOCKETS`],
-/// or a spec whose fingerprint is not the advertised `fp`.
-pub(crate) fn build_recipe(
-    fp: u64,
-    app: &str,
-    scale: &str,
-    sockets: u64,
-) -> Result<TaskGraphSpec, String> {
-    let app: Application = app.parse()?;
-    let scale: ProblemScale = scale.parse()?;
-    let most = Simulator::MAX_SOCKETS;
-    let sockets = usize::try_from(sockets)
-        .ok()
-        .filter(|n| (1..=most).contains(n))
-        .ok_or_else(|| format!("recipe.sockets is {sockets}, expected 1..={most}"))?;
-    let spec = app.build(scale, sockets);
-    let built = spec.fingerprint();
-    if built != fp {
-        return Err(format!(
-            "recipe fingerprint mismatch: advertised {fp:#x}, built {built:#x}"
-        ));
+    /// The spec a decoded recipe builds, refusing what a worker must not
+    /// build or hold: an application or scale their `FromStr` does not know
+    /// (in its words), a socket count outside
+    /// `1..=`[`Simulator::MAX_SOCKETS`], or a spec whose fingerprint is not
+    /// `fp`.
+    pub(crate) fn build(&self, fp: u64) -> Result<TaskGraphSpec, String> {
+        let app: Application = self.app.parse()?;
+        let scale: ProblemScale = self.scale.parse()?;
+        let most = Simulator::MAX_SOCKETS;
+        let sockets = self.sockets;
+        let sockets = usize::try_from(sockets)
+            .ok()
+            .filter(|n| (1..=most).contains(n))
+            .ok_or_else(|| format!("recipe.sockets is {sockets}, expected 1..={most}"))?;
+        let spec = app.build(scale, sockets);
+        let built = spec.fingerprint();
+        if built != fp {
+            return Err(format!(
+                "recipe fingerprint mismatch: advertised {fp:#x}, built {built:#x}"
+            ));
+        }
+        Ok(spec)
     }
-    Ok(spec)
-}
-
-/// The simulator a worker builds for a decoded `config` message, refusing
-/// what it must not guess at or build: another protocol version, or a
-/// machine [`Simulator::new`] would panic on (in its words). A machine
-/// `Topology::new` would panic on never decodes.
-pub(crate) fn simulator_for(
-    version: u64,
-    events: bool,
-    mut config: ExecutionConfig,
-) -> Result<Simulator, String> {
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
-        ));
-    }
-    config.events = events;
-    Simulator::try_new(config)
 }
 
 #[cfg(test)]
@@ -224,33 +223,37 @@ mod tests {
     use serde::testing::assert_enum_rejects_malformed;
     use serde::Value;
 
-    /// One wire line per coordinator → worker message kind (`config` twice),
-    /// as the hand-written `encode_*` functions this module had up to commit
-    /// fb5dfe3 rendered them, edited for protocol version 3 (`config` gained
-    /// `events`, which `assign` lost together with `placements`), re-captured
-    /// for version 4, where the executor configuration began to travel in
-    /// its own derived form, re-spelled for version 5, where every integer
-    /// is a plain number (the second `config`'s seed is `u64::MAX`),
-    /// extended for version 6 by `recipe`: Symm. mat. inv. at Tiny scale on
-    /// eight sockets, whose fingerprint is above 2^63, and re-versioned for
-    /// 7, where the `spec` message left the wire.
-    const TO_WORKER_LINES: [&str; 6] = [
-        r#"{"config":{"version":7,"epoch":7,"events":false,"config":{"topology":{"name":"2-socket x 2 cores","sockets":2,"cores":2,"distances":[10,21,21,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":1,"latency_exponent":1,"contention_factor":0.25,"time_per_work_unit":1},"steal":"nearest_socket","seed":224,"stage_timing":false}}}"#,
-        r#"{"config":{"version":7,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}}}"#,
-        r#"{"recipe":{"fp":10207178263391561073,"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}"#,
-        r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134}}"#,
+    /// One wire line per coordinator → worker message shape (`assign`
+    /// three times), as the hand-written `encode_*` functions this module
+    /// had up to commit fb5dfe3 rendered them, edited for protocol version 3
+    /// (`config` gained `events`, which `assign` lost together with
+    /// `placements`), re-captured for version 4, where the executor
+    /// configuration began to travel in its own derived form, re-spelled for
+    /// version 5, where every integer is a plain number, extended for
+    /// version 6 by `recipe` (Symm. mat. inv. at Tiny scale on eight
+    /// sockets, whose fingerprint is above 2^63), re-versioned for 7, where
+    /// the `spec` message left the wire, and re-captured for 8, where the
+    /// config (epoch and seed `u64::MAX`) and the recipe ride in the
+    /// `assign` that needs them: bare, with a recipe, and with both.
+    const TO_WORKER_LINES: [&str; 5] = [
+        r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134,"configure":null,"recipe":null}}"#,
+        r#"{"assign":{"cell":9001,"fp":10207178263391561073,"policy":"las","policy_seed":224,"configure":null,"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
+        r#"{"assign":{"cell":18446744073709551615,"fp":10207178263391561073,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":8,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
     ];
+
+    /// The `assign` fields that may be absent.
+    const OPTIONAL: [&str; 2] = ["configure", "recipe"];
 
     /// The same for worker → coordinator: full-range `u64`s, the `u128`
     /// ledger total at `u128::MAX`, an escaped string, `1e300`, and a `done`
     /// with all five event kinds. Version 3 dropped the two notification
     /// lines that used to precede `done` and the report's `trace` array;
-    /// version 5 re-spelled the hex integers as plain numbers.
-    const TO_COORDINATOR_LINES: [&str; 5] = [
-        r#"{"hello":{"worker":3,"pid":4242}}"#,
-        r#"{"config_ack":{"epoch":5}}"#,
+    /// version 5 re-spelled the hex integers as plain numbers; version 8
+    /// dropped the config's acknowledgement and `hello`'s `pid`.
+    const TO_COORDINATOR_LINES: [&str; 4] = [
+        r#"{"hello":{"worker":3}}"#,
         r#"{"barrier_ack":{"epoch":2}}"#,
         r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
         r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":6148914691236517205,"remote":2305843009213693952,"deferred":12345,"dw":340282366920938463463374607431768211455,"links":[[0,1,777],[1,0,3689348814741910323]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968,"policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
@@ -263,37 +266,28 @@ mod tests {
     #[test]
     fn the_parents_wire_lines_decode_and_re_encode_byte_for_byte() {
         for line in TO_WORKER_LINES {
-            let message: ToWorker = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let mut message: ToWorker = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(to_line(&message), line);
             // ... and through what a worker builds from it.
-            let rebuilt = match message {
-                ToWorker::Config {
-                    version,
-                    epoch,
-                    events,
-                    config,
-                } => {
-                    let simulator = simulator_for(version, events, config).unwrap();
-                    ToWorker::configure(epoch, simulator.config())
+            if let ToWorker::Assign(assign) = &mut message {
+                if let Some(configure) = assign.configure.take() {
+                    let epoch = configure.epoch;
+                    let simulator = configure.simulator().unwrap();
+                    let config = EpochConfig::new(epoch, simulator.config().clone());
+                    assign.configure = Some(Box::new(config));
                 }
-                ToWorker::Recipe {
-                    fp,
-                    app,
-                    scale,
-                    sockets,
-                } => {
-                    let spec = build_recipe(fp, &app, &scale, sockets).unwrap();
-                    let recipe = (
-                        app.parse().unwrap(),
-                        scale.parse().unwrap(),
-                        sockets as usize,
+                if let Some(recipe) = &assign.recipe {
+                    let spec = recipe.build(assign.fp).unwrap();
+                    assert_eq!(spec.fingerprint(), assign.fp);
+                    let key = (
+                        recipe.app.parse().unwrap(),
+                        recipe.scale.parse().unwrap(),
+                        recipe.sockets as usize,
                     );
-                    assert_eq!(spec.fingerprint(), fp);
-                    ToWorker::recipe(fp, recipe)
+                    assign.recipe = Some(Recipe::new(key));
                 }
-                other => other,
-            };
-            assert_eq!(to_line(&rebuilt), line);
+            }
+            assert_eq!(to_line(&message), line);
         }
         for line in TO_COORDINATOR_LINES {
             let message: ToCoordinator = from_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -307,7 +301,7 @@ mod tests {
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 7);
+        assert_eq!(PROTOCOL_VERSION, 8);
     }
 
     /// `-0.0` keeps its sign across the wire in a `done` report, whose
@@ -315,7 +309,7 @@ mod tests {
     #[test]
     fn negative_zero_crosses_the_wire_bit_for_bit() {
         let done =
-            TO_COORDINATOR_LINES[4].replacen("\"policy_wall_ns\":17.5", "\"policy_wall_ns\":-0", 1);
+            TO_COORDINATOR_LINES[3].replacen("\"policy_wall_ns\":17.5", "\"policy_wall_ns\":-0", 1);
         let Ok(ToCoordinator::Done { report, .. }) = from_line(&done) else {
             panic!("{done}");
         };
@@ -337,32 +331,24 @@ mod tests {
     #[test]
     fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
         for line in TO_WORKER_LINES {
-            assert_enum_rejects_malformed(line, &[], from_line::<ToWorker>);
+            assert_enum_rejects_malformed(line, &OPTIONAL, from_line::<ToWorker>);
         }
         for line in TO_COORDINATOR_LINES {
             assert_enum_rejects_malformed(line, &[], from_line::<ToCoordinator>);
         }
         // One direction's messages are not the other's.
         assert!(serde_json::from_value::<ToWorker>(&parse(TO_COORDINATOR_LINES[0])).is_err());
-        assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[5])).is_err());
+        assert!(serde_json::from_value::<ToCoordinator>(&parse(TO_WORKER_LINES[4])).is_err());
     }
 
-    /// What a worker makes of a `config` line: the simulator, or the
-    /// complaint of the decode or of [`simulator_for`].
-    fn simulator_from(message: &Value) -> Result<Simulator, String> {
-        match serde_json::from_value::<ToWorker>(message)? {
-            ToWorker::Config {
-                version,
-                events,
-                config,
-                ..
-            } => simulator_for(version, events, config),
-            other => panic!("not a config: {other:?}"),
-        }
+    /// What a worker makes of a config: the simulator, or the complaint of
+    /// the decode or of [`EpochConfig::simulator`].
+    fn simulator_from(config: &Value) -> Result<Simulator, String> {
+        serde_json::from_value::<EpochConfig>(config)?.simulator()
     }
 
-    /// `message` with the value at `path` (object keys, from the envelope
-    /// down) replaced.
+    /// `message` with the value at `path` (object keys, from the top down)
+    /// replaced.
     fn with_path(message: &Value, path: &[&str], value: Value) -> Value {
         let mut message = message.clone();
         let mut at = &mut message;
@@ -379,30 +365,30 @@ mod tests {
     #[test]
     fn a_config_a_worker_must_not_build_is_refused() {
         let two_socket = ExecutionConfig::new(Topology::two_socket(2));
-        let good = serde_json::to_value(&ToWorker::configure(7, &two_socket));
+        let good = serde_json::to_value(&EpochConfig::new(7, two_socket.clone()));
         // The events switch travels beside the config.
         let untraced = simulator_from(&good).unwrap();
         assert!(!untraced.config().events);
-        let traced = serde_json::to_value(&ToWorker::configure(7, &two_socket.with_events()));
+        let traced = serde_json::to_value(&EpochConfig::new(7, two_socket.with_events()));
         assert!(simulator_from(&traced).unwrap().config().events);
 
-        let topology = ["config", "config", "topology"];
+        let topology = ["config", "topology"];
         let at = |leaf: &'static str| [&topology[..], &[leaf]].concat();
         let numbers =
             |values: &[f64]| Value::Array(values.iter().map(|&n| Value::Number(n)).collect());
         for (path, value, complaint) in [
             (
-                vec!["config", "version"],
-                Value::Number(6.0),
-                "config.version 6 is not the supported protocol version 7",
+                vec!["version"],
+                Value::Number(7.0),
+                "config.version 7 is not the supported protocol version 8",
             ),
             (
-                vec!["config", "version"],
-                Value::Number(8.0),
-                "config.version 8 is not the supported protocol version 7",
+                vec!["version"],
+                Value::Number(9.0),
+                "config.version 9 is not the supported protocol version 8",
             ),
             (
-                vec!["config", "config", "steal"],
+                vec!["config", "steal"],
                 Value::String("sometimes".to_string()),
                 "unknown StealMode variant \"sometimes\"",
             ),
@@ -441,7 +427,7 @@ mod tests {
         }
         // The simulator dispatches over at most 64 sockets, here and in
         // process alike.
-        let sockets = |n| ToWorker::configure(1, &ExecutionConfig::new(Topology::symmetric(n, 1)));
+        let sockets = |n| EpochConfig::new(1, ExecutionConfig::new(Topology::symmetric(n, 1)));
         let err = simulator_from(&serde_json::to_value(&sockets(65)))
             .err()
             .unwrap();
@@ -452,6 +438,14 @@ mod tests {
         assert!(simulator_from(&serde_json::to_value(&sockets(64))).is_ok());
     }
 
+    fn recipe(app: &str, scale: &str, sockets: u64) -> Recipe {
+        Recipe {
+            app: app.to_string(),
+            scale: scale.to_string(),
+            sockets,
+        }
+    }
+
     /// A recipe names a spec a worker can build, or is refused: an unknown
     /// application or scale in `FromStr`'s words, a socket count the
     /// simulator does not take, and a spec that is not the advertised one.
@@ -459,7 +453,7 @@ mod tests {
     fn a_recipe_a_worker_must_not_build_is_refused() {
         const FP: u64 = 0x8da7_2e8c_f48a_e571; // Symm. mat. inv., Tiny, 8 sockets
         assert_eq!(
-            build_recipe(FP, "symm", "TINY", 8).unwrap().fingerprint(),
+            recipe("symm", "TINY", 8).build(FP).unwrap().fingerprint(),
             FP
         );
         let mismatch = "recipe fingerprint mismatch: advertised 0x8da72e8cf48ae571, built 0x";
@@ -473,7 +467,7 @@ mod tests {
             ("symm", "small", 8, mismatch),
             ("cg", "tiny", 8, mismatch),
         ] {
-            let err = build_recipe(FP, app, scale, sockets).err();
+            let err = recipe(app, scale, sockets).build(FP).err();
             let err = err.unwrap_or_else(|| panic!("{app} {scale} {sockets}: built"));
             assert!(err.starts_with(complaint), "{app} {scale} {sockets}: {err}");
         }
@@ -482,7 +476,7 @@ mod tests {
             let fp = Application::Jacobi
                 .build(ProblemScale::Tiny, sockets)
                 .fingerprint();
-            assert!(build_recipe(fp, "jacobi", "tiny", sockets as u64).is_ok());
+            assert!(recipe("jacobi", "tiny", sockets as u64).build(fp).is_ok());
         }
     }
 
@@ -494,25 +488,16 @@ mod tests {
         for scale in [ProblemScale::Tiny, ProblemScale::Small] {
             for app in Application::all() {
                 let fp = app.build(scale, 8).fingerprint();
-                let line = to_line(&ToWorker::recipe(fp, (app, scale, 8)));
-                let Ok(ToWorker::Recipe {
-                    fp: sent,
-                    app: label,
-                    scale: size,
-                    sockets,
-                }) = from_line(&line)
-                else {
-                    panic!("{line}");
-                };
-                let built = build_recipe(sent, &label, &size, sockets);
+                let line = to_line(&Recipe::new((app, scale, 8)));
+                let built = from_line::<Recipe>(&line).map(|recipe| recipe.build(fp));
+                let built = built.unwrap_or_else(|e| panic!("{line}: {e}"));
                 assert_eq!(built.map(|spec| spec.fingerprint()), Ok(fp), "{line}");
             }
         }
     }
 
     /// A line cut short is not JSON, whatever it was: a worker ends the
-    /// conversation instead of holding a refusal for an `assign` that may
-    /// never come.
+    /// conversation, for its framing is lost.
     #[test]
     fn a_line_cut_anywhere_is_an_error_never_a_panic() {
         for line in TO_WORKER_LINES {

@@ -1,10 +1,10 @@
 //! Worker side of the proc backend.
 //!
 //! [`run_worker`] serves one coordinator over one connected socket: it
-//! introduces itself with `hello`, then serves a simple request loop —
-//! `config`, `recipe`, `assign`, `barrier`, `shutdown` — until the
-//! coordinator closes the conversation. A worker process is the same
-//! executable as the coordinator, re-entered through
+//! introduces itself with `hello`, then answers each `assign` with one
+//! `done` or `error` and each `barrier` with its `barrier_ack` until the
+//! coordinator sends `shutdown` or closes the conversation. A worker
+//! process is the same executable as the coordinator, re-entered through
 //! [`crate::maybe_run_worker`]: the pool self-execs `current_exe()` with a
 //! `--proc-worker` argument and passes the coordinator's socket address via
 //! the environment, which [`run_worker_from_env`] reads; a worker on a
@@ -21,9 +21,8 @@ use numadag_core::{make_policy, PolicyKind};
 use numadag_runtime::framing::{from_line, read_frame, write_frame, DecodeError, FrameError};
 use numadag_runtime::{ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
-use serde::{de, Reader};
 
-use crate::protocol::{build_recipe, simulator_for, Assignment, ToCoordinator, ToWorker};
+use crate::protocol::{Assignment, ToCoordinator, ToWorker};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
@@ -70,98 +69,49 @@ fn serve(
     };
     let error = |message: String| ToCoordinator::Error { message };
 
-    send(
-        &mut writer,
-        &ToCoordinator::Hello {
-            worker,
-            pid: std::process::id() as u64,
-        },
-    )?;
+    send(&mut writer, &ToCoordinator::Hello { worker })?;
 
-    // One simulator per config epoch: its topology tables and scratch arena
-    // are built on `config` and reused by every cell that follows.
+    // What the `assign`s so far left here: the simulator of the last config
+    // one carried (its topology tables and scratch arena built once and
+    // reused by every cell under it), and every spec a recipe built.
     let mut simulator: Option<Simulator> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
-    // A `recipe` is un-acked, so a refused one may not be answered on the
-    // spot: the coordinator reads one reply per `assign`, and the
-    // complaint is that reply for the first `assign` over a spec this
-    // worker does not hold — the one the refused recipe was shipped for.
-    // Cells over specs it holds run as usual in between.
-    let mut refused_spec: Option<String> = None;
 
     loop {
         let line = match read_frame(&mut reader) {
             Ok(Some(line)) => line,
             // Coordinator gone (clean close either way): nothing left to do.
             Ok(None) | Err(FrameError::Io(_)) => return Ok(()),
-            Err(e) => {
-                // A malformed frame *from the coordinator* is unrecoverable
-                // (framing is lost), but say so before going.
-                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
-                return Err(format!("coordinator sent an unreadable frame: {e}"));
-            }
+            // A malformed frame is not anything the coordinator wrote: the
+            // line was broken on the way, and framing is lost. Leaving
+            // without a reply loses this worker, and the cell is
+            // redispatched; the complaint goes to the caller.
+            Err(e) => return Err(format!("coordinator sent an unreadable frame: {e}")),
         };
-        // A line that is not JSON is unrecoverable (framing is lost), but
-        // say so before going; one that is JSON but refused is answered and
-        // the conversation goes on.
+        // So is a line that is not JSON; one that is JSON but refused is
+        // answered and the conversation goes on.
         let message = match from_line(&line) {
             Ok(message) => message,
             Err(DecodeError::Syntax(e)) => {
-                let _ = write_frame(&mut writer, &error(format!("bad frame: {e}")));
-                return Err(format!("coordinator sent invalid JSON: {e}"));
+                return Err(format!("coordinator sent invalid JSON: {e}"))
             }
             Err(DecodeError::Refused(e)) => {
-                let tag = de::tag(&mut Reader::new(&line)).map_or("envelope".to_string(), |t| t.0);
-                let complaint = format!("bad {tag}: {e}");
-                match tag.as_str() {
-                    "recipe" => refused_spec = Some(complaint),
-                    _ => send(&mut writer, &error(complaint))?,
-                }
+                send(&mut writer, &error(format!("bad message: {e}")))?;
                 continue;
             }
         };
         match message {
-            ToWorker::Recipe {
-                fp,
-                app,
-                scale,
-                sockets,
-            } => match build_recipe(fp, &app, &scale, sockets) {
-                Ok(spec) => {
-                    specs.insert(fp, spec);
-                }
-                Err(e) => refused_spec = Some(format!("bad recipe: {e}")),
-            },
-            ToWorker::Config {
-                version,
-                epoch,
-                events,
-                config,
-            } => match simulator_for(version, events, config) {
-                Ok(built) => {
-                    simulator = Some(built);
-                    send(&mut writer, &ToCoordinator::ConfigAck { epoch })?;
-                }
-                Err(e) => send(&mut writer, &error(format!("bad config: {e}")))?,
-            },
             ToWorker::Assign(assign) => {
-                let outcome = match refused_spec.take_if(|_| !specs.contains_key(&assign.fp)) {
-                    Some(complaint) => Err(complaint),
-                    None => run_cell(&assign, simulator.as_ref(), &specs),
+                let cell = assign.cell;
+                let reply = match run_assign(assign, &mut simulator, &mut specs) {
+                    Ok(mut report) => ToCoordinator::Done {
+                        cell,
+                        events: std::mem::take(&mut report.events),
+                        report: Box::new(report),
+                    },
+                    Err(complaint) => error(complaint),
                 };
-                let mut report = match outcome {
-                    Ok(report) => report,
-                    Err(complaint) => {
-                        send(&mut writer, &error(complaint))?;
-                        continue;
-                    }
-                };
-                let done = ToCoordinator::Done {
-                    cell: assign.cell,
-                    events: std::mem::take(&mut report.events),
-                    report: Box::new(report),
-                };
-                send(&mut writer, &done)?;
+                send(&mut writer, &reply)?;
             }
             ToWorker::Barrier { epoch } => send(&mut writer, &ToCoordinator::BarrierAck { epoch })?,
             ToWorker::Shutdown => {
@@ -174,40 +124,63 @@ fn serve(
     }
 }
 
-/// Executes one assignment; an `Err` is the message of the structured
-/// `error` reply (deterministic: another worker would fail the same way).
-fn run_cell(
-    assign: &Assignment,
-    simulator: Option<&Simulator>,
-    specs: &HashMap<u64, TaskGraphSpec>,
+/// Runs one assignment under the config it carries, else `simulator`, over
+/// the spec its recipe builds, else the one `specs` holds under its `fp`.
+/// What it carried is kept only once the cell has run, so a refused
+/// `assign` leaves the worker as it was. An `Err` is the message of the
+/// structured `error` reply (deterministic: another worker would fail the
+/// same way).
+fn run_assign(
+    assign: Assignment,
+    simulator: &mut Option<Simulator>,
+    specs: &mut HashMap<u64, TaskGraphSpec>,
 ) -> Result<ExecutionReport, String> {
-    let simulator = simulator.ok_or("assign before any config was shipped")?;
-    let spec = specs
-        .get(&assign.fp)
-        .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.fp))?;
-    let kind: PolicyKind = assign
-        .policy
-        .parse()
-        .map_err(|e| format!("bad policy: {e}"))?;
-    let mut policy = make_policy(kind, spec, assign.policy_seed).ok_or_else(|| {
+    let Assignment {
+        fp,
+        policy,
+        policy_seed,
+        configure,
+        recipe,
+        ..
+    } = assign;
+    let configured = configure.map(|c| c.simulator()).transpose();
+    let configured = configured.map_err(|e| format!("bad config: {e}"))?;
+    let built = recipe.map(|r| r.build(fp)).transpose();
+    let built = built.map_err(|e| format!("bad recipe: {e}"))?;
+    let run_on = configured.as_ref().or(simulator.as_ref());
+    let run_on = run_on.ok_or("assign before any config was shipped")?;
+    let spec = built.as_ref().or_else(|| specs.get(&fp));
+    let spec = spec.ok_or_else(|| format!("assign references unknown spec {fp:#x}"))?;
+    let kind: PolicyKind = policy.parse().map_err(|e| format!("bad policy: {e}"))?;
+    let mut policy = make_policy(kind, spec, policy_seed).ok_or_else(|| {
         format!(
-            "policy {:?} is unavailable for workload {:?} (no expert placement?)",
-            assign.policy, spec.name
+            "policy {policy:?} is unavailable for workload {:?} (no expert placement?)",
+            spec.name
         )
     })?;
-    Ok(simulator.run(spec, policy.as_mut()))
+    let report = run_on.run(spec, policy.as_mut());
+    if configured.is_some() {
+        *simulator = configured;
+    }
+    if let Some(spec) = built {
+        specs.insert(fp, spec);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::time::Duration;
 
     use numadag_kernels::{Application, ProblemScale};
     use numadag_numa::Topology;
-    use numadag_runtime::framing::{from_line, to_line, write_line};
+    use numadag_runtime::framing::to_line;
     use numadag_runtime::ExecutionConfig;
+
+    use crate::protocol::{EpochConfig, Recipe};
 
     /// The coordinator's end of a loopback conversation with `run_worker`.
     struct Coordinator {
@@ -220,6 +193,13 @@ mod tests {
             write_frame(&mut self.writer, message).unwrap();
         }
 
+        /// Sends `line` as written, a frame of its own.
+        fn send_line(&mut self, line: &str) {
+            self.writer
+                .write_all(format!("{line}\n").as_bytes())
+                .unwrap();
+        }
+
         fn reply(&mut self) -> ToCoordinator {
             let line = read_frame(&mut self.reader)
                 .expect("the worker is still talking")
@@ -227,22 +207,34 @@ mod tests {
             from_line(&line).unwrap()
         }
 
-        /// Puts the worker on `config` under `epoch`, checking the ack.
-        fn configure(&mut self, epoch: u64, config: &ExecutionConfig) {
-            self.send(&ToWorker::configure(epoch, config));
-            let reply = self.reply();
-            assert!(
-                matches!(reply, ToCoordinator::ConfigAck { epoch: e } if e == epoch),
-                "{reply:?}"
-            );
-        }
-
         fn expect_error(&mut self, prefix: &str, complaint: &str) {
             let ToCoordinator::Error { message } = self.reply() else {
-                panic!("expected an error reply");
+                panic!("expected an error reply to {prefix}{complaint}");
             };
             assert!(message.starts_with(prefix), "{message}");
             assert!(message.contains(complaint), "{message}");
+        }
+
+        /// Expects the `done` of cell `cell`, its report the in-process one
+        /// of [`assign`]'s cell over `app` under [`config`].
+        fn expect_done(&mut self, cell: u64, app: Application) {
+            let ToCoordinator::Done {
+                cell: got,
+                report,
+                events,
+            } = self.reply()
+            else {
+                panic!("expected done for cell {cell}");
+            };
+            assert_eq!(got, cell);
+            assert!(events.is_empty(), "the config did not ask for events");
+            let spec = app.build(ProblemScale::Tiny, 2);
+            let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
+            let want = Simulator::new(config()).run(&spec, policy.as_mut());
+            assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
+            assert_eq!(report.traffic, want.traffic);
+            assert_eq!(report.deferred_bytes, want.deferred_bytes);
+            assert_eq!(report.stolen_tasks, want.stolen_tasks);
         }
     }
 
@@ -265,164 +257,224 @@ mod tests {
         };
         assert!(matches!(
             coordinator.reply(),
-            ToCoordinator::Hello { worker: 7, .. }
+            ToCoordinator::Hello { worker: 7 }
         ));
         (coordinator, worker)
     }
 
-    /// `app` at Tiny scale for two sockets, the `recipe` line that ships
-    /// it, and the `assign` of cell `cell` (LAS, seed 5) on it.
-    fn recipe_cell(app: Application, cell: u64) -> (TaskGraphSpec, String, Assignment) {
-        let spec = app.build(ProblemScale::Tiny, 2);
-        let fp = spec.fingerprint();
-        let line = to_line(&ToWorker::recipe(fp, (app, ProblemScale::Tiny, 2)));
-        let assign = Assignment {
+    fn shut_down(mut coordinator: Coordinator, worker: Worker) {
+        coordinator.send(&ToWorker::Shutdown);
+        worker
+            .join()
+            .expect("the worker never panicked")
+            .expect("the worker left cleanly");
+    }
+
+    /// The config every good `assign` here runs under.
+    fn config() -> ExecutionConfig {
+        ExecutionConfig::new(Topology::two_socket(2))
+    }
+
+    /// The `assign` of cell `cell` (LAS, seed 5) over `app` at Tiny scale
+    /// for two sockets, carrying its recipe and no config.
+    fn assign(app: Application, cell: u64) -> Assignment {
+        Assignment {
             cell,
-            fp,
+            fp: app.build(ProblemScale::Tiny, 2).fingerprint(),
             policy: "las".to_string(),
             policy_seed: 5,
-        };
-        (spec, line, assign)
-    }
-
-    /// A recipe written ahead is refused while the worker runs cells over a
-    /// spec it holds: the refusal waits for the `assign` it belongs to.
-    #[test]
-    fn a_refused_spec_written_ahead_answers_its_own_assign_not_the_next_one() {
-        let (mut coordinator, worker) = loopback();
-        coordinator.configure(1, &ExecutionConfig::new(Topology::two_socket(2)));
-        let (_, held, held_assign) = recipe_cell(Application::Jacobi, 3);
-        write_line(&mut coordinator.writer, held).unwrap();
-
-        // The next workload's recipe, ahead of its cells and refused.
-        let (_, line, next_assign) = recipe_cell(Application::NStream, 4);
-        let poison = line.replacen("\"sockets\":2", "\"sockets\":4", 1);
-        assert_ne!(poison, line);
-        write_line(&mut coordinator.writer, poison).unwrap();
-
-        // The cell in conversation is over the spec the worker holds.
-        coordinator.send(&ToWorker::Assign(held_assign));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::Done { cell: 3, .. }
-        ));
-        // The first cell over the refused recipe hears why.
-        coordinator.send(&ToWorker::Assign(next_assign));
-        coordinator.expect_error("bad recipe: ", "recipe fingerprint mismatch");
-
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
-    }
-
-    /// Each refused recipe, whether its line decodes or not, is the one
-    /// reply to the first `assign` over its fingerprint; then the worker
-    /// builds a good recipe and runs a cell over it.
-    #[test]
-    fn a_refused_recipe_answers_the_assign_behind_it_and_the_worker_keeps_serving() {
-        let (mut coordinator, worker) = loopback();
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-        coordinator.configure(1, &config);
-        let (spec, good, assign) = recipe_cell(Application::Jacobi, 8);
-        for (from, to, complaint) in [
-            (
-                "\"app\":\"Jacobi\"",
-                "\"app\":\"fft\"",
-                "unknown application 'fft'",
-            ),
-            (
-                "\"scale\":\"tiny\"",
-                "\"scale\":\"huge\"",
-                "unknown scale 'huge'",
-            ),
-            (
-                "\"sockets\":2",
-                "\"sockets\":0",
-                "recipe.sockets is 0, expected 1..=64",
-            ),
-            (
-                "\"sockets\":2",
-                "\"sockets\":65",
-                "recipe.sockets is 65, expected 1..=64",
-            ),
-            (
-                "\"sockets\":2",
-                "\"sockets\":4",
-                "recipe fingerprint mismatch",
-            ),
-            (
-                "\"app\":\"Jacobi\"",
-                "\"app\":\"rb\"",
-                "recipe fingerprint mismatch",
-            ),
-            ("\"sockets\":2", "\"sockets\":\"2\"", "recipe.sockets: "),
-            ("\"app\":\"Jacobi\",", "", "missing field \"app\""),
-        ] {
-            let bad = good.replacen(from, to, 1);
-            assert_ne!(bad, good);
-            write_line(&mut coordinator.writer, bad).unwrap();
-            coordinator.send(&ToWorker::Assign(assign.clone()));
-            coordinator.expect_error("bad recipe: ", complaint);
-            // One reply, not two.
-            coordinator.send(&ToWorker::Barrier { epoch: 9 });
-            assert!(matches!(
-                coordinator.reply(),
-                ToCoordinator::BarrierAck { epoch: 9 }
-            ));
+            configure: None,
+            recipe: Some(Recipe::new((app, ProblemScale::Tiny, 2))),
         }
+    }
 
-        write_line(&mut coordinator.writer, good).unwrap();
-        coordinator.send(&ToWorker::Assign(assign));
-        let ToCoordinator::Done {
-            cell: 8,
-            report,
-            events,
-        } = coordinator.reply()
-        else {
-            panic!("expected done for cell 8");
+    /// [`assign`] carrying [`config`] too.
+    fn first_assign(app: Application, cell: u64) -> Assignment {
+        Assignment {
+            configure: Some(Box::new(EpochConfig::new(1, config()))),
+            ..assign(app, cell)
+        }
+    }
+
+    /// Each row is an `assign` with one bad part, and the one reply to it
+    /// is an `error` naming that part. What a refused `assign` carried is
+    /// not kept: the next good `assign`, bare, runs under the config and
+    /// over the spec the worker held before it.
+    #[test]
+    fn each_refused_part_of_an_assign_is_its_one_reply_and_the_worker_keeps_serving() {
+        let (mut coordinator, worker) = loopback();
+        let jacobi = assign(Application::Jacobi, 0);
+        coordinator.send(&ToWorker::Assign(jacobi.clone()));
+        coordinator.expect_error("", "assign before any config was shipped");
+        coordinator.send(&ToWorker::Assign(first_assign(Application::Jacobi, 0)));
+        coordinator.expect_done(0, Application::Jacobi);
+
+        let bare = Assignment {
+            recipe: None,
+            ..jacobi
         };
-        assert!(events.is_empty(), "the config did not ask for events");
-        let mut policy = make_policy("las".parse().unwrap(), &spec, 5).unwrap();
-        let want = Simulator::new(config).run(&spec, policy.as_mut());
-        assert_eq!(report.makespan_ns.to_bits(), want.makespan_ns.to_bits());
-        assert_eq!(report.traffic, want.traffic);
-        assert_eq!(report.deferred_bytes, want.deferred_bytes);
-        assert_eq!(report.stolen_tasks, want.stolen_tasks);
+        let configure = |topology| {
+            Some(Box::new(EpochConfig::new(
+                2,
+                ExecutionConfig::new(topology),
+            )))
+        };
+        let recipe = |app: &str, scale: &str, sockets| {
+            Some(Recipe {
+                app: app.to_string(),
+                scale: scale.to_string(),
+                sockets,
+            })
+        };
+        let rows = [
+            (
+                Assignment {
+                    configure: Some(Box::new(EpochConfig {
+                        version: 7,
+                        ..EpochConfig::new(2, config())
+                    })),
+                    ..bare.clone()
+                },
+                "bad config: config.version 7 is not the supported protocol version 8",
+            ),
+            (
+                Assignment {
+                    configure: configure(Topology::symmetric(65, 1)),
+                    ..bare.clone()
+                },
+                "bad config: the simulator supports at most 64 sockets",
+            ),
+            (
+                Assignment {
+                    recipe: recipe("fft", "tiny", 2),
+                    ..bare.clone()
+                },
+                "bad recipe: unknown application 'fft'",
+            ),
+            (
+                Assignment {
+                    recipe: recipe("jacobi", "huge", 2),
+                    ..bare.clone()
+                },
+                "bad recipe: unknown scale 'huge'",
+            ),
+            (
+                Assignment {
+                    recipe: recipe("jacobi", "tiny", 0),
+                    ..bare.clone()
+                },
+                "bad recipe: recipe.sockets is 0, expected 1..=64",
+            ),
+            (
+                Assignment {
+                    recipe: recipe("jacobi", "tiny", 65),
+                    ..bare.clone()
+                },
+                "bad recipe: recipe.sockets is 65, expected 1..=64",
+            ),
+            (
+                Assignment {
+                    recipe: recipe("jacobi", "tiny", 4),
+                    ..bare.clone()
+                },
+                "bad recipe: recipe fingerprint mismatch",
+            ),
+            // A good config beside a refused recipe is not kept either.
+            (
+                Assignment {
+                    configure: configure(Topology::four_socket(2)),
+                    recipe: recipe("rb", "tiny", 2),
+                    ..bare.clone()
+                },
+                "bad recipe: recipe fingerprint mismatch",
+            ),
+            // Nor is a good config or recipe beside a policy no worker knows.
+            (
+                Assignment {
+                    configure: configure(Topology::four_socket(2)),
+                    policy: "fifo".to_string(),
+                    ..bare.clone()
+                },
+                "bad policy: ",
+            ),
+            (
+                Assignment {
+                    policy: "fifo".to_string(),
+                    ..assign(Application::NStream, 0)
+                },
+                "bad policy: ",
+            ),
+            (
+                Assignment {
+                    fp: 1,
+                    ..bare.clone()
+                },
+                "assign references unknown spec 0x1",
+            ),
+        ];
+        for (cell, (bad, complaint)) in (1..).zip(rows) {
+            coordinator.send(&ToWorker::Assign(bad));
+            coordinator.expect_error("", complaint);
+            coordinator.send(&ToWorker::Assign(Assignment {
+                cell,
+                ..bare.clone()
+            }));
+            coordinator.expect_done(cell, Application::Jacobi);
+        }
+        // Lines the decoder refuses are answered the same way.
+        let line = to_line(&ToWorker::Assign(assign(Application::Jacobi, 20)));
+        for (from, to, complaint) in [
+            ("\"sockets\":2", "\"sockets\":\"2\"", "Recipe.sockets: "),
+            ("\"app\":\"Jacobi\",", "", "missing field \"app\""),
+            ("\"policy_seed\":5", "\"policy_seed\":-5", "policy_seed"),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line);
+            coordinator.send_line(&bad);
+            coordinator.expect_error("bad message: ", complaint);
+        }
+        coordinator.send_line("\"warp\"");
+        coordinator.expect_error("bad message: ", "unknown ToWorker variant \"warp\"");
 
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
+        // NStream's spec went with its refused `assign`; Jacobi's stays.
+        coordinator.send(&ToWorker::Assign(Assignment {
+            recipe: None,
+            ..assign(Application::NStream, 21)
+        }));
+        coordinator.expect_error("", "assign references unknown spec");
+        coordinator.send(&ToWorker::Assign(assign(Application::NStream, 22)));
+        coordinator.expect_done(22, Application::NStream);
+        shut_down(coordinator, worker);
     }
 
     #[test]
     fn a_spec_line_that_is_not_json_ends_the_conversation() {
         let (mut coordinator, worker) = loopback();
-        // A recipe cut in the middle: no `assign` follows it, and the
-        // complaint cannot be held back.
-        let (_, line, _) = recipe_cell(Application::Jacobi, 3);
+        // An `assign` cut in the middle of its recipe: no reply, for the
+        // worker cannot tell what it was.
+        let line = to_line(&ToWorker::Assign(first_assign(Application::Jacobi, 3)));
         let cut = line.find("\"scale\"").unwrap() + 3;
-        write_line(&mut coordinator.writer, line[..cut].to_string()).unwrap();
-        coordinator.expect_error("bad frame: ", "at byte");
+        coordinator.send_line(&line[..cut]);
+        assert!(matches!(read_frame(&mut coordinator.reader), Ok(None)));
         let left = worker.join().expect("the worker never panicked");
-        assert!(left.unwrap_err().contains("invalid JSON"));
+        let left = left.unwrap_err();
+        assert!(
+            left.contains("invalid JSON: ") && left.contains("at byte"),
+            "{left}"
+        );
     }
 
-    /// Each of these `config` lines is well-formed JSON naming a machine
+    /// Each of these configs is well-formed JSON naming a machine
     /// `Topology::new` / `DistanceMatrix::from_rows` would panic on, or one
     /// the simulator would allocate per core for without bound; each used to
     /// panic (or exhaust) the worker, and the coordinator read EOF where the
     /// reply should have been. So is a distance that only fits a `u32` after
     /// truncation (2^32 + 10), once cast to 10 silently, and another
-    /// protocol version.
+    /// protocol version. Each is refused as the reply to its `assign`.
     #[test]
     fn a_config_naming_an_impossible_machine_is_refused_and_the_worker_keeps_serving() {
         let (mut coordinator, worker) = loopback();
-        let config = ExecutionConfig::new(Topology::two_socket(2));
-        let line = to_line(&ToWorker::configure(1, &config));
+        let line = to_line(&ToWorker::Assign(first_assign(Application::Jacobi, 3)));
         for (from, to, complaint) in [
             (
                 "\"sockets\":2",
@@ -456,38 +508,25 @@ mod tests {
             ),
             // The last version and the next.
             (
+                "\"version\":8",
                 "\"version\":7",
-                "\"version\":6",
-                "not the supported protocol version 7",
+                "not the supported protocol version 8",
             ),
             (
-                "\"version\":7",
                 "\"version\":8",
-                "not the supported protocol version 7",
+                "\"version\":9",
+                "not the supported protocol version 8",
             ),
         ] {
             let bad = line.replacen(from, to, 1);
             assert_ne!(bad, line);
-            write_line(&mut coordinator.writer, bad).unwrap();
-            coordinator.expect_error("bad config: ", complaint);
+            coordinator.send_line(&bad);
+            coordinator.expect_error("bad ", complaint);
         }
-        write_line(&mut coordinator.writer, "\"warp\"".to_string()).unwrap();
-        coordinator.expect_error("bad warp: ", "unknown ToWorker variant \"warp\"");
 
-        // The same worker takes the intact config and runs a cell under it.
-        coordinator.configure(1, &config);
-        let (_, recipe, assign) = recipe_cell(Application::Jacobi, 3);
-        write_line(&mut coordinator.writer, recipe).unwrap();
-        coordinator.send(&ToWorker::Assign(assign));
-        assert!(matches!(
-            coordinator.reply(),
-            ToCoordinator::Done { cell: 3, .. }
-        ));
-
-        coordinator.send(&ToWorker::Shutdown);
-        worker
-            .join()
-            .expect("the worker never panicked")
-            .expect("the worker left cleanly");
+        // The same worker takes the intact `assign` and runs its cell.
+        coordinator.send_line(&line);
+        coordinator.expect_done(3, Application::Jacobi);
+        shut_down(coordinator, worker);
     }
 }

@@ -471,21 +471,27 @@ fn run_cells(pool: &WorkerPool, label: &str, seed: u64, cells: usize) -> Duratio
     started.elapsed()
 }
 
+/// Worker 1's first `assign`, which carries the config and NStream's
+/// recipe, never arrives whole: its link dies before it, cuts it halfway,
+/// or turns it into a line that is not JSON. The worker leaves without a
+/// reply, and the cell moves to worker 0.
 #[test]
-fn a_recipe_cut_mid_line_loses_only_that_worker() {
-    // Worker 1 is shipped NStream's recipe with its first cell, and its
-    // link dies halfway through that line.
-    let cut = Relay::new().on(1, Dir::ToWorker, "recipe", 1, Action::Truncate);
-    let pool = relayed_pool(2, cut);
-    let workloads = [Application::Jacobi, Application::NStream].map(kernel);
-    let took = run_recipes(&pool, &workloads);
-    assert!(took < PROMPT, "{took:?}");
-    let stats = pool.stats();
-    assert_eq!(stats.workers_alive, 1, "the cut worker is gone");
-    // That cell, and the recipe with it, moved to worker 0.
-    assert_eq!(stats.redispatches, 1);
-    assert_eq!(stats.cells_dispatched, 6, "no cell was lost or duplicated");
-    assert_eq!(stats.spec_transfers, 3);
+fn an_assign_broken_on_the_way_loses_only_its_worker() {
+    for breakage in [Action::Die, Action::Truncate, Action::Garbage] {
+        let relay = Relay::new().on(1, Dir::ToWorker, "assign", 1, breakage);
+        let pool = relayed_pool(2, relay);
+        let workloads = [Application::Jacobi, Application::NStream].map(kernel);
+        let took = run_recipes(&pool, &workloads);
+        assert!(took < PROMPT, "{breakage:?}: {took:?}");
+        let stats = pool.stats();
+        assert_eq!(stats.workers_alive, 1, "{breakage:?}: the worker is gone");
+        // That cell, and the recipe with it, moved to worker 0, which
+        // already had the config.
+        assert_eq!(stats.redispatches, 1, "{breakage:?}");
+        assert_eq!(stats.cells_dispatched, 6, "{breakage:?}: no cell lost");
+        assert_eq!(stats.spec_transfers, 3, "{breakage:?}");
+        assert_eq!(stats.config_broadcasts, 2, "{breakage:?}");
+    }
 }
 
 /// One sweep over a paper kernel and a custom workload, on one pool: the
@@ -507,8 +513,8 @@ fn a_kernel_ships_as_its_recipe_and_a_custom_workload_runs_on_the_coordinator() 
     // DFIFO, RGP+LAS and the LAS baseline RGP+LAS brings, per workload.
     let kernel_cells = report.cells.iter().filter(|c| c.application == "Jacobi");
     assert_eq!((kernel_cells.count(), report.cells.len()), (3, 6));
-    let sent = ["recipe", "assign"].map(|kind| tally.lines(Dir::ToWorker, kind));
-    assert_eq!(sent, [1, 3], "one recipe, and the kernel's cells only");
+    let sent = tally.lines(Dir::ToWorker, "assign");
+    assert_eq!(sent, 3, "the kernel's cells only");
     let stats = pool.stats();
     assert_eq!(
         (

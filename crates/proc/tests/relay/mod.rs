@@ -189,7 +189,7 @@ impl Relay {
     }
 
     /// Applies `action` to the `nth` line (counting from 1) of message kind
-    /// `kind` (`"assign"`, `"recipe"`, `"done"`, ...) travelling `dir` on
+    /// `kind` (`"assign"`, `"barrier"`, `"done"`, ...) travelling `dir` on
     /// worker `slot`'s connection.
     pub(crate) fn on(
         mut self,
@@ -352,7 +352,7 @@ fn pump(
     let _ = to.shutdown(Shutdown::Both);
 }
 
-/// The message kind of a wire line: its envelope's tag (`assign`, `recipe`,
+/// The message kind of a wire line: its envelope's tag (`assign`, `barrier`,
 /// `done`, ...), or the bare string a unit message is (`shutdown`).
 fn kind_of(line: &[u8]) -> String {
     let text = String::from_utf8_lossy(line);

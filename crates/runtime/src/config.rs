@@ -17,8 +17,8 @@ pub enum StealMode {
     NoStealing,
 }
 
-/// Configuration shared by the executors. Its derived wire form is the proc
-/// backend's `config`; the events switch travels beside it.
+/// Configuration shared by the executors. Its derived wire form is the one
+/// a proc `assign` carries; the events switch travels beside it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).

@@ -96,9 +96,9 @@ pub fn write_frame(writer: &mut impl Write, value: &impl Serialize) -> std::io::
     write_line(writer, to_line(value))
 }
 
-/// Writes an already-rendered one-line message as a frame (a line written
-/// by hand, say). `line` must not contain a raw newline.
-pub fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+/// Writes an already-rendered one-line message as a frame. `line` must not
+/// contain a raw newline.
+fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
     debug_assert!(!line.contains('\n'), "a frame is exactly one line");
     line.push('\n');
     writer.write_all(line.as_bytes())

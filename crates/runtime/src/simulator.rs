@@ -177,7 +177,7 @@ impl Simulator {
     pub const MAX_SOCKETS: usize = MAX_SOCKETS;
 
     /// The most cores a simulated machine may have: the simulator allocates
-    /// per core, so without a bound a `config` line could make it allocate
+    /// per core, so without a bound a decoded config could make it allocate
     /// without one. 2^16 is [`Simulator::MAX_SOCKETS`] sockets of 1,024
     /// cores, more than any NUMA machine built and 1,024 times the largest
     /// topology the repository simulates (64 sockets of 1 core).
@@ -193,7 +193,7 @@ impl Simulator {
     }
 
     /// [`Simulator::new`], refusing a machine it cannot simulate instead of
-    /// panicking (a proc worker answers a `config` it cannot build this way).
+    /// panicking (a proc worker refuses a config it cannot build this way).
     pub fn try_new(config: ExecutionConfig) -> Result<Self, String> {
         let topo = &config.topology;
         if topo.num_sockets() > Self::MAX_SOCKETS {

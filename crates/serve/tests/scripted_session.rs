@@ -6,7 +6,6 @@
 use std::sync::Arc;
 
 use numadag_kernels::SpecCache;
-use numadag_runtime::Fnv1a;
 use numadag_serve::client::ServeClient;
 use numadag_serve::protocol::{Request, Response, ServerStats, SweepSpec};
 use numadag_serve::server::{serve_with_specs, ServeConfig};
@@ -31,14 +30,17 @@ fn pinned(response: Response) -> Response {
             hydrated_cells,
             report_json,
         } => {
-            let mut hash = Fnv1a::default();
-            hash.write_bytes(report_json.as_bytes());
+            let hash = report_json
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
             Response::Report {
                 job,
                 cache_hit,
                 executed_cells,
                 hydrated_cells,
-                report_json: format!("{:016x}", hash.0),
+                report_json: format!("{hash:016x}"),
             }
         }
         other => other,

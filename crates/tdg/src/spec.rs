@@ -101,10 +101,16 @@ impl TaskGraphSpec {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TdgBuilder;
     use crate::task::{TaskId, TaskSpec};
+
+    use super::reference::reference_fingerprint;
 
     /// Two writers of a 128- and an `r1`-byte region and their reader; the
     /// first writer does `w0` units of work.
@@ -194,49 +200,6 @@ mod tests {
             assert_eq!(clone.fingerprint(), reference_fingerprint(clone));
         }
         assert_eq!(base.fingerprint(), fp);
-    }
-
-    /// [`TaskGraphSpec::fingerprint`] as it was before the graph memoised
-    /// its share: one straight-line fold, successor edges read task by task.
-    fn reference_fingerprint(spec: &TaskGraphSpec) -> u64 {
-        let mut h = Fnv1a::default();
-        h.write_str(&spec.name);
-        h.write_u64(spec.graph.num_tasks() as u64);
-        h.write_u64(spec.graph.num_edges() as u64);
-        for task in spec.graph.tasks() {
-            h.write_str(task.kind);
-            h.write_u64(task.work_units.to_bits());
-            h.write_u64(task.accesses.len() as u64);
-            for access in task.accesses.iter() {
-                h.write_u64(access.region.index() as u64);
-                h.write_u64(match access.mode {
-                    crate::task::AccessMode::In => 0,
-                    crate::task::AccessMode::Out => 1,
-                    crate::task::AccessMode::InOut => 2,
-                });
-                h.write_u64(access.bytes);
-            }
-        }
-        let flat = spec.graph.flat();
-        for id in spec.graph.task_ids() {
-            for (&succ, &bytes) in flat.successors(id).iter().zip(flat.successor_bytes(id)) {
-                h.write_u64(u64::from(succ));
-                h.write_u64(bytes);
-            }
-        }
-        for &size in spec.graph.region_sizes() {
-            h.write_u64(size);
-        }
-        match spec.ep_placement() {
-            None => h.write_u64(u64::MAX),
-            Some(placement) => {
-                h.write_u64(placement.len() as u64);
-                for &socket in placement {
-                    h.write_u64(socket as u64);
-                }
-            }
-        }
-        h.0
     }
 
     fn folds() -> usize {

@@ -7,12 +7,12 @@ use std::sync::Arc;
 
 use numadag::prelude::*;
 use numadag::runtime::SweepTiming;
-use numadag::tdg::Fnv1a;
 
+/// FNV-1a, 64-bit, of `text`'s bytes.
 fn fnv(text: &str) -> u64 {
-    let mut hash = Fnv1a::default();
-    hash.write_bytes(text.as_bytes());
-    hash.0
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// `(application, policy, events, bytes, FNV-1a of Trace::to_json_string())`

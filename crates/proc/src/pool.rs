@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use numadag_kernels::SpecKey;
 use numadag_runtime::framing::{from_line, read_frame, to_line, write_frame, FrameError};
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport};
-use numadag_tdg::{Fnv1a, TaskGraphSpec};
+use numadag_tdg::{ContentHasher, TaskGraphSpec};
 
 use crate::protocol::{Assignment, EpochConfig, Recipe, ToCoordinator, ToWorker};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
@@ -348,9 +348,9 @@ impl WireConfig {
     /// Fingerprints `config`.
     pub fn new(config: ExecutionConfig) -> Self {
         let mut wire = EpochConfig::new(0, config);
-        let mut hash = Fnv1a::default();
+        let mut hash = ContentHasher::default();
         hash.write_bytes(to_line(&wire).as_bytes());
-        wire.epoch = hash.0;
+        wire.epoch = hash.finish();
         WireConfig(wire)
     }
 

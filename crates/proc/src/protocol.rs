@@ -46,7 +46,7 @@ use serde::{Deserialize, Serialize};
 
 /// Protocol version, sent in every [`EpochConfig`]. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub(crate) const PROTOCOL_VERSION: u64 = 8;
+pub(crate) const PROTOCOL_VERSION: u64 = 9;
 
 /// Everything the coordinator sends. Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
@@ -231,14 +231,16 @@ mod tests {
     /// configuration began to travel in its own derived form, re-spelled for
     /// version 5, where every integer is a plain number, extended for
     /// version 6 by `recipe` (Symm. mat. inv. at Tiny scale on eight
-    /// sockets, whose fingerprint is above 2^63), re-versioned for 7, where
-    /// the `spec` message left the wire, and re-captured for 8, where the
-    /// config (epoch and seed `u64::MAX`) and the recipe ride in the
-    /// `assign` that needs them: bare, with a recipe, and with both.
+    /// sockets), re-versioned for 7, where the `spec` message left the
+    /// wire, re-captured for 8, where the config (epoch and seed
+    /// `u64::MAX`) and the recipe ride in the `assign` that needs them:
+    /// bare, with a recipe, and with both, and re-captured for 9, whose
+    /// spec fingerprints are another hash (the bare `assign` keeps a
+    /// fingerprint above 2^63).
     const TO_WORKER_LINES: [&str; 5] = [
         r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134,"configure":null,"recipe":null}}"#,
-        r#"{"assign":{"cell":9001,"fp":10207178263391561073,"policy":"las","policy_seed":224,"configure":null,"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
-        r#"{"assign":{"cell":18446744073709551615,"fp":10207178263391561073,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":8,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
+        r#"{"assign":{"cell":9001,"fp":3369824997562222560,"policy":"las","policy_seed":224,"configure":null,"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
+        r#"{"assign":{"cell":18446744073709551615,"fp":3369824997562222560,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":9,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
     ];
@@ -301,7 +303,7 @@ mod tests {
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 8);
+        assert_eq!(PROTOCOL_VERSION, 9);
     }
 
     /// `-0.0` keeps its sign across the wire in a `done` report, whose
@@ -379,13 +381,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["version"],
-                Value::Number(7.0),
-                "config.version 7 is not the supported protocol version 8",
+                Value::Number(8.0),
+                "config.version 8 is not the supported protocol version 9",
             ),
             (
                 vec!["version"],
-                Value::Number(9.0),
-                "config.version 9 is not the supported protocol version 8",
+                Value::Number(10.0),
+                "config.version 10 is not the supported protocol version 9",
             ),
             (
                 vec!["config", "steal"],
@@ -451,12 +453,12 @@ mod tests {
     /// simulator does not take, and a spec that is not the advertised one.
     #[test]
     fn a_recipe_a_worker_must_not_build_is_refused() {
-        const FP: u64 = 0x8da7_2e8c_f48a_e571; // Symm. mat. inv., Tiny, 8 sockets
+        const FP: u64 = 0x2ec4_05fb_2eed_87e0; // Symm. mat. inv., Tiny, 8 sockets
         assert_eq!(
             recipe("symm", "TINY", 8).build(FP).unwrap().fingerprint(),
             FP
         );
-        let mismatch = "recipe fingerprint mismatch: advertised 0x8da72e8cf48ae571, built 0x";
+        let mismatch = "recipe fingerprint mismatch: advertised 0x2ec405fb2eed87e0, built 0x";
         for (app, scale, sockets, complaint) in [
             ("fft", "tiny", 8, "unknown application 'fft' (expected cg|gs|ih|jacobi|nstream|qr|rb|symm or a Figure-1 label)"),
             ("symm", "huge", 8, "unknown scale 'huge' (expected tiny|small|full)"),

@@ -330,12 +330,12 @@ mod tests {
             (
                 Assignment {
                     configure: Some(Box::new(EpochConfig {
-                        version: 7,
+                        version: 8,
                         ..EpochConfig::new(2, config())
                     })),
                     ..bare.clone()
                 },
-                "bad config: config.version 7 is not the supported protocol version 8",
+                "bad config: config.version 8 is not the supported protocol version 9",
             ),
             (
                 Assignment {
@@ -508,14 +508,14 @@ mod tests {
             ),
             // The last version and the next.
             (
+                "\"version\":9",
                 "\"version\":8",
-                "\"version\":7",
-                "not the supported protocol version 8",
+                "not the supported protocol version 9",
             ),
             (
-                "\"version\":8",
                 "\"version\":9",
-                "not the supported protocol version 8",
+                "\"version\":10",
+                "not the supported protocol version 9",
             ),
         ] {
             let bad = line.replacen(from, to, 1);

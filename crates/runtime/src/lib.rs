@@ -99,5 +99,5 @@ pub use simulator::Simulator;
 pub use sweep::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 pub use threaded::ThreadedExecutor;
 // Re-exported so the sweep service keys its caches with the workspace's one
-// FNV-1a without a direct numadag-tdg dependency.
-pub use numadag_tdg::Fnv1a;
+// content hasher without a direct numadag-tdg dependency.
+pub use numadag_tdg::ContentHasher;

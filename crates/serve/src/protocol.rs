@@ -17,7 +17,7 @@
 
 use numadag_core::PolicyKind;
 use numadag_kernels::SpecCache;
-use numadag_runtime::{report_order, Fnv1a, SweepPlan};
+use numadag_runtime::{report_order, ContentHasher, SweepPlan};
 use serde::{de, Deserialize, Reader, Serialize};
 
 pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
@@ -29,7 +29,7 @@ pub use numadag_runtime::{ResolvedSweep, SweepSpec, DEFAULT_POLICIES};
 /// subsets, policy supersets, added repetitions) that contain the same cell
 /// share one entry.
 ///
-/// Key schema (FNV-1a over, in order): workload spec fingerprint
+/// Key schema ([`ContentHasher`] over, in order): workload spec fingerprint
 /// ([`numadag_kernels::SpecCache::fingerprint`], which already encodes
 /// application, scale and socket count) × canonical policy label × sweep
 /// seed × repetition index × backend label × socket count.
@@ -41,17 +41,17 @@ pub(crate) fn cell_fingerprint(
     rep: u64,
     num_sockets: u64,
 ) -> u64 {
-    let mut hash = Fnv1a::default();
+    let mut hash = ContentHasher::default();
     hash.write_u64(spec_fp);
-    // Each label ends in 0xff, so "ab"+"c" and "a"+"bc" hash differently.
+    // Each label goes in after its length, so "ab"+"c" and "a"+"bc" hash
+    // differently.
     for label in [policy_label, backend_label] {
         hash.write_bytes(label.as_bytes());
-        hash.write_byte(0xff);
     }
     for value in [seed, rep, num_sockets] {
         hash.write_u64(value);
     }
-    hash.0
+    hash.finish()
 }
 
 /// The canonical content fingerprint of a sweep, the key of the report
@@ -67,9 +67,8 @@ pub(crate) fn sweep_fingerprint(
     specs: &SpecCache,
     num_sockets: usize,
 ) -> u64 {
-    let mut hash = Fnv1a::default();
+    let mut hash = ContentHasher::default();
     hash.write_bytes(sweep.backend.label().as_bytes());
-    hash.write_byte(0xff);
     for value in [sweep.seed, sweep.reps as u64, num_sockets as u64] {
         hash.write_u64(value);
     }
@@ -79,9 +78,8 @@ pub(crate) fn sweep_fingerprint(
     }
     for policy in report_order(&sweep.policies, ResolvedSweep::BASELINE) {
         hash.write_bytes(policy.label().as_bytes());
-        hash.write_byte(0xff);
     }
-    hash.0
+    hash.finish()
 }
 
 /// The [`cell_fingerprint`] of every job of `plan`, the plan of `sweep`, in
@@ -759,72 +757,74 @@ mod tests {
     }
 
     /// The sweep fingerprint and every cell key of each golden sweep on the
-    /// paper's machine, as commit 2530d38 computed them. They key the
-    /// report cache, the cell cache and every `--cache-file`: a drift
-    /// silently flushes them all.
+    /// paper's machine. They key the report cache, the cell cache and every
+    /// `--cache-file`: a drift silently flushes them all. Re-captured with
+    /// cache file version 3, when the hash became word-at-a-time, from the
+    /// table of commit 2530d38: the new keys map one to one onto the old,
+    /// so the same cells share a key as before.
     #[rustfmt::skip]
     const GOLDEN_KEYS: [(u64, &[u64]); 6] = [
-        (0xfe129f8947b1cdab, &[
-            0xa4ed673702fe656f, 0x71e6e101a80494c7, 0x164de305cb01c29c, 0xe0626dc8ac5d0fa1,
-            0xa37c70876a25b422, 0xffcda7718529580e, 0x133aece36f0c967b, 0x9aa703517ab2bed8,
-            0xb840d7cc57ca08e7, 0x1955395c8d869e9f, 0xde0b213b08df00c4, 0xf170f6d67082d149,
-            0x08700f75dfbd89cd, 0xdc0abf2a39658da9, 0x627fe82ebc7ce60a, 0x6f9bcfe5ccae514f,
-            0x002ee3d87974bf88, 0xe901e2bb431b0d80, 0xfbb45e44ee8d7771, 0x119d9979d6e6ce9e,
-            0x86d311aceb576073, 0xb6a8ae251f42aaeb, 0x8a1c6211ff78f440, 0x94a086f12d02697d,
-            0xa962cc1bf1d03d38, 0xdca328cadb119d10, 0xe997848ecaa08021, 0xfe572be02ca7692e,
-            0xf341392d6f1eb92b, 0xdffd06bc26429023, 0x3834d3153e8e4be8, 0x8f29d8591cebd005,
+        (0xdd56c3586f2feddc, &[
+            0x1f6183c0bb2b7263, 0xfca62a93d5464235, 0x2b080ef95edbef4b, 0x4cacd9bec846e38e,
+            0x0bf123ac3286235f, 0x4caef7de4a70237b, 0xc04cf080862e119d, 0xdbf783a689bb3e40,
+            0xccf7fd6f7303dab1, 0xe868fb6871bd6872, 0xc41dc7b858c97b54, 0xeaa4a9668d3de59d,
+            0x8c7cb0ad6cf7f4d3, 0x2d416ce79718b8e0, 0xdbb8ce8ba6d051b1, 0x061910890037572d,
+            0xbd48cdd2d6b7618d, 0xce4edf5f8a334952, 0x3b4ff8efad652c15, 0xa8db645893f41702,
+            0xd9ed8ec73465726c, 0x4ecd00934b7143d3, 0x569c01e505b1cc6a, 0xd396a7ffd35b42a4,
+            0x1b1cf0ae42ddae5b, 0x845b16557f99e801, 0x8f18865dbe28473d, 0x243cbd3a752742c1,
+            0x9ef97df62e81d213, 0x5f0e58beabe1c9d4, 0xeea640a383ff83c1, 0xe6655376294ba265,
         ]),
-        (0xef0d12f62ede757b, &[
-            0x9460962ed271eb28, 0x18feb075f1b81be0, 0xaaaec2cf88e31b5e, 0xf279cef5f74d41d1,
-            0x716663f89a988bbe, 0x9e970cc24050ce34, 0x77aa6b309cb246ec, 0x6747edc245fd57fa,
-            0x25df7fbc80d1ab4d, 0x0281eafed467cc32, 0x9fcb3eee2e72928d, 0xc5651d8980edd2e9,
-            0x512da7b5b0960477, 0x19f54569f7747bca, 0xf4ec42f13ceeb00f, 0x8253384effd9880c,
-            0xb15e2139ea62abc4, 0x7c04f181ff7dfd02, 0x115fe511ac9fb775, 0xd5edf9b5d55d14fa,
-            0xc8a8dbcc25b5beab, 0xbe3ea0dff1136da3, 0x616f77d844112cb5, 0xebc419d7a77b7068,
-            0x553afe4699765185, 0xc9ca961a88621b78, 0x61c8efbdf4045fd0, 0xbc54d255115c396e,
-            0xd32d491e3e713c61, 0xbb4956bb9e09b96e, 0x877d59c9840a8def, 0xdc3b41f8077ee947,
-            0x12dd64abbfa75289, 0xf1c6d79ffe2cd01c, 0xb0c8818999287621, 0xc49d0033f2f70767,
-            0x2104891c8b9ecf1f, 0x008508bfb0244a11, 0xe132513c1d47dc44, 0x35da403c387341c9,
+        (0xe5f3191f2392bce7, &[
+            0xff3417762898a62d, 0x2f5553f1a3f97faa, 0x7a0fc59fb893f905, 0x622db7e25ee4cd5d,
+            0x167f5c51d49ee5f5, 0x30d9f27e20666c2f, 0xee15ab8047b24bef, 0x2fcb1674559899dc,
+            0x1ddcbeb30c0a3e8d, 0x8a03ef0647428501, 0xf5dbe90ca5cb5445, 0x6b5a84461a0f390e,
+            0xd513a629bf32a157, 0x827d922d26c90cb9, 0x68f1d0ca2bac4fc3, 0x1580b11688aafe85,
+            0x06b1512f2a5d01e6, 0x3d4bd95e24eb38b6, 0x8fabd5c3569d2edb, 0x5f201a3999e02d54,
+            0x5a2028d494481dcc, 0xf5cfe92d946547d8, 0xffa9ec64a2de8915, 0x8a56bde973e3e69e,
+            0x6d7f88034689f004, 0x4b979b32cee82966, 0x1efcb1f43bb85511, 0xfa6252b35bafb593,
+            0x3f150af35acc0a00, 0xe7950ff939839cc6, 0x8367d2218ba5a95c, 0x6bbbde395ff7c72a,
+            0x92a24b7dd15205e9, 0x3aee909939a49b37, 0x7f7128bcd016b9ad, 0x020fdf1d82c57d12,
+            0x7da42476640e9e59, 0x61abc66ed3e73a33, 0x7e2e0e086d4d0873, 0xdf5194751c073c5f,
         ]),
-        (0xe3b095f60d7caaac, &[
-            0x785810f4dc5ae609, 0xe0626dc8ac5d0fa1, 0x009780aad0d649c0, 0x9aa703517ab2bed8,
-            0xf3373d6b4639cf91, 0xf170f6d67082d149, 0xc358a1d394668237, 0x6f9bcfe5ccae514f,
-            0x53882530297b2f7e, 0x119d9979d6e6ce9e, 0x47d7e2577108cf0d, 0x94a086f12d02697d,
-            0x228fc1fcf13c61ae, 0xfe572be02ca7692e, 0x63028f290481fd35, 0x8f29d8591cebd005,
+        (0x3029012eb0d5258e, &[
+            0x8699d63ff0d3855f, 0x4cacd9bec846e38e, 0xc4159c56534599aa, 0xdbf783a689bb3e40,
+            0x4f17d15423bff21e, 0xeaa4a9668d3de59d, 0x3fe3818e048eb125, 0x061910890037572d,
+            0x6bb3023614c65048, 0xa8db645893f41702, 0xe1c46e71c25c63e6, 0xd396a7ffd35b42a4,
+            0xf843298059aa657f, 0x243cbd3a752742c1, 0x32ce4b087d1e9bfa, 0xe6655376294ba265,
         ]),
-        (0x35c3ed35d6121586, &[
-            0x83473966b1c400e7, 0xe0626dc8ac5d0fa1, 0x6b813c478a19f0be, 0x9aa703517ab2bed8,
-            0x8d9a5359f1b9eabf, 0xf170f6d67082d149, 0xfdba28a5ac1a851d, 0x6f9bcfe5ccae514f,
-            0xf3a6fb3f30130c3c, 0x119d9979d6e6ce9e, 0x346427c7a98497db, 0x94a086f12d02697d,
-            0x4c2682152ae1606c, 0xfe572be02ca7692e, 0x41a744afef6d32b3, 0x8f29d8591cebd005,
+        (0xc3433274c93ec26e, &[
+            0x7673dac477720ceb, 0x4cacd9bec846e38e, 0x02b83eb89d0c422b, 0xdbf783a689bb3e40,
+            0x308245a90ad53bfc, 0xeaa4a9668d3de59d, 0x424b7d9ce1d8152c, 0x061910890037572d,
+            0x94483520b7cf80ce, 0xa8db645893f41702, 0xbcecac99dbced5c2, 0xd396a7ffd35b42a4,
+            0xe54b70a833056d2f, 0x243cbd3a752742c1, 0x96b3ea73d7953b6b, 0xe6655376294ba265,
         ]),
-        (0xd369bdaca6b0b452, &[
-            0xa4ed673702fe656f, 0x55ef516eefe94d2e, 0x71e6e101a80494c7, 0x22e8cb3994ef7c86,
-            0x164de305cb01c29c, 0x654bf8cdde16dadd, 0xe0626dc8ac5d0fa1, 0x916458009947f760,
-            0xa37c70876a25b422, 0xf27a864f7d3acc63, 0xffcda7718529580e, 0x4ecbbd39983e704f,
-            0x133aece36f0c967b, 0xc43cd71b5bf77e3a, 0x9aa703517ab2bed8, 0xe9a519198dc7d719,
-            0xb840d7cc57ca08e7, 0x6942c20444b4f0a6, 0x1955395c8d869e9f, 0xca5723947a71865e,
-            0xde0b213b08df00c4, 0x2d0937031bf41905, 0xf170f6d67082d149, 0xa272e10e5d6db908,
-            0x08700f75dfbd89cd, 0xb971f9adcca8718c, 0xdc0abf2a39658da9, 0x8d0ca96226507568,
-            0x627fe82ebc7ce60a, 0xb17dfdf6cf91fe4b, 0x6f9bcfe5ccae514f, 0x209dba1db999390e,
-            0x002ee3d87974bf88, 0x4f2cf9a08c89d7c9, 0xe901e2bb431b0d80, 0x37fff883563025c1,
-            0xfbb45e44ee8d7771, 0xacb6487cdb785f30, 0x119d9979d6e6ce9e, 0x609baf41e9fbe6df,
-            0x86d311aceb576073, 0x37d4fbe4d8424832, 0xb6a8ae251f42aaeb, 0x67aa985d0c2d92aa,
-            0x8a1c6211ff78f440, 0xd91a77da128e0c81, 0x94a086f12d02697d, 0x45a2712919ed513c,
-            0xa962cc1bf1d03d38, 0xf860e1e404e55579, 0xdca328cadb119d10, 0x2ba13e92ee26b551,
-            0xe997848ecaa08021, 0x9a996ec6b78b67e0, 0xfe572be02ca7692e, 0x4d5541a83fbc816f,
-            0xf341392d6f1eb92b, 0xa44323655c09a0ea, 0xdffd06bc26429023, 0x90fef0f4132d77e2,
-            0x3834d3153e8e4be8, 0x8732e8dd51a36429, 0x8f29d8591cebd005, 0x402bc29109d6b7c4,
+        (0xbf3462e929368259, &[
+            0x1f6183c0bb2b7263, 0xa6f6df1db98db1d0, 0xfca62a93d5464235, 0xd1e8609bc560c257,
+            0x2b080ef95edbef4b, 0x1a692bfa5f5bad7f, 0x4cacd9bec846e38e, 0xcf7bff93f5d807cc,
+            0x0bf123ac3286235f, 0x3588144722740927, 0x4caef7de4a70237b, 0x6acbf8ebca90af18,
+            0xc04cf080862e119d, 0x75567da09e7fac3f, 0xdbf783a689bb3e40, 0xb943fad4b6458eb4,
+            0xccf7fd6f7303dab1, 0x38e6388713b07a59, 0xe868fb6871bd6872, 0xc935145b69be935e,
+            0xc41dc7b858c97b54, 0xb7e752fc6689d8d6, 0xeaa4a9668d3de59d, 0x369765b7f8b9d115,
+            0x8c7cb0ad6cf7f4d3, 0x71627683e66d97e4, 0x2d416ce79718b8e0, 0x9a558a28adea4be9,
+            0xdbb8ce8ba6d051b1, 0x27915cfb5de3c038, 0x061910890037572d, 0x1aa5b37b3e224584,
+            0xbd48cdd2d6b7618d, 0xab5c791c8765feaa, 0xce4edf5f8a334952, 0x8bb747923af1cacf,
+            0x3b4ff8efad652c15, 0x46a1e16384e48cee, 0xa8db645893f41702, 0x7f3696eaeba5a613,
+            0xd9ed8ec73465726c, 0x9776fb01491f8ad0, 0x4ecd00934b7143d3, 0x78d38243065c53f9,
+            0x569c01e505b1cc6a, 0x8494a45eedebd0ca, 0xd396a7ffd35b42a4, 0x3b81b86f115fd77b,
+            0x1b1cf0ae42ddae5b, 0x3ce32bebf59044d4, 0x845b16557f99e801, 0xa6f65557191c34b3,
+            0x8f18865dbe28473d, 0xc7a2dd1d4bb0e7ce, 0x243cbd3a752742c1, 0x22f801726cd4c1fa,
+            0x9ef97df62e81d213, 0xd31ef75b565ed321, 0x5f0e58beabe1c9d4, 0xbd13e25408d114f5,
+            0xeea640a383ff83c1, 0x0b42b6c31b7abdb7, 0xe6655376294ba265, 0x646b08357aef86e3,
         ]),
-        (0xdc1e678bac109d27, &[
-            0x38e6b028150b0739, 0xaba41e1c26da8ff1, 0xbbea5e9a96f95174, 0xc03cf24d3a06b71f,
-            0xf258ecd0ea9cdf0e, 0xc3ba21934dd01952, 0x8f91d14adfe22c3d, 0x1eda0142f9be2548,
-            0x6bb9335e0438aa91, 0x3625859a69642dc9, 0x1b30e252e3159b9c, 0xf711ffcdd22ebc07,
-            0xca42b999d7c7ac13, 0x12496c91e265efe7, 0x1d1b3d86e3752e96, 0xbc2dce913e887399,
-            0x15c953b2b150ac98, 0xdc8b129e9c15da30, 0x21e3e4927c429e8f, 0xa82288e15df11002,
-            0xe4bc56d907bf3595, 0x8e21c9b1351b4ccd, 0x271a324ca421eff0, 0xe621e94c2f0599a3,
-            0x9781dde454896b28, 0xcda9cfd7bce57ce0, 0xd39c289ea5aabc9f, 0xe7c6369a771a32f2,
-            0x09941421c2b5000d, 0xcb71b879eb09cd25, 0x940630e8bc9b9878, 0x387e1b17d868642b,
+        (0x1570fa24f97e5af4, &[
+            0x2369ceadc0231007, 0xd76c71ca5e3c81ab, 0xcfbfcf4716eb8c0d, 0x5c223031c7709341,
+            0x8373a7fd335b3d93, 0x389938c308c4280b, 0xd1dc61f61a521d22, 0x15ac7235f4811647,
+            0xce37b8e9c4e342a7, 0x0ce42e5cea849ade, 0xa66350f048f18deb, 0xc9ba003a4cba1c9e,
+            0x478cc28d8d61ba40, 0x2893e31a713a2da3, 0x3b82288975ae6709, 0xc59232aae0726b9a,
+            0x86b16a4e387df961, 0xf6c760cad7ec6d8d, 0xcb604d3c17b3ff13, 0x841670bea58e4c76,
+            0xf9eaad2d12ef2b6f, 0x8373c82d283964d4, 0xbc86031bbd9a668f, 0xd2242f7bafd34a7e,
+            0x67987a625b3f0070, 0x42401ad90be8e77c, 0xb125a96f419c25d4, 0xc9d6d6da4f0d6500,
+            0x6e17139b9157e727, 0xb55592c1b1cfdca2, 0x5af24a355e138391, 0x5acd831930cc3c71,
         ]),
     ];
 

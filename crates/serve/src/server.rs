@@ -724,11 +724,12 @@ impl ServeHandle {
 }
 
 /// The persisted report cache (`--cache-file`): one JSON object,
-/// `{"version": 2, "entries": [{key, executed_cells, total_cells, report}]}`,
+/// `{"version": 3, "entries": [{key, executed_cells, total_cells, report}]}`,
 /// with entries least-recently-used first (so reloading in file order
 /// reproduces the LRU ranking) and each key the sweep's fingerprint as a
-/// plain integer. Version 1 spelled the keys in hex; such a file is refused
-/// whole, and the daemon boots with an empty cache.
+/// plain integer. Version 1 spelled the keys in hex, and version 2's keys
+/// were another hash; a file of either is refused whole, and the daemon
+/// boots with an empty cache.
 #[derive(Serialize, Deserialize)]
 struct CacheFile {
     version: u64,
@@ -736,7 +737,7 @@ struct CacheFile {
 }
 
 /// The version of [`CacheFile`] this daemon writes and reads.
-const CACHE_FILE_VERSION: u64 = 2;
+const CACHE_FILE_VERSION: u64 = 3;
 
 /// A file's `version`, read before its entries, whose spelling it decides.
 #[derive(Deserialize)]
@@ -1136,10 +1137,10 @@ mod tests {
     /// last with a hand-written loader) saved it after one NStream sweep.
     const PARENT_CACHE_FILE: &str = r#"{"version":1,"entries":[{"key":"de10a53c7defda1d","executed_cells":2,"total_cells":2,"report":"{\n  \"machine\": \"bullion_s16 (8 sockets x 4 cores)\",\n  \"backend\": \"simulator\",\n  \"baseline\": \"LAS\",\n  \"seed\": 15819134,\n  \"repetitions\": 1,\n  \"cells\": [\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 7020.300000000001,\n      \"speedup_vs_baseline\": 0.7225902026978902,\n      \"local_fraction\": 0.25,\n      \"load_imbalance\": 1.7804238635214433,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    },\n    {\n      \"application\": \"NStream\",\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"repetition\": 0,\n      \"tasks\": 36,\n      \"makespan_ns\": 5072.799999999999,\n      \"speedup_vs_baseline\": 1,\n      \"local_fraction\": 0.5,\n      \"load_imbalance\": 2.4953818028022976,\n      \"steal_fraction\": 0,\n      \"deferred_bytes\": 9216\n    }\n  ],\n  \"aggregates\": [\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"DFIFO\",\n      \"geomean_speedup\": 0.7225902026978902,\n      \"applications\": 1\n    },\n    {\n      \"scale\": \"Tiny\",\n      \"policy\": \"LAS\",\n      \"geomean_speedup\": 1,\n      \"applications\": 1\n    }\n  ],\n  \"skipped\": []\n}"}]}"#;
 
-    /// [`PARENT_CACHE_FILE`] in version 2, its key a plain integer.
+    /// [`PARENT_CACHE_FILE`] in version 3, its key a plain integer.
     fn cache_file() -> String {
         PARENT_CACHE_FILE
-            .replacen("\"version\":1", "\"version\":2", 1)
+            .replacen("\"version\":1", "\"version\":3", 1)
             .replacen("\"de10a53c7defda1d\"", "16001471155276864029", 1)
     }
 
@@ -1151,8 +1152,9 @@ mod tests {
         path
     }
 
-    /// The parent's version-1 file is refused whole; its version-2 spelling
-    /// loads and saves back byte for byte.
+    /// The parent's version-1 file is refused whole, and so is its
+    /// version-2 spelling, whose keys are another hash; its version-3
+    /// spelling loads and saves back byte for byte.
     #[test]
     fn the_parents_cache_file_loads_and_saves_back_byte_for_byte() {
         let path = scratch_file("parent.json", PARENT_CACHE_FILE);
@@ -1161,6 +1163,11 @@ mod tests {
         assert_eq!(err, "unsupported cache file version 1");
         assert_eq!(cache.len(), 0);
         let file = cache_file();
+        let version_2 = file.replacen("\"version\":3", "\"version\":2", 1);
+        std::fs::write(&path, &version_2).unwrap();
+        let err = load_cache_file(&path, &mut cache).unwrap_err();
+        assert_eq!(err, "unsupported cache file version 2");
+        assert_eq!(cache.len(), 0);
         std::fs::write(&path, &file).unwrap();
         assert_eq!(load_cache_file(&path, &mut cache), Ok(1));
         let entry = cache
@@ -1216,10 +1223,10 @@ mod tests {
         // So is a version this daemon does not know, however well-formed.
         let path = scratch_file(
             "next-version.json",
-            &cache_file().replacen("\"version\":2", "\"version\":3", 1),
+            &cache_file().replacen("\"version\":3", "\"version\":4", 1),
         );
         let err = load_cache_file(&path, &mut cache).unwrap_err();
-        assert!(err.contains("unsupported cache file version 3"), "{err}");
+        assert!(err.contains("unsupported cache file version 4"), "{err}");
         assert_eq!(cache.len(), 0);
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cache_file("/no/such/cache/file", &mut cache), Ok(0));

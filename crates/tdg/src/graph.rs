@@ -46,9 +46,9 @@ pub struct TaskGraph {
     /// Built on first use, dropped by [`TaskGraph::push_task`] — the only
     /// mutator, so a view handed out can never be stale.
     flat: OnceLock<FlatTdg>,
-    /// The first [`TaskGraph::fold_fingerprint`] as `(state in, state out)`,
-    /// dropped by `push_task` like the flat view.
-    fold: OnceLock<(u64, u64)>,
+    /// [`TaskGraph::fingerprint`], hashed on first use and dropped by
+    /// `push_task` like the flat view.
+    fingerprint: OnceLock<u64>,
     /// The unanchored window partitions asked of this graph (see
     /// [`TaskGraph::window_plan`]), dropped by `push_task` like the rest.
     pub(crate) plans: WindowPlans,
@@ -68,7 +68,7 @@ impl Default for TaskGraph {
             pred_edges: Vec::new(),
             region_sizes: Vec::new(),
             flat: OnceLock::new(),
-            fold: OnceLock::new(),
+            fingerprint: OnceLock::new(),
             plans: WindowPlans::default(),
         }
     }
@@ -80,42 +80,50 @@ thread_local! {
     pub(crate) static FOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The workspace's one FNV-1a 64-bit hasher: deterministic across runs and
-/// platforms, unlike `std::collections::hash_map::DefaultHasher` which is
-/// seeded. Workload fingerprints, the sweep service's cache keys and the
-/// proc backend's config epochs are all this hash; the field is the state.
-pub struct Fnv1a(pub u64);
+/// The workspace's one content hasher, a 64-bit word at a time: each word
+/// is xored into the state and mixed by one 64×64→128-bit multiply folded
+/// back to 64 bits (wyhash's `mum`). It has no seed, unlike
+/// `std::collections::hash_map::DefaultHasher`, so it is the same number in
+/// every process and on every platform: workload fingerprints, the sweep
+/// service's cache keys and the proc backend's config epochs are all this
+/// hash.
+#[derive(Clone, Debug)]
+pub struct ContentHasher(u64);
 
-impl Default for Fnv1a {
-    /// A hasher at the FNV-1a offset basis.
+impl Default for ContentHasher {
     fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        ContentHasher(0x5899_65cc_7537_4cc3)
     }
 }
 
-impl Fnv1a {
-    /// Folds one byte in.
-    pub fn write_byte(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+impl ContentHasher {
+    /// Folds one word in.
+    #[inline]
+    pub fn write_u64(&mut self, value: u64) {
+        let product = u128::from(self.0 ^ value ^ 0xa076_1d64_78bd_642f)
+            * u128::from(0xe703_7ed1_a0b4_28dbu64);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 
-    /// Folds `bytes` in, in order.
+    /// Folds a byte string in: its length, then its bytes as little-endian
+    /// words, the last one padded with zeros.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_byte(byte);
+        self.write_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
-    /// Folds the little-endian bytes of `value` in.
-    pub fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    /// Folds a length-prefixed string in.
-    pub(crate) fn write_str(&mut self, value: &str) {
-        self.write_u64(value.len() as u64);
-        self.write_bytes(value.as_bytes());
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -397,7 +405,7 @@ impl TaskGraph {
         }
 
         self.flat.take();
-        self.fold.take();
+        self.fingerprint.take();
         self.plans.clear();
         let index = self.kinds.iter().rposition(|known| **known == *kind);
         self.kind.push(index.unwrap_or_else(|| {
@@ -433,50 +441,52 @@ impl TaskGraph {
         Ok(task)
     }
 
-    /// Folds everything the graph contributes to
-    /// [`TaskGraphSpec::fingerprint`](crate::TaskGraphSpec::fingerprint) —
-    /// the task and edge counts, every task's kind / work / accesses and
-    /// every successor edge with its bytes — into the FNV-1a state `state`.
+    /// The graph's share of
+    /// [`TaskGraphSpec::fingerprint`](crate::TaskGraphSpec::fingerprint): a
+    /// [`ContentHasher`] pass over the columns themselves — the kind table,
+    /// each task's kind index and work, the access offsets and accesses,
+    /// the predecessor offsets and edges with their bytes, and the region
+    /// sizes. The columns determine the graph, so equal graphs hash equal
+    /// and any difference in them reaches the hash.
     ///
-    /// A fold is a pure function of the graph and the incoming state, and
-    /// walks a few hundred kilobytes a byte at a time, so the first one is
-    /// remembered: every later call with the same incoming state (the same
-    /// spec name hashed before it) is a load, which is what makes a
-    /// fingerprint free on the per-cell paths that key on it. Another
-    /// incoming state (a renamed spec sharing the graph) folds afresh.
-    pub(crate) fn fold_fingerprint(&self, state: u64) -> u64 {
-        match self.fold.get() {
-            Some(&(seen, out)) if seen == state => out,
-            _ => {
-                let out = self.fold_fingerprint_uncached(state);
-                let _ = self.fold.set((state, out));
-                out
+    /// Hashed on the first call and remembered, so a fingerprint on the
+    /// per-cell paths that key on it is a load; the pass reads no derived
+    /// view, so fingerprinting builds no [`FlatTdg`].
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            #[cfg(test)]
+            FOLDS.with(|folds| folds.set(folds.get() + 1));
+            let mut h = ContentHasher::default();
+            h.write_u64(self.kinds.len() as u64);
+            for kind in &self.kinds {
+                h.write_bytes(kind.as_bytes());
             }
-        }
-    }
-
-    fn fold_fingerprint_uncached(&self, state: u64) -> u64 {
-        #[cfg(test)]
-        FOLDS.with(|folds| folds.set(folds.get() + 1));
-        let mut h = Fnv1a(state);
-        h.write_u64(self.num_tasks() as u64);
-        h.write_u64(self.num_edges() as u64);
-        for task in self.tasks() {
-            h.write_str(task.kind);
-            h.write_u64(task.work_units.to_bits());
-            h.write_u64(task.accesses.len() as u64);
-            for access in task.accesses.iter() {
-                h.write_u64(access.region.index() as u64);
-                h.write_u64(access.mode.code());
-                h.write_u64(access.bytes);
+            h.write_u64(self.num_tasks() as u64);
+            for (&kind, &work) in self.kind.iter().zip(&self.work) {
+                h.write_u64(u64::from(kind));
+                h.write_u64(work.to_bits());
             }
-        }
-        let flat = self.flat();
-        for (&succ, &bytes) in flat.succ_targets.iter().zip(&flat.succ_bytes) {
-            h.write_u64(u64::from(succ));
-            h.write_u64(bytes);
-        }
-        h.0
+            for &offset in &self.access_offsets[1..] {
+                h.write_u64(u64::from(offset));
+            }
+            let accesses = self.access_regions.iter().zip(&self.access_modes);
+            for ((&region, &mode), &bytes) in accesses.zip(&self.access_bytes) {
+                h.write_u64((u64::from(region) << 32) | mode.code());
+                h.write_u64(bytes);
+            }
+            for &offset in &self.pred_offsets[1..] {
+                h.write_u64(u64::from(offset));
+            }
+            for &(pred, bytes) in &self.pred_edges {
+                h.write_u64(pred.index() as u64);
+                h.write_u64(bytes);
+            }
+            h.write_u64(self.region_sizes.len() as u64);
+            for &size in &self.region_sizes {
+                h.write_u64(size);
+            }
+            h.finish()
+        })
     }
 
     /// Total bytes carried by all edges.
@@ -771,6 +781,71 @@ mod tests {
             assert_flat_matches(&g, &nested_successors(&deps));
             let edges: usize = g.task_ids().map(|t| g.in_degree(t)).sum();
             proptest::prop_assert_eq!(g.num_edges(), edges);
+        }
+    }
+
+    /// A fingerprint reads the columns, never the derived view: the
+    /// graph of a freshly fingerprinted spec still has no successor CSR.
+    #[test]
+    fn fingerprinting_a_fresh_graph_builds_no_flat_view() {
+        let spec = TaskGraphSpec::new("d", diamond());
+        assert!(spec.graph.flat.get().is_none());
+        let fp = spec.fingerprint();
+        assert_eq!(
+            spec.graph.fingerprint.get(),
+            Some(&spec.graph.fingerprint())
+        );
+        assert!(spec.graph.flat.get().is_none());
+        // ... and building the view later changes nothing.
+        spec.graph.flat();
+        assert_eq!(TaskGraphSpec::new("d", diamond()).fingerprint(), fp);
+    }
+
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = ContentHasher::default();
+        h.write_bytes(bytes);
+        h.finish()
+    }
+
+    /// The hasher's answers are constants of the format: they key
+    /// `--cache-file`s and the proc wire, so no build, platform or run may
+    /// move them. The values agree with a big-integer rendering of the
+    /// rule outside Rust.
+    #[test]
+    fn fingerprint_hasher_answers_are_constants() {
+        let mut words = ContentHasher::default();
+        for word in [0, 1, u64::MAX] {
+            words.write_u64(word);
+        }
+        assert_eq!(
+            [
+                ContentHasher::default().finish(),
+                words.finish(),
+                hash_bytes(b""),
+                hash_bytes(b"rgp-las"),
+                hash_bytes(b"rgp-las:prop=repart"),
+            ],
+            [
+                0x5899_65cc_7537_4cc3,
+                0xf9cd_4448_2bbd_ec1a,
+                0x5baa_92ba_b2dd_0708,
+                0xd3e7_fd4e_2f64_cc6d,
+                0xcc4f_51c4_3eef_3ccc,
+            ]
+        );
+    }
+
+    /// A byte string is its length and its words: a trailing NUL, which
+    /// a zero-padded last word alone would not see, is content.
+    #[test]
+    fn fingerprint_of_a_string_sees_a_trailing_nul() {
+        for text in ["", "a", "toy", "abcdefg", "abcdefgh", "abcdefghi"] {
+            let nul = format!("{text}\0");
+            assert_ne!(
+                hash_bytes(text.as_bytes()),
+                hash_bytes(nul.as_bytes()),
+                "{text:?}"
+            );
         }
     }
 

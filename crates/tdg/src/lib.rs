@@ -15,7 +15,9 @@
 //!   semantics (RAW, WAR and WAW ordering per region).
 //! * `graph` — the [`graph::TaskGraph`] itself, stored as columns (kind,
 //!   work, access runs, a predecessor CSR) over the region table it owns,
-//!   and its derived [`FlatTdg`].
+//!   and its derived [`FlatTdg`]; and [`ContentHasher`], the workspace's
+//!   one content hash, which fingerprints a graph in one pass over its
+//!   columns.
 //! * `builder` — [`builder::TdgBuilder`], the front door: submit tasks in
 //!   program order and get the TDG.
 //! * `window` — task windows, the unit RGP partitions.
@@ -30,7 +32,7 @@
 //! ## One rule for a runnable workload
 //!
 //! [`TaskGraph::push_task`] — the one way in, behind [`TdgBuilder::submit`]
-//! and the proc backend's spec decoder — refuses with a [`TdgError`] a task
+//! — refuses with a [`TdgError`] a task
 //! whose dependences are not all earlier, whose accesses do not all fit a
 //! region of the graph's table, or whose work is not finite and
 //! non-negative. [`TaskGraphSpec::with_ep_placement`] checks a placement's
@@ -49,7 +51,7 @@ mod window;
 
 pub use builder::TdgBuilder;
 pub use convert::{clamp_weight, window_to_csr, window_weight_cap, CrossEdge, WindowGraph};
-pub use graph::{FlatTdg, Fnv1a, TaskGraph, TdgError};
+pub use graph::{ContentHasher, FlatTdg, TaskGraph, TdgError};
 pub use plan::WindowPlan;
 pub use spec::TaskGraphSpec;
 pub use task::{AccessMode, Accesses, DataAccess, TaskDescriptor, TaskId, TaskSpec};

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::graph::{Fnv1a, TaskGraph, TdgError};
+use crate::graph::{ContentHasher, TaskGraph, TdgError};
 
 /// A complete workload: the task graph (with its region table) and an
 /// optional expert placement.
@@ -67,26 +67,21 @@ impl TaskGraphSpec {
 
     /// A stable 64-bit content fingerprint of the workload.
     ///
-    /// Hashes (FNV-1a) everything that determines execution behaviour: the
-    /// name, every task's kind/work/accesses, the dependence edges with their
-    /// byte weights, the region-size table and the expert placement. Two
-    /// specs with identical content always fingerprint identically, across
-    /// processes and runs — the report cache in `numadag-serve` uses this to
-    /// content-address sweep results, so the hash must not depend on pointer
-    /// identity, hash-map iteration order or `DefaultHasher` seeding.
+    /// Hashes (see [`ContentHasher`]) everything that determines execution
+    /// behaviour: every task's kind/work/accesses, the dependence edges with
+    /// their byte weights, the region-size table, the name and the expert
+    /// placement. Two specs with identical content always fingerprint
+    /// identically, across processes and runs — the report cache in
+    /// `numadag-serve` uses this to content-address sweep results, so the
+    /// hash must not depend on pointer identity, hash-map iteration order or
+    /// `DefaultHasher` seeding.
     ///
-    /// The tasks and edges are hashed once per graph (the graph remembers
-    /// its fold); a call costs the name, the region table and the placement.
+    /// The graph is hashed once (it remembers its share, whatever spec
+    /// holds it); a call costs the name and the placement.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::default();
-        h.write_str(&self.name);
-        // The graph's share is memoised on the graph; the name before it
-        // and the placement after it can differ between specs sharing one
-        // `Arc<TaskGraph>`.
-        h.0 = self.graph.fold_fingerprint(h.0);
-        for &size in self.graph.region_sizes() {
-            h.write_u64(size);
-        }
+        let mut h = ContentHasher::default();
+        h.write_u64(self.graph.fingerprint());
+        h.write_bytes(self.name.as_bytes());
         match &self.ep_socket {
             None => h.write_u64(u64::MAX),
             Some(placement) => {
@@ -96,21 +91,16 @@ impl TaskGraphSpec {
                 }
             }
         }
-        h.0
+        h.finish()
     }
 }
-
-#[cfg(test)]
-#[path = "../tests/reference/mod.rs"]
-mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TdgBuilder;
-    use crate::task::{TaskId, TaskSpec};
-
-    use super::reference::reference_fingerprint;
+    use crate::task::{DataAccess, TaskId, TaskSpec};
+    use numadag_numa::RegionId;
 
     /// Two writers of a 128- and an `r1`-byte region and their reader; the
     /// first writer does `w0` units of work.
@@ -153,53 +143,100 @@ mod tests {
         }
     }
 
+    /// A spec built again from the same content, and a clone, fingerprint
+    /// like the original: the first pass over the columns of a fresh graph
+    /// is the memo of another.
     #[test]
     fn fingerprint_is_stable_for_equal_content() {
-        let a = small_spec();
-        let b = small_spec();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // Known anchor: the fingerprint is a pure function of content, so it
-        // must not drift between runs of the same build.
-        assert_eq!(a.fingerprint(), a.clone().fingerprint());
+        for placement in [None, Some(vec![0, 1, 0])] {
+            let build = || match &placement {
+                None => small_spec(),
+                Some(p) => small_spec().with_ep_placement(p.clone()).unwrap(),
+            };
+            let (a, b) = (build(), build());
+            assert!(!Arc::ptr_eq(&a.graph, &b.graph));
+            assert_eq!(a.fingerprint(), b.fingerprint());
+            assert_eq!(a.fingerprint(), a.clone().fingerprint());
+        }
     }
 
+    /// A graph shaped like [`toy_graph`]'s, pushed directly so that each
+    /// argument reaches exactly one column: the three kinds, the reader's
+    /// two accesses, the bytes of its edge from the first writer, the size
+    /// of the second region and the first writer's work.
+    fn pushed(
+        kinds: [&str; 3],
+        reads: [DataAccess; 2],
+        edge: u64,
+        size: u64,
+        w0: f64,
+    ) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let (r0, r1) = (g.region(128), g.region(size));
+        g.push_task(kinds[0], w0, &[DataAccess::write(r0, 128)], &[])
+            .unwrap();
+        g.push_task(kinds[1], 1.0, &[DataAccess::write(r1, 128)], &[])
+            .unwrap();
+        let deps = [(TaskId(0), edge), (TaskId(1), 128)];
+        g.push_task(kinds[2], 2.0, &reads, &deps).unwrap();
+        g
+    }
+
+    /// Each single change of content — a kind in the table, a task's index
+    /// into it, the order and mode of an access, an edge's bytes, a region
+    /// size, a task's work, the name and the placement — moves the
+    /// fingerprint, and no two of them land on one value.
     #[test]
     fn fingerprint_tracks_every_content_dimension() {
-        let base = small_spec();
-        let fp = base.fingerprint();
-
-        let mut renamed = base.clone();
-        renamed.name = "toy2".into();
-        assert_ne!(fp, renamed.fingerprint(), "name must be hashed");
-
-        let resized = TaskGraphSpec::new("toy", toy_graph(1.0, 257));
-        assert_ne!(fp, resized.fingerprint(), "region sizes must be hashed");
-        assert_eq!(resized.fingerprint(), reference_fingerprint(&resized));
-
-        let placed = base.clone().with_ep_placement(vec![0, 1, 0]).unwrap();
-        assert_ne!(fp, placed.fingerprint(), "EP placement must be hashed");
-        let other_placement = base.clone().with_ep_placement(vec![1, 1, 0]).unwrap();
-        assert_ne!(
-            placed.fingerprint(),
-            other_placement.fingerprint(),
-            "distinct placements must differ"
-        );
-
-        let mut reworked = base.clone();
-        reworked.graph = Arc::new(toy_graph(1.5, 256));
-        assert_ne!(fp, reworked.fingerprint(), "task work must be hashed");
-
-        // `renamed` / `placed` share `base`'s graph, whose fold `base` has
-        // claimed by now: their second answers are their first.
-        for (clone, first) in [
-            (&renamed, renamed.fingerprint()),
-            (&placed, placed.fingerprint()),
-        ] {
-            assert!(Arc::ptr_eq(&clone.graph, &base.graph));
-            assert_eq!(clone.fingerprint(), first);
-            assert_eq!(clone.fingerprint(), reference_fingerprint(clone));
+        let (r0, r1) = (RegionId(0), RegionId(1));
+        let reads = [DataAccess::read(r0, 128), DataAccess::read(r1, 128)];
+        let kinds = ["w", "v", "w"];
+        let base = TaskGraphSpec::new("toy", pushed(kinds, reads, 128, 128, 1.0));
+        let variant = |graph: TaskGraph| TaskGraphSpec::new("toy", graph);
+        let mut specs = vec![
+            ("base", base.clone()),
+            // The kind table changes, every task's index into it does not;
+            // then the other way round.
+            (
+                "kind table",
+                variant(pushed(["w", "u", "w"], reads, 128, 128, 1.0)),
+            ),
+            (
+                "kind index",
+                variant(pushed(["w", "v", "v"], reads, 128, 128, 1.0)),
+            ),
+            (
+                "access order",
+                variant(pushed(kinds, [reads[1], reads[0]], 128, 128, 1.0)),
+            ),
+            (
+                "access mode",
+                variant(pushed(
+                    kinds,
+                    [DataAccess::read_write(r0, 128), reads[1]],
+                    128,
+                    128,
+                    1.0,
+                )),
+            ),
+            ("edge bytes", variant(pushed(kinds, reads, 64, 128, 1.0))),
+            ("region size", variant(pushed(kinds, reads, 128, 129, 1.0))),
+            ("work", variant(pushed(kinds, reads, 128, 128, 1.5))),
+            ("name", TaskGraphSpec::new("toy2", base.graph.clone())),
+        ];
+        for placement in [vec![0, 1, 0], vec![1, 1, 0]] {
+            let placed = base.clone().with_ep_placement(placement).unwrap();
+            specs.push(("placement", placed));
         }
-        assert_eq!(base.fingerprint(), fp);
+        let mut seen = std::collections::HashMap::new();
+        for (change, spec) in &specs {
+            if let Some(other) = seen.insert(spec.fingerprint(), change) {
+                panic!("{change} fingerprints like {other}");
+            }
+        }
+        // The specs sharing `base`'s graph share its hashed share, too.
+        assert!(Arc::ptr_eq(&specs[8].1.graph, &base.graph));
+        assert_eq!(base.fingerprint(), specs[0].1.fingerprint());
     }
 
     fn folds() -> usize {
@@ -224,15 +261,13 @@ mod tests {
         assert_eq!(deep.fingerprint(), fp);
         assert_eq!(folds() - before, 1);
 
-        // Another name enters the graph's fold in another state: it is
-        // computed (every time — the memo belongs to the first name) and
-        // does not disturb the answer the first name gets.
+        // The graph's share is hashed before the name: a renamed spec
+        // sharing the graph is another fingerprint from the same fold.
         let mut renamed = spec.clone();
         renamed.name = "toy2".into();
-        assert_eq!(renamed.fingerprint(), reference_fingerprint(&renamed));
-        assert_eq!(folds() - before, 2);
+        assert_ne!(renamed.fingerprint(), fp);
         assert_eq!(spec.fingerprint(), fp);
-        assert_eq!(folds() - before, 2);
+        assert_eq!(folds() - before, 1);
     }
 
     #[test]
@@ -242,18 +277,26 @@ mod tests {
         let mut graph = (*spec.graph).clone();
         let grown = |graph: &TaskGraph| TaskGraphSpec::new("toy", graph.clone());
         assert_eq!(grown(&graph).fingerprint(), fp);
-        graph
-            .push_task("tail", 1.0, &[], &[(TaskId(2), 8)])
-            .unwrap();
+        let tail = |graph: &mut TaskGraph| {
+            graph
+                .push_task("tail", 1.0, &[], &[(TaskId(2), 8)])
+                .unwrap()
+        };
+        tail(&mut graph);
         let after = grown(&graph);
         assert_ne!(after.fingerprint(), fp);
-        assert_eq!(after.fingerprint(), reference_fingerprint(&after));
+        // The same four tasks, never hashed before the last push.
+        let mut fresh = toy_graph(1.0, 256);
+        tail(&mut fresh);
+        assert_eq!(after.fingerprint(), grown(&fresh).fingerprint());
     }
 
     proptest::proptest! {
         /// Random DAGs with random names, region tables and placements: the
-        /// memoised fingerprint — first call, repeat call, and the call of
-        /// a renamed spec sharing the graph — is the straight-line fold.
+        /// memoised fingerprint — first call, repeat call, a clone — is the
+        /// straight-line fold, the first pass over the same content pushed
+        /// onto a graph of its own; a renamed spec sharing the graph is
+        /// another fingerprint.
         #[test]
         fn memoised_fingerprint_matches_the_straight_line_fold(
             tasks in proptest::collection::vec(
@@ -264,41 +307,43 @@ mod tests {
             placed in 0u8..2,
         ) {
             let name = &"abcdef"[..name_len];
-            use crate::task::DataAccess;
-            use numadag_numa::RegionId;
-            let mut graph = TaskGraph::new();
-            for r in 0..7 {
-                graph.region(1000 + r * 100);
-            }
-            for (t, (deps, accesses, work)) in tasks.iter().enumerate() {
-                let deps: Vec<(TaskId, u64)> = deps
-                    .iter()
-                    .filter(|_| t > 0)
-                    .map(|&(p, b)| (TaskId(p % t.max(1)), b))
-                    .collect();
-                let accesses: Vec<DataAccess> = (0..*accesses)
-                    .map(|a| match a % 3 {
-                        0 => DataAccess::read(RegionId((t + a) % 7), (t * a) as u64),
-                        1 => DataAccess::write(RegionId((t + a) % 7), t as u64),
-                        _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
-                    })
-                    .collect();
-                graph
-                    .push_task(&format!("k{}", t % 3), *work as f64 * 0.25, &accesses, &deps)
-                    .unwrap();
-            }
-            let n = graph.num_tasks();
-            let mut spec = TaskGraphSpec::new(name, graph);
-            if placed == 1 {
-                spec = spec.with_ep_placement((0..n).map(|t| t % 4).collect()).unwrap();
-            }
-            let want = reference_fingerprint(&spec);
+            let build = || {
+                let mut graph = TaskGraph::new();
+                for r in 0..7 {
+                    graph.region(1000 + r * 100);
+                }
+                for (t, (deps, accesses, work)) in tasks.iter().enumerate() {
+                    let deps: Vec<(TaskId, u64)> = deps
+                        .iter()
+                        .filter(|_| t > 0)
+                        .map(|&(p, b)| (TaskId(p % t.max(1)), b))
+                        .collect();
+                    let accesses: Vec<DataAccess> = (0..*accesses)
+                        .map(|a| match a % 3 {
+                            0 => DataAccess::read(RegionId((t + a) % 7), (t * a) as u64),
+                            1 => DataAccess::write(RegionId((t + a) % 7), t as u64),
+                            _ => DataAccess::read_write(RegionId((t + a) % 7), a as u64),
+                        })
+                        .collect();
+                    graph
+                        .push_task(&format!("k{}", t % 3), *work as f64 * 0.25, &accesses, &deps)
+                        .unwrap();
+                }
+                let n = graph.num_tasks();
+                let spec = TaskGraphSpec::new(name, graph);
+                match placed {
+                    1 => spec.with_ep_placement((0..n).map(|t| t % 4).collect()).unwrap(),
+                    _ => spec,
+                }
+            };
+            let spec = build();
+            let want = spec.fingerprint();
             proptest::prop_assert_eq!(spec.fingerprint(), want);
-            proptest::prop_assert_eq!(spec.fingerprint(), want);
+            proptest::prop_assert_eq!(spec.clone().fingerprint(), want);
             let mut renamed = spec.clone();
             renamed.name = format!("{name}'").into();
-            proptest::prop_assert_eq!(renamed.fingerprint(), reference_fingerprint(&renamed));
             proptest::prop_assert_ne!(renamed.fingerprint(), want);
+            proptest::prop_assert_eq!(build().fingerprint(), want);
             proptest::prop_assert_eq!(spec.fingerprint(), want);
         }
     }

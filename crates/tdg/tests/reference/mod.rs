@@ -14,20 +14,21 @@ use super::TaskGraphSpec;
 struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
+    fn u64(&mut self, value: u64) {
+        self.bytes(&value.to_le_bytes());
+    }
+
     /// A length-prefixed string.
     fn str(&mut self, value: &str) {
         self.u64(value.len() as u64);
-        for &byte in value.as_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.bytes(value.as_bytes());
     }
 }
 

@@ -9,13 +9,15 @@
 //!   `rgp-las`, `rgp-las:prop=repart`} plus one `las` column under
 //!   [`StealMode::NoStealing`], at Small and Full: where and when every task
 //!   ran (task, socket, start/end bits, stolen, in the order the tasks
-//!   started), the makespan bits, the whole traffic ledger (link entries,
-//!   local / remote / distance-weighted / deferred bytes) and
-//!   `deferred_bytes`. The table was captured from the per-task placement
-//!   records `ExecutionReport` carried until PR 24; the rows are now read
-//!   off the `Start` / `Finish` events the run returns in
+//!   started), the makespan bits, the traffic (link entries, local /
+//!   remote / distance-weighted bytes) and `deferred_bytes`, twice (the
+//!   ledger once kept its own copy). The table was captured from the
+//!   per-task placement records `ExecutionReport` once carried; the rows
+//!   are now read off the `Start` / `Finish` events the run returns in
 //!   `ExecutionReport::events`, and the hashes not moving is the proof that
-//!   the events always held the same facts;
+//!   the events always held the same facts. The link entries and the
+//!   distance-weighted sum, once kept in the ledger, are read off the
+//!   `Traffic` events the same way;
 //! * **events** — the same five policy columns at Small, with events on:
 //!   every `TraceEvent` (assign, start, finish, deferred allocation,
 //!   per-access traffic) a run returns, in emission order.
@@ -25,6 +27,8 @@
 //!
 //! Also run in release mode by CI (`cargo test --release --test
 //! sim_golden`), the profile every committed baseline comes from.
+
+use std::collections::BTreeMap;
 
 use numadag::prelude::*;
 
@@ -88,16 +92,35 @@ fn report_hash(report: &ExecutionReport, events: &[TraceEvent]) -> u64 {
         }
     }
     h.u64(report.makespan_ns.to_bits());
-    let traffic = &report.traffic;
-    for ((from, to), bytes) in traffic.link_entries() {
+    // The link entries and the distance-weighted sum the table was captured
+    // with, read off the `Traffic` events: bytes per (home, executing) node
+    // pair in key order, and the sum of bytes x SLIT distance.
+    let mut links = BTreeMap::<(usize, usize), u64>::new();
+    let mut distance_weighted = 0u128;
+    for event in events {
+        if let TraceEvent::Traffic {
+            from,
+            to,
+            distance,
+            bytes,
+            ..
+        } = event
+        {
+            let link = links.entry((from.index(), to.index())).or_default();
+            *link = link.saturating_add(*bytes);
+            distance_weighted += u128::from(*bytes) * u128::from(*distance);
+        }
+    }
+    for ((from, to), bytes) in links {
         h.u64(from as u64);
         h.u64(to as u64);
         h.u64(bytes);
     }
-    h.u64(traffic.local_bytes);
-    h.u64(traffic.remote_bytes);
-    h.bytes(&traffic.distance_weighted().to_le_bytes());
-    h.u64(traffic.deferred_allocated_bytes);
+    h.u64(report.traffic.local_bytes);
+    h.u64(report.traffic.remote_bytes);
+    h.bytes(&distance_weighted.to_le_bytes());
+    // The ledger's deferred counter summed the same placements.
+    h.u64(report.deferred_bytes);
     h.u64(report.deferred_bytes);
     h.u64(report.stolen_tasks as u64);
     h.0

@@ -13,8 +13,10 @@
 //!   the task producing it has been scheduled).
 //! * [`cost::CostModel`] — translates bytes moved across a given distance
 //!   into simulated time, including a simple bandwidth-contention model.
-//! * [`stats::TrafficStats`] — local/remote byte accounting, the quantity
-//!   the paper's techniques try to optimise.
+//! * [`stats::TrafficStats`] — two counters, local and remote bytes: the
+//!   local fraction the paper's techniques try to raise. The per-link
+//!   detail (node pair, distance) lives in a traced run's `Traffic`
+//!   events, which `numadag-trace` folds into a traffic matrix.
 //!
 //! The crate is deliberately free of any scheduling logic; it is the
 //! substrate the task runtime (`numadag-runtime`) and the scheduling

@@ -248,11 +248,6 @@ impl Topology {
         self.num_sockets
     }
 
-    /// Number of NUMA nodes (1:1 with sockets in this model).
-    pub fn num_nodes(&self) -> usize {
-        self.num_sockets
-    }
-
     /// Cores per socket.
     pub fn cores_per_socket(&self) -> usize {
         self.cores_per_socket

@@ -15,17 +15,16 @@
 //!   bit-for-bit.
 //! * **Integers travel as plain JSON integers, exactly.** The codec writes
 //!   every integer type in exact decimal and reads it back into its own
-//!   type, so fingerprints, seeds and the `u128` distance ledger keep every
-//!   bit.
+//!   type, so fingerprints, epochs and seeds keep every bit.
 //!
 //! Every message is a variant of [`ToWorker`] or [`ToCoordinator`]:
 //! plain data whose `#[derive(Serialize, Deserialize)]` *is* the wire
 //! format, so the two directions cannot drift and both ends `match` on
 //! variants instead of string tags. The runtime types the messages carry
 //! ([`ExecutionConfig`], [`ExecutionReport`]) are wire types themselves:
-//! their own derives (and the hand-written ones of `Topology` and
-//! `TrafficStats`) are the format, and a decoded config is refused with the
-//! words the in-process constructors panic with.
+//! their own derives (and the hand-written one of `Topology`) are the
+//! format, and a decoded config is refused with the words the in-process
+//! constructors panic with.
 //!
 //! A cell is one `assign`, answered by one `done` (with the cell's events,
 //! when its config asks for them) or one `error`. The `assign` carries what
@@ -46,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 /// Protocol version, sent in every [`EpochConfig`]. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub(crate) const PROTOCOL_VERSION: u64 = 9;
+pub(crate) const PROTOCOL_VERSION: u64 = 10;
 
 /// Everything the coordinator sends. Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
@@ -234,13 +233,14 @@ mod tests {
     /// sockets), re-versioned for 7, where the `spec` message left the
     /// wire, re-captured for 8, where the config (epoch and seed
     /// `u64::MAX`) and the recipe ride in the `assign` that needs them:
-    /// bare, with a recipe, and with both, and re-captured for 9, whose
+    /// bare, with a recipe, and with both, re-captured for 9, whose
     /// spec fingerprints are another hash (the bare `assign` keeps a
-    /// fingerprint above 2^63).
+    /// fingerprint above 2^63), and re-captured for 10, whose config no
+    /// longer carries its seed.
     const TO_WORKER_LINES: [&str; 5] = [
         r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134,"configure":null,"recipe":null}}"#,
         r#"{"assign":{"cell":9001,"fp":3369824997562222560,"policy":"las","policy_seed":224,"configure":null,"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
-        r#"{"assign":{"cell":18446744073709551615,"fp":3369824997562222560,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":9,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","seed":18446744073709551615,"stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
+        r#"{"assign":{"cell":18446744073709551615,"fp":3369824997562222560,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":10,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
     ];
@@ -248,17 +248,18 @@ mod tests {
     /// The `assign` fields that may be absent.
     const OPTIONAL: [&str; 2] = ["configure", "recipe"];
 
-    /// The same for worker → coordinator: full-range `u64`s, the `u128`
-    /// ledger total at `u128::MAX`, an escaped string, `1e300`, and a `done`
-    /// with all five event kinds. Version 3 dropped the two notification
-    /// lines that used to precede `done` and the report's `trace` array;
-    /// version 5 re-spelled the hex integers as plain numbers; version 8
-    /// dropped the config's acknowledgement and `hello`'s `pid`.
+    /// The same for worker → coordinator: full-range `u64`s, an escaped
+    /// string, `1e300`, and a `done` with all five event kinds. Version 3
+    /// dropped the two notification lines that used to precede `done` and
+    /// the report's `trace` array; version 5 re-spelled the hex integers as
+    /// plain numbers; version 8 dropped the config's acknowledgement and
+    /// `hello`'s `pid`; version 10 cut the report's traffic ledger to its
+    /// local and remote bytes.
     const TO_COORDINATOR_LINES: [&str; 4] = [
         r#"{"hello":{"worker":3}}"#,
         r#"{"barrier_ack":{"epoch":2}}"#,
         r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
-        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local":6148914691236517205,"remote":2305843009213693952,"deferred":12345,"dw":340282366920938463463374607431768211455,"links":[[0,1,777],[1,0,3689348814741910323]]},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968,"policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
+        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local_bytes":6148914691236517205,"remote_bytes":2305843009213693952},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968,"policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
     ];
 
     fn parse(line: &str) -> Value {
@@ -298,12 +299,11 @@ mod tests {
                 // The labels do not travel; everything else arrives exactly.
                 assert_eq!((report.workload.as_ref(), report.policy), ("", ""));
                 assert_eq!(report.traffic.local_bytes, u64::MAX / 3);
-                assert_eq!(report.traffic.distance_weighted(), u128::MAX);
                 assert_eq!(report.deferred_bytes, 1 << 55);
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 9);
+        assert_eq!(PROTOCOL_VERSION, 10);
     }
 
     /// `-0.0` keeps its sign across the wire in a `done` report, whose
@@ -329,7 +329,7 @@ mod tests {
     }
 
     /// Every golden line, its full-range integers (`u64::MAX` epochs and
-    /// seeds, the recipe's fingerprint, the `u128::MAX` ledger) as written.
+    /// seeds, the recipe's fingerprint) as written.
     #[test]
     fn every_malformed_message_is_an_error_that_names_what_is_wrong() {
         for line in TO_WORKER_LINES {
@@ -381,13 +381,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["version"],
-                Value::Number(8.0),
-                "config.version 8 is not the supported protocol version 9",
+                Value::Number(9.0),
+                "config.version 9 is not the supported protocol version 10",
             ),
             (
                 vec!["version"],
-                Value::Number(10.0),
-                "config.version 10 is not the supported protocol version 9",
+                Value::Number(11.0),
+                "config.version 11 is not the supported protocol version 10",
             ),
             (
                 vec!["config", "steal"],

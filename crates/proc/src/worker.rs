@@ -330,12 +330,12 @@ mod tests {
             (
                 Assignment {
                     configure: Some(Box::new(EpochConfig {
-                        version: 8,
+                        version: 9,
                         ..EpochConfig::new(2, config())
                     })),
                     ..bare.clone()
                 },
-                "bad config: config.version 8 is not the supported protocol version 9",
+                "bad config: config.version 9 is not the supported protocol version 10",
             ),
             (
                 Assignment {
@@ -508,14 +508,14 @@ mod tests {
             ),
             // The last version and the next.
             (
+                "\"version\":10",
                 "\"version\":9",
-                "\"version\":8",
-                "not the supported protocol version 9",
+                "not the supported protocol version 10",
             ),
             (
-                "\"version\":9",
                 "\"version\":10",
-                "not the supported protocol version 9",
+                "\"version\":11",
+                "not the supported protocol version 10",
             ),
         ] {
             let bad = line.replacen(from, to, 1);

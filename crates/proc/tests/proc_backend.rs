@@ -165,9 +165,10 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
 /// Every field of the config crosses the wire: one row per knob, each run
 /// under four policies on the pool and in process. A codec that drops or
 /// renames a field the simulator reads makes its row's reports (or, for the
-/// traced row, its events) differ; `seed` and `stage_timing` leave the
-/// compared measurements alone, so their rows pin that such a config is
-/// taken at all.
+/// traced row, its events) differ; `stage_timing` leaves the compared
+/// measurements alone, so its row pins that such a config is taken at all,
+/// and `seed` does not travel, so its row pins that leaving it off is
+/// harmless.
 #[test]
 fn every_config_knob_reaches_the_workers() {
     let pool = test_pool(2);
@@ -588,6 +589,33 @@ fn a_sweep_keeps_both_workers_of_its_pool_busy() {
         assert_eq!(traces.len(), if traced { report.cells.len() } else { 0 });
         assert_eq!(traces, sorted(&local), "{row}");
     }
+}
+
+/// Two sweeps with different seeds, one after the other on one warm pool,
+/// each on the executor its plan's config makes (as `Backend::Proc`'s
+/// factory is handed it, seed included). The seed does not travel, so both
+/// sweeps are one config epoch: each worker is configured once, not once
+/// per sweep.
+#[test]
+fn a_new_sweep_seed_does_not_resend_the_config() {
+    let pool = test_pool(2);
+    for seed in [0xF1617E, 7] {
+        let sweep = Experiment::new()
+            .apps([Application::Jacobi, Application::NStream])
+            .scale(ProblemScale::Tiny)
+            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
+            .seed(seed);
+        let config = sweep.plan().executor().config().clone();
+        assert_eq!(config.seed, seed);
+        let executor = ProcExecutor::with_pool(config.clone(), Arc::clone(&pool));
+        let mut report = sweep.run_on(&executor);
+        let want = sweep.run_on(&Simulator::new(config));
+        report.backend = want.backend.clone();
+        assert_eq!(report.to_json_string(), want.to_json_string(), "{seed}");
+    }
+    let stats = pool.stats();
+    assert_eq!((stats.workers_alive, stats.redispatches), (2, 0), "{stats}");
+    assert_eq!(stats.config_broadcasts, 2, "{stats}");
 }
 
 #[test]

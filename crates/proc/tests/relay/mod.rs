@@ -13,7 +13,8 @@
 //!   "worker 1 dies on its fourth `assign`" is
 //!   `Relay::new().on(1, Dir::ToWorker, "assign", 4, Action::Die)`. A rule
 //!   may also hold its line until a line of another worker's connection has
-//!   passed ([`Action::Await`]).
+//!   passed ([`Action::Await`]). Its [`Tally`] counts the lines it forwarded
+//!   and the workers the pool has reaped.
 
 // Each test binary uses its own part of this file.
 #![allow(dead_code)]
@@ -22,6 +23,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,11 +131,13 @@ pub(crate) struct Relay {
 }
 
 /// The lines every connection of one relay has seen, by worker, direction
-/// and kind: what an [`Action::Await`] waits on.
+/// and kind: what an [`Action::Await`] waits on. Also the number of its
+/// workers the pool has reaped.
 #[derive(Default)]
 struct Ledger {
     seen: Mutex<HashMap<(usize, Dir, String), u64>>,
     moved: Condvar,
+    reaped: AtomicU64,
 }
 
 impl Ledger {
@@ -174,6 +178,12 @@ impl Tally {
             .iter()
             .filter(|((_, way, seen), _)| (*way, seen.as_str()) == (dir, kind));
         matching.map(|(_, n)| n).sum()
+    }
+
+    /// How many of the relay's workers the pool has seen exit (a process:
+    /// and reaped), through `has_exited` or `wait`.
+    pub(crate) fn reaped(&self) -> u64 {
+        self.0.reaped.load(Ordering::SeqCst)
     }
 }
 
@@ -247,6 +257,8 @@ impl Relay {
             Ok(Relayed {
                 inner: Box::new(inner),
                 ends: [worker, coordinator],
+                ledger: Arc::clone(&self.ledger),
+                reaped: false,
             })
         }
     }
@@ -273,10 +285,21 @@ fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
 }
 
 /// A relayed worker: killing it closes both of the relay's ends, then kills
-/// the worker behind them.
+/// the worker behind them. The first time the pool sees it exit, it counts
+/// itself reaped in the relay's ledger.
 pub(crate) struct Relayed {
     inner: Box<dyn WorkerHandle>,
     ends: [TcpStream; 2],
+    ledger: Arc<Ledger>,
+    reaped: bool,
+}
+
+impl Relayed {
+    fn reaped(&mut self) {
+        if !std::mem::replace(&mut self.reaped, true) {
+            self.ledger.reaped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
 }
 
 impl WorkerHandle for Relayed {
@@ -288,11 +311,16 @@ impl WorkerHandle for Relayed {
     }
 
     fn has_exited(&mut self) -> bool {
-        self.inner.has_exited()
+        let exited = self.inner.has_exited();
+        if exited {
+            self.reaped();
+        }
+        exited
     }
 
     fn wait(&mut self) {
         self.inner.wait();
+        self.reaped();
     }
 }
 

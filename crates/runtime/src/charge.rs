@@ -1,17 +1,16 @@
 //! Charging a started task's accesses to the virtual NUMA machine — the
 //! bookkeeping the simulator and the threaded executor share.
 
-use numadag_numa::{MemoryMap, NodeId, RegionId, Topology};
+use numadag_numa::{MemoryMap, NodeId, RegionId, Topology, TrafficStats};
 use numadag_tdg::{Accesses, TaskId};
 use numadag_trace::TraceEvent;
 
 /// Moves every byte `task`, running on `node` at time `now`, accesses
 /// between its home node and `node`: for each share of each access that
 /// rounds to at least one byte, `moved(bytes, distance)` is called, the bytes
-/// are added to the dense `link` matrix (`link[home * nodes + node]`, folded
-/// into the run's `TrafficStats` by `fold_link_matrix`) and, when there are
-/// `events`, a `Traffic` event is pushed — access by access, home by home,
-/// in declaration order.
+/// are recorded in `traffic` (local or remote, saturating) and, when there
+/// are `events`, a `Traffic` event is pushed — access by access, home by
+/// home, in declaration order.
 ///
 /// `accesses` are the task's access columns, read off the TDG. Deferred
 /// allocation has run, so no share is without a home.
@@ -21,14 +20,13 @@ pub(crate) fn charge_accesses(
     topology: &Topology,
     memory: &MemoryMap,
     mut events: Option<&mut Vec<TraceEvent>>,
-    link: &mut [u64],
+    traffic: &mut TrafficStats,
     task: TaskId,
     accesses: Accesses<'_>,
     node: NodeId,
     now: f64,
     mut moved: impl FnMut(u64, u32),
 ) {
-    let num_nodes = topology.num_nodes();
     for (&region, &access_bytes) in accesses.regions().iter().zip(accesses.bytes()) {
         memory.access_shares(RegionId(region as usize), access_bytes, |home, share| {
             if share == 0 {
@@ -36,8 +34,7 @@ pub(crate) fn charge_accesses(
             }
             let distance = topology.distance(node, home);
             moved(share, distance);
-            let link = &mut link[home.index() * num_nodes + node.index()];
-            *link = link.saturating_add(share);
+            traffic.record_access(node, home, share);
             if let Some(events) = events.as_deref_mut() {
                 events.push(TraceEvent::Traffic {
                     task,

@@ -18,7 +18,8 @@ pub enum StealMode {
 }
 
 /// Configuration shared by the executors. Its derived wire form is the one
-/// a proc `assign` carries; the events switch travels beside it.
+/// a proc `assign` carries; the events switch travels beside it, and the
+/// seed not at all.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).
@@ -29,6 +30,9 @@ pub struct ExecutionConfig {
     pub(crate) steal: StealMode,
     /// Seed forwarded to components that need randomness (none in the
     /// simulator itself — determinism comes from the policies' own seeds).
+    /// It stays off the wire, so a sweep's seed does not make a new proc
+    /// config epoch.
+    #[serde(skip)]
     pub seed: u64,
     /// Whether the simulator accumulates per-stage wall time (policy vs
     /// event loop) into the report. Costs two clock reads per assignment

@@ -6,16 +6,15 @@
 //! once window tasks have written "their" blocks on "their" sockets, LAS will
 //! keep sending consumers of those blocks to the same sockets.
 
-use numadag_numa::{MemoryMap, NodeId, RegionId, TrafficStats};
+use numadag_numa::{MemoryMap, NodeId, RegionId};
 
 /// Applies deferred allocation for a task executing on `node`: every region
 /// the task writes (or reads) that is still unallocated is placed on `node`.
 /// `regions` are the region indices of the task's accesses (the region
 /// column of [`numadag_tdg::Accesses`]). Returns the number of
-/// bytes placed and records them in `stats`.
+/// bytes placed.
 pub(crate) fn apply_deferred_allocation(
     memory: &mut MemoryMap,
-    stats: &mut TrafficStats,
     regions: &[u32],
     node: NodeId,
 ) -> u64 {
@@ -24,9 +23,7 @@ pub(crate) fn apply_deferred_allocation(
         let region = RegionId(region as usize);
         if !memory.is_allocated(region) {
             memory.place(region, node);
-            let bytes = memory.size_of(region);
-            stats.record_deferred_allocation(bytes);
-            placed = placed.saturating_add(bytes);
+            placed = placed.saturating_add(memory.size_of(region));
         }
     }
     placed
@@ -45,12 +42,10 @@ mod tests {
     fn unallocated_written_regions_are_placed_locally() {
         let mut mem = MemoryMap::new();
         let out = mem.register(4096);
-        let mut stats = TrafficStats::new();
         let t = column(&[out]);
-        let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(3));
+        let placed = apply_deferred_allocation(&mut mem, &t, NodeId(3));
         assert_eq!(placed, 4096);
         assert_eq!(mem.placement(out).single_node(), Some(NodeId(3)));
-        assert_eq!(stats.deferred_allocated_bytes, 4096);
     }
 
     #[test]
@@ -58,12 +53,10 @@ mod tests {
         let mut mem = MemoryMap::new();
         let r = mem.register(100);
         mem.place(r, NodeId(1));
-        let mut stats = TrafficStats::new();
         let t = column(&[r]);
-        let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(5));
+        let placed = apply_deferred_allocation(&mut mem, &t, NodeId(5));
         assert_eq!(placed, 0);
         assert_eq!(mem.placement(r).single_node(), Some(NodeId(1)));
-        assert_eq!(stats.deferred_allocated_bytes, 0);
     }
 
     #[test]
@@ -72,9 +65,8 @@ mod tests {
         // exactly like the OS first-touch policy would.
         let mut mem = MemoryMap::new();
         let r = mem.register(64);
-        let mut stats = TrafficStats::new();
         let t = column(&[r]);
-        let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(2));
+        let placed = apply_deferred_allocation(&mut mem, &t, NodeId(2));
         assert_eq!(placed, 64);
         assert_eq!(mem.placement(r).single_node(), Some(NodeId(2)));
     }
@@ -86,9 +78,8 @@ mod tests {
         let b = mem.register(20);
         let c = mem.register(40);
         mem.place(b, NodeId(0));
-        let mut stats = TrafficStats::new();
         let t = column(&[a, b, c]);
-        let placed = apply_deferred_allocation(&mut mem, &mut stats, &t, NodeId(1));
+        let placed = apply_deferred_allocation(&mut mem, &t, NodeId(1));
         assert_eq!(placed, 50);
     }
 }

@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn local_fraction_delegates_to_traffic() {
         let mut r = report(1.0, vec![1.0]);
-        r.traffic.record_access(NodeId(0), NodeId(0), 10, 300);
-        r.traffic.record_access(NodeId(0), NodeId(1), 21, 100);
+        r.traffic.record_access(NodeId(0), NodeId(0), 300);
+        r.traffic.record_access(NodeId(0), NodeId(1), 100);
         assert!((r.local_fraction() - 0.75).abs() < 1e-12);
     }
 

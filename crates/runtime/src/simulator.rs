@@ -43,9 +43,6 @@ struct SimScratch {
     ready: Vec<TaskId>,
     /// In-flight completion events.
     events: EventQueue,
-    /// Dense per-(home node, executing node) byte matrix, folded into the
-    /// report's `TrafficStats` once at the end of the run.
-    link: Vec<u64>,
 }
 
 impl SimScratch {
@@ -58,8 +55,6 @@ impl SimScratch {
         self.busy_count.resize(num_sockets, 0);
         self.ready.clear();
         self.events.reset(num_cores);
-        self.link.clear();
-        self.link.resize(num_sockets * num_sockets, 0);
     }
 }
 
@@ -92,7 +87,6 @@ struct Run<'a> {
     report: ExecutionReport,
     busy_count: &'a mut [usize],
     events: &'a mut EventQueue,
-    link: &'a mut [u64],
     seq: u64,
 }
 
@@ -120,12 +114,7 @@ impl Run<'_> {
         }
 
         // Deferred allocation / first touch on the executing node.
-        let placed = apply_deferred_allocation(
-            &mut self.memory,
-            &mut self.report.traffic,
-            row.accesses.regions(),
-            node,
-        );
+        let placed = apply_deferred_allocation(&mut self.memory, row.accesses.regions(), node);
         self.report.deferred_bytes = self.report.deferred_bytes.saturating_add(placed);
         if traced && placed > 0 {
             self.report.events.push(TraceEvent::DeferredAlloc {
@@ -143,7 +132,7 @@ impl Run<'_> {
             topo,
             &self.memory,
             traced.then_some(&mut self.report.events),
-            self.link,
+            &mut self.report.traffic,
             task,
             row.accesses,
             node,
@@ -283,7 +272,6 @@ impl Simulator {
             busy_count,
             ready,
             events,
-            link,
         } = &mut scratch;
 
         let mut run = Run {
@@ -306,7 +294,6 @@ impl Simulator {
             },
             busy_count,
             events,
-            link,
             seq: 0,
         };
         let mut completed = 0usize;
@@ -393,7 +380,6 @@ impl Simulator {
 
         let mut report = run.report;
         report.makespan_ns = makespan;
-        report.traffic.fold_link_matrix(link, topo.distances());
         report.policy_wall_ns = policy_wall_ns;
         report.event_loop_wall_ns = run_started.elapsed().as_nanos() as f64 - policy_wall_ns;
         self.scratch_pool().push(scratch);

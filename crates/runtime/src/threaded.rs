@@ -42,9 +42,6 @@ struct Shared<'p> {
     indegree: Vec<u32>,
     memory: MemoryMap,
     stats: TrafficStats,
-    /// Dense per-(home node, executing node) byte matrix, folded into
-    /// `stats` once the workers are done.
-    link: Vec<u64>,
     policy: &'p mut dyn SchedulingPolicy,
     remaining: usize,
     tasks_per_socket: Vec<usize>,
@@ -99,7 +96,6 @@ impl ThreadedExecutor {
             indegree: spec.graph.flat().in_degrees().to_vec(),
             memory,
             stats: TrafficStats::new(),
-            link: vec![0; num_sockets * num_sockets],
             policy,
             remaining: n,
             tasks_per_socket: vec![0; num_sockets],
@@ -143,8 +139,6 @@ impl ThreadedExecutor {
 
         let elapsed = start.elapsed();
         let mut guard = lock(&sync.0);
-        let Shared { stats, link, .. } = &mut *guard;
-        stats.fold_link_matrix(link, topo.distances());
         let mut report = ExecutionReport {
             workload: spec.name.clone(),
             policy: policy_name,
@@ -234,9 +228,8 @@ fn worker_loop(
                         // up by the socket that will actually run it.
                         let node = my_socket.node();
                         let accesses = spec.graph.task(task).accesses;
-                        let Shared { memory, stats, .. } = &mut *s;
                         let placed =
-                            apply_deferred_allocation(memory, stats, accesses.regions(), node);
+                            apply_deferred_allocation(&mut s.memory, accesses.regions(), node);
                         s.deferred_bytes = s.deferred_bytes.saturating_add(placed);
                         if traced && placed > 0 {
                             s.events.push(TraceEvent::DeferredAlloc {
@@ -249,7 +242,7 @@ fn worker_loop(
                         // Account traffic against the virtual NUMA map.
                         let Shared {
                             memory,
-                            link,
+                            stats,
                             events,
                             ..
                         } = &mut *s;
@@ -257,7 +250,7 @@ fn worker_loop(
                             topo,
                             memory,
                             traced.then_some(events),
-                            link,
+                            stats,
                             task,
                             accesses,
                             node,

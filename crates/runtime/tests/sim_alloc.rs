@@ -1,7 +1,7 @@
 //! Allocation gate for a warmed simulator cell: the second
 //! `Simulator::run` of a spec allocates only what it returns and the
 //! per-run memory map — the run state (in-degrees, queues, idle stacks,
-//! event heap, link matrix) is reset in place, the TDG's flat view is
+//! event heap) is reset in place, the TDG's flat view is
 //! memoised, and no task, access or event allocates. A reintroduced
 //! per-task allocation fails this test instead of a benchmark.
 //!
@@ -81,9 +81,9 @@ fn a_warmed_cell_allocates_only_its_report_and_memory_map() {
     }
 }
 
-/// On the 8-socket machine: 1 for the per-run `MemoryMap` (its one table of
-/// `(size, placement)` per region) and 12 for the returned `ExecutionReport`
-/// (two per-socket vectors, 10 B-tree nodes for the traffic ledger's 64 link
-/// entries) — whatever the task count. It may only go down (27 before PR 16,
-/// 16 before PR 24).
-const WARM_CELL_ALLOCATIONS: usize = 13;
+/// 1 for the per-run `MemoryMap` (its one table of `(size, placement)` per
+/// region) and 2 for the returned `ExecutionReport`'s two per-socket
+/// vectors — whatever the task count. The traffic ledger is two counters in
+/// the report: no link matrix, no B-tree nodes. It may only go down (it
+/// was 27, then 16, then 13 while the ledger kept a link map).
+const WARM_CELL_ALLOCATIONS: usize = 3;

@@ -83,14 +83,14 @@ impl TrafficMatrix {
         self.bytes[from * self.n + to]
     }
 
-    /// Total bytes moved.
+    /// Total bytes moved, saturating at `u64::MAX`.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
+        self.bytes.iter().fold(0, |sum, &b| sum.saturating_add(b))
     }
 
-    /// Bytes served at the local distance (10).
+    /// Bytes served at the local distance (10), saturating at `u64::MAX`.
     pub fn local_bytes(&self) -> u64 {
-        (0..self.n).map(|s| self.bytes(s, s)).sum()
+        (0..self.n).fold(0, |sum, s| sum.saturating_add(self.bytes(s, s)))
     }
 }
 
@@ -241,7 +241,8 @@ impl Trace {
         cp
     }
 
-    /// The socket × socket traffic matrix of the trace.
+    /// The socket × socket traffic matrix of the trace. Each entry
+    /// saturates at `u64::MAX`, as the run's `TrafficStats` does.
     pub fn traffic_matrix(&self) -> TrafficMatrix {
         let n = self.num_sockets;
         let mut bytes = vec![0u64; n * n];
@@ -250,7 +251,8 @@ impl Trace {
                 from, to, bytes: b, ..
             } = event
             {
-                bytes[from.index() * n + to.index()] += b;
+                let entry = &mut bytes[from.index() * n + to.index()];
+                *entry = entry.saturating_add(*b);
             }
         }
         TrafficMatrix { n, bytes }
@@ -273,9 +275,10 @@ impl Trace {
                 ..
             } = event
             {
-                total[task.index()] += bytes;
+                let t = task.index();
+                total[t] = total[t].saturating_add(*bytes);
                 if from == to {
-                    local[task.index()] += bytes;
+                    local[t] = local[t].saturating_add(*bytes);
                 }
             }
         }
@@ -505,6 +508,29 @@ mod tests {
         // Task 0 fully local (last bucket), task 1 fully remote (first).
         assert_eq!(histogram.buckets, vec![1, 0, 0, 1]);
         assert!((histogram.mean - 0.5).abs() < 1e-12);
+    }
+
+    /// Traffic adding up to more than `u64::MAX` bytes reads `u64::MAX`,
+    /// as the run's ledger does, instead of overflowing.
+    #[test]
+    fn traffic_views_saturate() {
+        let mut trace = crate::trace::tests::toy_trace();
+        for event in &mut trace.events {
+            if let TraceEvent::Traffic { bytes, .. } = event {
+                *bytes = u64::MAX;
+            }
+        }
+        // Every access twice: each task moves 2 x u64::MAX bytes.
+        let again = trace.events.clone();
+        trace.events.extend(again);
+        let matrix = trace.traffic_matrix();
+        assert_eq!(
+            (matrix.bytes(0, 0), matrix.bytes(0, 1)),
+            (u64::MAX, u64::MAX)
+        );
+        assert_eq!(matrix.total_bytes(), u64::MAX);
+        assert_eq!(matrix.local_bytes(), u64::MAX);
+        assert_eq!(trace.locality_histogram(4).buckets, vec![1, 0, 0, 1]);
     }
 
     #[test]

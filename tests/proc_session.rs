@@ -11,11 +11,16 @@ mod relay;
 mod rows;
 
 use std::sync::{Arc, Mutex, Once, PoisonError};
+use std::time::{Duration, Instant};
 
 use numadag::prelude::*;
 use numadag::proc::CONNECT_ENV;
 use relay::{processes, threads, Action, Dir, Relay};
 use rows::{assert_reproduces, figure1, FULL_ARGS};
+
+/// How long a pool's drop may take: the deadline of its drain barrier and
+/// of reaping its dismissed workers (`DRAIN_TIMEOUT` in the pool).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Worker re-entry point: the process launcher re-execs this test binary
 /// with `proc_worker_entry --exact` as the argv. Without the rendezvous
@@ -155,4 +160,74 @@ fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
     assert_eq!(stats.config_broadcasts, 2, "traced proc tiny");
     assert_eq!(in_process.len(), 32);
     assert!(in_process == through_proc, "proc traces differ");
+}
+
+/// The Tiny session of a 2-worker pool whose worker 1 is lost at the
+/// startup barrier: one lane, on worker 0, which is shipped every spec.
+const TINY_ON_WORKER_0: PoolStats = PoolStats {
+    workers_spawned: 2,
+    workers_alive: 1,
+    cells_dispatched: 32,
+    redispatches: 0,
+    config_broadcasts: 1,
+    spec_transfers: 8,
+    barriers: 1,
+};
+
+/// Breaks worker 1's `nth` `barrier_ack` (1: the startup barrier's, 2: the
+/// drain barrier's) with `breakage`, on worker processes and then on
+/// worker threads. The pool starts with the workers the startup barrier
+/// left alive, a Tiny sweep on it reproduces the baseline and leaves
+/// `counters`, and dropping it returns within [`DRAIN_TIMEOUT`] with both
+/// workers reaped, after each barrier went to every worker it had.
+fn barrier_row(nth: u64, breakage: Action, counters: PoolStats) {
+    let args = "--scale tiny --backend proc";
+    for workers in [Workers::Processes, Workers::Threads] {
+        let row = format!("{breakage:?} on barrier_ack {nth}, on {workers:?}");
+        let relay = Relay::new().on(1, Dir::ToCoordinator, "barrier_ack", nth, breakage);
+        let tally = relay.tally();
+        let pool = match workers {
+            Workers::Processes => WorkerPool::launch(2, relay.around(processes)),
+            Workers::Threads => WorkerPool::launch(2, relay.around(threads)),
+        };
+        let pool = pool.unwrap_or_else(|e| panic!("{row}: {e}"));
+        assert_eq!(pool.stats().workers_alive, counters.workers_alive, "{row}");
+        let ((report, baseline), stats) = on_proc_pool(Arc::clone(&pool), || {
+            let (_, report, baseline) = figure1(args, None);
+            (report.to_json_string(), baseline)
+        });
+        assert_reproduces(&row, &report, &baseline);
+        assert_eq!(stats, counters, "{row}");
+        assert_eq!(Arc::strong_count(&pool), 1, "{row}: the row holds the pool");
+        let dropping = Instant::now();
+        drop(pool);
+        let took = dropping.elapsed();
+        assert!(took < DRAIN_TIMEOUT, "{row}: the drop took {took:?}");
+        assert_eq!(tally.reaped(), 2, "{row}: both workers reaped");
+        let barriers = 2 + counters.workers_alive;
+        assert_eq!(tally.lines(Dir::ToWorker, "barrier"), barriers, "{row}");
+    }
+}
+
+/// Worker 1's startup `barrier_ack` never arrives whole: its link dies
+/// before it, turns it into a line that is not JSON, or cuts it halfway.
+/// The pool starts with worker 0 alone and runs the sweep on it.
+#[test]
+fn a_startup_barrier_broken_on_the_way_loses_only_its_worker() {
+    for breakage in [Action::Die, Action::Garbage, Action::Truncate] {
+        barrier_row(1, breakage, TINY_ON_WORKER_0);
+    }
+}
+
+/// Worker 1's drain `barrier_ack` never arrives whole: the drop loses it at
+/// once, dismisses worker 0, and reaps both.
+#[test]
+fn a_drain_barrier_broken_on_the_way_still_reaps_both_workers() {
+    let tiny = PoolStats {
+        cells_dispatched: 32,
+        ..SHIPS_EACH_SPEC_ONCE
+    };
+    for breakage in [Action::Die, Action::Garbage, Action::Truncate] {
+        barrier_row(2, breakage, tiny);
+    }
 }

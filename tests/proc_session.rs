@@ -162,18 +162,6 @@ fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
     assert!(in_process == through_proc, "proc traces differ");
 }
 
-/// The Tiny session of a 2-worker pool whose worker 1 is lost at the
-/// startup barrier: one lane, on worker 0, which is shipped every spec.
-const TINY_ON_WORKER_0: PoolStats = PoolStats {
-    workers_spawned: 2,
-    workers_alive: 1,
-    cells_dispatched: 32,
-    redispatches: 0,
-    config_broadcasts: 1,
-    spec_transfers: 8,
-    barriers: 1,
-};
-
 /// Breaks worker 1's `nth` `barrier_ack` (1: the startup barrier's, 2: the
 /// drain barrier's) with `breakage`, on worker processes and then on
 /// worker threads. The pool starts with the workers the startup barrier
@@ -211,11 +199,18 @@ fn barrier_row(nth: u64, breakage: Action, counters: PoolStats) {
 
 /// Worker 1's startup `barrier_ack` never arrives whole: its link dies
 /// before it, turns it into a line that is not JSON, or cuts it halfway.
-/// The pool starts with worker 0 alone and runs the sweep on it.
+/// The pool starts with worker 0 alone and runs the sweep on it: one lane,
+/// one config, every spec shipped to worker 0.
 #[test]
 fn a_startup_barrier_broken_on_the_way_loses_only_its_worker() {
+    let tiny_on_worker_0 = PoolStats {
+        workers_alive: 1,
+        cells_dispatched: 32,
+        config_broadcasts: 1,
+        ..SHIPS_EACH_SPEC_ONCE
+    };
     for breakage in [Action::Die, Action::Garbage, Action::Truncate] {
-        barrier_row(1, breakage, TINY_ON_WORKER_0);
+        barrier_row(1, breakage, tiny_on_worker_0);
     }
 }
 

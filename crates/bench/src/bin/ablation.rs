@@ -37,10 +37,10 @@
 //! (trace only) picks the problem scale, default small.
 //!
 //! `bench-diff` loads two `BENCH_*.json` sweep reports and prints the
-//! per-cell measurement deltas (timing sections are ignored), exiting 0
-//! when the reports are measurement-identical and 1 when they differ — so
-//! "regenerate and diff the baseline" is one command instead of a jq
-//! exercise. Malformed arguments exit with code 2.
+//! per-cell measurement deltas (an older file's `timing` member is
+//! skipped), exiting 0 when the reports are measurement-identical and 1
+//! when they differ — so "regenerate and diff the baseline" is one command
+//! instead of a jq exercise. Malformed arguments exit with code 2.
 
 use std::sync::Arc;
 

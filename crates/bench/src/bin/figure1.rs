@@ -7,7 +7,7 @@
 //! cargo run -p numadag-bench --bin figure1 --release -- \
 //!     [--scale tiny|small|full] [--policies dfifo,rgp-las:w=512,ep] \
 //!     [--backend simulated|threaded|proc[:w=N]] [--jobs N] [--reps N] [--seed N] \
-//!     [--json PATH] [--json-timing PATH] [--trace-dir DIR]
+//!     [--json REPORT] [--json-timing TIMING] [--trace-dir DIR]
 //! ```
 //!
 //! `--scale --policies --backend --seed --reps` are the sweep grammar
@@ -33,8 +33,9 @@
 //! backend the report is bit-identical for every value. Per-cell progress
 //! goes to stderr, keeping stdout tables and the
 //! JSON exports clean. `--json` writes the byte-stable measurement report
-//! (the `BENCH_*.json` baseline format); `--json-timing` additionally
-//! includes the wall-time/spec-build accounting, which varies run to run.
+//! (the `BENCH_*.json` baseline format); `--json-timing` writes the
+//! report's wall-time/spec-build accounting alone (`SweepTiming`: lanes,
+//! wall totals, spec builds and per-cell columns), which varies run to run.
 //!
 //! `--trace-dir DIR` records a full execution trace for every cell (policy
 //! assign decisions, task start/finish with socket and timestamp, steals,
@@ -61,7 +62,7 @@ fn usage_error(message: String) -> ! {
     eprintln!(
         "usage: figure1 [--scale tiny|small|full] [--policies LIST] \
          [--backend simulated|threaded|proc[:w=N]] [--jobs N] [--reps N] [--seed N] \
-         [--json PATH] [--json-timing PATH] [--trace-dir DIR]"
+         [--json REPORT] [--json-timing TIMING] [--trace-dir DIR]"
     );
     std::process::exit(2);
 }
@@ -207,9 +208,7 @@ fn main() {
     );
 
     let collector = trace_dir.as_ref().map(|_| Arc::new(TraceCollector::new()));
-    let mut experiment = sweep
-        .experiment(topology, Arc::new(SpecCache::new()))
-        .stage_timing(json_timing_path.is_some());
+    let mut experiment = sweep.experiment(topology, Arc::new(SpecCache::new()));
     if let Some(collector) = &collector {
         experiment = experiment.trace(Arc::clone(collector));
     }
@@ -282,8 +281,9 @@ fn main() {
         }
     }
     if let Some(path) = json_timing_path {
-        match std::fs::write(&path, report.to_json_string_with_timing()) {
-            Ok(()) => println!("\nwrote {path} (with timing)"),
+        let timing = serde_json::to_string_pretty(&report.timing).expect("timing serializes");
+        match std::fs::write(&path, timing) {
+            Ok(()) => println!("\nwrote {path} (timing)"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }

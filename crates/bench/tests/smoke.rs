@@ -258,13 +258,28 @@ fn json_timing_export_carries_wall_time_accounting() {
     assert!(out.status.success());
     let json = std::fs::read_to_string(&path).unwrap();
     for key in [
-        "\"timing\"",
         "\"total_wall_ns\"",
         "\"build_wall_ns\"",
         "\"spec_builds\": 8",
-        "\"cell_wall_ns\"",
     ] {
         assert!(json.contains(key), "timing export missing {key}");
+    }
+    // The accounting alone: no report around it.
+    let timing = serde_json::from_str(&json).expect("the timing export is JSON");
+    for member in ["cells", "aggregates", "timing"] {
+        assert!(
+            timing.get(member).is_none(),
+            "{member} in the timing export"
+        );
+    }
+    // One entry per Tiny cell in each per-cell column.
+    for column in [
+        "cell_wall_ns",
+        "cell_partition_windows",
+        "cell_partition_wall_ns",
+    ] {
+        let entries = timing.get(column).and_then(|v| v.as_array()).map(Vec::len);
+        assert_eq!(entries, Some(32), "{column}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 /// Protocol version, sent in every [`EpochConfig`]. A worker that sees a
 /// version it does not speak replies with `error` instead of guessing.
-pub(crate) const PROTOCOL_VERSION: u64 = 10;
+pub(crate) const PROTOCOL_VERSION: u64 = 11;
 
 /// Everything the coordinator sends. Externally tagged with snake-case
 /// tags: `{"assign": {...}}`, `"shutdown"`.
@@ -235,12 +235,13 @@ mod tests {
     /// `u64::MAX`) and the recipe ride in the `assign` that needs them:
     /// bare, with a recipe, and with both, re-captured for 9, whose
     /// spec fingerprints are another hash (the bare `assign` keeps a
-    /// fingerprint above 2^63), and re-captured for 10, whose config no
-    /// longer carries its seed.
+    /// fingerprint above 2^63), re-captured for 10, whose config no longer
+    /// carries its seed, and re-captured for 11, whose config lost its
+    /// stage-timing switch.
     const TO_WORKER_LINES: [&str; 5] = [
         r#"{"assign":{"cell":9000,"fp":18446744073709551612,"policy":"rgp-las:w=512","policy_seed":15819134,"configure":null,"recipe":null}}"#,
         r#"{"assign":{"cell":9001,"fp":3369824997562222560,"policy":"las","policy_seed":224,"configure":null,"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
-        r#"{"assign":{"cell":18446744073709551615,"fp":3369824997562222560,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":10,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing","stage_timing":true}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
+        r#"{"assign":{"cell":18446744073709551615,"fp":3369824997562222560,"policy":"rgp-rr:prop=repart","policy_seed":18446744073709551615,"configure":{"version":11,"epoch":18446744073709551615,"events":true,"config":{"topology":{"name":"2-node cluster (2 sockets x 3 cores, far=120)","sockets":4,"cores":3,"distances":[10,15,120,120,15,10,120,120,120,120,10,15,120,120,15,10]},"cost_model":{"local_bandwidth":8,"local_latency":100,"bandwidth_exponent":2,"latency_exponent":1.5,"contention_factor":0.25,"time_per_work_unit":1},"steal":"no_stealing"}},"recipe":{"app":"Symm. mat. inv.","scale":"tiny","sockets":8}}}"#,
         r#"{"barrier":{"epoch":18446744073709551615}}"#,
         r#""shutdown""#,
     ];
@@ -254,12 +255,13 @@ mod tests {
     /// the report's `trace` array; version 5 re-spelled the hex integers as
     /// plain numbers; version 8 dropped the config's acknowledgement and
     /// `hello`'s `pid`; version 10 cut the report's traffic ledger to its
-    /// local and remote bytes.
+    /// local and remote bytes; version 11 dropped the report's two stage
+    /// clocks.
     const TO_COORDINATOR_LINES: [&str; 4] = [
         r#"{"hello":{"worker":3}}"#,
         r#"{"barrier_ack":{"epoch":2}}"#,
         r#"{"error":{"message":"bad \"spec\": back\\slash\nnew line\ttab ∑ \u0001"}}"#,
-        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local_bytes":6148914691236517205,"remote_bytes":2305843009213693952},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968,"policy_wall_ns":17.5,"event_loop_wall_ns":0.125},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
+        r#"{"done":{"cell":77,"report":{"makespan_ns":3141592653.589793,"tasks":42,"traffic":{"local_bytes":6148914691236517205,"remote_bytes":2305843009213693952},"tasks_per_socket":[10,12,9,11],"busy_per_socket":[0.1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,3.0000000000000004,0],"stolen_tasks":5,"deferred_bytes":36028797018963968},"events":[{"type":"assign","task":3,"socket":1,"time":1.5},{"type":"start","task":3,"socket":1,"core":5,"time":2.25,"stolen":true},{"type":"deferred_alloc","task":3,"node":1,"bytes":1099511627776,"time":2.25},{"type":"traffic","task":3,"region":17,"from":0,"to":1,"distance":21,"bytes":4096,"time":2.25},{"type":"finish","task":3,"socket":1,"core":5,"time":9.75}]}}"#,
     ];
 
     fn parse(line: &str) -> Value {
@@ -303,26 +305,29 @@ mod tests {
                 assert_eq!(report.busy_per_socket[1], 1e300);
             }
         }
-        assert_eq!(PROTOCOL_VERSION, 10);
+        assert_eq!(PROTOCOL_VERSION, 11);
     }
 
     /// `-0.0` keeps its sign across the wire in a `done` report, whose
     /// writer printed it `0` once.
     #[test]
     fn negative_zero_crosses_the_wire_bit_for_bit() {
-        let done =
-            TO_COORDINATOR_LINES[3].replacen("\"policy_wall_ns\":17.5", "\"policy_wall_ns\":-0", 1);
+        let done = TO_COORDINATOR_LINES[3].replacen(
+            "\"makespan_ns\":3141592653.589793",
+            "\"makespan_ns\":-0",
+            1,
+        );
         let Ok(ToCoordinator::Done { report, .. }) = from_line(&done) else {
             panic!("{done}");
         };
-        assert_eq!(report.policy_wall_ns.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(report.makespan_ns.to_bits(), (-0.0f64).to_bits());
         assert_eq!(
             to_line(&ToCoordinator::Done {
                 cell: 77,
                 report,
                 events: Vec::new()
             })
-            .matches("\"policy_wall_ns\":-0,")
+            .matches("\"makespan_ns\":-0,")
             .count(),
             1
         );
@@ -381,13 +386,13 @@ mod tests {
         for (path, value, complaint) in [
             (
                 vec!["version"],
-                Value::Number(9.0),
-                "config.version 9 is not the supported protocol version 10",
+                Value::Number(10.0),
+                "config.version 10 is not the supported protocol version 11",
             ),
             (
                 vec!["version"],
-                Value::Number(11.0),
-                "config.version 11 is not the supported protocol version 10",
+                Value::Number(12.0),
+                "config.version 12 is not the supported protocol version 11",
             ),
             (
                 vec!["config", "steal"],

@@ -165,10 +165,8 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
 /// Every field of the config crosses the wire: one row per knob, each run
 /// under four policies on the pool and in process. A codec that drops or
 /// renames a field the simulator reads makes its row's reports (or, for the
-/// traced row, its events) differ; `stage_timing` leaves the compared
-/// measurements alone, so its row pins that such a config is taken at all,
-/// and `seed` does not travel, so its row pins that leaving it off is
-/// harmless.
+/// traced row, its events) differ; `seed` does not travel, so its row pins
+/// that leaving it off is harmless.
 #[test]
 fn every_config_knob_reaches_the_workers() {
     let pool = test_pool(2);
@@ -199,7 +197,6 @@ fn every_config_knob_reaches_the_workers() {
             }),
         ),
         ("no stealing", base().with_steal(StealMode::NoStealing)),
-        ("stage timing", base().with_stage_timing()),
         ("seed above 2^53", base().with_seed(u64::MAX - 0xF1617E)),
         ("far 4-socket topology", ExecutionConfig::new(far)),
         ("traced", base().with_events()),
@@ -535,7 +532,8 @@ fn a_kernel_ships_as_its_recipe_and_a_custom_workload_runs_on_the_coordinator() 
 /// `parallelism(1)`, traced or not: worker 0's first `done` is held until
 /// worker 1 has been sent an `assign`, and a sweep that left worker 1 idle
 /// meanwhile would lose worker 0 at the hold's deadline instead. A traced
-/// sweep records the traces the in-process simulator does.
+/// sweep records the traces the in-process simulator does, each labelled
+/// with the proc report's backend.
 #[test]
 fn a_sweep_keeps_both_workers_of_its_pool_busy() {
     for traced in [false, true] {
@@ -578,15 +576,20 @@ fn a_sweep_keeps_both_workers_of_its_pool_busy() {
         assert_eq!(stats.spec_transfers, 2, "{row}: {stats}");
         assert_eq!(report.timing.jobs, 2, "{row}: two lanes ran");
         let want = sweep(&local).run_on(&Simulator::new(config));
-        report.backend = want.backend.clone();
+        let backend = std::mem::replace(&mut report.backend, want.backend.clone());
         assert_eq!(report.to_json_string(), want.to_json_string(), "{row}");
         let sorted = |collector: &TraceCollector| {
             let mut traces = collector.take();
             traces.sort_by(|a, b| (&a.workload, &a.policy).cmp(&(&b.workload, &b.policy)));
             traces
         };
-        let traces = sorted(&remote);
+        let mut traces = sorted(&remote);
         assert_eq!(traces.len(), if traced { report.cells.len() } else { 0 });
+        // Each trace names its report's backend; the rest is the simulator's.
+        for trace in &mut traces {
+            assert_eq!(trace.backend, backend, "{row}");
+            trace.backend = want.backend.clone();
+        }
         assert_eq!(traces, sorted(&local), "{row}");
     }
 }

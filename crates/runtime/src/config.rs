@@ -17,9 +17,9 @@ pub enum StealMode {
     NoStealing,
 }
 
-/// Configuration shared by the executors. Its derived wire form is the one
-/// a proc `assign` carries; the events switch travels beside it, and the
-/// seed not at all.
+/// Configuration shared by the executors. Its derived wire form, the
+/// topology, cost model and steal mode, is the one a proc `assign` carries;
+/// the events switch travels beside it, and the seed not at all.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Machine topology (sockets, cores, distances).
@@ -34,11 +34,6 @@ pub struct ExecutionConfig {
     /// config epoch.
     #[serde(skip)]
     pub seed: u64,
-    /// Whether the simulator accumulates per-stage wall time (policy vs
-    /// event loop) into the report. Costs two clock reads per assignment
-    /// batch in the hot loop, so it is off unless a timing report was asked
-    /// for (`figure1 --json-timing` turns it on).
-    pub(crate) stage_timing: bool,
     /// Whether executions return their [`numadag_trace::TraceEvent`]s in
     /// [`crate::ExecutionReport::events`]. Off by default: both executors
     /// then skip event construction entirely, so tracing is zero-cost
@@ -61,7 +56,6 @@ impl ExecutionConfig {
             cost_model: CostModel::default(),
             steal: StealMode::default(),
             seed: 0xE0,
-            stage_timing: false,
             events: false,
         }
     }
@@ -75,13 +69,6 @@ impl ExecutionConfig {
     /// Replaces the stealing mode.
     pub fn with_steal(mut self, steal: StealMode) -> Self {
         self.steal = steal;
-        self
-    }
-
-    /// Enables per-stage wall-time accounting in the simulator (see
-    /// `ExecutionConfig::stage_timing`).
-    pub fn with_stage_timing(mut self) -> Self {
-        self.stage_timing = true;
         self
     }
 

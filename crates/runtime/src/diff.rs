@@ -235,9 +235,9 @@ impl SweepReport {
         diff
     }
 
-    /// Parses a report previously serialized by [`SweepReport::to_json_string`]
-    /// or [`SweepReport::to_json_string_with_timing`]. A missing timing
-    /// section parses as zeroed accounting.
+    /// Parses a report previously serialized by [`SweepReport::to_json_string`].
+    /// The accounting never travels: it parses as zeroed, and the `timing`
+    /// member older files carry is skipped.
     pub fn from_json_str(text: &str) -> Result<SweepReport, String> {
         Ok(crate::framing::from_line(text)?)
     }
@@ -266,22 +266,14 @@ mod tests {
         let above = (1 << 53) + 1;
         original.seed = above;
         original.cells[0].deferred_bytes = above;
-        for text in [
-            original.to_json_string(),
-            original.to_json_string_with_timing(),
-        ] {
-            let reparsed = SweepReport::from_json_str(&text).unwrap();
-            assert_eq!(
-                (reparsed.seed, reparsed.cells[0].deferred_bytes),
-                (above, above)
-            );
-            assert_eq!(reparsed.to_json_string(), original.to_json_string());
-            assert!(original.diff(&reparsed).is_empty());
-        }
-        // The timing section itself round-trips through the full spelling.
-        let full = SweepReport::from_json_str(&original.to_json_string_with_timing()).unwrap();
-        assert_eq!(full.timing.cell_wall_ns.len(), original.cells.len());
-        assert_eq!(full.timing.spec_builds, original.timing.spec_builds);
+        let text = original.to_json_string();
+        let reparsed = SweepReport::from_json_str(&text).unwrap();
+        assert_eq!(
+            (reparsed.seed, reparsed.cells[0].deferred_bytes),
+            (above, above)
+        );
+        assert_eq!(reparsed.to_json_string(), text);
+        assert!(original.diff(&reparsed).is_empty());
     }
 
     #[test]
@@ -373,9 +365,9 @@ mod tests {
     }
 
     /// A one-cell report exactly as commit fb5dfe3 — the last with a
-    /// hand-written `from_json_str` — serialized it, split where the optional
-    /// timing section goes: `MEASUREMENTS + "\n}"` is `to_json_string`,
-    /// `MEASUREMENTS + TIMING + "\n}"` is `to_json_string_with_timing`.
+    /// hand-written `from_json_str` — serialized it, split where its timed
+    /// spelling put the `timing` member: `MEASUREMENTS + "\n}"` is the
+    /// report's JSON, `MEASUREMENTS + TIMING + "\n}"` the timed file.
     const PARENT_MEASUREMENTS: &str = r#"{
   "machine": "bullion_s16 (8 sockets x 4 cores)",
   "backend": "simulator",
@@ -433,27 +425,15 @@ mod tests {
     ]
   }"#;
 
-    /// The two lifetime spec-cache counters `PARENT_TIMING` carries: still
-    /// read (an unknown key is skipped), no longer written.
-    const RETIRED_TIMING: &str =
-        "    \"spec_cache_total_builds\": 1,\n    \"spec_cache_total_hits\": 0,\n";
-
     #[test]
     fn the_parents_reports_decode_and_re_encode_byte_for_byte() {
         let untimed = format!("{PARENT_MEASUREMENTS}\n}}");
         let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}");
-        let report = SweepReport::from_json_str(&untimed).unwrap();
-        assert_eq!(report.to_json_string(), untimed);
-        assert_eq!(
-            report.timing.jobs, 0,
-            "no timing section: zeroed accounting"
-        );
-        let report = SweepReport::from_json_str(&timed).unwrap();
-        assert_eq!(
-            report.to_json_string_with_timing(),
-            timed.replace(RETIRED_TIMING, "")
-        );
-        assert_eq!(report.to_json_string(), untimed);
+        for text in [&untimed, &timed] {
+            let report = SweepReport::from_json_str(text).unwrap();
+            assert_eq!(report.to_json_string(), untimed);
+            assert_eq!(report.timing.jobs, 0, "the accounting is not read");
+        }
     }
 
     #[test]
@@ -462,20 +442,11 @@ mod tests {
         // The first field of the struct is the first one missed.
         let err = SweepReport::from_json_str("{}").unwrap_err();
         assert!(err.contains("machine"), "{err}");
-        // Every field, down to each cell's and the timing section's: missing
-        // or mistyped is an error that names it, except the timing section
-        // itself and the fields it gained after the first timed reports.
-        let timed = format!("{PARENT_MEASUREMENTS}{PARENT_TIMING}\n}}").replace(RETIRED_TIMING, "");
-        let late = [
-            "timing",
-            "cell_partition_windows",
-            "cell_partition_wall_ns",
-            "cell_policy_wall_ns",
-            "cell_event_loop_wall_ns",
-        ];
+        // Every field, down to each cell's: missing or mistyped is an error
+        // that names it.
         serde::testing::assert_struct_rejects_malformed(
-            &timed,
-            &late,
+            &format!("{PARENT_MEASUREMENTS}\n}}"),
+            &[],
             serde::decode::<SweepReport>,
         );
     }

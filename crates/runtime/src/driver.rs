@@ -30,7 +30,7 @@ use numadag_core::{make_policy, PolicyKind};
 use numadag_kernels::SpecKey;
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::{Trace, TraceCollector};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::ExecutionConfig;
 use crate::executor::{CellContext, Executor};
@@ -241,7 +241,7 @@ impl SweepPlan {
                     return ran;
                 };
                 let executor = lanes[lane];
-                let run = |job| self.run_and_notify(job, executor, lane, &completed);
+                let run = |job| self.run_and_notify(job, executor, lane, backend, &completed);
                 ran.push((w, jobs.iter().map(run).collect::<Vec<_>>()));
             }
         };
@@ -270,9 +270,10 @@ impl SweepPlan {
         job: &SweepJob,
         executor: &dyn Executor,
         lane: usize,
+        backend: &str,
         completed: &AtomicUsize,
     ) -> CellOutcome {
-        let outcome = run_job(self, job, executor, Some(lane));
+        let outcome = run_job(self, job, executor, Some(lane), backend);
         let done = completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(callback) = &self.progress {
             let (application, scale, policy) = self.labels_of(job);
@@ -305,7 +306,8 @@ impl SweepPlan {
     /// # Panics
     /// Panics if `index >= self.num_jobs()`.
     pub fn run_cell(&self, index: usize, executor: &dyn Executor) -> CellOutcome {
-        run_job(self, &self.jobs[index], executor, None)
+        let backend = self.backend.report_label();
+        run_job(self, &self.jobs[index], executor, None, backend)
     }
 
     /// The deterministic keyed post-pass over per-cell outcomes: walks
@@ -342,15 +344,14 @@ impl SweepPlan {
     }
 }
 
-/// Wall-time and build accounting of one sweep execution, serialized in the
-/// report's optional `timing` section
-/// ([`SweepReport::to_json_string_with_timing`]).
+/// Wall-time and build accounting of one sweep execution: the report's
+/// `timing`, which `figure1 --json-timing` writes on its own.
 ///
 /// Timings are real wall-clock measurements and therefore vary run to run;
-/// they are kept out of the default measurement serialization
-/// ([`SweepReport::to_json_string`]) so perf baselines stay byte-stable, and
+/// they stay out of the report's JSON ([`SweepReport::to_json_string`]) so
+/// perf baselines stay byte-stable, and
 /// [`SweepReport::diff`](crate::SweepReport::diff) ignores them.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct SweepTiming {
     /// Lanes the sweep ran on (see [`SweepPlan::execute`]).
     pub jobs: usize,
@@ -369,25 +370,10 @@ pub struct SweepTiming {
     pub cell_wall_ns: Vec<f64>,
     /// Per-cell count of windows the policy handed to the graph
     /// partitioner, parallel to `cells` (0 for non-partitioning policies).
-    /// (This and every `#[serde(default)]` field below arrived after the
-    /// first timed reports were written; older files simply lack them.)
-    #[serde(default)]
     pub cell_partition_windows: Vec<usize>,
     /// Per-cell wall time spent inside the graph partitioner (ns),
     /// parallel to `cells`.
-    #[serde(default)]
     pub cell_partition_wall_ns: Vec<f64>,
-    /// Per-cell wall time spent inside the scheduling policy (`prepare` +
-    /// `assign`, of which the partitioner time is a subset), parallel to
-    /// `cells`. All zeros unless the execution config enabled
-    /// `crate::ExecutionConfig::stage_timing` (assign batches are only
-    /// clocked then); `prepare` is always included.
-    #[serde(default)]
-    pub cell_policy_wall_ns: Vec<f64>,
-    /// Per-cell wall time of the executor's run minus the policy time — the
-    /// event loop plus the memory-cost model (ns), parallel to `cells`.
-    #[serde(default)]
-    pub cell_event_loop_wall_ns: Vec<f64>,
 }
 
 /// Progress report passed to the callback installed by
@@ -447,20 +433,18 @@ pub struct CellMeasurement {
     partition_windows: usize,
     /// Wall time the cell's policy spent inside the partitioner (ns).
     partition_wall_ns: f64,
-    /// Wall time inside the policy (prepare + assign batches), ns.
-    policy_wall_ns: f64,
-    /// Executor run wall minus policy time, ns.
-    event_loop_wall_ns: f64,
 }
 
 /// Builds the job's policy and runs its cell on the given executor (for
 /// `lane`, if a lane runs it); a traced plan then moves the report's events
-/// into the cell's [`Trace`] if the executor's config asked for them.
+/// into the cell's [`Trace`], labelled `backend` as the report is, if the
+/// executor's config asked for them.
 fn run_job(
     plan: &SweepPlan,
     job: &SweepJob,
     executor: &dyn Executor,
     lane: Option<usize>,
+    backend: &str,
 ) -> CellOutcome {
     let workload = &plan.workloads[job.workload];
     // A workload whose baseline cannot be built is skipped wholesale: its
@@ -492,7 +476,7 @@ fn run_job(
         collector.record(Trace {
             workload: workload.label.clone(),
             policy: policy_label,
-            backend: plan.backend.report_label().to_string(),
+            backend: backend.to_string(),
             scale: workload.scale_label.clone(),
             repetition: job.repetition,
             tasks: report.tasks,
@@ -512,8 +496,6 @@ fn run_job(
         wall_ns: t.elapsed().as_nanos() as f64,
         partition_windows: partition_stats.windows,
         partition_wall_ns: partition_stats.wall_ns,
-        policy_wall_ns: report.policy_wall_ns,
-        event_loop_wall_ns: report.event_loop_wall_ns,
     })
 }
 
@@ -538,8 +520,6 @@ fn assemble(
     let mut cell_wall_ns = Vec::new();
     let mut cell_partition_windows = Vec::new();
     let mut cell_partition_wall_ns = Vec::new();
-    let mut cell_policy_wall_ns = Vec::new();
-    let mut cell_event_loop_wall_ns = Vec::new();
     let mut skipped = Vec::new();
     for (w, workload) in plan.workloads.iter().enumerate() {
         // The baseline anchors every speedup of this workload; if it cannot
@@ -593,8 +573,6 @@ fn assemble(
                 cell_wall_ns.push(m.wall_ns);
                 cell_partition_windows.push(m.partition_windows);
                 cell_partition_wall_ns.push(m.partition_wall_ns);
-                cell_policy_wall_ns.push(m.policy_wall_ns);
-                cell_event_loop_wall_ns.push(m.event_loop_wall_ns);
             }
         }
     }
@@ -626,8 +604,6 @@ fn assemble(
             cell_wall_ns,
             cell_partition_windows,
             cell_partition_wall_ns,
-            cell_policy_wall_ns,
-            cell_event_loop_wall_ns,
         },
     }
 }

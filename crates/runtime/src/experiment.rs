@@ -30,10 +30,10 @@
 //!
 //! The report serializes to JSON through the workspace's serde subset, which
 //! is how the `BENCH_*.json` perf baselines are produced:
-//! [`SweepReport::to_json_string`] emits only the deterministic measurement
-//! fields (byte-stable across runs and worker counts on the simulator
-//! backend), while [`SweepReport::to_json_string_with_timing`] appends the
-//! wall-time accounting ([`crate::SweepTiming`]).
+//! [`SweepReport::to_json_string`] emits the deterministic measurement
+//! fields only (byte-stable across runs and worker counts on the simulator
+//! backend); the wall-time accounting ([`crate::SweepTiming`]) serializes
+//! on its own.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +43,7 @@ use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceCollector;
-use serde::{Deserialize, Serialize, Writer};
+use serde::{Deserialize, Serialize};
 
 use crate::config::ExecutionConfig;
 use crate::driver::{
@@ -201,10 +201,9 @@ pub struct SweepAggregate {
 /// the `BENCH_*.json` baselines.
 ///
 /// The `timing` section is wall-clock accounting and therefore varies run to
-/// run; it is excluded from the default [`SweepReport::to_json_string`]
-/// serialization (keeping perf baselines byte-stable) and included by
-/// [`SweepReport::to_json_string_with_timing`].
-#[derive(Clone, Debug, Deserialize)]
+/// run; it stays out of the report's JSON, keeping perf baselines
+/// byte-stable.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepReport {
     /// Machine (topology) name.
     pub(crate) machine: String,
@@ -223,22 +222,11 @@ pub struct SweepReport {
     /// `"workload/policy"` pairs that could not run (e.g. EP on a workload
     /// without an expert placement).
     pub skipped: Vec<String>,
-    /// Wall-time and spec-build accounting of the run (not part of the
-    /// measurement serialization; a report without the section decodes to
-    /// zeroed accounting).
-    #[serde(default)]
+    /// Wall-time and spec-build accounting of the run. Never serialized:
+    /// a decoded report's accounting is zeroed, and a `timing` member in
+    /// an older file is skipped.
+    #[serde(skip)]
     pub timing: SweepTiming,
-}
-
-/// Hand-written (not derived) so `timing` stays out of the measurement
-/// serialization: the field order below must match the struct exactly,
-/// because the `BENCH_*.json` baselines are compared byte for byte.
-impl Serialize for SweepReport {
-    fn serialize(&self, out: &mut Writer<'_>) {
-        out.begin_object();
-        self.measurements(out);
-        out.end_object();
-    }
 }
 
 impl SweepReport {
@@ -294,35 +282,11 @@ impl SweepReport {
             .map(|a| a.geomean_speedup)
     }
 
-    /// Pretty-printed JSON of the measurement fields (no timing section):
-    /// deterministic on the simulator backend, used for the byte-compared
-    /// `BENCH_*.json` baselines.
+    /// Pretty-printed JSON of the measurement fields: deterministic on the
+    /// simulator backend, used for the byte-compared `BENCH_*.json`
+    /// baselines.
     pub fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(self).expect("SweepReport serialization cannot fail")
-    }
-
-    /// Pretty-printed JSON including the wall-time accounting as a trailing
-    /// `"timing"` section.
-    pub fn to_json_string_with_timing(&self) -> String {
-        let mut text = String::new();
-        let mut out = Writer::new(&mut text, true);
-        out.begin_object();
-        self.measurements(&mut out);
-        out.field("timing", &self.timing);
-        out.end_object();
-        text
-    }
-
-    /// The members of the measurement serialization.
-    fn measurements(&self, out: &mut Writer<'_>) {
-        out.field("machine", &self.machine);
-        out.field("backend", &self.backend);
-        out.field("baseline", &self.baseline);
-        out.field("seed", &self.seed);
-        out.field("repetitions", &self.repetitions);
-        out.field("cells", &self.cells);
-        out.field("aggregates", &self.aggregates);
-        out.field("skipped", &self.skipped);
     }
 }
 
@@ -367,7 +331,6 @@ pub struct Experiment {
     spec_cache: Option<Arc<SpecCache>>,
     progress: Option<ProgressCallback>,
     trace: Option<Arc<TraceCollector>>,
-    stage_timing: bool,
 }
 
 impl Default for Experiment {
@@ -386,7 +349,6 @@ impl Default for Experiment {
             spec_cache: None,
             progress: None,
             trace: None,
-            stage_timing: false,
         }
     }
 }
@@ -409,11 +371,11 @@ impl Experiment {
         self
     }
 
-    /// Enables per-stage wall-time accounting (policy vs event loop) in the
-    /// simulator; see `crate::ExecutionConfig::stage_timing`. Off by
-    /// default because it clocks every assignment batch in the hot loop.
-    pub fn stage_timing(mut self, on: bool) -> Self {
-        self.stage_timing = on;
+    /// Does nothing. The simulator's per-stage clocks are gone; this stays
+    /// only because the benchmark's `runtime.stage_timing_overhead_pct`
+    /// probe still calls it, and goes once that probe is dropped (ROADMAP
+    /// direction 1, step 0).
+    pub fn stage_timing(self, _on: bool) -> Self {
         self
     }
 
@@ -594,7 +556,6 @@ impl Experiment {
         SweepPlan {
             config: {
                 let mut config = ExecutionConfig::new(self.topology.clone()).with_seed(self.seed);
-                config.stage_timing = self.stage_timing;
                 config.events = self.trace.is_some();
                 config
             },

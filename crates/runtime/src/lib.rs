@@ -42,8 +42,8 @@
 //! [`Experiment::run_on`](experiment::Experiment::run_on) runs the serial
 //! loop on a caller-configured executor (another cost model or stealing
 //! mode). Reports carry wall-time and spec-build accounting
-//! ([`driver::SweepTiming`]) and diff against each other
-//! ([`experiment::SweepReport::diff`]) for the `BENCH_*.json` perf
+//! ([`driver::SweepTiming`], kept out of their JSON) and diff against each
+//! other ([`experiment::SweepReport::diff`]) for the `BENCH_*.json` perf
 //! baselines. [`sweep::SweepSpec`] spells the paper's
 //! sweep shape in the one command-line grammar that `figure1`,
 //! `serve-client` and the sweep service parse.

@@ -38,13 +38,6 @@ pub struct ExecutionReport {
     pub stolen_tasks: usize,
     /// Bytes placed by deferred allocation.
     pub deferred_bytes: u64,
-    /// Real wall time spent inside the scheduling policy (`prepare` plus all
-    /// `assign` batches), ns. Filled by the simulator; the threaded executor
-    /// leaves it 0. Varies run to run — never part of measurement baselines.
-    pub policy_wall_ns: f64,
-    /// Real wall time of the executor's run minus `policy_wall_ns` — the
-    /// event loop plus the memory-cost model, ns. Filled by the simulator.
-    pub(crate) event_loop_wall_ns: f64,
     /// Every trace event of the run, in emission order, when the
     /// executor's configuration asks for them
     /// ([`crate::ExecutionConfig::events`]); empty, and never allocated,

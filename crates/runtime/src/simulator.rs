@@ -251,16 +251,8 @@ impl Simulator {
         // Memory state: all regions start unallocated (deferred allocation).
         let memory = MemoryMap::with_regions(spec.graph.region_sizes());
 
-        let run_started = std::time::Instant::now();
-        let mut policy_wall_ns = 0.0f64;
-
         // Let the policy look at the graph (RGP partitions its window here).
-        {
-            let locator = MemoryLocator::new(topo, &memory);
-            let t = std::time::Instant::now();
-            policy.prepare(&spec.graph, &locator);
-            policy_wall_ns += t.elapsed().as_nanos() as f64;
-        }
+        policy.prepare(&spec.graph, &MemoryLocator::new(topo, &memory));
 
         // Reusable run state (queues, indegrees, idle stacks, event heap):
         // reset, not reallocated, between cells of a sweep.
@@ -299,14 +291,9 @@ impl Simulator {
         let mut completed = 0usize;
         let mut makespan = 0.0f64;
 
-        // Per-stage accounting (policy vs event loop) costs two clock reads
-        // per assignment batch — only paid when a timing report was asked
-        // for.
-        let stage_timing = self.config.stage_timing;
         // Hands the ready tasks to the policy and queues them where it says.
         let mut assign_ready =
             |ready: &[TaskId], run: &mut Run, sockets: &mut SocketQueues, now| {
-                let t = stage_timing.then(std::time::Instant::now);
                 let locator = MemoryLocator::new(topo, &run.memory);
                 for &task in ready {
                     let socket = policy.assign(&spec.graph.task(task), &locator);
@@ -319,9 +306,6 @@ impl Simulator {
                             time: now,
                         });
                     }
-                }
-                if let Some(t) = t {
-                    policy_wall_ns += t.elapsed().as_nanos() as f64;
                 }
             };
 
@@ -366,8 +350,6 @@ impl Simulator {
                     ready.push(TaskId(succ as usize));
                 }
             }
-            // Nothing to hand to the policy skips the batch (and its clock
-            // reads under stage timing).
             if !ready.is_empty() {
                 assign_ready(ready, &mut run, sockets, now);
             }
@@ -380,8 +362,6 @@ impl Simulator {
 
         let mut report = run.report;
         report.makespan_ns = makespan;
-        report.policy_wall_ns = policy_wall_ns;
-        report.event_loop_wall_ns = run_started.elapsed().as_nanos() as f64 - policy_wall_ns;
         self.scratch_pool().push(scratch);
         report
     }

@@ -149,8 +149,6 @@ impl ThreadedExecutor {
             busy_per_socket: vec![0.0; num_sockets],
             stolen_tasks: guard.stolen,
             deferred_bytes: guard.deferred_bytes,
-            policy_wall_ns: 0.0,
-            event_loop_wall_ns: 0.0,
             events: std::mem::take(&mut guard.events),
         };
         // Busy time is not meaningful for the host machine; report task

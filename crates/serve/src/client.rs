@@ -150,7 +150,8 @@ impl ServeClient {
 
     /// Submits a sweep and blocks until its terminal report. `on_progress`
     /// sees every streamed `Progress` line (pass `|_| ()` when `stream` is
-    /// false).
+    /// false). A `Progress` or `Report` for any job but the `Submitted` one
+    /// is a [`ClientError::Protocol`].
     pub fn submit(
         &mut self,
         spec: SweepSpec,
@@ -178,6 +179,13 @@ impl ServeClient {
         };
         loop {
             match self.recv()? {
+                Response::Progress { job: other, .. } | Response::Report { job: other, .. }
+                    if other != job =>
+                {
+                    return Err(ClientError::Protocol(format!(
+                        "a line for job {other} answered job {job}"
+                    )))
+                }
                 Response::Progress { .. } if !stream => {
                     return Err(ClientError::Protocol(
                         "unrequested Progress line".to_string(),
@@ -185,14 +193,14 @@ impl ServeClient {
                 }
                 progress @ Response::Progress { .. } => on_progress(&progress),
                 Response::Report {
-                    job: report_job,
                     cache_hit,
                     executed_cells,
                     hydrated_cells,
                     report_json,
+                    ..
                 } => {
                     return Ok(SubmitOutcome {
-                        job: report_job.max(job),
+                        job,
                         cache_hit,
                         executed_cells,
                         hydrated_cells,

@@ -13,22 +13,14 @@ pub(crate) const FULL: &str = include_str!("../../BENCH_figure1_full.json");
 /// The sweep of the Full baseline.
 pub(crate) const FULL_ARGS: &str = "--scale full --policies dfifo,rgp-las,rgp-las:prop=repart,ep";
 
-/// The committed report of a sweep at `scale`. The Small file is `figure1
-/// --json-timing` output: the `--json` report with a trailing `timing`
-/// member, whose wall times no rerun reproduces, so its measurement bytes
-/// are the file without that member.
+/// The committed report of a sweep at `scale`.
 fn baseline(scale: &str) -> String {
     match scale {
-        "tiny" => TINY.to_string(),
-        "full" => FULL.to_string(),
-        _ => {
-            let (measurements, timing) = SMALL
-                .split_once(",\n  \"timing\": {")
-                .expect("the Small baseline carries its timing member");
-            assert!(timing.ends_with("\n  }\n}"), "timing is the last member");
-            format!("{measurements}\n}}")
-        }
+        "tiny" => TINY,
+        "full" => FULL,
+        _ => SMALL,
     }
+    .to_string()
 }
 
 /// Fails `row` unless `report` is the committed `baseline`, byte for byte.

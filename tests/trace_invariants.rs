@@ -3,7 +3,7 @@
 //!
 //! * a traced sweep collects one complete trace per cell, with exactly one
 //!   assign/start/finish event per task, also on lanes that share one
-//!   threaded executor;
+//!   threaded executor, each trace naming its report's backend;
 //! * the extracted critical-path time never exceeds the makespan, and
 //!   equals it under a flat cost model on one socket (where the schedule is
 //!   gap-free and the chain must span the whole execution);
@@ -72,6 +72,8 @@ fn traced_sweep_event_counts_match_task_counts_on_both_backends() {
                 .find(|c| c.application == trace.workload && c.policy == trace.policy)
                 .unwrap_or_else(|| panic!("{input}: no cell {}/{}", trace.workload, trace.policy));
             assert_eq!(trace.tasks, cell.tasks, "{input}");
+            // The backend is the report's: under `run_on`, the executor's.
+            assert_eq!(trace.backend, report.backend, "{input}");
         }
     }
 }

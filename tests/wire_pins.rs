@@ -1,7 +1,8 @@
-//! Byte pins of two JSON documents no wire golden covers: the trace files of
-//! the four Figure-1 policies on one Tiny application, and a Tiny report
-//! with its timing section. A serializer rewrite that keeps the format keeps
-//! every row; each trace also reads back as itself.
+//! Byte pins of JSON documents no wire golden covers: the trace files of
+//! the four Figure-1 policies on one Tiny application, a Tiny report whose
+//! timing stays out of its bytes, and the timing export on its own. A
+//! serializer rewrite that keeps the format keeps every row; each trace
+//! also reads back as itself.
 
 use std::sync::Arc;
 
@@ -65,21 +66,11 @@ fn the_traces_of_the_four_policies_keep_their_bytes() {
     assert!(got.iter().any(|&(_, _, events, _, _)| events > 1024));
 }
 
-/// The timing section of a Tiny `figure1` report with every clock and
-/// counter zeroed: the report's 32 cells, each with a zero per column.
-fn zeroed_timing(cells: usize) -> String {
-    let zeros = format!("[\n{}\n    ]", vec!["      0"; cells].join(",\n"));
-    format!(
-        ",\n  \"timing\": {{\n    \"jobs\": 0,\n    \"total_wall_ns\": 0,\n    \
-         \"build_wall_ns\": 0,\n    \"run_wall_ns\": 0,\n    \"spec_builds\": 0,\n    \
-         \"spec_cache_hits\": 0,\n    \"cell_wall_ns\": {zeros},\n    \
-         \"cell_partition_windows\": {zeros},\n    \"cell_partition_wall_ns\": {zeros},\n    \
-         \"cell_policy_wall_ns\": {zeros},\n    \"cell_event_loop_wall_ns\": {zeros}\n  }}\n}}"
-    )
-}
+/// The cells of a Tiny `figure1` report: eight applications, four policies.
+const TINY_CELLS: usize = 32;
 
 #[test]
-fn a_tiny_report_with_zeroed_timing_keeps_its_bytes() {
+fn a_tiny_report_keeps_its_bytes_whatever_its_timing() {
     const TINY: &str = include_str!("../BENCH_figure1_tiny.json");
     let mut sweep = SweepSpec::default();
     sweep.set_flag("--scale", Some("tiny")).expect("a scale");
@@ -89,21 +80,41 @@ fn a_tiny_report_with_zeroed_timing_keeps_its_bytes() {
         .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
         .plan()
         .execute(1);
-    let cells = report.cells.len();
-    assert_eq!(cells, 32);
+    assert_eq!(report.cells.len(), TINY_CELLS);
     report.timing = SweepTiming {
-        cell_wall_ns: vec![0.0; cells],
-        cell_partition_windows: vec![0; cells],
-        cell_partition_wall_ns: vec![0.0; cells],
-        cell_policy_wall_ns: vec![0.0; cells],
-        cell_event_loop_wall_ns: vec![0.0; cells],
-        ..SweepTiming::default()
+        jobs: 3,
+        total_wall_ns: 1.5e9,
+        build_wall_ns: 2.5e8,
+        run_wall_ns: 1.25e9,
+        spec_builds: 8,
+        spec_cache_hits: 5,
+        cell_wall_ns: vec![7.0; TINY_CELLS],
+        cell_partition_windows: vec![2; TINY_CELLS],
+        cell_partition_wall_ns: vec![0.5; TINY_CELLS],
     };
-    let timed = report.to_json_string_with_timing();
-    let untimed = TINY.strip_suffix("\n}").expect("a report ends its object");
-    assert_eq!(timed, format!("{untimed}{}", zeroed_timing(cells)));
+    assert_eq!(report.to_json_string(), TINY);
     assert_eq!(
-        SweepReport::from_json_str(&timed).map(|r| r.to_json_string()),
+        SweepReport::from_json_str(TINY).map(|r| r.to_json_string()),
         Ok(TINY.to_string())
     );
+}
+
+/// `figure1 --json-timing`'s format: the accounting of a Tiny sweep with
+/// every clock and counter zeroed, one zero per cell in each column.
+#[test]
+fn the_timing_export_of_a_zeroed_tiny_sweep_keeps_its_bytes() {
+    let timing = SweepTiming {
+        cell_wall_ns: vec![0.0; TINY_CELLS],
+        cell_partition_windows: vec![0; TINY_CELLS],
+        cell_partition_wall_ns: vec![0.0; TINY_CELLS],
+        ..SweepTiming::default()
+    };
+    let zeros = format!("[\n{}\n  ]", vec!["    0"; TINY_CELLS].join(",\n"));
+    let want = format!(
+        "{{\n  \"jobs\": 0,\n  \"total_wall_ns\": 0,\n  \"build_wall_ns\": 0,\n  \
+         \"run_wall_ns\": 0,\n  \"spec_builds\": 0,\n  \"spec_cache_hits\": 0,\n  \
+         \"cell_wall_ns\": {zeros},\n  \"cell_partition_windows\": {zeros},\n  \
+         \"cell_partition_wall_ns\": {zeros}\n}}"
+    );
+    assert_eq!(serde_json::to_string_pretty(&timing).unwrap(), want);
 }

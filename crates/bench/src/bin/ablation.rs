@@ -23,7 +23,10 @@
 //! prints the raw window-cut comparison underlying the speedups. `--jobs N`
 //! runs every study on N lanes, each pulling whole workloads (0 = one per core);
 //! the studies share one `SpecCache`, so each workload spec is built once
-//! across all of them.
+//! across all of them. `--backend proc` spawns one worker pool before the
+//! studies and runs every sweep on it, each through an executor of its own
+//! config (the socket study's machine sizes included), then prints the
+//! pool's counters.
 //!
 //! `trace` runs the apps whose Figure-1 numbers diverge the most from the
 //! paper (Integral histogram, Symm. mat. inv., NStream) under RGP+LAS,
@@ -44,11 +47,12 @@
 
 use std::sync::Arc;
 
-use numadag_bench::stderr_progress;
+use numadag_bench::{execute, spawn_proc_pool, stderr_progress};
 use numadag_core::{PolicyKind, Propagation, RgpTuning};
 use numadag_graph::{partition, PartitionConfig, PartitionScheme};
 use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
+use numadag_proc::WorkerPool;
 use numadag_runtime::{Backend, Experiment, SweepReport};
 use numadag_tdg::{window_to_csr, TaskWindow, WindowConfig};
 use numadag_trace::TraceCollector;
@@ -56,12 +60,13 @@ use numadag_trace::TraceCollector;
 const SCALE: ProblemScale = ProblemScale::Small;
 const SEED: u64 = 0xAB1A7E;
 
-/// How every study runs: backend, worker count, and the spec cache they
-/// share.
+/// How every study runs: backend, lanes, the spec cache they share, and
+/// the worker pool of a proc run.
 struct StudyConfig {
     jobs: usize,
     backend: Backend,
     specs: Arc<SpecCache>,
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl StudyConfig {
@@ -70,9 +75,13 @@ impl StudyConfig {
         Experiment::new()
             .seed(SEED)
             .backend(self.backend)
-            .parallelism(self.jobs)
             .spec_cache(Arc::clone(&self.specs))
             .on_cell_complete(stderr_progress)
+    }
+
+    /// Runs `experiment` on the study's lanes, and on its pool if it has one.
+    fn run(&self, experiment: Experiment) -> SweepReport {
+        execute(&experiment.plan(), self.jobs, self.pool.as_ref())
     }
 }
 
@@ -86,12 +95,13 @@ fn window_ablation(study: &StudyConfig) {
     ];
     let columns = [64usize, 128, 256, 512, 1024, 2048, 4096]
         .map(|w| (w.to_string(), PolicyKind::rgp_las_window(w)));
-    let report = study
-        .experiment()
-        .apps(apps)
-        .scale(SCALE)
-        .policies(columns.iter().map(|(_, kind)| *kind))
-        .run();
+    let report = study.run(
+        study
+            .experiment()
+            .apps(apps)
+            .scale(SCALE)
+            .policies(columns.iter().map(|(_, kind)| *kind)),
+    );
     print_speedups(&report, &apps, &columns, 6, false);
 }
 
@@ -135,13 +145,14 @@ fn socket_ablation(study: &StudyConfig) {
     println!("\n# ABL-SOCK — geometric-mean speedup over LAS vs socket count ({SCALE:?} scale)\n");
     println!("| sockets | DFIFO | RGP+LAS | EP |");
     for sockets in [2usize, 4, 8, 16] {
-        let report = study
-            .experiment()
-            .topology(Topology::symmetric(sockets, 4))
-            .apps(Application::all())
-            .scale(SCALE)
-            .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
-            .run();
+        let report = study.run(
+            study
+                .experiment()
+                .topology(Topology::symmetric(sockets, 4))
+                .apps(Application::all())
+                .scale(SCALE)
+                .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep]),
+        );
         print!("| {sockets:>7} |");
         for label in ["DFIFO", "RGP+LAS", "EP"] {
             print!(" {:>5.3} |", report.geomean_of(label).unwrap_or(f64::NAN));
@@ -170,12 +181,13 @@ fn partitioner_ablation(study: &StudyConfig) {
     });
 
     println!("\n# ABL-PART — RGP+LAS speedup over LAS per partitioning scheme ({SCALE:?} scale)\n");
-    let report = study
-        .experiment()
-        .apps(apps)
-        .scale(SCALE)
-        .policies(columns.iter().map(|(_, kind)| *kind))
-        .run();
+    let report = study.run(
+        study
+            .experiment()
+            .apps(apps)
+            .scale(SCALE)
+            .policies(columns.iter().map(|(_, kind)| *kind)),
+    );
     print_speedups(&report, &apps, &columns, 10, true);
 
     println!("\n## Window cut quality — multilevel k-way vs naive BFS growing\n");
@@ -252,12 +264,13 @@ fn propagation_ablation(study: &StudyConfig) {
     );
 
     println!("\n# ABL-PROP — RGP speedup over LAS per propagation mode ({SCALE:?} scale, w={w})\n");
-    let report = study
-        .experiment()
-        .apps(apps)
-        .scale(SCALE)
-        .policies(policies.clone())
-        .run();
+    let report = study.run(
+        study
+            .experiment()
+            .apps(apps)
+            .scale(SCALE)
+            .policies(policies.clone()),
+    );
     let columns: Vec<(String, PolicyKind)> = policies
         .iter()
         .map(|&kind| {
@@ -321,14 +334,15 @@ fn trace_study(study: &StudyConfig, scale: ProblemScale) {
         ..RgpTuning::default()
     });
     let repart_label = repart.label();
-    study
-        .experiment()
-        .topology(topology.clone())
-        .apps(apps)
-        .scale(scale)
-        .policies([PolicyKind::RGP_LAS, repart])
-        .trace(Arc::clone(&collector))
-        .run();
+    study.run(
+        study
+            .experiment()
+            .topology(topology.clone())
+            .apps(apps)
+            .scale(scale)
+            .policies([PolicyKind::RGP_LAS, repart])
+            .trace(Arc::clone(&collector)),
+    );
 
     for app in apps {
         let rgp = collector
@@ -416,7 +430,6 @@ fn bench_diff(baseline_path: &str, candidate_path: &str) -> ! {
 fn main() {
     // Worker re-entry for the proc backend (no-op unless a pool exec'd us).
     numadag_proc::maybe_run_worker();
-    numadag_proc::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
     let mut jobs = 1usize;
@@ -481,6 +494,7 @@ fn main() {
         jobs,
         backend,
         specs: Arc::new(SpecCache::new()),
+        pool: spawn_proc_pool(backend),
     };
     match which.as_str() {
         "window" => window_ablation(&study),
@@ -495,5 +509,8 @@ fn main() {
             propagation_ablation(&study);
             trace_study(&study, SCALE);
         }
+    }
+    if let Some(pool) = &study.pool {
+        println!("\n## Proc backend pool\n\n  {}", pool.stats());
     }
 }

@@ -50,7 +50,7 @@
 
 use std::sync::Arc;
 
-use numadag_bench::{paper_reference, stderr_progress, write_trace_dir};
+use numadag_bench::{execute, paper_reference, spawn_proc_pool, stderr_progress, write_trace_dir};
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_runtime::{Backend, ResolvedSweep, SweepReport, SweepSpec};
@@ -168,7 +168,6 @@ fn main() {
     // If this process was re-exec'd by a proc-backend worker pool, become
     // the worker (never returns in that case).
     numadag_proc::maybe_run_worker();
-    numadag_proc::install();
     let Args {
         sweep,
         jobs,
@@ -176,20 +175,9 @@ fn main() {
         json_timing_path,
         trace_dir,
     } = parse_args();
-    // Spawn (and hold) the worker pool up front so it outlives the sweep's
-    // executors and its stats can be reported after the run.
-    let proc_pool = match sweep.backend {
-        Backend::Proc { workers } => {
-            match numadag_proc::shared_pool(numadag_proc::PoolConfig::new(workers)) {
-                Ok(pool) => Some(pool),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        _ => None,
-    };
+    // The proc backend's pool is this run's: spawned up front, held past
+    // the sweep so its stats can be reported after it.
+    let proc_pool = spawn_proc_pool(sweep.backend);
     if sweep.backend == Backend::Threaded && jobs != 1 {
         eprintln!(
             "warning: --jobs {jobs} with the threaded backend runs that many thread \
@@ -215,7 +203,7 @@ fn main() {
     // `Experiment::run` spelled out: the plan's graphs are asked for their
     // window-plan counters after the sweep.
     let plan = experiment.on_cell_complete(stderr_progress).plan();
-    let report = plan.execute(jobs);
+    let report = execute(&plan, jobs, proc_pool.as_ref());
     print_table(&report);
 
     if !report.skipped.is_empty() {

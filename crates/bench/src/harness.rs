@@ -1,12 +1,15 @@
 //! Shared harness of the `figure1` and `ablation` binaries: `--jobs`
-//! parsing, progress lines, trace files and the paper's reference numbers.
+//! parsing, the proc backend's worker pool, progress lines, trace files
+//! and the paper's reference numbers.
 //!
 //! The sweep itself is [`numadag_runtime::SweepSpec`]: its flags, defaults
 //! and binding to the paper's machine are the sweep service's too.
 
 use std::path::Path;
+use std::sync::Arc;
 
-use numadag_runtime::CellProgress;
+use numadag_proc::{PoolConfig, ProcExecutor, WorkerPool};
+use numadag_runtime::{Backend, CellProgress, SweepPlan, SweepReport};
 use numadag_trace::Trace;
 
 /// Parses a `--jobs` CLI value (shared by both bins so their error handling
@@ -16,6 +19,35 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
     value
         .parse()
         .map_err(|_| format!("--jobs needs an unsigned integer, got {value:?}"))
+}
+
+/// Spawns the worker pool of a `--backend proc` run, which the binary
+/// owns for the whole run; `None` for the in-process backends. A pool that
+/// cannot start ends the process with exit code 1.
+pub fn spawn_proc_pool(backend: Backend) -> Option<Arc<WorkerPool>> {
+    let Backend::Proc { workers } = backend else {
+        return None;
+    };
+    match WorkerPool::spawn(PoolConfig::new(workers)) {
+        Ok(pool) => Some(pool),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Executes `plan` on `jobs` lanes: with a `pool`, on its workers through
+/// an executor of the plan's own config (the report is the simulated one
+/// byte for byte); without, on the plan's own executors.
+pub fn execute(plan: &SweepPlan, jobs: usize, pool: Option<&Arc<WorkerPool>>) -> SweepReport {
+    match pool {
+        Some(pool) => {
+            let executor = ProcExecutor::with_pool(plan.config().clone(), Arc::clone(pool));
+            plan.execute_on(&executor, jobs)
+        }
+        None => plan.execute(jobs),
+    }
 }
 
 /// Per-cell progress line on stderr — install with

@@ -10,4 +10,6 @@
 
 mod harness;
 
-pub use harness::{paper_reference, parse_jobs, stderr_progress, write_trace_dir};
+pub use harness::{
+    execute, paper_reference, parse_jobs, spawn_proc_pool, stderr_progress, write_trace_dir,
+};

@@ -370,3 +370,31 @@ fn ablation_partitioner_study_runs() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("ABL-PART"), "missing study header");
 }
+
+/// `ablation sockets --backend proc` spawns one worker pool and runs its
+/// four machine sizes on it, each through an executor of its own config:
+/// the `## Proc backend pool` line counts two workers spawned, both alive.
+#[test]
+fn ablation_runs_every_sweep_on_one_proc_pool() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ablation"))
+        .args(["sockets", "--backend", "proc"])
+        .output()
+        .expect("ablation must spawn");
+    assert!(
+        out.status.success(),
+        "ablation exited with {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for sockets in ["|       2 |", "|      16 |"] {
+        assert!(stdout.contains(sockets), "missing row {sockets}: {stdout}");
+    }
+    let pool = stdout
+        .split("## Proc backend pool")
+        .nth(1)
+        .unwrap_or_else(|| panic!("missing the pool line: {stdout}"));
+    for counters in ["workers_spawned=2 workers_alive=2", "redispatches=0"] {
+        assert!(pool.contains(counters), "missing {counters}: {pool}");
+    }
+}

@@ -1,16 +1,16 @@
 //! [`ProcExecutor`]: the [`Executor`] implementation backed by the worker
 //! pool.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use numadag_core::SchedulingPolicy;
 use numadag_runtime::{CellContext, ExecutionConfig, ExecutionReport, Executor, Simulator};
 use numadag_tdg::TaskGraphSpec;
 
-use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerPool};
+use crate::pool::{WireConfig, WorkerPool};
 
-/// The multi-process backend: ships sweep cells to worker processes and
-/// re-labels the reports they send back.
+/// The multi-process backend: ships sweep cells to the workers of a pool
+/// its caller spawned and owns, and re-labels the reports they send back.
 ///
 /// A worker runs only what it can build: a cell over a paper kernel ships
 /// as its recipe, and any other cell (a custom graph, or one without a
@@ -22,56 +22,21 @@ use crate::pool::{shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, Wor
 /// `numadag_runtime::Backend::report_label`).
 pub struct ProcExecutor {
     config: WireConfig,
-    workers: usize,
-    pool: Mutex<Option<Arc<WorkerPool>>>,
+    pool: Arc<WorkerPool>,
     /// Runs the cells no worker can build.
     simulator: Simulator,
 }
 
 impl ProcExecutor {
-    /// An executor that lazily attaches to the process-wide shared pool
-    /// (spawning `workers` worker processes on first use).
-    pub(crate) fn new(config: ExecutionConfig, workers: usize) -> Self {
-        ProcExecutor {
-            simulator: Simulator::new(config.clone()),
-            config: WireConfig::new(config),
-            workers,
-            pool: Mutex::new(None),
-        }
-    }
-
-    /// An executor bound to an explicit pool (one launched on threads, or
-    /// behind a relay, in tests).
+    /// An executor of `config` on `pool`. Executors of several configs
+    /// (machine sizes, traced or not) can share one pool: each cell
+    /// carries its config to a worker whose config differs.
     pub fn with_pool(config: ExecutionConfig, pool: Arc<WorkerPool>) -> Self {
-        let workers = pool.num_slots();
         ProcExecutor {
             simulator: Simulator::new(config.clone()),
             config: WireConfig::new(config),
-            workers,
-            pool: Mutex::new(Some(pool)),
+            pool,
         }
-    }
-
-    fn pool(&self) -> Result<Arc<WorkerPool>, ProcError> {
-        let mut guard = match self.pool.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(pool) = guard.as_ref() {
-            return Ok(pool.clone());
-        }
-        let pool = shared_pool(PoolConfig::new(self.workers))?;
-        *guard = Some(pool.clone());
-        Ok(pool)
-    }
-
-    /// Counter snapshot of the attached pool (`None` before first use).
-    pub fn stats(&self) -> Option<PoolStats> {
-        let guard = match self.pool.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.as_ref().map(|pool| pool.stats())
     }
 }
 
@@ -92,19 +57,19 @@ impl Executor for ProcExecutor {
     }
 
     /// One lane per live worker: a sweep's lanes keep every worker busy,
-    /// lane `i` on worker `i`. One while no pool can be attached; the cell
-    /// that needs it then fails loudly.
+    /// lane `i` on worker `i`.
     fn lanes(&self) -> usize {
-        self.pool().map_or(1, |pool| pool.alive_workers() as usize)
+        self.pool.alive_workers() as usize
     }
 
     /// Ships the cell to the pool when its context has a recipe; runs it
     /// like [`Executor::execute`] otherwise.
     ///
     /// # Panics
-    /// Panics with the [`ProcError`] rendered into the message when the pool
-    /// cannot produce the cell (spawn failure, every worker dead, or a
-    /// worker-side structured error) — a loud fast exit instead of a hang.
+    /// Panics with the [`ProcError`](crate::ProcError) rendered into the
+    /// message when the pool cannot produce the cell (every worker dead,
+    /// or a worker-side structured error) — a loud fast exit instead of a
+    /// hang.
     fn execute_cell(
         &self,
         spec: &TaskGraphSpec,
@@ -114,8 +79,8 @@ impl Executor for ProcExecutor {
         match ctx.and_then(|ctx| ctx.recipe.map(|recipe| (ctx, recipe))) {
             None => self.execute(spec, policy),
             Some((ctx, recipe)) => self
-                .pool()
-                .and_then(|pool| pool.run_cell(spec, recipe, ctx, policy.name(), &self.config))
+                .pool
+                .run_cell(spec, recipe, ctx, policy.name(), &self.config)
                 .unwrap_or_else(|e| panic!("proc backend failed: {e}")),
         }
     }

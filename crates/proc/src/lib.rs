@@ -41,9 +41,15 @@
 //!
 //! # Wiring
 //!
-//! Call [`install`] once at startup to register the backend behind
-//! `numadag_runtime::Backend::Proc` (`--backend proc` on the CLI), and
-//! [`maybe_run_worker`] first thing in `main` so the re-exec'd children
+//! The caller owns the pool: [`WorkerPool::spawn`] (or
+//! [`WorkerPool::launch`]) starts the workers, [`ProcExecutor::with_pool`]
+//! wraps the pool for one execution config, and the sweep runs on it with
+//! `numadag_runtime::SweepPlan::execute_on` (reported as `"simulator"`,
+//! the plan's label for `Backend::Proc`) or
+//! `numadag_runtime::Experiment::run_on` (reported as `"proc"`). Executors
+//! of several configs can share one pool, and the workers shut down when
+//! the last `Arc` of it drops. A binary that spawns workers calls
+//! [`maybe_run_worker`] first thing in `main`, so the re-exec'd children
 //! take the worker path instead of re-running the tool.
 
 #![warn(missing_docs)]
@@ -54,19 +60,9 @@ pub mod protocol;
 mod worker;
 
 pub use executor::ProcExecutor;
-pub use pool::{
-    shared_pool, PoolConfig, PoolStats, ProcError, WireConfig, WorkerHandle, WorkerPool,
-};
+pub use pool::{PoolConfig, PoolStats, ProcError, WireConfig, WorkerHandle, WorkerPool};
 use worker::WORKER_FLAG;
 pub use worker::{run_worker, run_worker_from_env, CONNECT_ENV, WORKER_ENV};
-
-/// Registers [`ProcExecutor`] as the factory behind
-/// `numadag_runtime::Backend::Proc`. Idempotent (first registration wins).
-pub fn install() {
-    numadag_runtime::register_proc_backend(Box::new(|config, workers| {
-        Box::new(ProcExecutor::new(config, workers))
-    }));
-}
 
 /// Re-enters the process as a worker when launched by a pool: if the
 /// argv contains `WORKER_FLAG` and [`CONNECT_ENV`] is set, runs the

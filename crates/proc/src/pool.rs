@@ -49,7 +49,7 @@ use std::collections::HashSet;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use numadag_kernels::SpecKey;
@@ -795,23 +795,6 @@ impl CollectiveBarrier<'_> {
         });
         self.pending.is_empty()
     }
-}
-
-static SHARED: OnceLock<Mutex<Weak<WorkerPool>>> = OnceLock::new();
-
-/// Returns the process-wide shared pool, spawning one if none is live or
-/// the live one has fewer than `config`'s workers. Executors hold `Arc`s;
-/// the pool shuts its workers down when the last executor drops.
-pub fn shared_pool(config: PoolConfig) -> Result<Arc<WorkerPool>, ProcError> {
-    let mut guard = lock(SHARED.get_or_init(|| Mutex::new(Weak::new())));
-    if let Some(pool) = guard.upgrade() {
-        if pool.num_slots() >= config.workers && pool.alive_workers() > 0 {
-            return Ok(pool);
-        }
-    }
-    let pool = WorkerPool::spawn(config)?;
-    *guard = Arc::downgrade(&pool);
-    Ok(pool)
 }
 
 #[cfg(test)]

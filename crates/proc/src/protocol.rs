@@ -219,6 +219,7 @@ mod tests {
     use super::*;
     use numadag_numa::Topology;
     use numadag_runtime::framing::{from_line, to_line, DecodeError};
+    use numadag_runtime::Executor;
     use serde::testing::assert_enum_rejects_malformed;
     use serde::Value;
 

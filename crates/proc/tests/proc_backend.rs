@@ -295,8 +295,9 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let want = local_report(&spec, kind, seed, &config);
     assert!(!report.events.is_empty());
     assert_reports_identical(&report, &want);
-    assert_eq!(executor.stats().expect("pool attached").workers_spawned, 2);
-    assert_eq!(pool.stats().cells_dispatched, 1, "the cell was shipped");
+    let stats = pool.stats();
+    assert_eq!(stats.workers_spawned, 2);
+    assert_eq!(stats.cells_dispatched, 1, "the cell was shipped");
 }
 
 #[test]

@@ -150,20 +150,27 @@ impl SweepPlan {
         )
     }
 
+    /// The config of the plan's executors (machine, seed, events when
+    /// traced): what a caller's executor for [`SweepPlan::execute_on`] runs.
+    pub fn config(&self) -> &ExecutionConfig {
+        &self.config
+    }
+
     /// Builds an executor for the plan's backend and execution config —
     /// what each lane of [`SweepPlan::execute`] does once, exposed so
     /// external schedulers (the sweep service's worker pool) can run cells
     /// through [`SweepPlan::run_cell`] on an executor they own and reuse
     /// across cells. The executor of a traced plan returns every cell's
-    /// events with that cell's report.
+    /// events with that cell's report. A [`Backend::Proc`](crate::Backend)
+    /// plan has none (this panics): run it with [`SweepPlan::execute_on`].
     pub fn executor(&self) -> Box<dyn Executor> {
         self.backend.executor(self.config.clone())
     }
 
     /// Executes every job and assembles the report, on as many *lanes* as
     /// `jobs` asks for (`0` means one per available core), raised to what
-    /// the plan's executor can keep busy ([`Executor::lanes`]; a proc
-    /// executor reports its live workers) and capped at one per workload.
+    /// the plan's executor can keep busy ([`Executor::lanes`]) and capped
+    /// at one per workload.
     /// A lane pulls the next whole workload and runs its cells in plan
     /// order on an executor of its own, building its own policy instances;
     /// lane 0 runs on the calling thread, so a sweep with one workload runs
@@ -202,12 +209,19 @@ impl SweepPlan {
         self.run_lanes(&lanes, self.backend.report_label())
     }
 
-    /// The lanes of [`Experiment::run_on`](crate::Experiment::run_on): as
-    /// [`SweepPlan::execute`] counts them, all sharing `executor` and
-    /// reported under its backend name.
-    pub(crate) fn execute_on(&self, executor: &dyn Executor, jobs: usize) -> SweepReport {
+    /// [`SweepPlan::execute`] with every lane sharing `executor`, one the
+    /// caller owns (a `numadag_proc::ProcExecutor` on the caller's pool,
+    /// whose live workers raise the lane count). The report names its
+    /// machine and the plan's backend: a proc plan reports as `"simulator"`.
+    pub fn execute_on(&self, executor: &dyn Executor, jobs: usize) -> SweepReport {
+        self.share(executor, jobs, self.backend.report_label())
+    }
+
+    /// The lanes of [`SweepPlan::execute_on`] and
+    /// [`Experiment::run_on`](crate::Experiment::run_on), under `backend`.
+    pub(crate) fn share(&self, executor: &dyn Executor, jobs: usize, backend: &str) -> SweepReport {
         let lanes = self.lane_count(jobs, executor);
-        self.run_lanes(&vec![executor; lanes], executor.backend_name())
+        self.run_lanes(&vec![executor; lanes], backend)
     }
 
     /// `jobs` (`0`: one per available core) raised to `executor`'s lanes,

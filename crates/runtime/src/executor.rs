@@ -8,8 +8,6 @@
 //! tests are written once against `dyn Executor` (usually via
 //! [`crate::Experiment`]) and choose the backend at runtime.
 
-use std::sync::OnceLock;
-
 use numadag_core::SchedulingPolicy;
 use numadag_kernels::SpecKey;
 use numadag_tdg::TaskGraphSpec;
@@ -91,27 +89,6 @@ pub trait Executor: Send + Sync {
     fn lanes(&self) -> usize {
         1
     }
-}
-
-/// Constructor signature for the out-of-crate `proc` backend: takes the
-/// execution config and the worker-process count, returns the executor.
-pub(crate) type ProcFactory =
-    Box<dyn Fn(ExecutionConfig, usize) -> Box<dyn Executor> + Send + Sync>;
-
-static PROC_FACTORY: OnceLock<ProcFactory> = OnceLock::new();
-
-/// Installs the factory behind `Backend::Proc`.
-///
-/// `numadag-proc` depends on this crate, so the runtime cannot name the
-/// multi-process executor directly; instead `numadag_proc::install()` calls
-/// this once at startup. Later registrations are ignored (first wins).
-pub fn register_proc_backend(factory: ProcFactory) {
-    let _ = PROC_FACTORY.set(factory);
-}
-
-/// Builds a proc-backend executor, or `None` if no factory was installed.
-pub(crate) fn proc_executor(config: ExecutionConfig, workers: usize) -> Option<Box<dyn Executor>> {
-    PROC_FACTORY.get().map(|f| f(config, workers))
 }
 
 #[cfg(test)]

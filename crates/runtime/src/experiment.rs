@@ -68,8 +68,8 @@ pub enum Backend {
     /// sweep cells over the paper's kernels are shipped over local-socket
     /// JSON IPC to worker processes, which build each spec from its recipe
     /// and run the deterministic simulator; cells over a custom workload
-    /// run in the coordinator's own simulator. Requires
-    /// `numadag_proc::install()` to have been called.
+    /// run in the coordinator's own simulator. Its executor runs on a pool
+    /// the caller owns: see [`SweepPlan::execute_on`].
     Proc {
         /// Number of worker processes to spawn.
         workers: usize,
@@ -77,11 +77,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The proc backend with its default worker count (2).
-    pub fn proc() -> Backend {
-        Backend::Proc { workers: 2 }
-    }
-
     /// Stable name, matching [`Executor::backend_name`]. The proc backend's
     /// label is `"proc"` for every worker count — the pool size is an
     /// execution detail, not part of the sweep's identity.
@@ -110,14 +105,15 @@ impl Backend {
     /// Builds the executor for this backend.
     ///
     /// # Panics
-    /// Panics for [`Backend::Proc`] if no proc factory was registered (call
-    /// `numadag_proc::install()` at startup).
+    /// Panics for [`Backend::Proc`], whose executor the pool's owner builds.
     pub fn executor(&self, config: ExecutionConfig) -> Box<dyn Executor> {
         match self {
             Backend::Simulated => Box::new(Simulator::new(config)),
             Backend::Threaded => Box::new(ThreadedExecutor::new(config)),
-            Backend::Proc { workers } => crate::executor::proc_executor(config, *workers)
-                .expect("proc backend not installed: call numadag_proc::install() at startup"),
+            Backend::Proc { .. } => panic!(
+                "build a proc executor with ProcExecutor::with_pool on a pool you own \
+                 and run the plan with SweepPlan::execute_on"
+            ),
         }
     }
 }
@@ -142,7 +138,7 @@ impl std::str::FromStr for Backend {
         match text.as_str() {
             "sim" | "simulated" | "simulator" => Ok(Backend::Simulated),
             "thread" | "threads" | "threaded" => Ok(Backend::Threaded),
-            "proc" | "process" | "processes" => Ok(Backend::proc()),
+            "proc" | "process" | "processes" => Ok(Backend::Proc { workers: 2 }),
             other => Err(format!(
                 "unknown backend {other:?} (expected \"simulated\", \"threaded\", \
                  \"proc\" or \"proc:w=N\")"
@@ -593,7 +589,7 @@ impl Experiment {
     /// [`Executor::backend_name`].
     pub fn run_on(&self, executor: &dyn Executor) -> SweepReport {
         let plan = self.plan_for_sockets(executor.config().topology.num_sockets());
-        plan.execute_on(executor, self.parallelism)
+        plan.share(executor, self.parallelism, executor.backend_name())
     }
 }
 
@@ -810,7 +806,11 @@ mod tests {
 
     #[test]
     fn backend_labels_parse_back() {
-        for backend in [Backend::Simulated, Backend::Threaded, Backend::proc()] {
+        for backend in [
+            Backend::Simulated,
+            Backend::Threaded,
+            Backend::Proc { workers: 2 },
+        ] {
             assert_eq!(backend.label().parse::<Backend>(), Ok(backend));
         }
         assert!("gpu".parse::<Backend>().is_err());
@@ -831,8 +831,8 @@ mod tests {
         assert!("proc:w=x".parse::<Backend>().is_err());
         // Proc workers run the deterministic simulator, so measurement
         // reports carry the simulator label and stay baseline-compatible.
-        assert_eq!(Backend::proc().label(), "proc");
-        assert_eq!(Backend::proc().report_label(), "simulator");
+        assert_eq!(Backend::Proc { workers: 2 }.label(), "proc");
+        assert_eq!(Backend::Proc { workers: 2 }.report_label(), "simulator");
         assert_eq!(Backend::Threaded.report_label(), "threaded");
         assert_eq!(Backend::Simulated.report_label(), "simulator");
     }

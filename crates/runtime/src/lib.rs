@@ -91,7 +91,7 @@ pub use driver::{
     CellMeasurement, CellOutcome, CellProgress, PlannedWorkload, SweepJob, SweepPlan, SweepTiming,
 };
 pub use event_queue::{Event, EventQueue};
-pub use executor::{register_proc_backend, CellContext, Executor};
+pub use executor::{CellContext, Executor};
 pub use experiment::{report_order, Backend, Experiment, SweepAggregate, SweepCell, SweepReport};
 pub use framing::FrameError;
 pub use report::ExecutionReport;

@@ -233,11 +233,6 @@ impl Simulator {
         })
     }
 
-    /// The configuration the simulator was built with.
-    pub fn config(&self) -> &ExecutionConfig {
-        &self.config
-    }
-
     /// Runs `spec` under `policy` and returns the execution report. Every
     /// spec is runnable (see [`numadag_tdg::TaskGraph::push_task`]), so
     /// there is nothing to check first.

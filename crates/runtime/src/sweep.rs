@@ -39,8 +39,8 @@ pub struct SweepSpec {
     /// (`"dfifo,rgp-las:w=512,ep"`). The LAS baseline always runs.
     pub policies: String,
     /// Execution backend: `simulated`, `threaded`, `proc` or `proc:w=N`
-    /// (the multi-process backend; the process must have called
-    /// `numadag_proc::install()`).
+    /// (the multi-process backend, whose worker pool the caller spawns and
+    /// runs the plan on with [`crate::SweepPlan::execute_on`]).
     pub backend: String,
     /// Seed for all seeded components: any `u64`, a plain number on the
     /// wire.

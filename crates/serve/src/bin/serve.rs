@@ -16,6 +16,9 @@
 //! the snapshot at boot (a missing file is fine, a corrupt one is a warning)
 //! and rewrites it on clean shutdown, so a restarted daemon answers the
 //! previous run's sweeps with `cache_hit=true` without executing a cell.
+//!
+//! The daemon runs the simulated backend only: a submission that asks for
+//! `threaded` or `proc` gets a structured error, and the daemon serves on.
 
 use numadag_serve::server::{serve, ServeConfig};
 
@@ -49,10 +52,6 @@ fn positive(args: &[String], i: usize) -> usize {
 }
 
 fn main() {
-    // Become a proc-backend worker if the pool re-exec'd us, and register
-    // the proc factory so submitted sweeps may say `--backend proc`.
-    numadag_proc::maybe_run_worker();
-    numadag_proc::install();
     let mut config = ServeConfig::default();
     let mut port_file: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();

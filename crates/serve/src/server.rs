@@ -14,8 +14,10 @@
 //!    connection survives (the service analogue of the bins' exit-2 usage
 //!    convention).
 //! 2. **admit.** `SubmitSweep` resolves the spec through the CLI grammar
-//!    (refusing the threaded backend, whose wall-clock makespans the pool
-//!    would measure under contention and the caches would replay) and
+//!    (refusing every backend but the simulator: the threaded backend's
+//!    wall-clock makespans the pool would measure under contention and the
+//!    caches would replay, and a proc sweep's bytes are the simulated ones
+//!    while its worker pool would be one more thing for the daemon to own) and
 //!    admits its canonical fingerprint: onto an identical live job
 //!    (coalesced), from the report cache (a byte-identical hit, nothing
 //!    planned), or, for a novel key, back with "needs a plan". The handler
@@ -959,6 +961,11 @@ pub const THREADED_REFUSAL: &str = "the service does not run the threaded backen
      makespans are wall-clock, so cells beside the pool's others would measure the \
      contention and the caches would replay it (run figure1 --backend threaded --jobs 1)";
 
+/// Why a `backend: proc` submission is refused.
+pub const PROC_REFUSAL: &str = "the service does not run the proc backend: a proc sweep's \
+     report is the simulated one byte for byte, so submit it as simulated (or run \
+     figure1 --backend proc, which owns its worker pool)";
+
 /// Admits a submission and forwards its responses; returns false when the
 /// connection died.
 fn handle_submit(
@@ -967,10 +974,11 @@ fn handle_submit(
     spec: &SweepSpec,
     wants_progress: bool,
 ) -> bool {
-    let resolved = match spec.resolve() {
-        Ok(resolved) if resolved.backend == Backend::Threaded => Err(THREADED_REFUSAL.to_string()),
-        resolved => resolved,
-    };
+    let resolved = spec.resolve().and_then(|resolved| match resolved.backend {
+        Backend::Simulated => Ok(resolved),
+        Backend::Threaded => Err(THREADED_REFUSAL.to_string()),
+        Backend::Proc { .. } => Err(PROC_REFUSAL.to_string()),
+    });
     let resolved = match resolved {
         Ok(resolved) => resolved,
         Err(message) => return write_line(writer, &Response::Error { message }).is_ok(),

@@ -6,12 +6,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_serve::client::{ClientError, ServeClient};
 use numadag_serve::protocol::{Request, Response, SweepSpec, DEFAULT_POLICIES};
-use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY, THREADED_REFUSAL};
+use numadag_serve::server::{
+    serve, serve_with_specs, ServeConfig, JOB_HISTORY, PROC_REFUSAL, THREADED_REFUSAL,
+};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -174,26 +177,43 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     handle.join();
 }
 
-/// The threaded backend's makespans are wall-clock: the service refuses it
-/// with a structured error, caches nothing, and serves the next sweep.
+/// The service runs the simulator only. The threaded backend's makespans
+/// are wall-clock, and a proc sweep's report is the simulated one: each is
+/// refused with a structured error, caches nothing, and the daemon serves
+/// the next sweep.
 #[test]
 fn a_threaded_submission_is_refused_and_nothing_is_cached() {
-    let handle = serve(ServeConfig::default()).unwrap();
-    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
-    let threaded = SweepSpec {
-        backend: "threaded".to_string(),
-        ..SweepSpec::default()
+    // One pool worker: a submission that reached it and wedged it would
+    // leave the default sweep after it unanswered.
+    let config = ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
     };
-    match client.submit(threaded, false, |_| ()) {
-        Err(ClientError::Server(message)) => assert_eq!(message, THREADED_REFUSAL),
-        other => panic!("expected a structured error, got {other:?}"),
+    let handle = serve(config).unwrap();
+    // An answer slower than this is a hang, not a refusal: every read past
+    // it fails with `ClientError::Timeout` instead of waiting.
+    let addr = handle.addr().to_string();
+    let mut client = ServeClient::connect_with_timeout(&addr, Duration::from_secs(5)).unwrap();
+    for (backend, refusal) in [
+        ("threaded", THREADED_REFUSAL),
+        ("proc", PROC_REFUSAL),
+        ("proc:w=3", PROC_REFUSAL),
+    ] {
+        let spec = SweepSpec {
+            backend: backend.to_string(),
+            ..SweepSpec::default()
+        };
+        match client.submit(spec, false, |_| ()) {
+            Err(ClientError::Server(message)) => assert_eq!(message, refusal, "{backend}"),
+            other => panic!("{backend}: expected a structured error, got {other:?}"),
+        }
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            (stats.jobs_submitted, stats.report_cache_entries),
+            (0, 0),
+            "{backend}: {stats:?}"
+        );
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        (stats.jobs_submitted, stats.report_cache_entries),
-        (0, 0),
-        "{stats:?}"
-    );
     let outcome = client.submit(SweepSpec::default(), false, |_| ()).unwrap();
     assert!(!outcome.cache_hit);
     assert!(outcome.report_json == include_str!("../../../BENCH_figure1_tiny.json"));

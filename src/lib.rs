@@ -109,7 +109,7 @@
 //! | [`kernels`] (`numadag-kernels`) | the eight applications of Figure 1 |
 //! | [`trace`] (`numadag-trace`) | execution traces: the event model (an execution's events come back in its report), placements as a view of the events, critical-path/traffic/locality/queue analytics, two-policy divergence comparison |
 //! | [`serve`] (`numadag-serve`) | the sweep service: TCP daemon + client speaking newline-delimited JSON, content-addressed report cache, `numadag-serve`/`serve-client` bins |
-//! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch (`--backend proc`) |
+//! | [`proc`] (`numadag-proc`) | the multi-process backend: self-exec'd worker processes over newline-JSON IPC, oneCCL-style barriers, crash redispatch; the caller owns the pool (`WorkerPool::spawn` → `ProcExecutor::with_pool` → `SweepPlan::execute_on`, as `--backend proc` does) |
 //! | `numadag-bench` (not re-exported) | benchmark harness: `figure1`/`ablation` bins |
 //!
 //! ## Observability

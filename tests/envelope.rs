@@ -51,7 +51,7 @@ fn in_process_rows_reproduce_every_baseline_at_any_worker_count() {
     for (args, window_plans) in IN_PROCESS {
         for jobs in [1, 2, 4] {
             let row = format!("figure1 {args} --jobs {jobs}");
-            let (plan, report, baseline) = figure1(&row["figure1 ".len()..], None);
+            let (plan, report, baseline) = figure1(&row["figure1 ".len()..], None, None);
             assert_reproduces(&row, &report.to_json_string(), &baseline);
             let (plans, reused) = plan
                 .workloads()

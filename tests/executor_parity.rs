@@ -7,7 +7,7 @@
 #[path = "../crates/proc/tests/relay/mod.rs"]
 mod relay;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use numadag::prelude::*;
 use numadag::runtime::CellContext;
@@ -19,17 +19,9 @@ fn backends(config: ExecutionConfig) -> Vec<Box<dyn Executor>> {
     ]
 }
 
-/// One worker pool shared by every proc test in this binary, its two
-/// workers on threads, and a `Backend::Proc` factory bound to it.
-fn install_test_proc_backend() -> Arc<WorkerPool> {
-    static POOL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    let pool =
-        POOL.get_or_init(|| WorkerPool::launch(2, relay::threads).expect("worker pool launches"));
-    let factory_pool = pool.clone();
-    numadag::runtime::register_proc_backend(Box::new(move |config, _workers| {
-        Box::new(ProcExecutor::with_pool(config, factory_pool.clone()))
-    }));
-    pool.clone()
+/// A worker pool of the calling test's own, its two workers on threads.
+fn test_pool() -> Arc<WorkerPool> {
+    WorkerPool::launch(2, relay::threads).expect("worker pool launches")
 }
 
 #[test]
@@ -100,7 +92,7 @@ fn experiment_runs_the_same_sweep_on_both_backends() {
 
 #[test]
 fn proc_backend_agrees_with_simulator_and_threaded_on_placements() {
-    let pool = install_test_proc_backend();
+    let pool = test_pool();
     let spec = Application::NStream.build(ProblemScale::Tiny, 4);
     let config = ExecutionConfig::new(Topology::four_socket(2)).with_steal(StealMode::NoStealing);
 
@@ -140,8 +132,7 @@ fn proc_backend_agrees_with_simulator_and_threaded_on_placements() {
 
 #[test]
 fn experiment_through_the_proc_backend_is_byte_identical_to_simulated() {
-    install_test_proc_backend();
-    let run = |backend: Backend| {
+    let plan = |backend: Backend| {
         Experiment::new()
             .topology(Topology::two_socket(2))
             .app(Application::NStream)
@@ -149,10 +140,12 @@ fn experiment_through_the_proc_backend_is_byte_identical_to_simulated() {
             .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
             .backend(backend)
             .seed(11)
-            .run()
+            .plan()
     };
-    let sim = run(Backend::Simulated);
-    let proc = run(Backend::proc());
+    let sim = plan(Backend::Simulated).execute(1);
+    let proc = plan(Backend::Proc { workers: 2 });
+    let executor = ProcExecutor::with_pool(proc.config().clone(), test_pool());
+    let proc = proc.execute_on(&executor, 1);
     // Proc measurements ARE simulator measurements, so the proc sweep
     // reports itself under the simulator label and the measurement JSON
     // (timing excluded) must match byte for byte.
@@ -183,8 +176,8 @@ fn run_on_a_simulator_of_the_experiments_machine_is_run() {
 
 #[test]
 fn run_on_a_proc_pool_differs_from_run_only_in_its_backend_label() {
-    let pool = install_test_proc_backend();
-    let executor = ProcExecutor::with_pool(ExecutionConfig::bullion_s16().with_seed(11), pool);
+    let executor =
+        ProcExecutor::with_pool(ExecutionConfig::bullion_s16().with_seed(11), test_pool());
     let on = tiny_figure1().run_on(&executor);
     let run = tiny_figure1().run();
     // `run_on` names the executor it ran on; `Backend::Proc` reports under

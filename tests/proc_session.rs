@@ -1,16 +1,17 @@
 //! The behaviour envelope's proc rows (`tests/envelope.rs` holds the others).
-//! Each row launches a 2-worker pool, runs `figure1 --backend proc` through
-//! the library path on it, holds the report to the committed baseline bytes
-//! and compares every `PoolStats` field with what that session must leave
-//! behind. Each row runs twice: on worker processes (this test binary,
-//! re-exec'd) and on worker threads. A rewrite of the coordinator that keeps
-//! its behaviour keeps every row.
+//! Each row launches a 2-worker pool of its own, runs `figure1 --backend
+//! proc` through the library path on it, holds the report to the committed
+//! baseline bytes and compares every `PoolStats` field with what that
+//! session must leave behind. Each row runs twice: on worker processes (this
+//! test binary, re-exec'd) and on worker threads. Rows share nothing, so
+//! they run in parallel. A rewrite of the coordinator that keeps its
+//! behaviour keeps every row.
 
 #[path = "../crates/proc/tests/relay/mod.rs"]
 mod relay;
 mod rows;
 
-use std::sync::{Arc, Mutex, Once, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use numadag::prelude::*;
@@ -32,11 +33,6 @@ fn proc_worker_entry() {
     }
 }
 
-/// The pool `Backend::Proc` executors attach to while a row runs. Rows take
-/// turns (the factory is process-wide), so each sees only its own pool.
-static ROW_POOL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
-static ROW: Mutex<()> = Mutex::new(());
-
 /// Where a row's workers run.
 #[derive(Clone, Copy, Debug)]
 enum Workers {
@@ -55,25 +51,6 @@ fn launch(workers: Workers, lost: bool) -> Arc<WorkerPool> {
         (Workers::Threads, true) => WorkerPool::launch(2, crash().around(threads)),
     };
     pool.expect("worker pool launches")
-}
-
-/// Runs `sweep` on `pool`, as `figure1 --backend proc` does, and returns
-/// what `sweep` returned and the pool's counters after it.
-fn on_proc_pool<T>(pool: Arc<WorkerPool>, sweep: impl FnOnce() -> T) -> (T, PoolStats) {
-    static FACTORY: Once = Once::new();
-    FACTORY.call_once(|| {
-        numadag::runtime::register_proc_backend(Box::new(|config, _workers| {
-            let pool = ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner);
-            let pool = pool.clone().expect("a row's pool is installed");
-            Box::new(ProcExecutor::with_pool(config, pool))
-        }));
-    });
-    let _row = ROW.lock().unwrap_or_else(PoisonError::into_inner);
-
-    *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&pool));
-    let out = sweep();
-    *ROW_POOL.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    (out, pool.stats())
 }
 
 /// A 2-worker Full session that ships each of the eight specs once: the
@@ -98,12 +75,10 @@ fn proc_row(args: &str, jobs: usize, lost: bool, counters: PoolStats) {
     let args = format!("{args} --backend proc --jobs {jobs}");
     for workers in [Workers::Processes, Workers::Threads] {
         let row = format!("figure1 {args}, worker 1 lost: {lost}, on {workers:?}");
-        let ((report, baseline), stats) = on_proc_pool(launch(workers, lost), || {
-            let (_, report, baseline) = figure1(&args, None);
-            (report.to_json_string(), baseline)
-        });
-        assert_reproduces(&row, &report, &baseline);
-        assert_eq!(stats, counters, "{row}");
+        let pool = launch(workers, lost);
+        let (_, report, baseline) = figure1(&args, None, Some(&pool));
+        assert_reproduces(&row, &report.to_json_string(), &baseline);
+        assert_eq!(pool.stats(), counters, "{row}");
     }
 }
 
@@ -144,9 +119,9 @@ fn a_full_sweep_that_loses_a_worker_redispatches_one_cell() {
 /// events ride in `done`: the trace files are the in-process ones.
 #[test]
 fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
-    let traced = |args: &str| {
+    let traced = |args: &str, pool: Option<&Arc<WorkerPool>>| {
         let collector = Arc::new(TraceCollector::new());
-        let (_, report, baseline) = figure1(args, Some(Arc::clone(&collector)));
+        let (_, report, baseline) = figure1(args, Some(Arc::clone(&collector)), pool);
         let row = format!("figure1 {args}, traced");
         assert_reproduces(&row, &report.to_json_string(), &baseline);
         // Cells are recorded in completion order.
@@ -154,10 +129,10 @@ fn a_traced_tiny_sweep_records_the_same_traces_in_process_and_through_proc() {
         traces.sort_by(|a, b| (&a.workload, &a.policy).cmp(&(&b.workload, &b.policy)));
         traces
     };
-    let in_process = traced("--scale tiny --jobs 2");
+    let in_process = traced("--scale tiny --jobs 2", None);
     let pool = launch(Workers::Processes, false);
-    let (through_proc, stats) = on_proc_pool(pool, || traced("--scale tiny --backend proc"));
-    assert_eq!(stats.config_broadcasts, 2, "traced proc tiny");
+    let through_proc = traced("--scale tiny --backend proc", Some(&pool));
+    assert_eq!(pool.stats().config_broadcasts, 2, "traced proc tiny");
     assert_eq!(in_process.len(), 32);
     assert!(in_process == through_proc, "proc traces differ");
 }
@@ -180,12 +155,9 @@ fn barrier_row(nth: u64, breakage: Action, counters: PoolStats) {
         };
         let pool = pool.unwrap_or_else(|e| panic!("{row}: {e}"));
         assert_eq!(pool.stats().workers_alive, counters.workers_alive, "{row}");
-        let ((report, baseline), stats) = on_proc_pool(Arc::clone(&pool), || {
-            let (_, report, baseline) = figure1(args, None);
-            (report.to_json_string(), baseline)
-        });
-        assert_reproduces(&row, &report, &baseline);
-        assert_eq!(stats, counters, "{row}");
+        let (_, report, baseline) = figure1(args, None, Some(&pool));
+        assert_reproduces(&row, &report.to_json_string(), &baseline);
+        assert_eq!(pool.stats(), counters, "{row}");
         assert_eq!(Arc::strong_count(&pool), 1, "{row}: the row holds the pool");
         let dropping = Instant::now();
         drop(pool);

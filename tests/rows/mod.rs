@@ -50,20 +50,33 @@ pub(crate) fn parse(args: &str) -> (SweepSpec, usize) {
 
 /// Runs `figure1 <args>` over a fresh spec cache, so the graphs, and their
 /// window-plan counters, are the row's own; returns the plan, the report
-/// and the committed report it must reproduce.
+/// and the committed report it must reproduce. A `--backend proc` row runs
+/// on `pool`, the row's own, through an executor of the plan's config, as
+/// the binary runs on the pool it spawned.
 pub(crate) fn figure1(
     args: &str,
     trace: Option<Arc<TraceCollector>>,
+    pool: Option<&Arc<WorkerPool>>,
 ) -> (SweepPlan, SweepReport, String) {
     let (spec, jobs) = parse(args);
-    let mut experiment = spec
-        .resolve()
-        .unwrap_or_else(|e| panic!("{args}: {e}"))
-        .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()));
+    let sweep = spec.resolve().unwrap_or_else(|e| panic!("{args}: {e}"));
+    let proc = matches!(sweep.backend, Backend::Proc { .. });
+    assert_eq!(
+        proc,
+        pool.is_some(),
+        "{args}: a proc row, and only one, has a pool"
+    );
+    let mut experiment = sweep.experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()));
     if let Some(collector) = trace {
         experiment = experiment.trace(collector);
     }
     let plan = experiment.plan();
-    let report = plan.execute(jobs);
+    let report = match pool {
+        Some(pool) => {
+            let executor = ProcExecutor::with_pool(plan.config().clone(), Arc::clone(pool));
+            plan.execute_on(&executor, jobs)
+        }
+        None => plan.execute(jobs),
+    };
     (plan, report, baseline(&spec.scale))
 }

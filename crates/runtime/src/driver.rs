@@ -679,6 +679,30 @@ mod tests {
     }
 
     #[test]
+    fn execute_is_execute_on_one_simulator_of_the_plans_config() {
+        for traced in [false, true] {
+            let collector = Arc::new(TraceCollector::new());
+            let experiment = if traced {
+                tiny_experiment().trace(Arc::clone(&collector))
+            } else {
+                tiny_experiment()
+            };
+            let plan = experiment.plan();
+            for jobs in [1, 2, 4] {
+                let own = plan.execute(jobs);
+                let own_traces = collector.take().len();
+                let shared = crate::Simulator::new(plan.config().clone());
+                let shared = plan.execute_on(&shared, jobs);
+                let at = format!("traced={traced} jobs={jobs}");
+                assert_eq!(own.to_json_string(), shared.to_json_string(), "{at}");
+                assert_eq!(own.timing.jobs, shared.timing.jobs, "{at}");
+                assert_eq!(own_traces, collector.take().len(), "{at}");
+                assert_eq!(own_traces, if traced { own.cells.len() } else { 0 });
+            }
+        }
+    }
+
+    #[test]
     fn run_on_reports_progress_through_the_serial_loop() {
         let seen = Arc::new(AtomicUsize::new(0));
         let sink = Arc::clone(&seen);

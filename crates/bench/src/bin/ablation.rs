@@ -225,7 +225,7 @@ fn partitioner_ablation(study: &StudyConfig) {
 /// (`prop=rr`) and anchored multi-window re-partitioning (`prop=repart`)
 /// under each anchoring mode, plus the partitioning cost each variant paid
 /// (windows partitioned and partitioner wall time, from the sweep's timing
-/// section).
+/// section; in-process only, since proc workers partition their own graphs).
 fn propagation_ablation(study: &StudyConfig) {
     use numadag_core::AnchorMode;
     let apps = [
@@ -285,6 +285,12 @@ fn propagation_ablation(study: &StudyConfig) {
     print_speedups(&report, &apps, &columns, 12, true);
 
     println!("\n## Partitioning cost per propagation mode (mean over cells)\n");
+    // Proc workers partition their own decoded copies of the graphs; the
+    // coordinator's policies never prepare, so they have no cost to show.
+    if study.pool.is_some() {
+        println!("  not measured on the coordinator: proc workers partition their own graphs");
+        return;
+    }
     println!(
         "| {:<28} | {:>8} | {:>12} |",
         "policy", "windows", "wall (ms)"

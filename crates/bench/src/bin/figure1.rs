@@ -332,7 +332,6 @@ mod tests {
             .apps(Application::all())
             .scale(ProblemScale::Full)
             .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep])
-            .baseline(PolicyKind::Las)
             .backend(Backend::Simulated)
             .repetitions(1)
             .seed(0xF1617E)

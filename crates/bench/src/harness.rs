@@ -39,7 +39,7 @@ pub fn spawn_proc_pool(backend: Backend) -> Option<Arc<WorkerPool>> {
 
 /// Executes `plan` on `jobs` lanes: with a `pool`, on its workers through
 /// an executor of the plan's own config (the report is the simulated one
-/// byte for byte); without, on the plan's own executors.
+/// byte for byte); without, on the plan's own executor.
 pub fn execute(plan: &SweepPlan, jobs: usize, pool: Option<&Arc<WorkerPool>>) -> SweepReport {
     match pool {
         Some(pool) => {

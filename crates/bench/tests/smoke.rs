@@ -398,3 +398,30 @@ fn ablation_runs_every_sweep_on_one_proc_pool() {
         assert!(pool.contains(counters), "missing {counters}: {pool}");
     }
 }
+
+/// `ablation propagation --backend proc`: the coordinator never partitions
+/// a proc cell, so the cost section says so instead of printing a table of
+/// zeros.
+#[test]
+fn ablation_propagation_on_proc_leaves_the_partitioning_cost_unmeasured() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ablation"))
+        .args(["propagation", "--backend", "proc"])
+        .output()
+        .expect("ablation must spawn");
+    assert!(
+        out.status.success(),
+        "ablation exited with {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let cost = stdout
+        .split("## Partitioning cost per propagation mode")
+        .nth(1)
+        .unwrap_or_else(|| panic!("missing the cost section: {stdout}"));
+    assert!(
+        cost.contains("not measured on the coordinator"),
+        "missing the note: {cost}"
+    );
+    assert!(!cost.contains("0.000"), "a zero cost row: {cost}");
+}

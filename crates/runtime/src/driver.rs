@@ -5,16 +5,18 @@
 //!   workload spec is built exactly once (memoized through a
 //!   [`numadag_kernels::SpecCache`], shared as `Arc<TaskGraphSpec>`), and the
 //!   sweep is flattened into keyed [`SweepJob`]s — one per
-//!   (workload, policy, repetition) cell, including the baseline's cells.
+//!   (workload, policy, repetition) cell, including the cells of LAS, the
+//!   baseline.
 //! * **Execute** ([`SweepPlan::execute`]): workloads are independent, so
 //!   the plan runs them on N *lanes*: each lane pulls the next workload from
-//!   one cursor and runs its cells in plan order, on an executor of its own
-//!   (or, under [`Experiment::run_on`](crate::Experiment::run_on), the
-//!   caller's, shared), building its own policy instances. Lane 0 runs on
-//!   the calling thread. Baseline-relative speedups are computed in a
-//!   deterministic keyed post-pass, so the report — cells, aggregates,
-//!   skip list, serialization — is **bit-identical** for every lane count
-//!   on the deterministic simulator backend.
+//!   one cursor and runs its cells in plan order, building its own policy
+//!   instances. Every lane shares the sweep's one executor: the plan's own,
+//!   or the caller's under [`SweepPlan::execute_on`] and
+//!   [`Experiment::run_on`](crate::Experiment::run_on). Lane 0 runs on the
+//!   calling thread. LAS-relative speedups are computed in a deterministic
+//!   keyed post-pass, so the report — cells, aggregates, skip list,
+//!   serialization — is **bit-identical** for every lane count on the
+//!   deterministic simulator backend.
 //!
 //! Execution also reports progress (to the callback installed by
 //! [`Experiment::on_cell_complete`](crate::Experiment::on_cell_complete))
@@ -34,7 +36,7 @@ use serde::Serialize;
 
 use crate::config::ExecutionConfig;
 use crate::executor::{CellContext, Executor};
-use crate::experiment::{aggregate, mean, Backend, SweepCell, SweepReport};
+use crate::experiment::{aggregate, mean, Backend, SweepCell, SweepReport, BASELINE};
 
 /// One workload of a [`SweepPlan`]: a label, a scale label and the shared,
 /// memoized spec every cell of this workload runs.
@@ -45,11 +47,6 @@ pub struct PlannedWorkload {
     pub(crate) label: String,
     /// Problem-scale label (`"Tiny"`, `"Small"`, `"Full"` or `"custom"`).
     pub(crate) scale_label: String,
-    /// Whether the sweep's baseline policy can be built for this workload
-    /// (probed at plan time). When `false` the whole workload lands in the
-    /// report's skip list, so execution never runs its cells — speedups
-    /// would have no anchor and the measurements would be discarded.
-    pub(crate) baseline_available: bool,
     /// The workload spec, built once and shared by every job.
     pub spec: Arc<TaskGraphSpec>,
     /// What built [`PlannedWorkload::spec`]: its application, scale and
@@ -67,7 +64,8 @@ pub struct PlannedWorkload {
 pub struct SweepJob {
     /// Index into [`SweepPlan::workloads`].
     pub workload: usize,
-    /// Index into [`SweepPlan::policies`] (the baseline is the last slot).
+    /// Index into [`SweepPlan::policies`] (LAS, the baseline, is the last
+    /// slot).
     pub policy_slot: usize,
     /// Repetition index (0-based); the policy seed is derived from it.
     pub repetition: usize,
@@ -79,8 +77,8 @@ pub struct SweepJob {
 pub struct SweepPlan {
     pub(crate) config: ExecutionConfig,
     pub(crate) backend: Backend,
-    pub(crate) baseline: PolicyKind,
-    /// Deduped policy list in report order; the baseline is always last.
+    /// Deduped policy list in report order; LAS, the baseline, is always
+    /// last.
     pub(crate) policies: Vec<PolicyKind>,
     pub(crate) workloads: Vec<PlannedWorkload>,
     pub(crate) jobs: Vec<SweepJob>,
@@ -115,7 +113,7 @@ impl SweepPlan {
         &self.jobs
     }
 
-    /// The policy list in report order (baseline last).
+    /// The policy list in report order (LAS, the baseline, last).
     pub fn policies(&self) -> &[PolicyKind] {
         &self.policies
     }
@@ -150,19 +148,19 @@ impl SweepPlan {
         )
     }
 
-    /// The config of the plan's executors (machine, seed, events when
+    /// The config of the plan's executor (machine, seed, events when
     /// traced): what a caller's executor for [`SweepPlan::execute_on`] runs.
     pub fn config(&self) -> &ExecutionConfig {
         &self.config
     }
 
     /// Builds an executor for the plan's backend and execution config —
-    /// what each lane of [`SweepPlan::execute`] does once, exposed so
-    /// external schedulers (the sweep service's worker pool) can run cells
-    /// through [`SweepPlan::run_cell`] on an executor they own and reuse
-    /// across cells. The executor of a traced plan returns every cell's
-    /// events with that cell's report. A [`Backend::Proc`](crate::Backend)
-    /// plan has none (this panics): run it with [`SweepPlan::execute_on`].
+    /// the one [`SweepPlan::execute`] runs every lane on, exposed so a
+    /// caller can run cells through [`SweepPlan::run_cell`] on an executor
+    /// it owns and reuses across cells. The executor of a traced plan
+    /// returns every cell's events with that cell's report. A
+    /// [`Backend::Proc`](crate::Backend) plan has none (this panics): run it
+    /// with [`SweepPlan::execute_on`].
     pub fn executor(&self) -> Box<dyn Executor> {
         self.backend.executor(self.config.clone())
     }
@@ -171,21 +169,24 @@ impl SweepPlan {
     /// `jobs` asks for (`0` means one per available core), raised to what
     /// the plan's executor can keep busy ([`Executor::lanes`]) and capped
     /// at one per workload.
-    /// A lane pulls the next whole workload and runs its cells in plan
-    /// order on an executor of its own, building its own policy instances;
-    /// lane 0 runs on the calling thread, so a sweep with one workload runs
-    /// on one lane and starts no thread.
+    ///
+    /// It is [`SweepPlan::execute_on`] on the plan's own
+    /// [`SweepPlan::executor`]: every lane shares that one executor. A lane
+    /// pulls the next whole workload and runs its cells in plan order,
+    /// building its own policy instances; lane 0 runs on the calling thread,
+    /// so a sweep with one workload runs on one lane and starts no thread.
     ///
     /// Results are keyed, not order-dependent: whichever lane finishes a
-    /// cell, the post-pass recomputes baseline means and speedups in the
-    /// plan's canonical order, so the report is identical for any lane
-    /// count (bit-identical on the deterministic simulator backend).
+    /// cell, the post-pass recomputes LAS means and speedups in the plan's
+    /// canonical order, so the report is identical for any lane count
+    /// (bit-identical on the deterministic simulator backend).
     ///
-    /// **Threaded-backend caveat:** every lane constructs its own executor,
-    /// so several lanes on a [`Backend::Threaded`](crate::Backend) plan run
-    /// that many complete thread pools at once; their wall-clock makespans
-    /// contend for CPUs and come out inflated. Measure the threaded backend
-    /// serially; run the simulator on any number of lanes.
+    /// **Threaded-backend caveat:** every run of a threaded executor starts
+    /// its own threads, so several lanes on a
+    /// [`Backend::Threaded`](crate::Backend) plan run that many complete
+    /// thread pools at once; their wall-clock makespans contend for CPUs and
+    /// come out inflated. Measure the threaded backend serially; run the
+    /// simulator on any number of lanes.
     ///
     /// ```
     /// use numadag_runtime::Experiment;
@@ -201,12 +202,7 @@ impl SweepPlan {
     /// assert_eq!(report.to_json_string(), plan.execute(1).to_json_string());
     /// ```
     pub fn execute(&self, jobs: usize) -> SweepReport {
-        let first = self.executor();
-        let lanes = self.lane_count(jobs, first.as_ref());
-        let mut executors = vec![first];
-        executors.extend((1..lanes).map(|_| self.executor()));
-        let lanes: Vec<&dyn Executor> = executors.iter().map(Box::as_ref).collect();
-        self.run_lanes(&lanes, self.backend.report_label())
+        self.execute_on(self.executor().as_ref(), jobs)
     }
 
     /// [`SweepPlan::execute`] with every lane sharing `executor`, one the
@@ -217,31 +213,22 @@ impl SweepPlan {
         self.share(executor, jobs, self.backend.report_label())
     }
 
-    /// The lanes of [`SweepPlan::execute_on`] and
-    /// [`Experiment::run_on`](crate::Experiment::run_on), under `backend`.
+    /// The one lane loop, of [`SweepPlan::execute_on`] and
+    /// [`Experiment::run_on`](crate::Experiment::run_on): `jobs` lanes
+    /// (`0`: one per available core) raised to `executor`'s, at most one
+    /// per workload and at least one, every lane on `executor` and lane 0 on
+    /// this thread, each pulling the next workload from one cursor and
+    /// running its cells in plan order. The report names `executor`'s
+    /// machine and `backend`.
     pub(crate) fn share(&self, executor: &dyn Executor, jobs: usize, backend: &str) -> SweepReport {
-        let lanes = self.lane_count(jobs, executor);
-        self.run_lanes(&vec![executor; lanes], backend)
-    }
-
-    /// `jobs` (`0`: one per available core) raised to `executor`'s lanes,
-    /// at most one per workload and at least one.
-    fn lane_count(&self, jobs: usize, executor: &dyn Executor) -> usize {
         let requested = if jobs == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             jobs
         };
-        requested
+        let lanes = requested
             .max(executor.lanes())
-            .clamp(1, self.workloads.len().max(1))
-    }
-
-    /// The one lane loop: lane `i` runs on `lanes[i]`, lane 0 on this
-    /// thread, each pulling the next workload from one cursor and running
-    /// its cells in plan order. The report names `lanes[0]`'s machine and
-    /// `backend`.
-    fn run_lanes(&self, lanes: &[&dyn Executor], backend: &str) -> SweepReport {
+            .clamp(1, self.workloads.len().max(1));
         let t0 = Instant::now();
         // The plan is workload-major: a workload's jobs are one run.
         let per_workload = self.policies.len() * self.repetitions;
@@ -254,15 +241,12 @@ impl SweepPlan {
                 let Some(jobs) = self.jobs.get(w * per_workload..(w + 1) * per_workload) else {
                     return ran;
                 };
-                let executor = lanes[lane];
                 let run = |job| self.run_and_notify(job, executor, lane, backend, &completed);
                 ran.push((w, jobs.iter().map(run).collect::<Vec<_>>()));
             }
         };
         let mut ran = std::thread::scope(|scope| {
-            let others: Vec<_> = (1..lanes.len())
-                .map(|at| scope.spawn(move || lane(at)))
-                .collect();
+            let others: Vec<_> = (1..lanes).map(|at| scope.spawn(move || lane(at))).collect();
             let mut ran = lane(0);
             for other in others {
                 match other.join() {
@@ -274,8 +258,8 @@ impl SweepPlan {
         });
         ran.sort_unstable_by_key(|(w, _)| *w);
         let outcomes = ran.into_iter().flat_map(|(_, outcomes)| outcomes).collect();
-        let machine = lanes[0].config().topology.name();
-        assemble(self, outcomes, machine, backend, lanes.len(), t0.elapsed())
+        let machine = executor.config().topology.name();
+        assemble(self, outcomes, machine, backend, lanes, t0.elapsed())
     }
 
     /// Runs one job on `lane` and fires the progress callback.
@@ -326,8 +310,8 @@ impl SweepPlan {
 
     /// The deterministic keyed post-pass over per-cell outcomes: walks
     /// workloads and policy slots in the plan's canonical order, anchors
-    /// every speedup on the baseline's mean makespan, and emits cells, skip
-    /// list, aggregates and timing. `outcomes` must be parallel to
+    /// every speedup on LAS's mean makespan, and emits cells, skip list,
+    /// aggregates and timing. `outcomes` must be parallel to
     /// [`SweepPlan::jobs`]. Because the pass is keyed, the report is
     /// bit-identical no matter which worker (or cache) produced each
     /// outcome — this is the same function [`SweepPlan::execute`] ends
@@ -426,7 +410,7 @@ pub(crate) type ProgressCallback = Arc<dyn Fn(&CellProgress) + Send + Sync>;
 pub enum CellOutcome {
     /// The cell ran; its measurements.
     Measured(CellMeasurement),
-    /// The policy (or the workload's baseline) could not be built.
+    /// The policy could not be built.
     Skipped,
 }
 
@@ -461,12 +445,6 @@ fn run_job(
     backend: &str,
 ) -> CellOutcome {
     let workload = &plan.workloads[job.workload];
-    // A workload whose baseline cannot be built is skipped wholesale: its
-    // speedups would have no anchor and `assemble` would discard the
-    // measurements, so don't spend executor time producing them.
-    if !workload.baseline_available {
-        return CellOutcome::Skipped;
-    }
     let kind = plan.policies[job.policy_slot];
     let seed = plan.seed.wrapping_add(job.repetition as u64);
     let t = Instant::now();
@@ -514,8 +492,8 @@ fn run_job(
 }
 
 /// The deterministic post-pass: walks workloads and policy slots in the
-/// plan's canonical order, anchors every speedup on the baseline's mean
-/// makespan, and emits cells, skip list, aggregates and timing.
+/// plan's canonical order, anchors every speedup on LAS's mean makespan,
+/// and emits cells, skip list, aggregates and timing.
 fn assemble(
     plan: &SweepPlan,
     outcomes: Vec<CellOutcome>,
@@ -526,7 +504,6 @@ fn assemble(
 ) -> SweepReport {
     let reps = plan.repetitions;
     let num_policies = plan.policies.len();
-    let baseline_slot = num_policies - 1; // the plan puts the baseline last
     let job_index =
         |workload: usize, slot: usize, rep: usize| (workload * num_policies + slot) * reps + rep;
 
@@ -536,37 +513,27 @@ fn assemble(
     let mut cell_partition_wall_ns = Vec::new();
     let mut skipped = Vec::new();
     for (w, workload) in plan.workloads.iter().enumerate() {
-        // The baseline anchors every speedup of this workload; if it cannot
-        // run, the whole workload is skipped.
-        let baseline: Vec<&CellMeasurement> = (0..reps)
-            .filter_map(|rep| match &outcomes[job_index(w, baseline_slot, rep)] {
-                CellOutcome::Measured(m) => Some(m),
-                CellOutcome::Skipped => None,
-            })
-            .collect();
-        if baseline.len() < reps {
-            skipped.push(format!("{}/{}", workload.label, plan.baseline.label()));
-            continue;
-        }
-        let baseline_mean = mean(baseline.iter().map(|m| m.makespan_ns));
-
-        for (slot, &kind) in plan.policies.iter().enumerate() {
-            let measurements: Vec<&CellMeasurement> = if slot == baseline_slot {
-                baseline.clone()
-            } else {
-                let runs: Vec<&CellMeasurement> = (0..reps)
-                    .filter_map(|rep| match &outcomes[job_index(w, slot, rep)] {
+        // A slot's repetitions, or `None` if its policy could not be built.
+        let runs: Vec<Option<Vec<&CellMeasurement>>> = (0..num_policies)
+            .map(|slot| {
+                (0..reps)
+                    .map(|rep| match &outcomes[job_index(w, slot, rep)] {
                         CellOutcome::Measured(m) => Some(m),
                         CellOutcome::Skipped => None,
                     })
-                    .collect();
-                if runs.len() < reps {
-                    skipped.push(format!("{}/{}", workload.label, kind.label()));
-                    continue;
-                }
-                runs
+                    .collect()
+            })
+            .collect();
+        // LAS, last in the plan, always builds, so it anchors every speedup.
+        let baseline = runs[num_policies - 1].iter().flatten();
+        let baseline_mean = mean(baseline.map(|m| m.makespan_ns));
+
+        for (runs, &kind) in runs.iter().zip(&plan.policies) {
+            let Some(runs) = runs else {
+                skipped.push(format!("{}/{}", workload.label, kind.label()));
+                continue;
             };
-            for (rep, m) in measurements.iter().enumerate() {
+            for (rep, m) in runs.iter().enumerate() {
                 cells.push(SweepCell {
                     application: workload.label.clone(),
                     scale: workload.scale_label.clone(),
@@ -602,7 +569,7 @@ fn assemble(
     SweepReport {
         machine: machine.to_string(),
         backend: backend_name.to_string(),
-        baseline: plan.baseline.label(),
+        baseline: BASELINE.label(),
         seed: plan.seed,
         repetitions: reps,
         cells,
@@ -804,39 +771,6 @@ mod tests {
             assert_eq!(report.skipped, vec!["no-ep/EP"], "jobs={jobs}");
             assert_eq!(report.policy_labels(), vec!["DFIFO", "LAS"]);
         }
-    }
-
-    #[test]
-    fn unbuildable_baseline_short_circuits_the_whole_workload() {
-        use numadag_tdg::{TaskSpec, TdgBuilder};
-        let mut b = TdgBuilder::new();
-        let r = b.region(64);
-        b.submit(TaskSpec::new("t").work(1.0).writes(r, 64));
-        let spec = TaskGraphSpec::new("no-ep", b.finish());
-        // EP as baseline on a workload without an expert placement: the plan
-        // marks the workload dead, and execution must not spend executor
-        // time on its other policies (their speedups would have no anchor).
-        let skipped_cells = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&skipped_cells);
-        let plan = Experiment::new()
-            .workload(spec)
-            .baseline(PolicyKind::Ep)
-            .policies([PolicyKind::Dfifo, PolicyKind::Las])
-            .on_cell_complete(move |p: &CellProgress| {
-                assert!(
-                    p.skipped,
-                    "{}/{} must not have run",
-                    p.application, p.policy
-                );
-                sink.fetch_add(1, Ordering::SeqCst);
-            })
-            .plan();
-        assert!(!plan.workloads()[0].baseline_available);
-        let report = plan.execute(1);
-        // One skip entry for the baseline, no cells, nothing else attempted.
-        assert_eq!(report.skipped, vec!["no-ep/EP"]);
-        assert!(report.cells.is_empty());
-        assert_eq!(skipped_cells.load(Ordering::SeqCst), plan.num_jobs());
     }
 
     #[test]

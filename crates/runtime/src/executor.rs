@@ -53,9 +53,9 @@ pub struct CellContext<'a> {
 /// does: [`SchedulingPolicy::prepare`] once before execution with the full
 /// graph, then [`SchedulingPolicy::assign`] each time a task becomes ready.
 ///
-/// `Send + Sync` are supertraits so the lanes of a
-/// [`crate::SweepPlan::execute`] can each own an executor, and the lanes of
-/// an [`crate::Experiment::run_on`] share one.
+/// `Send + Sync` are supertraits so the lanes of a sweep
+/// ([`crate::SweepPlan::execute`], [`crate::Experiment::run_on`]) share one
+/// executor.
 pub trait Executor: Send + Sync {
     /// Short stable backend name (`"simulator"`, `"threaded"`, `"proc"`),
     /// used in sweep reports and CLI arguments.

@@ -38,7 +38,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use numadag_core::{make_policy, PolicyKind};
+use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
 use numadag_tdg::TaskGraphSpec;
@@ -286,28 +286,32 @@ impl SweepReport {
     }
 }
 
+/// The policy every sweep's speedups are relative to, as in the paper.
+pub(crate) const BASELINE: PolicyKind = PolicyKind::Las;
+
 /// The policy columns of a sweep in report order: the first occurrence of
-/// each of `policies` but the `baseline`, then the baseline, last as in the
+/// each of `policies` but LAS, then LAS, the baseline, last as in the
 /// paper's figure. [`Experiment::plan`] numbers its policy slots in this
 /// order, and the sweep service names a sweep by it.
-pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<PolicyKind> {
+pub fn report_order(policies: &[PolicyKind]) -> Vec<PolicyKind> {
     let mut ordered: Vec<PolicyKind> = Vec::with_capacity(policies.len() + 1);
     for &kind in policies {
-        if kind != baseline && !ordered.contains(&kind) {
+        if kind != BASELINE && !ordered.contains(&kind) {
             ordered.push(kind);
         }
     }
-    ordered.push(baseline);
+    ordered.push(BASELINE);
     ordered
 }
 
 /// Fluent builder for a policy-comparison sweep: the first of the two
 /// steps the [crate docs](crate) describe.
 ///
-/// Defaults: bullion S16 topology, simulated backend, LAS baseline,
-/// Figure-1 policies (DFIFO, RGP+LAS, EP), Tiny scale, 1 repetition, a
-/// fixed seed, serial execution (parallelism 1), a private spec cache, no
-/// progress callback.
+/// Defaults: bullion S16 topology, simulated backend, Figure-1 policies
+/// (DFIFO, RGP+LAS, EP), Tiny scale, 1 repetition, a fixed seed, serial
+/// execution (parallelism 1), a private spec cache, no progress callback.
+/// Speedups are always over LAS, as in the paper: it runs on every
+/// workload and is reported last.
 ///
 /// The machine model is the topology and the default cost model with
 /// nearest-socket stealing. To sweep any other model (a flat cost model, no
@@ -316,7 +320,6 @@ pub fn report_order(policies: &[PolicyKind], baseline: PolicyKind) -> Vec<Policy
 pub struct Experiment {
     topology: Topology,
     backend: Backend,
-    baseline: PolicyKind,
     policies: Vec<PolicyKind>,
     apps: Vec<Application>,
     scale: ProblemScale,
@@ -334,7 +337,6 @@ impl Default for Experiment {
         Experiment {
             topology: Topology::bullion_s16(),
             backend: Backend::default(),
-            baseline: PolicyKind::Las,
             policies: vec![PolicyKind::Dfifo, PolicyKind::RGP_LAS, PolicyKind::Ep],
             apps: Vec::new(),
             scale: ProblemScale::Tiny,
@@ -372,14 +374,6 @@ impl Experiment {
     /// probe still calls it, and goes once that probe is dropped (ROADMAP
     /// direction 1, step 0).
     pub fn stage_timing(self, _on: bool) -> Self {
-        self
-    }
-
-    /// Sets the baseline policy speedups are computed against (default:
-    /// LAS, as in the paper). The baseline is always run and reported last
-    /// for each workload.
-    pub fn baseline(mut self, baseline: PolicyKind) -> Self {
-        self.baseline = baseline;
         self
     }
 
@@ -433,12 +427,13 @@ impl Experiment {
     /// the others on threads of their own. The count is raised to what the
     /// executor can keep busy ([`Executor::lanes`]: a proc executor's live
     /// workers) and capped at one per workload, so a sweep with one
-    /// workload runs on one lane. On the deterministic simulator backend
-    /// the report is bit-identical for every value.
+    /// workload runs on one lane. Every lane runs its cells on the sweep's
+    /// one executor. On the deterministic simulator backend the report is
+    /// bit-identical for every value.
     ///
-    /// **Threaded-backend caveat:** each lane owns a full
-    /// [`ThreadedExecutor`] (one OS thread per core of the topology), so
-    /// `parallelism(n)` runs `n` complete thread pools concurrently. The
+    /// **Threaded-backend caveat:** every [`ThreadedExecutor`] run starts
+    /// its own threads (one per core of the topology), so `parallelism(n)`
+    /// runs `n` complete thread pools concurrently. The
     /// threaded backend's makespans *are* wall-clock, so they then contend
     /// for CPUs and come out inflated versus a serial sweep — run the
     /// simulator on any number of lanes, but measure the threaded backend with
@@ -469,8 +464,8 @@ impl Experiment {
         self
     }
 
-    /// Traces every cell of the sweep into `collector`: the executors of
-    /// [`SweepPlan::execute`] are configured to return their events
+    /// Traces every cell of the sweep into `collector`: the executor of
+    /// [`SweepPlan::execute`] is configured to return every cell's events
     /// ([`ExecutionConfig::with_events`]), and each cell's events become a
     /// [`numadag_trace::Trace`] (labelled with the cell's workload, scale,
     /// policy and repetition) recorded in the collector, from every lane.
@@ -497,7 +492,7 @@ impl Experiment {
     /// [`Experiment::run_on`], where the executor's topology sizes the
     /// workloads).
     fn plan_for_sockets(&self, num_sockets: usize) -> SweepPlan {
-        let policies = report_order(&self.policies, self.baseline);
+        let policies = report_order(&self.policies);
         let cache = self
             .spec_cache
             .clone()
@@ -519,7 +514,6 @@ impl Experiment {
             workloads.push(PlannedWorkload {
                 label: app.label().to_string(),
                 scale_label: format!("{:?}", self.scale),
-                baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                 spec,
                 recipe: Some((app, self.scale, num_sockets)),
             });
@@ -529,7 +523,6 @@ impl Experiment {
             workloads.push(PlannedWorkload {
                 label: spec.name.to_string(),
                 scale_label: "custom".to_string(),
-                baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                 spec,
                 recipe: None,
             });
@@ -556,7 +549,6 @@ impl Experiment {
                 config
             },
             backend: self.backend,
-            baseline: self.baseline,
             policies,
             workloads,
             jobs,
@@ -570,10 +562,10 @@ impl Experiment {
         }
     }
 
-    /// Runs the sweep: every workload under the baseline and every
-    /// configured policy, `repetitions` times each, on the configured
-    /// backend — on [`Experiment::parallelism`] lanes (each owning its own
-    /// executor and policy instances; see [`SweepPlan::execute`]).
+    /// Runs the sweep: every workload under LAS and every configured
+    /// policy, `repetitions` times each, on one executor of the configured
+    /// backend — on [`Experiment::parallelism`] lanes, each building its own
+    /// policy instances (see [`SweepPlan::execute`]).
     pub fn run(self) -> SweepReport {
         self.plan().execute(self.parallelism)
     }

@@ -141,9 +141,6 @@ pub struct ResolvedSweep {
 }
 
 impl ResolvedSweep {
-    /// The policy every sweep's speedups are relative to, as in the paper.
-    pub const BASELINE: PolicyKind = PolicyKind::Las;
-
     /// The experiment this sweep denotes on `topology`, drawing its
     /// workload specs from `specs`.
     pub fn experiment(&self, topology: Topology, specs: Arc<SpecCache>) -> Experiment {
@@ -152,7 +149,6 @@ impl ResolvedSweep {
             .apps(self.apps.iter().copied())
             .scale(self.scale)
             .policies(self.policies.iter().copied())
-            .baseline(Self::BASELINE)
             .backend(self.backend)
             .repetitions(self.reps)
             .seed(self.seed)

@@ -76,7 +76,7 @@ pub(crate) fn sweep_fingerprint(
     for &app in &sweep.apps {
         hash.write_u64(specs.fingerprint(app, sweep.scale, num_sockets));
     }
-    for policy in report_order(&sweep.policies, ResolvedSweep::BASELINE) {
+    for policy in report_order(&sweep.policies) {
         hash.write_bytes(policy.label().as_bytes());
     }
     hash.finish()

@@ -64,9 +64,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use numadag_kernels::SpecCache;
-use numadag_numa::Topology;
 use numadag_runtime::framing::{from_line, read_frame, to_line};
-use numadag_runtime::{Backend, CellOutcome, Executor, SweepPlan, SweepReport};
+use numadag_runtime::{
+    Backend, CellOutcome, ExecutionConfig, Executor, Simulator, SweepPlan, SweepReport,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
@@ -84,8 +85,8 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Cell-cache capacity in cell outcomes (LRU evicts beyond this).
     pub cell_capacity: usize,
-    /// Pool worker threads executing cell batches (minimum 1). Each worker
-    /// owns one executor, rebuilt only when it switches plans.
+    /// Pool worker threads executing cell batches (minimum 1). Every worker
+    /// runs its cells on the daemon's one simulator.
     pub pool: usize,
     /// Cells a worker takes from a job per rotation turn (minimum 1):
     /// smaller batches are fairer, larger ones amortize locking.
@@ -96,9 +97,6 @@ pub struct ServeConfig {
     /// Admission quota: maximum queued/running jobs before submissions
     /// bounce with `Overloaded`.
     pub max_active_jobs: usize,
-    /// Machine topology every sweep runs on (the paper's bullion S16 by
-    /// default, matching the `figure1` harness).
-    pub topology: Topology,
     /// When set, the report cache is loaded from this file at boot and
     /// snapshotted back on shutdown, so a restarted daemon answers previous
     /// sweeps from cache (`cache_hit=true`, zero executed cells). Missing or
@@ -117,7 +115,6 @@ impl Default for ServeConfig {
             batch_cells: 4,
             max_queued_cells: 4096,
             max_active_jobs: 64,
-            topology: Topology::bullion_s16(),
             cache_file: None,
         }
     }
@@ -657,6 +654,11 @@ impl State {
 
 struct Shared {
     config: ServeConfig,
+    /// What every sweep runs on: the paper's bullion S16 (the machine of
+    /// the `figure1` harness), events off. A plan's own config differs from
+    /// it only in the seed, which no execution reads, so its cells come out
+    /// as they would on the plan's own executor.
+    simulator: Simulator,
     addr: SocketAddr,
     specs: Arc<SpecCache>,
     state: Mutex<State>,
@@ -834,6 +836,7 @@ pub fn serve_with_specs(
     let shared = Arc::new(Shared {
         state: Mutex::new(State::new(&config, cache)),
         config,
+        simulator: Simulator::new(ExecutionConfig::bullion_s16()),
         addr,
         specs,
         work: Condvar::new(),
@@ -983,7 +986,8 @@ fn handle_submit(
         Ok(resolved) => resolved,
         Err(message) => return write_line(writer, &Response::Error { message }).is_ok(),
     };
-    let num_sockets = shared.config.topology.num_sockets();
+    let topology = &shared.simulator.config().topology;
+    let num_sockets = topology.num_sockets();
     // Fingerprinting may build workload specs (warming the shared spec
     // cache for the run itself) — do it outside the state lock.
     let key = sweep_fingerprint(&resolved, &shared.specs, num_sockets);
@@ -997,7 +1001,7 @@ fn handle_submit(
                 // A novel sweep shape: materialize the plan and the per-cell
                 // content fingerprints, both potentially expensive.
                 let plan = resolved
-                    .experiment(shared.config.topology.clone(), Arc::clone(&shared.specs))
+                    .experiment(topology.clone(), Arc::clone(&shared.specs))
                     .plan();
                 let keys = cell_keys(&plan, &resolved, &shared.specs, num_sockets);
                 planned = Some((Arc::new(plan), keys));
@@ -1071,11 +1075,10 @@ fn assemble(shared: &Shared, job: u64, finished: Finished) {
     shared.state().publish(job, key, report, line);
 }
 
-/// One pool worker: takes one batch of cells at a time, resolves each on a
-/// worker-owned executor (rebuilt only when the plan changes), and
-/// assembles whichever job it resolves the last cell of.
+/// One pool worker: takes one batch of cells at a time, resolves each on
+/// the daemon's simulator, and assembles whichever job it resolves the last
+/// cell of.
 fn worker_loop(shared: Arc<Shared>) {
-    let mut executor_cache: Option<(Arc<SweepPlan>, Box<dyn Executor>)> = None;
     loop {
         let (job, plan, cells) = {
             let mut state = shared.state();
@@ -1087,15 +1090,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
             }
         };
-        let executor = match &mut executor_cache {
-            Some((cached, executor)) if Arc::ptr_eq(cached, &plan) => executor,
-            stale => &mut stale.insert((Arc::clone(&plan), plan.executor())).1,
-        };
-
         for (index, cell) in cells {
             let mut resolved = shared.state().resolve(job, index, cell, None);
             if let Resolved::Execute = resolved {
-                let outcome = plan.run_cell(index, executor.as_ref());
+                let outcome = plan.run_cell(index, &shared.simulator);
                 resolved = shared.state().resolve(job, index, cell, Some(outcome));
             }
             match resolved {
@@ -1118,7 +1116,6 @@ mod tests {
     fn default_config_binds_ephemeral_loopback() {
         let config = ServeConfig::default();
         assert_eq!(config.addr, "127.0.0.1:0");
-        assert_eq!(config.topology.num_sockets(), 8);
         assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.cell_capacity, 4096);
         assert_eq!(config.pool, 1);
@@ -1309,7 +1306,7 @@ mod tests {
             let fixtures = sweeps.map(|spec| {
                 let sweep = spec.resolve().unwrap();
                 let plan = sweep
-                    .experiment(Topology::bullion_s16(), Arc::clone(&specs))
+                    .experiment(numadag_numa::Topology::bullion_s16(), Arc::clone(&specs))
                     .plan();
                 let cell_keys = cell_keys(&plan, &sweep, &specs, 8);
                 let executor = plan.executor();

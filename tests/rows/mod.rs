@@ -14,7 +14,7 @@ pub(crate) const FULL: &str = include_str!("../../BENCH_figure1_full.json");
 pub(crate) const FULL_ARGS: &str = "--scale full --policies dfifo,rgp-las,rgp-las:prop=repart,ep";
 
 /// The committed report of a sweep at `scale`.
-fn baseline(scale: &str) -> String {
+fn committed(scale: &str) -> String {
     match scale {
         "tiny" => TINY,
         "full" => FULL,
@@ -78,5 +78,5 @@ pub(crate) fn figure1(
         }
         None => plan.execute(jobs),
     };
-    (plan, report, baseline(&spec.scale))
+    (plan, report, committed(&spec.scale))
 }

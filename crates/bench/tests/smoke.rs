@@ -85,6 +85,9 @@ fn malformed_arguments_exit_2() {
         &["--policies", ""],
         &["--policies", "rgp-las:anchor=deps"],
         &["--trace-dir"],
+        &["--backend", "proc:w=0"],
+        &["--backend", "proc:w=x"],
+        &["--backend", "gpu"],
     ];
     for args in figure1_cases {
         let out = Command::new(env!("CARGO_BIN_EXE_figure1"))
@@ -116,6 +119,7 @@ fn malformed_arguments_exit_2() {
         &["bench-diff", "a.json", "b.json", "c.json"],
         &["bench-diff", "/nonexistent/a.json", "/nonexistent/b.json"],
         &["hotpath-diff", "a.json", "b.json"],
+        &["--backend", "proc:w=0"],
     ];
     for args in ablation_cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ablation"))
@@ -242,6 +246,43 @@ fn figure1_on_the_proc_backend_writes_the_tiny_baseline() {
     assert!(stdout.contains("(2 lanes)"), "{stdout}");
     assert_eq!(stdout.matches("lanes").count(), 1, "{stdout}");
     assert!(!stdout.contains("jobs"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `figure1 --backend proc:w=3` spawns the pool size it names: three
+/// workers, all alive, and the report is still the Tiny baseline.
+#[test]
+fn figure1_on_three_proc_workers_writes_the_tiny_baseline() {
+    let dir = std::env::temp_dir().join(format!("numadag_proc3_smoke_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json_path = dir.join("proc3.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_figure1"))
+        .args([
+            "--scale",
+            "tiny",
+            "--backend",
+            "proc:w=3",
+            "--jobs",
+            "1",
+            "--json",
+        ])
+        .arg(&json_path)
+        .output()
+        .expect("figure1 must spawn");
+    assert!(
+        out.status.success(),
+        "figure1 exited with {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let baseline = include_str!("../../../BENCH_figure1_tiny.json");
+    let json = std::fs::read_to_string(&json_path).expect("--json must write the file");
+    assert!(json == baseline, "the proc report moved the Tiny baseline");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("workers_spawned=3 workers_alive=3"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -440,6 +440,7 @@ fn main() {
     let mut which: Option<String> = None;
     let mut jobs = 1usize;
     let mut backend = Backend::default();
+    let mut pool_workers = None;
     let mut trace_scale: Option<ProblemScale> = None;
     let mut i = 0;
     while i < args.len() {
@@ -461,11 +462,16 @@ fn main() {
             }
             "--backend" => {
                 i += 1;
-                match args.get(i).map(|s| s.parse()) {
-                    Some(Ok(parsed)) => backend = parsed,
-                    Some(Err(e)) => usage_error(e),
-                    None => usage_error("--backend needs a value".to_string()),
-                }
+                let Some(value) = args.get(i) else {
+                    usage_error("--backend needs a value".to_string())
+                };
+                // A proc pool runs simulated sweeps.
+                pool_workers =
+                    numadag_bench::proc_workers(value).unwrap_or_else(|e| usage_error(e));
+                backend = match pool_workers {
+                    Some(_) => Backend::Simulated,
+                    None => value.parse().unwrap_or_else(|e: String| usage_error(e)),
+                };
             }
             "--scale" => {
                 i += 1;
@@ -500,7 +506,7 @@ fn main() {
         jobs,
         backend,
         specs: Arc::new(SpecCache::new()),
-        pool: spawn_proc_pool(backend),
+        pool: pool_workers.map(spawn_proc_pool),
     };
     match which.as_str() {
         "window" => window_ablation(&study),

@@ -15,8 +15,8 @@
 //! except that Figure 1 runs at Full scale. A policy named twice is one
 //! column.
 //!
-//! `--backend proc` runs every cell in worker *processes* (the
-//! `numadag-proc` coordinator; `proc:w=N` picks the pool size, default 2).
+//! `--backend proc` (read here, not by the grammar) runs every cell in worker
+//! *processes* (`numadag-proc`; `proc:w=N` picks the pool size, default 2).
 //! Workers execute the same deterministic simulator, so the measurement
 //! report is byte-identical to `--backend simulated` — the pool's dispatch
 //! counters are printed after the sweep.
@@ -86,6 +86,7 @@ fn default_sweep() -> SweepSpec {
 /// What the command line asks for.
 struct Args {
     sweep: ResolvedSweep,
+    proc_workers: Option<usize>,
     jobs: usize,
     json_path: Option<String>,
     json_timing_path: Option<String>,
@@ -94,7 +95,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut spec = default_sweep();
-    let mut jobs = 1;
+    let (mut jobs, mut proc_workers) = (1, None);
     let (mut json_path, mut json_timing_path, mut trace_dir) = (None, None, None);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -107,6 +108,13 @@ fn parse_args() -> Args {
             "--json" => json_path = Some(flag_value(&args, i).to_string()),
             "--json-timing" => json_timing_path = Some(flag_value(&args, i).to_string()),
             "--trace-dir" => trace_dir = Some(flag_value(&args, i).to_string()),
+            // A proc pool runs the simulated sweep.
+            "--backend" => {
+                let value = flag_value(&args, i);
+                proc_workers =
+                    numadag_bench::proc_workers(value).unwrap_or_else(|e| usage_error(e));
+                spec.backend = proc_workers.map_or(value, |_| "simulated").to_string();
+            }
             // Figure 1 is the whole suite: every sweep flag but this one.
             "--apps" => usage_error("unknown argument \"--apps\"".to_string()),
             flag => {
@@ -119,6 +127,7 @@ fn parse_args() -> Args {
     }
     Args {
         sweep: spec.resolve().unwrap_or_else(|e| usage_error(e)),
+        proc_workers,
         jobs,
         json_path,
         json_timing_path,
@@ -170,6 +179,7 @@ fn main() {
     numadag_proc::maybe_run_worker();
     let Args {
         sweep,
+        proc_workers,
         jobs,
         json_path,
         json_timing_path,
@@ -177,7 +187,7 @@ fn main() {
     } = parse_args();
     // The proc backend's pool is this run's: spawned up front, held past
     // the sweep so its stats can be reported after it.
-    let proc_pool = spawn_proc_pool(sweep.backend);
+    let proc_pool = proc_workers.map(spawn_proc_pool);
     if sweep.backend == Backend::Threaded && jobs != 1 {
         eprintln!(
             "warning: --jobs {jobs} with the threaded backend runs that many thread \
@@ -192,7 +202,7 @@ fn main() {
         "# Figure 1 — speedup over LAS on {} ({:?} scale, {} backend)\n",
         topology.name(),
         sweep.scale,
-        sweep.backend.label(),
+        proc_pool.as_ref().map_or(sweep.backend.label(), |_| "proc"),
     );
 
     let collector = trace_dir.as_ref().map(|_| Arc::new(TraceCollector::new()));

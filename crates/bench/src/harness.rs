@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use numadag_proc::{PoolConfig, ProcExecutor, WorkerPool};
-use numadag_runtime::{Backend, CellProgress, SweepPlan, SweepReport};
+use numadag_runtime::{CellProgress, SweepPlan, SweepReport};
 use numadag_trace::Trace;
 
 /// Parses a `--jobs` CLI value (shared by both bins so their error handling
@@ -21,20 +21,33 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
         .map_err(|_| format!("--jobs needs an unsigned integer, got {value:?}"))
 }
 
-/// Spawns the worker pool of a `--backend proc` run, which the binary
-/// owns for the whole run; `None` for the in-process backends. A pool that
-/// cannot start ends the process with exit code 1.
-pub fn spawn_proc_pool(backend: Backend) -> Option<Arc<WorkerPool>> {
-    let Backend::Proc { workers } = backend else {
-        return None;
+/// Reads a `--backend` value as the worker count of a proc pool: `proc`,
+/// `process` and `processes` are 2 workers, `proc:w=N` and
+/// `proc:workers=N` are N (at least 1). Any other value is `None`, a
+/// backend of the sweep grammar.
+pub fn proc_workers(value: &str) -> Result<Option<usize>, String> {
+    let text = value.trim().to_ascii_lowercase();
+    let Some(count) = text
+        .strip_prefix("proc:w=")
+        .or_else(|| text.strip_prefix("proc:workers="))
+    else {
+        return Ok(matches!(text.as_str(), "proc" | "process" | "processes").then_some(2));
     };
-    match WorkerPool::spawn(PoolConfig::new(workers)) {
-        Ok(pool) => Some(pool),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    match count.parse() {
+        Ok(0) => Err("proc backend needs at least 1 worker".to_string()),
+        Ok(workers) => Ok(Some(workers)),
+        Err(_) => Err(format!("invalid proc worker count {count:?}")),
     }
+}
+
+/// Spawns the `workers` processes of a `--backend proc` run's pool, which
+/// the binary owns for the whole run. A pool that cannot start ends the
+/// process with exit code 1.
+pub fn spawn_proc_pool(workers: usize) -> Arc<WorkerPool> {
+    WorkerPool::spawn(PoolConfig::new(workers)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Executes `plan` on `jobs` lanes: with a `pool`, on its workers through
@@ -192,6 +205,23 @@ mod tests {
         assert_eq!(trace.workload, "NStream");
         trace.validate().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn proc_spellings_are_worker_counts() {
+        for (value, workers) in [
+            ("proc", Some(2)),
+            ("Processes", Some(2)),
+            ("proc:w=3", Some(3)),
+            ("proc:workers=1", Some(1)),
+            ("simulated", None),
+            ("gpu", None),
+        ] {
+            assert_eq!(proc_workers(value), Ok(workers), "{value}");
+        }
+        for value in ["proc:w=0", "proc:w=x", "proc:workers=-1"] {
+            assert!(proc_workers(value).is_err(), "{value}");
+        }
     }
 
     #[test]

@@ -11,5 +11,6 @@
 mod harness;
 
 pub use harness::{
-    execute, paper_reference, parse_jobs, spawn_proc_pool, stderr_progress, write_trace_dir,
+    execute, paper_reference, parse_jobs, proc_workers, spawn_proc_pool, stderr_progress,
+    write_trace_dir,
 };

@@ -230,7 +230,6 @@ impl RgpPolicy {
         let cfg = PartitionTuning {
             scheme: self.tuning.scheme.unwrap_or_default(),
             refine_passes: self.tuning.passes,
-            ..PartitionTuning::default()
         }
         .config_for(num_sockets, seed);
         let anchor = if self.tuning.prop == Propagation::Repartition {

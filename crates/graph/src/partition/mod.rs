@@ -35,9 +35,10 @@
 //! vertex×part connectivity table (see `refine::GainTable`) updated in
 //! `O(deg)` per move instead of allocating a per-visit connectivity vector.
 //!
-//! Higher layers configure the partitioner through [`PartitionTuning`], the
-//! `num_parts`-agnostic subset of [`PartitionConfig`] that policies (RGP)
-//! fill from their knobs and materialise once the socket count is known.
+//! Higher layers configure the partitioner through [`PartitionTuning`]:
+//! the scheme and refinement passes that policies (RGP) fill from their
+//! knobs, materialised into a [`PartitionConfig`] once the socket count is
+//! known.
 //!
 //! *Anchored* partitioning ([`partition_anchored`]) extends every scheme
 //! with per-vertex socket-affinity terms ([`AffinityCosts`]): bytes a vertex
@@ -228,44 +229,25 @@ impl PartitionConfig {
 /// The `num_parts`-agnostic partitioner knobs of higher layers: RGP fills
 /// one from its label's knobs and, once the socket count is known,
 /// [`PartitionTuning::config_for`] turns it into a full [`PartitionConfig`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PartitionTuning {
-    /// Allowed load imbalance of the partition.
-    pub imbalance: f64,
     /// Partitioning scheme.
     pub scheme: PartitionScheme,
     /// Refinement passes per level (`None` keeps the
     /// [`PartitionConfig::new`] default).
     pub refine_passes: Option<usize>,
-    /// Coarsening stop threshold (`None` keeps the `num_parts`-derived
-    /// default).
-    pub coarsen_until: Option<usize>,
-}
-
-impl Default for PartitionTuning {
-    fn default() -> Self {
-        PartitionTuning {
-            imbalance: 0.10,
-            scheme: PartitionScheme::default(),
-            refine_passes: None,
-            coarsen_until: None,
-        }
-    }
 }
 
 impl PartitionTuning {
     /// Materialises a full [`PartitionConfig`] once the part count and seed
-    /// are known.
+    /// are known; imbalance and coarsening keep [`PartitionConfig::new`]'s
+    /// defaults.
     pub fn config_for(&self, num_parts: usize, seed: u64) -> PartitionConfig {
         let mut config = PartitionConfig::new(num_parts)
             .with_seed(seed)
-            .with_imbalance(self.imbalance)
             .with_scheme(self.scheme);
         if let Some(passes) = self.refine_passes {
             config.refine_passes = passes;
-        }
-        if let Some(until) = self.coarsen_until {
-            config.coarsen_until = until;
         }
         config
     }
@@ -618,19 +600,18 @@ mod tests {
     #[test]
     fn tuning_materialises_config() {
         let tuning = PartitionTuning {
-            imbalance: 0.05,
             scheme: PartitionScheme::RecursiveBisection,
             refine_passes: Some(3),
-            coarsen_until: None,
         };
         let cfg = tuning.config_for(8, 42);
         assert_eq!(cfg.num_parts, 8);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.imbalance, 0.05);
         assert_eq!(cfg.scheme, PartitionScheme::RecursiveBisection);
         assert_eq!(cfg.refine_passes, 3);
-        // Unset knobs keep the num_parts-derived defaults.
-        assert_eq!(cfg.coarsen_until, PartitionConfig::new(8).coarsen_until);
+        // The knobs no tuning sets keep the num_parts-derived defaults.
+        let defaults = PartitionConfig::new(8);
+        assert_eq!(cfg.imbalance, defaults.imbalance);
+        assert_eq!(cfg.coarsen_until, defaults.coarsen_until);
     }
 
     #[test]

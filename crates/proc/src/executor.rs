@@ -10,16 +10,16 @@ use numadag_tdg::TaskGraphSpec;
 use crate::pool::{WireConfig, WorkerPool};
 
 /// The multi-process backend: ships sweep cells to the workers of a pool
-/// its caller spawned and owns, and re-labels the reports they send back.
+/// its caller spawned and owns.
 ///
 /// A worker runs only what it can build: a cell over a paper kernel ships
 /// as its recipe, and any other cell (a custom graph, or one without a
 /// [`CellContext`]) runs here, in the executor's own [`Simulator`].
 /// Workers run that same deterministic simulator over the same spec,
 /// policy and seed, so a proc-backend report is byte-identical to a
-/// simulator report of the same cell wherever it ran — which is why the
-/// backend reports its measurements under the `"simulator"` label (see
-/// `numadag_runtime::Backend::report_label`).
+/// simulator report of the same cell wherever it ran — which is why a
+/// simulated plan run on it with `numadag_runtime::SweepPlan::execute_on`
+/// reports under the `"simulator"` label.
 pub struct ProcExecutor {
     config: WireConfig,
     pool: Arc<WorkerPool>,

@@ -44,9 +44,9 @@
 //! The caller owns the pool: [`WorkerPool::spawn`] (or
 //! [`WorkerPool::launch`]) starts the workers, [`ProcExecutor::with_pool`]
 //! wraps the pool for one execution config, and the sweep runs on it with
-//! `numadag_runtime::SweepPlan::execute_on` (reported as `"simulator"`,
-//! the plan's label for `Backend::Proc`) or
-//! `numadag_runtime::Experiment::run_on` (reported as `"proc"`). Executors
+//! `numadag_runtime::SweepPlan::execute_on` (reported under the plan's
+//! backend, `"simulator"`) or `numadag_runtime::Experiment::run_on`
+//! (reported as `"proc"`). Executors
 //! of several configs can share one pool, and the workers shut down when
 //! the last `Arc` of it drops. A binary that spawns workers calls
 //! [`maybe_run_worker`] first thing in `main`, so the re-exec'd children

@@ -596,8 +596,8 @@ fn a_sweep_keeps_both_workers_of_its_pool_busy() {
 }
 
 /// Two sweeps with different seeds, one after the other on one warm pool,
-/// each on the executor its plan's config makes (as `Backend::Proc`'s
-/// factory is handed it, seed included). The seed does not travel, so both
+/// each on the executor its plan's config makes (as `figure1 --backend
+/// proc` builds it, seed included). The seed does not travel, so both
 /// sweeps are one config epoch: each worker is configured once, not once
 /// per sweep.
 #[test]

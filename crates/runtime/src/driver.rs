@@ -158,9 +158,7 @@ impl SweepPlan {
     /// the one [`SweepPlan::execute`] runs every lane on, exposed so a
     /// caller can run cells through [`SweepPlan::run_cell`] on an executor
     /// it owns and reuses across cells. The executor of a traced plan
-    /// returns every cell's events with that cell's report. A
-    /// [`Backend::Proc`](crate::Backend) plan has none (this panics): run it
-    /// with [`SweepPlan::execute_on`].
+    /// returns every cell's events with that cell's report.
     pub fn executor(&self) -> Box<dyn Executor> {
         self.backend.executor(self.config.clone())
     }
@@ -208,9 +206,10 @@ impl SweepPlan {
     /// [`SweepPlan::execute`] with every lane sharing `executor`, one the
     /// caller owns (a `numadag_proc::ProcExecutor` on the caller's pool,
     /// whose live workers raise the lane count). The report names its
-    /// machine and the plan's backend: a proc plan reports as `"simulator"`.
+    /// machine and the plan's backend: a simulated plan on proc workers
+    /// reports as `"simulator"`.
     pub fn execute_on(&self, executor: &dyn Executor, jobs: usize) -> SweepReport {
-        self.share(executor, jobs, self.backend.report_label())
+        self.share(executor, jobs, self.backend.label())
     }
 
     /// The one lane loop, of [`SweepPlan::execute_on`] and
@@ -304,7 +303,7 @@ impl SweepPlan {
     /// # Panics
     /// Panics if `index >= self.num_jobs()`.
     pub fn run_cell(&self, index: usize, executor: &dyn Executor) -> CellOutcome {
-        let backend = self.backend.report_label();
+        let backend = self.backend.label();
         run_job(self, &self.jobs[index], executor, None, backend)
     }
 
@@ -335,7 +334,7 @@ impl SweepPlan {
             self,
             outcomes,
             self.config.topology.name(),
-            self.backend.report_label(),
+            self.backend.label(),
             workers,
             total_wall,
         )

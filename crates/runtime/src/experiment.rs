@@ -64,56 +64,22 @@ pub enum Backend {
     /// The real work-stealing thread pool (placement and traffic statistics
     /// only; wall-clock makespans depend on the host machine).
     Threaded,
-    /// The multi-process message-passing coordinator (`numadag-proc`):
-    /// sweep cells over the paper's kernels are shipped over local-socket
-    /// JSON IPC to worker processes, which build each spec from its recipe
-    /// and run the deterministic simulator; cells over a custom workload
-    /// run in the coordinator's own simulator. Its executor runs on a pool
-    /// the caller owns: see [`SweepPlan::execute_on`].
-    Proc {
-        /// Number of worker processes to spawn.
-        workers: usize,
-    },
 }
 
 impl Backend {
-    /// Stable name, matching [`Executor::backend_name`]. The proc backend's
-    /// label is `"proc"` for every worker count — the pool size is an
-    /// execution detail, not part of the sweep's identity.
+    /// Stable name, matching [`Executor::backend_name`].
     pub fn label(&self) -> &'static str {
         match self {
             Backend::Simulated => "simulator",
             Backend::Threaded => "threaded",
-            Backend::Proc { .. } => "proc",
-        }
-    }
-
-    /// Backend name to record in measurement reports.
-    ///
-    /// The proc backend distributes cells to worker processes that each run
-    /// the deterministic [`Simulator`], so its measurements *are* simulator
-    /// measurements — reports label them `"simulator"` and stay
-    /// byte-identical to in-process simulator baselines. The other backends
-    /// report their own [`Backend::label`].
-    pub(crate) fn report_label(&self) -> &'static str {
-        match self {
-            Backend::Proc { .. } => Backend::Simulated.label(),
-            other => other.label(),
         }
     }
 
     /// Builds the executor for this backend.
-    ///
-    /// # Panics
-    /// Panics for [`Backend::Proc`], whose executor the pool's owner builds.
     pub fn executor(&self, config: ExecutionConfig) -> Box<dyn Executor> {
         match self {
             Backend::Simulated => Box::new(Simulator::new(config)),
             Backend::Threaded => Box::new(ThreadedExecutor::new(config)),
-            Backend::Proc { .. } => panic!(
-                "build a proc executor with ProcExecutor::with_pool on a pool you own \
-                 and run the plan with SweepPlan::execute_on"
-            ),
         }
     }
 }
@@ -122,26 +88,11 @@ impl std::str::FromStr for Backend {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let text = s.trim().to_ascii_lowercase();
-        if let Some(count) = text
-            .strip_prefix("proc:w=")
-            .or_else(|| text.strip_prefix("proc:workers="))
-        {
-            let workers: usize = count
-                .parse()
-                .map_err(|_| format!("invalid proc worker count {count:?}"))?;
-            if workers == 0 {
-                return Err("proc backend needs at least 1 worker".to_string());
-            }
-            return Ok(Backend::Proc { workers });
-        }
-        match text.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "sim" | "simulated" | "simulator" => Ok(Backend::Simulated),
             "thread" | "threads" | "threaded" => Ok(Backend::Threaded),
-            "proc" | "process" | "processes" => Ok(Backend::Proc { workers: 2 }),
             other => Err(format!(
-                "unknown backend {other:?} (expected \"simulated\", \"threaded\", \
-                 \"proc\" or \"proc:w=N\")"
+                "unknown backend {other:?} (expected \"simulated\" or \"threaded\")"
             )),
         }
     }
@@ -798,34 +749,14 @@ mod tests {
 
     #[test]
     fn backend_labels_parse_back() {
-        for backend in [
-            Backend::Simulated,
-            Backend::Threaded,
-            Backend::Proc { workers: 2 },
-        ] {
+        for backend in [Backend::Simulated, Backend::Threaded] {
             assert_eq!(backend.label().parse::<Backend>(), Ok(backend));
         }
         assert!("gpu".parse::<Backend>().is_err());
-    }
-
-    #[test]
-    fn proc_backend_parses_worker_counts_and_reports_as_simulator() {
-        assert_eq!("proc".parse::<Backend>(), Ok(Backend::Proc { workers: 2 }));
-        assert_eq!(
-            "proc:w=4".parse::<Backend>(),
-            Ok(Backend::Proc { workers: 4 })
-        );
-        assert_eq!(
-            "proc:workers=3".parse::<Backend>(),
-            Ok(Backend::Proc { workers: 3 })
-        );
-        assert!("proc:w=0".parse::<Backend>().is_err());
-        assert!("proc:w=x".parse::<Backend>().is_err());
-        // Proc workers run the deterministic simulator, so measurement
-        // reports carry the simulator label and stay baseline-compatible.
-        assert_eq!(Backend::Proc { workers: 2 }.label(), "proc");
-        assert_eq!(Backend::Proc { workers: 2 }.report_label(), "simulator");
-        assert_eq!(Backend::Threaded.report_label(), "threaded");
-        assert_eq!(Backend::Simulated.report_label(), "simulator");
+        // A proc pool is its owner's executor, not a backend a plan names.
+        for spelling in ["proc", "proc:w=4", "processes"] {
+            let error = spelling.parse::<Backend>().unwrap_err();
+            assert!(error.contains("\"threaded\")"), "{error}");
+        }
     }
 }

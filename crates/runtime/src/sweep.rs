@@ -38,9 +38,7 @@ pub struct SweepSpec {
     /// Comma-separated policy labels in registry grammar
     /// (`"dfifo,rgp-las:w=512,ep"`). The LAS baseline always runs.
     pub policies: String,
-    /// Execution backend: `simulated`, `threaded`, `proc` or `proc:w=N`
-    /// (the multi-process backend, whose worker pool the caller spawns and
-    /// runs the plan on with [`crate::SweepPlan::execute_on`]).
+    /// Execution backend: `simulated` or `threaded`.
     pub backend: String,
     /// Seed for all seeded components: any `u64`, a plain number on the
     /// wire.
@@ -210,7 +208,7 @@ mod tests {
             (&["--policies", "bogus"], "unknown policy"),
             (&["--policies", "rgp-las:anchor=deps"], "needs prop=repart"),
             (&["--backend", "gpu"], "gpu"),
-            (&["--backend", "proc:w=0"], "worker"),
+            (&["--backend", "proc"], "proc"),
             (&["--apps", "fft"], "fft"),
             (&["--no-such-flag"], "unknown argument"),
         ];

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! numadag-serve [--addr HOST:PORT] [--pool N] [--cache-capacity N]
-//!               [--cell-capacity N] [--batch-cells N]
-//!               [--max-queued-cells N] [--max-active-jobs N]
-//!               [--port-file PATH] [--cache-file PATH]
+//!               [--cell-capacity N] [--max-queued-cells N]
+//!               [--max-active-jobs N] [--port-file PATH] [--cache-file PATH]
 //! ```
 //!
 //! Binds the listener (port 0 picks an ephemeral port), prints the actual
@@ -18,7 +17,8 @@
 //! previous run's sweeps with `cache_hit=true` without executing a cell.
 //!
 //! The daemon runs the simulated backend only: a submission that asks for
-//! `threaded` or `proc` gets a structured error, and the daemon serves on.
+//! `threaded` gets a structured error, and the daemon serves on. A pool
+//! worker runs one workload's novel cells per batch.
 
 use numadag_serve::server::{serve, ServeConfig};
 
@@ -26,7 +26,7 @@ fn usage_error(message: String) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: numadag-serve [--addr HOST:PORT] [--pool N] \
-         [--cache-capacity N] [--cell-capacity N] [--batch-cells N] \
+         [--cache-capacity N] [--cell-capacity N] \
          [--max-queued-cells N] [--max-active-jobs N] [--port-file PATH] \
          [--cache-file PATH]"
     );
@@ -62,7 +62,6 @@ fn main() {
             "--pool" => config.pool = positive(&args, i),
             "--cache-capacity" => config.cache_capacity = positive(&args, i),
             "--cell-capacity" => config.cell_capacity = positive(&args, i),
-            "--batch-cells" => config.batch_cells = positive(&args, i),
             "--max-queued-cells" => config.max_queued_cells = positive(&args, i),
             "--max-active-jobs" => config.max_active_jobs = positive(&args, i),
             "--port-file" => port_file = Some(flag_value(&args, i).to_string()),

@@ -732,7 +732,7 @@ mod tests {
     }
 
     /// The sweeps of [`GOLDEN_KEYS`], in its order.
-    fn golden_specs() -> [SweepSpec; 6] {
+    fn golden_specs() -> [SweepSpec; 5] {
         let policies = |policies: &str| SweepSpec {
             policies: policies.to_string(),
             ..SweepSpec::default()
@@ -749,10 +749,6 @@ mod tests {
                 reps: 2,
                 ..SweepSpec::default()
             },
-            SweepSpec {
-                backend: "proc".to_string(),
-                ..SweepSpec::default()
-            },
         ]
     }
 
@@ -763,7 +759,7 @@ mod tests {
     /// table of commit 2530d38: the new keys map one to one onto the old,
     /// so the same cells share a key as before.
     #[rustfmt::skip]
-    const GOLDEN_KEYS: [(u64, &[u64]); 6] = [
+    const GOLDEN_KEYS: [(u64, &[u64]); 5] = [
         (0xdd56c3586f2feddc, &[
             0x1f6183c0bb2b7263, 0xfca62a93d5464235, 0x2b080ef95edbef4b, 0x4cacd9bec846e38e,
             0x0bf123ac3286235f, 0x4caef7de4a70237b, 0xc04cf080862e119d, 0xdbf783a689bb3e40,
@@ -815,16 +811,6 @@ mod tests {
             0x8f18865dbe28473d, 0xc7a2dd1d4bb0e7ce, 0x243cbd3a752742c1, 0x22f801726cd4c1fa,
             0x9ef97df62e81d213, 0xd31ef75b565ed321, 0x5f0e58beabe1c9d4, 0xbd13e25408d114f5,
             0xeea640a383ff83c1, 0x0b42b6c31b7abdb7, 0xe6655376294ba265, 0x646b08357aef86e3,
-        ]),
-        (0x1570fa24f97e5af4, &[
-            0x2369ceadc0231007, 0xd76c71ca5e3c81ab, 0xcfbfcf4716eb8c0d, 0x5c223031c7709341,
-            0x8373a7fd335b3d93, 0x389938c308c4280b, 0xd1dc61f61a521d22, 0x15ac7235f4811647,
-            0xce37b8e9c4e342a7, 0x0ce42e5cea849ade, 0xa66350f048f18deb, 0xc9ba003a4cba1c9e,
-            0x478cc28d8d61ba40, 0x2893e31a713a2da3, 0x3b82288975ae6709, 0xc59232aae0726b9a,
-            0x86b16a4e387df961, 0xf6c760cad7ec6d8d, 0xcb604d3c17b3ff13, 0x841670bea58e4c76,
-            0xf9eaad2d12ef2b6f, 0x8373c82d283964d4, 0xbc86031bbd9a668f, 0xd2242f7bafd34a7e,
-            0x67987a625b3f0070, 0x42401ad90be8e77c, 0xb125a96f419c25d4, 0xc9d6d6da4f0d6500,
-            0x6e17139b9157e727, 0xb55592c1b1cfdca2, 0x5af24a355e138391, 0x5acd831930cc3c71,
         ]),
     ];
 

@@ -14,19 +14,18 @@
 //!    connection survives (the service analogue of the bins' exit-2 usage
 //!    convention).
 //! 2. **admit.** `SubmitSweep` resolves the spec through the CLI grammar
-//!    (refusing every backend but the simulator: the threaded backend's
-//!    wall-clock makespans the pool would measure under contention and the
-//!    caches would replay, and a proc sweep's bytes are the simulated ones
-//!    while its worker pool would be one more thing for the daemon to own) and
+//!    (refusing the threaded backend, whose wall-clock makespans the pool
+//!    would measure under contention and the caches would replay) and
 //!    admits its canonical fingerprint: onto an identical live job
 //!    (coalesced), from the report cache (a byte-identical hit, nothing
 //!    planned), or, for a novel key, back with "needs a plan". The handler
 //!    plans the sweep, keys each cell
 //!    (`crate::protocol::cell_fingerprint`) and admits again: cells an
 //!    earlier sweep of any shape executed hydrate from the `CellCache`,
-//!    and only the novel ones are queued, in batches — unless that would
-//!    exceed a quota, which bounces with `Overloaded`. The handler then
-//!    forwards the job's `Progress` (when streaming) and terminal lines.
+//!    and only the novel ones are queued, one batch per workload — unless
+//!    that would exceed a quota, which bounces with `Overloaded`. The
+//!    handler then forwards the job's `Progress` (when streaming) and
+//!    terminal lines.
 //! 3. **take.** A pool worker takes one batch from the job at the front of
 //!    the rotation, so a tiny sweep keeps moving while a Full one runs.
 //! 4. **resolve.** Each cell resolves from the cell cache (another job may
@@ -85,12 +84,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Cell-cache capacity in cell outcomes (LRU evicts beyond this).
     pub cell_capacity: usize,
-    /// Pool worker threads executing cell batches (minimum 1). Every worker
-    /// runs its cells on the daemon's one simulator.
+    /// Pool worker threads executing cell batches, one workload's novel
+    /// cells each (minimum 1). Every worker runs its cells on the daemon's
+    /// one simulator.
     pub pool: usize,
-    /// Cells a worker takes from a job per rotation turn (minimum 1):
-    /// smaller batches are fairer, larger ones amortize locking.
-    pub batch_cells: usize,
     /// Admission quota: a submission whose novel cells would push the pool
     /// queue beyond this bounces with `Overloaded`.
     pub max_queued_cells: usize,
@@ -112,7 +109,6 @@ impl Default for ServeConfig {
             cache_capacity: 64,
             cell_capacity: 4096,
             pool: 1,
-            batch_cells: 4,
             max_queued_cells: 4096,
             max_active_jobs: 64,
             cache_file: None,
@@ -295,7 +291,6 @@ enum Resolved {
 struct State {
     max_active_jobs: usize,
     max_queued_cells: usize,
-    batch_cells: usize,
     /// Set by [`State::close`]: nothing is admitted or taken after it.
     closed: bool,
     next_job: u64,
@@ -323,7 +318,6 @@ impl State {
         State {
             max_active_jobs: config.max_active_jobs,
             max_queued_cells: config.max_queued_cells,
-            batch_cells: config.batch_cells,
             closed: false,
             next_job: 1,
             active: VecDeque::new(),
@@ -388,16 +382,18 @@ impl State {
         self.stats.jobs_submitted += 1;
         self.stats.cells_hydrated_total += hydrated as u64;
         self.queued_cells += novel.len();
+        // One batch per workload: the plan is workload-major.
+        let pending = novel
+            .chunk_by(|&a, &b| plan.job_at(a).workload == plan.job_at(b).workload)
+            .map(<[usize]>::to_vec)
+            .collect();
         let mut job = Job {
             key,
             state: JobState::Queued,
             plan,
             cell_keys,
             outcomes,
-            pending: novel
-                .chunks(self.batch_cells)
-                .map(<[usize]>::to_vec)
-                .collect(),
+            pending,
             executed: 0,
             hydrated,
             subscribers: vec![subscriber.clone()],
@@ -820,7 +816,6 @@ pub fn serve_with_specs(
     specs: Arc<SpecCache>,
 ) -> std::io::Result<ServeHandle> {
     config.pool = config.pool.max(1);
-    config.batch_cells = config.batch_cells.max(1);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let mut cache = ReportCache::new(config.cache_capacity);
@@ -964,11 +959,6 @@ pub const THREADED_REFUSAL: &str = "the service does not run the threaded backen
      makespans are wall-clock, so cells beside the pool's others would measure the \
      contention and the caches would replay it (run figure1 --backend threaded --jobs 1)";
 
-/// Why a `backend: proc` submission is refused.
-pub const PROC_REFUSAL: &str = "the service does not run the proc backend: a proc sweep's \
-     report is the simulated one byte for byte, so submit it as simulated (or run \
-     figure1 --backend proc, which owns its worker pool)";
-
 /// Admits a submission and forwards its responses; returns false when the
 /// connection died.
 fn handle_submit(
@@ -980,7 +970,6 @@ fn handle_submit(
     let resolved = spec.resolve().and_then(|resolved| match resolved.backend {
         Backend::Simulated => Ok(resolved),
         Backend::Threaded => Err(THREADED_REFUSAL.to_string()),
-        Backend::Proc { .. } => Err(PROC_REFUSAL.to_string()),
     });
     let resolved = match resolved {
         Ok(resolved) => resolved,
@@ -1119,7 +1108,6 @@ mod tests {
         assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.cell_capacity, 4096);
         assert_eq!(config.pool, 1);
-        assert_eq!(config.batch_cells, 4);
         assert_eq!(config.max_queued_cells, 4096);
         assert_eq!(config.max_active_jobs, 64);
         assert_eq!(config.cache_file, None);
@@ -1531,7 +1519,6 @@ mod tests {
             let config = ServeConfig {
                 cache_capacity: 2,
                 cell_capacity: 16,
-                batch_cells: 3,
                 max_queued_cells: 12,
                 max_active_jobs: 2,
                 ..ServeConfig::default()

@@ -12,9 +12,7 @@ use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_serve::client::{ClientError, ServeClient};
 use numadag_serve::protocol::{Request, Response, SweepSpec, DEFAULT_POLICIES};
-use numadag_serve::server::{
-    serve, serve_with_specs, ServeConfig, JOB_HISTORY, PROC_REFUSAL, THREADED_REFUSAL,
-};
+use numadag_serve::server::{serve, serve_with_specs, ServeConfig, JOB_HISTORY, THREADED_REFUSAL};
 
 fn tiny_spec() -> SweepSpec {
     SweepSpec {
@@ -178,9 +176,9 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
 }
 
 /// The service runs the simulator only. The threaded backend's makespans
-/// are wall-clock, and a proc sweep's report is the simulated one: each is
-/// refused with a structured error, caches nothing, and the daemon serves
-/// the next sweep.
+/// are wall-clock, and `proc` is no backend of the sweep grammar (a pool is
+/// `figure1`'s): each is refused with a structured error, caches nothing,
+/// and the daemon serves the next sweep.
 #[test]
 fn a_threaded_submission_is_refused_and_nothing_is_cached() {
     // One pool worker: a submission that reached it and wedged it would
@@ -194,16 +192,18 @@ fn a_threaded_submission_is_refused_and_nothing_is_cached() {
     // it fails with `ClientError::Timeout` instead of waiting.
     let addr = handle.addr().to_string();
     let mut client = ServeClient::connect_with_timeout(&addr, Duration::from_secs(5)).unwrap();
+    let spec_of = |backend: &str| SweepSpec {
+        backend: backend.to_string(),
+        ..SweepSpec::default()
+    };
+    let grammar = |backend: &str| spec_of(backend).resolve().expect_err(backend);
     for (backend, refusal) in [
-        ("threaded", THREADED_REFUSAL),
-        ("proc", PROC_REFUSAL),
-        ("proc:w=3", PROC_REFUSAL),
+        ("threaded", THREADED_REFUSAL.to_string()),
+        ("proc", grammar("proc")),
+        ("proc:w=3", grammar("proc:w=3")),
     ] {
-        let spec = SweepSpec {
-            backend: backend.to_string(),
-            ..SweepSpec::default()
-        };
-        match client.submit(spec, false, |_| ()) {
+        assert!(refusal.contains(backend), "{backend}: {refusal}");
+        match client.submit(spec_of(backend), false, |_| ()) {
             Err(ClientError::Server(message)) => assert_eq!(message, refusal, "{backend}"),
             other => panic!("{backend}: expected a structured error, got {other:?}"),
         }
@@ -324,21 +324,18 @@ fn status_tracks_jobs_and_cancel_rejects_finished_or_unknown_ones() {
 
 #[test]
 fn cancelling_a_sweep_mid_flight_frees_its_queued_cells() {
-    // A batch bigger than the busy sweep: the single worker takes the whole
-    // busy sweep as one batch, so the doomed sweep deterministically stays
-    // queued until the cancel lands.
-    let handle = serve(ServeConfig {
-        batch_cells: 1024,
-        ..ServeConfig::default()
-    })
-    .unwrap();
+    // A batch is one workload's cells: the single worker takes the whole
+    // one-workload busy sweep as one batch, so the doomed sweep
+    // deterministically stays queued until the cancel lands.
+    let handle = serve(ServeConfig::default()).unwrap();
     let addr = handle.addr().to_string();
 
     // Occupy the pool with a slower sweep, confirmed running by its first
     // streamed Progress line.
     let busy_spec = SweepSpec {
+        apps: "jacobi".to_string(),
         scale: "small".to_string(),
-        reps: 3,
+        reps: 24,
         ..SweepSpec::default()
     };
     let busy_total = total_cells(&busy_spec) as u64;

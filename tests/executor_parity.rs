@@ -132,23 +132,22 @@ fn proc_backend_agrees_with_simulator_and_threaded_on_placements() {
 
 #[test]
 fn experiment_through_the_proc_backend_is_byte_identical_to_simulated() {
-    let plan = |backend: Backend| {
+    let plan = || {
         Experiment::new()
             .topology(Topology::two_socket(2))
             .app(Application::NStream)
             .scale(ProblemScale::Tiny)
             .policies([PolicyKind::Dfifo, PolicyKind::RGP_LAS])
-            .backend(backend)
             .seed(11)
             .plan()
     };
-    let sim = plan(Backend::Simulated).execute(1);
-    let proc = plan(Backend::Proc { workers: 2 });
+    let sim = plan().execute(1);
+    let proc = plan();
     let executor = ProcExecutor::with_pool(proc.config().clone(), test_pool());
     let proc = proc.execute_on(&executor, 1);
-    // Proc measurements ARE simulator measurements, so the proc sweep
-    // reports itself under the simulator label and the measurement JSON
-    // (timing excluded) must match byte for byte.
+    // Proc measurements ARE simulator measurements, so the simulated plan
+    // run on the pool reports itself under the simulator label and the
+    // measurement JSON (timing excluded) must match byte for byte.
     assert_eq!(proc.backend, "simulator");
     assert_eq!(sim.to_json_string(), proc.to_json_string());
 }
@@ -180,8 +179,9 @@ fn run_on_a_proc_pool_differs_from_run_only_in_its_backend_label() {
         ProcExecutor::with_pool(ExecutionConfig::bullion_s16().with_seed(11), test_pool());
     let on = tiny_figure1().run_on(&executor);
     let run = tiny_figure1().run();
-    // `run_on` names the executor it ran on; `Backend::Proc` reports under
-    // the simulator's label instead. Every measurement is the simulator's.
+    // `run_on` names the executor it ran on; a simulated plan run on the
+    // pool with `execute_on` reports under the simulator's label instead.
+    // Every measurement is the simulator's.
     let diff = run.diff(&on);
     assert_eq!(diff.header, vec![r#"backend: "simulator" -> "proc""#]);
     assert_eq!(

@@ -28,11 +28,12 @@ pub(crate) fn assert_reproduces(row: &str, report: &str, baseline: &str) {
     assert!(report == baseline, "{row} moved the committed baseline");
 }
 
-/// The sweep and worker count of a `figure1` / `serve-client submit` command
-/// line: each flag and its value through `SweepSpec::set_flag`, `--jobs` as
-/// `figure1` reads it.
-pub(crate) fn parse(args: &str) -> (SweepSpec, usize) {
-    let (mut spec, mut jobs) = (SweepSpec::default(), 1);
+/// The sweep, worker count and proc marker of a `figure1` / `serve-client
+/// submit` command line: each flag and its value through
+/// `SweepSpec::set_flag`, `--jobs` as `figure1` reads it, and `--backend
+/// proc` as `figure1`'s pool of the simulated sweep.
+pub(crate) fn parse(args: &str) -> (SweepSpec, usize, bool) {
+    let (mut spec, mut jobs, mut proc) = (SweepSpec::default(), 1, false);
     let words: Vec<&str> = args.split_whitespace().collect();
     for pair in words.chunks(2) {
         let set = match *pair {
@@ -40,12 +41,16 @@ pub(crate) fn parse(args: &str) -> (SweepSpec, usize) {
                 .parse::<usize>()
                 .map(|n| jobs = n)
                 .map_err(|e| e.to_string()),
+            ["--backend", "proc"] => {
+                proc = true;
+                Ok(())
+            }
             [flag, value] => spec.set_flag(flag, Some(value)),
             _ => Err("a flag without a value".to_string()),
         };
         set.unwrap_or_else(|e| panic!("{args}: {e}"));
     }
-    (spec, jobs)
+    (spec, jobs, proc)
 }
 
 /// Runs `figure1 <args>` over a fresh spec cache, so the graphs, and their
@@ -58,9 +63,8 @@ pub(crate) fn figure1(
     trace: Option<Arc<TraceCollector>>,
     pool: Option<&Arc<WorkerPool>>,
 ) -> (SweepPlan, SweepReport, String) {
-    let (spec, jobs) = parse(args);
+    let (spec, jobs, proc) = parse(args);
     let sweep = spec.resolve().unwrap_or_else(|e| panic!("{args}: {e}"));
-    let proc = matches!(sweep.backend, Backend::Proc { .. });
     assert_eq!(
         proc,
         pool.is_some(),

@@ -753,10 +753,28 @@ mod tests {
             assert_eq!(backend.label().parse::<Backend>(), Ok(backend));
         }
         assert!("gpu".parse::<Backend>().is_err());
-        // A proc pool is its owner's executor, not a backend a plan names.
-        for spelling in ["proc", "proc:w=4", "processes"] {
+    }
+
+    #[test]
+    fn proc_backend_parses_worker_counts_and_reports_as_simulator() {
+        // A proc pool is its owner's executor, not a backend a plan names:
+        // numadag-bench reads the worker counts, and the grammar refuses
+        // every proc spelling, well-formed or not.
+        for spelling in [
+            "proc",
+            "process",
+            "processes",
+            "proc:w=4",
+            "proc:workers=3",
+            "proc:w=0",
+            "proc:w=x",
+        ] {
             let error = spelling.parse::<Backend>().unwrap_err();
             assert!(error.contains("\"threaded\")"), "{error}");
         }
+        // A plan reports its own backend's label, so the simulated plan a
+        // proc pool runs stays baseline-compatible.
+        assert_eq!(Backend::Simulated.label(), "simulator");
+        assert_eq!(Backend::Threaded.label(), "threaded");
     }
 }
